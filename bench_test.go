@@ -177,16 +177,6 @@ func BenchmarkAblationPostfix(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationPostfixRetries checks §3.4's claim that a single postfix
-// try is best.
-func BenchmarkAblationPostfixRetries(b *testing.B) {
-	for _, retries := range []int{1, 3, 10} {
-		b.Run(map[int]string{1: "retries-1", 3: "retries-3", 10: "retries-10"}[retries], func(b *testing.B) {
-			runWorkload(b, ablationWorkload, rhAlgo(b), tm.RetryPolicy{PostfixRetries: retries})
-		})
-	}
-}
-
 // BenchmarkAblationEagerVsLazyNOrec checks §3.1's claim that the eager
 // NOrec design beats lazy at these concurrency levels.
 func BenchmarkAblationEagerVsLazyNOrec(b *testing.B) {

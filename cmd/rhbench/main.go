@@ -109,6 +109,7 @@ func main() {
 		for _, a := range bench.StandardAlgos() {
 			fmt.Printf(" %s", a.Name)
 		}
+		fmt.Printf("\nbaseline (by name only): %s", bench.SerialAlgo().Name)
 		fmt.Print("\nablation variants:")
 		for _, a := range bench.RHVariants() {
 			fmt.Printf(" %s", a.Name)

@@ -25,6 +25,7 @@ import (
 	"rhnorec/internal/persist"
 	"rhnorec/internal/phasedtm"
 	"rhnorec/internal/rhtl2"
+	"rhnorec/internal/serial"
 	"rhnorec/internal/tl2"
 	"rhnorec/internal/tm"
 )
@@ -182,9 +183,22 @@ func PersistVariants() []Algo {
 	}
 }
 
+// SerialAlgo is the global-lock oracle (internal/serial). No experiment
+// sweeps it by default; -algos serial selects it by name, as a same-run
+// control or to read its observability output next to the real algorithms'.
+func SerialAlgo() Algo {
+	return Algo{Name: "serial", New: func(m *mem.Memory, _ *htm.Device, _ tm.RetryPolicy) tm.System {
+		return serial.New(m)
+	}}
+}
+
 // AlgoByName returns the standard, ablation, policy-variant,
-// signature-variant or persist-variant algorithm with the given name.
+// signature-variant or persist-variant algorithm with the given name, or
+// the serial oracle.
 func AlgoByName(name string) (Algo, bool) {
+	if a := SerialAlgo(); a.Name == name {
+		return a, true
+	}
 	for _, a := range StandardAlgos() {
 		if a.Name == name {
 			return a, true

@@ -71,12 +71,6 @@ type System struct {
 	serialLock mem.Addr
 }
 
-// combineSigBits is the bloom width of the combining ring's read/write
-// signatures. It is independent of the memory's published-signature width
-// (ring signatures are only ever compared with each other) and fixed at the
-// maximum so group-admission false positives stay rare.
-const combineSigBits = mem.MaxSigBits
-
 // combineDrainBudget bounds the write entries a postfix holder drains into
 // its hardware transaction, keeping the group inside write capacity; the
 // software holder publishes in place and passes an effectively unbounded
@@ -138,6 +132,8 @@ func (s *System) NewThread() tm.Thread {
 		expectedLen: s.policy.InitialPrefixLength,
 	}
 	t.base.CM = s.engine.NewThreadPolicy(&t.base)
+	t.base.Bind(t, t)
+	t.base.SerialEscape(s.serialLock, s.policy.MaxSlowPathRestarts)
 	return t
 }
 
@@ -145,7 +141,6 @@ type thread struct {
 	sys  *System
 	base tm.ThreadBase
 	htx  *htm.Txn
-	ro   bool
 
 	// Mixed-slow-path attempt state.
 	txv                uint64 // clock snapshot; LSB set while we hold the clock lock
@@ -156,7 +151,6 @@ type thread struct {
 	fallbackRegistered bool // this Run is counted in num_of_fallbacks
 	prefixBanned       bool // §3.4: one prefix try per transaction
 	postfixBanned      bool // §3.4: one postfix try per transaction
-	serialHeld         bool
 	undo               []mem.WriteEntry
 
 	// Group-commit state (sys.ring != nil). combineMode: the attempt found
@@ -203,108 +197,34 @@ type thread struct {
 func (t *thread) Stats() *tm.Stats { t.base.FoldFilter(t.htx); return &t.base.St }
 func (t *thread) Close()           { t.base.CloseBase() }
 
-func (t *thread) Run(fn func(tm.Tx) error) error         { return t.run(fn, false) }
-func (t *thread) RunReadOnly(fn func(tm.Tx) error) error { return t.run(fn, true) }
+func (t *thread) Run(fn func(tm.Tx) error) error         { return t.base.Run(fn, false) }
+func (t *thread) RunReadOnly(fn func(tm.Tx) error) error { return t.base.Run(fn, true) }
 
-func (t *thread) run(fn func(tm.Tx) error, ro bool) error {
-	if nested := t.base.Nested(); nested != nil {
-		// Flat nesting: execute inline in the enclosing transaction.
-		return fn(nested)
-	}
-	t.base.BeginTxn()
-	defer t.base.EndTxn()
-	t.ro = ro
-	o := t.base.St.Obs
-	attemptStart := o.Start()
-	t.base.ObsEvent(obs.EventBegin, obs.PathNone)
-	retries := 0
-	if t.base.CM.AdmitFast() {
-		for {
-			fastStart := o.Start()
-			err, ab := t.fastAttempt(fn)
-			o.RecordSince(obs.PhaseFast, fastStart)
-			if ab == nil {
-				if err == nil {
-					t.base.CM.OnFastCommit(retries)
-					t.base.ObsEvent(obs.EventCommit, obs.PathFast)
-				}
-				o.RecordSince(obs.PhaseAttempt, attemptStart)
-				return err
-			}
-			t.base.RecordHTMAbort(ab, retries+1)
-			retries++
-			// The policy judges the abort (capacity demotion, budget,
-			// backoff); protocol-specific lock spins stay here.
-			if t.base.CM.OnAbort(ab, retries) != tm.RetryFast {
-				break
-			}
-			t.waitOutAbortCause(ab)
-		}
-	}
-	t.base.CM.OnFallback()
-	t.base.St.Fallbacks++
-	t.base.ObsEvent(obs.EventFallback, obs.PathNone)
-	err := t.mixedSlowRun(fn)
-	o.RecordSince(obs.PhaseAttempt, attemptStart)
-	return err
+// FastReady spins out the lock a hardware try just aborted on, rather than
+// restarting straight into the same explicit abort.
+func (t *thread) FastReady(prev *htm.Abort) bool {
+	t.base.SpinOutLock(prev, t.sys.gHTMLock, t.sys.gClock)
+	return true
 }
 
-func (t *thread) waitOutAbortCause(ab *htm.Abort) {
-	m := t.base.M
-	if ab.Code != htm.Explicit {
-		return
-	}
-	switch ab.Arg {
-	case abortHTMLockTaken:
-		for m.LoadPlain(t.sys.gHTMLock) != 0 {
-			runtime.Gosched()
-		}
-	case abortClockLocked:
-		for m.LoadPlain(t.sys.gClock)&1 != 0 {
-			runtime.Gosched()
-		}
-	case abortSerialTaken:
-		for m.LoadPlain(t.sys.serialLock) != 0 {
-			runtime.Gosched()
-		}
-	}
-}
-
-// fastAttempt is Algorithm 1: a pure hardware transaction that subscribes
-// only to the global HTM lock at start and touches the clock only at its
-// commit point — the paper's key change relative to Hybrid NOrec.
-func (t *thread) fastAttempt(fn func(tm.Tx) error) (err error, ab *htm.Abort) {
-	defer func() {
-		if r := recover(); r != nil {
-			if a, ok := htm.AsAbort(r); ok {
-				t.base.AbortCleanup()
-				err, ab = nil, a
-				return
-			}
-			t.htx.Cancel()
-			t.base.AbortCleanup()
-			if tm.IsRestart(r) {
-				err, ab = nil, &htm.Abort{Code: htm.Conflict}
-				return
-			}
-			panic(r)
-		}
-	}()
+// BeginFast is Algorithm 1's start: a pure hardware transaction that
+// subscribes only to the global HTM lock.
+func (t *thread) BeginFast() tm.Tx {
 	t.htx.Begin()
 	if t.htx.Load(t.sys.gHTMLock) != 0 {
 		t.htx.Abort(abortHTMLockTaken)
 	}
-	if uerr := t.base.CallUser(fn, fastTx{t}); uerr != nil {
-		t.htx.Cancel()
-		t.base.AbortCleanup()
-		t.base.St.UserAborts++
-		return uerr, nil
-	}
-	// Algorithm 1 commit: read-only transactions (compiler hint or no
-	// writes at runtime) commit without looking at the clock at all — and
-	// the substrate commits them lock-free (seqlock validation, no
-	// writeback lock), so the whole RO fast path is mutex-free end to end.
-	if !t.ro && t.htx.WriteLineCount() > 0 {
+	return fastTx{t}
+}
+
+// CommitFast is Algorithm 1's commit: the clock is touched only here, at
+// the commit point — the paper's key change relative to Hybrid NOrec.
+// Read-only transactions (compiler hint or no writes at runtime) commit
+// without looking at the clock at all — and the substrate commits them
+// lock-free (seqlock validation, no writeback lock), so the whole RO fast
+// path is mutex-free end to end.
+func (t *thread) CommitFast() {
+	if !t.base.ReadOnly && t.htx.WriteLineCount() > 0 {
 		if t.htx.Load(t.sys.gFallbacks) > 0 {
 			if t.htx.Load(t.sys.serialLock) != 0 {
 				t.htx.Abort(abortSerialTaken)
@@ -317,81 +237,15 @@ func (t *thread) fastAttempt(fn func(tm.Tx) error) (err error, ab *htm.Abort) {
 		}
 	}
 	t.htx.Commit()
-	t.base.CommitCleanup()
-	t.base.St.Commits++
-	t.base.St.FastPathCommits++
-	if t.ro {
-		t.base.St.ReadOnlyCommits++
-	}
-	return nil, nil
 }
 
-// mixedSlowRun drives mixed-slow-path attempts (Algorithms 2 and 3) with
-// the serial starvation escape of §3.3.
-func (t *thread) mixedSlowRun(fn func(tm.Tx) error) error {
-	m := t.base.M
-	t.fallbackRegistered = false
-	t.prefixBanned = false
-	t.postfixBanned = false
-	restarts := 0
-	defer func() {
-		t.base.CM.OnSlowDone()
-		if t.fallbackRegistered {
-			m.SubPlain(t.sys.gFallbacks, 1)
-			t.fallbackRegistered = false
-		}
-		if t.serialHeld {
-			m.StorePlain(t.sys.serialLock, 0)
-			t.serialHeld = false
-		}
-	}()
-	o := t.base.St.Obs
-	for {
-		t.base.St.SlowPathStarts++
-		serial := t.serialHeld
-		serialStart := o.Start()
-		err, restarted := t.mixedAttempt(fn, restarts+1)
-		if !restarted {
-			if serial {
-				o.RecordSince(obs.PhaseSerial, serialStart)
-			}
-			return err
-		}
-		t.base.St.SlowPathRestarts++
-		restarts++
-		t.base.CM.OnSTMRestart(restarts)
-		if restarts >= t.sys.policy.MaxSlowPathRestarts && !t.serialHeld {
-			for !m.CASPlain(t.sys.serialLock, 0, 1) {
-				runtime.Gosched()
-			}
-			t.serialHeld = true
-		}
-	}
-}
+// AbortFast discards a live speculation; nothing it did was visible.
+func (t *thread) AbortFast() { t.htx.Cancel() }
 
-// mixedAttempt is one try of the mixed slow path. attemptNo is the 1-based
-// ordinal of the try, for the abort taxonomy's retry accounting.
-func (t *thread) mixedAttempt(fn func(tm.Tx) error, attemptNo int) (err error, restarted bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			ab, isAbort := htm.AsAbort(r)
-			if isAbort {
-				t.base.RecordHTMAbort(ab, attemptNo)
-			} else if t.htx.Active() {
-				t.htx.Cancel()
-			}
-			t.mixedAbortCleanup()
-			if isAbort || tm.IsRestart(r) {
-				if !isAbort {
-					t.base.RecordSTMRestart(attemptNo)
-				}
-				err, restarted = nil, true
-				return
-			}
-			panic(r)
-		}
-	}()
-	o := t.base.St.Obs
+// BeginSlow starts one try of the mixed slow path (Algorithms 2 and 3):
+// the HTM prefix when it is usable; on no-go, the original (Algorithm 2)
+// software start.
+func (t *thread) BeginSlow(int) (tm.Tx, bool) {
 	t.writeDetected = false
 	t.prefixActive = false
 	t.postfixActive = false
@@ -403,35 +257,23 @@ func (t *thread) mixedAttempt(fn func(tm.Tx) error, attemptNo int) (err error, r
 		t.combWrites = t.combWrites[:0]
 		t.combRSig.Reset()
 	}
-	swStart := o.Start()
-	// Algorithm 3 start: try the HTM prefix; on no-go, the original
-	// (Algorithm 2) software start.
 	if t.prefixUsable() {
 		t.startPrefix()
 	} else {
 		t.softwareStart()
 	}
-	if uerr := t.base.CallUser(fn, mixedTx{t}); uerr != nil {
-		t.mixedUserAbort()
-		t.base.St.UserAborts++
-		return uerr, false
+	return mixedTx{t}, false
+}
+
+// EndSlow leaves the mixed slow path: the fallback registration and the
+// §3.4 single-try bans last one Run.
+func (t *thread) EndSlow() {
+	if t.fallbackRegistered {
+		t.base.M.SubPlain(t.sys.gFallbacks, 1)
+		t.fallbackRegistered = false
 	}
-	o.RecordSince(obs.PhaseSoftware, swStart)
-	wbStart := o.Start()
-	t.mixedCommit()
-	o.RecordSince(obs.PhaseWriteback, wbStart)
-	t.base.CommitCleanup()
-	t.base.St.Commits++
-	t.base.St.SlowPathCommits++
-	if t.ro {
-		t.base.St.ReadOnlyCommits++
-	}
-	if t.serialHeld {
-		t.base.ObsEvent(obs.EventCommit, obs.PathSerial)
-	} else {
-		t.base.ObsEvent(obs.EventCommit, obs.PathSlow)
-	}
-	return nil, false
+	t.prefixBanned = false
+	t.postfixBanned = false
 }
 
 func (t *thread) prefixUsable() bool {
@@ -573,9 +415,9 @@ func (t *thread) goFullSoftware() {
 	t.fullSoftware = true
 }
 
-// mixedCommit is mixed_slow_path_commit (Algorithm 3 lines 58–64 falling
+// CommitSlow is mixed_slow_path_commit (Algorithm 3 lines 58–64 falling
 // back to Algorithm 2 lines 58–72).
-func (t *thread) mixedCommit() {
+func (t *thread) CommitSlow() {
 	m := t.base.M
 	if t.prefixActive {
 		// The entire transaction fit in the HTM prefix: commit it. No
@@ -693,7 +535,7 @@ func (t *thread) groupCommitPostfix() {
 	r := t.sys.ring
 	t.lingerForGroup()
 	var group mem.Signature
-	t.htx.AddWriteSignature(&group, combineSigBits)
+	t.htx.AddWriteSignature(&group, tm.CombineSigBits)
 	t.drainMask = 0
 	t.groupBuf = t.groupBuf[:0]
 	n := r.Drain(t.txv&^1, &group, combineDrainBudget, &t.drainMask, t.bufferGroup)
@@ -701,7 +543,7 @@ func (t *thread) groupCommitPostfix() {
 		t.htx.Store(w.Addr, w.Value)
 	}
 	t.htx.Store(t.sys.gClock, (t.txv&^1)+2)
-	t.htx.Commit() // on abort: mixedAbortCleanup resolves drainMask rejected
+	t.htx.Commit() // on abort: AbortSlow resolves drainMask rejected
 	t.postfixActive = false
 	t.base.St.PostfixCommits++
 	t.base.St.Obs.RecordSince(obs.PhasePostfix, t.postfixStart)
@@ -731,7 +573,7 @@ func (t *thread) groupCommitSoftware() {
 	t.lingerForGroup()
 	var group mem.Signature
 	for i := range t.undo {
-		group.AddLine(mem.LineOf(t.undo[i].Addr), combineSigBits)
+		group.AddLine(mem.LineOf(t.undo[i].Addr), tm.CombineSigBits)
 	}
 	t.drainMask = 0
 	t.groupBuf = t.groupBuf[:0]
@@ -808,7 +650,7 @@ func (t *thread) combineCommit() {
 					m.StorePlain(w.Addr, w.Value)
 				}
 			}
-			t.mixedCommit() // the ordinary locked commit, drain included
+			t.CommitSlow() // the ordinary locked commit, drain included
 			return
 		}
 		if c == t.txv|1 {
@@ -824,54 +666,24 @@ func (t *thread) combineCommit() {
 }
 
 // tryEnqueue offers the buffered write set to the current holder's group
-// and waits for a verdict. It returns true when the group committed us;
-// false when the entry could not be placed or was retracted (the caller
-// re-examines the clock). A rejected claim restarts the attempt.
+// (tm.OfferGroup carries the wait and its verdicts).
 func (t *thread) tryEnqueue() bool {
-	m := t.base.M
-	r := t.sys.ring
 	rsig := t.combRSig
 	if t.prefixCommitted {
 		// The committed prefix's reads are part of this attempt's footprint;
 		// htx still holds their log (it is reset only by the next Begin, and
 		// combine mode never starts a postfix).
-		t.htx.AddReadSignature(&rsig, combineSigBits)
+		t.htx.AddReadSignature(&rsig, tm.CombineSigBits)
 	}
 	var wsig mem.Signature
 	for i := range t.combWrites {
-		wsig.AddLine(mem.LineOf(t.combWrites[i].Addr), combineSigBits)
+		wsig.AddLine(mem.LineOf(t.combWrites[i].Addr), tm.CombineSigBits)
 	}
-	slot := r.Enqueue(t.txv, t.combWrites, &rsig, &wsig)
-	if slot < 0 {
-		runtime.Gosched()
+	if !t.base.OfferGroup(t.sys.ring, t.sys.gClock, t.txv, t.combWrites, &rsig, &wsig) {
 		return false
 	}
-	for {
-		switch r.Poll(slot) {
-		case mem.CombineDone:
-			r.Release(slot)
-			t.combineMode = false
-			t.base.St.CombinedCommits++
-			t.base.RecordCombine(obs.FilterCombinedCommit)
-			return true
-		case mem.CombineRejected:
-			r.Release(slot)
-			t.base.St.CombineRejects++
-			t.base.RecordCombine(obs.FilterCombineReject)
-			tm.Restart()
-		}
-		// The clock load both paces the wait (it is a yield point under the
-		// deterministic explorer, letting the holder run) and detects a
-		// holder that finished without claiming us.
-		if m.LoadPlain(t.sys.gClock) != t.txv|1 {
-			if r.TryCancel(slot) {
-				return false
-			}
-			// A holder claimed the entry between the clock moving and the
-			// cancel: its verdict is imminent — keep polling.
-		}
-		runtime.Gosched()
-	}
+	t.combineMode = false
+	return true
 }
 
 // combGet answers a combine-mode read from the buffered write set.
@@ -895,19 +707,13 @@ func (t *thread) combPut(a mem.Addr, v uint64) {
 	t.combWrites = append(t.combWrites, mem.WriteEntry{Addr: a, Value: v})
 }
 
-// mixedUserAbort cleanly discards an attempt whose callback returned an
-// error: nothing it did may remain visible.
-func (t *thread) mixedUserAbort() {
+// AbortSlow releases every lock and rolls back eager writes after a restart,
+// hardware abort, or user abort. A prefix or postfix that aborted has
+// already discarded its buffer; one that is still live is cancelled here.
+func (t *thread) AbortSlow() {
 	if t.htx.Active() {
 		t.htx.Cancel()
 	}
-	t.mixedAbortCleanup()
-}
-
-// mixedAbortCleanup releases every lock and rolls back eager writes after a
-// restart, hardware abort, or user abort. The hardware transactions have
-// already discarded their buffers by this point.
-func (t *thread) mixedAbortCleanup() {
 	m := t.base.M
 	if t.drainMask != 0 {
 		// A drain claimed ring entries but the publish died (postfix abort or
@@ -957,7 +763,6 @@ func (t *thread) mixedAbortCleanup() {
 		m.StorePlain(t.sys.gClock, t.txv&^1)
 		t.writeDetected = false
 	}
-	t.base.AbortCleanup()
 }
 
 // fastTx is the pure, uninstrumented hardware view of Algorithm 1.
@@ -966,7 +771,7 @@ type fastTx struct{ t *thread }
 func (v fastTx) Load(a mem.Addr) uint64 { return v.t.htx.Load(a) }
 
 func (v fastTx) Store(a mem.Addr, val uint64) {
-	if v.t.ro {
+	if v.t.base.ReadOnly {
 		panic(tm.ErrStoreInReadOnly)
 	}
 	v.t.htx.Store(a, val)
@@ -1001,7 +806,10 @@ func (v mixedTx) Load(a mem.Addr) uint64 {
 			return val
 		}
 	}
-	val := m.LoadPlain(a)
+	// LoadCommitted: a concurrent hardware commit publishes its data and
+	// its clock bump as one step, so a value it wrote is never returned
+	// ahead of the clock check below seeing the bump.
+	val := m.LoadCommitted(a)
 	if c := m.LoadPlain(t.sys.gClock); c != t.txv {
 		// In combine mode the clock being locked at our own base is not a
 		// conflict, because nothing of the holder's can have reached val:
@@ -1021,14 +829,14 @@ func (v mixedTx) Load(a mem.Addr) uint64 {
 		}
 	}
 	if t.sys.ring != nil {
-		t.combRSig.AddLine(mem.LineOf(a), combineSigBits)
+		t.combRSig.AddLine(mem.LineOf(a), tm.CombineSigBits)
 	}
 	return val
 }
 
 func (v mixedTx) Store(a mem.Addr, val uint64) {
 	t := v.t
-	if t.ro {
+	if t.base.ReadOnly {
 		panic(tm.ErrStoreInReadOnly)
 	}
 	if t.prefixActive {

@@ -2,10 +2,10 @@ package core_test
 
 import (
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"rhnorec/internal/core"
+	"rhnorec/internal/explore"
 	"rhnorec/internal/htm"
 	"rhnorec/internal/hynorec"
 	"rhnorec/internal/mem"
@@ -79,6 +79,89 @@ func TestScenarioFigure1HybridNOrec(t *testing.T) {
 	}
 }
 
+// figure3 runs Figure 3's schedule on sys, pinned under internal/explore so
+// the overlap the figure is about always happens: a slow-path transaction
+// (long read phase, short write phase — read capacity keeps it off the
+// hardware fast path) is parked inside its write phase, and a read-only
+// observer of unrelated data then runs its transactions against it. The
+// observer is let run until it finishes or suffers its first abort (after
+// which it may be waiting on a lock the parked writer holds), then the
+// writer finishes, then whatever is left. It returns both threads' stats.
+func figure3(t *testing.T, newSys func(*mem.Memory, *htm.Device) tm.System) (observer, slow tm.Stats) {
+	t.Helper()
+	const observations = 20
+	var (
+		obsTh, slowTh tm.Thread
+		writePhase    bool
+	)
+	sc := explore.Scenario{
+		Name:         "figure-3",
+		FixedWorkers: 2,
+		DefaultOps:   1,
+		// Read capacity forces the mixed path; write capacity comfortably
+		// fits the postfix.
+		HTM: htm.Config{ReadCapacityLines: 8, WriteCapacityLines: 64},
+		Build: func(env *explore.Env, _ explore.Config) ([]func(), func() error, error) {
+			sys := newSys(env.M, env.Dev)
+			setup := sys.NewThread()
+			defer setup.Close()
+			var big, obs mem.Addr
+			err := setup.Run(func(tx tm.Tx) error {
+				big = tx.Alloc(32 * mem.LineWords)
+				obs = tx.Alloc(mem.LineWords)
+				tx.Store(obs, 7)
+				return nil
+			})
+			obsTh, slowTh = sys.NewThread(), sys.NewThread()
+			observe := func() {
+				for i := 0; i < observations; i++ {
+					if err := obsTh.RunReadOnly(func(tx tm.Tx) error {
+						if tx.Load(obs) != 7 {
+							env.Violatef("observer read corrupted data")
+						}
+						return nil
+					}); err != nil {
+						env.Violatef("observer: %v", err)
+					}
+				}
+			}
+			write := func() {
+				_ = slowTh.Run(func(tx tm.Tx) error {
+					var sum uint64
+					for k := 0; k < 32; k++ {
+						sum += tx.Load(big + mem.Addr(k*mem.LineWords))
+					}
+					for k := 0; k < 4; k++ {
+						tx.Store(big+mem.Addr(k*mem.LineWords), sum+1)
+						writePhase = true // only a software-path attempt survives the 32 reads
+					}
+					writePhase = false
+					return nil
+				})
+			}
+			return []func(){observe, write}, nil, err
+		},
+	}
+	res, err := explore.RunScenario(sc, explore.Config{}, explore.Steer(
+		explore.Leg{Worker: 1, Until: func() bool { return writePhase }},
+		explore.Leg{Worker: 0, Until: func() bool { return obsTh.Stats().HTMAborts() > 0 }},
+		explore.Leg{Worker: 1},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Outcome != explore.OutcomeOK {
+		t.Fatalf("run ended %v: %s", res.Outcome, res.Violation)
+	}
+	defer obsTh.Close()
+	defer slowTh.Close()
+	observer, slow = *obsTh.Stats(), *slowTh.Stats()
+	if observer.Commits != observations || slow.SlowPathCommits != 1 {
+		t.Fatalf("observer committed %d of %d, slow path committed %d of 1", observer.Commits, observations, slow.SlowPathCommits)
+	}
+	return observer, slow
+}
+
 // TestScenarioFigure3Concurrency reproduces Figure 3's schedule property:
 // hardware fast paths keep committing while a mixed slow path is executing
 // — including read-only fast paths during the slow path's write phase. In
@@ -86,139 +169,27 @@ func TestScenarioFigure1HybridNOrec(t *testing.T) {
 // in RH NOrec the postfix keeps the htm lock free, so concurrent read-only
 // fast paths must keep succeeding throughout.
 func TestScenarioFigure3Concurrency(t *testing.T) {
-	m := mem.New(1 << 18)
-	// Read capacity forces the mixed path; write capacity comfortably fits
-	// the postfix.
-	dev := htm.NewDevice(m, htm.Config{ReadCapacityLines: 8, WriteCapacityLines: 64})
-	dev.SetActiveThreads(2)
-	sys := core.New(m, dev, tm.RetryPolicy{})
-	setup := sys.NewThread()
-	var big, obs mem.Addr
-	if err := setup.Run(func(tx tm.Tx) error {
-		big = tx.Alloc(32 * mem.LineWords)
-		obs = tx.Alloc(mem.LineWords)
-		tx.Store(obs, 7)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+	observer, slow := figure3(t, func(m *mem.Memory, dev *htm.Device) tm.System {
+		return core.New(m, dev, tm.RetryPolicy{})
+	})
+	if slow.PostfixCommits != 1 {
+		t.Fatalf("slow path never exercised the postfix: %+v", slow)
 	}
-	setup.Close()
-
-	var wg sync.WaitGroup
-	done := make(chan struct{})
-	var slowStats tm.Stats
-	wg.Add(1)
-	go func() { // the mixed slow path: long read prefix + postfix writes
-		defer wg.Done()
-		th := sys.NewThread()
-		defer th.Close()
-		for i := uint64(0); ; i++ {
-			select {
-			case <-done:
-				slowStats = *th.Stats()
-				return
-			default:
-			}
-			_ = th.Run(func(tx tm.Tx) error {
-				var sum uint64
-				for k := 0; k < 32; k++ {
-					sum += tx.Load(big + mem.Addr(k*mem.LineWords))
-				}
-				for k := 0; k < 4; k++ {
-					tx.Store(big+mem.Addr(k*mem.LineWords), sum+i)
-				}
-				return nil
-			})
-		}
-	}()
-
-	th := sys.NewThread()
-	defer th.Close()
-	var roCommits atomic.Uint64
-	for i := 0; i < 3000; i++ {
-		if err := th.RunReadOnly(func(tx tm.Tx) error {
-			if tx.Load(obs) != 7 {
-				t.Error("observer read corrupted data")
-			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		roCommits.Add(1)
-	}
-	close(done)
-	wg.Wait()
-
-	if slowStats.SlowPathCommits == 0 || slowStats.PostfixCommits == 0 {
-		t.Fatalf("slow path never exercised the postfix: %+v", slowStats)
-	}
-	fast := th.Stats()
-	if fast.FastPathCommits != 3000 {
-		t.Errorf("read-only observer fell back %d times; Figure 3 concurrency requires the fast path to survive slow-path writers", fast.Fallbacks)
-	}
-	// The htm lock must never have been taken (postfix succeeded), so the
-	// observer should have seen almost no explicit aborts.
-	if fast.HTMExplicitAborts > uint64(slowStats.PostfixAttempts-slowStats.PostfixCommits+5) {
-		t.Errorf("observer saw %d htm-lock aborts with only %d failed postfixes",
-			fast.HTMExplicitAborts, slowStats.PostfixAttempts-slowStats.PostfixCommits)
+	if observer.FastPathCommits != observer.Commits || observer.HTMAborts() != 0 {
+		t.Errorf("read-only observer was disturbed (%d fallbacks, %d aborts); Figure 3 concurrency requires the fast path to survive slow-path writers",
+			observer.Fallbacks, observer.HTMAborts())
 	}
 }
 
 // TestScenarioFigure3HybridContrast runs the same schedule on Hybrid NOrec
 // and asserts the opposite: the observer *is* disturbed (it suffers aborts
-// caused by the slow-path writers taking the htm lock), demonstrating what
+// caused by the slow-path writer taking the htm lock), demonstrating what
 // the RH postfix buys.
 func TestScenarioFigure3HybridContrast(t *testing.T) {
-	m := mem.New(1 << 18)
-	dev := htm.NewDevice(m, htm.Config{ReadCapacityLines: 8, WriteCapacityLines: 64})
-	dev.SetActiveThreads(2)
-	sys := hynorec.New(m, dev, tm.RetryPolicy{})
-	setup := sys.NewThread()
-	var big, obs mem.Addr
-	if err := setup.Run(func(tx tm.Tx) error {
-		big = tx.Alloc(32 * mem.LineWords)
-		obs = tx.Alloc(mem.LineWords)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	setup.Close()
-	var wg sync.WaitGroup
-	done := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		th := sys.NewThread()
-		defer th.Close()
-		for i := uint64(0); ; i++ {
-			select {
-			case <-done:
-				return
-			default:
-			}
-			_ = th.Run(func(tx tm.Tx) error {
-				var sum uint64
-				for k := 0; k < 32; k++ {
-					sum += tx.Load(big + mem.Addr(k*mem.LineWords))
-				}
-				for k := 0; k < 4; k++ {
-					tx.Store(big+mem.Addr(k*mem.LineWords), sum+i)
-				}
-				return nil
-			})
-		}
-	}()
-	th := sys.NewThread()
-	defer th.Close()
-	for i := 0; i < 3000; i++ {
-		_ = th.RunReadOnly(func(tx tm.Tx) error {
-			_ = tx.Load(obs)
-			return nil
-		})
-	}
-	close(done)
-	wg.Wait()
-	if th.Stats().HTMAborts() == 0 {
-		t.Error("Hybrid NOrec observer saw zero aborts despite slow-path writers — the htm-lock cost did not manifest")
+	observer, _ := figure3(t, func(m *mem.Memory, dev *htm.Device) tm.System {
+		return hynorec.New(m, dev, tm.RetryPolicy{})
+	})
+	if observer.HTMExplicitAborts == 0 {
+		t.Error("Hybrid NOrec observer saw no htm-lock abort despite a slow-path writer in its write phase — the htm-lock cost did not manifest")
 	}
 }

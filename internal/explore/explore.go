@@ -130,6 +130,11 @@ func (c Config) Normalize() (Config, error) {
 	if !ok {
 		return c, fmt.Errorf("explore: unknown scenario %q (have %v)", c.Scenario, ScenarioNames())
 	}
+	return c.resolve(sc)
+}
+
+// resolve is Normalize against a scenario already in hand.
+func (c Config) resolve(sc Scenario) (Config, error) {
 	if sc.FixedWorkers > 0 {
 		c.Workers = sc.FixedWorkers
 	} else if c.Workers <= 0 {
@@ -146,7 +151,7 @@ func (c Config) Normalize() (Config, error) {
 	}
 	if sc.NeedsTM {
 		if _, ok := bench.AlgoByName(c.Algo); !ok {
-			return c, fmt.Errorf("explore: scenario %q needs a TM algorithm; unknown %q", c.Scenario, c.Algo)
+			return c, fmt.Errorf("explore: scenario %q needs a TM algorithm; unknown %q", sc.Name, c.Algo)
 		}
 	}
 	if _, err := bugFlag(c.Bug); err != nil {
@@ -160,26 +165,37 @@ func (c Config) Normalize() (Config, error) {
 // mode, zero software access cost, the planted bug flag); concurrent
 // RunOnce calls are not supported.
 func RunOnce(cfg Config, strat Strategy) (RunResult, error) {
-	cfg, err := cfg.Normalize()
+	sc, ok := ScenarioByName(cfg.Scenario)
+	if !ok {
+		return RunResult{}, fmt.Errorf("explore: unknown scenario %q (have %v)", cfg.Scenario, ScenarioNames())
+	}
+	return RunScenario(sc, cfg, strat)
+}
+
+// RunScenario is RunOnce for a scenario that need not be in the registry:
+// the seam a driver's own test uses to pin the one interleaving its
+// assertion is about (see Steer) instead of hoping free-running goroutines
+// produce it. cfg.Scenario is ignored.
+func RunScenario(sc Scenario, cfg Config, strat Strategy) (RunResult, error) {
+	cfg, err := cfg.resolve(sc)
 	if err != nil {
 		return RunResult{}, err
 	}
-	sc, _ := ScenarioByName(cfg.Scenario)
 	memWords := sc.MemWords
 	if memWords <= 0 {
 		memWords = 1 << 16
 	}
 	m := mem.NewStriped(memWords, mem.DefaultStripes)
 	var seedCtr uint64
-	dev := htm.NewDevice(m, htm.Config{
-		// The free-running yield pacing and the probabilistic fault knobs
-		// are exactly the nondeterminism this harness replaces.
-		YieldPeriod: -1,
-		SeedFn: func() uint64 {
-			seedCtr++
-			return seedCtr
-		},
-	})
+	// The free-running yield pacing and the probabilistic fault knobs are
+	// exactly the nondeterminism this harness replaces.
+	devCfg := sc.HTM
+	devCfg.YieldPeriod = -1
+	devCfg.SeedFn = func() uint64 {
+		seedCtr++
+		return seedCtr
+	}
+	dev := htm.NewDevice(m, devCfg)
 	dev.SetActiveThreads(cfg.Workers)
 	env := &Env{M: m, Dev: dev}
 	if sc.NeedsTM {
@@ -193,10 +209,10 @@ func RunOnce(cfg Config, strat Strategy) (RunResult, error) {
 	// traffic is not part of the schedule.
 	bodies, finish, err := sc.Build(env, cfg)
 	if err != nil {
-		return RunResult{}, fmt.Errorf("explore: %s setup: %w", cfg.Scenario, err)
+		return RunResult{}, fmt.Errorf("explore: %s setup: %w", sc.Name, err)
 	}
 	if len(bodies) != cfg.Workers {
-		return RunResult{}, fmt.Errorf("explore: %s built %d bodies for %d workers", cfg.Scenario, len(bodies), cfg.Workers)
+		return RunResult{}, fmt.Errorf("explore: %s built %d bodies for %d workers", sc.Name, len(bodies), cfg.Workers)
 	}
 
 	bug, _ := bugFlag(cfg.Bug)

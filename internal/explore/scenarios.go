@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"rhnorec/internal/conformance"
+	"rhnorec/internal/htm"
 	"rhnorec/internal/linearize"
 	"rhnorec/internal/mem"
 	"rhnorec/internal/persist"
@@ -30,7 +31,10 @@ type Scenario struct {
 	DefaultOps int
 	// MemWords sizes the run's memory (0 = 1<<16).
 	MemWords int
-	Build    func(env *Env, cfg Config) (bodies []func(), finish func() error, err error)
+	// HTM shapes the run's device (capacities; zero = defaults). Its pacing
+	// and seed source are always the harness's own.
+	HTM   htm.Config
+	Build func(env *Env, cfg Config) (bodies []func(), finish func() error, err error)
 }
 
 // Scenarios returns the registry, in presentation order: every workload in

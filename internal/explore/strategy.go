@@ -73,6 +73,40 @@ func (p *PCT) Next(step, cur int, enabled []int) (int, Fault) {
 	return best, f
 }
 
+// Leg is one stretch of a steered schedule: Worker runs, and only Worker,
+// until Until reports true or Worker finishes. Until is consulted between
+// steps, when every worker is parked, so it may read state the worker
+// bodies write without further synchronization; nil means "to completion".
+type Leg struct {
+	Worker int
+	Until  func() bool
+}
+
+// Steer is the strategy of a hand-written schedule: it follows legs in
+// order and then hands the rest of the run to the default continuation. It
+// exists so a test whose assertion is about one interleaving ("the slow
+// writer's lock store lands between the fast path's begin and commit") can
+// state that interleaving in terms of what the workers have done, not as
+// step counts that shift with every protocol change.
+func Steer(legs ...Leg) Strategy { return &steer{legs: legs} }
+
+type steer struct{ legs []Leg }
+
+func (s *steer) Next(step, cur int, enabled []int) (int, Fault) {
+	for len(s.legs) > 0 {
+		leg := s.legs[0]
+		if leg.Until == nil || !leg.Until() {
+			for _, w := range enabled {
+				if w == leg.Worker {
+					return w, FaultNone
+				}
+			}
+		}
+		s.legs = s.legs[1:]
+	}
+	return defaultChoice(cur, enabled), FaultNone
+}
+
 // replay re-executes a recorded choice sequence. Strict mode demands the
 // recording stays applicable (every recorded worker still runnable at its
 // step) and records the first divergence; lenient mode — used on shrinking

@@ -92,6 +92,10 @@ const (
 	// ArgWrongPhase: PhasedTM's phase subscription found the system in (or
 	// entering) a software phase (paper §1.1, [16]).
 	ArgWrongPhase uint64 = 4
+	// ArgStripeConflict: an RH-TL2 hardware transaction found a TL2 stripe
+	// it must publish or revalidate locked by a software commit, or newer
+	// than the slow path's read version ([18]; paper §1.2).
+	ArgStripeConflict uint64 = 5
 )
 
 // Cause joins the hardware abort code with the algorithm-level XABORT
@@ -116,6 +120,8 @@ func (a *Abort) Cause() obs.Cause {
 			return obs.CauseSerialTaken
 		case ArgWrongPhase:
 			return obs.CauseWrongPhase
+		case ArgStripeConflict:
+			return obs.CauseStripeConflict
 		}
 		return obs.CauseExplicitOther
 	}

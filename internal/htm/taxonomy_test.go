@@ -9,7 +9,7 @@ import (
 // protocolArgs are every XABORT payload a TM driver in this repository can
 // pass to Txn.Abort, plus a non-canonical one standing in for application
 // XABORTs.
-var protocolArgs = []uint64{ArgHTMLockTaken, ArgClockLocked, ArgSerialTaken, ArgWrongPhase, 99}
+var protocolArgs = []uint64{ArgHTMLockTaken, ArgClockLocked, ArgSerialTaken, ArgWrongPhase, ArgStripeConflict, 99}
 
 // TestAbortCauseMapping asserts that every hardware abort code and every
 // algorithm-level explicit-abort payload maps to exactly one taxonomy
@@ -71,7 +71,7 @@ func TestAbortCauseMapping(t *testing.T) {
 // stable.
 func TestCanonicalArgsDistinct(t *testing.T) {
 	seen := map[uint64]bool{}
-	for _, arg := range []uint64{ArgHTMLockTaken, ArgClockLocked, ArgSerialTaken, ArgWrongPhase} {
+	for _, arg := range []uint64{ArgHTMLockTaken, ArgClockLocked, ArgSerialTaken, ArgWrongPhase, ArgStripeConflict} {
 		if arg == 0 || seen[arg] {
 			t.Fatalf("canonical args must be distinct and non-zero, got %d twice or zero", arg)
 		}

@@ -20,7 +20,6 @@ import (
 
 	"rhnorec/internal/htm"
 	"rhnorec/internal/mem"
-	"rhnorec/internal/obs"
 	"rhnorec/internal/tm"
 )
 
@@ -67,10 +66,6 @@ type System struct {
 	gFallbacks mem.Addr
 	serialLock mem.Addr
 }
-
-// combineSigBits is the bloom width of the combining ring's signatures
-// (compared only with each other, so the width is fixed at the maximum).
-const combineSigBits = mem.MaxSigBits
 
 // New creates an eager Hybrid NOrec system. dev must speculate over m; zero
 // policy fields take the paper's defaults.
@@ -132,6 +127,8 @@ func (s *System) NewThread() tm.Thread {
 		writeMap: make(map[mem.Addr]uint64, 16),
 	}
 	t.base.CM = s.engine.NewThreadPolicy(&t.base)
+	t.base.Bind(t, t)
+	t.base.SerialEscape(s.serialLock, s.policy.MaxSlowPathRestarts)
 	return t
 }
 
@@ -144,7 +141,6 @@ type thread struct {
 	sys  *System
 	base tm.ThreadBase
 	htx  *htm.Txn
-	ro   bool
 
 	// Slow-path state. Eager: undo log under the clock lock. Lazy: value
 	// read set with extension plus a buffered write set.
@@ -154,7 +150,6 @@ type thread struct {
 	readSet       []readEntry
 	writeMap      map[mem.Addr]uint64
 	wOrder        []mem.Addr
-	serialHeld    bool
 
 	// Group-commit state (sys.ring != nil). combWrites is the flattened
 	// write set offered to a holder (grow-once, recycled); drainMask records
@@ -167,107 +162,31 @@ type thread struct {
 func (t *thread) Stats() *tm.Stats { t.base.FoldFilter(t.htx); return &t.base.St }
 func (t *thread) Close()           { t.base.CloseBase() }
 
-func (t *thread) Run(fn func(tm.Tx) error) error         { return t.run(fn, false) }
-func (t *thread) RunReadOnly(fn func(tm.Tx) error) error { return t.run(fn, true) }
+func (t *thread) Run(fn func(tm.Tx) error) error         { return t.base.Run(fn, false) }
+func (t *thread) RunReadOnly(fn func(tm.Tx) error) error { return t.base.Run(fn, true) }
 
-func (t *thread) run(fn func(tm.Tx) error, ro bool) error {
-	if nested := t.base.Nested(); nested != nil {
-		// Flat nesting: execute inline in the enclosing transaction.
-		return fn(nested)
-	}
-	t.base.BeginTxn()
-	defer t.base.EndTxn()
-	t.ro = ro
-	o := t.base.St.Obs
-	attemptStart := o.Start()
-	t.base.ObsEvent(obs.EventBegin, obs.PathNone)
-	retries := 0
-	if t.base.CM.AdmitFast() {
-		for {
-			fastStart := o.Start()
-			err, ab := t.fastAttempt(fn)
-			o.RecordSince(obs.PhaseFast, fastStart)
-			if ab == nil {
-				if err == nil {
-					t.base.CM.OnFastCommit(retries)
-					t.base.ObsEvent(obs.EventCommit, obs.PathFast)
-				}
-				o.RecordSince(obs.PhaseAttempt, attemptStart)
-				return err
-			}
-			t.base.RecordHTMAbort(ab, retries+1)
-			retries++
-			// The policy judges the abort (§3.3 gives capacity and other
-			// no-retry statuses straight to the slow path); protocol lock
-			// spins stay here.
-			if t.base.CM.OnAbort(ab, retries) != tm.RetryFast {
-				break
-			}
-			t.waitOutAbortCause(ab)
-		}
-	}
-	t.base.CM.OnFallback()
-	t.base.St.Fallbacks++
-	t.base.ObsEvent(obs.EventFallback, obs.PathNone)
-	err := t.slowRun(fn)
-	o.RecordSince(obs.PhaseAttempt, attemptStart)
-	return err
+// FastReady avoids restarting straight into a certain abort when the
+// explicit-abort payload of the previous try names a lock that is still
+// held.
+func (t *thread) FastReady(prev *htm.Abort) bool {
+	t.base.SpinOutLock(prev, t.sys.gHTMLock, t.sys.gClock)
+	return true
 }
 
-// waitOutAbortCause avoids restarting straight into a certain abort when
-// the explicit-abort payload names a lock that is still held.
-func (t *thread) waitOutAbortCause(ab *htm.Abort) {
-	m := t.base.M
-	if ab.Code != htm.Explicit {
-		return
-	}
-	switch ab.Arg {
-	case abortHTMLockTaken:
-		for m.LoadPlain(t.sys.gHTMLock) != 0 {
-			runtime.Gosched()
-		}
-	case abortClockLocked:
-		for m.LoadPlain(t.sys.gClock)&1 != 0 {
-			runtime.Gosched()
-		}
-	case abortSerialTaken:
-		for m.LoadPlain(t.sys.serialLock) != 0 {
-			runtime.Gosched()
-		}
-	}
-}
-
-// fastAttempt is Algorithm-1-style: subscribe to the HTM lock at start, run
-// fn uninstrumented, and at commit notify slow paths via the clock when any
-// exist. Transactions that wrote nothing commit lock-free in the substrate
-// (seqlock validation, no writeback lock).
-func (t *thread) fastAttempt(fn func(tm.Tx) error) (err error, ab *htm.Abort) {
-	defer func() {
-		if r := recover(); r != nil {
-			if a, ok := htm.AsAbort(r); ok {
-				t.base.AbortCleanup()
-				err, ab = nil, a
-				return
-			}
-			t.htx.Cancel()
-			t.base.AbortCleanup()
-			if tm.IsRestart(r) {
-				err, ab = nil, &htm.Abort{Code: htm.Conflict}
-				return
-			}
-			panic(r)
-		}
-	}()
+// BeginFast subscribes to the HTM lock at start; the callback then runs
+// uninstrumented.
+func (t *thread) BeginFast() tm.Tx {
 	t.htx.Begin()
 	if t.htx.Load(t.sys.gHTMLock) != 0 {
 		t.htx.Abort(abortHTMLockTaken)
 	}
-	if uerr := t.base.CallUser(fn, fastTx{t}); uerr != nil {
-		t.htx.Cancel()
-		t.base.AbortCleanup()
-		t.base.St.UserAborts++
-		return uerr, nil
-	}
+	return fastTx{t}
+}
+
+// CommitFast notifies slow paths via the clock when any exist.
+// Transactions that wrote nothing commit lock-free in the substrate
+// (seqlock validation, no writeback lock).
+func (t *thread) CommitFast() {
 	if t.htx.WriteLineCount() > 0 {
 		// Writer commit: tell the slow paths memory changed, but only if
 		// any exist (fallback-count subscription happens here, at the very
@@ -284,88 +203,37 @@ func (t *thread) fastAttempt(fn func(tm.Tx) error) (err error, ab *htm.Abort) {
 		}
 	}
 	t.htx.Commit()
-	t.base.CommitCleanup()
-	t.base.St.Commits++
-	t.base.St.FastPathCommits++
-	if t.ro {
-		t.base.St.ReadOnlyCommits++
-	}
-	return nil, nil
 }
 
-// slowRun executes the eager NOrec software slow path with the hybrid
-// coordination, including the serial starvation escape of §3.3.
-func (t *thread) slowRun(fn func(tm.Tx) error) error {
-	m := t.base.M
-	m.AddPlain(t.sys.gFallbacks, 1)
-	defer m.SubPlain(t.sys.gFallbacks, 1)
-	defer t.base.CM.OnSlowDone()
-	o := t.base.St.Obs
-	restarts := 0
-	for {
-		t.base.St.SlowPathStarts++
-		serial := t.serialHeld
-		serialStart := o.Start()
-		err, restarted := t.slowAttempt(fn)
-		if !restarted {
-			if serial {
-				o.RecordSince(obs.PhaseSerial, serialStart)
-			}
-			if t.serialHeld {
-				m.StorePlain(t.sys.serialLock, 0)
-				t.serialHeld = false
-			}
-			return err
-		}
-		t.base.St.SlowPathRestarts++
-		t.base.RecordSTMRestart(restarts + 1)
-		restarts++
-		t.base.CM.OnSTMRestart(restarts)
-		if restarts >= t.sys.policy.MaxSlowPathRestarts && !t.serialHeld {
-			for !m.CASPlain(t.sys.serialLock, 0, 1) {
-				runtime.Gosched()
-			}
-			t.serialHeld = true
-		}
-	}
-}
+// AbortFast discards a live speculation; nothing it did was visible.
+func (t *thread) AbortFast() { t.htx.Cancel() }
 
-// slowAttempt is one try of the software slow path; the caller's loop
-// accounts restarts in the taxonomy.
-func (t *thread) slowAttempt(fn func(tm.Tx) error) (err error, restarted bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			t.slowAbortCleanup()
-			if tm.IsRestart(r) {
-				err, restarted = nil, true
-				return
-			}
-			panic(r)
-		}
-	}()
-	o := t.base.St.Obs
+// BeginSlow starts one try of the NOrec software slow path with the hybrid
+// coordination: the Run registers in the fallback count once, and every
+// try snapshots the clock at an unlocked value.
+func (t *thread) BeginSlow(try int) (tm.Tx, bool) {
 	m := t.base.M
+	if try == 1 {
+		m.AddPlain(t.sys.gFallbacks, 1)
+	}
 	t.writeDetected = false
 	t.undo = t.undo[:0]
 	t.readSet = t.readSet[:0]
 	clear(t.writeMap)
 	t.wOrder = t.wOrder[:0]
-	swStart := o.Start()
 	for {
 		v := m.LoadPlain(t.sys.gClock)
 		if v&1 == 0 {
 			t.txv = v
-			break
+			return slowTx{t}, false
 		}
 		runtime.Gosched()
 	}
-	if uerr := t.base.CallUser(fn, slowTx{t}); uerr != nil {
-		t.slowAbortCleanup()
-		t.base.St.UserAborts++
-		return uerr, false
-	}
-	o.RecordSince(obs.PhaseSoftware, swStart)
-	wbStart := o.Start()
+}
+
+// CommitSlow publishes the software attempt.
+func (t *thread) CommitSlow() {
+	m := t.base.M
 	switch t.sys.variant {
 	case Eager:
 		if t.writeDetected {
@@ -380,20 +248,10 @@ func (t *thread) slowAttempt(fn func(tm.Tx) error) (err error, restarted bool) {
 			t.lazyCommit()
 		}
 	}
-	o.RecordSince(obs.PhaseWriteback, wbStart)
-	t.base.CommitCleanup()
-	t.base.St.Commits++
-	t.base.St.SlowPathCommits++
-	if t.ro {
-		t.base.St.ReadOnlyCommits++
-	}
-	if t.serialHeld {
-		t.base.ObsEvent(obs.EventCommit, obs.PathSerial)
-	} else {
-		t.base.ObsEvent(obs.EventCommit, obs.PathSlow)
-	}
-	return nil, false
 }
+
+// EndSlow drops the Run's fallback registration.
+func (t *thread) EndSlow() { t.base.M.SubPlain(t.sys.gFallbacks, 1) }
 
 // lazyCommit publishes the lazy variant's buffered writes: lock the clock
 // (validating or extending the snapshot as needed), kill the hardware fast
@@ -420,7 +278,9 @@ func (t *thread) lazyCommit() {
 		m.StorePlain(a, t.writeMap[a])
 	}
 	if t.sys.ring != nil {
-		t.drainGroup()
+		// The HTM lock is held as well as the clock, so hardware fast paths
+		// cannot observe the group mid-publish either.
+		t.base.DrainGroup(t.sys.ring, t.txv, t.wOrder, &t.drainMask)
 	}
 	m.StorePlain(t.sys.gHTMLock, 0)
 	m.StorePlain(t.sys.gClock, t.txv+2)
@@ -431,80 +291,19 @@ func (t *thread) lazyCommit() {
 	}
 }
 
-// drainGroup drains compatible queued commits into the holder's window: the
-// group signature starts as the holder's own write footprint, and every
-// admitted entry must be read-disjoint from it (see mem.CombineRing.Drain
-// for the serial-order argument). Runs with the clock locked and the HTM
-// lock held, so the published writes are invisible until the clock releases
-// — software readers value-validate only at even clocks.
-func (t *thread) drainGroup() {
-	m := t.base.M
-	// Linger one scheduler beat so contending committers can reach their
-	// commit, observe the locked clock, and enqueue — the combining batch
-	// exists only if the holder gives it a moment to form.
-	runtime.Gosched()
-	var group mem.Signature
-	for _, a := range t.wOrder {
-		group.AddLine(mem.LineOf(a), combineSigBits)
-	}
-	t.drainMask = 0
-	n := t.sys.ring.Drain(t.txv, &group, 1<<30, &t.drainMask, func(ws []mem.WriteEntry) {
-		for _, w := range ws {
-			m.StorePlain(w.Addr, w.Value)
-		}
-	})
-	if n > 0 {
-		t.base.St.CombineDrains++
-		t.base.RecordCombine(obs.FilterCombineDrain)
-	}
-}
-
-// tryEnqueue offers the buffered write set to the current holder's group and
-// waits for a verdict. It returns true when the group committed us; false
-// when the entry could not be placed or was retracted (the caller re-examines
-// the clock). A rejected claim restarts the attempt.
+// tryEnqueue offers the buffered write set to the current holder's group
+// (tm.OfferGroup carries the wait and its verdicts).
 func (t *thread) tryEnqueue() bool {
-	m := t.base.M
-	r := t.sys.ring
 	var rsig, wsig mem.Signature
 	for i := range t.readSet {
-		rsig.AddLine(mem.LineOf(t.readSet[i].addr), combineSigBits)
+		rsig.AddLine(mem.LineOf(t.readSet[i].addr), tm.CombineSigBits)
 	}
 	t.combWrites = t.combWrites[:0]
 	for _, a := range t.wOrder {
 		t.combWrites = append(t.combWrites, mem.WriteEntry{Addr: a, Value: t.writeMap[a]})
-		wsig.AddLine(mem.LineOf(a), combineSigBits)
+		wsig.AddLine(mem.LineOf(a), tm.CombineSigBits)
 	}
-	slot := r.Enqueue(t.txv, t.combWrites, &rsig, &wsig)
-	if slot < 0 {
-		runtime.Gosched()
-		return false
-	}
-	for {
-		switch r.Poll(slot) {
-		case mem.CombineDone:
-			r.Release(slot)
-			t.base.St.CombinedCommits++
-			t.base.RecordCombine(obs.FilterCombinedCommit)
-			return true
-		case mem.CombineRejected:
-			r.Release(slot)
-			t.base.St.CombineRejects++
-			t.base.RecordCombine(obs.FilterCombineReject)
-			tm.Restart()
-		}
-		// The clock load paces the wait (a yield point under the
-		// deterministic explorer) and detects a holder that finished
-		// without claiming us.
-		if m.LoadPlain(t.sys.gClock) != t.txv|1 {
-			if r.TryCancel(slot) {
-				return false
-			}
-			// A holder claimed the entry between the clock moving and the
-			// cancel: its verdict is imminent — keep polling.
-		}
-		runtime.Gosched()
-	}
+	return t.base.OfferGroup(t.sys.ring, t.sys.gClock, t.txv, t.combWrites, &rsig, &wsig)
 }
 
 // validate re-checks the lazy read set by value, returning the even clock
@@ -518,7 +317,7 @@ func (t *thread) validate() uint64 {
 			continue
 		}
 		for _, r := range t.readSet {
-			if m.LoadPlain(r.addr) != r.val {
+			if m.LoadCommitted(r.addr) != r.val {
 				tm.Restart()
 			}
 		}
@@ -528,11 +327,11 @@ func (t *thread) validate() uint64 {
 	}
 }
 
-// slowAbortCleanup rolls back eager writes and releases the hybrid locks.
-// Only user errors or application panics can abort after the first write
-// (the clock lock makes validation failures impossible), so no concurrent
-// transaction can have observed the undone values.
-func (t *thread) slowAbortCleanup() {
+// AbortSlow rolls back eager writes and releases the hybrid locks. Only user
+// errors or application panics can abort after the first write (the clock
+// lock makes validation failures impossible), so no concurrent transaction
+// can have observed the undone values.
+func (t *thread) AbortSlow() {
 	m := t.base.M
 	if t.drainMask != 0 {
 		// A drain claimed ring entries but the publish never became visible:
@@ -549,7 +348,6 @@ func (t *thread) slowAbortCleanup() {
 		m.StorePlain(t.sys.gClock, t.txv&^1)
 		t.writeDetected = false
 	}
-	t.base.AbortCleanup()
 }
 
 // fastTx is the uninstrumented hardware view.
@@ -558,7 +356,7 @@ type fastTx struct{ t *thread }
 func (v fastTx) Load(a mem.Addr) uint64 { return v.t.htx.Load(a) }
 
 func (v fastTx) Store(a mem.Addr, val uint64) {
-	if v.t.ro {
+	if v.t.base.ReadOnly {
 		panic(tm.ErrStoreInReadOnly)
 	}
 	v.t.htx.Store(a, val)
@@ -576,7 +374,10 @@ func (v slowTx) Load(a mem.Addr) uint64 {
 	t.base.InstrumentedAccess()
 	m := t.base.M
 	if t.sys.variant == Eager {
-		val := m.LoadPlain(a)
+		// LoadCommitted: a fast path's hardware commit publishes its data
+		// and its clock bump as one step, so a value it wrote is never
+		// returned ahead of the clock check seeing the bump.
+		val := m.LoadCommitted(a)
 		if m.LoadPlain(t.sys.gClock) != t.txv {
 			tm.Restart()
 		}
@@ -585,10 +386,10 @@ func (v slowTx) Load(a mem.Addr) uint64 {
 	if val, ok := t.writeMap[a]; ok {
 		return val
 	}
-	val := m.LoadPlain(a)
+	val := m.LoadCommitted(a)
 	for m.LoadPlain(t.sys.gClock) != t.txv {
 		t.txv = t.validate()
-		val = m.LoadPlain(a)
+		val = m.LoadCommitted(a)
 	}
 	t.readSet = append(t.readSet, readEntry{a, val})
 	return val
@@ -596,7 +397,7 @@ func (v slowTx) Load(a mem.Addr) uint64 {
 
 func (v slowTx) Store(a mem.Addr, val uint64) {
 	t := v.t
-	if t.ro {
+	if t.base.ReadOnly {
 		panic(tm.ErrStoreInReadOnly)
 	}
 	t.base.InstrumentedAccess()

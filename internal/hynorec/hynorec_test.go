@@ -1,9 +1,9 @@
 package hynorec_test
 
 import (
-	"sync"
 	"testing"
 
+	"rhnorec/internal/explore"
 	"rhnorec/internal/htm"
 	"rhnorec/internal/hynorec"
 	"rhnorec/internal/mem"
@@ -147,59 +147,87 @@ func TestCapacityGoesToSlowPath(t *testing.T) {
 
 // TestSlowWriterAbortsFastPaths: the defining HY-NOrec behaviour — a
 // slow-path writer's first write (setting the HTM lock) aborts concurrent
-// hardware transactions, even ones touching unrelated data.
+// hardware transactions, even ones touching unrelated data. The schedule is
+// pinned under internal/explore: the fast writer is parked between its
+// begin and its commit, the slow writer runs until it is inside its write
+// phase, and only then does the fast writer take its next step.
 func TestSlowWriterAbortsFastPaths(t *testing.T) {
-	m := mem.New(1 << 20)
-	dev := htm.NewDevice(m, htm.Config{WriteCapacityLines: 4})
-	dev.SetActiveThreads(2)
-	sys := hynorec.New(m, dev, tm.RetryPolicy{})
-	setup := sys.NewThread()
-	var big, small mem.Addr
-	if err := setup.Run(func(tx tm.Tx) error {
-		big = tx.Alloc(32 * mem.LineWords)
-		small = tx.Alloc(mem.LineWords)
-		return nil
-	}); err != nil {
+	var (
+		sys            *hynorec.System
+		big, small     mem.Addr
+		fastInFlight   bool // the fast writer has begun and not yet reached commit
+		slowWritePhase bool // the slow writer holds the HTM lock
+		fastTh         tm.Thread
+	)
+	sc := explore.Scenario{
+		Name:         "hy-norec-slow-writer",
+		FixedWorkers: 2,
+		DefaultOps:   1,
+		HTM:          htm.Config{WriteCapacityLines: 4},
+		Build: func(env *explore.Env, _ explore.Config) ([]func(), func() error, error) {
+			sys = hynorec.New(env.M, env.Dev, tm.RetryPolicy{})
+			setup := sys.NewThread()
+			defer setup.Close()
+			err := setup.Run(func(tx tm.Tx) error {
+				big = tx.Alloc(32 * mem.LineWords)
+				small = tx.Alloc(mem.LineWords)
+				return nil
+			})
+			fastTh = sys.NewThread()
+			fast := func() { // fast-path writer on unrelated data
+				_ = fastTh.Run(func(tx tm.Tx) error {
+					v := tx.Load(small)
+					fastInFlight = true
+					tx.Store(small, v+1)
+					return nil
+				})
+				fastInFlight = false
+			}
+			slow := func() { // capacity-bound writer: always falls back
+				th := sys.NewThread()
+				defer th.Close()
+				_ = th.Run(func(tx tm.Tx) error {
+					for k := 0; k < 32; k++ {
+						tx.Store(big+mem.Addr(k*mem.LineWords), 1)
+						// Five distinct lines overflow the hardware write
+						// capacity, so getting here means the software path,
+						// whose first write took the HTM lock.
+						slowWritePhase = k >= 8
+					}
+					slowWritePhase = false
+					return nil
+				})
+			}
+			return []func(){fast, slow}, nil, err
+		},
+	}
+	res, err := explore.RunScenario(sc, explore.Config{}, explore.Steer(
+		explore.Leg{Worker: 0, Until: func() bool { return fastInFlight }},
+		explore.Leg{Worker: 1, Until: func() bool { return slowWritePhase }},
+		// The fast writer's next hardware step revalidates its subscription
+		// to the HTM lock and dies; its retry then waits on the lock, so it
+		// gets a bounded leg before the slow writer is let finish.
+		explore.Leg{Worker: 0, Until: func() bool { return fastTh.Stats().HTMAborts() > 0 }},
+		explore.Leg{Worker: 1},
+	))
+	if err != nil {
 		t.Fatal(err)
 	}
-	setup.Close()
-	var wg sync.WaitGroup
-	const rounds = 200
-	wg.Add(2)
-	go func() { // slow-path writer (capacity-bound -> always falls back)
-		defer wg.Done()
-		th := sys.NewThread()
-		defer th.Close()
-		for i := 0; i < rounds; i++ {
-			_ = th.Run(func(tx tm.Tx) error {
-				for k := 0; k < 32; k++ {
-					tx.Store(big+mem.Addr(k*mem.LineWords), uint64(i))
-				}
-				return nil
-			})
-		}
-	}()
-	var fastStats tm.Stats
-	go func() { // fast-path writer on unrelated data
-		defer wg.Done()
-		th := sys.NewThread()
-		defer th.Close()
-		for i := 0; i < rounds*4; i++ {
-			_ = th.Run(func(tx tm.Tx) error {
-				tx.Store(small, tx.Load(small)+1)
-				return nil
-			})
-		}
-		fastStats = *th.Stats()
-	}()
-	wg.Wait()
-	if got := m.LoadPlain(small); got != rounds*4 {
-		t.Errorf("fast counter = %d, want %d", got, rounds*4)
+	if res.Outcome != explore.OutcomeOK {
+		t.Fatalf("run ended %v: %s", res.Outcome, res.Violation)
 	}
-	// The fast thread must have suffered aborts caused by the unrelated
-	// slow writer (false aborts — the scalability problem RH NOrec fixes).
+	defer fastTh.Close()
+	fastStats := fastTh.Stats()
+	if got := sys.Memory().LoadPlain(small); got != 1 {
+		t.Errorf("fast counter = %d, want 1", got)
+	}
+	// The fast thread must have suffered an abort caused by the unrelated
+	// slow writer (a false abort — the scalability problem RH NOrec fixes).
 	if fastStats.HTMAborts() == 0 {
-		t.Error("fast path saw zero aborts despite concurrent slow-path writers")
+		t.Error("fast path saw zero aborts despite a concurrent slow-path writer in its write phase")
+	}
+	if fastStats.Commits != 1 {
+		t.Errorf("fast thread commits = %d, want 1", fastStats.Commits)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 
 	"rhnorec/internal/htm"
 	"rhnorec/internal/mem"
-	"rhnorec/internal/obs"
 	"rhnorec/internal/tm"
 )
 
@@ -63,6 +62,7 @@ func (s *System) NewThread() tm.Thread {
 		htx:  s.dev.NewTxn(),
 	}
 	t.base.CM = s.engine.NewThreadPolicy(&t.base)
+	t.base.Bind(t, t)
 	return t
 }
 
@@ -71,155 +71,66 @@ type thread struct {
 	base tm.ThreadBase
 	htx  *htm.Txn
 	undo []mem.WriteEntry
-	ro   bool
 }
 
 func (t *thread) Stats() *tm.Stats { return &t.base.St }
 func (t *thread) Close()           { t.base.CloseBase() }
 
-func (t *thread) Run(fn func(tm.Tx) error) error         { return t.run(fn, false) }
-func (t *thread) RunReadOnly(fn func(tm.Tx) error) error { return t.run(fn, true) }
+func (t *thread) Run(fn func(tm.Tx) error) error         { return t.base.Run(fn, false) }
+func (t *thread) RunReadOnly(fn func(tm.Tx) error) error { return t.base.Run(fn, true) }
 
-func (t *thread) run(fn func(tm.Tx) error, ro bool) error {
-	if nested := t.base.Nested(); nested != nil {
-		// Flat nesting: execute inline in the enclosing transaction.
-		return fn(nested)
-	}
-	t.base.BeginTxn()
-	defer t.base.EndTxn()
-	t.ro = ro
-	o := t.base.St.Obs
-	attemptStart := o.Start()
-	t.base.ObsEvent(obs.EventBegin, obs.PathNone)
-	retries := 0
-	if t.base.CM.AdmitFast() {
-		for {
-			t.waitLockFree()
-			fastStart := o.Start()
-			err, ab := t.fastAttempt(fn)
-			o.RecordSince(obs.PhaseFast, fastStart)
-			if ab == nil {
-				if err == nil {
-					t.base.CM.OnFastCommit(retries)
-					t.base.ObsEvent(obs.EventCommit, obs.PathFast)
-				}
-				o.RecordSince(obs.PhaseAttempt, attemptStart)
-				return err
-			}
-			t.base.RecordHTMAbort(ab, retries+1)
-			retries++
-			if t.base.CM.OnAbort(ab, retries) != tm.RetryFast {
-				break
-			}
-		}
-	}
-	t.base.CM.OnFallback()
-	t.base.St.Fallbacks++
-	t.base.ObsEvent(obs.EventFallback, obs.PathNone)
-	err := t.lockFallback(fn)
-	t.base.CM.OnSlowDone()
-	o.RecordSince(obs.PhaseAttempt, attemptStart)
-	return err
-}
-
-// waitLockFree avoids starting a speculation that is doomed to abort on its
+// FastReady avoids starting a speculation that is doomed to abort on its
 // subscription check.
-func (t *thread) waitLockFree() {
+func (t *thread) FastReady(*htm.Abort) bool {
 	for t.base.M.LoadPlain(t.sys.gLock) != 0 {
 		runtime.Gosched()
 	}
+	return true
 }
 
-// fastAttempt runs fn once inside a hardware transaction. It returns
-// (userErr, nil) when the transaction finished (committed, or user-aborted
-// with no effects), and (nil, abort) when the hardware aborted.
-func (t *thread) fastAttempt(fn func(tm.Tx) error) (err error, ab *htm.Abort) {
-	defer func() {
-		if r := recover(); r != nil {
-			if a, ok := htm.AsAbort(r); ok {
-				t.base.AbortCleanup()
-				err, ab = nil, a
-				return
-			}
-			t.htx.Cancel()
-			t.base.AbortCleanup()
-			if tm.IsRestart(r) {
-				// An explicit tm.Restart from application code behaves
-				// like a conflict abort.
-				err, ab = nil, &htm.Abort{Code: htm.Conflict}
-				return
-			}
-			panic(r)
-		}
-	}()
+// BeginFast subscribes to the global lock (elision): abort if it is held,
+// and keep it in the read set so a later acquisition kills this
+// speculation.
+func (t *thread) BeginFast() tm.Tx {
 	t.htx.Begin()
-	// Subscribe to the global lock (elision): abort if it is held, and keep
-	// it in the read set so a later acquisition kills this speculation.
 	if t.htx.Load(t.sys.gLock) != 0 {
 		t.htx.Abort(abortLockTaken)
 	}
-	if uerr := t.base.CallUser(fn, fastTx{t}); uerr != nil {
-		t.htx.Cancel() // discard speculative writes; nothing became visible
-		t.base.AbortCleanup()
-		t.base.St.UserAborts++
-		return uerr, nil
-	}
-	t.htx.Commit() // read-only speculations commit lock-free in the substrate
-	t.base.CommitCleanup()
-	t.base.St.Commits++
-	t.base.St.FastPathCommits++
-	if t.ro {
-		t.base.St.ReadOnlyCommits++
-	}
-	return nil, nil
+	return fastTx{t}
 }
 
-// lockFallback acquires the global lock and runs fn non-speculatively. The
-// acquisition's plain store aborts all current speculations (they subscribed
-// to the lock), preserving opacity.
-func (t *thread) lockFallback(fn func(tm.Tx) error) error {
-	m := t.base.M
-	for !m.CASPlain(t.sys.gLock, 0, 1) {
-		runtime.Gosched()
+// CommitFast has no metadata to publish; read-only speculations commit
+// lock-free in the substrate.
+func (t *thread) CommitFast() { t.htx.Commit() }
+
+// AbortFast discards speculative writes; nothing became visible.
+func (t *thread) AbortFast() { t.htx.Cancel() }
+
+// BeginSlow acquires the global lock so the callback runs
+// non-speculatively. The acquisition's plain store aborts all current
+// speculations (they subscribed to the lock), preserving opacity. A retry
+// of the same Run (a Restart from application code) already holds it.
+func (t *thread) BeginSlow(try int) (tm.Tx, bool) {
+	if try == 1 {
+		t.base.AcquireLock(t.sys.gLock)
 	}
-	serialStart := t.base.St.Obs.Start()
 	t.undo = t.undo[:0]
-	err := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				t.rollback()
-				m.StorePlain(t.sys.gLock, 0)
-				t.base.AbortCleanup()
-				panic(r)
-			}
-		}()
-		return t.base.CallUser(fn, slowTx{t})
-	}()
-	if err != nil {
-		t.rollback()
-		m.StorePlain(t.sys.gLock, 0)
-		t.base.AbortCleanup()
-		t.base.St.UserAborts++
-		return err
-	}
-	m.StorePlain(t.sys.gLock, 0)
-	t.base.St.Obs.RecordSince(obs.PhaseSerial, serialStart)
-	t.base.CommitCleanup()
-	t.base.St.Commits++
-	t.base.St.SerialCommits++
-	if t.ro {
-		t.base.St.ReadOnlyCommits++
-	}
-	t.base.ObsEvent(obs.EventCommit, obs.PathSerial)
-	return nil
+	return slowTx{t}, true
 }
 
-func (t *thread) rollback() {
+// CommitSlow has nothing to publish: the writes went to memory in place.
+func (t *thread) CommitSlow() {}
+
+// AbortSlow undoes the in-place writes, newest first.
+func (t *thread) AbortSlow() {
 	for i := len(t.undo) - 1; i >= 0; i-- {
 		t.base.M.StorePlain(t.undo[i].Addr, t.undo[i].Value)
 	}
 	t.undo = t.undo[:0]
 }
+
+// EndSlow releases the global lock.
+func (t *thread) EndSlow() { t.base.M.StorePlain(t.sys.gLock, 0) }
 
 // fastTx is the uninstrumented hardware view: loads and stores go straight
 // to the speculation buffer.
@@ -228,7 +139,7 @@ type fastTx struct{ t *thread }
 func (v fastTx) Load(a mem.Addr) uint64 { return v.t.htx.Load(a) }
 
 func (v fastTx) Store(a mem.Addr, val uint64) {
-	if v.t.ro {
+	if v.t.base.ReadOnly {
 		panic(tm.ErrStoreInReadOnly)
 	}
 	v.t.htx.Store(a, val)
@@ -244,7 +155,7 @@ type slowTx struct{ t *thread }
 func (v slowTx) Load(a mem.Addr) uint64 { return v.t.base.M.LoadPlain(a) }
 
 func (v slowTx) Store(a mem.Addr, val uint64) {
-	if v.t.ro {
+	if v.t.base.ReadOnly {
 		panic(tm.ErrStoreInReadOnly)
 	}
 	v.t.undo = append(v.t.undo, mem.WriteEntry{Addr: a, Value: v.t.base.M.LoadPlain(a)})

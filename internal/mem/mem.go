@@ -296,6 +296,33 @@ func (m *Memory) LoadPlain(a Addr) uint64 {
 	return atomic.LoadUint64(&m.words[a])
 }
 
+// LoadCommitted is LoadPlain made atomic with respect to commit write-backs:
+// it reads under the seqlock read protocol of a's stripe, so it never
+// returns a word of a CommitWrites buffer that is still being published.
+// CommitWrites opens the windows of every stripe it touches before its
+// first store and closes them after its last, so a caller that gets a
+// committed value back is also guaranteed to find every other word of that
+// commit — a TM's clock or version word included — already in memory. The
+// software read paths of the TM drivers load data through it and then check
+// their metadata with LoadPlain; that is what makes a simulated hardware
+// commit one atomic step to them, as it is on real hardware. (A plain
+// store's one-word window makes it wait a few cycles and nothing more.) To
+// the explorer it is the same single mem-load yield point as LoadPlain.
+func (m *Memory) LoadCommitted(a Addr) uint64 {
+	m.check(a)
+	if h := m.hook; h != nil {
+		h.Yield(HookLoad, a)
+	}
+	s := m.StripeOf(a)
+	for {
+		c := m.stripeClockStable(s)
+		v := atomic.LoadUint64(&m.words[a])
+		if m.stripes[s].clock.Load() == c {
+			return v
+		}
+	}
+}
+
 // StorePlain performs a non-transactional atomic write of a word under the
 // seqlock discipline of its stripe — only that stripe's clock moves, so
 // stores to distinct stripes neither contend nor invalidate each other's

@@ -236,3 +236,42 @@ func TestRaceMultiStripeCommitOrdering(t *testing.T) {
 		t.Errorf("torn write-set visibility: %d of %d snapshots saw a mixed tuple", mixed.Load(), reads.Load())
 	}
 }
+
+// TestRaceLoadCommittedSeesWholeCommits: a value LoadCommitted returns from
+// a multi-stripe commit implies every other word of that commit is already
+// in memory — the property the TM drivers' software reads lean on when they
+// load data first and check a clock or version word after. The writer
+// publishes (data, clock) with data first in the buffer, the order a
+// hardware fast path produces; a reader that sees data == k must then find
+// clock >= k. (With LoadPlain for the data load the pair can be torn: data
+// from commit k, clock still k-1.)
+func TestRaceLoadCommittedSeesWholeCommits(t *testing.T) {
+	m := New(1 << 12)
+	c := m.NewThreadCache()
+	data := c.Alloc(LineWords)
+	clock := c.Alloc(LineWords)
+	if m.StripeOf(data) == m.StripeOf(clock) {
+		t.Fatalf("data and clock landed on the same stripe %d; the test needs a cross-stripe pair", m.StripeOf(data))
+	}
+	commits := uint64(20000)
+	if testing.Short() {
+		commits = 2000
+	}
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer done.Store(true)
+		for k := uint64(1); k <= commits; k++ {
+			m.CommitWrites([]WriteEntry{{Addr: data, Value: k}, {Addr: clock, Value: k}}, nil)
+		}
+	}()
+	for !done.Load() {
+		d := m.LoadCommitted(data)
+		if cl := m.LoadPlain(clock); cl < d {
+			t.Fatalf("read data of commit %d while the clock still said %d", d, cl)
+		}
+	}
+	wg.Wait()
+}

@@ -18,7 +18,6 @@ import (
 	"runtime"
 
 	"rhnorec/internal/mem"
-	"rhnorec/internal/obs"
 	"rhnorec/internal/tm"
 )
 
@@ -54,10 +53,6 @@ type System struct {
 	// drains signature-disjoint entries under its one ticket window.
 	ring *mem.CombineRing
 }
-
-// combineSigBits is the bloom width of the combining ring's signatures
-// (compared only with each other, so the width is fixed at the maximum).
-const combineSigBits = mem.MaxSigBits
 
 // New creates a NOrec system of the given variant with the default
 // contention policy.
@@ -103,6 +98,7 @@ func (s *System) NewThread() tm.Thread {
 		writeMap: make(map[mem.Addr]uint64, 32),
 	}
 	t.base.CM = s.engine.NewThreadPolicy(&t.base)
+	t.base.Bind(t, nil)
 	return t
 }
 
@@ -114,7 +110,6 @@ type readEntry struct {
 type thread struct {
 	sys  *System
 	base tm.ThreadBase
-	ro   bool
 
 	// txv is the transaction's clock snapshot; LSB set means this thread
 	// holds the clock lock (eager variant only).
@@ -140,91 +135,33 @@ type thread struct {
 func (t *thread) Stats() *tm.Stats { return &t.base.St }
 func (t *thread) Close()           { t.base.CloseBase() }
 
-func (t *thread) Run(fn func(tm.Tx) error) error         { return t.run(fn, false) }
-func (t *thread) RunReadOnly(fn func(tm.Tx) error) error { return t.run(fn, true) }
+func (t *thread) Run(fn func(tm.Tx) error) error         { return t.base.Run(fn, false) }
+func (t *thread) RunReadOnly(fn func(tm.Tx) error) error { return t.base.Run(fn, true) }
 
-func (t *thread) run(fn func(tm.Tx) error, ro bool) error {
-	if nested := t.base.Nested(); nested != nil {
-		// Flat nesting: execute inline in the enclosing transaction.
-		return fn(nested)
-	}
-	t.base.BeginTxn()
-	defer t.base.EndTxn()
-	t.ro = ro
-	o := t.base.St.Obs
-	attemptStart := o.Start()
-	t.base.ObsEvent(obs.EventBegin, obs.PathSlow)
-	restarts := 0
-	for {
-		swStart := o.Start()
-		err, restarted := t.attempt(fn)
-		o.RecordSince(obs.PhaseSoftware, swStart)
-		if !restarted {
-			if err == nil {
-				t.base.ObsEvent(obs.EventCommit, obs.PathSlow)
-			}
-			o.RecordSince(obs.PhaseAttempt, attemptStart)
-			return err
-		}
-		t.base.St.STMRestarts++
-		restarts++
-		t.base.RecordSTMRestart(restarts)
-		t.base.CM.OnSTMRestart(restarts)
-	}
-}
-
-// attempt runs one try of fn. It reports a restart instead of committing
-// when the transaction was invalidated.
-func (t *thread) attempt(fn func(tm.Tx) error) (err error, restarted bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			t.cleanupAfterAbort()
-			if tm.IsRestart(r) {
-				err, restarted = nil, true
-				return
-			}
-			panic(r)
-		}
-	}()
-	t.beginAttempt()
-	if uerr := t.base.CallUser(fn, txView{t}); uerr != nil {
-		t.cleanupAfterAbort()
-		t.base.St.UserAborts++
-		return uerr, false
-	}
-	wbStart := t.base.St.Obs.Start()
-	t.commit()
-	t.base.St.Obs.RecordSince(obs.PhaseWriteback, wbStart)
-	t.base.CommitCleanup()
-	t.base.St.Commits++
-	t.base.St.SlowPathCommits++
-	if t.ro {
-		t.base.St.ReadOnlyCommits++
-	}
-	return nil, false
-}
-
-func (t *thread) beginAttempt() {
+// BeginSlow starts one try: spin until the clock is unlocked, then
+// snapshot it.
+func (t *thread) BeginSlow(int) (tm.Tx, bool) {
 	t.writeDetected = false
 	t.undo = t.undo[:0]
 	t.readSet = t.readSet[:0]
 	clear(t.writeMap)
 	t.wOrder = t.wOrder[:0]
-	// Spin until the clock is unlocked, then snapshot it.
 	for {
 		v := t.base.M.LoadPlain(t.sys.clock)
 		if v&1 == 0 {
 			t.txv = v
-			return
+			return txView{t}, false
 		}
 		runtime.Gosched()
 	}
 }
 
-// cleanupAfterAbort restores memory and releases the clock lock if the
-// eager variant aborted mid-write-phase (only possible via user error or an
-// application panic; clock validation cannot fail while the lock is held).
-func (t *thread) cleanupAfterAbort() {
+func (t *thread) EndSlow() {}
+
+// AbortSlow restores memory and releases the clock lock if the eager variant
+// aborted mid-write-phase (only possible via user error or an application
+// panic; clock validation cannot fail while the lock is held).
+func (t *thread) AbortSlow() {
 	if t.drainMask != 0 {
 		// A drain claimed ring entries but the publish never became visible:
 		// resolve them rejected so their owners can restart.
@@ -242,10 +179,12 @@ func (t *thread) cleanupAfterAbort() {
 		t.writeDetected = false
 	}
 	t.undo = t.undo[:0]
-	t.base.AbortCleanup()
 }
 
-func (t *thread) commit() {
+// CommitSlow is the NOrec commit point: the eager variant releases the
+// clock it locked at its first write; the lazy one locks it now, validating
+// or extending its snapshot, and writes back.
+func (t *thread) CommitSlow() {
 	m := t.base.M
 	switch t.sys.variant {
 	case Eager:
@@ -274,7 +213,7 @@ func (t *thread) commit() {
 			m.StorePlain(a, t.writeMap[a])
 		}
 		if t.sys.ring != nil {
-			t.drainGroup()
+			t.base.DrainGroup(t.sys.ring, t.txv, t.wOrder, &t.drainMask)
 		}
 		m.StorePlain(t.sys.clock, t.txv+2) // txv is even here
 		if t.drainMask != 0 {
@@ -286,80 +225,19 @@ func (t *thread) commit() {
 	}
 }
 
-// drainGroup drains compatible queued commits into the holder's window: the
-// group signature starts as the holder's own write footprint, and every
-// admitted entry must be read-disjoint from it (see mem.CombineRing.Drain
-// for the serial-order argument). Runs with the clock locked, so the
-// published writes are invisible until the clock releases — readers
-// value-validate only at even clocks.
-func (t *thread) drainGroup() {
-	m := t.base.M
-	// Linger one scheduler beat so contending committers can reach their
-	// commit, observe the locked clock, and enqueue — the combining batch
-	// exists only if the holder gives it a moment to form.
-	runtime.Gosched()
-	var group mem.Signature
-	for _, a := range t.wOrder {
-		group.AddLine(mem.LineOf(a), combineSigBits)
-	}
-	t.drainMask = 0
-	n := t.sys.ring.Drain(t.txv, &group, 1<<30, &t.drainMask, func(ws []mem.WriteEntry) {
-		for _, w := range ws {
-			m.StorePlain(w.Addr, w.Value)
-		}
-	})
-	if n > 0 {
-		t.base.St.CombineDrains++
-		t.base.RecordCombine(obs.FilterCombineDrain)
-	}
-}
-
-// tryEnqueue offers the buffered write set to the current holder's group and
-// waits for a verdict. It returns true when the group committed us; false
-// when the entry could not be placed or was retracted (the caller re-examines
-// the clock). A rejected claim restarts the attempt.
+// tryEnqueue offers the buffered write set to the current holder's group
+// (tm.OfferGroup carries the wait and its verdicts).
 func (t *thread) tryEnqueue() bool {
-	m := t.base.M
-	r := t.sys.ring
 	var rsig, wsig mem.Signature
 	for i := range t.readSet {
-		rsig.AddLine(mem.LineOf(t.readSet[i].addr), combineSigBits)
+		rsig.AddLine(mem.LineOf(t.readSet[i].addr), tm.CombineSigBits)
 	}
 	t.combWrites = t.combWrites[:0]
 	for _, a := range t.wOrder {
 		t.combWrites = append(t.combWrites, mem.WriteEntry{Addr: a, Value: t.writeMap[a]})
-		wsig.AddLine(mem.LineOf(a), combineSigBits)
+		wsig.AddLine(mem.LineOf(a), tm.CombineSigBits)
 	}
-	slot := r.Enqueue(t.txv, t.combWrites, &rsig, &wsig)
-	if slot < 0 {
-		runtime.Gosched()
-		return false
-	}
-	for {
-		switch r.Poll(slot) {
-		case mem.CombineDone:
-			r.Release(slot)
-			t.base.St.CombinedCommits++
-			t.base.RecordCombine(obs.FilterCombinedCommit)
-			return true
-		case mem.CombineRejected:
-			r.Release(slot)
-			t.base.St.CombineRejects++
-			t.base.RecordCombine(obs.FilterCombineReject)
-			tm.Restart()
-		}
-		// The clock load paces the wait (a yield point under the
-		// deterministic explorer) and detects a holder that finished
-		// without claiming us.
-		if m.LoadPlain(t.sys.clock) != t.txv|1 {
-			if r.TryCancel(slot) {
-				return false
-			}
-			// A holder claimed the entry between the clock moving and the
-			// cancel: its verdict is imminent — keep polling.
-		}
-		runtime.Gosched()
-	}
+	return t.base.OfferGroup(t.sys.ring, t.sys.clock, t.txv, t.combWrites, &rsig, &wsig)
 }
 
 // validate re-checks the lazy read set by value and returns the even clock
@@ -413,7 +291,7 @@ func (v txView) Load(a mem.Addr) uint64 {
 
 func (v txView) Store(a mem.Addr, val uint64) {
 	t := v.t
-	if t.ro {
+	if t.base.ReadOnly {
 		panic(tm.ErrStoreInReadOnly)
 	}
 	t.base.InstrumentedAccess()

@@ -39,6 +39,10 @@ const (
 	// found the system in (or entering) a software phase
 	// (htm.ArgWrongPhase).
 	CauseWrongPhase
+	// CauseStripeConflict: explicit abort because an RH-TL2 hardware
+	// transaction met a stripe that was locked by a software commit or newer
+	// than its read version (htm.ArgStripeConflict).
+	CauseStripeConflict
 	// CauseExplicitOther: an explicit abort whose payload is not one of the
 	// canonical protocol arguments (application XABORTs).
 	CauseExplicitOther
@@ -52,16 +56,17 @@ const (
 )
 
 var causeNames = [NumCauses]string{
-	CauseNone:          "none",
-	CauseConflict:      "conflict",
-	CauseCapacity:      "capacity",
-	CauseSpurious:      "spurious",
-	CauseHTMLockTaken:  "htm-lock-taken",
-	CauseClockLocked:   "clock-locked",
-	CauseSerialTaken:   "serial-taken",
-	CauseWrongPhase:    "wrong-phase",
-	CauseExplicitOther: "explicit-other",
-	CauseSTMValidation: "stm-validation",
+	CauseNone:           "none",
+	CauseConflict:       "conflict",
+	CauseCapacity:       "capacity",
+	CauseSpurious:       "spurious",
+	CauseHTMLockTaken:   "htm-lock-taken",
+	CauseClockLocked:    "clock-locked",
+	CauseSerialTaken:    "serial-taken",
+	CauseWrongPhase:     "wrong-phase",
+	CauseStripeConflict: "stripe-conflict",
+	CauseExplicitOther:  "explicit-other",
+	CauseSTMValidation:  "stm-validation",
 }
 
 // String returns the stable schema name of the cause (docs/METRICS.md
@@ -83,9 +88,11 @@ func CauseByName(name string) (Cause, bool) {
 	return CauseNone, false
 }
 
-// Phase labels one timed section of a transaction's execution. The five TM
-// algorithms record the phases they have; docs/METRICS.md defines each
-// phase's exact boundaries per algorithm.
+// Phase labels one timed section of a transaction's execution. The
+// transaction skeleton (internal/tm/run.go) stamps the attempt, fast,
+// software, writeback and serial phases identically for every driver; RH
+// NOrec adds its prefix and postfix. docs/METRICS.md defines each phase's
+// exact boundaries.
 type Phase uint8
 
 const (

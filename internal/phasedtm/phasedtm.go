@@ -19,7 +19,6 @@ import (
 
 	"rhnorec/internal/htm"
 	"rhnorec/internal/mem"
-	"rhnorec/internal/obs"
 	"rhnorec/internal/tm"
 )
 
@@ -80,6 +79,7 @@ func (s *System) NewThread() tm.Thread {
 		htx:  s.dev.NewTxn(),
 	}
 	t.base.CM = s.engine.NewThreadPolicy(&t.base)
+	t.base.Bind(t, t)
 	return t
 }
 
@@ -87,7 +87,6 @@ type thread struct {
 	sys  *System
 	base tm.ThreadBase
 	htx  *htm.Txn
-	ro   bool
 
 	// Software-phase NOrec state.
 	txv           uint64
@@ -98,183 +97,81 @@ type thread struct {
 func (t *thread) Stats() *tm.Stats { return &t.base.St }
 func (t *thread) Close()           { t.base.CloseBase() }
 
-func (t *thread) Run(fn func(tm.Tx) error) error         { return t.run(fn, false) }
-func (t *thread) RunReadOnly(fn func(tm.Tx) error) error { return t.run(fn, true) }
+func (t *thread) Run(fn func(tm.Tx) error) error         { return t.base.Run(fn, false) }
+func (t *thread) RunReadOnly(fn func(tm.Tx) error) error { return t.base.Run(fn, true) }
 
-func (t *thread) run(fn func(tm.Tx) error, ro bool) error {
-	if nested := t.base.Nested(); nested != nil {
-		// Flat nesting: execute inline in the enclosing transaction.
-		return fn(nested)
-	}
-	t.base.BeginTxn()
-	defer t.base.EndTxn()
-	t.ro = ro
+// FastReady checks the phase before every hardware try. In the software
+// phase it attempts the opportunistic switch-back — if the software phase
+// has drained, restore the hardware phase — and otherwise sends the
+// transaction to software like everyone else's.
+func (t *thread) FastReady(*htm.Abort) bool {
 	m := t.base.M
-	o := t.base.St.Obs
-	attemptStart := o.Start()
-	t.base.ObsEvent(obs.EventBegin, obs.PathNone)
-	retries := 0
-	if t.base.CM.AdmitFast() {
-		for {
-			if m.LoadPlain(t.sys.gMode) == modeSW {
-				// Opportunistic switch-back: if the software phase has
-				// drained, restore the hardware phase.
-				if m.LoadPlain(t.sys.gSWActive) != 0 || !m.CASPlain(t.sys.gMode, modeSW, modeHW) {
-					err := t.softwareRun(fn)
-					o.RecordSince(obs.PhaseAttempt, attemptStart)
-					return err
-				}
-			}
-			fastStart := o.Start()
-			err, ab := t.fastAttempt(fn)
-			o.RecordSince(obs.PhaseFast, fastStart)
-			if ab == nil {
-				if err == nil {
-					t.base.CM.OnFastCommit(retries)
-					t.base.ObsEvent(obs.EventCommit, obs.PathFast)
-				}
-				o.RecordSince(obs.PhaseAttempt, attemptStart)
-				return err
-			}
-			t.base.RecordHTMAbort(ab, retries+1)
-			retries++
-			if t.base.CM.OnAbort(ab, retries) != tm.RetryFast {
-				break
-			}
+	if m.LoadPlain(t.sys.gMode) == modeSW {
+		if m.LoadPlain(t.sys.gSWActive) != 0 || !m.CASPlain(t.sys.gMode, modeSW, modeHW) {
+			return false
 		}
 	}
-	// Hardware gave up (or the policy kept it away): switch the whole
-	// system to the software phase.
-	t.base.CM.OnFallback()
-	t.base.St.Fallbacks++
-	t.base.ObsEvent(obs.EventFallback, obs.PathNone)
-	m.CASPlain(t.sys.gMode, modeHW, modeSW)
-	err := t.softwareRun(fn)
-	t.base.CM.OnSlowDone()
-	o.RecordSince(obs.PhaseAttempt, attemptStart)
-	return err
+	return true
 }
 
-// fastAttempt runs fn as a pure hardware transaction of the hardware phase.
-func (t *thread) fastAttempt(fn func(tm.Tx) error) (err error, ab *htm.Abort) {
-	defer func() {
-		if r := recover(); r != nil {
-			if a, ok := htm.AsAbort(r); ok {
-				t.base.AbortCleanup()
-				err, ab = nil, a
-				return
-			}
-			t.htx.Cancel()
-			t.base.AbortCleanup()
-			if tm.IsRestart(r) {
-				err, ab = nil, &htm.Abort{Code: htm.Conflict}
-				return
-			}
-			panic(r)
-		}
-	}()
+// BeginFast starts a pure hardware transaction of the hardware phase.
+// Phase subscription: any switch to software, or a straggling software
+// transaction, kills this speculation.
+func (t *thread) BeginFast() tm.Tx {
 	t.htx.Begin()
-	// Phase subscription: any switch to software, or a straggling software
-	// transaction, kills this speculation.
 	if t.htx.Load(t.sys.gMode) != modeHW || t.htx.Load(t.sys.gSWActive) != 0 {
 		t.htx.Abort(abortWrongPhase)
 	}
-	if uerr := t.base.CallUser(fn, fastTx{t}); uerr != nil {
-		t.htx.Cancel()
-		t.base.AbortCleanup()
-		t.base.St.UserAborts++
-		return uerr, nil
-	}
-	t.htx.Commit()
-	t.base.CommitCleanup()
-	t.base.St.Commits++
-	t.base.St.FastPathCommits++
-	if t.ro {
-		t.base.St.ReadOnlyCommits++
-	}
-	return nil, nil
+	return fastTx{t}
 }
 
-// softwareRun executes fn in the software phase (eager NOrec).
-func (t *thread) softwareRun(fn func(tm.Tx) error) error {
+func (t *thread) CommitFast() { t.htx.Commit() }
+func (t *thread) AbortFast()  { t.htx.Cancel() }
+
+// BeginSlow starts one try in the software phase (eager NOrec). The first
+// try of a Run switches the whole system to the software phase — hardware
+// gave up, or the policy kept it away; a no-op when the phase is already
+// software — and registers the transaction.
+func (t *thread) BeginSlow(try int) (tm.Tx, bool) {
 	m := t.base.M
-	// Register before verifying the phase: a hardware transaction that
-	// starts concurrently sees either the registration or the software
-	// mode and aborts either way.
-	m.AddPlain(t.sys.gSWActive, 1)
-	for m.LoadPlain(t.sys.gMode) != modeSW {
-		// The phase flipped back before we got going; re-enter properly.
-		m.SubPlain(t.sys.gSWActive, 1)
-		runtime.Gosched()
-		if m.LoadPlain(t.sys.gMode) == modeHW {
-			m.CASPlain(t.sys.gMode, modeHW, modeSW)
-		}
+	if try == 1 {
+		m.CASPlain(t.sys.gMode, modeHW, modeSW)
+		// Register before verifying the phase: a hardware transaction that
+		// starts concurrently sees either the registration or the software
+		// mode and aborts either way.
 		m.AddPlain(t.sys.gSWActive, 1)
-	}
-	defer m.SubPlain(t.sys.gSWActive, 1)
-	o := t.base.St.Obs
-	restarts := 0
-	for {
-		t.base.St.SlowPathStarts++
-		swStart := o.Start()
-		err, restarted := t.softwareAttempt(fn)
-		o.RecordSince(obs.PhaseSoftware, swStart)
-		if !restarted {
-			if err == nil {
-				t.base.ObsEvent(obs.EventCommit, obs.PathSlow)
+		for m.LoadPlain(t.sys.gMode) != modeSW {
+			// The phase flipped back before we got going; re-enter properly.
+			m.SubPlain(t.sys.gSWActive, 1)
+			runtime.Gosched()
+			if m.LoadPlain(t.sys.gMode) == modeHW {
+				m.CASPlain(t.sys.gMode, modeHW, modeSW)
 			}
-			return err
+			m.AddPlain(t.sys.gSWActive, 1)
 		}
-		t.base.St.SlowPathRestarts++
-		restarts++
-		t.base.RecordSTMRestart(restarts)
-		t.base.CM.OnSTMRestart(restarts)
 	}
-}
-
-func (t *thread) softwareAttempt(fn func(tm.Tx) error) (err error, restarted bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			t.softwareAbortCleanup()
-			if tm.IsRestart(r) {
-				err, restarted = nil, true
-				return
-			}
-			panic(r)
-		}
-	}()
-	m := t.base.M
 	t.writeDetected = false
 	t.undo = t.undo[:0]
 	for {
 		v := m.LoadPlain(t.sys.gClock)
 		if v&1 == 0 {
 			t.txv = v
-			break
+			return swTx{t}, false
 		}
 		runtime.Gosched()
 	}
-	if uerr := t.base.CallUser(fn, swTx{t}); uerr != nil {
-		t.softwareAbortCleanup()
-		t.base.St.UserAborts++
-		return uerr, false
-	}
-	if t.writeDetected {
-		wbStart := t.base.St.Obs.Start()
-		m.StorePlain(t.sys.gClock, (t.txv&^1)+2)
-		t.writeDetected = false
-		t.base.St.Obs.RecordSince(obs.PhaseWriteback, wbStart)
-	}
-	t.base.CommitCleanup()
-	t.base.St.Commits++
-	t.base.St.SlowPathCommits++
-	if t.ro {
-		t.base.St.ReadOnlyCommits++
-	}
-	return nil, false
 }
 
-func (t *thread) softwareAbortCleanup() {
+// CommitSlow releases the clock a writer locked at its first write.
+func (t *thread) CommitSlow() {
+	if t.writeDetected {
+		t.base.M.StorePlain(t.sys.gClock, (t.txv&^1)+2)
+		t.writeDetected = false
+	}
+}
+
+// AbortSlow rolls back eager writes and releases the clock unadvanced.
+func (t *thread) AbortSlow() {
 	m := t.base.M
 	for i := len(t.undo) - 1; i >= 0; i-- {
 		m.StorePlain(t.undo[i].Addr, t.undo[i].Value)
@@ -284,15 +181,17 @@ func (t *thread) softwareAbortCleanup() {
 		m.StorePlain(t.sys.gClock, t.txv&^1)
 		t.writeDetected = false
 	}
-	t.base.AbortCleanup()
 }
+
+// EndSlow deregisters the transaction from the software phase.
+func (t *thread) EndSlow() { t.base.M.SubPlain(t.sys.gSWActive, 1) }
 
 type fastTx struct{ t *thread }
 
 func (v fastTx) Load(a mem.Addr) uint64 { return v.t.htx.Load(a) }
 
 func (v fastTx) Store(a mem.Addr, val uint64) {
-	if v.t.ro {
+	if v.t.base.ReadOnly {
 		panic(tm.ErrStoreInReadOnly)
 	}
 	v.t.htx.Store(a, val)
@@ -308,7 +207,7 @@ func (v swTx) Load(a mem.Addr) uint64 {
 	t := v.t
 	t.base.InstrumentedAccess()
 	m := t.base.M
-	val := m.LoadPlain(a)
+	val := m.LoadCommitted(a)
 	if m.LoadPlain(t.sys.gClock) != t.txv {
 		tm.Restart()
 	}
@@ -317,7 +216,7 @@ func (v swTx) Load(a mem.Addr) uint64 {
 
 func (v swTx) Store(a mem.Addr, val uint64) {
 	t := v.t
-	if t.ro {
+	if t.base.ReadOnly {
 		panic(tm.ErrStoreInReadOnly)
 	}
 	t.base.InstrumentedAccess()

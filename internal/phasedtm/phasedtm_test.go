@@ -1,9 +1,9 @@
 package phasedtm_test
 
 import (
-	"sync"
 	"testing"
 
+	"rhnorec/internal/explore"
 	"rhnorec/internal/htm"
 	"rhnorec/internal/mem"
 	"rhnorec/internal/phasedtm"
@@ -100,60 +100,79 @@ func TestPhaseSwitchAndBack(t *testing.T) {
 }
 
 // TestWholeSystemPaysForOneFallback demonstrates the phased weakness the
-// paper describes: while one thread keeps failing in hardware, other
-// threads' small transactions get dragged into the software phase.
+// paper describes: while one thread cannot finish in hardware, other
+// threads' small transactions get dragged into the software phase. The
+// schedule is pinned under internal/explore: the capacity-bound transaction
+// is parked inside the software phase it forced (registered, before its
+// first write), and the small transactions then run to completion.
 func TestWholeSystemPaysForOneFallback(t *testing.T) {
-	m := mem.New(1 << 20)
-	dev := htm.NewDevice(m, htm.Config{WriteCapacityLines: 4})
-	dev.SetActiveThreads(2)
-	sys := phasedtm.New(m, dev, tm.RetryPolicy{})
-	setup := sys.NewThread()
-	var big, small mem.Addr
-	if err := setup.Run(func(tx tm.Tx) error {
-		big = tx.Alloc(32 * mem.LineWords)
-		small = tx.Alloc(1)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	setup.Close()
-	var wg sync.WaitGroup
-	done := make(chan struct{})
-	wg.Add(1)
-	go func() { // permanent capacity-bound transactions
-		defer wg.Done()
-		th := sys.NewThread()
-		defer th.Close()
-		for i := uint64(0); ; i++ {
-			select {
-			case <-done:
-				return
-			default:
-			}
-			_ = th.Run(func(tx tm.Tx) error {
-				for k := 0; k < 32; k++ {
-					tx.Store(big+mem.Addr(k*mem.LineWords), i)
-				}
+	const smallRuns = 5
+	var (
+		sys            *phasedtm.System
+		bigTh, smallTh tm.Thread
+		small          mem.Addr
+		bigInSoftware  bool
+	)
+	sc := explore.Scenario{
+		Name:         "phased-tm-one-fallback",
+		FixedWorkers: 2,
+		DefaultOps:   1,
+		HTM:          htm.Config{WriteCapacityLines: 4},
+		Build: func(env *explore.Env, _ explore.Config) ([]func(), func() error, error) {
+			sys = phasedtm.New(env.M, env.Dev, tm.RetryPolicy{})
+			setup := sys.NewThread()
+			defer setup.Close()
+			var big mem.Addr
+			err := setup.Run(func(tx tm.Tx) error {
+				big = tx.Alloc(32 * mem.LineWords)
+				small = tx.Alloc(1)
 				return nil
 			})
-		}
-	}()
-	th := sys.NewThread()
-	defer th.Close()
-	for i := 0; i < 500; i++ {
-		if err := th.Run(func(tx tm.Tx) error {
-			tx.Store(small, tx.Load(small)+1)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
+			bigTh, smallTh = sys.NewThread(), sys.NewThread()
+			smalls := func() {
+				for i := 0; i < smallRuns; i++ {
+					if err := smallTh.Run(func(tx tm.Tx) error {
+						tx.Store(small, tx.Load(small)+1)
+						return nil
+					}); err != nil {
+						env.Violatef("small transaction: %v", err)
+					}
+				}
+			}
+			capacityBound := func() {
+				_ = bigTh.Run(func(tx tm.Tx) error {
+					// The hardware try dies of capacity inside the loop below; the
+					// callback that runs after the fallback is the software one.
+					bigInSoftware = bigTh.Stats().SlowPathStarts > 0
+					for k := 0; k < 32; k++ {
+						tx.Store(big+mem.Addr(k*mem.LineWords), 1)
+					}
+					bigInSoftware = false
+					return nil
+				})
+			}
+			return []func(){smalls, capacityBound}, nil, err
+		},
 	}
-	close(done)
-	wg.Wait()
-	if got := m.LoadPlain(small); got != 500 {
-		t.Errorf("counter = %d, want 500", got)
+	res, err := explore.RunScenario(sc, explore.Config{}, explore.Steer(
+		explore.Leg{Worker: 1, Until: func() bool { return bigInSoftware }},
+		explore.Leg{Worker: 0},
+	))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if th.Stats().SlowPathCommits == 0 {
-		t.Error("small transactions never got dragged into the software phase — the phased cost did not manifest")
+	if res.Outcome != explore.OutcomeOK {
+		t.Fatalf("run ended %v: %s", res.Outcome, res.Violation)
+	}
+	defer bigTh.Close()
+	defer smallTh.Close()
+	if got := sys.Memory().LoadPlain(small); got != smallRuns {
+		t.Errorf("counter = %d, want %d", got, smallRuns)
+	}
+	if got := smallTh.Stats().SlowPathCommits; got != smallRuns {
+		t.Errorf("%d of %d small transactions ran in the software phase — the phased cost did not manifest", got, smallRuns)
+	}
+	if bigTh.Stats().SlowPathCommits != 1 {
+		t.Errorf("capacity-bound transaction: %+v", bigTh.Stats())
 	}
 }

@@ -45,9 +45,10 @@ type System struct {
 	// even = version, odd = locked (owner threadID<<1|1).
 	stripes mem.Addr
 	mask    uint64
-	// gHTMLock aborts all hardware fast paths while a software-fallback
-	// commit performs its non-atomic write-back (the hardware commit
-	// transaction needs no such lock — its write-back is atomic).
+	// gHTMLock, a count of software-fallback commits in flight, aborts all
+	// hardware fast paths while any of them validates and performs its
+	// non-atomic write-back (the hardware commit transaction needs no such
+	// lock — its write-back is atomic).
 	gHTMLock mem.Addr
 	// serialLock is the starvation escape, as in the NOrec hybrids.
 	serialLock mem.Addr
@@ -103,6 +104,8 @@ func (s *System) NewThread() tm.Thread {
 		id:   s.nextThreadID.Add(1),
 	}
 	t.base.CM = s.engine.NewThreadPolicy(&t.base)
+	t.base.Bind(t, t)
+	t.base.SerialEscape(s.serialLock, s.policy.MaxSlowPathRestarts)
 	return t
 }
 
@@ -111,104 +114,47 @@ type thread struct {
 	base tm.ThreadBase
 	htx  *htm.Txn
 	id   uint64
-	ro   bool
 
 	// Fast-path write instrumentation: the stripes written this attempt.
 	fastStripes []mem.Addr
 
 	// Slow-path (TL2 lazy) state.
-	rv         uint64
-	readSet    []mem.Addr // stripe addresses read
-	readSeen   map[mem.Addr]bool
-	writeA     []mem.Addr
-	writeV     []uint64
-	writeIdx   map[mem.Addr]int
-	serialHeld bool
+	rv       uint64
+	readSet  []mem.Addr // stripe addresses read
+	readSeen map[mem.Addr]bool
+	writeA   []mem.Addr
+	writeV   []uint64
+	writeIdx map[mem.Addr]int
+	try      int // ordinal of the current slow attempt, for the abort taxonomy
 }
 
 func (t *thread) Stats() *tm.Stats { return &t.base.St }
 func (t *thread) Close()           { t.base.CloseBase() }
 
-func (t *thread) Run(fn func(tm.Tx) error) error         { return t.run(fn, false) }
-func (t *thread) RunReadOnly(fn func(tm.Tx) error) error { return t.run(fn, true) }
+func (t *thread) Run(fn func(tm.Tx) error) error         { return t.base.Run(fn, false) }
+func (t *thread) RunReadOnly(fn func(tm.Tx) error) error { return t.base.Run(fn, true) }
 
-func (t *thread) run(fn func(tm.Tx) error, ro bool) error {
-	if nested := t.base.Nested(); nested != nil {
-		// Flat nesting: execute inline in the enclosing transaction.
-		return fn(nested)
-	}
-	t.base.BeginTxn()
-	defer t.base.EndTxn()
-	t.ro = ro
-	retries := 0
-	if t.base.CM.AdmitFast() {
-		for {
-			err, ab := t.fastAttempt(fn)
-			if ab == nil {
-				if err == nil {
-					t.base.CM.OnFastCommit(retries)
-				}
-				return err
-			}
-			t.recordAbort(ab)
-			retries++
-			if t.base.CM.OnAbort(ab, retries) != tm.RetryFast {
-				break
-			}
-		}
-	}
-	t.base.CM.OnFallback()
-	t.base.St.Fallbacks++
-	return t.slowRun(fn)
-}
+// FastReady: RH-TL2 retries at once; it waits out no lock.
+func (t *thread) FastReady(*htm.Abort) bool { return true }
 
-func (t *thread) recordAbort(ab *htm.Abort) {
-	switch ab.Code {
-	case htm.Conflict:
-		t.base.St.HTMConflictAborts++
-	case htm.Capacity:
-		t.base.St.HTMCapacityAborts++
-	case htm.Explicit:
-		t.base.St.HTMExplicitAborts++
-	case htm.Spurious:
-		t.base.St.HTMSpuriousAborts++
-	}
-}
-
-// fastAttempt: reads uninstrumented; writes instrumented — RH-TL2's first
-// drawback. At commit the transaction bumps every written stripe and the
-// global version clock inside the speculation.
-func (t *thread) fastAttempt(fn func(tm.Tx) error) (err error, ab *htm.Abort) {
-	defer func() {
-		if r := recover(); r != nil {
-			if a, ok := htm.AsAbort(r); ok {
-				t.base.AbortCleanup()
-				err, ab = nil, a
-				return
-			}
-			t.htx.Cancel()
-			t.base.AbortCleanup()
-			if tm.IsRestart(r) {
-				err, ab = nil, &htm.Abort{Code: htm.Conflict}
-				return
-			}
-			panic(r)
-		}
-	}()
+// BeginFast subscribes to the HTM lock that guards software write-backs.
+// Reads then run uninstrumented; writes are instrumented (fastTx.Store) —
+// RH-TL2's first drawback.
+func (t *thread) BeginFast() tm.Tx {
 	t.fastStripes = t.fastStripes[:0]
 	t.htx.Begin()
 	if t.htx.Load(t.sys.gHTMLock) != 0 {
-		t.htx.Abort(4)
+		t.htx.Abort(htm.ArgHTMLockTaken)
 	}
-	if uerr := t.base.CallUser(fn, fastTx{t}); uerr != nil {
-		t.htx.Cancel()
-		t.base.AbortCleanup()
-		t.base.St.UserAborts++
-		return uerr, nil
-	}
+	return fastTx{t}
+}
+
+// CommitFast bumps every written stripe and the global version clock
+// inside the speculation.
+func (t *thread) CommitFast() {
 	if len(t.fastStripes) > 0 {
 		if t.htx.Load(t.sys.serialLock) != 0 {
-			t.htx.Abort(1)
+			t.htx.Abort(htm.ArgSerialTaken)
 		}
 		// Write instrumentation: publish a new version for every written
 		// stripe. Reading gv here puts it in the speculation's tracking
@@ -216,67 +162,22 @@ func (t *thread) fastAttempt(fn func(tm.Tx) error) (err error, ab *htm.Abort) {
 		wv := t.htx.Load(t.sys.gv) + 2
 		for _, sa := range t.fastStripes {
 			if t.htx.Load(sa)&1 == 1 {
-				t.htx.Abort(2) // stripe locked by a software commit
+				t.htx.Abort(htm.ArgStripeConflict) // stripe locked by a software commit
 			}
 			t.htx.Store(sa, wv)
 		}
 		t.htx.Store(t.sys.gv, wv)
 	}
 	t.htx.Commit()
-	t.base.CommitCleanup()
-	t.base.St.Commits++
-	t.base.St.FastPathCommits++
-	if t.ro {
-		t.base.St.ReadOnlyCommits++
-	}
-	return nil, nil
 }
 
-// slowRun drives lazy-TL2 slow-path attempts with the serial escape.
-func (t *thread) slowRun(fn func(tm.Tx) error) error {
-	m := t.base.M
-	defer t.base.CM.OnSlowDone()
-	restarts := 0
-	for {
-		t.base.St.SlowPathStarts++
-		err, restarted := t.slowAttempt(fn)
-		if !restarted {
-			if t.serialHeld {
-				m.StorePlain(t.sys.serialLock, 0)
-				t.serialHeld = false
-			}
-			return err
-		}
-		t.base.St.SlowPathRestarts++
-		restarts++
-		t.base.CM.OnSTMRestart(restarts)
-		if restarts >= t.sys.policy.MaxSlowPathRestarts && !t.serialHeld {
-			for !m.CASPlain(t.sys.serialLock, 0, 1) {
-				runtime.Gosched()
-			}
-			t.serialHeld = true
-		}
-	}
-}
+func (t *thread) AbortFast() { t.htx.Cancel() }
 
-func (t *thread) slowAttempt(fn func(tm.Tx) error) (err error, restarted bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			ab, isAbort := htm.AsAbort(r)
-			if isAbort {
-				t.recordAbort(ab)
-			} else if t.htx.Active() {
-				t.htx.Cancel()
-			}
-			t.base.AbortCleanup()
-			if isAbort || tm.IsRestart(r) {
-				err, restarted = nil, true
-				return
-			}
-			panic(r)
-		}
-	}()
+// BeginSlow starts one lazy-TL2 slow-path try: sample the read version and
+// empty the read and write sets.
+func (t *thread) BeginSlow(try int) (tm.Tx, bool) {
 	m := t.base.M
+	t.try = try
 	t.rv = m.LoadPlain(t.sys.gv)
 	for t.rv&1 == 1 {
 		runtime.Gosched()
@@ -287,62 +188,47 @@ func (t *thread) slowAttempt(fn func(tm.Tx) error) (err error, restarted bool) {
 	t.writeA = t.writeA[:0]
 	t.writeV = t.writeV[:0]
 	clear(t.writeIdx)
-	if uerr := t.base.CallUser(fn, slowTx{t}); uerr != nil {
-		t.base.AbortCleanup()
-		t.base.St.UserAborts++
-		return uerr, false
-	}
-	if len(t.writeA) > 0 {
-		t.commitSlow()
-	}
-	t.base.CommitCleanup()
-	t.base.St.Commits++
-	t.base.St.SlowPathCommits++
-	if t.ro {
-		t.base.St.ReadOnlyCommits++
-	}
-	return nil, false
+	return slowTx{t}, false
 }
 
-// commitSlow is RH-TL2's second drawback made concrete: one small hardware
+// AbortSlow has only buffered state to drop; stripe locks taken by a
+// failing softwareCommit are released there, before it restarts.
+func (t *thread) AbortSlow() {}
+
+func (t *thread) EndSlow() {}
+
+// CommitSlow is RH-TL2's second drawback made concrete: one small hardware
 // transaction revalidates the read-set stripes AND performs the write-back,
 // so its footprint is reads+writes (the stats reuse the Postfix counters
 // for it). When it fails, the commit falls back to the classic TL2
 // software commit with stripe locks.
-func (t *thread) commitSlow() {
-	t.base.St.PostfixAttempts++
-	committed := func() (ok bool) {
-		defer func() {
-			if r := recover(); r != nil {
-				if ab, isAbort := htm.AsAbort(r); isAbort {
-					t.recordAbort(ab)
-					ok = false
-					return
-				}
-				panic(r)
-			}
-		}()
-		t.htx.Begin()
-		for _, sa := range t.readSet {
-			s := t.htx.Load(sa)
-			if s&1 == 1 || s > t.rv {
-				t.htx.Abort(3)
-			}
-		}
-		wv := t.htx.Load(t.sys.gv) + 2
-		for i, a := range t.writeA {
-			t.htx.Store(a, t.writeV[i])
-			t.htx.Store(t.sys.stripeOf(a), wv)
-		}
-		t.htx.Store(t.sys.gv, wv)
-		t.htx.Commit()
-		return true
-	}()
-	if committed {
-		t.base.St.PostfixCommits++
+func (t *thread) CommitSlow() {
+	if len(t.writeA) == 0 {
 		return
 	}
-	t.softwareCommit()
+	t.base.St.PostfixAttempts++
+	if ab := t.htx.Attempt(t.commitInHardware); ab != nil {
+		t.base.RecordHTMAbort(ab, t.try)
+		t.softwareCommit()
+		return
+	}
+	t.base.St.PostfixCommits++
+}
+
+// commitInHardware is the body of the commit transaction.
+func (t *thread) commitInHardware() {
+	for _, sa := range t.readSet {
+		s := t.htx.Load(sa)
+		if s&1 == 1 || s > t.rv {
+			t.htx.Abort(htm.ArgStripeConflict)
+		}
+	}
+	wv := t.htx.Load(t.sys.gv) + 2
+	for i, a := range t.writeA {
+		t.htx.Store(a, t.writeV[i])
+		t.htx.Store(t.sys.stripeOf(a), wv)
+	}
+	t.htx.Store(t.sys.gv, wv)
 }
 
 // softwareCommit is the classic TL2 lazy commit: lock write stripes,
@@ -361,9 +247,13 @@ func (t *thread) softwareCommit() {
 		}
 		return false
 	}
+	htmLocked := false
 	release := func() {
 		for i, sa := range locked {
 			m.StorePlain(sa, lockedVals[i])
+		}
+		if htmLocked {
+			m.SubPlain(t.sys.gHTMLock, 1)
 		}
 	}
 	for _, a := range t.writeA {
@@ -380,9 +270,18 @@ func (t *thread) softwareCommit() {
 		lockedVals = append(lockedVals, v)
 	}
 	wv := m.AddPlain(t.sys.gv, 2)
-	// Validate the read set.
+	// The write-back is not atomic, so hardware fast paths must not run
+	// across it — nor commit between the validation below and it, which
+	// their uninstrumented reads would turn into a write skew: enter the
+	// HTM lock first (their subscription aborts them). It is a count, not a
+	// flag, because software commits over disjoint stripes overlap.
+	m.AddPlain(t.sys.gHTMLock, 1)
+	htmLocked = true
+	// Validate the read set. LoadCommitted: a fast path that passed its
+	// subscription check before the lock was entered may still be
+	// publishing; wait for the stripe versions it is storing.
 	for _, sa := range t.readSet {
-		s := m.LoadPlain(sa)
+		s := m.LoadCommitted(sa)
 		if s&1 == 1 {
 			if !isLocked(sa) {
 				release()
@@ -395,17 +294,14 @@ func (t *thread) softwareCommit() {
 			tm.Restart()
 		}
 	}
-	// The write-back is not atomic, so hardware fast paths must not run
-	// across it: take the HTM lock (their subscription aborts them), write
-	// back, release the stripes at the new version, then free the lock.
-	m.StorePlain(t.sys.gHTMLock, 1)
+	// Write back, release the stripes at the new version, leave the lock.
 	for i, a := range t.writeA {
 		m.StorePlain(a, t.writeV[i])
 	}
 	for _, sa := range locked {
 		m.StorePlain(sa, wv)
 	}
-	m.StorePlain(t.sys.gHTMLock, 0)
+	m.SubPlain(t.sys.gHTMLock, 1)
 }
 
 // fastTx: uninstrumented reads, instrumented writes.
@@ -415,7 +311,7 @@ func (v fastTx) Load(a mem.Addr) uint64 { return v.t.htx.Load(a) }
 
 func (v fastTx) Store(a mem.Addr, val uint64) {
 	t := v.t
-	if t.ro {
+	if t.base.ReadOnly {
 		panic(tm.ErrStoreInReadOnly)
 	}
 	sa := t.sys.stripeOf(a)
@@ -453,7 +349,9 @@ func (v slowTx) Load(a mem.Addr) uint64 {
 		if s1&1 == 1 {
 			tm.Restart()
 		}
-		val := m.LoadPlain(a)
+		// LoadCommitted: a hardware commit publishes the value and its
+		// stripe version as one step, so a new value implies s2 moved.
+		val := m.LoadCommitted(a)
 		s2 := m.LoadPlain(sa)
 		if s1 != s2 {
 			runtime.Gosched()
@@ -475,7 +373,7 @@ func (v slowTx) Load(a mem.Addr) uint64 {
 
 func (v slowTx) Store(a mem.Addr, val uint64) {
 	t := v.t
-	if t.ro {
+	if t.base.ReadOnly {
 		panic(tm.ErrStoreInReadOnly)
 	}
 	t.base.InstrumentedAccess()

@@ -31,14 +31,15 @@ func (s *System) Memory() *mem.Memory { return s.m }
 
 // NewThread implements tm.System.
 func (s *System) NewThread() tm.Thread {
-	return &thread{sys: s, base: tm.NewThreadBase(s.m, s.rec)}
+	t := &thread{sys: s, base: tm.NewThreadBase(s.m, s.rec)}
+	t.base.Bind(t, nil)
+	return t
 }
 
 type thread struct {
 	sys  *System
 	base tm.ThreadBase
 	undo []mem.WriteEntry
-	ro   bool
 }
 
 // txView adapts the thread to tm.Tx while the lock is held.
@@ -47,7 +48,7 @@ type txView struct{ t *thread }
 func (v txView) Load(a mem.Addr) uint64 { return v.t.base.M.LoadPlain(a) }
 
 func (v txView) Store(a mem.Addr, val uint64) {
-	if v.t.ro {
+	if v.t.base.ReadOnly {
 		panic(tm.ErrStoreInReadOnly)
 	}
 	v.t.undo = append(v.t.undo, mem.WriteEntry{Addr: a, Value: v.t.base.M.LoadPlain(a)})
@@ -58,52 +59,32 @@ func (v txView) Alloc(n int) mem.Addr { return v.t.base.TxAlloc(n) }
 
 func (v txView) Free(a mem.Addr, n int) { v.t.base.TxFree(a, n) }
 
-func (t *thread) Run(fn func(tm.Tx) error) error         { return t.run(fn, false) }
-func (t *thread) RunReadOnly(fn func(tm.Tx) error) error { return t.run(fn, true) }
+func (t *thread) Run(fn func(tm.Tx) error) error         { return t.base.Run(fn, false) }
+func (t *thread) RunReadOnly(fn func(tm.Tx) error) error { return t.base.Run(fn, true) }
 
-func (t *thread) run(fn func(tm.Tx) error, ro bool) error {
-	if nested := t.base.Nested(); nested != nil {
-		// Flat nesting: execute inline in the enclosing transaction.
-		return fn(nested)
+// BeginSlow takes the global lock on the Run's first try; the whole Run
+// executes under it.
+func (t *thread) BeginSlow(try int) (tm.Tx, bool) {
+	if try == 1 {
+		t.sys.mu.Lock()
 	}
-	t.base.BeginTxn()
-	defer t.base.EndTxn()
-	t.sys.mu.Lock()
-	defer t.sys.mu.Unlock()
-	t.ro = ro
 	t.undo = t.undo[:0]
-	err := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				t.rollback()
-				t.base.AbortCleanup()
-				panic(r) // application panics and stray restarts surface
-			}
-		}()
-		return t.base.CallUser(fn, txView{t})
-	}()
-	if err != nil {
-		t.rollback()
-		t.base.AbortCleanup()
-		t.base.St.UserAborts++
-		return err
-	}
-	t.base.CommitCleanup()
-	t.base.St.Commits++
-	t.base.St.SerialCommits++
-	if ro {
-		t.base.St.ReadOnlyCommits++
-	}
-	return nil
+	return txView{t}, true
 }
 
-// rollback undoes eager writes in reverse order.
-func (t *thread) rollback() {
+// CommitSlow has nothing to publish: the writes went to memory in place.
+func (t *thread) CommitSlow() {}
+
+// AbortSlow undoes eager writes in reverse order.
+func (t *thread) AbortSlow() {
 	for i := len(t.undo) - 1; i >= 0; i-- {
 		t.base.M.StorePlain(t.undo[i].Addr, t.undo[i].Value)
 	}
 	t.undo = t.undo[:0]
 }
+
+// EndSlow releases the global lock.
+func (t *thread) EndSlow() { t.sys.mu.Unlock() }
 
 func (t *thread) Stats() *tm.Stats { return &t.base.St }
 

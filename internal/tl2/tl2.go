@@ -71,19 +71,20 @@ func (s *System) stripeOf(a mem.Addr) uint64 {
 
 // NewThread implements tm.System.
 func (s *System) NewThread() tm.Thread {
-	return &thread{
+	t := &thread{
 		sys:   s,
 		base:  tm.NewThreadBase(s.m, s.rec),
 		id:    s.nextThreadID.Add(1),
 		owned: make(map[uint64]uint64, 16),
 	}
+	t.base.Bind(t, nil)
+	return t
 }
 
 type thread struct {
 	sys  *System
 	base tm.ThreadBase
 	id   uint64
-	ro   bool
 
 	rv       uint64            // read version (gv snapshot)
 	readSet  []uint64          // stripe indices read
@@ -95,71 +96,30 @@ type thread struct {
 func (t *thread) Stats() *tm.Stats { return &t.base.St }
 func (t *thread) Close()           { t.base.CloseBase() }
 
-func (t *thread) Run(fn func(tm.Tx) error) error         { return t.run(fn, false) }
-func (t *thread) RunReadOnly(fn func(tm.Tx) error) error { return t.run(fn, true) }
+func (t *thread) Run(fn func(tm.Tx) error) error         { return t.base.Run(fn, false) }
+func (t *thread) RunReadOnly(fn func(tm.Tx) error) error { return t.base.Run(fn, true) }
 
-func (t *thread) run(fn func(tm.Tx) error, ro bool) error {
-	if nested := t.base.Nested(); nested != nil {
-		// Flat nesting: execute inline in the enclosing transaction.
-		return fn(nested)
+// BeginSlow starts one try: back off for the restarts behind it, then
+// sample the read version.
+func (t *thread) BeginSlow(try int) (tm.Tx, bool) {
+	// Bounded randomized-ish backoff keeps two writers from live-locking
+	// on crossed stripe locks.
+	for i := 0; i < (try-1)&7; i++ {
+		runtime.Gosched()
 	}
-	t.base.BeginTxn()
-	defer t.base.EndTxn()
-	t.ro = ro
-	backoff := 0
-	for {
-		err, restarted := t.attempt(fn)
-		if !restarted {
-			return err
-		}
-		t.base.St.STMRestarts++
-		// Bounded randomized-ish backoff keeps two writers from
-		// live-locking on crossed stripe locks.
-		backoff++
-		for i := 0; i < backoff&7; i++ {
-			runtime.Gosched()
-		}
-	}
-}
-
-func (t *thread) attempt(fn func(tm.Tx) error) (err error, restarted bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			t.abortAttempt()
-			if tm.IsRestart(r) {
-				err, restarted = nil, true
-				return
-			}
-			panic(r)
-		}
-	}()
-	t.beginAttempt()
-	if uerr := t.base.CallUser(fn, txView{t}); uerr != nil {
-		t.abortAttempt()
-		t.base.St.UserAborts++
-		return uerr, false
-	}
-	t.commit()
-	t.base.CommitCleanup()
-	t.base.St.Commits++
-	t.base.St.SlowPathCommits++
-	if t.ro {
-		t.base.St.ReadOnlyCommits++
-	}
-	return nil, false
-}
-
-func (t *thread) beginAttempt() {
 	t.rv = t.sys.gv.Load()
 	t.readSet = t.readSet[:0]
 	clear(t.readSeen)
 	clear(t.owned)
 	t.undo = t.undo[:0]
+	return txView{t}, false
 }
 
-// abortAttempt rolls back eager writes and releases stripe locks, restoring
+func (t *thread) EndSlow() {}
+
+// AbortSlow rolls back eager writes and releases stripe locks, restoring
 // their pre-lock versions.
-func (t *thread) abortAttempt() {
+func (t *thread) AbortSlow() {
 	for i := len(t.undo) - 1; i >= 0; i-- {
 		t.base.M.StorePlain(t.undo[i].Addr, t.undo[i].Value)
 	}
@@ -168,10 +128,11 @@ func (t *thread) abortAttempt() {
 		t.sys.stripes[idx].Store(old)
 	}
 	clear(t.owned)
-	t.base.AbortCleanup()
 }
 
-func (t *thread) commit() {
+// CommitSlow is the TL2 commit point: advance the clock, revalidate the
+// read set, release the write stripes at the new version.
+func (t *thread) CommitSlow() {
 	if len(t.owned) == 0 {
 		// Read-only transactions validated every read against rv and need
 		// no commit-time work — the classic TL2 fast read-only commit.
@@ -239,7 +200,7 @@ func (v txView) Load(a mem.Addr) uint64 {
 
 func (v txView) Store(a mem.Addr, val uint64) {
 	t := v.t
-	if t.ro {
+	if t.base.ReadOnly {
 		panic(tm.ErrStoreInReadOnly)
 	}
 	t.base.InstrumentedAccess()

@@ -60,9 +60,22 @@ type ThreadBase struct {
 	Slot  *Slot
 	St    Stats
 	// CM is the thread's contention-management policy (engine.go). Systems
-	// set it at thread construction via Engine.NewThreadPolicy; drivers
-	// route their retry loops through it unconditionally.
+	// set it at thread construction via Engine.NewThreadPolicy; the
+	// skeleton (run.go) routes every retry decision through it. Drivers
+	// without an engine (TL2, serial) leave it nil: they have no fast path
+	// to admit and no policy to consult between restarts.
 	CM Policy
+	// ReadOnly is the static read-only hint of the Run in progress
+	// (Thread.RunReadOnly); driver views reject Store under it and commit
+	// points may skip writer-side work.
+	ReadOnly bool
+
+	// The driver's protocol hooks and the §3.3 serial escape (run.go).
+	sw          Software
+	hw          Hardware
+	serialLock  mem.Addr
+	serialAfter int
+	serialHeld  bool
 
 	allocs  []block // blocks allocated by the current attempt
 	frees   []block // frees requested by the current attempt
@@ -70,31 +83,11 @@ type ThreadBase struct {
 	ops     int
 	scratch uint64
 
-	// Flat-nesting state: while a user callback runs, CurTx holds its
+	// Flat-nesting state: while a user callback runs, curTx holds its
 	// transactional view so that a re-entrant Run executes inline in the
 	// enclosing transaction (the GCC TM "flattened nesting" semantics).
 	inTxn bool
 	curTx Tx
-}
-
-// Nested returns the enclosing transaction's view when called from inside
-// a user callback, for flat nesting: drivers call it at the top of Run and,
-// if non-nil, execute the new callback inline against it. An error from
-// the nested callback propagates to the enclosing callback, which decides
-// whether to abort the whole flattened transaction by returning it.
-func (b *ThreadBase) Nested() Tx {
-	if b.inTxn {
-		return b.curTx
-	}
-	return nil
-}
-
-// CallUser invokes a user callback with flat-nesting bookkeeping; every
-// driver routes its callback invocations through it.
-func (b *ThreadBase) CallUser(fn func(Tx) error, view Tx) error {
-	b.inTxn, b.curTx = true, view
-	defer func() { b.inTxn, b.curTx = false, nil }()
-	return fn(view)
 }
 
 // MaybeYield is the software-path twin of the HTM simulator's yield points;

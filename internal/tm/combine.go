@@ -1,0 +1,91 @@
+package tm
+
+import (
+	"runtime"
+
+	"rhnorec/internal/mem"
+	"rhnorec/internal/obs"
+)
+
+// This file is the driver-independent half of flat-combining group commit
+// (RetryPolicy.Combine): the enqueue-and-wait loop of a committer that
+// joins a lock holder's window, and the plain in-place drain of a holder
+// that publishes its group under the clock lock. What stays with a driver
+// is when its reads are still valid at a locked clock and what its write
+// set is.
+
+// CombineSigBits is the bloom width of the combining ring's read/write
+// signatures. It is independent of the memory's published-signature width
+// (ring signatures are only ever compared with each other) and fixed at the
+// maximum so group-admission false positives stay rare.
+const CombineSigBits = mem.MaxSigBits
+
+// OfferGroup offers a pre-validated write set, snapshotted at the even
+// clock value base, to the holder that has the clock word locked at base|1,
+// and waits for the verdict. It returns true when the holder's group
+// committed the writes; false when the entry could not be placed or was
+// retracted because the window closed first (the caller re-examines the
+// clock). A claimed-but-rejected entry restarts the attempt.
+func (b *ThreadBase) OfferGroup(r *mem.CombineRing, clock mem.Addr, base uint64, writes []mem.WriteEntry, readSig, writeSig *mem.Signature) bool {
+	slot := r.Enqueue(base, writes, readSig, writeSig)
+	if slot < 0 {
+		runtime.Gosched()
+		return false
+	}
+	for {
+		switch r.Poll(slot) {
+		case mem.CombineDone:
+			r.Release(slot)
+			b.St.CombinedCommits++
+			b.RecordCombine(obs.FilterCombinedCommit)
+			return true
+		case mem.CombineRejected:
+			r.Release(slot)
+			b.St.CombineRejects++
+			b.RecordCombine(obs.FilterCombineReject)
+			Restart()
+		}
+		// The clock load both paces the wait (it is a yield point under the
+		// deterministic explorer, letting the holder run) and detects a
+		// holder that finished without claiming us.
+		if b.M.LoadPlain(clock) != base|1 {
+			if r.TryCancel(slot) {
+				return false
+			}
+			// A holder claimed the entry between the clock moving and the
+			// cancel: its verdict is imminent — keep polling.
+		}
+		runtime.Gosched()
+	}
+}
+
+// DrainGroup publishes, in place, every queued commit compatible with the
+// holder's window: the group signature starts as the holder's own write
+// footprint, and every admitted entry must be read-disjoint from it (see
+// mem.CombineRing.Drain for the serial-order argument). The caller holds
+// the clock locked at base|1, so the published writes are invisible until
+// it releases the clock — software readers value-validate only at even
+// clocks. Claimed slots accumulate in *mask; the caller resolves them done
+// once the clock is released, or rejected if the publish never became
+// visible.
+func (b *ThreadBase) DrainGroup(r *mem.CombineRing, base uint64, footprint []mem.Addr, mask *uint32) {
+	m := b.M
+	// Linger one scheduler beat so contending committers can reach their
+	// commit, observe the locked clock, and enqueue — the combining batch
+	// exists only if the holder gives it a moment to form.
+	runtime.Gosched()
+	var group mem.Signature
+	for _, a := range footprint {
+		group.AddLine(mem.LineOf(a), CombineSigBits)
+	}
+	*mask = 0
+	n := r.Drain(base, &group, 1<<30, mask, func(ws []mem.WriteEntry) {
+		for _, w := range ws {
+			m.StorePlain(w.Addr, w.Value)
+		}
+	})
+	if n > 0 {
+		b.St.CombineDrains++
+		b.RecordCombine(obs.FilterCombineDrain)
+	}
+}

@@ -14,8 +14,9 @@ import (
 // §3.3 policy and names adaptation as future work; Brown & Ravi's cost-of-
 // concurrency analysis and the OCC-for-Go line of work both argue that path
 // selection should be a first-class, abort-cause-aware decision. The engine
-// makes it one without touching the TM protocols themselves: drivers route
-// their retry loops through a per-thread Policy, and every implementation
+// makes it one without touching the TM protocols themselves: the transaction
+// skeleton (run.go) routes its one retry loop through a per-thread Policy,
+// and every implementation
 // of it preserves the paper's progress argument — a thread denied the fast
 // path still reaches the slow path, and the slow path still escalates to
 // the serial lock after MaxSlowPathRestarts (DESIGN.md §10).
@@ -42,7 +43,7 @@ const (
 // single-goroutine like the ThreadBase they ride on; cross-thread state
 // (the contention window) lives in the shared Engine behind atomics.
 //
-// Call protocol, per Run invocation:
+// Call protocol, per Run invocation (ThreadBase.Run is the only caller):
 //
 //	if AdmitFast() { for { attempt; on abort: OnAbort(ab, retries) } }
 //	on fast commit:   OnFastCommit(retriesUsed)

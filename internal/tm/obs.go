@@ -6,10 +6,11 @@ import (
 )
 
 // This file is the runtime half of the observability layer: ThreadBase
-// helpers every TM driver routes its abort and lifecycle events through,
-// so that (1) the Stats counters behind Figures 4–6 and the obs taxonomy
-// can never disagree, and (2) a driver with observability disabled
-// (Stats.Obs == nil) pays exactly one predictable branch per site.
+// helpers the transaction skeleton (run.go) and the drivers' own hardware
+// sections route abort and lifecycle events through, so that (1) the Stats
+// counters behind Figures 4–6 and the obs taxonomy can never disagree, and
+// (2) a thread with observability disabled (Stats.Obs == nil) pays exactly
+// one predictable branch per site.
 
 // Obs returns the thread's observability recorder; nil when disabled.
 func (b *ThreadBase) Obs() *obs.Recorder { return b.St.Obs }
@@ -40,8 +41,8 @@ func (b *ThreadBase) RecordHTMAbort(ab *htm.Abort, retry int) {
 // validation failing or the global clock moving under a read — the
 // "restarts per slow-path transaction" row) in the taxonomy and ring. The
 // corresponding Stats counter (SlowPathRestarts or STMRestarts) stays with
-// the driver's retry loop, which knows which path it is on. retry is the
-// 1-based ordinal of the failed attempt.
+// the skeleton's restart loop, which knows whether a fast path exists.
+// retry is the 1-based ordinal of the failed attempt.
 func (b *ThreadBase) RecordSTMRestart(retry int) {
 	if o := b.St.Obs; o != nil {
 		o.RecordAbort(obs.CauseSTMValidation, retry, b.M.Ticket())

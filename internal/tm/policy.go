@@ -140,12 +140,6 @@ type RetryPolicy struct {
 	// MaxSlowPathRestarts bounds slow-path restarts before the transaction
 	// grabs the serial lock to guarantee progress (§3.3 "slow-path").
 	MaxSlowPathRestarts int
-	// PrefixRetries bounds HTM-prefix attempts per transaction; the paper
-	// found one try best (§3.4).
-	PrefixRetries int
-	// PostfixRetries bounds HTM-postfix attempts per first-write; the
-	// paper found one try best (§3.4).
-	PostfixRetries int
 	// InitialPrefixLength seeds the dynamic prefix-length adaptation: the
 	// number of reads the HTM prefix attempts to execute speculatively
 	// before the first adjustment.
@@ -234,14 +228,13 @@ func (p RetryPolicy) Backoff(attempt int) {
 	}
 }
 
-// DefaultPolicy returns the paper's static policy: 10 hardware retries, 10
-// slow-path restarts before serialization, single-try prefix and postfix.
+// DefaultPolicy returns the paper's static policy: 10 hardware retries and
+// 10 slow-path restarts before serialization. The single try §3.4 gives the
+// HTM prefix and postfix is not a knob: RH NOrec fixes it.
 func DefaultPolicy() RetryPolicy {
 	return RetryPolicy{
 		MaxHTMRetries:        10,
 		MaxSlowPathRestarts:  10,
-		PrefixRetries:        1,
-		PostfixRetries:       1,
 		InitialPrefixLength:  4096,
 		MinPrefixLength:      4,
 		Kind:                 PolicyStatic,
@@ -262,12 +255,6 @@ func (p RetryPolicy) WithDefaults() RetryPolicy {
 	}
 	if p.MaxSlowPathRestarts <= 0 {
 		p.MaxSlowPathRestarts = d.MaxSlowPathRestarts
-	}
-	if p.PrefixRetries <= 0 {
-		p.PrefixRetries = d.PrefixRetries
-	}
-	if p.PostfixRetries <= 0 {
-		p.PostfixRetries = d.PostfixRetries
 	}
 	if p.InitialPrefixLength <= 0 {
 		p.InitialPrefixLength = d.InitialPrefixLength

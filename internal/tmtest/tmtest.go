@@ -18,6 +18,7 @@ import (
 
 	"rhnorec/internal/conformance"
 	"rhnorec/internal/mem"
+	"rhnorec/internal/obs"
 	"rhnorec/internal/tm"
 )
 
@@ -69,6 +70,7 @@ func RunConformance(t *testing.T, f Factory, opts Options) {
 	t.Run("LargeTransactions", func(t *testing.T) { largeTransactions(t, f, opts) })
 	t.Run("MixedSizeTransactions", func(t *testing.T) { mixedSizes(t, f, opts) })
 	t.Run("AbortStorm", func(t *testing.T) { abortStorm(t, f, opts) })
+	t.Run("LifecycleAccounting", func(t *testing.T) { lifecycleAccounting(t, f, opts) })
 }
 
 // newMem builds the suite's memory. The stripe count is overridable via
@@ -753,6 +755,87 @@ func mixedSizes(t *testing.T, f Factory, opts Options) {
 	if total != cells*100 {
 		t.Errorf("total = %d, want %d (mixed-size interaction lost value)", total, cells*100)
 	}
+}
+
+// lifecycleAccounting: every driver runs on the one transaction skeleton
+// (tm.ThreadBase.Run), so with a recorder attached each thread must account
+// its Runs the same way whatever the algorithm — one attempt-phase sample
+// per Run that returned, one commit ring event per counted commit, a
+// fast- or software-phase sample behind every commit, and nothing but
+// UserAborts for a callback that returned an error.
+func lifecycleAccounting(t *testing.T, f Factory, opts Options) {
+	m := newMem()
+	sys := f(m)
+	setup := sys.NewThread()
+	var a mem.Addr
+	if err := setup.Run(func(tx tm.Tx) error { a = tx.Alloc(mem.LineWords); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	setup.Close()
+	const runs = 64
+	var wg sync.WaitGroup
+	for i := 0; i < opts.Threads; i++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			th := sys.NewThread()
+			defer th.Close()
+			// The ring must hold every event of the thread: begins, commits,
+			// and however many aborts and fallbacks contention adds.
+			rec := obs.NewRecorder(obs.Config{RingSize: 1 << 16})
+			th.Stats().Obs = rec
+			var userAborts uint64
+			for j := 0; j < runs; j++ {
+				var err error
+				switch j % 4 {
+				case 0:
+					err = th.RunReadOnly(func(tx tm.Tx) error { _ = tx.Load(a); return nil })
+				case 1:
+					userAborts++
+					if err = th.Run(func(tx tm.Tx) error { tx.Store(a, 0); return errUser }); errors.Is(err, errUser) {
+						err = nil
+					}
+				default:
+					err = th.Run(func(tx tm.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
+				}
+				if err != nil {
+					t.Errorf("thread %d run %d: %v", id, j, err)
+					return
+				}
+			}
+			st := th.Stats()
+			if st.UserAborts != userAborts || st.Commits != runs-userAborts {
+				t.Errorf("thread %d: Commits=%d UserAborts=%d, want %d and %d", id, st.Commits, st.UserAborts, runs-userAborts, userAborts)
+			}
+			if st.FastPathCommits+st.SlowPathCommits+st.SerialCommits != st.Commits {
+				t.Errorf("thread %d: path commits do not sum to Commits: %+v", id, st)
+			}
+			if n := rec.PhaseHist(obs.PhaseAttempt).Count(); n != runs {
+				t.Errorf("thread %d: %d attempt-phase samples for %d completed Runs", id, n, runs)
+			}
+			if d := rec.Ring().Dropped(); d != 0 {
+				t.Errorf("thread %d: ring dropped %d events; grow it", id, d)
+				return
+			}
+			var begins, commitEvents uint64
+			for _, e := range rec.Ring().Events() {
+				switch e.Kind {
+				case obs.EventBegin:
+					begins++
+				case obs.EventCommit:
+					commitEvents++
+				}
+			}
+			if begins != runs || commitEvents != st.Commits {
+				t.Errorf("thread %d: %d begin / %d commit events, want %d / %d", id, begins, commitEvents, runs, st.Commits)
+			}
+			fast, soft := rec.PhaseHist(obs.PhaseFast).Count(), rec.PhaseHist(obs.PhaseSoftware).Count()
+			if fast < st.FastPathCommits || soft != st.SlowPathCommits+st.SerialCommits {
+				t.Errorf("thread %d: %d fast / %d software samples behind %+v", id, fast, soft, st)
+			}
+		}(i)
+	}
+	wg.Wait()
 }
 
 // abortStorm: a high rate of user aborts interleaved with commits must

@@ -183,7 +183,7 @@ func TestDataStructureFacade(t *testing.T) {
 
 func TestDefaultRetryPolicy(t *testing.T) {
 	p := rhnorec.DefaultRetryPolicy()
-	if p.MaxHTMRetries != 10 || p.MaxSlowPathRestarts != 10 || p.PrefixRetries != 1 || p.PostfixRetries != 1 {
-		t.Errorf("DefaultRetryPolicy = %+v does not match the paper's §3.3–§3.4", p)
+	if p.MaxHTMRetries != 10 || p.MaxSlowPathRestarts != 10 {
+		t.Errorf("DefaultRetryPolicy = %+v does not match the paper's §3.3", p)
 	}
 }
