@@ -5,8 +5,12 @@ package explore
 
 import (
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"rhnorec/internal/mem"
 	"rhnorec/internal/tm"
 )
 
@@ -229,6 +233,58 @@ func TestDivergedOutcome(t *testing.T) {
 	}
 	if res.Steps != 5 {
 		t.Fatalf("recorded %d steps, want 5", res.Steps)
+	}
+}
+
+// TestStuckWorkerIsJoined: a worker that spins outside every yield point, on
+// something a parked worker holds, trips the watchdog — and must still be
+// gone when RunScenario returns and unhooks the memory. Worker 0 takes a
+// lock the explorer cannot see and parks; worker 1 spins on it. Teardown
+// unwinds worker 0, whose deferred release frees worker 1, which then runs
+// its hooked loads to the end. The plain `finished` flag and the memory's
+// hook field are the witnesses: under -race an unjoined worker 1 is a data
+// race on both.
+func TestStuckWorkerIsJoined(t *testing.T) {
+	var held atomic.Bool
+	parked, finished := false, false
+	sc := Scenario{
+		Name:         "stuck-join",
+		FixedWorkers: 2,
+		DefaultOps:   1,
+		Build: func(env *Env, cfg Config) ([]func(), func() error, error) {
+			a := env.M.NewThreadCache().Alloc(mem.LineWords)
+			holder := func() {
+				held.Store(true)
+				defer held.Store(false)
+				parked = true
+				env.M.LoadPlain(a) // parks here for the rest of the run
+			}
+			spinner := func() {
+				for held.Load() {
+					runtime.Gosched()
+				}
+				for i := 0; i < 1000; i++ {
+					env.M.LoadPlain(a)
+					runtime.Gosched()
+				}
+				finished = true
+			}
+			return []func(){holder, spinner}, nil, nil
+		},
+	}
+	strat := Steer(Leg{Worker: 0, Until: func() bool { return parked }}, Leg{Worker: 1})
+	res, err := RunScenario(sc, Config{Timeout: 50 * time.Millisecond}, strat)
+	if err != nil {
+		t.Fatalf("RunScenario: %v", err)
+	}
+	if res.Outcome != OutcomeStuck {
+		t.Fatalf("outcome %v, want stuck", res.Outcome)
+	}
+	if held.Load() {
+		t.Fatal("worker 0 was not unwound: the lock is still held")
+	}
+	if !finished {
+		t.Fatal("RunScenario returned with the stuck worker still running")
 	}
 }
 

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"rhnorec/internal/mem"
@@ -15,7 +16,10 @@ import (
 // instant at most one of {scheduler, some worker} is running, and every
 // handoff is a channel operation, so all scheduler and worker state below
 // is ordered by happens-before without any locks (the -race tests in this
-// package hold the proof to that claim).
+// package hold the proof to that claim). The one exception is the active
+// flag: a worker the watchdog gave up on is running when the scheduler ends
+// the run, so the flag that turns its hooks off is atomic, and every hook
+// reads it before any other scheduler state.
 //
 // Liveness: yield points are placed so that no code path can park while
 // holding a lock another worker's own slice could spin on — the locked span
@@ -68,7 +72,7 @@ type scheduler struct {
 	atomicDepth int
 	// active gates the hooks: false during setup, teardown and oracle
 	// checks, so their memory traffic runs unscheduled.
-	active bool
+	active atomic.Bool
 	// violated polls the environment's violation log after every step.
 	violated func() string
 	timeout  time.Duration
@@ -78,7 +82,7 @@ type scheduler struct {
 // current worker's goroutine. It reports the fault directive the scheduler
 // attached to the resume.
 func (s *scheduler) yield(p Point, a mem.Addr, info uint64) Fault {
-	if !s.active || s.atomicDepth > 0 {
+	if !s.active.Load() || s.atomicDepth > 0 {
 		return FaultNone
 	}
 	w := s.workers[s.cur]
@@ -122,7 +126,7 @@ func (s *scheduler) run(strat Strategy, bodies []func(), maxSteps int) RunResult
 	for i, body := range bodies {
 		go s.workerMain(s.workers[i], body)
 	}
-	s.active = true
+	s.active.Store(true)
 	var res RunResult
 	outcome := OutcomeOK
 	live := n
@@ -187,7 +191,7 @@ func (s *scheduler) run(strat Strategy, bodies []func(), maxSteps int) RunResult
 			break
 		}
 	}
-	s.active = false
+	s.active.Store(false)
 	s.teardown(stuckID)
 	res.Outcome = outcome
 	res.Steps = len(res.Choices)
@@ -195,32 +199,58 @@ func (s *scheduler) run(strat Strategy, bodies []func(), maxSteps int) RunResult
 }
 
 // teardown unwinds every parked worker (sequentially: kill one, wait for
-// its done event, move on) so no goroutines outlive the run. With the
-// hooks inactive the unwind's cleanup traffic runs free; cleanup paths
-// only release locks, never acquire, so each unwind terminates. A stuck
-// worker (skip) is not parked and cannot be killed — it leaks, which is
-// acceptable for a verdict that already means "this schedule deadlocked".
-func (s *scheduler) teardown(skip int) {
+// its done event, move on) and joins them all, so no goroutine outlives the
+// run and RunScenario may unhook the memory behind it. With the hooks
+// inactive the unwind's cleanup traffic runs free; cleanup paths only
+// release locks, never acquire, so each unwind terminates.
+//
+// A stuck worker is not parked and cannot be killed where it is: it spins
+// outside every yield point, on something a parked worker holds. Unwinding
+// the others releases it; from then on it either runs to its end with the
+// hooks off, or — if it passed a hook's active check just before the run
+// ended — parks at that yield point and is killed like the rest. Either way
+// its done event is awaited last. Only a worker that never gets free (a
+// deadlock in the code under test, not in the schedule) outlives the
+// timeout and leaks.
+func (s *scheduler) teardown(stuck int) {
 	for _, w := range s.workers {
-		if w.done || w.id == skip {
+		if w.done || w.id == stuck {
 			continue
 		}
-		w.kill = true
-		w.resume <- struct{}{}
-		deadline := time.After(s.timeout)
-	wait:
-		for {
-			select {
-			case ev := <-s.events:
-				if ev.done && ev.id == w.id {
-					break wait
-				}
-				// A stray event (from the stuck worker's last gasp): ignore.
-			case <-deadline:
-				return
-			}
+		s.kill(w)
+		if !s.join(w) {
+			return
 		}
 	}
+	if stuck >= 0 {
+		s.join(s.workers[stuck])
+	}
+}
+
+// kill resumes a parked worker into its unwind.
+func (s *scheduler) kill(w *worker) {
+	w.kill = true
+	w.resume <- struct{}{}
+}
+
+// join consumes worker events until w reports done, within the timeout.
+// Only the stuck worker can report anything else here, or report done out
+// of turn: its yield parks it, so it is killed; its done is recorded.
+func (s *scheduler) join(w *worker) bool {
+	deadline := time.After(s.timeout)
+	for !w.done {
+		select {
+		case ev := <-s.events:
+			if from := s.workers[ev.id]; ev.done {
+				from.done = true
+			} else {
+				s.kill(from)
+			}
+		case <-deadline:
+			return false
+		}
+	}
+	return true
 }
 
 // defaultChoice is the canonical continuation every strategy shares: keep
@@ -242,5 +272,16 @@ func (h memHook) Yield(op mem.HookOp, a mem.Addr) {
 	h.s.yield(memPoint(op), a, 0)
 }
 
-func (h memHook) AtomicBegin() { h.s.atomicDepth++ }
-func (h memHook) AtomicEnd()   { h.s.atomicDepth-- }
+// The depth is scheduler state like any other: touched only while the run
+// is active, when exactly one worker holds the baton.
+func (h memHook) AtomicBegin() {
+	if h.s.active.Load() {
+		h.s.atomicDepth++
+	}
+}
+
+func (h memHook) AtomicEnd() {
+	if h.s.active.Load() {
+		h.s.atomicDepth--
+	}
+}

@@ -13,6 +13,9 @@ import (
 // benchmarks measure the hot path itself.
 func benchConfig() Config { return Config{YieldPeriod: -1} }
 
+// sink keeps measured loads from being optimized away.
+var sink uint64
+
 // BenchmarkTxnLoadDup measures a long transaction that re-reads a small set
 // of addresses while foreign plain stores keep forcing revalidations: the
 // cost must scale with the number of *distinct* addresses in the read set,
@@ -41,6 +44,64 @@ func BenchmarkTxnLoadDup(b *testing.B) {
 			_ = tx.Load(addrs[j%len(addrs)])
 		}
 		tx.Commit()
+	}
+}
+
+// BenchmarkTxnLoadDistinct32 is the shape of a tree lookup: one read-only
+// transaction over 32 distinct words on 32 lines, spread over 32 of the 64
+// stripes, no duplicates and nothing moving — so every load is a first read
+// of an unseen stripe, the case the read index and the ticket gate exist
+// for. Past the 16 words the old inline arrays held, this used to be a
+// map-backed transaction; the CI zero-alloc gate covers it by name.
+func BenchmarkTxnLoadDistinct32(b *testing.B) {
+	m := mem.New(1 << 16)
+	d := NewDevice(m, benchConfig())
+	d.SetActiveThreads(1)
+	tc := m.NewThreadCache()
+	var addrs [32]mem.Addr
+	for i := range addrs {
+		addrs[i] = tc.Alloc(mem.LineWords)
+	}
+	tx := d.NewTxn()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tx.Begin()
+		for _, a := range addrs {
+			sink += tx.Load(a)
+		}
+		tx.Commit()
+	}
+}
+
+// BenchmarkTxnCapacityAbort256 is the doomed hardware attempt of an
+// over-capacity transaction (tm-capacity-mix's audits): 257 distinct lines
+// against a 256-line read budget, aborting on the last load and unwinding
+// through Attempt. The log it grows is the largest a 256-line device can
+// hold, so this is also the reset cost the next small transaction inherits.
+func BenchmarkTxnCapacityAbort256(b *testing.B) {
+	m := mem.New(1 << 16)
+	cfg := benchConfig()
+	cfg.ReadCapacityLines = 256
+	d := NewDevice(m, cfg)
+	d.SetActiveThreads(1)
+	tc := m.NewThreadCache()
+	var addrs [257]mem.Addr
+	for i := range addrs {
+		addrs[i] = tc.Alloc(mem.LineWords)
+	}
+	tx := d.NewTxn()
+	body := func() {
+		for _, a := range addrs {
+			sink += tx.Load(a)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if ab := tx.Attempt(body); ab == nil || ab.Code != Capacity {
+			b.Fatalf("want a capacity abort, got %v", ab)
+		}
 	}
 }
 

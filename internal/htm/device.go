@@ -107,8 +107,12 @@ func (d *Device) NewTxn() *Txn {
 	if fn := d.cfg.SeedFn; fn != nil {
 		seed = fn()
 	}
+	stripes := d.m.StripeCount()
 	return &Txn{
 		d:        d,
+		marks:    newMarkSet(stripes),
+		owned:    newStripeBits(stripes),
 		rngState: seed*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D,
+		yieldIn:  d.cfg.YieldPeriod,
 	}
 }

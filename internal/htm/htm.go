@@ -6,19 +6,23 @@
 // Semantics provided, matching what the paper relies on from real RTM:
 //
 //   - Opacity: a speculative Load never returns a value inconsistent with a
-//     single memory snapshot. The transaction value-logs its reads and
-//     revalidates the whole log whenever the global memory clock has moved,
-//     exactly the way NOrec validates; a failed revalidation is a conflict
-//     abort.
+//     single memory snapshot. The transaction value-logs its distinct reads
+//     and keeps, per memory stripe in its footprint, the stripe clock its
+//     log was last proved current at; when a footprint stripe's clock has
+//     moved, that stripe's logged reads are revalidated by value, the way
+//     NOrec validates, and the snapshot extended. Mutations of stripes
+//     outside the footprint cost the transaction nothing. A failed
+//     revalidation is a conflict abort.
 //   - Isolation of speculative writes: Stores are buffered privately and
-//     published atomically at Commit (under the memory's writeback lock), so
-//     no other thread — transactional or not — ever observes a partial
-//     write set. This is the property Figure 2 of the paper leans on.
-//     Read-only commits publish nothing and take no lock: they validate via
-//     the memory's seqlock read protocol, like a real RTM commit of a
+//     published atomically at Commit, under the writeback locks of exactly
+//     the stripes the write set touches with all their seqlock windows
+//     open, so no other thread — transactional or not — ever observes a
+//     partial write set. This is the property Figure 2 of the paper leans
+//     on. Read-only commits publish nothing and take no lock: they validate
+//     via the per-stripe seqlock read protocol, like a real RTM commit of a
 //     read-only transaction, which touches nothing shared.
-//   - Strong atomicity with plain accesses: every plain mutation moves the
-//     memory clock, so it aborts (at their next validation point) all
+//   - Strong atomicity with plain accesses: every plain mutation moves its
+//     stripe's clock, so it aborts (at their next validation point) all
 //     hardware transactions that have read the mutated locations.
 //   - Best effort: transactions abort on conflicts, on read/write-set
 //     capacity overflow (accounted in distinct 64-byte lines, like a

@@ -1,6 +1,7 @@
 package htm
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -8,188 +9,142 @@ import (
 	"rhnorec/internal/mem"
 )
 
-// TestQuickLineSetMatchesMap: lineSet must behave exactly like a map-based
-// set across any insertion sequence, including across the spill boundary
-// and resets.
-func TestQuickLineSetMatchesMap(t *testing.T) {
-	f := func(ops []uint8, resetAt uint8) bool {
-		var s lineSet
-		ref := make(map[mem.Line]struct{})
-		for i, raw := range ops {
-			if resetAt > 0 && i == int(resetAt) {
-				s.reset()
-				ref = make(map[mem.Line]struct{})
-			}
-			l := mem.Line(raw % 40) // force duplicates and spills
-			_, had := ref[l]
-			ref[l] = struct{}{}
-			if added := s.add(l); added == had {
-				return false
-			}
-			if s.count() != len(ref) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestQuickWriteSetMatchesMap: writeSet must behave exactly like a map
-// across puts, overwrite updates, lookups, and the spill boundary.
-func TestQuickWriteSetMatchesMap(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
+// TestQuickIndexMatchesMap: the index must behave exactly like a Go map
+// across any sequence of adds, lookups and resets — through several
+// doublings, with resets landing at every table size, and across a forced
+// generation wrap-around (the one reset that has to clear the table).
+func TestQuickIndexMatchesMap(t *testing.T) {
+	f := func(seed int64, keySpace uint16, startGen uint32) bool {
 		rng := rand.New(rand.NewSource(seed))
-		var s writeSet
-		ref := make(map[mem.Addr]uint64)
-		for i := 0; i < int(n)+40; i++ { // cross the spill threshold
-			a := mem.Addr(rng.Intn(30) + 1)
-			switch rng.Intn(3) {
-			case 0, 1: // put
-				v := rng.Uint64()
-				_, had := ref[a]
-				isNew := s.put(a, v)
-				if isNew == had {
+		space := int(keySpace)%2000 + 1
+		var x index
+		x.add(0, 0) // allocate, so the forced generation meets real cells
+		x.reset()
+		// A few resets short of the wrap, so the wrap happens mid-run over a
+		// table that holds cells stamped with small generations too.
+		x.gen = math.MaxUint32 - startGen%4
+		ref := make(map[uint64]int32)
+		for op := 0; op < 4000; op++ {
+			switch r := rng.Intn(100); {
+			case r < 2:
+				x.reset()
+				clear(ref)
+			case r < 60:
+				k := uint64(rng.Intn(space)) * 8 // word addresses of distinct lines
+				pos := int32(len(ref))
+				_, had := ref[k]
+				if added := x.add(k, pos); added == had {
 					return false
 				}
-				ref[a] = v
-			case 2: // get
-				v, ok := s.get(a)
-				want, wok := ref[a]
-				if ok != wok || (ok && v != want) {
+				if !had {
+					ref[k] = pos
+				}
+			default:
+				k := uint64(rng.Intn(space)) * 8
+				pos, ok := x.find(k)
+				want, wok := ref[k]
+				if ok != wok || (ok && pos != want) {
 					return false
 				}
 			}
-			if s.len() != len(ref) {
+			if x.n != len(ref) {
 				return false
 			}
 		}
-		// Full content check via the commit iteration order.
-		seen := make(map[mem.Addr]uint64)
-		for _, e := range s.entries {
-			seen[e.Addr] = e.Value
-		}
-		if len(seen) != len(ref) {
-			return false
-		}
-		for a, v := range ref {
-			if seen[a] != v {
+		for k, want := range ref {
+			if pos, ok := x.find(k); !ok || pos != want {
 				return false
 			}
 		}
-		return true
+		return x.gen != 0 && 2*x.n <= len(x.cells)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestQuickReadSetMatchesMap: readSet must behave exactly like a map across
-// first-read logging, duplicate lookups, and the spill boundary. add is only
-// legal for addresses get misses on, mirroring how Load uses it.
-func TestQuickReadSetMatchesMap(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		var s readSet
-		ref := make(map[mem.Addr]uint64)
-		for i := 0; i < int(n)+40; i++ { // cross the spill threshold
-			a := mem.Addr(rng.Intn(30) + 1)
-			v, ok := s.get(a)
-			want, wok := ref[a]
-			if ok != wok || (ok && v != want) {
-				return false
-			}
-			if !ok {
-				nv := rng.Uint64()
-				s.add(a, nv)
-				ref[a] = nv
-			}
-			if s.len() != len(ref) {
-				return false
-			}
-		}
-		// Full content check via the validation iteration order.
-		seen := make(map[mem.Addr]uint64)
-		for _, e := range s.entries {
-			seen[e.addr] = e.val
-		}
-		if len(seen) != len(ref) {
-			return false
-		}
-		for a, v := range ref {
-			if seen[a] != v {
-				return false
-			}
-		}
-		return true
+// TestIndexGenerationWrap pins the wrap itself: cells written in generation
+// 1 must not come back to life when the counter returns to 1.
+func TestIndexGenerationWrap(t *testing.T) {
+	var x index
+	x.add(42, 7) // generation 1
+	x.gen = math.MaxUint32
+	if _, ok := x.find(42); ok {
+		t.Fatal("a generation-1 cell is live in generation MaxUint32")
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
+	x.add(43, 8)
+	x.reset() // wraps
+	if x.gen != 1 {
+		t.Fatalf("generation after the wrap = %d, want 1", x.gen)
 	}
-}
-
-func TestReadSetResetReusable(t *testing.T) {
-	var s readSet
-	for i := 0; i < 3; i++ {
-		for a := mem.Addr(1); a <= 30; a++ { // spill every round
-			if _, ok := s.get(a); !ok {
-				s.add(a, uint64(a)*3)
-			}
+	for _, k := range []uint64{42, 43} {
+		if _, ok := x.find(k); ok {
+			t.Fatalf("key %d survived the wrap-around reset", k)
 		}
-		if s.len() != 30 {
-			t.Fatalf("round %d: len = %d, want 30", i, s.len())
-		}
-		if v, ok := s.get(15); !ok || v != 45 {
-			t.Fatalf("round %d: get(15) = %d,%v", i, v, ok)
-		}
-		s.reset()
-		if s.len() != 0 {
-			t.Fatalf("round %d: len after reset = %d", i, s.len())
-		}
-		if _, ok := s.get(15); ok {
-			t.Fatalf("round %d: stale entry visible after reset", i)
+		if !x.add(k, 0) {
+			t.Fatalf("key %d reported present after the wrap-around reset", k)
 		}
 	}
 }
 
-func TestWriteSetResetReusable(t *testing.T) {
-	var s writeSet
-	for i := 0; i < 3; i++ {
-		for a := mem.Addr(1); a <= 30; a++ { // spill every round
-			s.put(a, uint64(a)*7)
-		}
-		if s.len() != 30 {
-			t.Fatalf("round %d: len = %d, want 30", i, s.len())
-		}
-		if v, ok := s.get(15); !ok || v != 105 {
-			t.Fatalf("round %d: get(15) = %d,%v", i, v, ok)
-		}
-		s.reset()
-		if s.len() != 0 {
-			t.Fatalf("round %d: len after reset = %d", i, s.len())
-		}
-		if _, ok := s.get(15); ok {
-			t.Fatalf("round %d: stale entry visible after reset", i)
+// TestIndexResetKeepsTable: reset is a stamp, not a sweep — the table a big
+// transaction grew stays, and nothing of it is visible afterwards.
+func TestIndexResetKeepsTable(t *testing.T) {
+	var x index
+	for k := uint64(0); k < 1000; k++ {
+		x.add(k, int32(k))
+	}
+	size := len(x.cells)
+	x.reset()
+	if len(x.cells) != size || x.n != 0 {
+		t.Fatalf("after reset: %d cells (want %d), n = %d", len(x.cells), size, x.n)
+	}
+	for k := uint64(0); k < 1000; k++ {
+		if _, ok := x.find(k); ok {
+			t.Fatalf("key %d visible after reset", k)
 		}
 	}
 }
 
-func TestLineSetSpillExactlyAtBoundary(t *testing.T) {
-	var s lineSet
-	for i := 0; i <= smallSetCap; i++ {
-		if !s.add(mem.Line(i)) {
-			t.Fatalf("line %d reported duplicate", i)
+// TestReadWriteSetsFollowInsertionOrder: validation and CommitWrites walk
+// entries, so it must hold every distinct address once, in first-touch
+// order, with the write buffer carrying the last value put.
+func TestReadWriteSetsFollowInsertionOrder(t *testing.T) {
+	var r readSet
+	var w writeSet
+	var lines lineSet
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 100; i++ {
+			a := mem.Addr(1 + (i*37)%50) // 50 distinct, each touched twice
+			if _, ok := r.get(a); !ok {
+				r.add(a, uint64(a)*3)
+			}
+			w.put(a, uint64(i))
+			lines.add(mem.LineOf(a))
 		}
-	}
-	if s.count() != smallSetCap+1 {
-		t.Fatalf("count = %d, want %d", s.count(), smallSetCap+1)
-	}
-	// Every pre-spill element must still be a duplicate.
-	for i := 0; i <= smallSetCap; i++ {
-		if s.add(mem.Line(i)) {
-			t.Fatalf("line %d lost across the spill", i)
+		if r.len() != 50 || w.len() != 50 || lines.count() != 7 {
+			t.Fatalf("round %d: %d reads, %d writes, %d lines; want 50, 50, 7", round, r.len(), w.len(), lines.count())
+		}
+		for i := 0; i < 50; i++ {
+			a := mem.Addr(1 + (i*37)%50)
+			if r.entries[i].addr != a || r.entries[i].val != uint64(a)*3 {
+				t.Fatalf("round %d: read entry %d = %+v, want addr %d", round, i, r.entries[i], a)
+			}
+			if w.entries[i].Addr != a || w.entries[i].Value != uint64(i+50) {
+				t.Fatalf("round %d: write entry %d = %+v, want {%d %d}", round, i, w.entries[i], a, i+50)
+			}
+			if v, ok := w.get(a); !ok || v != uint64(i+50) {
+				t.Fatalf("round %d: writes.get(%d) = %d,%v", round, a, v, ok)
+			}
+		}
+		r.reset()
+		w.reset()
+		lines.reset()
+		if _, ok := r.get(15); ok {
+			t.Fatalf("round %d: stale read visible after reset", round)
+		}
+		if _, ok := w.get(15); ok {
+			t.Fatalf("round %d: stale write visible after reset", round)
 		}
 	}
 }

@@ -90,3 +90,109 @@ func TestCommitValidatesOwnWriteStripeReads(t *testing.T) {
 		t.Errorf("aborted commit leaked its write: a+1 = %d", got)
 	}
 }
+
+// gateFixture is a reader and a writer transaction over four words on four
+// distinct stripes, for the ticket-gate tests below.
+func gateFixture(t *testing.T) (m *mem.Memory, reader, writer *Txn, r, s, s2, u mem.Addr) {
+	t.Helper()
+	m, d, c := newTestDevice(Config{YieldPeriod: -1})
+	r = c.Alloc(4 * mem.LineWords)
+	s, s2, u = r+mem.LineWords, r+2*mem.LineWords, r+3*mem.LineWords
+	seen := map[int]bool{}
+	for _, a := range []mem.Addr{r, s, s2, u} {
+		seen[m.StripeOf(a)] = true
+	}
+	if len(seen) != 4 {
+		t.Fatalf("the four words cover %d stripes; the gate tests need four", len(seen))
+	}
+	m.StorePlain(r, 10)
+	m.StorePlain(s, 20)
+	return m, d.NewTxn(), d.NewTxn(), r, s, s2, u
+}
+
+// TestGateClosedByIntersectingCommit: the ticket gate must not let a
+// snapshot extension past a commit that rewrote the log. The reader logs r;
+// a writer transaction then commits {r, s}; the reader's first load of s —
+// an unseen stripe whose own clock looks pristine to it — has to sweep, find
+// r moved, and abort, rather than pair the old r with the new s.
+func TestGateClosedByIntersectingCommit(t *testing.T) {
+	m, reader, writer, r, s, _, _ := gateFixture(t)
+	ab := attempt(reader, func() {
+		if got := reader.Load(r); got != 10 {
+			t.Fatalf("Load(r) = %d, want 10", got)
+		}
+		if reader.gate != m.Ticket() {
+			t.Fatalf("gate %d not armed at ticket %d after a quiet first load", reader.gate, m.Ticket())
+		}
+		if wab := attempt(writer, func() {
+			writer.Store(r, writer.Load(r)+1)
+			writer.Store(s, writer.Load(s)+1)
+		}); wab != nil {
+			t.Fatalf("writer aborted: %v", wab)
+		}
+		got := reader.Load(s)
+		t.Fatalf("Load(s) returned %d next to r = 10; memory held {10, 20} and {11, 21} only", got)
+	})
+	if ab == nil || ab.Code != Conflict {
+		t.Fatalf("abort = %v, want conflict", ab)
+	}
+}
+
+// TestGateReopensAfterDisjointCommit is the control: a commit to a stripe
+// outside the footprint moves the ticket, so the reader's next first load
+// of an unseen stripe cannot take the gate — it sweeps, finds its log
+// intact, survives, and re-arms the gate at the new ticket, so the load
+// after that one extends for free again.
+func TestGateReopensAfterDisjointCommit(t *testing.T) {
+	m, reader, writer, r, s, s2, u := gateFixture(t)
+	ab := attempt(reader, func() {
+		if got := reader.Load(r); got != 10 {
+			t.Fatalf("Load(r) = %d, want 10", got)
+		}
+		if wab := attempt(writer, func() { writer.Store(u, 99) }); wab != nil {
+			t.Fatalf("writer aborted: %v", wab)
+		}
+		if reader.gate == m.Ticket() {
+			t.Fatal("the disjoint commit did not move the ticket off the gate")
+		}
+		if got := reader.Load(s); got != 20 {
+			t.Fatalf("Load(s) = %d, want 20", got)
+		}
+		if reader.gate != m.Ticket() {
+			t.Fatalf("gate %d not re-armed at ticket %d by the surviving sweep", reader.gate, m.Ticket())
+		}
+		if got := reader.Load(s2); got != 0 {
+			t.Fatalf("Load(s2) = %d, want 0", got)
+		}
+	})
+	if ab != nil {
+		t.Fatalf("reader aborted on a disjoint-stripe commit: %v", ab)
+	}
+	if got := reader.marks.n; got != 3 {
+		t.Fatalf("footprint holds %d stripes, want 3 (r, s, s2)", got)
+	}
+}
+
+// TestGateNeverAppliesToWriterCommit: a writer's commit-time validation
+// sweeps whatever the ticket says. The transaction reads r and buffers a
+// store elsewhere; r is then rewritten behind the ticket's back — the word
+// changes and its stripe clock moves, but the ticket is wound back to the
+// gate — so a gated commit sweep would publish against the stale read.
+func TestGateNeverAppliesToWriterCommit(t *testing.T) {
+	m, tx, _, r, s, _, _ := gateFixture(t)
+	ab := attempt(tx, func() {
+		tx.Store(s, tx.Load(r)+1)
+		gate := tx.gate
+		m.StorePlain(r, 11)
+		tx.gate = m.Ticket() // as if the ticket had not moved
+		if tx.gate == gate {
+			t.Fatal("the store did not move the ticket")
+		}
+	})
+	if ab == nil || ab.Code != Conflict {
+		t.Fatalf("abort = %v, want conflict: the writer commit must not consult the gate", ab)
+	}
+	if got := m.LoadPlain(s); got != 20 {
+		t.Errorf("aborted commit leaked its write: s = %d", got)
+	}
+}

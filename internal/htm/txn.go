@@ -1,6 +1,7 @@
 package htm
 
 import (
+	"math/bits"
 	"runtime"
 
 	"rhnorec/internal/mem"
@@ -27,9 +28,16 @@ type Txn struct {
 	// stripe. Successful sweeps advance the watermarks.
 	marks markSet
 
+	// gate is the memory's commit ticket as sampled before the instant the
+	// read log was last proved consistent (Begin, or the start of the last
+	// clean sweepReads pass). While the ticket still reads gate, no publish
+	// has closed a window since, and readConsistent extends the snapshot to
+	// an unseen stripe without sweeping (DESIGN.md §12.2).
+	gate uint64
+
 	// owned flags the stripes whose writeback locks the commit path holds
 	// (the write footprint); valid only inside commitValidate.
-	owned ownedBits
+	owned stripeBits
 
 	// reads value-logs every *distinct* speculative read; duplicate loads
 	// are answered from the log (an L1 hit on real hardware) and are not
@@ -64,7 +72,10 @@ type Txn struct {
 	abortVal Abort
 
 	rngState uint64
-	opCount  int
+	// yieldIn counts speculative operations down to the next yield point.
+	// It runs on across Begin: pacing belongs to the thread, not to one
+	// transaction.
+	yieldIn int
 }
 
 // FilterStats tallies signature-filter outcomes: Misses are validations the
@@ -112,9 +123,8 @@ func (t *Txn) Begin() {
 	} else {
 		t.falseConfThresh = 0
 	}
-	if !t.marks.empty() {
-		t.marks.reset()
-	}
+	t.marks.reset()
+	t.gate = t.d.m.Ticket()
 	t.sigOn = t.d.cfg.SignatureFiltering && t.d.m.SignatureBits() != 0
 	if t.sigOn {
 		t.sigBits = uint32(t.d.m.SignatureBits())
@@ -165,12 +175,11 @@ func (t *Txn) nextRand() uint64 {
 // maybeYield periodically yields the processor so that simulated hardware
 // threads interleave mid-transaction even on few OS threads.
 func (t *Txn) maybeYield() {
-	p := t.yieldPeriod
-	if p <= 0 {
+	if t.yieldPeriod <= 0 {
 		return
 	}
-	t.opCount++
-	if t.opCount%p == 0 {
+	if t.yieldIn--; t.yieldIn == 0 {
+		t.yieldIn = t.yieldPeriod
 		runtime.Gosched()
 	}
 }
@@ -227,15 +236,15 @@ func (t *Txn) Load(a mem.Addr) uint64 {
 // in stripes outside the footprint never perturb this transaction.
 func (t *Txn) readConsistent(a mem.Addr) uint64 {
 	m := t.d.m
-	s := int32(m.StripeOf(a))
+	s := m.StripeOf(a)
 	for {
-		c0 := m.StripeClock(int(s))
+		c0 := m.StripeClock(s)
 		if c0&1 == 1 {
 			runtime.Gosched() // a write-back is publishing into this stripe
 			continue
 		}
 		v := m.LoadPlain(a)
-		if m.StripeClock(int(s)) != c0 {
+		if m.StripeClock(s) != c0 {
 			continue // raced with a mutation of this stripe
 		}
 		mark, seen := t.marks.get(s)
@@ -253,23 +262,36 @@ func (t *Txn) readConsistent(a mem.Addr) uint64 {
 			// would see the motion, not the values.
 			t.hookYield(HookValidate, a, 0)
 			diced := false
-			if !t.rollFalseConflict(&diced) || !t.checkStripe(int(s), mark, c0) {
+			if !t.rollFalseConflict(&diced) || !t.checkStripe(s, mark, c0) {
 				t.fail(Conflict, 0)
 			}
-			if m.StripeClock(int(s)) != c0 {
+			if m.StripeClock(s) != c0 {
 				continue // the re-check itself was torn
 			}
 		}
 		// Watermark s at c0 (for a first read of the stripe there is
-		// nothing logged there yet, so c0 needs no proof) and sweep the
-		// whole footprint to a fresh common instant. If s moves again
-		// during the sweep, v may predate the new instant — discard it
-		// and retry.
+		// nothing logged there yet, so c0 needs no proof).
 		t.marks.set(s, c0)
+		if !seen && m.Ticket() == t.gate {
+			// Ticket gate. Every publish retires its ticket after its last
+			// store and before its first window closes. The ticket has not
+			// moved since before the instant the log was last proved
+			// consistent, so a store to a since that instant would belong
+			// to a publish whose window on s is still open — and s read an
+			// even, unchanged c0 around the load. Hence v was a's value at
+			// that same instant, and the sweep below would find nothing to
+			// do. (Read-time extension only: a committing writer must also
+			// see publishes still inside their windows, so sweepReads(true)
+			// is never gated.)
+			return v
+		}
+		// Sweep the whole footprint to a fresh common instant. If s moves
+		// again during the sweep, v may predate the new instant — discard
+		// it and retry.
 		if !t.sweepReads(false) {
 			t.fail(Conflict, 0)
 		}
-		if m.StripeClock(int(s)) == c0 {
+		if m.StripeClock(s) == c0 {
 			return v
 		}
 	}
@@ -398,59 +420,74 @@ func (t *Txn) sweepReads(committing bool) bool {
 		if committing && pass > commitPassBudget {
 			return false
 		}
+		ticket := m.Ticket() // before the pass: what a clean one re-arms the gate with
 		clean := true
-		failed := false
-		t.marks.forEach(func(idx int32, mark uint64) bool {
-			s := int(idx)
-			c := m.StripeClock(s)
-			if committing && t.owned.has(s) {
-				// c is odd because our own window is open; c-1 is the value
-				// the clock had when CommitWrites opened it. Equal to the
-				// watermark means no store landed in s since the log was
-				// last valid (restored windows return the clock unchanged).
-				if c-1 == mark {
-					return true
+		for w, word := range t.marks.present {
+			for ; word != 0; word &= word - 1 {
+				s := w<<6 + bits.TrailingZeros64(word)
+				mark := t.marks.marks[s]
+				c := m.StripeClock(s)
+				if c == mark {
+					continue
 				}
-				if !t.rollFalseConflict(&diced) || !t.checkStripe(s, mark, c-1) {
-					failed = true
+				switch t.sweepMoved(s, mark, c, committing, &diced) {
+				case sweepFailed:
 					return false
+				case sweepRetry:
+					clean = false
 				}
-				t.marks.set(idx, c-1)
-				return true
 			}
-			if c == mark {
-				return true
-			}
-			for spins := 0; c&1 == 1; spins++ {
-				if committing && spins > commitSpinBudget {
-					failed = true
-					return false
-				}
-				runtime.Gosched() // a write-back is publishing into this stripe
-				c = m.StripeClock(s)
-			}
-			if c == mark {
-				return true // the open window restored without publishing
-			}
-			if !t.rollFalseConflict(&diced) || !t.checkStripe(s, mark, c) {
-				failed = true
-				return false
-			}
-			if m.StripeClock(s) != c {
-				clean = false // the check itself was torn: retry the pass
-				return true
-			}
-			t.marks.set(idx, c)
-			clean = false // watermark advanced: a confirming pass must follow
-			return true
-		})
-		if failed {
-			return false
 		}
 		if clean {
+			t.gate = ticket
 			return true
 		}
 	}
+}
+
+// Verdicts of sweepMoved.
+const (
+	sweepFailed  = iota // conflict: the caller aborts
+	sweepSettled        // the stripe's reads hold and its watermark needs no confirming pass
+	sweepRetry          // watermark advanced, or the check was torn: another pass must follow
+)
+
+// sweepMoved handles one footprint stripe whose clock c no longer reads its
+// watermark mark during a sweepReads pass.
+func (t *Txn) sweepMoved(s int, mark, c uint64, committing bool, diced *bool) int {
+	m := t.d.m
+	if committing && t.owned.has(s) {
+		// c is odd because our own window is open; c-1 is the value the
+		// clock had when CommitWrites opened it. Equal to the watermark
+		// means no store landed in s since the log was last valid
+		// (restored windows return the clock unchanged).
+		if c-1 == mark {
+			return sweepSettled
+		}
+		if !t.rollFalseConflict(diced) || !t.checkStripe(s, mark, c-1) {
+			return sweepFailed
+		}
+		t.marks.set(s, c-1)
+		return sweepSettled
+	}
+	for spins := 0; c&1 == 1; spins++ {
+		if committing && spins > commitSpinBudget {
+			return sweepFailed
+		}
+		runtime.Gosched() // a write-back is publishing into this stripe
+		c = m.StripeClock(s)
+	}
+	if c == mark {
+		return sweepSettled // the open window restored without publishing
+	}
+	if !t.rollFalseConflict(diced) || !t.checkStripe(s, mark, c) {
+		return sweepFailed
+	}
+	if m.StripeClock(s) != c {
+		return sweepRetry // the check itself was torn
+	}
+	t.marks.set(s, c)
+	return sweepRetry // watermark advanced: a confirming pass must follow
 }
 
 // commitValidate is the writer-commit validation callback, run by
@@ -505,7 +542,7 @@ func (t *Txn) Commit() {
 			t.fail(Conflict, 0)
 		}
 	} else {
-		t.owned.clear()
+		clear(t.owned)
 		for i := range t.writes.entries {
 			t.owned.set(t.d.m.StripeOf(t.writes.entries[i].Addr))
 		}

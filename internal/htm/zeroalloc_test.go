@@ -10,8 +10,8 @@ import (
 // transaction — Begin, speculative loads and stores, Commit — performs zero
 // heap allocations, and so does a hardware abort unwinding through Attempt
 // (the abort value is recycled per Txn; the panic/recover pair is
-// allocation-free). The read/write sets, the write buffer, and the spill
-// structures are all recycled across Begin calls on the same Txn.
+// allocation-free). The read log, the write buffer and their index tables
+// are all recycled across Begin calls on the same Txn.
 // testing.AllocsPerRun warm-calls the function once, and each test runs a
 // few transactions first so lazily-grown structures reach steady size.
 
@@ -37,6 +37,40 @@ func TestZeroAllocTxnReadWrite(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(100, run); avg != 0 {
 		t.Fatalf("steady-state hardware txn allocates: %v allocs/run, want 0", avg)
+	}
+}
+
+// TestZeroAllocTxnReadOnlyLarge covers the footprints that outgrow the
+// index's first table: a 32-word read-only transaction (a tree lookup) and a
+// 600-line one (a range scan under the default capacity). Once a warm-up
+// transaction has grown the tables and the log, neither allocates — and
+// neither does the small one when it runs right after the large one, on
+// tables the large one sized.
+func TestZeroAllocTxnReadOnlyLarge(t *testing.T) {
+	m := mem.New(1 << 16)
+	d := NewDevice(m, Config{YieldPeriod: -1})
+	d.SetActiveThreads(1)
+	tc := m.NewThreadCache()
+	addrs := make([]mem.Addr, 600)
+	for i := range addrs {
+		addrs[i] = tc.Alloc(mem.LineWords)
+	}
+	tx := d.NewTxn()
+	for _, n := range []int{32, 600, 32} {
+		run := func() {
+			tx.Begin()
+			for _, a := range addrs[:n] {
+				_ = tx.Load(a)
+			}
+			if got := tx.ReadLineCount(); got != n {
+				t.Fatalf("read %d lines, counted %d", n, got)
+			}
+			tx.Commit()
+		}
+		run()
+		if avg := testing.AllocsPerRun(50, run); avg != 0 {
+			t.Fatalf("warmed %d-line read-only txn allocates: %v allocs/run, want 0", n, avg)
+		}
 	}
 }
 

@@ -152,13 +152,18 @@ func (v fastTx) Free(a mem.Addr, n int) { v.t.base.TxFree(a, n) }
 // user aborts.
 type slowTx struct{ t *thread }
 
-func (v slowTx) Load(a mem.Addr) uint64 { return v.t.base.M.LoadPlain(a) }
+// Load reads through LoadCommitted: a speculation that validated the free
+// lock just before this thread took it may still be publishing, and on real
+// hardware that commit is one step. Waiting out its windows orders it
+// wholly before this critical section instead of letting a read here slip
+// between its validation and its stores.
+func (v slowTx) Load(a mem.Addr) uint64 { return v.t.base.M.LoadCommitted(a) }
 
 func (v slowTx) Store(a mem.Addr, val uint64) {
 	if v.t.base.ReadOnly {
 		panic(tm.ErrStoreInReadOnly)
 	}
-	v.t.undo = append(v.t.undo, mem.WriteEntry{Addr: a, Value: v.t.base.M.LoadPlain(a)})
+	v.t.undo = append(v.t.undo, mem.WriteEntry{Addr: a, Value: v.t.base.M.LoadCommitted(a)})
 	v.t.base.M.StorePlain(a, val)
 }
 

@@ -29,10 +29,15 @@
 //     take no lock at all: they validate under the per-stripe seqlock read
 //     protocol — see CommitWrites and ValidateLockFree.
 //  3. A global commit ticket (an atomic counter, never a lock) counts
-//     publishes for event stamping and linearization ordering. Clock()
-//     derives from it for compatibility, but it is a monotonic mutation
-//     counter only — NOT a seqlock; cross-stripe consistency always comes
-//     from the per-stripe clocks.
+//     publishes for event stamping and linearization ordering. A publish
+//     retires its ticket inside its seqlock window — after its last store,
+//     before its first window closes — so a reader that finds a published
+//     value under an even stripe clock also finds the ticket advanced, and
+//     an unchanged ticket proves no publish closed a window in between
+//     (package htm's snapshot-extension gate rests on this). Clock()
+//     derives from the ticket for compatibility, but it is a monotonic
+//     mutation counter only — NOT a seqlock, and never waited on;
+//     cross-stripe consistency always comes from the per-stripe clocks.
 package mem
 
 import (
@@ -249,9 +254,10 @@ func (m *Memory) StripeOf(a Addr) int { return int((uint64(a) >> lineShift) & m.
 func (m *Memory) StripeClock(s int) uint64 { return m.stripes[s].clock.Load() }
 
 // Ticket returns the global commit ticket: the number of publishes (plain
-// mutations and commit write-backs) completed so far. It is monotonic and
-// lock-free, suitable for stamping events into a global order, but it is
-// not a seqlock — use the per-stripe clocks for consistency.
+// mutations and commit write-backs) that have stored all their words. It is
+// monotonic and lock-free, suitable for stamping events into a global
+// order, but it is not a seqlock — use the per-stripe clocks for
+// consistency.
 func (m *Memory) Ticket() uint64 { return m.ticket.Load() }
 
 // Clock returns a compatibility view of the retired global memory clock:
@@ -266,18 +272,19 @@ func (m *Memory) Clock() uint64 { return 2 * m.ticket.Load() }
 func (m *Memory) ClockStable() uint64 { return m.Clock() }
 
 // beginMutate takes addr's stripe writeback lock and opens its seqlock
-// write window; endMutate closes the window, retires a ticket, and releases
-// the lock. Every unconditional single-word mutation is bracketed by this
-// pair; conditional mutators (CASPlain) take the lock first and open the
-// window only once they know they will mutate.
+// write window; endMutate retires a ticket, closes the window, and releases
+// the lock — in that order (package doc, property 3). Every unconditional
+// single-word mutation is bracketed by this pair; conditional mutators
+// (CASPlain) take the lock first and open the window only once they know
+// they will mutate.
 func (m *Memory) beginMutate(s *stripe) {
 	s.wb.Lock()
 	s.clock.Add(1)
 }
 
 func (m *Memory) endMutate(s *stripe) {
-	s.clock.Add(1)
 	m.ticket.Add(1)
+	s.clock.Add(1)
 	s.wb.Unlock()
 }
 
@@ -422,7 +429,7 @@ func (b *stripeBits) forEach(fn func(s int)) {
 // non-empty buffer it takes the writeback locks of every touched stripe in
 // canonical ascending index order (so concurrent multi-stripe commits
 // cannot deadlock), opens all their seqlock windows, calls validate, and on
-// success stores every entry, closes the windows, and retires one ticket.
+// success stores every entry, retires one ticket, and closes the windows.
 // It reports whether the commit succeeded.
 //
 // The windows are open *during* validation so that a validating reader in
@@ -484,8 +491,10 @@ func (m *Memory) CommitWrites(writes []WriteEntry, validate func() bool) bool {
 			// reads-from edge and replaying a sequence prefix is consistent.
 			m.persister.Append(m.ticket.Load()+1, writes)
 		}
-		touched.forEach(func(s int) { m.stripes[s].clock.Add(1) })
+		// The ticket retires before any window closes (package doc,
+		// property 3).
 		m.ticket.Add(1)
+		touched.forEach(func(s int) { m.stripes[s].clock.Add(1) })
 	} else {
 		// Nothing was published: restore every window to its prior even
 		// value instead of closing it forward, so readers watermarked at

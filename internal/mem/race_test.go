@@ -275,3 +275,76 @@ func TestRaceLoadCommittedSeesWholeCommits(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestRaceTicketRetiresInsideWindow pins property 3 of the package doc: a
+// publish retires its ticket after its last store and before its first
+// window closes, so a seqlock reader that finds a published value under an
+// even stripe clock finds the ticket advanced too. One writer makes the
+// memory's n-th publish carry the value n — to lo alone (store, CAS, add in
+// turn) or to lo and hi together, on two stripes, lo's window closing
+// first — so a reader that sees v in lo between two equal even clock
+// samples must then read a ticket of at least v. (With the ticket retired
+// after the windows, as it once was, the reader can run in the gap: value v
+// certified, ticket still v-1 — which is what package htm's snapshot gate
+// could not survive.)
+func TestRaceTicketRetiresInsideWindow(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	m := New(1 << 12)
+	c := m.NewThreadCache()
+	lo := c.Alloc(2 * LineWords)
+	hi := lo + LineWords
+	if m.StripeOf(lo) > m.StripeOf(hi) {
+		lo, hi = hi, lo // windows close in ascending stripe order
+	}
+	publishes := uint64(200000)
+	if testing.Short() {
+		publishes = 20000
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for n := uint64(1); n <= publishes; n++ {
+			switch n % 4 {
+			case 0:
+				m.StorePlain(lo, n)
+			case 1:
+				if !m.CASPlain(lo, n-1, n) {
+					t.Errorf("CAS %d -> %d failed: lo holds %d", n-1, n, m.LoadPlain(lo))
+					return
+				}
+			case 2:
+				m.AddPlain(lo, 1)
+			default:
+				m.CommitWrites([]WriteEntry{{Addr: lo, Value: n}, {Addr: hi, Value: n}}, nil)
+			}
+		}
+	}()
+	var late atomic.Uint64
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := m.StripeOf(lo)
+			for {
+				c0 := m.StripeClock(s)
+				v := m.LoadPlain(lo)
+				if c0&1 != 0 || m.StripeClock(s) != c0 {
+					continue
+				}
+				if ticket := m.Ticket(); ticket < v {
+					late.Add(1)
+					t.Errorf("value %d certified at clock %d with the ticket still at %d", v, c0, ticket)
+					return
+				}
+				if v == publishes {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if m.Ticket() != publishes || late.Load() != 0 {
+		t.Errorf("ticket = %d after %d publishes, %d late readings", m.Ticket(), publishes, late.Load())
+	}
+}

@@ -24,10 +24,11 @@ func TestIsRestartRejectsOthers(t *testing.T) {
 }
 
 func TestPolicyWithDefaults(t *testing.T) {
-	// Zero-policy resolution reads RHNOREC_POLICY and RHNOREC_PERSIST;
-	// pin both empty so the expectations hold under the CI
-	// policy-conformance and crash-recovery sweeps.
+	// Zero-policy resolution reads RHNOREC_POLICY, RHNOREC_COMBINE and
+	// RHNOREC_PERSIST; pin all three empty so the expectations hold under
+	// the CI policy-conformance, combining and crash-recovery sweeps.
 	t.Setenv(PolicyEnvVar, "")
+	t.Setenv(CombineEnvVar, "")
 	t.Setenv(PersistEnvVar, "")
 	p := RetryPolicy{}.WithDefaults()
 	d := DefaultPolicy()
