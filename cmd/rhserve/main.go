@@ -20,7 +20,7 @@
 //
 // Durability (docs/PERSIST.md): -data <dir> arms the redo-log persistence
 // plane — boot replays the directory's logs (crash recovery) and committing
-// writes append to them; requires -algo rh-norec. -persist group|sync picks
+// writes append to them, under any -algo. -persist group|sync picks
 // group fsync vs fsync-per-commit (default: group, or RHNOREC_PERSIST).
 // -durable makes every write request wait for its fsync before the reply
 // (per-connection opt-in exists on the binary protocol via OpcodeDurable).

@@ -37,17 +37,18 @@ import (
 	"runtime"
 
 	"rhnorec/internal/htm"
+	"rhnorec/internal/hynorec"
 	"rhnorec/internal/mem"
 	"rhnorec/internal/obs"
 	"rhnorec/internal/tm"
 )
 
-// XABORT payloads used by the protocol: the canonical htm.Arg* codes, so
-// the observability taxonomy classifies our explicit aborts.
+// XABORT payloads used by the mixed slow path's small transactions: the
+// canonical htm.Arg* codes, so the observability taxonomy classifies our
+// explicit aborts.
 const (
 	abortHTMLockTaken = htm.ArgHTMLockTaken
 	abortClockLocked  = htm.ArgClockLocked
-	abortSerialTaken  = htm.ArgSerialTaken
 )
 
 // System is an RH NOrec TM over one shared memory.
@@ -65,10 +66,10 @@ type System struct {
 	// under its one ticket window.
 	ring *mem.CombineRing
 
-	gClock     mem.Addr
-	gHTMLock   mem.Addr
-	gFallbacks mem.Addr
-	serialLock mem.Addr
+	// g holds the clock, the global HTM lock, the fallback count and the
+	// serial lock — the words, and with them the whole hardware fast path
+	// (Algorithm 1, hynorec.FastPath), RH NOrec shares with Hybrid NOrec.
+	g hynorec.Globals
 }
 
 // combineDrainBudget bounds the write entries a postfix holder drains into
@@ -86,17 +87,13 @@ func New(m *mem.Memory, dev *htm.Device, policy tm.RetryPolicy) *System {
 	// The contention engine draws its jitter seeds from the device's seed
 	// source, so explore replays stay bit-reproducible (engine.go).
 	engine := tm.NewEngine(policy, dev.Config().SeedFn)
-	tc := m.NewThreadCache()
 	s := &System{
-		m:          m,
-		dev:        dev,
-		rec:        tm.NewReclaimer(),
-		policy:     engine.Policy(),
-		engine:     engine,
-		gClock:     tc.Alloc(mem.LineWords),
-		gHTMLock:   tc.Alloc(mem.LineWords),
-		gFallbacks: tc.Alloc(mem.LineWords),
-		serialLock: tc.Alloc(mem.LineWords),
+		m:      m,
+		dev:    dev,
+		rec:    tm.NewReclaimer(),
+		policy: engine.Policy(),
+		engine: engine,
+		g:      hynorec.NewGlobals(m),
 	}
 	if s.policy.Combine {
 		s.ring = mem.NewCombineRing()
@@ -131,9 +128,12 @@ func (s *System) NewThread() tm.Thread {
 		htx:         s.dev.NewTxn(),
 		expectedLen: s.policy.InitialPrefixLength,
 	}
+	// The fast path and the slow path's prefix and postfix never overlap, so
+	// they run on the one hardware context a thread has.
+	t.fast = hynorec.FastPath{Globals: s.g, Base: &t.base, Htx: t.htx}
 	t.base.CM = s.engine.NewThreadPolicy(&t.base)
-	t.base.Bind(t, t)
-	t.base.SerialEscape(s.serialLock, s.policy.MaxSlowPathRestarts)
+	t.base.Bind(t, &t.fast)
+	t.base.SerialEscape(s.g.SerialLock, s.policy.MaxSlowPathRestarts)
 	return t
 }
 
@@ -141,8 +141,10 @@ type thread struct {
 	sys  *System
 	base tm.ThreadBase
 	htx  *htm.Txn
+	fast hynorec.FastPath
 
-	// Mixed-slow-path attempt state.
+	// Mixed-slow-path attempt state. The software writes live in base.Log:
+	// stored in place on the full-software path, buffered in combine mode.
 	txv                uint64 // clock snapshot; LSB set while we hold the clock lock
 	writeDetected      bool
 	prefixActive       bool
@@ -151,33 +153,24 @@ type thread struct {
 	fallbackRegistered bool // this Run is counted in num_of_fallbacks
 	prefixBanned       bool // §3.4: one prefix try per transaction
 	postfixBanned      bool // §3.4: one postfix try per transaction
-	undo               []mem.WriteEntry
 
 	// Group-commit state (sys.ring != nil). combineMode: the attempt found
 	// the clock locked at its own base and is buffering writes for an
-	// enqueue instead of holding any lock; txv then stays even. combWrites
-	// is the buffered write set (grow-once, recycled), combRSig the bloom of
-	// every software read since the attempt began, prefixCommitted marks
-	// that htx still holds a committed prefix's read log (folded into the
-	// enqueue's read signature). drainMask, on the holder side, records ring
-	// slots claimed by an in-progress drain so every abort path can resolve
-	// them rejected.
+	// enqueue instead of holding any lock; txv then stays even. combRSig is
+	// the bloom of every software read since the attempt began,
+	// prefixCommitted marks that htx still holds a committed prefix's read
+	// log (folded into the enqueue's read signature). drainMask, on the
+	// holder side, records ring slots claimed by an in-progress drain so
+	// every abort path can resolve them rejected.
 	combineMode     bool
 	prefixCommitted bool
-	combWrites      []mem.WriteEntry
 	combRSig        mem.Signature
 	drainMask       uint32
 	// groupBuf coalesces a drained group's writes (last write per address
 	// wins, like any combiner) before they are applied, so a batch of
 	// same-line publishes costs one store per line instead of one per
-	// entry. Grow-once, recycled.
-	groupBuf []mem.WriteEntry
-
-	// redoBuf assembles the eager-commit redo record (the final values of
-	// every word the full-software path published in place) for the
-	// persistence plane. Grow-once, recycled; untouched when no persister is
-	// attached.
-	redoBuf []mem.WriteEntry
+	// entry.
+	groupBuf tm.WriteSet
 
 	// Prefix-length adaptation (§2.4): expectedLen is the reads budget the
 	// next prefix will attempt; it halves on prefix aborts and grows again
@@ -200,48 +193,6 @@ func (t *thread) Close()           { t.base.CloseBase() }
 func (t *thread) Run(fn func(tm.Tx) error) error         { return t.base.Run(fn, false) }
 func (t *thread) RunReadOnly(fn func(tm.Tx) error) error { return t.base.Run(fn, true) }
 
-// FastReady spins out the lock a hardware try just aborted on, rather than
-// restarting straight into the same explicit abort.
-func (t *thread) FastReady(prev *htm.Abort) bool {
-	t.base.SpinOutLock(prev, t.sys.gHTMLock, t.sys.gClock)
-	return true
-}
-
-// BeginFast is Algorithm 1's start: a pure hardware transaction that
-// subscribes only to the global HTM lock.
-func (t *thread) BeginFast() tm.Tx {
-	t.htx.Begin()
-	if t.htx.Load(t.sys.gHTMLock) != 0 {
-		t.htx.Abort(abortHTMLockTaken)
-	}
-	return fastTx{t}
-}
-
-// CommitFast is Algorithm 1's commit: the clock is touched only here, at
-// the commit point — the paper's key change relative to Hybrid NOrec.
-// Read-only transactions (compiler hint or no writes at runtime) commit
-// without looking at the clock at all — and the substrate commits them
-// lock-free (seqlock validation, no writeback lock), so the whole RO fast
-// path is mutex-free end to end.
-func (t *thread) CommitFast() {
-	if !t.base.ReadOnly && t.htx.WriteLineCount() > 0 {
-		if t.htx.Load(t.sys.gFallbacks) > 0 {
-			if t.htx.Load(t.sys.serialLock) != 0 {
-				t.htx.Abort(abortSerialTaken)
-			}
-			c := t.htx.Load(t.sys.gClock)
-			if c&1 != 0 {
-				t.htx.Abort(abortClockLocked)
-			}
-			t.htx.Store(t.sys.gClock, c+2)
-		}
-	}
-	t.htx.Commit()
-}
-
-// AbortFast discards a live speculation; nothing it did was visible.
-func (t *thread) AbortFast() { t.htx.Cancel() }
-
 // BeginSlow starts one try of the mixed slow path (Algorithms 2 and 3):
 // the HTM prefix when it is usable; on no-go, the original (Algorithm 2)
 // software start.
@@ -250,11 +201,9 @@ func (t *thread) BeginSlow(int) (tm.Tx, bool) {
 	t.prefixActive = false
 	t.postfixActive = false
 	t.fullSoftware = false
-	t.undo = t.undo[:0]
 	t.prefixCommitted = false
 	if t.sys.ring != nil {
 		t.combineMode = false
-		t.combWrites = t.combWrites[:0]
 		t.combRSig.Reset()
 	}
 	if t.prefixUsable() {
@@ -269,7 +218,7 @@ func (t *thread) BeginSlow(int) (tm.Tx, bool) {
 // §3.4 single-try bans last one Run.
 func (t *thread) EndSlow() {
 	if t.fallbackRegistered {
-		t.base.M.SubPlain(t.sys.gFallbacks, 1)
+		t.base.M.SubPlain(t.sys.g.Fallbacks, 1)
 		t.fallbackRegistered = false
 	}
 	t.prefixBanned = false
@@ -288,7 +237,7 @@ func (t *thread) startPrefix() {
 	t.htx.Begin()
 	t.prefixActive = true
 	t.prefixLimited = false
-	if t.htx.Load(t.sys.gHTMLock) != 0 {
+	if t.htx.Load(t.sys.g.HTMLock) != 0 {
 		t.htx.Abort(abortHTMLockTaken)
 	}
 	t.maxReads = t.expectedLen
@@ -300,16 +249,16 @@ func (t *thread) startPrefix() {
 func (t *thread) softwareStart() {
 	m := t.base.M
 	if !t.fallbackRegistered {
-		m.AddPlain(t.sys.gFallbacks, 1)
+		m.AddPlain(t.sys.g.Fallbacks, 1)
 		t.fallbackRegistered = true
 	}
 	for {
-		v := m.LoadPlain(t.sys.gClock)
+		v := m.LoadPlain(t.sys.g.Clock)
 		if v&1 == 0 {
 			t.txv = v
 			return
 		}
-		if t.sys.ring != nil && m.LoadPlain(t.sys.gHTMLock) == 0 {
+		if t.sys.ring != nil && m.LoadPlain(t.sys.g.HTMLock) == 0 {
 			// Join the holder's window instead of waiting it out: begin at
 			// base v&^1 in combine mode. This is sound because the combine
 			// read protocol's proof (see mixedTx.Load) depends only on each
@@ -331,10 +280,10 @@ func (t *thread) softwareStart() {
 // both become visible atomically with everything the prefix read.
 func (t *thread) commitPrefix() {
 	if !t.fallbackRegistered {
-		f := t.htx.Load(t.sys.gFallbacks)
-		t.htx.Store(t.sys.gFallbacks, f+1)
+		f := t.htx.Load(t.sys.g.Fallbacks)
+		t.htx.Store(t.sys.g.Fallbacks, f+1)
 	}
-	v := t.htx.Load(t.sys.gClock)
+	v := t.htx.Load(t.sys.g.Clock)
 	if v&1 != 0 {
 		t.htx.Abort(abortClockLocked)
 	}
@@ -384,8 +333,8 @@ func (t *thread) handleFirstWrite() {
 	m := t.base.M
 	// acquire_clock_lock (lines 47–56). writeDetected is set only once the
 	// lock is ours, since abort cleanup releases the clock when it is set.
-	if !m.CASPlain(t.sys.gClock, t.txv, t.txv|1) {
-		if t.sys.ring != nil && m.LoadPlain(t.sys.gClock) == t.txv|1 {
+	if !m.CASPlain(t.sys.g.Clock, t.txv, t.txv|1) {
+		if t.sys.ring != nil && m.LoadPlain(t.sys.g.Clock) == t.txv|1 {
 			// The clock is locked by a holder at exactly our snapshot base,
 			// so our reads are still provably valid: instead of restarting,
 			// buffer the writes and try to join the holder's group at commit
@@ -411,7 +360,7 @@ func (t *thread) handleFirstWrite() {
 // hardware fast paths and perform the writes in software under the clock
 // lock, with full NOrec opacity.
 func (t *thread) goFullSoftware() {
-	t.base.M.StorePlain(t.sys.gHTMLock, 1)
+	t.base.M.StorePlain(t.sys.g.HTMLock, 1)
 	t.fullSoftware = true
 }
 
@@ -431,7 +380,7 @@ func (t *thread) CommitSlow() {
 	}
 	if !t.writeDetected {
 		if t.combineMode {
-			if len(t.combWrites) == 0 {
+			if len(t.base.Log.Buffered()) == 0 {
 				// Read-only transaction that began inside a holder's window:
 				// every read already validated against base txv and there is
 				// nothing to publish, so it commits like any NOrec read-only.
@@ -460,47 +409,14 @@ func (t *thread) CommitSlow() {
 		}
 		// The eager writes are already in memory but no reader can commit a
 		// transaction that saw them until the clock releases below, so the
-		// redo record appended here still precedes every dependent commit's
-		// record (mem.AppendRedo's ordering obligation).
-		t.appendRedoEager(nil)
-		m.StorePlain(t.sys.gHTMLock, 0)
+		// redo record sealed here still precedes every dependent commit's
+		// record (tm.WriteLog's ordering rule).
+		t.base.Log.Seal()
+		m.StorePlain(t.sys.g.HTMLock, 0)
 		t.fullSoftware = false
 	}
-	m.StorePlain(t.sys.gClock, (t.txv&^1)+2)
+	m.StorePlain(t.sys.g.Clock, (t.txv&^1)+2)
 	t.writeDetected = false
-	t.undo = t.undo[:0]
-}
-
-// appendRedoEager hands the full-software path's write set to the
-// persistence plane: the deduplicated undo-log addresses (plus a drained
-// group's buffer, for the combining holder) re-read for their final values.
-// Must run before the clock/HTM-lock release makes the values certifiable.
-func (t *thread) appendRedoEager(extra []mem.WriteEntry) {
-	m := t.base.M
-	if !m.Persisting() {
-		return
-	}
-	t.redoBuf = t.redoBuf[:0]
-	for i := range t.undo {
-		t.redoAdd(t.undo[i].Addr)
-	}
-	for i := range extra {
-		t.redoAdd(extra[i].Addr)
-	}
-	if len(t.redoBuf) > 0 {
-		m.AppendRedo(t.redoBuf)
-	}
-}
-
-// redoAdd appends a's final value to redoBuf once (linear dedup: eager
-// write sets are small, and a map would allocate on the hot path).
-func (t *thread) redoAdd(a mem.Addr) {
-	for i := range t.redoBuf {
-		if t.redoBuf[i].Addr == a {
-			return
-		}
-	}
-	t.redoBuf = append(t.redoBuf, mem.WriteEntry{Addr: a, Value: t.base.M.LoadPlain(a)})
 }
 
 // groupCommitPostfix commits a postfix holder with the combining ring
@@ -537,12 +453,12 @@ func (t *thread) groupCommitPostfix() {
 	var group mem.Signature
 	t.htx.AddWriteSignature(&group, tm.CombineSigBits)
 	t.drainMask = 0
-	t.groupBuf = t.groupBuf[:0]
+	t.groupBuf.Reset()
 	n := r.Drain(t.txv&^1, &group, combineDrainBudget, &t.drainMask, t.bufferGroup)
-	for _, w := range t.groupBuf {
+	for _, w := range t.groupBuf.Entries() {
 		t.htx.Store(w.Addr, w.Value)
 	}
-	t.htx.Store(t.sys.gClock, (t.txv&^1)+2)
+	t.htx.Store(t.sys.g.Clock, (t.txv&^1)+2)
 	t.htx.Commit() // on abort: AbortSlow resolves drainMask rejected
 	t.postfixActive = false
 	t.base.St.PostfixCommits++
@@ -556,7 +472,6 @@ func (t *thread) groupCommitPostfix() {
 		t.drainMask = 0
 	}
 	t.writeDetected = false
-	t.undo = t.undo[:0]
 }
 
 // groupCommitSoftware commits a full-software holder with the combining
@@ -572,18 +487,14 @@ func (t *thread) groupCommitSoftware() {
 	r := t.sys.ring
 	t.lingerForGroup()
 	var group mem.Signature
-	for i := range t.undo {
-		group.AddLine(mem.LineOf(t.undo[i].Addr), tm.CombineSigBits)
-	}
+	t.base.Log.AddSignature(&group, tm.CombineSigBits)
 	t.drainMask = 0
-	t.groupBuf = t.groupBuf[:0]
+	t.groupBuf.Reset()
 	n := r.Drain(t.txv&^1, &group, 1<<30, &t.drainMask, t.bufferGroup)
-	for _, w := range t.groupBuf {
-		m.StorePlain(w.Addr, w.Value)
-	}
-	t.appendRedoEager(t.groupBuf)
-	m.StorePlain(t.sys.gClock, (t.txv&^1)+2)
-	m.StorePlain(t.sys.gHTMLock, 0)
+	t.base.Log.Publish(t.groupBuf.Entries())
+	t.base.Log.Seal()
+	m.StorePlain(t.sys.g.Clock, (t.txv&^1)+2)
+	m.StorePlain(t.sys.g.HTMLock, 0)
 	t.fullSoftware = false
 	if n > 0 {
 		t.base.St.CombineDrains++
@@ -594,7 +505,6 @@ func (t *thread) groupCommitSoftware() {
 		t.drainMask = 0
 	}
 	t.writeDetected = false
-	t.undo = t.undo[:0]
 }
 
 // bufferGroup is the Drain apply callback: it folds one claimed entry's
@@ -604,31 +514,21 @@ func (t *thread) groupCommitSoftware() {
 // costs one store per line instead of one per entry.
 func (t *thread) bufferGroup(ws []mem.WriteEntry) {
 	for _, w := range ws {
-		t.bufferGroupWrite(w)
+		t.groupBuf.Put(w.Addr, w.Value)
 	}
-}
-
-func (t *thread) bufferGroupWrite(w mem.WriteEntry) {
-	for i := range t.groupBuf {
-		if t.groupBuf[i].Addr == w.Addr {
-			t.groupBuf[i].Value = w.Value
-			return
-		}
-	}
-	t.groupBuf = append(t.groupBuf, w)
 }
 
 // combineCommit commits a combine-mode transaction: its writes are buffered
-// in combWrites and no lock is held. Either the clock lock frees and we
+// in the write log and no lock is held. Either the clock lock frees and we
 // take it ourselves (replaying the buffer through the ordinary postfix or
 // software machinery), or a holder still has it and we enqueue the buffer
 // for group commit and wait for the verdict.
 func (t *thread) combineCommit() {
 	m := t.base.M
 	for {
-		c := m.LoadPlain(t.sys.gClock)
+		c := m.LoadPlain(t.sys.g.Clock)
 		if c == t.txv {
-			if !m.CASPlain(t.sys.gClock, t.txv, t.txv|1) {
+			if !m.CASPlain(t.sys.g.Clock, t.txv, t.txv|1) {
 				continue
 			}
 			t.txv |= 1
@@ -639,15 +539,14 @@ func (t *thread) combineCommit() {
 				t.postfixStart = t.base.St.Obs.Start()
 				t.htx.Begin()
 				t.postfixActive = true
-				for _, w := range t.combWrites {
+				for _, w := range t.base.Log.Buffered() {
 					t.htx.Store(w.Addr, w.Value)
 				}
 			} else {
 				t.goFullSoftware()
-				for _, w := range t.combWrites {
+				for _, w := range t.base.Log.Buffered() {
 					t.base.InstrumentedAccess()
-					t.undo = append(t.undo, mem.WriteEntry{Addr: w.Addr, Value: m.LoadPlain(w.Addr)})
-					m.StorePlain(w.Addr, w.Value)
+					t.base.Log.StoreEager(w.Addr, w.Value)
 				}
 			}
 			t.CommitSlow() // the ordinary locked commit, drain included
@@ -675,41 +574,17 @@ func (t *thread) tryEnqueue() bool {
 		// combine mode never starts a postfix).
 		t.htx.AddReadSignature(&rsig, tm.CombineSigBits)
 	}
-	var wsig mem.Signature
-	for i := range t.combWrites {
-		wsig.AddLine(mem.LineOf(t.combWrites[i].Addr), tm.CombineSigBits)
-	}
-	if !t.base.OfferGroup(t.sys.ring, t.sys.gClock, t.txv, t.combWrites, &rsig, &wsig) {
+	if !t.base.OfferGroup(t.sys.ring, t.sys.g.Clock, t.txv, &rsig) {
 		return false
 	}
 	t.combineMode = false
 	return true
 }
 
-// combGet answers a combine-mode read from the buffered write set.
-func (t *thread) combGet(a mem.Addr) (uint64, bool) {
-	for i := len(t.combWrites) - 1; i >= 0; i-- {
-		if t.combWrites[i].Addr == a {
-			return t.combWrites[i].Value, true
-		}
-	}
-	return 0, false
-}
-
-// combPut buffers a combine-mode write (last write per address wins).
-func (t *thread) combPut(a mem.Addr, v uint64) {
-	for i := range t.combWrites {
-		if t.combWrites[i].Addr == a {
-			t.combWrites[i].Value = v
-			return
-		}
-	}
-	t.combWrites = append(t.combWrites, mem.WriteEntry{Addr: a, Value: v})
-}
-
-// AbortSlow releases every lock and rolls back eager writes after a restart,
-// hardware abort, or user abort. A prefix or postfix that aborted has
-// already discarded its buffer; one that is still live is cancelled here.
+// AbortSlow releases every lock after a restart, hardware abort, or user
+// abort; the skeleton has already rolled the eager writes back. A prefix or
+// postfix that aborted has already discarded its buffer; one that is still
+// live is cancelled here.
 func (t *thread) AbortSlow() {
 	if t.htx.Active() {
 		t.htx.Cancel()
@@ -737,10 +612,6 @@ func (t *thread) AbortSlow() {
 		t.postfixActive = false
 		t.postfixBanned = true
 	}
-	for i := len(t.undo) - 1; i >= 0; i-- {
-		m.StorePlain(t.undo[i].Addr, t.undo[i].Value)
-	}
-	t.undo = t.undo[:0]
 	if t.sys.ring != nil && t.writeDetected {
 		// With combining on, an aborting holder must *advance* the clock:
 		// combining readers treat clock==txv|1 as naming one unique holder
@@ -750,35 +621,20 @@ func (t *thread) AbortSlow() {
 		// same-base software readers, which is safe (NOrec conservatism).
 		// The clock moves before the HTM lock drops for the same
 		// reader-recheck ordering reason as in groupCommitSoftware.
-		m.StorePlain(t.sys.gClock, (t.txv&^1)+2)
+		m.StorePlain(t.sys.g.Clock, (t.txv&^1)+2)
 		t.writeDetected = false
 	}
 	if t.fullSoftware {
-		m.StorePlain(t.sys.gHTMLock, 0)
+		m.StorePlain(t.sys.g.HTMLock, 0)
 		t.fullSoftware = false
 	}
 	if t.writeDetected {
 		// Memory is restored and nobody could observe the interim state
 		// (the clock was locked), so release without advancing.
-		m.StorePlain(t.sys.gClock, t.txv&^1)
+		m.StorePlain(t.sys.g.Clock, t.txv&^1)
 		t.writeDetected = false
 	}
 }
-
-// fastTx is the pure, uninstrumented hardware view of Algorithm 1.
-type fastTx struct{ t *thread }
-
-func (v fastTx) Load(a mem.Addr) uint64 { return v.t.htx.Load(a) }
-
-func (v fastTx) Store(a mem.Addr, val uint64) {
-	if v.t.base.ReadOnly {
-		panic(tm.ErrStoreInReadOnly)
-	}
-	v.t.htx.Store(a, val)
-}
-
-func (v fastTx) Alloc(n int) mem.Addr   { return v.t.base.TxAlloc(n) }
-func (v fastTx) Free(a mem.Addr, n int) { v.t.base.TxFree(a, n) }
 
 // mixedTx is the mixed slow path view: reads route through the HTM prefix,
 // plain validated software loads, or the HTM postfix, depending on phase
@@ -802,7 +658,7 @@ func (v mixedTx) Load(a mem.Addr) uint64 {
 	t.base.InstrumentedAccess()
 	m := t.base.M
 	if t.combineMode {
-		if val, ok := t.combGet(a); ok {
+		if val, ok := t.base.Log.Lookup(a); ok {
 			return val
 		}
 	}
@@ -810,7 +666,7 @@ func (v mixedTx) Load(a mem.Addr) uint64 {
 	// its clock bump as one step, so a value it wrote is never returned
 	// ahead of the clock check below seeing the bump.
 	val := m.LoadCommitted(a)
-	if c := m.LoadPlain(t.sys.gClock); c != t.txv {
+	if c := m.LoadPlain(t.sys.g.Clock); c != t.txv {
 		// In combine mode the clock being locked at our own base is not a
 		// conflict, because nothing of the holder's can have reached val:
 		// clock==txv|1 names a unique holder window (an aborting holder
@@ -823,8 +679,8 @@ func (v mixedTx) Load(a mem.Addr) uint64 {
 		// lock acquisition — hence val preceded its first write — or else
 		// followed a release whose prior clock move the reload would see.
 		if !(t.combineMode && c == t.txv|1 &&
-			m.LoadPlain(t.sys.gHTMLock) == 0 &&
-			m.LoadPlain(t.sys.gClock) == t.txv|1) {
+			m.LoadPlain(t.sys.g.HTMLock) == 0 &&
+			m.LoadPlain(t.sys.g.Clock) == t.txv|1) {
 			tm.Restart()
 		}
 	}
@@ -855,12 +711,11 @@ func (v mixedTx) Store(a mem.Addr, val uint64) {
 		// cost class as an HTM write-buffer store, which the cost model
 		// does not charge either. (Combine-mode loads stay instrumented:
 		// they run the full clock-validation protocol.)
-		t.combPut(a, val)
+		t.base.Log.Buffer(a, val)
 		return
 	}
 	t.base.InstrumentedAccess()
-	t.undo = append(t.undo, mem.WriteEntry{Addr: a, Value: t.base.M.LoadPlain(a)})
-	t.base.M.StorePlain(a, val)
+	t.base.Log.StoreEager(a, val)
 }
 
 func (v mixedTx) Alloc(n int) mem.Addr   { return v.t.base.TxAlloc(n) }

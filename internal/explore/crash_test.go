@@ -9,30 +9,81 @@ import (
 	"reflect"
 	"testing"
 
+	"rhnorec/internal/persist"
 	"rhnorec/internal/tm"
 )
 
+// crashAlgos are the eight registered drivers; the crash plane must hold on
+// every one of them.
+var crashAlgos = []string{
+	"rh-norec", "hy-norec", "norec", "tl2", "lock-elision", "rh-tl2", "phased-tm", "serial",
+}
+
 // TestBankCrashSweep is the crash-recovery acceptance sweep: >= 200 explored
-// schedules (seed × crash point), every one recovering its crash image with
-// conservation intact and no durable-acked commit lost. Violations carry the
-// full schedule for reproduction.
+// schedules (seed × crash point) in total and >= 20 on every algorithm,
+// every one recovering its crash image with conservation intact and no
+// durable-acked commit lost. Violations carry the full schedule for
+// reproduction. Each algorithm must also have recovered at least one image
+// that replayed commits — a sweep whose crash points all fell outside the
+// schedules it ran would prove nothing.
 func TestBankCrashSweep(t *testing.T) {
-	seeds, crashPoints := 10, 20
+	seeds, crashPoints := 5, 12
 	if testing.Short() {
 		seeds, crashPoints = 3, 8
 	}
-	runs := 0
-	for ca := 1; ca <= crashPoints; ca++ {
-		cfg := Config{Scenario: "bank-crash", Algo: "rh-norec", Bug: fmt.Sprintf("crash@%d", ca)}
-		for seed := uint64(1); seed <= uint64(seeds); seed++ {
-			res := mustRun(t, cfg, NewPCT(seed, 3, 3, 256, 0.1))
-			runs++
-			if res.Outcome == OutcomeViolation {
-				t.Fatalf("crash@%d seed %d: %s\n%s", ca, seed, res.Violation, FormatTrace(res))
+	total := 0
+	for _, algo := range crashAlgos {
+		runs, audited, replayed := 0, 0, 0
+		sc := bankCrashScenario(func(st persist.RecoveryStats) {
+			audited++
+			if st.Seq > 0 {
+				replayed++
+			}
+		})
+		for ca := 1; ca <= crashPoints; ca++ {
+			cfg := Config{Algo: algo, Bug: fmt.Sprintf("crash@%d", ca)}
+			for seed := uint64(1); seed <= uint64(seeds); seed++ {
+				res, err := RunScenario(sc, cfg, NewPCT(seed, 3, 3, 256, 0.1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				runs++
+				if res.Outcome == OutcomeViolation {
+					t.Fatalf("%s crash@%d seed %d: %s\n%s", algo, ca, seed, res.Violation, FormatTrace(res))
+				}
 			}
 		}
+		t.Logf("%s: %d crash schedules, %d images audited, %d with replayed commits", algo, runs, audited, replayed)
+		if runs < 20 || replayed == 0 {
+			t.Errorf("%s: %d schedules and %d non-empty crash images; want >= 20 and >= 1", algo, runs, replayed)
+		}
+		total += runs
 	}
-	t.Logf("swept %d crash schedules", runs)
+	if !testing.Short() && total < 200 {
+		t.Errorf("swept %d crash schedules, want >= 200", total)
+	}
+}
+
+// TestBankCrashFailsWhenNothingIsLogged: the scenario used to pass any crash
+// plan on a driver whose commits never reached the log, because the plan
+// never fired and there was no image to audit. Detaching the persister after
+// setup reproduces such a driver.
+func TestBankCrashFailsWhenNothingIsLogged(t *testing.T) {
+	sc := bankCrashScenario(nil)
+	build := sc.Build
+	sc.Build = func(env *Env, cfg Config) ([]func(), func() error, error) {
+		bodies, finish, err := build(env, cfg)
+		env.M.SetPersister(nil)
+		return bodies, finish, err
+	}
+	// Steer() with no legs runs each worker to completion in turn.
+	res, err := RunScenario(sc, Config{Algo: "norec", Bug: "crash@3"}, Steer())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Outcome != OutcomeViolation {
+		t.Fatalf("outcome %s; a run that logged no worker commit must fail", res.Outcome)
+	}
 }
 
 // TestBankCrashDeterminism: a crash plan must not break replayability — the
@@ -54,15 +105,6 @@ func TestBankCrashDeterminism(t *testing.T) {
 	res := mustRun(t, cfg, NewPCT(2, 3, 3, 128, 0.2))
 	if _, err := NewTrace(cfg, res).Replay(); err != nil {
 		t.Fatalf("crash-plan trace failed certification: %v", err)
-	}
-}
-
-// TestBankCrashRejectsUnwiredAlgo: only rh-norec logs its eager
-// full-software stores; the scenario must refuse to certify any other algo.
-func TestBankCrashRejectsUnwiredAlgo(t *testing.T) {
-	cfg := Config{Scenario: "bank-crash", Algo: "norec", Bug: "crash@3"}
-	if _, err := RunOnce(cfg, NewPCT(1, 3, 3, 128, 0)); err == nil {
-		t.Fatal("bank-crash accepted an unwired algorithm")
 	}
 }
 

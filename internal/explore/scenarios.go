@@ -47,7 +47,7 @@ func Scenarios() []Scenario {
 	for _, sc := range conformance.Scenarios() {
 		scs = append(scs, conformanceScenario(sc))
 	}
-	return append(scs, bankCrashScenario, kvScenario, htmOpacityScenario)
+	return append(scs, bankCrashScenario(nil), kvScenario, htmOpacityScenario)
 }
 
 // conformanceScenario adapts a registry entry: the instance's seeded worker
@@ -124,161 +124,173 @@ func ScenarioByName(name string) (Scenario, bool) {
 // total exactly (replay is a prefix of whole commits — no torn mix), and each
 // worker's recovered stamp is at least its last durable-acked one (no lost
 // durable-acked commit; aborted transactions never reach the log, so nothing
-// can resurrect either). Only rh-norec is persistence-wired (its eager
-// full-software stores are instrumented), so the scenario rejects other
-// algos. Persist events are counted, not scheduled: they are a pure function
-// of the schedule, so runs stay replayable and crash points sweep with
-// (seed × N).
-var bankCrashScenario = Scenario{
-	Name:           "bank-crash",
-	NeedsTM:        true,
-	DefaultWorkers: 3,
-	DefaultOps:     4,
-	Build: func(env *Env, cfg Config) ([]func(), func() error, error) {
-		const (
-			accounts = 4
-			initial  = 100
-		)
-		if cfg.Algo != "rh-norec" {
-			return nil, nil, fmt.Errorf("bank-crash: persistence is wired for rh-norec only, not %q", cfg.Algo)
-		}
-		crashAt, _ := crashPlan(cfg.Bug)
-		setup := env.Sys.NewThread()
-		var base mem.Addr
-		err := setup.Run(func(tx tm.Tx) error {
-			base = tx.Alloc((accounts + cfg.Workers) * mem.LineWords)
-			return nil
-		})
-		if err != nil {
-			setup.Close()
-			return nil, nil, err
-		}
-		acct := func(i int) mem.Addr { return base + mem.Addr(i*mem.LineWords) }
-		stampAddr := func(w int) mem.Addr { return base + mem.Addr((accounts+w)*mem.LineWords) }
-		lo, hi := base, base+mem.Addr((accounts+cfg.Workers)*mem.LineWords)
-
-		backend := persist.NewMemBackend()
-		acked := make([]uint64, cfg.Workers)
-		var crash struct {
-			snap   *persist.MemBackend
-			acked  []uint64
-			events int
-		}
-		log, _, err := persist.Open(persist.Options{
-			Backend: backend, Segments: 2, Lo: lo, Hi: hi,
-			OnEvent: func(persist.Event, uint64) {
-				// Workers are serialized by the scheduler, so this count (and
-				// the acked copy) is exact, not racy.
-				crash.events++
-				if crashAt > 0 && crash.events == crashAt {
-					crash.snap = backend.CrashSnapshot()
-					crash.acked = append([]uint64(nil), acked...)
-				}
-			},
-		}, env.M.StorePlain, env.M.LoadPlain)
-		if err != nil {
-			setup.Close()
-			return nil, nil, err
-		}
-		env.M.SetPersister(log)
-		// Fund the bank under the persister, then sync: every crash image
-		// contains the funding commit, so any recovered prefix conserves.
-		err = setup.Run(func(tx tm.Tx) error {
-			for i := 0; i < accounts; i++ {
-				tx.Store(acct(i), initial)
+// can resurrect either). Every driver seals its software stores into the log
+// at its commit point (tm.WriteLog), so the scenario runs on any algorithm;
+// a run whose workers committed and logged nothing fails rather than passing
+// with no image to audit. Persist events are counted, not scheduled: they
+// are a pure function of the schedule, so runs stay replayable and crash
+// points sweep with (seed × N). recovered, when non-nil, is told what each
+// audited crash image replayed.
+func bankCrashScenario(recovered func(persist.RecoveryStats)) Scenario {
+	return Scenario{
+		Name:           "bank-crash",
+		NeedsTM:        true,
+		DefaultWorkers: 3,
+		DefaultOps:     4,
+		Build: func(env *Env, cfg Config) ([]func(), func() error, error) {
+			const (
+				accounts = 4
+				initial  = 100
+			)
+			crashAt, _ := crashPlan(cfg.Bug)
+			setup := env.Sys.NewThread()
+			var base mem.Addr
+			err := setup.Run(func(tx tm.Tx) error {
+				base = tx.Alloc((accounts + cfg.Workers) * mem.LineWords)
+				return nil
+			})
+			if err != nil {
+				setup.Close()
+				return nil, nil, err
 			}
-			return nil
-		})
-		setup.Close()
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := log.Sync(); err != nil {
-			return nil, nil, err
-		}
+			acct := func(i int) mem.Addr { return base + mem.Addr(i*mem.LineWords) }
+			stampAddr := func(w int) mem.Addr { return base + mem.Addr((accounts+w)*mem.LineWords) }
+			lo, hi := base, base+mem.Addr((accounts+cfg.Workers)*mem.LineWords)
 
-		bodies := make([]func(), cfg.Workers)
-		for i := range bodies {
-			i := i
-			bodies[i] = func() {
-				th := env.Sys.NewThread()
-				defer th.Close()
-				rng := rand.New(rand.NewSource(int64(i) + 1))
-				for n := 1; n <= cfg.Ops; n++ {
-					from, to := rng.Intn(accounts), rng.Intn(accounts)
-					amt := uint64(1 + rng.Intn(10))
-					if err := th.Run(func(tx tm.Tx) error {
-						// Everything derives from in-transaction loads, so a
-						// restart re-derives rather than compounding.
-						f := tx.Load(acct(from))
-						d := amt
-						if d > f {
-							d = f
-						}
-						tx.Store(acct(from), f-d)
-						tx.Store(acct(to), tx.Load(acct(to))+d)
-						tx.Store(stampAddr(i), uint64(n))
-						return nil
-					}); err != nil {
-						env.Violatef("bank-crash worker %d: %v", i, err)
-						return
+			backend := persist.NewMemBackend()
+			acked := make([]uint64, cfg.Workers)
+			var crash struct {
+				snap   *persist.MemBackend
+				acked  []uint64
+				events int
+				// setup is the event count when the workers start.
+				setup int
+			}
+			log, _, err := persist.Open(persist.Options{
+				Backend: backend, Segments: 2, Lo: lo, Hi: hi,
+				OnEvent: func(persist.Event, uint64) {
+					// Workers are serialized by the scheduler, so this count (and
+					// the acked copy) is exact, not racy.
+					crash.events++
+					if crashAt > 0 && crash.events == crashAt {
+						crash.snap = backend.CrashSnapshot()
+						crash.acked = append([]uint64(nil), acked...)
 					}
-					if n%2 == 0 {
-						if err := log.WaitDurable(log.Appended()); err != nil {
-							env.Violatef("bank-crash worker %d: WaitDurable: %v", i, err)
+				},
+			}, env.M.StorePlain, env.M.LoadPlain)
+			if err != nil {
+				setup.Close()
+				return nil, nil, err
+			}
+			env.M.SetPersister(log)
+			// Fund the bank under the persister, then sync: every crash image
+			// contains the funding commit, so any recovered prefix conserves.
+			err = setup.Run(func(tx tm.Tx) error {
+				for i := 0; i < accounts; i++ {
+					tx.Store(acct(i), initial)
+				}
+				return nil
+			})
+			setup.Close()
+			if err != nil {
+				return nil, nil, err
+			}
+			if err := log.Sync(); err != nil {
+				return nil, nil, err
+			}
+			crash.setup = crash.events
+
+			bodies := make([]func(), cfg.Workers)
+			for i := range bodies {
+				i := i
+				bodies[i] = func() {
+					th := env.Sys.NewThread()
+					defer th.Close()
+					rng := rand.New(rand.NewSource(int64(i) + 1))
+					for n := 1; n <= cfg.Ops; n++ {
+						from, to := rng.Intn(accounts), rng.Intn(accounts)
+						amt := uint64(1 + rng.Intn(10))
+						if err := th.Run(func(tx tm.Tx) error {
+							// Everything derives from in-transaction loads, so a
+							// restart re-derives rather than compounding.
+							f := tx.Load(acct(from))
+							d := amt
+							if d > f {
+								d = f
+							}
+							tx.Store(acct(from), f-d)
+							tx.Store(acct(to), tx.Load(acct(to))+d)
+							tx.Store(stampAddr(i), uint64(n))
+							return nil
+						}); err != nil {
+							env.Violatef("bank-crash worker %d: %v", i, err)
 							return
 						}
-						acked[i] = uint64(n)
+						if n%2 == 0 {
+							if err := log.WaitDurable(log.Appended()); err != nil {
+								env.Violatef("bank-crash worker %d: WaitDurable: %v", i, err)
+								return
+							}
+							acked[i] = uint64(n)
+						}
 					}
 				}
 			}
-		}
 
-		finish := func() error {
-			const total = accounts * initial
-			var live uint64
-			for i := 0; i < accounts; i++ {
-				live += env.M.LoadPlain(acct(i))
-			}
-			if live != total {
-				return fmt.Errorf("bank-crash: live sum %d, want %d", live, total)
-			}
-			if crash.snap == nil {
-				return nil // plan absent or crash point beyond this run's events
-			}
-			state := map[mem.Addr]uint64{}
-			rlog, stats, err := persist.Open(persist.Options{Backend: crash.snap, Segments: 2, Lo: lo, Hi: hi},
-				func(a mem.Addr, v uint64) { state[a] = v },
-				func(a mem.Addr) uint64 { return state[a] })
-			if err != nil {
-				return fmt.Errorf("bank-crash: recovery from crash image: %w", err)
-			}
-			rlog.Close()
-			var sum uint64
-			for i := 0; i < accounts; i++ {
-				sum += state[acct(i)]
-			}
-			// The funding commit is sequence 1, so a non-empty recovered
-			// prefix conserves the total exactly; an empty prefix (crash
-			// before even the funding hit stable storage) recovers a zero
-			// bank — consistent too, as long as nothing was durable-acked.
-			if stats.Seq == 0 {
-				if sum != 0 {
-					return fmt.Errorf("bank-crash: empty replay but recovered sum %d (recovery %+v)", sum, stats)
+			finish := func() error {
+				const total = accounts * initial
+				var live uint64
+				for i := 0; i < accounts; i++ {
+					live += env.M.LoadPlain(acct(i))
 				}
-			} else if sum != total {
-				return fmt.Errorf("bank-crash: recovered sum %d, want %d (recovery %+v)", sum, total, stats)
-			}
-			for w := 0; w < cfg.Workers; w++ {
-				if got := state[stampAddr(w)]; got < crash.acked[w] {
-					return fmt.Errorf("bank-crash: worker %d recovered stamp %d < durable-acked %d (recovery %+v)",
-						w, got, crash.acked[w], stats)
+				if live != total {
+					return fmt.Errorf("bank-crash: live sum %d, want %d", live, total)
 				}
+				if crash.events == crash.setup {
+					// Every transfer is a committed writer. A log that saw none of
+					// them would make any crash plan pass with nothing to audit.
+					return fmt.Errorf("bank-crash: %d transfers committed and none reached the redo log", cfg.Workers*cfg.Ops)
+				}
+				if crash.snap == nil {
+					return nil // plan absent or crash point beyond this run's events
+				}
+				state := map[mem.Addr]uint64{}
+				rlog, stats, err := persist.Open(persist.Options{Backend: crash.snap, Segments: 2, Lo: lo, Hi: hi},
+					func(a mem.Addr, v uint64) { state[a] = v },
+					func(a mem.Addr) uint64 { return state[a] })
+				if err != nil {
+					return fmt.Errorf("bank-crash: recovery from crash image: %w", err)
+				}
+				rlog.Close()
+				if recovered != nil {
+					recovered(stats)
+				}
+				var sum uint64
+				for i := 0; i < accounts; i++ {
+					sum += state[acct(i)]
+				}
+				// The funding commit is sequence 1, so a non-empty recovered
+				// prefix conserves the total exactly; an empty prefix (crash
+				// before even the funding hit stable storage) recovers a zero
+				// bank — consistent too, as long as nothing was durable-acked.
+				if stats.Seq == 0 {
+					if sum != 0 {
+						return fmt.Errorf("bank-crash: empty replay but recovered sum %d (recovery %+v)", sum, stats)
+					}
+				} else if sum != total {
+					return fmt.Errorf("bank-crash: recovered sum %d, want %d (recovery %+v)", sum, total, stats)
+				}
+				for w := 0; w < cfg.Workers; w++ {
+					if got := state[stampAddr(w)]; got < crash.acked[w] {
+						return fmt.Errorf("bank-crash: worker %d recovered stamp %d < durable-acked %d (recovery %+v)",
+							w, got, crash.acked[w], stats)
+					}
+				}
+				return nil
 			}
-			return nil
-		}
-		return bodies, finish, nil
-	},
+			return bodies, finish, nil
+		},
+	}
 }
 
 // kvScenario drives a transactional key-value register map and judges the

@@ -1,0 +1,99 @@
+package hynorec
+
+import (
+	"rhnorec/internal/htm"
+	"rhnorec/internal/mem"
+	"rhnorec/internal/tm"
+)
+
+// This file is the hardware fast path of the NOrec hybrids — Algorithm 1 of
+// the RH NOrec paper, which is also the fast path of the Hybrid NOrec it
+// is measured against (§3.1): subscribe to the global HTM lock at the start,
+// touch the clock only at a writer's commit and only if a slow path exists.
+// internal/core binds the same code; the two hybrids differ in their slow
+// paths alone.
+
+// Globals are the coordination words of the NOrec hybrids, each on its own
+// cache line in transactional memory so hardware transactions subscribe to
+// them as on real hardware.
+type Globals struct {
+	Clock      mem.Addr // LSB is the lock bit; writer commits advance it by 2
+	HTMLock    mem.Addr // nonzero while a slow path writes in software
+	Fallbacks  mem.Addr // number of Runs on the slow path
+	SerialLock mem.Addr // the §3.3 starvation escape
+}
+
+// NewGlobals allocates the four words from m.
+func NewGlobals(m *mem.Memory) Globals {
+	tc := m.NewThreadCache()
+	return Globals{
+		Clock:      tc.Alloc(mem.LineWords),
+		HTMLock:    tc.Alloc(mem.LineWords),
+		Fallbacks:  tc.Alloc(mem.LineWords),
+		SerialLock: tc.Alloc(mem.LineWords),
+	}
+}
+
+// FastPath is the tm.Hardware half of a NOrec hybrid's thread.
+type FastPath struct {
+	Globals
+	Base *tm.ThreadBase
+	Htx  *htm.Txn
+}
+
+// FastReady spins out the lock a hardware try just aborted on, rather than
+// restarting straight into the same explicit abort.
+func (f *FastPath) FastReady(prev *htm.Abort) bool {
+	f.Base.SpinOutLock(prev, f.HTMLock, f.Clock)
+	return true
+}
+
+// BeginFast is Algorithm 1's start: a pure hardware transaction that
+// subscribes only to the global HTM lock; the callback then runs
+// uninstrumented.
+func (f *FastPath) BeginFast() tm.Tx {
+	f.Htx.Begin()
+	if f.Htx.Load(f.HTMLock) != 0 {
+		f.Htx.Abort(htm.ArgHTMLockTaken)
+	}
+	return fastTx{f}
+}
+
+// CommitFast is Algorithm 1's commit: the clock is touched only here, at
+// the commit point, and only by a writer while a slow path exists (the
+// fallback-count subscription happens at the very end, keeping the common
+// no-fallback case clock-free). Transactions that wrote nothing commit
+// without looking at the clock at all — and the substrate commits them
+// lock-free (seqlock validation, no writeback lock), so the whole read-only
+// fast path is mutex-free end to end.
+func (f *FastPath) CommitFast() {
+	if f.Htx.WriteLineCount() > 0 && f.Htx.Load(f.Fallbacks) > 0 {
+		if f.Htx.Load(f.SerialLock) != 0 {
+			f.Htx.Abort(htm.ArgSerialTaken)
+		}
+		c := f.Htx.Load(f.Clock)
+		if c&1 != 0 {
+			f.Htx.Abort(htm.ArgClockLocked)
+		}
+		f.Htx.Store(f.Clock, c+2)
+	}
+	f.Htx.Commit()
+}
+
+// AbortFast discards a live speculation; nothing it did was visible.
+func (f *FastPath) AbortFast() { f.Htx.Cancel() }
+
+// fastTx is the pure, uninstrumented hardware view.
+type fastTx struct{ f *FastPath }
+
+func (v fastTx) Load(a mem.Addr) uint64 { return v.f.Htx.Load(a) }
+
+func (v fastTx) Store(a mem.Addr, val uint64) {
+	if v.f.Base.ReadOnly {
+		panic(tm.ErrStoreInReadOnly)
+	}
+	v.f.Htx.Store(a, val)
+}
+
+func (v fastTx) Alloc(n int) mem.Addr   { return v.f.Base.TxAlloc(n) }
+func (v fastTx) Free(a mem.Addr, n int) { v.f.Base.TxFree(a, n) }

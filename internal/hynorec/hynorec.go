@@ -23,14 +23,6 @@ import (
 	"rhnorec/internal/tm"
 )
 
-// XABORT payloads used by the protocol: the canonical htm.Arg* codes, so
-// the observability taxonomy classifies our explicit aborts.
-const (
-	abortHTMLockTaken = htm.ArgHTMLockTaken
-	abortClockLocked  = htm.ArgClockLocked
-	abortSerialTaken  = htm.ArgSerialTaken
-)
-
 // Variant selects the software slow path's write strategy.
 type Variant int
 
@@ -61,10 +53,7 @@ type System struct {
 	// drains signature-disjoint entries under its one ticket window.
 	ring *mem.CombineRing
 
-	gClock     mem.Addr
-	gHTMLock   mem.Addr
-	gFallbacks mem.Addr
-	serialLock mem.Addr
+	g Globals
 }
 
 // New creates an eager Hybrid NOrec system. dev must speculate over m; zero
@@ -80,18 +69,14 @@ func NewVariant(m *mem.Memory, dev *htm.Device, policy tm.RetryPolicy, v Variant
 		panic("hynorec: device bound to a different memory")
 	}
 	engine := tm.NewEngine(policy, dev.Config().SeedFn)
-	tc := m.NewThreadCache()
 	s := &System{
-		m:          m,
-		dev:        dev,
-		rec:        tm.NewReclaimer(),
-		policy:     engine.Policy(),
-		engine:     engine,
-		variant:    v,
-		gClock:     tc.Alloc(mem.LineWords),
-		gHTMLock:   tc.Alloc(mem.LineWords),
-		gFallbacks: tc.Alloc(mem.LineWords),
-		serialLock: tc.Alloc(mem.LineWords),
+		m:       m,
+		dev:     dev,
+		rec:     tm.NewReclaimer(),
+		policy:  engine.Policy(),
+		engine:  engine,
+		variant: v,
+		g:       NewGlobals(m),
 	}
 	if s.policy.Combine && v == Lazy {
 		s.ring = mem.NewCombineRing()
@@ -120,15 +105,11 @@ func (s *System) Memory() *mem.Memory { return s.m }
 
 // NewThread implements tm.System.
 func (s *System) NewThread() tm.Thread {
-	t := &thread{
-		sys:      s,
-		base:     tm.NewThreadBase(s.m, s.rec),
-		htx:      s.dev.NewTxn(),
-		writeMap: make(map[mem.Addr]uint64, 16),
-	}
+	t := &thread{sys: s, base: tm.NewThreadBase(s.m, s.rec)}
+	t.fast = FastPath{Globals: s.g, Base: &t.base, Htx: s.dev.NewTxn()}
 	t.base.CM = s.engine.NewThreadPolicy(&t.base)
-	t.base.Bind(t, t)
-	t.base.SerialEscape(s.serialLock, s.policy.MaxSlowPathRestarts)
+	t.base.Bind(t, &t.fast)
+	t.base.SerialEscape(s.g.SerialLock, s.policy.MaxSlowPathRestarts)
 	return t
 }
 
@@ -140,73 +121,26 @@ type readEntry struct {
 type thread struct {
 	sys  *System
 	base tm.ThreadBase
-	htx  *htm.Txn
+	fast FastPath
 
-	// Slow-path state. Eager: undo log under the clock lock. Lazy: value
-	// read set with extension plus a buffered write set.
+	// Slow-path state; the writes live in base.Log. Eager: in-place stores
+	// under the clock lock. Lazy: value read set with extension plus
+	// buffered stores.
 	txv           uint64
 	writeDetected bool
-	undo          []mem.WriteEntry
 	readSet       []readEntry
-	writeMap      map[mem.Addr]uint64
-	wOrder        []mem.Addr
 
-	// Group-commit state (sys.ring != nil). combWrites is the flattened
-	// write set offered to a holder (grow-once, recycled); drainMask records
-	// ring slots claimed by this thread's own in-progress drain so every
-	// abort path can resolve them rejected.
-	combWrites []mem.WriteEntry
-	drainMask  uint32
+	// drainMask (sys.ring != nil) records ring slots claimed by this
+	// thread's own in-progress drain so every abort path can resolve them
+	// rejected.
+	drainMask uint32
 }
 
-func (t *thread) Stats() *tm.Stats { t.base.FoldFilter(t.htx); return &t.base.St }
+func (t *thread) Stats() *tm.Stats { t.base.FoldFilter(t.fast.Htx); return &t.base.St }
 func (t *thread) Close()           { t.base.CloseBase() }
 
 func (t *thread) Run(fn func(tm.Tx) error) error         { return t.base.Run(fn, false) }
 func (t *thread) RunReadOnly(fn func(tm.Tx) error) error { return t.base.Run(fn, true) }
-
-// FastReady avoids restarting straight into a certain abort when the
-// explicit-abort payload of the previous try names a lock that is still
-// held.
-func (t *thread) FastReady(prev *htm.Abort) bool {
-	t.base.SpinOutLock(prev, t.sys.gHTMLock, t.sys.gClock)
-	return true
-}
-
-// BeginFast subscribes to the HTM lock at start; the callback then runs
-// uninstrumented.
-func (t *thread) BeginFast() tm.Tx {
-	t.htx.Begin()
-	if t.htx.Load(t.sys.gHTMLock) != 0 {
-		t.htx.Abort(abortHTMLockTaken)
-	}
-	return fastTx{t}
-}
-
-// CommitFast notifies slow paths via the clock when any exist.
-// Transactions that wrote nothing commit lock-free in the substrate
-// (seqlock validation, no writeback lock).
-func (t *thread) CommitFast() {
-	if t.htx.WriteLineCount() > 0 {
-		// Writer commit: tell the slow paths memory changed, but only if
-		// any exist (fallback-count subscription happens here, at the very
-		// end, keeping the common no-fallback case clock-free).
-		if t.htx.Load(t.sys.gFallbacks) > 0 {
-			if t.htx.Load(t.sys.serialLock) != 0 {
-				t.htx.Abort(abortSerialTaken)
-			}
-			c := t.htx.Load(t.sys.gClock)
-			if c&1 != 0 {
-				t.htx.Abort(abortClockLocked)
-			}
-			t.htx.Store(t.sys.gClock, c+2)
-		}
-	}
-	t.htx.Commit()
-}
-
-// AbortFast discards a live speculation; nothing it did was visible.
-func (t *thread) AbortFast() { t.htx.Cancel() }
 
 // BeginSlow starts one try of the NOrec software slow path with the hybrid
 // coordination: the Run registers in the fallback count once, and every
@@ -214,15 +148,12 @@ func (t *thread) AbortFast() { t.htx.Cancel() }
 func (t *thread) BeginSlow(try int) (tm.Tx, bool) {
 	m := t.base.M
 	if try == 1 {
-		m.AddPlain(t.sys.gFallbacks, 1)
+		m.AddPlain(t.sys.g.Fallbacks, 1)
 	}
 	t.writeDetected = false
-	t.undo = t.undo[:0]
 	t.readSet = t.readSet[:0]
-	clear(t.writeMap)
-	t.wOrder = t.wOrder[:0]
 	for {
-		v := m.LoadPlain(t.sys.gClock)
+		v := m.LoadPlain(t.sys.g.Clock)
 		if v&1 == 0 {
 			t.txv = v
 			return slowTx{t}, false
@@ -239,19 +170,20 @@ func (t *thread) CommitSlow() {
 		if t.writeDetected {
 			// Algorithm-2 ordering: release the HTM lock, then unlock and
 			// advance the clock.
-			m.StorePlain(t.sys.gHTMLock, 0)
-			m.StorePlain(t.sys.gClock, (t.txv&^1)+2)
+			t.base.Log.Seal()
+			m.StorePlain(t.sys.g.HTMLock, 0)
+			m.StorePlain(t.sys.g.Clock, (t.txv&^1)+2)
 			t.writeDetected = false
 		}
 	case Lazy:
-		if len(t.wOrder) > 0 {
+		if len(t.base.Log.Buffered()) > 0 {
 			t.lazyCommit()
 		}
 	}
 }
 
 // EndSlow drops the Run's fallback registration.
-func (t *thread) EndSlow() { t.base.M.SubPlain(t.sys.gFallbacks, 1) }
+func (t *thread) EndSlow() { t.base.M.SubPlain(t.sys.g.Fallbacks, 1) }
 
 // lazyCommit publishes the lazy variant's buffered writes: lock the clock
 // (validating or extending the snapshot as needed), kill the hardware fast
@@ -261,8 +193,9 @@ func (t *thread) EndSlow() { t.base.M.SubPlain(t.sys.gFallbacks, 1) }
 // lock drains compatible queued commits before releasing.
 func (t *thread) lazyCommit() {
 	m := t.base.M
-	for !m.CASPlain(t.sys.gClock, t.txv, t.txv|1) {
-		if t.sys.ring != nil && m.LoadPlain(t.sys.gClock) == t.txv|1 {
+	g := &t.sys.g
+	for !m.CASPlain(g.Clock, t.txv, t.txv|1) {
+		if t.sys.ring != nil && m.LoadPlain(g.Clock) == t.txv|1 {
 			// A holder locked the clock at our snapshot base: our value-
 			// validated read set is still exactly as valid as it was, so
 			// offer the write set to the holder's group instead of waiting.
@@ -273,17 +206,16 @@ func (t *thread) lazyCommit() {
 		}
 		t.txv = t.validate()
 	}
-	m.StorePlain(t.sys.gHTMLock, 1)
-	for _, a := range t.wOrder {
-		m.StorePlain(a, t.writeMap[a])
-	}
+	m.StorePlain(g.HTMLock, 1)
+	t.base.Log.Publish(t.base.Log.Buffered())
 	if t.sys.ring != nil {
 		// The HTM lock is held as well as the clock, so hardware fast paths
 		// cannot observe the group mid-publish either.
-		t.base.DrainGroup(t.sys.ring, t.txv, t.wOrder, &t.drainMask)
+		t.base.DrainGroup(t.sys.ring, t.txv, &t.drainMask)
 	}
-	m.StorePlain(t.sys.gHTMLock, 0)
-	m.StorePlain(t.sys.gClock, t.txv+2)
+	t.base.Log.Seal()
+	m.StorePlain(g.HTMLock, 0)
+	m.StorePlain(g.Clock, t.txv+2)
 	if t.drainMask != 0 {
 		// The group is visible (the clock released): resolve the claims done.
 		t.sys.ring.Resolve(t.drainMask, true)
@@ -291,19 +223,14 @@ func (t *thread) lazyCommit() {
 	}
 }
 
-// tryEnqueue offers the buffered write set to the current holder's group
+// tryEnqueue offers the buffered stores to the current holder's group
 // (tm.OfferGroup carries the wait and its verdicts).
 func (t *thread) tryEnqueue() bool {
-	var rsig, wsig mem.Signature
+	var rsig mem.Signature
 	for i := range t.readSet {
 		rsig.AddLine(mem.LineOf(t.readSet[i].addr), tm.CombineSigBits)
 	}
-	t.combWrites = t.combWrites[:0]
-	for _, a := range t.wOrder {
-		t.combWrites = append(t.combWrites, mem.WriteEntry{Addr: a, Value: t.writeMap[a]})
-		wsig.AddLine(mem.LineOf(a), tm.CombineSigBits)
-	}
-	return t.base.OfferGroup(t.sys.ring, t.sys.gClock, t.txv, t.combWrites, &rsig, &wsig)
+	return t.base.OfferGroup(t.sys.ring, t.sys.g.Clock, t.txv, &rsig)
 }
 
 // validate re-checks the lazy read set by value, returning the even clock
@@ -311,7 +238,7 @@ func (t *thread) tryEnqueue() bool {
 func (t *thread) validate() uint64 {
 	m := t.base.M
 	for {
-		time := m.LoadPlain(t.sys.gClock)
+		time := m.LoadPlain(t.sys.g.Clock)
 		if time&1 == 1 {
 			runtime.Gosched()
 			continue
@@ -321,16 +248,16 @@ func (t *thread) validate() uint64 {
 				tm.Restart()
 			}
 		}
-		if m.LoadPlain(t.sys.gClock) == time {
+		if m.LoadPlain(t.sys.g.Clock) == time {
 			return time
 		}
 	}
 }
 
-// AbortSlow rolls back eager writes and releases the hybrid locks. Only user
-// errors or application panics can abort after the first write (the clock
-// lock makes validation failures impossible), so no concurrent transaction
-// can have observed the undone values.
+// AbortSlow releases the hybrid locks over the memory the skeleton has just
+// rolled back. Only user errors or application panics can abort after the
+// first write (the clock lock makes validation failures impossible), so no
+// concurrent transaction can have observed the undone values.
 func (t *thread) AbortSlow() {
 	m := t.base.M
 	if t.drainMask != 0 {
@@ -339,31 +266,12 @@ func (t *thread) AbortSlow() {
 		t.sys.ring.Resolve(t.drainMask, false)
 		t.drainMask = 0
 	}
-	for i := len(t.undo) - 1; i >= 0; i-- {
-		m.StorePlain(t.undo[i].Addr, t.undo[i].Value)
-	}
-	t.undo = t.undo[:0]
 	if t.writeDetected {
-		m.StorePlain(t.sys.gHTMLock, 0)
-		m.StorePlain(t.sys.gClock, t.txv&^1)
+		m.StorePlain(t.sys.g.HTMLock, 0)
+		m.StorePlain(t.sys.g.Clock, t.txv&^1)
 		t.writeDetected = false
 	}
 }
-
-// fastTx is the uninstrumented hardware view.
-type fastTx struct{ t *thread }
-
-func (v fastTx) Load(a mem.Addr) uint64 { return v.t.htx.Load(a) }
-
-func (v fastTx) Store(a mem.Addr, val uint64) {
-	if v.t.base.ReadOnly {
-		panic(tm.ErrStoreInReadOnly)
-	}
-	v.t.htx.Store(a, val)
-}
-
-func (v fastTx) Alloc(n int) mem.Addr   { return v.t.base.TxAlloc(n) }
-func (v fastTx) Free(a mem.Addr, n int) { v.t.base.TxFree(a, n) }
 
 // slowTx is the NOrec software view with hybrid coordination (eager or
 // lazy per the system variant).
@@ -378,16 +286,16 @@ func (v slowTx) Load(a mem.Addr) uint64 {
 		// and its clock bump as one step, so a value it wrote is never
 		// returned ahead of the clock check seeing the bump.
 		val := m.LoadCommitted(a)
-		if m.LoadPlain(t.sys.gClock) != t.txv {
+		if m.LoadPlain(t.sys.g.Clock) != t.txv {
 			tm.Restart()
 		}
 		return val
 	}
-	if val, ok := t.writeMap[a]; ok {
+	if val, ok := t.base.Log.Lookup(a); ok {
 		return val
 	}
 	val := m.LoadCommitted(a)
-	for m.LoadPlain(t.sys.gClock) != t.txv {
+	for m.LoadPlain(t.sys.g.Clock) != t.txv {
 		t.txv = t.validate()
 		val = m.LoadCommitted(a)
 	}
@@ -401,26 +309,22 @@ func (v slowTx) Store(a mem.Addr, val uint64) {
 		panic(tm.ErrStoreInReadOnly)
 	}
 	t.base.InstrumentedAccess()
-	m := t.base.M
 	if t.sys.variant == Lazy {
-		if _, ok := t.writeMap[a]; !ok {
-			t.wOrder = append(t.wOrder, a)
-		}
-		t.writeMap[a] = val
+		t.base.Log.Buffer(a, val)
 		return
 	}
 	if !t.writeDetected {
 		// First write: lock the clock, then kill every hardware fast path
 		// by taking the HTM lock (their subscription reads it).
-		if !m.CASPlain(t.sys.gClock, t.txv, t.txv|1) {
+		m := t.base.M
+		if !m.CASPlain(t.sys.g.Clock, t.txv, t.txv|1) {
 			tm.Restart()
 		}
 		t.txv |= 1
 		t.writeDetected = true
-		m.StorePlain(t.sys.gHTMLock, 1)
+		m.StorePlain(t.sys.g.HTMLock, 1)
 	}
-	t.undo = append(t.undo, mem.WriteEntry{Addr: a, Value: m.LoadPlain(a)})
-	m.StorePlain(a, val)
+	t.base.Log.StoreEager(a, val)
 }
 
 func (v slowTx) Alloc(n int) mem.Addr   { return v.t.base.TxAlloc(n) }

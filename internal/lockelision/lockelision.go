@@ -70,7 +70,6 @@ type thread struct {
 	sys  *System
 	base tm.ThreadBase
 	htx  *htm.Txn
-	undo []mem.WriteEntry
 }
 
 func (t *thread) Stats() *tm.Stats { return &t.base.St }
@@ -114,20 +113,16 @@ func (t *thread) BeginSlow(try int) (tm.Tx, bool) {
 	if try == 1 {
 		t.base.AcquireLock(t.sys.gLock)
 	}
-	t.undo = t.undo[:0]
 	return slowTx{t}, true
 }
 
-// CommitSlow has nothing to publish: the writes went to memory in place.
-func (t *thread) CommitSlow() {}
+// CommitSlow has nothing to publish — the writes went to memory in place —
+// only the redo record to hand over before EndSlow releases the lock.
+func (t *thread) CommitSlow() { t.base.Log.Seal() }
 
-// AbortSlow undoes the in-place writes, newest first.
-func (t *thread) AbortSlow() {
-	for i := len(t.undo) - 1; i >= 0; i-- {
-		t.base.M.StorePlain(t.undo[i].Addr, t.undo[i].Value)
-	}
-	t.undo = t.undo[:0]
-}
+// AbortSlow has nothing of its own to drop: the skeleton undoes the
+// in-place writes.
+func (t *thread) AbortSlow() {}
 
 // EndSlow releases the global lock.
 func (t *thread) EndSlow() { t.base.M.StorePlain(t.sys.gLock, 0) }
@@ -148,8 +143,8 @@ func (v fastTx) Store(a mem.Addr, val uint64) {
 func (v fastTx) Alloc(n int) mem.Addr   { return v.t.base.TxAlloc(n) }
 func (v fastTx) Free(a mem.Addr, n int) { v.t.base.TxFree(a, n) }
 
-// slowTx is the serialized view under the global lock, with an undo log for
-// user aborts.
+// slowTx is the serialized view under the global lock; stores go through
+// the write log so a user abort can take them back.
 type slowTx struct{ t *thread }
 
 // Load reads through LoadCommitted: a speculation that validated the free
@@ -163,8 +158,7 @@ func (v slowTx) Store(a mem.Addr, val uint64) {
 	if v.t.base.ReadOnly {
 		panic(tm.ErrStoreInReadOnly)
 	}
-	v.t.undo = append(v.t.undo, mem.WriteEntry{Addr: a, Value: v.t.base.M.LoadCommitted(a)})
-	v.t.base.M.StorePlain(a, val)
+	v.t.base.Log.StoreEager(a, val)
 }
 
 func (v slowTx) Alloc(n int) mem.Addr   { return v.t.base.TxAlloc(n) }

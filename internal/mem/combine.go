@@ -45,8 +45,11 @@ const (
 type combineEntry struct {
 	state atomic.Uint32
 	// base is the even clock value the enqueuer's reads are valid at; only
-	// a holder that locked the clock at exactly this base may claim.
-	base uint64
+	// a holder that locked the clock at exactly this base may claim. Atomic
+	// because PendingAt reads it with no claim on the slot: its pending
+	// state load can be followed by a cancel and a re-Enqueue that rewrites
+	// base before PendingAt gets to it.
+	base atomic.Uint64
 	// writes aliases the enqueuer's buffer. The enqueuer must not touch it
 	// between Enqueue and the slot's release — the protocol guarantees it
 	// observes a terminal state (or cancels) before reusing the buffer.
@@ -81,7 +84,7 @@ func (r *CombineRing) Enqueue(base uint64, writes []WriteEntry, readSig, writeSi
 	for i := range r.slots {
 		e := &r.slots[i]
 		if e.state.Load() == combineFree && e.state.CompareAndSwap(combineFree, combineSetup) {
-			e.base = base
+			e.base.Store(base)
 			e.writes = writes
 			e.readSig = *readSig
 			e.writeSig = *writeSig
@@ -152,7 +155,7 @@ func (r *CombineRing) Drain(base uint64, group *Signature, budget int, mask *uin
 		if e.state.Load() != combinePending || !e.state.CompareAndSwap(combinePending, combineClaimed) {
 			continue
 		}
-		if e.base != base {
+		if e.base.Load() != base {
 			e.state.Store(combinePending)
 			continue
 		}
@@ -188,14 +191,14 @@ func (r *CombineRing) PendingCount() int {
 
 // PendingAt reports how many pending entries carry exactly the given base —
 // the holder's "is a batch forming for my window" signal. Like PendingCount
-// it is a heuristic snapshot: a pending state load (acquire) makes the
-// enqueuer's base store visible, and a concurrent transition merely skews
-// the count, which only paces the holder's linger.
+// it is a heuristic snapshot: a slot that is cancelled and recycled between
+// the state load and the base load is counted under its new base, which
+// merely skews a number that only paces the holder's linger.
 func (r *CombineRing) PendingAt(base uint64) int {
 	n := 0
 	for i := range r.slots {
 		e := &r.slots[i]
-		if e.state.Load() == combinePending && e.base == base {
+		if e.state.Load() == combinePending && e.base.Load() == base {
 			n++
 		}
 	}

@@ -160,9 +160,10 @@ type Memory struct {
 // (internal/persist implements it with a per-stripe redo log). Append is
 // called inside CommitWrites' locked span — after the stores, before the
 // seqlock windows close — so no reader can certify a read of the commit's
-// values before the commit is in the log; eager software paths call it via
-// AppendRedo under the same ordering obligation. Append must not block on
-// I/O and must not touch the memory it persists.
+// values before the commit is in the log. Software paths that publish with
+// plain stores reach it through AppendRedo, whose one caller is
+// tm.WriteLog.Seal, under the same ordering obligation. Append must not
+// block on I/O and must not touch the memory it persists.
 type Persister interface {
 	Append(ticket uint64, writes []WriteEntry)
 }
@@ -210,15 +211,16 @@ func (m *Memory) SetHook(h Hook) { m.hook = h }
 // draining every committer.
 func (m *Memory) SetPersister(p Persister) { m.persister = p }
 
-// Persisting reports whether a persister is attached; eager software commit
-// paths consult it before assembling a redo entry.
+// Persisting reports whether a persister is attached; tm.WriteLog consults
+// it before keeping or assembling anything for a redo record.
 func (m *Memory) Persisting() bool { return m.persister != nil }
 
-// AppendRedo hands an eagerly-published write set to the attached persister
-// (no-op when none is attached). Callers that publish via StorePlain during
-// execution — the full-software fallback writing under the clock lock —
-// must call it with the final values of every written word *before*
-// releasing the lock that hides those values from committing readers.
+// AppendRedo hands a write set published by plain stores to the attached
+// persister (no-op when none is attached). It must be given the final value
+// of every written word *before* the lock that hides those values from
+// committing readers is released. tm.WriteLog.Seal is its only caller: every
+// driver's software path stores through that log and seals it at its commit
+// point.
 func (m *Memory) AppendRedo(writes []WriteEntry) {
 	if m.persister != nil {
 		m.persister.Append(m.ticket.Load()+1, writes)

@@ -92,11 +92,7 @@ func (s *System) Memory() *mem.Memory { return s.m }
 
 // NewThread implements tm.System.
 func (s *System) NewThread() tm.Thread {
-	t := &thread{
-		sys:      s,
-		base:     tm.NewThreadBase(s.m, s.rec),
-		writeMap: make(map[mem.Addr]uint64, 32),
-	}
+	t := &thread{sys: s, base: tm.NewThreadBase(s.m, s.rec)}
 	t.base.CM = s.engine.NewThreadPolicy(&t.base)
 	t.base.Bind(t, nil)
 	return t
@@ -115,21 +111,16 @@ type thread struct {
 	// holds the clock lock (eager variant only).
 	txv uint64
 
-	// Eager state.
+	// The writes live in base.Log: in-place stores under the clock lock
+	// (eager, writeDetected once the lock is ours) or buffered stores next
+	// to a value read set (lazy).
 	writeDetected bool
-	undo          []mem.WriteEntry
+	readSet       []readEntry
 
-	// Lazy state.
-	readSet  []readEntry
-	writeMap map[mem.Addr]uint64
-	wOrder   []mem.Addr
-
-	// Group-commit state (sys.ring != nil). combWrites is the flattened
-	// write set offered to a holder (grow-once, recycled); drainMask records
-	// ring slots claimed by this thread's own in-progress drain so every
-	// abort path can resolve them rejected.
-	combWrites []mem.WriteEntry
-	drainMask  uint32
+	// drainMask (sys.ring != nil) records ring slots claimed by this
+	// thread's own in-progress drain so every abort path can resolve them
+	// rejected.
+	drainMask uint32
 }
 
 func (t *thread) Stats() *tm.Stats { return &t.base.St }
@@ -142,10 +133,7 @@ func (t *thread) RunReadOnly(fn func(tm.Tx) error) error { return t.base.Run(fn,
 // snapshot it.
 func (t *thread) BeginSlow(int) (tm.Tx, bool) {
 	t.writeDetected = false
-	t.undo = t.undo[:0]
 	t.readSet = t.readSet[:0]
-	clear(t.writeMap)
-	t.wOrder = t.wOrder[:0]
 	for {
 		v := t.base.M.LoadPlain(t.sys.clock)
 		if v&1 == 0 {
@@ -158,9 +146,9 @@ func (t *thread) BeginSlow(int) (tm.Tx, bool) {
 
 func (t *thread) EndSlow() {}
 
-// AbortSlow restores memory and releases the clock lock if the eager variant
-// aborted mid-write-phase (only possible via user error or an application
-// panic; clock validation cannot fail while the lock is held).
+// AbortSlow releases the clock lock if the eager variant aborted
+// mid-write-phase (only possible via user error or an application panic;
+// clock validation cannot fail while the lock is held).
 func (t *thread) AbortSlow() {
 	if t.drainMask != 0 {
 		// A drain claimed ring entries but the publish never became visible:
@@ -169,16 +157,12 @@ func (t *thread) AbortSlow() {
 		t.drainMask = 0
 	}
 	if t.writeDetected {
-		for i := len(t.undo) - 1; i >= 0; i-- {
-			t.base.M.StorePlain(t.undo[i].Addr, t.undo[i].Value)
-		}
-		// Memory is restored, so release without advancing the version:
-		// no concurrent transaction can have observed the undone writes
-		// (the clock was locked throughout).
+		// The skeleton has restored memory, so release without advancing
+		// the version: no concurrent transaction can have observed the
+		// undone writes (the clock was locked throughout).
 		t.base.M.StorePlain(t.sys.clock, t.txv&^1)
 		t.writeDetected = false
 	}
-	t.undo = t.undo[:0]
 }
 
 // CommitSlow is the NOrec commit point: the eager variant releases the
@@ -189,11 +173,12 @@ func (t *thread) CommitSlow() {
 	switch t.sys.variant {
 	case Eager:
 		if t.writeDetected {
+			t.base.Log.Seal()
 			m.StorePlain(t.sys.clock, (t.txv&^1)+2)
 			t.writeDetected = false
 		}
 	case Lazy:
-		if len(t.wOrder) == 0 {
+		if len(t.base.Log.Buffered()) == 0 {
 			return // read-only: nothing to publish, nothing to lock
 		}
 		for !m.CASPlain(t.sys.clock, t.txv, t.txv|1) {
@@ -209,12 +194,11 @@ func (t *thread) CommitSlow() {
 			}
 			t.txv = t.validate()
 		}
-		for _, a := range t.wOrder {
-			m.StorePlain(a, t.writeMap[a])
-		}
+		t.base.Log.Publish(t.base.Log.Buffered())
 		if t.sys.ring != nil {
-			t.base.DrainGroup(t.sys.ring, t.txv, t.wOrder, &t.drainMask)
+			t.base.DrainGroup(t.sys.ring, t.txv, &t.drainMask)
 		}
+		t.base.Log.Seal()
 		m.StorePlain(t.sys.clock, t.txv+2) // txv is even here
 		if t.drainMask != 0 {
 			// The group is visible (the clock released): resolve the claims
@@ -225,19 +209,14 @@ func (t *thread) CommitSlow() {
 	}
 }
 
-// tryEnqueue offers the buffered write set to the current holder's group
+// tryEnqueue offers the buffered stores to the current holder's group
 // (tm.OfferGroup carries the wait and its verdicts).
 func (t *thread) tryEnqueue() bool {
-	var rsig, wsig mem.Signature
+	var rsig mem.Signature
 	for i := range t.readSet {
 		rsig.AddLine(mem.LineOf(t.readSet[i].addr), tm.CombineSigBits)
 	}
-	t.combWrites = t.combWrites[:0]
-	for _, a := range t.wOrder {
-		t.combWrites = append(t.combWrites, mem.WriteEntry{Addr: a, Value: t.writeMap[a]})
-		wsig.AddLine(mem.LineOf(a), tm.CombineSigBits)
-	}
-	return t.base.OfferGroup(t.sys.ring, t.sys.clock, t.txv, t.combWrites, &rsig, &wsig)
+	return t.base.OfferGroup(t.sys.ring, t.sys.clock, t.txv, &rsig)
 }
 
 // validate re-checks the lazy read set by value and returns the even clock
@@ -277,7 +256,7 @@ func (v txView) Load(a mem.Addr) uint64 {
 		return val
 	}
 	// Lazy: write set first, then a validated read with snapshot extension.
-	if val, ok := t.writeMap[a]; ok {
+	if val, ok := t.base.Log.Lookup(a); ok {
 		return val
 	}
 	val := m.LoadPlain(a)
@@ -295,25 +274,20 @@ func (v txView) Store(a mem.Addr, val uint64) {
 		panic(tm.ErrStoreInReadOnly)
 	}
 	t.base.InstrumentedAccess()
-	m := t.base.M
 	if t.sys.variant == Eager {
 		if !t.writeDetected {
 			// First write: lock the clock at our snapshot (acquire_clock_lock
 			// in Algorithm 2 terms). Failure means someone committed.
-			if !m.CASPlain(t.sys.clock, t.txv, t.txv|1) {
+			if !t.base.M.CASPlain(t.sys.clock, t.txv, t.txv|1) {
 				tm.Restart()
 			}
 			t.txv |= 1
 			t.writeDetected = true
 		}
-		t.undo = append(t.undo, mem.WriteEntry{Addr: a, Value: m.LoadPlain(a)})
-		m.StorePlain(a, val)
+		t.base.Log.StoreEager(a, val)
 		return
 	}
-	if _, ok := t.writeMap[a]; !ok {
-		t.wOrder = append(t.wOrder, a)
-	}
-	t.writeMap[a] = val
+	t.base.Log.Buffer(a, val)
 }
 
 func (v txView) Alloc(n int) mem.Addr   { return v.t.base.TxAlloc(n) }

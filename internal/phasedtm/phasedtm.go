@@ -88,10 +88,9 @@ type thread struct {
 	base tm.ThreadBase
 	htx  *htm.Txn
 
-	// Software-phase NOrec state.
+	// Software-phase NOrec state (the in-place stores live in base.Log).
 	txv           uint64
 	writeDetected bool
-	undo          []mem.WriteEntry
 }
 
 func (t *thread) Stats() *tm.Stats { return &t.base.St }
@@ -151,7 +150,6 @@ func (t *thread) BeginSlow(try int) (tm.Tx, bool) {
 		}
 	}
 	t.writeDetected = false
-	t.undo = t.undo[:0]
 	for {
 		v := m.LoadPlain(t.sys.gClock)
 		if v&1 == 0 {
@@ -165,20 +163,16 @@ func (t *thread) BeginSlow(try int) (tm.Tx, bool) {
 // CommitSlow releases the clock a writer locked at its first write.
 func (t *thread) CommitSlow() {
 	if t.writeDetected {
+		t.base.Log.Seal()
 		t.base.M.StorePlain(t.sys.gClock, (t.txv&^1)+2)
 		t.writeDetected = false
 	}
 }
 
-// AbortSlow rolls back eager writes and releases the clock unadvanced.
+// AbortSlow releases the clock unadvanced over the rolled-back memory.
 func (t *thread) AbortSlow() {
-	m := t.base.M
-	for i := len(t.undo) - 1; i >= 0; i-- {
-		m.StorePlain(t.undo[i].Addr, t.undo[i].Value)
-	}
-	t.undo = t.undo[:0]
 	if t.writeDetected {
-		m.StorePlain(t.sys.gClock, t.txv&^1)
+		t.base.M.StorePlain(t.sys.gClock, t.txv&^1)
 		t.writeDetected = false
 	}
 }
@@ -220,16 +214,14 @@ func (v swTx) Store(a mem.Addr, val uint64) {
 		panic(tm.ErrStoreInReadOnly)
 	}
 	t.base.InstrumentedAccess()
-	m := t.base.M
 	if !t.writeDetected {
-		if !m.CASPlain(t.sys.gClock, t.txv, t.txv|1) {
+		if !t.base.M.CASPlain(t.sys.gClock, t.txv, t.txv|1) {
 			tm.Restart()
 		}
 		t.txv |= 1
 		t.writeDetected = true
 	}
-	t.undo = append(t.undo, mem.WriteEntry{Addr: a, Value: m.LoadPlain(a)})
-	m.StorePlain(a, val)
+	t.base.Log.StoreEager(a, val)
 }
 
 func (v swTx) Alloc(n int) mem.Addr   { return v.t.base.TxAlloc(n) }

@@ -118,13 +118,10 @@ type thread struct {
 	// Fast-path write instrumentation: the stripes written this attempt.
 	fastStripes []mem.Addr
 
-	// Slow-path (TL2 lazy) state.
+	// Slow-path (TL2 lazy) state; the buffered stores live in base.Log.
 	rv       uint64
 	readSet  []mem.Addr // stripe addresses read
 	readSeen map[mem.Addr]bool
-	writeA   []mem.Addr
-	writeV   []uint64
-	writeIdx map[mem.Addr]int
 	try      int // ordinal of the current slow attempt, for the abort taxonomy
 }
 
@@ -185,9 +182,6 @@ func (t *thread) BeginSlow(try int) (tm.Tx, bool) {
 	}
 	t.readSet = t.readSet[:0]
 	clear(t.readSeen)
-	t.writeA = t.writeA[:0]
-	t.writeV = t.writeV[:0]
-	clear(t.writeIdx)
 	return slowTx{t}, false
 }
 
@@ -203,7 +197,7 @@ func (t *thread) EndSlow() {}
 // for it). When it fails, the commit falls back to the classic TL2
 // software commit with stripe locks.
 func (t *thread) CommitSlow() {
-	if len(t.writeA) == 0 {
+	if len(t.base.Log.Buffered()) == 0 {
 		return
 	}
 	t.base.St.PostfixAttempts++
@@ -224,9 +218,9 @@ func (t *thread) commitInHardware() {
 		}
 	}
 	wv := t.htx.Load(t.sys.gv) + 2
-	for i, a := range t.writeA {
-		t.htx.Store(a, t.writeV[i])
-		t.htx.Store(t.sys.stripeOf(a), wv)
+	for _, w := range t.base.Log.Buffered() {
+		t.htx.Store(w.Addr, w.Value)
+		t.htx.Store(t.sys.stripeOf(w.Addr), wv)
 	}
 	t.htx.Store(t.sys.gv, wv)
 }
@@ -235,10 +229,11 @@ func (t *thread) commitInHardware() {
 // advance gv, validate reads, write back, release.
 func (t *thread) softwareCommit() {
 	m := t.base.M
+	writes := t.base.Log.Buffered()
 	// Lock every write stripe (deduplicated); on failure release and
 	// restart the whole attempt.
-	locked := make([]mem.Addr, 0, len(t.writeA))
-	lockedVals := make([]uint64, 0, len(t.writeA))
+	locked := make([]mem.Addr, 0, len(writes))
+	lockedVals := make([]uint64, 0, len(writes))
 	isLocked := func(sa mem.Addr) bool {
 		for _, l := range locked {
 			if l == sa {
@@ -256,8 +251,8 @@ func (t *thread) softwareCommit() {
 			m.SubPlain(t.sys.gHTMLock, 1)
 		}
 	}
-	for _, a := range t.writeA {
-		sa := t.sys.stripeOf(a)
+	for _, w := range writes {
+		sa := t.sys.stripeOf(w.Addr)
 		if isLocked(sa) {
 			continue
 		}
@@ -295,9 +290,8 @@ func (t *thread) softwareCommit() {
 		}
 	}
 	// Write back, release the stripes at the new version, leave the lock.
-	for i, a := range t.writeA {
-		m.StorePlain(a, t.writeV[i])
-	}
+	t.base.Log.Publish(writes)
+	t.base.Log.Seal()
 	for _, sa := range locked {
 		m.StorePlain(sa, wv)
 	}
@@ -337,10 +331,8 @@ type slowTx struct{ t *thread }
 func (v slowTx) Load(a mem.Addr) uint64 {
 	t := v.t
 	t.base.InstrumentedAccess()
-	if t.writeIdx != nil {
-		if i, ok := t.writeIdx[a]; ok {
-			return t.writeV[i]
-		}
+	if val, ok := t.base.Log.Lookup(a); ok {
+		return val
 	}
 	m := t.base.M
 	sa := t.sys.stripeOf(a)
@@ -377,16 +369,7 @@ func (v slowTx) Store(a mem.Addr, val uint64) {
 		panic(tm.ErrStoreInReadOnly)
 	}
 	t.base.InstrumentedAccess()
-	if t.writeIdx == nil {
-		t.writeIdx = make(map[mem.Addr]int, 32)
-	}
-	if i, ok := t.writeIdx[a]; ok {
-		t.writeV[i] = val
-		return
-	}
-	t.writeIdx[a] = len(t.writeA)
-	t.writeA = append(t.writeA, a)
-	t.writeV = append(t.writeV, val)
+	t.base.Log.Buffer(a, val)
 }
 
 func (v slowTx) Alloc(n int) mem.Addr   { return v.t.base.TxAlloc(n) }

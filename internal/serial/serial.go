@@ -1,12 +1,10 @@
 // Package serial implements the degenerate baseline TM: a single global
-// mutex serializes every transaction. It trivially provides opacity,
+// lock serializes every transaction. It trivially provides opacity,
 // serializability and privatization, scales not at all, and doubles as the
 // correctness oracle for differential tests of the real algorithms.
 package serial
 
 import (
-	"sync"
-
 	"rhnorec/internal/mem"
 	"rhnorec/internal/tm"
 )
@@ -15,12 +13,16 @@ import (
 type System struct {
 	m   *mem.Memory
 	rec *tm.Reclaimer
-	mu  sync.Mutex
+	// lock is a word of m (0 free, 1 held) rather than a sync.Mutex so that
+	// waiting for it passes hooked memory operations: under the
+	// deterministic explorer a waiter yields to the holder instead of
+	// blocking the one running goroutine until the watchdog fires.
+	lock mem.Addr
 }
 
 // New creates a serial TM over m.
 func New(m *mem.Memory) *System {
-	return &System{m: m, rec: tm.NewReclaimer()}
+	return &System{m: m, rec: tm.NewReclaimer(), lock: m.NewThreadCache().Alloc(mem.LineWords)}
 }
 
 // Name implements tm.System.
@@ -39,7 +41,6 @@ func (s *System) NewThread() tm.Thread {
 type thread struct {
 	sys  *System
 	base tm.ThreadBase
-	undo []mem.WriteEntry
 }
 
 // txView adapts the thread to tm.Tx while the lock is held.
@@ -51,8 +52,7 @@ func (v txView) Store(a mem.Addr, val uint64) {
 	if v.t.base.ReadOnly {
 		panic(tm.ErrStoreInReadOnly)
 	}
-	v.t.undo = append(v.t.undo, mem.WriteEntry{Addr: a, Value: v.t.base.M.LoadPlain(a)})
-	v.t.base.M.StorePlain(a, val)
+	v.t.base.Log.StoreEager(a, val)
 }
 
 func (v txView) Alloc(n int) mem.Addr { return v.t.base.TxAlloc(n) }
@@ -66,25 +66,21 @@ func (t *thread) RunReadOnly(fn func(tm.Tx) error) error { return t.base.Run(fn,
 // executes under it.
 func (t *thread) BeginSlow(try int) (tm.Tx, bool) {
 	if try == 1 {
-		t.sys.mu.Lock()
+		t.base.AcquireLock(t.sys.lock)
 	}
-	t.undo = t.undo[:0]
 	return txView{t}, true
 }
 
-// CommitSlow has nothing to publish: the writes went to memory in place.
-func (t *thread) CommitSlow() {}
+// CommitSlow has nothing to publish — the writes went to memory in place —
+// only the redo record to hand over before EndSlow releases the lock.
+func (t *thread) CommitSlow() { t.base.Log.Seal() }
 
-// AbortSlow undoes eager writes in reverse order.
-func (t *thread) AbortSlow() {
-	for i := len(t.undo) - 1; i >= 0; i-- {
-		t.base.M.StorePlain(t.undo[i].Addr, t.undo[i].Value)
-	}
-	t.undo = t.undo[:0]
-}
+// AbortSlow has nothing of its own to drop: the skeleton undoes the
+// in-place writes.
+func (t *thread) AbortSlow() {}
 
 // EndSlow releases the global lock.
-func (t *thread) EndSlow() { t.sys.mu.Unlock() }
+func (t *thread) EndSlow() { t.base.M.StorePlain(t.sys.lock, 0) }
 
 func (t *thread) Stats() *tm.Stats { return &t.base.St }
 

@@ -40,10 +40,11 @@ type crashServer struct {
 	addr string
 }
 
-func startCrashServer(t *testing.T, bin, dataDir string) *crashServer {
+func startCrashServer(t *testing.T, bin, algo, dataDir string) *crashServer {
 	t.Helper()
 	cmd := exec.Command(bin,
 		"-addr", "127.0.0.1:0",
+		"-algo", algo,
 		"-data", dataDir,
 		"-durable",
 		"-keys", "64",
@@ -213,6 +214,11 @@ func (c *crashClient) audit(t *testing.T, addr string, iter int) {
 	}
 }
 
+// crashLoopAlgos: the paper's hybrid, the hybrid it is measured against, and
+// a driver with no hardware path at all — every commit of the last reaches
+// the log through the write log's seal, none through mem.CommitWrites.
+var crashLoopAlgos = []string{"rh-norec", "hy-norec", "tl2"}
+
 func TestCrashLoopKill9(t *testing.T) {
 	if os.Getenv("RHNOREC_CRASHLOOP") == "" {
 		t.Skip("set RHNOREC_CRASHLOOP=1 to run the kill -9 recovery loop (CI crash-recovery job)")
@@ -229,6 +235,12 @@ func TestCrashLoopKill9(t *testing.T) {
 	if out, err := exec.Command("go", "build", "-o", bin, "rhnorec/cmd/rhserve").CombinedOutput(); err != nil {
 		t.Fatalf("go build rhserve: %v\n%s", err, out)
 	}
+	for _, algo := range crashLoopAlgos {
+		t.Run(algo, func(t *testing.T) { crashLoop(t, bin, algo, iters) })
+	}
+}
+
+func crashLoop(t *testing.T, bin, algo string, iters int) {
 	dataDir := filepath.Join(t.TempDir(), "data")
 
 	// acked stamps survive across iterations (the clients reconnect).
@@ -236,7 +248,7 @@ func TestCrashLoopKill9(t *testing.T) {
 	stampBase := uint64(0)
 
 	for iter := 0; iter < iters; iter++ {
-		srv := startCrashServer(t, bin, dataDir)
+		srv := startCrashServer(t, bin, algo, dataDir)
 
 		// Audit last iteration's crash against this boot's recovered state.
 		for id := 0; id < crashClients; id++ {
@@ -285,7 +297,7 @@ func TestCrashLoopKill9(t *testing.T) {
 	}
 
 	// One final boot: the last crash must recover too.
-	srv := startCrashServer(t, bin, dataDir)
+	srv := startCrashServer(t, bin, algo, dataDir)
 	for id := 0; id < crashClients; id++ {
 		(&crashClient{id: id, acked: acked[id]}).audit(t, srv.addr, iters)
 	}

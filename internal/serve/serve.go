@@ -157,10 +157,10 @@ type Config struct {
 	// DataDir, when non-empty, arms the durable persistence plane
 	// (internal/persist): boot-time crash recovery replays the directory's
 	// redo logs into the key arena, and every committing write transaction
-	// appends its write set. Only the rh-norec system is persistence-wired
-	// (its eager full-software stores are instrumented); other algos reject
-	// a DataDir. Policy.Persist (or RHNOREC_PERSIST) picks group fsync vs
-	// fsync-per-commit.
+	// appends its write set — hardware commits inside mem.CommitWrites,
+	// software ones where the driver seals its write log (tm.WriteLog), so
+	// any Algo works. Policy.Persist (or RHNOREC_PERSIST) picks group fsync
+	// vs fsync-per-commit.
 	DataDir string
 	// DurableAcks, when true, makes EVERY write request wait for its redo
 	// record to be fsynced before the reply (as if each connection had sent
@@ -343,12 +343,6 @@ func New(cfg Config) (*Server, error) {
 		finalSnaps: make([]*workerSnap, cfg.Workers),
 	}
 	if cfg.DataDir != "" {
-		// Persistence rides the write-commit paths; only rh-norec has its
-		// eager full-software stores instrumented (internal/core), so other
-		// algos would silently lose those writes from the log.
-		if cfg.Algo != "rh-norec" {
-			return nil, fmt.Errorf("serve: -data persistence requires algo rh-norec, not %q", cfg.Algo)
-		}
 		// Recovery replays into the arena here, before any worker exists:
 		// the plain stores need no synchronization and no commit can race
 		// the replay.

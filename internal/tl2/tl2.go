@@ -36,6 +36,14 @@ type System struct {
 	// gv is the global version clock; it counts writer commits.
 	gv atomic.Uint64
 
+	// pace is a word of m no transaction writes. The stripe table and gv
+	// are sync/atomic, not mem words, so an attempt that restarts off a
+	// stripe locked by a descheduled writer would otherwise re-run without
+	// passing one hooked memory operation; a re-begun attempt loads pace so
+	// a deterministic scheduler (internal/explore) regains control between
+	// restarts, as it does on every spin of the clock-based drivers.
+	pace mem.Addr
+
 	nextThreadID atomic.Uint64
 }
 
@@ -54,6 +62,7 @@ func New(m *mem.Memory, stripeCount int) *System {
 		rec:     tm.NewReclaimer(),
 		stripes: make([]atomic.Uint64, n),
 		mask:    uint64(n - 1),
+		pace:    m.NewThreadCache().Alloc(mem.LineWords),
 	}
 }
 
@@ -90,7 +99,6 @@ type thread struct {
 	readSet  []uint64          // stripe indices read
 	readSeen map[uint64]bool   // nil until first use; avoids dup stripes
 	owned    map[uint64]uint64 // stripe -> pre-lock value (version<<1)
-	undo     []mem.WriteEntry
 }
 
 func (t *thread) Stats() *tm.Stats { return &t.base.St }
@@ -107,23 +115,21 @@ func (t *thread) BeginSlow(try int) (tm.Tx, bool) {
 	for i := 0; i < (try-1)&7; i++ {
 		runtime.Gosched()
 	}
+	if try > 1 {
+		t.base.M.LoadPlain(t.sys.pace)
+	}
 	t.rv = t.sys.gv.Load()
 	t.readSet = t.readSet[:0]
 	clear(t.readSeen)
 	clear(t.owned)
-	t.undo = t.undo[:0]
 	return txView{t}, false
 }
 
 func (t *thread) EndSlow() {}
 
-// AbortSlow rolls back eager writes and releases stripe locks, restoring
-// their pre-lock versions.
+// AbortSlow releases the stripe locks over the rolled-back memory,
+// restoring their pre-lock versions.
 func (t *thread) AbortSlow() {
-	for i := len(t.undo) - 1; i >= 0; i-- {
-		t.base.M.StorePlain(t.undo[i].Addr, t.undo[i].Value)
-	}
-	t.undo = t.undo[:0]
 	for idx, old := range t.owned {
 		t.sys.stripes[idx].Store(old)
 	}
@@ -156,11 +162,11 @@ func (t *thread) CommitSlow() {
 		}
 	}
 	// Publish: release every owned stripe at the new version.
+	t.base.Log.Seal()
 	for idx := range t.owned {
 		t.sys.stripes[idx].Store(wv << 1)
 	}
 	clear(t.owned)
-	t.undo = t.undo[:0]
 }
 
 type txView struct{ t *thread }
@@ -220,8 +226,7 @@ func (v txView) Store(a mem.Addr, val uint64) {
 		}
 		t.owned[idx] = s
 	}
-	t.undo = append(t.undo, mem.WriteEntry{Addr: a, Value: t.base.M.LoadPlain(a)})
-	t.base.M.StorePlain(a, val)
+	t.base.Log.StoreEager(a, val)
 }
 
 func (v txView) Alloc(n int) mem.Addr   { return v.t.base.TxAlloc(n) }

@@ -52,8 +52,8 @@ func SetCooperative(on bool) { cooperative.Store(on) }
 
 // ThreadBase carries the state every algorithm's Thread needs: the memory,
 // a thread-local allocator cache, a reclamation slot, per-attempt
-// allocation/free tracking, and the statistics counters. Algorithm packages
-// embed it.
+// allocation/free tracking, the software write log, and the statistics
+// counters. Algorithm packages embed it.
 type ThreadBase struct {
 	M     *mem.Memory
 	Cache *mem.ThreadCache
@@ -69,6 +69,11 @@ type ThreadBase struct {
 	// (Thread.RunReadOnly); driver views reject Store under it and commit
 	// points may skip writer-side work.
 	ReadOnly bool
+	// Log is the software attempt's write log (writelog.go). The skeleton
+	// resets it before every software try and rolls it back before the
+	// driver's AbortSlow; the driver stores through it and seals it at its
+	// commit point.
+	Log WriteLog
 
 	// The driver's protocol hooks and the §3.3 serial escape (run.go).
 	sw          Software
@@ -116,7 +121,7 @@ func (b *ThreadBase) InstrumentedAccess() {
 // NewThreadBase wires a thread into memory m and reclaimer r.
 func NewThreadBase(m *mem.Memory, r *Reclaimer) ThreadBase {
 	cache := m.NewThreadCache()
-	return ThreadBase{M: m, Cache: cache, Slot: r.Register(cache)}
+	return ThreadBase{M: m, Cache: cache, Slot: r.Register(cache), Log: WriteLog{m: m}}
 }
 
 // BeginTxn pins the reclamation epoch; call once per Run invocation.

@@ -10,9 +10,9 @@ import (
 // This file is the driver-independent half of flat-combining group commit
 // (RetryPolicy.Combine): the enqueue-and-wait loop of a committer that
 // joins a lock holder's window, and the plain in-place drain of a holder
-// that publishes its group under the clock lock. What stays with a driver
-// is when its reads are still valid at a locked clock and what its write
-// set is.
+// that publishes its group under the clock lock. The write sets on both
+// sides are the threads' write logs; what stays with a driver is when its
+// reads are still valid at a locked clock and what it read.
 
 // CombineSigBits is the bloom width of the combining ring's read/write
 // signatures. It is independent of the memory's published-signature width
@@ -20,14 +20,17 @@ import (
 // maximum so group-admission false positives stay rare.
 const CombineSigBits = mem.MaxSigBits
 
-// OfferGroup offers a pre-validated write set, snapshotted at the even
-// clock value base, to the holder that has the clock word locked at base|1,
-// and waits for the verdict. It returns true when the holder's group
-// committed the writes; false when the entry could not be placed or was
-// retracted because the window closed first (the caller re-examines the
-// clock). A claimed-but-rejected entry restarts the attempt.
-func (b *ThreadBase) OfferGroup(r *mem.CombineRing, clock mem.Addr, base uint64, writes []mem.WriteEntry, readSig, writeSig *mem.Signature) bool {
-	slot := r.Enqueue(base, writes, readSig, writeSig)
+// OfferGroup offers the attempt's buffered stores (Log.Buffered), validated
+// at the even clock value base, to the holder that has the clock word locked
+// at base|1, and waits for the verdict. readSig covers everything the
+// attempt read. It returns true when the holder's group committed the
+// writes; false when the entry could not be placed or was retracted because
+// the window closed first (the caller re-examines the clock). A
+// claimed-but-rejected entry restarts the attempt.
+func (b *ThreadBase) OfferGroup(r *mem.CombineRing, clock mem.Addr, base uint64, readSig *mem.Signature) bool {
+	var writeSig mem.Signature
+	b.Log.AddSignature(&writeSig, CombineSigBits)
+	slot := r.Enqueue(base, b.Log.Buffered(), readSig, &writeSig)
 	if slot < 0 {
 		runtime.Gosched()
 		return false
@@ -65,26 +68,19 @@ func (b *ThreadBase) OfferGroup(r *mem.CombineRing, clock mem.Addr, base uint64,
 // mem.CombineRing.Drain for the serial-order argument). The caller holds
 // the clock locked at base|1, so the published writes are invisible until
 // it releases the clock — software readers value-validate only at even
-// clocks. Claimed slots accumulate in *mask; the caller resolves them done
-// once the clock is released, or rejected if the publish never became
-// visible.
-func (b *ThreadBase) DrainGroup(r *mem.CombineRing, base uint64, footprint []mem.Addr, mask *uint32) {
-	m := b.M
+// clocks. The group goes through the holder's write log, so the holder's
+// Seal covers it. Claimed slots accumulate in *mask; the caller resolves
+// them done once the clock is released, or rejected if the publish never
+// became visible.
+func (b *ThreadBase) DrainGroup(r *mem.CombineRing, base uint64, mask *uint32) {
 	// Linger one scheduler beat so contending committers can reach their
 	// commit, observe the locked clock, and enqueue — the combining batch
 	// exists only if the holder gives it a moment to form.
 	runtime.Gosched()
 	var group mem.Signature
-	for _, a := range footprint {
-		group.AddLine(mem.LineOf(a), CombineSigBits)
-	}
+	b.Log.AddSignature(&group, CombineSigBits)
 	*mask = 0
-	n := r.Drain(base, &group, 1<<30, mask, func(ws []mem.WriteEntry) {
-		for _, w := range ws {
-			m.StorePlain(w.Addr, w.Value)
-		}
-	})
-	if n > 0 {
+	if r.Drain(base, &group, 1<<30, mask, b.Log.Publish) > 0 {
 		b.St.CombineDrains++
 		b.RecordCombine(obs.FilterCombineDrain)
 	}

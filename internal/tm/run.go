@@ -35,11 +35,14 @@ type Software interface {
 	BeginSlow(try int) (view Tx, global bool)
 	// CommitSlow is the commit point. It may Restart or die on a hardware
 	// abort like any other step of the attempt; both re-run the attempt.
+	// A driver that stored in place seals the write log here, immediately
+	// before the store that releases its lock (WriteLog.Seal).
 	CommitSlow()
 	// AbortSlow discards the software attempt in flight after a Restart, a
 	// hardware abort, a user error or a foreign panic: cancel live
-	// speculation, roll back eager writes, release the attempt's locks.
-	// The allocation log is the skeleton's to roll back.
+	// speculation, release the attempt's locks. The skeleton has already
+	// rolled the write log back, so memory holds the attempt's pre-image
+	// when the locks drop; the allocation log is the skeleton's too.
 	AbortSlow()
 	// EndSlow runs once as the Run leaves the software path, however it
 	// leaves: drop what BeginSlow registered for the whole Run.
@@ -183,12 +186,14 @@ func (b *ThreadBase) callUser(fn func(Tx) error, view Tx) error {
 	return err
 }
 
-// discard drops the attempt in flight on the given path: the driver's
+// discard drops the attempt in flight on the given path: eager software
+// stores first (the driver's locks still hide them), then the driver's
 // half, then the allocation log.
 func (b *ThreadBase) discard(fast bool) {
 	if fast {
 		b.hw.AbortFast()
 	} else {
+		b.Log.Rollback()
 		b.sw.AbortSlow()
 	}
 	b.AbortCleanup()
@@ -301,6 +306,7 @@ func (b *ThreadBase) slowAttempt(fn func(Tx) error, try int) (err error, restart
 	}()
 	o := b.St.Obs
 	swStart := o.Start()
+	b.Log.Reset()
 	view, global := b.sw.BeginSlow(try)
 	serial, serialStart := global || b.serialHeld, swStart
 	if global {

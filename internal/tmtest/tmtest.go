@@ -71,6 +71,7 @@ func RunConformance(t *testing.T, f Factory, opts Options) {
 	t.Run("MixedSizeTransactions", func(t *testing.T) { mixedSizes(t, f, opts) })
 	t.Run("AbortStorm", func(t *testing.T) { abortStorm(t, f, opts) })
 	t.Run("LifecycleAccounting", func(t *testing.T) { lifecycleAccounting(t, f, opts) })
+	t.Run("RedoLogReplay", func(t *testing.T) { redoLogReplay(t, f, opts) })
 }
 
 // newMem builds the suite's memory. The stripe count is overridable via
