@@ -55,6 +55,11 @@ type Algo struct {
 	// knob (the baseline cell of the persist ablation); PersistDefault
 	// defers to the sweep.
 	Persist tm.PersistMode
+	// MetaWords is the transactional memory, in words, the driver allocates
+	// for metadata of its own at construction, when that is more than a
+	// handful of global words (RH-TL2's stripe table). Whoever sizes the
+	// arena for a given data set adds it; zero for every other driver.
+	MetaWords int
 }
 
 // StandardAlgos returns the five systems the paper benchmarks (§3.1), in
@@ -99,7 +104,7 @@ func RHVariants() []Algo {
 		{Name: "norec-lazy", New: func(m *mem.Memory, _ *htm.Device, p tm.RetryPolicy) tm.System {
 			return norec.NewWithPolicy(m, norec.Lazy, p)
 		}},
-		{Name: "rh-tl2", New: func(m *mem.Memory, d *htm.Device, p tm.RetryPolicy) tm.System {
+		{Name: "rh-tl2", MetaWords: rhtl2.DefaultStripes, New: func(m *mem.Memory, d *htm.Device, p tm.RetryPolicy) tm.System {
 			return rhtl2.New(m, d, p, 0)
 		}},
 		{Name: "hy-norec-lazy", New: func(m *mem.Memory, d *htm.Device, p tm.RetryPolicy) tm.System {
@@ -192,34 +197,21 @@ func SerialAlgo() Algo {
 	}}
 }
 
-// AlgoByName returns the standard, ablation, policy-variant,
-// signature-variant or persist-variant algorithm with the given name, or
-// the serial oracle.
+// AllAlgos returns every algorithm AlgoByName resolves, in its lookup
+// order: the serial oracle, then the standard, ablation, policy-variant,
+// signature-variant and persist-variant sets. A name two sets share
+// (rh-norec) appears twice; the first entry is the one a lookup returns.
+func AllAlgos() []Algo {
+	all := []Algo{SerialAlgo()}
+	for _, set := range [][]Algo{StandardAlgos(), RHVariants(), PolicyVariants(), SignatureVariants(0), PersistVariants()} {
+		all = append(all, set...)
+	}
+	return all
+}
+
+// AlgoByName returns the algorithm with the given name (see AllAlgos).
 func AlgoByName(name string) (Algo, bool) {
-	if a := SerialAlgo(); a.Name == name {
-		return a, true
-	}
-	for _, a := range StandardAlgos() {
-		if a.Name == name {
-			return a, true
-		}
-	}
-	for _, a := range RHVariants() {
-		if a.Name == name {
-			return a, true
-		}
-	}
-	for _, a := range PolicyVariants() {
-		if a.Name == name {
-			return a, true
-		}
-	}
-	for _, a := range SignatureVariants(0) {
-		if a.Name == name {
-			return a, true
-		}
-	}
-	for _, a := range PersistVariants() {
+	for _, a := range AllAlgos() {
 		if a.Name == name {
 			return a, true
 		}

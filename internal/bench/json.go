@@ -62,6 +62,11 @@ type JSONTM struct {
 	HTMAborts   uint64 `json:"htm_aborts"`
 	STMRestarts uint64 `json:"stm_restarts"`
 	Fallbacks   uint64 `json:"fallbacks"`
+	// PrefixReads and SoftwareReads say where the mixed slow path's reads
+	// ran (tm.Stats): in committed HTM prefixes, or instrumented in
+	// software. Zero, and omitted, for every driver but RH NOrec.
+	PrefixReads   uint64 `json:"prefix_reads,omitempty"`
+	SoftwareReads uint64 `json:"software_reads,omitempty"`
 	// AbortRate is HTMAborts/(HTMAborts+Commits), the serve-layer
 	// definition (internal/serve metrics).
 	AbortRate float64 `json:"abort_rate"`
@@ -102,12 +107,14 @@ func tmBlock(st *tm.Stats) *JSONTM {
 		rate = float64(aborts) / float64(aborts+st.Commits)
 	}
 	return &JSONTM{
-		Commits:     st.Commits,
-		ReadOnly:    st.ReadOnlyCommits,
-		HTMAborts:   aborts,
-		STMRestarts: st.STMRestarts,
-		Fallbacks:   st.Fallbacks,
-		AbortRate:   rate,
+		Commits:       st.Commits,
+		ReadOnly:      st.ReadOnlyCommits,
+		HTMAborts:     aborts,
+		STMRestarts:   st.STMRestarts,
+		Fallbacks:     st.Fallbacks,
+		PrefixReads:   st.PrefixReads,
+		SoftwareReads: st.SoftwareReads,
+		AbortRate:     rate,
 	}
 }
 

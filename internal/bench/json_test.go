@@ -77,6 +77,36 @@ func TestJSONRecorderCarriesObsSnapshot(t *testing.T) {
 	}
 }
 
+// TestJSONRecorderCarriesSlowPathReads: where the mixed slow path's reads ran
+// rides in the tm block, is omitted for a driver that has no prefix, and
+// passes the dump's own schema either way.
+func TestJSONRecorderCarriesSlowPathReads(t *testing.T) {
+	var rec JSONRecorder
+	rh := Result{Workload: "w", Algo: "rh-norec", Threads: 1, Ops: 10, Elapsed: time.Second, Throughput: 10}
+	rh.Stats.Commits, rh.Stats.PrefixReads, rh.Stats.SoftwareReads = 10, 715, 536
+	rec.Record(rh)
+	stm := Result{Workload: "w", Algo: "norec", Threads: 1, Ops: 10, Elapsed: time.Second, Throughput: 10}
+	stm.Stats.Commits = 10
+	rec.Record(stm)
+	var buf bytes.Buffer
+	if err := rec.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidateDump(buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	var got JSONDump
+	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
+		t.Fatal(err)
+	}
+	if tmb := got.Points[0].TM; tmb == nil || tmb.PrefixReads != 715 || tmb.SoftwareReads != 536 {
+		t.Errorf("rh-norec tm block = %+v, want prefix_reads 715, software_reads 536", tmb)
+	}
+	if n := strings.Count(buf.String(), `"prefix_reads"`) + strings.Count(buf.String(), `"software_reads"`); n != 2 {
+		t.Errorf("%d slow-path read keys in the dump, want 2 (omitted when zero)", n)
+	}
+}
+
 func TestJSONRecorderEmptyIsVersionedEnvelope(t *testing.T) {
 	var rec JSONRecorder
 	var buf bytes.Buffer

@@ -1,0 +1,252 @@
+package core_test
+
+import (
+	"errors"
+	"testing"
+
+	"rhnorec/internal/core"
+	"rhnorec/internal/htm"
+	"rhnorec/internal/mem"
+	"rhnorec/internal/tm"
+)
+
+// These tests pin the prefix-length adaptation rule (adaptPrefixAfterAbort,
+// adaptPrefixAfterSuccess). Each runs one thread against a 64-line device,
+// so every abort in them is caused by the test itself, at a read it chose.
+
+const (
+	prefixTestCap = 64 // read-capacity lines of the test device
+	// A prefix subscribes to the HTM lock (one line) before its first read,
+	// so prefixTestCap-1 reads of distinct lines retire and the next one
+	// overflows.
+	prefixTestRetired = prefixTestCap - 1
+)
+
+// prefixWorld is one thread over an array of lines, on a device whose read
+// capacity the array overflows.
+type prefixWorld struct {
+	m    *mem.Memory
+	dev  *htm.Device
+	sys  *core.System
+	th   tm.Thread
+	base mem.Addr // 512 lines
+	out  mem.Addr
+}
+
+func newPrefixWorld(t *testing.T, pol tm.RetryPolicy) *prefixWorld {
+	t.Helper()
+	w := &prefixWorld{m: mem.New(1 << 16)}
+	w.dev = htm.NewDevice(w.m, htm.Config{ReadCapacityLines: prefixTestCap, WriteCapacityLines: 16, YieldPeriod: -1})
+	w.dev.SetActiveThreads(1)
+	w.sys = core.New(w.m, w.dev, pol)
+	w.th = w.sys.NewThread()
+	t.Cleanup(func() { w.th.Close() })
+	if err := w.th.Run(func(tx tm.Tx) error {
+		w.base = tx.Alloc(512 * mem.LineWords)
+		w.out = tx.Alloc(mem.LineWords)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// audit reads `reads` words, `perLine` of them from each line, and writes
+// one: with perLine 1 and more reads than the device has lines it cannot
+// commit in hardware. firstTry, when non-nil, runs after the reads of the
+// Run's first invocation of the callback.
+func (w *prefixWorld) audit(reads, perLine int, firstTry func() error) error {
+	invocation := 0
+	return w.th.Run(func(tx tm.Tx) error {
+		invocation++
+		var sum uint64
+		for i := 0; i < reads; i++ {
+			sum += tx.Load(w.base + mem.Addr(i/perLine*mem.LineWords+i%perLine))
+		}
+		if firstTry != nil && invocation == 1 {
+			if err := firstTry(); err != nil {
+				return err
+			}
+		}
+		tx.Store(w.out, sum+1)
+		return nil
+	})
+}
+
+func (w *prefixWorld) mustAudit(t *testing.T, reads, perLine int) {
+	t.Helper()
+	if err := w.audit(reads, perLine, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// prefixAborts is the number of prefixes that have died so far.
+func (w *prefixWorld) prefixAborts() uint64 {
+	s := w.th.Stats()
+	return s.PrefixAttempts - s.PrefixCommits
+}
+
+// TestPrefixBudgetConvergesInOneCapacityAbort: from the default 4 096 reads,
+// the one prefix that overflows leaves a budget just under the reads it
+// retired, and the next prefix commits at that budget — not after the three
+// halvings (4 096 → 2 048 → … ) a blind shrink would need per power of two.
+func TestPrefixBudgetConvergesInOneCapacityAbort(t *testing.T) {
+	w := newPrefixWorld(t, tm.RetryPolicy{})
+	if got := core.PrefixBudget(w.th); got != 4096 {
+		t.Fatalf("initial budget = %d, want 4096", got)
+	}
+	w.mustAudit(t, 200, 1)
+	budget := core.PrefixBudget(w.th)
+	if budget < 3*prefixTestRetired/4 || budget >= prefixTestRetired {
+		t.Fatalf("budget after one capacity abort at %d retired reads = %d, want in [%d, %d)",
+			prefixTestRetired, budget, 3*prefixTestRetired/4, prefixTestRetired)
+	}
+	if s := w.th.Stats(); s.PrefixAttempts != 1 || s.PrefixCommits != 0 || s.PrefixReads != 0 || s.SoftwareReads != 200 {
+		t.Fatalf("after the overflowing prefix: %d attempts, %d commits, %d prefix reads, %d software reads; want 1, 0, 0, 200",
+			s.PrefixAttempts, s.PrefixCommits, s.PrefixReads, s.SoftwareReads)
+	}
+	w.mustAudit(t, 200, 1)
+	s := w.th.Stats()
+	if s.PrefixAttempts != 2 || s.PrefixCommits != 1 {
+		t.Fatalf("second audit: %d prefix attempts, %d commits; want 2, 1", s.PrefixAttempts, s.PrefixCommits)
+	}
+	// The budget-th read ends the prefix and runs in software with the rest.
+	if want := uint64(budget - 1); s.PrefixReads != want || s.SoftwareReads != 200+200-want {
+		t.Errorf("second audit retired %d reads in its prefix and %d in software, want %d and %d",
+			s.PrefixReads, s.SoftwareReads-200, want, 200-want)
+	}
+	if got := core.PrefixBudget(w.th); got != budget {
+		t.Errorf("budget moved %d → %d on a committed prefix", budget, got)
+	}
+}
+
+// TestPrefixBudgetHoldsOnStableOverCapacityLoad: identical over-capacity
+// transactions must not sawtooth into a banned prefix every few commits
+// (halve/double did: about one dead prefix in five).
+func TestPrefixBudgetHoldsOnStableOverCapacityLoad(t *testing.T) {
+	w := newPrefixWorld(t, tm.RetryPolicy{})
+	for i := 0; i < 200; i++ {
+		w.mustAudit(t, 200, 1)
+	}
+	if got := w.prefixAborts(); got > 5 {
+		t.Errorf("%d of 200 prefixes died, want at most 5", got)
+	}
+	s := w.th.Stats()
+	if s.SlowPathCommits != 200 || s.SlowPathRestarts != w.prefixAborts() {
+		t.Errorf("%d slow-path commits, %d restarts, %d dead prefixes: every restart should be a dead prefix",
+			s.SlowPathCommits, s.SlowPathRestarts, w.prefixAborts())
+	}
+}
+
+// abortHook runs fn as a hardware transaction dies, before the panic
+// unwinds — here, to release what the test locked to kill it.
+type abortHook struct{ fn func() }
+
+func (h abortHook) Yield(op htm.HookOp, _ mem.Addr, _ uint64) htm.Directive {
+	if op == htm.HookAbort {
+		h.fn()
+	}
+	return htm.DirNone
+}
+
+// TestPrefixBudgetMovesOnlyWhenLengthWasTheCause: every row first lets one
+// capacity abort settle the budget, then kills the prefix of a transaction
+// that fits it a different way. The fast path is off, so the first
+// invocation of a callback is the prefix attempt.
+func TestPrefixBudgetMovesOnlyWhenLengthWasTheCause(t *testing.T) {
+	errUser := errors.New("user abort")
+	cases := []struct {
+		name string
+		// kill ends the prefix attempt; it runs after the attempt's reads.
+		kill    func(w *prefixWorld) error
+		halves  bool // the budget halves; otherwise it must not move
+		wantErr error
+	}{
+		{
+			name: "explicit clock-locked abort",
+			kill: func(w *prefixWorld) error {
+				// Lock the clock under the prefix, so its commit point finds
+				// it taken; release it as the prefix dies, before the
+				// software retry would wait on it.
+				clock := core.ClockAddr(w.sys)
+				v := w.m.LoadPlain(clock)
+				w.m.StorePlain(clock, v|1)
+				w.dev.SetHook(abortHook{func() { w.m.StorePlain(clock, v) }})
+				return nil
+			},
+		},
+		{
+			name: "Restart raised inside the prefix",
+			kill: func(*prefixWorld) error { tm.Restart(); return nil },
+		},
+		{
+			name:    "user error inside the prefix",
+			kill:    func(*prefixWorld) error { return errUser },
+			wantErr: errUser,
+		},
+		{
+			name: "conflict abort",
+			kill: func(w *prefixWorld) error {
+				// A foreign store to a word the prefix has read.
+				w.m.StorePlain(w.base, w.m.LoadPlain(w.base)+1)
+				return nil
+			},
+			halves: true,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newPrefixWorld(t, tm.RetryPolicy{DisableFast: true})
+			w.mustAudit(t, 200, 1)
+			settled := core.PrefixBudget(w.th)
+			aborts := w.prefixAborts()
+			err := w.audit(40, 1, func() error { return tc.kill(w) })
+			w.dev.SetHook(nil)
+			if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("err = %v, want %v", err, tc.wantErr)
+			}
+			if got := w.prefixAborts(); got != aborts+1 {
+				t.Fatalf("%d prefixes died in the killed transaction, want 1", got-aborts)
+			}
+			want := settled
+			if tc.halves {
+				want = settled / 2
+			}
+			if got := core.PrefixBudget(w.th); got != want {
+				t.Errorf("budget %d → %d, want %d", settled, got, want)
+			}
+		})
+	}
+}
+
+// TestPrefixBudgetClimbsBackAfterPhaseChange: once transactions stop
+// overflowing the hardware (the same number of reads over an eighth of the
+// lines), the budget a capacity abort cut returns to InitialPrefixLength.
+// Past an observed capacity point each step of a sixteenth waits for 64
+// committed prefixes and 55 → 256 is 24 steps, so 1 600 commits bound it.
+func TestPrefixBudgetClimbsBackAfterPhaseChange(t *testing.T) {
+	const initial, bound = 256, 1600
+	w := newPrefixWorld(t, tm.RetryPolicy{InitialPrefixLength: initial, DisableFast: true})
+	w.mustAudit(t, 300, 1)
+	last := core.PrefixBudget(w.th)
+	if last >= prefixTestRetired {
+		t.Fatalf("budget after the capacity abort = %d, want under %d", last, prefixTestRetired)
+	}
+	aborts := w.prefixAborts()
+	commits := 0
+	for ; core.PrefixBudget(w.th) < initial && commits < bound; commits++ {
+		w.mustAudit(t, 300, 8) // 38 lines: fits, but longer than the budget
+		if got := core.PrefixBudget(w.th); got < last {
+			t.Fatalf("budget fell %d → %d with no abort", last, got)
+		} else {
+			last = got
+		}
+	}
+	if got := core.PrefixBudget(w.th); got != initial {
+		t.Errorf("budget = %d after %d in-capacity commits, want %d within %d", got, commits, initial, bound)
+	}
+	if got := w.prefixAborts(); got != aborts {
+		t.Errorf("%d prefixes died while climbing back", got-aborts)
+	}
+	t.Logf("back at %d after %d commits", initial, commits)
+}

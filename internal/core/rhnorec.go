@@ -8,7 +8,9 @@
 //     speculatively, deferring the read of the global clock to the prefix's
 //     commit point. This shrinks the window in which a concurrent writer
 //     commit forces a slow-path restart. Its length adapts to the hardware
-//     abort feedback at runtime.
+//     abort feedback at runtime, by cause: a capacity abort sets the next
+//     budget just under the reads the dead prefix counted, a conflict
+//     halves it, an explicit abort leaves it alone (adaptPrefixAfterAbort).
 //   - The HTM postfix encapsulates all of the slow path's writes in one
 //     hardware transaction, so concurrent fast paths can never observe a
 //     partial slow-path write set — which is what lets the fast path read
@@ -173,9 +175,13 @@ type thread struct {
 	groupBuf tm.WriteSet
 
 	// Prefix-length adaptation (§2.4): expectedLen is the reads budget the
-	// next prefix will attempt; it halves on prefix aborts and grows again
-	// after sustained success.
+	// next prefix will attempt, resized by what kills a prefix
+	// (adaptPrefixAfterAbort) and grown back a sixteenth at a time by
+	// prefixes it cut short (adaptPrefixAfterSuccess). capacityPoint is the
+	// budget the last capacity abort left (0 before the first): growing to
+	// it takes short streaks, probing past it a long one.
 	expectedLen   int
+	capacityPoint int
 	prefixReads   int
 	maxReads      int
 	prefixStreak  int
@@ -288,41 +294,86 @@ func (t *thread) commitPrefix() {
 		t.htx.Abort(abortClockLocked)
 	}
 	t.htx.Commit() // may abort: the whole attempt restarts
-	t.prefixActive = false
 	t.prefixCommitted = true
 	t.fallbackRegistered = true
 	t.txv = v
-	t.base.St.PrefixCommits++
-	t.base.St.Obs.RecordSince(obs.PhasePrefix, t.prefixStart)
+	t.prefixDone()
+}
+
+// prefixDone accounts a prefix that has just committed and lets its budget
+// grow.
+func (t *thread) prefixDone() {
+	t.prefixActive = false
+	st := &t.base.St
+	st.PrefixCommits++
+	st.PrefixReads += uint64(t.prefixReads)
+	if t.prefixLimited {
+		st.PrefixReads-- // the read that met the budget runs in software
+	}
+	st.Obs.RecordSince(obs.PhasePrefix, t.prefixStart)
 	t.adaptPrefixAfterSuccess()
 }
 
-// adaptPrefixAfterSuccess grows the prefix budget again after sustained
-// successful prefixes that were cut short by the budget (§2.4).
+// Streaks of committed prefixes the budget waits for before it grows one
+// step: prefixGrowStreak while it is below anything the hardware has
+// refused, prefixProbeStreak to probe past the last observed capacity point
+// — long, because that probe's failure costs a whole transaction's reads in
+// software (§3.4 bans the prefix for the rest of the Run), and a stable
+// over-capacity workload would otherwise pay it every few transactions.
+const (
+	prefixGrowStreak  = 4
+	prefixProbeStreak = 64
+)
+
+// adaptPrefixAfterSuccess grows the prefix budget after sustained
+// successful prefixes that were cut short by it (§2.4). Growth is a
+// sixteenth of the budget per step, so it approaches a capacity point it
+// has not seen yet instead of doubling past it.
 func (t *thread) adaptPrefixAfterSuccess() {
-	if t.sys.policy.DisablePrefixAdaptation {
+	p := &t.sys.policy
+	if p.DisablePrefixAdaptation {
 		return
 	}
 	t.prefixStreak++
-	if t.prefixLimited && t.prefixStreak >= 4 && t.expectedLen < t.sys.policy.InitialPrefixLength {
-		t.expectedLen *= 2
-		if t.expectedLen > t.sys.policy.InitialPrefixLength {
-			t.expectedLen = t.sys.policy.InitialPrefixLength
-		}
-		t.prefixStreak = 0
-	}
-}
-
-// adaptPrefixAfterAbort shrinks the prefix budget after a hardware failure
-// (§2.4: reduce the length until it commits with high probability).
-func (t *thread) adaptPrefixAfterAbort() {
-	t.prefixStreak = 0
-	if t.sys.policy.DisablePrefixAdaptation {
+	if !t.prefixLimited || t.expectedLen >= p.InitialPrefixLength {
 		return
 	}
-	t.expectedLen /= 2
-	if t.expectedLen < t.sys.policy.MinPrefixLength {
-		t.expectedLen = t.sys.policy.MinPrefixLength
+	need := prefixGrowStreak
+	if t.capacityPoint != 0 && t.expectedLen >= t.capacityPoint {
+		need = prefixProbeStreak
+	}
+	if t.prefixStreak < need {
+		return
+	}
+	t.prefixStreak = 0
+	t.expectedLen = min(t.expectedLen+t.expectedLen/16+1, p.InitialPrefixLength)
+}
+
+// adaptPrefixAfterAbort resizes the prefix budget after a prefix died of
+// verdict (§2.4: reduce the length until it commits with high probability),
+// by what the death says about length:
+//
+//   - Capacity: the prefix counted the reads that fit (prefixReads, the
+//     overflowing one included), so the next budget goes an eighth under
+//     that count. This is strictly below the old budget — prefixReads never
+//     exceeds it — also when the overflow came from the up to two lines
+//     commitPrefix itself loads (Fallbacks, Clock), which the eighth leaves
+//     room for.
+//   - Conflict, spurious: the longer the prefix, the wider the window and
+//     the more operations to hit; halve, as the paper does.
+//   - Explicit (HTM lock or clock found taken), a Restart raised by the
+//     callback, a user error (nil): length was not the cause; no change.
+func (t *thread) adaptPrefixAfterAbort(verdict *htm.Abort) {
+	p := &t.sys.policy
+	if p.DisablePrefixAdaptation || verdict == nil || tm.IsRestartVerdict(verdict) || verdict.Code == htm.Explicit {
+		return
+	}
+	t.prefixStreak = 0
+	if verdict.Code == htm.Capacity {
+		t.expectedLen = max(t.prefixReads-t.prefixReads/8-1, p.MinPrefixLength)
+		t.capacityPoint = t.expectedLen
+	} else {
+		t.expectedLen = max(t.expectedLen/2, p.MinPrefixLength)
 	}
 }
 
@@ -372,10 +423,7 @@ func (t *thread) CommitSlow() {
 		// The entire transaction fit in the HTM prefix: commit it. No
 		// fallback was ever registered, no clock activity needed.
 		t.htx.Commit()
-		t.prefixActive = false
-		t.base.St.PrefixCommits++
-		t.base.St.Obs.RecordSince(obs.PhasePrefix, t.prefixStart)
-		t.adaptPrefixAfterSuccess()
+		t.prefixDone()
 		return
 	}
 	if !t.writeDetected {
@@ -584,8 +632,9 @@ func (t *thread) tryEnqueue() bool {
 // AbortSlow releases every lock after a restart, hardware abort, or user
 // abort; the skeleton has already rolled the eager writes back. A prefix or
 // postfix that aborted has already discarded its buffer; one that is still
-// live is cancelled here.
-func (t *thread) AbortSlow() {
+// live is cancelled here. verdict, what killed the attempt, steers the
+// prefix-length adaptation.
+func (t *thread) AbortSlow(verdict *htm.Abort) {
 	if t.htx.Active() {
 		t.htx.Cancel()
 	}
@@ -599,11 +648,11 @@ func (t *thread) AbortSlow() {
 	}
 	t.combineMode = false
 	if t.prefixActive {
-		// A failed prefix: ban it for this transaction and shrink the
+		// A failed prefix: ban it for this transaction and resize the
 		// budget (§3.4 single-try policy + §2.4 adaptation).
 		t.prefixActive = false
 		t.prefixBanned = true
-		t.adaptPrefixAfterAbort()
+		t.adaptPrefixAfterAbort(verdict)
 	}
 	if t.postfixActive {
 		// A failed postfix: revert to the Hybrid NOrec software writes on
@@ -656,6 +705,7 @@ func (v mixedTx) Load(a mem.Addr) uint64 {
 		return t.htx.Load(a)
 	}
 	t.base.InstrumentedAccess()
+	t.base.St.SoftwareReads++
 	m := t.base.M
 	if t.combineMode {
 		if val, ok := t.base.Log.Lookup(a); ok {

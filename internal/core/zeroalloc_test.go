@@ -6,6 +6,7 @@ import (
 	"rhnorec/internal/core"
 	"rhnorec/internal/htm"
 	"rhnorec/internal/mem"
+	"rhnorec/internal/rbtree"
 	"rhnorec/internal/tm"
 )
 
@@ -176,4 +177,58 @@ func BenchmarkTxnCombineSlowPath(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkTxnAuditOverCapacity: the transaction the benchmark's
+// tm-capacity-mix workload spends its time in — a Range over 600 keys of a
+// 10 000-node red-black tree (~1 250 loads, over the 256-line read capacity)
+// that Puts what it summed into one of four summary keys — so it dies in
+// hardware and commits on the mixed slow path. soft-reads/op and
+// prefix-reads/op say where its reads ran (tm.Stats.SoftwareReads and
+// PrefixReads): the prefix-length adaptation's whole job is to move reads
+// from the first to the second. Single-threaded, so both are exact counts.
+// 0 allocs/op.
+func BenchmarkTxnAuditOverCapacity(b *testing.B) {
+	const keyRange, span, summaries = 20000, 600, 4
+	m := mem.New(1 << 20)
+	dev := htm.NewDevice(m, htm.Config{ReadCapacityLines: 256, WriteCapacityLines: 64, YieldPeriod: -1})
+	dev.SetActiveThreads(1)
+	th := core.New(m, dev, tm.RetryPolicy{}).NewThread()
+	b.Cleanup(func() { th.Close() })
+	var tree rbtree.Tree
+	run := func(fn func(tm.Tx) error) {
+		if err := th.Run(fn); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run(func(tx tm.Tx) error { tree = rbtree.New(tx); return nil })
+	// Every other key, inserted in a scattered order (a full-period walk of
+	// the even keys) so neighbouring keys do not share cache lines.
+	for i, k := 0, uint64(0); i < keyRange/2; i, k = i+1, (k+7919*2)%keyRange {
+		run(func(tx tm.Tx) error { tree.Put(tx, k, k); return nil })
+	}
+	var lo, sum uint64
+	visit := func(_, v uint64) bool { sum += v; return true }
+	audit := func(tx tm.Tx) error {
+		sum = 0
+		tree.Range(tx, lo, lo+span, visit)
+		tree.Put(tx, keyRange+lo%summaries, sum)
+		return nil
+	}
+	next := func() { lo = (lo + 7919) % (keyRange - span) }
+	for i := 0; i < 16; i++ { // reach steady state: the budget settles, the summaries exist
+		run(audit)
+		next()
+	}
+	before := *th.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(audit)
+		next()
+	}
+	b.StopTimer()
+	after := th.Stats()
+	b.ReportMetric(float64(after.SoftwareReads-before.SoftwareReads)/float64(b.N), "soft-reads/op")
+	b.ReportMetric(float64(after.PrefixReads-before.PrefixReads)/float64(b.N), "prefix-reads/op")
 }

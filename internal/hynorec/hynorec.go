@@ -258,7 +258,7 @@ func (t *thread) validate() uint64 {
 // rolled back. Only user errors or application panics can abort after the
 // first write (the clock lock makes validation failures impossible), so no
 // concurrent transaction can have observed the undone values.
-func (t *thread) AbortSlow() {
+func (t *thread) AbortSlow(*htm.Abort) {
 	m := t.base.M
 	if t.drainMask != 0 {
 		// A drain claimed ring entries but the publish never became visible:

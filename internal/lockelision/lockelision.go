@@ -122,7 +122,7 @@ func (t *thread) CommitSlow() { t.base.Log.Seal() }
 
 // AbortSlow has nothing of its own to drop: the skeleton undoes the
 // in-place writes.
-func (t *thread) AbortSlow() {}
+func (t *thread) AbortSlow(*htm.Abort) {}
 
 // EndSlow releases the global lock.
 func (t *thread) EndSlow() { t.base.M.StorePlain(t.sys.gLock, 0) }

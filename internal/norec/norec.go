@@ -17,6 +17,7 @@ package norec
 import (
 	"runtime"
 
+	"rhnorec/internal/htm"
 	"rhnorec/internal/mem"
 	"rhnorec/internal/tm"
 )
@@ -149,7 +150,7 @@ func (t *thread) EndSlow() {}
 // AbortSlow releases the clock lock if the eager variant aborted
 // mid-write-phase (only possible via user error or an application panic;
 // clock validation cannot fail while the lock is held).
-func (t *thread) AbortSlow() {
+func (t *thread) AbortSlow(*htm.Abort) {
 	if t.drainMask != 0 {
 		// A drain claimed ring entries but the publish never became visible:
 		// resolve them rejected so their owners can restart.

@@ -170,7 +170,7 @@ func (t *thread) CommitSlow() {
 }
 
 // AbortSlow releases the clock unadvanced over the rolled-back memory.
-func (t *thread) AbortSlow() {
+func (t *thread) AbortSlow(*htm.Abort) {
 	if t.writeDetected {
 		t.base.M.StorePlain(t.sys.gClock, t.txv&^1)
 		t.writeDetected = false

@@ -187,7 +187,7 @@ func (t *thread) BeginSlow(try int) (tm.Tx, bool) {
 
 // AbortSlow has only buffered state to drop; stripe locks taken by a
 // failing softwareCommit are released there, before it restarts.
-func (t *thread) AbortSlow() {}
+func (t *thread) AbortSlow(*htm.Abort) {}
 
 func (t *thread) EndSlow() {}
 

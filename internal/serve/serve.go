@@ -317,8 +317,9 @@ func New(cfg Config) (*Server, error) {
 	// 50%) can never exhaust it, plus fixed slack for the reserved nil line
 	// and the allocator's refill batching (a small-class refill carves up
 	// to 64 blocks at once — the TM system's global words must not starve
-	// the key arena).
-	words := 2*(cfg.Keys+1)*mem.LineWords + 8192
+	// the key arena). A driver that keeps a metadata table of its own in
+	// the arena (rh-tl2's stripes) gets room for it under the same doubling.
+	words := 2*(cfg.Keys+1)*mem.LineWords + 8192 + 2*algo.MetaWords
 	stripes := cfg.Stripes
 	if stripes <= 0 {
 		stripes = mem.DefaultStripes

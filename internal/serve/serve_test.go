@@ -443,3 +443,34 @@ func TestFusedBatchRingEvents(t *testing.T) {
 		t.Fatalf("fuse event batch size = %d, want >= 2", fuse.Retry)
 	}
 }
+
+// TestNewBootsEveryAlgoAtTinyKeys: the arena is sized from the key count
+// plus whatever metadata table the selected driver keeps in it, so every
+// registered algorithm boots — and serves — at a key space far smaller than
+// rh-tl2's 16 Ki-word stripe table (which used to exhaust the arena in New).
+func TestNewBootsEveryAlgoAtTinyKeys(t *testing.T) {
+	seen := map[string]bool{}
+	for _, algo := range bench.AllAlgos() {
+		if seen[algo.Name] {
+			continue
+		}
+		seen[algo.Name] = true
+		t.Run(algo.Name, func(t *testing.T) {
+			s, err := serve.New(serve.Config{Algo: algo.Name, Keys: 64, Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if _, err := s.Do("c", serve.EpPut, []serve.Op{{Kind: serve.OpPut, Key: 63, Val: 7}}); err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.Do("c", serve.EpGet, []serve.Op{{Kind: serve.OpGet, Key: 63}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res) != 1 || res[0].Val != 7 {
+				t.Fatalf("GET after PUT 7 = %+v", res)
+			}
+		})
+	}
+}

@@ -16,6 +16,7 @@ import (
 	"runtime"
 	"sync/atomic"
 
+	"rhnorec/internal/htm"
 	"rhnorec/internal/mem"
 	"rhnorec/internal/tm"
 )
@@ -129,7 +130,7 @@ func (t *thread) EndSlow() {}
 
 // AbortSlow releases the stripe locks over the rolled-back memory,
 // restoring their pre-lock versions.
-func (t *thread) AbortSlow() {
+func (t *thread) AbortSlow(*htm.Abort) {
 	for idx, old := range t.owned {
 		t.sys.stripes[idx].Store(old)
 	}

@@ -43,7 +43,11 @@ type Software interface {
 	// speculation, release the attempt's locks. The skeleton has already
 	// rolled the write log back, so memory holds the attempt's pre-image
 	// when the locks drop; the allocation log is the skeleton's too.
-	AbortSlow()
+	// verdict says what killed the attempt: the hardware abort itself, the
+	// restart verdict (IsRestartVerdict) for a Restart, nil for a user
+	// error or a foreign panic — so a driver that adapts to abort causes
+	// (RH NOrec's prefix length) need not re-read device state.
+	AbortSlow(verdict *htm.Abort)
 	// EndSlow runs once as the Run leaves the software path, however it
 	// leaves: drop what BeginSlow registered for the whole Run.
 	EndSlow()
@@ -122,6 +126,10 @@ func (b *ThreadBase) SpinOutLock(prev *htm.Abort, htmLock, clock mem.Addr) {
 // shared and never written.
 var restartAbort = &htm.Abort{Code: htm.Conflict}
 
+// IsRestartVerdict reports whether the verdict handed to AbortSlow stands
+// for a software Restart rather than a hardware abort.
+func IsRestartVerdict(ab *htm.Abort) bool { return ab == restartAbort }
+
 // Run executes fn as one transaction, to commit or to the error fn returns;
 // every driver's Run and RunReadOnly are this call.
 func (b *ThreadBase) Run(fn func(Tx) error, readOnly bool) error {
@@ -188,13 +196,14 @@ func (b *ThreadBase) callUser(fn func(Tx) error, view Tx) error {
 
 // discard drops the attempt in flight on the given path: eager software
 // stores first (the driver's locks still hide them), then the driver's
-// half, then the allocation log.
-func (b *ThreadBase) discard(fast bool) {
+// half, then the allocation log. verdict is what killed the attempt, nil
+// for a user error or a foreign panic.
+func (b *ThreadBase) discard(fast bool, verdict *htm.Abort) {
 	if fast {
 		b.hw.AbortFast()
 	} else {
 		b.Log.Rollback()
-		b.sw.AbortSlow()
+		b.sw.AbortSlow(verdict)
 	}
 	b.AbortCleanup()
 }
@@ -209,19 +218,21 @@ func (b *ThreadBase) committed(path *uint64) {
 	}
 }
 
-// failed turns the panic that ended an attempt into its verdict, once the
-// attempt is discarded: the hardware abort itself, or restartAbort for a
-// Restart. Any other panic is the application's and is re-raised.
+// failed turns the panic that ended an attempt into its verdict — the
+// hardware abort itself, or restartAbort for a Restart — and discards the
+// attempt under it. Any other panic is the application's and is re-raised
+// once the attempt is gone.
 func (b *ThreadBase) failed(r any, fast bool) *htm.Abort {
 	b.inTxn, b.curTx = false, nil
-	b.discard(fast)
-	if ab, ok := htm.AsAbort(r); ok {
-		return ab
+	ab, _ := htm.AsAbort(r)
+	if ab == nil && IsRestart(r) {
+		ab = restartAbort
 	}
-	if IsRestart(r) {
-		return restartAbort
+	b.discard(fast, ab)
+	if ab == nil {
+		panic(r)
 	}
-	panic(r)
+	return ab
 }
 
 // fastAttempt is one hardware try: (err, nil) when it finished — committed,
@@ -234,7 +245,7 @@ func (b *ThreadBase) fastAttempt(fn func(Tx) error) (err error, ab *htm.Abort) {
 	}()
 	view := b.hw.BeginFast()
 	if uerr := b.callUser(fn, view); uerr != nil {
-		b.discard(true)
+		b.discard(true, nil)
 		b.St.UserAborts++
 		return uerr, nil
 	}
@@ -313,7 +324,7 @@ func (b *ThreadBase) slowAttempt(fn func(Tx) error, try int) (err error, restart
 		serialStart = o.Start() // the wait for the driver's lock is not time under it
 	}
 	if uerr := b.callUser(fn, view); uerr != nil {
-		b.discard(false)
+		b.discard(false, nil)
 		b.St.UserAborts++
 		if serial {
 			o.RecordSince(obs.PhaseSerial, serialStart)

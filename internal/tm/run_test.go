@@ -79,8 +79,19 @@ func (f *fakeDriver) BeginSlow(try int) (Tx, bool) {
 	return fakeTx{}, f.global
 }
 func (f *fakeDriver) CommitSlow() { f.logf("commitS") }
-func (f *fakeDriver) AbortSlow()  { f.logf("abortS") }
-func (f *fakeDriver) EndSlow()    { f.logf("endS") }
+
+// AbortSlow logs the verdict the skeleton classified the dead attempt as.
+func (f *fakeDriver) AbortSlow(verdict *htm.Abort) {
+	switch {
+	case verdict == nil:
+		f.logf("abortS(nil)")
+	case IsRestartVerdict(verdict):
+		f.logf("abortS(restart)")
+	default:
+		f.logf("abortS(%v)", verdict.Code)
+	}
+}
+func (f *fakeDriver) EndSlow() { f.logf("endS") }
 
 func (f *fakeDriver) body(tx Tx) error {
 	script := &f.slow
@@ -169,21 +180,28 @@ func TestSkeleton(t *testing.T) {
 		{
 			name: "restarts escalate to the serial lock", policy: RetryPolicy{DisableFast: true, MaxSlowPathRestarts: 2},
 			slow: []step{restarts, conflict, restarts, commits}, divertAt: -1,
-			wantLog: "beginS1 abortS beginS2 abortS beginS3+serial abortS beginS4+serial commitS endS",
+			wantLog: "beginS1 abortS(restart) beginS2 abortS(conflict) beginS3+serial abortS(restart) beginS4+serial commitS endS",
 			want: Stats{Commits: 1, SlowPathCommits: 1, Fallbacks: 1, HTMConflictAborts: 1,
 				SlowPathStarts: 4, SlowPathRestarts: 3},
 		},
 		{
+			name: "a hardware death on the software path reaches AbortSlow as its own verdict", policy: RetryPolicy{DisableFast: true},
+			slow: []step{capacity, commits}, divertAt: -1,
+			wantLog: "beginS1 abortS(capacity) beginS2 commitS endS",
+			want: Stats{Commits: 1, SlowPathCommits: 1, Fallbacks: 1, HTMCapacityAborts: 1,
+				SlowPathStarts: 2, SlowPathRestarts: 1},
+		},
+		{
 			name: "serial lock released on user error", policy: RetryPolicy{DisableFast: true, MaxSlowPathRestarts: 1},
 			slow: []step{restarts, userErr}, divertAt: -1,
-			wantLog: "beginS1 abortS beginS2+serial abortS endS",
+			wantLog: "beginS1 abortS(restart) beginS2+serial abortS(nil) endS",
 			want:    Stats{UserAborts: 1, Fallbacks: 1, SlowPathStarts: 2, SlowPathRestarts: 1},
 			wantErr: errScripted,
 		},
 		{
 			name: "serial lock released on foreign panic", policy: RetryPolicy{DisableFast: true, MaxSlowPathRestarts: 1},
 			slow: []step{restarts, booms}, divertAt: -1,
-			wantLog:   "beginS1 abortS beginS2+serial abortS endS",
+			wantLog:   "beginS1 abortS(restart) beginS2+serial abortS(nil) endS",
 			want:      Stats{Fallbacks: 1, SlowPathStarts: 2, SlowPathRestarts: 1},
 			wantPanic: true,
 		},
@@ -201,7 +219,7 @@ func TestSkeleton(t *testing.T) {
 		{
 			name: "pure-software driver restarts without a fast phase", software: true,
 			slow: []step{restarts, restarts, commits}, divertAt: -1,
-			wantLog: "beginS1 abortS beginS2 abortS beginS3 commitS endS",
+			wantLog: "beginS1 abortS(restart) beginS2 abortS(restart) beginS3 commitS endS",
 			want:    Stats{Commits: 1, SlowPathCommits: 1, STMRestarts: 2},
 		},
 		{

@@ -54,6 +54,13 @@ type Stats struct {
 	PrefixCommits   uint64
 	PostfixAttempts uint64
 	PostfixCommits  uint64
+	// Where the mixed slow path's reads ran: PrefixReads counts loads
+	// retired inside prefixes that committed (uninstrumented hardware
+	// reads), SoftwareReads the instrumented, clock-validated software
+	// loads — attempts that later restarted included, so it prices the
+	// work the path did, not only the work that committed.
+	PrefixReads   uint64
+	SoftwareReads uint64
 
 	// STM-only counters: restarts of pure-software (NOrec/TL2) attempts
 	// (the software baselines of §3.1).

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"rhnorec/internal/htm"
 	"rhnorec/internal/mem"
 )
 
@@ -197,9 +198,9 @@ func (d *logDriver) BeginSlow(try int) (Tx, bool) {
 	d.b.Log.Buffer(d.cell+1, uint64(try))
 	return fakeTx{}, false
 }
-func (d *logDriver) CommitSlow() { d.b.Log.Seal() }
-func (d *logDriver) AbortSlow()  { d.atAbort = append(d.atAbort, d.b.M.LoadPlain(d.cell)) }
-func (d *logDriver) EndSlow()    {}
+func (d *logDriver) CommitSlow()          { d.b.Log.Seal() }
+func (d *logDriver) AbortSlow(*htm.Abort) { d.atAbort = append(d.atAbort, d.b.M.LoadPlain(d.cell)) }
+func (d *logDriver) EndSlow()             {}
 
 // TestSkeletonOwnsTheWriteLog: every software try starts on an empty log,
 // and a dead try's eager stores are already undone when the driver's
