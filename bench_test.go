@@ -222,16 +222,6 @@ func BenchmarkStructures(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationConflictBackoff contrasts the paper's no-backoff retry
-// policy with exponential backoff between conflict retries (contention
-// management the paper's static policy omits).
-func BenchmarkAblationConflictBackoff(b *testing.B) {
-	w := bench.RBTree(bench.RBTreeConfig{Size: 10000, MutationRatio: 0.40})
-	b.Run("none", func(b *testing.B) { runWorkload(b, w, rhAlgo(b), tm.RetryPolicy{}) })
-	b.Run("base-4", func(b *testing.B) { runWorkload(b, w, rhAlgo(b), tm.RetryPolicy{ConflictBackoff: 4}) })
-	b.Run("base-32", func(b *testing.B) { runWorkload(b, w, rhAlgo(b), tm.RetryPolicy{ConflictBackoff: 32}) })
-}
-
 // BenchmarkBackgroundPhasedTM contrasts the hybrids with the PhasedTM
 // approach of §1.1: with any steady trickle of fallbacks, every transaction
 // pays for the software phases.
@@ -242,14 +232,6 @@ func BenchmarkBackgroundPhasedTM(b *testing.B) {
 	}
 	b.Run("rh-norec", func(b *testing.B) { runWorkload(b, ablationWorkload, rhAlgo(b), tm.RetryPolicy{}) })
 	b.Run("phased-tm", func(b *testing.B) { runWorkload(b, ablationWorkload, phased, tm.RetryPolicy{}) })
-}
-
-// BenchmarkAblationAdaptiveRetry contrasts the paper's static retry policy
-// with the dynamic-adaptive one it names as future work (§3.3).
-func BenchmarkAblationAdaptiveRetry(b *testing.B) {
-	w := bench.RBTree(bench.RBTreeConfig{Size: 10000, MutationRatio: 0.40})
-	b.Run("static", func(b *testing.B) { runWorkload(b, w, rhAlgo(b), tm.RetryPolicy{}) })
-	b.Run("adaptive", func(b *testing.B) { runWorkload(b, w, rhAlgo(b), tm.RetryPolicy{Adaptive: true}) })
 }
 
 // BenchmarkPredecessorRHTL2 contrasts RH NOrec with its predecessor RH-TL2

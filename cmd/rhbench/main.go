@@ -10,8 +10,7 @@
 //	rhbench -experiment structures      # rbtree vs skiplist vs sortedlist
 //	rhbench -experiment ablation        # RH NOrec design-choice ablations
 //	rhbench -experiment disjoint        # per-thread private lines (striping scaling)
-//	rhbench -experiment contention      # hotspot vs disjoint under policy variants
-//	rhbench -experiment signature       # sig-filter / group-commit ablation grid
+//	rhbench -experiment combine         # slow-path group-commit ablation
 //	rhbench -experiment persist         # durability overhead: off vs group fsync vs fsync-per-commit
 //	rhbench -experiment scenarios       # conformance-registry scenarios, invariant-checked
 //	rhbench -experiment all             # fig4+fig5+fig6+extra
@@ -21,24 +20,18 @@
 //
 // Useful knobs: -duration per point, -repeat N (median of N runs),
 // -threads CSV sweep, -algos CSV subset, -stripes N memory seqlock stripe
-// count (1 reproduces the pre-striping single-clock substrate), -sigbits N
-// write-signature bloom width (0 = off), -combine slow-path group commit,
-// -spurious
-// environmental-abort probability, -falseconf bloom false-conflict
-// probability, -swcost instrumentation-cost units, -tsv machine-readable
-// rows, -json FILE machine-readable point dump (ops/sec per system per
-// thread count).
-//
-// Contention management (docs/POLICY.md): -policy static|backoff|adaptive
-// selects the retry-policy kind (default: static, overridable via the
-// RHNOREC_POLICY environment variable), -retries the fast-path retry
-// budget, -backoff the base backoff bound in scheduler yields.
+// count (1 reproduces the pre-striping single-clock substrate), -combine
+// slow-path group commit, -retries the fast-path retry budget of the
+// paper's static policy, -spurious environmental-abort probability,
+// -falseconf bloom false-conflict probability, -swcost instrumentation-cost
+// units, -tsv machine-readable rows, -json FILE machine-readable point dump
+// (ops/sec per system per thread count).
 //
 // Durability (docs/PERSIST.md): -persist group|sync arms the redo-log
 // persistence plane on every point — each point logs its commits to a
-// throwaway directory and durable-acks every operation (default: off, or
-// RHNOREC_PERSIST). The persist experiment ignores the flag and sweeps the
-// three modes side by side; CI gates it against the BENCH_7.json baseline.
+// throwaway directory and durable-acks every operation (default: off). The
+// persist experiment ignores the flag and sweeps the three modes side by
+// side; CI gates it against the BENCH_7.json baseline.
 //
 // CI perf gate: -compare BASELINE.json re-checks this run's points against
 // a baseline dump and exits non-zero when any point is missing or fell
@@ -68,17 +61,17 @@ import (
 	"rhnorec/internal/bench"
 	"rhnorec/internal/htm"
 	"rhnorec/internal/obs"
+	"rhnorec/internal/persist"
 	"rhnorec/internal/tm"
 )
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "list", "fig4 | fig5 | fig6 | extra | structures | ablation | disjoint | contention | signature | persist | scenarios | all | list (comma-separated ok)")
+		experiment = flag.String("experiment", "list", "fig4 | fig5 | fig6 | extra | structures | ablation | disjoint | combine | persist | scenarios | all | list (comma-separated ok)")
 		duration   = flag.Duration("duration", 150*time.Millisecond, "measurement time per benchmark point")
 		threadsCSV = flag.String("threads", "1,2,4,8,12,16", "thread counts to sweep")
 		algosCSV   = flag.String("algos", "", "comma-separated algorithm subset (default: the paper's five)")
 		stripes    = flag.Int("stripes", 0, "memory seqlock stripe count (0 = default; 1 reproduces the single-clock substrate)")
-		sigBits    = flag.Int("sigbits", 0, "write-signature bloom width in bits (0 = off; clamped to a power of two in [64,256]); lets validators skip provably-disjoint value sweeps")
 		combine    = flag.Bool("combine", false, "enable slow-path group commit (flat combining) on the algorithms that support it")
 		spurious   = flag.Float64("spurious", 0.002, "per-operation spurious (environmental) HTM abort probability")
 		falseConf  = flag.Float64("falseconf", 0, "bloom-filter false-conflict probability per revalidation (hardware model ablation)")
@@ -91,10 +84,8 @@ func main() {
 		ringSize   = flag.Int("ringsize", 2048, "events held per thread ring for -trace")
 		verbose    = flag.Bool("v", false, "print each point as it completes")
 
-		policyName  = flag.String("policy", "", "contention policy kind: static | backoff | adaptive (default: static, or $RHNOREC_POLICY)")
-		persistName = flag.String("persist", "", "durability mode for every point: group | sync | off (default: off, or $RHNOREC_PERSIST); armed points redo-log commits and durable-ack each op")
+		persistName = flag.String("persist", "off", "durability mode for every point: group | sync | off; armed points redo-log commits and durable-ack each op")
 		retries     = flag.Int("retries", 0, "fast-path HTM retry budget before fallback (0 = paper default)")
-		backoffBase = flag.Int("backoff", 0, "base backoff bound in scheduler yields for the randomized policies (0 = default)")
 
 		comparePath = flag.String("compare", "", "baseline rhbench JSON dump to gate this run against (exit 1 on regression)")
 		compareTol  = flag.Float64("compare-tolerance", 0.25, "allowed fractional throughput drop per point before -compare fails")
@@ -104,7 +95,7 @@ func main() {
 	tm.SetSoftwareAccessCost(*swcost)
 
 	if *experiment == "list" {
-		fmt.Println("experiments: fig4 fig5 fig6 extra structures ablation disjoint contention signature persist scenarios all")
+		fmt.Println("experiments: fig4 fig5 fig6 extra structures ablation disjoint combine persist scenarios all")
 		fmt.Print("algorithms:")
 		for _, a := range bench.StandardAlgos() {
 			fmt.Printf(" %s", a.Name)
@@ -114,12 +105,8 @@ func main() {
 		for _, a := range bench.RHVariants() {
 			fmt.Printf(" %s", a.Name)
 		}
-		fmt.Print("\npolicy variants:")
-		for _, a := range bench.PolicyVariants() {
-			fmt.Printf(" %s", a.Name)
-		}
-		fmt.Print("\nsignature variants:")
-		for _, a := range bench.SignatureVariants(0) {
+		fmt.Print("\ncombine variants:")
+		for _, a := range bench.CombineVariants() {
 			fmt.Printf(" %s", a.Name)
 		}
 		fmt.Print("\npersist variants:")
@@ -134,36 +121,23 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	mode, ok := persist.ModeByName(*persistName)
+	if !ok {
+		fatal(fmt.Errorf("unknown -persist %q (want group, sync or off)", *persistName))
+	}
 	cfg := bench.FigureConfig{
 		Threads:  threads,
 		Duration: *duration,
 		Stripes:  *stripes,
-		SigBits:  *sigBits,
 		Combine:  *combine,
+		Persist:  mode,
 		HTM:      htm.Config{SpuriousAbortProb: *spurious, FalseConflictProb: *falseConf},
 		TSV:      *tsv,
 		Repeat:   *repeat,
 		Obs:      *obsOn || *tracePath != "",
 	}
-	if *policyName != "" {
-		k, ok := tm.PolicyKindByName(*policyName)
-		if !ok {
-			fatal(fmt.Errorf("unknown -policy %q (want static, backoff or adaptive)", *policyName))
-		}
-		cfg.Policy.Kind = k
-	}
 	if *retries > 0 {
 		cfg.Policy.MaxHTMRetries = *retries
-	}
-	if *backoffBase > 0 {
-		cfg.Policy.BackoffBaseYields = *backoffBase
-	}
-	if *persistName != "" {
-		mode, ok := tm.PersistModeByName(*persistName)
-		if !ok {
-			fatal(fmt.Errorf("unknown -persist %q (want group, sync or off)", *persistName))
-		}
-		cfg.Policy.Persist = mode
 	}
 	if *tracePath != "" {
 		if *ringSize <= 0 {
@@ -235,10 +209,8 @@ func main() {
 			return bench.Structures(os.Stdout, cfg)
 		case "disjoint":
 			return bench.DisjointFigure(os.Stdout, cfg)
-		case "contention":
-			return bench.ContentionFigure(os.Stdout, cfg)
-		case "signature":
-			return bench.SignatureFigure(os.Stdout, cfg)
+		case "combine":
+			return bench.CombineFigure(os.Stdout, cfg)
 		case "persist":
 			return bench.PersistFigure(os.Stdout, cfg)
 		case "scenarios":

@@ -5,8 +5,8 @@
 //
 // Usage:
 //
-//	rhgate -spec gates/ci.json -dump contention=contention.json \
-//	       -dump scenarios=scenarios.json [-gates bench-regress,conformance] \
+//	rhgate -spec gates/ci.json -dump combine=combine.json \
+//	       -dump scenarios=scenarios.json [-gates combine-gate,conformance] \
 //	       [-md summary.md] [-json report.json]
 //
 // Each -dump NAME=PATH binds one logical dump name (Gate.Dump in the

@@ -7,21 +7,20 @@
 //
 //	rhserve                              # rh-norec, :7421, 64Ki keys
 //	rhserve -addr 127.0.0.1:0 -algo hybrid-norec -workers 8
-//	rhserve -policy adaptive -queue 128 -batch 32 -timeout 250ms
+//	rhserve -queue 128 -batch 32 -timeout 250ms
 //
 // Knobs: -addr listen address, -algo TM system (rhbench -experiment list
 // vocabulary), -keys KV slots, -workers sticky worker pool size (default:
 // simulated core count), -queue per-worker queue depth, -batch max requests
 // fused into one transaction, -timeout queued-request deadline, -retryafter
-// shed backoff hint, -policy static|backoff|adaptive contention management,
-// -stripes memory seqlock stripes, -sigbits write-signature bloom width,
-// -ringsize per-worker event-ring entries, -pprof mounts net/http/pprof
-// under /debug/pprof/ (opt-in profiling).
+// shed backoff hint, -stripes memory seqlock stripes, -ringsize per-worker
+// event-ring entries, -pprof mounts net/http/pprof under /debug/pprof/
+// (opt-in profiling).
 //
 // Durability (docs/PERSIST.md): -data <dir> arms the redo-log persistence
 // plane — boot replays the directory's logs (crash recovery) and committing
 // writes append to them, under any -algo. -persist group|sync picks
-// group fsync vs fsync-per-commit (default: group, or RHNOREC_PERSIST).
+// group fsync vs fsync-per-commit (default: group); it needs -data.
 // -durable makes every write request wait for its fsync before the reply
 // (per-connection opt-in exists on the binary protocol via OpcodeDurable).
 //
@@ -39,8 +38,8 @@ import (
 	"time"
 
 	"rhnorec/internal/htm"
+	"rhnorec/internal/persist"
 	"rhnorec/internal/serve"
-	"rhnorec/internal/tm"
 )
 
 func main() {
@@ -53,34 +52,28 @@ func main() {
 		batch      = flag.Int("batch", 16, "max requests fused into one transaction")
 		timeout    = flag.Duration("timeout", time.Second, "queued-request deadline")
 		retryAfter = flag.Duration("retryafter", time.Second, "shed backoff hint")
-		policy     = flag.String("policy", "", "contention policy: static|backoff|adaptive (default: tm default / RHNOREC_POLICY)")
 		stripes    = flag.Int("stripes", 0, "memory seqlock stripes (0 = default)")
-		sigbits    = flag.Int("sigbits", 0, "write-signature bloom width (0 = off)")
 		ringSize   = flag.Int("ringsize", 0, "per-worker event-ring entries (0 = off)")
 		cores      = flag.Int("cores", 0, "simulated HTM cores (0 = default)")
 		pprofFlag  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the service mux")
 		dataDir    = flag.String("data", "", "redo-log directory: arms durable persistence + boot crash recovery")
-		persistStr = flag.String("persist", "", "durability mode with -data: group|sync (default: group / RHNOREC_PERSIST)")
+		persistStr = flag.String("persist", "", "durability mode with -data: group|sync (default: group)")
 		durable    = flag.Bool("durable", false, "every write request waits for its fsync before the reply")
 	)
 	flag.Parse()
 
-	pol := tm.DefaultPolicy()
-	if *policy != "" {
-		kind, ok := tm.PolicyKindByName(*policy)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "rhserve: unknown policy %q (want static|backoff|adaptive)\n", *policy)
-			os.Exit(2)
-		}
-		pol.Kind = kind
-	}
+	mode := persist.ModeOff
 	if *persistStr != "" {
-		mode, ok := tm.PersistModeByName(*persistStr)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "rhserve: unknown persist mode %q (want group|sync)\n", *persistStr)
-			os.Exit(2)
+		var ok bool
+		mode, ok = persist.ModeByName(*persistStr)
+		switch {
+		case !ok:
+			usage("unknown persist mode %q (want group|sync)", *persistStr)
+		case mode == persist.ModeOff && *dataDir != "":
+			usage("-data %s arms persistence; -persist off contradicts it (drop -data to run without a log)", *dataDir)
+		case mode != persist.ModeOff && *dataDir == "":
+			usage("-persist %s needs -data <dir>", *persistStr)
 		}
-		pol.Persist = mode
 	}
 	hcfg := htm.Config{}
 	if *cores > 0 {
@@ -91,16 +84,15 @@ func main() {
 		Keys:           *keys,
 		Stripes:        *stripes,
 		HTM:            hcfg,
-		Policy:         pol,
 		Workers:        *workers,
 		QueueDepth:     *queue,
 		BatchMax:       *batch,
 		RequestTimeout: *timeout,
 		RetryAfter:     *retryAfter,
 		RingSize:       *ringSize,
-		SigBits:        *sigbits,
 		Pprof:          *pprofFlag,
 		DataDir:        *dataDir,
+		Persist:        mode,
 		DurableAcks:    *durable,
 	})
 	if err != nil {
@@ -123,4 +115,10 @@ func main() {
 	<-sig
 	fmt.Println("rhserve: shutting down")
 	s.Close()
+}
+
+// usage reports a flag combination that cannot be honoured and exits 2.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "rhserve: "+format+"\n", args...)
+	os.Exit(2)
 }

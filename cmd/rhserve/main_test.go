@@ -1,0 +1,43 @@
+package main
+
+import (
+	"errors"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestPersistFlagContradictions pins the two -persist/-data combinations
+// that used to be accepted and silently reinterpreted: both must exit 2 with
+// a message naming the flags, before any listener or log directory exists.
+func TestPersistFlagContradictions(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "rhserve")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	data := filepath.Join(t.TempDir(), "log")
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"off with data", []string{"-addr", "127.0.0.1:0", "-data", data, "-persist", "off"}, "-persist off contradicts"},
+		{"sync without data", []string{"-addr", "127.0.0.1:0", "-persist", "sync"}, "needs -data"},
+		{"unknown mode", []string{"-addr", "127.0.0.1:0", "-data", data, "-persist", "eventually"}, "unknown persist mode"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out, err := exec.Command(bin, tc.args...).CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Fatalf("rhserve %v: err %v, want exit status 2\n%s", tc.args, err, out)
+			}
+			if !strings.Contains(string(out), tc.want) {
+				t.Fatalf("rhserve %v: stderr %q, want it to contain %q", tc.args, out, tc.want)
+			}
+			if matches, _ := filepath.Glob(filepath.Join(data, "*")); len(matches) != 0 {
+				t.Fatalf("rhserve %v created %v before rejecting its flags", tc.args, matches)
+			}
+		})
+	}
+}

@@ -44,17 +44,10 @@ type Workload interface {
 type Algo struct {
 	Name string
 	New  func(m *mem.Memory, dev *htm.Device, pol tm.RetryPolicy) tm.System
-	// Persist pins the point's durability mode, overriding the sweep-level
-	// policy knob (RunConfig.Policy.Persist / rhbench -persist): when group
-	// or sync, Run opens a fresh redo log (internal/persist) on a temporary
-	// directory (honoring $TMPDIR; the CI gate points it at a RAM disk to
-	// isolate protocol overhead from device latency), attaches it to the
-	// point's memory, and durable-acks every 16-op worker batch — the
-	// service's ack granularity, where one WaitDurable covers a fused batch
-	// of requests. PersistOff pins persistence off even under an ambient
-	// knob (the baseline cell of the persist ablation); PersistDefault
-	// defers to the sweep.
-	Persist tm.PersistMode
+	// Persist, when group or sync, pins the point's durability mode over
+	// the sweep-level one (RunConfig.Persist / rhbench -persist); ModeOff
+	// follows the sweep.
+	Persist persist.Mode
 	// MetaWords is the transactional memory, in words, the driver allocates
 	// for metadata of its own at construction, when that is more than a
 	// handful of global words (RH-TL2's stripe table). Whoever sizes the
@@ -116,54 +109,20 @@ func RHVariants() []Algo {
 	}
 }
 
-// PolicyVariants returns the contention-management ablation algorithms:
-// the hybrids pinned to each retry-policy kind (overriding any -policy
-// flag or RHNOREC_POLICY environment setting), so one sweep compares the
-// kinds side by side. This is the algorithm set of the contention
-// experiment and of the CI bench-regress gate.
-func PolicyVariants() []Algo {
-	rh := func(name string, k tm.PolicyKind) Algo {
+// CombineVariants returns the group-commit ablation over RH NOrec: the
+// baseline and slow-path flat combining. This is the algorithm set of the
+// combine experiment and of the CI gate against the checked-in BENCH_4.json
+// baseline.
+func CombineVariants() []Algo {
+	v := func(name string, combine bool) Algo {
 		return Algo{Name: name, New: func(m *mem.Memory, d *htm.Device, p tm.RetryPolicy) tm.System {
-			p.Kind = k
-			return core.New(m, d, p)
-		}}
-	}
-	return []Algo{
-		rh("rh-norec+static", tm.PolicyStatic),
-		rh("rh-norec+backoff", tm.PolicyBackoff),
-		rh("rh-norec+adaptive", tm.PolicyAdaptive),
-		{Name: "hy-norec+adaptive", New: func(m *mem.Memory, d *htm.Device, p tm.RetryPolicy) tm.System {
-			p.Kind = tm.PolicyAdaptive
-			return hynorec.New(m, d, p)
-		}},
-	}
-}
-
-// SignatureVariants returns the signature/combining ablation grid over RH
-// NOrec: the baseline, signature-filtered validation alone, slow-path group
-// commit alone, and both together. Signature publication is a per-memory
-// setting, so the sig variants flip it on the point's fresh memory inside
-// New — a -sigbits/-combine sweep flag is unnecessary for this set. This is
-// the algorithm set of the signature experiment and of the CI gate against
-// the checked-in BENCH_4.json baseline.
-func SignatureVariants(sigBits int) []Algo {
-	if sigBits <= 0 {
-		sigBits = mem.MaxSigBits
-	}
-	v := func(name string, sig, combine bool) Algo {
-		return Algo{Name: name, New: func(m *mem.Memory, d *htm.Device, p tm.RetryPolicy) tm.System {
-			if sig {
-				m.SetSignatureBits(sigBits)
-			}
 			p.Combine = combine
 			return core.New(m, d, p)
 		}}
 	}
 	return []Algo{
-		v("rh-norec", false, false),
-		v("rh-norec+sig", true, false),
-		v("rh-norec+combine", false, true),
-		v("rh-norec+sig+combine", true, true),
+		v("rh-norec", false),
+		v("rh-norec+combine", true),
 	}
 }
 
@@ -171,20 +130,19 @@ func SignatureVariants(sigBits int) []Algo {
 // (DESIGN.md §15): persistence off, the group-fsync redo log, and the
 // fsync-per-commit ablation. The persisting variants pin Algo.Persist, so
 // each of their points opens a fresh redo log and every operation
-// durable-acks (see Algo.Persist); the baseline pins PersistOff so an
-// ambient -persist/RHNOREC_PERSIST setting cannot blur the comparison.
-// This is the algorithm set of the persist experiment and of the CI
-// crash-recovery gate against the checked-in BENCH_7.json baseline.
+// durable-acks (see RunConfig.Persist). This is the algorithm set of the
+// persist experiment and of the CI crash-recovery gate against the
+// checked-in BENCH_7.json baseline.
 func PersistVariants() []Algo {
-	rh := func(name string, mode tm.PersistMode) Algo {
+	rh := func(name string, mode persist.Mode) Algo {
 		return Algo{Name: name, New: func(m *mem.Memory, d *htm.Device, p tm.RetryPolicy) tm.System {
 			return core.New(m, d, p)
 		}, Persist: mode}
 	}
 	return []Algo{
-		rh("rh-norec", tm.PersistOff),
-		rh("rh-norec+persist", tm.PersistGroup),
-		rh("rh-norec+persist-sync", tm.PersistSync),
+		rh("rh-norec", persist.ModeOff),
+		rh("rh-norec+persist", persist.ModeGroup),
+		rh("rh-norec+persist-sync", persist.ModeSync),
 	}
 }
 
@@ -198,12 +156,12 @@ func SerialAlgo() Algo {
 }
 
 // AllAlgos returns every algorithm AlgoByName resolves, in its lookup
-// order: the serial oracle, then the standard, ablation, policy-variant,
-// signature-variant and persist-variant sets. A name two sets share
-// (rh-norec) appears twice; the first entry is the one a lookup returns.
+// order: the serial oracle, then the standard, ablation, combine-variant
+// and persist-variant sets. A name two sets share (rh-norec) appears more
+// than once; the first entry is the one a lookup returns.
 func AllAlgos() []Algo {
 	all := []Algo{SerialAlgo()}
-	for _, set := range [][]Algo{StandardAlgos(), RHVariants(), PolicyVariants(), SignatureVariants(0), PersistVariants()} {
+	for _, set := range [][]Algo{StandardAlgos(), RHVariants(), CombineVariants(), PersistVariants()} {
 		all = append(all, set...)
 	}
 	return all
@@ -231,10 +189,6 @@ type RunConfig struct {
 	// mem.DefaultStripes; 1 reproduces the pre-striping global-clock
 	// substrate).
 	Stripes int
-	// SigBits, when > 0, enables write-signature publication on the memory
-	// at that bloom width (see mem.SetSignatureBits), letting validators
-	// skip value sweeps over provably-disjoint windows.
-	SigBits int
 	// Combine turns on slow-path group commit (flat combining) for the
 	// algorithms that support it; equivalent to Policy.Combine.
 	Combine bool
@@ -242,6 +196,13 @@ type RunConfig struct {
 	HTM htm.Config
 	// Policy configures retries (zero fields take the paper's defaults).
 	Policy tm.RetryPolicy
+	// Persist, when group or sync, opens a fresh redo log (internal/persist)
+	// on a temporary directory (honoring $TMPDIR; the CI gate points it at a
+	// RAM disk to isolate protocol overhead from device latency), attaches
+	// it to the point's memory, and durable-acks every 16-op worker batch —
+	// the service's ack granularity, where one WaitDurable covers a fused
+	// batch of requests. Algo.Persist, when set, wins.
+	Persist persist.Mode
 	// Obs attaches an observability recorder (per-phase latency histograms
 	// and the abort-cause taxonomy, see internal/obs) to every worker
 	// thread. Off by default: the disabled path costs one nil check per
@@ -309,23 +270,18 @@ func Run(cfg RunConfig) (Result, error) {
 		cfg.Stripes = mem.DefaultStripes
 	}
 	m := mem.NewStriped(cfg.MemWords, cfg.Stripes)
-	if cfg.SigBits > 0 {
-		m.SetSignatureBits(cfg.SigBits)
-		cfg.HTM.SignatureFiltering = true
-	}
 	if cfg.Combine {
 		cfg.Policy.Combine = true
 	}
-	// Durability: the algo's pinned mode wins, else the policy knob
-	// (rhbench -persist / RHNOREC_PERSIST via WithDefaults). An armed point
-	// redo-logs every commit to a throwaway directory and durable-acks every
-	// op in the worker loop below.
+	// Durability: the algo's pinned mode wins, else the sweep's. An armed
+	// point redo-logs every commit to a throwaway directory and durable-acks
+	// in the worker loop below.
 	persistMode := cfg.Algo.Persist
-	if persistMode == tm.PersistDefault {
-		persistMode = cfg.Policy.WithDefaults().Persist
+	if persistMode == persist.ModeOff {
+		persistMode = cfg.Persist
 	}
 	var plog *persist.Log
-	if persistMode == tm.PersistGroup || persistMode == tm.PersistSync {
+	if persistMode != persist.ModeOff {
 		dir, err := os.MkdirTemp("", "rhbench-persist-")
 		if err != nil {
 			return Result{}, fmt.Errorf("bench: persist dir: %w", err)
@@ -335,7 +291,7 @@ func Run(cfg RunConfig) (Result, error) {
 			// The whole allocatable arena (address 0 is mem.Nil): workloads
 			// allocate after New, so the range cannot be narrowed here.
 			Dir: dir, Lo: mem.LineWords, Hi: mem.Addr(m.Size()),
-			SyncEveryAppend: persistMode == tm.PersistSync,
+			SyncEveryAppend: persistMode == persist.ModeSync,
 		}, m.StorePlain, m.LoadPlain)
 		if err != nil {
 			return Result{}, fmt.Errorf("bench: persist open: %w", err)

@@ -8,6 +8,7 @@ import (
 
 	"rhnorec/internal/conformance"
 	"rhnorec/internal/htm"
+	"rhnorec/internal/persist"
 	"rhnorec/internal/tm"
 )
 
@@ -21,10 +22,10 @@ type SweepConfig struct {
 	MemWords int
 	// Stripes sets the memory's seqlock stripe count (see RunConfig).
 	Stripes int
-	// SigBits/Combine enable signature publication and slow-path group
-	// commit for every point (see RunConfig).
-	SigBits int
+	// Combine enables slow-path group commit and Persist the redo log for
+	// every point (see RunConfig).
 	Combine bool
+	Persist persist.Mode
 	HTM     htm.Config
 	Policy  tm.RetryPolicy
 	// Repeat runs each point this many times and reports the
@@ -72,8 +73,8 @@ func RunSweep(cfg SweepConfig) (*Sweep, error) {
 					Duration: cfg.Duration,
 					MemWords: cfg.MemWords,
 					Stripes:  cfg.Stripes,
-					SigBits:  cfg.SigBits,
 					Combine:  cfg.Combine,
+					Persist:  cfg.Persist,
 					HTM:      cfg.HTM,
 					Policy:   cfg.Policy,
 					Obs:      cfg.Obs,
@@ -195,10 +196,10 @@ type FigureConfig struct {
 	MemWords int
 	// Stripes sets the memory's seqlock stripe count (see RunConfig).
 	Stripes int
-	// SigBits/Combine enable signature publication and slow-path group
-	// commit for every point (see RunConfig).
-	SigBits int
+	// Combine enables slow-path group commit and Persist the redo log for
+	// every point (see RunConfig).
 	Combine bool
+	Persist persist.Mode
 	HTM     htm.Config
 	Policy  tm.RetryPolicy
 	// Repeat runs each point this many times and keeps the
@@ -215,8 +216,8 @@ type FigureConfig struct {
 func (c FigureConfig) sweep(f WorkloadFactory) SweepConfig {
 	return SweepConfig{
 		Factory: f, Algos: c.Algos, Threads: c.Threads, Duration: c.Duration,
-		MemWords: c.MemWords, Stripes: c.Stripes, SigBits: c.SigBits,
-		Combine: c.Combine, HTM: c.HTM, Policy: c.Policy,
+		MemWords: c.MemWords, Stripes: c.Stripes, Combine: c.Combine,
+		Persist: c.Persist, HTM: c.HTM, Policy: c.Policy,
 		Repeat: c.Repeat, Progress: c.Progress, Obs: c.Obs, ObsRing: c.ObsRing,
 	}
 }
@@ -286,50 +287,18 @@ func DisjointFigure(w io.Writer, cfg FigureConfig) error {
 		[]WorkloadFactory{Disjoint(DisjointConfig{Lines: 4})})
 }
 
-// ContentionFigure runs the contention-management sweep (DESIGN.md §10):
-// the hotspot workload — every transaction read-modify-writes the same two
-// shared lines, so concurrent writers always conflict — against the
-// disjoint workload — no conflicts at all — under the policy-variant
-// algorithms. The adaptive policy should beat or match static retry on the
-// hotspot (randomized backoff de-synchronizes the conflicting retries,
-// the contention window keeps doomed speculations away from a hot slow
-// path) while staying within noise of it on disjoint, where the policy
-// machinery is pure overhead. CI's bench-regress job gates on exactly this
-// sweep against the checked-in BENCH_3.json baseline.
-func ContentionFigure(w io.Writer, cfg FigureConfig) error {
+// CombineFigure runs the group-commit ablation (DESIGN.md §12) in the
+// regime flat combining exists for: blind publishes to two shared lines
+// with the fast path and the prefix disabled, so every commit takes the
+// software slow path and serializes on the sequence lock — the convoy
+// combining turns into batched group commit. (A read-modify-write hotspot
+// is semantically serial: every combine attempt is correctly rejected, so
+// the blind variant is the one that can batch.) The stripe count defaults
+// low so distinct lines share stripes. CI's combine gate runs exactly this
+// sweep against the checked-in BENCH_4.json baseline.
+func CombineFigure(w io.Writer, cfg FigureConfig) error {
 	if len(cfg.Algos) == 0 {
-		cfg.Algos = PolicyVariants()
-	}
-	if cfg.MemWords == 0 {
-		// Both workloads touch a handful of lines; the default
-		// multi-megabyte memory only adds allocation and GC noise to the
-		// short CI points this sweep feeds.
-		cfg.MemWords = 1 << 18
-	}
-	return runAndPrint(w, "Contention: hotspot (shared lines) vs disjoint (private lines), policy variants", cfg,
-		[]WorkloadFactory{
-			Hotspot(HotspotConfig{Lines: 2}),
-			Disjoint(DisjointConfig{Lines: 4}),
-		})
-}
-
-// SignatureFigure runs the signature/combining ablation grid (DESIGN.md
-// §12) over the two regimes the optimizations exist for. The hotspot
-// workload under a one-line HTM write budget: every writer takes the
-// software slow path and serializes on the sequence lock, so group commit
-// has queued commits to drain. The shared-region scan workload under the
-// default (roomy) budget: large fast-path read logs keep being re-proved
-// current as private-line commits move shared stripe clocks, so signature
-// filtering replaces those value sweeps with a few word compares. The
-// stripe count defaults low so disjoint lines share stripes — the
-// false-sharing shape the filter pays off on. Signature filtering is armed
-// device-wide; it engages only for the variants whose memory actually
-// publishes (SignatureVariants flips publication per point). CI's
-// signature gate runs exactly this sweep against the checked-in
-// BENCH_4.json baseline.
-func SignatureFigure(w io.Writer, cfg FigureConfig) error {
-	if len(cfg.Algos) == 0 {
-		cfg.Algos = SignatureVariants(cfg.SigBits)
+		cfg.Algos = CombineVariants()
 	}
 	if cfg.MemWords == 0 {
 		cfg.MemWords = 1 << 18
@@ -337,26 +306,15 @@ func SignatureFigure(w io.Writer, cfg FigureConfig) error {
 	if cfg.Stripes == 0 {
 		cfg.Stripes = 8
 	}
-	cfg.HTM.SignatureFiltering = true
-	// Hot regime: blind publishes to two shared lines, fast path disabled so
-	// every commit serializes on the clock — the convoy flat combining turns
-	// into batched group commit. (A read-modify-write hotspot is semantically
-	// serial: every combine attempt is correctly rejected, so the blind
-	// variant is the one that can batch.)
-	hot := cfg
-	hot.Policy.DisableFast = true
-	hot.Policy.DisablePrefix = true
-	if hot.HTM.YieldPeriod == 0 {
+	cfg.Policy.DisableFast = true
+	cfg.Policy.DisablePrefix = true
+	if cfg.HTM.YieldPeriod == 0 {
 		// Fine-grained speculation pacing: the convoy the baseline pays (and
 		// combining dissolves) only materializes when windows interleave.
-		hot.HTM.YieldPeriod = 3
+		cfg.HTM.YieldPeriod = 3
 	}
-	if err := runAndPrint(w, "Signature: blind-publish hotspot, fast path off (slow-path group commit)", hot,
-		[]WorkloadFactory{Hotspot(HotspotConfig{Lines: 2, Blind: true})}); err != nil {
-		return err
-	}
-	return runAndPrint(w, "Signature: shared-region scan (signature-filtered revalidation)", cfg,
-		[]WorkloadFactory{Scan(ScanConfig{ReadLines: 64})})
+	return runAndPrint(w, "Combine: blind-publish hotspot, fast path off (slow-path group commit)", cfg,
+		[]WorkloadFactory{Hotspot(HotspotConfig{Lines: 2, Blind: true})})
 }
 
 // PersistFigure runs the durability-overhead sweep (DESIGN.md §15,
@@ -367,12 +325,15 @@ func SignatureFigure(w io.Writer, cfg FigureConfig) error {
 // persist-off because concurrent waiters amortize one fsync pass per
 // commit group, while fsync-per-commit pays a full fsync inside every
 // commit's append (serialized under the commit window) and falls off a
-// cliff as threads grow. CI's crash-recovery job gates on this sweep
-// against the checked-in BENCH_7.json baseline.
+// cliff as threads grow. The variants pin their own modes, so a sweep-level
+// mode is dropped rather than allowed to arm the baseline. CI's
+// crash-recovery job gates on this sweep against the checked-in
+// BENCH_7.json baseline.
 func PersistFigure(w io.Writer, cfg FigureConfig) error {
 	if len(cfg.Algos) == 0 {
 		cfg.Algos = PersistVariants()
 	}
+	cfg.Persist = persist.ModeOff
 	if cfg.MemWords == 0 {
 		// The hotspot touches a handful of lines; a smaller arena keeps
 		// allocation noise out of the short CI points (and out of the log's

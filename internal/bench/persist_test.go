@@ -1,8 +1,8 @@
 package bench
 
 // Tests of the durability-overhead wiring: Run must arm the redo log for
-// persist-pinned algorithms (and for the policy knob), durable-ack every
-// operation, and keep the persist variants resolvable by name.
+// persist-pinned algorithms (and for the sweep-level mode), durable-ack
+// every operation, and keep the persist variants resolvable by name.
 
 import (
 	"bytes"
@@ -13,6 +13,7 @@ import (
 	"rhnorec/internal/core"
 	"rhnorec/internal/htm"
 	"rhnorec/internal/mem"
+	"rhnorec/internal/persist"
 	"rhnorec/internal/tm"
 )
 
@@ -22,12 +23,12 @@ func TestPersistVariantsResolve(t *testing.T) {
 		if !ok {
 			t.Fatalf("AlgoByName(%q) not found", name)
 		}
-		if a.Persist == tm.PersistDefault || a.Persist == tm.PersistOff {
+		if a.Persist == persist.ModeOff {
 			t.Fatalf("%s: persist mode %v, want an armed mode", name, a.Persist)
 		}
 	}
-	// The plain algorithms must stay unpinned (sweep-level knob decides).
-	if a, _ := AlgoByName("rh-norec"); a.Persist != tm.PersistDefault {
+	// The plain algorithms must stay unpinned (sweep-level mode decides).
+	if a, _ := AlgoByName("rh-norec"); a.Persist != persist.ModeOff {
 		t.Fatalf("rh-norec resolves with pinned persist mode %v", a.Persist)
 	}
 }
@@ -36,7 +37,7 @@ func TestPersistVariantsResolve(t *testing.T) {
 // to its memory before the system is constructed, and still complete ops
 // while durable-acking each one.
 func TestPersistRunArms(t *testing.T) {
-	for _, mode := range []tm.PersistMode{tm.PersistGroup, tm.PersistSync} {
+	for _, mode := range []persist.Mode{persist.ModeGroup, persist.ModeSync} {
 		var attached bool
 		res, err := Run(RunConfig{
 			Workload: Hotspot(HotspotConfig{Lines: 2})(),
@@ -61,40 +62,29 @@ func TestPersistRunArms(t *testing.T) {
 	}
 }
 
-// TestPersistPolicyKnob: the sweep-level knob (RunConfig.Policy.Persist, the
-// rhbench -persist flag) arms unpinned algorithms, and an algorithm pinned
-// PersistOff stays off underneath it.
+// TestPersistPolicyKnob: the sweep-level mode (RunConfig.Persist, the
+// rhbench -persist flag) arms unpinned algorithms, and only it does.
 func TestPersistPolicyKnob(t *testing.T) {
-	probe := func(pin tm.PersistMode, attached *bool) Algo {
-		return Algo{Name: "probe", Persist: pin,
-			New: func(m *mem.Memory, d *htm.Device, p tm.RetryPolicy) tm.System {
-				*attached = m.Persisting()
-				return core.New(m, d, p)
-			}}
-	}
-	var on, off bool
+	var attached bool
 	cfg := RunConfig{
-		Workload: Hotspot(HotspotConfig{Lines: 2})(),
+		Algo: Algo{Name: "probe",
+			New: func(m *mem.Memory, d *htm.Device, p tm.RetryPolicy) tm.System {
+				attached = m.Persisting()
+				return core.New(m, d, p)
+			}},
 		Threads:  1,
 		Duration: 10 * time.Millisecond,
 		MemWords: 1 << 16,
-		Policy:   tm.RetryPolicy{Persist: tm.PersistGroup},
 	}
-	cfg.Workload = Hotspot(HotspotConfig{Lines: 2})()
-	cfg.Algo = probe(tm.PersistDefault, &on)
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	cfg.Workload = Hotspot(HotspotConfig{Lines: 2})()
-	cfg.Algo = probe(tm.PersistOff, &off)
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if !on {
-		t.Fatal("Policy.Persist=group did not arm an unpinned algorithm")
-	}
-	if off {
-		t.Fatal("Algo.Persist=off did not override Policy.Persist=group")
+	for _, mode := range []persist.Mode{persist.ModeGroup, persist.ModeOff} {
+		cfg.Workload = Hotspot(HotspotConfig{Lines: 2})()
+		cfg.Persist = mode
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if attached != (mode != persist.ModeOff) {
+			t.Fatalf("RunConfig.Persist=%v: persister attached = %v", mode, attached)
+		}
 	}
 }
 

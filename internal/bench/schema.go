@@ -137,14 +137,6 @@ func validateSnapshot(s *obs.Snapshot) error {
 			return fmt.Errorf("cause %s: retry_max %d inconsistent with retry_mean %g", ab.Cause, ab.RetryMax, ab.RetryMean)
 		}
 	}
-	for _, pd := range s.Policy {
-		if _, ok := obs.PolicyDecisionByName(pd.Decision); !ok {
-			return fmt.Errorf("unknown policy decision %q", pd.Decision)
-		}
-		if pd.Count == 0 {
-			return fmt.Errorf("policy decision %s: zero count (untaken decisions are omitted)", pd.Decision)
-		}
-	}
 	for _, fr := range s.Filter {
 		if _, ok := obs.FilterKindByName(fr.Kind); !ok {
 			return fmt.Errorf("unknown filter kind %q", fr.Kind)

@@ -68,11 +68,6 @@ func TestCheckedInBaselines(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// BENCH_1.json predates the versioned envelope (a bare point
-			// array); it is kept as a historical record and gates nothing.
-			if trimmed := bytes.TrimSpace(data); len(trimmed) > 0 && trimmed[0] == '[' {
-				t.Skip("legacy pre-versioned dump")
-			}
 			if err := ValidateDump(data); err != nil {
 				t.Error(err)
 			}

@@ -135,9 +135,9 @@ type ServeAdmission struct {
 	// QueueShed counts requests shed because the sticky worker's queue was
 	// full at enqueue time.
 	QueueShed uint64 `json:"queue_shed"`
-	// SaturationShed counts requests shed because the contention window was
-	// saturated (slow-path writer load at or above the policy's
-	// ContentionWindow) while the worker queue was backlogged.
+	// SaturationShed counts requests shed because the slow path was
+	// saturated (the engine's slow-path occupancy at or above the service's
+	// threshold) while the worker queue was backlogged.
 	SaturationShed uint64 `json:"saturation_shed"`
 	// DeadlineShed counts requests shed at dequeue because their deadline
 	// expired while queued (also counted per endpoint in Endpoints.Shed).

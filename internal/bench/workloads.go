@@ -165,66 +165,6 @@ func (w *disjointWorkload) NewOp(th tm.Thread, seed int64) func() error {
 	}
 }
 
-// ScanConfig parameterizes the shared-region scan workload.
-type ScanConfig struct {
-	// ReadLines is the size in cache lines of the shared region every
-	// transaction reads end to end (default 64).
-	ReadLines int
-}
-
-// scanWorkload is the validation-bound workload: every transaction scans a
-// large shared read-only region and increments one private line. The
-// private-line commits keep stripe clocks moving under everyone else's
-// scans, so each scan keeps re-proving a large read log current — but the
-// foreign writes are always line-disjoint from the region, so a write-
-// signature filter can prove every one of those revalidations redundant.
-// This isolates exactly the value-sweep work signature filtering removes.
-type scanWorkload struct {
-	cfg    ScanConfig
-	region mem.Addr
-	priv   mem.Addr
-	slot   atomic.Int64
-}
-
-// Scan returns a factory for the validation-bound scan workload.
-func Scan(cfg ScanConfig) WorkloadFactory {
-	if cfg.ReadLines <= 0 {
-		cfg.ReadLines = 64
-	}
-	return func() Workload { return &scanWorkload{cfg: cfg} }
-}
-
-func (w *scanWorkload) Name() string {
-	return fmt.Sprintf("scan-%d", w.cfg.ReadLines)
-}
-
-func (w *scanWorkload) Setup(th tm.Thread) error {
-	return th.Run(func(tx tm.Tx) error {
-		raw := tx.Alloc((w.cfg.ReadLines + disjointSlots + 1) * mem.LineWords)
-		base := (raw + mem.LineWords - 1) &^ (mem.LineWords - 1)
-		w.region = base
-		w.priv = base + mem.Addr(w.cfg.ReadLines*mem.LineWords)
-		return nil
-	})
-}
-
-func (w *scanWorkload) NewOp(th tm.Thread, seed int64) func() error {
-	slot := int(w.slot.Add(1)-1) % disjointSlots
-	mine := w.priv + mem.Addr(slot*mem.LineWords)
-	region := w.region
-	lines := w.cfg.ReadLines
-	return func() error {
-		return th.Run(func(tx tm.Tx) error {
-			var sum uint64
-			for j := 0; j < lines; j++ {
-				sum += tx.Load(region + mem.Addr(j*mem.LineWords))
-			}
-			tx.Store(mine, tx.Load(mine)+sum+1)
-			return nil
-		})
-	}
-}
-
 // HotspotConfig parameterizes the high-contention workload.
 type HotspotConfig struct {
 	// Lines is the number of shared cache lines every transaction
@@ -239,9 +179,8 @@ type HotspotConfig struct {
 
 // hotspotWorkload is the adversarial opposite of disjointWorkload: every
 // thread's every transaction read-modify-writes the same few shared lines,
-// so any two concurrent writers conflict. Commit rates are governed almost
-// entirely by the contention-management policy — the workload the policy
-// sweep uses to separate static retry from randomized backoff.
+// so any two concurrent writers conflict — the durability sweep's workload,
+// and (write-only, Blind) the group-commit sweep's.
 type hotspotWorkload struct {
 	cfg  HotspotConfig
 	base mem.Addr

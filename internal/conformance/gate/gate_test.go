@@ -259,7 +259,7 @@ func TestCheckedInSpec(t *testing.T) {
 	for _, g := range spec.Gates {
 		names[g.Name] = true
 	}
-	for _, want := range []string{"bench-regress", "signature-gate", "serve-http",
+	for _, want := range []string{"combine-gate", "serve-http",
 		"serve-pipeline", "serve-slo", "persist", "conformance"} {
 		if !names[want] {
 			t.Errorf("gates/ci.json is missing gate %q", want)

@@ -86,9 +86,7 @@ func New(m *mem.Memory, dev *htm.Device, policy tm.RetryPolicy) *System {
 	if dev.Memory() != m {
 		panic("core: device bound to a different memory")
 	}
-	// The contention engine draws its jitter seeds from the device's seed
-	// source, so explore replays stay bit-reproducible (engine.go).
-	engine := tm.NewEngine(policy, dev.Config().SeedFn)
+	engine := tm.NewEngine(policy)
 	s := &System{
 		m:      m,
 		dev:    dev,
@@ -112,10 +110,9 @@ func (s *System) Memory() *mem.Memory { return s.m }
 // Policy returns the effective retry policy (after defaulting).
 func (s *System) Policy() tm.RetryPolicy { return s.policy }
 
-// Engine returns the system's contention-management engine. The service
-// layer (internal/serve) reads its live slow-path occupancy as the
-// admission controller's saturation signal — the same contention-window
-// state the adaptive policy throttles fast-path entry on.
+// Engine returns the system's retry engine. The service layer
+// (internal/serve) reads its live slow-path occupancy as the admission
+// controller's saturation signal.
 func (s *System) Engine() *tm.Engine { return s.engine }
 
 // CombineRing returns the group-commit ring, or nil when combining is off —
@@ -133,7 +130,7 @@ func (s *System) NewThread() tm.Thread {
 	// The fast path and the slow path's prefix and postfix never overlap, so
 	// they run on the one hardware context a thread has.
 	t.fast = hynorec.FastPath{Globals: s.g, Base: &t.base, Htx: t.htx}
-	t.base.CM = s.engine.NewThreadPolicy(&t.base)
+	t.base.Engine = s.engine
 	t.base.Bind(t, &t.fast)
 	t.base.SerialEscape(s.g.SerialLock, s.policy.MaxSlowPathRestarts)
 	return t
@@ -193,7 +190,7 @@ type thread struct {
 	postfixStart int64
 }
 
-func (t *thread) Stats() *tm.Stats { t.base.FoldFilter(t.htx); return &t.base.St }
+func (t *thread) Stats() *tm.Stats { return &t.base.St }
 func (t *thread) Close()           { t.base.CloseBase() }
 
 func (t *thread) Run(fn func(tm.Tx) error) error         { return t.base.Run(fn, false) }

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"rhnorec/internal/persist"
-	"rhnorec/internal/tm"
 )
 
 // crashAlgos are the eight registered drivers; the crash plane must hold on
@@ -112,7 +111,6 @@ func TestBankCrashDeterminism(t *testing.T) {
 // schedule that crashes the redo log mid-run and recovers clean. Breaking
 // the log's event determinism or the recovery cut shows up here.
 func TestCrashFixtureReplay(t *testing.T) {
-	t.Setenv(tm.CombineEnvVar, "")
 	tr, err := LoadTrace("testdata/bank-crash-rh-norec-seed3.json")
 	if err != nil {
 		t.Fatal(err)

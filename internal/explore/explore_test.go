@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"rhnorec/internal/mem"
-	"rhnorec/internal/tm"
 )
 
 // fiveTMs are the core algorithms every scenario oracle must hold for.
@@ -292,11 +291,6 @@ func TestStuckWorkerIsJoined(t *testing.T) {
 // code: any change to the yield-point map or the protocols that alters the
 // recorded interleaving shows up here as an events-hash mismatch.
 func TestFixtureReplay(t *testing.T) {
-	// The fixture was recorded at the default combine-off configuration; a
-	// recorded schedule documents the interleaving under the config it was
-	// taken with, so replay pins that config regardless of the ambient
-	// RHNOREC_COMBINE sweep value.
-	t.Setenv(tm.CombineEnvVar, "")
 	tr, err := LoadTrace("testdata/bank-rh-norec-seed7.json")
 	if err != nil {
 		t.Fatal(err)
@@ -326,32 +320,29 @@ func TestNormalizeErrors(t *testing.T) {
 }
 
 // TestDeterminismWithCombineOn certifies the group-commit configuration the
-// default fixture cannot cover: with RHNOREC_COMBINE=1 (picked up by
-// RetryPolicy.WithDefaults inside RunOnce), exploration must stay
-// bit-deterministic — identical seeds reproduce identical event and choice
-// sequences — and a recorded trace must replay to certification. A small
-// PCT sweep doubles as the safety oracle: combining must introduce no
-// violations.
+// default fixture cannot cover: under the algorithm whose policy sets
+// Combine (the name a trace serializes, so the recording replays under the
+// same policy), exploration must stay bit-deterministic — identical seeds
+// reproduce identical event and choice sequences — and a recorded trace
+// must replay to certification. A small PCT sweep doubles as the safety
+// oracle: combining must introduce no violations.
 func TestDeterminismWithCombineOn(t *testing.T) {
-	t.Setenv(tm.CombineEnvVar, "1")
-	for _, algo := range []string{"rh-norec", "hy-norec", "norec"} {
-		cfg := Config{Scenario: "bank", Algo: algo}
-		a := mustRun(t, cfg, NewPCT(7, 4, 3, 128, 0.2))
-		b := mustRun(t, cfg, NewPCT(7, 4, 3, 128, 0.2))
-		if !reflect.DeepEqual(a.Events, b.Events) || !reflect.DeepEqual(a.Choices, b.Choices) {
-			t.Fatalf("%s: combine-on runs diverge across identical seeds", algo)
-		}
-		tr := NewTrace(cfg, a)
-		if _, err := tr.Replay(); err != nil {
-			t.Fatalf("%s: combine-on trace failed certification: %v", algo, err)
-		}
-		found, _, err := ExplorePCT(cfg, 1, 10, 3, 256, 0.1)
-		if err != nil {
-			t.Fatalf("%s: %v", algo, err)
-		}
-		if found != nil {
-			t.Errorf("%s violated with combining on (seed %d): %s\n%s", algo,
-				found.Seed, found.Result.Violation, FormatTrace(found.Result))
-		}
+	cfg := Config{Scenario: "bank", Algo: "rh-norec+combine"}
+	a := mustRun(t, cfg, NewPCT(7, 4, 3, 128, 0.2))
+	b := mustRun(t, cfg, NewPCT(7, 4, 3, 128, 0.2))
+	if !reflect.DeepEqual(a.Events, b.Events) || !reflect.DeepEqual(a.Choices, b.Choices) {
+		t.Fatal("combine-on runs diverge across identical seeds")
+	}
+	tr := NewTrace(cfg, a)
+	if _, err := tr.Replay(); err != nil {
+		t.Fatalf("combine-on trace failed certification: %v", err)
+	}
+	found, _, err := ExplorePCT(cfg, 1, 10, 3, 256, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if found != nil {
+		t.Errorf("violated with combining on (seed %d): %s\n%s",
+			found.Seed, found.Result.Violation, FormatTrace(found.Result))
 	}
 }

@@ -206,14 +206,6 @@ type Config struct {
 	// scheduling. The explorer installs a deterministic source here so runs
 	// are bit-reproducible; nil keeps the counter.
 	SeedFn func() uint64
-	// SignatureFiltering makes transactions maintain a bloom signature of
-	// their read footprint and consult the memory's published write
-	// signatures (mem.SigDisjointSince) before falling back to per-entry
-	// value validation. Effective only when the memory publishes signatures
-	// (mem.SetSignatureBits); off by default — consultation skips the value
-	// sweep's memory loads, which perturbs deterministic-exploration yield
-	// sequences, so recorded schedules assume it off unless re-recorded.
-	SignatureFiltering bool
 }
 
 // DefaultConfig mirrors the paper's testbed: 8 cores, a 32 KiB L1 write

@@ -57,14 +57,6 @@ type Txn struct {
 	spuriousThresh    uint64
 	falseConfThresh   uint64
 
-	// Signature filtering (Config.SignatureFiltering + a signature-publishing
-	// memory): rsig blooms the read footprint by line, checkStripe consults
-	// it before any per-entry value sweep, filter tallies the outcomes.
-	sigOn   bool
-	sigBits uint32
-	rsig    mem.Signature
-	filter  FilterStats
-
 	// abortVal is the recycled panic payload of fail: aborts are part of the
 	// steady-state hot path (every fallback starts with one), so they must
 	// not allocate. Safe because an abort is fully handled by the recovering
@@ -76,25 +68,6 @@ type Txn struct {
 	// It runs on across Begin: pacing belongs to the thread, not to one
 	// transaction.
 	yieldIn int
-}
-
-// FilterStats tallies signature-filter outcomes: Misses are validations the
-// filter proved disjoint (value sweep skipped), Hits are signature
-// intersections that went to the value check, FalsePositives the subset of
-// hits whose value check then passed, and Uncovered the windows the ring
-// could not answer for (wrapped or unpublished).
-type FilterStats struct {
-	Hits           uint64
-	Misses         uint64
-	FalsePositives uint64
-	Uncovered      uint64
-}
-
-// TakeFilterStats returns the accumulated filter tallies and resets them.
-func (t *Txn) TakeFilterStats() FilterStats {
-	f := t.filter
-	t.filter = FilterStats{}
-	return f
 }
 
 // Begin starts a hardware transaction. The Txn must not already be active.
@@ -125,11 +98,6 @@ func (t *Txn) Begin() {
 	}
 	t.marks.reset()
 	t.gate = t.d.m.Ticket()
-	t.sigOn = t.d.cfg.SignatureFiltering && t.d.m.SignatureBits() != 0
-	if t.sigOn {
-		t.sigBits = uint32(t.d.m.SignatureBits())
-		t.rsig.Reset()
-	}
 	t.d.starts.Add(1)
 	t.hookYield(HookBegin, mem.Nil, 0)
 }
@@ -220,9 +188,6 @@ func (t *Txn) Load(a mem.Addr) uint64 {
 	}
 	v := t.readConsistent(a)
 	t.reads.add(a, v)
-	if t.sigOn {
-		t.rsig.AddLine(mem.LineOf(a), t.sigBits)
-	}
 	if t.readLines.add(mem.LineOf(a)) && t.readLines.count() > t.readCap {
 		t.fail(Capacity, 0)
 	}
@@ -262,7 +227,7 @@ func (t *Txn) readConsistent(a mem.Addr) uint64 {
 			// would see the motion, not the values.
 			t.hookYield(HookValidate, a, 0)
 			diced := false
-			if !t.rollFalseConflict(&diced) || !t.checkStripe(s, mark, c0) {
+			if !t.rollFalseConflict(&diced) || !t.valueCheckStripe(s) {
 				t.fail(Conflict, 0)
 			}
 			if m.StripeClock(s) != c0 {
@@ -323,40 +288,9 @@ func (t *Txn) rollFalseConflict(diced *bool) bool {
 	return t.nextRand()>>11 >= t.falseConfThresh
 }
 
-// checkStripe decides whether stripe s's logged reads survived the clock
-// motion (mark, cur]. With signature filtering on it first intersects the
-// transaction's read signature against the write signatures of exactly the
-// publishes in that window (mem.SigDisjointSince): provably disjoint means
-// the logged reads cannot have changed and the per-entry value sweep is
-// skipped entirely. A signature hit, or a window the ring cannot answer
-// for, falls back to the value check the unfiltered path always runs — the
-// filter can only be wrong in the safe direction (a false positive costs a
-// redundant sweep; false negatives are impossible because publisher and
-// validator hash the same lines at the same width). The caller supplies the
-// same stability argument valueCheckStripe requires.
-func (t *Txn) checkStripe(s int, mark, cur uint64) bool {
-	if t.sigOn {
-		disjoint, known := t.d.m.SigDisjointSince(s, mark, cur, &t.rsig)
-		if known {
-			if disjoint {
-				t.filter.Misses++
-				return true
-			}
-			t.filter.Hits++
-			if t.valueCheckStripe(s) {
-				t.filter.FalsePositives++
-				return true
-			}
-			return false
-		}
-		t.filter.Uncovered++
-	}
-	return t.valueCheckStripe(s)
-}
-
 // AddReadSignature folds the transaction's read footprint, by line, into
-// sig at the given bloom width. TM drivers piggybacking software reads on a
-// committed hardware prefix use it to seed their software read signature.
+// sig at the given bloom width. A driver whose software reads follow a
+// committed hardware prefix seeds its group-commit read signature with it.
 func (t *Txn) AddReadSignature(sig *mem.Signature, bits uint32) {
 	for i := range t.reads.entries {
 		sig.AddLine(mem.LineOf(t.reads.entries[i].addr), bits)
@@ -464,7 +398,7 @@ func (t *Txn) sweepMoved(s int, mark, c uint64, committing bool, diced *bool) in
 		if c-1 == mark {
 			return sweepSettled
 		}
-		if !t.rollFalseConflict(diced) || !t.checkStripe(s, mark, c-1) {
+		if !t.rollFalseConflict(diced) || !t.valueCheckStripe(s) {
 			return sweepFailed
 		}
 		t.marks.set(s, c-1)
@@ -480,7 +414,7 @@ func (t *Txn) sweepMoved(s int, mark, c uint64, committing bool, diced *bool) in
 	if c == mark {
 		return sweepSettled // the open window restored without publishing
 	}
-	if !t.rollFalseConflict(diced) || !t.checkStripe(s, mark, c) {
+	if !t.rollFalseConflict(diced) || !t.valueCheckStripe(s) {
 		return sweepFailed
 	}
 	if m.StripeClock(s) != c {

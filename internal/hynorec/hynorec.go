@@ -68,7 +68,7 @@ func NewVariant(m *mem.Memory, dev *htm.Device, policy tm.RetryPolicy, v Variant
 	if dev.Memory() != m {
 		panic("hynorec: device bound to a different memory")
 	}
-	engine := tm.NewEngine(policy, dev.Config().SeedFn)
+	engine := tm.NewEngine(policy)
 	s := &System{
 		m:       m,
 		dev:     dev,
@@ -88,8 +88,8 @@ func NewVariant(m *mem.Memory, dev *htm.Device, policy tm.RetryPolicy, v Variant
 // a diagnostic handle for tests and benchmark instrumentation.
 func (s *System) CombineRing() *mem.CombineRing { return s.ring }
 
-// Engine returns the system's contention-management engine (the service
-// layer's admission-controller saturation signal; see core.System.Engine).
+// Engine returns the system's retry engine (the service layer's
+// admission-controller saturation signal; see core.System.Engine).
 func (s *System) Engine() *tm.Engine { return s.engine }
 
 // Name implements tm.System.
@@ -107,7 +107,7 @@ func (s *System) Memory() *mem.Memory { return s.m }
 func (s *System) NewThread() tm.Thread {
 	t := &thread{sys: s, base: tm.NewThreadBase(s.m, s.rec)}
 	t.fast = FastPath{Globals: s.g, Base: &t.base, Htx: s.dev.NewTxn()}
-	t.base.CM = s.engine.NewThreadPolicy(&t.base)
+	t.base.Engine = s.engine
 	t.base.Bind(t, &t.fast)
 	t.base.SerialEscape(s.g.SerialLock, s.policy.MaxSlowPathRestarts)
 	return t
@@ -136,7 +136,7 @@ type thread struct {
 	drainMask uint32
 }
 
-func (t *thread) Stats() *tm.Stats { t.base.FoldFilter(t.fast.Htx); return &t.base.St }
+func (t *thread) Stats() *tm.Stats { return &t.base.St }
 func (t *thread) Close()           { t.base.CloseBase() }
 
 func (t *thread) Run(fn func(tm.Tx) error) error         { return t.base.Run(fn, false) }

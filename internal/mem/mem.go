@@ -140,13 +140,6 @@ type Memory struct {
 	// Costs one nil check per operation when unset.
 	hook Hook
 
-	// sigs, when non-nil, holds one publish-signature ring per stripe and
-	// every mutation publishes its write signature into it (see sig.go).
-	// sigBits is the bloom width; both are set by SetSignatureBits and are
-	// nil/0 by default, so the plain paths pay one nil check when disabled.
-	sigs    []sigRing
-	sigBits uint32
-
 	// persister, when non-nil, receives every committed write set before its
 	// windows close (see Persister). Costs one nil check per commit when
 	// unset, which keeps the persistence-off hot path allocation- and
@@ -341,13 +334,9 @@ func (m *Memory) StorePlain(a Addr, v uint64) {
 	if h := m.hook; h != nil {
 		h.Yield(HookStore, a)
 	}
-	si := m.StripeOf(a)
-	s := &m.stripes[si]
+	s := &m.stripes[m.StripeOf(a)]
 	m.beginMutate(s)
 	atomic.StoreUint64(&m.words[a], v)
-	if m.sigs != nil {
-		m.publishSig1(si, a)
-	}
 	m.endMutate(s)
 }
 
@@ -360,8 +349,7 @@ func (m *Memory) CASPlain(a Addr, old, new uint64) bool {
 	if h := m.hook; h != nil {
 		h.Yield(HookCAS, a)
 	}
-	si := m.StripeOf(a)
-	s := &m.stripes[si]
+	s := &m.stripes[m.StripeOf(a)]
 	s.wb.Lock()
 	if atomic.LoadUint64(&m.words[a]) != old {
 		s.wb.Unlock()
@@ -369,9 +357,6 @@ func (m *Memory) CASPlain(a Addr, old, new uint64) bool {
 	}
 	s.clock.Add(1)
 	atomic.StoreUint64(&m.words[a], new)
-	if m.sigs != nil {
-		m.publishSig1(si, a)
-	}
 	m.endMutate(s)
 	return true
 }
@@ -383,14 +368,10 @@ func (m *Memory) AddPlain(a Addr, delta uint64) uint64 {
 	if h := m.hook; h != nil {
 		h.Yield(HookAdd, a)
 	}
-	si := m.StripeOf(a)
-	s := &m.stripes[si]
+	s := &m.stripes[m.StripeOf(a)]
 	m.beginMutate(s)
 	v := atomic.LoadUint64(&m.words[a]) + delta
 	atomic.StoreUint64(&m.words[a], v)
-	if m.sigs != nil {
-		m.publishSig1(si, a)
-	}
 	m.endMutate(s)
 	return v
 }
@@ -475,16 +456,6 @@ func (m *Memory) CommitWrites(writes []WriteEntry, validate func() bool) bool {
 	if ok {
 		for _, w := range writes {
 			atomic.StoreUint64(&m.words[w.Addr], w.Value)
-		}
-		if m.sigs != nil {
-			// Publish the commit's whole write signature into every touched
-			// stripe's ring (a per-stripe split would buy little: a validator
-			// only consults stripes in its own footprint anyway).
-			var g Signature
-			for i := range writes {
-				g.AddLine(LineOf(writes[i].Addr), m.sigBits)
-			}
-			touched.forEach(func(s int) { m.publishSig(s, &g) })
 		}
 		if m.persister != nil {
 			// Log before the windows close: a reader can only certify a read

@@ -1,36 +1,21 @@
 package mem
 
-import "sync/atomic"
-
-// This file adds compact write-footprint signatures to the striped
-// substrate: every publish (plain mutation or commit write-back) can record
-// a bloom signature of the cache lines it touched in a small per-stripe
-// ring, tagged with the stripe-clock value the publish closed at. A
-// validator that watched a stripe move from watermark `mark` to current
-// clock `cur` can then intersect its own read signature against the
-// signatures of exactly the publishes in (mark, cur] — a handful of word
-// ANDs — and skip the per-entry value sweep when every one is disjoint.
-//
-// Safety does not rest on the filter: a signature "hit" (intersection) only
-// sends the validator to the value check it would have run anyway, and a
-// publish whose ring entry is missing — overwritten by ring wrap, or never
-// written because signatures were disabled — fails the tag check and
-// reports unknown, which also falls back to the value check. The only
-// property the filter must guarantee is *no false negatives*: a publish
-// that touched a line a validator read must intersect the validator's
-// signature. That holds because both sides hash the same Line value with
-// the same function into the same bit width (a per-Memory setting), so a
-// shared line sets a shared bit.
+// This file holds the compact footprint the flat-combining ring (combine.go)
+// compares queued commits with: a bloom filter over cache lines. A lock
+// holder drains a queued commit only when the commit's read signature is
+// disjoint from everything the group has written so far, so the one
+// property the filter must guarantee is *no false negatives* — a line both
+// sides touched must intersect. That holds because both sides hash the same
+// Line value with the same function into the same bit width, so a shared
+// line sets a shared bit; a false positive only leaves a commit to restart
+// that could have been combined.
 
 // SigWords is the fixed word count of a Signature; the bloom width in bits
-// is at most SigWords*64 and is configured per Memory (SetSignatureBits).
+// is at most SigWords*64.
 const SigWords = 4
 
 // MaxSigBits is the largest supported bloom width.
 const MaxSigBits = SigWords * 64
-
-// MinSigBits is the smallest supported bloom width.
-const MinSigBits = 64
 
 // Signature is a bloom filter over cache lines: one bit per line, hashed by
 // a fixed mixer into a power-of-two bit width. The zero value is empty.
@@ -46,8 +31,8 @@ func sigMix(x uint64) uint64 {
 }
 
 // AddLine sets l's bit under the given power-of-two bloom width in bits.
-// Both the publisher and the validator of a Memory must use the same width
-// (its SignatureBits) or intersection tests could miss shared lines.
+// Two signatures that will be intersected must be built at the same width,
+// or a shared line could miss.
 func (g *Signature) AddLine(l Line, bits uint32) {
 	h := sigMix(uint64(l)) & uint64(bits-1)
 	g[h>>6] |= 1 << (h & 63)
@@ -72,118 +57,3 @@ func (g *Signature) IsZero() bool {
 
 // Reset clears g.
 func (g *Signature) Reset() { *g = Signature{} }
-
-// sigRingSlots is the per-stripe ring depth: how many consecutive publishes
-// of one stripe stay signature-covered. A validator whose watermark lags by
-// more than this many publishes reports unknown and value-checks instead.
-const sigRingSlots = 8
-
-// sigSlot is one published signature, protected by its own tag seqlock: the
-// writer (who holds the stripe's writeback lock, so writers never race each
-// other) zeroes the tag, stores the signature words, then stores the final
-// tag — the even stripe-clock value its publish closed at. A reader that
-// loads the expected tag both before and after the signature words knows no
-// overwrite overlapped its reads (0 is never a valid tag, and a wrapped
-// slot carries a different clock value).
-type sigSlot struct {
-	tag atomic.Uint64
-	sig [SigWords]atomic.Uint64
-}
-
-// sigRing is one stripe's publish-signature history, indexed by half the
-// closing clock value so consecutive publishes use consecutive slots.
-type sigRing struct {
-	slots [sigRingSlots]sigSlot
-}
-
-// SetSignatureBits enables write-signature publication at the given bloom
-// width in bits, rounded up to a power of two and clamped to
-// [MinSigBits, MaxSigBits]; bits <= 0 disables publication (the default —
-// the plain-mutation path then pays nothing). Like SetHook it must be
-// called while no other goroutine is accessing the memory: enabling
-// mid-history is safe for correctness (pre-enable publishes simply report
-// unknown) but the rings themselves are swapped unsynchronized.
-func (m *Memory) SetSignatureBits(bits int) {
-	if bits <= 0 {
-		m.sigs = nil
-		m.sigBits = 0
-		return
-	}
-	b := MinSigBits
-	for b < bits && b < MaxSigBits {
-		b <<= 1
-	}
-	m.sigBits = uint32(b)
-	m.sigs = make([]sigRing, len(m.stripes))
-}
-
-// SignatureBits reports the configured bloom width in bits; 0 when
-// signature publication is disabled.
-func (m *Memory) SignatureBits() int { return int(m.sigBits) }
-
-// publishSig records sig into stripe si's ring. The caller holds si's
-// writeback lock with its seqlock window open (clock odd); the entry is
-// tagged with the even value the window will close at, so it becomes
-// readable exactly when the closed clock does.
-func (m *Memory) publishSig(si int, sig *Signature) {
-	t := m.stripes[si].clock.Load() + 1
-	e := &m.sigs[si].slots[(t>>1)&(sigRingSlots-1)]
-	e.tag.Store(0)
-	for w := 0; w < SigWords; w++ {
-		e.sig[w].Store(sig[w])
-	}
-	e.tag.Store(t)
-}
-
-// publishSig1 publishes a single-line signature for a plain mutation of a,
-// under the same lock-held/window-open contract as publishSig.
-func (m *Memory) publishSig1(si int, a Addr) {
-	var g Signature
-	g.AddLine(LineOf(a), m.sigBits)
-	m.publishSig(si, &g)
-}
-
-// SigDisjointSince inspects the signatures of every publish that moved
-// stripe s's clock from even value mark to even value cur. It returns
-// (true, true) when all of them are disjoint from rsig — the caller's
-// logged reads in s provably did not change, no value sweep needed —
-// (false, true) when some publish's signature intersects rsig (a possible
-// conflict: fall back to the value check), and (_, false) when any of the
-// publishes is not signature-covered (ring wrapped, or publication was
-// disabled when it ran): the verdict is unknowable and the caller must
-// value-check.
-//
-// The caller must have observed both mark and cur as stable even clock
-// values of s; publishes tagged beyond cur may exist concurrently and are
-// ignored (the caller's own clock re-check catches them, exactly as it
-// does for the value-check path).
-func (m *Memory) SigDisjointSince(s int, mark, cur uint64, rsig *Signature) (disjoint, known bool) {
-	if m.sigs == nil || cur < mark {
-		return false, false
-	}
-	n := (cur - mark) >> 1
-	if n == 0 {
-		return true, true
-	}
-	if n > sigRingSlots {
-		return false, false
-	}
-	r := &m.sigs[s]
-	for t := mark + 2; t <= cur; t += 2 {
-		e := &r.slots[(t>>1)&(sigRingSlots-1)]
-		if e.tag.Load() != t {
-			return false, false
-		}
-		var g Signature
-		for w := range g {
-			g[w] = e.sig[w].Load()
-		}
-		if e.tag.Load() != t {
-			return false, false
-		}
-		if g.Intersects(rsig) {
-			return false, true
-		}
-	}
-	return true, true
-}

@@ -15,14 +15,14 @@ func sigOf(lines []Line, bits uint32) Signature {
 	return g
 }
 
-// TestQuickSigNoFalseNegatives is the one property the whole filter rests
-// on: whenever a reader's footprint and a writer's footprint share a cache
+// TestQuickSigNoFalseNegatives is the one property group commit rests on:
+// whenever a reader's footprint and a writer's footprint share a cache
 // line, their signatures — built at the same width — must intersect. A miss
-// here would let a validator skip a value sweep it needed; a false positive
-// only costs a redundant sweep, so it is not checked.
+// here would let a holder drain a commit whose reads the group overwrote; a
+// false positive only costs a restart, so it is not checked.
 func TestQuickSigNoFalseNegatives(t *testing.T) {
 	f := func(reads, writes []uint16, widthSel uint8) bool {
-		bits := uint32(MinSigBits << (widthSel % 3)) // 64, 128, 256
+		bits := uint32(64 << (widthSel % 3)) // 64, 128, 256
 		rl := make([]Line, len(reads))
 		for i, v := range reads {
 			rl[i] = Line(v)
@@ -101,92 +101,5 @@ func TestSigFalsePositiveRateBounded(t *testing.T) {
 		if c.rate > c.bound {
 			t.Errorf("%db: false-positive rate %.4f exceeds bound %.4f", c.bits, c.rate, c.bound)
 		}
-	}
-}
-
-// TestSigDisjointSinceVerdicts drives the published per-stripe rings end to
-// end through the Memory's own mutation paths: plain stores and commit
-// write-backs publish, and a validator watching the stripe clock gets the
-// right three-way verdict — provably disjoint, possibly intersecting, or
-// unknown (wrap / disabled).
-func TestSigDisjointSinceVerdicts(t *testing.T) {
-	m := NewStriped(1<<14, 4)
-	m.SetSignatureBits(256)
-	bits := uint32(m.SignatureBits())
-	// Two distinct lines on the same stripe: stripe index is (addr>>lineShift)
-	// & mask, so stepping by stripeCount*LineWords words stays on one stripe.
-	a1 := Addr(LineWords * m.StripeCount())
-	a2 := a1 + Addr(m.StripeCount()*LineWords)
-	s := m.StripeOf(a1)
-	if m.StripeOf(a2) != s {
-		t.Fatalf("test setup: addresses on different stripes %d vs %d", s, m.StripeOf(a2))
-	}
-
-	mark := m.StripeClock(s)
-	m.StorePlain(a2, 1)
-	cur := m.StripeClock(s)
-	var readsA1, readsA2 Signature
-	readsA1.AddLine(LineOf(a1), bits)
-	readsA2.AddLine(LineOf(a2), bits)
-
-	if dis, known := m.SigDisjointSince(s, mark, cur, &readsA1); !known || !dis {
-		t.Errorf("disjoint publish: got (disjoint=%v, known=%v), want (true, true)", dis, known)
-	}
-	if dis, known := m.SigDisjointSince(s, mark, cur, &readsA2); !known || dis {
-		t.Errorf("intersecting publish: got (disjoint=%v, known=%v), want (false, true)", dis, known)
-	}
-	if dis, known := m.SigDisjointSince(s, mark, mark, &readsA2); !known || !dis {
-		t.Errorf("empty window: got (disjoint=%v, known=%v), want (true, true)", dis, known)
-	}
-
-	// A commit write-back publishes one signature covering all its lines.
-	mark = m.StripeClock(s)
-	if !m.CommitWrites([]WriteEntry{{Addr: a2, Value: 9}}, func() bool { return true }) {
-		t.Fatal("commit failed")
-	}
-	cur = m.StripeClock(s)
-	if dis, known := m.SigDisjointSince(s, mark, cur, &readsA2); !known || dis {
-		t.Errorf("commit publish vs its own line: got (%v, %v), want (false, true)", dis, known)
-	}
-	if dis, known := m.SigDisjointSince(s, mark, cur, &readsA1); !known || !dis {
-		t.Errorf("commit publish vs other line: got (%v, %v), want (true, true)", dis, known)
-	}
-
-	// Ring wrap: a validator lagging more than sigRingSlots publishes gets
-	// "unknown", never a wrong verdict.
-	mark = m.StripeClock(s)
-	for i := 0; i <= sigRingSlots; i++ {
-		m.StorePlain(a2, uint64(i))
-	}
-	cur = m.StripeClock(s)
-	if _, known := m.SigDisjointSince(s, mark, cur, &readsA1); known {
-		t.Error("wrapped window reported a verdict; want unknown")
-	}
-
-	// Publication disabled: always unknown, and the plain path publishes
-	// nothing to a later-enabled ring.
-	m2 := NewStriped(1<<10, 4)
-	m2.StorePlain(a2, 1)
-	if _, known := m2.SigDisjointSince(m2.StripeOf(a2), 0, m2.StripeClock(m2.StripeOf(a2)), &readsA2); known {
-		t.Error("signatures disabled: got a verdict, want unknown")
-	}
-}
-
-// TestSigDisjointSinceUncoveredPrefix: publishes that ran before
-// SetSignatureBits have no ring entry; a window including one must report
-// unknown even though later publishes are covered.
-func TestSigDisjointSinceUncoveredPrefix(t *testing.T) {
-	m := NewStriped(1<<10, 4)
-	a := Addr(LineWords)
-	s := m.StripeOf(a)
-	mark := m.StripeClock(s)
-	m.StorePlain(a, 1) // uncovered publish
-	m.SetSignatureBits(64)
-	m.StorePlain(a, 2) // covered publish
-	cur := m.StripeClock(s)
-	var rsig Signature
-	rsig.AddLine(LineOf(a)+100, uint32(m.SignatureBits()))
-	if _, known := m.SigDisjointSince(s, mark, cur, &rsig); known {
-		t.Error("window spanning an uncovered publish reported a verdict; want unknown")
 	}
 }

@@ -43,7 +43,6 @@ func (v Variant) String() string {
 type System struct {
 	m       *mem.Memory
 	rec     *tm.Reclaimer
-	engine  *tm.Engine
 	variant Variant
 	clock   mem.Addr
 
@@ -55,27 +54,22 @@ type System struct {
 	ring *mem.CombineRing
 }
 
-// New creates a NOrec system of the given variant with the default
-// contention policy.
+// New creates a NOrec system of the given variant with the default policy.
 func New(m *mem.Memory, variant Variant) *System {
 	return NewWithPolicy(m, variant, tm.RetryPolicy{})
 }
 
-// NewWithPolicy creates a NOrec system with an explicit contention policy.
-// Only the policy's software-restart behaviour applies (NOrec has no
-// hardware fast path): the randomized kinds back off between restarts.
-// There is no HTM device, so the engine seeds its jitter from its own
-// deterministic counter.
+// NewWithPolicy creates a NOrec system with an explicit policy. NOrec has
+// no hardware fast path to retry, so only Combine applies.
 func NewWithPolicy(m *mem.Memory, variant Variant, policy tm.RetryPolicy) *System {
 	tc := m.NewThreadCache()
 	s := &System{
 		m:       m,
 		rec:     tm.NewReclaimer(),
-		engine:  tm.NewEngine(policy, nil),
 		variant: variant,
 		clock:   tc.Alloc(mem.LineWords),
 	}
-	if s.engine.Policy().Combine && variant == Lazy {
+	if policy.Combine && variant == Lazy {
 		s.ring = mem.NewCombineRing()
 	}
 	return s
@@ -94,7 +88,6 @@ func (s *System) Memory() *mem.Memory { return s.m }
 // NewThread implements tm.System.
 func (s *System) NewThread() tm.Thread {
 	t := &thread{sys: s, base: tm.NewThreadBase(s.m, s.rec)}
-	t.base.CM = s.engine.NewThreadPolicy(&t.base)
 	t.base.Bind(t, nil)
 	return t
 }

@@ -1,28 +1,15 @@
 package obs
 
-// FilterKind labels one signature-filter or group-commit outcome (the
-// validation-filter and flat-combining layers of internal/htm and
-// internal/mem). Like PolicyDecision these are counter-only ledger cells:
-// filter events fire on the per-validation hot path, far too often to ring.
+// FilterKind labels one group-commit outcome (the flat-combining ring of
+// internal/mem, whose holders admit queued commits by signature
+// disjointness). These are counter-only ledger cells: they fire on the
+// slow-path commit, too often to ring.
 type FilterKind uint8
 
 const (
-	// FilterSigHit: a validation's read signature intersected a published
-	// write signature, so the per-entry value sweep ran.
-	FilterSigHit FilterKind = iota
-	// FilterSigMiss: the signatures were provably disjoint and the value
-	// sweep was skipped — the filter's payoff case.
-	FilterSigMiss
-	// FilterSigFalsePositive: the subset of hits whose value sweep then
-	// passed — the signatures collided on hashed bits, not on data.
-	FilterSigFalsePositive
-	// FilterSigUncovered: the publish window could not be answered from the
-	// signature ring (wrapped, or publication disabled at the time); the
-	// value sweep ran unfiltered.
-	FilterSigUncovered
 	// FilterCombinedCommit: a transaction committed by having its write set
 	// drained from the combining ring by a group-commit holder.
-	FilterCombinedCommit
+	FilterCombinedCommit FilterKind = iota
 	// FilterCombineDrain: a group-commit holder drained at least one queued
 	// commit under its ticket window.
 	FilterCombineDrain
@@ -36,13 +23,9 @@ const (
 )
 
 var filterKindNames = [NumFilterKinds]string{
-	FilterSigHit:           "sig-hit",
-	FilterSigMiss:          "sig-miss",
-	FilterSigFalsePositive: "sig-false-positive",
-	FilterSigUncovered:     "sig-uncovered",
-	FilterCombinedCommit:   "combined-commit",
-	FilterCombineDrain:     "combine-drain",
-	FilterCombineReject:    "combine-reject",
+	FilterCombinedCommit: "combined-commit",
+	FilterCombineDrain:   "combine-drain",
+	FilterCombineReject:  "combine-reject",
 }
 
 // String returns the stable schema name of the kind (docs/METRICS.md
@@ -64,14 +47,12 @@ func FilterKindByName(name string) (FilterKind, bool) {
 	return 0, false
 }
 
-// RecordFilter accounts n occurrences of one filter/combining outcome.
-// Batched (unlike RecordPolicy) because drivers fold whole per-transaction
-// tallies at once.
-func (r *Recorder) RecordFilter(k FilterKind, n uint64) {
-	if r == nil || k >= NumFilterKinds || n == 0 {
+// RecordFilter accounts one group-commit outcome.
+func (r *Recorder) RecordFilter(k FilterKind) {
+	if r == nil || k >= NumFilterKinds {
 		return
 	}
-	r.filterCount[k] += n
+	r.filterCount[k]++
 }
 
 // FilterCount reports the recorded occurrences of one kind.
@@ -82,7 +63,7 @@ func (r *Recorder) FilterCount(k FilterKind) uint64 {
 	return r.filterCount[k]
 }
 
-// FilterSnapshot is one signature-filter/group-commit counter.
+// FilterSnapshot is one group-commit counter.
 type FilterSnapshot struct {
 	// Kind is the schema name of the counter (FilterKind.String).
 	Kind string `json:"kind"`

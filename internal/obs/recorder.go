@@ -32,7 +32,6 @@ type Recorder struct {
 	phases      [NumPhases]Histogram
 	abortCount  [NumCauses]uint64
 	abortRetry  [NumCauses]Histogram
-	policyCount [NumPolicyDecisions]uint64
 	filterCount [NumFilterKinds]uint64
 	ring        *Ring
 }
@@ -104,40 +103,6 @@ func (r *Recorder) RecordAbort(c Cause, retry int, now uint64) {
 	}
 }
 
-// RecordPolicy accounts one contention-management decision: the per-kind
-// counter, and — for the state-changing decisions (demote, promote-probe,
-// throttle) — a ring event stamped with logical time now, so policy
-// decisions show up in rhtrace timelines next to the aborts that caused
-// them. Backoffs are counter-only (one fires per conflict retry; ringing
-// each would drown the window).
-func (r *Recorder) RecordPolicy(d PolicyDecision, now uint64) {
-	if r == nil || d >= NumPolicyDecisions {
-		return
-	}
-	r.policyCount[d]++
-	if r.ring == nil || d == DecisionBackoff {
-		return
-	}
-	var k EventKind
-	switch d {
-	case DecisionDemote:
-		k = EventDemote
-	case DecisionPromoteProbe:
-		k = EventPromoteProbe
-	case DecisionThrottle:
-		k = EventThrottle
-	}
-	r.ring.Record(Event{T: now, Kind: k})
-}
-
-// PolicyCount reports the recorded decisions of one kind.
-func (r *Recorder) PolicyCount(d PolicyDecision) uint64 {
-	if r == nil || d >= NumPolicyDecisions {
-		return 0
-	}
-	return r.policyCount[d]
-}
-
 // RecordEvent appends a begin/fallback/commit event to the ring (if any).
 func (r *Recorder) RecordEvent(k EventKind, p Path, now uint64) {
 	if r == nil || r.ring == nil {
@@ -176,7 +141,6 @@ func (r *Recorder) Clone() *Recorder {
 		phases:      r.phases,
 		abortCount:  r.abortCount,
 		abortRetry:  r.abortRetry,
-		policyCount: r.policyCount,
 		filterCount: r.filterCount,
 	}
 }
@@ -195,9 +159,6 @@ func (r *Recorder) Merge(o *Recorder) {
 	for i := range r.abortCount {
 		r.abortCount[i] += o.abortCount[i]
 		r.abortRetry[i].Merge(&o.abortRetry[i])
-	}
-	for i := range r.policyCount {
-		r.policyCount[i] += o.policyCount[i]
 	}
 	for i := range r.filterCount {
 		r.filterCount[i] += o.filterCount[i]

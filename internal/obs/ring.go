@@ -17,16 +17,6 @@ const (
 	// EventCommit marks a commit; Path tells which execution path it
 	// committed on.
 	EventCommit
-	// EventDemote marks a contention-management demotion: a capacity abort
-	// sent this thread past the hardware fast path until an epoch probe
-	// re-promotes it (Decision carries obs.DecisionDemote).
-	EventDemote
-	// EventPromoteProbe marks a demoted thread's epoch-boundary probe of
-	// the fast path (Decision carries obs.DecisionPromoteProbe).
-	EventPromoteProbe
-	// EventThrottle marks a fast-path entry delayed by the global
-	// contention window (Decision carries obs.DecisionThrottle).
-	EventThrottle
 	// EventFuse marks a service-layer batch fuse: two or more queued
 	// requests executed inside one fused transaction (internal/serve; Retry
 	// carries the batch size).
@@ -40,15 +30,12 @@ const (
 )
 
 var eventKindNames = [numEventKinds]string{
-	EventBegin:        "begin",
-	EventAbort:        "abort",
-	EventFallback:     "fallback",
-	EventCommit:       "commit",
-	EventDemote:       "demote",
-	EventPromoteProbe: "promote-probe",
-	EventThrottle:     "throttle",
-	EventFuse:         "fuse",
-	EventShed:         "shed",
+	EventBegin:    "begin",
+	EventAbort:    "abort",
+	EventFallback: "fallback",
+	EventCommit:   "commit",
+	EventFuse:     "fuse",
+	EventShed:     "shed",
 }
 
 // String returns the stable schema name of the kind.

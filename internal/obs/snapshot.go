@@ -11,15 +11,10 @@ type Snapshot struct {
 	// Aborts holds one entry per abort cause observed at least once, in
 	// Cause enum order.
 	Aborts []AbortSnapshot `json:"aborts"`
-	// Policy holds one entry per contention-management decision kind taken
-	// at least once, in PolicyDecision enum order. Omitted entirely when no
-	// decisions fired, so pre-policy dumps stay byte-identical (additive
-	// optional field — no schema_version bump, per the METRICS.md contract).
-	Policy []PolicySnapshot `json:"policy,omitempty"`
-	// Filter holds one entry per signature-filter/group-commit counter that
-	// fired at least once, in FilterKind enum order. Additive optional field
-	// like Policy: omitted when the filtering and combining layers are off,
-	// so earlier dumps stay byte-identical.
+	// Filter holds one entry per group-commit counter that fired at least
+	// once, in FilterKind enum order. Omitted when flat combining is off, so
+	// dumps that predate it stay byte-identical (additive optional field — no
+	// schema_version bump, per the METRICS.md contract).
 	Filter []FilterSnapshot `json:"filter,omitempty"`
 }
 
@@ -56,14 +51,6 @@ type AbortSnapshot struct {
 	RetryMax uint64 `json:"retry_max"`
 }
 
-// PolicySnapshot is one contention-management decision counter.
-type PolicySnapshot struct {
-	// Decision is the schema name of the decision (PolicyDecision.String).
-	Decision string `json:"decision"`
-	// Count is the number of times the decision fired.
-	Count uint64 `json:"count"`
-}
-
 // Snapshot renders the recorder for the JSON dump. A nil recorder yields
 // an empty (but non-nil) snapshot.
 func (r *Recorder) Snapshot() *Snapshot {
@@ -96,15 +83,6 @@ func (r *Recorder) Snapshot() *Snapshot {
 			Count:     r.abortCount[c],
 			RetryMean: r.abortRetry[c].Mean(),
 			RetryMax:  r.abortRetry[c].Max(),
-		})
-	}
-	for d := PolicyDecision(0); d < NumPolicyDecisions; d++ {
-		if r.policyCount[d] == 0 {
-			continue
-		}
-		s.Policy = append(s.Policy, PolicySnapshot{
-			Decision: d.String(),
-			Count:    r.policyCount[d],
 		})
 	}
 	for k := FilterKind(0); k < NumFilterKinds; k++ {

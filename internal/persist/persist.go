@@ -43,6 +43,44 @@ const (
 	EventSync
 )
 
+// Mode is a deployment's durability setting: no redo log at all, or how
+// eagerly appended records reach stable storage. The harnesses that own a
+// log's lifetime carry it (serve.Config, bench.RunConfig) and turn it into
+// Options.
+type Mode uint8
+
+const (
+	// ModeOff runs without a redo log.
+	ModeOff Mode = iota
+	// ModeGroup appends redo records at commit and fsyncs in groups: a
+	// durable ack waits for the group-fsync frontier, batching every
+	// concurrent waiter behind one fsync pass.
+	ModeGroup
+	// ModeSync fsyncs inside every commit's append
+	// (Options.SyncEveryAppend) — the fsync-per-commit ablation.
+	ModeSync
+)
+
+var modeNames = [...]string{ModeOff: "off", ModeGroup: "group", ModeSync: "sync"}
+
+// String returns the mode's stable name (the -persist flag vocabulary).
+func (m Mode) String() string {
+	if int(m) < len(modeNames) {
+		return modeNames[m]
+	}
+	return "invalid"
+}
+
+// ModeByName parses a mode name as the -persist flags accept it.
+func ModeByName(name string) (Mode, bool) {
+	for m, n := range modeNames {
+		if n == name {
+			return Mode(m), true
+		}
+	}
+	return ModeOff, false
+}
+
 // Options parameterizes Open.
 type Options struct {
 	// Dir is the log directory; used when Backend is nil (FileBackend).

@@ -51,7 +51,7 @@ func New(m *mem.Memory, dev *htm.Device, policy tm.RetryPolicy) *System {
 	if dev.Memory() != m {
 		panic("phasedtm: device bound to a different memory")
 	}
-	engine := tm.NewEngine(policy, dev.Config().SeedFn)
+	engine := tm.NewEngine(policy)
 	tc := m.NewThreadCache()
 	return &System{
 		m:         m,
@@ -78,7 +78,7 @@ func (s *System) NewThread() tm.Thread {
 		base: tm.NewThreadBase(s.m, s.rec),
 		htx:  s.dev.NewTxn(),
 	}
-	t.base.CM = s.engine.NewThreadPolicy(&t.base)
+	t.base.Engine = s.engine
 	t.base.Bind(t, t)
 	return t
 }

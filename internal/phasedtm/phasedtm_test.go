@@ -81,12 +81,9 @@ func TestPhaseSwitchAndBack(t *testing.T) {
 	if th.Stats().SlowPathCommits == 0 {
 		t.Fatal("oversized transaction did not use the software phase")
 	}
-	// Small transactions afterwards must recover the hardware phase. Run
-	// more of them than the adaptive policy's promotion-probe period: under
-	// RHNOREC_POLICY=adaptive the capacity abort demotes this thread past
-	// the fast path, and only an epoch probe lets it rediscover hardware.
+	// Small transactions afterwards must recover the hardware phase.
 	fastBefore := th.Stats().FastPathCommits
-	for i := 0; i < 2*tm.DefaultPolicy().PromotionProbePeriod; i++ {
+	for i := 0; i < 20; i++ {
 		if err := th.Run(func(tx tm.Tx) error {
 			tx.Store(small, tx.Load(small)+1)
 			return nil

@@ -69,7 +69,7 @@ func New(m *mem.Memory, dev *htm.Device, policy tm.RetryPolicy, stripeCount int)
 	for n < stripeCount {
 		n <<= 1
 	}
-	engine := tm.NewEngine(policy, dev.Config().SeedFn)
+	engine := tm.NewEngine(policy)
 	tc := m.NewThreadCache()
 	return &System{
 		m:          m,
@@ -103,7 +103,7 @@ func (s *System) NewThread() tm.Thread {
 		htx:  s.dev.NewTxn(),
 		id:   s.nextThreadID.Add(1),
 	}
-	t.base.CM = s.engine.NewThreadPolicy(&t.base)
+	t.base.Engine = s.engine
 	t.base.Bind(t, t)
 	t.base.SerialEscape(s.serialLock, s.policy.MaxSlowPathRestarts)
 	return t

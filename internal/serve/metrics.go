@@ -110,7 +110,7 @@ func (s *Server) Snapshot() *bench.ServeDump {
 		})
 	}
 	if snap := rec.Snapshot(); snap != nil &&
-		(len(snap.Phases) > 0 || len(snap.Aborts) > 0 || len(snap.Policy) > 0 || len(snap.Filter) > 0) {
+		(len(snap.Phases) > 0 || len(snap.Aborts) > 0 || len(snap.Filter) > 0) {
 		d.Obs = snap
 	}
 	return d

@@ -5,9 +5,8 @@
 // line, so distinct keys conflict only through real stripe sharing), runs a
 // sticky pool of worker threads sized to htm.Config.Cores, fuses queued
 // requests into batched transactions, and admission-controls the request
-// stream off the contention-management engine's live slow-path occupancy —
-// the service-level analogue of the adaptive policy's contention window
-// (DESIGN.md §13, docs/SERVE.md).
+// stream off the retry engine's live slow-path occupancy (DESIGN.md §13,
+// docs/SERVE.md).
 //
 // Request flow: a transport handler (HTTP JSON or the length-prefixed
 // binary protocol, both on one listener — see http.go and binary.go)
@@ -24,8 +23,8 @@
 // cost-of-concurrency analysis says the fast/slow path mix, not raw
 // throughput, is what saturates a HyTM): a request is shed with a
 // retry-later verdict when (1) its sticky worker's queue is full, (2) the
-// engine's contention window is saturated — at least ContentionWindow
-// threads on the slow path — while the worker is backlogged, or (3) its
+// slow path is saturated — at least saturationThreads threads on it —
+// while the worker is backlogged, or (3) its
 // deadline expired while queued. Sheds are ledgered per cause in the
 // rhserve.v1 dump (internal/bench) and surface as HTTP 429 + Retry-After.
 package serve
@@ -121,9 +120,7 @@ type Config struct {
 	// HTM configures the simulated hardware (zero fields take Haswell-like
 	// defaults).
 	HTM htm.Config
-	// Policy tunes retries and contention management; zero fields take the
-	// paper's defaults. Its ContentionWindow doubles as the saturation-shed
-	// threshold (negative disables that shed).
+	// Policy tunes retries; zero fields take the paper's defaults.
 	Policy tm.RetryPolicy
 	// Workers sizes the sticky worker pool (default: the HTM core count —
 	// one transaction-running thread per simulated core).
@@ -144,9 +141,6 @@ type Config struct {
 	// RingSize, when > 0, attaches per-worker event rings (fuse/shed events
 	// next to the engine's begin/abort/commit stream).
 	RingSize int
-	// SigBits, when > 0, publishes write signatures of that bloom width on
-	// the memory and arms signature-filtered validation.
-	SigBits int
 	// Pprof mounts the net/http/pprof handlers under /debug/pprof/ on the
 	// service mux (off by default: profiling endpoints are opt-in).
 	Pprof bool
@@ -159,9 +153,12 @@ type Config struct {
 	// redo logs into the key arena, and every committing write transaction
 	// appends its write set — hardware commits inside mem.CommitWrites,
 	// software ones where the driver seals its write log (tm.WriteLog), so
-	// any Algo works. Policy.Persist (or RHNOREC_PERSIST) picks group fsync
-	// vs fsync-per-commit.
+	// any Algo works.
 	DataDir string
+	// Persist picks how the log armed by DataDir reaches stable storage:
+	// persist.ModeSync fsyncs inside every commit, anything else is group
+	// fsync. No effect without DataDir.
+	Persist persist.Mode
 	// DurableAcks, when true, makes EVERY write request wait for its redo
 	// record to be fsynced before the reply (as if each connection had sent
 	// OpcodeDurable). No effect without DataDir.
@@ -325,10 +322,6 @@ func New(cfg Config) (*Server, error) {
 		stripes = mem.DefaultStripes
 	}
 	m := mem.NewStriped(words, stripes)
-	if cfg.SigBits > 0 {
-		m.SetSignatureBits(cfg.SigBits)
-		cfg.HTM.SignatureFiltering = true
-	}
 	dev := htm.NewDevice(m, cfg.HTM)
 	dev.SetActiveThreads(cfg.Workers)
 	sys := algo.New(m, dev, cfg.Policy)
@@ -351,7 +344,7 @@ func New(cfg Config) (*Server, error) {
 			Dir:             cfg.DataDir,
 			Lo:              s.base,
 			Hi:              s.base + mem.Addr(cfg.Keys*mem.LineWords),
-			SyncEveryAppend: cfg.Policy.WithDefaults().Persist == tm.PersistSync,
+			SyncEveryAppend: cfg.Persist == persist.ModeSync,
 		}, m.StorePlain, m.LoadPlain)
 		if err != nil {
 			return nil, fmt.Errorf("serve: persistence: %w", err)
@@ -493,16 +486,15 @@ func readOnlyOps(ops []Op) bool {
 	return true
 }
 
-// saturated reports whether the saturation shed trips for w: the engine's
-// contention window is the adaptive policy's fast-path admission signal; at
-// the service boundary the same signal sheds new work while this worker is
-// already backlogged, so the convoy drains instead of growing.
+// saturationThreads is how many threads on the slow path at once count as
+// a saturated engine.
+const saturationThreads = 2
+
+// saturated reports whether the saturation shed trips for w: with the slow
+// path already crowded, new work is shed while this worker is backlogged,
+// so the convoy drains instead of growing.
 func (s *Server) saturated(w *worker) bool {
-	if s.engine == nil {
-		return false
-	}
-	win := s.engine.Policy().ContentionWindow
-	return win > 0 && s.engine.SlowPathLoad() >= win && w.backlog() >= s.cfg.QueueDepth/2
+	return s.engine != nil && s.engine.SlowPathLoad() >= saturationThreads && w.backlog() >= s.cfg.QueueDepth/2
 }
 
 // enqueue offers a request chain (head, counting n requests) to w's queue

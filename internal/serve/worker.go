@@ -11,7 +11,7 @@ import (
 // admissionCounters ledgers the three shed causes (rhserve.v1 "admission").
 type admissionCounters struct {
 	queueShed      atomic.Uint64 // sticky worker's queue was full at enqueue
-	saturationShed atomic.Uint64 // engine contention window saturated + backlog
+	saturationShed atomic.Uint64 // slow path saturated + backlog
 	deadlineShed   atomic.Uint64 // deadline expired while queued
 }
 

@@ -59,12 +59,11 @@ type ThreadBase struct {
 	Cache *mem.ThreadCache
 	Slot  *Slot
 	St    Stats
-	// CM is the thread's contention-management policy (engine.go). Systems
-	// set it at thread construction via Engine.NewThreadPolicy; the
-	// skeleton (run.go) routes every retry decision through it. Drivers
-	// without an engine (TL2, serial) leave it nil: they have no fast path
-	// to admit and no policy to consult between restarts.
-	CM Policy
+	// Engine is the System's shared retry policy (engine.go), set at
+	// thread construction by every driver that binds a hardware fast path;
+	// the skeleton (run.go) consults it only on that path. Pure-software
+	// drivers leave it nil.
+	Engine *Engine
 	// ReadOnly is the static read-only hint of the Run in progress
 	// (Thread.RunReadOnly); driver views reject Store under it and commit
 	// points may skip writer-side work.

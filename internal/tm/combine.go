@@ -15,9 +15,8 @@ import (
 // reads are still valid at a locked clock and what it read.
 
 // CombineSigBits is the bloom width of the combining ring's read/write
-// signatures. It is independent of the memory's published-signature width
-// (ring signatures are only ever compared with each other) and fixed at the
-// maximum so group-admission false positives stay rare.
+// signatures: fixed at the maximum so group-admission false positives stay
+// rare.
 const CombineSigBits = mem.MaxSigBits
 
 // OfferGroup offers the attempt's buffered stores (Log.Buffered), validated

@@ -49,45 +49,12 @@ func (b *ThreadBase) RecordSTMRestart(retry int) {
 	}
 }
 
-// RecordPolicy accounts one contention-management decision on the obs
-// ledger (counter always; ring event for the rare state-changing kinds),
-// stamped like every other event with the memory's commit ticket. The
-// corresponding Stats counters stay with the policy implementations, which
-// know which decision they just took.
-func (b *ThreadBase) RecordPolicy(d obs.PolicyDecision) {
-	if o := b.St.Obs; o != nil {
-		o.RecordPolicy(d, b.M.Ticket())
-	}
-}
-
-// FoldFilter drains tx's signature-filter tallies into the thread's Stats
-// counters and (when attached) the obs ledger. Drivers whose hardware
-// context may have filtered call it from Stats(), so the fold costs nothing
-// per transaction and the tallies are never double-counted (TakeFilterStats
-// resets them).
-func (b *ThreadBase) FoldFilter(tx *htm.Txn) {
-	f := tx.TakeFilterStats()
-	if f == (htm.FilterStats{}) {
-		return
-	}
-	b.St.SigHits += f.Hits
-	b.St.SigMisses += f.Misses
-	b.St.SigFalsePositives += f.FalsePositives
-	b.St.SigUncovered += f.Uncovered
-	if o := b.St.Obs; o != nil {
-		o.RecordFilter(obs.FilterSigHit, f.Hits)
-		o.RecordFilter(obs.FilterSigMiss, f.Misses)
-		o.RecordFilter(obs.FilterSigFalsePositive, f.FalsePositives)
-		o.RecordFilter(obs.FilterSigUncovered, f.Uncovered)
-	}
-}
-
 // RecordCombine accounts one group-commit outcome on the obs ledger; the
 // Stats counters stay with the driver's commit path, which knows which
 // outcome it just took.
 func (b *ThreadBase) RecordCombine(k obs.FilterKind) {
 	if o := b.St.Obs; o != nil {
-		o.RecordFilter(k, 1)
+		o.RecordFilter(k)
 	}
 }
 

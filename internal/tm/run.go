@@ -10,8 +10,8 @@ import (
 
 // This file is the transaction skeleton: the one copy of the lifecycle the
 // paper states once (§3.3–§3.4) and every driver shares — flat nesting, the
-// reclamation epoch, phase stamps, the hardware retry loop with its policy
-// verdicts, the panic-to-verdict wrappers, commit/abort accounting, the
+// reclamation epoch, phase stamps, the hardware retry loop with its give-up
+// rule, the panic-to-verdict wrappers, commit/abort accounting, the
 // software restart loop and the serial-lock starvation escape. A driver
 // owns only its protocol: where an attempt begins and subscribes, what Load
 // and Store do, the commit point, and how a dead attempt is discarded. It
@@ -149,17 +149,17 @@ func (b *ThreadBase) Run(fn func(Tx) error, readOnly bool) error {
 	return err
 }
 
-// runPaths is the retry policy of §3.3: hardware tries while the policy
-// admits and re-admits them, then the software path.
+// runPaths is the retry policy of §3.3: hardware tries until one commits or
+// the engine's give-up rule ends them, then the software path.
 func (b *ThreadBase) runPaths(fn func(Tx) error) error {
 	if b.hw == nil {
 		return b.slowRun(fn, false)
 	}
 	o := b.St.Obs
 	fellBack := true
-	if b.CM.AdmitFast() {
+	if !b.Engine.policy.DisableFast {
 		var ab *htm.Abort
-		for retries := 0; ; {
+		for retries := 1; ; retries++ {
 			if !b.hw.FastReady(ab) {
 				fellBack = false
 				break
@@ -170,14 +170,12 @@ func (b *ThreadBase) runPaths(fn func(Tx) error) error {
 			o.RecordSince(obs.PhaseFast, fastStart)
 			if ab == nil {
 				if err == nil {
-					b.CM.OnFastCommit(retries)
 					b.ObsEvent(obs.EventCommit, obs.PathFast)
 				}
 				return err
 			}
-			retries++
 			b.RecordHTMAbort(ab, retries)
-			if b.CM.OnAbort(ab, retries) != RetryFast {
+			if b.Engine.giveUp(ab, retries) {
 				break
 			}
 		}
@@ -256,11 +254,11 @@ func (b *ThreadBase) fastAttempt(fn func(Tx) error) (err error, ab *htm.Abort) {
 
 // slowRun drives software attempts until one finishes, escalating to the
 // serial lock when the escape is armed. fellBack says the Run surrendered
-// (or was denied) the fast path, which opens the policy's slow-path window;
-// pure-software Runs and diverted ones do not.
+// (or was denied) the fast path, which counts it into the engine's
+// slow-path occupancy; pure-software Runs and diverted ones do not.
 func (b *ThreadBase) slowRun(fn func(Tx) error, fellBack bool) error {
 	if fellBack {
-		b.CM.OnFallback()
+		b.Engine.slowPath.Add(1)
 		b.St.Fallbacks++
 		b.ObsEvent(obs.EventFallback, obs.PathNone)
 	}
@@ -279,9 +277,6 @@ func (b *ThreadBase) slowRun(fn func(Tx) error, fellBack bool) error {
 		} else {
 			b.St.STMRestarts++
 		}
-		if b.CM != nil {
-			b.CM.OnSTMRestart(restarts)
-		}
 		if b.serialAfter > 0 && restarts >= b.serialAfter && !b.serialHeld {
 			b.AcquireLock(b.serialLock)
 			b.serialHeld = true
@@ -293,7 +288,7 @@ func (b *ThreadBase) slowRun(fn func(Tx) error, fellBack bool) error {
 // included.
 func (b *ThreadBase) leaveSlow(fellBack bool) {
 	if fellBack {
-		b.CM.OnSlowDone()
+		b.Engine.slowPath.Add(-1)
 	}
 	b.sw.EndSlow()
 	if b.serialHeld {

@@ -16,13 +16,15 @@ import (
 type step uint8
 
 const (
-	commits  step = iota // the callback returns nil and the commit point holds
-	conflict             // the hardware dies of a data conflict
-	capacity             // the hardware dies of a capacity overflow
-	restarts             // the software path (or the application) calls Restart
-	userErr              // the callback returns errScripted
-	booms                // the callback panics with a foreign value
-	nests                // the callback re-enters Run, then returns nil
+	commits   step = iota // the callback returns nil and the commit point holds
+	conflict              // the hardware dies of a data conflict
+	capacity              // the hardware dies of a capacity overflow
+	spurious              // the hardware dies of an environmental abort
+	lockTaken             // the protocol aborts explicitly on a held lock
+	restarts              // the software path (or the application) calls Restart
+	userErr               // the callback returns errScripted
+	booms                 // the callback panics with a foreign value
+	nests                 // the callback re-enters Run, then returns nil
 )
 
 var errScripted = errors.New("scripted user error")
@@ -44,6 +46,7 @@ type fakeDriver struct {
 	lock       mem.Addr
 	onFast     bool
 	fastTries  int
+	slowLoad   int // the engine's slow-path occupancy seen from inside the last software try
 	log        []string
 }
 
@@ -76,6 +79,9 @@ func (f *fakeDriver) BeginSlow(try int) (Tx, bool) {
 		held = "+serial"
 	}
 	f.logf("beginS%d%s", try, held)
+	if f.b.Engine != nil {
+		f.slowLoad = f.b.Engine.SlowPathLoad()
+	}
 	return fakeTx{}, f.global
 }
 func (f *fakeDriver) CommitSlow() { f.logf("commitS") }
@@ -105,6 +111,10 @@ func (f *fakeDriver) body(tx Tx) error {
 		panic(&htm.Abort{Code: htm.Conflict})
 	case capacity:
 		panic(&htm.Abort{Code: htm.Capacity})
+	case spurious:
+		panic(&htm.Abort{Code: htm.Spurious})
+	case lockTaken:
+		panic(&htm.Abort{Code: htm.Explicit, Arg: htm.ArgHTMLockTaken})
 	case restarts:
 		Restart()
 	case userErr:
@@ -124,7 +134,8 @@ func (f *fakeDriver) body(tx Tx) error {
 }
 
 // TestSkeleton drives ThreadBase.Run against the scripted protocol: one row
-// per lifecycle path, checking the exact hook sequence, the exact counters
+// per lifecycle path — §3.3's retry decisions among them — checking the
+// exact hook sequence, the exact counters, the engine's slow-path occupancy
 // and that the serial lock is never left held.
 func TestSkeleton(t *testing.T) {
 	cases := []struct {
@@ -157,6 +168,20 @@ func TestSkeleton(t *testing.T) {
 			fast: []step{capacity}, slow: []step{commits}, divertAt: -1,
 			wantLog: "beginF abortF beginS1 commitS endS",
 			want: Stats{Commits: 1, SlowPathCommits: 1, Fallbacks: 1, HTMCapacityAborts: 1,
+				SlowPathStarts: 1},
+		},
+		{
+			name: "a spurious abort is never retried",
+			fast: []step{spurious}, slow: []step{commits}, divertAt: -1,
+			wantLog: "beginF abortF beginS1 commitS endS",
+			want: Stats{Commits: 1, SlowPathCommits: 1, Fallbacks: 1, HTMSpuriousAborts: 1,
+				SlowPathStarts: 1},
+		},
+		{
+			name: "explicit lock aborts retry until the budget is spent", policy: RetryPolicy{MaxHTMRetries: 3},
+			fast: []step{lockTaken, lockTaken, lockTaken}, slow: []step{commits}, divertAt: -1,
+			wantLog: "beginF abortF ready(explicit) beginF abortF ready(explicit) beginF abortF beginS1 commitS endS",
+			want: Stats{Commits: 1, SlowPathCommits: 1, Fallbacks: 1, HTMExplicitAborts: 3,
 				SlowPathStarts: 1},
 		},
 		{
@@ -241,14 +266,12 @@ func TestSkeleton(t *testing.T) {
 				divertAt: tc.divertAt, global: tc.global}
 			defer f.b.CloseBase()
 			if tc.software {
-				f.b.Bind(f, nil) // and no engine: CM stays nil, as in tl2 and serial
+				f.b.Bind(f, nil) // and no engine, as in tl2 and serial
 			} else {
-				tc.policy.Kind = PolicyStatic // the rows pin §3.3's decisions, whatever RHNOREC_POLICY says
-				e := NewEngine(tc.policy, nil)
-				f.b.CM = e.NewThreadPolicy(&f.b)
+				f.b.Engine = NewEngine(tc.policy)
 				f.b.Bind(f, f)
 				f.lock = f.b.Cache.Alloc(mem.LineWords)
-				f.b.SerialEscape(f.lock, e.Policy().MaxSlowPathRestarts)
+				f.b.SerialEscape(f.lock, f.b.Engine.Policy().MaxSlowPathRestarts)
 			}
 			rec := obs.NewRecorder(obs.Config{})
 			f.b.St.Obs = rec
@@ -276,6 +299,14 @@ func TestSkeleton(t *testing.T) {
 			}
 			if f.lock != mem.Nil && m.LoadPlain(f.lock) != 0 {
 				t.Error("serial lock left held")
+			}
+			// A Run is on the engine's slow-path count exactly while it is on
+			// the software path after a charged fallback.
+			if f.slowLoad != int(tc.want.Fallbacks) {
+				t.Errorf("slow-path occupancy inside the software path = %d, want %d", f.slowLoad, tc.want.Fallbacks)
+			}
+			if e := f.b.Engine; e != nil && e.SlowPathLoad() != 0 {
+				t.Errorf("slow-path occupancy after Run = %d, want 0", e.SlowPathLoad())
 			}
 			if f.b.inTxn || f.b.Slot.state.Load() != 0 {
 				t.Error("Run left the thread inside a transaction")

@@ -66,18 +66,6 @@ type Stats struct {
 	// (the software baselines of §3.1).
 	STMRestarts uint64
 
-	// Signature-filter counters (htm.FilterStats folded per thread via
-	// ThreadBase.FoldFilter; the obs ledger mirrors them per obs.FilterKind).
-	// SigHits counts validations whose read signature intersected a
-	// published write signature (value sweep ran); SigMisses provably
-	// disjoint windows (sweep skipped); SigFalsePositives the hits whose
-	// sweep then passed; SigUncovered windows the signature ring could not
-	// answer for.
-	SigHits           uint64
-	SigMisses         uint64
-	SigFalsePositives uint64
-	SigUncovered      uint64
-
 	// Group-commit counters (the flat-combining slow path; RetryPolicy.
 	// Combine). CombinedCommits counts transactions committed by a holder
 	// draining their queued write set; CombineDrains ticket windows under
@@ -86,19 +74,6 @@ type Stats struct {
 	CombinedCommits uint64
 	CombineDrains   uint64
 	CombineRejects  uint64
-
-	// Contention-management decision counters (engine.go; the obs ledger
-	// mirrors them per obs.PolicyDecision). PolicyDemotions counts capacity
-	// demotions past the fast path; PolicyPromotionProbes the epoch-boundary
-	// fast-path probes of demoted threads; PolicyThrottleWaits fast-path
-	// entries delayed by the contention window; PolicyBackoffs randomized
-	// backoffs before a retry; PolicyFastSkips transactions sent straight
-	// to the slow path because their thread was demoted.
-	PolicyDemotions       uint64
-	PolicyPromotionProbes uint64
-	PolicyThrottleWaits   uint64
-	PolicyBackoffs        uint64
-	PolicyFastSkips       uint64
 
 	// Obs, when non-nil, is the thread's observability recorder: per-phase
 	// latency histograms, the abort-cause taxonomy and the optional event

@@ -24,12 +24,6 @@ func TestIsRestartRejectsOthers(t *testing.T) {
 }
 
 func TestPolicyWithDefaults(t *testing.T) {
-	// Zero-policy resolution reads RHNOREC_POLICY, RHNOREC_COMBINE and
-	// RHNOREC_PERSIST; pin all three empty so the expectations hold under
-	// the CI policy-conformance, combining and crash-recovery sweeps.
-	t.Setenv(PolicyEnvVar, "")
-	t.Setenv(CombineEnvVar, "")
-	t.Setenv(PersistEnvVar, "")
 	p := RetryPolicy{}.WithDefaults()
 	d := DefaultPolicy()
 	if p != d {
@@ -47,11 +41,16 @@ func TestPolicyWithDefaults(t *testing.T) {
 	}
 }
 
-func TestBackoffNoopWhenDisabled(t *testing.T) {
-	// Just exercise both paths; behaviourally a no-op vs bounded yields.
-	RetryPolicy{}.Backoff(3)
-	RetryPolicy{ConflictBackoff: 2}.Backoff(0)
-	RetryPolicy{ConflictBackoff: 2}.Backoff(30) // must clamp, not 2<<30 yields
+// TestWithDefaultsIgnoresEnv: the variables the library used to read must
+// not move the resolved policy — configuration enters through cmd/.
+func TestWithDefaultsIgnoresEnv(t *testing.T) {
+	want := RetryPolicy{}.WithDefaults()
+	t.Setenv("RHNOREC_POLICY", "adaptive")
+	t.Setenv("RHNOREC_COMBINE", "1")
+	t.Setenv("RHNOREC_PERSIST", "sync")
+	if got := (RetryPolicy{}.WithDefaults()); got != want {
+		t.Errorf("with RHNOREC_* set: %+v, want %+v", got, want)
+	}
 }
 
 func TestSoftwareAccessCostSetter(t *testing.T) {
