@@ -10,22 +10,23 @@
 //	rhbench -experiment structures      # rbtree vs skiplist vs sortedlist
 //	rhbench -experiment ablation        # RH NOrec design-choice ablations
 //	rhbench -experiment disjoint        # per-thread private lines (striping scaling)
-//	rhbench -experiment combine         # slow-path group-commit ablation
 //	rhbench -experiment persist         # durability overhead: off vs group fsync vs fsync-per-commit
 //	rhbench -experiment scenarios       # conformance-registry scenarios, invariant-checked
 //	rhbench -experiment all             # fig4+fig5+fig6+extra
 //	rhbench -experiment list            # list workloads and algorithms
 //
-// -experiment also accepts a comma-separated list (fig4,disjoint).
+// -experiment also accepts a comma-separated list (fig4,disjoint). Every
+// name, flag value and the -compare baseline are checked before the first
+// point runs and before -json/-trace are created; a usage error exits 2.
 //
 // Useful knobs: -duration per point, -repeat N (median of N runs),
 // -threads CSV sweep, -algos CSV subset, -stripes N memory seqlock stripe
-// count (1 reproduces the pre-striping single-clock substrate), -combine
-// slow-path group commit, -retries the fast-path retry budget of the
-// paper's static policy, -spurious environmental-abort probability,
-// -falseconf bloom false-conflict probability, -swcost instrumentation-cost
-// units, -tsv machine-readable rows, -json FILE machine-readable point dump
-// (ops/sec per system per thread count).
+// count (1 reproduces the pre-striping single-clock substrate), -retries
+// the fast-path retry budget of the paper's static policy, -spurious
+// environmental-abort probability, -falseconf bloom false-conflict
+// probability, -swcost instrumentation-cost units, -tsv machine-readable
+// rows, -json FILE machine-readable point dump (ops/sec per system per
+// thread count).
 //
 // Durability (docs/PERSIST.md): -persist group|sync arms the redo-log
 // persistence plane on every point — each point logs its commits to a
@@ -53,6 +54,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -67,12 +69,11 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "list", "fig4 | fig5 | fig6 | extra | structures | ablation | disjoint | combine | persist | scenarios | all | list (comma-separated ok)")
+		experiment = flag.String("experiment", "list", "fig4 | fig5 | fig6 | extra | structures | ablation | disjoint | persist | scenarios | all | list (comma-separated ok)")
 		duration   = flag.Duration("duration", 150*time.Millisecond, "measurement time per benchmark point")
 		threadsCSV = flag.String("threads", "1,2,4,8,12,16", "thread counts to sweep")
 		algosCSV   = flag.String("algos", "", "comma-separated algorithm subset (default: the paper's five)")
 		stripes    = flag.Int("stripes", 0, "memory seqlock stripe count (0 = default; 1 reproduces the single-clock substrate)")
-		combine    = flag.Bool("combine", false, "enable slow-path group commit (flat combining) on the algorithms that support it")
 		spurious   = flag.Float64("spurious", 0.002, "per-operation spurious (environmental) HTM abort probability")
 		falseConf  = flag.Float64("falseconf", 0, "bloom-filter false-conflict probability per revalidation (hardware model ablation)")
 		tsv        = flag.Bool("tsv", false, "emit tab-separated rows instead of paper-style tables")
@@ -95,7 +96,7 @@ func main() {
 	tm.SetSoftwareAccessCost(*swcost)
 
 	if *experiment == "list" {
-		fmt.Println("experiments: fig4 fig5 fig6 extra structures ablation disjoint combine persist scenarios all")
+		fmt.Println("experiments: fig4 fig5 fig6 extra structures ablation disjoint persist scenarios all")
 		fmt.Print("algorithms:")
 		for _, a := range bench.StandardAlgos() {
 			fmt.Printf(" %s", a.Name)
@@ -103,10 +104,6 @@ func main() {
 		fmt.Printf("\nbaseline (by name only): %s", bench.SerialAlgo().Name)
 		fmt.Print("\nablation variants:")
 		for _, a := range bench.RHVariants() {
-			fmt.Printf(" %s", a.Name)
-		}
-		fmt.Print("\ncombine variants:")
-		for _, a := range bench.CombineVariants() {
 			fmt.Printf(" %s", a.Name)
 		}
 		fmt.Print("\npersist variants:")
@@ -117,19 +114,31 @@ func main() {
 		return
 	}
 
+	var figures []figure
+	for _, n := range strings.Split(*experiment, ",") {
+		n = strings.TrimSpace(n)
+		if n == "all" {
+			figures = append(figures, bench.Figure4, bench.Figure5, bench.Figure6, bench.Extra)
+			continue
+		}
+		f := figureByName(n)
+		if f == nil {
+			usage("unknown experiment %q", n)
+		}
+		figures = append(figures, f)
+	}
 	threads, err := parseThreads(*threadsCSV)
 	if err != nil {
-		fatal(err)
+		usage("%v", err)
 	}
 	mode, ok := persist.ModeByName(*persistName)
 	if !ok {
-		fatal(fmt.Errorf("unknown -persist %q (want group, sync or off)", *persistName))
+		usage("unknown -persist %q (want group, sync or off)", *persistName)
 	}
 	cfg := bench.FigureConfig{
 		Threads:  threads,
 		Duration: *duration,
 		Stripes:  *stripes,
-		Combine:  *combine,
 		Persist:  mode,
 		HTM:      htm.Config{SpuriousAbortProb: *spurious, FalseConflictProb: *falseConf},
 		TSV:      *tsv,
@@ -141,7 +150,7 @@ func main() {
 	}
 	if *tracePath != "" {
 		if *ringSize <= 0 {
-			fatal(fmt.Errorf("-trace needs -ringsize > 0, got %d", *ringSize))
+			usage("-trace needs -ringsize > 0, got %d", *ringSize)
 		}
 		cfg.ObsRing = *ringSize
 	}
@@ -149,20 +158,25 @@ func main() {
 		for _, name := range strings.Split(*algosCSV, ",") {
 			a, ok := bench.AlgoByName(strings.TrimSpace(name))
 			if !ok {
-				fatal(fmt.Errorf("unknown algorithm %q", name))
+				usage("unknown algorithm %q", name)
 			}
 			cfg.Algos = append(cfg.Algos, a)
 		}
 	}
 	var rec *bench.JSONRecorder
 	var jsonFile *os.File
+	var baseline *bench.JSONDump
 	if *comparePath != "" {
+		// Load the baseline up front: a bad path should fail before the
+		// sweep runs and before any output file is truncated.
+		if baseline, err = bench.LoadDump(*comparePath); err != nil {
+			fatal(err)
+		}
 		// The gate needs every point recorded even without -json.
 		rec = new(bench.JSONRecorder)
 	}
 	if *jsonPath != "" {
-		// Open the output up front: a bad path should fail before the sweep
-		// runs, not after.
+		// Open the output up front, for the same reason.
 		f, err := os.Create(*jsonPath)
 		if err != nil {
 			fatal(err)
@@ -195,48 +209,8 @@ func main() {
 		}
 	}
 
-	run := func(name string) error {
-		switch name {
-		case "fig4":
-			return bench.Figure4(os.Stdout, cfg)
-		case "fig5":
-			return bench.Figure5(os.Stdout, cfg)
-		case "fig6":
-			return bench.Figure6(os.Stdout, cfg)
-		case "extra":
-			return bench.Extra(os.Stdout, cfg)
-		case "structures":
-			return bench.Structures(os.Stdout, cfg)
-		case "disjoint":
-			return bench.DisjointFigure(os.Stdout, cfg)
-		case "combine":
-			return bench.CombineFigure(os.Stdout, cfg)
-		case "persist":
-			return bench.PersistFigure(os.Stdout, cfg)
-		case "scenarios":
-			return bench.ScenariosFigure(os.Stdout, cfg)
-		case "ablation":
-			acfg := cfg
-			if *algosCSV == "" {
-				acfg.Algos = bench.RHVariants()
-			}
-			return bench.Figure4(os.Stdout, acfg)
-		default:
-			return fmt.Errorf("unknown experiment %q", name)
-		}
-	}
-
-	var names []string
-	for _, n := range strings.Split(*experiment, ",") {
-		n = strings.TrimSpace(n)
-		if n == "all" {
-			names = append(names, "fig4", "fig5", "fig6", "extra")
-			continue
-		}
-		names = append(names, n)
-	}
-	for _, n := range names {
-		if err := run(n); err != nil {
+	for _, f := range figures {
+		if err := f(os.Stdout, cfg); err != nil {
 			fatal(err)
 		}
 	}
@@ -261,10 +235,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rhbench: wrote %d traces to %s\n", len(traces), *tracePath)
 	}
 	if *comparePath != "" {
-		baseline, err := bench.LoadDump(*comparePath)
-		if err != nil {
-			fatal(err)
-		}
 		deltas := bench.Compare(baseline, rec.Dump(), *compareNorm)
 		bad := bench.Regressions(deltas, *compareTol)
 		for _, d := range bad {
@@ -277,6 +247,39 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rhbench: compare ok: %d baseline points within tolerance %.0f%% of %s\n",
 			len(deltas), *compareTol*100, *comparePath)
 	}
+}
+
+// figure is one -experiment: a sweep that prints its tables to w.
+type figure func(w io.Writer, cfg bench.FigureConfig) error
+
+// figureByName resolves one -experiment name, nil when there is none.
+func figureByName(name string) figure {
+	switch name {
+	case "fig4":
+		return bench.Figure4
+	case "fig5":
+		return bench.Figure5
+	case "fig6":
+		return bench.Figure6
+	case "extra":
+		return bench.Extra
+	case "structures":
+		return bench.Structures
+	case "disjoint":
+		return bench.DisjointFigure
+	case "persist":
+		return bench.PersistFigure
+	case "scenarios":
+		return bench.ScenariosFigure
+	case "ablation":
+		return func(w io.Writer, cfg bench.FigureConfig) error {
+			if len(cfg.Algos) == 0 { // no -algos
+				cfg.Algos = bench.RHVariants()
+			}
+			return bench.Figure4(w, cfg)
+		}
+	}
+	return nil
 }
 
 func parseThreads(csv string) ([]int, error) {
@@ -294,4 +297,10 @@ func parseThreads(csv string) ([]int, error) {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "rhbench:", err)
 	os.Exit(1)
+}
+
+// usage reports a flag value that cannot be honoured and exits 2.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "rhbench: "+format+"\n", args...)
+	os.Exit(2)
 }

@@ -5,8 +5,8 @@
 //
 // Usage:
 //
-//	rhgate -spec gates/ci.json -dump combine=combine.json \
-//	       -dump scenarios=scenarios.json [-gates combine-gate,conformance] \
+//	rhgate -spec gates/ci.json -dump persist=persist.json \
+//	       -dump scenarios=scenarios.json [-gates persist,conformance] \
 //	       [-md summary.md] [-json report.json]
 //
 // Each -dump NAME=PATH binds one logical dump name (Gate.Dump in the

@@ -62,8 +62,8 @@ func StandardAlgos() []Algo {
 		{Name: "lock-elision", New: func(m *mem.Memory, d *htm.Device, p tm.RetryPolicy) tm.System {
 			return lockelision.New(m, d, p)
 		}},
-		{Name: "norec", New: func(m *mem.Memory, _ *htm.Device, p tm.RetryPolicy) tm.System {
-			return norec.NewWithPolicy(m, norec.Eager, p)
+		{Name: "norec", New: func(m *mem.Memory, _ *htm.Device, _ tm.RetryPolicy) tm.System {
+			return norec.New(m, norec.Eager)
 		}},
 		{Name: "tl2", New: func(m *mem.Memory, _ *htm.Device, _ tm.RetryPolicy) tm.System {
 			return tl2.New(m, 0)
@@ -94,8 +94,8 @@ func RHVariants() []Algo {
 		override("rh-nopostfix", func(p *tm.RetryPolicy) { p.DisablePostfix = true }),
 		override("rh-noadapt", func(p *tm.RetryPolicy) { p.DisablePrefixAdaptation = true }),
 		override("rh-allsoft", func(p *tm.RetryPolicy) { p.DisablePrefix = true; p.DisablePostfix = true }),
-		{Name: "norec-lazy", New: func(m *mem.Memory, _ *htm.Device, p tm.RetryPolicy) tm.System {
-			return norec.NewWithPolicy(m, norec.Lazy, p)
+		{Name: "norec-lazy", New: func(m *mem.Memory, _ *htm.Device, _ tm.RetryPolicy) tm.System {
+			return norec.New(m, norec.Lazy)
 		}},
 		{Name: "rh-tl2", MetaWords: rhtl2.DefaultStripes, New: func(m *mem.Memory, d *htm.Device, p tm.RetryPolicy) tm.System {
 			return rhtl2.New(m, d, p, 0)
@@ -106,23 +106,6 @@ func RHVariants() []Algo {
 		{Name: "phased-tm", New: func(m *mem.Memory, d *htm.Device, p tm.RetryPolicy) tm.System {
 			return phasedtm.New(m, d, p)
 		}},
-	}
-}
-
-// CombineVariants returns the group-commit ablation over RH NOrec: the
-// baseline and slow-path flat combining. This is the algorithm set of the
-// combine experiment and of the CI gate against the checked-in BENCH_4.json
-// baseline.
-func CombineVariants() []Algo {
-	v := func(name string, combine bool) Algo {
-		return Algo{Name: name, New: func(m *mem.Memory, d *htm.Device, p tm.RetryPolicy) tm.System {
-			p.Combine = combine
-			return core.New(m, d, p)
-		}}
-	}
-	return []Algo{
-		v("rh-norec", false),
-		v("rh-norec+combine", true),
 	}
 }
 
@@ -156,12 +139,12 @@ func SerialAlgo() Algo {
 }
 
 // AllAlgos returns every algorithm AlgoByName resolves, in its lookup
-// order: the serial oracle, then the standard, ablation, combine-variant
-// and persist-variant sets. A name two sets share (rh-norec) appears more
+// order: the serial oracle, then the standard, ablation and
+// persist-variant sets. A name two sets share (rh-norec) appears more
 // than once; the first entry is the one a lookup returns.
 func AllAlgos() []Algo {
 	all := []Algo{SerialAlgo()}
-	for _, set := range [][]Algo{StandardAlgos(), RHVariants(), CombineVariants(), PersistVariants()} {
+	for _, set := range [][]Algo{StandardAlgos(), RHVariants(), PersistVariants()} {
 		all = append(all, set...)
 	}
 	return all
@@ -189,9 +172,6 @@ type RunConfig struct {
 	// mem.DefaultStripes; 1 reproduces the pre-striping global-clock
 	// substrate).
 	Stripes int
-	// Combine turns on slow-path group commit (flat combining) for the
-	// algorithms that support it; equivalent to Policy.Combine.
-	Combine bool
 	// HTM configures the simulated hardware (zero fields take defaults).
 	HTM htm.Config
 	// Policy configures retries (zero fields take the paper's defaults).
@@ -270,9 +250,6 @@ func Run(cfg RunConfig) (Result, error) {
 		cfg.Stripes = mem.DefaultStripes
 	}
 	m := mem.NewStriped(cfg.MemWords, cfg.Stripes)
-	if cfg.Combine {
-		cfg.Policy.Combine = true
-	}
 	// Durability: the algo's pinned mode wins, else the sweep's. An armed
 	// point redo-logs every commit to a throwaway directory and durable-acks
 	// in the worker loop below.

@@ -22,9 +22,7 @@ type SweepConfig struct {
 	MemWords int
 	// Stripes sets the memory's seqlock stripe count (see RunConfig).
 	Stripes int
-	// Combine enables slow-path group commit and Persist the redo log for
-	// every point (see RunConfig).
-	Combine bool
+	// Persist enables the redo log for every point (see RunConfig).
 	Persist persist.Mode
 	HTM     htm.Config
 	Policy  tm.RetryPolicy
@@ -73,7 +71,6 @@ func RunSweep(cfg SweepConfig) (*Sweep, error) {
 					Duration: cfg.Duration,
 					MemWords: cfg.MemWords,
 					Stripes:  cfg.Stripes,
-					Combine:  cfg.Combine,
 					Persist:  cfg.Persist,
 					HTM:      cfg.HTM,
 					Policy:   cfg.Policy,
@@ -196,9 +193,7 @@ type FigureConfig struct {
 	MemWords int
 	// Stripes sets the memory's seqlock stripe count (see RunConfig).
 	Stripes int
-	// Combine enables slow-path group commit and Persist the redo log for
-	// every point (see RunConfig).
-	Combine bool
+	// Persist enables the redo log for every point (see RunConfig).
 	Persist persist.Mode
 	HTM     htm.Config
 	Policy  tm.RetryPolicy
@@ -216,7 +211,7 @@ type FigureConfig struct {
 func (c FigureConfig) sweep(f WorkloadFactory) SweepConfig {
 	return SweepConfig{
 		Factory: f, Algos: c.Algos, Threads: c.Threads, Duration: c.Duration,
-		MemWords: c.MemWords, Stripes: c.Stripes, Combine: c.Combine,
+		MemWords: c.MemWords, Stripes: c.Stripes,
 		Persist: c.Persist, HTM: c.HTM, Policy: c.Policy,
 		Repeat: c.Repeat, Progress: c.Progress, Obs: c.Obs, ObsRing: c.ObsRing,
 	}
@@ -285,36 +280,6 @@ func Figure6(w io.Writer, cfg FigureConfig) error {
 func DisjointFigure(w io.Writer, cfg FigureConfig) error {
 	return runAndPrint(w, "Disjoint: per-thread private lines (stripe-parallel commits)", cfg,
 		[]WorkloadFactory{Disjoint(DisjointConfig{Lines: 4})})
-}
-
-// CombineFigure runs the group-commit ablation (DESIGN.md §12) in the
-// regime flat combining exists for: blind publishes to two shared lines
-// with the fast path and the prefix disabled, so every commit takes the
-// software slow path and serializes on the sequence lock — the convoy
-// combining turns into batched group commit. (A read-modify-write hotspot
-// is semantically serial: every combine attempt is correctly rejected, so
-// the blind variant is the one that can batch.) The stripe count defaults
-// low so distinct lines share stripes. CI's combine gate runs exactly this
-// sweep against the checked-in BENCH_4.json baseline.
-func CombineFigure(w io.Writer, cfg FigureConfig) error {
-	if len(cfg.Algos) == 0 {
-		cfg.Algos = CombineVariants()
-	}
-	if cfg.MemWords == 0 {
-		cfg.MemWords = 1 << 18
-	}
-	if cfg.Stripes == 0 {
-		cfg.Stripes = 8
-	}
-	cfg.Policy.DisableFast = true
-	cfg.Policy.DisablePrefix = true
-	if cfg.HTM.YieldPeriod == 0 {
-		// Fine-grained speculation pacing: the convoy the baseline pays (and
-		// combining dissolves) only materializes when windows interleave.
-		cfg.HTM.YieldPeriod = 3
-	}
-	return runAndPrint(w, "Combine: blind-publish hotspot, fast path off (slow-path group commit)", cfg,
-		[]WorkloadFactory{Hotspot(HotspotConfig{Lines: 2, Blind: true})})
 }
 
 // PersistFigure runs the durability-overhead sweep (DESIGN.md §15,

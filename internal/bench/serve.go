@@ -54,7 +54,7 @@ type ServeDump struct {
 	// a data directory.
 	Persist *ServePersist `json:"persist,omitempty"`
 	// Obs is the merged engine-level observability snapshot (phase latency
-	// histograms, abort taxonomy, policy and filter ledgers) of the worker
+	// histograms, abort taxonomy) of the worker
 	// threads — the same block an rhbench.v2 point embeds.
 	Obs *obs.Snapshot `json:"obs,omitempty"`
 }

@@ -170,17 +170,11 @@ type HotspotConfig struct {
 	// Lines is the number of shared cache lines every transaction
 	// read-modify-writes (default 2).
 	Lines int
-	// Blind makes the transactions write-only (store without the load):
-	// blind publishes to hot lines commute, which is the shape flat
-	// combining can batch — a read-modify-write hotspot is semantically
-	// serial and every combine attempt is (correctly) rejected.
-	Blind bool
 }
 
 // hotspotWorkload is the adversarial opposite of disjointWorkload: every
 // thread's every transaction read-modify-writes the same few shared lines,
-// so any two concurrent writers conflict — the durability sweep's workload,
-// and (write-only, Blind) the group-commit sweep's.
+// so any two concurrent writers conflict — the durability sweep's workload.
 type hotspotWorkload struct {
 	cfg  HotspotConfig
 	base mem.Addr
@@ -195,9 +189,6 @@ func Hotspot(cfg HotspotConfig) WorkloadFactory {
 }
 
 func (w *hotspotWorkload) Name() string {
-	if w.cfg.Blind {
-		return fmt.Sprintf("hotspot-blind-%d", w.cfg.Lines)
-	}
 	return fmt.Sprintf("hotspot-%d", w.cfg.Lines)
 }
 
@@ -211,22 +202,9 @@ func (w *hotspotWorkload) Setup(th tm.Thread) error {
 	})
 }
 
-func (w *hotspotWorkload) NewOp(th tm.Thread, seed int64) func() error {
+func (w *hotspotWorkload) NewOp(th tm.Thread, _ int64) func() error {
 	base := w.base
 	lines := w.cfg.Lines
-	if w.cfg.Blind {
-		var tick uint64
-		return func() error {
-			tick++
-			v := uint64(seed) + tick
-			return th.Run(func(tx tm.Tx) error {
-				for j := 0; j < lines; j++ {
-					tx.Store(base+mem.Addr(j*mem.LineWords), v)
-				}
-				return nil
-			})
-		}
-	}
 	return func() error {
 		return th.Run(func(tx tm.Tx) error {
 			for j := 0; j < lines; j++ {

@@ -259,10 +259,13 @@ func TestCheckedInSpec(t *testing.T) {
 	for _, g := range spec.Gates {
 		names[g.Name] = true
 	}
-	for _, want := range []string{"combine-gate", "serve-http",
-		"serve-pipeline", "serve-slo", "persist", "conformance"} {
-		if !names[want] {
-			t.Errorf("gates/ci.json is missing gate %q", want)
+	want := []string{"serve-http", "serve-pipeline", "serve-slo", "persist", "conformance"}
+	for _, w := range want {
+		if !names[w] {
+			t.Errorf("gates/ci.json is missing gate %q", w)
 		}
+	}
+	if len(spec.Gates) != len(want) {
+		t.Errorf("gates/ci.json holds %d gates, want exactly %v", len(spec.Gates), want)
 	}
 }

@@ -61,24 +61,11 @@ type System struct {
 	policy tm.RetryPolicy
 	engine *tm.Engine
 
-	// ring, when non-nil (RetryPolicy.Combine), is the flat-combining ring
-	// of the group-commit slow path: writers that find the clock locked at
-	// their own snapshot buffer their writes and enqueue them here instead
-	// of restarting, and the lock holder drains signature-disjoint entries
-	// under its one ticket window.
-	ring *mem.CombineRing
-
 	// g holds the clock, the global HTM lock, the fallback count and the
 	// serial lock — the words, and with them the whole hardware fast path
 	// (Algorithm 1, hynorec.FastPath), RH NOrec shares with Hybrid NOrec.
 	g hynorec.Globals
 }
-
-// combineDrainBudget bounds the write entries a postfix holder drains into
-// its hardware transaction, keeping the group inside write capacity; the
-// software holder publishes in place and passes an effectively unbounded
-// budget.
-const combineDrainBudget = 256
 
 // New creates an RH NOrec system. dev must speculate over m; zero policy
 // fields take the paper's defaults (§3.3–§3.4).
@@ -87,7 +74,7 @@ func New(m *mem.Memory, dev *htm.Device, policy tm.RetryPolicy) *System {
 		panic("core: device bound to a different memory")
 	}
 	engine := tm.NewEngine(policy)
-	s := &System{
+	return &System{
 		m:      m,
 		dev:    dev,
 		rec:    tm.NewReclaimer(),
@@ -95,10 +82,6 @@ func New(m *mem.Memory, dev *htm.Device, policy tm.RetryPolicy) *System {
 		engine: engine,
 		g:      hynorec.NewGlobals(m),
 	}
-	if s.policy.Combine {
-		s.ring = mem.NewCombineRing()
-	}
-	return s
 }
 
 // Name implements tm.System.
@@ -114,10 +97,6 @@ func (s *System) Policy() tm.RetryPolicy { return s.policy }
 // (internal/serve) reads its live slow-path occupancy as the admission
 // controller's saturation signal.
 func (s *System) Engine() *tm.Engine { return s.engine }
-
-// CombineRing returns the group-commit ring, or nil when combining is off —
-// a diagnostic handle for tests and benchmark instrumentation.
-func (s *System) CombineRing() *mem.CombineRing { return s.ring }
 
 // NewThread implements tm.System.
 func (s *System) NewThread() tm.Thread {
@@ -142,8 +121,8 @@ type thread struct {
 	htx  *htm.Txn
 	fast hynorec.FastPath
 
-	// Mixed-slow-path attempt state. The software writes live in base.Log:
-	// stored in place on the full-software path, buffered in combine mode.
+	// Mixed-slow-path attempt state. The software writes live in base.Log,
+	// stored in place on the full-software path.
 	txv                uint64 // clock snapshot; LSB set while we hold the clock lock
 	writeDetected      bool
 	prefixActive       bool
@@ -152,24 +131,6 @@ type thread struct {
 	fallbackRegistered bool // this Run is counted in num_of_fallbacks
 	prefixBanned       bool // §3.4: one prefix try per transaction
 	postfixBanned      bool // §3.4: one postfix try per transaction
-
-	// Group-commit state (sys.ring != nil). combineMode: the attempt found
-	// the clock locked at its own base and is buffering writes for an
-	// enqueue instead of holding any lock; txv then stays even. combRSig is
-	// the bloom of every software read since the attempt began,
-	// prefixCommitted marks that htx still holds a committed prefix's read
-	// log (folded into the enqueue's read signature). drainMask, on the
-	// holder side, records ring slots claimed by an in-progress drain so
-	// every abort path can resolve them rejected.
-	combineMode     bool
-	prefixCommitted bool
-	combRSig        mem.Signature
-	drainMask       uint32
-	// groupBuf coalesces a drained group's writes (last write per address
-	// wins, like any combiner) before they are applied, so a batch of
-	// same-line publishes costs one store per line instead of one per
-	// entry.
-	groupBuf tm.WriteSet
 
 	// Prefix-length adaptation (§2.4): expectedLen is the reads budget the
 	// next prefix will attempt, resized by what kills a prefix
@@ -204,11 +165,6 @@ func (t *thread) BeginSlow(int) (tm.Tx, bool) {
 	t.prefixActive = false
 	t.postfixActive = false
 	t.fullSoftware = false
-	t.prefixCommitted = false
-	if t.sys.ring != nil {
-		t.combineMode = false
-		t.combRSig.Reset()
-	}
 	if t.prefixUsable() {
 		t.startPrefix()
 	} else {
@@ -261,19 +217,6 @@ func (t *thread) softwareStart() {
 			t.txv = v
 			return
 		}
-		if t.sys.ring != nil && m.LoadPlain(t.sys.g.HTMLock) == 0 {
-			// Join the holder's window instead of waiting it out: begin at
-			// base v&^1 in combine mode. This is sound because the combine
-			// read protocol's proof (see mixedTx.Load) depends only on each
-			// read's val -> clock -> lock -> clock-again load sequence, not
-			// on when the transaction began; writes are buffered and offered
-			// to the holder's group at commit. The gHTMLock check is only a
-			// heuristic — a software holder publishes in place, so every
-			// read inside its window would restart anyway.
-			t.txv = v &^ 1
-			t.combineMode = true
-			return
-		}
 		runtime.Gosched()
 	}
 }
@@ -291,7 +234,6 @@ func (t *thread) commitPrefix() {
 		t.htx.Abort(abortClockLocked)
 	}
 	t.htx.Commit() // may abort: the whole attempt restarts
-	t.prefixCommitted = true
 	t.fallbackRegistered = true
 	t.txv = v
 	t.prefixDone()
@@ -382,14 +324,6 @@ func (t *thread) handleFirstWrite() {
 	// acquire_clock_lock (lines 47–56). writeDetected is set only once the
 	// lock is ours, since abort cleanup releases the clock when it is set.
 	if !m.CASPlain(t.sys.g.Clock, t.txv, t.txv|1) {
-		if t.sys.ring != nil && m.LoadPlain(t.sys.g.Clock) == t.txv|1 {
-			// The clock is locked by a holder at exactly our snapshot base,
-			// so our reads are still provably valid: instead of restarting,
-			// buffer the writes and try to join the holder's group at commit
-			// (or take the lock ourselves if it frees first).
-			t.combineMode = true
-			return
-		}
 		tm.Restart()
 	}
 	t.txv |= 1
@@ -424,34 +358,15 @@ func (t *thread) CommitSlow() {
 		return
 	}
 	if !t.writeDetected {
-		if t.combineMode {
-			if len(t.base.Log.Buffered()) == 0 {
-				// Read-only transaction that began inside a holder's window:
-				// every read already validated against base txv and there is
-				// nothing to publish, so it commits like any NOrec read-only.
-				t.combineMode = false
-				return
-			}
-			t.combineCommit()
-			return
-		}
 		return // read-only software slow path
 	}
 	if t.postfixActive {
-		if t.sys.ring != nil {
-			t.groupCommitPostfix()
-			return
-		}
 		t.htx.Commit() // publish all writes atomically
 		t.postfixActive = false
 		t.base.St.PostfixCommits++
 		t.base.St.Obs.RecordSince(obs.PhasePostfix, t.postfixStart)
 	}
 	if t.fullSoftware {
-		if t.sys.ring != nil {
-			t.groupCommitSoftware()
-			return
-		}
 		// The eager writes are already in memory but no reader can commit a
 		// transaction that saw them until the clock releases below, so the
 		// redo record sealed here still precedes every dependent commit's
@@ -464,168 +379,6 @@ func (t *thread) CommitSlow() {
 	t.writeDetected = false
 }
 
-// groupCommitPostfix commits a postfix holder with the combining ring
-// enabled: it drains compatible queued commits into the hardware write
-// buffer and — the load-bearing difference from the plain postfix — stores
-// the clock release *inside* the hardware transaction, so the group's
-// writes and the clock's move to txv+2 become visible in one atomic step.
-// That atomicity is what licenses combining readers to keep executing at
-// clock==txv|1: until the postfix commits they can observe nothing of the
-// group, and the instant it commits their next clock check restarts them.
-// combineLingerBeats bounds the scheduler beats a holder yields before
-// draining. One beat gives every contender a single slice — enough to reach
-// its first write, not enough to restart off a dead prefix, rejoin the
-// window in software, and enqueue. A handful of beats is; the early exit
-// keeps the cost of an empty window to the beats actually spent.
-const combineLingerBeats = 8
-
-// lingerForGroup yields a bounded number of scheduler beats while holding
-// the clock so the flat-combining batch can form: contending committers run
-// to their first write (or begin inside the window via softwareStart),
-// observe the locked clock, buffer, and enqueue. Real combiners spin a
-// bounded window for the same reason.
-func (t *thread) lingerForGroup() {
-	r := t.sys.ring
-	base := t.txv &^ 1
-	for i := 0; i < combineLingerBeats && r.PendingAt(base) == 0; i++ {
-		runtime.Gosched()
-	}
-}
-
-func (t *thread) groupCommitPostfix() {
-	r := t.sys.ring
-	t.lingerForGroup()
-	var group mem.Signature
-	t.htx.AddWriteSignature(&group, tm.CombineSigBits)
-	t.drainMask = 0
-	t.groupBuf.Reset()
-	n := r.Drain(t.txv&^1, &group, combineDrainBudget, &t.drainMask, t.bufferGroup)
-	for _, w := range t.groupBuf.Entries() {
-		t.htx.Store(w.Addr, w.Value)
-	}
-	t.htx.Store(t.sys.g.Clock, (t.txv&^1)+2)
-	t.htx.Commit() // on abort: AbortSlow resolves drainMask rejected
-	t.postfixActive = false
-	t.base.St.PostfixCommits++
-	t.base.St.Obs.RecordSince(obs.PhasePostfix, t.postfixStart)
-	if n > 0 {
-		t.base.St.CombineDrains++
-		t.base.RecordCombine(obs.FilterCombineDrain)
-	}
-	if t.drainMask != 0 {
-		r.Resolve(t.drainMask, true)
-		t.drainMask = 0
-	}
-	t.writeDetected = false
-}
-
-// groupCommitSoftware commits a full-software holder with the combining
-// ring enabled: queued commits are published in place under the global HTM
-// lock — combining readers reject any read overlapping the window via the
-// HTM-lock check, exactly as they do for the holder's own eager writes. The
-// clock must release *before* the HTM lock drops: a combining reader that
-// observes the lock clear re-reads the clock, and this ordering guarantees
-// the re-read sees the window closed (see mixedTx.Load). Claims resolve done
-// only after the clock releases, when the whole group is visible.
-func (t *thread) groupCommitSoftware() {
-	m := t.base.M
-	r := t.sys.ring
-	t.lingerForGroup()
-	var group mem.Signature
-	t.base.Log.AddSignature(&group, tm.CombineSigBits)
-	t.drainMask = 0
-	t.groupBuf.Reset()
-	n := r.Drain(t.txv&^1, &group, 1<<30, &t.drainMask, t.bufferGroup)
-	t.base.Log.Publish(t.groupBuf.Entries())
-	t.base.Log.Seal()
-	m.StorePlain(t.sys.g.Clock, (t.txv&^1)+2)
-	m.StorePlain(t.sys.g.HTMLock, 0)
-	t.fullSoftware = false
-	if n > 0 {
-		t.base.St.CombineDrains++
-		t.base.RecordCombine(obs.FilterCombineDrain)
-	}
-	if t.drainMask != 0 {
-		r.Resolve(t.drainMask, true)
-		t.drainMask = 0
-	}
-	t.writeDetected = false
-}
-
-// bufferGroup is the Drain apply callback: it folds one claimed entry's
-// writes into groupBuf, last write per address winning. Claim order is the
-// group's serialization order, so the coalesced buffer is equivalent to
-// applying every entry in sequence — and a batch of same-line publishes
-// costs one store per line instead of one per entry.
-func (t *thread) bufferGroup(ws []mem.WriteEntry) {
-	for _, w := range ws {
-		t.groupBuf.Put(w.Addr, w.Value)
-	}
-}
-
-// combineCommit commits a combine-mode transaction: its writes are buffered
-// in the write log and no lock is held. Either the clock lock frees and we
-// take it ourselves (replaying the buffer through the ordinary postfix or
-// software machinery), or a holder still has it and we enqueue the buffer
-// for group commit and wait for the verdict.
-func (t *thread) combineCommit() {
-	m := t.base.M
-	for {
-		c := m.LoadPlain(t.sys.g.Clock)
-		if c == t.txv {
-			if !m.CASPlain(t.sys.g.Clock, t.txv, t.txv|1) {
-				continue
-			}
-			t.txv |= 1
-			t.writeDetected = true
-			t.combineMode = false
-			if !t.sys.policy.DisablePostfix && !t.postfixBanned {
-				t.base.St.PostfixAttempts++
-				t.postfixStart = t.base.St.Obs.Start()
-				t.htx.Begin()
-				t.postfixActive = true
-				for _, w := range t.base.Log.Buffered() {
-					t.htx.Store(w.Addr, w.Value)
-				}
-			} else {
-				t.goFullSoftware()
-				for _, w := range t.base.Log.Buffered() {
-					t.base.InstrumentedAccess()
-					t.base.Log.StoreEager(w.Addr, w.Value)
-				}
-			}
-			t.CommitSlow() // the ordinary locked commit, drain included
-			return
-		}
-		if c == t.txv|1 {
-			if t.tryEnqueue() {
-				return
-			}
-			continue
-		}
-		// The holder committed a group that excluded us (or a later window
-		// opened): our base is stale.
-		tm.Restart()
-	}
-}
-
-// tryEnqueue offers the buffered write set to the current holder's group
-// (tm.OfferGroup carries the wait and its verdicts).
-func (t *thread) tryEnqueue() bool {
-	rsig := t.combRSig
-	if t.prefixCommitted {
-		// The committed prefix's reads are part of this attempt's footprint;
-		// htx still holds their log (it is reset only by the next Begin, and
-		// combine mode never starts a postfix).
-		t.htx.AddReadSignature(&rsig, tm.CombineSigBits)
-	}
-	if !t.base.OfferGroup(t.sys.ring, t.sys.g.Clock, t.txv, &rsig) {
-		return false
-	}
-	t.combineMode = false
-	return true
-}
-
 // AbortSlow releases every lock after a restart, hardware abort, or user
 // abort; the skeleton has already rolled the eager writes back. A prefix or
 // postfix that aborted has already discarded its buffer; one that is still
@@ -636,14 +389,6 @@ func (t *thread) AbortSlow(verdict *htm.Abort) {
 		t.htx.Cancel()
 	}
 	m := t.base.M
-	if t.drainMask != 0 {
-		// A drain claimed ring entries but the publish died (postfix abort or
-		// a panic mid-apply): every claim resolves rejected so its owner can
-		// restart instead of waiting forever.
-		t.sys.ring.Resolve(t.drainMask, false)
-		t.drainMask = 0
-	}
-	t.combineMode = false
 	if t.prefixActive {
 		// A failed prefix: ban it for this transaction and resize the
 		// budget (§3.4 single-try policy + §2.4 adaptation).
@@ -657,18 +402,6 @@ func (t *thread) AbortSlow(verdict *htm.Abort) {
 		// deviation).
 		t.postfixActive = false
 		t.postfixBanned = true
-	}
-	if t.sys.ring != nil && t.writeDetected {
-		// With combining on, an aborting holder must *advance* the clock:
-		// combining readers treat clock==txv|1 as naming one unique holder
-		// window, and restoring txv would let a second holder re-lock the
-		// same value — an ABA that could launder a rolled-back transient
-		// value past their recheck. The advance spuriously restarts
-		// same-base software readers, which is safe (NOrec conservatism).
-		// The clock moves before the HTM lock drops for the same
-		// reader-recheck ordering reason as in groupCommitSoftware.
-		m.StorePlain(t.sys.g.Clock, (t.txv&^1)+2)
-		t.writeDetected = false
 	}
 	if t.fullSoftware {
 		m.StorePlain(t.sys.g.HTMLock, 0)
@@ -704,35 +437,12 @@ func (v mixedTx) Load(a mem.Addr) uint64 {
 	t.base.InstrumentedAccess()
 	t.base.St.SoftwareReads++
 	m := t.base.M
-	if t.combineMode {
-		if val, ok := t.base.Log.Lookup(a); ok {
-			return val
-		}
-	}
 	// LoadCommitted: a concurrent hardware commit publishes its data and
 	// its clock bump as one step, so a value it wrote is never returned
 	// ahead of the clock check below seeing the bump.
 	val := m.LoadCommitted(a)
-	if c := m.LoadPlain(t.sys.g.Clock); c != t.txv {
-		// In combine mode the clock being locked at our own base is not a
-		// conflict, because nothing of the holder's can have reached val:
-		// clock==txv|1 names a unique holder window (an aborting holder
-		// advances the clock on release, so a base is never re-locked), a
-		// postfix holder publishes atomically with the clock leaving txv|1,
-		// and a software holder writes only under the global HTM lock and
-		// releases the clock before that lock. Under those rules the
-		// val -> clock -> lock -> clock-again load sequence accepting
-		// (txv|1, 0, txv|1) proves the lock load preceded the holder's
-		// lock acquisition — hence val preceded its first write — or else
-		// followed a release whose prior clock move the reload would see.
-		if !(t.combineMode && c == t.txv|1 &&
-			m.LoadPlain(t.sys.g.HTMLock) == 0 &&
-			m.LoadPlain(t.sys.g.Clock) == t.txv|1) {
-			tm.Restart()
-		}
-	}
-	if t.sys.ring != nil {
-		t.combRSig.AddLine(mem.LineOf(a), tm.CombineSigBits)
+	if m.LoadPlain(t.sys.g.Clock) != t.txv {
+		tm.Restart()
 	}
 	return val
 }
@@ -745,20 +455,11 @@ func (v mixedTx) Store(a mem.Addr, val uint64) {
 	if t.prefixActive {
 		t.commitPrefix() // Algorithm 3 lines 40–45: first write ends the prefix
 	}
-	if !t.writeDetected && !t.combineMode {
+	if !t.writeDetected {
 		t.handleFirstWrite()
 	}
 	if t.postfixActive {
 		t.htx.Store(a, val)
-		return
-	}
-	if t.combineMode {
-		// No InstrumentedAccess: a combine-mode store is a thread-private
-		// write-buffer append touching no shared STM metadata — the same
-		// cost class as an HTM write-buffer store, which the cost model
-		// does not charge either. (Combine-mode loads stay instrumented:
-		// they run the full clock-validation protocol.)
-		t.base.Log.Buffer(a, val)
 		return
 	}
 	t.base.InstrumentedAccess()

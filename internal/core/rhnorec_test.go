@@ -31,15 +31,6 @@ func TestConformanceTinyCapacity(t *testing.T) {
 	}, tmtest.Options{})
 }
 
-// TestConformanceCombine runs the suite with slow-path group commit on, at
-// a capacity that sends every writer through the clock lock the combining
-// ring hangs off.
-func TestConformanceCombine(t *testing.T) {
-	tmtest.RunConformance(t, func(m *mem.Memory) tm.System {
-		return newSys(m, htm.Config{ReadCapacityLines: 2, WriteCapacityLines: 1}, tm.RetryPolicy{Combine: true})
-	}, tmtest.Options{})
-}
-
 // TestConformanceNoPrefix isolates the postfix (ablation knob).
 func TestConformanceNoPrefix(t *testing.T) {
 	tmtest.RunConformance(t, func(m *mem.Memory) tm.System {

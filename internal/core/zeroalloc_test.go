@@ -97,16 +97,6 @@ func TestZeroAllocMixedSlowPath(t *testing.T) {
 	requireZeroAllocs(t, th, slowPathFn(addrs))
 }
 
-// TestZeroAllocCombine proves turning the combining ring on does not buy
-// back allocations: the combine-mode read checks, the recycled combined
-// write buffer, and the (empty) holder drain are all allocation-free.
-func TestZeroAllocCombine(t *testing.T) {
-	th, addrs := allocWorld(t,
-		htm.Config{ReadCapacityLines: 2, WriteCapacityLines: 1},
-		tm.RetryPolicy{Combine: true})
-	requireZeroAllocs(t, th, slowPathFn(addrs))
-}
-
 // TestZeroAllocReadOnly covers the read-only hint path (no writer commit
 // work at all).
 func TestZeroAllocReadOnly(t *testing.T) {
@@ -151,24 +141,6 @@ func BenchmarkTxnMixedSlowPath(b *testing.B) {
 	th, addrs := allocWorld(b,
 		htm.Config{ReadCapacityLines: 2, WriteCapacityLines: 1, YieldPeriod: -1},
 		tm.RetryPolicy{})
-	fn := slowPathFn(addrs)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := th.Run(fn); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTxnCombineSlowPath: the mixed slow path with the combining ring
-// compiled in (uncontended, so the committer is always the holder). The
-// delta against BenchmarkTxnMixedSlowPath is the combining overhead a
-// solitary committer pays. 0 allocs/op.
-func BenchmarkTxnCombineSlowPath(b *testing.B) {
-	th, addrs := allocWorld(b,
-		htm.Config{ReadCapacityLines: 2, WriteCapacityLines: 1, YieldPeriod: -1},
-		tm.RetryPolicy{Combine: true})
 	fn := slowPathFn(addrs)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -318,31 +318,3 @@ func TestNormalizeErrors(t *testing.T) {
 		t.Errorf("fixed-worker scenario normalized to %d workers, want 2", cfg.Workers)
 	}
 }
-
-// TestDeterminismWithCombineOn certifies the group-commit configuration the
-// default fixture cannot cover: under the algorithm whose policy sets
-// Combine (the name a trace serializes, so the recording replays under the
-// same policy), exploration must stay bit-deterministic — identical seeds
-// reproduce identical event and choice sequences — and a recorded trace
-// must replay to certification. A small PCT sweep doubles as the safety
-// oracle: combining must introduce no violations.
-func TestDeterminismWithCombineOn(t *testing.T) {
-	cfg := Config{Scenario: "bank", Algo: "rh-norec+combine"}
-	a := mustRun(t, cfg, NewPCT(7, 4, 3, 128, 0.2))
-	b := mustRun(t, cfg, NewPCT(7, 4, 3, 128, 0.2))
-	if !reflect.DeepEqual(a.Events, b.Events) || !reflect.DeepEqual(a.Choices, b.Choices) {
-		t.Fatal("combine-on runs diverge across identical seeds")
-	}
-	tr := NewTrace(cfg, a)
-	if _, err := tr.Replay(); err != nil {
-		t.Fatalf("combine-on trace failed certification: %v", err)
-	}
-	found, _, err := ExplorePCT(cfg, 1, 10, 3, 256, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if found != nil {
-		t.Errorf("violated with combining on (seed %d): %s\n%s",
-			found.Seed, found.Result.Violation, FormatTrace(found.Result))
-	}
-}

@@ -288,24 +288,6 @@ func (t *Txn) rollFalseConflict(diced *bool) bool {
 	return t.nextRand()>>11 >= t.falseConfThresh
 }
 
-// AddReadSignature folds the transaction's read footprint, by line, into
-// sig at the given bloom width. A driver whose software reads follow a
-// committed hardware prefix seeds its group-commit read signature with it.
-func (t *Txn) AddReadSignature(sig *mem.Signature, bits uint32) {
-	for i := range t.reads.entries {
-		sig.AddLine(mem.LineOf(t.reads.entries[i].addr), bits)
-	}
-}
-
-// AddWriteSignature folds the buffered write footprint, by line, into sig
-// at the given bloom width. Group-commit holders use it to seed the group's
-// accumulated write signature before draining the combining ring.
-func (t *Txn) AddWriteSignature(sig *mem.Signature, bits uint32) {
-	for i := range t.writes.entries {
-		sig.AddLine(mem.LineOf(t.writes.entries[i].Addr), bits)
-	}
-}
-
 // valueCheckStripe re-checks every logged read that lives in stripe s by
 // value. The caller supplies the stability argument (stripe seqlock
 // protocol, or holding the stripe's writeback lock).

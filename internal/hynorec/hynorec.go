@@ -46,13 +46,6 @@ type System struct {
 	engine  *tm.Engine
 	variant Variant
 
-	// ring, when non-nil (RetryPolicy.Combine with the Lazy variant), is the
-	// flat-combining ring of the group-commit commit path: a lazy committer
-	// that finds the clock locked at exactly its own snapshot base enqueues
-	// its buffered write set here instead of spinning, and the lock holder
-	// drains signature-disjoint entries under its one ticket window.
-	ring *mem.CombineRing
-
 	g Globals
 }
 
@@ -69,7 +62,7 @@ func NewVariant(m *mem.Memory, dev *htm.Device, policy tm.RetryPolicy, v Variant
 		panic("hynorec: device bound to a different memory")
 	}
 	engine := tm.NewEngine(policy)
-	s := &System{
+	return &System{
 		m:       m,
 		dev:     dev,
 		rec:     tm.NewReclaimer(),
@@ -78,15 +71,7 @@ func NewVariant(m *mem.Memory, dev *htm.Device, policy tm.RetryPolicy, v Variant
 		variant: v,
 		g:       NewGlobals(m),
 	}
-	if s.policy.Combine && v == Lazy {
-		s.ring = mem.NewCombineRing()
-	}
-	return s
 }
-
-// CombineRing returns the group-commit ring, or nil when combining is off —
-// a diagnostic handle for tests and benchmark instrumentation.
-func (s *System) CombineRing() *mem.CombineRing { return s.ring }
 
 // Engine returns the system's retry engine (the service layer's
 // admission-controller saturation signal; see core.System.Engine).
@@ -129,11 +114,6 @@ type thread struct {
 	txv           uint64
 	writeDetected bool
 	readSet       []readEntry
-
-	// drainMask (sys.ring != nil) records ring slots claimed by this
-	// thread's own in-progress drain so every abort path can resolve them
-	// rejected.
-	drainMask uint32
 }
 
 func (t *thread) Stats() *tm.Stats { return &t.base.St }
@@ -187,50 +167,18 @@ func (t *thread) EndSlow() { t.base.M.SubPlain(t.sys.g.Fallbacks, 1) }
 
 // lazyCommit publishes the lazy variant's buffered writes: lock the clock
 // (validating or extending the snapshot as needed), kill the hardware fast
-// paths for the non-atomic write-back, publish, release. With the combining
-// ring enabled, a committer that loses the lock race to a holder at exactly
-// its own base enqueues instead of spinning, and a committer that wins the
-// lock drains compatible queued commits before releasing.
+// paths for the non-atomic write-back, publish, release.
 func (t *thread) lazyCommit() {
 	m := t.base.M
 	g := &t.sys.g
 	for !m.CASPlain(g.Clock, t.txv, t.txv|1) {
-		if t.sys.ring != nil && m.LoadPlain(g.Clock) == t.txv|1 {
-			// A holder locked the clock at our snapshot base: our value-
-			// validated read set is still exactly as valid as it was, so
-			// offer the write set to the holder's group instead of waiting.
-			if t.tryEnqueue() {
-				return
-			}
-			continue
-		}
 		t.txv = t.validate()
 	}
 	m.StorePlain(g.HTMLock, 1)
 	t.base.Log.Publish(t.base.Log.Buffered())
-	if t.sys.ring != nil {
-		// The HTM lock is held as well as the clock, so hardware fast paths
-		// cannot observe the group mid-publish either.
-		t.base.DrainGroup(t.sys.ring, t.txv, &t.drainMask)
-	}
 	t.base.Log.Seal()
 	m.StorePlain(g.HTMLock, 0)
 	m.StorePlain(g.Clock, t.txv+2)
-	if t.drainMask != 0 {
-		// The group is visible (the clock released): resolve the claims done.
-		t.sys.ring.Resolve(t.drainMask, true)
-		t.drainMask = 0
-	}
-}
-
-// tryEnqueue offers the buffered stores to the current holder's group
-// (tm.OfferGroup carries the wait and its verdicts).
-func (t *thread) tryEnqueue() bool {
-	var rsig mem.Signature
-	for i := range t.readSet {
-		rsig.AddLine(mem.LineOf(t.readSet[i].addr), tm.CombineSigBits)
-	}
-	return t.base.OfferGroup(t.sys.ring, t.sys.g.Clock, t.txv, &rsig)
 }
 
 // validate re-checks the lazy read set by value, returning the even clock
@@ -260,12 +208,6 @@ func (t *thread) validate() uint64 {
 // concurrent transaction can have observed the undone values.
 func (t *thread) AbortSlow(*htm.Abort) {
 	m := t.base.M
-	if t.drainMask != 0 {
-		// A drain claimed ring entries but the publish never became visible:
-		// resolve them rejected so their owners can restart.
-		t.sys.ring.Resolve(t.drainMask, false)
-		t.drainMask = 0
-	}
 	if t.writeDetected {
 		m.StorePlain(t.sys.g.HTMLock, 0)
 		m.StorePlain(t.sys.g.Clock, t.txv&^1)

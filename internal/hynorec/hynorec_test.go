@@ -37,16 +37,6 @@ func TestConformanceLazyTinyCapacity(t *testing.T) {
 	}, tmtest.Options{})
 }
 
-// TestConformanceLazyCombine adds group commit to the constant-fallback
-// lazy configuration, so the combining ring carries the slow-path commits.
-func TestConformanceLazyCombine(t *testing.T) {
-	tmtest.RunConformance(t, func(m *mem.Memory) tm.System {
-		dev := htm.NewDevice(m, htm.Config{ReadCapacityLines: 2, WriteCapacityLines: 1})
-		dev.SetActiveThreads(4)
-		return hynorec.NewVariant(m, dev, tm.RetryPolicy{Combine: true}, hynorec.Lazy)
-	}, tmtest.Options{})
-}
-
 func TestLazyName(t *testing.T) {
 	m := mem.New(1024)
 	sys := hynorec.NewVariant(m, htm.NewDevice(m, htm.Config{}), tm.RetryPolicy{}, hynorec.Lazy)

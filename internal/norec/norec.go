@@ -45,39 +45,19 @@ type System struct {
 	rec     *tm.Reclaimer
 	variant Variant
 	clock   mem.Addr
-
-	// ring, when non-nil (RetryPolicy.Combine with the Lazy variant), is the
-	// flat-combining ring of the group-commit commit path: a lazy committer
-	// that finds the clock locked at exactly its own snapshot base enqueues
-	// its buffered write set here instead of spinning, and the lock holder
-	// drains signature-disjoint entries under its one ticket window.
-	ring *mem.CombineRing
 }
 
-// New creates a NOrec system of the given variant with the default policy.
+// New creates a NOrec system of the given variant. NOrec has no hardware
+// fast path to retry, so it takes no tm.RetryPolicy.
 func New(m *mem.Memory, variant Variant) *System {
-	return NewWithPolicy(m, variant, tm.RetryPolicy{})
-}
-
-// NewWithPolicy creates a NOrec system with an explicit policy. NOrec has
-// no hardware fast path to retry, so only Combine applies.
-func NewWithPolicy(m *mem.Memory, variant Variant, policy tm.RetryPolicy) *System {
 	tc := m.NewThreadCache()
-	s := &System{
+	return &System{
 		m:       m,
 		rec:     tm.NewReclaimer(),
 		variant: variant,
 		clock:   tc.Alloc(mem.LineWords),
 	}
-	if policy.Combine && variant == Lazy {
-		s.ring = mem.NewCombineRing()
-	}
-	return s
 }
-
-// CombineRing returns the group-commit ring, or nil when combining is off —
-// a diagnostic handle for tests and benchmark instrumentation.
-func (s *System) CombineRing() *mem.CombineRing { return s.ring }
 
 // Name implements tm.System.
 func (s *System) Name() string { return s.variant.String() }
@@ -110,11 +90,6 @@ type thread struct {
 	// to a value read set (lazy).
 	writeDetected bool
 	readSet       []readEntry
-
-	// drainMask (sys.ring != nil) records ring slots claimed by this
-	// thread's own in-progress drain so every abort path can resolve them
-	// rejected.
-	drainMask uint32
 }
 
 func (t *thread) Stats() *tm.Stats { return &t.base.St }
@@ -144,12 +119,6 @@ func (t *thread) EndSlow() {}
 // mid-write-phase (only possible via user error or an application panic;
 // clock validation cannot fail while the lock is held).
 func (t *thread) AbortSlow(*htm.Abort) {
-	if t.drainMask != 0 {
-		// A drain claimed ring entries but the publish never became visible:
-		// resolve them rejected so their owners can restart.
-		t.sys.ring.Resolve(t.drainMask, false)
-		t.drainMask = 0
-	}
 	if t.writeDetected {
 		// The skeleton has restored memory, so release without advancing
 		// the version: no concurrent transaction can have observed the
@@ -176,41 +145,12 @@ func (t *thread) CommitSlow() {
 			return // read-only: nothing to publish, nothing to lock
 		}
 		for !m.CASPlain(t.sys.clock, t.txv, t.txv|1) {
-			if t.sys.ring != nil && m.LoadPlain(t.sys.clock) == t.txv|1 {
-				// A holder locked the clock at our snapshot base: our value-
-				// validated read set is still exactly as valid as it was, so
-				// offer the write set to the holder's group instead of
-				// waiting.
-				if t.tryEnqueue() {
-					return
-				}
-				continue
-			}
 			t.txv = t.validate()
 		}
 		t.base.Log.Publish(t.base.Log.Buffered())
-		if t.sys.ring != nil {
-			t.base.DrainGroup(t.sys.ring, t.txv, &t.drainMask)
-		}
 		t.base.Log.Seal()
 		m.StorePlain(t.sys.clock, t.txv+2) // txv is even here
-		if t.drainMask != 0 {
-			// The group is visible (the clock released): resolve the claims
-			// done.
-			t.sys.ring.Resolve(t.drainMask, true)
-			t.drainMask = 0
-		}
 	}
-}
-
-// tryEnqueue offers the buffered stores to the current holder's group
-// (tm.OfferGroup carries the wait and its verdicts).
-func (t *thread) tryEnqueue() bool {
-	var rsig mem.Signature
-	for i := range t.readSet {
-		rsig.AddLine(mem.LineOf(t.readSet[i].addr), tm.CombineSigBits)
-	}
-	return t.base.OfferGroup(t.sys.ring, t.sys.clock, t.txv, &rsig)
 }
 
 // validate re-checks the lazy read set by value and returns the even clock

@@ -22,15 +22,6 @@ func TestConformanceLazy(t *testing.T) {
 	}, tmtest.Options{})
 }
 
-// TestConformanceLazyCombine runs the suite with group commit on: lazy
-// committers that find the clock locked at their snapshot enqueue their
-// write sets for the holder to drain.
-func TestConformanceLazyCombine(t *testing.T) {
-	tmtest.RunConformance(t, func(m *mem.Memory) tm.System {
-		return norec.NewWithPolicy(m, norec.Lazy, tm.RetryPolicy{Combine: true})
-	}, tmtest.Options{})
-}
-
 func TestNames(t *testing.T) {
 	m := mem.New(1024)
 	if got := norec.New(m, norec.Eager).Name(); got != "norec" {

@@ -1,11 +1,11 @@
 package obs
 
 // PersistKind labels one persistence-plane counter (the redo log and its
-// crash recovery, internal/persist). Unlike FilterKind these are not
-// Recorder cells: the log keeps its own atomic ledger (appends outrun any
-// per-thread recorder and recovery happens before threads exist). The enum
-// is the metric *vocabulary* — the stable names the rhserve.v1 dump and the
-// /metrics text page key the log's counters on (docs/METRICS.md).
+// crash recovery, internal/persist). These are not Recorder cells: the log
+// keeps its own atomic ledger (appends outrun any per-thread recorder and
+// recovery happens before threads exist). The enum is the metric
+// *vocabulary* — the stable names the rhserve.v1 dump and the /metrics text
+// page key the log's counters on (docs/METRICS.md).
 type PersistKind uint8
 
 const (

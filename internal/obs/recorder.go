@@ -29,11 +29,10 @@ type Config struct {
 // Recorders are single-threaded like the Stats they ride on; the harness
 // merges them after workers stop.
 type Recorder struct {
-	phases      [NumPhases]Histogram
-	abortCount  [NumCauses]uint64
-	abortRetry  [NumCauses]Histogram
-	filterCount [NumFilterKinds]uint64
-	ring        *Ring
+	phases     [NumPhases]Histogram
+	abortCount [NumCauses]uint64
+	abortRetry [NumCauses]Histogram
+	ring       *Ring
 }
 
 // NewRecorder creates a Recorder per cfg.
@@ -138,10 +137,9 @@ func (r *Recorder) Clone() *Recorder {
 		return nil
 	}
 	return &Recorder{
-		phases:      r.phases,
-		abortCount:  r.abortCount,
-		abortRetry:  r.abortRetry,
-		filterCount: r.filterCount,
+		phases:     r.phases,
+		abortCount: r.abortCount,
+		abortRetry: r.abortRetry,
 	}
 }
 
@@ -159,8 +157,5 @@ func (r *Recorder) Merge(o *Recorder) {
 	for i := range r.abortCount {
 		r.abortCount[i] += o.abortCount[i]
 		r.abortRetry[i].Merge(&o.abortRetry[i])
-	}
-	for i := range r.filterCount {
-		r.filterCount[i] += o.filterCount[i]
 	}
 }

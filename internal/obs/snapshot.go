@@ -11,11 +11,6 @@ type Snapshot struct {
 	// Aborts holds one entry per abort cause observed at least once, in
 	// Cause enum order.
 	Aborts []AbortSnapshot `json:"aborts"`
-	// Filter holds one entry per group-commit counter that fired at least
-	// once, in FilterKind enum order. Omitted when flat combining is off, so
-	// dumps that predate it stay byte-identical (additive optional field — no
-	// schema_version bump, per the METRICS.md contract).
-	Filter []FilterSnapshot `json:"filter,omitempty"`
 }
 
 // PhaseSnapshot is one phase's latency distribution. All durations are
@@ -83,15 +78,6 @@ func (r *Recorder) Snapshot() *Snapshot {
 			Count:     r.abortCount[c],
 			RetryMean: r.abortRetry[c].Mean(),
 			RetryMax:  r.abortRetry[c].Max(),
-		})
-	}
-	for k := FilterKind(0); k < NumFilterKinds; k++ {
-		if r.filterCount[k] == 0 {
-			continue
-		}
-		s.Filter = append(s.Filter, FilterSnapshot{
-			Kind:  k.String(),
-			Count: r.filterCount[k],
 		})
 	}
 	return s

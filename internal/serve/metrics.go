@@ -109,8 +109,7 @@ func (s *Server) Snapshot() *bench.ServeDump {
 			Latency:  lat.Hist(int(e)).Summary(),
 		})
 	}
-	if snap := rec.Snapshot(); snap != nil &&
-		(len(snap.Phases) > 0 || len(snap.Aborts) > 0 || len(snap.Filter) > 0) {
+	if snap := rec.Snapshot(); snap != nil && (len(snap.Phases) > 0 || len(snap.Aborts) > 0) {
 		d.Obs = snap
 	}
 	return d

@@ -14,10 +14,9 @@
 // hash (sticky, so one client's hot keys stay on one thread's stripe and
 // cache footprint), and waits. The worker dequeues, drains up to
 // Config.BatchMax-1 more queued requests, and executes the whole batch in
-// ONE transaction — single-key traffic coalesces into fused transactions
-// the way the flat-combining ring fuses slow-path commits, and a fused
-// batch is trivially atomic (it is one transaction). Read-only batches run
-// via RunReadOnly, keeping the fast paths' clock-free commit.
+// ONE transaction — single-key traffic coalesces into fused transactions,
+// and a fused batch is trivially atomic (it is one transaction). Read-only
+// batches run via RunReadOnly, keeping the fast paths' clock-free commit.
 //
 // Admission control (paper-level motivation: Brown & Ravi's
 // cost-of-concurrency analysis says the fast/slow path mix, not raw

@@ -49,15 +49,6 @@ func (b *ThreadBase) RecordSTMRestart(retry int) {
 	}
 }
 
-// RecordCombine accounts one group-commit outcome on the obs ledger; the
-// Stats counters stay with the driver's commit path, which knows which
-// outcome it just took.
-func (b *ThreadBase) RecordCombine(k obs.FilterKind) {
-	if o := b.St.Obs; o != nil {
-		o.RecordFilter(k)
-	}
-}
-
 // ObsEvent appends a begin/fallback/commit event to the thread's event
 // ring (if one is attached), stamped with the memory's commit ticket — a
 // global publish counter that keeps cross-thread event orderings

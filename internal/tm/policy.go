@@ -25,20 +25,11 @@ type RetryPolicy struct {
 	DisablePostfix bool
 	// DisableFast skips the pure-hardware fast path entirely, forcing every
 	// transaction onto the slow path (ablation knob; isolates slow-path
-	// behavior — the combining sweep uses it to create a commit-lock convoy
-	// at will).
+	// behavior).
 	DisableFast bool
 	// DisablePrefixAdaptation freezes the prefix length at
 	// InitialPrefixLength (ablation knob).
 	DisablePrefixAdaptation bool
-	// Combine enables flat-combining group commit on the software slow
-	// path: a committer that finds the sequence lock held at its own
-	// snapshot base enqueues its pre-validated write set into the memory's
-	// combining ring instead of restarting, and the lock holder drains
-	// signature-disjoint queued commits under its one ticket window. Off by
-	// default — it changes slow-path yield sequences, so recorded explore
-	// schedules assume it off unless re-recorded.
-	Combine bool
 }
 
 // DefaultPolicy returns the paper's static policy: 10 hardware retries and

@@ -66,15 +66,6 @@ type Stats struct {
 	// (the software baselines of §3.1).
 	STMRestarts uint64
 
-	// Group-commit counters (the flat-combining slow path; RetryPolicy.
-	// Combine). CombinedCommits counts transactions committed by a holder
-	// draining their queued write set; CombineDrains ticket windows under
-	// which a holder published at least one queued commit; CombineRejects
-	// queued commits that were claimed but not published and had to restart.
-	CombinedCommits uint64
-	CombineDrains   uint64
-	CombineRejects  uint64
-
 	// Obs, when non-nil, is the thread's observability recorder: per-phase
 	// latency histograms, the abort-cause taxonomy and the optional event
 	// ring (package obs). The harness attaches it after NewThread

@@ -13,23 +13,23 @@ import "rhnorec/internal/mem"
 // rolls it back before the driver's AbortSlow; the driver stores through it
 // and calls Seal at its commit point.
 
-// writeSetScan is the size up to which a WriteSet finds an address by
+// writeSetScan is the size up to which a writeSet finds an address by
 // scanning. Most write sets are a handful of words, where a scan beats a
 // hash and allocates nothing; the index past it keeps a thousand-word
 // transaction linear.
 const writeSetScan = 8
 
-// WriteSet is an insertion-ordered set of word writes in which the last
+// writeSet is an insertion-ordered set of word writes in which the last
 // value put to an address wins. The zero value is empty and ready; its
 // storage is grown once and recycled.
-type WriteSet struct {
+type writeSet struct {
 	entries []mem.WriteEntry
 	// index maps address to position in entries; maintained only while the
 	// set is larger than writeSetScan.
 	index map[mem.Addr]int
 }
 
-func (s *WriteSet) find(a mem.Addr) int {
+func (s *writeSet) find(a mem.Addr) int {
 	if len(s.entries) > writeSetScan {
 		if i, ok := s.index[a]; ok {
 			return i
@@ -45,7 +45,7 @@ func (s *WriteSet) find(a mem.Addr) int {
 }
 
 // Put records v as the value of a.
-func (s *WriteSet) Put(a mem.Addr, v uint64) {
+func (s *writeSet) Put(a mem.Addr, v uint64) {
 	if i := s.find(a); i >= 0 {
 		s.entries[i].Value = v
 		return
@@ -54,7 +54,7 @@ func (s *WriteSet) Put(a mem.Addr, v uint64) {
 }
 
 // push appends a write to an address the set does not hold yet.
-func (s *WriteSet) push(a mem.Addr, v uint64) {
+func (s *writeSet) push(a mem.Addr, v uint64) {
 	s.entries = append(s.entries, mem.WriteEntry{Addr: a, Value: v})
 	n := len(s.entries)
 	if n <= writeSetScan {
@@ -74,7 +74,7 @@ func (s *WriteSet) push(a mem.Addr, v uint64) {
 }
 
 // Get returns the value last put to a.
-func (s *WriteSet) Get(a mem.Addr) (uint64, bool) {
+func (s *writeSet) Get(a mem.Addr) (uint64, bool) {
 	if i := s.find(a); i >= 0 {
 		return s.entries[i].Value, true
 	}
@@ -83,10 +83,10 @@ func (s *WriteSet) Get(a mem.Addr) (uint64, bool) {
 
 // Entries returns the writes in first-put order. The slice aliases the
 // set's storage: it is valid until the next Put or Reset.
-func (s *WriteSet) Entries() []mem.WriteEntry { return s.entries }
+func (s *writeSet) Entries() []mem.WriteEntry { return s.entries }
 
 // Reset empties the set.
-func (s *WriteSet) Reset() {
+func (s *writeSet) Reset() {
 	if len(s.entries) > writeSetScan {
 		clear(s.index)
 	}
@@ -108,11 +108,11 @@ type WriteLog struct {
 	// undo holds one entry per eager store, oldest first: the address and
 	// the value the store replaced.
 	undo []mem.WriteEntry
-	buf  WriteSet
+	buf  writeSet
 	// pub holds what Publish stored since the last Seal. Only kept while a
 	// persister is attached; nothing else needs it.
 	pub  []mem.WriteEntry
-	redo WriteSet // Seal's record under assembly
+	redo writeSet // Seal's record under assembly
 }
 
 // StoreEager writes v to a in place, remembering the value it replaces.
@@ -134,30 +134,18 @@ func (l *WriteLog) Lookup(a mem.Addr) (uint64, bool) { return l.buf.Get(a) }
 
 // Buffered returns the buffered stores, first-stored first, each address
 // once with its last value (valid until the next Buffer or Reset). It is
-// what a driver publishes, replays into a hardware transaction, or offers
-// to a lock holder's group.
+// what a lazy driver publishes at its commit point.
 func (l *WriteLog) Buffered() []mem.WriteEntry { return l.buf.Entries() }
 
 // Publish stores ws in place, in order — the attempt's own Buffered set at
-// a lazy commit point, or a group drained from the combining ring. There is
-// no way back from it: the caller has validated and holds its lock.
+// a lazy commit point. There is no way back from it: the caller has
+// validated and holds its lock.
 func (l *WriteLog) Publish(ws []mem.WriteEntry) {
 	for _, w := range ws {
 		l.m.StorePlain(w.Addr, w.Value)
 	}
 	if l.m.Persisting() {
 		l.pub = append(l.pub, ws...)
-	}
-}
-
-// AddSignature folds the line of every word the attempt has stored, in
-// place or buffered, into sig.
-func (l *WriteLog) AddSignature(sig *mem.Signature, bits uint32) {
-	for i := range l.undo {
-		sig.AddLine(mem.LineOf(l.undo[i].Addr), bits)
-	}
-	for _, w := range l.buf.entries {
-		sig.AddLine(mem.LineOf(w.Addr), bits)
 	}
 }
 

@@ -148,7 +148,7 @@ func TestWriteLogNoPersisterNoAllocs(t *testing.T) {
 // order, last-value-wins and lookups must not notice, and a Reset must not
 // leave stale index entries behind for a smaller next use.
 func TestWriteSetIndex(t *testing.T) {
-	var s WriteSet
+	var s writeSet
 	for round := 0; round < 2; round++ {
 		n := 3 * writeSetScan
 		if round == 1 {

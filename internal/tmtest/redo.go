@@ -38,9 +38,9 @@ func (r *redoRecorder) Append(_ uint64, writes []mem.WriteEntry) {
 // committed writer, each address in it once, none for a reader, a user
 // abort or the attempts a restart threw away, however many of them it took
 // and whichever path (hardware, software, serial lock) finally committed. A
-// concurrent pass of blind hot-word writes and counter increments — which a
-// combining configuration batches into shared records — then replays the
-// whole log over the initial image and requires live memory.
+// concurrent pass of blind hot-word writes, counter increments and user
+// aborts holds the same count — one record per committed writer — then
+// replays the whole log over the initial image and requires live memory.
 func redoLogReplay(t *testing.T, f Factory, opts Options) {
 	const cells = 8
 	m := newMem()
@@ -110,6 +110,7 @@ func redoLogReplay(t *testing.T, f Factory, opts Options) {
 	}
 	th.Close()
 
+	before := len(rec.records)
 	var wg sync.WaitGroup
 	for w := 0; w < opts.Threads; w++ {
 		wg.Add(1)
@@ -145,6 +146,15 @@ func redoLogReplay(t *testing.T, f Factory, opts Options) {
 		}(w)
 	}
 	wg.Wait()
+	writers := 0
+	for j := 0; j < opts.Ops; j++ {
+		if j%4 != 1 { // every op but the user abort commits one writer
+			writers += opts.Threads
+		}
+	}
+	if got := len(rec.records) - before; got != writers && !t.Failed() {
+		t.Errorf("concurrent pass: %d redo records for %d committed writers", got, writers)
+	}
 
 	for _, r := range rec.records {
 		for _, w := range r {
