@@ -29,6 +29,7 @@ import (
 	"rhnorec/internal/conformance"
 	"rhnorec/internal/htm"
 	"rhnorec/internal/mem"
+	"rhnorec/internal/persist"
 	"rhnorec/internal/tm"
 )
 
@@ -44,7 +45,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "base RNG seed (worker i uses seed+i)")
 	)
 	flag.Parse()
-
 	if *listScens {
 		for _, sc := range conformance.Scenarios() {
 			fmt.Printf("%-10s %s\n", sc.Name, sc.Description)
@@ -52,15 +52,29 @@ func main() {
 		}
 		return
 	}
+	if *threads < 1 {
+		usage("-threads %d: a soak needs at least one worker", *threads)
+	}
+	if *duration <= 0 {
+		usage("-duration %v: a soak needs time to run", *duration)
+	}
 
-	algos := bench.StandardAlgos()
-	algos = append(algos,
-		mustVariant("rh-noprefix"), mustVariant("rh-nopostfix"), mustVariant("rh-allsoft"),
-		mustVariant("rh-tl2"), mustVariant("phased-tm"), mustVariant("hy-norec-lazy"), mustVariant("norec-lazy"))
+	var algos []bench.Algo
 	if *algosCSV != "" {
-		algos = nil
 		for _, name := range strings.Split(*algosCSV, ",") {
-			algos = append(algos, mustVariant(strings.TrimSpace(name)))
+			a, ok := bench.AlgoByName(strings.TrimSpace(name))
+			if !ok {
+				usage("unknown algorithm %q", name)
+			}
+			algos = append(algos, a)
+		}
+	} else {
+		// Every registered algorithm, less the +persist variants: they are
+		// rh-norec again, and nothing here attaches a redo log.
+		for _, a := range bench.AllAlgos() {
+			if a.Persist == persist.ModeOff {
+				algos = append(algos, a)
+			}
 		}
 	}
 	scenarios := conformance.Scenarios()
@@ -69,8 +83,7 @@ func main() {
 		for _, name := range strings.Split(*scensCSV, ",") {
 			sc, ok := conformance.ByName(strings.TrimSpace(name))
 			if !ok {
-				fmt.Fprintf(os.Stderr, "rhstress: unknown scenario %q (have %v)\n", name, conformance.Names())
-				os.Exit(2)
+				usage("unknown scenario %q (have %v)", name, conformance.Names())
 			}
 			scenarios = append(scenarios, sc)
 		}
@@ -105,11 +118,8 @@ func main() {
 	}
 }
 
-func mustVariant(name string) bench.Algo {
-	a, ok := bench.AlgoByName(name)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "rhstress: unknown algorithm %q\n", name)
-		os.Exit(2)
-	}
-	return a
+// usage reports a flag value that cannot be honoured and exits 2.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "rhstress: "+format+"\n", args...)
+	os.Exit(2)
 }

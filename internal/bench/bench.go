@@ -68,19 +68,25 @@ func StandardAlgos() []Algo {
 		{Name: "tl2", New: func(m *mem.Memory, _ *htm.Device, _ tm.RetryPolicy) tm.System {
 			return tl2.New(m, 0)
 		}},
-		{Name: "hy-norec", New: func(m *mem.Memory, d *htm.Device, p tm.RetryPolicy) tm.System {
-			return hynorec.New(m, d, p)
-		}},
+		hyNOrec(),
 		{Name: "rh-norec", New: func(m *mem.Memory, d *htm.Device, p tm.RetryPolicy) tm.System {
 			return core.New(m, d, p)
 		}},
 	}
 }
 
+// hyNOrec is the paper's "HY-NOrec": a row of the standard set and, being
+// RH NOrec with both small transactions off, of the ablation set too.
+func hyNOrec() Algo {
+	return Algo{Name: "hy-norec", New: func(m *mem.Memory, d *htm.Device, p tm.RetryPolicy) tm.System {
+		return core.NewHybridNOrec(m, d, p)
+	}}
+}
+
 // RHVariants returns the RH NOrec ablation variants of DESIGN.md §5: the
 // full algorithm, prefix disabled, postfix disabled, prefix-length
-// adaptation frozen, both small transactions disabled (degenerating to the
-// Hybrid NOrec mixed path), and the lazy-NOrec STM contrast.
+// adaptation frozen, both small transactions disabled (which is Hybrid
+// NOrec, under its own name), and the lazy-NOrec STM contrast.
 func RHVariants() []Algo {
 	override := func(name string, tweak func(*tm.RetryPolicy)) Algo {
 		return Algo{Name: name, New: func(m *mem.Memory, d *htm.Device, p tm.RetryPolicy) tm.System {
@@ -93,7 +99,7 @@ func RHVariants() []Algo {
 		override("rh-noprefix", func(p *tm.RetryPolicy) { p.DisablePrefix = true }),
 		override("rh-nopostfix", func(p *tm.RetryPolicy) { p.DisablePostfix = true }),
 		override("rh-noadapt", func(p *tm.RetryPolicy) { p.DisablePrefixAdaptation = true }),
-		override("rh-allsoft", func(p *tm.RetryPolicy) { p.DisablePrefix = true; p.DisablePostfix = true }),
+		hyNOrec(),
 		{Name: "norec-lazy", New: func(m *mem.Memory, _ *htm.Device, _ tm.RetryPolicy) tm.System {
 			return norec.New(m, norec.Lazy)
 		}},
@@ -101,7 +107,7 @@ func RHVariants() []Algo {
 			return rhtl2.New(m, d, p, 0)
 		}},
 		{Name: "hy-norec-lazy", New: func(m *mem.Memory, d *htm.Device, p tm.RetryPolicy) tm.System {
-			return hynorec.NewVariant(m, d, p, hynorec.Lazy)
+			return hynorec.New(m, d, p)
 		}},
 		{Name: "phased-tm", New: func(m *mem.Memory, d *htm.Device, p tm.RetryPolicy) tm.System {
 			return phasedtm.New(m, d, p)
@@ -138,14 +144,20 @@ func SerialAlgo() Algo {
 	}}
 }
 
-// AllAlgos returns every algorithm AlgoByName resolves, in its lookup
-// order: the serial oracle, then the standard, ablation and
-// persist-variant sets. A name two sets share (rh-norec) appears more
-// than once; the first entry is the one a lookup returns.
+// AllAlgos returns every algorithm AlgoByName resolves, each name once, in
+// lookup order: the serial oracle, then the standard, ablation and
+// persist-variant sets. Of a name two sets share (rh-norec, hy-norec) the
+// first entry is kept.
 func AllAlgos() []Algo {
 	all := []Algo{SerialAlgo()}
+	seen := map[string]bool{all[0].Name: true}
 	for _, set := range [][]Algo{StandardAlgos(), RHVariants(), PersistVariants()} {
-		all = append(all, set...)
+		for _, a := range set {
+			if !seen[a.Name] {
+				seen[a.Name] = true
+				all = append(all, a)
+			}
+		}
 	}
 	return all
 }

@@ -302,123 +302,69 @@ func (w *orderedWorkload) NewOp(th tm.Thread, seed int64) func() error {
 	}
 }
 
-// appWorkload adapts the STAMP-style apps to the Workload interface.
-type appWorkload struct {
-	name  string
-	setup func(th tm.Thread) error
-	newOp func(th tm.Thread, seed int64) func() error
+// stampApp is the shape every package under internal/stamp gives its App: a
+// named setup plus per-thread workers that run one operation at a time.
+type stampApp[W interface{ Op() error }] interface {
+	Name() string
+	Setup(th tm.Thread) error
+	NewWorker(th tm.Thread, seed int64) W
 }
 
-func (w *appWorkload) Name() string                                { return w.name }
-func (w *appWorkload) Setup(th tm.Thread) error                    { return w.setup(th) }
-func (w *appWorkload) NewOp(th tm.Thread, seed int64) func() error { return w.newOp(th, seed) }
+// appWorkload adapts a STAMP-style app to the Workload interface.
+type appWorkload[W interface{ Op() error }] struct{ stampApp[W] }
+
+func (w appWorkload[W]) NewOp(th tm.Thread, seed int64) func() error {
+	return w.NewWorker(th, seed).Op
+}
+
+// stampWorkload wraps app; W is inferred from its NewWorker.
+func stampWorkload[W interface{ Op() error }](app stampApp[W]) Workload {
+	return appWorkload[W]{app}
+}
 
 // VacationLow is the paper's Vacation-Low column (Figure 5).
 func VacationLow() WorkloadFactory {
-	return func() Workload {
-		app := vacation.New(vacation.Low())
-		return &appWorkload{
-			name:  app.Name(),
-			setup: app.Setup,
-			newOp: func(th tm.Thread, seed int64) func() error { return app.NewWorker(th, seed).Op },
-		}
-	}
+	return func() Workload { return stampWorkload(vacation.New(vacation.Low())) }
 }
 
 // VacationHigh is the paper's Vacation-High column (Figure 6).
 func VacationHigh() WorkloadFactory {
-	return func() Workload {
-		app := vacation.New(vacation.High())
-		return &appWorkload{
-			name:  app.Name(),
-			setup: app.Setup,
-			newOp: func(th tm.Thread, seed int64) func() error { return app.NewWorker(th, seed).Op },
-		}
-	}
+	return func() Workload { return stampWorkload(vacation.New(vacation.High())) }
 }
 
 // Intruder is the paper's Intruder column (Figure 5).
 func Intruder() WorkloadFactory {
-	return func() Workload {
-		app := intruder.New(intruder.Default())
-		return &appWorkload{
-			name:  app.Name(),
-			setup: app.Setup,
-			newOp: func(th tm.Thread, seed int64) func() error { return app.NewWorker(th, seed).Op },
-		}
-	}
+	return func() Workload { return stampWorkload(intruder.New(intruder.Default())) }
 }
 
 // Genome is the paper's Genome column (Figure 5).
 func Genome() WorkloadFactory {
-	return func() Workload {
-		app := genome.New(genome.Default())
-		return &appWorkload{
-			name:  app.Name(),
-			setup: app.Setup,
-			newOp: func(th tm.Thread, seed int64) func() error { return app.NewWorker(th, seed).Op },
-		}
-	}
+	return func() Workload { return stampWorkload(genome.New(genome.Default())) }
 }
 
 // SSCA2 is the paper's SSCA2 column (Figure 6).
 func SSCA2() WorkloadFactory {
-	return func() Workload {
-		app := ssca2.New(ssca2.Default())
-		return &appWorkload{
-			name:  app.Name(),
-			setup: app.Setup,
-			newOp: func(th tm.Thread, seed int64) func() error { return app.NewWorker(th, seed).Op },
-		}
-	}
+	return func() Workload { return stampWorkload(ssca2.New(ssca2.Default())) }
 }
 
 // Kmeans is noted in §3.6 as behaving like SSCA2.
 func Kmeans() WorkloadFactory {
-	return func() Workload {
-		app := kmeans.New(kmeans.Default())
-		return &appWorkload{
-			name:  app.Name(),
-			setup: app.Setup,
-			newOp: func(th tm.Thread, seed int64) func() error { return app.NewWorker(th, seed).Op },
-		}
-	}
+	return func() Workload { return stampWorkload(kmeans.New(kmeans.Default())) }
 }
 
 // Labyrinth is noted in §3.6 as behaving like SSCA2.
 func Labyrinth() WorkloadFactory {
-	return func() Workload {
-		app := labyrinth.New(labyrinth.Default())
-		return &appWorkload{
-			name:  app.Name(),
-			setup: app.Setup,
-			newOp: func(th tm.Thread, seed int64) func() error { return app.NewWorker(th, seed).Op },
-		}
-	}
+	return func() Workload { return stampWorkload(labyrinth.New(labyrinth.Default())) }
 }
 
 // Bayes is the STAMP app the paper omits "due to its inconsistent
 // behavior" (§3.6); provided for completeness, outside the figure
 // reproduction.
 func Bayes() WorkloadFactory {
-	return func() Workload {
-		app := bayes.New(bayes.Default())
-		return &appWorkload{
-			name:  app.Name(),
-			setup: app.Setup,
-			newOp: func(th tm.Thread, seed int64) func() error { return app.NewWorker(th, seed).Op },
-		}
-	}
+	return func() Workload { return stampWorkload(bayes.New(bayes.Default())) }
 }
 
 // Yada is the paper's Yada column (Figure 6).
 func Yada() WorkloadFactory {
-	return func() Workload {
-		app := yada.New(yada.Default())
-		return &appWorkload{
-			name:  app.Name(),
-			setup: app.Setup,
-			newOp: func(th tm.Thread, seed int64) func() error { return app.NewWorker(th, seed).Op },
-		}
-	}
+	return func() Workload { return stampWorkload(yada.New(yada.Default())) }
 }

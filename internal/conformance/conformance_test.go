@@ -49,6 +49,19 @@ func TestScenariosUnderAllDrivers(t *testing.T) {
 	}
 }
 
+// TestDriveRejectsZeroWorkers: a Drive that starts no worker must not report
+// that the scenario held.
+func TestDriveRejectsZeroWorkers(t *testing.T) {
+	sc, _ := conformance.ByName("bank")
+	for _, threads := range []int{0, -3} {
+		m := mem.New(1 << 20)
+		sys := bench.SerialAlgo().New(m, nil, tm.RetryPolicy{})
+		if err := sc.Drive(sys, conformance.ScaleTest, threads, 10, 0, 1); err == nil {
+			t.Errorf("Drive with %d threads returned nil", threads)
+		}
+	}
+}
+
 // TestRegistryShape pins the registry's self-description: unique names,
 // non-empty descriptions and contention profiles, resolvable lookups, and
 // instances at every scale.

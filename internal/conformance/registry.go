@@ -162,7 +162,12 @@ func ByName(name string) (Scenario, bool) {
 // panics are recovered and counted as violations (a crashed worker proves
 // nothing about the survivors), so a Drive caller always gets a summary
 // error instead of a dead process. Worker i seeds its RNG with seed+i.
+// threads < 1 is an error: with no worker the check would pass over an
+// untouched instance and prove nothing.
 func (sc Scenario) Drive(sys tm.System, scale Scale, threads, ops int, duration time.Duration, seed int64) error {
+	if threads < 1 {
+		return fmt.Errorf("%s: %d worker threads, need at least 1", sc.Name, threads)
+	}
 	inst := sc.New(scale)
 	setup := sys.NewThread()
 	err := inst.Setup(setup)

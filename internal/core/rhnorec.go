@@ -22,7 +22,9 @@
 // the clock at the start and validating it on every read, and the postfix is
 // replaced by setting the global HTM lock (aborting all fast paths) and
 // writing in software. A serial lock provides the starvation escape of
-// §3.3.
+// §3.3. The eager Hybrid NOrec the paper measures RH NOrec against is
+// therefore this code with both small transactions off, and that is how it
+// is built: NewHybridNOrec.
 //
 // One deliberate deviation from the C implementation: when the HTM postfix
 // aborts mid-execution, real hardware rewinds registers to the XBEGIN
@@ -36,8 +38,6 @@
 package core
 
 import (
-	"runtime"
-
 	"rhnorec/internal/htm"
 	"rhnorec/internal/hynorec"
 	"rhnorec/internal/mem"
@@ -53,8 +53,10 @@ const (
 	abortClockLocked  = htm.ArgClockLocked
 )
 
-// System is an RH NOrec TM over one shared memory.
+// System is an RH NOrec TM over one shared memory — or, from
+// NewHybridNOrec, the Hybrid NOrec it extends.
 type System struct {
+	name   string
 	m      *mem.Memory
 	dev    *htm.Device
 	rec    *tm.Reclaimer
@@ -75,6 +77,7 @@ func New(m *mem.Memory, dev *htm.Device, policy tm.RetryPolicy) *System {
 	}
 	engine := tm.NewEngine(policy)
 	return &System{
+		name:   "rh-norec",
 		m:      m,
 		dev:    dev,
 		rec:    tm.NewReclaimer(),
@@ -84,8 +87,20 @@ func New(m *mem.Memory, dev *htm.Device, policy tm.RetryPolicy) *System {
 	}
 }
 
+// NewHybridNOrec creates the eager Hybrid NOrec of Dalessandro et al. that
+// the paper benchmarks as "HY-NOrec" (§3.1): Algorithm 1's fast path and
+// Algorithm 2's slow path with neither the HTM prefix nor the HTM postfix,
+// so every slow-path attempt reads the clock at its start and its first
+// write takes the global HTM lock.
+func NewHybridNOrec(m *mem.Memory, dev *htm.Device, policy tm.RetryPolicy) *System {
+	policy.DisablePrefix, policy.DisablePostfix = true, true
+	s := New(m, dev, policy)
+	s.name = "hy-norec"
+	return s
+}
+
 // Name implements tm.System.
-func (s *System) Name() string { return "rh-norec" }
+func (s *System) Name() string { return s.name }
 
 // Memory implements tm.System.
 func (s *System) Memory() *mem.Memory { return s.m }
@@ -206,19 +221,11 @@ func (t *thread) startPrefix() {
 // softwareStart is the original mixed_slow_path_start (Algorithm 2 lines
 // 1–8): register the fallback and snapshot the clock.
 func (t *thread) softwareStart() {
-	m := t.base.M
 	if !t.fallbackRegistered {
-		m.AddPlain(t.sys.g.Fallbacks, 1)
+		t.base.M.AddPlain(t.sys.g.Fallbacks, 1)
 		t.fallbackRegistered = true
 	}
-	for {
-		v := m.LoadPlain(t.sys.g.Clock)
-		if v&1 == 0 {
-			t.txv = v
-			return
-		}
-		runtime.Gosched()
-	}
+	t.txv = t.base.SnapshotClock(t.sys.g.Clock)
 }
 
 // commitPrefix is commit_rh_htm_prefix (Algorithm 3 lines 47–56): register

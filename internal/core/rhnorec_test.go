@@ -45,13 +45,49 @@ func TestConformanceNoPostfix(t *testing.T) {
 	}, tmtest.Options{})
 }
 
-// TestConformanceFullSoftwareSlowPath disables both small transactions: the
-// mixed path degenerates to the Hybrid NOrec software slow path.
+// threadLog wraps a system and remembers every thread made from it, so a
+// test can read the counters of threads a conformance run created.
+type threadLog struct {
+	tm.System
+	mu      *sync.Mutex
+	threads *[]tm.Thread
+}
+
+func (l threadLog) NewThread() tm.Thread {
+	th := l.System.NewThread()
+	l.mu.Lock()
+	*l.threads = append(*l.threads, th)
+	l.mu.Unlock()
+	return th
+}
+
+// TestConformanceFullSoftware is the Hybrid NOrec conformance run: hy-norec
+// is this package's mixed path with both small transactions off, and the
+// tiny HTM makes that software slow path carry the whole load.
 func TestConformanceFullSoftware(t *testing.T) {
+	var (
+		mu      sync.Mutex
+		threads []tm.Thread
+	)
 	tmtest.RunConformance(t, func(m *mem.Memory) tm.System {
-		return newSys(m, htm.Config{ReadCapacityLines: 2, WriteCapacityLines: 1},
-			tm.RetryPolicy{DisablePrefix: true, DisablePostfix: true})
+		dev := htm.NewDevice(m, htm.Config{ReadCapacityLines: 2, WriteCapacityLines: 1})
+		dev.SetActiveThreads(4)
+		sys := core.NewHybridNOrec(m, dev, tm.RetryPolicy{})
+		if sys.Name() != "hy-norec" {
+			t.Errorf("Name = %q, want hy-norec", sys.Name())
+		}
+		return threadLog{sys, &mu, &threads}
 	}, tmtest.Options{})
+	var total tm.Stats
+	for _, th := range threads {
+		total.Add(th.Stats())
+	}
+	if total.SlowPathCommits == 0 {
+		t.Error("no slow-path commit in the whole run: the tiny HTM did not force the software path")
+	}
+	if total.PrefixAttempts != 0 || total.PostfixAttempts != 0 {
+		t.Errorf("hy-norec started %d prefixes and %d postfixes, want none of either", total.PrefixAttempts, total.PostfixAttempts)
+	}
 }
 
 // TestConformanceSpurious exercises every retry path at once.

@@ -7,7 +7,6 @@ import (
 	"rhnorec/internal/core"
 	"rhnorec/internal/explore"
 	"rhnorec/internal/htm"
-	"rhnorec/internal/hynorec"
 	"rhnorec/internal/mem"
 	"rhnorec/internal/tm"
 )
@@ -26,7 +25,7 @@ func TestScenarioFigure1HybridNOrec(t *testing.T) {
 	m := mem.New(1 << 18)
 	dev := htm.NewDevice(m, htm.Config{ReadCapacityLines: 4, WriteCapacityLines: 2})
 	dev.SetActiveThreads(2)
-	sys := hynorec.New(m, dev, tm.RetryPolicy{})
+	sys := core.NewHybridNOrec(m, dev, tm.RetryPolicy{})
 	setup := sys.NewThread()
 	var x, y, filler mem.Addr
 	if err := setup.Run(func(tx tm.Tx) error {
@@ -187,7 +186,7 @@ func TestScenarioFigure3Concurrency(t *testing.T) {
 // the RH postfix buys.
 func TestScenarioFigure3HybridContrast(t *testing.T) {
 	observer, _ := figure3(t, func(m *mem.Memory, dev *htm.Device) tm.System {
-		return hynorec.New(m, dev, tm.RetryPolicy{})
+		return core.NewHybridNOrec(m, dev, tm.RetryPolicy{})
 	})
 	if observer.HTMExplicitAborts == 0 {
 		t.Error("Hybrid NOrec observer saw no htm-lock abort despite a slow-path writer in its write phase — the htm-lock cost did not manifest")

@@ -287,16 +287,24 @@ func TestStuckWorkerIsJoined(t *testing.T) {
 	}
 }
 
-// TestFixtureReplay certifies the checked-in trace against the current
-// code: any change to the yield-point map or the protocols that alters the
-// recorded interleaving shows up here as an events-hash mismatch.
+// TestFixtureReplay certifies the checked-in traces against the current
+// code: any change to the yield-point map or the protocols that alters a
+// recorded interleaving shows up here as an events-hash mismatch. The
+// hy-norec trace was recorded while Hybrid NOrec still had a slow path of its
+// own (internal/hynorec), so it also certifies that core.NewHybridNOrec is
+// step for step that algorithm.
 func TestFixtureReplay(t *testing.T) {
-	tr, err := LoadTrace("testdata/bank-rh-norec-seed7.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.Replay(); err != nil {
-		t.Fatalf("fixture no longer reproduces: %v\n(regenerate with: go run ./cmd/rhexplore -scenario bank -algo rh-norec -seeds 1 -seed0 7 -fault-rate 0.1 -record internal/explore/testdata/bank-rh-norec-seed7.json)", err)
+	for _, algo := range []string{"rh-norec", "hy-norec"} {
+		t.Run(algo, func(t *testing.T) {
+			file := "testdata/bank-" + algo + "-seed7.json"
+			tr, err := LoadTrace(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tr.Replay(); err != nil {
+				t.Fatalf("fixture no longer reproduces: %v\n(regenerate with: go run ./cmd/rhexplore -scenario bank -algo %s -seeds 1 -seed0 7 -fault-rate 0.1 -record internal/explore/%s)", err, algo, file)
+			}
+		})
 	}
 }
 

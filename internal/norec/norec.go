@@ -15,8 +15,6 @@
 package norec
 
 import (
-	"runtime"
-
 	"rhnorec/internal/htm"
 	"rhnorec/internal/mem"
 	"rhnorec/internal/tm"
@@ -68,13 +66,13 @@ func (s *System) Memory() *mem.Memory { return s.m }
 // NewThread implements tm.System.
 func (s *System) NewThread() tm.Thread {
 	t := &thread{sys: s, base: tm.NewThreadBase(s.m, s.rec)}
+	if s.variant == Lazy {
+		// Every writer is software and stores under the clock's lock bit,
+		// so a plain load followed by a clock check is enough.
+		t.base.Reads = tm.NewReadLog(s.m, s.clock, s.m.LoadPlain)
+	}
 	t.base.Bind(t, nil)
 	return t
-}
-
-type readEntry struct {
-	addr mem.Addr
-	val  uint64
 }
 
 type thread struct {
@@ -87,9 +85,8 @@ type thread struct {
 
 	// The writes live in base.Log: in-place stores under the clock lock
 	// (eager, writeDetected once the lock is ours) or buffered stores next
-	// to a value read set (lazy).
+	// to the value read set in base.Reads (lazy).
 	writeDetected bool
-	readSet       []readEntry
 }
 
 func (t *thread) Stats() *tm.Stats { return &t.base.St }
@@ -102,15 +99,8 @@ func (t *thread) RunReadOnly(fn func(tm.Tx) error) error { return t.base.Run(fn,
 // snapshot it.
 func (t *thread) BeginSlow(int) (tm.Tx, bool) {
 	t.writeDetected = false
-	t.readSet = t.readSet[:0]
-	for {
-		v := t.base.M.LoadPlain(t.sys.clock)
-		if v&1 == 0 {
-			t.txv = v
-			return txView{t}, false
-		}
-		runtime.Gosched()
-	}
+	t.txv = t.base.SnapshotClock(t.sys.clock)
+	return txView{t}, false
 }
 
 func (t *thread) EndSlow() {}
@@ -145,32 +135,11 @@ func (t *thread) CommitSlow() {
 			return // read-only: nothing to publish, nothing to lock
 		}
 		for !m.CASPlain(t.sys.clock, t.txv, t.txv|1) {
-			t.txv = t.validate()
+			t.txv = t.base.Reads.Validate()
 		}
 		t.base.Log.Publish(t.base.Log.Buffered())
 		t.base.Log.Seal()
 		m.StorePlain(t.sys.clock, t.txv+2) // txv is even here
-	}
-}
-
-// validate re-checks the lazy read set by value and returns the even clock
-// the set is valid at; it restarts the transaction on a mismatch.
-func (t *thread) validate() uint64 {
-	m := t.base.M
-	for {
-		time := m.LoadPlain(t.sys.clock)
-		if time&1 == 1 {
-			runtime.Gosched()
-			continue
-		}
-		for _, r := range t.readSet {
-			if m.LoadPlain(r.addr) != r.val {
-				tm.Restart()
-			}
-		}
-		if m.LoadPlain(t.sys.clock) == time {
-			return time
-		}
 	}
 }
 
@@ -193,13 +162,7 @@ func (v txView) Load(a mem.Addr) uint64 {
 	if val, ok := t.base.Log.Lookup(a); ok {
 		return val
 	}
-	val := m.LoadPlain(a)
-	for m.LoadPlain(t.sys.clock) != t.txv {
-		t.txv = t.validate()
-		val = m.LoadPlain(a)
-	}
-	t.readSet = append(t.readSet, readEntry{a, val})
-	return val
+	return t.base.Reads.Load(a, &t.txv)
 }
 
 func (v txView) Store(a mem.Addr, val uint64) {

@@ -72,89 +72,6 @@ func TestEagerRestartsOnConcurrentCommit(t *testing.T) {
 	}
 }
 
-// TestLazyExtendsInsteadOfRestarting: the lazy variant revalidates its read
-// set and keeps going when a disjoint commit moves the clock.
-func TestLazyExtendsInsteadOfRestarting(t *testing.T) {
-	m := mem.New(1 << 16)
-	sys := norec.New(m, norec.Lazy)
-	th := sys.NewThread()
-	defer th.Close()
-	var a, b mem.Addr
-	if err := th.Run(func(tx tm.Tx) error {
-		a = tx.Alloc(mem.LineWords)
-		b = tx.Alloc(mem.LineWords)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	other := sys.NewThread()
-	defer other.Close()
-	attempts := 0
-	if err := th.Run(func(tx tm.Tx) error {
-		attempts++
-		_ = tx.Load(a)
-		if attempts == 1 {
-			if err := other.Run(func(tx2 tm.Tx) error {
-				tx2.Store(b, 9) // disjoint from the read set
-				return nil
-			}); err != nil {
-				return err
-			}
-		}
-		_ = tx.Load(b) // extension must succeed; no restart
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if attempts != 1 {
-		t.Errorf("attempts = %d, want 1 (snapshot extension, not restart)", attempts)
-	}
-	if got := th.Stats().STMRestarts; got != 0 {
-		t.Errorf("STMRestarts = %d, want 0", got)
-	}
-}
-
-// TestLazyRestartsOnOverlappingCommit: extension fails when the moved
-// location is in the read set.
-func TestLazyRestartsOnOverlappingCommit(t *testing.T) {
-	m := mem.New(1 << 16)
-	sys := norec.New(m, norec.Lazy)
-	th := sys.NewThread()
-	defer th.Close()
-	var a mem.Addr
-	if err := th.Run(func(tx tm.Tx) error { a = tx.Alloc(1); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	other := sys.NewThread()
-	defer other.Close()
-	attempts := 0
-	if err := th.Run(func(tx tm.Tx) error {
-		attempts++
-		v := tx.Load(a)
-		if attempts == 1 {
-			if v != 0 {
-				t.Errorf("first attempt read %d, want 0", v)
-			}
-			if err := other.Run(func(tx2 tm.Tx) error {
-				tx2.Store(a, 9)
-				return nil
-			}); err != nil {
-				return err
-			}
-			_ = tx.Load(a + 0) // same word: validation must fail -> restart
-			t.Error("overlapping commit did not restart the reader")
-		} else if v != 9 {
-			t.Errorf("second attempt read %d, want 9", v)
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if attempts != 2 {
-		t.Errorf("attempts = %d, want 2", attempts)
-	}
-}
-
 // TestEagerWriterCannotBeInvalidated: once the clock lock is held, the
 // writer commits unconditionally (no other writer can commit concurrently).
 func TestEagerWriterCommitsUnderReadLoad(t *testing.T) {

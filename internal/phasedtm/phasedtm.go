@@ -150,14 +150,8 @@ func (t *thread) BeginSlow(try int) (tm.Tx, bool) {
 		}
 	}
 	t.writeDetected = false
-	for {
-		v := m.LoadPlain(t.sys.gClock)
-		if v&1 == 0 {
-			t.txv = v
-			return swTx{t}, false
-		}
-		runtime.Gosched()
-	}
+	t.txv = t.base.SnapshotClock(t.sys.gClock)
+	return swTx{t}, false
 }
 
 // CommitSlow releases the clock a writer locked at its first write.

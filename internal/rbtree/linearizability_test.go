@@ -7,7 +7,6 @@ import (
 
 	"rhnorec/internal/core"
 	"rhnorec/internal/htm"
-	"rhnorec/internal/hynorec"
 	"rhnorec/internal/linearize"
 	"rhnorec/internal/mem"
 	"rhnorec/internal/rbtree"
@@ -34,7 +33,7 @@ func TestLinearizability(t *testing.T) {
 		"hy-norec": func(m *mem.Memory) tm.System {
 			d := htm.NewDevice(m, htm.Config{})
 			d.SetActiveThreads(4)
-			return hynorec.New(m, d, tm.RetryPolicy{})
+			return core.NewHybridNOrec(m, d, tm.RetryPolicy{})
 		},
 	}
 	for name, factory := range configs {

@@ -9,7 +9,6 @@ import (
 
 	"rhnorec/internal/core"
 	"rhnorec/internal/htm"
-	"rhnorec/internal/hynorec"
 	"rhnorec/internal/lockelision"
 	"rhnorec/internal/mem"
 	"rhnorec/internal/norec"
@@ -290,7 +289,7 @@ func TestConcurrentStressAllSystems(t *testing.T) {
 		"hy-norec": func(m *mem.Memory) tm.System {
 			d := htm.NewDevice(m, htm.Config{})
 			d.SetActiveThreads(4)
-			return hynorec.New(m, d, tm.RetryPolicy{})
+			return core.NewHybridNOrec(m, d, tm.RetryPolicy{})
 		},
 		"rh-norec": func(m *mem.Memory) tm.System {
 			d := htm.NewDevice(m, htm.Config{})

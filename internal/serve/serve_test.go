@@ -449,12 +449,7 @@ func TestFusedBatchRingEvents(t *testing.T) {
 // registered algorithm boots — and serves — at a key space far smaller than
 // rh-tl2's 16 Ki-word stripe table (which used to exhaust the arena in New).
 func TestNewBootsEveryAlgoAtTinyKeys(t *testing.T) {
-	seen := map[string]bool{}
 	for _, algo := range bench.AllAlgos() {
-		if seen[algo.Name] {
-			continue
-		}
-		seen[algo.Name] = true
 		t.Run(algo.Name, func(t *testing.T) {
 			s, err := serve.New(serve.Config{Algo: algo.Name, Keys: 64, Workers: 2})
 			if err != nil {

@@ -10,7 +10,6 @@ import (
 
 	"rhnorec/internal/core"
 	"rhnorec/internal/htm"
-	"rhnorec/internal/hynorec"
 	"rhnorec/internal/mem"
 	"rhnorec/internal/norec"
 	"rhnorec/internal/serial"
@@ -38,7 +37,7 @@ func Systems(memWords int) map[string]Factory {
 			m := newMem()
 			d := htm.NewDevice(m, htm.Config{})
 			d.SetActiveThreads(4)
-			return hynorec.New(m, d, tm.RetryPolicy{})
+			return core.NewHybridNOrec(m, d, tm.RetryPolicy{})
 		},
 		"rh-norec": func() tm.System {
 			m := newMem()

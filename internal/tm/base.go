@@ -52,8 +52,8 @@ func SetCooperative(on bool) { cooperative.Store(on) }
 
 // ThreadBase carries the state every algorithm's Thread needs: the memory,
 // a thread-local allocator cache, a reclamation slot, per-attempt
-// allocation/free tracking, the software write log, and the statistics
-// counters. Algorithm packages embed it.
+// allocation/free tracking, the software write and read logs, and the
+// statistics counters. Algorithm packages embed it.
 type ThreadBase struct {
 	M     *mem.Memory
 	Cache *mem.ThreadCache
@@ -73,6 +73,10 @@ type ThreadBase struct {
 	// driver's AbortSlow; the driver stores through it and seals it at its
 	// commit point.
 	Log WriteLog
+	// Reads is the software attempt's value read log (readlog.go), reset by
+	// the skeleton beside Log. Only the drivers that log reads (the lazy
+	// NOrec pair) install one; for the rest it stays the zero value.
+	Reads ReadLog
 
 	// The driver's protocol hooks and the §3.3 serial escape (run.go).
 	sw          Software

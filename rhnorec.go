@@ -43,7 +43,6 @@ import (
 
 	"rhnorec/internal/core"
 	"rhnorec/internal/htm"
-	"rhnorec/internal/hynorec"
 	"rhnorec/internal/lockelision"
 	"rhnorec/internal/mem"
 	"rhnorec/internal/norec"
@@ -145,7 +144,7 @@ func NewHybridNOrec(m *Memory, o Options) (System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return hynorec.New(m, d, o.Policy), nil
+	return core.NewHybridNOrec(m, d, o.Policy), nil
 }
 
 // NewLockElision creates transactional lock elision: hardware transactions
