@@ -62,10 +62,12 @@ type JSONTM struct {
 	HTMAborts   uint64 `json:"htm_aborts"`
 	STMRestarts uint64 `json:"stm_restarts"`
 	Fallbacks   uint64 `json:"fallbacks"`
-	// PrefixReads and SoftwareReads say where the mixed slow path's reads
-	// ran (tm.Stats): in committed HTM prefixes, or instrumented in
+	// PrefixReads, SegmentReads and SoftwareReads say where the mixed slow
+	// path's reads ran (tm.Stats): in committed HTM prefixes, in the
+	// committed read segments chained behind them, or instrumented in
 	// software. Zero, and omitted, for every driver but RH NOrec.
 	PrefixReads   uint64 `json:"prefix_reads,omitempty"`
+	SegmentReads  uint64 `json:"segment_reads,omitempty"`
 	SoftwareReads uint64 `json:"software_reads,omitempty"`
 	// AbortRate is HTMAborts/(HTMAborts+Commits), the serve-layer
 	// definition (internal/serve metrics).
@@ -113,6 +115,7 @@ func tmBlock(st *tm.Stats) *JSONTM {
 		STMRestarts:   st.STMRestarts,
 		Fallbacks:     st.Fallbacks,
 		PrefixReads:   st.PrefixReads,
+		SegmentReads:  st.SegmentReads,
 		SoftwareReads: st.SoftwareReads,
 		AbortRate:     rate,
 	}

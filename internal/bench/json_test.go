@@ -83,7 +83,7 @@ func TestJSONRecorderCarriesObsSnapshot(t *testing.T) {
 func TestJSONRecorderCarriesSlowPathReads(t *testing.T) {
 	var rec JSONRecorder
 	rh := Result{Workload: "w", Algo: "rh-norec", Threads: 1, Ops: 10, Elapsed: time.Second, Throughput: 10}
-	rh.Stats.Commits, rh.Stats.PrefixReads, rh.Stats.SoftwareReads = 10, 715, 536
+	rh.Stats.Commits, rh.Stats.PrefixReads, rh.Stats.SegmentReads, rh.Stats.SoftwareReads = 10, 715, 529, 7
 	rec.Record(rh)
 	stm := Result{Workload: "w", Algo: "norec", Threads: 1, Ops: 10, Elapsed: time.Second, Throughput: 10}
 	stm.Stats.Commits = 10
@@ -99,11 +99,11 @@ func TestJSONRecorderCarriesSlowPathReads(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
 		t.Fatal(err)
 	}
-	if tmb := got.Points[0].TM; tmb == nil || tmb.PrefixReads != 715 || tmb.SoftwareReads != 536 {
-		t.Errorf("rh-norec tm block = %+v, want prefix_reads 715, software_reads 536", tmb)
+	if tmb := got.Points[0].TM; tmb == nil || tmb.PrefixReads != 715 || tmb.SegmentReads != 529 || tmb.SoftwareReads != 7 {
+		t.Errorf("rh-norec tm block = %+v, want prefix_reads 715, segment_reads 529, software_reads 7", tmb)
 	}
-	if n := strings.Count(buf.String(), `"prefix_reads"`) + strings.Count(buf.String(), `"software_reads"`); n != 2 {
-		t.Errorf("%d slow-path read keys in the dump, want 2 (omitted when zero)", n)
+	if n := strings.Count(buf.String(), `_reads"`); n != 3 {
+		t.Errorf("%d slow-path read keys in the dump, want 3 (omitted when zero)", n)
 	}
 }
 

@@ -78,6 +78,9 @@ func validatePoint(p *JSONPoint) error {
 		if t.Commits == 0 && t.ReadOnly == 0 && t.HTMAborts == 0 && t.STMRestarts == 0 {
 			return fmt.Errorf("tm: all-zero block (zero blocks are omitted)")
 		}
+		if t.SegmentReads > 0 && t.PrefixReads == 0 {
+			return fmt.Errorf("tm: segment_reads = %d with no prefix_reads (a read segment only follows a committed prefix)", t.SegmentReads)
+		}
 	}
 	if p.CheckError != "" && p.Violations == nil {
 		return fmt.Errorf("check_error set without violations (a failed check counts as one)")

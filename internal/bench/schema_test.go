@@ -88,6 +88,8 @@ func TestValidateDumpRejections(t *testing.T) {
 		{"unknown-field", `{"schema_version":"rhbench.v2","points":[],"extra":1}`, "does not parse"},
 		{"empty-workload", `{"schema_version":"rhbench.v2","points":[{"workload":"","algo":"a","threads":1,"ops":0,"elapsed_sec":1,"ops_per_sec":0}]}`, "workload"},
 		{"zero-threads", `{"schema_version":"rhbench.v2","points":[{"workload":"w","algo":"a","threads":0,"ops":0,"elapsed_sec":1,"ops_per_sec":0}]}`, "threads"},
+		{"segments-without-prefix", `{"schema_version":"rhbench.v2","points":[{"workload":"w","algo":"a","threads":1,"ops":1,"elapsed_sec":1,"ops_per_sec":1,
+			"tm":{"commits":1,"read_only_commits":0,"htm_aborts":0,"stm_restarts":0,"fallbacks":1,"segment_reads":9,"abort_rate":0}}]}`, "segment_reads"},
 		{"bad-phase", `{"schema_version":"rhbench.v2","points":[{"workload":"w","algo":"a","threads":1,"ops":0,"elapsed_sec":1,"ops_per_sec":0,
 			"obs":{"phases":[{"phase":"warp","count":1,"sum_ns":1,"max_ns":1,"p50_ns":1,"p90_ns":1,"p99_ns":1,"buckets":[{"lo_ns":1,"count":1}]}],"aborts":[]}}]}`, "unknown phase"},
 		{"bad-cause", `{"schema_version":"rhbench.v2","points":[{"workload":"w","algo":"a","threads":1,"ops":0,"elapsed_sec":1,"ops_per_sec":0,

@@ -17,6 +17,17 @@
 //     the clock at the end instead of the beginning without losing opacity
 //     (Figure 2 of the paper).
 //
+// Beyond the paper: a prefix that committed because it met its read budget
+// is followed by a chain of read segments — read-only hardware transactions
+// that each load the clock first, restart if it has left the prefix's
+// snapshot, and serve up to one budget of reads uninstrumented — until the
+// first write or the commit (startSegment). The clock in a segment's read
+// set is the per-read validation of Algorithm 2 paid once per segment: any
+// writer that commits meanwhile moves it and kills the segment before it
+// returns another value. So a transaction that does not fit the hardware
+// still reads almost nothing in software, while one whose prefix did not
+// run, died, or ended at a first write reads exactly as the paper has it.
+//
 // If either small transaction fails, the algorithm reverts to the Hybrid
 // NOrec behaviour for that transaction: the prefix is replaced by reading
 // the clock at the start and validating it on every read, and the postfix is
@@ -34,7 +45,8 @@
 // The committed histories are identical (nothing the failed postfix did was
 // visible, and the clock lock is released before the retry); the only
 // difference is a re-execution of the read prefix, which the statistics
-// report as an extra slow-path restart.
+// report as an extra slow-path restart. A read segment that dies restarts
+// the attempt the same way.
 package core
 
 import (
@@ -146,6 +158,7 @@ type thread struct {
 	fallbackRegistered bool // this Run is counted in num_of_fallbacks
 	prefixBanned       bool // §3.4: one prefix try per transaction
 	postfixBanned      bool // §3.4: one postfix try per transaction
+	segmentsBanned     bool // the hardware refused a read segment: none for the rest of the transaction
 
 	// Prefix-length adaptation (§2.4): expectedLen is the reads budget the
 	// next prefix will attempt, resized by what kills a prefix
@@ -158,7 +171,11 @@ type thread struct {
 	prefixReads   int
 	maxReads      int
 	prefixStreak  int
-	prefixLimited bool // the current prefix was cut short by maxReads
+	// prefixLimited: this attempt's prefix committed because it met maxReads.
+	// Until the first write, the reads after it run in read segments.
+	prefixLimited bool
+	segmentActive bool
+	segmentReads  int
 
 	// Observability phase anchors (obs.Recorder.Start results; 0 when
 	// observability is off).
@@ -178,6 +195,7 @@ func (t *thread) RunReadOnly(fn func(tm.Tx) error) error { return t.base.Run(fn,
 func (t *thread) BeginSlow(int) (tm.Tx, bool) {
 	t.writeDetected = false
 	t.prefixActive = false
+	t.prefixLimited = false
 	t.postfixActive = false
 	t.fullSoftware = false
 	if t.prefixUsable() {
@@ -197,6 +215,7 @@ func (t *thread) EndSlow() {
 	}
 	t.prefixBanned = false
 	t.postfixBanned = false
+	t.segmentsBanned = false
 }
 
 func (t *thread) prefixUsable() bool {
@@ -210,7 +229,6 @@ func (t *thread) startPrefix() {
 	t.prefixStart = t.base.St.Obs.Start()
 	t.htx.Begin()
 	t.prefixActive = true
-	t.prefixLimited = false
 	if t.htx.Load(t.sys.g.HTMLock) != 0 {
 		t.htx.Abort(abortHTMLockTaken)
 	}
@@ -254,10 +272,40 @@ func (t *thread) prefixDone() {
 	st.PrefixCommits++
 	st.PrefixReads += uint64(t.prefixReads)
 	if t.prefixLimited {
-		st.PrefixReads-- // the read that met the budget runs in software
+		st.PrefixReads-- // the read that met the budget runs after the prefix
 	}
 	st.Obs.RecordSince(obs.PhasePrefix, t.prefixStart)
 	t.adaptPrefixAfterSuccess()
+}
+
+// startSegment opens a read segment: a hardware transaction that subscribes
+// to the clock before it reads anything else. This thread has been a
+// registered fallback since the prefix committed, so every writer that
+// commits from then on moves the clock — a fast path bumps it at its commit
+// point, a slow path locks it at its first write — and with the clock in the
+// read set that kills the segment before it returns another value. Every
+// value a segment returns was therefore current while the clock read txv,
+// the snapshot the prefix committed at. The check has to come first: at the
+// segment's end it would let the callback run on reads from two snapshots.
+func (t *thread) startSegment() {
+	t.base.St.SegmentAttempts++
+	t.htx.Begin()
+	t.segmentActive = true
+	t.segmentReads = 0
+	if t.htx.Load(t.sys.g.Clock) != t.txv {
+		tm.Restart() // a writer committed since the last segment, or the prefix
+	}
+}
+
+// commitSegment ends the live read segment. It runs when the segment has
+// served one budget of reads, and before anything that writes the clock
+// itself: the first write's CAS and the commit would abort a segment that
+// still holds the clock in its read set.
+func (t *thread) commitSegment() {
+	t.htx.Commit() // may abort: the whole attempt restarts
+	t.segmentActive = false
+	t.base.St.SegmentCommits++
+	t.base.St.SegmentReads += uint64(t.segmentReads)
 }
 
 // Streaks of committed prefixes the budget waits for before it grows one
@@ -295,28 +343,28 @@ func (t *thread) adaptPrefixAfterSuccess() {
 	t.expectedLen = min(t.expectedLen+t.expectedLen/16+1, p.InitialPrefixLength)
 }
 
-// adaptPrefixAfterAbort resizes the prefix budget after a prefix died of
-// verdict (§2.4: reduce the length until it commits with high probability),
-// by what the death says about length:
+// adaptPrefixAfterAbort resizes the prefix budget after a prefix, or a read
+// segment running at the same budget, died of verdict after counting reads
+// loads (§2.4: reduce the length until it commits with high probability), by
+// what the death says about length:
 //
-//   - Capacity: the prefix counted the reads that fit (prefixReads, the
-//     overflowing one included), so the next budget goes an eighth under
-//     that count. This is strictly below the old budget — prefixReads never
-//     exceeds it — also when the overflow came from the up to two lines
-//     commitPrefix itself loads (Fallbacks, Clock), which the eighth leaves
-//     room for.
+//   - Capacity: reads is how many fit, the overflowing one included, so the
+//     next budget goes an eighth under that count. This is strictly below
+//     the old budget — reads never exceeds it — also when the overflow came
+//     from the up to two lines commitPrefix itself loads (Fallbacks, Clock),
+//     which the eighth leaves room for.
 //   - Conflict, spurious: the longer the prefix, the wider the window and
 //     the more operations to hit; halve, as the paper does.
 //   - Explicit (HTM lock or clock found taken), a Restart raised by the
 //     callback, a user error (nil): length was not the cause; no change.
-func (t *thread) adaptPrefixAfterAbort(verdict *htm.Abort) {
+func (t *thread) adaptPrefixAfterAbort(verdict *htm.Abort, reads int) {
 	p := &t.sys.policy
 	if p.DisablePrefixAdaptation || verdict == nil || tm.IsRestartVerdict(verdict) || verdict.Code == htm.Explicit {
 		return
 	}
 	t.prefixStreak = 0
 	if verdict.Code == htm.Capacity {
-		t.expectedLen = max(t.prefixReads-t.prefixReads/8-1, p.MinPrefixLength)
+		t.expectedLen = max(reads-reads/8-1, p.MinPrefixLength)
 		t.capacityPoint = t.expectedLen
 	} else {
 		t.expectedLen = max(t.expectedLen/2, p.MinPrefixLength)
@@ -364,6 +412,9 @@ func (t *thread) CommitSlow() {
 		t.prefixDone()
 		return
 	}
+	if t.segmentActive {
+		t.commitSegment()
+	}
 	if !t.writeDetected {
 		return // read-only software slow path
 	}
@@ -401,7 +452,28 @@ func (t *thread) AbortSlow(verdict *htm.Abort) {
 		// budget (§3.4 single-try policy + §2.4 adaptation).
 		t.prefixActive = false
 		t.prefixBanned = true
-		t.adaptPrefixAfterAbort(verdict)
+		t.adaptPrefixAfterAbort(verdict, t.prefixReads)
+	}
+	if t.segmentActive {
+		// A dead read segment. A conflict, like the Restart at its start, is
+		// the software phase's validation restart in hardware: the clock
+		// moved, software reads would have restarted too, and the retry
+		// chains again. A capacity or spurious abort is the hardware's own
+		// refusal, which software reads do not suffer: the retry reads in
+		// software after its prefix (§3.4's single try), and a capacity
+		// abort resizes the budget as it does for the prefix. A spurious one
+		// does not: a death restarts the whole attempt, so what it scales
+		// with is the reads of the whole chain, not of one segment.
+		t.segmentActive = false
+		if verdict != nil {
+			switch verdict.Code {
+			case htm.Capacity:
+				t.segmentsBanned = true
+				t.adaptPrefixAfterAbort(verdict, t.segmentReads)
+			case htm.Spurious:
+				t.segmentsBanned = true
+			}
+		}
 	}
 	if t.postfixActive {
 		// A failed postfix: revert to the Hybrid NOrec software writes on
@@ -423,8 +495,8 @@ func (t *thread) AbortSlow(verdict *htm.Abort) {
 }
 
 // mixedTx is the mixed slow path view: reads route through the HTM prefix,
-// plain validated software loads, or the HTM postfix, depending on phase
-// (Algorithm 3 mixed_slow_path_read/write).
+// a read segment, plain validated software loads, or the HTM postfix,
+// depending on phase (Algorithm 3 mixed_slow_path_read/write).
 type mixedTx struct{ t *thread }
 
 func (v mixedTx) Load(a mem.Addr) uint64 {
@@ -436,10 +508,21 @@ func (v mixedTx) Load(a mem.Addr) uint64 {
 		}
 		t.prefixLimited = true
 		t.commitPrefix()
-		// Fall through: this read executes in software.
+		// Fall through: this read opens the first read segment.
 	}
 	if t.postfixActive {
 		return t.htx.Load(a)
+	}
+	if t.prefixLimited && !t.segmentsBanned && !t.writeDetected {
+		if !t.segmentActive {
+			t.startSegment()
+		}
+		t.segmentReads++
+		val := t.htx.Load(a)
+		if t.segmentReads == t.maxReads {
+			t.commitSegment()
+		}
+		return val
 	}
 	t.base.InstrumentedAccess()
 	t.base.St.SoftwareReads++
@@ -461,6 +544,9 @@ func (v mixedTx) Store(a mem.Addr, val uint64) {
 	}
 	if t.prefixActive {
 		t.commitPrefix() // Algorithm 3 lines 40–45: first write ends the prefix
+	}
+	if t.segmentActive {
+		t.commitSegment() // or handleFirstWrite's clock CAS would abort it
 	}
 	if !t.writeDetected {
 		t.handleFirstWrite()

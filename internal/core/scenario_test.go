@@ -192,3 +192,175 @@ func TestScenarioFigure3HybridContrast(t *testing.T) {
 		t.Error("Hybrid NOrec observer saw no htm-lock abort despite a slow-path writer in its write phase — the htm-lock cost did not manifest")
 	}
 }
+
+// segmentProof is the world of the read-segment proofs: two words that every
+// committed state keeps at x + y = segmentTotal, and an auditor that cannot
+// fit the 6-line hardware — it reads x, two fillers and a third that meets
+// its 4-read prefix budget and opens a read segment, one more filler, then
+// y, asserting the invariant inside the transaction. The interleavings are
+// pinned with explore.Steer in terms of where the auditor is.
+type segmentProof struct {
+	sys     *core.System
+	auditor tm.Thread
+	other   tm.Thread
+	x, y    mem.Addr
+	out     mem.Addr
+	clock0  uint64 // the clock when the workers start
+	// readFiller is set once the auditor's current attempt has read the
+	// filler before y; with a segment begun, that segment is live and has
+	// not read y.
+	readFiller bool
+}
+
+const segmentTotal = 1000
+
+// inSegment: the auditor is parked inside its first read segment, before
+// its read of y.
+func (p *segmentProof) inSegment() bool {
+	return p.readFiller && p.auditor.Stats().SegmentAttempts == 1
+}
+
+// run executes the auditor (worker 0; it also stores x+y to out when
+// auditWrites) against other (worker 1) under legs.
+func (p *segmentProof) run(t *testing.T, auditWrites bool, other func(tm.Tx) error, legs ...explore.Leg) {
+	t.Helper()
+	sc := explore.Scenario{
+		Name:         "read-segment-proof",
+		FixedWorkers: 2,
+		DefaultOps:   1,
+		HTM:          htm.Config{ReadCapacityLines: 6, WriteCapacityLines: 4},
+		Build: func(env *explore.Env, _ explore.Config) ([]func(), func() error, error) {
+			p.sys = core.New(env.M, env.Dev, tm.RetryPolicy{InitialPrefixLength: 4})
+			setup := p.sys.NewThread()
+			defer setup.Close()
+			var fill mem.Addr
+			err := setup.Run(func(tx tm.Tx) error {
+				p.x, p.y, p.out = tx.Alloc(mem.LineWords), tx.Alloc(mem.LineWords), tx.Alloc(mem.LineWords)
+				fill = tx.Alloc(4 * mem.LineWords)
+				tx.Store(p.x, segmentTotal*6/10)
+				tx.Store(p.y, segmentTotal*4/10)
+				return nil
+			})
+			p.clock0 = env.M.LoadPlain(core.ClockAddr(p.sys))
+			p.auditor, p.other = p.sys.NewThread(), p.sys.NewThread()
+			audit := func() {
+				if err := p.auditor.Run(func(tx tm.Tx) error {
+					p.readFiller = false
+					vx := tx.Load(p.x)
+					for k := 0; k < 4; k++ {
+						tx.Load(fill + mem.Addr(k*mem.LineWords))
+					}
+					p.readFiller = true
+					vy := tx.Load(p.y)
+					if vx+vy != segmentTotal {
+						env.Violatef("auditor saw x=%d y=%d, sum %d != %d", vx, vy, vx+vy, segmentTotal)
+					}
+					if auditWrites {
+						tx.Store(p.out, vx+vy)
+					}
+					return nil
+				}); err != nil {
+					env.Violatef("auditor: %v", err)
+				}
+			}
+			concurrent := func() {
+				if err := p.other.Run(other); err != nil {
+					env.Violatef("worker 1: %v", err)
+				}
+			}
+			return []func(){audit, concurrent}, nil, err
+		},
+	}
+	res, err := explore.RunScenario(sc, explore.Config{}, explore.Steer(legs...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.auditor.Close(); p.other.Close() })
+	if res.Outcome != explore.OutcomeOK {
+		t.Fatalf("run ended %v: %s", res.Outcome, res.Violation)
+	}
+	if a, o := p.auditor.Stats(), p.other.Stats(); a.SlowPathCommits != 1 || a.PrefixCommits != a.PrefixAttempts || o.FastPathCommits != 1 {
+		t.Fatalf("auditor: %d slow-path commits, %d of %d prefixes committed; worker 1: %d fast-path commits; want 1, all, 1",
+			a.SlowPathCommits, a.PrefixCommits, a.PrefixAttempts, o.FastPathCommits)
+	}
+}
+
+// transfer moves 100 from x to y: a hardware fast-path writer whose commit
+// bumps the clock, the auditor being a registered fallback by then.
+func (p *segmentProof) transfer(tx tm.Tx) error {
+	vx, vy := tx.Load(p.x), tx.Load(p.y)
+	tx.Store(p.x, vx-100)
+	tx.Store(p.y, vy+100)
+	return nil
+}
+
+// TestSegmentDiesBeforeReturningALaterSnapshot: a writer commits to a line
+// the live segment has not read yet. x came from the prefix's snapshot, so
+// returning the new y would hand the callback x + y ≠ total — which is what
+// a segment that checked the clock only at its end would do. With the clock
+// subscribed first, the load of y kills the segment instead.
+func TestSegmentDiesBeforeReturningALaterSnapshot(t *testing.T) {
+	var p segmentProof
+	p.run(t, false, p.transfer,
+		explore.Leg{Worker: 0, Until: p.inSegment},
+		explore.Leg{Worker: 1},
+		explore.Leg{Worker: 0},
+	)
+	a := p.auditor.Stats()
+	if a.SegmentAttempts != 2 || a.SegmentCommits != 1 || a.HTMConflictAborts != 1 || a.SlowPathRestarts != 1 {
+		t.Errorf("%d segments begun, %d committed, %d conflict aborts, %d restarts; want 2, 1, 1, 1 (the first segment dies of the writer's clock bump)",
+			a.SegmentAttempts, a.SegmentCommits, a.HTMConflictAborts, a.SlowPathRestarts)
+	}
+	if a.PrefixAttempts != 2 {
+		t.Errorf("%d prefix attempts, want 2: a conflict in a segment must not ban the prefix", a.PrefixAttempts)
+	}
+}
+
+// TestSegmentRestartsWhenClockMovedBeforeItBegan: the writer commits after
+// the prefix has committed and before the segment subscribes, so no hardware
+// read set holds the clock while it moves. The segment's first instruction
+// finds it off the prefix's snapshot and restarts the attempt.
+func TestSegmentRestartsWhenClockMovedBeforeItBegan(t *testing.T) {
+	var p segmentProof
+	p.run(t, false, p.transfer,
+		explore.Leg{Worker: 0, Until: func() bool { return p.auditor.Stats().PrefixCommits == 1 }},
+		explore.Leg{Worker: 1},
+		explore.Leg{Worker: 0},
+	)
+	a := p.auditor.Stats()
+	if a.SegmentAttempts != 2 || a.SegmentCommits != 1 || a.SlowPathRestarts != 1 || a.HTMConflictAborts != 0 {
+		t.Errorf("%d segments begun, %d committed, %d restarts, %d conflict aborts; want 2, 1, 1, 0 (a Restart at the segment's begin, not a hardware abort)",
+			a.SegmentAttempts, a.SegmentCommits, a.SlowPathRestarts, a.HTMConflictAborts)
+	}
+}
+
+// TestPostfixAfterSegmentLocksTheClockFromTheSnapshot: nothing moves the
+// clock while the auditor reads (a read-only fast path runs inside its
+// segment and leaves it alone), so the first write commits the segment and
+// Algorithm 2 continues from the prefix's txv: one CAS, one postfix, and the
+// clock two past where the workers found it.
+func TestPostfixAfterSegmentLocksTheClockFromTheSnapshot(t *testing.T) {
+	var p segmentProof
+	p.run(t, true, func(tx tm.Tx) error {
+		if vx, vy := tx.Load(p.x), tx.Load(p.y); vx+vy != segmentTotal {
+			t.Errorf("observer saw x=%d y=%d", vx, vy)
+		}
+		return nil
+	},
+		explore.Leg{Worker: 0, Until: p.inSegment},
+		explore.Leg{Worker: 1},
+		explore.Leg{Worker: 0},
+	)
+	a := p.auditor.Stats()
+	if a.SlowPathRestarts != 0 || a.SegmentCommits != 1 || a.PostfixCommits != 1 {
+		t.Errorf("%d restarts, %d segments committed, %d postfixes committed; want 0, 1, 1",
+			a.SlowPathRestarts, a.SegmentCommits, a.PostfixCommits)
+	}
+	m := p.sys.Memory()
+	if got := m.LoadPlain(core.ClockAddr(p.sys)); got != p.clock0+2 {
+		t.Errorf("clock %d → %d, want one commit (+2)", p.clock0, got)
+	}
+	if got := m.LoadPlain(p.out); got != segmentTotal {
+		t.Errorf("out = %d, want %d", got, segmentTotal)
+	}
+}

@@ -92,9 +92,30 @@ func TestZeroAllocFastPath(t *testing.T) {
 }
 
 func TestZeroAllocMixedSlowPath(t *testing.T) {
-	th, addrs := allocWorld(t,
-		htm.Config{ReadCapacityLines: 2, WriteCapacityLines: 1}, tm.RetryPolicy{})
-	requireZeroAllocs(t, th, slowPathFn(addrs))
+	t.Run("first write ends the prefix", func(t *testing.T) {
+		th, addrs := allocWorld(t,
+			htm.Config{ReadCapacityLines: 2, WriteCapacityLines: 1}, tm.RetryPolicy{})
+		requireZeroAllocs(t, th, slowPathFn(addrs))
+	})
+	// Eight one-line reads against a 4-read budget and 6 read lines: the
+	// fast path overflows, the prefix commits at its budget, and two read
+	// segments carry the rest to the write.
+	t.Run("read segments", func(t *testing.T) {
+		th, addrs := allocWorld(t,
+			htm.Config{ReadCapacityLines: 6, WriteCapacityLines: 1}, tm.RetryPolicy{InitialPrefixLength: 4})
+		requireZeroAllocs(t, th, func(tx tm.Tx) error {
+			var sum uint64
+			for _, a := range addrs {
+				sum += tx.Load(a)
+			}
+			tx.Store(addrs[0], sum)
+			return nil
+		})
+		if s := th.Stats(); s.SegmentCommits != 2*s.Commits || s.SoftwareReads != 0 {
+			t.Fatalf("%d segments committed and %d software reads over %d transactions, want two a transaction and none",
+				s.SegmentCommits, s.SoftwareReads, s.Commits)
+		}
+	})
 }
 
 // TestZeroAllocReadOnly covers the read-only hint path (no writer commit
@@ -155,11 +176,12 @@ func BenchmarkTxnMixedSlowPath(b *testing.B) {
 // tm-capacity-mix workload spends its time in — a Range over 600 keys of a
 // 10 000-node red-black tree (~1 250 loads, over the 256-line read capacity)
 // that Puts what it summed into one of four summary keys — so it dies in
-// hardware and commits on the mixed slow path. soft-reads/op and
-// prefix-reads/op say where its reads ran (tm.Stats.SoftwareReads and
-// PrefixReads): the prefix-length adaptation's whole job is to move reads
-// from the first to the second. Single-threaded, so both are exact counts.
-// 0 allocs/op.
+// hardware and commits on the mixed slow path. soft-reads/op,
+// prefix-reads/op and segment-reads/op say where its reads ran
+// (tm.Stats.SoftwareReads, PrefixReads and SegmentReads): the prefix-length
+// adaptation and the read segments exist to move reads out of the first.
+// Single-threaded, so all three are exact counts, and the CI zero-alloc job
+// holds soft-reads/op to at most 64. 0 allocs/op.
 func BenchmarkTxnAuditOverCapacity(b *testing.B) {
 	const keyRange, span, summaries = 20000, 600, 4
 	m := mem.New(1 << 20)
@@ -203,4 +225,5 @@ func BenchmarkTxnAuditOverCapacity(b *testing.B) {
 	after := th.Stats()
 	b.ReportMetric(float64(after.SoftwareReads-before.SoftwareReads)/float64(b.N), "soft-reads/op")
 	b.ReportMetric(float64(after.PrefixReads-before.PrefixReads)/float64(b.N), "prefix-reads/op")
+	b.ReportMetric(float64(after.SegmentReads-before.SegmentReads)/float64(b.N), "segment-reads/op")
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"rhnorec/internal/mem"
+	"rhnorec/internal/tm"
 )
 
 // fiveTMs are the core algorithms every scenario oracle must hold for.
@@ -206,7 +207,7 @@ func TestScenarioOraclesAcrossTMs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	for _, sc := range []string{"bank", "rbtree", "kv-linearize"} {
+	for _, sc := range []string{"bank", "rbtree", "kv-linearize", "segments"} {
 		for _, algo := range fiveTMs {
 			cfg := Config{Scenario: sc, Algo: algo}
 			found, _, err := ExplorePCT(cfg, 1, 5, 3, 256, 0.1)
@@ -217,6 +218,36 @@ func TestScenarioOraclesAcrossTMs(t *testing.T) {
 				t.Errorf("%s/%s violated (seed %d): %s\n%s", sc, algo,
 					found.Seed, found.Result.Violation, FormatTrace(found.Result))
 			}
+		}
+	}
+}
+
+// TestSegmentsScenarioChains: the segments scenario exists to put RH NOrec's
+// read segments under explored schedules, so a run of it in which no auditor
+// ever chained one would sweep nothing. On Hybrid NOrec — the same code with
+// the prefix off — none may run.
+func TestSegmentsScenarioChains(t *testing.T) {
+	for _, tc := range []struct {
+		algo         string
+		wantSegments bool
+	}{{"rh-norec", true}, {"hy-norec", false}} {
+		var total tm.Stats
+		sc := segmentsScenario(func(st *tm.Stats) { total.Add(st) })
+		for seed := uint64(1); seed <= 5; seed++ {
+			res, err := RunScenario(sc, Config{Algo: tc.algo}, NewPCT(seed, 3, 3, 256, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A strict-priority schedule may spin a waiter against a parked
+			// lock holder until the step budget ends the run: not a verdict.
+			if res.Outcome != OutcomeOK && res.Outcome != OutcomeDiverged {
+				t.Fatalf("%s seed %d ended %v: %s\n%s", tc.algo, seed, res.Outcome, res.Violation, FormatTrace(res))
+			}
+		}
+		t.Logf("%s: %d commits, %d prefix + %d segment + %d software reads, %d of %d segments committed", tc.algo,
+			total.Commits, total.PrefixReads, total.SegmentReads, total.SoftwareReads, total.SegmentCommits, total.SegmentAttempts)
+		if got := total.SegmentCommits > 0; got != tc.wantSegments {
+			t.Errorf("%s committed %d read segments over 5 seeds, want any: %v", tc.algo, total.SegmentCommits, tc.wantSegments)
 		}
 	}
 }

@@ -61,6 +61,14 @@ type Stats struct {
 	// work the path did, not only the work that committed.
 	PrefixReads   uint64
 	SoftwareReads uint64
+	// Read segments: the clock-subscribed read-only hardware transactions
+	// RH NOrec chains behind a prefix that committed at its read budget
+	// (DESIGN.md §2 "Read segments"). SegmentAttempts counts segments begun,
+	// SegmentCommits those that committed, SegmentReads the loads retired
+	// inside committed ones — reads that would otherwise be SoftwareReads.
+	SegmentAttempts uint64
+	SegmentCommits  uint64
+	SegmentReads    uint64
 
 	// STM-only counters: restarts of pure-software (NOrec/TL2) attempts
 	// (the software baselines of §3.1).
