@@ -16,8 +16,8 @@
 //	rhbench -experiment list            # list workloads and algorithms
 //
 // -experiment also accepts a comma-separated list (fig4,disjoint). Every
-// name, flag value and the -compare baseline are checked before the first
-// point runs and before -json/-trace are created; a usage error exits 2.
+// name and flag value is checked before the first point runs and before
+// -json/-trace are created; a usage error exits 2.
 //
 // Useful knobs: -duration per point, -repeat N (median of N runs),
 // -threads CSV sweep, -algos CSV subset, -stripes N memory seqlock stripe
@@ -32,13 +32,10 @@
 // persistence plane on every point — each point logs its commits to a
 // throwaway directory and durable-acks every operation (default: off). The
 // persist experiment ignores the flag and sweeps the three modes side by
-// side; CI gates it against the BENCH_7.json baseline.
+// side.
 //
-// CI perf gate: -compare BASELINE.json re-checks this run's points against
-// a baseline dump and exits non-zero when any point is missing or fell
-// below 1 - -compare-tolerance of its baseline throughput;
-// -compare-normalize divides each dump by its own median throughput first,
-// so the gate tracks relative shape rather than machine speed.
+// rhbench compares algorithms inside one run. Whether a commit is faster or
+// slower than its parent is answered by `sh benchmark/run.sh --compare`.
 //
 // Observability (docs/METRICS.md): -obs attaches per-thread latency
 // histograms and the abort-cause taxonomy to every worker and embeds the
@@ -87,10 +84,6 @@ func main() {
 
 		persistName = flag.String("persist", "off", "durability mode for every point: group | sync | off; armed points redo-log commits and durable-ack each op")
 		retries     = flag.Int("retries", 0, "fast-path HTM retry budget before fallback (0 = paper default)")
-
-		comparePath = flag.String("compare", "", "baseline rhbench JSON dump to gate this run against (exit 1 on regression)")
-		compareTol  = flag.Float64("compare-tolerance", 0.25, "allowed fractional throughput drop per point before -compare fails")
-		compareNorm = flag.Bool("compare-normalize", false, "normalize each dump by its own median throughput before comparing (machine-speed independent)")
 	)
 	flag.Parse()
 	tm.SetSoftwareAccessCost(*swcost)
@@ -165,18 +158,9 @@ func main() {
 	}
 	var rec *bench.JSONRecorder
 	var jsonFile *os.File
-	var baseline *bench.JSONDump
-	if *comparePath != "" {
-		// Load the baseline up front: a bad path should fail before the
-		// sweep runs and before any output file is truncated.
-		if baseline, err = bench.LoadDump(*comparePath); err != nil {
-			fatal(err)
-		}
-		// The gate needs every point recorded even without -json.
-		rec = new(bench.JSONRecorder)
-	}
 	if *jsonPath != "" {
-		// Open the output up front, for the same reason.
+		// Open the output up front: a bad path should fail before the sweep
+		// runs.
 		f, err := os.Create(*jsonPath)
 		if err != nil {
 			fatal(err)
@@ -214,7 +198,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	if rec != nil && jsonFile != nil {
+	if jsonFile != nil {
 		if err := rec.WriteJSON(jsonFile); err != nil {
 			jsonFile.Close()
 			fatal(err)
@@ -233,19 +217,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "rhbench: wrote %d traces to %s\n", len(traces), *tracePath)
-	}
-	if *comparePath != "" {
-		deltas := bench.Compare(baseline, rec.Dump(), *compareNorm)
-		bad := bench.Regressions(deltas, *compareTol)
-		for _, d := range bad {
-			fmt.Fprintf(os.Stderr, "rhbench: REGRESSION %s\n", d)
-		}
-		if len(bad) > 0 {
-			fatal(fmt.Errorf("%d of %d baseline points regressed beyond tolerance %.0f%%",
-				len(bad), len(deltas), *compareTol*100))
-		}
-		fmt.Fprintf(os.Stderr, "rhbench: compare ok: %d baseline points within tolerance %.0f%% of %s\n",
-			len(deltas), *compareTol*100, *comparePath)
 	}
 }
 

@@ -10,9 +10,9 @@ import (
 )
 
 // TestFailsBeforeItRunsOrTruncates pins rhbench's up-front validation: a
-// bad experiment name, flag or -compare baseline is rejected before the
-// first point runs (nothing on stdout) and before -json is created, so an
-// existing dump survives the typo.
+// bad experiment name or flag is rejected before the first point runs
+// (nothing on stdout) and before -json is created, so an existing dump
+// survives the typo.
 func TestFailsBeforeItRunsOrTruncates(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "rhbench")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -33,7 +33,7 @@ func TestFailsBeforeItRunsOrTruncates(t *testing.T) {
 		{"unknown experiment after a known one", []string{"-experiment", "fig4,typo", "-json", dump}, 2, `unknown experiment "typo"`},
 		{"combine experiment is gone", []string{"-experiment", "combine", "-json", dump}, 2, `unknown experiment "combine"`},
 		{"combine flag is gone", []string{"-experiment", "fig4", "-combine", "-json", dump}, 2, "flag provided but not defined"},
-		{"missing compare baseline", []string{"-experiment", "fig4", "-compare", "/nonexistent", "-json", dump}, 1, "/nonexistent"},
+		{"compare flag is gone", []string{"-experiment", "fig4", "-compare", "/nonexistent", "-json", dump}, 2, "flag provided but not defined"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cmd := exec.Command(bin, tc.args...)

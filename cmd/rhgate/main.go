@@ -1,12 +1,14 @@
 // Command rhgate evaluates SLO gate specs (internal/conformance/gate)
 // over benchmark and service dumps and renders one pass/fail table. It is
-// CI's single thresholding point: the perf and conformance bounds live in
-// a reviewed spec file (gates/ci.json), not in inline shell.
+// where CI's absolute bounds live — the service SLOs and the conformance
+// floor (zero invariant violations) — in a reviewed spec file
+// (gates/ci.json), not in inline shell. It compares nothing against a
+// baseline; `sh benchmark/run.sh --compare` does that.
 //
 // Usage:
 //
-//	rhgate -spec gates/ci.json -dump persist=persist.json \
-//	       -dump scenarios=scenarios.json [-gates persist,conformance] \
+//	rhgate -spec gates/ci.json -dump serve-metrics=serve-dump.json \
+//	       -dump scenarios=scenarios.json [-gates serve-slo,conformance] \
 //	       [-md summary.md] [-json report.json]
 //
 // Each -dump NAME=PATH binds one logical dump name (Gate.Dump in the
@@ -25,7 +27,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"rhnorec/internal/conformance/gate"
@@ -57,7 +58,7 @@ func (d dumpFlags) Set(v string) error {
 func main() {
 	dumps := dumpFlags{}
 	var (
-		specPath = flag.String("spec", "", "gate spec file (rhgate-spec.v1)")
+		specPath = flag.String("spec", "", "gate spec file (rhgate-spec.v2)")
 		gatesCSV = flag.String("gates", "", "comma-separated gate subset (default: every gate in the spec)")
 		mdPath   = flag.String("md", "", "also write the markdown table to FILE (for CI job summaries)")
 		jsonPath = flag.String("json", "", "also write the machine-readable rhgate.v1 report to FILE")
@@ -74,7 +75,7 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	in := gate.Inputs{SpecDir: filepath.Dir(*specPath), Dumps: dumps}
+	in := gate.Inputs{Dumps: dumps}
 	if *gatesCSV != "" {
 		for _, g := range strings.Split(*gatesCSV, ",") {
 			in.Gates = append(in.Gates, strings.TrimSpace(g))

@@ -2,15 +2,13 @@
 // service (docs/SERVE.md). It drives a sweep grid — target QPS × zipfian
 // key skew × read mix — over either transport, reports achieved throughput
 // and client-side latency per cell, and can emit the cells as an
-// rhbench.v2 dump (the BENCH_5 service trajectory) plus the server's own
-// rhserve.v1 metrics dump.
+// rhbench.v2 dump plus the server's own rhserve.v1 metrics dump.
 //
 // Usage:
 //
 //	rhload -addr 127.0.0.1:7421 -conns 8 -duration 5s
 //	rhload -proto binary -qps 1000,5000,0 -zipf 0,0.99,1.2 -readmix 0.9
-//	rhload -json bench5.json -dump serve-dump.json \
-//	       -compare BENCH_5.json -compare-normalize
+//	rhload -json cells.json -dump serve-dump.json -fail-on-errors
 //
 // Knobs: -addr server, -proto http|binary, -conns concurrent connections,
 // -qps CSV of target rates (0 = closed loop: issue as fast as replies
@@ -20,7 +18,7 @@
 // -seed deterministic generator seed, -pipeline CSV of in-flight depths per
 // connection (binary only: N frames written through one flush, N replies
 // read back — the wire shape the server coalesces into fused batches;
-// depth-1 cells keep their BENCH_5-era names, deeper cells append /pN),
+// depth-1 cells carry no depth in their name, deeper cells append /pN),
 // -scenario NAME pins the whole traffic shape to a conformance-registry
 // scenario's service profile (internal/conformance) — cells are then named
 // "serve/<proto>/<scenario>/q<qps>".
@@ -33,10 +31,9 @@
 // Output: -json FILE writes the cells as an rhbench.v2 dump (workload
 // "serve/<proto>/z<skew>/r<readmix>/q<qps>", threads = conns, ops_per_sec =
 // achieved goodput); -dump FILE fetches /metrics?format=json from the
-// server, validates it against the rhserve.v1 schema, and writes it;
-// -compare BASELINE gates the run against a baseline dump like rhbench
-// (-compare-normalize, -compare-tolerance); -fail-on-errors exits non-zero
-// if any request failed transactionally.
+// server, validates it against the rhserve.v1 schema, and writes it (the
+// input of rhgate's serve-slo gate); -fail-on-errors exits non-zero if any
+// request failed transactionally.
 package main
 
 import (
@@ -82,9 +79,6 @@ func main() {
 		memProf   = flag.String("memprofile", "", "write a post-run heap profile of the generator to FILE")
 		jsonPath  = flag.String("json", "", "write cells as an rhbench.v2 dump to FILE")
 		dumpPath  = flag.String("dump", "", "fetch, validate, and write the server's rhserve.v1 dump to FILE")
-		cmpPath   = flag.String("compare", "", "gate against a baseline rhbench.v2 dump")
-		cmpNorm   = flag.Bool("compare-normalize", false, "normalize both dumps by their median throughput before comparing")
-		cmpTol    = flag.Float64("compare-tolerance", 0.2, "allowed relative throughput drop before the gate fails")
 		failOnErr = flag.Bool("fail-on-errors", false, "exit non-zero if any request failed transactionally")
 	)
 	flag.Parse()
@@ -100,8 +94,7 @@ func main() {
 	if *scenName != "" {
 		// A registry scenario pins the whole traffic shape, so the sweep
 		// collapses to one (zipf, mix) point and the cell name carries the
-		// scenario instead of the z/r segments. Default runs are untouched —
-		// the BENCH_5/BENCH_6 baselines keep their historical cell names.
+		// scenario instead of the z/r segments.
 		sc, ok := conformance.ByName(*scenName)
 		if !ok {
 			fatalf("unknown -scenario %q (have %v)", *scenName, conformance.Names())
@@ -160,10 +153,9 @@ func main() {
 					}
 					res := runCell(cell)
 					totalErrs += res.errors
-					// Depth 1 keeps the BENCH_5-era cell name, so old baselines
-					// still match; deeper cells get a /pN segment. Scenario
-					// runs name the scenario instead of the z/r parameters
-					// (which the registry pins).
+					// Deeper-than-1 cells get a /pN segment. Scenario runs name
+					// the scenario instead of the z/r parameters (which the
+					// registry pins).
 					name := fmt.Sprintf("%s/z%.2f/r%.2f/q%g", cellPrefix, skew, readMix, qps)
 					if *scenName != "" {
 						name = fmt.Sprintf("%s/q%g", cellPrefix, qps)
@@ -194,9 +186,6 @@ func main() {
 		fetchServeDump(*addr, *dumpPath)
 	}
 	exit := 0
-	if *cmpPath != "" && !gate(*cmpPath, rec, *cmpNorm, *cmpTol) {
-		exit = 1
-	}
 	if *failOnErr && totalErrs > 0 {
 		fmt.Fprintf(os.Stderr, "rhload: %d transactional errors\n", totalErrs)
 		exit = 1
@@ -494,27 +483,6 @@ func writeJSONFile(path string, rec *bench.JSONRecorder) {
 		fatalf("json write: %v", err)
 	}
 	fmt.Printf("rhload: wrote %d points to %s\n", rec.Len(), path)
-}
-
-// gate compares this run against a baseline dump; reports true when the
-// gate passes.
-func gate(path string, rec *bench.JSONRecorder, normalize bool, tol float64) bool {
-	baseline, err := bench.LoadDump(path)
-	if err != nil {
-		fatalf("compare: %v", err)
-	}
-	deltas := bench.Compare(baseline, rec.Dump(), normalize)
-	bad := bench.Regressions(deltas, tol)
-	if len(bad) == 0 {
-		fmt.Printf("rhload: perf gate passed (%d baseline points, tolerance %.0f%%)\n",
-			len(deltas), tol*100)
-		return true
-	}
-	fmt.Fprintf(os.Stderr, "rhload: perf gate FAILED (%d of %d points):\n", len(bad), len(deltas))
-	for _, d := range bad {
-		fmt.Fprintf(os.Stderr, "  %s\n", d)
-	}
-	return false
 }
 
 func parseFloats(csv, flagName string) []float64 {

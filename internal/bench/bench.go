@@ -120,8 +120,7 @@ func RHVariants() []Algo {
 // fsync-per-commit ablation. The persisting variants pin Algo.Persist, so
 // each of their points opens a fresh redo log and every operation
 // durable-acks (see RunConfig.Persist). This is the algorithm set of the
-// persist experiment and of the CI crash-recovery gate against the
-// checked-in BENCH_7.json baseline.
+// persist experiment, which CI's crash-recovery job runs as a smoke.
 func PersistVariants() []Algo {
 	rh := func(name string, mode persist.Mode) Algo {
 		return Algo{Name: name, New: func(m *mem.Memory, d *htm.Device, p tm.RetryPolicy) tm.System {
@@ -189,8 +188,8 @@ type RunConfig struct {
 	// Policy configures retries (zero fields take the paper's defaults).
 	Policy tm.RetryPolicy
 	// Persist, when group or sync, opens a fresh redo log (internal/persist)
-	// on a temporary directory (honoring $TMPDIR; the CI gate points it at a
-	// RAM disk to isolate protocol overhead from device latency), attaches
+	// on a temporary directory (honoring $TMPDIR; CI points it at a RAM
+	// disk to isolate protocol overhead from device latency), attaches
 	// it to the point's memory, and durable-acks every 16-op worker batch —
 	// the service's ack granularity, where one WaitDurable covers a fused
 	// batch of requests. Algo.Persist, when set, wins.
@@ -243,7 +242,10 @@ type InvariantWorkload interface {
 	Violations() uint64
 }
 
-// Run executes one benchmark point.
+// Run executes one benchmark point. An operation that returns an error
+// stops the point and fails it: the error names the workload, the algorithm
+// and the first such error, and the Result beside it is still complete, so
+// an oracle-carrying workload's violation count is not lost with it.
 func Run(cfg RunConfig) (Result, error) {
 	if cfg.Threads <= 0 {
 		cfg.Threads = 1
@@ -302,8 +304,9 @@ func Run(cfg RunConfig) (Result, error) {
 	var stop atomic.Bool
 	var totalOps atomic.Uint64
 	var agg tm.Stats
-	var aggMu sync.Mutex
+	var aggMu sync.Mutex // guards agg, rings and opErr
 	var rings []obs.ThreadRing
+	var opErr error
 	var wg sync.WaitGroup
 	start := time.Now()
 	for i := 0; i < cfg.Threads; i++ {
@@ -319,12 +322,14 @@ func Run(cfg RunConfig) (Result, error) {
 			}
 			op := cfg.Workload.NewOp(th, seed)
 			var ops uint64
+			var failed error
+		work:
 			for !stop.Load() {
 				// Batch the stop check to keep it off the hot path.
 				for k := 0; k < 16; k++ {
-					if err := op(); err != nil {
+					if failed = op(); failed != nil {
 						stop.Store(true)
-						return
+						break work
 					}
 					ops++
 				}
@@ -343,6 +348,9 @@ func Run(cfg RunConfig) (Result, error) {
 			}
 			totalOps.Add(ops)
 			aggMu.Lock()
+			if opErr == nil {
+				opErr = failed
+			}
 			if o := th.Stats().Obs; o.Ring() != nil {
 				// Rings are per-thread (Merge does not combine them): drain
 				// before the Stats merge folds the recorder into agg.
@@ -387,6 +395,9 @@ func Run(cfg RunConfig) (Result, error) {
 			v++
 		}
 		res.Violations = &v
+	}
+	if opErr != nil {
+		return res, fmt.Errorf("bench: %s on %s: op failed: %w", res.Workload, res.Algo, opErr)
 	}
 	return res, nil
 }

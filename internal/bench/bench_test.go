@@ -2,11 +2,14 @@ package bench_test
 
 import (
 	"bytes"
+	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"rhnorec/internal/bench"
+	"rhnorec/internal/tm"
 )
 
 func TestRunSinglePoint(t *testing.T) {
@@ -137,5 +140,108 @@ func TestProgressCallback(t *testing.T) {
 	}
 	if count != 2 {
 		t.Errorf("progress fired %d times, want 2", count)
+	}
+}
+
+var errBoom = errors.New("boom")
+
+// failNth is a workload whose op fails on its n-th call, counted across
+// threads, and succeeds on every other.
+type failNth struct {
+	calls atomic.Int64
+	n     int64
+}
+
+func (w *failNth) Name() string          { return "fail-nth" }
+func (w *failNth) Setup(tm.Thread) error { return nil }
+func (w *failNth) NewOp(tm.Thread, int64) func() error {
+	return func() error {
+		if w.calls.Add(1) == w.n {
+			return errBoom
+		}
+		return nil
+	}
+}
+
+// TestRunReportsFailingOp: a worker that dies of an op error must fail the
+// point, not leave the survivors' throughput standing as the result.
+func TestRunReportsFailingOp(t *testing.T) {
+	algo, _ := bench.AlgoByName("rh-norec")
+	_, err := bench.Run(bench.RunConfig{
+		Workload: &failNth{n: 100},
+		Algo:     algo,
+		Threads:  2,
+		Duration: 10 * time.Millisecond,
+	})
+	if !errors.Is(err, errBoom) {
+		t.Fatalf("Run error = %v, want it to wrap the op's error", err)
+	}
+	for _, want := range []string{"fail-nth", "rh-norec"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("Run error %q does not name %q", err, want)
+		}
+	}
+}
+
+// flakyOracle is an oracle-carrying workload. A bad instance reports two
+// in-flight violations and fails its end check, and its op is slow, so of
+// three repeats it is the lowest-throughput run and never the median.
+type flakyOracle struct{ bad bool }
+
+func (w *flakyOracle) Name() string          { return "flaky-oracle" }
+func (w *flakyOracle) Setup(tm.Thread) error { return nil }
+func (w *flakyOracle) NewOp(tm.Thread, int64) func() error {
+	return func() error {
+		if w.bad {
+			time.Sleep(time.Millisecond)
+		}
+		return nil
+	}
+}
+func (w *flakyOracle) Check(tm.System) error {
+	if w.bad {
+		return errors.New("ledger off by one")
+	}
+	return nil
+}
+func (w *flakyOracle) Violations() uint64 {
+	if w.bad {
+		return 2
+	}
+	return 0
+}
+
+// TestSweepKeepsOracleVerdictOfEveryRepeat: the median is taken of the
+// throughput, not of the oracle — one failing repeat in three must reach
+// the reported point (the zero-violation gate reads nothing else).
+func TestSweepKeepsOracleVerdictOfEveryRepeat(t *testing.T) {
+	instances := 0
+	var got []bench.Result
+	_, err := bench.RunSweep(bench.SweepConfig{
+		Factory: func() bench.Workload {
+			instances++
+			return &flakyOracle{bad: instances == 2}
+		},
+		Algos:    bench.StandardAlgos()[:1],
+		Threads:  []int{1},
+		Duration: 10 * time.Millisecond,
+		Repeat:   3,
+		Progress: func(r bench.Result) { got = append(got, r) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if instances != 3 || len(got) != 1 {
+		t.Fatalf("%d instances, %d reported points, want 3 and 1", instances, len(got))
+	}
+	r := got[0]
+	if r.Violations == nil {
+		t.Fatal("the reported point carries no violation count")
+	}
+	if *r.Violations != 3 {
+		t.Errorf("violations = %d, want 3 (2 in flight + the failed check of repeat 2)", *r.Violations)
+	}
+	if !strings.Contains(r.CheckError, "ledger off by one") {
+		t.Errorf("check error = %q, want repeat 2's", r.CheckError)
 	}
 }

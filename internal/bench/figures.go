@@ -27,7 +27,9 @@ type SweepConfig struct {
 	HTM     htm.Config
 	Policy  tm.RetryPolicy
 	// Repeat runs each point this many times and reports the
-	// median-throughput run (noise control; default 1).
+	// median-throughput run (noise control; default 1). The oracle's verdict
+	// is not a median: the reported run carries the violations of every
+	// repeat and the first failed check.
 	Repeat int
 	// Progress, when non-nil, receives each point as it completes.
 	Progress func(Result)
@@ -63,6 +65,8 @@ func RunSweep(cfg SweepConfig) (*Sweep, error) {
 		s.Order = append(s.Order, algo.Name)
 		for _, n := range cfg.Threads {
 			runs := make([]Result, 0, cfg.Repeat)
+			var violations uint64
+			var checkError string
 			for r := 0; r < cfg.Repeat; r++ {
 				res, err := Run(RunConfig{
 					Workload: cfg.Factory(),
@@ -81,9 +85,18 @@ func RunSweep(cfg SweepConfig) (*Sweep, error) {
 					return nil, err
 				}
 				runs = append(runs, res)
+				if res.Violations != nil {
+					violations += *res.Violations
+				}
+				if checkError == "" {
+					checkError = res.CheckError
+				}
 			}
 			sort.Slice(runs, func(i, j int) bool { return runs[i].Throughput < runs[j].Throughput })
 			res := runs[len(runs)/2] // median run
+			if res.Violations != nil {
+				res.Violations, res.CheckError = &violations, checkError
+			}
 			s.Workload = res.Workload
 			s.Results[algo.Name] = append(s.Results[algo.Name], res)
 			if cfg.Progress != nil {
@@ -286,14 +299,13 @@ func DisjointFigure(w io.Writer, cfg FigureConfig) error {
 // docs/PERSIST.md): the hotspot workload — every transaction
 // read-modify-writes the same two shared lines, and every operation
 // durable-acks before the next one — under the persist variants. The
-// shape the baseline encodes: group fsync stays within a small factor of
+// shape to expect: group fsync stays within a small factor of
 // persist-off because concurrent waiters amortize one fsync pass per
 // commit group, while fsync-per-commit pays a full fsync inside every
 // commit's append (serialized under the commit window) and falls off a
 // cliff as threads grow. The variants pin their own modes, so a sweep-level
-// mode is dropped rather than allowed to arm the baseline. CI's
-// crash-recovery job gates on this sweep against the checked-in
-// BENCH_7.json baseline.
+// mode is dropped rather than allowed to arm the persist-off row. CI's
+// crash-recovery job runs this sweep as a schema-validated smoke.
 func PersistFigure(w io.Writer, cfg FigureConfig) error {
 	if len(cfg.Algos) == 0 {
 		cfg.Algos = PersistVariants()
@@ -314,8 +326,8 @@ func PersistFigure(w io.Writer, cfg FigureConfig) error {
 // cross-section. Each point doubles as a conformance pass: the scenario's
 // oracle runs alongside the workers and at the end of the point, and the
 // violation count rides into the JSON dump for cmd/rhgate's
-// zero-violations budget. This is the sweep behind the checked-in
-// BENCH_8.json baseline and the CI conformance-matrix gate.
+// zero-violations budget. This is the sweep behind the CI
+// conformance-matrix gate.
 func ScenariosFigure(w io.Writer, cfg FigureConfig) error {
 	if len(cfg.Algos) == 0 {
 		cfg.Algos = []Algo{}

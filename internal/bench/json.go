@@ -124,17 +124,6 @@ func tmBlock(st *tm.Stats) *JSONTM {
 // Len reports how many points have been recorded.
 func (rec *JSONRecorder) Len() int { return len(rec.points) }
 
-// Dump returns the recorded points as a versioned in-memory dump (the
-// value WriteJSON would serialize), for direct comparison against a
-// baseline without a file round-trip.
-func (rec *JSONRecorder) Dump() *JSONDump {
-	pts := rec.points
-	if pts == nil {
-		pts = []JSONPoint{}
-	}
-	return &JSONDump{SchemaVersion: SchemaVersion, Points: pts}
-}
-
 // WriteJSON emits the versioned dump, indented. An empty recorder writes
 // an envelope with an empty points array, never null.
 func (rec *JSONRecorder) WriteJSON(w io.Writer) error {

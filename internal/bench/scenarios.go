@@ -11,8 +11,8 @@ import (
 // harness at the given scale. The returned workload implements
 // InvariantWorkload, so Run folds the scenario's oracle into the Result
 // (Violations, CheckError) and the dump carries them for the SLO gate. A
-// worker op that returns an error (which Run treats as "stop the point")
-// is also counted as a violation so it cannot end a run silently.
+// worker op that returns an error (which fails the point, see Run) is also
+// counted as a violation, so the Result beside that error says so too.
 func ScenarioWorkload(sc conformance.Scenario, scale conformance.Scale) WorkloadFactory {
 	return func() Workload {
 		return &scenarioWorkload{sc: sc, inst: sc.New(scale)}

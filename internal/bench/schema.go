@@ -4,9 +4,27 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
 
 	"rhnorec/internal/obs"
 )
+
+// LoadDump reads and schema-validates an rhbench -json dump.
+func LoadDump(path string) (*JSONDump, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := ValidateDump(data); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	// ValidateDump already decoded successfully; decode again for the value.
+	var dump JSONDump
+	if err := json.Unmarshal(data, &dump); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return &dump, nil
+}
 
 // ValidateDump checks a versioned JSON dump against its schema, dispatching
 // on the envelope's schema_version: rhbench.v2 dumps (rhbench -json) get the

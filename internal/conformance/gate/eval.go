@@ -3,7 +3,6 @@ package gate
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 
 	"rhnorec/internal/bench"
@@ -29,8 +28,8 @@ type GateReport struct {
 	Name string `json:"name"`
 	Kind string `json:"kind"`
 	Pass bool   `json:"pass"`
-	// Error is a gate-level failure (unbound or unreadable dump, bad
-	// baseline): the gate fails with no cells.
+	// Error is a gate-level failure (unbound or unreadable dump): the gate
+	// fails with no cells.
 	Error string `json:"error,omitempty"`
 	// Cells holds one row per evaluated (selector match × point), sorted
 	// by cell name, then algo, then threads.
@@ -51,8 +50,8 @@ type CellReport struct {
 // Check is one bound's verdict over one cell.
 type Check struct {
 	// Name is the SLO field the bound came from (min_ops_per_sec,
-	// min_baseline_ratio, max_p99_ms, max_abort_rate, max_violations) or
-	// "present" for a BaselineCells coverage check.
+	// max_p99_ms, max_abort_rate, max_violations) or "present" for a cell
+	// selector that matched nothing.
 	Name string `json:"name"`
 	// Value is the measured quantity; Bound the spec's limit.
 	Value float64 `json:"value"`
@@ -65,8 +64,6 @@ type Check struct {
 
 // Inputs binds a spec to concrete files for one evaluation.
 type Inputs struct {
-	// SpecDir anchors the spec's relative baseline paths.
-	SpecDir string
 	// Dumps maps logical dump names (Gate.Dump) to file paths.
 	Dumps map[string]string
 	// Gates restricts evaluation to the named subset (nil = all).
@@ -115,7 +112,7 @@ func evalGate(g *Gate, in Inputs) GateReport {
 	case "rhserve":
 		evalServeGate(g, path, &gr)
 	default:
-		evalBenchGate(g, path, in.SpecDir, &gr)
+		evalBenchGate(g, path, &gr)
 	}
 	gr.Pass = gr.Error == ""
 	for i := range gr.Cells {
@@ -136,53 +133,11 @@ func evalGate(g *Gate, in Inputs) GateReport {
 	return gr
 }
 
-func evalBenchGate(g *Gate, path, specDir string, gr *GateReport) {
+func evalBenchGate(g *Gate, path string, gr *GateReport) {
 	dump, err := bench.LoadDump(path)
 	if err != nil {
 		gr.Error = err.Error()
 		return
-	}
-	// The baseline comparison, when configured, yields per-point
-	// throughput ratios keyed like the dump's points.
-	type key struct {
-		w, a string
-		t    int
-	}
-	ratios := map[key]bench.Delta{}
-	if g.Baseline != "" {
-		bp := g.Baseline
-		if !filepath.IsAbs(bp) {
-			bp = filepath.Join(specDir, bp)
-		}
-		baseline, err := bench.LoadDump(bp)
-		if err != nil {
-			gr.Error = fmt.Sprintf("baseline: %v", err)
-			return
-		}
-		for _, d := range bench.Compare(baseline, dump, g.Normalize) {
-			ratios[key{d.Workload, d.Algo, d.Threads}] = d
-		}
-	}
-	if g.BaselineCells {
-		// Every baseline point is a coverage + min-ratio cell, exactly the
-		// historical `-compare` gate.
-		floor := 1 - g.Tolerance
-		for _, d := range ratios {
-			cr := CellReport{Cell: d.Workload, Algo: d.Algo, Threads: d.Threads}
-			if d.Missing {
-				cr.Checks = append(cr.Checks, Check{
-					Name: "present", Bound: 1,
-					Detail: "baseline point missing from current run",
-				})
-			} else {
-				cr.Checks = append(cr.Checks, Check{
-					Name: "min_baseline_ratio", Value: d.Ratio, Bound: floor,
-					Pass: d.Ratio >= floor,
-				})
-			}
-			cr.Pass = allPass(cr.Checks)
-			gr.Cells = append(gr.Cells, cr)
-		}
 	}
 	for ci := range g.Cells {
 		c := &g.Cells[ci]
@@ -200,7 +155,7 @@ func evalBenchGate(g *Gate, path, specDir string, gr *GateReport) {
 			}
 			matched = true
 			cr := CellReport{Cell: p.Workload, Algo: p.Algo, Threads: p.Threads}
-			cr.Checks = benchChecks(c, p, ratios[key{p.Workload, p.Algo, p.Threads}])
+			cr.Checks = benchChecks(c, p)
 			cr.Pass = allPass(cr.Checks)
 			gr.Cells = append(gr.Cells, cr)
 		}
@@ -216,7 +171,7 @@ func evalBenchGate(g *Gate, path, specDir string, gr *GateReport) {
 	}
 }
 
-func benchChecks(c *CellSpec, p *bench.JSONPoint, d bench.Delta) []Check {
+func benchChecks(c *CellSpec, p *bench.JSONPoint) []Check {
 	slo := &c.SLO
 	var checks []Check
 	if slo.MinOpsPerSec > 0 {
@@ -224,16 +179,6 @@ func benchChecks(c *CellSpec, p *bench.JSONPoint, d bench.Delta) []Check {
 			Name: "min_ops_per_sec", Value: p.OpsPerSec, Bound: slo.MinOpsPerSec,
 			Pass: p.OpsPerSec >= slo.MinOpsPerSec,
 		})
-	}
-	if slo.MinBaselineRatio > 0 {
-		ck := Check{Name: "min_baseline_ratio", Value: d.Ratio, Bound: slo.MinBaselineRatio}
-		switch {
-		case d.Workload == "" || d.Missing:
-			ck.Detail = "point has no baseline counterpart"
-		default:
-			ck.Pass = d.Ratio >= slo.MinBaselineRatio
-		}
-		checks = append(checks, ck)
 	}
 	if slo.MaxP99Ms > 0 {
 		ck := Check{Name: "max_p99_ms", Bound: slo.MaxP99Ms}

@@ -11,17 +11,9 @@ import (
 // does not bound that kind. Text goes to the terminal and CI logs;
 // markdown goes to GitHub job summaries ($GITHUB_STEP_SUMMARY).
 
-var columnOrder = []string{
-	"min_ops_per_sec", "min_baseline_ratio", "max_p99_ms", "max_abort_rate", "max_violations",
-}
-
-var columnHeader = map[string]string{
-	"min_ops_per_sec":    "ops/s",
-	"min_baseline_ratio": "ratio",
-	"max_p99_ms":         "p99(ms)",
-	"max_abort_rate":     "aborts",
-	"max_violations":     "viol",
-}
+// textRow lays out one line of the text table: gate, cell, algo, threads,
+// the four bound columns, verdict.
+const textRow = "%-16s %-26s %-22s %4s  %10s %9s %8s %6s  %s\n"
 
 // cellValue renders one bound column for one cell: the measured value,
 // marked with "!" when the check failed; "-" when the bound is absent.
@@ -67,17 +59,12 @@ func cellVerdict(cr *CellReport) string {
 // WriteText renders the report as one aligned table, with failure details
 // listed under it.
 func WriteText(w io.Writer, rep *Report) {
-	fmt.Fprintf(w, "%-16s %-26s %-22s %4s  %10s %8s %9s %8s %6s  %s\n",
-		"gate", "cell", "algo", "t",
-		columnHeader["min_ops_per_sec"], columnHeader["min_baseline_ratio"],
-		columnHeader["max_p99_ms"], columnHeader["max_abort_rate"],
-		columnHeader["max_violations"], "verdict")
+	fmt.Fprintf(w, textRow, "gate", "cell", "algo", "t", "ops/s", "p99(ms)", "aborts", "viol", "verdict")
 	var details []string
 	for gi := range rep.Gates {
 		g := &rep.Gates[gi]
 		if g.Error != "" {
-			fmt.Fprintf(w, "%-16s %-26s %-22s %4s  %10s %8s %9s %8s %6s  %s\n",
-				g.Name, "(gate error)", "", "", "-", "-", "-", "-", "-", "ERROR")
+			fmt.Fprintf(w, textRow, g.Name, "(gate error)", "", "", "-", "-", "-", "-", "ERROR")
 			details = append(details, fmt.Sprintf("%s: %s", g.Name, g.Error))
 			continue
 		}
@@ -87,11 +74,9 @@ func WriteText(w io.Writer, rep *Report) {
 			if cr.Threads > 0 {
 				t = fmt.Sprintf("%d", cr.Threads)
 			}
-			fmt.Fprintf(w, "%-16s %-26s %-22s %4s  %10s %8s %9s %8s %6s  %s\n",
-				g.Name, cr.Cell, cr.Algo, t,
-				cellValue(cr, "min_ops_per_sec"), cellValue(cr, "min_baseline_ratio"),
-				cellValue(cr, "max_p99_ms"), cellValue(cr, "max_abort_rate"),
-				cellValue(cr, "max_violations"), cellVerdict(cr))
+			fmt.Fprintf(w, textRow, g.Name, cr.Cell, cr.Algo, t,
+				cellValue(cr, "min_ops_per_sec"), cellValue(cr, "max_p99_ms"),
+				cellValue(cr, "max_abort_rate"), cellValue(cr, "max_violations"), cellVerdict(cr))
 			for _, ck := range cr.Checks {
 				if !ck.Pass {
 					details = append(details, describeFailure(g.Name, cr, &ck))
@@ -121,13 +106,13 @@ func WriteMarkdown(w io.Writer, rep *Report) {
 		fmt.Fprintln(w, "## Conformance gate: ❌ FAILED")
 	}
 	fmt.Fprintln(w)
-	fmt.Fprintln(w, "| gate | cell | algo | t | ops/s | ratio | p99(ms) | aborts | viol | verdict |")
-	fmt.Fprintln(w, "|---|---|---|---|---|---|---|---|---|---|")
+	fmt.Fprintln(w, "| gate | cell | algo | t | ops/s | p99(ms) | aborts | viol | verdict |")
+	fmt.Fprintln(w, "|---|---|---|---|---|---|---|---|---|")
 	var details []string
 	for gi := range rep.Gates {
 		g := &rep.Gates[gi]
 		if g.Error != "" {
-			fmt.Fprintf(w, "| %s | (gate error) | | | | | | | | ❌ |\n", g.Name)
+			fmt.Fprintf(w, "| %s | (gate error) | | | | | | | ❌ |\n", g.Name)
 			details = append(details, fmt.Sprintf("`%s`: %s", g.Name, g.Error))
 			continue
 		}
@@ -141,11 +126,10 @@ func WriteMarkdown(w io.Writer, rep *Report) {
 			if cr.Threads > 0 {
 				t = fmt.Sprintf("%d", cr.Threads)
 			}
-			fmt.Fprintf(w, "| %s | %s | %s | %s | %s | %s | %s | %s | %s | %s |\n",
+			fmt.Fprintf(w, "| %s | %s | %s | %s | %s | %s | %s | %s | %s |\n",
 				g.Name, cr.Cell, cr.Algo, t,
-				cellValue(cr, "min_ops_per_sec"), cellValue(cr, "min_baseline_ratio"),
-				cellValue(cr, "max_p99_ms"), cellValue(cr, "max_abort_rate"),
-				cellValue(cr, "max_violations"), verdict)
+				cellValue(cr, "min_ops_per_sec"), cellValue(cr, "max_p99_ms"),
+				cellValue(cr, "max_abort_rate"), cellValue(cr, "max_violations"), verdict)
 			for _, ck := range cr.Checks {
 				if !ck.Pass {
 					details = append(details, describeFailure(g.Name, cr, &ck))

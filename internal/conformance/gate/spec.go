@@ -1,14 +1,14 @@
 // Package gate evaluates SLO specifications over benchmark and service
-// dumps: the conformance matrix's pass/fail layer. A spec (rhgate-spec.v1)
+// dumps: the conformance matrix's pass/fail layer. A spec (rhgate-spec.v2)
 // declares named gates, each binding a logical dump (an rhbench.v2 file
 // from rhbench/rhload or an rhserve.v1 file from the KV service) to a set
-// of cells — (workload × algo × threads) selectors carrying SLO bounds:
-// throughput floors, baseline-ratio floors, p99 latency ceilings,
-// abort-rate budgets, and invariant-violation budgets. Evaluate renders
-// one verdict per cell; cmd/rhgate turns the report into text, markdown
-// (for CI job summaries) and machine-readable rhgate.v1 JSON, exiting
-// non-zero on any red cell. CI routes its perf thresholds through specs in
-// gates/ so the bounds live in one reviewed file instead of inline shell.
+// of cells — (workload × algo × threads) selectors carrying absolute SLO
+// bounds: throughput floors, p99 latency ceilings, abort-rate budgets, and
+// invariant-violation budgets. Evaluate renders one verdict per cell;
+// cmd/rhgate turns the report into text, markdown (for CI job summaries)
+// and machine-readable rhgate.v1 JSON, exiting non-zero on any red cell.
+// Every bound is on the dump alone: whether a commit is faster or slower
+// than its parent is answered by `sh benchmark/run.sh --compare`, not here.
 package gate
 
 import (
@@ -20,13 +20,16 @@ import (
 
 // SpecSchemaVersion identifies the gate-spec format. Same versioning
 // contract as the dump schemas (docs/METRICS.md): additive optional
-// fields do not bump the version.
-const SpecSchemaVersion = "rhgate-spec.v1"
+// fields do not bump the version; v2 removed v1's baseline comparison (a
+// gate's baseline file with its normalize, tolerance and per-baseline-point
+// cells, and a cell's baseline-ratio floor), and the strict decode rejects
+// those fields by name.
+const SpecSchemaVersion = "rhgate-spec.v2"
 
 // Spec is a versioned collection of gates, typically one file per CI
 // pipeline (gates/ci.json).
 type Spec struct {
-	// SchemaVersion is always SpecSchemaVersion ("rhgate-spec.v1").
+	// SchemaVersion is always SpecSchemaVersion ("rhgate-spec.v2").
 	SchemaVersion string `json:"schema_version"`
 	// Gates are evaluated independently; the report fails if any does.
 	Gates []Gate `json:"gates"`
@@ -46,25 +49,8 @@ type Gate struct {
 	// -json or rhload -json) or "rhserve" (rhserve.v1, the service's
 	// /metrics snapshot).
 	Kind string `json:"kind"`
-	// Baseline is a checked-in rhbench.v2 dump to compare against,
-	// resolved relative to the spec file. Required by BaselineCells and
-	// by any cell with a MinBaselineRatio bound. rhbench gates only.
-	Baseline string `json:"baseline,omitempty"`
-	// Normalize divides each dump by its own median throughput before
-	// the baseline comparison (machine-speed independence; see
-	// bench.Compare).
-	Normalize bool `json:"normalize,omitempty"`
-	// Tolerance is the allowed fractional throughput drop for
-	// BaselineCells (a cell fails below ratio 1-Tolerance).
-	Tolerance float64 `json:"tolerance,omitempty"`
-	// BaselineCells derives one min-ratio cell from every baseline
-	// point; a baseline point missing from the current dump is a
-	// coverage regression and fails. This replicates the historical
-	// `rhbench -compare` / `rhload -compare` gate as spec cells.
-	BaselineCells bool `json:"baseline_cells,omitempty"`
-	// Cells are the explicit SLO selectors, evaluated in addition to any
-	// BaselineCells-derived ones.
-	Cells []CellSpec `json:"cells,omitempty"`
+	// Cells are the SLO selectors; a gate has at least one.
+	Cells []CellSpec `json:"cells"`
 }
 
 // CellSpec selects dump points and bounds them. An empty selector field
@@ -89,9 +75,6 @@ type SLO struct {
 	// MinOpsPerSec is an absolute throughput floor (rhbench: the point's
 	// ops_per_sec; rhserve: the endpoint's requests/uptime).
 	MinOpsPerSec float64 `json:"min_ops_per_sec,omitempty"`
-	// MinBaselineRatio is a floor on current/baseline throughput for the
-	// matching baseline point (requires Gate.Baseline; rhbench only).
-	MinBaselineRatio float64 `json:"min_baseline_ratio,omitempty"`
 	// MaxP99Ms is a ceiling on the p99 latency in milliseconds
 	// (rhbench: the obs "attempt" phase — the whole transaction, so the
 	// dump must have been made with -obs; rhserve: the endpoint's
@@ -153,34 +136,22 @@ func validateGate(g *Gate) error {
 	if g.Kind != "rhbench" && g.Kind != "rhserve" {
 		return fmt.Errorf("kind = %q, want rhbench or rhserve", g.Kind)
 	}
-	if !g.BaselineCells && len(g.Cells) == 0 {
-		return fmt.Errorf("no cells and baseline_cells unset: nothing to check")
-	}
-	if g.BaselineCells && g.Baseline == "" {
-		return fmt.Errorf("baseline_cells requires a baseline")
-	}
-	if g.Kind == "rhserve" && g.Baseline != "" {
-		return fmt.Errorf("rhserve gates have no baseline comparison")
-	}
-	if g.Tolerance < 0 || g.Tolerance >= 1 {
-		return fmt.Errorf("tolerance = %g, want in [0,1)", g.Tolerance)
+	if len(g.Cells) == 0 {
+		return fmt.Errorf("no cells: nothing to check")
 	}
 	for i := range g.Cells {
 		c := &g.Cells[i]
 		slo := &c.SLO
-		if slo.MinOpsPerSec == 0 && slo.MinBaselineRatio == 0 && slo.MaxP99Ms == 0 &&
+		if slo.MinOpsPerSec == 0 && slo.MaxP99Ms == 0 &&
 			slo.MaxAbortRate == nil && slo.MaxViolations == nil {
 			return fmt.Errorf("cell %d: empty SLO (nothing to check)", i)
-		}
-		if slo.MinBaselineRatio > 0 && g.Baseline == "" {
-			return fmt.Errorf("cell %d: min_baseline_ratio requires a gate baseline", i)
 		}
 		if r := slo.MaxAbortRate; r != nil && (*r < 0 || *r > 1) {
 			return fmt.Errorf("cell %d: max_abort_rate = %g, want in [0,1]", i, *r)
 		}
 		if g.Kind == "rhserve" {
-			if slo.MinBaselineRatio > 0 || slo.MaxViolations != nil {
-				return fmt.Errorf("cell %d: baseline/violation bounds do not apply to rhserve dumps", i)
+			if slo.MaxViolations != nil {
+				return fmt.Errorf("cell %d: violation bounds do not apply to rhserve dumps", i)
 			}
 			if c.Threads != 0 {
 				return fmt.Errorf("cell %d: rhserve rows carry no thread count", i)
