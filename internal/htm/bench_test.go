@@ -74,6 +74,36 @@ func BenchmarkTxnLoadDistinct32(b *testing.B) {
 	}
 }
 
+// BenchmarkTxnLoadLines8x4 is the shape of a tree traversal that reads
+// several fields of every node it visits: one read-only transaction over 32
+// distinct words on 8 lines, four words a line (a node's key, value and
+// child pointers), nothing moving. Only every fourth load opens a line; the
+// other three find theirs in the log and take the bitmap branch, the case a
+// word-keyed log paid a full insert for.
+func BenchmarkTxnLoadLines8x4(b *testing.B) {
+	m := mem.New(1 << 16)
+	d := NewDevice(m, benchConfig())
+	d.SetActiveThreads(1)
+	tc := m.NewThreadCache()
+	var addrs [32]mem.Addr
+	for i := 0; i < len(addrs); i += 4 {
+		node := tc.Alloc(mem.LineWords)
+		for w := 0; w < 4; w++ {
+			addrs[i+w] = node + mem.Addr(w)
+		}
+	}
+	tx := d.NewTxn()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tx.Begin()
+		for _, a := range addrs {
+			sink += tx.Load(a)
+		}
+		tx.Commit()
+	}
+}
+
 // BenchmarkTxnCapacityAbort256 is the doomed hardware attempt of an
 // over-capacity transaction (tm-capacity-mix's audits): 257 distinct lines
 // against a 256-line read budget, aborting on the last load and unwinding

@@ -7,7 +7,7 @@ import (
 )
 
 // index is the one associative structure behind the read log, the write
-// buffer and the two line sets: an open-addressed, linear-probed table from
+// buffer and the write line set: an open-addressed, linear-probed table from
 // a 64-bit key to a position, stamped per cell with the generation it was
 // written in. A cell is live only while its stamp equals the table's, so
 // reset is a single increment — no clearing, whatever the footprint was —
@@ -16,7 +16,7 @@ import (
 // the device's line capacity bounds every set, so growth stops and steady
 // state allocates nothing.
 type index struct {
-	cells []cell // power-of-two length; nil until the first add
+	cells []cell // power-of-two length; nil until the first insert
 	shift uint8  // 64 - log2(len(cells)): top hash bits select the home cell
 	gen   uint32 // current generation; never 0 once cells exist
 	n     int    // live cells in this generation
@@ -64,9 +64,9 @@ func (x *index) find(key uint64) (int32, bool) {
 	}
 }
 
-// add stores pos under key unless key is already present, and reports
-// whether it was new.
-func (x *index) add(key uint64, pos int32) bool {
+// findOrAdd is the one insert: it returns the position stored under key,
+// storing pos first if key was absent, and reports whether it was.
+func (x *index) findOrAdd(key uint64, pos int32) (at int32, added bool) {
 	if 2*(x.n+1) > len(x.cells) {
 		x.grow()
 	}
@@ -76,10 +76,10 @@ func (x *index) add(key uint64, pos int32) bool {
 		if c.gen != x.gen {
 			*c = cell{key: key, gen: x.gen, pos: pos}
 			x.n++
-			return true
+			return pos, true
 		}
 		if c.key == key {
-			return false
+			return c.pos, false
 		}
 	}
 }
@@ -109,42 +109,69 @@ func (x *index) grow() {
 	}
 }
 
-// readEntry value-logs one speculative read for revalidation.
-type readEntry struct {
-	addr mem.Addr
-	val  uint64
+// readLine is one cache line of the speculative read log: the values of the
+// words read from it, for revalidation. Bit w of have says vals[w] is
+// logged; a slot whose bit is clear holds whatever an earlier transaction
+// left there and is never read.
+type readLine struct {
+	line mem.Line
+	have uint8
+	vals [mem.LineWords]uint64
 }
 
-// readSet is the deduplicated speculative read log: insertion-ordered
-// (addr, value) pairs — the value log validation walks — indexed by address.
-// Deduplication keeps validation O(distinct addresses) instead of O(dynamic
-// reads): a transaction that re-reads a hot word a thousand times validates
-// it once.
+// readSet is the speculative read log, grouped the way best-effort hardware
+// tracks a read set — by cache line: one record per line in first-touch
+// order, indexed by line. Values stay word-granular (only the words actually
+// read are logged and revalidated); capacity is line-granular (the device
+// bounds len(lines)). A load costs one index probe and a bitmap test, a
+// duplicate load is answered from the log, and validation is O(distinct
+// words), not O(dynamic reads). Memory is one 80-byte record per line
+// opened, bounded by the device's read capacity.
 type readSet struct {
-	entries []readEntry
-	idx     index
+	lines []readLine
+	idx   index
+	words int // words logged, over all lines
 }
 
 func (s *readSet) reset() {
-	s.entries = s.entries[:0]
+	s.lines = s.lines[:0]
 	s.idx.reset()
+	s.words = 0
 }
 
-func (s *readSet) len() int { return len(s.entries) }
+// len reports the words logged.
+func (s *readSet) len() int { return s.words }
 
-// get returns the logged value for a, if a was read before.
-func (s *readSet) get(a mem.Addr) (uint64, bool) {
-	if i, ok := s.idx.find(uint64(a)); ok {
-		return s.entries[i].val, true
+// lineCount reports the lines opened, including one a dying transaction
+// opened and logged nothing in.
+func (s *readSet) lineCount() int { return len(s.lines) }
+
+// open returns the record of line l, appending an empty one if l is new,
+// and reports whether it was. The pointer is valid until the next open.
+func (s *readSet) open(l mem.Line) (*readLine, bool) {
+	n := len(s.lines)
+	at, added := s.idx.findOrAdd(uint64(l), int32(n))
+	if !added {
+		return &s.lines[at], false
 	}
-	return 0, false
+	// Extend in place where the array allows: appending a zero record would
+	// clear and copy 80 bytes for every line a transaction opens. The stale
+	// vals this leaves are gated by have.
+	if n < cap(s.lines) {
+		s.lines = s.lines[:n+1]
+	} else {
+		s.lines = append(s.lines, readLine{})
+	}
+	rl := &s.lines[n]
+	rl.line, rl.have = l, 0
+	return rl, true
 }
 
-// add logs a first read of a. The caller must have checked get(a) first:
-// duplicate addresses must not be re-logged.
-func (s *readSet) add(a mem.Addr, v uint64) {
-	s.idx.add(uint64(a), int32(len(s.entries)))
-	s.entries = append(s.entries, readEntry{a, v})
+// log records v as the value read from word w of rl's line.
+func (s *readSet) log(rl *readLine, w uint, v uint64) {
+	rl.vals[w] = v
+	rl.have |= 1 << w
+	s.words++
 }
 
 // writeSet is the speculative write buffer: insertion-ordered
@@ -172,23 +199,26 @@ func (s *writeSet) get(a mem.Addr) (uint64, bool) {
 
 // put buffers a write, reporting whether the address was new.
 func (s *writeSet) put(a mem.Addr, v uint64) bool {
-	if i, ok := s.idx.find(uint64(a)); ok {
-		s.entries[i].Value = v
-		return false
+	at, added := s.idx.findOrAdd(uint64(a), int32(len(s.entries)))
+	if added {
+		s.entries = append(s.entries, mem.WriteEntry{Addr: a, Value: v})
+	} else {
+		s.entries[at].Value = v
 	}
-	s.idx.add(uint64(a), int32(len(s.entries)))
-	s.entries = append(s.entries, mem.WriteEntry{Addr: a, Value: v})
-	return true
+	return added
 }
 
-// lineSet counts the distinct cache lines of a footprint for the capacity
-// model.
+// lineSet counts the distinct cache lines of the write footprint for the
+// capacity model (the read log counts its own).
 type lineSet struct{ idx index }
 
 func (s *lineSet) reset() { s.idx.reset() }
 
 // add inserts l, reporting whether it was new.
-func (s *lineSet) add(l mem.Line) bool { return s.idx.add(uint64(l), 0) }
+func (s *lineSet) add(l mem.Line) bool {
+	_, added := s.idx.findOrAdd(uint64(l), 0)
+	return added
+}
 
 func (s *lineSet) count() int { return s.idx.n }
 

@@ -10,7 +10,7 @@ import (
 )
 
 // TestQuickIndexMatchesMap: the index must behave exactly like a Go map
-// across any sequence of adds, lookups and resets — through several
+// across any sequence of inserts, lookups and resets — through several
 // doublings, with resets landing at every table size, and across a forced
 // generation wrap-around (the one reset that has to clear the table).
 func TestQuickIndexMatchesMap(t *testing.T) {
@@ -18,7 +18,7 @@ func TestQuickIndexMatchesMap(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		space := int(keySpace)%2000 + 1
 		var x index
-		x.add(0, 0) // allocate, so the forced generation meets real cells
+		x.findOrAdd(0, 0) // allocate, so the forced generation meets real cells
 		x.reset()
 		// A few resets short of the wrap, so the wrap happens mid-run over a
 		// table that holds cells stamped with small generations too.
@@ -32,12 +32,12 @@ func TestQuickIndexMatchesMap(t *testing.T) {
 			case r < 60:
 				k := uint64(rng.Intn(space)) * 8 // word addresses of distinct lines
 				pos := int32(len(ref))
-				_, had := ref[k]
-				if added := x.add(k, pos); added == had {
-					return false
-				}
+				want, had := ref[k]
 				if !had {
-					ref[k] = pos
+					ref[k], want = pos, pos
+				}
+				if at, added := x.findOrAdd(k, pos); added == had || at != want {
+					return false
 				}
 			default:
 				k := uint64(rng.Intn(space)) * 8
@@ -67,12 +67,12 @@ func TestQuickIndexMatchesMap(t *testing.T) {
 // 1 must not come back to life when the counter returns to 1.
 func TestIndexGenerationWrap(t *testing.T) {
 	var x index
-	x.add(42, 7) // generation 1
+	x.findOrAdd(42, 7) // generation 1
 	x.gen = math.MaxUint32
 	if _, ok := x.find(42); ok {
 		t.Fatal("a generation-1 cell is live in generation MaxUint32")
 	}
-	x.add(43, 8)
+	x.findOrAdd(43, 8)
 	x.reset() // wraps
 	if x.gen != 1 {
 		t.Fatalf("generation after the wrap = %d, want 1", x.gen)
@@ -81,7 +81,7 @@ func TestIndexGenerationWrap(t *testing.T) {
 		if _, ok := x.find(k); ok {
 			t.Fatalf("key %d survived the wrap-around reset", k)
 		}
-		if !x.add(k, 0) {
+		if _, added := x.findOrAdd(k, 0); !added {
 			t.Fatalf("key %d reported present after the wrap-around reset", k)
 		}
 	}
@@ -92,7 +92,7 @@ func TestIndexGenerationWrap(t *testing.T) {
 func TestIndexResetKeepsTable(t *testing.T) {
 	var x index
 	for k := uint64(0); k < 1000; k++ {
-		x.add(k, int32(k))
+		x.findOrAdd(k, int32(k))
 	}
 	size := len(x.cells)
 	x.reset()
@@ -106,30 +106,63 @@ func TestIndexResetKeepsTable(t *testing.T) {
 	}
 }
 
-// TestReadWriteSetsFollowInsertionOrder: validation and CommitWrites walk
-// entries, so it must hold every distinct address once, in first-touch
-// order, with the write buffer carrying the last value put.
+// TestReadWriteSetsFollowInsertionOrder: validation walks the read log and
+// CommitWrites the write buffer, so the read log must hold every distinct
+// line once, in first-touch order, with exactly the words read from it, and
+// the write buffer every distinct address once, in first-touch order,
+// carrying the last value put. The second and third rounds run over records
+// the first left behind: a word not read this round must not read as logged.
 func TestReadWriteSetsFollowInsertionOrder(t *testing.T) {
 	var r readSet
 	var w writeSet
 	var lines lineSet
 	for round := 0; round < 3; round++ {
+		// Round 0 touches 50 distinct words, each twice; later rounds only
+		// the even ones, so the odd slots of every record go stale.
+		step := 1 + min(round, 1)
+		var wantLines []mem.Line
+		wantWords := map[mem.Addr]bool{}
 		for i := 0; i < 100; i++ {
-			a := mem.Addr(1 + (i*37)%50) // 50 distinct, each touched twice
-			if _, ok := r.get(a); !ok {
-				r.add(a, uint64(a)*3)
-			}
+			a := mem.Addr(1 + (i*37)%50)
 			w.put(a, uint64(i))
 			lines.add(mem.LineOf(a))
+			if a%mem.Addr(step) != 0 {
+				continue
+			}
+			rl, opened := r.open(mem.LineOf(a))
+			if opened {
+				wantLines = append(wantLines, mem.LineOf(a))
+			}
+			if word := uint(a) % mem.LineWords; rl.have&(1<<word) == 0 {
+				if wantWords[a] {
+					t.Fatalf("round %d: word %d logged but its bit is clear", round, a)
+				}
+				r.log(rl, word, uint64(a)*3+uint64(round))
+				wantWords[a] = true
+			}
 		}
-		if r.len() != 50 || w.len() != 50 || lines.count() != 7 {
-			t.Fatalf("round %d: %d reads, %d writes, %d lines; want 50, 50, 7", round, r.len(), w.len(), lines.count())
+		if r.len() != len(wantWords) || r.lineCount() != 7 || w.len() != 50 || lines.count() != 7 {
+			t.Fatalf("round %d: %d words on %d read lines, %d writes on %d lines; want %d on 7, 50 on 7",
+				round, r.len(), r.lineCount(), w.len(), lines.count(), len(wantWords))
+		}
+		for i, l := range wantLines {
+			rl := &r.lines[i]
+			if rl.line != l {
+				t.Fatalf("round %d: read line %d = %d, want %d", round, i, rl.line, l)
+			}
+			for word := 0; word < mem.LineWords; word++ {
+				a := mem.Addr(l)*mem.LineWords + mem.Addr(word)
+				logged := rl.have&(1<<word) != 0
+				if logged != wantWords[a] {
+					t.Fatalf("round %d: word %d logged = %v, want %v", round, a, logged, wantWords[a])
+				}
+				if logged && rl.vals[word] != uint64(a)*3+uint64(round) {
+					t.Fatalf("round %d: word %d logged as %d", round, a, rl.vals[word])
+				}
+			}
 		}
 		for i := 0; i < 50; i++ {
 			a := mem.Addr(1 + (i*37)%50)
-			if r.entries[i].addr != a || r.entries[i].val != uint64(a)*3 {
-				t.Fatalf("round %d: read entry %d = %+v, want addr %d", round, i, r.entries[i], a)
-			}
 			if w.entries[i].Addr != a || w.entries[i].Value != uint64(i+50) {
 				t.Fatalf("round %d: write entry %d = %+v, want {%d %d}", round, i, w.entries[i], a, i+50)
 			}
@@ -140,8 +173,8 @@ func TestReadWriteSetsFollowInsertionOrder(t *testing.T) {
 		r.reset()
 		w.reset()
 		lines.reset()
-		if _, ok := r.get(15); ok {
-			t.Fatalf("round %d: stale read visible after reset", round)
+		if r.len() != 0 || r.lineCount() != 0 {
+			t.Fatalf("round %d: %d words on %d lines after reset", round, r.len(), r.lineCount())
 		}
 		if _, ok := w.get(15); ok {
 			t.Fatalf("round %d: stale write visible after reset", round)

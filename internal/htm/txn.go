@@ -39,12 +39,12 @@ type Txn struct {
 	// (the write footprint); valid only inside commitValidate.
 	owned stripeBits
 
-	// reads value-logs every *distinct* speculative read; duplicate loads
-	// are answered from the log (an L1 hit on real hardware) and are not
-	// re-logged, so validation is O(distinct addresses). The line set does
-	// the capacity accounting.
-	reads     readSet
-	readLines lineSet
+	// reads value-logs every *distinct* speculative read, grouped by cache
+	// line; duplicate loads are answered from the log (an L1 hit on real
+	// hardware) and are not re-logged, so validation is O(distinct
+	// addresses). The lines it holds are the read side of the capacity
+	// accounting.
+	reads readSet
 
 	writes writeSet
 	wLines lineSet
@@ -76,9 +76,11 @@ func (t *Txn) Begin() {
 		panic("htm: Begin inside an active transaction (no nesting in this simulator)")
 	}
 	t.active = true
-	if t.reads.len() > 0 {
+	// Lines opened, not words logged: a transaction that died reading the
+	// first word of a fresh line left the line behind with nothing in it,
+	// and it must not count toward this transaction's capacity.
+	if t.reads.lineCount() > 0 {
 		t.reads.reset()
-		t.readLines.reset()
 	}
 	if t.writes.len() > 0 {
 		t.writes.reset()
@@ -106,7 +108,7 @@ func (t *Txn) Begin() {
 func (t *Txn) Active() bool { return t.active }
 
 // ReadLineCount reports the distinct cache lines currently in the read set.
-func (t *Txn) ReadLineCount() int { return t.readLines.count() }
+func (t *Txn) ReadLineCount() int { return t.reads.lineCount() }
 
 // WriteLineCount reports the distinct cache lines currently in the write set.
 func (t *Txn) WriteLineCount() int { return t.wLines.count() }
@@ -183,12 +185,17 @@ func (t *Txn) Load(a mem.Addr) uint64 {
 			return v
 		}
 	}
-	if v, ok := t.reads.get(a); ok {
-		return v
+	rl, opened := t.reads.open(mem.LineOf(a))
+	w := uint(a) % mem.LineWords
+	if rl.have&(1<<w) != 0 {
+		return rl.vals[w]
 	}
+	// rl stays valid across readConsistent: nothing opens a line in between.
+	// The capacity check comes last, so a conflict met while reading the
+	// first word of a new line still aborts as a conflict.
 	v := t.readConsistent(a)
-	t.reads.add(a, v)
-	if t.readLines.add(mem.LineOf(a)) && t.readLines.count() > t.readCap {
+	t.reads.log(rl, w, v)
+	if opened && t.reads.lineCount() > t.readCap {
 		t.fail(Capacity, 0)
 	}
 	return v
@@ -296,10 +303,17 @@ func (t *Txn) valueCheckStripe(s int) bool {
 		return true
 	}
 	m := t.d.m
-	for i := range t.reads.entries {
-		r := &t.reads.entries[i]
-		if m.StripeOf(r.addr) == s && m.LoadPlain(r.addr) != r.val {
-			return false
+	for i := range t.reads.lines {
+		rl := &t.reads.lines[i]
+		base := mem.Addr(rl.line) * mem.LineWords
+		if m.StripeOf(base) != s { // a line lies in one stripe
+			continue
+		}
+		for have := rl.have; have != 0; have &= have - 1 {
+			w := bits.TrailingZeros8(have)
+			if m.LoadPlain(base+mem.Addr(w)) != rl.vals[w] {
+				return false
+			}
 		}
 	}
 	return true

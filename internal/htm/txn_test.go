@@ -1,6 +1,7 @@
 package htm
 
 import (
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -575,5 +576,255 @@ func TestConfigDefaults(t *testing.T) {
 	custom := Config{Cores: 4, ReadCapacityLines: 10, WriteCapacityLines: 5}.withDefaults()
 	if custom.Cores != 4 || custom.ReadCapacityLines != 10 || custom.WriteCapacityLines != 5 {
 		t.Errorf("withDefaults clobbered explicit values: %+v", custom)
+	}
+}
+
+// allocLines returns the first word of n whole cache lines.
+func allocLines(c *mem.ThreadCache, n int) mem.Addr {
+	a := c.Alloc((n + 1) * mem.LineWords)
+	return (a + mem.LineWords - 1) &^ (mem.LineWords - 1)
+}
+
+// hookFunc adapts a function to the device Hook; it injects no fault.
+type hookFunc func(op HookOp, a mem.Addr)
+
+func (f hookFunc) Yield(op HookOp, a mem.Addr, _ uint64) Directive {
+	f(op, a)
+	return DirNone
+}
+
+// TestBeginForgetsLineOpenedByDyingLoad: Load opens a line's record before
+// it reads the word, so a transaction that dies inside that read leaves a
+// line with nothing logged in it. The next transaction on the same Txn must
+// start from zero lines — a leftover would be a phantom toward its capacity
+// and move the load its capacity abort fires on. Two ways to die there: a
+// conflict (words logged on other lines), and a foreign panic on the
+// transaction's very first load (no word logged at all, the case a reset
+// guard keyed on words logged would miss).
+func TestBeginForgetsLineOpenedByDyingLoad(t *testing.T) {
+	const readCap = 4
+	m, d, c := newTestDevice(Config{ReadCapacityLines: readCap, YieldPeriod: -1})
+	base := allocLines(c, readCap+1)
+	line := func(i int) mem.Addr { return base + mem.Addr(i*mem.LineWords) }
+	tx := d.NewTxn()
+
+	checkFresh := func(after string) {
+		t.Helper()
+		tx.Begin()
+		n := tx.ReadLineCount()
+		tx.Cancel()
+		if n != 0 {
+			t.Fatalf("after %s: Begin left %d read lines open", after, n)
+		}
+		if ab := attempt(tx, func() {
+			for i := 0; i < readCap; i++ {
+				_ = tx.Load(line(i))
+			}
+		}); ab != nil {
+			t.Fatalf("after %s: %d lines against a %d-line budget: %v", after, readCap, readCap, ab)
+		}
+		loads := 0
+		ab := attempt(tx, func() {
+			for i := 0; i <= readCap; i++ {
+				_ = tx.Load(line(i))
+				loads++
+			}
+		})
+		if ab == nil || ab.Code != Capacity || loads != readCap {
+			t.Fatalf("after %s: abort %v after %d loads, want capacity on load %d", after, ab, loads, readCap+1)
+		}
+	}
+
+	// A foreign store to the logged word lands as the load of the next line
+	// announces itself: that load opens its line, then fails validation.
+	d.SetHook(hookFunc(func(op HookOp, a mem.Addr) {
+		if op == HookLoad && a == line(1) {
+			m.StorePlain(line(0), 99)
+		}
+	}))
+	ab := attempt(tx, func() {
+		_ = tx.Load(line(0))
+		_ = tx.Load(line(1))
+	})
+	d.SetHook(nil)
+	if ab == nil || ab.Code != Conflict {
+		t.Fatalf("abort = %v, want a conflict on the first word of the second line", ab)
+	}
+	if got := tx.reads.lineCount(); got != 2 || tx.reads.lines[1].have != 0 || tx.reads.len() != 1 {
+		t.Fatalf("dead transaction holds %d lines, %d words, second line bitmap %#x; want 2, 1, 0",
+			got, tx.reads.len(), tx.reads.lines[1].have)
+	}
+	checkFresh("a conflict on the first word of a new line")
+
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("a load past the end of memory did not panic")
+			}
+		}()
+		attempt(tx, func() { _ = tx.Load(mem.Addr(m.Size())) })
+	}()
+	if tx.reads.lineCount() != 1 || tx.reads.len() != 0 {
+		t.Fatalf("dead transaction holds %d lines, %d words; want 1, 0", tx.reads.lineCount(), tx.reads.len())
+	}
+	checkFresh("a first load that died with nothing logged")
+}
+
+// TestQuickTxnSetsMatchMapModel drives seeded random Load/Store sequences —
+// duplicates, several words of one line, loads of buffered writes, 1 to 600
+// lines, with and without room in the device — against a model made of
+// plain maps. Every value returned, both line counts after every operation,
+// the operation a capacity abort fires on, and the memory a commit leaves
+// must agree.
+func TestQuickTxnSetsMatchMapModel(t *testing.T) {
+	const maxLines = 600
+	for seed := int64(1); seed <= 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		nLines := 1 + rng.Intn(maxLines)
+		// A third of the devices hold any footprint; the rest run out
+		// somewhere inside it, on the read side, the write side or both.
+		readCap, writeCap := 2*maxLines, 2*maxLines
+		if rng.Intn(3) > 0 {
+			readCap = 1 + rng.Intn(nLines)
+		}
+		if rng.Intn(3) > 0 {
+			writeCap = 1 + rng.Intn(nLines)
+		}
+		m, d, c := newTestDevice(Config{ReadCapacityLines: readCap, WriteCapacityLines: writeCap, YieldPeriod: -1})
+		base := allocLines(c, nLines)
+		memVal := func(a mem.Addr) uint64 { return uint64(a)*7 + 1 }
+		for a := base; a < base+mem.Addr(nLines*mem.LineWords); a++ {
+			m.StorePlain(a, memVal(a))
+		}
+
+		type op struct {
+			store bool
+			a     mem.Addr
+			v     uint64
+		}
+		ops := make([]op, 1+rng.Intn(4*nLines+8))
+		for i := range ops {
+			a := base + mem.Addr(rng.Intn(nLines)*mem.LineWords+rng.Intn(mem.LineWords))
+			if i > 0 && rng.Intn(4) == 0 {
+				a = ops[rng.Intn(i)].a // a duplicate, or a load of a buffered write
+			}
+			ops[i] = op{store: rng.Intn(5) == 0, a: a, v: rng.Uint64()}
+		}
+
+		// The model: what each operation returns, the line counts it leaves,
+		// and the first operation that overflows a budget.
+		written := map[mem.Addr]uint64{}
+		readWords := map[mem.Addr]bool{}
+		linesRead, linesWritten := map[mem.Line]bool{}, map[mem.Line]bool{}
+		type expect struct {
+			val    uint64
+			rl, wl int
+		}
+		want := make([]expect, 0, len(ops))
+		abortAt := -1
+		for i, o := range ops {
+			var e expect
+			l := mem.LineOf(o.a)
+			if o.store {
+				if _, ok := written[o.a]; !ok && !linesWritten[l] {
+					linesWritten[l] = true
+					if len(linesWritten) > writeCap {
+						abortAt = i
+						break
+					}
+				}
+				written[o.a] = o.v
+			} else if v, ok := written[o.a]; ok {
+				e.val = v
+			} else {
+				e.val = memVal(o.a)
+				if !readWords[o.a] {
+					readWords[o.a] = true
+					if !linesRead[l] {
+						linesRead[l] = true
+						if len(linesRead) > readCap {
+							abortAt = i
+							break
+						}
+					}
+				}
+			}
+			e.rl, e.wl = len(linesRead), len(linesWritten)
+			want = append(want, e)
+		}
+
+		tx := d.NewTxn()
+		done := 0
+		ab := attempt(tx, func() {
+			for i, o := range ops {
+				if o.store {
+					tx.Store(o.a, o.v)
+				} else if got := tx.Load(o.a); got != want[i].val {
+					t.Fatalf("seed %d op %d: Load(%d) = %d, want %d", seed, i, o.a, got, want[i].val)
+				}
+				if rl, wl := tx.ReadLineCount(), tx.WriteLineCount(); rl != want[i].rl || wl != want[i].wl {
+					t.Fatalf("seed %d op %d: %d read lines, %d write lines; want %d, %d", seed, i, rl, wl, want[i].rl, want[i].wl)
+				}
+				done++
+			}
+		})
+		if abortAt >= 0 {
+			if ab == nil || ab.Code != Capacity || done != abortAt {
+				t.Fatalf("seed %d (caps %d/%d): abort %v at op %d, want capacity at op %d", seed, readCap, writeCap, ab, done, abortAt)
+			}
+			clear(written) // nothing of a dead transaction may show
+		} else if ab != nil {
+			t.Fatalf("seed %d (caps %d/%d): unexpected abort %v at op %d", seed, readCap, writeCap, ab, done)
+		}
+		for a := base; a < base+mem.Addr(nLines*mem.LineWords); a++ {
+			w := memVal(a)
+			if v, ok := written[a]; ok {
+				w = v
+			}
+			if got := m.LoadPlain(a); got != w {
+				t.Fatalf("seed %d: word %d holds %d afterwards, want %d", seed, a, got, w)
+			}
+		}
+	}
+}
+
+// TestValidationIsWordGranularCapacityLineGranular pins the two
+// granularities of the line-grained read log, for every pair of words of
+// one line. Values are word-granular: a foreign store to a logged word
+// aborts the transaction at its next validation, a foreign store to another
+// word of the same line does not — even though the line's record still
+// holds, from the transaction before, a value for that word that no longer
+// matches. Capacity is line-granular: the line counts once however many of
+// its words are read.
+func TestValidationIsWordGranularCapacityLineGranular(t *testing.T) {
+	m, d, c := newTestDevice(Config{ReadCapacityLines: 2, YieldPeriod: -1})
+	base := allocLines(c, 2)
+	other := base + mem.LineWords
+	tx := d.NewTxn()
+	for logged := mem.Addr(0); logged < mem.LineWords; logged++ {
+		for stored := mem.Addr(0); stored < mem.LineWords; stored++ {
+			// Leave a value for every word of the line in its record.
+			if ab := attempt(tx, func() {
+				for w := mem.Addr(0); w < mem.LineWords; w++ {
+					_ = tx.Load(base + w)
+				}
+				if got := tx.ReadLineCount(); got != 1 {
+					t.Fatalf("eight words of one line count as %d lines", got)
+				}
+			}); ab != nil {
+				t.Fatalf("unexpected abort filling the line: %v", ab)
+			}
+			ab := attempt(tx, func() {
+				_ = tx.Load(base + logged)
+				m.StorePlain(base+stored, m.LoadPlain(base+stored)+1)
+				_ = tx.Load(other) // an unseen stripe behind a moved ticket: sweeps the log
+			})
+			switch {
+			case logged == stored && (ab == nil || ab.Code != Conflict):
+				t.Fatalf("logged word %d overwritten: abort = %v, want conflict", logged, ab)
+			case logged != stored && ab != nil:
+				t.Fatalf("word %d logged, word %d of its line overwritten: unexpected %v", logged, stored, ab)
+			}
+		}
 	}
 }
