@@ -136,9 +136,58 @@ type MemBackend struct {
 	files map[string]*memFile
 }
 
+// A memFile's bytes live in chunks that are never regrown: an append fills
+// the last chunk and opens new ones, each as large as the file so far
+// (memChunkMin to memChunkMax), so a multi-MB segment is never copied to
+// grow and a tiny explore-plane file stays small.
+const (
+	memChunkMin = 1 << 10
+	memChunkMax = 64 << 10
+)
+
 type memFile struct {
-	data   []byte
+	chunks [][]byte
+	size   int
 	synced int
+}
+
+// frozenFile wraps data, which the caller hands over, as one fully synced file.
+func frozenFile(data []byte) *memFile {
+	f := &memFile{size: len(data), synced: len(data)}
+	if len(data) > 0 {
+		f.chunks = [][]byte{data}
+	}
+	return f
+}
+
+func (f *memFile) append(p []byte) {
+	for len(p) > 0 {
+		n := len(f.chunks)
+		if n == 0 || len(f.chunks[n-1]) == cap(f.chunks[n-1]) {
+			f.chunks = append(f.chunks, make([]byte, 0, min(max(f.size, memChunkMin), memChunkMax)))
+			n++
+		}
+		last := f.chunks[n-1]
+		k := min(len(p), cap(last)-len(last))
+		f.chunks[n-1] = append(last, p[:k]...)
+		f.size += k
+		p = p[k:]
+	}
+}
+
+// prefix copies out the file's first n bytes (nil when n is zero).
+func (f *memFile) prefix(n int) []byte {
+	if n == 0 {
+		return nil
+	}
+	out := make([]byte, 0, n)
+	for _, c := range f.chunks {
+		if len(out) == n {
+			break
+		}
+		out = append(out, c[:min(len(c), n-len(out))]...)
+	}
+	return out
 }
 
 // NewMemBackend returns an empty in-memory backend.
@@ -153,13 +202,13 @@ func (b *MemBackend) ReadFile(name string) ([]byte, error) {
 	if !ok {
 		return nil, fs.ErrNotExist
 	}
-	return append([]byte(nil), f.data...), nil
+	return f.prefix(f.size), nil
 }
 
 func (b *MemBackend) WriteAtomic(name string, data []byte) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.files[name] = &memFile{data: append([]byte(nil), data...), synced: len(data)}
+	b.files[name] = frozenFile(append([]byte(nil), data...))
 	return nil
 }
 
@@ -197,8 +246,7 @@ func (b *MemBackend) CrashSnapshot() *MemBackend {
 	defer b.mu.Unlock()
 	out := NewMemBackend()
 	for name, f := range b.files {
-		keep := f.synced + (len(f.data)-f.synced)/2
-		out.files[name] = &memFile{data: append([]byte(nil), f.data[:keep]...), synced: keep}
+		out.files[name] = frozenFile(f.prefix(f.synced + (f.size-f.synced)/2))
 	}
 	return out
 }
@@ -211,14 +259,14 @@ type memHandle struct {
 func (h *memHandle) Append(p []byte) error {
 	h.b.mu.Lock()
 	defer h.b.mu.Unlock()
-	h.f.data = append(h.f.data, p...)
+	h.f.append(p)
 	return nil
 }
 
 func (h *memHandle) Sync() error {
 	h.b.mu.Lock()
 	defer h.b.mu.Unlock()
-	h.f.synced = len(h.f.data)
+	h.f.synced = h.f.size
 	return nil
 }
 

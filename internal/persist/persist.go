@@ -12,11 +12,11 @@
 // else, which is the paper's fast-path/slow-path split carried into the
 // durability plane.
 //
-// Recovery (Open) scans the segments, drops torn or corrupt tails via
-// per-record checksums, requires every segment record of a multi-stripe
-// commit to be present, and replays the longest consistent sequence prefix —
-// so a crash can lose only un-acked suffix commits, never resurrect an
-// aborted transaction, and never tear one in half.
+// Recovery (Open) merges the segments by sequence, drops torn or corrupt
+// tails via per-record checksums, requires every segment record of a
+// multi-stripe commit to be present, and replays the longest consistent
+// sequence prefix — so a crash can lose only un-acked suffix commits, never
+// resurrect an aborted transaction, and never tear one in half.
 package persist
 
 import (

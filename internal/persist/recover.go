@@ -48,9 +48,9 @@ type RecoveryStats struct {
 //
 //  1. load the checkpoint (atomic-replace file: whole or absent), apply its
 //     image, note its sequence base;
-//  2. scan every segment, drop torn/corrupt tails, group records by
-//     sequence, and replay the longest consistent prefix above the base —
-//     a sequence replays only if all its per-segment records survived;
+//  2. merge the segments by sequence, stopping each at its torn/corrupt
+//     tail, and replay the longest consistent prefix above the base — a
+//     sequence replays only if all its per-segment records survived;
 //  3. write a fresh checkpoint of the recovered image, then truncate the
 //     segments. Replay applies absolute values, so a crash between those
 //     two steps just replays the same records onto the same image next boot.
@@ -122,7 +122,10 @@ type segRecord struct {
 	pairs     []byte
 }
 
-// recoverState performs steps 1–2 of the boot protocol.
+// recoverState performs steps 1–2 of the boot protocol as one merge over the
+// segments: a cursor per segment, and a walk over base+1, base+2, ... that
+// replays a sequence as soon as the cursor heads carrying it form a whole
+// commit. It allocates per segment, never per commit.
 func recoverState(b Backend, lo, hi mem.Addr, apply func(mem.Addr, uint64)) (RecoveryStats, error) {
 	var stats RecoveryStats
 	base, err := loadCheckpoint(b, lo, hi, apply)
@@ -136,7 +139,7 @@ func recoverState(b Backend, lo, hi mem.Addr, apply func(mem.Addr, uint64)) (Rec
 	if err != nil {
 		return stats, err
 	}
-	groups := map[uint64][]segRecord{}
+	cursors := make([]segCursor, 0, len(names))
 	for _, name := range names {
 		data, err := b.ReadFile(name)
 		if err != nil {
@@ -145,94 +148,120 @@ func recoverState(b Backend, lo, hi mem.Addr, apply func(mem.Addr, uint64)) (Rec
 			}
 			return stats, err
 		}
-		recs, torn := scanSegment(data)
-		if torn {
-			stats.TornTails++
-		}
-		for _, r := range recs {
-			if r.seq <= base {
-				// Already covered by the checkpoint: a crash between
-				// checkpoint write and segment truncate leaves these behind.
-				continue
-			}
-			groups[r.seq] = append(groups[r.seq], r)
-		}
+		c := segCursor{data: data, base: base}
+		c.next()
+		cursors = append(cursors, c)
 	}
 
 	// The consistent cut: the longest run of sequences base+1, base+2, ...
-	// where every sequence has all of its per-segment records.
+	// where every sequence has all of its per-segment records. Every head
+	// is at or above the sequence being walked and a segment's sequences
+	// strictly increase, so the heads carrying it are all its records.
 	cut := base
-	for {
-		g, ok := groups[cut+1]
-		if !ok || !complete(g) {
-			break
-		}
+	for whole(cursors, cut+1) {
 		cut++
-	}
-	for seq := base + 1; seq <= cut; seq++ {
-		for _, r := range groups[seq] {
-			if err := replayRecord(r, lo, hi, apply); err != nil {
+		for i := range cursors {
+			c := &cursors[i]
+			if !c.ok || c.rec.seq != cut {
+				continue
+			}
+			if err := replayRecord(c.rec, lo, hi, apply); err != nil {
 				return stats, err
 			}
 			stats.Records++
+			c.next()
 		}
 		stats.Commits++
 	}
-	for seq, g := range groups {
-		if seq > cut {
-			stats.Dropped += uint64(len(g))
+	for i := range cursors {
+		c := &cursors[i]
+		for c.ok {
+			stats.Dropped++
+			c.next()
+		}
+		if c.torn {
+			stats.TornTails++
 		}
 	}
 	stats.Seq = cut
 	return stats, nil
 }
 
-// complete reports whether a sequence's record group is whole: every record
-// agrees on the segment count and all of them are present.
-func complete(g []segRecord) bool {
-	want := g[0].nsegments
-	if uint32(len(g)) != want {
-		return false
-	}
-	for _, r := range g {
-		if r.nsegments != want {
+// whole reports whether the cursor heads at seq form a whole commit: at
+// least one, all agreeing on the segment count, and exactly that many.
+func whole(cursors []segCursor, seq uint64) bool {
+	n, want := uint32(0), uint32(0)
+	for i := range cursors {
+		r := &cursors[i].rec
+		if !cursors[i].ok || r.seq != seq {
+			continue
+		}
+		if n == 0 {
+			want = r.nsegments
+		} else if r.nsegments != want {
 			return false
 		}
+		n++
 	}
-	return true
+	return n > 0 && n == want
 }
 
-// scanSegment parses records until the data runs out or stops verifying;
-// torn reports whether unparseable tail bytes were discarded.
-func scanSegment(data []byte) (recs []segRecord, torn bool) {
-	off := 0
-	for off < len(data) {
-		rest := data[off:]
+// segCursor walks one segment's records in file order. rec is the current
+// record while ok; torn reports that the walk stopped at bytes that do not
+// verify as the segment's next record.
+type segCursor struct {
+	data     []byte
+	off      int
+	base     uint64 // records at or below base are in the checkpoint: skipped
+	rec      segRecord
+	ok, torn bool
+}
+
+// next advances to the segment's next record above base. A record that is
+// short, fails its checksum or length test, or whose seq is not above the
+// previous record's ends the segment as torn. Log never writes the last
+// kind: Append orders a segment's records under appendMu, syncLocked writes
+// the swapped buffers under syncMu in swap order, and Open truncates every
+// segment before the first append.
+func (c *segCursor) next() {
+	c.ok = false
+	for c.off < len(c.data) {
+		rest := c.data[c.off:]
 		if len(rest) < 4 {
-			return recs, true
+			break
 		}
 		size := binary.LittleEndian.Uint32(rest)
 		if size < recHeadBytes+recSumBytes || uint64(size) > uint64(len(rest)-4) {
-			return recs, true
+			break
 		}
 		payload := rest[4 : 4+size-recSumBytes]
 		sum := binary.LittleEndian.Uint64(rest[4+size-recSumBytes : 4+size])
 		if fnv64a(payload) != sum {
-			return recs, true
+			break
 		}
 		npairs := binary.LittleEndian.Uint32(payload[24:])
 		if uint64(recHeadBytes)+uint64(npairs)*recPairBytes+recSumBytes != uint64(size) {
-			return recs, true
+			break
 		}
-		recs = append(recs, segRecord{
-			seq:       binary.LittleEndian.Uint64(payload),
+		seq := binary.LittleEndian.Uint64(payload)
+		if c.off > 0 && seq <= c.rec.seq {
+			break
+		}
+		c.off += 4 + int(size)
+		c.rec = segRecord{
+			seq:       seq,
 			nsegments: binary.LittleEndian.Uint32(payload[20:]),
 			npairs:    npairs,
 			pairs:     payload[recHeadBytes:],
-		})
-		off += 4 + int(size)
+		}
+		if seq > c.base {
+			c.ok = true
+			return
+		}
+		// Already covered by the checkpoint: a crash between checkpoint
+		// write and segment truncate leaves these behind.
 	}
-	return recs, false
+	c.torn = c.off < len(c.data)
 }
 
 func replayRecord(r segRecord, lo, hi mem.Addr, apply func(mem.Addr, uint64)) error {
