@@ -392,21 +392,11 @@ type WriteEntry struct {
 	Value uint64
 }
 
-// stripeBits is a fixed bitmap over stripe indices; forEach visits set
-// stripes in canonical ascending order.
+// stripeBits is a fixed bitmap over stripe indices. Walking it word by word,
+// lowest set bit first, visits set stripes in canonical ascending order.
 type stripeBits [stripeWords]uint64
 
-func (b *stripeBits) set(s int)      { b[s>>6] |= 1 << (uint(s) & 63) }
-func (b *stripeBits) has(s int) bool { return b[s>>6]&(1<<(uint(s)&63)) != 0 }
-
-func (b *stripeBits) forEach(fn func(s int)) {
-	for w, word := range b {
-		for word != 0 {
-			fn(w<<6 + bits.TrailingZeros64(word))
-			word &= word - 1
-		}
-	}
-}
+func (b *stripeBits) set(s int) { b[s>>6] |= 1 << (uint(s) & 63) }
 
 // CommitWrites atomically publishes a speculative write buffer. For a
 // non-empty buffer it takes the writeback locks of every touched stripe in
@@ -441,6 +431,10 @@ func (m *Memory) CommitWrites(writes []WriteEntry, validate func() bool) bool {
 	for i := range writes {
 		touched.set(m.StripeOf(writes[i].Addr))
 	}
+	// Only the first (stripes+63)/64 words can hold a bit: one word at
+	// DefaultStripes. Each phase below is a plain loop over them, lowest
+	// stripe first.
+	live := touched[:(len(m.stripes)+63)>>6]
 	h := m.hook
 	if h != nil {
 		h.Yield(HookCommit, writes[0].Addr)
@@ -450,8 +444,16 @@ func (m *Memory) CommitWrites(writes []WriteEntry, validate func() bool) bool {
 		// locks drop.
 		h.AtomicBegin()
 	}
-	touched.forEach(func(s int) { m.stripes[s].wb.Lock() })
-	touched.forEach(func(s int) { m.stripes[s].clock.Add(1) })
+	for w, word := range live {
+		for ; word != 0; word &= word - 1 {
+			m.stripes[w<<6+bits.TrailingZeros64(word)].wb.Lock()
+		}
+	}
+	for w, word := range live {
+		for ; word != 0; word &= word - 1 {
+			m.stripes[w<<6+bits.TrailingZeros64(word)].clock.Add(1)
+		}
+	}
 	ok := validate == nil || validate()
 	if ok {
 		for _, w := range writes {
@@ -467,14 +469,26 @@ func (m *Memory) CommitWrites(writes []WriteEntry, validate func() bool) bool {
 		// The ticket retires before any window closes (package doc,
 		// property 3).
 		m.ticket.Add(1)
-		touched.forEach(func(s int) { m.stripes[s].clock.Add(1) })
+		for w, word := range live {
+			for ; word != 0; word &= word - 1 {
+				m.stripes[w<<6+bits.TrailingZeros64(word)].clock.Add(1)
+			}
+		}
 	} else {
 		// Nothing was published: restore every window to its prior even
 		// value instead of closing it forward, so readers watermarked at
 		// that value are not forced into a spurious revalidation.
-		touched.forEach(func(s int) { m.stripes[s].clock.Add(^uint64(0)) })
+		for w, word := range live {
+			for ; word != 0; word &= word - 1 {
+				m.stripes[w<<6+bits.TrailingZeros64(word)].clock.Add(^uint64(0))
+			}
+		}
 	}
-	touched.forEach(func(s int) { m.stripes[s].wb.Unlock() })
+	for w, word := range live {
+		for ; word != 0; word &= word - 1 {
+			m.stripes[w<<6+bits.TrailingZeros64(word)].wb.Unlock()
+		}
+	}
 	if h != nil {
 		h.AtomicEnd()
 	}
@@ -581,7 +595,7 @@ var snapshotTestHook func()
 // forever (the Snapshot contract) and always returns true. The loop is
 // deliberately closure-free: the service snapshot-scan fast path runs it on
 // every eligible request and must not heap-allocate (marks escaping into a
-// forEach closure would drag an 8KiB array onto the heap per call).
+// closure would drag an 8KiB array onto the heap per call).
 func (m *Memory) snapshot(a Addr, stride int, dst []uint64, attempts int) bool {
 	if len(dst) == 0 {
 		return true

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -62,26 +63,123 @@ func TestSingleStripeDegenerate(t *testing.T) {
 // TestCommitWritesTouchesOnlyWrittenStripes: a commit must not perturb the
 // clocks of stripes outside its write set — that independence is what lets
 // disjoint commits run in parallel and spares unrelated readers a
-// revalidation.
+// revalidation. CommitWrites walks only the (stripes+63)/64 bitmap words a
+// memory uses, so the table covers every word-count edge (1, 64, 65 -> 128,
+// 1024 stripes) with write sets that reach the highest stripe, repeat a
+// stripe, and list addresses in descending order; each set is committed once
+// with a failing validation (every window restored, no lock left held) and
+// once for real (exactly the written stripes advance, every lock released).
 func TestCommitWritesTouchesOnlyWrittenStripes(t *testing.T) {
-	m := NewStriped(1<<14, 64)
-	c := m.NewThreadCache()
-	a := c.Alloc(4 * LineWords)
-	s0, s1 := m.StripeOf(a), m.StripeOf(a+LineWords)
-	other := m.StripeOf(a + 2*LineWords)
-	c0, c1, co := m.StripeClock(s0), m.StripeClock(s1), m.StripeClock(other)
-	tk := m.Ticket()
-	if !m.CommitWrites([]WriteEntry{{a, 1}, {a + LineWords, 2}}, nil) {
-		t.Fatal("commit failed")
+	// at is word off of the k-th line (k >= 1) that maps to stripe s.
+	at := func(m *Memory, s, k, off int) Addr {
+		return Addr((s+k*m.StripeCount())*LineWords + off)
 	}
-	if m.StripeClock(s0) != c0+2 || m.StripeClock(s1) != c1+2 {
-		t.Error("written stripes did not advance by one mutation each")
+	sets := []struct {
+		name   string
+		writes func(m *Memory) []WriteEntry
+	}{
+		{"adjacent-lines", func(m *Memory) []WriteEntry {
+			a := Addr(2 * m.StripeCount() * LineWords)
+			return []WriteEntry{{a, 1}, {a + LineWords, 2}}
+		}},
+		{"highest-stripe", func(m *Memory) []WriteEntry {
+			n := m.StripeCount()
+			return []WriteEntry{{at(m, n-1, 1, 0), 1}, {at(m, 0, 1, 3), 2}}
+		}},
+		{"repeated-stripe", func(m *Memory) []WriteEntry {
+			n := m.StripeCount()
+			return []WriteEntry{
+				{at(m, n-1, 1, 0), 1}, {at(m, n-1, 1, 5), 2},
+				{at(m, n-1, 2, 0), 3}, {at(m, n/2, 1, 1), 4}, {at(m, n-1, 1, 0), 5},
+			}
+		}},
+		{"descending", func(m *Memory) []WriteEntry {
+			n := m.StripeCount()
+			return []WriteEntry{
+				{at(m, n-1, 3, 7), 1}, {at(m, n-1, 1, 0), 2}, {at(m, n/2, 1, 2), 3},
+				{at(m, 1%n, 1, 0), 4}, {at(m, 0, 1, 0), 5},
+			}
+		}},
 	}
-	if m.StripeClock(other) != co {
-		t.Error("commit perturbed an untouched stripe's clock")
-	}
-	if m.Ticket() != tk+1 {
-		t.Errorf("ticket advanced %d, want 1 per publish", m.Ticket()-tk)
+	for _, stripes := range []int{1, 64, 65, 1024} {
+		for _, set := range sets {
+			t.Run(fmt.Sprintf("%d/%s", stripes, set.name), func(t *testing.T) {
+				m := NewStriped(1<<16, stripes)
+				n := m.StripeCount()
+				writes := set.writes(m)
+				want := map[int]bool{}
+				final := map[Addr]uint64{}
+				for _, w := range writes {
+					want[m.StripeOf(w.Addr)] = true
+					final[w.Addr] = w.Value
+				}
+				clocks := func() []uint64 {
+					c := make([]uint64, n)
+					for s := range c {
+						c[s] = m.StripeClock(s)
+					}
+					return c
+				}
+				unlocked := func(when string) {
+					for s := range m.stripes {
+						if !m.stripes[s].wb.TryLock() {
+							t.Fatalf("%s: stripe %d left locked", when, s)
+						}
+						m.stripes[s].wb.Unlock()
+					}
+				}
+				before, tk := clocks(), m.Ticket()
+
+				var open []uint64
+				if m.CommitWrites(writes, func() bool { open = clocks(); return false }) {
+					t.Fatal("commit succeeded despite failing validation")
+				}
+				for s := range open {
+					expect := before[s]
+					if want[s] {
+						expect++ // its window is open
+					}
+					if open[s] != expect {
+						t.Errorf("during validation stripe %d read %d, want %d", s, open[s], expect)
+					}
+				}
+				for s, c := range clocks() {
+					if c != before[s] {
+						t.Errorf("failed commit left stripe %d at %d, want it restored to %d", s, c, before[s])
+					}
+				}
+				for a := range final {
+					if v := m.LoadPlain(a); v != 0 {
+						t.Errorf("failed commit stored %d at %d", v, a)
+					}
+				}
+				if m.Ticket() != tk {
+					t.Error("failed commit retired a ticket")
+				}
+				unlocked("after the failed commit")
+
+				if !m.CommitWrites(writes, nil) {
+					t.Fatal("commit failed")
+				}
+				for s, c := range clocks() {
+					if want[s] && c != before[s]+2 {
+						t.Errorf("written stripe %d advanced %d, want one mutation (2)", s, c-before[s])
+					}
+					if !want[s] && c != before[s] {
+						t.Errorf("commit perturbed untouched stripe %d", s)
+					}
+				}
+				for a, v := range final {
+					if got := m.LoadPlain(a); got != v {
+						t.Errorf("word %d = %d after commit, want %d", a, got, v)
+					}
+				}
+				if m.Ticket() != tk+1 {
+					t.Errorf("ticket advanced %d, want 1 per publish", m.Ticket()-tk)
+				}
+				unlocked("after the commit")
+			})
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Backend abstracts the durable byte store under a Log: a named-file surface
@@ -29,7 +30,9 @@ type Backend interface {
 	List(prefix string) ([]string, error)
 }
 
-// File is one append-only log segment handle.
+// File is one append-only log segment handle. A File is used by one
+// goroutine at a time: its caller orders every Append, Sync and Close (a Log
+// issues them under its sync lock), and an implementation may rely on that.
 type File interface {
 	// Append writes p at the end of the file. Durability is not implied.
 	Append(p []byte) error
@@ -145,15 +148,20 @@ const (
 	memChunkMax = 64 << 10
 )
 
+// chunks and size change only in append, under the backend lock, by the
+// file's one user (the File contract). That user also stores synced, so Sync
+// reads size without the lock and publishes it atomically; CrashSnapshot,
+// which may run on another goroutine, loads synced before it reads size.
 type memFile struct {
 	chunks [][]byte
 	size   int
-	synced int
+	synced atomic.Int64
 }
 
 // frozenFile wraps data, which the caller hands over, as one fully synced file.
 func frozenFile(data []byte) *memFile {
-	f := &memFile{size: len(data), synced: len(data)}
+	f := &memFile{size: len(data)}
+	f.synced.Store(int64(len(data)))
 	if len(data) > 0 {
 		f.chunks = [][]byte{data}
 	}
@@ -246,7 +254,8 @@ func (b *MemBackend) CrashSnapshot() *MemBackend {
 	defer b.mu.Unlock()
 	out := NewMemBackend()
 	for name, f := range b.files {
-		out.files[name] = frozenFile(f.prefix(f.synced + (f.size-f.synced)/2))
+		synced := int(f.synced.Load())
+		out.files[name] = frozenFile(f.prefix(synced + (f.size-synced)/2))
 	}
 	return out
 }
@@ -264,9 +273,7 @@ func (h *memHandle) Append(p []byte) error {
 }
 
 func (h *memHandle) Sync() error {
-	h.b.mu.Lock()
-	defer h.b.mu.Unlock()
-	h.f.synced = h.f.size
+	h.f.synced.Store(int64(h.f.size))
 	return nil
 }
 

@@ -154,33 +154,38 @@ type Log struct {
 	// appendMu orders sequence assignment and buffer encoding; holding it is
 	// the linearization point of persistence. Conflicting commits reach
 	// Append while still holding their stripe locks (or the software clock
-	// lock), so sequence order extends the TM's serialization order.
+	// lock), so sequence order extends the TM's serialization order. The
+	// append half of the ledger lives under it too.
 	appendMu sync.Mutex
 	seq      uint64
 	bufs     [][]byte
 	segPairs []int
 	touched  []int
 	segStart []int
+	nAppends uint64
+	nRecords uint64
 
+	// appended mirrors seq and durable is stored only under syncMu; both are
+	// atomics so the frontiers read without a lock.
 	appended atomic.Uint64
 	durable  atomic.Uint64
 
 	// syncMu serializes group-fsync passes. It is never held across a
 	// scheduler yield point (syncLocked performs no memory-hook traffic), so
-	// the cooperative explorer cannot park a worker that owns it.
-	syncMu sync.Mutex
-	flush  [][]byte
-	files  []File
+	// the cooperative explorer cannot park a worker that owns it. The sync
+	// half of the ledger and the closed flag live under it.
+	syncMu       sync.Mutex
+	flush        [][]byte
+	files        []File
+	nFsyncGroups uint64
+	nFsyncs      uint64
+	closed       bool
 
-	errMu  sync.Mutex
-	err    error
-	closed bool
+	// err is the sticky I/O error: the first failure wins and is never
+	// replaced, so Err and WaitDurable read it without a lock.
+	err atomic.Pointer[error]
 
-	nAppends     atomic.Uint64
-	nRecords     atomic.Uint64
-	nFsyncGroups atomic.Uint64
-	nFsyncs      atomic.Uint64
-	recovery     RecoveryStats
+	recovery RecoveryStats
 }
 
 // segOf maps an address to its segment: line-interleaved, mirroring the
@@ -250,9 +255,9 @@ func (l *Log) Append(ticket uint64, writes []mem.WriteEntry) {
 	}
 	l.seq = seq
 	l.appended.Store(seq)
+	l.nAppends++
+	l.nRecords += uint64(nsegments)
 	l.appendMu.Unlock()
-	l.nAppends.Add(1)
-	l.nRecords.Add(uint64(nsegments))
 	if l.onEvent != nil {
 		l.onEvent(EventAppend, seq)
 	}
@@ -304,8 +309,13 @@ func (l *Log) Sync() error { return l.WaitDurable(l.appended.Load()) }
 
 // syncLocked (syncMu held) swaps out the append buffers and flushes every
 // dirty segment with one write+fsync each, then advances the durable
-// frontier to the sequence captured at the swap.
+// frontier to the sequence captured at the swap. After a failed pass it does
+// nothing: a later fsync that succeeds does not prove the failed bytes
+// reached the disk, so the frontier stays where the failure left it.
 func (l *Log) syncLocked() {
+	if l.err.Load() != nil {
+		return
+	}
 	l.appendMu.Lock()
 	target := l.seq
 	for s := range l.bufs {
@@ -331,40 +341,34 @@ func (l *Log) syncLocked() {
 		l.flush[s] = l.flush[s][:0]
 	}
 	if dirty > 0 {
-		l.nFsyncGroups.Add(1)
-		l.nFsyncs.Add(uint64(dirty))
+		l.nFsyncGroups++
+		l.nFsyncs += uint64(dirty)
 	}
 	l.durable.Store(target)
 }
 
-func (l *Log) fail(err error) {
-	l.errMu.Lock()
-	if l.err == nil {
-		l.err = err
-	}
-	l.errMu.Unlock()
-}
+// fail records err as the sticky error unless an earlier one is set.
+func (l *Log) fail(err error) { l.err.CompareAndSwap(nil, &err) }
 
 // Err returns the log's sticky I/O error (nil while healthy). Once set, the
 // durable frontier stops advancing and durable acks fail.
 func (l *Log) Err() error {
-	l.errMu.Lock()
-	defer l.errMu.Unlock()
-	return l.err
+	if p := l.err.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
-// Close flushes and fsyncs everything appended, then closes the segment
-// files. The memory's persister must be detached (or all committers drained)
-// first.
+// Close flushes and fsyncs everything appended (nothing once the sticky
+// error is set, which it then returns), then closes the segment files. The
+// memory's persister must be detached (or all committers drained) first.
 func (l *Log) Close() error {
-	l.errMu.Lock()
+	l.syncMu.Lock()
 	if l.closed {
-		l.errMu.Unlock()
+		l.syncMu.Unlock()
 		return errClosed
 	}
 	l.closed = true
-	l.errMu.Unlock()
-	l.syncMu.Lock()
 	l.syncLocked()
 	l.syncMu.Unlock()
 	err := l.Err()
@@ -376,17 +380,25 @@ func (l *Log) Close() error {
 	return err
 }
 
-// CountersSnapshot copies the log's ledger.
+// CountersSnapshot copies the log's ledger. Each half is read with its
+// frontier under the lock that guards it — syncMu, then appendMu, the order
+// syncLocked takes them in — so every snapshot satisfies Records >= Appends,
+// Fsyncs >= FsyncGroups and Durable <= Appended, however busy the log is.
+// The price is that it may wait behind one group-fsync pass; nothing on a
+// commit path calls it.
 func (l *Log) CountersSnapshot() Counters {
-	return Counters{
-		Appends:     l.nAppends.Load(),
-		Records:     l.nRecords.Load(),
-		FsyncGroups: l.nFsyncGroups.Load(),
-		Fsyncs:      l.nFsyncs.Load(),
-		Appended:    l.appended.Load(),
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
+	c := Counters{
+		FsyncGroups: l.nFsyncGroups,
+		Fsyncs:      l.nFsyncs,
 		Durable:     l.durable.Load(),
 		Recovery:    l.recovery,
 	}
+	l.appendMu.Lock()
+	c.Appends, c.Records, c.Appended = l.nAppends, l.nRecords, l.seq
+	l.appendMu.Unlock()
+	return c
 }
 
 // fnv64a is the record checksum: FNV-64a over p.

@@ -1,8 +1,13 @@
 package persist
 
 import (
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"rhnorec/internal/mem"
@@ -105,6 +110,157 @@ func TestSyncEveryAppend(t *testing.T) {
 	c := l.CountersSnapshot()
 	if c.FsyncGroups != 2 {
 		t.Fatalf("FsyncGroups = %d, want one per append", c.FsyncGroups)
+	}
+}
+
+// TestCountersSnapshotConsistent: a scrape taken under traffic must satisfy
+// the invariants bench.ValidateDump holds an rhserve.v1 dump to. A ledger
+// read one counter at a time breaks them between the two adds of one append
+// or one sync pass, and a frontier read apart from the other moves past it.
+func TestCountersSnapshotConsistent(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const writers, commits = 4, 5000
+	l, _ := openStore(t, Options{Backend: NewMemBackend(), Segments: 4, Lo: 8, Hi: 1 << 16}, wordStore{})
+	defer l.Close()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < commits; i++ {
+				a := mem.Addr(8 + (w*commits+i)%1024*mem.LineWords)
+				l.Append(uint64(i), []mem.WriteEntry{{Addr: a, Value: uint64(i)}})
+				if err := l.WaitDurable(l.Appended()); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	bad, scrapes := 0, 0
+	for running := true; running; scrapes++ {
+		select {
+		case <-done:
+			running = false // one last scrape of the settled ledger
+		default:
+		}
+		c := l.CountersSnapshot()
+		if c.Records < c.Appends || c.Fsyncs < c.FsyncGroups || c.Durable > c.Appended {
+			if bad == 0 {
+				t.Errorf("inconsistent snapshot %+v", c)
+			}
+			bad++
+		}
+	}
+	if bad > 0 {
+		t.Errorf("%d of %d snapshots broke an invariant", bad, scrapes)
+	}
+	if c := l.CountersSnapshot(); c.Appends != writers*commits || c.Durable != c.Appended {
+		t.Errorf("settled ledger %+v, want %d appends all durable", c, writers*commits)
+	}
+}
+
+// faultBackend is a MemBackend whose File.Sync fails exactly once: on the
+// first call after armed is set.
+type faultBackend struct {
+	*MemBackend
+	err   error
+	armed atomic.Bool
+}
+
+func (b *faultBackend) OpenAppend(name string) (File, error) {
+	f, err := b.MemBackend.OpenAppend(name)
+	if err != nil {
+		return nil, err
+	}
+	return faultFile{File: f, b: b}, nil
+}
+
+type faultFile struct {
+	File
+	b *faultBackend
+}
+
+func (f faultFile) Sync() error {
+	if f.b.armed.CompareAndSwap(true, false) {
+		return f.b.err
+	}
+	return f.File.Sync()
+}
+
+// TestStickyError: one failed fsync is never retried and then trusted. Every
+// later WaitDurable, Sync, Err and Close returns that error, concurrent
+// waiters all get it, and the durable frontier stays below the failed pass's
+// target even though every later fsync would succeed.
+func TestStickyError(t *testing.T) {
+	for _, every := range []bool{false, true} {
+		t.Run(fmt.Sprintf("SyncEveryAppend=%v", every), func(t *testing.T) {
+			errFsync := errors.New("injected fsync failure")
+			b := &faultBackend{MemBackend: NewMemBackend(), err: errFsync}
+			l, _ := openStore(t, Options{Backend: b, Segments: 2, Lo: 8, Hi: 1024, SyncEveryAppend: every}, wordStore{})
+			put := func(v uint64) {
+				l.Append(v, []mem.WriteEntry{{Addr: mem.Addr(8 + v%64*mem.LineWords), Value: v}})
+			}
+			put(1)
+			if err := l.WaitDurable(1); err != nil {
+				t.Fatal(err)
+			}
+			const good = 1 // the durable frontier before the failure
+			b.armed.Store(true)
+			for v := uint64(2); v <= 5; v++ {
+				put(v)
+			}
+			target := l.Appended()
+
+			const waiters = 4
+			errs := make(chan error, waiters)
+			start := make(chan struct{})
+			for w := 0; w < waiters; w++ {
+				go func() {
+					<-start
+					errs <- l.WaitDurable(target)
+				}()
+			}
+			close(start)
+			for w := 0; w < waiters; w++ {
+				if err := <-errs; !errors.Is(err, errFsync) {
+					t.Errorf("concurrent waiter got %v, want the fsync error", err)
+				}
+			}
+			if b.armed.Load() {
+				t.Fatal("no fsync ran after the fault was armed")
+			}
+
+			for v := uint64(6); v <= 8; v++ {
+				put(v)
+				if err := l.WaitDurable(l.Appended()); !errors.Is(err, errFsync) {
+					t.Errorf("WaitDurable after the failure = %v", err)
+				}
+				if err := l.WaitDurable(good); !errors.Is(err, errFsync) {
+					t.Errorf("WaitDurable on an already durable seq = %v", err)
+				}
+				if err := l.Sync(); !errors.Is(err, errFsync) {
+					t.Errorf("Sync after the failure = %v", err)
+				}
+				if err := l.Err(); !errors.Is(err, errFsync) {
+					t.Errorf("Err after the failure = %v", err)
+				}
+				if d := l.Durable(); d != good {
+					t.Fatalf("Durable = %d after a failed pass to %d, want it held at %d", d, target, good)
+				}
+			}
+			if err := l.Close(); !errors.Is(err, errFsync) {
+				t.Errorf("Close = %v, want the fsync error", err)
+			}
+			if d := l.Durable(); d != good {
+				t.Errorf("Close moved Durable to %d, want %d", d, good)
+			}
+			if c := l.CountersSnapshot(); c.Durable != good || c.FsyncGroups != 1 {
+				t.Errorf("counters %+v, want one good fsync group and Durable %d", c, good)
+			}
+		})
 	}
 }
 
