@@ -174,6 +174,10 @@ func abortHook(fn func()) htm.Hook {
 // invocation of a callback is the prefix attempt.
 func TestPrefixBudgetMovesOnlyWhenLengthWasTheCause(t *testing.T) {
 	errUser := errors.New("user abort")
+	// release, when a row sets it, runs as the killed prefix dies. The hook
+	// that runs it is installed before the transaction begins, as
+	// Device.SetHook requires.
+	var release func()
 	cases := []struct {
 		name string
 		// kill ends the prefix attempt; it runs after the attempt's reads.
@@ -190,7 +194,7 @@ func TestPrefixBudgetMovesOnlyWhenLengthWasTheCause(t *testing.T) {
 				clock := core.ClockAddr(w.sys)
 				v := w.m.LoadPlain(clock)
 				w.m.StorePlain(clock, v|1)
-				w.dev.SetHook(abortHook(func() { w.m.StorePlain(clock, v) }))
+				release = func() { w.m.StorePlain(clock, v) }
 				return nil
 			},
 		},
@@ -219,6 +223,12 @@ func TestPrefixBudgetMovesOnlyWhenLengthWasTheCause(t *testing.T) {
 			w.mustAudit(t, 200, 1)
 			settled := core.PrefixBudget(w.th)
 			aborts := w.prefixAborts()
+			w.dev.SetHook(abortHook(func() {
+				if fn := release; fn != nil {
+					release = nil
+					fn()
+				}
+			}))
 			err := w.audit(40, 1, func() error { return tc.kill(w) })
 			w.dev.SetHook(nil)
 			if !errors.Is(err, tc.wantErr) {

@@ -104,6 +104,40 @@ func BenchmarkTxnLoadLines8x4(b *testing.B) {
 	}
 }
 
+// BenchmarkTxnLoadNode is the shape of an RBTree Get: one read-only
+// transaction down 14 nodes, reading each node's key (word 0) and then its
+// left or right child pointer (word 2 or 3), nothing moving. The nodes are
+// 6-word blocks from the allocator, packed back to back with no line
+// alignment as rbtree's are, and the walk takes every fifth one: no two
+// visited nodes share a line, and their offsets in a line cycle through
+// 0, 6, 4 and 2, so the child shares its key's line in three nodes of four.
+func BenchmarkTxnLoadNode(b *testing.B) {
+	const nodeWords = 6 // rbtree's node size
+	m := mem.New(1 << 16)
+	d := NewDevice(m, benchConfig())
+	d.SetActiveThreads(1)
+	tc := m.NewThreadCache()
+	var carved [5 * 14]mem.Addr
+	for i := range carved {
+		carved[i] = tc.Alloc(nodeWords)
+	}
+	var nodes [14]mem.Addr
+	for i := range nodes {
+		nodes[i] = carved[5*i]
+	}
+	tx := d.NewTxn()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tx.Begin()
+		for j, n := range nodes {
+			sink += tx.Load(n)                     // the key
+			sink += tx.Load(n + 2 + mem.Addr(j&1)) // the left or right child
+		}
+		tx.Commit()
+	}
+}
+
 // BenchmarkTxnCapacityAbort256 is the doomed hardware attempt of an
 // over-capacity transaction (tm-capacity-mix's audits): 257 distinct lines
 // against a 256-line read budget, aborting on the last load and unwinding

@@ -59,13 +59,15 @@ func AbortInfo(code Code, arg uint64) uint64 { return uint64(code) | arg<<8 }
 func UnpackAbortInfo(info uint64) (Code, uint64) { return Code(info & 0xff), info >> 8 }
 
 // SetHook installs (or, with nil, removes) the device hook. It must be
-// called while no transaction is in flight.
+// called while no transaction is in flight: each transaction reads the hook
+// once, at Begin, and announces all its operations, its abort included, to
+// the hook it read.
 func (d *Device) SetHook(h Hook) { d.hook = h }
 
-// hookYield announces op to the device hook, if any, and applies the
+// hookYield announces op to the transaction's hook, if any, and applies the
 // returned fault directive by aborting the transaction.
 func (t *Txn) hookYield(op HookOp, a mem.Addr, info uint64) {
-	h := t.d.hook
+	h := t.hook
 	if h == nil {
 		return
 	}

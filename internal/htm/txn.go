@@ -18,6 +18,10 @@ type Txn struct {
 	d      *Device
 	active bool
 
+	// hook is the device hook as Begin read it (Device.SetHook's contract
+	// keeps it fixed while the transaction runs).
+	hook Hook
+
 	// marks is the per-stripe watermark vector: for every stripe in the
 	// read footprint, the even stripe-clock value the stripe's logged reads
 	// are known to be valid at — all of them at one common snapshot
@@ -31,8 +35,8 @@ type Txn struct {
 	// gate is the memory's commit ticket as sampled before the instant the
 	// read log was last proved consistent (Begin, or the start of the last
 	// clean sweepReads pass). While the ticket still reads gate, no publish
-	// has closed a window since, and readConsistent extends the snapshot to
-	// an unseen stripe without sweeping (DESIGN.md §12.2).
+	// has closed a window since, and Load extends the snapshot to an unseen
+	// stripe without sweeping (DESIGN.md §12.2).
 	gate uint64
 
 	// owned flags the stripes whose writeback locks the commit path holds
@@ -66,7 +70,8 @@ type Txn struct {
 	rngState uint64
 	// yieldIn counts speculative operations down to the next yield point.
 	// It runs on across Begin: pacing belongs to the thread, not to one
-	// transaction.
+	// transaction. A device with yields disabled starts it negative, so it
+	// counts down forever without reaching 0.
 	yieldIn int
 }
 
@@ -76,6 +81,7 @@ func (t *Txn) Begin() {
 		panic("htm: Begin inside an active transaction (no nesting in this simulator)")
 	}
 	t.active = true
+	t.hook = t.d.hook
 	// Lines opened, not words logged: a transaction that died reading the
 	// first word of a fresh line left the line behind with nothing in it,
 	// and it must not count toward this transaction's capacity.
@@ -113,17 +119,18 @@ func (t *Txn) ReadLineCount() int { return t.reads.lineCount() }
 // WriteLineCount reports the distinct cache lines currently in the write set.
 func (t *Txn) WriteLineCount() int { return t.wLines.count() }
 
-func (t *Txn) mustActive(op string) {
-	if !t.active {
-		panic("htm: " + op + " outside a transaction")
-	}
+// inactive panics for op called with no transaction in progress; callers
+// test t.active themselves, so the check inlines and only this call is out of
+// line.
+func inactive(op string) {
+	panic("htm: " + op + " outside a transaction")
 }
 
 // fail aborts the transaction and unwinds.
 func (t *Txn) fail(code Code, arg uint64) {
 	t.active = false
 	t.d.aborts[code].Add(1)
-	if h := t.d.hook; h != nil {
+	if h := t.hook; h != nil {
 		// Announce the abort so traces can label it with its taxonomy cell;
 		// the directive is ignored — the transaction is already dead.
 		h.Yield(HookAbort, mem.Nil, AbortInfo(code, arg))
@@ -142,24 +149,17 @@ func (t *Txn) nextRand() uint64 {
 	return x * 0x2545F4914F6CDD1D
 }
 
-// maybeYield periodically yields the processor so that simulated hardware
-// threads interleave mid-transaction even on few OS threads.
-func (t *Txn) maybeYield() {
-	if t.yieldPeriod <= 0 {
-		return
-	}
-	if t.yieldIn--; t.yieldIn == 0 {
-		t.yieldIn = t.yieldPeriod
-		runtime.Gosched()
-	}
+// yield gives up the processor at the end of a yield countdown, so that
+// simulated hardware threads interleave mid-transaction even on few OS
+// threads, and restarts the countdown.
+func (t *Txn) yield() {
+	t.yieldIn = t.yieldPeriod
+	runtime.Gosched()
 }
 
-// maybeSpurious rolls for an environmental abort against a 53-bit
-// fixed-point threshold precomputed at Begin.
-func (t *Txn) maybeSpurious() {
-	if t.spuriousThresh == 0 {
-		return
-	}
+// spurious rolls for an environmental abort against the 53-bit fixed-point
+// threshold precomputed at Begin; callers skip it when the threshold is 0.
+func (t *Txn) spurious() {
 	if t.nextRand()>>11 < t.spuriousThresh {
 		t.fail(Spurious, 0)
 	}
@@ -175,11 +175,30 @@ func (t *Txn) maybeSpurious() {
 // opacity; if the location has since changed, the next validation (or the
 // commit) aborts the transaction exactly as it would have in the seed
 // protocol.
+//
+// A first read of a word runs the read loop below: it returns a's value at
+// a snapshot the whole read log is valid at, extending the snapshot if a's
+// stripe moved (NOrec-style incremental validation — this is what makes the
+// simulated HTM opaque). A stripe whose clock still reads its watermark
+// needs no validation at all, so mutations in stripes outside the footprint
+// never perturb this transaction. Two outcomes end almost every load inside
+// the loop: the stripe still reads its watermark, or this is a first read of
+// the stripe while the ticket gate holds. Anything else — a watermarked
+// stripe that moved, or a gate that did not hold — is settled out of line
+// by settle.
 func (t *Txn) Load(a mem.Addr) uint64 {
-	t.mustActive("Load")
-	t.hookYield(HookLoad, a, 0)
-	t.maybeYield()
-	t.maybeSpurious()
+	if !t.active {
+		inactive("Load")
+	}
+	if t.hook != nil {
+		t.hookYield(HookLoad, a, 0)
+	}
+	if t.yieldIn--; t.yieldIn == 0 {
+		t.yield()
+	}
+	if t.spuriousThresh != 0 {
+		t.spurious()
+	}
 	if t.writes.len() > 0 {
 		if v, ok := t.writes.get(a); ok {
 			return v
@@ -190,32 +209,17 @@ func (t *Txn) Load(a mem.Addr) uint64 {
 	if rl.have&(1<<w) != 0 {
 		return rl.vals[w]
 	}
-	// rl stays valid across readConsistent: nothing opens a line in between.
-	// The capacity check comes last, so a conflict met while reading the
-	// first word of a new line still aborts as a conflict.
-	v := t.readConsistent(a)
-	t.reads.log(rl, w, v)
-	if opened && t.reads.lineCount() > t.readCap {
-		t.fail(Capacity, 0)
-	}
-	return v
-}
-
-// readConsistent returns a's value at a snapshot the whole read log is valid
-// at, extending the snapshot if a's stripe moved (NOrec-style incremental
-// validation — this is what makes the simulated HTM opaque). A stripe whose
-// clock still reads its watermark needs no validation at all, so mutations
-// in stripes outside the footprint never perturb this transaction.
-func (t *Txn) readConsistent(a mem.Addr) uint64 {
+	// rl stays valid across the loop: nothing opens a line in between.
 	m := t.d.m
 	s := m.StripeOf(a)
+	var v uint64
 	for {
 		c0 := m.StripeClock(s)
 		if c0&1 == 1 {
 			runtime.Gosched() // a write-back is publishing into this stripe
 			continue
 		}
-		v := m.LoadPlain(a)
+		v = m.LoadPlain(a)
 		if m.StripeClock(s) != c0 {
 			continue // raced with a mutation of this stripe
 		}
@@ -224,26 +228,8 @@ func (t *Txn) readConsistent(a mem.Addr) uint64 {
 			// The stripe is unchanged since the snapshot instant the whole
 			// log is valid at, so v was a's value at that same instant:
 			// returning it extends the log without any re-validation.
-			return v
+			break
 		}
-		if seen {
-			// The stripe moved since its watermark, so its logged reads
-			// must be re-proved current at c0 before the watermark may
-			// advance — the sweep below would otherwise take the new mark
-			// at face value and skip them. Dice first: bloom hardware
-			// would see the motion, not the values.
-			t.hookYield(HookValidate, a, 0)
-			diced := false
-			if !t.rollFalseConflict(&diced) || !t.valueCheckStripe(s) {
-				t.fail(Conflict, 0)
-			}
-			if m.StripeClock(s) != c0 {
-				continue // the re-check itself was torn
-			}
-		}
-		// Watermark s at c0 (for a first read of the stripe there is
-		// nothing logged there yet, so c0 needs no proof).
-		t.marks.set(s, c0)
 		if !seen && m.Ticket() == t.gate {
 			// Ticket gate. Every publish retires its ticket after its last
 			// store and before its first window closes. The ticket has not
@@ -251,22 +237,57 @@ func (t *Txn) readConsistent(a mem.Addr) uint64 {
 			// consistent, so a store to a since that instant would belong
 			// to a publish whose window on s is still open — and s read an
 			// even, unchanged c0 around the load. Hence v was a's value at
-			// that same instant, and the sweep below would find nothing to
-			// do. (Read-time extension only: a committing writer must also
-			// see publishes still inside their windows, so sweepReads(true)
-			// is never gated.)
-			return v
+			// that same instant, and a sweep would find nothing to do; c0
+			// is s's watermark (nothing is logged there yet, so it needs no
+			// proof). (Read-time extension only: a committing writer must
+			// also see publishes still inside their windows, so
+			// sweepReads(true) is never gated.)
+			t.marks.set(s, c0)
+			break
 		}
-		// Sweep the whole footprint to a fresh common instant. If s moves
-		// again during the sweep, v may predate the new instant — discard
-		// it and retry.
-		if !t.sweepReads(false) {
-			t.fail(Conflict, 0)
-		}
-		if m.StripeClock(s) == c0 {
-			return v
+		if t.settle(a, s, c0, seen) {
+			break
 		}
 	}
+	// The capacity check comes last, so a conflict met while reading the
+	// first word of a new line still aborts as a conflict.
+	t.reads.log(rl, w, v)
+	if opened && t.reads.lineCount() > t.readCap {
+		t.fail(Capacity, 0)
+	}
+	return v
+}
+
+// settle is Load's read loop when neither of its free outcomes applies: a's
+// stripe s read an even, unchanged c0 around the load, but either s moved
+// since its watermark (seen) or the ticket gate did not hold. It extends the
+// snapshot to take the value and reports whether the value stands; false
+// means the loop must take a fresh sample. It aborts on a conflict.
+func (t *Txn) settle(a mem.Addr, s int, c0 uint64, seen bool) bool {
+	if seen {
+		// The stripe moved since its watermark, so its logged reads must be
+		// re-proved current at c0 before the watermark may advance — the
+		// sweep below would otherwise take the new mark at face value and
+		// skip them. Dice first: bloom hardware would see the motion, not
+		// the values.
+		t.hookYield(HookValidate, a, 0)
+		diced := false
+		if !t.rollFalseConflict(&diced) || !t.valueCheckStripe(s) {
+			t.fail(Conflict, 0)
+		}
+		if t.d.m.StripeClock(s) != c0 {
+			return false // the re-check itself was torn
+		}
+	}
+	// Watermark s at c0 (for a first read of the stripe there is nothing
+	// logged there yet, so c0 needs no proof), then sweep the whole
+	// footprint to a fresh common instant. If s moves again during the
+	// sweep, the value may predate the new instant — discard it and retry.
+	t.marks.set(s, c0)
+	if !t.sweepReads(false) {
+		t.fail(Conflict, 0)
+	}
+	return t.d.m.StripeClock(s) == c0
 }
 
 // Validation pass/spin budgets for the commit path. While a committing
@@ -426,12 +447,21 @@ func (t *Txn) sweepMoved(s int, mark, c uint64, committing bool, diced *bool) in
 func (t *Txn) commitValidate() bool { return t.sweepReads(true) }
 
 // Store speculatively writes a word into the private write buffer. It aborts
-// (capacity) if the write set overflows.
+// (capacity) if the write set overflows. Its guards are Load's, inline in
+// the same order.
 func (t *Txn) Store(a mem.Addr, v uint64) {
-	t.mustActive("Store")
-	t.hookYield(HookStore, a, 0)
-	t.maybeYield()
-	t.maybeSpurious()
+	if !t.active {
+		inactive("Store")
+	}
+	if t.hook != nil {
+		t.hookYield(HookStore, a, 0)
+	}
+	if t.yieldIn--; t.yieldIn == 0 {
+		t.yield()
+	}
+	if t.spuriousThresh != 0 {
+		t.spurious()
+	}
 	if t.writes.put(a, v) {
 		if t.wLines.add(mem.LineOf(a)) && t.wLines.count() > t.writeCap {
 			t.fail(Capacity, 0)
@@ -441,7 +471,9 @@ func (t *Txn) Store(a mem.Addr, v uint64) {
 
 // Abort explicitly aborts the transaction (XABORT) with a payload code.
 func (t *Txn) Abort(arg uint64) {
-	t.mustActive("Abort")
+	if !t.active {
+		inactive("Abort")
+	}
 	t.fail(Explicit, arg)
 }
 
@@ -464,9 +496,13 @@ func (t *Txn) Cancel() {
 // per-stripe seqlock read protocol, which mirrors real RTM, where a
 // read-only commit touches nothing shared.
 func (t *Txn) Commit() {
-	t.mustActive("Commit")
+	if !t.active {
+		inactive("Commit")
+	}
 	t.hookYield(HookCommit, mem.Nil, 0)
-	t.maybeSpurious()
+	if t.spuriousThresh != 0 {
+		t.spurious()
+	}
 	if t.writes.len() == 0 {
 		if !t.sweepReads(false) {
 			t.fail(Conflict, 0)

@@ -283,10 +283,17 @@ func (m *Memory) endMutate(s *stripe) {
 	s.wb.Unlock()
 }
 
+// check panics on an address outside the arena. The message is built out of
+// line, in outOfRange, so that check inlines into every plain access.
 func (m *Memory) check(a Addr) {
 	if a == Nil || int(a) >= len(m.words) {
-		panic(fmt.Sprintf("mem: address %d out of range [%d, %d)", a, LineWords, len(m.words)))
+		m.outOfRange(a)
 	}
+}
+
+//go:noinline
+func (m *Memory) outOfRange(a Addr) {
+	panic(fmt.Sprintf("mem: address %d out of range [%d, %d)", a, LineWords, len(m.words)))
 }
 
 // LoadPlain performs a non-transactional atomic read of a word.
