@@ -87,14 +87,14 @@ type ServeSnapScan struct {
 type ServePersist struct {
 	// LogAppends counts logged commits ("log-append").
 	LogAppends uint64 `json:"log_appends"`
-	// LogRecords counts per-segment redo records ("log-record");
-	// >= LogAppends, since one commit may span several segments.
+	// LogRecords counts redo records ("log-record"): one per logged
+	// commit, so it equals LogAppends; ValidateDump holds it >= LogAppends.
 	LogRecords uint64 `json:"log_records"`
 	// FsyncGroups counts group-fsync passes ("fsync-group"); every durable
 	// ack waiting at a pass rode it, so FsyncGroups <= LogAppends under load
 	// is the batching win.
 	FsyncGroups uint64 `json:"fsync_groups"`
-	// Fsyncs counts per-segment-file fsyncs ("fsync").
+	// Fsyncs counts log-file fsyncs ("fsync"): one per group pass.
 	Fsyncs uint64 `json:"fsyncs"`
 	// Appended and Durable are the log's sequence frontiers: the last
 	// sequence buffered and the last sequence known on stable storage.
@@ -106,7 +106,7 @@ type ServePersist struct {
 	// RecoveryDropped counts parsed records discarded beyond the consistent
 	// cut ("recovery-dropped").
 	RecoveryDropped uint64 `json:"recovery_dropped"`
-	// TornTails counts segments whose tail bytes were torn or corrupt
+	// TornTails counts log files whose tail bytes were torn or corrupt
 	// ("torn-tail").
 	TornTails uint64 `json:"torn_tails"`
 }

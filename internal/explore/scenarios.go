@@ -168,7 +168,7 @@ func bankCrashScenario(recovered func(persist.RecoveryStats)) Scenario {
 				setup int
 			}
 			log, _, err := persist.Open(persist.Options{
-				Backend: backend, Segments: 2, Lo: lo, Hi: hi,
+				Backend: backend, Lo: lo, Hi: hi,
 				OnEvent: func(persist.Event, uint64) {
 					// Workers are serialized by the scheduler, so this count (and
 					// the acked copy) is exact, not racy.
@@ -256,7 +256,7 @@ func bankCrashScenario(recovered func(persist.RecoveryStats)) Scenario {
 					return nil // plan absent or crash point beyond this run's events
 				}
 				state := map[mem.Addr]uint64{}
-				rlog, stats, err := persist.Open(persist.Options{Backend: crash.snap, Segments: 2, Lo: lo, Hi: hi},
+				rlog, stats, err := persist.Open(persist.Options{Backend: crash.snap, Lo: lo, Hi: hi},
 					func(a mem.Addr, v uint64) { state[a] = v },
 					func(a mem.Addr) uint64 { return state[a] })
 				if err != nil {

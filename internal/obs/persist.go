@@ -10,15 +10,16 @@ type PersistKind uint8
 
 const (
 	// PersistLogAppend: a commit's write set was appended to the redo log
-	// (one per logged commit, however many segments it touched).
+	// (one per logged commit).
 	PersistLogAppend PersistKind = iota
-	// PersistLogRecord: one per-segment redo record was buffered.
+	// PersistLogRecord: one redo record was buffered (one per logged commit,
+	// so it equals PersistLogAppend).
 	PersistLogRecord
-	// PersistFsyncGroup: a group-fsync pass flushed the dirty segments —
-	// every durable ack waiting at that moment rode this one pass.
+	// PersistFsyncGroup: a group-fsync pass flushed the log — every durable
+	// ack waiting at that moment rode this one pass.
 	PersistFsyncGroup
-	// PersistFsync: one segment file was fsynced (a group pass counts one
-	// per dirty segment).
+	// PersistFsync: the log file was fsynced (one per group pass, so it
+	// equals PersistFsyncGroup).
 	PersistFsync
 	// PersistRecoveryReplayed: a committed sequence number was replayed at
 	// boot-time recovery.
@@ -26,7 +27,7 @@ const (
 	// PersistRecoveryDropped: a parsed redo record was discarded at recovery
 	// because its sequence lay beyond the last consistent cut.
 	PersistRecoveryDropped
-	// PersistTornTail: a segment's unparseable tail bytes (short write or
+	// PersistTornTail: a log file's unparseable tail bytes (short write or
 	// checksum mismatch) were detected and discarded at recovery.
 	PersistTornTail
 

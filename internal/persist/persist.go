@@ -1,22 +1,21 @@
 // Package persist is the durable persistence plane behind internal/mem: a
-// per-stripe redo log with group fsync, torn-write detection, and
+// one-file redo log with group fsync, torn-write detection, and
 // crash-recovery replay (DESIGN.md §15, docs/PERSIST.md).
 //
 // Committing transactions append their write sets through the mem.Persister
-// hook; the log assigns each in-range commit a dense sequence number, splits
-// its pairs into per-stripe segment buffers, and leaves flushing to the
-// group-fsync path: WaitDurable batches every waiter behind one fsync pass
-// per dirty segment, so durability costs one fsync group per commit *group*,
-// not per transaction. The HTM fast path stays uninstrumented — its commits
-// reach the log through the same software CommitWrites funnel as everyone
-// else, which is the paper's fast-path/slow-path split carried into the
-// durability plane.
+// hook; the log assigns each in-range commit a dense sequence number, frames
+// it as one checksummed record in its append buffer, and leaves flushing to
+// the group-fsync path: WaitDurable batches every waiter behind one write and
+// one fsync, so durability costs one fsync per commit *group*, not per
+// transaction. The HTM fast path stays uninstrumented — its commits reach the
+// log through the same software CommitWrites funnel as everyone else, which
+// is the paper's fast-path/slow-path split carried into the durability plane.
 //
-// Recovery (Open) merges the segments by sequence, drops torn or corrupt
-// tails via per-record checksums, requires every segment record of a
-// multi-stripe commit to be present, and replays the longest consistent
-// sequence prefix — so a crash can lose only un-acked suffix commits, never
-// resurrect an aborted transaction, and never tear one in half.
+// Recovery (Open) merges the log files by sequence, drops torn or corrupt
+// tails via per-record checksums, requires every record of a commit that a
+// multi-file log split across files to be present, and replays the longest
+// consistent sequence prefix — so a crash can lose only un-acked suffix
+// commits, never resurrect an aborted transaction, and never tear one in half.
 package persist
 
 import (
@@ -27,9 +26,6 @@ import (
 
 	"rhnorec/internal/mem"
 )
-
-// DefaultSegments is the default per-stripe segment-file count.
-const DefaultSegments = 8
 
 // Event identifies one persistence yield point (the explore crash plane
 // counts these to place deterministic crashes).
@@ -87,9 +83,6 @@ type Options struct {
 	Dir string
 	// Backend overrides the byte store (tests, crash exploration).
 	Backend Backend
-	// Segments is the segment-file count (default DefaultSegments). Words
-	// are line-interleaved across segments, mirroring the memory stripes.
-	Segments int
 	// Lo, Hi bound the persisted address range [Lo, Hi): only write entries
 	// inside it are logged, so TM metadata words (the global clock, the
 	// fallback counter) never spam the log or get replayed over a fresh
@@ -103,20 +96,22 @@ type Options struct {
 	OnEvent func(ev Event, seq uint64)
 }
 
-// Record layout (little-endian), one record per (commit, segment):
+// Record layout (little-endian), one record per commit:
 //
 //	u32 size      — byte length of everything after this field
 //	u64 seq       — dense per-log commit sequence number
 //	u64 ticket    — the memory's global commit ticket at append (diagnostic)
-//	u32 segment   — owning segment index
-//	u32 nsegments — how many segment records this commit wrote in total
+//	u32 segment   — index of the file holding the record (0)
+//	u32 nsegments — how many records this commit wrote in total (1)
 //	u32 npairs    — word pairs in this record
 //	npairs × (u64 addr, u64 val)
 //	u64 checksum  — FNV-64a over the payload (seq through the last pair)
 //
-// A commit touching k segments writes k records sharing one seq; recovery
-// accepts a seq only when all nsegments records parse clean, so a crash that
-// syncs some segments but not others cannot replay half a commit.
+// Logs written before the one-file layout split a commit touching k of their
+// files into k records sharing one seq and carrying nsegments = k; recovery
+// still reads them, accepting a seq only when all nsegments records parse
+// clean, so a crash that synced some files but not others replays nothing of
+// that commit.
 const (
 	recHeadBytes = 8 + 8 + 4 + 4 + 4 // payload header: seq..npairs
 	recPairBytes = 16
@@ -128,11 +123,13 @@ const (
 type Counters struct {
 	// Appends counts logged commits (sequence numbers assigned).
 	Appends uint64
-	// Records counts per-segment records buffered.
+	// Records counts redo records buffered: one per logged commit, so it
+	// equals Appends.
 	Records uint64
 	// FsyncGroups counts group-fsync passes that flushed anything.
 	FsyncGroups uint64
-	// Fsyncs counts individual segment-file fsyncs.
+	// Fsyncs counts individual file fsyncs: one per group, so it equals
+	// FsyncGroups.
 	Fsyncs uint64
 	// Appended and Durable are the log's two frontiers: the last assigned
 	// sequence and the last sequence guaranteed on stable storage.
@@ -145,9 +142,7 @@ type Counters struct {
 // Log is the append side of the persistence plane. It implements
 // mem.Persister; construct with Open (which also runs recovery).
 type Log struct {
-	b         Backend
 	lo, hi    mem.Addr
-	nseg      int
 	syncEvery bool
 	onEvent   func(Event, uint64)
 
@@ -158,12 +153,8 @@ type Log struct {
 	// append half of the ledger lives under it too.
 	appendMu sync.Mutex
 	seq      uint64
-	bufs     [][]byte
-	segPairs []int
-	touched  []int
-	segStart []int
+	buf      []byte
 	nAppends uint64
-	nRecords uint64
 
 	// appended mirrors seq and durable is stored only under syncMu; both are
 	// atomics so the frontiers read without a lock.
@@ -175,10 +166,9 @@ type Log struct {
 	// the cooperative explorer cannot park a worker that owns it. The sync
 	// half of the ledger and the closed flag live under it.
 	syncMu       sync.Mutex
-	flush        [][]byte
-	files        []File
+	flush        []byte
+	file         File
 	nFsyncGroups uint64
-	nFsyncs      uint64
 	closed       bool
 
 	// err is the sticky I/O error: the first failure wins and is never
@@ -188,75 +178,39 @@ type Log struct {
 	recovery RecoveryStats
 }
 
-// segOf maps an address to its segment: line-interleaved, mirroring the
-// memory's stripe interleaving.
-func (l *Log) segOf(a mem.Addr) int {
-	return int((uint64(a) / mem.LineWords) % uint64(l.nseg))
-}
-
-// Append implements mem.Persister: it buffers one redo record per touched
-// segment for the in-range entries of writes, under a dense sequence number.
-// Commits with no in-range entries produce no record and no sequence. Append
-// never blocks on I/O unless SyncEveryAppend is set.
+// Append implements mem.Persister: it buffers one redo record for the
+// in-range entries of writes, under a dense sequence number. Commits with no
+// in-range entries produce no record and no sequence. Append never blocks on
+// I/O unless SyncEveryAppend is set.
 func (l *Log) Append(ticket uint64, writes []mem.WriteEntry) {
-	any := false
+	npairs := 0
 	for i := range writes {
 		if writes[i].Addr >= l.lo && writes[i].Addr < l.hi {
-			any = true
-			break
+			npairs++
 		}
 	}
-	if !any {
+	if npairs == 0 {
 		return
 	}
 	l.appendMu.Lock()
 	seq := l.seq + 1
-	l.touched = l.touched[:0]
+	b := binary.LittleEndian.AppendUint32(l.buf, uint32(recHeadBytes+npairs*recPairBytes+recSumBytes))
+	start := len(b)
+	b = binary.LittleEndian.AppendUint64(b, seq)
+	b = binary.LittleEndian.AppendUint64(b, ticket)
+	b = binary.LittleEndian.AppendUint32(b, 0) // segment
+	b = binary.LittleEndian.AppendUint32(b, 1) // nsegments
+	b = binary.LittleEndian.AppendUint32(b, uint32(npairs))
 	for i := range writes {
-		a := writes[i].Addr
-		if a < l.lo || a >= l.hi {
-			continue
+		if a := writes[i].Addr; a >= l.lo && a < l.hi {
+			b = binary.LittleEndian.AppendUint64(b, uint64(a))
+			b = binary.LittleEndian.AppendUint64(b, writes[i].Value)
 		}
-		s := l.segOf(a)
-		if l.segPairs[s] == 0 {
-			l.touched = append(l.touched, s)
-		}
-		l.segPairs[s]++
 	}
-	nsegments := len(l.touched)
-	for _, s := range l.touched {
-		np := l.segPairs[s]
-		size := uint32(recHeadBytes + np*recPairBytes + recSumBytes)
-		b := l.bufs[s]
-		b = binary.LittleEndian.AppendUint32(b, size)
-		l.segStart[s] = len(b)
-		b = binary.LittleEndian.AppendUint64(b, seq)
-		b = binary.LittleEndian.AppendUint64(b, ticket)
-		b = binary.LittleEndian.AppendUint32(b, uint32(s))
-		b = binary.LittleEndian.AppendUint32(b, uint32(nsegments))
-		b = binary.LittleEndian.AppendUint32(b, uint32(np))
-		l.bufs[s] = b
-	}
-	for i := range writes {
-		a := writes[i].Addr
-		if a < l.lo || a >= l.hi {
-			continue
-		}
-		s := l.segOf(a)
-		b := l.bufs[s]
-		b = binary.LittleEndian.AppendUint64(b, uint64(a))
-		b = binary.LittleEndian.AppendUint64(b, writes[i].Value)
-		l.bufs[s] = b
-	}
-	for _, s := range l.touched {
-		payload := l.bufs[s][l.segStart[s]:]
-		l.bufs[s] = binary.LittleEndian.AppendUint64(l.bufs[s], fnv64a(payload))
-		l.segPairs[s] = 0
-	}
+	l.buf = binary.LittleEndian.AppendUint64(b, fnv64a(b[start:]))
 	l.seq = seq
 	l.appended.Store(seq)
 	l.nAppends++
-	l.nRecords += uint64(nsegments)
 	l.appendMu.Unlock()
 	if l.onEvent != nil {
 		l.onEvent(EventAppend, seq)
@@ -280,7 +234,7 @@ func (l *Log) Durable() uint64 { return l.durable.Load() }
 
 // WaitDurable blocks until every append with sequence <= seq is durable,
 // running a group-fsync pass if nobody else gets there first. Concurrent
-// waiters batch: one pass flushes every dirty segment once and advances the
+// waiters batch: one pass writes and fsyncs the log once and advances the
 // durable frontier past all of them. It returns the log's sticky I/O error,
 // if any.
 func (l *Log) WaitDurable(seq uint64) error {
@@ -307,42 +261,29 @@ func (l *Log) WaitDurable(seq uint64) error {
 // Sync forces one group-fsync pass over everything appended so far.
 func (l *Log) Sync() error { return l.WaitDurable(l.appended.Load()) }
 
-// syncLocked (syncMu held) swaps out the append buffers and flushes every
-// dirty segment with one write+fsync each, then advances the durable
-// frontier to the sequence captured at the swap. After a failed pass it does
-// nothing: a later fsync that succeeds does not prove the failed bytes
-// reached the disk, so the frontier stays where the failure left it.
+// syncLocked (syncMu held) swaps out the append buffer, writes and fsyncs it
+// once if it holds anything, then advances the durable frontier to the
+// sequence captured at the swap. After a failed pass it does nothing: a later
+// fsync that succeeds does not prove the failed bytes reached the disk, so
+// the frontier stays where the failure left it.
 func (l *Log) syncLocked() {
 	if l.err.Load() != nil {
 		return
 	}
 	l.appendMu.Lock()
 	target := l.seq
-	for s := range l.bufs {
-		if len(l.bufs[s]) > 0 {
-			l.bufs[s], l.flush[s] = l.flush[s][:0], l.bufs[s]
-		}
-	}
+	l.buf, l.flush = l.flush[:0], l.buf
 	l.appendMu.Unlock()
-	dirty := 0
-	for s := range l.flush {
-		if len(l.flush[s]) == 0 {
-			continue
-		}
-		dirty++
-		if err := l.files[s].Append(l.flush[s]); err != nil {
+	if len(l.flush) > 0 {
+		if err := l.file.Append(l.flush); err != nil {
 			l.fail(err)
 			return
 		}
-		if err := l.files[s].Sync(); err != nil {
+		if err := l.file.Sync(); err != nil {
 			l.fail(err)
 			return
 		}
-		l.flush[s] = l.flush[s][:0]
-	}
-	if dirty > 0 {
 		l.nFsyncGroups++
-		l.nFsyncs += uint64(dirty)
 	}
 	l.durable.Store(target)
 }
@@ -360,7 +301,7 @@ func (l *Log) Err() error {
 }
 
 // Close flushes and fsyncs everything appended (nothing once the sticky
-// error is set, which it then returns), then closes the segment files. The
+// error is set, which it then returns), then closes the log file. The
 // memory's persister must be detached (or all committers drained) first.
 func (l *Log) Close() error {
 	l.syncMu.Lock()
@@ -372,31 +313,28 @@ func (l *Log) Close() error {
 	l.syncLocked()
 	l.syncMu.Unlock()
 	err := l.Err()
-	for _, f := range l.files {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
+	if cerr := l.file.Close(); err == nil {
+		err = cerr
 	}
 	return err
 }
 
 // CountersSnapshot copies the log's ledger. Each half is read with its
 // frontier under the lock that guards it — syncMu, then appendMu, the order
-// syncLocked takes them in — so every snapshot satisfies Records >= Appends,
-// Fsyncs >= FsyncGroups and Durable <= Appended, however busy the log is.
-// The price is that it may wait behind one group-fsync pass; nothing on a
-// commit path calls it.
+// syncLocked takes them in — so every snapshot satisfies Durable <= Appended,
+// however busy the log is. The price is that it may wait behind one
+// group-fsync pass; nothing on a commit path calls it.
 func (l *Log) CountersSnapshot() Counters {
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
 	c := Counters{
 		FsyncGroups: l.nFsyncGroups,
-		Fsyncs:      l.nFsyncs,
+		Fsyncs:      l.nFsyncGroups,
 		Durable:     l.durable.Load(),
 		Recovery:    l.recovery,
 	}
 	l.appendMu.Lock()
-	c.Appends, c.Records, c.Appended = l.nAppends, l.nRecords, l.seq
+	c.Appends, c.Records, c.Appended = l.nAppends, l.nAppends, l.seq
 	l.appendMu.Unlock()
 	return c
 }
@@ -421,9 +359,6 @@ func (o Options) withDefaults() (Options, error) {
 			return o, err
 		}
 		o.Backend = b
-	}
-	if o.Segments <= 0 {
-		o.Segments = DefaultSegments
 	}
 	if o.Hi < o.Lo {
 		return o, fmt.Errorf("persist: inverted range [%d,%d)", o.Lo, o.Hi)

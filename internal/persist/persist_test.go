@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 
 	"rhnorec/internal/mem"
@@ -30,7 +31,7 @@ func openStore(t *testing.T, opts Options, w wordStore) (*Log, RecoveryStats) {
 
 func TestRoundTrip(t *testing.T) {
 	b := NewMemBackend()
-	opts := Options{Backend: b, Segments: 4, Lo: 8, Hi: 1024}
+	opts := Options{Backend: b, Lo: 8, Hi: 1024}
 	w := wordStore{}
 	l, stats := openStore(t, opts, w)
 	if stats.Seq != 0 || stats.Commits != 0 {
@@ -70,7 +71,7 @@ func TestRoundTrip(t *testing.T) {
 func TestRangeFilter(t *testing.T) {
 	b := NewMemBackend()
 	w := wordStore{}
-	l, _ := openStore(t, Options{Backend: b, Segments: 2, Lo: 64, Hi: 128}, w)
+	l, _ := openStore(t, Options{Backend: b, Lo: 64, Hi: 128}, w)
 	defer l.Close()
 	// Entirely out of range: no record, no sequence.
 	l.Append(1, []mem.WriteEntry{{Addr: 8, Value: 1}, {Addr: 130, Value: 2}})
@@ -87,7 +88,7 @@ func TestRangeFilter(t *testing.T) {
 		t.Fatalf("counters %+v, want Appends=1 Records=1", c)
 	}
 	w2 := wordStore{}
-	l2, stats := openStore(t, Options{Backend: b, Segments: 2, Lo: 64, Hi: 128}, w2)
+	l2, stats := openStore(t, Options{Backend: b, Lo: 64, Hi: 128}, w2)
 	defer l2.Close()
 	if stats.Commits != 1 || w2[64] != 42 {
 		t.Fatalf("recovered %+v state %v", stats, w2)
@@ -100,7 +101,7 @@ func TestRangeFilter(t *testing.T) {
 func TestSyncEveryAppend(t *testing.T) {
 	b := NewMemBackend()
 	w := wordStore{}
-	l, _ := openStore(t, Options{Backend: b, Segments: 2, Lo: 8, Hi: 64, SyncEveryAppend: true}, w)
+	l, _ := openStore(t, Options{Backend: b, Lo: 8, Hi: 64, SyncEveryAppend: true}, w)
 	defer l.Close()
 	l.Append(1, []mem.WriteEntry{{Addr: 8, Value: 1}})
 	l.Append(2, []mem.WriteEntry{{Addr: 9, Value: 2}})
@@ -114,13 +115,12 @@ func TestSyncEveryAppend(t *testing.T) {
 }
 
 // TestCountersSnapshotConsistent: a scrape taken under traffic must satisfy
-// the invariants bench.ValidateDump holds an rhserve.v1 dump to. A ledger
-// read one counter at a time breaks them between the two adds of one append
-// or one sync pass, and a frontier read apart from the other moves past it.
+// the invariants bench.ValidateDump holds an rhserve.v1 dump to. A frontier
+// read apart from the other moves past it.
 func TestCountersSnapshotConsistent(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	const writers, commits = 4, 5000
-	l, _ := openStore(t, Options{Backend: NewMemBackend(), Segments: 4, Lo: 8, Hi: 1 << 16}, wordStore{})
+	l, _ := openStore(t, Options{Backend: NewMemBackend(), Lo: 8, Hi: 1 << 16}, wordStore{})
 	defer l.Close()
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -162,10 +162,28 @@ func TestCountersSnapshotConsistent(t *testing.T) {
 	}
 }
 
-// faultBackend is a MemBackend whose File.Sync fails exactly once: on the
-// first call after armed is set.
+// fault is one way a log file's I/O fails.
+type fault uint8
+
+const (
+	// faultSync: Sync returns the error; the appended bytes stay in the file.
+	faultSync fault = iota
+	// faultShortWrite: Append writes the first shortWriteBytes of p, then
+	// returns the error.
+	faultShortWrite
+	// faultENOSPC: Append writes nothing and returns syscall.ENOSPC.
+	faultENOSPC
+)
+
+// shortWriteBytes is less than the smallest record (56 bytes, one pair), so
+// a short write always leaves a partial record at the file's end.
+const shortWriteBytes = 20
+
+// faultBackend is a MemBackend whose files fail one Append or Sync, as kind
+// says: the first such call after armed is set.
 type faultBackend struct {
 	*MemBackend
+	kind  fault
 	err   error
 	armed atomic.Bool
 }
@@ -183,101 +201,186 @@ type faultFile struct {
 	b *faultBackend
 }
 
+func (f faultFile) Append(p []byte) error {
+	if f.b.kind != faultSync && f.b.armed.CompareAndSwap(true, false) {
+		if f.b.kind == faultENOSPC {
+			return f.b.err
+		}
+		if err := f.File.Append(p[:min(len(p), shortWriteBytes)]); err != nil {
+			return err
+		}
+		return f.b.err
+	}
+	return f.File.Append(p)
+}
+
 func (f faultFile) Sync() error {
-	if f.b.armed.CompareAndSwap(true, false) {
+	if f.b.kind == faultSync && f.b.armed.CompareAndSwap(true, false) {
 		return f.b.err
 	}
 	return f.File.Sync()
 }
 
-// TestStickyError: one failed fsync is never retried and then trusted. Every
-// later WaitDurable, Sync, Err and Close returns that error, concurrent
-// waiters all get it, and the durable frontier stays below the failed pass's
-// target even though every later fsync would succeed.
+// TestStickyError: one failed write or fsync is never retried and then
+// trusted. Every later WaitDurable, Sync, Err and Close returns that error,
+// concurrent waiters all get it, and the durable frontier stays below the
+// failed pass's target even though every later write and fsync would
+// succeed. Recovering what the failure left in the file replays whole
+// commits only: exactly the durable prefix when the failed write put no
+// whole record down, with a short write's partial record a torn tail.
 func TestStickyError(t *testing.T) {
+	faults := []struct {
+		name string
+		kind fault
+		err  error
+		// exact: recovery must reach exactly the durable frontier. A failed
+		// fsync leaves whole records after it, which may replay.
+		exact bool
+		torn  int
+	}{
+		{"fsync", faultSync, errors.New("injected fsync failure"), false, 0},
+		{"short-write", faultShortWrite, errors.New("injected short write"), true, 1},
+		{"enospc", faultENOSPC, syscall.ENOSPC, true, 0},
+	}
 	for _, every := range []bool{false, true} {
 		t.Run(fmt.Sprintf("SyncEveryAppend=%v", every), func(t *testing.T) {
-			errFsync := errors.New("injected fsync failure")
-			b := &faultBackend{MemBackend: NewMemBackend(), err: errFsync}
-			l, _ := openStore(t, Options{Backend: b, Segments: 2, Lo: 8, Hi: 1024, SyncEveryAppend: every}, wordStore{})
-			put := func(v uint64) {
-				l.Append(v, []mem.WriteEntry{{Addr: mem.Addr(8 + v%64*mem.LineWords), Value: v}})
-			}
-			put(1)
-			if err := l.WaitDurable(1); err != nil {
-				t.Fatal(err)
-			}
-			const good = 1 // the durable frontier before the failure
-			b.armed.Store(true)
-			for v := uint64(2); v <= 5; v++ {
-				put(v)
-			}
-			target := l.Appended()
+			for _, c := range faults {
+				t.Run(c.name, func(t *testing.T) {
+					b := &faultBackend{MemBackend: NewMemBackend(), kind: c.kind, err: c.err}
+					l, _ := openStore(t, Options{Backend: b, Lo: 8, Hi: 1024, SyncEveryAppend: every}, wordStore{})
+					var commits [][]mem.WriteEntry
+					put := func(v uint64) {
+						writes := []mem.WriteEntry{{Addr: mem.Addr(8 + v%64*mem.LineWords), Value: v}}
+						l.Append(v, writes)
+						commits = append(commits, writes)
+					}
+					put(1)
+					if err := l.WaitDurable(1); err != nil {
+						t.Fatal(err)
+					}
+					const good = 1 // the durable frontier before the failure
+					b.armed.Store(true)
+					for v := uint64(2); v <= 5; v++ {
+						put(v)
+					}
+					target := l.Appended()
 
-			const waiters = 4
-			errs := make(chan error, waiters)
-			start := make(chan struct{})
-			for w := 0; w < waiters; w++ {
-				go func() {
-					<-start
-					errs <- l.WaitDurable(target)
-				}()
-			}
-			close(start)
-			for w := 0; w < waiters; w++ {
-				if err := <-errs; !errors.Is(err, errFsync) {
-					t.Errorf("concurrent waiter got %v, want the fsync error", err)
-				}
-			}
-			if b.armed.Load() {
-				t.Fatal("no fsync ran after the fault was armed")
-			}
+					const waiters = 4
+					errs := make(chan error, waiters)
+					start := make(chan struct{})
+					for w := 0; w < waiters; w++ {
+						go func() {
+							<-start
+							errs <- l.WaitDurable(target)
+						}()
+					}
+					close(start)
+					for w := 0; w < waiters; w++ {
+						if err := <-errs; !errors.Is(err, c.err) {
+							t.Errorf("concurrent waiter got %v, want %v", err, c.err)
+						}
+					}
+					if b.armed.Load() {
+						t.Fatal("the armed fault never fired")
+					}
 
-			for v := uint64(6); v <= 8; v++ {
-				put(v)
-				if err := l.WaitDurable(l.Appended()); !errors.Is(err, errFsync) {
-					t.Errorf("WaitDurable after the failure = %v", err)
-				}
-				if err := l.WaitDurable(good); !errors.Is(err, errFsync) {
-					t.Errorf("WaitDurable on an already durable seq = %v", err)
-				}
-				if err := l.Sync(); !errors.Is(err, errFsync) {
-					t.Errorf("Sync after the failure = %v", err)
-				}
-				if err := l.Err(); !errors.Is(err, errFsync) {
-					t.Errorf("Err after the failure = %v", err)
-				}
-				if d := l.Durable(); d != good {
-					t.Fatalf("Durable = %d after a failed pass to %d, want it held at %d", d, target, good)
-				}
-			}
-			if err := l.Close(); !errors.Is(err, errFsync) {
-				t.Errorf("Close = %v, want the fsync error", err)
-			}
-			if d := l.Durable(); d != good {
-				t.Errorf("Close moved Durable to %d, want %d", d, good)
-			}
-			if c := l.CountersSnapshot(); c.Durable != good || c.FsyncGroups != 1 {
-				t.Errorf("counters %+v, want one good fsync group and Durable %d", c, good)
+					for v := uint64(6); v <= 8; v++ {
+						put(v)
+						if err := l.WaitDurable(l.Appended()); !errors.Is(err, c.err) {
+							t.Errorf("WaitDurable after the failure = %v", err)
+						}
+						if err := l.WaitDurable(good); !errors.Is(err, c.err) {
+							t.Errorf("WaitDurable on an already durable seq = %v", err)
+						}
+						if err := l.Sync(); !errors.Is(err, c.err) {
+							t.Errorf("Sync after the failure = %v", err)
+						}
+						if err := l.Err(); !errors.Is(err, c.err) {
+							t.Errorf("Err after the failure = %v", err)
+						}
+						if d := l.Durable(); d != good {
+							t.Fatalf("Durable = %d after a failed pass to %d, want it held at %d", d, target, good)
+						}
+					}
+					if err := l.Close(); !errors.Is(err, c.err) {
+						t.Errorf("Close = %v, want %v", err, c.err)
+					}
+					if d := l.Durable(); d != good {
+						t.Errorf("Close moved Durable to %d, want %d", d, good)
+					}
+					if cs := l.CountersSnapshot(); cs.Durable != good || cs.FsyncGroups != 1 {
+						t.Errorf("counters %+v, want one good fsync group and Durable %d", cs, good)
+					}
+
+					// Recover every byte the file holds, as a reboot without a
+					// power loss would.
+					w := wordStore{}
+					l2, stats := openStore(t, Options{Backend: b.MemBackend, Lo: 8, Hi: 1024}, w)
+					defer l2.Close()
+					if stats.Seq < good || c.exact && stats.Seq != good {
+						t.Fatalf("recovered to seq %d with the durable frontier at %d (exact: %v)", stats.Seq, good, c.exact)
+					}
+					if stats.TornTails != c.torn {
+						t.Errorf("TornTails = %d, want %d", stats.TornTails, c.torn)
+					}
+					want := wordStore{}
+					for _, writes := range commits[:stats.Seq] {
+						for _, e := range writes {
+							want[e.Addr] = e.Value
+						}
+					}
+					for a := mem.Addr(8); a < 1024; a++ {
+						if w[a] != want[a] {
+							t.Fatalf("recovered word %d = %d, want %d: the image is not commits 1..%d", a, w[a], want[a], stats.Seq)
+						}
+					}
+				})
 			}
 		})
 	}
 }
 
+// TestGroupFsyncBatches: one group-fsync pass is one write and one fsync of
+// the one log file, however many lines its commits touched, and every commit
+// is one record.
 func TestGroupFsyncBatches(t *testing.T) {
 	b := NewMemBackend()
 	w := wordStore{}
-	l, _ := openStore(t, Options{Backend: b, Segments: 1, Lo: 8, Hi: 64}, w)
+	l, _ := openStore(t, Options{Backend: b, Lo: 8, Hi: 8 + 64*mem.LineWords}, w)
 	defer l.Close()
+	line := func(i int) mem.Addr { return mem.Addr(8 + i*mem.LineWords) }
 	for i := 0; i < 10; i++ {
-		l.Append(uint64(i), []mem.WriteEntry{{Addr: 8, Value: uint64(i)}})
+		l.Append(uint64(i), []mem.WriteEntry{{Addr: line(i), Value: uint64(i)}})
 	}
-	if err := l.WaitDurable(10); err != nil {
+	// One commit over four lines of its own.
+	l.Append(10, []mem.WriteEntry{
+		{Addr: line(20), Value: 1}, {Addr: line(21), Value: 2},
+		{Addr: line(22), Value: 3}, {Addr: line(23), Value: 4},
+	})
+	if err := l.WaitDurable(11); err != nil {
 		t.Fatal(err)
 	}
 	c := l.CountersSnapshot()
 	if c.FsyncGroups != 1 || c.Fsyncs != 1 {
-		t.Fatalf("10 appends flushed with %d groups / %d fsyncs, want 1/1", c.FsyncGroups, c.Fsyncs)
+		t.Fatalf("11 appends over 14 lines flushed with %d groups / %d fsyncs, want 1/1", c.FsyncGroups, c.Fsyncs)
+	}
+	if c.Appends != 11 || c.Records != c.Appends {
+		t.Fatalf("counters %+v, want 11 appends and one record each", c)
+	}
+	names, err := b.List(segPrefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var written []string
+	for _, n := range names {
+		if data, err := b.ReadFile(n); err != nil {
+			t.Fatal(err)
+		} else if len(data) > 0 {
+			written = append(written, n)
+		}
+	}
+	if len(written) != 1 || written[0] != logName {
+		t.Fatalf("non-empty log files %v of %v, want only %s", written, names, logName)
 	}
 }
 
@@ -285,7 +388,7 @@ func TestGroupFsyncBatches(t *testing.T) {
 // segments, so back-to-back restarts converge instead of re-replaying.
 func TestCheckpointCycle(t *testing.T) {
 	b := NewMemBackend()
-	opts := Options{Backend: b, Segments: 2, Lo: 8, Hi: 64}
+	opts := Options{Backend: b, Lo: 8, Hi: 64}
 	w := wordStore{}
 	l, _ := openStore(t, opts, w)
 	l.Append(1, []mem.WriteEntry{{Addr: 8, Value: 11}, {Addr: 40, Value: 12}})
@@ -315,7 +418,7 @@ func TestCheckpointCycle(t *testing.T) {
 func fileState(t *testing.T, dir string, lo, hi mem.Addr) (wordStore, RecoveryStats) {
 	t.Helper()
 	w := wordStore{}
-	l, stats, err := Open(Options{Dir: dir, Segments: 1, Lo: lo, Hi: hi}, w.apply, w.read)
+	l, stats, err := Open(Options{Dir: dir, Lo: lo, Hi: hi}, w.apply, w.read)
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -336,7 +439,7 @@ func TestTornTailEveryOffset(t *testing.T) {
 	master := t.TempDir()
 	{
 		w := wordStore{}
-		l, _, err := Open(Options{Dir: master, Segments: 1, Lo: lo, Hi: hi}, w.apply, w.read)
+		l, _, err := Open(Options{Dir: master, Lo: lo, Hi: hi}, w.apply, w.read)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -355,7 +458,7 @@ func TestTornTailEveryOffset(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	seg := filepath.Join(master, segName(0))
+	seg := filepath.Join(master, logName)
 	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -376,7 +479,7 @@ func TestTornTailEveryOffset(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, checkpointName), ckpt, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, segName(0)), corrupted, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, logName), corrupted, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		w, stats := fileState(t, dir, lo, hi)
@@ -415,40 +518,32 @@ func TestTornTailEveryOffset(t *testing.T) {
 	})
 }
 
-// TestIncompleteMultiSegmentCommit: a commit whose records reached only some
-// of its segments must not replay at all, and everything after it is cut.
+// TestIncompleteMultiSegmentCommit: in a directory a two-file log wrote, a
+// commit whose records reached only some of its files must not replay at
+// all, and everything after it is cut. The next boot appends to seg-000.log
+// only.
 func TestIncompleteMultiSegmentCommit(t *testing.T) {
 	const lo, hi = mem.Addr(8), mem.Addr(1024)
-	dir := t.TempDir()
-	w := wordStore{}
-	l, _, err := Open(Options{Dir: dir, Segments: 2, Lo: lo, Hi: hi}, w.apply, w.read)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Addresses 8 and 8+LineWords land on different segments.
+	b := NewMemBackend()
+	p := newLegacyLog(t, b, 2)
+	// Addresses 8 and 8+LineWords land in different files.
 	a0, a1 := mem.Addr(8), mem.Addr(8+mem.LineWords)
-	s0 := segName(segOf8(a0))
-	l.Append(1, []mem.WriteEntry{{Addr: a0, Value: 1}, {Addr: a1, Value: 2}})
-	l.Append(2, []mem.WriteEntry{{Addr: a0, Value: 3}, {Addr: a1, Value: 4}})
-	l.Append(3, []mem.WriteEntry{{Addr: a1, Value: 5}})
-	if err := l.WaitDurable(3); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Strand commit 2: a0's segment holds exactly commit 1's and commit 2's
+	p.append(1, []mem.WriteEntry{{Addr: a0, Value: 1}, {Addr: a1, Value: 2}})
+	p.append(2, []mem.WriteEntry{{Addr: a0, Value: 3}, {Addr: a1, Value: 4}})
+	p.append(3, []mem.WriteEntry{{Addr: a1, Value: 5}})
+	p.sync(t)
+	// Strand commit 2: a0's file holds exactly commit 1's and commit 2's
 	// records (equal-sized); truncating it in half removes commit 2's record
-	// on a clean boundary while its sibling record survives elsewhere.
-	segA0 := filepath.Join(dir, s0)
-	data, err := os.ReadFile(segA0)
+	// on a clean boundary while its sibling record survives in the other.
+	name := segName(p.fileOf(a0))
+	data, err := b.ReadFile(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(segA0, data[:len(data)/2], 0o644); err != nil {
+	if err := b.WriteAtomic(name, data[:len(data)/2]); err != nil {
 		t.Fatal(err)
 	}
-	w2, stats := fileState(t, dir, lo, hi)
+	w, stats := bootAndAppend(t, b, lo, hi, mem.WriteEntry{Addr: a1, Value: 6})
 	if stats.Seq != 1 {
 		t.Fatalf("recovered to seq %d, want 1 (commit 2 incomplete)", stats.Seq)
 	}
@@ -456,14 +551,9 @@ func TestIncompleteMultiSegmentCommit(t *testing.T) {
 		// Commit 2's surviving record + commit 3's record lie beyond the cut.
 		t.Fatalf("Dropped = %d, want 2", stats.Dropped)
 	}
-	if w2[a0] != 1 || w2[a1] != 2 {
-		t.Fatalf("state %v, want commit 1 only", w2)
+	if w[a0] != 1 || w[a1] != 2 {
+		t.Fatalf("state %v, want commit 1 only", w)
 	}
-}
-
-// segOf8 mirrors the log's two-segment stripe mapping for test addressing.
-func segOf8(a mem.Addr) int {
-	return int((uint64(a) / mem.LineWords) % 2)
 }
 
 // TestCrashSnapshotDeterministic: the mem backend's crash image is a pure
@@ -472,7 +562,7 @@ func TestCrashSnapshotDeterministic(t *testing.T) {
 	build := func() *MemBackend {
 		b := NewMemBackend()
 		w := wordStore{}
-		l, _, err := Open(Options{Backend: b, Segments: 2, Lo: 8, Hi: 64}, w.apply, w.read)
+		l, _, err := Open(Options{Backend: b, Lo: 8, Hi: 64}, w.apply, w.read)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -500,7 +590,7 @@ func TestCrashSnapshotDeterministic(t *testing.T) {
 	}
 	// The torn tail must recover to the synced frontier.
 	w := wordStore{}
-	l, stats, err := Open(Options{Backend: s1, Segments: 2, Lo: 8, Hi: 64}, w.apply, w.read)
+	l, stats, err := Open(Options{Backend: s1, Lo: 8, Hi: 64}, w.apply, w.read)
 	if err != nil {
 		t.Fatal(err)
 	}

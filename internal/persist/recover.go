@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"slices"
 
 	"rhnorec/internal/mem"
 )
@@ -12,6 +13,10 @@ import (
 const (
 	checkpointName = "checkpoint"
 	segPrefix      = "seg-"
+	// logName is the one file Log appends to. Recovery reads every file
+	// named with segPrefix, so a directory written by a multi-file log still
+	// recovers.
+	logName = segPrefix + "000.log"
 
 	// ckptMagic is "RHCKPT01" as a little-endian u64.
 	ckptMagic = uint64(0x313054504b434852)
@@ -23,16 +28,17 @@ type RecoveryStats struct {
 	// (zero when no checkpoint existed).
 	CheckpointSeq uint64 `json:"checkpoint_seq"`
 	// Commits is the number of complete sequence numbers replayed from the
-	// segments on top of the checkpoint.
+	// log files on top of the checkpoint.
 	Commits uint64 `json:"commits"`
-	// Records is the number of per-segment records those commits carried.
+	// Records is the number of records those commits carried: one each,
+	// except where a multi-file log split a commit across its files.
 	Records uint64 `json:"records"`
-	// TornTails counts segments whose tail bytes failed to parse (short or
+	// TornTails counts log files whose tail bytes failed to parse (short or
 	// checksum-corrupt) and were discarded.
 	TornTails int `json:"torn_tails"`
 	// Dropped counts parsed records discarded because their sequence lies
 	// beyond the last consistent cut (a later commit outran a lost earlier
-	// one, or a multi-segment commit lost a sibling record).
+	// one, or a commit split across files lost a sibling record).
 	Dropped uint64 `json:"dropped"`
 	// Seq is the recovered sequence frontier: the state equals executing
 	// commits 1..Seq, and new appends continue from Seq+1.
@@ -48,11 +54,11 @@ type RecoveryStats struct {
 //
 //  1. load the checkpoint (atomic-replace file: whole or absent), apply its
 //     image, note its sequence base;
-//  2. merge the segments by sequence, stopping each at its torn/corrupt
+//  2. merge the log files by sequence, stopping each at its torn/corrupt
 //     tail, and replay the longest consistent prefix above the base — a
-//     sequence replays only if all its per-segment records survived;
+//     sequence replays only if all its records survived;
 //  3. write a fresh checkpoint of the recovered image, then truncate the
-//     segments. Replay applies absolute values, so a crash between those
+//     log files. Replay applies absolute values, so a crash between those
 //     two steps just replays the same records onto the same image next boot.
 func Open(opts Options, apply func(mem.Addr, uint64), read func(a mem.Addr) uint64) (*Log, RecoveryStats, error) {
 	opts, err := opts.withDefaults()
@@ -67,54 +73,39 @@ func Open(opts Options, apply func(mem.Addr, uint64), read func(a mem.Addr) uint
 	if err := writeCheckpoint(b, opts.Lo, opts.Hi, stats.Seq, read); err != nil {
 		return nil, stats, fmt.Errorf("persist: checkpoint: %w", err)
 	}
-	// Reset every segment that exists plus the ones this log will write.
+	// Empty every log file that exists (a log written before the one-file
+	// layout leaves seg-001.log and up) plus the one this log writes.
 	names, err := b.List(segPrefix)
 	if err != nil {
 		return nil, stats, err
 	}
-	reset := map[string]bool{}
+	if !slices.Contains(names, logName) {
+		names = append(names, logName)
+	}
 	for _, n := range names {
-		reset[n] = true
-	}
-	for s := 0; s < opts.Segments; s++ {
-		reset[segName(s)] = true
-	}
-	for n := range reset {
 		if err := b.WriteAtomic(n, nil); err != nil {
 			return nil, stats, err
 		}
 	}
+	f, err := b.OpenAppend(logName)
+	if err != nil {
+		return nil, stats, err
+	}
 	l := &Log{
-		b:         b,
 		lo:        opts.Lo,
 		hi:        opts.Hi,
-		nseg:      opts.Segments,
 		syncEvery: opts.SyncEveryAppend,
 		onEvent:   opts.OnEvent,
 		seq:       stats.Seq,
-		bufs:      make([][]byte, opts.Segments),
-		segPairs:  make([]int, opts.Segments),
-		touched:   make([]int, 0, opts.Segments),
-		segStart:  make([]int, opts.Segments),
-		flush:     make([][]byte, opts.Segments),
-		files:     make([]File, opts.Segments),
+		file:      f,
 		recovery:  stats,
 	}
 	l.appended.Store(stats.Seq)
 	l.durable.Store(stats.Seq)
-	for s := 0; s < opts.Segments; s++ {
-		f, err := b.OpenAppend(segName(s))
-		if err != nil {
-			return nil, stats, err
-		}
-		l.files[s] = f
-	}
 	return l, stats, nil
 }
 
-func segName(s int) string { return fmt.Sprintf("%s%03d.log", segPrefix, s) }
-
-// segRecord is one parsed segment record (pairs alias the scanned buffer).
+// segRecord is one parsed record (pairs alias the scanned buffer).
 type segRecord struct {
 	seq       uint64
 	nsegments uint32

@@ -8,7 +8,6 @@ import (
 	"io/fs"
 	"math/rand"
 	"reflect"
-	"runtime/debug"
 	"testing"
 
 	"rhnorec/internal/mem"
@@ -170,30 +169,75 @@ type history struct {
 	commits [][]mem.WriteEntry
 }
 
-func genHistory(t *testing.T, rng *rand.Rand, segments, commits int) *history {
+// genHistory runs a one-file Log when files is 1, and otherwise a legacyLog
+// over that many files, taking a crash image at every append and sync. The
+// one-file run also feeds a one-file legacyLog, whose bytes it must equal:
+// the one-file log keeps the multi-file layout's records byte for byte.
+func genHistory(t *testing.T, rng *rand.Rand, files, commits int) *history {
 	t.Helper()
 	h := &history{live: NewMemBackend()}
-	l, _, err := Open(Options{
-		Backend: h.live, Segments: segments, Lo: oracleLo, Hi: oracleHi,
-		OnEvent: func(Event, uint64) { h.crashes = append(h.crashes, h.live.CrashSnapshot()) },
-	}, func(mem.Addr, uint64) {}, func(mem.Addr) uint64 { return 0 })
-	if err != nil {
-		t.Fatal(err)
+	crash := func() { h.crashes = append(h.crashes, h.live.CrashSnapshot()) }
+	var (
+		appendFn func(ticket uint64, writes []mem.WriteEntry)
+		syncFn   func()
+		twin     *MemBackend // the one-file legacyLog's backend
+	)
+	if files == 1 {
+		l, _, err := Open(Options{
+			Backend: h.live, Lo: oracleLo, Hi: oracleHi,
+			OnEvent: func(Event, uint64) { crash() },
+		}, func(mem.Addr, uint64) {}, func(mem.Addr) uint64 { return 0 })
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin = NewMemBackend()
+		p := newLegacyLog(t, twin, 1)
+		appendFn = func(ticket uint64, writes []mem.WriteEntry) {
+			l.Append(ticket, writes)
+			p.append(ticket, writes)
+		}
+		syncFn = func() {
+			if err := l.WaitDurable(l.Appended()); err != nil {
+				t.Fatal(err)
+			}
+			p.sync(t)
+		}
+	} else {
+		p := newLegacyLog(t, h.live, files)
+		appendFn = func(ticket uint64, writes []mem.WriteEntry) {
+			p.append(ticket, writes)
+			crash()
+		}
+		syncFn = func() {
+			p.sync(t)
+			crash()
+		}
 	}
 	for i := 0; i < commits; i++ {
 		writes := make([]mem.WriteEntry, 1+rng.Intn(4))
 		for j := range writes {
 			writes[j] = mem.WriteEntry{Addr: oracleLo + mem.Addr(rng.Intn(int(oracleHi-oracleLo))), Value: rng.Uint64()}
 		}
-		l.Append(uint64(i), writes)
+		appendFn(uint64(i), writes)
 		h.commits = append(h.commits, writes)
 		if rng.Intn(4) == 0 {
-			if err := l.WaitDurable(l.Appended()); err != nil {
-				t.Fatal(err)
-			}
+			syncFn()
 		}
 	}
 	// No Close: what the last group fsync did not reach stays off the disk.
+	if twin != nil {
+		got, err := h.live.ReadFile(logName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := twin.ReadFile(logName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 || !bytes.Equal(got, want) {
+			t.Fatalf("Log wrote %d bytes that differ from the legacy layout's %d", len(got), len(want))
+		}
+	}
 	return h
 }
 
@@ -208,10 +252,12 @@ func (h *history) stateAt(s uint64) func(mem.Addr) uint64 {
 	return w.read
 }
 
-// TestRecoverMatchesOracle recovers seeded Log histories from the live
-// image, every crash image, a truncated and a bit-flipped copy of each
-// segment, and a checkpoint laid over segments that still hold records on
-// both sides of it, and requires the merge to do exactly what the oracle does.
+// TestRecoverMatchesOracle recovers seeded histories — the one-file Log's
+// and the legacy two- and eight-file layout's — from the live image, every
+// crash image, a truncated and a bit-flipped copy of each file, and a
+// checkpoint laid over files that still hold records on both sides of it,
+// and requires the merge to do exactly what the oracle does. A legacy live
+// image must also take the next boot's appends in seg-000.log alone.
 func TestRecoverMatchesOracle(t *testing.T) {
 	var torn, dropped, overCheckpoint int
 	both := func(label string, img Backend) RecoveryStats {
@@ -228,12 +274,17 @@ func TestRecoverMatchesOracle(t *testing.T) {
 		}
 		return s
 	}
-	for _, segments := range []int{1, 2, 8} {
+	for _, files := range []int{1, 2, 8} {
 		for seed := int64(1); seed <= 5; seed++ {
-			rng := rand.New(rand.NewSource(seed*100 + int64(segments)))
-			h := genHistory(t, rng, segments, 48)
-			name := fmt.Sprintf("segments=%d/seed=%d", segments, seed)
+			rng := rand.New(rand.NewSource(seed*100 + int64(files)))
+			h := genHistory(t, rng, files, 48)
+			name := fmt.Sprintf("files=%d/seed=%d", files, seed)
 			full := both(name+"/live", h.live)
+			if files > 1 {
+				if _, s := bootAndAppend(t, h.live.CrashSnapshot(), oracleLo, oracleHi, mem.WriteEntry{Addr: oracleLo, Value: 1}); s.Seq != full.Seq {
+					t.Fatalf("%s: boot recovered seq %d, the merge alone %d", name, s.Seq, full.Seq)
+				}
+			}
 			for i, img := range h.crashes {
 				both(fmt.Sprintf("%s/crash@%d", name, i+1), img)
 			}
@@ -260,7 +311,7 @@ func TestRecoverMatchesOracle(t *testing.T) {
 				both(name+"/bitflip "+seg, img)
 			}
 			// A crash between Open's checkpoint write and its truncate: a
-			// checkpoint at s over segments holding records on both sides.
+			// checkpoint at s over files holding records on both sides.
 			if full.Seq < 2 {
 				t.Fatalf("%s: live image recovers only %d commits", name, full.Seq)
 			}
@@ -280,18 +331,122 @@ func TestRecoverMatchesOracle(t *testing.T) {
 
 // ---- the merge's own contract ----
 
-// appendRecord encodes one single-segment, one-pair record as Log.Append does.
-func appendRecord(b []byte, seq uint64, a mem.Addr, v uint64) []byte {
-	b = binary.LittleEndian.AppendUint32(b, recHeadBytes+recPairBytes+recSumBytes)
+// encodeRecord appends one record in the on-disk layout, written out field
+// by field apart from Log.Append: segment is the index of the file holding
+// it and nsegments the number of records its commit wrote.
+func encodeRecord(b []byte, seq, ticket uint64, segment, nsegments uint32, pairs []mem.WriteEntry) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(recHeadBytes+len(pairs)*recPairBytes+recSumBytes))
 	start := len(b)
 	b = binary.LittleEndian.AppendUint64(b, seq)
-	b = binary.LittleEndian.AppendUint64(b, seq) // ticket
-	b = binary.LittleEndian.AppendUint32(b, 0)   // segment
-	b = binary.LittleEndian.AppendUint32(b, 1)   // nsegments
-	b = binary.LittleEndian.AppendUint32(b, 1)   // npairs
-	b = binary.LittleEndian.AppendUint64(b, uint64(a))
-	b = binary.LittleEndian.AppendUint64(b, v)
+	b = binary.LittleEndian.AppendUint64(b, ticket)
+	b = binary.LittleEndian.AppendUint32(b, segment)
+	b = binary.LittleEndian.AppendUint32(b, nsegments)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(pairs)))
+	for _, e := range pairs {
+		b = binary.LittleEndian.AppendUint64(b, uint64(e.Addr))
+		b = binary.LittleEndian.AppendUint64(b, e.Value)
+	}
 	return binary.LittleEndian.AppendUint64(b, fnv64a(b[start:]))
+}
+
+func segName(s int) string { return fmt.Sprintf("%s%03d.log", segPrefix, s) }
+
+// legacyLog writes the multi-file layout of the log before it had one file:
+// a commit's pairs split over k files seg-000.log … by line % k, one record
+// per file the commit touched, each carrying its file index and how many
+// records the commit wrote. Records buffer per file until sync, which writes
+// and fsyncs every dirty file in index order, as that log's group sync did.
+// With k = 1 it writes the one-file layout.
+type legacyLog struct {
+	seq   uint64
+	files []File
+	bufs  [][]byte
+}
+
+func newLegacyLog(tb testing.TB, b Backend, k int) *legacyLog {
+	tb.Helper()
+	p := &legacyLog{files: make([]File, k), bufs: make([][]byte, k)}
+	for s := range p.files {
+		f, err := b.OpenAppend(segName(s))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		p.files[s] = f
+	}
+	return p
+}
+
+func (p *legacyLog) fileOf(a mem.Addr) int {
+	return int(uint64(a) / mem.LineWords % uint64(len(p.files)))
+}
+
+func (p *legacyLog) append(ticket uint64, writes []mem.WriteEntry) {
+	p.seq++
+	per := make([][]mem.WriteEntry, len(p.files))
+	n := uint32(0)
+	for _, e := range writes {
+		s := p.fileOf(e.Addr)
+		if per[s] == nil {
+			n++
+		}
+		per[s] = append(per[s], e)
+	}
+	for s, pairs := range per {
+		if pairs != nil {
+			p.bufs[s] = encodeRecord(p.bufs[s], p.seq, ticket, uint32(s), n, pairs)
+		}
+	}
+}
+
+func (p *legacyLog) sync(tb testing.TB) {
+	tb.Helper()
+	for s, buf := range p.bufs {
+		if len(buf) == 0 {
+			continue
+		}
+		if err := p.files[s].Append(buf); err != nil {
+			tb.Fatal(err)
+		}
+		if err := p.files[s].Sync(); err != nil {
+			tb.Fatal(err)
+		}
+		p.bufs[s] = nil
+	}
+}
+
+// bootAndAppend recovers b, a directory a multi-file log wrote, appends e
+// through the recovered Log and closes it. The commit must land in
+// seg-000.log alone, with every other file emptied, and the boot after must
+// replay exactly it above the first boot's frontier. It returns the first
+// boot's recovered image and stats.
+func bootAndAppend(t *testing.T, b Backend, lo, hi mem.Addr, e mem.WriteEntry) (wordStore, RecoveryStats) {
+	t.Helper()
+	w := wordStore{}
+	l, stats := openStore(t, Options{Backend: b, Lo: lo, Hi: hi}, w)
+	l.Append(stats.Seq+1, []mem.WriteEntry{e})
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	names, err := b.List(segPrefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range names {
+		data, err := b.ReadFile(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (len(data) > 0) != (n == logName) {
+			t.Fatalf("after the boot's append %s holds %d bytes; want only %s written", n, len(data), logName)
+		}
+	}
+	w2 := wordStore{}
+	l2, next := openStore(t, Options{Backend: b, Lo: lo, Hi: hi}, w2)
+	defer l2.Close()
+	if next.Seq != stats.Seq+1 || next.Commits != 1 || w2[e.Addr] != e.Value {
+		t.Fatalf("the next boot recovered %+v and word %d = %d; want the one append at seq %d", next, e.Addr, w2[e.Addr], stats.Seq+1)
+	}
+	return w, stats
 }
 
 // TestSegmentSeqMustIncrease: a record whose seq is not above its segment's
@@ -313,12 +468,12 @@ func TestSegmentSeqMustIncrease(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			var seg []byte
 			for i, s := range c.seqs {
-				seg = appendRecord(seg, s, 8, uint64(101+i))
+				seg = encodeRecord(seg, s, s, 0, 1, []mem.WriteEntry{{Addr: 8, Value: uint64(101 + i)}})
 			}
 			b := NewMemBackend()
-			b.WriteAtomic(segName(0), seg)
+			b.WriteAtomic(logName, seg)
 			w := wordStore{}
-			l, stats := openStore(t, Options{Backend: b, Segments: 1, Lo: 8, Hi: 64}, w)
+			l, stats := openStore(t, Options{Backend: b, Lo: 8, Hi: 64}, w)
 			defer l.Close()
 			if stats != c.want {
 				t.Fatalf("stats %+v, want %+v", stats, c.want)
@@ -335,8 +490,7 @@ const (
 	allocHi = allocLo + 1024*mem.LineWords
 )
 
-// oneWordLog returns a closed MemBackend log of n one-pair commits spread
-// over the default segment count.
+// oneWordLog returns a closed MemBackend log of n one-pair commits.
 func oneWordLog(tb testing.TB, n int) *MemBackend {
 	tb.Helper()
 	b := NewMemBackend()
@@ -367,16 +521,9 @@ func openOneWordLog(tb testing.TB, b Backend, commits int) {
 	l.Close()
 }
 
-// TestRecoverAllocsFlat: recovery allocates per segment, not per commit, so
+// TestRecoverAllocsFlat: recovery allocates per log file, not per commit, so
 // booting 20 000 commits costs as many allocations as booting 1 000.
 func TestRecoverAllocsFlat(t *testing.T) {
-	// segName formats through fmt, whose printer pool a GC empties; refilling
-	// it is an allocation the log did not cause. So no GC while measuring,
-	// and no -race, under which sync.Pool drops items at random.
-	if raceEnabled {
-		t.Skip("sync.Pool drops items at random under -race, so counts are not exact")
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	allocs := func(commits int) float64 {
 		const runs = 3
 		src := oneWordLog(t, commits)
