@@ -11,8 +11,9 @@
 //
 // Knobs: -addr listen address, -algo TM system (rhbench -experiment list
 // vocabulary), -keys KV slots, -workers sticky worker pool size (default:
-// simulated core count), -queue per-worker queue depth, -batch max requests
-// fused into one transaction, -timeout queued-request deadline, -retryafter
+// simulated core count), -queue max chains blocked waiting for one worker,
+// -batch max requests fused into one transaction, -timeout longest wait for
+// the worker before a request is shed, -retryafter
 // shed backoff hint, -stripes memory seqlock stripes, -ringsize per-worker
 // event-ring entries, -pprof mounts net/http/pprof under /debug/pprof/
 // (opt-in profiling).
@@ -48,9 +49,9 @@ func main() {
 		algo       = flag.String("algo", "rh-norec", "TM algorithm backing the store")
 		keys       = flag.Int("keys", 1<<16, "number of KV slots")
 		workers    = flag.Int("workers", 0, "sticky worker pool size (0 = simulated core count)")
-		queue      = flag.Int("queue", 256, "per-worker queue depth")
+		queue      = flag.Int("queue", 256, "max request chains blocked waiting for one worker (more are shed)")
 		batch      = flag.Int("batch", 16, "max requests fused into one transaction")
-		timeout    = flag.Duration("timeout", time.Second, "queued-request deadline")
+		timeout    = flag.Duration("timeout", time.Second, "longest a request may wait for its worker before it is shed")
 		retryAfter = flag.Duration("retryafter", time.Second, "shed backoff hint")
 		stripes    = flag.Int("stripes", 0, "memory seqlock stripes (0 = default)")
 		ringSize   = flag.Int("ringsize", 0, "per-worker event-ring entries (0 = off)")

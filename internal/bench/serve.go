@@ -115,32 +115,36 @@ type ServePersist struct {
 type ServeEndpoint struct {
 	// Endpoint is the endpoint name (one of ServeEndpointNames).
 	Endpoint string `json:"endpoint"`
-	// Requests counts requests dequeued by a worker for this endpoint
+	// Requests counts requests that reached a worker for this endpoint
 	// (admission sheds never reach a worker and are ledgered separately).
 	Requests uint64 `json:"requests"`
 	// Errors counts requests answered with an application error.
 	Errors uint64 `json:"errors"`
-	// Shed counts requests shed at dequeue time (deadline expired while
-	// queued) — the Retry-After path, not a failure.
+	// Shed counts requests shed when their chain took the worker, because
+	// their deadline expired while they waited for it — the Retry-After
+	// path, not a failure.
 	Shed uint64 `json:"shed"`
 	// Fused counts requests executed inside a fused batch of two or more.
 	Fused uint64 `json:"fused"`
 	// Latency is the request service-latency distribution, measured from
-	// admission (enqueue) to reply, so it includes queueing delay.
+	// the request's arrival to its answer, so it includes any wait for the
+	// worker.
 	Latency obs.LatencySummary `json:"latency"`
 }
 
 // ServeAdmission is the admission controller's ledger.
 type ServeAdmission struct {
-	// QueueShed counts requests shed because the sticky worker's queue was
-	// full at enqueue time.
+	// QueueShed counts requests shed because their chain found the
+	// configured QueueDepth of chains already blocked waiting for the
+	// sticky worker.
 	QueueShed uint64 `json:"queue_shed"`
 	// SaturationShed counts requests shed because the slow path was
 	// saturated (the engine's slow-path occupancy at or above the service's
-	// threshold) while the worker queue was backlogged.
+	// threshold) while half QueueDepth chains were waiting for the worker.
 	SaturationShed uint64 `json:"saturation_shed"`
-	// DeadlineShed counts requests shed at dequeue because their deadline
-	// expired while queued (also counted per endpoint in Endpoints.Shed).
+	// DeadlineShed counts requests shed when their chain took the worker,
+	// because their deadline expired while they waited (also counted per
+	// endpoint in Endpoints.Shed).
 	DeadlineShed uint64 `json:"deadline_shed"`
 }
 

@@ -195,15 +195,15 @@ func opcodeEndpoint(opcode uint8) (Endpoint, bool) {
 const maxDrainFrames = 64
 
 // binSlot is one drained frame's recycled state: the parsed request (Ops
-// backing array reused), the worker envelope (results and done channel
-// reused), and the immediate-reply fields for frames that never reach a
-// worker (hello, ping, parse/validation errors, admission sheds).
+// backing array reused), the worker envelope (results reused), and the
+// immediate-reply fields for frames that never reach a worker (hello, ping,
+// parse/validation errors, admission sheds).
 type binSlot struct {
 	preq      ProtoRequest
 	req       request
 	w         *worker // sticky worker at parse time (Hello mid-drain moves it)
 	reqID     uint64  // echoed reply ID (0 when the frame didn't parse)
-	submitted bool    // true: awaiting the worker; false: immediate reply
+	submitted bool    // true: answered by the worker; false: immediate reply
 	status    uint8   // immediate reply status
 	msg       string  // immediate reply message (bad request / error)
 }
@@ -234,10 +234,10 @@ func (sess *binSession) setIdentity(id string) {
 
 // serveBinary runs one binary-protocol session. Each round: block for one
 // frame, then drain every complete frame already buffered (pipelining
-// clients land many per read), submit the executable ones to the sticky
-// worker as linked chains — one queue slot per chain, so the worker's fuse
-// machinery coalesces the whole drain into as few transactions as BatchMax
-// allows — and write all replies, in frame order, through one Flush.
+// clients land many per read), execute the executable ones on this
+// goroutine as linked same-worker chains — each fused into as few
+// transactions as BatchMax allows — and write all replies, in frame order,
+// through one Flush.
 func (s *Server) serveBinary(c net.Conn) {
 	sess := &binSession{s: s, br: bufio.NewReader(c), bw: bufio.NewWriter(c)}
 	identity := c.RemoteAddr().String()
@@ -249,17 +249,18 @@ func (s *Server) serveBinary(c net.Conn) {
 	}
 }
 
-// drain runs one read→submit→reply round; false drops the session (EOF,
+// drain runs one read→execute→reply round; false drops the session (EOF,
 // cut connection, framing violation, or write failure).
 func (sess *binSession) drain() bool {
 	frame, err := ReadFrame(sess.br, sess.inBuf)
 	if err != nil {
 		return false
 	}
+	now := obs.Now() // the drain's frames arrived in one read: one stamp
 	n := 0
 	for {
 		sess.inBuf = frame[:0] // parse copies out; buffer free for the next read
-		sess.prep(n, frame)
+		sess.prep(n, frame, now)
 		n++
 		if n >= maxDrainFrames || !sess.frameBuffered() {
 			break
@@ -290,13 +291,11 @@ func (sess *binSession) frameBuffered() bool {
 }
 
 // prep parses frame into slot i and classifies it: immediate (answered at
-// reply time without a worker) or submitted (envelope filled, linked and
-// enqueued by submit).
-func (sess *binSession) prep(i int, frame []byte) {
+// reply time without a worker) or submitted (envelope filled, stamped with
+// the drain's arrival time now, linked and executed by submit).
+func (sess *binSession) prep(i int, frame []byte, now int64) {
 	for len(sess.slots) <= i {
-		sess.slots = append(sess.slots, &binSlot{
-			req: request{done: make(chan struct{}, 1)},
-		})
+		sess.slots = append(sess.slots, &binSlot{})
 	}
 	sl := sess.slots[i]
 	sl.submitted = false
@@ -333,7 +332,6 @@ func (sess *binSession) prep(i int, frame []byte) {
 			sl.msg = err.Error()
 			return
 		}
-		now := obs.Now()
 		r := &sl.req
 		r.ep = ep
 		r.ops = sl.preq.Ops
@@ -360,10 +358,12 @@ func growResults(res []OpResult, n int) []OpResult {
 }
 
 // submit links maximal runs of same-worker submitted slots into chains and
-// enqueues each chain as one queue slot. Admission happens per chain: the
-// saturation and queue-full verdicts a lone request would have gotten apply
-// to the whole chain (its requests arrived together and would have met the
-// same queue). Shed chains are downgraded to immediate StatusShed replies.
+// executes each chain on this goroutine (worker.exec), in frame order, so
+// the connection's requests take effect in the order it sent them.
+// Admission happens per chain: the saturation and backlog verdicts a lone
+// request would have gotten apply to the whole chain (its requests arrived
+// together and would have met the same backlog). Shed chains are
+// downgraded to immediate StatusShed replies.
 func (sess *binSession) submit(n int) {
 	i := 0
 	for i < n {
@@ -389,20 +389,11 @@ func (sess *binSession) submit(n int) {
 			tail = &sl.req
 			count++
 		}
-		head := &sess.slots[i].req
-		shed := false
-		if sess.s.saturated(w) {
-			sess.s.admission.saturationShed.Add(uint64(count))
-			shed = true
-		} else if !sess.s.enqueue(w, head, count) {
-			shed = true
-		}
-		if shed {
+		if !w.exec(&sess.slots[i].req, count) {
 			for k := i; k < j; k++ {
 				if sl := sess.slots[k]; sl.submitted && sl.w == w {
 					sl.submitted = false
 					sl.status = StatusShed
-					sl.req.next = nil
 				}
 			}
 		}
@@ -410,8 +401,8 @@ func (sess *binSession) submit(n int) {
 	}
 }
 
-// reply writes slot replies in frame order — submitted slots await their
-// envelope first — and flushes once.
+// reply writes slot replies in frame order from the answered envelopes and
+// flushes once.
 func (sess *binSession) reply(n int) bool {
 	for i := 0; i < n; i++ {
 		sl := sess.slots[i]
@@ -419,10 +410,6 @@ func (sess *binSession) reply(n int) bool {
 		switch {
 		case !sl.submitted:
 			resp = sess.immediate(sl)
-		case !sess.s.await(sl.w, &sl.req):
-			// Worker exited without dequeuing (shutdown): the envelope will
-			// never be answered, and is safe to reuse.
-			resp = ProtoResponse{Status: StatusError, Msg: ErrClosed.Error()}
 		case sl.req.shed:
 			resp = ProtoResponse{Status: StatusShed, RetryAfterMS: sess.s.retryAfterMS()}
 		case sl.req.err != nil:
@@ -443,7 +430,7 @@ func (sess *binSession) reply(n int) bool {
 // the wire without a per-reply allocation.
 var emptyResults = []OpResult{}
 
-// immediate renders a slot answered without a worker round-trip.
+// immediate renders a slot answered without a worker.
 func (sess *binSession) immediate(sl *binSlot) ProtoResponse {
 	switch sl.status {
 	case StatusOK:

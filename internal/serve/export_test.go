@@ -4,14 +4,25 @@ package serve
 // equivalence test can pin it against encoding/json.
 func AppendTxnResults(buf []byte, res []OpResult) []byte { return appendTxnResults(buf, res) }
 
-// SetTestBatchDelay installs a hook run by a worker between dequeuing a
-// request and batching it, so tests can hold a worker still while they
-// overfill its queue. Restore the returned previous hook when done.
-func SetTestBatchDelay(fn func()) (prev func()) {
-	prev = testBatchDelay
+// SetTestBatchDelay installs a hook run by every chain after it has taken
+// its worker and before it batches, so tests can hold a worker while other
+// chains block behind it. Restore the returned previous hook when done.
+func SetTestBatchDelay(fn func()) (prev func()) { return setHook(&testBatchDelay, fn) }
+
+// SetTestDurableWait installs a hook run by every chain with durable acks
+// after it has released its worker and before it waits for the fsync.
+// Restore the returned previous hook when done.
+func SetTestDurableWait(fn func()) (prev func()) { return setHook(&testDurableWait, fn) }
+
+func setHook(hook *func(), fn func()) (prev func()) {
+	prev = *hook
 	if fn == nil {
 		fn = func() {}
 	}
-	testBatchDelay = fn
+	*hook = fn
 	return prev
 }
+
+// Waiting reports how many chains are blocked waiting for client's sticky
+// worker, so a test can wait for a blocked caller instead of sleeping.
+func (s *Server) Waiting(client string) int64 { return s.workerFor(client).waiting.Load() }

@@ -11,10 +11,9 @@ import (
 	"rhnorec/internal/tm"
 )
 
-// Snapshot assembles the rhserve.v1 metrics dump from live worker
-// snapshots: each worker copies its state out over its ctl channel between
-// batches (or the stored exit snapshot after Close), so no goroutine ever
-// reads another's counters in place.
+// Snapshot assembles the rhserve.v1 metrics dump from worker snapshots:
+// each worker's state is copied under its mutex, between chains (or the
+// snapshot Close stored), so no counter is read while a chain updates it.
 func (s *Server) Snapshot() *bench.ServeDump {
 	var (
 		agg   tm.Stats

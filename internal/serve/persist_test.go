@@ -4,8 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"rhnorec/internal/bench"
 	"rhnorec/internal/serve"
@@ -89,6 +93,62 @@ func TestPersistMetricsDump(t *testing.T) {
 	b, _ := json.Marshal(d)
 	if err := bench.ValidateDump(bytes.TrimSpace(b)); err != nil {
 		t.Fatalf("dump with persist block invalid: %v\n%s", err, b)
+	}
+}
+
+// TestDurableAcksShareFsync: a chain waits for its durable ack after it
+// has released its worker, so N concurrent durable Do calls on one worker
+// share group-fsync passes instead of paying one each under the lock. The
+// hook holds every chain between its commit and its wait until all N have
+// committed; were the wait still under the lock, the second chain could not
+// commit, the hook would time out, and each Do would fsync alone.
+func TestDurableAcksShareFsync(t *testing.T) {
+	const n = 8
+	s, err := serve.New(serve.Config{Keys: 64, Workers: 1, DataDir: t.TempDir(), DurableAcks: true, RequestTimeout: time.Minute})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer s.Close()
+	var arrived atomic.Int32
+	all := make(chan struct{})
+	prev := serve.SetTestDurableWait(func() {
+		if arrived.Add(1) == n {
+			close(all)
+		}
+		select {
+		case <-all:
+		case <-time.After(500 * time.Millisecond):
+		}
+	})
+	defer serve.SetTestDurableWait(prev)
+
+	var wg sync.WaitGroup
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(k uint64) {
+			defer wg.Done()
+			_, err := s.Do(fmt.Sprint("c", k), serve.EpPut, []serve.Op{{Kind: serve.OpPut, Key: k, Val: k + 1}})
+			errs <- err
+		}(uint64(i))
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatalf("durable put: %v", err)
+		}
+	}
+	p := s.Snapshot().Persist
+	if p == nil || p.Appended != n || p.Durable != n {
+		t.Fatalf("persist ledger %+v, want %d appended and durable", p, n)
+	}
+	if p.FsyncGroups >= n {
+		t.Fatalf("%d concurrent durable puts on one worker took %d fsync groups, want fewer", n, p.FsyncGroups)
+	}
+	eps := s.Snapshot().Endpoints
+	if len(eps) != 1 || eps[0].Requests != n || eps[0].Errors != 0 || eps[0].Latency.Count != n {
+		t.Fatalf("endpoint ledger %+v, want %d requests, 0 errors, %d latencies", eps, n, n)
 	}
 }
 

@@ -3,6 +3,7 @@ package serve_test
 import (
 	"bufio"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -196,12 +197,19 @@ func TestBinaryPipelinedMixedBatch(t *testing.T) {
 // TestBinaryRecycledBuffersNoAliasing: the session recycles request
 // envelopes, result slices, and frame buffers across drains; every reply
 // must still carry exactly its own request's data. Scans are the sharpest
-// probe — their result buffers are the largest recycled object.
+// probe — their result buffers are the largest recycled object. Each scan
+// follows its round's puts on the same connection, so it must read them:
+// the 2×2 round fits one BatchMax batch, where a scan answered from a
+// snapshot taken before the batch commits would read the previous round.
 func TestBinaryRecycledBuffersNoAliasing(t *testing.T) {
-	const (
-		ranges = 4
-		span   = 4
-	)
+	for _, shape := range []struct{ ranges, span uint64 }{{4, 4}, {2, 2}} {
+		t.Run(fmt.Sprintf("%dx%d", shape.ranges, shape.span), func(t *testing.T) {
+			recycledBuffersNoAliasing(t, shape.ranges, shape.span)
+		})
+	}
+}
+
+func recycledBuffersNoAliasing(t *testing.T, ranges, span uint64) {
 	_, addr := startBinaryServer(t, serve.Config{Keys: 64, Workers: 2})
 	bc := dialBinary(t, addr)
 	defer bc.c.Close()
@@ -218,7 +226,7 @@ func TestBinaryRecycledBuffersNoAliasing(t *testing.T) {
 		}
 		for r := uint64(0); r < ranges; r++ {
 			wire = appendWire(t, wire, &serve.ProtoRequest{Opcode: serve.OpcodeScan, ReqID: 200*round + r,
-				Ops: []serve.Op{{Kind: serve.OpScan, Key: r * span, Count: span}}})
+				Ops: []serve.Op{{Kind: serve.OpScan, Key: r * span, Count: uint32(span)}}})
 		}
 		if _, err := bc.c.Write(wire); err != nil {
 			t.Fatalf("round %d write: %v", round, err)
@@ -233,12 +241,12 @@ func TestBinaryRecycledBuffersNoAliasing(t *testing.T) {
 			if resp.ReqID != 200*round+r || resp.Status != serve.StatusOK {
 				t.Fatalf("round %d scan reply %d: reqID %d status %d", round, r, resp.ReqID, resp.Status)
 			}
-			if len(resp.Results) != 1 || len(resp.Results[0].Vals) != span {
+			if len(resp.Results) != 1 || uint64(len(resp.Results[0].Vals)) != span {
 				t.Fatalf("round %d scan %d results %+v", round, r, resp.Results)
 			}
 			for j, v := range resp.Results[0].Vals {
 				if want := 1000*round + r*span + uint64(j); v != want {
-					t.Fatalf("round %d scan %d val[%d] = %d, want %d (recycled buffer bled across requests)",
+					t.Fatalf("round %d scan %d val[%d] = %d, want %d (a recycled buffer bled across requests, or the scan overtook its puts)",
 						round, r, j, v, want)
 				}
 			}

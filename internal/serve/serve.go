@@ -2,30 +2,38 @@
 // first layer of this repository that serves traffic instead of running
 // benchmarks (ROADMAP PR 7). It maps a
 // fixed key space onto the striped word arena (key k lives at one cache
-// line, so distinct keys conflict only through real stripe sharing), runs a
-// sticky pool of worker threads sized to htm.Config.Cores, fuses queued
-// requests into batched transactions, and admission-controls the request
-// stream off the retry engine's live slow-path occupancy (DESIGN.md §13,
-// docs/SERVE.md).
+// line, so distinct keys conflict only through real stripe sharing), keeps
+// a sticky pool of worker threads sized to htm.Config.Cores, fuses a
+// pipelined drain's requests into batched transactions, and
+// admission-controls the request stream off the retry engine's live
+// slow-path occupancy (DESIGN.md §13, docs/SERVE.md).
 //
 // Request flow: a transport handler (HTTP JSON or the length-prefixed
 // binary protocol, both on one listener — see http.go and binary.go)
-// normalizes a request into ops, routes it to a worker by client-identity
-// hash (sticky, so one client's hot keys stay on one thread's stripe and
-// cache footprint), and waits. The worker dequeues, drains up to
-// Config.BatchMax-1 more queued requests, and executes the whole batch in
-// ONE transaction — single-key traffic coalesces into fused transactions,
-// and a fused batch is trivially atomic (it is one transaction). Read-only
-// batches run via RunReadOnly, keeping the fast paths' clock-free commit.
+// normalizes a request into ops and routes it to a worker by
+// client-identity hash (sticky, so one client's hot keys stay on one
+// thread's stripe and cache footprint). A worker is passive: one mutex
+// guards its tm.Thread and its metrics, and the handler's own goroutine
+// takes that mutex and executes its chain — a binary drain's run of
+// consecutive same-worker frames, or one Do request — in slices of up to
+// Config.BatchMax requests, each ONE transaction. A fused batch is
+// trivially atomic (it is one transaction), and a session runs its chains
+// one after another, so a connection's requests take effect in the order
+// it sent them. Read-only batches run via RunReadOnly, keeping the fast
+// paths' clock-free commit. Separate Do callers do not fuse with each
+// other. A chain that owes durable acks waits for the fsync after it has
+// released the worker, so chains committing meanwhile share the group
+// fsync.
 //
 // Admission control (paper-level motivation: Brown & Ravi's
 // cost-of-concurrency analysis says the fast/slow path mix, not raw
-// throughput, is what saturates a HyTM): a request is shed with a
-// retry-later verdict when (1) its sticky worker's queue is full, (2) the
-// slow path is saturated — at least saturationThreads threads on it —
-// while the worker is backlogged, or (3) its
-// deadline expired while queued. Sheds are ledgered per cause in the
-// rhserve.v1 dump (internal/bench) and surface as HTTP 429 + Retry-After.
+// throughput, is what saturates a HyTM): a chain is shed with a
+// retry-later verdict when (1) Config.QueueDepth chains are already
+// blocked waiting for its sticky worker, (2) the slow path is saturated —
+// at least saturationThreads threads on it — while at least QueueDepth/2
+// chains are waiting, or (3), per request, its deadline expired before the
+// worker was taken. Sheds are ledgered per cause in the rhserve.v1 dump
+// (internal/bench) and surface as HTTP 429 + Retry-After.
 package serve
 
 import (
@@ -124,14 +132,14 @@ type Config struct {
 	// Workers sizes the sticky worker pool (default: the HTM core count —
 	// one transaction-running thread per simulated core).
 	Workers int
-	// QueueDepth bounds each worker's request queue (default 256); a full
-	// queue sheds at enqueue.
+	// QueueDepth bounds how many chains may block waiting for one worker
+	// (default 256); a chain that finds that many waiting is shed.
 	QueueDepth int
-	// BatchMax bounds how many queued requests one transaction fuses
+	// BatchMax bounds how many requests of a chain one transaction fuses
 	// (default 16, minimum 1).
 	BatchMax int
-	// RequestTimeout sheds requests whose deadline expires while queued
-	// (default 1s).
+	// RequestTimeout sheds requests whose deadline expires before their
+	// worker is taken (default 1s).
 	RequestTimeout time.Duration
 	// RetryAfter is the client backpressure hint returned with a shed
 	// (default 1s; HTTP rounds up to whole seconds for the Retry-After
@@ -222,10 +230,10 @@ var ErrShed = fmt.Errorf("serve: overloaded, retry later")
 // ErrClosed reports a request caught in server shutdown.
 var ErrClosed = fmt.Errorf("serve: server closed")
 
-// request is one in-flight request envelope. Envelopes are recyclable: the
-// binary session embeds one per pipeline slot and reuses it across frames,
-// so completion is a buffered-1 send on done (a close would be one-shot) and
-// every field is rewritten before each enqueue.
+// request is one in-flight request envelope. worker.exec answers it in
+// place (res, err, shed) before returning to the caller. Envelopes are
+// recyclable: the binary session embeds one per pipeline slot and rewrites
+// every field before each execution.
 type request struct {
 	ep       Endpoint
 	ops      []Op
@@ -233,22 +241,19 @@ type request struct {
 	// durable asks for a durable ack: the reply waits until the request's
 	// redo record is fsynced (binary protocol OpcodeDurable, or
 	// Config.DurableAcks). Meaningless on read-only requests.
-	durable  bool
-	res      []OpResult
-	err      error
-	shed     bool
-	enq      int64 // obs.Now at admission
-	deadline int64 // obs.Now after which a queued request is shed
-	done     chan struct{}
-	// next links a pipelined submit group: a connection that drained several
-	// frames enqueues the whole chain as ONE queue slot, and the worker
-	// unlinks it back into its batch (worker.serveBatch).
+	durable bool
+	// awaitSync marks a committed request whose durable ack waits for the
+	// fsync; worker.awaitDurable settles it and clears the mark.
+	awaitSync bool
+	res       []OpResult
+	err       error
+	shed      bool
+	enq       int64 // obs.Now when the request arrived
+	deadline  int64 // obs.Now after which a request still waiting is shed
+	// next links a chain: a binary drain's run of consecutive same-worker
+	// frames, which worker.exec fuses as one unit.
 	next *request
 }
-
-// finish answers the request (worker side). The buffered send never blocks:
-// each envelope has exactly one waiter per enqueue.
-func (r *request) finish() { r.done <- struct{}{} }
 
 // pipelineBucketCount is the number of power-of-two pipeline-depth buckets
 // (1, 2, 4, ..., 64); the last bucket absorbs deeper drains.
@@ -288,20 +293,19 @@ type Server struct {
 	once    sync.Once
 
 	// log is the durable redo log (nil without Config.DataDir); recovery is
-	// what boot-time replay found in DataDir before the workers started.
+	// what boot-time replay found in DataDir before the workers existed.
 	log      *persist.Log
 	recovery persist.RecoveryStats
 
 	admission admissionCounters
 	pipeline  pipelineCounters
 
-	mu         sync.Mutex
-	finalSnaps []*workerSnap
-	ln         *listener
+	mu sync.Mutex
+	ln *listener
 }
 
 // New builds a Server: allocates the arena, constructs the TM system, and
-// starts the worker pool. The caller must Close it.
+// creates the worker pool and its threads. The caller must Close it.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	algo, ok := bench.AlgoByName(cfg.Algo)
@@ -326,14 +330,13 @@ func New(cfg Config) (*Server, error) {
 	sys := algo.New(m, dev, cfg.Policy)
 
 	s := &Server{
-		cfg:        cfg,
-		m:          m,
-		sys:        sys,
-		dev:        dev,
-		base:       m.NewThreadCache().Alloc(cfg.Keys * mem.LineWords),
-		start:      time.Now(),
-		stop:       make(chan struct{}),
-		finalSnaps: make([]*workerSnap, cfg.Workers),
+		cfg:   cfg,
+		m:     m,
+		sys:   sys,
+		dev:   dev,
+		base:  m.NewThreadCache().Alloc(cfg.Keys * mem.LineWords),
+		start: time.Now(),
+		stop:  make(chan struct{}),
 	}
 	if cfg.DataDir != "" {
 		// Recovery replays into the arena here, before any worker exists:
@@ -356,10 +359,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.workers = make([]*worker, cfg.Workers)
 	for i := range s.workers {
-		s.workers[i] = newWorker(s, i)
-	}
-	for _, w := range s.workers {
-		go w.loop()
+		s.workers[i] = newWorker(s)
 	}
 	return s, nil
 }
@@ -379,11 +379,12 @@ func (s *Server) Recovery() (persist.RecoveryStats, bool) {
 	return s.recovery, s.log != nil
 }
 
-// Close stops the workers and the listener (idempotent). In-flight and
-// queued requests are answered with ErrClosed. With persistence armed, Close
-// drains the workers FIRST and only then fsyncs and closes the redo log, so
-// every commit a worker acked before shutdown is durable on return — a
-// Close-then-reopen loses nothing.
+// Close stops the workers and the listener (idempotent). A chain already
+// running finishes; every chain that takes its worker afterwards is
+// answered with ErrClosed. With persistence armed, Close takes every
+// worker FIRST and only then fsyncs and closes the redo log, so every
+// commit acked before shutdown is durable on return — a Close-then-reopen
+// loses nothing.
 func (s *Server) Close() {
 	s.once.Do(func() { close(s.stop) })
 	s.mu.Lock()
@@ -393,7 +394,7 @@ func (s *Server) Close() {
 		ln.close()
 	}
 	for _, w := range s.workers {
-		<-w.done
+		w.close()
 	}
 	if s.log != nil {
 		s.log.Close() // final group fsync + file close
@@ -407,14 +408,24 @@ func (s *Server) Close() {
 // every slice is nil.
 func (s *Server) Events() [][]obs.Event {
 	out := make([][]obs.Event, len(s.workers))
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, snap := range s.finalSnaps {
-		if snap != nil {
-			out[i] = snap.ring
+	for i, w := range s.workers {
+		w.mu.Lock()
+		if w.final != nil {
+			out[i] = w.final.ring
 		}
+		w.mu.Unlock()
 	}
 	return out
+}
+
+// stopped reports whether Close has begun.
+func (s *Server) stopped() bool {
+	select {
+	case <-s.stop:
+		return true
+	default:
+		return false
+	}
 }
 
 // addrOf maps a key onto its arena slot.
@@ -493,58 +504,19 @@ const saturationThreads = 2
 // path already crowded, new work is shed while this worker is backlogged,
 // so the convoy drains instead of growing.
 func (s *Server) saturated(w *worker) bool {
-	return s.engine != nil && s.engine.SlowPathLoad() >= saturationThreads && w.backlog() >= s.cfg.QueueDepth/2
-}
-
-// enqueue offers a request chain (head, counting n requests) to w's queue
-// without blocking; the whole chain occupies ONE queue slot, which is what
-// lets a pipelined drain coalesce. A full queue sheds the chain.
-func (s *Server) enqueue(w *worker, head *request, n int) bool {
-	select {
-	case w.q <- head:
-		return true
-	default:
-		s.admission.queueShed.Add(uint64(n))
-		return false
-	}
-}
-
-// await blocks until r completes. A false return means the worker exited
-// (shutdown) without ever dequeuing r — and never will, so the envelope is
-// safe to recycle: workers answer everything they dequeued before closing
-// done.
-func (s *Server) await(w *worker, r *request) bool {
-	select {
-	case <-r.done:
-		return true
-	case <-w.done:
-		select {
-		case <-r.done:
-			return true
-		default:
-			return false
-		}
-	}
+	return s.engine != nil && s.engine.SlowPathLoad() >= saturationThreads && w.waiting.Load() >= int64(s.cfg.QueueDepth/2)
 }
 
 // Do validates, admits, and executes one request on the client's sticky
-// worker, blocking until the reply. It returns the per-op results, ErrShed
-// (retry later), a *RequestError (client error), or ErrClosed. Do allocates
-// its envelope (the results escape to the caller); the binary session keeps
-// per-connection recycled envelopes and speaks submit/await directly.
+// worker, on the caller's goroutine, and returns when it is answered: the
+// per-op results, ErrShed (retry later), a *RequestError (client error), or
+// ErrClosed. Do allocates its envelope (the results escape to the caller);
+// the binary session keeps per-connection recycled envelopes and calls
+// worker.exec directly. Each Do call is its own one-request chain, so
+// concurrent Do callers never fuse into one transaction.
 func (s *Server) Do(client string, ep Endpoint, ops []Op) ([]OpResult, error) {
 	if err := s.checkOps(ops); err != nil {
 		return nil, err
-	}
-	select {
-	case <-s.stop:
-		return nil, ErrClosed
-	default:
-	}
-	w := s.workerFor(client)
-	if s.saturated(w) {
-		s.admission.saturationShed.Add(1)
-		return nil, ErrShed
 	}
 	now := obs.Now()
 	r := &request{
@@ -554,15 +526,8 @@ func (s *Server) Do(client string, ep Endpoint, ops []Op) ([]OpResult, error) {
 		res:      make([]OpResult, len(ops)),
 		enq:      now,
 		deadline: now + s.cfg.RequestTimeout.Nanoseconds(),
-		done:     make(chan struct{}, 1),
 	}
-	if !s.enqueue(w, r, 1) {
-		return nil, ErrShed
-	}
-	if !s.await(w, r) {
-		return nil, ErrClosed
-	}
-	if r.shed {
+	if !s.workerFor(client).exec(r, 1) || r.shed {
 		return nil, ErrShed
 	}
 	if r.err != nil {

@@ -3,10 +3,12 @@ package serve_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -197,73 +199,84 @@ func TestTxnAtomicityUnderConcurrentReaders(t *testing.T) {
 	}
 }
 
-// TestAdmissionShed429 overfills a single stalled worker's depth-1 queue
-// and expects the overflow request to bounce with 429 + Retry-After.
-func TestAdmissionShed429(t *testing.T) {
-	release := make(chan struct{})
-	var stalled sync.Once
-	entered := make(chan struct{})
-	prev := serve.SetTestBatchDelay(func() {
-		stalled.Do(func() { close(entered) })
-		<-release
-	})
-	defer serve.SetTestBatchDelay(prev)
-
-	_, ts := newTestServer(t, serve.Config{
-		Keys: 16, Workers: 1, QueueDepth: 1,
-		RequestTimeout: time.Minute, RetryAfter: 3 * time.Second,
-	})
-	defer close(release)
-
-	// First request occupies the worker (stalled in the batch hook). Then
-	// probe with a short client timeout: the first probe occupies the
-	// depth-1 queue and times out client-side (the request stays queued
-	// server-side), so a following probe must bounce with 429. Every
-	// request shares one source IP → one sticky worker.
-	go bgPost(ts.URL + "/put?key=1&val=1")
-	<-entered
-	probe := &http.Client{Timeout: 100 * time.Millisecond}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if time.Now().After(deadline) {
-			t.Fatal("no shed observed before deadline")
-		}
-		resp, err := probe.Post(ts.URL+"/put?key=3&val=3", "", nil)
-		if err != nil {
-			continue // client timeout: this probe is now parked in the queue
-		}
-		code := resp.StatusCode
-		ra := resp.Header.Get("Retry-After")
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if code == http.StatusTooManyRequests {
-			if ra != "3" {
-				t.Fatalf("Retry-After = %q, want \"3\"", ra)
-			}
-			return
-		}
-	}
-}
-
-// TestDeadlineShed queues a request behind a stalled worker with a tiny
-// RequestTimeout: by dequeue time its deadline has passed, so it is shed
-// (the dequeue-time tier of the admission controller).
-func TestDeadlineShed(t *testing.T) {
-	release := make(chan struct{})
-	entered := make(chan struct{})
+// stallFirstChain makes the next chain to take a worker stall there, after
+// taking it and before batching, until the returned release runs (at most
+// once, and at the latest when the test ends). entered closes once the
+// chain holds the worker. Call it after the server's cleanup is registered,
+// so that cleanup — which waits out the stalled chain — runs after this one.
+func stallFirstChain(t *testing.T) (entered <-chan struct{}, release func()) {
+	in, out := make(chan struct{}), make(chan struct{})
 	var once sync.Once
 	prev := serve.SetTestBatchDelay(func() {
 		once.Do(func() {
-			close(entered)
-			<-release
+			close(in)
+			<-out
 		})
 	})
-	defer serve.SetTestBatchDelay(prev)
+	release = sync.OnceFunc(func() { close(out) })
+	t.Cleanup(func() {
+		release()
+		serve.SetTestBatchDelay(prev)
+	})
+	return in, release
+}
 
+// waitFor polls cond until it holds, failing the test after five seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestAdmissionShed429 stalls the one worker's lock holder, blocks one
+// request behind it so the depth-1 backlog is full, and expects the next
+// request to bounce with 429 + Retry-After. Every request shares one
+// source IP, so one sticky worker.
+func TestAdmissionShed429(t *testing.T) {
+	s, ts := newTestServer(t, serve.Config{
+		Keys: 16, Workers: 1, QueueDepth: 1,
+		RequestTimeout: time.Minute, RetryAfter: 3 * time.Second,
+	})
+	entered, release := stallFirstChain(t)
+
+	go bgPost(ts.URL + "/put?key=1&val=1")
+	<-entered
+	go bgPost(ts.URL + "/put?key=2&val=2")
+	waitFor(t, "a request blocked behind the stalled chain", func() bool { return s.Waiting("any") == 1 })
+
+	resp, err := http.Post(ts.URL+"/put?key=3&val=3", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("request past a full backlog got %d, want 429", resp.StatusCode)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra != "3" {
+		t.Fatalf("Retry-After = %q, want \"3\"", ra)
+	}
+	release()
+	if d := s.Snapshot(); d.Admission.QueueShed != 1 || d.Admission.DeadlineShed != 0 {
+		t.Fatalf("admission = %+v, want exactly one queue shed", d.Admission)
+	}
+}
+
+// TestDeadlineShed blocks a request behind a stalled lock holder with a
+// tiny RequestTimeout: by the time it takes the worker its deadline has
+// passed, so it is shed (the lock-acquisition tier of the admission
+// controller).
+func TestDeadlineShed(t *testing.T) {
 	s, ts := newTestServer(t, serve.Config{
 		Keys: 16, Workers: 1, QueueDepth: 4,
 		RequestTimeout: 20 * time.Millisecond,
 	})
+	entered, release := stallFirstChain(t)
 
 	go bgPost(ts.URL + "/put?key=1&val=1")
 	<-entered
@@ -279,8 +292,9 @@ func TestDeadlineShed(t *testing.T) {
 		resp.Body.Close()
 		resCh <- resp.StatusCode
 	}()
-	time.Sleep(60 * time.Millisecond) // let the queued request's deadline lapse
-	close(release)
+	waitFor(t, "a request blocked behind the stalled chain", func() bool { return s.Waiting("any") == 1 })
+	time.Sleep(60 * time.Millisecond) // let the blocked request's deadline lapse
+	release()
 	if code := <-resCh; code != http.StatusTooManyRequests {
 		t.Fatalf("deadline-expired request got %d, want 429", code)
 	}
@@ -288,6 +302,105 @@ func TestDeadlineShed(t *testing.T) {
 	if d.Admission.DeadlineShed == 0 {
 		t.Fatalf("admission.deadline_shed = 0, want > 0 (dump: %+v)", d.Admission)
 	}
+}
+
+// TestCloseAnswersBlockedChains: Close while chains are blocked behind a
+// stalled lock holder. The stalled chain completes; every blocked caller —
+// three binary sessions and one Do — gets ErrClosed or a cut connection,
+// never a hang; a Do arriving at the full backlog after Close began gets
+// ErrClosed, not ErrShed; Close returns; and no goroutine is left running.
+func TestCloseAnswersBlockedChains(t *testing.T) {
+	const sessions = 3
+	before := runtime.NumGoroutine()
+	s, err := serve.New(serve.Config{Keys: 16, Workers: 1, QueueDepth: sessions + 1, RequestTimeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close) // a failed test still shuts down; Close is idempotent
+	addr, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, release := stallFirstChain(t)
+	put := []serve.Op{{Kind: serve.OpPut, Key: 1, Val: 1}}
+
+	stalled := make(chan error, 1)
+	go func() {
+		_, err := s.Do("stalled", serve.EpPut, put)
+		stalled <- err
+	}()
+	<-entered
+
+	// Each session's reader reports when its reply or its cut arrives;
+	// anything but ErrClosed or a cut is an error.
+	cut := make(chan error, sessions)
+	for i := 0; i < sessions; i++ {
+		bc := dialBinary(t, addr.String())
+		defer bc.c.Close()
+		if _, err := bc.c.Write(appendWire(t, nil, &serve.ProtoRequest{Opcode: serve.OpcodePut, ReqID: 7, Ops: put})); err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			frame, err := serve.ReadFrame(bc.br, nil)
+			if err != nil {
+				cut <- nil
+				return
+			}
+			resp, err := serve.ParseResponse(frame)
+			if err == nil && (resp.Status != serve.StatusError || resp.Msg != serve.ErrClosed.Error()) {
+				err = fmt.Errorf("blocked session answered status %d %q, want ErrClosed or a cut", resp.Status, resp.Msg)
+			}
+			cut <- err
+		}()
+	}
+	blocked := make(chan error, 1)
+	go func() {
+		_, err := s.Do("blocked", serve.EpPut, put)
+		blocked <- err
+	}()
+	waitFor(t, "every caller blocked on the worker", func() bool { return s.Waiting("any") == sessions+1 })
+
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	// Close cuts the connections before it takes the worker: once every
+	// session has seen its cut, the server has stopped and the blocked
+	// chains can only answer ErrClosed.
+	for i := 0; i < sessions; i++ {
+		if err := <-cut; err != nil {
+			t.Error(err)
+		}
+	}
+	// The backlog is at QueueDepth, but a stopped server answers ErrClosed,
+	// not a retry-later shed.
+	if _, err := s.Do("late", serve.EpPut, put); !errors.Is(err, serve.ErrClosed) {
+		t.Errorf("Do after Close began returned %v, want ErrClosed", err)
+	}
+	release()
+	select {
+	case err := <-stalled:
+		if err != nil {
+			t.Errorf("stalled Do returned %v, want it to complete", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("stalled Do hung through Close")
+	}
+	select {
+	case err := <-blocked:
+		if !errors.Is(err, serve.ErrClosed) {
+			t.Errorf("blocked Do returned %v, want ErrClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("blocked Do hung through Close")
+	}
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close hung")
+	}
+	waitFor(t, "goroutines to exit", func() bool { return runtime.NumGoroutine() <= before })
 }
 
 func TestBadRequests(t *testing.T) {
@@ -385,44 +498,39 @@ func TestSnapshotAfterClose(t *testing.T) {
 	}
 }
 
-// TestFusedBatchRingEvents forces two requests to fuse into one
-// transaction (the worker is stalled while both enqueue) and checks the
-// drained post-Close rings carry a fuse event whose retry field is the
-// batch size.
+// TestFusedBatchRingEvents sends three PUTs as one pipelined drain — one
+// chain, fused into one transaction — and checks the drained post-Close
+// rings carry a fuse event whose retry field is the batch size.
 func TestFusedBatchRingEvents(t *testing.T) {
-	s, err := serve.New(serve.Config{Keys: 16, Workers: 1, RingSize: 64})
-	if err != nil {
-		t.Fatalf("New: %v", err)
+	s, addr := startBinaryServer(t, serve.Config{Keys: 16, Workers: 1, RingSize: 64})
+	bc := dialBinary(t, addr)
+	defer bc.c.Close()
+	fused := func() (n uint64) {
+		for _, ep := range s.Snapshot().Endpoints {
+			n += ep.Fused
+		}
+		return n
 	}
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	restore := serve.SetTestBatchDelay(func() {
-		once.Do(func() {
-			close(entered)
-			<-release
-		})
-	})
-	defer restore()
-
-	var wg sync.WaitGroup
-	do := func(key uint64) {
-		defer wg.Done()
-		if _, err := s.Do("one-client", serve.EpPut, []serve.Op{{Kind: serve.OpPut, Key: key, Val: key}}); err != nil {
-			t.Errorf("Do(%d): %v", key, err)
+	// One write normally lands in one drain; a scheduler wakeup between
+	// partial deliveries can split it, so retry before calling it unfused.
+	for attempt := 0; attempt < 50 && fused() == 0; attempt++ {
+		var wire []byte
+		for k := uint64(1); k <= 3; k++ {
+			wire = appendWire(t, wire, &serve.ProtoRequest{Opcode: serve.OpcodePut, ReqID: k,
+				Ops: []serve.Op{{Kind: serve.OpPut, Key: k, Val: k}}})
+		}
+		if _, err := bc.c.Write(wire); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		for k := uint64(1); k <= 3; k++ {
+			if resp := bc.readResp(t); resp.ReqID != k || resp.Status != serve.StatusOK {
+				t.Fatalf("reply %d: reqID %d status %d", k, resp.ReqID, resp.Status)
+			}
 		}
 	}
-	// The first request enters the worker and stalls in the hook; the next
-	// two land in the queue meanwhile, so the drain fuses all three.
-	wg.Add(1)
-	go do(1)
-	<-entered
-	wg.Add(2)
-	go do(2)
-	go do(3)
-	time.Sleep(100 * time.Millisecond)
-	close(release)
-	wg.Wait()
+	if fused() == 0 {
+		t.Fatal("no pipelined drain was fused")
+	}
 
 	if events := s.Events(); events[0] != nil {
 		t.Fatal("Events must be nil before Close (rings drain only once)")

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"rhnorec/internal/bench"
 	"rhnorec/internal/serve"
 )
 
@@ -82,6 +83,66 @@ func TestSnapshotScanAtomicity(t *testing.T) {
 	}
 	if after := s.Snapshot().SnapScan.Hits; after-before != quiet {
 		t.Fatalf("quiescent scans hit %d of %d times, want all", after-before, quiet)
+	}
+}
+
+// TestSnapshotScanLeadingOnly: a snapshot is taken before its batch's
+// transaction commits, so only a scan that no other request precedes in
+// the drain may use it. One drain of [GET, SCAN] ledgers one fallback and
+// no hit; one drain of [SCAN, GET] ledgers one hit.
+func TestSnapshotScanLeadingOnly(t *testing.T) {
+	s, addr := startBinaryServer(t, serve.Config{Keys: 64, Workers: 1})
+	bc := dialBinary(t, addr)
+	defer bc.c.Close()
+	get := &serve.ProtoRequest{Opcode: serve.OpcodeGet, ReqID: 1, Ops: []serve.Op{{Kind: serve.OpGet, Key: 3}}}
+	scan := &serve.ProtoRequest{Opcode: serve.OpcodeScan, ReqID: 2, Ops: []serve.Op{{Kind: serve.OpScan, Key: 2, Count: 2}}}
+	twoFrameDrains := func(d *bench.ServeDump) (n uint64) {
+		for _, b := range d.Pipeline {
+			if b.Depth == 2 {
+				n = b.Drains
+			}
+		}
+		return n
+	}
+	snapScan := func(d *bench.ServeDump) bench.ServeSnapScan {
+		if d.SnapScan == nil {
+			return bench.ServeSnapScan{}
+		}
+		return *d.SnapScan
+	}
+	for _, c := range []struct {
+		name           string
+		first, second  *serve.ProtoRequest
+		hits, fallback uint64
+	}{
+		{"get-then-scan", get, scan, 0, 1},
+		{"scan-then-get", scan, get, 1, 0},
+	} {
+		// One write normally lands in one drain; retry the rare split.
+		for attempt := 0; ; attempt++ {
+			if attempt == 50 {
+				t.Fatalf("%s: the two frames never shared a drain", c.name)
+			}
+			before := s.Snapshot()
+			if _, err := bc.c.Write(appendWire(t, appendWire(t, nil, c.first), c.second)); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ {
+				if resp := bc.readResp(t); resp.Status != serve.StatusOK {
+					t.Fatalf("%s: reply %d status %d", c.name, i, resp.Status)
+				}
+			}
+			after := s.Snapshot()
+			if twoFrameDrains(after) != twoFrameDrains(before)+1 {
+				continue
+			}
+			b, a := snapScan(before), snapScan(after)
+			if a.Attempts-b.Attempts != 1 || a.Hits-b.Hits != c.hits || a.Fallbacks-b.Fallbacks != c.fallback {
+				t.Fatalf("%s: snapscan moved %+v → %+v, want 1 attempt, %d hit, %d fallback",
+					c.name, b, a, c.hits, c.fallback)
+			}
+			break
+		}
 	}
 }
 

@@ -15,8 +15,9 @@ import (
 // many client identities (so every worker sees traffic and identities churn
 // across workers), concurrent transfers between hot keys via TXN, read-only
 // conservation probes via GET, and concurrent metrics snapshots racing the
-// live workers. Any cross-goroutine access to worker-owned state is a
-// -race failure; any torn transfer is an atomicity failure.
+// live workers. Many goroutines run chains on one worker, so any access
+// to worker state outside its mutex is a -race failure; any torn transfer
+// is an atomicity failure.
 func TestStickyRoutingChurnStress(t *testing.T) {
 	// Writers all target one hot pair (keys 0 and 1), each txn writing a
 	// split of the fixed total — whichever txn commits last, the pair sums
@@ -101,7 +102,7 @@ func TestStickyRoutingChurnStress(t *testing.T) {
 		}(c)
 	}
 
-	// Metrics snapshots race the live workers (ctl-channel handoff).
+	// Metrics snapshots race the live workers (copied under each worker's lock).
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"rhnorec/internal/mem"
@@ -10,60 +11,59 @@ import (
 
 // admissionCounters ledgers the three shed causes (rhserve.v1 "admission").
 type admissionCounters struct {
-	queueShed      atomic.Uint64 // sticky worker's queue was full at enqueue
+	queueShed      atomic.Uint64 // QueueDepth chains already blocked on the sticky worker
 	saturationShed atomic.Uint64 // slow path saturated + backlog
-	deadlineShed   atomic.Uint64 // deadline expired while queued
+	deadlineShed   atomic.Uint64 // deadline expired before the worker was taken
 }
 
-// endpointCounters is one worker's per-endpoint request ledger. Worker-
-// goroutine-owned; published only inside workerSnap copies.
+// endpointCounters is one worker's per-endpoint request ledger. Guarded by
+// the worker's mutex; published only inside workerSnap copies.
 type endpointCounters struct {
 	requests uint64
 	errors   uint64
-	shed     uint64 // deadline sheds (enqueue-time sheds never reach a worker)
+	shed     uint64 // deadline sheds (admission sheds never reach a worker)
 	fused    uint64 // requests that shared a fused transaction with others
 }
 
 // snapScanCounters ledgers the snapshot-scan fast path (rhserve.v1
 // "snapscan"): attempts = eligible requests, hits = answered by a clean
-// seqlock snapshot, fallbacks = dirtied every pass and re-ran
-// transactionally. hits + fallbacks == attempts always.
+// seqlock snapshot, fallbacks = ran transactionally instead (every pass
+// dirtied, or not leading its batch). hits + fallbacks == attempts always.
 type snapScanCounters struct {
 	attempts  uint64
 	hits      uint64
 	fallbacks uint64
 }
 
-// workerSnap is one worker's state copied out over the ctl channel (or
-// stored at exit): a value copy of the tm counters, clones of the
-// observability state, and the endpoint ledger. Everything in it is owned
-// by the receiver.
+// workerSnap is one worker's state copied out under its mutex (or stored by
+// Close): a value copy of the tm counters, clones of the observability
+// state, and the endpoint ledger. Everything in it is owned by the receiver.
 type workerSnap struct {
 	stats tm.Stats
 	rec   *obs.Recorder
 	lat   *obs.LabeledHist
 	eps   [numEndpoints]endpointCounters
 	snap  snapScanCounters
-	ring  []obs.Event // drained only in the final (exit-time) snapshot
+	ring  []obs.Event // drained only in the final (Close-time) snapshot
 }
 
-// worker is one sticky service thread: a queue, a TM thread, and the
-// thread-owned metrics. All fields below q/ctl/done are owned by the worker
-// goroutine; other goroutines reach them only via ctl-channel snapshots, so
-// the hot path takes no locks and the single-goroutine Thread/Stats/Recorder
-// contract holds.
+// worker is one sticky TM thread and its thread-owned metrics. It runs no
+// goroutine of its own: a binary session or a Do caller executes its chain
+// on its own goroutine while holding mu (exec). mu guards every field below
+// it, which is how a tm.Thread — not safe for concurrent use — is used by
+// many goroutines, one at a time.
 type worker struct {
-	s    *Server
-	id   int
-	q    chan *request
-	ctl  chan chan *workerSnap
-	done chan struct{}
+	s *Server
+	// waiting counts the chains blocked on mu, the admission backlog. The
+	// chain holding mu is not counted.
+	waiting atomic.Int64
 
+	mu sync.Mutex
 	th tm.Thread
-	// run/runRO are th.Run and th.RunReadOnly bound once at loop start: a
-	// method value is a fresh closure per evaluation, so binding per batch
-	// would heap-allocate on the hot path. body is the batch-executing
-	// closure, likewise created once (it reads w.batch at call time).
+	// run/runRO are th.Run and th.RunReadOnly bound once: a method value is
+	// a fresh closure per evaluation, so binding per batch would
+	// heap-allocate on the hot path. body is the batch-executing closure,
+	// likewise created once (it reads batch at call time).
 	run   func(func(tm.Tx) error) error
 	runRO func(func(tm.Tx) error) error
 	body  func(tm.Tx) error
@@ -72,41 +72,45 @@ type worker struct {
 	eps   [numEndpoints]endpointCounters
 	snap  snapScanCounters
 	batch []*request
+	// syncSeq is the redo frontier the running chain's durable acks wait on
+	// (0: none); exec waits for it after releasing the worker.
+	syncSeq uint64
+	// final is the state Close stored; non-nil means th is closed.
+	final *workerSnap
 }
 
-func newWorker(s *Server, id int) *worker {
-	return &worker{
+func newWorker(s *Server) *worker {
+	w := &worker{
 		s:     s,
-		id:    id,
-		q:     make(chan *request, s.cfg.QueueDepth),
-		ctl:   make(chan chan *workerSnap),
-		done:  make(chan struct{}),
+		th:    s.sys.NewThread(),
+		rec:   obs.NewRecorder(obs.Config{RingSize: s.cfg.RingSize}),
+		lat:   obs.NewLabeledHist(endpointLabels()...),
 		batch: make([]*request, 0, s.cfg.BatchMax),
 	}
-}
-
-// backlog reports the worker's current queue length (admission signal).
-func (w *worker) backlog() int { return len(w.q) }
-
-// snapshot requests a live state copy from the worker goroutine. It returns
-// the stored final snapshot if the worker has exited.
-func (w *worker) snapshot() *workerSnap {
-	reply := make(chan *workerSnap, 1)
-	select {
-	case w.ctl <- reply:
-		select {
-		case snap := <-reply:
-			return snap
-		case <-w.done:
+	w.th.Stats().Obs = w.rec
+	w.run, w.runRO = w.th.Run, w.th.RunReadOnly
+	w.body = func(tx tm.Tx) error {
+		// Re-executed from the top on every restart; applyOps overwrites
+		// results idempotently.
+		for _, r := range w.batch {
+			w.s.applyOps(tx, r.ops, r.res)
 		}
-	case <-w.done:
+		return nil
 	}
-	w.s.mu.Lock()
-	defer w.s.mu.Unlock()
-	return w.s.finalSnaps[w.id]
+	return w
 }
 
-// makeSnap copies the worker-owned state (worker goroutine only).
+// snapshot copies the worker's state, or returns the state Close stored.
+func (w *worker) snapshot() *workerSnap {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.final != nil {
+		return w.final
+	}
+	return w.makeSnap(false)
+}
+
+// makeSnap copies the worker-owned state (mu held).
 func (w *worker) makeSnap(final bool) *workerSnap {
 	snap := &workerSnap{
 		stats: *w.th.Stats(),
@@ -124,102 +128,107 @@ func (w *worker) makeSnap(final bool) *workerSnap {
 	return snap
 }
 
-// loop is the worker goroutine: dequeue, fuse, execute, reply. The TM
-// thread is created here so its whole lifetime stays on one goroutine.
-func (w *worker) loop() {
-	w.th = w.s.sys.NewThread()
-	w.run, w.runRO = w.th.Run, w.th.RunReadOnly
-	w.body = func(tx tm.Tx) error {
-		// Re-executed from the top on every restart; applyOps overwrites
-		// results idempotently.
-		for _, r := range w.batch {
-			w.s.applyOps(tx, r.ops, r.res)
-		}
-		return nil
-	}
-	w.rec = obs.NewRecorder(obs.Config{RingSize: w.s.cfg.RingSize})
-	w.th.Stats().Obs = w.rec
-	w.lat = obs.NewLabeledHist(endpointLabels()...)
-	defer func() {
-		snap := w.makeSnap(true)
+// close waits out the chain holding the worker, stores its final state and
+// closes its thread. Close has already closed s.stop, so every chain that
+// takes mu afterwards answers ErrClosed without touching the thread.
+func (w *worker) close() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.final == nil {
+		w.final = w.makeSnap(true)
 		w.th.Close()
-		w.s.mu.Lock()
-		w.s.finalSnaps[w.id] = snap
-		w.s.mu.Unlock()
-		close(w.done)
-	}()
-	for {
-		select {
-		case <-w.s.stop:
-			w.drainClosed()
-			return
-		case reply := <-w.ctl:
-			reply <- w.makeSnap(false)
-		case r := <-w.q:
-			w.serve(r)
-		}
 	}
 }
 
-// drainClosed answers everything still queued with ErrClosed (shutdown),
-// walking each queue slot's whole submit chain.
-func (w *worker) drainClosed() {
-	for {
-		select {
-		case r := <-w.q:
-			for r != nil {
-				next := r.next
-				r.next = nil
-				r.err = ErrClosed
-				r.finish()
-				r = next
-			}
-		default:
-			return
-		}
+// exec admits the chain headed at head (n requests linked by next) and runs
+// it on the caller's goroutine, answering each request in its envelope (res,
+// err, shed). After Close every request is answered ErrClosed. It returns
+// false, having touched no envelope, when admission sheds the whole chain:
+// the slow path is saturated while the worker is backlogged, or QueueDepth
+// chains are already blocked waiting for it.
+//
+// The chain fuses in BatchMax slices, each one transaction. A fused batch
+// is trivially atomic — it IS one transaction — and a batch of pure reads
+// keeps the read-only fast path. Requests whose deadline passed before the
+// worker was taken are shed: by then the client has typically given up,
+// and executing them anyway is work the admission controller exists to
+// avoid. Durable acks wait for their fsync after the worker is released
+// (awaitDurable).
+func (w *worker) exec(head *request, n int) bool {
+	s := w.s
+	if s.stopped() {
+		closeChain(head)
+		return true
 	}
-}
-
-// serve executes the submit chain headed at first plus everything else
-// already queued, in batches of up to BatchMax requests fused into one
-// transaction each. A fused batch is trivially atomic — it IS one
-// transaction — and a batch of pure reads keeps the read-only fast path. A
-// chain longer than BatchMax carries its remainder into the next batch
-// without going back through the queue.
-func (w *worker) serve(first *request) {
-	for first != nil {
-		first = w.serveBatch(first)
+	if s.saturated(w) {
+		s.admission.saturationShed.Add(uint64(n))
+		return false
 	}
-}
-
-// serveBatch fills one batch from the chain at head (then from the queue),
-// executes it, and returns the unconsumed chain remainder. Deadline-expired
-// requests are shed at dequeue: by the time a backlogged worker reaches
-// them the client has typically given up, and executing them anyway is work
-// the admission controller exists to avoid.
-func (w *worker) serveBatch(head *request) *request {
+	if w.waiting.Add(1) > int64(s.cfg.QueueDepth) {
+		w.waiting.Add(-1)
+		s.admission.queueShed.Add(uint64(n))
+		return false
+	}
+	w.mu.Lock()
+	w.waiting.Add(-1)
+	if s.stopped() {
+		w.mu.Unlock()
+		closeChain(head)
+		return true
+	}
 	testBatchDelay()
 	now := obs.Now()
-	max := w.s.cfg.BatchMax
-	batch := w.batch[:0]
-	for {
-		for head != nil && len(batch) < max {
-			r := head
-			head, r.next = r.next, nil
-			batch = w.admit(batch, r, now)
-		}
-		if head != nil || len(batch) >= max {
-			break
-		}
-		select {
-		case r := <-w.q:
-			head = r
-		default:
-			head = nil
-			goto drained
-		}
+	w.syncSeq = 0
+	for r := head; r != nil; {
+		r = w.execSlice(r, now)
 	}
-drained:
+	seq := w.syncSeq
+	w.mu.Unlock()
+	if seq != 0 {
+		w.awaitDurable(head, seq)
+	}
+	return true
+}
+
+// closeChain answers every request of the chain at head with ErrClosed.
+func closeChain(head *request) {
+	for r := head; r != nil; r = r.next {
+		r.err = ErrClosed
+	}
+}
+
+// awaitDurable waits, with the worker released, until the redo log is
+// durable through seq — the frontier of the chain's last durable batch —
+// then settles the requests waiting on it (their errors and latency) under a
+// short relock. Waiting outside the lock lets the chains that commit on this
+// worker meanwhile ride the same group-fsync pass instead of queueing behind
+// this one's.
+func (w *worker) awaitDurable(head *request, seq uint64) {
+	testDurableWait()
+	err := w.s.log.WaitDurable(seq)
+	done := obs.Now()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for r := head; r != nil; r = r.next {
+		if !r.awaitSync {
+			continue
+		}
+		r.awaitSync = false
+		if err != nil {
+			w.eps[r.ep].errors++
+			r.err = err
+		}
+		w.lat.Record(int(r.ep), uint64(done-r.enq))
+	}
+}
+
+// execSlice runs the next BatchMax admitted requests of the chain at head
+// and returns the rest of the chain.
+func (w *worker) execSlice(head *request, now int64) *request {
+	batch := w.batch[:0]
+	for ; head != nil && len(batch) < w.s.cfg.BatchMax; head = head.next {
+		batch = w.admit(batch, head, now)
+	}
 	batch = w.snapScans(batch)
 	if len(batch) > 0 {
 		w.batch = batch
@@ -230,7 +239,8 @@ drained:
 }
 
 // execBatch runs one non-empty batch as a single transaction and answers
-// every request in it.
+// every request in it, except that a durable ack still waiting for its
+// fsync is marked awaitSync and left to awaitDurable.
 func (w *worker) execBatch(batch []*request) {
 	readOnly := true
 	for _, r := range batch {
@@ -244,12 +254,17 @@ func (w *worker) execBatch(batch []*request) {
 		run = w.runRO
 	}
 	err := run(w.body)
+	wait := false
 	if err == nil && !readOnly && w.s.log != nil && w.wantDurable(batch) {
 		// Durable ack: hold the replies until the batch's redo records are
 		// fsynced. Appended() is read after the commit returned, so it covers
-		// this batch's sequence; concurrent workers waiting here ride one
-		// group-fsync pass together.
-		err = w.s.log.WaitDurable(w.s.log.Appended())
+		// this batch's sequence. Unless the commit already synced it
+		// (persist.ModeSync), exec waits after releasing the worker.
+		if seq := w.s.log.Appended(); w.s.log.Durable() < seq {
+			w.syncSeq, wait = seq, true
+		} else {
+			err = w.s.log.Err()
+		}
 	}
 	fused := len(batch) > 1
 	if fused {
@@ -263,12 +278,15 @@ func (w *worker) execBatch(batch []*request) {
 		if fused {
 			w.eps[r.ep].fused++
 		}
+		if wait {
+			r.awaitSync = true // errors and latency settle after the fsync
+			continue
+		}
 		if err != nil {
 			w.eps[r.ep].errors++
 			r.err = err
 		}
 		w.lat.Record(int(r.ep), uint64(done-r.enq))
-		r.finish()
 	}
 }
 
@@ -288,48 +306,59 @@ func (w *worker) wantDurable(batch []*request) bool {
 }
 
 // snapScans peels snapshot-eligible requests — read-only, exactly one scan
-// op — off the batch and answers them from a bounded seqlock snapshot
-// (mem.SnapshotStrideTry): O(touched stripes) validation instead of
+// op — off the front of the batch and answers them from a bounded seqlock
+// snapshot (mem.SnapshotStrideTry): O(touched stripes) validation instead of
 // O(words) instrumented TxnLoads, and no read-set bookkeeping at all. A
 // clean pass certifies the copied values coexisted in memory (DESIGN.md
 // §14); a request whose passes were all dirtied falls back into the
 // transactional batch. Requests with more than one op stay transactional
 // even when read-only: their ops must observe ONE consistent cut, which is
 // the transaction's job.
+//
+// The snapshot is taken before the batch's transaction commits, so only a
+// leading scan may use it: one that every earlier request of the batch
+// also answered from a snapshot. A scan after anything else — a write, or a
+// read that commits later — would take effect before a request its
+// connection sent first. Such a scan stays in the transaction and counts as
+// an attempt and a fallback.
 func (w *worker) snapScans(batch []*request) []*request {
 	if w.s.cfg.SnapScanAttempts < 0 {
 		return batch
 	}
 	kept := batch[:0]
+	leading := true
 	for _, r := range batch {
 		if !r.readOnly || len(r.ops) != 1 || r.ops[0].Kind != OpScan {
+			leading = false
 			kept = append(kept, r)
 			continue
 		}
-		op := &r.ops[0]
 		w.snap.attempts++
-		vals := r.res[0].Vals
-		if cap(vals) < int(op.Count) {
-			vals = make([]uint64, op.Count)
-		}
-		vals = vals[:op.Count]
-		if !w.s.m.SnapshotStrideTry(w.s.addrOf(op.Key), mem.LineWords, vals, w.s.cfg.SnapScanAttempts) {
-			w.snap.fallbacks++
+		if leading {
+			op := &r.ops[0]
+			vals := r.res[0].Vals
+			if cap(vals) < int(op.Count) {
+				vals = make([]uint64, op.Count)
+			}
+			vals = vals[:op.Count]
+			if w.s.m.SnapshotStrideTry(w.s.addrOf(op.Key), mem.LineWords, vals, w.s.cfg.SnapScanAttempts) {
+				w.snap.hits++
+				r.res[0] = OpResult{Vals: vals}
+				w.eps[EpScan].requests++
+				w.lat.Record(int(EpScan), uint64(obs.Now()-r.enq))
+				continue
+			}
 			r.res[0].Vals = vals // keep the grown buffer for the txn path
-			kept = append(kept, r)
-			continue
+			leading = false
 		}
-		w.snap.hits++
-		r.res[0] = OpResult{Vals: vals}
-		w.eps[EpScan].requests++
-		w.lat.Record(int(EpScan), uint64(obs.Now()-r.enq))
-		r.finish()
+		w.snap.fallbacks++
+		kept = append(kept, r)
 	}
 	return kept
 }
 
-// admit appends r to the batch, or sheds it if its deadline expired while
-// queued.
+// admit appends r to the batch, or sheds it if its deadline expired before
+// the worker was taken.
 func (w *worker) admit(batch []*request, r *request, now int64) []*request {
 	if now > r.deadline {
 		w.s.admission.deadlineShed.Add(1)
@@ -339,7 +368,6 @@ func (w *worker) admit(batch []*request, r *request, now int64) []*request {
 		if ring := w.rec.Ring(); ring != nil {
 			ring.Record(obs.Event{T: w.s.m.Clock(), Kind: obs.EventShed})
 		}
-		r.finish()
 		return batch
 	}
 	return append(batch, r)
@@ -355,7 +383,12 @@ func endpointLabels() []string {
 	return labels
 }
 
-// testBatchDelay is a test seam: the shed tests stall the worker between
-// dequeue and batching so queued requests verifiably expire. No-op in
-// production.
+// testBatchDelay is a test seam: the shed and shutdown tests stall a chain
+// after it has taken the worker and before it batches, so other chains
+// verifiably block behind it. No-op in production.
 var testBatchDelay = func() {}
+
+// testDurableWait is a test seam run by a chain after it released its worker
+// and before its durable wait, so the group-fsync test can hold every chain
+// there until all have committed. No-op in production.
+var testDurableWait = func() {}
