@@ -46,8 +46,10 @@ type ServeDump struct {
 	// bucket (power-of-two depths, ascending). Optional and additive: dumps
 	// from servers that saw no binary traffic omit it.
 	Pipeline []ServePipelineBucket `json:"pipeline,omitempty"`
-	// SnapScan is the snapshot-scan fast-path ledger. Optional and
-	// additive: omitted when no scan was eligible.
+	// SnapScan is the ledger of a snapshot-scan fast path that rhserve no
+	// longer has: every scan now runs in its batch's transaction, so rhserve
+	// reports each SCAN request as a fallback and none as a hit. Optional
+	// and additive: omitted when the server saw no SCAN request.
 	SnapScan *ServeSnapScan `json:"snapscan,omitempty"`
 	// Persist is the durable persistence plane's ledger (redo log + boot
 	// recovery). Optional and additive: omitted when the server runs without
@@ -68,9 +70,11 @@ type ServePipelineBucket struct {
 	Drains uint64 `json:"drains"`
 }
 
-// ServeSnapScan ledgers the snapshot-scan fast path: single-scan read-only
-// requests answered from a seqlock-validated memory snapshot instead of an
-// instrumented transaction. Hits + Fallbacks == Attempts.
+// ServeSnapScan ledgers the snapshot-scan fast path older rhserve builds
+// had: single-scan read-only requests answered from a seqlock-validated
+// memory snapshot instead of an instrumented transaction. Current rhserve
+// has no such path and reports Hits 0, Fallbacks == Attempts == its SCAN
+// requests. Hits + Fallbacks == Attempts.
 type ServeSnapScan struct {
 	// Attempts counts eligible requests (read-only, exactly one scan op).
 	Attempts uint64 `json:"attempts"`

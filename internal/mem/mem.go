@@ -560,28 +560,17 @@ func (m *Memory) Snapshot(a Addr, dst []uint64) {
 	m.snapshot(a, 1, dst, 0)
 }
 
-// SnapshotTry is Snapshot with a bounded retry budget: it attempts at most
-// attempts seqlock-validated copy passes and reports whether one of them was
-// clean (every touched stripe clock unchanged across the copy — the same
-// per-stripe read protocol ValidateLockFree uses, so a true return certifies
-// dst is a consistent cut of memory). A false return means a concurrent
-// writer dirtied every pass and dst must be discarded; callers with
-// progress obligations (the service snapshot-scan fast path) fall back to an
-// instrumented transactional read instead of spinning. Validation is
-// O(touched stripes) per pass, not O(words). attempts < 1 is treated as 1.
-func (m *Memory) SnapshotTry(a Addr, dst []uint64, attempts int) bool {
-	if attempts < 1 {
-		attempts = 1
-	}
-	return m.snapshot(a, 1, dst, attempts)
-}
-
-// SnapshotStrideTry is SnapshotTry over a strided footprint: dst[i] is
-// filled from address a + i*stride under the same per-stripe seqlock
-// validation. Callers that map records onto cache lines (the service layer
-// puts key k's word at line k, so a key-range scan reads one word every
-// LineWords) snapshot exactly the words they need instead of copying the
-// whole line range. stride < 1 is treated as 1.
+// SnapshotStrideTry is Snapshot over a strided footprint with a bounded
+// retry budget: dst[i] is filled from address a + i*stride, and at most
+// attempts seqlock-validated copy passes are made. It reports whether one of
+// them was clean (every touched stripe clock unchanged across the copy — the
+// same per-stripe read protocol ValidateLockFree uses, so a true return
+// certifies dst is a consistent cut of memory). A false return means a
+// concurrent writer dirtied every pass and dst must be discarded. Validation
+// is O(touched stripes) per pass, not O(words). attempts and stride below 1
+// are treated as 1. The benchmark's mem.snapshot_stride_16_ns probe prices
+// it; it reads one word per cache line, as a key-range scan over a
+// line-per-key layout would.
 func (m *Memory) SnapshotStrideTry(a Addr, stride int, dst []uint64, attempts int) bool {
 	if attempts < 1 {
 		attempts = 1
@@ -600,9 +589,8 @@ var snapshotTestHook func()
 
 // snapshot is the shared bounded/unbounded copy loop; attempts == 0 retries
 // forever (the Snapshot contract) and always returns true. The loop is
-// deliberately closure-free: the service snapshot-scan fast path runs it on
-// every eligible request and must not heap-allocate (marks escaping into a
-// closure would drag an 8KiB array onto the heap per call).
+// deliberately closure-free so that a call does not heap-allocate (marks
+// escaping into a closure would drag an 8KiB array onto the heap per call).
 func (m *Memory) snapshot(a Addr, stride int, dst []uint64, attempts int) bool {
 	if len(dst) == 0 {
 		return true

@@ -6,7 +6,7 @@ import (
 )
 
 // TestSnapshotStrideTryValues: a strided snapshot must fill dst[i] from
-// a + i*stride — the service layer's one-word-per-line scan footprint.
+// a + i*stride — here one word per cache line.
 func TestSnapshotStrideTryValues(t *testing.T) {
 	m := New(1 << 12)
 	c := m.NewThreadCache()
@@ -50,7 +50,7 @@ func TestSnapshotStrideTryClampsArgs(t *testing.T) {
 
 // TestSnapshotStrideTryConsistent: the strided snapshot must never observe
 // a cross-stripe commit half-applied — same invariant as the contiguous
-// form, over the service layer's scan footprint.
+// form, over a one-word-per-line footprint.
 func TestSnapshotStrideTryConsistent(t *testing.T) {
 	const total = 1000
 	m := NewStriped(1<<14, 64)
@@ -94,10 +94,9 @@ func TestSnapshotStrideTryConsistent(t *testing.T) {
 
 // TestSnapshotTryBoundedFailure: when a writer dirties a touched stripe on
 // every pass, a bounded budget must give up (return false) instead of
-// spinning — the contract the service fast path relies on for its
-// transactional fallback. The per-pass hook plays the writer at exactly
-// the point a concurrent commit would land, so the test is deterministic
-// even on one CPU.
+// spinning. The per-pass hook plays the writer at exactly the point a
+// concurrent commit would land, so the test is deterministic even on one
+// CPU.
 func TestSnapshotTryBoundedFailure(t *testing.T) {
 	m := New(1 << 12)
 	c := m.NewThreadCache()
@@ -112,29 +111,28 @@ func TestSnapshotTryBoundedFailure(t *testing.T) {
 		m.stripes[s].clock.Add(2)
 	}
 	defer func() { snapshotTestHook = nil }()
-	if m.SnapshotTry(a, dst, 2) {
-		t.Fatal("SnapshotTry reported a clean pass while every pass was dirtied")
+	if m.SnapshotStrideTry(a, 1, dst, 2) {
+		t.Fatal("SnapshotStrideTry reported a clean pass while every pass was dirtied")
 	}
 	if passes != 2 {
-		t.Fatalf("bounded SnapshotTry ran %d passes, want exactly 2", passes)
+		t.Fatalf("bounded SnapshotStrideTry ran %d passes, want exactly 2", passes)
 	}
 	// The budget is per-call, not sticky: with the writer gone the next
 	// call succeeds on its first pass.
 	snapshotTestHook = nil
-	if !m.SnapshotTry(a, dst, 2) {
-		t.Fatal("SnapshotTry failed with the writer stopped")
+	if !m.SnapshotStrideTry(a, 1, dst, 2) {
+		t.Fatal("SnapshotStrideTry failed with the writer stopped")
 	}
-	// The strided form shares the loop and the same give-up contract.
+	// A stride across lines has the same give-up contract.
 	snapshotTestHook = func() { m.stripes[s].clock.Add(2) }
 	if m.SnapshotStrideTry(a, LineWords, dst, 3) {
 		t.Fatal("SnapshotStrideTry reported a clean pass while every pass was dirtied")
 	}
 }
 
-// TestSnapshotZeroAllocs: the snapshot loop is on the service's per-request
-// fast path and must not heap-allocate (the stripe-mark array has to stay
-// on the stack; a closure capturing it would drag 8KiB onto the heap per
-// scan).
+// TestSnapshotZeroAllocs: the snapshot loop must not heap-allocate (the
+// stripe-mark array has to stay on the stack; a closure capturing it would
+// drag 8KiB onto the heap per call).
 func TestSnapshotZeroAllocs(t *testing.T) {
 	m := New(1 << 12)
 	c := m.NewThreadCache()

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"syscall"
 	"testing"
+	"time"
 
 	"rhnorec/internal/mem"
 )
@@ -335,6 +336,149 @@ func TestStickyError(t *testing.T) {
 						}
 					}
 				})
+			}
+		})
+	}
+}
+
+// slowBackend is a MemBackend whose files' next Sync, once armed is set,
+// parks until release is closed: a disk whose fsync takes as long as the
+// test likes. parked receives once when that Sync starts.
+type slowBackend struct {
+	*MemBackend
+	armed   atomic.Bool
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func (b *slowBackend) OpenAppend(name string) (File, error) {
+	f, err := b.MemBackend.OpenAppend(name)
+	if err != nil {
+		return nil, err
+	}
+	return slowFile{File: f, b: b}, nil
+}
+
+type slowFile struct {
+	File
+	b *slowBackend
+}
+
+func (f slowFile) Sync() error {
+	if f.b.armed.CompareAndSwap(true, false) {
+		f.b.parked <- struct{}{}
+		<-f.b.release
+	}
+	return f.File.Sync()
+}
+
+// TestSlowFsync: a slow fsync stalls only what must wait for it. While one
+// group pass is parked in Sync, Appended, Durable and Err answer, and Durable
+// holds at the frontier before the pass. In group mode an append from another
+// goroutine returns, a second WaitDurable on the newest sequence returns only
+// after the release, and two fsync groups cover both waiters. With
+// SyncEveryAppend, the second append itself waits out the in-flight fsync.
+func TestSlowFsync(t *testing.T) {
+	const timeout = 10 * time.Second
+	for _, every := range []bool{false, true} {
+		t.Run(fmt.Sprintf("SyncEveryAppend=%v", every), func(t *testing.T) {
+			b := &slowBackend{MemBackend: NewMemBackend(), parked: make(chan struct{}), release: make(chan struct{})}
+			l, _ := openStore(t, Options{Backend: b, Lo: 8, Hi: 1024, SyncEveryAppend: every}, wordStore{})
+			defer l.Close()
+			var (
+				released atomic.Bool
+				once     sync.Once
+			)
+			release := func() {
+				once.Do(func() {
+					released.Store(true)
+					close(b.release)
+				})
+			}
+			defer release() // before Close, which waits out a parked pass
+			put := func(v uint64) {
+				l.Append(v, []mem.WriteEntry{{Addr: mem.Addr(8 + v*mem.LineWords), Value: v}})
+			}
+			// run starts f on its own goroutine. Its result reports f's error
+			// and whether the release had happened by the time f returned.
+			type result struct {
+				err          error
+				afterRelease bool
+			}
+			run := func(f func() error) <-chan result {
+				ch := make(chan result, 1)
+				go func() {
+					err := f()
+					ch <- result{err, released.Load()}
+				}()
+				return ch
+			}
+			await := func(what string, ch <-chan result) result {
+				t.Helper()
+				select {
+				case r := <-ch:
+					return r
+				case <-time.After(timeout):
+					t.Fatalf("%s did not return within %v", what, timeout)
+					return result{}
+				}
+			}
+			// answers runs f on another goroutine and fails unless it returns
+			// while the fsync is parked.
+			answers := func(what string, f func()) {
+				t.Helper()
+				await(what, run(func() error { f(); return nil }))
+			}
+
+			b.armed.Store(true)
+			first := run(func() error {
+				put(1) // parks here with SyncEveryAppend
+				return l.WaitDurable(1)
+			})
+			select {
+			case <-b.parked:
+			case <-time.After(timeout):
+				t.Fatal("the first fsync never started")
+			}
+			answers("Appended, Durable and Err", func() {
+				if a, d, err := l.Appended(), l.Durable(), l.Err(); a != 1 || d != 0 || err != nil {
+					t.Errorf("during the parked fsync: Appended %d, Durable %d, Err %v; want 1, 0, nil", a, d, err)
+				}
+			})
+
+			var second <-chan result
+			if every {
+				second = run(func() error { put(2); return nil })
+			} else {
+				answers("an append during the parked fsync", func() { put(2) })
+				if a := l.Appended(); a != 2 {
+					t.Fatalf("Appended %d after the second append, want 2", a)
+				}
+				second = run(func() error { return l.WaitDurable(2) })
+			}
+			time.Sleep(20 * time.Millisecond) // let the second caller block
+			select {
+			case <-second:
+				t.Fatal("the second caller returned while the fsync was parked")
+			default:
+			}
+			if d := l.Durable(); d != 0 {
+				t.Fatalf("Durable %d while the first fsync is parked, want 0", d)
+			}
+
+			release()
+			for i, ch := range []<-chan result{first, second} {
+				r := await(fmt.Sprintf("caller %d", i+1), ch)
+				if r.err != nil {
+					t.Errorf("caller %d: %v", i+1, r.err)
+				}
+				if !r.afterRelease {
+					t.Errorf("caller %d returned before the release", i+1)
+				}
+			}
+			c := l.CountersSnapshot()
+			if c.Durable != 2 || c.FsyncGroups != 2 || c.Fsyncs != 2 {
+				t.Fatalf("counters %+v, want Durable 2 and 2 fsync groups", c)
 			}
 		})
 	}

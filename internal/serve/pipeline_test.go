@@ -199,8 +199,8 @@ func TestBinaryPipelinedMixedBatch(t *testing.T) {
 // must still carry exactly its own request's data. Scans are the sharpest
 // probe — their result buffers are the largest recycled object. Each scan
 // follows its round's puts on the same connection, so it must read them:
-// the 2×2 round fits one BatchMax batch, where a scan answered from a
-// snapshot taken before the batch commits would read the previous round.
+// the 2×2 round fits one BatchMax batch, so its scans read the puts from
+// inside the same fused transaction.
 func TestBinaryRecycledBuffersNoAliasing(t *testing.T) {
 	for _, shape := range []struct{ ranges, span uint64 }{{4, 4}, {2, 2}} {
 		t.Run(fmt.Sprintf("%dx%d", shape.ranges, shape.span), func(t *testing.T) {

@@ -19,11 +19,12 @@
 // Config.BatchMax requests, each ONE transaction. A fused batch is
 // trivially atomic (it is one transaction), and a session runs its chains
 // one after another, so a connection's requests take effect in the order
-// it sent them. Read-only batches run via RunReadOnly, keeping the fast
-// paths' clock-free commit. Separate Do callers do not fuse with each
-// other. A chain that owes durable acks waits for the fsync after it has
-// released the worker, so chains committing meanwhile share the group
-// fsync.
+// it sent them. Every op, a SCAN included, reads through its batch's
+// transaction (applyOps), so the service has one way to read a key.
+// Read-only batches run via RunReadOnly, keeping the fast paths' clock-free
+// commit. Separate Do callers do not fuse with each other. A chain that
+// owes durable acks waits for the fsync after it has released the worker,
+// so chains committing meanwhile share the group fsync.
 //
 // Admission control (paper-level motivation: Brown & Ravi's
 // cost-of-concurrency analysis says the fast/slow path mix, not raw
@@ -151,10 +152,6 @@ type Config struct {
 	// Pprof mounts the net/http/pprof handlers under /debug/pprof/ on the
 	// service mux (off by default: profiling endpoints are opt-in).
 	Pprof bool
-	// SnapScanAttempts bounds the seqlock copy passes the snapshot-scan fast
-	// path tries before falling back to the transactional read (default 3;
-	// negative disables the fast path).
-	SnapScanAttempts int
 	// DataDir, when non-empty, arms the durable persistence plane
 	// (internal/persist): boot-time crash recovery replays the directory's
 	// redo logs into the key arena, and every committing write transaction
@@ -196,9 +193,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
-	}
-	if c.SnapScanAttempts == 0 {
-		c.SnapScanAttempts = 3
 	}
 	return c
 }

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"rhnorec/internal/mem"
 	"rhnorec/internal/obs"
 	"rhnorec/internal/tm"
 )
@@ -25,16 +24,6 @@ type endpointCounters struct {
 	fused    uint64 // requests that shared a fused transaction with others
 }
 
-// snapScanCounters ledgers the snapshot-scan fast path (rhserve.v1
-// "snapscan"): attempts = eligible requests, hits = answered by a clean
-// seqlock snapshot, fallbacks = ran transactionally instead (every pass
-// dirtied, or not leading its batch). hits + fallbacks == attempts always.
-type snapScanCounters struct {
-	attempts  uint64
-	hits      uint64
-	fallbacks uint64
-}
-
 // workerSnap is one worker's state copied out under its mutex (or stored by
 // Close): a value copy of the tm counters, clones of the observability
 // state, and the endpoint ledger. Everything in it is owned by the receiver.
@@ -43,7 +32,6 @@ type workerSnap struct {
 	rec   *obs.Recorder
 	lat   *obs.LabeledHist
 	eps   [numEndpoints]endpointCounters
-	snap  snapScanCounters
 	ring  []obs.Event // drained only in the final (Close-time) snapshot
 }
 
@@ -70,7 +58,6 @@ type worker struct {
 	rec   *obs.Recorder
 	lat   *obs.LabeledHist
 	eps   [numEndpoints]endpointCounters
-	snap  snapScanCounters
 	batch []*request
 	// syncSeq is the redo frontier the running chain's durable acks wait on
 	// (0: none); exec waits for it after releasing the worker.
@@ -117,7 +104,6 @@ func (w *worker) makeSnap(final bool) *workerSnap {
 		rec:   w.rec.Clone(),
 		lat:   w.lat.Clone(),
 		eps:   w.eps,
-		snap:  w.snap,
 	}
 	snap.stats.Obs = nil // cloned above; the live pointer stays worker-owned
 	if final {
@@ -229,7 +215,6 @@ func (w *worker) execSlice(head *request, now int64) *request {
 	for ; head != nil && len(batch) < w.s.cfg.BatchMax; head = head.next {
 		batch = w.admit(batch, head, now)
 	}
-	batch = w.snapScans(batch)
 	if len(batch) > 0 {
 		w.batch = batch
 		w.execBatch(batch)
@@ -303,58 +288,6 @@ func (w *worker) wantDurable(batch []*request) bool {
 		}
 	}
 	return false
-}
-
-// snapScans peels snapshot-eligible requests — read-only, exactly one scan
-// op — off the front of the batch and answers them from a bounded seqlock
-// snapshot (mem.SnapshotStrideTry): O(touched stripes) validation instead of
-// O(words) instrumented TxnLoads, and no read-set bookkeeping at all. A
-// clean pass certifies the copied values coexisted in memory (DESIGN.md
-// §14); a request whose passes were all dirtied falls back into the
-// transactional batch. Requests with more than one op stay transactional
-// even when read-only: their ops must observe ONE consistent cut, which is
-// the transaction's job.
-//
-// The snapshot is taken before the batch's transaction commits, so only a
-// leading scan may use it: one that every earlier request of the batch
-// also answered from a snapshot. A scan after anything else — a write, or a
-// read that commits later — would take effect before a request its
-// connection sent first. Such a scan stays in the transaction and counts as
-// an attempt and a fallback.
-func (w *worker) snapScans(batch []*request) []*request {
-	if w.s.cfg.SnapScanAttempts < 0 {
-		return batch
-	}
-	kept := batch[:0]
-	leading := true
-	for _, r := range batch {
-		if !r.readOnly || len(r.ops) != 1 || r.ops[0].Kind != OpScan {
-			leading = false
-			kept = append(kept, r)
-			continue
-		}
-		w.snap.attempts++
-		if leading {
-			op := &r.ops[0]
-			vals := r.res[0].Vals
-			if cap(vals) < int(op.Count) {
-				vals = make([]uint64, op.Count)
-			}
-			vals = vals[:op.Count]
-			if w.s.m.SnapshotStrideTry(w.s.addrOf(op.Key), mem.LineWords, vals, w.s.cfg.SnapScanAttempts) {
-				w.snap.hits++
-				r.res[0] = OpResult{Vals: vals}
-				w.eps[EpScan].requests++
-				w.lat.Record(int(EpScan), uint64(obs.Now()-r.enq))
-				continue
-			}
-			r.res[0].Vals = vals // keep the grown buffer for the txn path
-			leading = false
-		}
-		w.snap.fallbacks++
-		kept = append(kept, r)
-	}
-	return kept
 }
 
 // admit appends r to the batch, or sheds it if its deadline expired before
