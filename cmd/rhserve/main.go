@@ -101,8 +101,8 @@ func main() {
 		os.Exit(1)
 	}
 	if stats, on := s.Recovery(); on {
-		fmt.Printf("rhserve: recovered %s: replayed %d commits (%d records) to seq %d, dropped %d, torn tails %d\n",
-			*dataDir, stats.Commits, stats.Records, stats.Seq, stats.Dropped, stats.TornTails)
+		fmt.Printf("rhserve: recovered %s: replayed %d commits to seq %d, torn tails %d\n",
+			*dataDir, stats.Commits, stats.Seq, stats.TornTails)
 	}
 	bound, err := s.Start(*addr)
 	if err != nil {

@@ -87,7 +87,8 @@ type ServeSnapScan struct {
 
 // ServePersist ledgers the durable persistence plane: the redo log's append
 // and group-fsync counters plus what boot-time crash recovery replayed. The
-// counter names mirror obs.PersistKind's schema strings (docs/METRICS.md).
+// /metrics text page prints each field under the name in parentheses
+// (docs/METRICS.md).
 type ServePersist struct {
 	// LogAppends counts logged commits ("log-append").
 	LogAppends uint64 `json:"log_appends"`
@@ -107,11 +108,8 @@ type ServePersist struct {
 	// RecoveryReplayed counts commits boot recovery replayed
 	// ("recovery-replayed").
 	RecoveryReplayed uint64 `json:"recovery_replayed"`
-	// RecoveryDropped counts parsed records discarded beyond the consistent
-	// cut ("recovery-dropped").
-	RecoveryDropped uint64 `json:"recovery_dropped"`
-	// TornTails counts log files whose tail bytes were torn or corrupt
-	// ("torn-tail").
+	// TornTails is 1 when boot recovery discarded a torn, corrupt or
+	// out-of-sequence log tail, else 0 ("torn-tail").
 	TornTails uint64 `json:"torn_tails"`
 }
 

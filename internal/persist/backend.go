@@ -18,19 +18,20 @@ import (
 // file plus a deterministic torn portion of the unsynced tail).
 type Backend interface {
 	// ReadFile returns name's full contents, or an error wrapping
-	// fs.ErrNotExist when the file does not exist.
+	// fs.ErrNotExist when the file does not exist. The caller must not
+	// modify the returned bytes: an implementation may hand out the bytes
+	// it stores.
 	ReadFile(name string) ([]byte, error)
 	// WriteAtomic durably replaces name with data: after it returns, a crash
-	// observes either the old contents or the new, never a mix.
+	// observes either the old contents or the new, never a mix. The caller
+	// must not modify data afterwards: an implementation may keep it as the
+	// file's bytes.
 	WriteAtomic(name string, data []byte) error
 	// OpenAppend opens name for appending, creating it empty if absent.
 	OpenAppend(name string) (File, error)
-	// List returns the names (not paths) of existing files whose name starts
-	// with prefix, sorted.
-	List(prefix string) ([]string, error)
 }
 
-// File is one append-only log segment handle. A File is used by one
+// File is one append-only file handle. A File is used by one
 // goroutine at a time: its caller orders every Append, Sync and Close (a Log
 // issues them under its sync lock), and an implementation may rely on that.
 type File interface {
@@ -105,21 +106,6 @@ func (b *FileBackend) OpenAppend(name string) (File, error) {
 	return osFile{f}, nil
 }
 
-func (b *FileBackend) List(prefix string) ([]string, error) {
-	entries, err := os.ReadDir(b.dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && len(e.Name()) >= len(prefix) && e.Name()[:len(prefix)] == prefix {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	return names, nil
-}
-
 type osFile struct{ f *os.File }
 
 func (o osFile) Append(p []byte) error {
@@ -141,7 +127,7 @@ type MemBackend struct {
 
 // A memFile's bytes live in chunks that are never regrown: an append fills
 // the last chunk and opens new ones, each as large as the file so far
-// (memChunkMin to memChunkMax), so a multi-MB segment is never copied to
+// (memChunkMin to memChunkMax), so a multi-MB log is never copied to
 // grow and a tiny explore-plane file stays small.
 const (
 	memChunkMin = 1 << 10
@@ -210,13 +196,20 @@ func (b *MemBackend) ReadFile(name string) ([]byte, error) {
 	if !ok {
 		return nil, fs.ErrNotExist
 	}
+	if len(f.chunks) == 1 {
+		// Capped, so nothing appended to the chunk later shows through.
+		return f.chunks[0][:f.size:f.size], nil
+	}
 	return f.prefix(f.size), nil
 }
 
+// WriteAtomic keeps data itself as the file's bytes, capped so that an
+// append to the file opens a new chunk instead of writing into the caller's
+// spare capacity.
 func (b *MemBackend) WriteAtomic(name string, data []byte) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.files[name] = frozenFile(append([]byte(nil), data...))
+	b.files[name] = frozenFile(data[:len(data):len(data)])
 	return nil
 }
 
@@ -231,6 +224,8 @@ func (b *MemBackend) OpenAppend(name string) (File, error) {
 	return &memHandle{b: b, f: f}, nil
 }
 
+// List returns the names of existing files whose name starts with prefix,
+// sorted.
 func (b *MemBackend) List(prefix string) ([]string, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -246,9 +241,9 @@ func (b *MemBackend) List(prefix string) ([]string, error) {
 
 // CrashSnapshot returns a new backend holding what a crash at this instant
 // would leave on disk: for every file, the synced prefix plus half of the
-// unsynced tail (rounded down) — enough tearing to cut records mid-byte and
-// strand multi-segment commits, while staying a pure function of the
-// append/sync history so explored crashes replay deterministically.
+// unsynced tail (rounded down) — enough tearing to cut records mid-byte,
+// while staying a pure function of the append/sync history so explored
+// crashes replay deterministically.
 func (b *MemBackend) CrashSnapshot() *MemBackend {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -11,11 +11,12 @@
 // log through the same software CommitWrites funnel as everyone else, which
 // is the paper's fast-path/slow-path split carried into the durability plane.
 //
-// Recovery (Open) merges the log files by sequence, drops torn or corrupt
-// tails via per-record checksums, requires every record of a commit that a
-// multi-file log split across files to be present, and replays the longest
-// consistent sequence prefix — so a crash can lose only un-acked suffix
-// commits, never resurrect an aborted transaction, and never tear one in half.
+// Recovery (Open) reads the log as one stream of records, replays them in
+// sequence on top of the checkpoint, and stops at the first record that is
+// torn, checksum-corrupt or out of sequence — so a crash can lose only
+// un-acked suffix commits, never resurrect an aborted transaction, and never
+// tear one in half. A directory whose checkpoint an older format wrote
+// (RHCKPT01) is refused at boot, untouched.
 package persist
 
 import (
@@ -98,28 +99,22 @@ type Options struct {
 
 // Record layout (little-endian), one record per commit:
 //
-//	u32 size      — byte length of everything after this field
-//	u64 seq       — dense per-log commit sequence number
-//	u64 ticket    — the memory's global commit ticket at append (diagnostic)
-//	u32 segment   — index of the file holding the record (0)
-//	u32 nsegments — how many records this commit wrote in total (1)
-//	u32 npairs    — word pairs in this record
+//	u32 size     — byte length of everything after this field
+//	u64 seq      — dense per-log commit sequence number
+//	u32 npairs   — word pairs in this record
 //	npairs × (u64 addr, u64 val)
-//	u64 checksum  — FNV-64a over the payload (seq through the last pair)
+//	u64 checksum — FNV-64a over the payload (seq through the last pair)
 //
-// Logs written before the one-file layout split a commit touching k of their
-// files into k records sharing one seq and carrying nsegments = k; recovery
-// still reads them, accepting a seq only when all nsegments records parse
-// clean, so a crash that synced some files but not others replays nothing of
-// that commit.
+// A record of n pairs is 24 + 16n bytes.
 const (
-	recHeadBytes = 8 + 8 + 4 + 4 + 4 // payload header: seq..npairs
+	recHeadBytes = 8 + 4 // payload header: seq, npairs
 	recPairBytes = 16
 	recSumBytes  = 8
 )
 
 // Counters is a point-in-time copy of the log's ledger, surfaced in the
-// rhserve.v1 dump (obs.PersistKind names the fields' metric vocabulary).
+// rhserve.v1 dump's persist block (log_appends, log_records, fsync_groups,
+// fsyncs, appended, durable; docs/METRICS.md).
 type Counters struct {
 	// Appends counts logged commits (sequence numbers assigned).
 	Appends uint64
@@ -181,8 +176,9 @@ type Log struct {
 // Append implements mem.Persister: it buffers one redo record for the
 // in-range entries of writes, under a dense sequence number. Commits with no
 // in-range entries produce no record and no sequence. Append never blocks on
-// I/O unless SyncEveryAppend is set.
-func (l *Log) Append(ticket uint64, writes []mem.WriteEntry) {
+// I/O unless SyncEveryAppend is set. The memory's commit ticket is not
+// logged.
+func (l *Log) Append(_ uint64, writes []mem.WriteEntry) {
 	npairs := 0
 	for i := range writes {
 		if writes[i].Addr >= l.lo && writes[i].Addr < l.hi {
@@ -197,9 +193,6 @@ func (l *Log) Append(ticket uint64, writes []mem.WriteEntry) {
 	b := binary.LittleEndian.AppendUint32(l.buf, uint32(recHeadBytes+npairs*recPairBytes+recSumBytes))
 	start := len(b)
 	b = binary.LittleEndian.AppendUint64(b, seq)
-	b = binary.LittleEndian.AppendUint64(b, ticket)
-	b = binary.LittleEndian.AppendUint32(b, 0) // segment
-	b = binary.LittleEndian.AppendUint32(b, 1) // nsegments
 	b = binary.LittleEndian.AppendUint32(b, uint32(npairs))
 	for i := range writes {
 		if a := writes[i].Addr; a >= l.lo && a < l.hi {

@@ -176,7 +176,7 @@ const (
 	faultENOSPC
 )
 
-// shortWriteBytes is less than the smallest record (56 bytes, one pair), so
+// shortWriteBytes is less than the smallest record (40 bytes, one pair), so
 // a short write always leaves a partial record at the file's end.
 const shortWriteBytes = 20
 
@@ -511,25 +511,17 @@ func TestGroupFsyncBatches(t *testing.T) {
 	if c.Appends != 11 || c.Records != c.Appends {
 		t.Fatalf("counters %+v, want 11 appends and one record each", c)
 	}
-	names, err := b.List(segPrefix)
+	names, err := b.List("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var written []string
-	for _, n := range names {
-		if data, err := b.ReadFile(n); err != nil {
-			t.Fatal(err)
-		} else if len(data) > 0 {
-			written = append(written, n)
-		}
-	}
-	if len(written) != 1 || written[0] != logName {
-		t.Fatalf("non-empty log files %v of %v, want only %s", written, names, logName)
+	if len(names) != 2 || names[0] != checkpointName || names[1] != logName {
+		t.Fatalf("files %v, want only %s and %s", names, checkpointName, logName)
 	}
 }
 
 // TestCheckpointCycle: recovery rewrites the checkpoint and truncates the
-// segments, so back-to-back restarts converge instead of re-replaying.
+// log, so back-to-back restarts converge instead of re-replaying.
 func TestCheckpointCycle(t *testing.T) {
 	b := NewMemBackend()
 	opts := Options{Backend: b, Lo: 8, Hi: 64}
@@ -545,8 +537,8 @@ func TestCheckpointCycle(t *testing.T) {
 		if stats.Seq != 1 {
 			t.Fatalf("cycle %d: Seq = %d, want 1", cycle, stats.Seq)
 		}
-		if cycle > 0 && stats.Records != 0 {
-			t.Fatalf("cycle %d replayed %d records; the checkpoint should have absorbed them", cycle, stats.Records)
+		if cycle > 0 && stats.Commits != 0 {
+			t.Fatalf("cycle %d replayed %d records; the checkpoint should have absorbed them", cycle, stats.Commits)
 		}
 		if w2[8] != 11 || w2[40] != 12 {
 			t.Fatalf("cycle %d state %v", cycle, w2)
@@ -572,8 +564,8 @@ func fileState(t *testing.T, dir string, lo, hi mem.Addr) (wordStore, RecoverySt
 	return w, stats
 }
 
-// TestTornTailEveryOffset truncates and bit-flips the last record of a
-// segment at every byte offset and asserts recovery stops at the previous
+// TestTornTailEveryOffset truncates and bit-flips the last record of the
+// log at every byte offset and asserts recovery stops at the previous
 // consistent commit instead of replaying garbage.
 func TestTornTailEveryOffset(t *testing.T) {
 	const (
@@ -612,7 +604,7 @@ func TestTornTailEveryOffset(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(data)%commits != 0 {
-		t.Fatalf("segment is %d bytes for %d equal records", len(data), commits)
+		t.Fatalf("log is %d bytes for %d equal records", len(data), commits)
 	}
 	recLen := len(data) / commits
 	lastStart := len(data) - recLen
@@ -660,44 +652,6 @@ func TestTornTailEveryOffset(t *testing.T) {
 	t.Run("intact", func(t *testing.T) {
 		check(t, data, commits, 0)
 	})
-}
-
-// TestIncompleteMultiSegmentCommit: in a directory a two-file log wrote, a
-// commit whose records reached only some of its files must not replay at
-// all, and everything after it is cut. The next boot appends to seg-000.log
-// only.
-func TestIncompleteMultiSegmentCommit(t *testing.T) {
-	const lo, hi = mem.Addr(8), mem.Addr(1024)
-	b := NewMemBackend()
-	p := newLegacyLog(t, b, 2)
-	// Addresses 8 and 8+LineWords land in different files.
-	a0, a1 := mem.Addr(8), mem.Addr(8+mem.LineWords)
-	p.append(1, []mem.WriteEntry{{Addr: a0, Value: 1}, {Addr: a1, Value: 2}})
-	p.append(2, []mem.WriteEntry{{Addr: a0, Value: 3}, {Addr: a1, Value: 4}})
-	p.append(3, []mem.WriteEntry{{Addr: a1, Value: 5}})
-	p.sync(t)
-	// Strand commit 2: a0's file holds exactly commit 1's and commit 2's
-	// records (equal-sized); truncating it in half removes commit 2's record
-	// on a clean boundary while its sibling record survives in the other.
-	name := segName(p.fileOf(a0))
-	data, err := b.ReadFile(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.WriteAtomic(name, data[:len(data)/2]); err != nil {
-		t.Fatal(err)
-	}
-	w, stats := bootAndAppend(t, b, lo, hi, mem.WriteEntry{Addr: a1, Value: 6})
-	if stats.Seq != 1 {
-		t.Fatalf("recovered to seq %d, want 1 (commit 2 incomplete)", stats.Seq)
-	}
-	if stats.Dropped != 2 {
-		// Commit 2's surviving record + commit 3's record lie beyond the cut.
-		t.Fatalf("Dropped = %d, want 2", stats.Dropped)
-	}
-	if w[a0] != 1 || w[a1] != 2 {
-		t.Fatalf("state %v, want commit 1 only", w)
-	}
 }
 
 // TestCrashSnapshotDeterministic: the mem backend's crash image is a pure

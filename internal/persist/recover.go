@@ -5,21 +5,23 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"slices"
 
 	"rhnorec/internal/mem"
 )
 
 const (
 	checkpointName = "checkpoint"
-	segPrefix      = "seg-"
-	// logName is the one file Log appends to. Recovery reads every file
-	// named with segPrefix, so a directory written by a multi-file log still
-	// recovers.
-	logName = segPrefix + "000.log"
+	// logName is the one file Log appends to. The name keeps the seg- prefix
+	// that tools counting log bytes match on.
+	logName = "seg-000.log"
 
-	// ckptMagic is "RHCKPT01" as a little-endian u64.
-	ckptMagic = uint64(0x313054504b434852)
+	// ckptMagic is "RHCKPT02" as a little-endian u64. The checkpoint's magic
+	// versions the whole directory: Open writes a checkpoint before the first
+	// append, so every log this build reads sits beside one.
+	ckptMagic = uint64(0x323054504b434852)
+	// ckptMagicV1 is "RHCKPT01", the checkpoint of builds whose log split
+	// commits over up to eight files. Open refuses such a directory.
+	ckptMagicV1 = uint64(0x313054504b434852)
 )
 
 // RecoveryStats reports what Open's boot-time recovery did.
@@ -27,19 +29,13 @@ type RecoveryStats struct {
 	// CheckpointSeq is the sequence the loaded checkpoint already covered
 	// (zero when no checkpoint existed).
 	CheckpointSeq uint64 `json:"checkpoint_seq"`
-	// Commits is the number of complete sequence numbers replayed from the
-	// log files on top of the checkpoint.
+	// Commits is the number of records replayed from the log on top of the
+	// checkpoint, one per commit.
 	Commits uint64 `json:"commits"`
-	// Records is the number of records those commits carried: one each,
-	// except where a multi-file log split a commit across its files.
-	Records uint64 `json:"records"`
-	// TornTails counts log files whose tail bytes failed to parse (short or
-	// checksum-corrupt) and were discarded.
+	// TornTails is 1 when the log ended in bytes that do not verify as its
+	// next record (short, checksum-corrupt, or out of sequence) and were
+	// discarded, else 0.
 	TornTails int `json:"torn_tails"`
-	// Dropped counts parsed records discarded because their sequence lies
-	// beyond the last consistent cut (a later commit outran a lost earlier
-	// one, or a commit split across files lost a sibling record).
-	Dropped uint64 `json:"dropped"`
 	// Seq is the recovered sequence frontier: the state equals executing
 	// commits 1..Seq, and new appends continue from Seq+1.
 	Seq uint64 `json:"seq"`
@@ -53,13 +49,14 @@ type RecoveryStats struct {
 // The boot protocol makes repeated crash-restart cycles idempotent:
 //
 //  1. load the checkpoint (atomic-replace file: whole or absent), apply its
-//     image, note its sequence base;
-//  2. merge the log files by sequence, stopping each at its torn/corrupt
-//     tail, and replay the longest consistent prefix above the base — a
-//     sequence replays only if all its records survived;
+//     image, note its sequence base; a directory an older format wrote is
+//     refused here, before anything is written;
+//  2. read the log as one stream, skip records at or below the base, and
+//     replay each record that carries the next sequence, up to the first
+//     record that is torn, corrupt or out of sequence;
 //  3. write a fresh checkpoint of the recovered image, then truncate the
-//     log files. Replay applies absolute values, so a crash between those
-//     two steps just replays the same records onto the same image next boot.
+//     log. Replay applies absolute values, so a crash between those two
+//     steps just replays the same records onto the same image next boot.
 func Open(opts Options, apply func(mem.Addr, uint64), read func(a mem.Addr) uint64) (*Log, RecoveryStats, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
@@ -73,19 +70,8 @@ func Open(opts Options, apply func(mem.Addr, uint64), read func(a mem.Addr) uint
 	if err := writeCheckpoint(b, opts.Lo, opts.Hi, stats.Seq, read); err != nil {
 		return nil, stats, fmt.Errorf("persist: checkpoint: %w", err)
 	}
-	// Empty every log file that exists (a log written before the one-file
-	// layout leaves seg-001.log and up) plus the one this log writes.
-	names, err := b.List(segPrefix)
-	if err != nil {
+	if err := b.WriteAtomic(logName, nil); err != nil {
 		return nil, stats, err
-	}
-	if !slices.Contains(names, logName) {
-		names = append(names, logName)
-	}
-	for _, n := range names {
-		if err := b.WriteAtomic(n, nil); err != nil {
-			return nil, stats, err
-		}
 	}
 	f, err := b.OpenAppend(logName)
 	if err != nil {
@@ -105,18 +91,13 @@ func Open(opts Options, apply func(mem.Addr, uint64), read func(a mem.Addr) uint
 	return l, stats, nil
 }
 
-// segRecord is one parsed record (pairs alias the scanned buffer).
-type segRecord struct {
-	seq       uint64
-	nsegments uint32
-	npairs    uint32
-	pairs     []byte
-}
-
-// recoverState performs steps 1–2 of the boot protocol as one merge over the
-// segments: a cursor per segment, and a walk over base+1, base+2, ... that
-// replays a sequence as soon as the cursor heads carrying it form a whole
-// commit. It allocates per segment, never per commit.
+// recoverState performs steps 1–2 of the boot protocol: one pass over the
+// log's bytes, allocating nothing per commit. A record above the base
+// replays only if its seq is exactly the frontier's successor. Log never
+// writes any other kind: Append assigns sequences under appendMu,
+// syncLocked writes the swapped buffers under syncMu in swap order, and
+// Open truncates the log before the first append. So the first record that
+// breaks the sequence is where the stream ends, like a torn one.
 func recoverState(b Backend, lo, hi mem.Addr, apply func(mem.Addr, uint64)) (RecoveryStats, error) {
 	var stats RecoveryStats
 	base, err := loadCheckpoint(b, lo, hi, apply)
@@ -126,143 +107,60 @@ func recoverState(b Backend, lo, hi mem.Addr, apply func(mem.Addr, uint64)) (Rec
 	stats.CheckpointSeq = base
 	stats.Seq = base
 
-	names, err := b.List(segPrefix)
-	if err != nil {
+	data, err := b.ReadFile(logName)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return stats, err
 	}
-	cursors := make([]segCursor, 0, len(names))
-	for _, name := range names {
-		data, err := b.ReadFile(name)
-		if err != nil {
-			if errors.Is(err, fs.ErrNotExist) {
-				continue
-			}
+	for len(data) > 0 {
+		seq, pairs, n := parseRecord(data)
+		if n == 0 || seq > base && seq != stats.Seq+1 {
+			stats.TornTails = 1
+			break
+		}
+		data = data[n:]
+		if seq <= base {
+			// Already covered by the checkpoint: a crash between checkpoint
+			// write and log truncate leaves these behind.
+			continue
+		}
+		if err := replayPairs(pairs, lo, hi, apply); err != nil {
 			return stats, err
 		}
-		c := segCursor{data: data, base: base}
-		c.next()
-		cursors = append(cursors, c)
-	}
-
-	// The consistent cut: the longest run of sequences base+1, base+2, ...
-	// where every sequence has all of its per-segment records. Every head
-	// is at or above the sequence being walked and a segment's sequences
-	// strictly increase, so the heads carrying it are all its records.
-	cut := base
-	for whole(cursors, cut+1) {
-		cut++
-		for i := range cursors {
-			c := &cursors[i]
-			if !c.ok || c.rec.seq != cut {
-				continue
-			}
-			if err := replayRecord(c.rec, lo, hi, apply); err != nil {
-				return stats, err
-			}
-			stats.Records++
-			c.next()
-		}
 		stats.Commits++
+		stats.Seq = seq
 	}
-	for i := range cursors {
-		c := &cursors[i]
-		for c.ok {
-			stats.Dropped++
-			c.next()
-		}
-		if c.torn {
-			stats.TornTails++
-		}
-	}
-	stats.Seq = cut
 	return stats, nil
 }
 
-// whole reports whether the cursor heads at seq form a whole commit: at
-// least one, all agreeing on the segment count, and exactly that many.
-func whole(cursors []segCursor, seq uint64) bool {
-	n, want := uint32(0), uint32(0)
-	for i := range cursors {
-		r := &cursors[i].rec
-		if !cursors[i].ok || r.seq != seq {
-			continue
-		}
-		if n == 0 {
-			want = r.nsegments
-		} else if r.nsegments != want {
-			return false
-		}
-		n++
+// parseRecord verifies the record at the head of data and returns its seq,
+// its pair bytes and its length; n is zero when the bytes are short, fail the
+// checksum or disagree with the record's own length fields.
+func parseRecord(data []byte) (seq uint64, pairs []byte, n int) {
+	if len(data) < 4 {
+		return 0, nil, 0
 	}
-	return n > 0 && n == want
-}
-
-// segCursor walks one segment's records in file order. rec is the current
-// record while ok; torn reports that the walk stopped at bytes that do not
-// verify as the segment's next record.
-type segCursor struct {
-	data     []byte
-	off      int
-	base     uint64 // records at or below base are in the checkpoint: skipped
-	rec      segRecord
-	ok, torn bool
-}
-
-// next advances to the segment's next record above base. A record that is
-// short, fails its checksum or length test, or whose seq is not above the
-// previous record's ends the segment as torn. Log never writes the last
-// kind: Append orders a segment's records under appendMu, syncLocked writes
-// the swapped buffers under syncMu in swap order, and Open truncates every
-// segment before the first append.
-func (c *segCursor) next() {
-	c.ok = false
-	for c.off < len(c.data) {
-		rest := c.data[c.off:]
-		if len(rest) < 4 {
-			break
-		}
-		size := binary.LittleEndian.Uint32(rest)
-		if size < recHeadBytes+recSumBytes || uint64(size) > uint64(len(rest)-4) {
-			break
-		}
-		payload := rest[4 : 4+size-recSumBytes]
-		sum := binary.LittleEndian.Uint64(rest[4+size-recSumBytes : 4+size])
-		if fnv64a(payload) != sum {
-			break
-		}
-		npairs := binary.LittleEndian.Uint32(payload[24:])
-		if uint64(recHeadBytes)+uint64(npairs)*recPairBytes+recSumBytes != uint64(size) {
-			break
-		}
-		seq := binary.LittleEndian.Uint64(payload)
-		if c.off > 0 && seq <= c.rec.seq {
-			break
-		}
-		c.off += 4 + int(size)
-		c.rec = segRecord{
-			seq:       seq,
-			nsegments: binary.LittleEndian.Uint32(payload[20:]),
-			npairs:    npairs,
-			pairs:     payload[recHeadBytes:],
-		}
-		if seq > c.base {
-			c.ok = true
-			return
-		}
-		// Already covered by the checkpoint: a crash between checkpoint
-		// write and segment truncate leaves these behind.
+	size := binary.LittleEndian.Uint32(data)
+	if size < recHeadBytes+recSumBytes || uint64(size) > uint64(len(data)-4) {
+		return 0, nil, 0
 	}
-	c.torn = c.off < len(c.data)
+	payload := data[4 : 4+size-recSumBytes]
+	if fnv64a(payload) != binary.LittleEndian.Uint64(data[4+size-recSumBytes:]) {
+		return 0, nil, 0
+	}
+	npairs := binary.LittleEndian.Uint32(payload[8:])
+	if uint64(recHeadBytes)+uint64(npairs)*recPairBytes+recSumBytes != uint64(size) {
+		return 0, nil, 0
+	}
+	return binary.LittleEndian.Uint64(payload), payload[recHeadBytes:], 4 + int(size)
 }
 
-func replayRecord(r segRecord, lo, hi mem.Addr, apply func(mem.Addr, uint64)) error {
-	for i := uint32(0); i < r.npairs; i++ {
-		p := r.pairs[i*recPairBytes:]
-		a := mem.Addr(binary.LittleEndian.Uint64(p))
+func replayPairs(pairs []byte, lo, hi mem.Addr, apply func(mem.Addr, uint64)) error {
+	for ; len(pairs) > 0; pairs = pairs[recPairBytes:] {
+		a := mem.Addr(binary.LittleEndian.Uint64(pairs))
 		if a < lo || a >= hi {
 			return fmt.Errorf("persist: recovered address %d outside range [%d,%d) — log written under a different layout?", a, lo, hi)
 		}
-		apply(a, binary.LittleEndian.Uint64(p[8:]))
+		apply(a, binary.LittleEndian.Uint64(pairs[8:]))
 	}
 	return nil
 }
@@ -294,6 +192,9 @@ func loadCheckpoint(b Backend, lo, hi mem.Addr, apply func(mem.Addr, uint64)) (u
 	}
 	if err != nil {
 		return 0, err
+	}
+	if len(data) >= 8 && binary.LittleEndian.Uint64(data) == ckptMagicV1 {
+		return 0, fmt.Errorf("persist: checkpoint format RHCKPT01 (an older build's multi-file redo log) is not read by this build, which reads RHCKPT02; the directory is left untouched")
 	}
 	want := 32 + (int(hi)-int(lo))*8 + 8
 	if len(data) != want {

@@ -3,161 +3,28 @@ package persist
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"io/fs"
 	"math/rand"
-	"reflect"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"rhnorec/internal/mem"
 )
 
-// ---- the oracle: the map-based recovery the streaming merge replaced ----
-
-// oracleRecoverState is the previous recoverState, verbatim: it parses every
-// segment whole, groups records by sequence in a map, and walks the cut.
-func oracleRecoverState(b Backend, lo, hi mem.Addr, apply func(mem.Addr, uint64)) (RecoveryStats, error) {
-	var stats RecoveryStats
-	base, err := loadCheckpoint(b, lo, hi, apply)
-	if err != nil {
-		return stats, err
-	}
-	stats.CheckpointSeq = base
-	stats.Seq = base
-
-	names, err := b.List(segPrefix)
-	if err != nil {
-		return stats, err
-	}
-	groups := map[uint64][]segRecord{}
-	for _, name := range names {
-		data, err := b.ReadFile(name)
-		if err != nil {
-			if errors.Is(err, fs.ErrNotExist) {
-				continue
-			}
-			return stats, err
-		}
-		recs, torn := oracleScanSegment(data)
-		if torn {
-			stats.TornTails++
-		}
-		for _, r := range recs {
-			if r.seq <= base {
-				// Already covered by the checkpoint: a crash between
-				// checkpoint write and segment truncate leaves these behind.
-				continue
-			}
-			groups[r.seq] = append(groups[r.seq], r)
-		}
-	}
-
-	// The consistent cut: the longest run of sequences base+1, base+2, ...
-	// where every sequence has all of its per-segment records.
-	cut := base
-	for {
-		g, ok := groups[cut+1]
-		if !ok || !oracleComplete(g) {
-			break
-		}
-		cut++
-	}
-	for seq := base + 1; seq <= cut; seq++ {
-		for _, r := range groups[seq] {
-			if err := replayRecord(r, lo, hi, apply); err != nil {
-				return stats, err
-			}
-			stats.Records++
-		}
-		stats.Commits++
-	}
-	for seq, g := range groups {
-		if seq > cut {
-			stats.Dropped += uint64(len(g))
-		}
-	}
-	stats.Seq = cut
-	return stats, nil
-}
-
-// oracleComplete reports whether a sequence's record group is whole: every
-// record agrees on the segment count and all of them are present.
-func oracleComplete(g []segRecord) bool {
-	want := g[0].nsegments
-	if uint32(len(g)) != want {
-		return false
-	}
-	for _, r := range g {
-		if r.nsegments != want {
-			return false
-		}
-	}
-	return true
-}
-
-// oracleScanSegment parses records until the data runs out or stops
-// verifying; torn reports whether unparseable tail bytes were discarded.
-func oracleScanSegment(data []byte) (recs []segRecord, torn bool) {
-	off := 0
-	for off < len(data) {
-		rest := data[off:]
-		if len(rest) < 4 {
-			return recs, true
-		}
-		size := binary.LittleEndian.Uint32(rest)
-		if size < recHeadBytes+recSumBytes || uint64(size) > uint64(len(rest)-4) {
-			return recs, true
-		}
-		payload := rest[4 : 4+size-recSumBytes]
-		sum := binary.LittleEndian.Uint64(rest[4+size-recSumBytes : 4+size])
-		if fnv64a(payload) != sum {
-			return recs, true
-		}
-		npairs := binary.LittleEndian.Uint32(payload[24:])
-		if uint64(recHeadBytes)+uint64(npairs)*recPairBytes+recSumBytes != uint64(size) {
-			return recs, true
-		}
-		recs = append(recs, segRecord{
-			seq:       binary.LittleEndian.Uint64(payload),
-			nsegments: binary.LittleEndian.Uint32(payload[20:]),
-			npairs:    npairs,
-			pairs:     payload[recHeadBytes:],
-		})
-		off += 4 + int(size)
-	}
-	return recs, false
-}
-
-// ---- differential test ----
+// ---- the model oracle ----
 
 const (
 	oracleLo = mem.Addr(8)
 	oracleHi = oracleLo + 64*mem.LineWords
 )
 
-type applyCall struct {
-	a mem.Addr
-	v uint64
-}
-
-// recoverBoth recovers img with the merge and with the oracle and fails on
-// any difference in the stats, the error or the sequence of apply calls.
-func recoverBoth(t *testing.T, label string, img Backend) RecoveryStats {
-	t.Helper()
-	var got, want []applyCall
-	gs, gerr := recoverState(img, oracleLo, oracleHi, func(a mem.Addr, v uint64) { got = append(got, applyCall{a, v}) })
-	ws, werr := oracleRecoverState(img, oracleLo, oracleHi, func(a mem.Addr, v uint64) { want = append(want, applyCall{a, v}) })
-	if (gerr == nil) != (werr == nil) {
-		t.Fatalf("%s: error %v, oracle %v", label, gerr, werr)
-	}
-	if gs != ws {
-		t.Fatalf("%s: stats %+v, oracle %+v", label, gs, ws)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s: %d apply calls differ from the oracle's %d", label, len(got), len(want))
-	}
-	return gs
+// crashImage is what a crash at one persist event leaves on disk, with the
+// log's frontiers at that instant.
+type crashImage struct {
+	img               *MemBackend
+	durable, appended uint64
 }
 
 // history is one seeded Log run on a MemBackend: the live backend, a crash
@@ -165,79 +32,39 @@ func recoverBoth(t *testing.T, label string, img Backend) RecoveryStats {
 // in range, so commit i carries seq i+1).
 type history struct {
 	live    *MemBackend
-	crashes []*MemBackend
+	crashes []crashImage
 	commits [][]mem.WriteEntry
 }
 
-// genHistory runs a one-file Log when files is 1, and otherwise a legacyLog
-// over that many files, taking a crash image at every append and sync. The
-// one-file run also feeds a one-file legacyLog, whose bytes it must equal:
-// the one-file log keeps the multi-file layout's records byte for byte.
-func genHistory(t *testing.T, rng *rand.Rand, files, commits int) *history {
+// genHistory runs a Log over commits random write sets, taking a crash image
+// at every append and sync and a group sync after about one commit in four.
+func genHistory(t *testing.T, rng *rand.Rand, commits int) *history {
 	t.Helper()
 	h := &history{live: NewMemBackend()}
-	crash := func() { h.crashes = append(h.crashes, h.live.CrashSnapshot()) }
-	var (
-		appendFn func(ticket uint64, writes []mem.WriteEntry)
-		syncFn   func()
-		twin     *MemBackend // the one-file legacyLog's backend
-	)
-	if files == 1 {
-		l, _, err := Open(Options{
-			Backend: h.live, Lo: oracleLo, Hi: oracleHi,
-			OnEvent: func(Event, uint64) { crash() },
-		}, func(mem.Addr, uint64) {}, func(mem.Addr) uint64 { return 0 })
-		if err != nil {
-			t.Fatal(err)
-		}
-		twin = NewMemBackend()
-		p := newLegacyLog(t, twin, 1)
-		appendFn = func(ticket uint64, writes []mem.WriteEntry) {
-			l.Append(ticket, writes)
-			p.append(ticket, writes)
-		}
-		syncFn = func() {
-			if err := l.WaitDurable(l.Appended()); err != nil {
-				t.Fatal(err)
-			}
-			p.sync(t)
-		}
-	} else {
-		p := newLegacyLog(t, h.live, files)
-		appendFn = func(ticket uint64, writes []mem.WriteEntry) {
-			p.append(ticket, writes)
-			crash()
-		}
-		syncFn = func() {
-			p.sync(t)
-			crash()
-		}
+	var l *Log
+	l, _, err := Open(Options{
+		Backend: h.live, Lo: oracleLo, Hi: oracleHi,
+		OnEvent: func(Event, uint64) {
+			h.crashes = append(h.crashes, crashImage{h.live.CrashSnapshot(), l.Durable(), l.Appended()})
+		},
+	}, func(mem.Addr, uint64) {}, func(mem.Addr) uint64 { return 0 })
+	if err != nil {
+		t.Fatal(err)
 	}
 	for i := 0; i < commits; i++ {
 		writes := make([]mem.WriteEntry, 1+rng.Intn(4))
 		for j := range writes {
 			writes[j] = mem.WriteEntry{Addr: oracleLo + mem.Addr(rng.Intn(int(oracleHi-oracleLo))), Value: rng.Uint64()}
 		}
-		appendFn(uint64(i), writes)
+		l.Append(uint64(i), writes)
 		h.commits = append(h.commits, writes)
 		if rng.Intn(4) == 0 {
-			syncFn()
+			if err := l.WaitDurable(l.Appended()); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	// No Close: what the last group fsync did not reach stays off the disk.
-	if twin != nil {
-		got, err := h.live.ReadFile(logName)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := twin.ReadFile(logName)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(want) == 0 || !bytes.Equal(got, want) {
-			t.Fatalf("Log wrote %d bytes that differ from the legacy layout's %d", len(got), len(want))
-		}
-	}
 	return h
 }
 
@@ -252,95 +79,96 @@ func (h *history) stateAt(s uint64) func(mem.Addr) uint64 {
 	return w.read
 }
 
-// TestRecoverMatchesOracle recovers seeded histories — the one-file Log's
-// and the legacy two- and eight-file layout's — from the live image, every
-// crash image, a truncated and a bit-flipped copy of each file, and a
-// checkpoint laid over files that still hold records on both sides of it,
-// and requires the merge to do exactly what the oracle does. A legacy live
-// image must also take the next boot's appends in seg-000.log alone.
+// recoverModel recovers img and fails unless the recovered image is exactly
+// the model's state after the first stats.Seq commits.
+func (h *history) recoverModel(t *testing.T, label string, img Backend) RecoveryStats {
+	t.Helper()
+	w := wordStore{}
+	stats, err := recoverState(img, oracleLo, oracleHi, w.apply)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	want := h.stateAt(stats.Seq)
+	for a := oracleLo; a < oracleHi; a++ {
+		if w[a] != want(a) {
+			t.Fatalf("%s: recovered word %d = %d, want %d: the image is not commits 1..%d", label, a, w[a], want(a), stats.Seq)
+		}
+	}
+	return stats
+}
+
+// TestRecoverMatchesOracle recovers seeded histories from the live image,
+// every crash image, a truncated and a bit-flipped copy of the log, and a
+// checkpoint laid over a log that still holds records on both sides of it.
+// Each recovered image must equal the model — the in-memory state after the
+// recovered number of commits — and a crash image must recover at least the
+// durable frontier of its crash instant and no more than was appended.
 func TestRecoverMatchesOracle(t *testing.T) {
-	var torn, dropped, overCheckpoint int
-	both := func(label string, img Backend) RecoveryStats {
+	var torn, overCheckpoint int
+	model := func(h *history, label string, img Backend) RecoveryStats {
 		t.Helper()
-		s := recoverBoth(t, label, img)
+		s := h.recoverModel(t, label, img)
 		if s.TornTails > 0 {
 			torn++
-		}
-		if s.Dropped > 0 {
-			dropped++
 		}
 		if s.CheckpointSeq > 0 && s.Commits > 0 {
 			overCheckpoint++
 		}
 		return s
 	}
-	for _, files := range []int{1, 2, 8} {
-		for seed := int64(1); seed <= 5; seed++ {
-			rng := rand.New(rand.NewSource(seed*100 + int64(files)))
-			h := genHistory(t, rng, files, 48)
-			name := fmt.Sprintf("files=%d/seed=%d", files, seed)
-			full := both(name+"/live", h.live)
-			if files > 1 {
-				if _, s := bootAndAppend(t, h.live.CrashSnapshot(), oracleLo, oracleHi, mem.WriteEntry{Addr: oracleLo, Value: 1}); s.Seq != full.Seq {
-					t.Fatalf("%s: boot recovered seq %d, the merge alone %d", name, s.Seq, full.Seq)
-				}
+	for seed := int64(1); seed <= 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		h := genHistory(t, rng, 48)
+		name := fmt.Sprintf("seed=%d", seed)
+		full := model(h, name+"/live", h.live)
+		for i, c := range h.crashes {
+			label := fmt.Sprintf("%s/crash@%d", name, i+1)
+			if s := model(h, label, c.img); s.Seq < c.durable || s.Seq > c.appended {
+				t.Fatalf("%s: recovered seq %d outside [durable %d, appended %d]", label, s.Seq, c.durable, c.appended)
 			}
-			for i, img := range h.crashes {
-				both(fmt.Sprintf("%s/crash@%d", name, i+1), img)
-			}
-			segs, err := h.live.List(segPrefix)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, seg := range segs {
-				data, err := h.live.ReadFile(seg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(data) == 0 {
-					continue
-				}
-				img := h.live.CrashSnapshot()
-				img.WriteAtomic(seg, data[:rng.Intn(len(data))])
-				both(name+"/truncate "+seg, img)
+		}
+		data, err := h.live.ReadFile(logName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img := h.live.CrashSnapshot()
+		img.WriteAtomic(logName, data[:rng.Intn(len(data))])
+		model(h, name+"/truncate", img)
 
-				flipped := append([]byte(nil), data...)
-				flipped[rng.Intn(len(flipped))] ^= 1 << rng.Intn(8)
-				img = h.live.CrashSnapshot()
-				img.WriteAtomic(seg, flipped)
-				both(name+"/bitflip "+seg, img)
-			}
-			// A crash between Open's checkpoint write and its truncate: a
-			// checkpoint at s over files holding records on both sides.
-			if full.Seq < 2 {
-				t.Fatalf("%s: live image recovers only %d commits", name, full.Seq)
-			}
-			s := 1 + uint64(rng.Intn(int(full.Seq)-1))
-			img := h.live.CrashSnapshot()
-			if err := writeCheckpoint(img, oracleLo, oracleHi, s, h.stateAt(s)); err != nil {
-				t.Fatal(err)
-			}
-			both(fmt.Sprintf("%s/checkpoint@%d", name, s), img)
+		flipped := append([]byte(nil), data...)
+		flipped[rng.Intn(len(flipped))] ^= 1 << rng.Intn(8)
+		img = h.live.CrashSnapshot()
+		img.WriteAtomic(logName, flipped)
+		model(h, name+"/bitflip", img)
+
+		// A crash between Open's checkpoint write and its truncate: a
+		// checkpoint at s over a log holding records on both sides.
+		if full.Seq < 2 {
+			t.Fatalf("%s: live image recovers only %d commits", name, full.Seq)
+		}
+		s := 1 + uint64(rng.Intn(int(full.Seq)-1))
+		img = h.live.CrashSnapshot()
+		if err := writeCheckpoint(img, oracleLo, oracleHi, s, h.stateAt(s)); err != nil {
+			t.Fatal(err)
+		}
+		if got := model(h, fmt.Sprintf("%s/checkpoint@%d", name, s), img); got.Seq != full.Seq || got.Commits != full.Seq-s {
+			t.Fatalf("%s: over a checkpoint at %d recovered %+v, want seq %d", name, s, got, full.Seq)
 		}
 	}
-	// The sweep must reach the cases the merge could get wrong.
-	if torn == 0 || dropped == 0 || overCheckpoint == 0 {
-		t.Fatalf("sweep recovered %d torn, %d dropping and %d over-checkpoint images; want some of each", torn, dropped, overCheckpoint)
+	// The sweep must reach the cases the reader could get wrong.
+	if torn == 0 || overCheckpoint == 0 {
+		t.Fatalf("sweep recovered %d torn and %d over-checkpoint images; want some of each", torn, overCheckpoint)
 	}
 }
 
-// ---- the merge's own contract ----
+// ---- the stream's own contract ----
 
 // encodeRecord appends one record in the on-disk layout, written out field
-// by field apart from Log.Append: segment is the index of the file holding
-// it and nsegments the number of records its commit wrote.
-func encodeRecord(b []byte, seq, ticket uint64, segment, nsegments uint32, pairs []mem.WriteEntry) []byte {
+// by field apart from Log.Append.
+func encodeRecord(b []byte, seq uint64, pairs []mem.WriteEntry) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(recHeadBytes+len(pairs)*recPairBytes+recSumBytes))
 	start := len(b)
 	b = binary.LittleEndian.AppendUint64(b, seq)
-	b = binary.LittleEndian.AppendUint64(b, ticket)
-	b = binary.LittleEndian.AppendUint32(b, segment)
-	b = binary.LittleEndian.AppendUint32(b, nsegments)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(pairs)))
 	for _, e := range pairs {
 		b = binary.LittleEndian.AppendUint64(b, uint64(e.Addr))
@@ -349,110 +177,40 @@ func encodeRecord(b []byte, seq, ticket uint64, segment, nsegments uint32, pairs
 	return binary.LittleEndian.AppendUint64(b, fnv64a(b[start:]))
 }
 
-func segName(s int) string { return fmt.Sprintf("%s%03d.log", segPrefix, s) }
-
-// legacyLog writes the multi-file layout of the log before it had one file:
-// a commit's pairs split over k files seg-000.log … by line % k, one record
-// per file the commit touched, each carrying its file index and how many
-// records the commit wrote. Records buffer per file until sync, which writes
-// and fsyncs every dirty file in index order, as that log's group sync did.
-// With k = 1 it writes the one-file layout.
-type legacyLog struct {
-	seq   uint64
-	files []File
-	bufs  [][]byte
-}
-
-func newLegacyLog(tb testing.TB, b Backend, k int) *legacyLog {
-	tb.Helper()
-	p := &legacyLog{files: make([]File, k), bufs: make([][]byte, k)}
-	for s := range p.files {
-		f, err := b.OpenAppend(segName(s))
-		if err != nil {
-			tb.Fatal(err)
+// TestAppendRecordBytes: one Append of n in-range pairs writes exactly
+// 24 + 16n bytes, the record encodeRecord lays out; out-of-range pairs add
+// nothing.
+func TestAppendRecordBytes(t *testing.T) {
+	b := NewMemBackend()
+	l, _ := openStore(t, Options{Backend: b, Lo: 8, Hi: 1024}, wordStore{})
+	defer l.Close()
+	var want []byte
+	for n := 1; n <= 5; n++ {
+		var pairs []mem.WriteEntry
+		for i := 0; i < n; i++ {
+			pairs = append(pairs, mem.WriteEntry{Addr: mem.Addr(8 + i*mem.LineWords), Value: uint64(n*10 + i)})
 		}
-		p.files[s] = f
-	}
-	return p
-}
-
-func (p *legacyLog) fileOf(a mem.Addr) int {
-	return int(uint64(a) / mem.LineWords % uint64(len(p.files)))
-}
-
-func (p *legacyLog) append(ticket uint64, writes []mem.WriteEntry) {
-	p.seq++
-	per := make([][]mem.WriteEntry, len(p.files))
-	n := uint32(0)
-	for _, e := range writes {
-		s := p.fileOf(e.Addr)
-		if per[s] == nil {
-			n++
+		l.Append(uint64(n), append([]mem.WriteEntry{{Addr: 2000, Value: 1}}, pairs...))
+		if err := l.Sync(); err != nil {
+			t.Fatal(err)
 		}
-		per[s] = append(per[s], e)
-	}
-	for s, pairs := range per {
-		if pairs != nil {
-			p.bufs[s] = encodeRecord(p.bufs[s], p.seq, ticket, uint32(s), n, pairs)
-		}
-	}
-}
-
-func (p *legacyLog) sync(tb testing.TB) {
-	tb.Helper()
-	for s, buf := range p.bufs {
-		if len(buf) == 0 {
-			continue
-		}
-		if err := p.files[s].Append(buf); err != nil {
-			tb.Fatal(err)
-		}
-		if err := p.files[s].Sync(); err != nil {
-			tb.Fatal(err)
-		}
-		p.bufs[s] = nil
-	}
-}
-
-// bootAndAppend recovers b, a directory a multi-file log wrote, appends e
-// through the recovered Log and closes it. The commit must land in
-// seg-000.log alone, with every other file emptied, and the boot after must
-// replay exactly it above the first boot's frontier. It returns the first
-// boot's recovered image and stats.
-func bootAndAppend(t *testing.T, b Backend, lo, hi mem.Addr, e mem.WriteEntry) (wordStore, RecoveryStats) {
-	t.Helper()
-	w := wordStore{}
-	l, stats := openStore(t, Options{Backend: b, Lo: lo, Hi: hi}, w)
-	l.Append(stats.Seq+1, []mem.WriteEntry{e})
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	names, err := b.List(segPrefix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range names {
-		data, err := b.ReadFile(n)
+		got, err := b.ReadFile(logName)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if (len(data) > 0) != (n == logName) {
-			t.Fatalf("after the boot's append %s holds %d bytes; want only %s written", n, len(data), logName)
+		if d := len(got) - len(want); d != 24+16*n {
+			t.Fatalf("an append of %d pairs wrote %d bytes, want %d", n, d, 24+16*n)
+		}
+		want = encodeRecord(want, uint64(n), pairs)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("after %d appends the log differs from the record layout", n)
 		}
 	}
-	w2 := wordStore{}
-	l2, next := openStore(t, Options{Backend: b, Lo: lo, Hi: hi}, w2)
-	defer l2.Close()
-	if next.Seq != stats.Seq+1 || next.Commits != 1 || w2[e.Addr] != e.Value {
-		t.Fatalf("the next boot recovered %+v and word %d = %d; want the one append at seq %d", next, e.Addr, w2[e.Addr], stats.Seq+1)
-	}
-	return w, stats
 }
 
-// TestSegmentSeqMustIncrease: a record whose seq is not above its segment's
-// previous record ends the segment as torn, even though it verifies on its
-// own. Nothing from the tear on is a parsed record, so none of it counts as
-// dropped.
+// TestSegmentSeqMustIncrease: a record above the checkpoint whose seq is not
+// its predecessor's plus one ends the stream as torn, even though it
+// verifies on its own, and nothing from it on replays.
 func TestSegmentSeqMustIncrease(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -461,14 +219,16 @@ func TestSegmentSeqMustIncrease(t *testing.T) {
 		w8   uint64
 	}{
 		// The second record repeats seq 1; the third (seq 2) is valid.
-		{"repeat", [3]uint64{1, 1, 2}, RecoveryStats{Commits: 1, Records: 1, TornTails: 1, Seq: 1}, 101},
-		// Seq 1 is missing, so the head is dropped; the tear follows it.
-		{"decrease", [3]uint64{2, 1, 3}, RecoveryStats{TornTails: 1, Dropped: 1}, 0},
+		{"repeat", [3]uint64{1, 1, 2}, RecoveryStats{Commits: 1, TornTails: 1, Seq: 1}, 101},
+		// Seq 1 is missing, so the stream breaks at its head.
+		{"decrease", [3]uint64{2, 1, 3}, RecoveryStats{TornTails: 1}, 0},
+		// Seq 2 is missing after seq 1; seq 4 would follow seq 3.
+		{"gap", [3]uint64{1, 3, 4}, RecoveryStats{Commits: 1, TornTails: 1, Seq: 1}, 101},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var seg []byte
 			for i, s := range c.seqs {
-				seg = encodeRecord(seg, s, s, 0, 1, []mem.WriteEntry{{Addr: 8, Value: uint64(101 + i)}})
+				seg = encodeRecord(seg, s, []mem.WriteEntry{{Addr: 8, Value: uint64(101 + i)}})
 			}
 			b := NewMemBackend()
 			b.WriteAtomic(logName, seg)
@@ -479,9 +239,60 @@ func TestSegmentSeqMustIncrease(t *testing.T) {
 				t.Fatalf("stats %+v, want %+v", stats, c.want)
 			}
 			if w[8] != c.w8 {
-				t.Fatalf("w[8] = %d, want %d: nothing after the first record may replay", w[8], c.w8)
+				t.Fatalf("w[8] = %d, want %d: nothing after the break may replay", w[8], c.w8)
 			}
 		})
+	}
+}
+
+// TestRefuseRHCKPT01: a directory whose checkpoint carries the older format's
+// magic is refused at boot, whatever key range is configured, with an error
+// naming that format, and every file in it is left byte for byte as it was.
+func TestRefuseRHCKPT01(t *testing.T) {
+	const lo, hi = mem.Addr(8), mem.Addr(64)
+	mb := NewMemBackend()
+	if err := writeCheckpoint(mb, lo, hi, 3, func(a mem.Addr) uint64 { return uint64(a) }); err != nil {
+		t.Fatal(err)
+	}
+	ckpt, err := mb.ReadFile(checkpointName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt = append([]byte(nil), ckpt[:len(ckpt)-8]...)
+	binary.LittleEndian.PutUint64(ckpt, ckptMagicV1)
+	ckpt = binary.LittleEndian.AppendUint64(ckpt, fnv64a(ckpt))
+	dir := t.TempDir()
+	files := map[string][]byte{
+		checkpointName: ckpt,
+		logName:        {1, 2, 3, 4, 5, 6, 7, 8},
+		"seg-001.log":  {9, 10, 11},
+	}
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, h := range []mem.Addr{hi, hi + 8} {
+		l, _, err := Open(Options{Dir: dir, Lo: lo, Hi: h}, func(mem.Addr, uint64) {}, func(mem.Addr) uint64 { return 0 })
+		if err == nil {
+			l.Close()
+			t.Fatalf("Hi=%d: Open accepted an RHCKPT01 directory", h)
+		}
+		if !strings.Contains(err.Error(), "RHCKPT01") {
+			t.Fatalf("Hi=%d: error %q does not name the format", h, err)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(files) {
+		t.Fatalf("the directory holds %d entries after the refusal, want %d", len(entries), len(files))
+	}
+	for name, want := range files {
+		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s changed by the refusal (err %v)", name, err)
+		}
 	}
 }
 
@@ -521,8 +332,8 @@ func openOneWordLog(tb testing.TB, b Backend, commits int) {
 	l.Close()
 }
 
-// TestRecoverAllocsFlat: recovery allocates per log file, not per commit, so
-// booting 20 000 commits costs as many allocations as booting 1 000.
+// TestRecoverAllocsFlat: recovery allocates nothing per commit, so booting
+// 20 000 commits costs as many allocations as booting 1 000.
 func TestRecoverAllocsFlat(t *testing.T) {
 	allocs := func(commits int) float64 {
 		const runs = 3
@@ -608,13 +419,12 @@ func TestMemFileChunks(t *testing.T) {
 		}
 	}
 
-	repl := append([]byte(nil), model[:memChunkMax+3]...)
+	repl := append(make([]byte, 0, memChunkMax+16), model[:memChunkMax+3]...)
 	repl[0] ^= 0xff
 	if err := b.WriteAtomic("f", repl); err != nil {
 		t.Fatal(err)
 	}
 	want := append([]byte(nil), repl...)
-	repl[1] ^= 0xff // WriteAtomic copied: the caller's buffer is its own
 	check("replace", want, len(want))
 	g, err := b.OpenAppend("f")
 	if err != nil {
@@ -624,4 +434,9 @@ func TestMemFileChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("append after replace", append(want, 1, 2, 3), len(want))
+	// WriteAtomic kept the caller's buffer: an append after it must open a
+	// chunk of its own, not write into the buffer's spare capacity.
+	if spare := repl[len(repl):cap(repl)]; len(spare) < 3 || !bytes.Equal(spare[:3], make([]byte, 3)) {
+		t.Fatalf("the append after replace wrote into the caller's buffer (spare %d bytes)", len(spare))
+	}
 }

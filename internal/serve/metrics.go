@@ -79,7 +79,6 @@ func (s *Server) Snapshot() *bench.ServeDump {
 			Appended:         c.Appended,
 			Durable:          c.Durable,
 			RecoveryReplayed: c.Recovery.Commits,
-			RecoveryDropped:  uint64(c.Recovery.Dropped),
 			TornTails:        uint64(c.Recovery.TornTails),
 		}
 	}
@@ -139,8 +138,8 @@ func writeMetricsText(w io.Writer, d *bench.ServeDump) {
 	if p := d.Persist; p != nil {
 		fmt.Fprintf(w, "persist: log-append=%d log-record=%d fsync-group=%d fsync=%d appended=%d durable=%d\n",
 			p.LogAppends, p.LogRecords, p.FsyncGroups, p.Fsyncs, p.Appended, p.Durable)
-		fmt.Fprintf(w, "persist-recovery: recovery-replayed=%d recovery-dropped=%d torn-tail=%d\n",
-			p.RecoveryReplayed, p.RecoveryDropped, p.TornTails)
+		fmt.Fprintf(w, "persist-recovery: recovery-replayed=%d torn-tail=%d\n",
+			p.RecoveryReplayed, p.TornTails)
 	}
 	if d.Obs == nil {
 		return
