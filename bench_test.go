@@ -34,15 +34,16 @@ const benchThreads = 8
 func benchHTM() htm.Config { return htm.Config{SpuriousAbortProb: 0.002} }
 
 // runWorkload drives b.N operations of the workload across benchThreads
-// workers on the given algorithm and reports the paper's analysis rows as
-// custom metrics.
-func runWorkload(b *testing.B, factory bench.WorkloadFactory, algo bench.Algo, pol tm.RetryPolicy) {
+// workers on the given algorithm, reports the paper's analysis rows as
+// custom metrics, and, off the clock, runs the workload's oracle: an
+// in-flight violation or a failed Check fails the benchmark.
+func runWorkload(b *testing.B, wl bench.Workload, algo bench.Algo, pol tm.RetryPolicy) {
 	b.Helper()
 	m := mem.New(1 << 22)
 	dev := htm.NewDevice(m, benchHTM())
 	dev.SetActiveThreads(benchThreads)
 	sys := algo.New(m, dev, pol)
-	w := factory()
+	w := wl.New()
 	setup := sys.NewThread()
 	if err := w.Setup(setup); err != nil {
 		b.Fatal(err)
@@ -63,7 +64,7 @@ func runWorkload(b *testing.B, factory bench.WorkloadFactory, algo bench.Algo, p
 			defer wg.Done()
 			th := sys.NewThread()
 			defer th.Close()
-			op := w.NewOp(th, seed)
+			op := w.NewWorker(th, seed, func(msg string) { b.Errorf("%s: %s", wl.Name, msg) })
 			for j := 0; j < n; j++ {
 				if err := op(); err != nil {
 					b.Error(err)
@@ -77,6 +78,9 @@ func runWorkload(b *testing.B, factory bench.WorkloadFactory, algo bench.Algo, p
 	}
 	wg.Wait()
 	b.StopTimer()
+	if err := w.Check(sys); err != nil {
+		b.Errorf("%s check: %v", wl.Name, err)
+	}
 	b.ReportMetric(agg.ConflictAbortsPerOp(), "conflicts/op")
 	b.ReportMetric(agg.CapacityAbortsPerOp(), "capacity/op")
 	b.ReportMetric(agg.SlowPathRatio(), "slowpath-ratio")
@@ -87,11 +91,11 @@ func runWorkload(b *testing.B, factory bench.WorkloadFactory, algo bench.Algo, p
 }
 
 // benchAllAlgos runs the workload under every algorithm the paper compares.
-func benchAllAlgos(b *testing.B, factory bench.WorkloadFactory) {
+func benchAllAlgos(b *testing.B, wl bench.Workload) {
 	b.Helper()
 	for _, algo := range bench.StandardAlgos() {
 		b.Run(algo.Name, func(b *testing.B) {
-			runWorkload(b, factory, algo, tm.RetryPolicy{})
+			runWorkload(b, wl, algo, tm.RetryPolicy{})
 		})
 	}
 }
@@ -212,13 +216,13 @@ func BenchmarkStructures(b *testing.B) {
 	cfg := bench.RBTreeConfig{Size: 2048, MutationRatio: 0.20}
 	for _, w := range []struct {
 		name string
-		f    bench.WorkloadFactory
+		wl   bench.Workload
 	}{
 		{"rbtree", bench.RBTree(cfg)},
 		{"skiplist", bench.SkipListWorkload(cfg)},
 		{"sortedlist", bench.SortedListWorkload(bench.RBTreeConfig{Size: 128, MutationRatio: 0.20})},
 	} {
-		b.Run(w.name, func(b *testing.B) { runWorkload(b, w.f, rhAlgo(b), tm.RetryPolicy{}) })
+		b.Run(w.name, func(b *testing.B) { runWorkload(b, w.wl, rhAlgo(b), tm.RetryPolicy{}) })
 	}
 }
 
@@ -244,13 +248,13 @@ func BenchmarkPredecessorRHTL2(b *testing.B) {
 	}
 	for _, w := range []struct {
 		name string
-		f    bench.WorkloadFactory
+		wl   bench.Workload
 	}{
 		{"rbtree10", bench.RBTree(bench.RBTreeConfig{Size: 10000, MutationRatio: 0.10})},
 		{"rbtree40", bench.RBTree(bench.RBTreeConfig{Size: 10000, MutationRatio: 0.40})},
 	} {
-		b.Run(w.name+"/rh-norec", func(b *testing.B) { runWorkload(b, w.f, rhAlgo(b), tm.RetryPolicy{}) })
-		b.Run(w.name+"/rh-tl2", func(b *testing.B) { runWorkload(b, w.f, rhtl2Algo, tm.RetryPolicy{}) })
+		b.Run(w.name+"/rh-norec", func(b *testing.B) { runWorkload(b, w.wl, rhAlgo(b), tm.RetryPolicy{}) })
+		b.Run(w.name+"/rh-tl2", func(b *testing.B) { runWorkload(b, w.wl, rhtl2Algo, tm.RetryPolicy{}) })
 	}
 }
 

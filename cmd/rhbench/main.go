@@ -34,6 +34,11 @@
 // persist experiment ignores the flag and sweeps the three modes side by
 // side.
 //
+// Every point is also a conformance pass: its workload's oracle runs in
+// flight and once the workers stop. After writing -json and -trace, rhbench
+// exits 1 if any point reported a violation or a failed check, naming the
+// first such point on stderr.
+//
 // rhbench compares algorithms inside one run. Whether a commit is faster or
 // slower than its parent is answered by `sh benchmark/run.sh --compare`.
 //
@@ -51,7 +56,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -89,7 +93,11 @@ func main() {
 	tm.SetSoftwareAccessCost(*swcost)
 
 	if *experiment == "list" {
-		fmt.Println("experiments: fig4 fig5 fig6 extra structures ablation disjoint persist scenarios all")
+		fmt.Print("experiments:")
+		for _, e := range bench.Experiments() {
+			fmt.Printf(" %s", e.Name)
+		}
+		fmt.Println(" all")
 		fmt.Print("algorithms:")
 		for _, a := range bench.StandardAlgos() {
 			fmt.Printf(" %s", a.Name)
@@ -107,18 +115,20 @@ func main() {
 		return
 	}
 
-	var figures []figure
+	var experiments []bench.Experiment
 	for _, n := range strings.Split(*experiment, ",") {
 		n = strings.TrimSpace(n)
+		names := []string{n}
 		if n == "all" {
-			figures = append(figures, bench.Figure4, bench.Figure5, bench.Figure6, bench.Extra)
-			continue
+			names = []string{"fig4", "fig5", "fig6", "extra"}
 		}
-		f := figureByName(n)
-		if f == nil {
-			usage("unknown experiment %q", n)
+		for _, name := range names {
+			e, ok := bench.ExperimentByName(name)
+			if !ok {
+				usage("unknown experiment %q", name)
+			}
+			experiments = append(experiments, e)
 		}
-		figures = append(figures, f)
 	}
 	threads, err := parseThreads(*threadsCSV)
 	if err != nil {
@@ -177,24 +187,26 @@ func main() {
 		}
 		traceFile = f
 	}
-	if *verbose || rec != nil || traceFile != nil {
-		cfg.Progress = func(r bench.Result) {
-			if rec != nil {
-				rec.Record(r)
-			}
-			if traceFile != nil {
-				traces = append(traces, obs.Trace{
-					Workload: r.Workload, Algo: r.Algo, Threads: r.Threads, Rings: r.Trace,
-				})
-			}
-			if *verbose {
-				fmt.Fprintf(os.Stderr, "  %-14s %-14s t=%-3d %12.0f ops/s\n", r.Workload, r.Algo, r.Threads, r.Throughput)
-			}
+	var bad string // the first point that broke its workload's oracle
+	cfg.Progress = func(r bench.Result) {
+		if bad == "" {
+			bad = violation(r)
+		}
+		if rec != nil {
+			rec.Record(r)
+		}
+		if traceFile != nil {
+			traces = append(traces, obs.Trace{
+				Workload: r.Workload, Algo: r.Algo, Threads: r.Threads, Rings: r.Trace,
+			})
+		}
+		if *verbose {
+			fmt.Fprintf(os.Stderr, "  %-14s %-14s t=%-3d %12.0f ops/s\n", r.Workload, r.Algo, r.Threads, r.Throughput)
 		}
 	}
 
-	for _, f := range figures {
-		if err := f(os.Stdout, cfg); err != nil {
+	for _, e := range experiments {
+		if err := e.Run(os.Stdout, cfg); err != nil {
 			fatal(err)
 		}
 	}
@@ -218,39 +230,23 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "rhbench: wrote %d traces to %s\n", len(traces), *tracePath)
 	}
+	if bad != "" {
+		fmt.Fprintln(os.Stderr, "rhbench: invariant violation:", bad)
+		os.Exit(1)
+	}
 }
 
-// figure is one -experiment: a sweep that prints its tables to w.
-type figure func(w io.Writer, cfg bench.FigureConfig) error
-
-// figureByName resolves one -experiment name, nil when there is none.
-func figureByName(name string) figure {
-	switch name {
-	case "fig4":
-		return bench.Figure4
-	case "fig5":
-		return bench.Figure5
-	case "fig6":
-		return bench.Figure6
-	case "extra":
-		return bench.Extra
-	case "structures":
-		return bench.Structures
-	case "disjoint":
-		return bench.DisjointFigure
-	case "persist":
-		return bench.PersistFigure
-	case "scenarios":
-		return bench.ScenariosFigure
-	case "ablation":
-		return func(w io.Writer, cfg bench.FigureConfig) error {
-			if len(cfg.Algos) == 0 { // no -algos
-				cfg.Algos = bench.RHVariants()
-			}
-			return bench.Figure4(w, cfg)
-		}
+// violation describes a point whose workload oracle found violations or
+// whose end-of-run check failed; "" for a clean point.
+func violation(r bench.Result) string {
+	if r.Violations == 0 && r.CheckError == "" {
+		return ""
 	}
-	return nil
+	msg := fmt.Sprintf("%s on %s at %d threads: %d violation(s)", r.Workload, r.Algo, r.Threads, r.Violations)
+	if r.CheckError != "" {
+		return msg + ", check failed: " + r.CheckError
+	}
+	return msg + " reported in flight"
 }
 
 func parseThreads(csv string) ([]int, error) {

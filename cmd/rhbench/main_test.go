@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"rhnorec/internal/bench"
 )
 
 // TestFailsBeforeItRunsOrTruncates pins rhbench's up-front validation: a
@@ -66,5 +68,30 @@ func TestFailsBeforeItRunsOrTruncates(t *testing.T) {
 				t.Fatalf("rhbench %v: -json file is now %q (err %v), want it untouched", tc.args, got, err)
 			}
 		})
+	}
+}
+
+// TestViolationNamesThePoint: a point with in-flight violations or a failed
+// check is what makes rhbench exit 1, and its message names the workload,
+// algorithm, thread count and the check's failure.
+func TestViolationNamesThePoint(t *testing.T) {
+	if msg := violation(bench.Result{Workload: "bank", Algo: "rh-norec", Threads: 4}); msg != "" {
+		t.Errorf("clean point: %q, want none", msg)
+	}
+	for _, tc := range []struct {
+		r    bench.Result
+		want []string
+	}{
+		{bench.Result{Workload: "bank", Algo: "rh-norec", Threads: 4, Violations: 2},
+			[]string{"bank", "rh-norec", "4 threads", "2 violation(s)", "in flight"}},
+		{bench.Result{Workload: "ssca2", Algo: "tl2", Threads: 2, Violations: 1, CheckError: "degree 9 > cap"},
+			[]string{"ssca2", "tl2", "2 threads", "1 violation(s)", "degree 9 > cap"}},
+	} {
+		msg := violation(tc.r)
+		for _, w := range tc.want {
+			if !strings.Contains(msg, w) {
+				t.Errorf("violation(%+v) = %q, want it to contain %q", tc.r, msg, w)
+			}
+		}
 	}
 }

@@ -26,7 +26,7 @@ func scenariosDump(t *testing.T) *bench.JSONDump {
 	algo, _ := bench.AlgoByName("rh-norec")
 	var rec bench.JSONRecorder
 	if _, err := bench.RunSweep(bench.SweepConfig{
-		Factory:  bench.ScenarioWorkload(sc, conformance.ScaleSoak),
+		Workload: bench.ScenarioWorkload(sc, conformance.ScaleSoak),
 		Algos:    []bench.Algo{algo},
 		Threads:  []int{1, 2},
 		Duration: 20 * time.Millisecond,

@@ -3,7 +3,8 @@
 // algorithm over the RBTree microbenchmark and the STAMP-style
 // applications, with the per-figure analysis rows (HTM aborts per
 // operation, slow-path restarts, slow-path ratio, prefix/postfix success
-// ratios).
+// ratios). Every workload is a conformance.Instance, so every point also
+// runs the workload's oracle and reports its violations.
 package bench
 
 import (
@@ -29,16 +30,6 @@ import (
 	"rhnorec/internal/tl2"
 	"rhnorec/internal/tm"
 )
-
-// Workload is one benchmarkable application.
-type Workload interface {
-	// Name identifies the workload in reports.
-	Name() string
-	// Setup builds the shared state (called once, single-threaded).
-	Setup(th tm.Thread) error
-	// NewOp returns the per-thread operation closure.
-	NewOp(th tm.Thread, seed int64) func() error
-}
 
 // Algo is a named TM-system constructor. STM algorithms ignore dev.
 type Algo struct {
@@ -220,32 +211,20 @@ type Result struct {
 	// Trace holds each worker's drained event ring, sorted by thread
 	// index; nil unless RunConfig.ObsRing was set.
 	Trace []obs.ThreadRing
-	// Violations counts invariant violations the workload observed; nil
-	// unless the workload carries an oracle (see InvariantWorkload).
-	Violations *uint64
-	// CheckError is the end-of-run invariant check's failure message,
-	// empty on a clean pass; set only for oracle-carrying workloads.
+	// Violations counts the workload oracle's verdicts against the point:
+	// in-flight reports, failed operations and a failed end-of-run Check.
+	Violations uint64
+	// CheckError is the end-of-run Check's failure message, empty on a
+	// clean pass.
 	CheckError string
 }
 
-// InvariantWorkload is implemented by workloads that carry a correctness
-// oracle (the conformance-registry scenarios): Run calls Check once the
-// workers stop and surfaces the violation count in the Result, so a
-// benchmark sweep doubles as a conformance pass and the SLO gate can
-// enforce a zero-violations budget.
-type InvariantWorkload interface {
-	Workload
-	// Check validates the end state over a quiesced system.
-	Check(sys tm.System) error
-	// Violations reports how many invariant violations workers observed
-	// in-flight (read-only audits, in-transaction conservation checks).
-	Violations() uint64
-}
-
-// Run executes one benchmark point. An operation that returns an error
-// stops the point and fails it: the error names the workload, the algorithm
-// and the first such error, and the Result beside it is still complete, so
-// an oracle-carrying workload's violation count is not lost with it.
+// Run executes one benchmark point over a fresh instance of the workload,
+// and is a conformance pass too: once the workers stop and the point's
+// elapsed time is taken, Run calls the instance's Check. An operation that
+// returns an error stops the point and fails it: the error names the
+// workload, the algorithm and the first such error, and the Result beside
+// it is still complete, so the point's violation count is not lost with it.
 func Run(cfg RunConfig) (Result, error) {
 	if cfg.Threads <= 0 {
 		cfg.Threads = 1
@@ -295,14 +274,16 @@ func Run(cfg RunConfig) (Result, error) {
 	dev.SetActiveThreads(cfg.Threads)
 	sys := cfg.Algo.New(m, dev, cfg.Policy)
 
+	inst := cfg.Workload.New()
 	setup := sys.NewThread()
-	if err := cfg.Workload.Setup(setup); err != nil {
-		return Result{}, fmt.Errorf("bench: %s setup on %s: %w", cfg.Workload.Name(), cfg.Algo.Name, err)
+	if err := inst.Setup(setup); err != nil {
+		return Result{}, fmt.Errorf("bench: %s setup on %s: %w", cfg.Workload.Name, cfg.Algo.Name, err)
 	}
 	setup.Close()
 
 	var stop atomic.Bool
-	var totalOps atomic.Uint64
+	var totalOps, violations atomic.Uint64
+	report := func(string) { violations.Add(1) }
 	var agg tm.Stats
 	var aggMu sync.Mutex // guards agg, rings and opErr
 	var rings []obs.ThreadRing
@@ -320,7 +301,7 @@ func Run(cfg RunConfig) (Result, error) {
 				// can be attached here without any per-algorithm wiring.
 				th.Stats().Obs = obs.NewRecorder(obs.Config{RingSize: cfg.ObsRing})
 			}
-			op := cfg.Workload.NewOp(th, seed)
+			op := inst.NewWorker(th, seed, report)
 			var ops uint64
 			var failed error
 		work:
@@ -328,6 +309,7 @@ func Run(cfg RunConfig) (Result, error) {
 				// Batch the stop check to keep it off the hot path.
 				for k := 0; k < 16; k++ {
 					if failed = op(); failed != nil {
+						violations.Add(1)
 						stop.Store(true)
 						break work
 					}
@@ -371,7 +353,7 @@ func Run(cfg RunConfig) (Result, error) {
 	elapsed := time.Since(start)
 	ops := totalOps.Load()
 	res := Result{
-		Workload:   cfg.Workload.Name(),
+		Workload:   cfg.Workload.Name,
 		Algo:       cfg.Algo.Name,
 		Threads:    cfg.Threads,
 		Ops:        ops,
@@ -386,16 +368,11 @@ func Run(cfg RunConfig) (Result, error) {
 		sort.Slice(rings, func(i, j int) bool { return rings[i].Thread < rings[j].Thread })
 		res.Trace = rings
 	}
-	if iw, ok := cfg.Workload.(InvariantWorkload); ok {
-		if err := iw.Check(sys); err != nil {
-			res.CheckError = err.Error()
-		}
-		v := iw.Violations()
-		if res.CheckError != "" {
-			v++
-		}
-		res.Violations = &v
+	if err := inst.Check(sys); err != nil {
+		res.CheckError = err.Error()
+		violations.Add(1)
 	}
+	res.Violations = violations.Load()
 	if opErr != nil {
 		return res, fmt.Errorf("bench: %s on %s: op failed: %w", res.Workload, res.Algo, opErr)
 	}

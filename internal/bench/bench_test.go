@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"rhnorec/internal/bench"
+	"rhnorec/internal/conformance"
 	"rhnorec/internal/tm"
 )
 
@@ -18,7 +19,7 @@ func TestRunSinglePoint(t *testing.T) {
 		t.Fatal("rh-norec not registered")
 	}
 	res, err := bench.Run(bench.RunConfig{
-		Workload: bench.RBTree(bench.RBTreeConfig{Size: 256, MutationRatio: 0.1})(),
+		Workload: bench.RBTree(bench.RBTreeConfig{Size: 256, MutationRatio: 0.1}),
 		Algo:     algo,
 		Threads:  2,
 		Duration: 30 * time.Millisecond,
@@ -38,6 +39,9 @@ func TestRunSinglePoint(t *testing.T) {
 	if res.Workload != "rbtree-10" || res.Algo != "rh-norec" || res.Threads != 2 {
 		t.Errorf("result metadata wrong: %+v", res)
 	}
+	if res.Violations != 0 || res.CheckError != "" {
+		t.Errorf("oracle verdict: %d violations, check error %q", res.Violations, res.CheckError)
+	}
 }
 
 func TestStandardAlgosComplete(t *testing.T) {
@@ -56,7 +60,7 @@ func TestStandardAlgosComplete(t *testing.T) {
 }
 
 func TestAllWorkloadsRunOnAllAlgos(t *testing.T) {
-	factories := map[string]bench.WorkloadFactory{
+	workloads := map[string]bench.Workload{
 		"rbtree":        bench.RBTree(bench.RBTreeConfig{Size: 128, MutationRatio: 0.2}),
 		"vacation-low":  bench.VacationLow(),
 		"vacation-high": bench.VacationHigh(),
@@ -70,11 +74,11 @@ func TestAllWorkloadsRunOnAllAlgos(t *testing.T) {
 		"skiplist":      bench.SkipListWorkload(bench.RBTreeConfig{Size: 128, MutationRatio: 0.2}),
 		"sortedlist":    bench.SortedListWorkload(bench.RBTreeConfig{Size: 64, MutationRatio: 0.2}),
 	}
-	for wname, f := range factories {
+	for wname, wl := range workloads {
 		for _, algo := range bench.StandardAlgos() {
 			t.Run(wname+"/"+algo.Name, func(t *testing.T) {
 				res, err := bench.Run(bench.RunConfig{
-					Workload: f(),
+					Workload: wl,
 					Algo:     algo,
 					Threads:  2,
 					Duration: 15 * time.Millisecond,
@@ -85,6 +89,9 @@ func TestAllWorkloadsRunOnAllAlgos(t *testing.T) {
 				if res.Ops == 0 {
 					t.Error("no operations completed")
 				}
+				if res.Violations != 0 || res.CheckError != "" {
+					t.Errorf("%d violations, check error %q", res.Violations, res.CheckError)
+				}
 			})
 		}
 	}
@@ -92,7 +99,7 @@ func TestAllWorkloadsRunOnAllAlgos(t *testing.T) {
 
 func TestSweepPrintFormat(t *testing.T) {
 	s, err := bench.RunSweep(bench.SweepConfig{
-		Factory:  bench.RBTree(bench.RBTreeConfig{Size: 64, MutationRatio: 0.4}),
+		Workload: bench.RBTree(bench.RBTreeConfig{Size: 64, MutationRatio: 0.4}),
 		Threads:  []int{1, 2},
 		Duration: 10 * time.Millisecond,
 	})
@@ -105,6 +112,7 @@ func TestSweepPrintFormat(t *testing.T) {
 	for _, want := range []string{
 		"workload: rbtree-40",
 		"throughput (ops/sec):",
+		"invariant violations:",
 		"lock-elision",
 		"rh-norec",
 		"analysis: hy-norec",
@@ -129,7 +137,7 @@ func TestDefaultThreadsMatchPaperRange(t *testing.T) {
 func TestProgressCallback(t *testing.T) {
 	count := 0
 	_, err := bench.RunSweep(bench.SweepConfig{
-		Factory:  bench.SSCA2(),
+		Workload: bench.SSCA2(),
 		Algos:    bench.StandardAlgos()[:2],
 		Threads:  []int{1},
 		Duration: 10 * time.Millisecond,
@@ -152,9 +160,8 @@ type failNth struct {
 	n     int64
 }
 
-func (w *failNth) Name() string          { return "fail-nth" }
 func (w *failNth) Setup(tm.Thread) error { return nil }
-func (w *failNth) NewOp(tm.Thread, int64) func() error {
+func (w *failNth) NewWorker(tm.Thread, int64, conformance.Report) func() error {
 	return func() error {
 		if w.calls.Add(1) == w.n {
 			return errBoom
@@ -162,19 +169,23 @@ func (w *failNth) NewOp(tm.Thread, int64) func() error {
 		return nil
 	}
 }
+func (w *failNth) Check(tm.System) error { return nil }
 
 // TestRunReportsFailingOp: a worker that dies of an op error must fail the
 // point, not leave the survivors' throughput standing as the result.
 func TestRunReportsFailingOp(t *testing.T) {
 	algo, _ := bench.AlgoByName("rh-norec")
-	_, err := bench.Run(bench.RunConfig{
-		Workload: &failNth{n: 100},
+	res, err := bench.Run(bench.RunConfig{
+		Workload: bench.Workload{Name: "fail-nth", New: func() conformance.Instance { return &failNth{n: 100} }},
 		Algo:     algo,
 		Threads:  2,
 		Duration: 10 * time.Millisecond,
 	})
 	if !errors.Is(err, errBoom) {
 		t.Fatalf("Run error = %v, want it to wrap the op's error", err)
+	}
+	if res.Violations != 1 {
+		t.Errorf("violations = %d, want 1 (the failed op)", res.Violations)
 	}
 	for _, want := range []string{"fail-nth", "rh-norec"} {
 		if !strings.Contains(err.Error(), want) {
@@ -183,16 +194,20 @@ func TestRunReportsFailingOp(t *testing.T) {
 	}
 }
 
-// flakyOracle is an oracle-carrying workload. A bad instance reports two
-// in-flight violations and fails its end check, and its op is slow, so of
+// flakyOracle is a workload whose bad instance reports two in-flight
+// violations and fails its end check, and whose op is slow there, so of
 // three repeats it is the lowest-throughput run and never the median.
 type flakyOracle struct{ bad bool }
 
-func (w *flakyOracle) Name() string          { return "flaky-oracle" }
 func (w *flakyOracle) Setup(tm.Thread) error { return nil }
-func (w *flakyOracle) NewOp(tm.Thread, int64) func() error {
+func (w *flakyOracle) NewWorker(_ tm.Thread, _ int64, report conformance.Report) func() error {
+	reports := 0
 	return func() error {
 		if w.bad {
+			if reports < 2 {
+				reports++
+				report("torn read")
+			}
 			time.Sleep(time.Millisecond)
 		}
 		return nil
@@ -204,12 +219,6 @@ func (w *flakyOracle) Check(tm.System) error {
 	}
 	return nil
 }
-func (w *flakyOracle) Violations() uint64 {
-	if w.bad {
-		return 2
-	}
-	return 0
-}
 
 // TestSweepKeepsOracleVerdictOfEveryRepeat: the median is taken of the
 // throughput, not of the oracle — one failing repeat in three must reach
@@ -218,10 +227,10 @@ func TestSweepKeepsOracleVerdictOfEveryRepeat(t *testing.T) {
 	instances := 0
 	var got []bench.Result
 	_, err := bench.RunSweep(bench.SweepConfig{
-		Factory: func() bench.Workload {
+		Workload: bench.Workload{Name: "flaky-oracle", New: func() conformance.Instance {
 			instances++
 			return &flakyOracle{bad: instances == 2}
-		},
+		}},
 		Algos:    bench.StandardAlgos()[:1],
 		Threads:  []int{1},
 		Duration: 10 * time.Millisecond,
@@ -235,11 +244,8 @@ func TestSweepKeepsOracleVerdictOfEveryRepeat(t *testing.T) {
 		t.Fatalf("%d instances, %d reported points, want 3 and 1", instances, len(got))
 	}
 	r := got[0]
-	if r.Violations == nil {
-		t.Fatal("the reported point carries no violation count")
-	}
-	if *r.Violations != 3 {
-		t.Errorf("violations = %d, want 3 (2 in flight + the failed check of repeat 2)", *r.Violations)
+	if r.Violations != 3 {
+		t.Errorf("violations = %d, want 3 (2 in flight + the failed check of repeat 2)", r.Violations)
 	}
 	if !strings.Contains(r.CheckError, "ledger off by one") {
 		t.Errorf("check error = %q, want repeat 2's", r.CheckError)

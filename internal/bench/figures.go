@@ -15,7 +15,7 @@ import (
 // SweepConfig describes one workload's thread sweep across algorithms —
 // one column of a paper figure.
 type SweepConfig struct {
-	Factory  WorkloadFactory
+	Workload Workload
 	Algos    []Algo
 	Threads  []int
 	Duration time.Duration
@@ -69,7 +69,7 @@ func RunSweep(cfg SweepConfig) (*Sweep, error) {
 			var checkError string
 			for r := 0; r < cfg.Repeat; r++ {
 				res, err := Run(RunConfig{
-					Workload: cfg.Factory(),
+					Workload: cfg.Workload,
 					Algo:     algo,
 					Threads:  n,
 					Duration: cfg.Duration,
@@ -85,18 +85,14 @@ func RunSweep(cfg SweepConfig) (*Sweep, error) {
 					return nil, err
 				}
 				runs = append(runs, res)
-				if res.Violations != nil {
-					violations += *res.Violations
-				}
+				violations += res.Violations
 				if checkError == "" {
 					checkError = res.CheckError
 				}
 			}
 			sort.Slice(runs, func(i, j int) bool { return runs[i].Throughput < runs[j].Throughput })
 			res := runs[len(runs)/2] // median run
-			if res.Violations != nil {
-				res.Violations, res.CheckError = &violations, checkError
-			}
+			res.Violations, res.CheckError = violations, checkError
 			s.Workload = res.Workload
 			s.Results[algo.Name] = append(s.Results[algo.Name], res)
 			if cfg.Progress != nil {
@@ -117,33 +113,24 @@ func (s *Sweep) Print(w io.Writer) {
 	}
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "throughput (ops/sec):")
-	checked := false
 	for _, name := range s.Order {
 		fmt.Fprintf(w, "%-14s", name)
 		for _, r := range s.Results[name] {
 			fmt.Fprintf(w, "%12.3g", r.Throughput)
-			if r.Violations != nil {
-				checked = true
-			}
 		}
 		fmt.Fprintln(w)
 	}
-	if checked {
-		fmt.Fprintln(w, "invariant violations:")
-		for _, name := range s.Order {
-			fmt.Fprintf(w, "%-14s", name)
-			for _, r := range s.Results[name] {
-				switch {
-				case r.Violations == nil:
-					fmt.Fprintf(w, "%12s", "-")
-				case *r.Violations == 0:
-					fmt.Fprintf(w, "%12s", "ok")
-				default:
-					fmt.Fprintf(w, "%12d", *r.Violations)
-				}
+	fmt.Fprintln(w, "invariant violations:")
+	for _, name := range s.Order {
+		fmt.Fprintf(w, "%-14s", name)
+		for _, r := range s.Results[name] {
+			if r.Violations == 0 {
+				fmt.Fprintf(w, "%12s", "ok")
+			} else {
+				fmt.Fprintf(w, "%12d", r.Violations)
 			}
-			fmt.Fprintln(w)
 		}
+		fmt.Fprintln(w)
 	}
 	for _, name := range s.Order {
 		if name != "hy-norec" && name != "rh-norec" {
@@ -221,21 +208,132 @@ type FigureConfig struct {
 	ObsRing int
 }
 
-func (c FigureConfig) sweep(f WorkloadFactory) SweepConfig {
+func (c FigureConfig) sweep(wl Workload) SweepConfig {
 	return SweepConfig{
-		Factory: f, Algos: c.Algos, Threads: c.Threads, Duration: c.Duration,
+		Workload: wl, Algos: c.Algos, Threads: c.Threads, Duration: c.Duration,
 		MemWords: c.MemWords, Stripes: c.Stripes,
 		Persist: c.Persist, HTM: c.HTM, Policy: c.Policy,
 		Repeat: c.Repeat, Progress: c.Progress, Obs: c.Obs, ObsRing: c.ObsRing,
 	}
 }
 
-func runAndPrint(w io.Writer, title string, cfg FigureConfig, factories []WorkloadFactory) error {
-	if !cfg.TSV {
-		fmt.Fprintf(w, "==== %s ====\n", title)
+// Experiment is one rhbench -experiment: a titled sweep of each of its
+// workloads, in order, under the configured algorithms.
+type Experiment struct {
+	Name      string
+	Title     string
+	Workloads []Workload
+	// defaults sets the FigureConfig fields the experiment picks for
+	// itself, such as its algorithm set when the caller gave none.
+	defaults func(*FigureConfig)
+}
+
+// Experiments returns every rhbench -experiment, in presentation order.
+func Experiments() []Experiment {
+	const size = 10000 // Figure 4's tree (paper §3.5)
+	fig4 := []Workload{
+		RBTree(RBTreeConfig{Size: size, MutationRatio: 0.04}),
+		RBTree(RBTreeConfig{Size: size, MutationRatio: 0.10}),
+		RBTree(RBTreeConfig{Size: size, MutationRatio: 0.40}),
 	}
-	for _, f := range factories {
-		s, err := RunSweep(cfg.sweep(f))
+	return []Experiment{
+		{Name: "fig4", Title: "Figure 4: 10,000-node RBTree", Workloads: fig4},
+		// Figures 5 and 6 are the STAMP columns of paper §3.6.
+		{Name: "fig5", Title: "Figure 5: Vacation-Low, Intruder, Genome",
+			Workloads: []Workload{VacationLow(), Intruder(), Genome()}},
+		{Name: "fig6", Title: "Figure 6: Vacation-High, SSCA2, Yada",
+			Workloads: []Workload{VacationHigh(), SSCA2(), Yada()}},
+		// The workloads the paper folds into the SSCA2 discussion, plus
+		// Bayes, which it omits for inconsistent behaviour (no claims are
+		// made about it).
+		{Name: "extra", Title: "Extra: Kmeans, Labyrinth (\"similar to SSCA2\"), Bayes (omitted by the paper), §3.6",
+			Workloads: []Workload{Kmeans(), Labyrinth(), Bayes()}},
+		{Name: "structures", Title: "Structures: rbtree, skiplist, sortedlist (same op mix)",
+			Workloads: []Workload{
+				RBTree(RBTreeConfig{Size: 2048, MutationRatio: 0.20}),
+				SkipListWorkload(RBTreeConfig{Size: 2048, MutationRatio: 0.20}),
+				SortedListWorkload(RBTreeConfig{Size: 128, MutationRatio: 0.20}),
+			}},
+		// Figure 4 under the RH NOrec design-choice ablations.
+		{Name: "ablation", Title: "Figure 4: 10,000-node RBTree", Workloads: fig4,
+			defaults: func(c *FigureConfig) {
+				if len(c.Algos) == 0 {
+					c.Algos = RHVariants()
+				}
+			}},
+		// Every thread commits write transactions over its own private
+		// block of cache lines, so under the striped substrate no two
+		// commits touch the same stripe. Sweep it at -stripes 1 versus the
+		// default to isolate the commit serialization striping removes.
+		{Name: "disjoint", Title: "Disjoint: per-thread private lines (stripe-parallel commits)",
+			Workloads: []Workload{Disjoint(DisjointConfig{Lines: 4})}},
+		// The durability-overhead sweep (DESIGN.md §15, docs/PERSIST.md):
+		// every transaction read-modify-writes the same two shared lines
+		// and durable-acks, under the persist variants. Group fsync stays
+		// within a small factor of persist-off because concurrent waiters
+		// amortize one fsync pass per commit group; fsync-per-commit pays
+		// a full fsync inside every commit's append and falls off a cliff
+		// as threads grow. The variants pin their own modes, so a
+		// sweep-level mode is dropped rather than allowed to arm the
+		// persist-off row. CI's crash-recovery job runs it as a smoke.
+		{Name: "persist", Title: "Persist: durable-acked hotspot (off vs group fsync vs fsync-per-commit)",
+			Workloads: []Workload{Hotspot(HotspotConfig{Lines: 2})},
+			defaults: func(c *FigureConfig) {
+				if len(c.Algos) == 0 {
+					c.Algos = PersistVariants()
+				}
+				c.Persist = persist.ModeOff
+				if c.MemWords == 0 {
+					// A smaller arena keeps allocation noise out of the
+					// short CI points (and out of the log's persisted
+					// range, which spans the whole memory).
+					c.MemWords = 1 << 18
+				}
+			}},
+		// Every conformance-registry scenario at soak scale under a
+		// hybrid/STM cross-section: the sweep behind the CI
+		// conformance-matrix gate.
+		{Name: "scenarios", Title: "Scenarios: conformance registry at soak scale (invariant-checked)",
+			Workloads: ScenarioWorkloads(conformance.ScaleSoak),
+			defaults: func(c *FigureConfig) {
+				if len(c.Algos) == 0 {
+					for _, name := range []string{"lock-elision", "hy-norec", "rh-norec"} {
+						a, _ := AlgoByName(name)
+						c.Algos = append(c.Algos, a)
+					}
+				}
+				if c.MemWords == 0 {
+					// Every scenario's soak footprint is at most a few
+					// hundred lines; the default multi-megabyte arena only
+					// adds GC noise to short CI points.
+					c.MemWords = 1 << 18
+				}
+			}},
+	}
+}
+
+// ExperimentByName returns the experiment with the given name.
+func ExperimentByName(name string) (Experiment, bool) {
+	for _, e := range Experiments() {
+		if e.Name == name {
+			return e, true
+		}
+	}
+	return Experiment{}, false
+}
+
+// Run sweeps each of the experiment's workloads and prints its tables to w.
+// Every point is a conformance pass: its Result carries the workload
+// oracle's verdict.
+func (e Experiment) Run(w io.Writer, cfg FigureConfig) error {
+	if e.defaults != nil {
+		e.defaults(&cfg)
+	}
+	if !cfg.TSV {
+		fmt.Fprintf(w, "==== %s ====\n", e.Title)
+	}
+	for _, wl := range e.Workloads {
+		s, err := RunSweep(cfg.sweep(wl))
 		if err != nil {
 			return err
 		}
@@ -247,108 +345,4 @@ func runAndPrint(w io.Writer, title string, cfg FigureConfig, factories []Worklo
 		fmt.Fprintln(w)
 	}
 	return nil
-}
-
-// Structures runs the ordered-structure comparison (rbtree vs skip list vs
-// sorted list) under the configured algorithms.
-func Structures(w io.Writer, cfg FigureConfig) error {
-	return runAndPrint(w, "Structures: rbtree, skiplist, sortedlist (same op mix)", cfg,
-		[]WorkloadFactory{
-			RBTree(RBTreeConfig{Size: 2048, MutationRatio: 0.20}),
-			SkipListWorkload(RBTreeConfig{Size: 2048, MutationRatio: 0.20}),
-			SortedListWorkload(RBTreeConfig{Size: 128, MutationRatio: 0.20}),
-		})
-}
-
-// Figure4 reproduces the RBTree figure: 10,000 nodes at 4%, 10% and 40%
-// mutation ratios (paper §3.5).
-func Figure4(w io.Writer, cfg FigureConfig) error {
-	const size = 10000
-	return runAndPrint(w, "Figure 4: 10,000-node RBTree", cfg, []WorkloadFactory{
-		RBTree(RBTreeConfig{Size: size, MutationRatio: 0.04}),
-		RBTree(RBTreeConfig{Size: size, MutationRatio: 0.10}),
-		RBTree(RBTreeConfig{Size: size, MutationRatio: 0.40}),
-	})
-}
-
-// Figure5 reproduces the Vacation-Low, Intruder and Genome columns (paper
-// §3.6).
-func Figure5(w io.Writer, cfg FigureConfig) error {
-	return runAndPrint(w, "Figure 5: Vacation-Low, Intruder, Genome", cfg,
-		[]WorkloadFactory{VacationLow(), Intruder(), Genome()})
-}
-
-// Figure6 reproduces the Vacation-High, SSCA2 and Yada columns (paper
-// §3.6).
-func Figure6(w io.Writer, cfg FigureConfig) error {
-	return runAndPrint(w, "Figure 6: Vacation-High, SSCA2, Yada", cfg,
-		[]WorkloadFactory{VacationHigh(), SSCA2(), Yada()})
-}
-
-// DisjointFigure runs the disjoint-footprint scaling workload: every
-// thread commits write transactions over its own private block of cache
-// lines, so under the striped substrate no two commits ever touch the
-// same stripe. Sweep it at -stripes 1 versus the default to isolate the
-// substrate-level commit serialization that striping removes.
-func DisjointFigure(w io.Writer, cfg FigureConfig) error {
-	return runAndPrint(w, "Disjoint: per-thread private lines (stripe-parallel commits)", cfg,
-		[]WorkloadFactory{Disjoint(DisjointConfig{Lines: 4})})
-}
-
-// PersistFigure runs the durability-overhead sweep (DESIGN.md §15,
-// docs/PERSIST.md): the hotspot workload — every transaction
-// read-modify-writes the same two shared lines, and every operation
-// durable-acks before the next one — under the persist variants. The
-// shape to expect: group fsync stays within a small factor of
-// persist-off because concurrent waiters amortize one fsync pass per
-// commit group, while fsync-per-commit pays a full fsync inside every
-// commit's append (serialized under the commit window) and falls off a
-// cliff as threads grow. The variants pin their own modes, so a sweep-level
-// mode is dropped rather than allowed to arm the persist-off row. CI's
-// crash-recovery job runs this sweep as a schema-validated smoke.
-func PersistFigure(w io.Writer, cfg FigureConfig) error {
-	if len(cfg.Algos) == 0 {
-		cfg.Algos = PersistVariants()
-	}
-	cfg.Persist = persist.ModeOff
-	if cfg.MemWords == 0 {
-		// The hotspot touches a handful of lines; a smaller arena keeps
-		// allocation noise out of the short CI points (and out of the log's
-		// persisted range bound, which spans the whole memory).
-		cfg.MemWords = 1 << 18
-	}
-	return runAndPrint(w, "Persist: durable-acked hotspot (off vs group fsync vs fsync-per-commit)", cfg,
-		[]WorkloadFactory{Hotspot(HotspotConfig{Lines: 2})})
-}
-
-// ScenariosFigure runs every conformance-registry scenario (bank, rbtree,
-// session, ratelimit, inventory, graph) at soak scale under a hybrid/STM
-// cross-section. Each point doubles as a conformance pass: the scenario's
-// oracle runs alongside the workers and at the end of the point, and the
-// violation count rides into the JSON dump for cmd/rhgate's
-// zero-violations budget. This is the sweep behind the CI
-// conformance-matrix gate.
-func ScenariosFigure(w io.Writer, cfg FigureConfig) error {
-	if len(cfg.Algos) == 0 {
-		cfg.Algos = []Algo{}
-		for _, name := range []string{"lock-elision", "hy-norec", "rh-norec"} {
-			a, _ := AlgoByName(name)
-			cfg.Algos = append(cfg.Algos, a)
-		}
-	}
-	if cfg.MemWords == 0 {
-		// Every scenario's soak footprint is at most a few hundred lines; the
-		// default multi-megabyte arena only adds GC noise to short CI points.
-		cfg.MemWords = 1 << 18
-	}
-	return runAndPrint(w, "Scenarios: conformance registry at soak scale (invariant-checked)", cfg,
-		ScenarioWorkloads(conformance.ScaleSoak))
-}
-
-// Extra reproduces the workloads the paper folds into the SSCA2 discussion
-// (Kmeans and Labyrinth, §3.6) plus Bayes, which the paper omits for
-// inconsistent behaviour (no claims are made about it).
-func Extra(w io.Writer, cfg FigureConfig) error {
-	return runAndPrint(w, "Extra: Kmeans, Labyrinth (\"similar to SSCA2\"), Bayes (omitted by the paper), §3.6", cfg,
-		[]WorkloadFactory{Kmeans(), Labyrinth(), Bayes()})
 }

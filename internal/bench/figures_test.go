@@ -27,22 +27,21 @@ func tinyFigure() bench.FigureConfig {
 func TestFigureDriversProduceAllColumns(t *testing.T) {
 	cases := []struct {
 		name string
-		run  func(buf *bytes.Buffer) error
 		want []string
 	}{
-		{"fig4", func(b *bytes.Buffer) error { return bench.Figure4(b, tinyFigure()) },
-			[]string{"rbtree-4", "rbtree-10", "rbtree-40"}},
-		{"fig5", func(b *bytes.Buffer) error { return bench.Figure5(b, tinyFigure()) },
-			[]string{"vacation-low", "intruder", "genome"}},
-		{"fig6", func(b *bytes.Buffer) error { return bench.Figure6(b, tinyFigure()) },
-			[]string{"vacation-high", "ssca2", "yada"}},
-		{"extra", func(b *bytes.Buffer) error { return bench.Extra(b, tinyFigure()) },
-			[]string{"kmeans", "labyrinth"}},
+		{"fig4", []string{"rbtree-4", "rbtree-10", "rbtree-40"}},
+		{"fig5", []string{"vacation-low", "intruder", "genome"}},
+		{"fig6", []string{"vacation-high", "ssca2", "yada"}},
+		{"extra", []string{"kmeans", "labyrinth"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			e, ok := bench.ExperimentByName(c.name)
+			if !ok {
+				t.Fatalf("no experiment %q", c.name)
+			}
 			var buf bytes.Buffer
-			if err := c.run(&buf); err != nil {
+			if err := e.Run(&buf, tinyFigure()); err != nil {
 				t.Fatal(err)
 			}
 			out := buf.String()
@@ -58,6 +57,49 @@ func TestFigureDriversProduceAllColumns(t *testing.T) {
 	}
 }
 
+// TestEveryExperimentWorkloadIsOracleClean runs each workload of every
+// experiment (once, where experiments share one) for a short point under
+// the serial oracle and RH NOrec: every point is a conformance pass, and on
+// working drivers each reads zero violations and a clean check.
+func TestEveryExperimentWorkloadIsOracleClean(t *testing.T) {
+	var algos []bench.Algo
+	for _, name := range []string{"serial", "rh-norec"} {
+		a, ok := bench.AlgoByName(name)
+		if !ok {
+			t.Fatalf("no algorithm %q", name)
+		}
+		algos = append(algos, a)
+	}
+	seen := map[string]bool{}
+	for _, e := range bench.Experiments() {
+		if len(e.Workloads) == 0 {
+			t.Errorf("experiment %s has no workloads", e.Name)
+		}
+		for _, wl := range e.Workloads {
+			if seen[wl.Name] {
+				continue
+			}
+			seen[wl.Name] = true
+			for _, algo := range algos {
+				t.Run(e.Name+"/"+wl.Name+"/"+algo.Name, func(t *testing.T) {
+					res, err := bench.Run(bench.RunConfig{
+						Workload: wl,
+						Algo:     algo,
+						Threads:  2,
+						Duration: 5 * time.Millisecond,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Violations != 0 || res.CheckError != "" {
+						t.Errorf("%d violations, check error %q", res.Violations, res.CheckError)
+					}
+				})
+			}
+		}
+	}
+}
+
 func TestRHVariantsDistinctAndRunnable(t *testing.T) {
 	seen := map[string]bool{}
 	for _, a := range bench.RHVariants() {
@@ -66,7 +108,7 @@ func TestRHVariantsDistinctAndRunnable(t *testing.T) {
 		}
 		seen[a.Name] = true
 		res, err := bench.Run(bench.RunConfig{
-			Workload: bench.RBTree(bench.RBTreeConfig{Size: 64, MutationRatio: 0.3})(),
+			Workload: bench.RBTree(bench.RBTreeConfig{Size: 64, MutationRatio: 0.3}),
 			Algo:     a,
 			Threads:  2,
 			Duration: 10 * time.Millisecond,

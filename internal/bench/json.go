@@ -44,10 +44,11 @@ type JSONPoint struct {
 	// the harness ran a TM system underneath (absent from rhload's
 	// client-side cells, whose server publishes its own rhserve.v1 dump).
 	TM *JSONTM `json:"tm,omitempty"`
-	// Violations counts invariant violations the workload's oracle
-	// observed; present (zero included) only for workloads that carry an
-	// invariant check — the conformance registry scenarios. The SLO gate
-	// (cmd/rhgate) keys its zero-violations budget on this field.
+	// Violations counts the workload oracle's verdicts against the point
+	// (Result.Violations). Record always writes it, zero included, and
+	// ValidateDump requires it; the pointer tells a dump without the field
+	// apart from a clean one. The SLO gate (cmd/rhgate) keys its
+	// zero-violations budget on this field.
 	Violations *uint64 `json:"violations,omitempty"`
 	// CheckError is the end-of-run invariant check's failure message
 	// (empty on a clean pass). A failed check also counts in Violations.
@@ -83,6 +84,7 @@ type JSONRecorder struct {
 // Record appends one finished point. It has the FigureConfig.Progress
 // signature so it can be chained directly.
 func (rec *JSONRecorder) Record(r Result) {
+	violations := r.Violations
 	rec.points = append(rec.points, JSONPoint{
 		Workload:   r.Workload,
 		Algo:       r.Algo,
@@ -92,7 +94,7 @@ func (rec *JSONRecorder) Record(r Result) {
 		OpsPerSec:  r.Throughput,
 		Obs:        r.Obs,
 		TM:         tmBlock(&r.Stats),
-		Violations: r.Violations,
+		Violations: &violations,
 		CheckError: r.CheckError,
 	})
 }

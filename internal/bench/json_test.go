@@ -35,12 +35,17 @@ func TestJSONRecorderRoundTrip(t *testing.T) {
 		{Workload: "rbtree-10%", Algo: "htm-only", Threads: 1, Ops: 10, ElapsedSec: 1, OpsPerSec: 10},
 	}
 	for i := range want {
+		// Every point carries its violation count, zero included.
+		if v := got.Points[i].Violations; v == nil || *v != 0 {
+			t.Errorf("point %d violations = %v, want a present 0", i, v)
+		}
+		got.Points[i].Violations = nil
 		if got.Points[i] != want[i] {
 			t.Errorf("point %d = %+v, want %+v", i, got.Points[i], want[i])
 		}
 	}
 	// The plotting scripts key on these exact names.
-	for _, key := range []string{`"schema_version"`, `"points"`, `"workload"`, `"algo"`, `"threads"`, `"ops"`, `"elapsed_sec"`, `"ops_per_sec"`} {
+	for _, key := range []string{`"schema_version"`, `"points"`, `"workload"`, `"algo"`, `"threads"`, `"ops"`, `"elapsed_sec"`, `"ops_per_sec"`, `"violations"`} {
 		if !strings.Contains(buf.String(), key) {
 			t.Errorf("output missing field %s", key)
 		}

@@ -40,7 +40,7 @@ func TestPersistRunArms(t *testing.T) {
 	for _, mode := range []persist.Mode{persist.ModeGroup, persist.ModeSync} {
 		var attached bool
 		res, err := Run(RunConfig{
-			Workload: Hotspot(HotspotConfig{Lines: 2})(),
+			Workload: Hotspot(HotspotConfig{Lines: 2}),
 			Algo: Algo{Name: "probe", Persist: mode,
 				New: func(m *mem.Memory, d *htm.Device, p tm.RetryPolicy) tm.System {
 					attached = m.Persisting()
@@ -77,7 +77,7 @@ func TestPersistPolicyKnob(t *testing.T) {
 		MemWords: 1 << 16,
 	}
 	for _, mode := range []persist.Mode{persist.ModeGroup, persist.ModeOff} {
-		cfg.Workload = Hotspot(HotspotConfig{Lines: 2})()
+		cfg.Workload = Hotspot(HotspotConfig{Lines: 2})
 		cfg.Persist = mode
 		if _, err := Run(cfg); err != nil {
 			t.Fatal(err)
@@ -89,8 +89,12 @@ func TestPersistPolicyKnob(t *testing.T) {
 }
 
 func TestPersistFigureSmoke(t *testing.T) {
+	e, ok := ExperimentByName("persist")
+	if !ok {
+		t.Fatal("no persist experiment")
+	}
 	var buf bytes.Buffer
-	err := PersistFigure(&buf, FigureConfig{
+	err := e.Run(&buf, FigureConfig{
 		Threads:  []int{2},
 		Duration: 15 * time.Millisecond,
 	})

@@ -100,8 +100,8 @@ func validatePoint(p *JSONPoint) error {
 			return fmt.Errorf("tm: segment_reads = %d with no prefix_reads (a read segment only follows a committed prefix)", t.SegmentReads)
 		}
 	}
-	if p.CheckError != "" && p.Violations == nil {
-		return fmt.Errorf("check_error set without violations (a failed check counts as one)")
+	if p.Violations == nil {
+		return fmt.Errorf("no violations field (every point carries its oracle's count)")
 	}
 	return nil
 }

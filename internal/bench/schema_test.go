@@ -26,7 +26,7 @@ func TestValidateDumpFile(t *testing.T) {
 	}
 	var rec JSONRecorder
 	_, err := RunSweep(SweepConfig{
-		Factory:  RBTree(RBTreeConfig{Size: 128, MutationRatio: 0.5}),
+		Workload: RBTree(RBTreeConfig{Size: 128, MutationRatio: 0.5}),
 		Algos:    StandardAlgos(),
 		Threads:  []int{2},
 		Duration: 10 * time.Millisecond,
@@ -61,7 +61,7 @@ func TestLoadDumpValidates(t *testing.T) {
 		t.Fatal("LoadDump accepted a wrong schema version")
 	}
 	good := filepath.Join(dir, "good.json")
-	if err := os.WriteFile(good, []byte(`{"schema_version":"rhbench.v2","points":[{"workload":"w","algo":"a","threads":1,"ops":5,"elapsed_sec":1,"ops_per_sec":5}]}`), 0o644); err != nil {
+	if err := os.WriteFile(good, []byte(`{"schema_version":"rhbench.v2","points":[{"workload":"w","algo":"a","threads":1,"ops":5,"elapsed_sec":1,"ops_per_sec":5,"violations":0}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	d, err := LoadDump(good)
@@ -86,6 +86,7 @@ func TestValidateDumpRejections(t *testing.T) {
 		{"unknown-field", `{"schema_version":"rhbench.v2","points":[],"extra":1}`, "does not parse"},
 		{"empty-workload", `{"schema_version":"rhbench.v2","points":[{"workload":"","algo":"a","threads":1,"ops":0,"elapsed_sec":1,"ops_per_sec":0}]}`, "workload"},
 		{"zero-threads", `{"schema_version":"rhbench.v2","points":[{"workload":"w","algo":"a","threads":0,"ops":0,"elapsed_sec":1,"ops_per_sec":0}]}`, "threads"},
+		{"no-violations", `{"schema_version":"rhbench.v2","points":[{"workload":"w","algo":"a","threads":1,"ops":0,"elapsed_sec":1,"ops_per_sec":0}]}`, "violations"},
 		{"segments-without-prefix", `{"schema_version":"rhbench.v2","points":[{"workload":"w","algo":"a","threads":1,"ops":1,"elapsed_sec":1,"ops_per_sec":1,
 			"tm":{"commits":1,"read_only_commits":0,"htm_aborts":0,"stm_restarts":0,"fallbacks":1,"segment_reads":9,"abort_rate":0}}]}`, "segment_reads"},
 		{"bad-phase", `{"schema_version":"rhbench.v2","points":[{"workload":"w","algo":"a","threads":1,"ops":0,"elapsed_sec":1,"ops_per_sec":0,

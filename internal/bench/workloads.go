@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync/atomic"
 
+	"rhnorec/internal/conformance"
 	"rhnorec/internal/mem"
 	"rhnorec/internal/rbtree"
 	"rhnorec/internal/stamp/bayes"
@@ -19,9 +20,13 @@ import (
 	"rhnorec/internal/txds"
 )
 
-// WorkloadFactory builds a fresh workload instance; the figure drivers
-// create one per benchmark point because each point runs over fresh memory.
-type WorkloadFactory func() Workload
+// Workload is one benchmarkable application: the name it reports under and
+// a constructor of fresh instances, one per point because each point runs
+// over fresh memory. The instance's Check is the point's oracle.
+type Workload struct {
+	Name string
+	New  func() conformance.Instance
+}
 
 // RBTreeConfig parameterizes the paper's microbenchmark (§3.5).
 type RBTreeConfig struct {
@@ -33,29 +38,55 @@ type RBTreeConfig struct {
 	MutationRatio float64
 }
 
-// rbWorkload implements Workload for the red-black-tree microbenchmark.
-type rbWorkload struct {
-	cfg  RBTreeConfig
-	tree rbtree.Tree
+// RBTree is the §3.5 microbenchmark.
+func RBTree(cfg RBTreeConfig) Workload {
+	return ordered(fmt.Sprintf("rbtree-%d", int(cfg.MutationRatio*100+0.5)), cfg,
+		func(tx tm.Tx) orderedMap { return rbtree.New(tx) })
 }
 
-// RBTree returns a factory for the §3.5 microbenchmark.
-func RBTree(cfg RBTreeConfig) WorkloadFactory {
-	return func() Workload { return &rbWorkload{cfg: cfg} }
+// SkipListWorkload is the RBTree microbenchmark profile over a skip list.
+func SkipListWorkload(cfg RBTreeConfig) Workload {
+	return ordered("skiplist", cfg, func(tx tm.Tx) orderedMap { return txds.NewSkipList(tx) })
 }
 
-func (w *rbWorkload) Name() string {
-	return fmt.Sprintf("rbtree-%d", int(w.cfg.MutationRatio*100+0.5))
+// SortedListWorkload is the RBTree microbenchmark profile over a sorted
+// linked list (use small sizes: traversals are O(n)).
+func SortedListWorkload(cfg RBTreeConfig) Workload {
+	return ordered("sortedlist", cfg, func(tx tm.Tx) orderedMap { return txds.NewSortedList(tx) })
 }
 
-func (w *rbWorkload) Setup(th tm.Thread) error {
+// orderedMap is the transactional ordered map an orderedWorkload drives:
+// rbtree.Tree, txds.SkipList or txds.SortedList. Its CheckInvariants is the
+// workload's oracle.
+type orderedMap interface {
+	Get(tx tm.Tx, key uint64) (uint64, bool)
+	Put(tx tm.Tx, key, value uint64) (uint64, bool)
+	Delete(tx tm.Tx, key uint64) (uint64, bool)
+	CheckInvariants(tx tm.Tx) error
+}
+
+// orderedWorkload is the RBTree microbenchmark's mixed key-value operation
+// profile over one ordered structure.
+type orderedWorkload struct {
+	cfg    RBTreeConfig
+	create func(tx tm.Tx) orderedMap
+	m      orderedMap
+}
+
+func ordered(name string, cfg RBTreeConfig, create func(tx tm.Tx) orderedMap) Workload {
+	return Workload{Name: name, New: func() conformance.Instance {
+		return &orderedWorkload{cfg: cfg, create: create}
+	}}
+}
+
+func (w *orderedWorkload) Setup(th tm.Thread) error {
 	if err := th.Run(func(tx tm.Tx) error {
-		w.tree = rbtree.New(tx)
+		w.m = w.create(tx)
 		return nil
 	}); err != nil {
 		return err
 	}
-	// Populate every even key: Size nodes over a 2*Size key range, so puts
+	// Populate every even key: Size keys over a 2*Size key range, so puts
 	// and deletes hold the size steady.
 	const batch = 64
 	for start := 0; start < w.cfg.Size; start += batch {
@@ -65,7 +96,7 @@ func (w *rbWorkload) Setup(th tm.Thread) error {
 		}
 		if err := th.Run(func(tx tm.Tx) error {
 			for k := start; k < end; k++ {
-				w.tree.Put(tx, uint64(2*k), uint64(k))
+				w.m.Put(tx, uint64(2*k), uint64(k))
 			}
 			return nil
 		}); err != nil {
@@ -75,7 +106,7 @@ func (w *rbWorkload) Setup(th tm.Thread) error {
 	return nil
 }
 
-func (w *rbWorkload) NewOp(th tm.Thread, seed int64) func() error {
+func (w *orderedWorkload) NewWorker(th tm.Thread, seed int64, _ conformance.Report) func() error {
 	rng := rand.New(rand.NewSource(seed))
 	keyRange := uint64(2 * w.cfg.Size)
 	return func() error {
@@ -83,22 +114,19 @@ func (w *rbWorkload) NewOp(th tm.Thread, seed int64) func() error {
 		r := rng.Float64()
 		switch {
 		case r < w.cfg.MutationRatio/2:
-			return th.Run(func(tx tm.Tx) error {
-				w.tree.Put(tx, k, k)
-				return nil
-			})
+			return th.Run(func(tx tm.Tx) error { w.m.Put(tx, k, k); return nil })
 		case r < w.cfg.MutationRatio:
-			return th.Run(func(tx tm.Tx) error {
-				w.tree.Delete(tx, k)
-				return nil
-			})
+			return th.Run(func(tx tm.Tx) error { w.m.Delete(tx, k); return nil })
 		default:
-			return th.RunReadOnly(func(tx tm.Tx) error {
-				w.tree.Get(tx, k)
-				return nil
-			})
+			return th.RunReadOnly(func(tx tm.Tx) error { w.m.Get(tx, k); return nil })
 		}
 	}
+}
+
+func (w *orderedWorkload) Check(sys tm.System) error {
+	th := sys.NewThread()
+	defer th.Close()
+	return th.Run(w.m.CheckInvariants)
 }
 
 // DisjointConfig parameterizes the disjoint-footprint scaling workload.
@@ -111,58 +139,20 @@ type DisjointConfig struct {
 	Lines int
 }
 
-// disjointWorkload gives every worker thread a private block of cache
-// lines; each op is one write transaction that increments every line of
-// the block. Under the per-stripe substrate these commits touch disjoint
-// stripes and never serialize on the memory; at -stripes 1 they all
-// contend on the single seqlock — the workload isolates exactly the
-// substrate-level commit contention that striping removes.
-type disjointWorkload struct {
-	cfg  DisjointConfig
-	base mem.Addr
-	slot atomic.Int64
-}
+// disjointBlocks is the Disjoint workload's block count: workers share a
+// block only past this many threads.
+const disjointBlocks = 64
 
-const disjointSlots = 64
-
-// Disjoint returns a factory for the striping scaling workload.
-func Disjoint(cfg DisjointConfig) WorkloadFactory {
+// Disjoint gives every worker thread a private block of cache lines. Under
+// the per-stripe substrate its commits touch disjoint stripes and never
+// serialize on the memory; at -stripes 1 they all contend on the single
+// seqlock — the workload isolates exactly the substrate-level commit
+// contention that striping removes.
+func Disjoint(cfg DisjointConfig) Workload {
 	if cfg.Lines <= 0 {
 		cfg.Lines = 4
 	}
-	return func() Workload { return &disjointWorkload{cfg: cfg} }
-}
-
-func (w *disjointWorkload) Name() string {
-	return fmt.Sprintf("disjoint-%d", w.cfg.Lines)
-}
-
-func (w *disjointWorkload) Setup(th tm.Thread) error {
-	return th.Run(func(tx tm.Tx) error {
-		// Over-allocate one line so the slot blocks can start on a line
-		// boundary: an unaligned base would let adjacent slots share their
-		// boundary line's stripe.
-		raw := tx.Alloc((disjointSlots*w.cfg.Lines + 1) * mem.LineWords)
-		w.base = (raw + mem.LineWords - 1) &^ (mem.LineWords - 1)
-		return nil
-	})
-}
-
-func (w *disjointWorkload) NewOp(th tm.Thread, seed int64) func() error {
-	// NewOp runs once per worker, so the atomic counter hands each worker
-	// its own slot (wrapping only past disjointSlots threads).
-	slot := int(w.slot.Add(1)-1) % disjointSlots
-	base := w.base + mem.Addr(slot*w.cfg.Lines*mem.LineWords)
-	lines := w.cfg.Lines
-	return func() error {
-		return th.Run(func(tx tm.Tx) error {
-			for j := 0; j < lines; j++ {
-				a := base + mem.Addr(j*mem.LineWords)
-				tx.Store(a, tx.Load(a)+1)
-			}
-			return nil
-		})
-	}
+	return blocks(fmt.Sprintf("disjoint-%d", cfg.Lines), disjointBlocks, cfg.Lines)
 }
 
 // HotspotConfig parameterizes the high-contention workload.
@@ -172,43 +162,55 @@ type HotspotConfig struct {
 	Lines int
 }
 
-// hotspotWorkload is the adversarial opposite of disjointWorkload: every
-// thread's every transaction read-modify-writes the same few shared lines,
-// so any two concurrent writers conflict — the durability sweep's workload.
-type hotspotWorkload struct {
-	cfg  HotspotConfig
-	base mem.Addr
-}
-
-// Hotspot returns a factory for the maximal-conflict workload.
-func Hotspot(cfg HotspotConfig) WorkloadFactory {
+// Hotspot is the adversarial opposite of Disjoint: one block that every
+// thread's every transaction read-modify-writes, so any two concurrent
+// writers conflict — the durability sweep's workload.
+func Hotspot(cfg HotspotConfig) Workload {
 	if cfg.Lines <= 0 {
 		cfg.Lines = 2
 	}
-	return func() Workload { return &hotspotWorkload{cfg: cfg} }
+	return blocks(fmt.Sprintf("hotspot-%d", cfg.Lines), 1, cfg.Lines)
 }
 
-func (w *hotspotWorkload) Name() string {
-	return fmt.Sprintf("hotspot-%d", w.cfg.Lines)
+// blockWorkload hands its workers its n line-aligned blocks of lines cache
+// lines round robin; each op is one write transaction that increments every
+// line of the worker's block. Its oracle: the lines of each block are equal.
+type blockWorkload struct {
+	n, lines int
+	base     mem.Addr
+	next     atomic.Int64
 }
 
-func (w *hotspotWorkload) Setup(th tm.Thread) error {
+func blocks(name string, n, lines int) Workload {
+	return Workload{Name: name, New: func() conformance.Instance {
+		return &blockWorkload{n: n, lines: lines}
+	}}
+}
+
+// line is the address of line j of block b.
+func (w *blockWorkload) line(b, j int) mem.Addr {
+	return w.base + mem.Addr((b*w.lines+j)*mem.LineWords)
+}
+
+func (w *blockWorkload) Setup(th tm.Thread) error {
 	return th.Run(func(tx tm.Tx) error {
-		// Align the block to a line boundary so the footprint is exactly
-		// cfg.Lines lines (and stripes) for every thread.
-		raw := tx.Alloc((w.cfg.Lines + 1) * mem.LineWords)
+		// Over-allocate one line so the blocks can start on a line boundary:
+		// an unaligned base would let adjacent blocks share their boundary
+		// line's stripe.
+		raw := tx.Alloc((w.n*w.lines + 1) * mem.LineWords)
 		w.base = (raw + mem.LineWords - 1) &^ (mem.LineWords - 1)
 		return nil
 	})
 }
 
-func (w *hotspotWorkload) NewOp(th tm.Thread, _ int64) func() error {
-	base := w.base
-	lines := w.cfg.Lines
+func (w *blockWorkload) NewWorker(th tm.Thread, _ int64, _ conformance.Report) func() error {
+	// NewWorker runs once per worker, so the atomic counter hands each
+	// worker its own block (wrapping only past n workers).
+	b := int(w.next.Add(1)-1) % w.n
 	return func() error {
 		return th.Run(func(tx tm.Tx) error {
-			for j := 0; j < lines; j++ {
-				a := base + mem.Addr(j*mem.LineWords)
+			for j := 0; j < w.lines; j++ {
+				a := w.line(b, j)
 				tx.Store(a, tx.Load(a)+1)
 			}
 			return nil
@@ -216,155 +218,85 @@ func (w *hotspotWorkload) NewOp(th tm.Thread, _ int64) func() error {
 	}
 }
 
-// orderedWorkload drives the same mixed key-value operation profile as the
-// RBTree microbenchmark over a different ordered structure (skip list or
-// sorted list), for structure-comparison benchmarks.
-type orderedWorkload struct {
-	cfg     RBTreeConfig
-	name    string
-	create  func(tx tm.Tx) mem.Addr
-	get     func(tx tm.Tx, head mem.Addr, k uint64)
-	put     func(tx tm.Tx, head mem.Addr, k uint64)
-	del     func(tx tm.Tx, head mem.Addr, k uint64)
-	headPtr mem.Addr
-}
-
-// SkipListWorkload is the RBTree microbenchmark profile over a skip list.
-func SkipListWorkload(cfg RBTreeConfig) WorkloadFactory {
-	return func() Workload {
-		return &orderedWorkload{
-			cfg:    cfg,
-			name:   "skiplist",
-			create: func(tx tm.Tx) mem.Addr { return txds.NewSkipList(tx).Head() },
-			get:    func(tx tm.Tx, h mem.Addr, k uint64) { txds.AttachSkipList(h).Get(tx, k) },
-			put:    func(tx tm.Tx, h mem.Addr, k uint64) { txds.AttachSkipList(h).Put(tx, k, k) },
-			del:    func(tx tm.Tx, h mem.Addr, k uint64) { txds.AttachSkipList(h).Delete(tx, k) },
-		}
-	}
-}
-
-// SortedListWorkload is the RBTree microbenchmark profile over a sorted
-// linked list (use small sizes: traversals are O(n)).
-func SortedListWorkload(cfg RBTreeConfig) WorkloadFactory {
-	return func() Workload {
-		return &orderedWorkload{
-			cfg:    cfg,
-			name:   "sortedlist",
-			create: func(tx tm.Tx) mem.Addr { return txds.NewSortedList(tx).Head() },
-			get:    func(tx tm.Tx, h mem.Addr, k uint64) { txds.AttachSortedList(h).Get(tx, k) },
-			put:    func(tx tm.Tx, h mem.Addr, k uint64) { txds.AttachSortedList(h).Put(tx, k, k) },
-			del:    func(tx tm.Tx, h mem.Addr, k uint64) { txds.AttachSortedList(h).Delete(tx, k) },
-		}
-	}
-}
-
-func (w *orderedWorkload) Name() string { return w.name }
-
-func (w *orderedWorkload) Setup(th tm.Thread) error {
-	if err := th.Run(func(tx tm.Tx) error {
-		w.headPtr = w.create(tx)
-		return nil
-	}); err != nil {
-		return err
-	}
-	const batch = 64
-	for start := 0; start < w.cfg.Size; start += batch {
-		end := start + batch
-		if end > w.cfg.Size {
-			end = w.cfg.Size
-		}
-		if err := th.Run(func(tx tm.Tx) error {
-			for k := start; k < end; k++ {
-				w.put(tx, w.headPtr, uint64(2*k))
+func (w *blockWorkload) Check(sys tm.System) error {
+	th := sys.NewThread()
+	defer th.Close()
+	return th.Run(func(tx tm.Tx) error {
+		for b := 0; b < w.n; b++ {
+			first := tx.Load(w.line(b, 0))
+			for j := 1; j < w.lines; j++ {
+				if v := tx.Load(w.line(b, j)); v != first {
+					return fmt.Errorf("block %d: line %d reads %d, line 0 reads %d", b, j, v, first)
+				}
 			}
-			return nil
-		}); err != nil {
-			return err
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
-func (w *orderedWorkload) NewOp(th tm.Thread, seed int64) func() error {
-	rng := rand.New(rand.NewSource(seed))
-	keyRange := uint64(2 * w.cfg.Size)
-	return func() error {
-		k := rng.Uint64() % keyRange
-		r := rng.Float64()
-		switch {
-		case r < w.cfg.MutationRatio/2:
-			return th.Run(func(tx tm.Tx) error { w.put(tx, w.headPtr, k); return nil })
-		case r < w.cfg.MutationRatio:
-			return th.Run(func(tx tm.Tx) error { w.del(tx, w.headPtr, k); return nil })
-		default:
-			return th.RunReadOnly(func(tx tm.Tx) error { w.get(tx, w.headPtr, k); return nil })
-		}
-	}
-}
-
-// stampApp is the shape every package under internal/stamp gives its App: a
-// named setup plus per-thread workers that run one operation at a time.
-type stampApp[W interface{ Op() error }] interface {
-	Name() string
-	Setup(th tm.Thread) error
-	NewWorker(th tm.Thread, seed int64) W
-}
-
-// appWorkload adapts a STAMP-style app to the Workload interface.
-type appWorkload[W interface{ Op() error }] struct{ stampApp[W] }
-
-func (w appWorkload[W]) NewOp(th tm.Thread, seed int64) func() error {
-	return w.NewWorker(th, seed).Op
-}
-
-// stampWorkload wraps app; W is inferred from its NewWorker.
-func stampWorkload[W interface{ Op() error }](app stampApp[W]) Workload {
-	return appWorkload[W]{app}
-}
+// The STAMP kernels (§3.6). Each App is a conformance.Instance whose Check
+// is the kernel's integrity oracle.
 
 // VacationLow is the paper's Vacation-Low column (Figure 5).
-func VacationLow() WorkloadFactory {
-	return func() Workload { return stampWorkload(vacation.New(vacation.Low())) }
+func VacationLow() Workload {
+	return Workload{"vacation-low", func() conformance.Instance { return vacation.New(vacation.Low()) }}
 }
 
 // VacationHigh is the paper's Vacation-High column (Figure 6).
-func VacationHigh() WorkloadFactory {
-	return func() Workload { return stampWorkload(vacation.New(vacation.High())) }
+func VacationHigh() Workload {
+	return Workload{"vacation-high", func() conformance.Instance { return vacation.New(vacation.High()) }}
 }
 
 // Intruder is the paper's Intruder column (Figure 5).
-func Intruder() WorkloadFactory {
-	return func() Workload { return stampWorkload(intruder.New(intruder.Default())) }
+func Intruder() Workload {
+	return Workload{"intruder", func() conformance.Instance { return intruder.New(intruder.Default()) }}
 }
 
 // Genome is the paper's Genome column (Figure 5).
-func Genome() WorkloadFactory {
-	return func() Workload { return stampWorkload(genome.New(genome.Default())) }
+func Genome() Workload {
+	return Workload{"genome", func() conformance.Instance { return genome.New(genome.Default()) }}
 }
 
 // SSCA2 is the paper's SSCA2 column (Figure 6).
-func SSCA2() WorkloadFactory {
-	return func() Workload { return stampWorkload(ssca2.New(ssca2.Default())) }
+func SSCA2() Workload {
+	return Workload{"ssca2", func() conformance.Instance { return ssca2.New(ssca2.Default()) }}
 }
 
 // Kmeans is noted in §3.6 as behaving like SSCA2.
-func Kmeans() WorkloadFactory {
-	return func() Workload { return stampWorkload(kmeans.New(kmeans.Default())) }
+func Kmeans() Workload {
+	return Workload{"kmeans", func() conformance.Instance { return kmeans.New(kmeans.Default()) }}
 }
 
 // Labyrinth is noted in §3.6 as behaving like SSCA2.
-func Labyrinth() WorkloadFactory {
-	return func() Workload { return stampWorkload(labyrinth.New(labyrinth.Default())) }
+func Labyrinth() Workload {
+	return Workload{"labyrinth", func() conformance.Instance { return labyrinth.New(labyrinth.Default()) }}
 }
 
 // Bayes is the STAMP app the paper omits "due to its inconsistent
 // behavior" (§3.6); provided for completeness, outside the figure
 // reproduction.
-func Bayes() WorkloadFactory {
-	return func() Workload { return stampWorkload(bayes.New(bayes.Default())) }
+func Bayes() Workload {
+	return Workload{"bayes", func() conformance.Instance { return bayes.New(bayes.Default()) }}
 }
 
 // Yada is the paper's Yada column (Figure 6).
-func Yada() WorkloadFactory {
-	return func() Workload { return stampWorkload(yada.New(yada.Default())) }
+func Yada() Workload {
+	return Workload{"yada", func() conformance.Instance { return yada.New(yada.Default()) }}
+}
+
+// ScenarioWorkloads returns one workload per conformance-registry scenario
+// at the given scale, in registry order — the workload set of the scenarios
+// experiment and the CI conformance-matrix gate.
+func ScenarioWorkloads(scale conformance.Scale) []Workload {
+	scs := conformance.Scenarios()
+	ws := make([]Workload, len(scs))
+	for i, sc := range scs {
+		ws[i] = ScenarioWorkload(sc, scale)
+	}
+	return ws
+}
+
+// ScenarioWorkload is one registry scenario at the given scale.
+func ScenarioWorkload(sc conformance.Scenario, scale conformance.Scale) Workload {
+	return Workload{Name: sc.Name, New: func() conformance.Instance { return sc.New(scale) }}
 }

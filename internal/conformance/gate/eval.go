@@ -204,7 +204,7 @@ func benchChecks(c *CellSpec, p *bench.JSONPoint) []Check {
 		ck := Check{Name: "max_violations", Bound: float64(*slo.MaxViolations)}
 		switch {
 		case p.Violations == nil:
-			ck.Detail = "workload carries no invariant oracle"
+			ck.Detail = "dump point has no violations field"
 		case p.CheckError != "":
 			ck.Value = float64(*p.Violations)
 			ck.Detail = "invariant check failed: " + p.CheckError

@@ -5,6 +5,12 @@
 // registered here once, as a named, self-describing entry with a setup
 // phase, a per-operation worker, and an end-of-run invariant check.
 //
+// Instance is the repository's one workload interface. Beyond the
+// registry's scenarios, the figure workloads of internal/bench (the ordered
+// structures, the disjoint and hotspot blocks) and every STAMP kernel under
+// internal/stamp implement it too, so each benchmark point runs its
+// workload's oracle and every kernel test is a Drive.
+//
 // Keeping one copy matters beyond hygiene: the explorer replays recorded
 // schedules, so the worker logic driving a trace must be byte-for-byte the
 // logic the other harnesses run, or a shrunk counterexample would not
@@ -156,24 +162,29 @@ func ByName(name string) (Scenario, bool) {
 	return Scenario{}, false
 }
 
-// Drive runs one instance of the scenario end to end against sys: setup,
-// then threads workers — each looping its operation closure ops times, or
-// until duration elapses when ops < 0 — then the invariant check. Worker
-// panics are recovered and counted as violations (a crashed worker proves
-// nothing about the survivors), so a Drive caller always gets a summary
-// error instead of a dead process. Worker i seeds its RNG with seed+i.
+// Drive runs one fresh instance of the scenario at the given scale end to
+// end against sys (see the package-level Drive).
+func (sc Scenario) Drive(sys tm.System, scale Scale, threads, ops int, duration time.Duration, seed int64) error {
+	return Drive(sys, sc.Name, sc.New(scale), threads, ops, duration, seed)
+}
+
+// Drive runs inst end to end against sys: setup, then threads workers —
+// each looping its operation closure ops times, or until duration elapses
+// when ops < 0 — then the invariant check. Worker panics are recovered and
+// counted as violations (a crashed worker proves nothing about the
+// survivors), so a Drive caller always gets a summary error, prefixed with
+// name, instead of a dead process. Worker i seeds its RNG with seed+i.
 // threads < 1 is an error: with no worker the check would pass over an
 // untouched instance and prove nothing.
-func (sc Scenario) Drive(sys tm.System, scale Scale, threads, ops int, duration time.Duration, seed int64) error {
+func Drive(sys tm.System, name string, inst Instance, threads, ops int, duration time.Duration, seed int64) error {
 	if threads < 1 {
-		return fmt.Errorf("%s: %d worker threads, need at least 1", sc.Name, threads)
+		return fmt.Errorf("%s: %d worker threads, need at least 1", name, threads)
 	}
-	inst := sc.New(scale)
 	setup := sys.NewThread()
 	err := inst.Setup(setup)
 	setup.Close()
 	if err != nil {
-		return fmt.Errorf("%s setup: %w", sc.Name, err)
+		return fmt.Errorf("%s setup: %w", name, err)
 	}
 	var (
 		stop atomic.Bool
@@ -208,11 +219,11 @@ func (sc Scenario) Drive(sys tm.System, scale Scale, threads, ops int, duration 
 		stop.Store(true)
 	}
 	wg.Wait()
-	if err := vlog.err(sc.Name); err != nil {
+	if err := vlog.err(name); err != nil {
 		return err
 	}
 	if err := inst.Check(sys); err != nil {
-		return fmt.Errorf("%s check: %w", sc.Name, err)
+		return fmt.Errorf("%s check: %w", name, err)
 	}
 	return nil
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"rhnorec/internal/conformance"
 	"rhnorec/internal/mem"
 	"rhnorec/internal/tm"
 )
@@ -55,9 +56,6 @@ func New(cfg Config) *App {
 	return &App{cfg: cfg}
 }
 
-// Name identifies the workload.
-func (a *App) Name() string { return "bayes" }
-
 // Setup allocates the node table (no edges; scores start at zero).
 func (a *App) Setup(th tm.Thread) error {
 	return th.Run(func(tx tm.Tx) error {
@@ -68,16 +66,17 @@ func (a *App) Setup(th tm.Thread) error {
 
 func (a *App) node(i int) mem.Addr { return a.nodes + mem.Addr(i*nodeWords()) }
 
-// Worker proposes structure changes on its own TM thread.
-type Worker struct {
+// worker proposes structure changes on its own TM thread.
+type worker struct {
 	app *App
 	th  tm.Thread
 	rng *rand.Rand
 }
 
-// NewWorker creates a worker bound to th.
-func (a *App) NewWorker(th tm.Thread, seed int64) *Worker {
-	return &Worker{app: a, th: th, rng: rand.New(rand.NewSource(seed))}
+// NewWorker returns a worker bound to th; each call of the closure is one
+// op. The kernel reports nothing in flight: its oracle is Check.
+func (a *App) NewWorker(th tm.Thread, seed int64, _ conformance.Report) func() error {
+	return (&worker{app: a, th: th, rng: rand.New(rand.NewSource(seed))}).op
 }
 
 // hasParent reports whether p is a parent of child (transactional read).
@@ -118,11 +117,11 @@ func (a *App) reachable(tx tm.Tx, from, to int) bool {
 	return false
 }
 
-// Op proposes one structure change: add a parent edge p→c if it keeps the
+// op proposes one structure change: add a parent edge p→c if it keeps the
 // graph acyclic and c has capacity (score +1), or remove a random parent
 // (score −1 with small probability, modelling the learner escaping local
 // optima).
-func (w *Worker) Op() error {
+func (w *worker) op() error {
 	c := w.rng.Intn(w.app.cfg.Vars)
 	p := w.rng.Intn(w.app.cfg.Vars)
 	remove := w.rng.Intn(8) == 0
@@ -154,10 +153,12 @@ func (w *Worker) Op() error {
 	})
 }
 
-// CheckIntegrity validates on a quiescent system: parent counts in bounds,
+// Check validates on a quiescent system: parent counts in bounds,
 // parent slots consistent with counts, no self-loops or duplicate parents,
 // score equals the net edge count, and the graph is acyclic.
-func (a *App) CheckIntegrity(th tm.Thread) error {
+func (a *App) Check(sys tm.System) error {
+	th := sys.NewThread()
+	defer th.Close()
 	return th.Run(func(tx tm.Tx) error {
 		for c := 0; c < a.cfg.Vars; c++ {
 			n := a.node(c)

@@ -3,21 +3,18 @@ package bayes_test
 import (
 	"testing"
 
+	"rhnorec/internal/conformance"
 	"rhnorec/internal/stamp/bayes"
 	"rhnorec/internal/stamp/stamptest"
-	"rhnorec/internal/tm"
 )
 
 func TestIntegrityAcrossSystems(t *testing.T) {
 	for name, factory := range stamptest.Systems(1 << 22) {
 		app := bayes.New(bayes.Config{Vars: 48})
 		t.Run(name, func(t *testing.T) {
-			stamptest.Run(t, factory(), app,
-				func(th tm.Thread, seed int64) func() error {
-					w := app.NewWorker(th, seed)
-					return w.Op
-				},
-				app.CheckIntegrity, 4, 200)
+			if err := conformance.Drive(factory(), "bayes", app, 4, 200, 0, 1); err != nil {
+				t.Error(err)
+			}
 		})
 	}
 }
@@ -25,16 +22,16 @@ func TestIntegrityAcrossSystems(t *testing.T) {
 func TestSingleThreadBuildsAcyclicGraph(t *testing.T) {
 	app := bayes.New(bayes.Config{Vars: 24})
 	sys := stamptest.Systems(1 << 20)["serial"]()
-	stamptest.Run(t, sys, app,
-		func(th tm.Thread, seed int64) func() error {
-			w := app.NewWorker(th, seed)
-			return w.Op
-		},
-		app.CheckIntegrity, 1, 1500)
+	if err := conformance.Drive(sys, "bayes", app, 1, 1500, 0, 1); err != nil {
+		t.Error(err)
+	}
 }
 
+// TestZeroConfigDefaults: a zero Config falls back to the defaults, and the
+// default app runs clean.
 func TestZeroConfigDefaults(t *testing.T) {
-	if bayes.New(bayes.Config{}).Name() != "bayes" {
-		t.Error("name")
+	sys := stamptest.Systems(1 << 22)["serial"]()
+	if err := conformance.Drive(sys, "bayes", bayes.New(bayes.Config{}), 1, 20, 0, 1); err != nil {
+		t.Error(err)
 	}
 }

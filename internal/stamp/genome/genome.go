@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"rhnorec/internal/conformance"
 	"rhnorec/internal/mem"
 	"rhnorec/internal/tm"
 	"rhnorec/internal/txds"
@@ -57,9 +58,6 @@ func New(cfg Config) *App {
 	return a
 }
 
-// Name identifies the workload.
-func (a *App) Name() string { return "genome" }
-
 // Setup allocates the shared structures.
 func (a *App) Setup(th tm.Thread) error {
 	return th.Run(func(tx tm.Tx) error {
@@ -79,22 +77,23 @@ func (a *App) segmentHash(pos int) uint64 {
 	return h
 }
 
-// Worker performs assembly steps on its own TM thread.
-type Worker struct {
+// worker performs assembly steps on its own TM thread.
+type worker struct {
 	app *App
 	th  tm.Thread
 	rng *rand.Rand
 }
 
-// NewWorker creates a worker bound to th.
-func (a *App) NewWorker(th tm.Thread, seed int64) *Worker {
-	return &Worker{app: a, th: th, rng: rand.New(rand.NewSource(seed))}
+// NewWorker returns a worker bound to th; each call of the closure is one
+// op. The kernel reports nothing in flight: its oracle is Check.
+func (a *App) NewWorker(th tm.Thread, seed int64, _ conformance.Report) func() error {
+	return (&worker{app: a, th: th, rng: rand.New(rand.NewSource(seed))}).op
 }
 
-// Op processes one random segment: deduplicate it into the shared map, then
+// op processes one random segment: deduplicate it into the shared map, then
 // chain it to its successor segment if that one is already known. One
 // transaction covers both phases, mirroring STAMP's per-segment work.
-func (w *Worker) Op() error {
+func (w *worker) op() error {
 	pos := w.rng.Intn(w.app.cfg.GenomeLength)
 	h := w.app.segmentHash(pos)
 	succPos := (pos + w.app.cfg.SegmentLength) % w.app.cfg.GenomeLength
@@ -118,10 +117,12 @@ func (w *Worker) Op() error {
 	})
 }
 
-// CheckIntegrity validates on a quiescent system: every link target is a
+// Check validates on a quiescent system: every link target is a
 // known segment position whose content hash matches the successor hash of
 // the link source.
-func (a *App) CheckIntegrity(th tm.Thread) error {
+func (a *App) Check(sys tm.System) error {
+	th := sys.NewThread()
+	defer th.Close()
 	return th.Run(func(tx tm.Tx) error {
 		known := make(map[uint64]bool)
 		a.segments.ForEach(tx, func(_, v uint64) { known[v] = true })

@@ -3,9 +3,9 @@ package genome_test
 import (
 	"testing"
 
+	"rhnorec/internal/conformance"
 	"rhnorec/internal/stamp/genome"
 	"rhnorec/internal/stamp/stamptest"
-	"rhnorec/internal/tm"
 )
 
 func TestIntegrityAcrossSystems(t *testing.T) {
@@ -13,12 +13,9 @@ func TestIntegrityAcrossSystems(t *testing.T) {
 		app := genome.New(genome.Config{GenomeLength: 512, SegmentLength: 8})
 		t.Run(name, func(t *testing.T) {
 			sys := factory()
-			stamptest.Run(t, sys, app,
-				func(th tm.Thread, seed int64) func() error {
-					w := app.NewWorker(th, seed)
-					return w.Op
-				},
-				app.CheckIntegrity, 4, 200)
+			if err := conformance.Drive(sys, "genome", app, 4, 200, 0, 1); err != nil {
+				t.Error(err)
+			}
 			th := sys.NewThread()
 			defer th.Close()
 			n, err := app.Segments(th)
@@ -37,12 +34,9 @@ func TestDeduplicationIsStable(t *testing.T) {
 	// beyond the distinct-position count.
 	app := genome.New(genome.Config{GenomeLength: 128, SegmentLength: 8})
 	sys := stamptest.Systems(1 << 22)["serial"]()
-	stamptest.Run(t, sys, app,
-		func(th tm.Thread, seed int64) func() error {
-			w := app.NewWorker(th, seed)
-			return w.Op
-		},
-		app.CheckIntegrity, 1, 2000)
+	if err := conformance.Drive(sys, "genome", app, 1, 2000, 0, 1); err != nil {
+		t.Error(err)
+	}
 	th := sys.NewThread()
 	defer th.Close()
 	n, err := app.Segments(th)
@@ -54,8 +48,11 @@ func TestDeduplicationIsStable(t *testing.T) {
 	}
 }
 
+// TestZeroConfigDefaults: a zero Config falls back to the defaults, and the
+// default app runs clean.
 func TestZeroConfigDefaults(t *testing.T) {
-	if genome.New(genome.Config{}).Name() != "genome" {
-		t.Error("name")
+	sys := stamptest.Systems(1 << 22)["serial"]()
+	if err := conformance.Drive(sys, "genome", genome.New(genome.Config{}), 1, 20, 0, 1); err != nil {
+		t.Error(err)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"sync/atomic"
 
+	"rhnorec/internal/conformance"
 	"rhnorec/internal/mem"
 	"rhnorec/internal/tm"
 	"rhnorec/internal/txds"
@@ -65,9 +66,6 @@ func New(cfg Config) *App {
 	return &App{cfg: cfg}
 }
 
-// Name identifies the workload.
-func (a *App) Name() string { return "intruder" }
-
 // Setup creates the shared pipeline and seeds initial flows.
 func (a *App) Setup(th tm.Thread) error {
 	if err := th.Run(func(tx tm.Tx) error {
@@ -105,26 +103,27 @@ func (a *App) injectFlow(th tm.Thread, rng *rand.Rand) error {
 	})
 }
 
-// Worker drives the pipeline on its own TM thread.
-type Worker struct {
+// worker drives the pipeline on its own TM thread.
+type worker struct {
 	app *App
 	th  tm.Thread
 	rng *rand.Rand
 }
 
-// NewWorker creates a worker bound to th.
-func (a *App) NewWorker(th tm.Thread, seed int64) *Worker {
-	return &Worker{app: a, th: th, rng: rand.New(rand.NewSource(seed))}
+// NewWorker returns a worker bound to th; each call of the closure is one
+// op. The kernel reports nothing in flight: its oracle is Check.
+func (a *App) NewWorker(th tm.Thread, seed int64, _ conformance.Report) func() error {
+	return (&worker{app: a, th: th, rng: rand.New(rand.NewSource(seed))}).op
 }
 
-// Op advances the pipeline by one step: reassemble a fragment, or scan a
+// op advances the pipeline by one step: reassemble a fragment, or scan a
 // completed flow, or inject fresh traffic when both queues are drained.
 //
 // Outcome counters are Go-side state and may only move once per committed
 // transaction, so the callback records outcomes in locals (reset at its
-// top, since a restarted callback re-runs from the top) and Op applies them
+// top, since a restarted callback re-runs from the top) and op applies them
 // after the commit.
-func (w *Worker) Op() error {
+func (w *worker) op() error {
 	var state int // 0 = reassembled, 1 = detected, 2 = idle
 	var completedFlow, attack bool
 	err := w.th.Run(func(tx tm.Tx) error {
@@ -159,7 +158,7 @@ func (w *Worker) Op() error {
 
 // reassemble merges one fragment into its flow record, reporting whether
 // this fragment completed the flow.
-func (w *Worker) reassemble(tx tm.Tx, frag uint64) bool {
+func (w *worker) reassemble(tx tm.Tx, frag uint64) bool {
 	flow := tokenFlow(frag)
 	recAddr, ok := w.app.reassembly.Get(tx, flow)
 	var rec mem.Addr
@@ -186,11 +185,13 @@ func (w *Worker) reassemble(tx tm.Tx, frag uint64) bool {
 // Completed reports how many flows finished reassembly.
 func (a *App) Completed() uint64 { return a.completed.Load() }
 
-// CheckIntegrity verifies pipeline conservation on a quiescent system:
+// Check verifies pipeline conservation on a quiescent system:
 // every injected flow is either still in flight (fragments in the capture
 // queue / partial record in the map / entry in the detection queue) or was
 // completed.
-func (a *App) CheckIntegrity(th tm.Thread) error {
+func (a *App) Check(sys tm.System) error {
+	th := sys.NewThread()
+	defer th.Close()
 	return th.Run(func(tx tm.Tx) error {
 		partial := uint64(0)
 		a.reassembly.ForEach(tx, func(_, recAddr uint64) {

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"sync/atomic"
 
+	"rhnorec/internal/conformance"
 	"rhnorec/internal/mem"
 	"rhnorec/internal/tm"
 )
@@ -68,9 +69,6 @@ func New(cfg Config) *App {
 	return a
 }
 
-// Name identifies the workload.
-func (a *App) Name() string { return "kmeans" }
-
 // Setup allocates the center accumulators.
 func (a *App) Setup(th tm.Thread) error {
 	return th.Run(func(tx tm.Tx) error {
@@ -83,23 +81,24 @@ func (a *App) center(i int) mem.Addr {
 	return a.centers + mem.Addr(i*centerWords(a.cfg.Dims))
 }
 
-// Worker assigns points on its own TM thread.
-type Worker struct {
+// worker assigns points on its own TM thread.
+type worker struct {
 	app *App
 	th  tm.Thread
 	rng *rand.Rand
 }
 
-// NewWorker creates a worker bound to th.
-func (a *App) NewWorker(th tm.Thread, seed int64) *Worker {
-	return &Worker{app: a, th: th, rng: rand.New(rand.NewSource(seed))}
+// NewWorker returns a worker bound to th; each call of the closure is one
+// op. The kernel reports nothing in flight: its oracle is Check.
+func (a *App) NewWorker(th tm.Thread, seed int64, _ conformance.Report) func() error {
+	return (&worker{app: a, th: th, rng: rand.New(rand.NewSource(seed))}).op
 }
 
-// Op assigns one random point: the nearest seed center is computed outside
+// op assigns one random point: the nearest seed center is computed outside
 // the transaction (as STAMP does, against the stable previous-iteration
 // centers), then a small transaction folds the point into that center's
 // accumulator.
-func (w *Worker) Op() error {
+func (w *worker) op() error {
 	p := w.app.points[w.rng.Intn(w.app.cfg.Points)]
 	best, bestDist := 0, ^uint64(0)
 	for k := 0; k < w.app.cfg.K; k++ {
@@ -130,10 +129,12 @@ func (w *Worker) Op() error {
 // Assignments reports the number of points folded into centers.
 func (a *App) Assignments() uint64 { return a.adds.Load() }
 
-// CheckIntegrity validates conservation on a quiescent system: the center
+// Check validates conservation on a quiescent system: the center
 // counts sum to the number of assignments, and each center's mean lies
 // within the coordinate domain.
-func (a *App) CheckIntegrity(th tm.Thread) error {
+func (a *App) Check(sys tm.System) error {
+	th := sys.NewThread()
+	defer th.Close()
 	return th.Run(func(tx tm.Tx) error {
 		var total uint64
 		for k := 0; k < a.cfg.K; k++ {

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"rhnorec/internal/conformance"
 	"rhnorec/internal/mem"
 	"rhnorec/internal/tm"
 )
@@ -49,9 +50,6 @@ func New(cfg Config) *App {
 	return &App{cfg: cfg}
 }
 
-// Name identifies the workload.
-func (a *App) Name() string { return "labyrinth" }
-
 // Setup allocates the grid.
 func (a *App) Setup(th tm.Thread) error {
 	return th.Run(func(tx tm.Tx) error {
@@ -64,16 +62,17 @@ func (a *App) cell(x, y int) mem.Addr {
 	return a.grid + mem.Addr(y*a.cfg.Width+x)
 }
 
-// Worker routes paths on its own TM thread.
-type Worker struct {
+// worker routes paths on its own TM thread.
+type worker struct {
 	app *App
 	th  tm.Thread
 	rng *rand.Rand
 }
 
-// NewWorker creates a worker bound to th.
-func (a *App) NewWorker(th tm.Thread, seed int64) *Worker {
-	return &Worker{app: a, th: th, rng: rand.New(rand.NewSource(seed))}
+// NewWorker returns a worker bound to th; each call of the closure is one
+// op. The kernel reports nothing in flight: its oracle is Check.
+func (a *App) NewWorker(th tm.Thread, seed int64, _ conformance.Report) func() error {
+	return (&worker{app: a, th: th, rng: rand.New(rand.NewSource(seed))}).op
 }
 
 // lPath returns the L-shaped route from (x0,y0) to (x1,y1), x-leg first or
@@ -110,11 +109,11 @@ func lPath(x0, y0, x1, y1 int, yFirst bool) [][2]int {
 	return path
 }
 
-// Op routes one path: snapshot the grid (if configured), try both L-shaped
+// op routes one path: snapshot the grid (if configured), try both L-shaped
 // candidate routes, and claim the first fully-free one. A blocked pair
 // still commits (as a read-only transaction) and counts as a routing
 // failure, like STAMP's router giving up on a work item.
-func (w *Worker) Op() error {
+func (w *worker) op() error {
 	x0, y0 := w.rng.Intn(w.app.cfg.Width), w.rng.Intn(w.app.cfg.Height)
 	x1, y1 := w.rng.Intn(w.app.cfg.Width), w.rng.Intn(w.app.cfg.Height)
 	if x0 == x1 && y0 == y1 {
@@ -169,11 +168,13 @@ func (a *App) Routed() uint64 { return a.routed.Load() }
 // Failed reports how many routing attempts found no free path.
 func (a *App) Failed() uint64 { return a.failed.Load() }
 
-// CheckIntegrity validates on a quiescent system: every committed path's
+// Check validates on a quiescent system: every committed path's
 // cells carry exactly its id, cell-count per id matches the recorded
 // length, and no cell carries an unknown id — i.e. committed paths are
 // disjoint and complete.
-func (a *App) CheckIntegrity(th tm.Thread) error {
+func (a *App) Check(sys tm.System) error {
+	th := sys.NewThread()
+	defer th.Close()
 	return th.Run(func(tx tm.Tx) error {
 		counts := make(map[uint64]int)
 		for i := 0; i < a.cfg.Width*a.cfg.Height; i++ {

@@ -3,21 +3,18 @@ package labyrinth_test
 import (
 	"testing"
 
+	"rhnorec/internal/conformance"
 	"rhnorec/internal/stamp/labyrinth"
 	"rhnorec/internal/stamp/stamptest"
-	"rhnorec/internal/tm"
 )
 
 func TestIntegrityAcrossSystems(t *testing.T) {
 	for name, factory := range stamptest.Systems(1 << 22) {
 		app := labyrinth.New(labyrinth.Config{Width: 24, Height: 24, SnapshotGrid: true})
 		t.Run(name, func(t *testing.T) {
-			stamptest.Run(t, factory(), app,
-				func(th tm.Thread, seed int64) func() error {
-					w := app.NewWorker(th, seed)
-					return w.Op
-				},
-				app.CheckIntegrity, 4, 30)
+			if err := conformance.Drive(factory(), "labyrinth", app, 4, 30, 0, 1); err != nil {
+				t.Error(err)
+			}
 			if app.Routed() == 0 {
 				t.Error("no paths routed")
 			}
@@ -28,19 +25,19 @@ func TestIntegrityAcrossSystems(t *testing.T) {
 func TestPathsAreDisjoint(t *testing.T) {
 	app := labyrinth.New(labyrinth.Config{Width: 16, Height: 16, SnapshotGrid: false})
 	sys := stamptest.Systems(1 << 20)["serial"]()
-	stamptest.Run(t, sys, app,
-		func(th tm.Thread, seed int64) func() error {
-			w := app.NewWorker(th, seed)
-			return w.Op
-		},
-		app.CheckIntegrity, 1, 100)
+	if err := conformance.Drive(sys, "labyrinth", app, 1, 100, 0, 1); err != nil {
+		t.Error(err)
+	}
 	if app.Routed()+app.Failed() != 100 {
 		t.Errorf("routed %d + failed %d != 100 ops", app.Routed(), app.Failed())
 	}
 }
 
+// TestZeroConfigDefaults: a zero Config falls back to the defaults, and the
+// default app runs clean.
 func TestZeroConfigDefaults(t *testing.T) {
-	if labyrinth.New(labyrinth.Config{}).Name() != "labyrinth" {
-		t.Error("name")
+	sys := stamptest.Systems(1 << 22)["serial"]()
+	if err := conformance.Drive(sys, "labyrinth", labyrinth.New(labyrinth.Config{}), 1, 20, 0, 1); err != nil {
+		t.Error(err)
 	}
 }

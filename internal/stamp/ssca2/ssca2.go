@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"sync/atomic"
 
+	"rhnorec/internal/conformance"
 	"rhnorec/internal/mem"
 	"rhnorec/internal/tm"
 )
@@ -46,9 +47,6 @@ func New(cfg Config) *App {
 	return &App{cfg: cfg}
 }
 
-// Name identifies the workload.
-func (a *App) Name() string { return "ssca2" }
-
 // Setup allocates the node array.
 func (a *App) Setup(th tm.Thread) error {
 	return th.Run(func(tx tm.Tx) error {
@@ -59,22 +57,23 @@ func (a *App) Setup(th tm.Thread) error {
 
 func (a *App) node(i int) mem.Addr { return a.nodes + mem.Addr(i*nodeWords) }
 
-// Worker adds edges on its own TM thread.
-type Worker struct {
+// worker adds edges on its own TM thread.
+type worker struct {
 	app *App
 	th  tm.Thread
 	rng *rand.Rand
 }
 
-// NewWorker creates a worker bound to th.
-func (a *App) NewWorker(th tm.Thread, seed int64) *Worker {
-	return &Worker{app: a, th: th, rng: rand.New(rand.NewSource(seed))}
+// NewWorker returns a worker bound to th; each call of the closure is one
+// op. The kernel reports nothing in flight: its oracle is Check.
+func (a *App) NewWorker(th tm.Thread, seed int64, _ conformance.Report) func() error {
+	return (&worker{app: a, th: th, rng: rand.New(rand.NewSource(seed))}).op
 }
 
-// Op appends one random edge u→v; when u's adjacency array is full it
+// op appends one random edge u→v; when u's adjacency array is full it
 // overwrites a random slot (keeping the workload endless, as the harness
 // requires).
-func (w *Worker) Op() error {
+func (w *worker) op() error {
 	u := w.rng.Intn(w.app.cfg.Nodes)
 	v := uint64(w.rng.Intn(w.app.cfg.Nodes))
 	slot := w.rng.Intn(edgeCap)
@@ -98,10 +97,12 @@ func (w *Worker) Op() error {
 // Edges reports the number of edge insertions performed.
 func (a *App) Edges() uint64 { return a.edges.Load() }
 
-// CheckIntegrity validates on a quiescent system: every degree is within
+// Check validates on a quiescent system: every degree is within
 // bounds, exactly the first degree slots are populated, and every edge
 // target is a valid node.
-func (a *App) CheckIntegrity(th tm.Thread) error {
+func (a *App) Check(sys tm.System) error {
+	th := sys.NewThread()
+	defer th.Close()
 	return th.Run(func(tx tm.Tx) error {
 		for i := 0; i < a.cfg.Nodes; i++ {
 			n := a.node(i)

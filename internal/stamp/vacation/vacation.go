@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"rhnorec/internal/conformance"
 	"rhnorec/internal/mem"
 	"rhnorec/internal/rbtree"
 	"rhnorec/internal/tm"
@@ -76,14 +77,6 @@ func New(cfg Config) *App {
 	return &App{cfg: cfg}
 }
 
-// Name identifies the workload variant.
-func (a *App) Name() string {
-	if a.cfg.Queries >= 4 {
-		return "vacation-high"
-	}
-	return "vacation-low"
-}
-
 // Setup populates the tables.
 func (a *App) Setup(th tm.Thread) error {
 	if err := th.Run(func(tx tm.Tx) error {
@@ -121,20 +114,22 @@ func (a *App) Setup(th tm.Thread) error {
 	return nil
 }
 
-// Worker issues vacation tasks on its own TM thread.
-type Worker struct {
+// worker issues vacation tasks on its own TM thread.
+type worker struct {
 	app *App
 	th  tm.Thread
 	rng *rand.Rand
 }
 
-// NewWorker creates a worker bound to th.
-func (a *App) NewWorker(th tm.Thread, seed int64) *Worker {
-	return &Worker{app: a, th: th, rng: rand.New(rand.NewSource(seed))}
+// NewWorker returns a worker bound to th; each call of the closure runs one
+// task transaction. The kernel reports nothing in flight: its oracle is
+// Check.
+func (a *App) NewWorker(th tm.Thread, seed int64, _ conformance.Report) func() error {
+	return (&worker{app: a, th: th, rng: rand.New(rand.NewSource(seed))}).op
 }
 
-// Op runs one task transaction.
-func (w *Worker) Op() error {
+// op runs one task transaction.
+func (w *worker) op() error {
 	r := w.rng.Intn(100)
 	switch {
 	case r < w.app.cfg.UserPct:
@@ -146,7 +141,7 @@ func (w *Worker) Op() error {
 	}
 }
 
-func (w *Worker) randID() uint64 {
+func (w *worker) randID() uint64 {
 	span := int(float64(w.app.cfg.Relations) * w.app.cfg.QueryRange)
 	if span < 1 {
 		span = 1
@@ -157,7 +152,7 @@ func (w *Worker) randID() uint64 {
 // makeReservation queries cfg.Queries random resources and reserves the
 // highest-priced available one for a (possibly new) customer — the STAMP
 // client logic.
-func (w *Worker) makeReservation() error {
+func (w *worker) makeReservation() error {
 	type query struct {
 		kind int
 		id   uint64
@@ -204,7 +199,7 @@ func (w *Worker) makeReservation() error {
 
 // deleteCustomer releases all of a random customer's reservations and
 // removes the customer.
-func (w *Worker) deleteCustomer() error {
+func (w *worker) deleteCustomer() error {
 	custID := w.randID()
 	return w.th.Run(func(tx tm.Tx) error {
 		listAddr, ok := w.app.customers.Get(tx, custID)
@@ -232,7 +227,7 @@ func (w *Worker) deleteCustomer() error {
 
 // updateTables performs the administrative task: price changes and capacity
 // growth on random rows.
-func (w *Worker) updateTables() error {
+func (w *worker) updateTables() error {
 	kind := w.rng.Intn(numKinds)
 	id := w.randID()
 	newPrice := uint64(50 + w.rng.Intn(450))
@@ -253,10 +248,12 @@ func (w *Worker) updateTables() error {
 	})
 }
 
-// CheckConservation verifies that for every resource, total − free equals
-// the number of outstanding customer reservations referencing it. It must
-// run on a quiescent system.
-func (a *App) CheckConservation(th tm.Thread) error {
+// Check verifies that for every resource, total − free equals the number
+// of outstanding customer reservations referencing it. It must run on a
+// quiescent system.
+func (a *App) Check(sys tm.System) error {
+	th := sys.NewThread()
+	defer th.Close()
 	return th.Run(func(tx tm.Tx) error {
 		held := make(map[[2]uint64]uint64) // (kind,id) -> count
 		for _, cust := range a.customers.Keys(tx) {

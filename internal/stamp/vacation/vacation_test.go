@@ -3,35 +3,21 @@ package vacation_test
 import (
 	"testing"
 
+	"rhnorec/internal/conformance"
 	"rhnorec/internal/stamp/stamptest"
 	"rhnorec/internal/stamp/vacation"
-	"rhnorec/internal/tm"
 )
-
-func TestNames(t *testing.T) {
-	if vacation.New(vacation.Low()).Name() != "vacation-low" {
-		t.Error("low name")
-	}
-	if vacation.New(vacation.High()).Name() != "vacation-high" {
-		t.Error("high name")
-	}
-	// Zero config falls back to Low.
-	if vacation.New(vacation.Config{}).Name() != "vacation-low" {
-		t.Error("zero-config name")
-	}
-}
 
 func TestConservationAcrossSystems(t *testing.T) {
 	for name, factory := range stamptest.Systems(1 << 22) {
-		for _, cfg := range []vacation.Config{vacation.Low(), vacation.High()} {
-			app := vacation.New(cfg)
-			t.Run(name+"/"+app.Name(), func(t *testing.T) {
-				stamptest.Run(t, factory(), app,
-					func(th tm.Thread, seed int64) func() error {
-						w := app.NewWorker(th, seed)
-						return w.Op
-					},
-					app.CheckConservation, 4, 150)
+		for _, v := range []struct {
+			name string
+			cfg  vacation.Config
+		}{{"vacation-low", vacation.Low()}, {"vacation-high", vacation.High()}} {
+			t.Run(name+"/"+v.name, func(t *testing.T) {
+				if err := conformance.Drive(factory(), v.name, vacation.New(v.cfg), 4, 150, 0, 1); err != nil {
+					t.Error(err)
+				}
 			})
 		}
 	}
@@ -40,10 +26,16 @@ func TestConservationAcrossSystems(t *testing.T) {
 func TestSingleThreadDeterministicConservation(t *testing.T) {
 	app := vacation.New(vacation.Config{Relations: 32, Queries: 3, QueryRange: 1.0, UserPct: 80})
 	sys := stamptest.Systems(1 << 22)["serial"]()
-	stamptest.Run(t, sys, app,
-		func(th tm.Thread, seed int64) func() error {
-			w := app.NewWorker(th, seed)
-			return w.Op
-		},
-		app.CheckConservation, 1, 500)
+	if err := conformance.Drive(sys, "vacation", app, 1, 500, 0, 1); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestZeroConfigDefaults: a zero Config falls back to Low, and the default
+// app runs clean.
+func TestZeroConfigDefaults(t *testing.T) {
+	sys := stamptest.Systems(1 << 22)["serial"]()
+	if err := conformance.Drive(sys, "vacation", vacation.New(vacation.Config{}), 1, 20, 0, 1); err != nil {
+		t.Error(err)
+	}
 }

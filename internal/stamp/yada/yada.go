@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"rhnorec/internal/conformance"
 	"rhnorec/internal/mem"
 	"rhnorec/internal/tm"
 	"rhnorec/internal/txds"
@@ -56,9 +57,6 @@ func New(cfg Config) *App {
 	}
 	return &App{cfg: cfg}
 }
-
-// Name identifies the workload.
-func (a *App) Name() string { return "yada" }
 
 // Setup builds the mesh (ring-with-chords neighbourhood) and seeds the work
 // stack with every region (all start "bad" at quality 0..GoodQuality/2).
@@ -106,24 +104,25 @@ func (a *App) region(i int) mem.Addr {
 	return a.regions + mem.Addr(i*a.cfg.regionWords())
 }
 
-// Worker refines the mesh on its own TM thread.
-type Worker struct {
+// worker refines the mesh on its own TM thread.
+type worker struct {
 	app *App
 	th  tm.Thread
 	rng *rand.Rand
 }
 
-// NewWorker creates a worker bound to th.
-func (a *App) NewWorker(th tm.Thread, seed int64) *Worker {
-	return &Worker{app: a, th: th, rng: rand.New(rand.NewSource(seed))}
+// NewWorker returns a worker bound to th; each call of the closure is one
+// op. The kernel reports nothing in flight: its oracle is Check.
+func (a *App) NewWorker(th tm.Thread, seed int64, _ conformance.Report) func() error {
+	return (&worker{app: a, th: th, rng: rand.New(rand.NewSource(seed))}).op
 }
 
-// Op refines one bad region: pop it, read its cavity, raise its quality,
+// op refines one bad region: pop it, read its cavity, raise its quality,
 // take a small toll on two random neighbours, and re-queue any region that
 // fell below the threshold. When the stack is empty the worker damages a
 // random region instead (keeping the workload endless for duration-based
 // runs).
-func (w *Worker) Op() error {
+func (w *worker) op() error {
 	damage := uint64(w.rng.Intn(3))
 	victim := w.rng.Intn(w.app.cfg.Regions)
 	return w.th.Run(func(tx tm.Tx) error {
@@ -178,9 +177,11 @@ func (w *Worker) Op() error {
 	})
 }
 
-// CheckIntegrity validates on a quiescent system: the inQueue flags agree
+// Check validates on a quiescent system: the inQueue flags agree
 // with stack membership and every stack entry is a valid region id.
-func (a *App) CheckIntegrity(th tm.Thread) error {
+func (a *App) Check(sys tm.System) error {
+	th := sys.NewThread()
+	defer th.Close()
 	return th.Run(func(tx tm.Tx) error {
 		queued := make(map[uint64]int)
 		bad := false

@@ -3,21 +3,18 @@ package yada_test
 import (
 	"testing"
 
+	"rhnorec/internal/conformance"
 	"rhnorec/internal/stamp/stamptest"
 	"rhnorec/internal/stamp/yada"
-	"rhnorec/internal/tm"
 )
 
 func TestIntegrityAcrossSystems(t *testing.T) {
 	for name, factory := range stamptest.Systems(1 << 22) {
 		app := yada.New(yada.Config{Regions: 128, Degree: 4, GoodQuality: 50})
 		t.Run(name, func(t *testing.T) {
-			stamptest.Run(t, factory(), app,
-				func(th tm.Thread, seed int64) func() error {
-					w := app.NewWorker(th, seed)
-					return w.Op
-				},
-				app.CheckIntegrity, 4, 150)
+			if err := conformance.Drive(factory(), "yada", app, 4, 150, 0, 1); err != nil {
+				t.Error(err)
+			}
 		})
 	}
 }
@@ -25,12 +22,9 @@ func TestIntegrityAcrossSystems(t *testing.T) {
 func TestRefinementDrainsQueue(t *testing.T) {
 	app := yada.New(yada.Config{Regions: 32, Degree: 4, GoodQuality: 50})
 	sys := stamptest.Systems(1 << 20)["serial"]()
-	stamptest.Run(t, sys, app,
-		func(th tm.Thread, seed int64) func() error {
-			w := app.NewWorker(th, seed)
-			return w.Op
-		},
-		app.CheckIntegrity, 1, 2000)
+	if err := conformance.Drive(sys, "yada", app, 1, 2000, 0, 1); err != nil {
+		t.Error(err)
+	}
 	// After many single-threaded refinement steps the queue depth must be
 	// bounded by the mesh size (no unbounded re-queueing).
 	th := sys.NewThread()
@@ -44,8 +38,11 @@ func TestRefinementDrainsQueue(t *testing.T) {
 	}
 }
 
+// TestZeroConfigDefaults: a zero Config falls back to the defaults, and the
+// default app runs clean.
 func TestZeroConfigDefaults(t *testing.T) {
-	if yada.New(yada.Config{}).Name() != "yada" {
-		t.Error("name")
+	sys := stamptest.Systems(1 << 22)["serial"]()
+	if err := conformance.Drive(sys, "yada", yada.New(yada.Config{}), 1, 20, 0, 1); err != nil {
+		t.Error(err)
 	}
 }
