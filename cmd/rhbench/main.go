@@ -23,10 +23,9 @@
 // -threads CSV sweep, -algos CSV subset, -stripes N memory seqlock stripe
 // count (1 reproduces the pre-striping single-clock substrate), -retries
 // the fast-path retry budget of the paper's static policy, -spurious
-// environmental-abort probability, -falseconf bloom false-conflict
-// probability, -swcost instrumentation-cost units, -tsv machine-readable
-// rows, -json FILE machine-readable point dump (ops/sec per system per
-// thread count).
+// environmental-abort probability, -swcost instrumentation-cost units,
+// -tsv machine-readable rows, -json FILE machine-readable point dump
+// (ops/sec per system per thread count).
 //
 // Durability (docs/PERSIST.md): -persist group|sync arms the redo-log
 // persistence plane on every point — each point logs its commits to a
@@ -76,7 +75,6 @@ func main() {
 		algosCSV   = flag.String("algos", "", "comma-separated algorithm subset (default: the paper's five)")
 		stripes    = flag.Int("stripes", 0, "memory seqlock stripe count (0 = default; 1 reproduces the single-clock substrate)")
 		spurious   = flag.Float64("spurious", 0.002, "per-operation spurious (environmental) HTM abort probability")
-		falseConf  = flag.Float64("falseconf", 0, "bloom-filter false-conflict probability per revalidation (hardware model ablation)")
 		tsv        = flag.Bool("tsv", false, "emit tab-separated rows instead of paper-style tables")
 		repeat     = flag.Int("repeat", 1, "runs per point; the median-throughput run is reported")
 		swcost     = flag.Int("swcost", tm.DefaultSoftwareAccessCost, "instrumentation-cost units per software-path access (see DESIGN.md)")
@@ -143,7 +141,7 @@ func main() {
 		Duration: *duration,
 		Stripes:  *stripes,
 		Persist:  mode,
-		HTM:      htm.Config{SpuriousAbortProb: *spurious, FalseConflictProb: *falseConf},
+		HTM:      htm.Config{SpuriousAbortProb: *spurious},
 		TSV:      *tsv,
 		Repeat:   *repeat,
 		Obs:      *obsOn || *tracePath != "",

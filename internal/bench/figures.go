@@ -244,8 +244,8 @@ func Experiments() []Experiment {
 		{Name: "fig6", Title: "Figure 6: Vacation-High, SSCA2, Yada",
 			Workloads: []Workload{VacationHigh(), SSCA2(), Yada()}},
 		// The workloads the paper folds into the SSCA2 discussion, plus
-		// Bayes, which it omits for inconsistent behaviour (no claims are
-		// made about it).
+		// Bayes, which it omits for inconsistent behaviour (an overflowing
+		// kernel; see its package comment).
 		{Name: "extra", Title: "Extra: Kmeans, Labyrinth (\"similar to SSCA2\"), Bayes (omitted by the paper), §3.6",
 			Workloads: []Workload{Kmeans(), Labyrinth(), Bayes()}},
 		{Name: "structures", Title: "Structures: rbtree, skiplist, sortedlist (same op mix)",

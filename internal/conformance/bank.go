@@ -133,21 +133,11 @@ func (b *bankInstance) Check(sys tm.System) error {
 
 // bankScenario is the original conserved-total workload. The explore-scale
 // config is frozen by recorded trace fixtures; the soak-scale config is the
-// historical rhstress shape.
+// shape rhbench -experiment scenarios drives.
 var bankScenario = Scenario{
-	Name: "bank",
-	Description: "random transfers between line-aligned accounts preserve the " +
-		"total balance; read-only observers assert the sum in-transaction",
-	Profile: Profile{
-		Contention: "uniform pairwise write conflicts over a small account set; observers read every account",
-		Footprint:  "2 lines read+written per transfer; full-set read-only observer scans",
-		ReadShare:  0.25,
-	},
+	Name:           "bank",
 	ExploreWorkers: 3,
 	ExploreOps:     4,
-	Traffic: &Traffic{
-		ZipfSkew: 0.99, GetFrac: 0.20, CasFrac: 0.05, TxnFrac: 0.70, TxnOps: 4,
-	},
 	New: func(scale Scale) Instance {
 		switch scale {
 		case ScaleExplore:

@@ -125,20 +125,9 @@ func (s *graphInstance) Check(sys tm.System) error {
 // graphScenario models a social fan-out-on-write path: every post is a
 // multi-line transaction whose write set converges on the hub's feed line.
 var graphScenario = Scenario{
-	Name: "graph",
-	Description: "graph fan-out: a post increments the author's counter and every " +
-		"follower feed in one transaction; feed == sum of in-neighbor posts",
-	Profile: Profile{
-		Contention: "all posts' write sets converge on the hub node's feed line; " +
-			"audits read the hub's full in-neighborhood",
-		Footprint: "1 + out-degree lines written per post; in-degree lines read per audit",
-		ReadShare: 0.25,
-	},
+	Name:           "graph",
 	ExploreWorkers: 3,
 	ExploreOps:     3,
-	Traffic: &Traffic{
-		ZipfSkew: 0.99, GetFrac: 0.25, TxnFrac: 0.70, TxnOps: 4,
-	},
 	New: func(scale Scale) Instance {
 		switch scale {
 		case ScaleExplore:

@@ -152,20 +152,9 @@ func (s *inventoryInstance) Check(sys tm.System) error {
 // inventoryScenario models a storefront checkout path: multi-line
 // read-modify-write carts colliding on a few bestseller SKUs.
 var inventoryScenario = Scenario{
-	Name: "inventory",
-	Description: "inventory/checkout with hot SKUs: carts decrement stock and " +
-		"increment sold atomically; stock+sold == initial+restocked is the invariant",
-	Profile: Profile{
-		Contention: "multi-line write sets colliding on bestseller SKUs (3/4 of " +
-			"picks on the hot quarter); restocks and carts race on the same lines",
-		Footprint: "1-3 SKU lines read+written per checkout; whole catalog per audit",
-		ReadShare: 0.125,
-	},
+	Name:           "inventory",
 	ExploreWorkers: 3,
 	ExploreOps:     4,
-	Traffic: &Traffic{
-		ZipfSkew: 1.2, GetFrac: 0.20, CasFrac: 0.05, TxnFrac: 0.65, TxnOps: 3,
-	},
 	New: func(scale Scale) Instance {
 		switch scale {
 		case ScaleExplore:

@@ -176,20 +176,9 @@ func (s *ratelimitInstance) Check(sys tm.System) error {
 // write transactions hammering a few hot lines, with a shared clock read
 // on every admission.
 var ratelimitScenario = Scenario{
-	Name: "ratelimit",
-	Description: "sliding-window rate limiter: per-client bucket rings with a " +
-		"cached sum; sum==buckets and sum<=limit are the invariants",
-	Profile: Profile{
-		Contention: "write-write conflicts on hot client lines (3/4 of traffic on " +
-			"the hottest quarter); every admission reads the shared clock",
-		Footprint: "clock + 1 client line per admission; all client lines per audit",
-		ReadShare: 0.125,
-	},
+	Name:           "ratelimit",
 	ExploreWorkers: 3,
 	ExploreOps:     4,
-	Traffic: &Traffic{
-		ZipfSkew: 1.2, GetFrac: 0.10, CasFrac: 0.60, TxnFrac: 0.10, TxnOps: 2,
-	},
 	New: func(scale Scale) Instance {
 		switch scale {
 		case ScaleExplore:

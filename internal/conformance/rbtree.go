@@ -85,20 +85,10 @@ func (t *treeInstance) Check(sys tm.System) error {
 // transactional red-black tree. The explore-scale config is frozen by
 // recorded trace fixtures.
 var rbtreeScenario = Scenario{
-	Name: "rbtree",
-	Description: "concurrent put/delete/get traffic on a transactional " +
-		"red-black tree preserves the structural invariants",
-	Profile: Profile{
-		Contention: "path conflicts near the root; rebalancing rotations touch shared interior nodes",
-		Footprint:  "O(log n) nodes read per op, a handful written on rebalance",
-		ReadShare:  0.50,
-	},
+	Name:           "rbtree",
 	ExploreWorkers: 2,
 	ExploreOps:     3,
 	MemWords:       1 << 18,
-	Traffic: &Traffic{
-		ZipfSkew: 0.6, GetFrac: 0.50, ScanFrac: 0.10, TxnFrac: 0.20, TxnOps: 3, ScanCount: 16,
-	},
 	New: func(scale Scale) Instance {
 		switch scale {
 		case ScaleExplore:

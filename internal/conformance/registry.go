@@ -1,9 +1,8 @@
 // Package conformance is the shared workload registry: every invariant
 // scenario the repository's harnesses drive — the tmtest conformance suite,
-// the rhstress soak harness, the rhexplore schedule explorer, the rhbench
-// sweeps and (through traffic profiles) the rhload service generator — is
-// registered here once, as a named, self-describing entry with a setup
-// phase, a per-operation worker, and an end-of-run invariant check.
+// the rhexplore schedule explorer and the rhbench sweeps (whose `-experiment
+// scenarios` is the soak) — is registered here once, as a named entry with a
+// setup phase, a per-operation worker, and an end-of-run invariant check.
 //
 // Instance is the repository's one workload interface. Beyond the
 // registry's scenarios, the figure workloads of internal/bench (the ordered
@@ -48,7 +47,7 @@ const (
 	// drivers × every scenario in seconds, large enough to exercise real
 	// conflict paths.
 	ScaleTest
-	// ScaleSoak is the full-contention shape rhstress and rhbench drive.
+	// ScaleSoak is the full-contention shape rhbench drives.
 	ScaleSoak
 )
 
@@ -84,48 +83,15 @@ type Instance interface {
 	Check(sys tm.System) error
 }
 
-// Profile is a scenario's contention-shape metadata: free-text,
-// human-facing fields surfaced by the CLIs' -list output and the
-// EXPERIMENTS.md writeups, so a reader can predict which TM path a
-// scenario stresses before running it.
-type Profile struct {
-	// Contention describes the hot-spot structure (what conflicts, how often).
-	Contention string
-	// Footprint describes the read/write-set sizes per transaction.
-	Footprint string
-	// ReadShare is the approximate fraction of read-only transactions.
-	ReadShare float64
-}
-
-// Traffic maps a scenario onto the KV service's request stream so rhload
-// can replay its contention shape over the network (zipfian skew plus an
-// endpoint mix). Fields mirror tmtest.RequestMix but stay plain so the
-// registry does not import the harness packages that import it.
-type Traffic struct {
-	ZipfSkew  float64
-	GetFrac   float64
-	CasFrac   float64
-	ScanFrac  float64
-	TxnFrac   float64 // remainder of the four fractions is PUT
-	TxnOps    int
-	ScanCount int
-}
-
 // Scenario is one registry entry.
 type Scenario struct {
-	Name        string
-	Description string
-	Profile     Profile
+	Name string
 
 	// ExploreWorkers/ExploreOps are the schedule explorer's default shape.
 	ExploreWorkers int
 	ExploreOps     int
 	// MemWords sizes an explorer run's arena (0 = the explorer default).
 	MemWords int
-
-	// Traffic, when non-nil, is the scenario's service-level shape for
-	// rhload -scenario.
-	Traffic *Traffic
 
 	// New materializes a fresh instance at the given scale.
 	New func(scale Scale) Instance

@@ -167,20 +167,9 @@ func (s *sessionInstance) Check(sys tm.System) error {
 // sessionScenario models a session cache: leases created and refreshed
 // against a shared logical clock, evicted in sweeps once expired.
 var sessionScenario = Scenario{
-	Name: "session",
-	Description: "session store with TTL eviction: checksummed leases against a " +
-		"logical clock; the live count and per-slot checksums are the invariants",
-	Profile: Profile{
-		Contention: "shared clock word read by every mutation and bumped by tickers; " +
-			"full-table eviction sweeps conflict with point creates",
-		Footprint: "1 slot line + clock per create/read; whole table per evict/audit",
-		ReadShare: 0.56,
-	},
+	Name:           "session",
 	ExploreWorkers: 3,
 	ExploreOps:     4,
-	Traffic: &Traffic{
-		ZipfSkew: 0.99, GetFrac: 0.60, CasFrac: 0.10, ScanFrac: 0.05, TxnFrac: 0.15, TxnOps: 4, ScanCount: 16,
-	},
 	New: func(scale Scale) Instance {
 		switch scale {
 		case ScaleExplore:

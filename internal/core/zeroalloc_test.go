@@ -172,27 +172,26 @@ func BenchmarkTxnMixedSlowPath(b *testing.B) {
 	}
 }
 
-// BenchmarkTxnAuditOverCapacity: the transaction the benchmark's
-// tm-capacity-mix workload spends its time in — a Range over 600 keys of a
-// 10 000-node red-black tree (~1 250 loads, over the 256-line read capacity)
-// that Puts what it summed into one of four summary keys — so it dies in
-// hardware and commits on the mixed slow path. soft-reads/op,
-// prefix-reads/op and segment-reads/op say where its reads ran
-// (tm.Stats.SoftwareReads, PrefixReads and SegmentReads): the prefix-length
-// adaptation and the read segments exist to move reads out of the first.
-// Single-threaded, so all three are exact counts, and the CI zero-alloc job
-// holds soft-reads/op to at most 64. 0 allocs/op.
-func BenchmarkTxnAuditOverCapacity(b *testing.B) {
+// auditWorld builds the world of BenchmarkTxnAuditOverCapacity and
+// TestAuditOverCapacitySoftReads: one thread over a 10 000-node red-black
+// tree on a 256/64-line device. It returns the thread and one audit step,
+// the transaction the benchmark's tm-capacity-mix workload spends its time
+// in: a Range over 600 keys (~1 250 loads, over the read capacity) that
+// Puts what it summed into one of four summary keys, so it dies in hardware
+// and commits on the mixed slow path. The 16 warm-up audits it runs first
+// let the prefix budget settle and create the summaries.
+func auditWorld(tb testing.TB) (tm.Thread, func()) {
+	tb.Helper()
 	const keyRange, span, summaries = 20000, 600, 4
 	m := mem.New(1 << 20)
 	dev := htm.NewDevice(m, htm.Config{ReadCapacityLines: 256, WriteCapacityLines: 64, YieldPeriod: -1})
 	dev.SetActiveThreads(1)
 	th := core.New(m, dev, tm.RetryPolicy{}).NewThread()
-	b.Cleanup(func() { th.Close() })
+	tb.Cleanup(func() { th.Close() })
 	var tree rbtree.Tree
 	run := func(fn func(tm.Tx) error) {
 		if err := th.Run(fn); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	run(func(tx tm.Tx) error { tree = rbtree.New(tx); return nil })
@@ -209,17 +208,55 @@ func BenchmarkTxnAuditOverCapacity(b *testing.B) {
 		tree.Put(tx, keyRange+lo%summaries, sum)
 		return nil
 	}
-	next := func() { lo = (lo + 7919) % (keyRange - span) }
-	for i := 0; i < 16; i++ { // reach steady state: the budget settles, the summaries exist
+	step := func() {
 		run(audit)
-		next()
+		lo = (lo + 7919) % (keyRange - span)
 	}
+	for i := 0; i < 16; i++ {
+		step()
+	}
+	return th, step
+}
+
+// TestAuditOverCapacitySoftReads holds the over-capacity audit to at most
+// 64 software reads and 0 allocations a transaction, over 2 000 audits.
+// Single-threaded, so the read count is exact: 536.7 before read segments
+// chained behind the prefix, 7.5–7.7 with them. A change that sends the
+// tail of the audit back to software fails here.
+func TestAuditOverCapacitySoftReads(t *testing.T) {
+	const audits, maxSoftReads = 2000, 64
+	th, step := auditWorld(t)
+	var before tm.Stats
+	calls := 0
+	allocs := testing.AllocsPerRun(audits, func() {
+		if calls == 1 { // AllocsPerRun's own warm-up call is not measured
+			before = *th.Stats()
+		}
+		calls++
+		step()
+	})
+	soft := float64(th.Stats().SoftwareReads-before.SoftwareReads) / audits
+	if soft > maxSoftReads {
+		t.Errorf("%.1f software reads per over-capacity audit, want <= %d", soft, maxSoftReads)
+	}
+	if allocs != 0 {
+		t.Errorf("over-capacity audit allocates: %v allocs/run, want 0", allocs)
+	}
+}
+
+// BenchmarkTxnAuditOverCapacity: one auditWorld audit per iteration.
+// soft-reads/op, prefix-reads/op and segment-reads/op say where its reads
+// ran (tm.Stats.SoftwareReads, PrefixReads and SegmentReads): the
+// prefix-length adaptation and the read segments exist to move reads out of
+// the first. Single-threaded, so all three are exact counts;
+// TestAuditOverCapacitySoftReads holds the first to at most 64. 0 allocs/op.
+func BenchmarkTxnAuditOverCapacity(b *testing.B) {
+	th, step := auditWorld(b)
 	before := *th.Stats()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		run(audit)
-		next()
+		step()
 	}
 	b.StopTimer()
 	after := th.Stats()

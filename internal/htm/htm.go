@@ -188,12 +188,6 @@ type Config struct {
 	// SpuriousAbortProb is the per-operation probability of an
 	// environmental abort. Zero disables spurious aborts.
 	SpuriousAbortProb float64
-	// FalseConflictProb models Haswell's bloom-filter read-set tracking
-	// (§3.2 of the paper): with this probability, a revalidation event
-	// triggered by a foreign commit aborts the transaction even though no
-	// tracked value actually changed — a filter false positive. Zero
-	// disables the model.
-	FalseConflictProb float64
 	// YieldPeriod makes every Nth speculative operation yield the
 	// processor. Real hardware threads interleave at instruction
 	// granularity; goroutines on few OS threads do not, which would hide

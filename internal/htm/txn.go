@@ -59,7 +59,6 @@ type Txn struct {
 	readCap, writeCap int
 	yieldPeriod       int
 	spuriousThresh    uint64
-	falseConfThresh   uint64
 
 	// abortVal is the recycled panic payload of fail: aborts are part of the
 	// steady-state hot path (every fallback starts with one), so they must
@@ -98,11 +97,6 @@ func (t *Txn) Begin() {
 		t.spuriousThresh = uint64(p * (1 << 53))
 	} else {
 		t.spuriousThresh = 0
-	}
-	if p := t.d.cfg.FalseConflictProb; p > 0 {
-		t.falseConfThresh = uint64(p * (1 << 53))
-	} else {
-		t.falseConfThresh = 0
 	}
 	t.marks.reset()
 	t.gate = t.d.m.Ticket()
@@ -268,11 +262,9 @@ func (t *Txn) settle(a mem.Addr, s int, c0 uint64, seen bool) bool {
 		// The stripe moved since its watermark, so its logged reads must be
 		// re-proved current at c0 before the watermark may advance — the
 		// sweep below would otherwise take the new mark at face value and
-		// skip them. Dice first: bloom hardware would see the motion, not
-		// the values.
+		// skip them.
 		t.hookYield(HookValidate, a, 0)
-		diced := false
-		if !t.rollFalseConflict(&diced) || !t.valueCheckStripe(s) {
+		if !t.valueCheckStripe(s) {
 			t.fail(Conflict, 0)
 		}
 		if t.d.m.StripeClock(s) != c0 {
@@ -301,20 +293,6 @@ const (
 	commitSpinBudget = 128
 	commitPassBudget = 64
 )
-
-// rollFalseConflict models bloom-filter conflict detection: the first time
-// a sweep finds a moved stripe, roll the false-positive dice; a hit is a
-// phantom intersection. Reports false on a hit. At most one roll per sweep.
-func (t *Txn) rollFalseConflict(diced *bool) bool {
-	if *diced {
-		return true
-	}
-	*diced = true
-	if t.falseConfThresh == 0 || t.reads.len() == 0 {
-		return true
-	}
-	return t.nextRand()>>11 >= t.falseConfThresh
-}
 
 // valueCheckStripe re-checks every logged read that lives in stripe s by
 // value. The caller supplies the stability argument (stripe seqlock
@@ -359,14 +337,13 @@ func (t *Txn) valueCheckStripe(s int) bool {
 // stripes are frozen for the whole validation, so their checks need no
 // confirming pass.
 //
-// Returns false on a value mismatch, a false-conflict roll, or a commit
-// budget exhaustion; all are conflict aborts to the caller.
+// Returns false on a value mismatch or a commit budget exhaustion; both are
+// conflict aborts to the caller.
 func (t *Txn) sweepReads(committing bool) bool {
 	m := t.d.m
 	if t.marks.empty() {
 		return true
 	}
-	diced := false
 	for pass := 0; ; pass++ {
 		if committing && pass > commitPassBudget {
 			return false
@@ -381,7 +358,7 @@ func (t *Txn) sweepReads(committing bool) bool {
 				if c == mark {
 					continue
 				}
-				switch t.sweepMoved(s, mark, c, committing, &diced) {
+				switch t.sweepMoved(s, mark, c, committing) {
 				case sweepFailed:
 					return false
 				case sweepRetry:
@@ -405,7 +382,7 @@ const (
 
 // sweepMoved handles one footprint stripe whose clock c no longer reads its
 // watermark mark during a sweepReads pass.
-func (t *Txn) sweepMoved(s int, mark, c uint64, committing bool, diced *bool) int {
+func (t *Txn) sweepMoved(s int, mark, c uint64, committing bool) int {
 	m := t.d.m
 	if committing && t.owned.has(s) {
 		// c is odd because our own window is open; c-1 is the value the
@@ -415,7 +392,7 @@ func (t *Txn) sweepMoved(s int, mark, c uint64, committing bool, diced *bool) in
 		if c-1 == mark {
 			return sweepSettled
 		}
-		if !t.rollFalseConflict(diced) || !t.valueCheckStripe(s) {
+		if !t.valueCheckStripe(s) {
 			return sweepFailed
 		}
 		t.marks.set(s, c-1)
@@ -431,7 +408,7 @@ func (t *Txn) sweepMoved(s int, mark, c uint64, committing bool, diced *bool) in
 	if c == mark {
 		return sweepSettled // the open window restored without publishing
 	}
-	if !t.rollFalseConflict(diced) || !t.valueCheckStripe(s) {
+	if !t.valueCheckStripe(s) {
 		return sweepFailed
 	}
 	if m.StripeClock(s) != c {

@@ -211,35 +211,6 @@ func TestSpuriousAborts(t *testing.T) {
 	}
 }
 
-// TestFalseConflictModel: with the bloom false-positive probability at 1,
-// any foreign commit into a stripe of the read footprint forces a
-// revalidation that kills the reader even though no tracked value changed.
-// A mutation in a stripe the footprint never touched triggers no
-// revalidation at all — per-stripe conflict filtering is the point of the
-// striped substrate — so the reader survives it even at probability 1.
-func TestFalseConflictModel(t *testing.T) {
-	m, d, c := newTestDevice(Config{FalseConflictProb: 1.0})
-	a := c.Alloc(2 * mem.LineWords)
-	tx := d.NewTxn()
-	ab := attempt(tx, func() {
-		_ = tx.Load(a)
-		m.StorePlain(a+1, 9) // foreign mutation in the read set's own stripe
-		_ = tx.Load(a)
-	})
-	if ab == nil || ab.Code != Conflict {
-		t.Fatalf("abort = %v, want false-positive conflict", ab)
-	}
-	// The second line of the allocation lives on the next stripe; mutating
-	// it moves no clock the footprint watermarks, hence no false positive.
-	if ab := attempt(tx, func() {
-		_ = tx.Load(a)
-		m.StorePlain(a+mem.LineWords, 9) // disjoint-stripe foreign mutation
-		_ = tx.Load(a)
-	}); ab != nil {
-		t.Fatalf("unexpected abort without a footprint intersection: %v", ab)
-	}
-}
-
 // TestDupLoadsNotRelogged: re-reading an address must not grow the read log —
 // validation cost is O(distinct addresses), not O(dynamic reads).
 func TestDupLoadsNotRelogged(t *testing.T) {

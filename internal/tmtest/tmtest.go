@@ -268,7 +268,8 @@ func concurrentCounter(t *testing.T, f Factory, opts Options) {
 // (internal/conformance) — bank transfers, the red-black tree, the session
 // store, the rate limiter, the inventory checkout, the graph fan-out —
 // passes setup → workers → invariant check under this system. The same
-// entries drive rhstress soaks, rhbench sweeps and the schedule explorer.
+// entries drive the rhbench sweeps (the scenarios soak) and the schedule
+// explorer.
 func registryScenarios(t *testing.T, f Factory, opts Options) {
 	for _, sc := range conformance.Scenarios() {
 		sc := sc
