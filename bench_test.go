@@ -262,7 +262,7 @@ func BenchmarkPredecessorRHTL2(b *testing.B) {
 // (useful when recalibrating the cost model).
 func BenchmarkHTMDevice(b *testing.B) {
 	m := mem.New(1 << 16)
-	dev := htm.NewDevice(m, htm.Config{YieldPeriod: -1})
+	dev := htm.NewDevice(m, htm.Config{})
 	dev.SetActiveThreads(1)
 	tc := m.NewThreadCache()
 	base := tc.Alloc(64 * mem.LineWords)

@@ -21,17 +21,18 @@
 //
 // Useful knobs: -duration per point, -repeat N (median of N runs),
 // -threads CSV sweep, -algos CSV subset, -stripes N memory seqlock stripe
-// count (1 reproduces the pre-striping single-clock substrate), -retries
-// the fast-path retry budget of the paper's static policy, -spurious
-// environmental-abort probability, -swcost instrumentation-cost units,
-// -tsv machine-readable rows, -json FILE machine-readable point dump
-// (ops/sec per system per thread count).
+// count (1 reproduces the pre-striping single-clock substrate), -spurious
+// environmental-abort probability, -tsv machine-readable rows, -json FILE
+// machine-readable point dump (ops/sec per system per thread count). Every
+// point runs the paper's static retry policy (§3.3: 10 hardware retries)
+// and the simulator's fixed yield pacing and software-access cost model
+// (DESIGN.md §6).
 //
-// Durability (docs/PERSIST.md): -persist group|sync arms the redo-log
-// persistence plane on every point — each point logs its commits to a
-// throwaway directory and durable-acks every operation (default: off). The
-// persist experiment ignores the flag and sweeps the three modes side by
-// side.
+// Durability (docs/PERSIST.md) is named by the algorithm: the persist
+// experiment sweeps rh-norec, rh-norec+persist (group fsync) and
+// rh-norec+persist-sync (fsync per commit) side by side, and -algos can pick
+// a persisting variant for any experiment. Its points log their commits to a
+// throwaway directory and durable-ack every operation.
 //
 // Every point is also a conformance pass: its workload's oracle runs in
 // flight and once the workers stop. After writing -json and -trace, rhbench
@@ -63,8 +64,6 @@ import (
 	"rhnorec/internal/bench"
 	"rhnorec/internal/htm"
 	"rhnorec/internal/obs"
-	"rhnorec/internal/persist"
-	"rhnorec/internal/tm"
 )
 
 func main() {
@@ -77,18 +76,13 @@ func main() {
 		spurious   = flag.Float64("spurious", 0.002, "per-operation spurious (environmental) HTM abort probability")
 		tsv        = flag.Bool("tsv", false, "emit tab-separated rows instead of paper-style tables")
 		repeat     = flag.Int("repeat", 1, "runs per point; the median-throughput run is reported")
-		swcost     = flag.Int("swcost", tm.DefaultSoftwareAccessCost, "instrumentation-cost units per software-path access (see DESIGN.md)")
 		jsonPath   = flag.String("json", "", "also write every benchmark point to this file as a versioned JSON dump (see docs/METRICS.md)")
 		obsOn      = flag.Bool("obs", false, "attach observability recorders (per-phase latency histograms, abort-cause taxonomy); adds an obs snapshot to each -json point")
 		tracePath  = flag.String("trace", "", "write per-thread event-ring traces to this file (implies -obs plus rings; replay with rhtrace)")
 		ringSize   = flag.Int("ringsize", 2048, "events held per thread ring for -trace")
 		verbose    = flag.Bool("v", false, "print each point as it completes")
-
-		persistName = flag.String("persist", "off", "durability mode for every point: group | sync | off; armed points redo-log commits and durable-ack each op")
-		retries     = flag.Int("retries", 0, "fast-path HTM retry budget before fallback (0 = paper default)")
 	)
 	flag.Parse()
-	tm.SetSoftwareAccessCost(*swcost)
 
 	if *experiment == "list" {
 		fmt.Print("experiments:")
@@ -132,22 +126,16 @@ func main() {
 	if err != nil {
 		usage("%v", err)
 	}
-	mode, ok := persist.ModeByName(*persistName)
-	if !ok {
-		usage("unknown -persist %q (want group, sync or off)", *persistName)
-	}
 	cfg := bench.FigureConfig{
-		Threads:  threads,
-		Duration: *duration,
-		Stripes:  *stripes,
-		Persist:  mode,
-		HTM:      htm.Config{SpuriousAbortProb: *spurious},
-		TSV:      *tsv,
-		Repeat:   *repeat,
-		Obs:      *obsOn || *tracePath != "",
-	}
-	if *retries > 0 {
-		cfg.Policy.MaxHTMRetries = *retries
+		PointConfig: bench.PointConfig{
+			Duration: *duration,
+			Stripes:  *stripes,
+			HTM:      htm.Config{SpuriousAbortProb: *spurious},
+			Obs:      *obsOn || *tracePath != "",
+		},
+		Threads: threads,
+		TSV:     *tsv,
+		Repeat:  *repeat,
 	}
 	if *tracePath != "" {
 		if *ringSize <= 0 {

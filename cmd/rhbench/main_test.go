@@ -25,9 +25,14 @@ func TestFailsBeforeItRunsOrTruncates(t *testing.T) {
 	if err := os.WriteFile(dump, []byte(kept), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// The deleted bloom false-conflict knob, in two pieces so a grep of the
-	// tree for it stays empty.
-	const bloomFlag = "-false" + "conf"
+	// Deleted knobs, in two pieces so a grep of the tree for them stays
+	// empty: the bloom false-conflict model, the software access cost model
+	// and the HTM retry budget.
+	const (
+		bloomFlag   = "-false" + "conf"
+		swcostFlag  = "-sw" + "cost"
+		retriesFlag = "-re" + "tries"
+	)
 	for _, tc := range []struct {
 		name string
 		args []string
@@ -40,6 +45,9 @@ func TestFailsBeforeItRunsOrTruncates(t *testing.T) {
 		{"combine flag is gone", []string{"-experiment", "fig4", "-combine", "-json", dump}, 2, "flag provided but not defined"},
 		{"compare flag is gone", []string{"-experiment", "fig4", "-compare", "/nonexistent", "-json", dump}, 2, "flag provided but not defined"},
 		{"bloom false-conflict flag is gone", []string{"-experiment", "fig4", bloomFlag, "0.1", "-json", dump}, 2, "flag provided but not defined"},
+		{"software access cost flag is gone", []string{"-experiment", "fig4", swcostFlag, "0", "-json", dump}, 2, "flag provided but not defined"},
+		{"persist flag is gone", []string{"-experiment", "fig4", "-persist", "group", "-json", dump}, 2, "flag provided but not defined"},
+		{"retries flag is gone", []string{"-experiment", "fig4", retriesFlag, "3", "-json", dump}, 2, "flag provided but not defined"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cmd := exec.Command(bin, tc.args...)

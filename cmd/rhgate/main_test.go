@@ -25,14 +25,11 @@ func scenariosDump(t *testing.T) *bench.JSONDump {
 	}
 	algo, _ := bench.AlgoByName("rh-norec")
 	var rec bench.JSONRecorder
-	if _, err := bench.RunSweep(bench.SweepConfig{
-		Workload: bench.ScenarioWorkload(sc, conformance.ScaleSoak),
-		Algos:    []bench.Algo{algo},
-		Threads:  []int{1, 2},
-		Duration: 20 * time.Millisecond,
-		MemWords: 1 << 18,
-		Obs:      true,
-		Progress: rec.Record,
+	if _, err := bench.RunSweep(bench.ScenarioWorkload(sc, conformance.ScaleSoak), bench.FigureConfig{
+		PointConfig: bench.PointConfig{Duration: 20 * time.Millisecond, MemWords: 1 << 18, Obs: true},
+		Algos:       []bench.Algo{algo},
+		Threads:     []int{1, 2},
+		Progress:    rec.Record,
 	}); err != nil {
 		t.Fatal(err)
 	}

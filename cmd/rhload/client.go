@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"rhnorec/internal/serve"
-	"rhnorec/internal/tmtest"
 )
 
 func jsonBody(v any) io.Reader {
@@ -27,7 +26,7 @@ func jsonDecode(r io.Reader, v any) error { return json.NewDecoder(r).Decode(v) 
 // kind, so the server's per-endpoint metrics rows label the traffic the way
 // the generator meant it.
 type kvClient interface {
-	do(kind tmtest.ReqKind, ops []serve.Op) ([]serve.OpResult, error)
+	do(kind ReqKind, ops []serve.Op) ([]serve.OpResult, error)
 	close()
 }
 
@@ -40,7 +39,7 @@ func (e *shedError) Error() string {
 }
 
 // reqKindPath maps a request kind to its HTTP endpoint path.
-var reqKindPath = [tmtest.NumReqKinds]string{"/get", "/put", "/cas", "/scan", "/txn"}
+var reqKindPath = [NumReqKinds]string{"/get", "/put", "/cas", "/scan", "/txn"}
 
 // httpClient drives the HTTP/JSON transport. Each generator connection owns
 // one, with a distinct sticky identity in X-RH-Client.
@@ -62,13 +61,13 @@ func newHTTPClient(addr, identity string) *httpClient {
 
 func (c *httpClient) close() { c.hc.CloseIdleConnections() }
 
-func (c *httpClient) do(kind tmtest.ReqKind, ops []serve.Op) ([]serve.OpResult, error) {
+func (c *httpClient) do(kind ReqKind, ops []serve.Op) ([]serve.OpResult, error) {
 	var (
 		req *http.Request
 		err error
 	)
 	switch kind {
-	case tmtest.ReqTxn:
+	case ReqTxn:
 		body := serve.TxnRequest{Ops: make([]serve.TxnOp, len(ops))}
 		for i, op := range ops {
 			body.Ops[i] = jsonOp(op)
@@ -81,23 +80,23 @@ func (c *httpClient) do(kind tmtest.ReqKind, ops []serve.Op) ([]serve.OpResult, 
 		q := url.Values{}
 		op := ops[0]
 		switch kind {
-		case tmtest.ReqGet:
+		case ReqGet:
 			for _, o := range ops {
 				q.Add("key", strconv.FormatUint(o.Key, 10))
 			}
-		case tmtest.ReqPut:
+		case ReqPut:
 			q.Set("key", strconv.FormatUint(op.Key, 10))
 			q.Set("val", strconv.FormatUint(op.Val, 10))
-		case tmtest.ReqCas:
+		case ReqCas:
 			q.Set("key", strconv.FormatUint(op.Key, 10))
 			q.Set("old", strconv.FormatUint(op.Old, 10))
 			q.Set("new", strconv.FormatUint(op.Val, 10))
-		case tmtest.ReqScan:
+		case ReqScan:
 			q.Set("start", strconv.FormatUint(op.Key, 10))
 			q.Set("count", strconv.FormatUint(uint64(op.Count), 10))
 		}
 		method := http.MethodGet
-		if kind == tmtest.ReqPut || kind == tmtest.ReqCas {
+		if kind == ReqPut || kind == ReqCas {
 			method = http.MethodPost
 		}
 		req, err = http.NewRequest(method, c.base+reqKindPath[kind]+"?"+q.Encode(), nil)
@@ -152,7 +151,7 @@ func jsonOp(op serve.Op) serve.TxnOp {
 }
 
 // reqKindOpcode maps a request kind to its binary opcode.
-var reqKindOpcode = [tmtest.NumReqKinds]uint8{
+var reqKindOpcode = [NumReqKinds]uint8{
 	serve.OpcodeGet, serve.OpcodePut, serve.OpcodeCas, serve.OpcodeScan, serve.OpcodeTxn,
 }
 
@@ -215,7 +214,7 @@ func (c *binClient) roundTrip(req *serve.ProtoRequest) (*serve.ProtoResponse, er
 	return resp, nil
 }
 
-func (c *binClient) do(kind tmtest.ReqKind, ops []serve.Op) ([]serve.OpResult, error) {
+func (c *binClient) do(kind ReqKind, ops []serve.Op) ([]serve.OpResult, error) {
 	resp, err := c.roundTrip(&serve.ProtoRequest{Opcode: reqKindOpcode[kind], Ops: ops})
 	if err != nil {
 		return nil, err
@@ -243,7 +242,7 @@ type binOutcome struct {
 // a transport failure and the connection is dead. The reply decode reuses
 // one recycled ProtoResponse (ParseResponseInto), so a steady-state batch
 // allocates only in AppendRequest's op marshaling.
-func (c *binClient) doBatch(kinds []tmtest.ReqKind, opss [][]serve.Op, out []binOutcome) error {
+func (c *binClient) doBatch(kinds []ReqKind, opss [][]serve.Op, out []binOutcome) error {
 	firstID := c.reqID + 1
 	for i := range kinds {
 		c.reqID++

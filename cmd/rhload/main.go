@@ -50,7 +50,6 @@ import (
 	"rhnorec/internal/bench"
 	"rhnorec/internal/obs"
 	"rhnorec/internal/serve"
-	"rhnorec/internal/tmtest"
 )
 
 func main() {
@@ -109,9 +108,9 @@ func main() {
 	fmt.Printf("%-30s %10s %10s %8s %8s %10s %10s %10s\n",
 		"cell", "target", "achieved", "sheds", "errors", "p50", "p99", "p999")
 	for _, skew := range zipfList {
-		zipf := tmtest.NewZipfKeys(*keys, skew)
+		zipf := NewZipfKeys(*keys, skew)
 		for _, readMix := range mixList {
-			mix := tmtest.RequestMix{
+			mix := RequestMix{
 				GetFrac: readMix, CasFrac: *casFrac, ScanFrac: *scanFrac, TxnFrac: *txnFrac,
 				TxnOps: *txnOps, ScanCount: *scanCount,
 			}.WithDefaults()
@@ -178,8 +177,8 @@ type cellConfig struct {
 	conns    int
 	qps      float64
 	duration time.Duration
-	zipf     *tmtest.ZipfKeys
-	mix      tmtest.RequestMix
+	zipf     *ZipfKeys
+	mix      RequestMix
 	seed     int64
 	pipeline int // frames in flight per connection (binary; <=1 = round trips)
 }
@@ -302,7 +301,7 @@ func runConn(c cellConfig, id int, st *connStats, deadline time.Time) {
 func runConnPipelined(c cellConfig, bc *binClient, id int, st *connStats, deadline time.Time) {
 	rng := rand.New(rand.NewSource(c.seed + int64(id)*7919))
 	depth := c.pipeline
-	kinds := make([]tmtest.ReqKind, depth)
+	kinds := make([]ReqKind, depth)
 	opss := make([][]serve.Op, depth)
 	out := make([]binOutcome, depth)
 	var interval time.Duration
@@ -360,15 +359,15 @@ func runConnPipelined(c cellConfig, bc *binClient, id int, st *connStats, deadli
 }
 
 // genRequest draws one request from the mix.
-func genRequest(c cellConfig, rng *rand.Rand) (tmtest.ReqKind, []serve.Op) {
+func genRequest(c cellConfig, rng *rand.Rand) (ReqKind, []serve.Op) {
 	kind := c.mix.Pick(rng)
 	key := func() uint64 { return c.zipf.ScrambledNext(rng) }
 	switch kind {
-	case tmtest.ReqGet:
+	case ReqGet:
 		return kind, []serve.Op{{Kind: serve.OpGet, Key: key()}}
-	case tmtest.ReqCas:
+	case ReqCas:
 		return kind, []serve.Op{{Kind: serve.OpCas, Key: key(), Old: uint64(rng.Intn(4)), Val: rng.Uint64() >> 1}}
-	case tmtest.ReqScan:
+	case ReqScan:
 		n := uint64(c.mix.ScanCount)
 		start := key()
 		if max := uint64(c.zipf.N()); n >= max {
@@ -377,7 +376,7 @@ func genRequest(c cellConfig, rng *rand.Rand) (tmtest.ReqKind, []serve.Op) {
 			start = max - n
 		}
 		return kind, []serve.Op{{Kind: serve.OpScan, Key: start, Count: uint32(n)}}
-	case tmtest.ReqTxn:
+	case ReqTxn:
 		ops := make([]serve.Op, c.mix.TxnOps)
 		for i := range ops {
 			if rng.Intn(2) == 0 {
@@ -388,7 +387,7 @@ func genRequest(c cellConfig, rng *rand.Rand) (tmtest.ReqKind, []serve.Op) {
 		}
 		return kind, ops
 	default:
-		return tmtest.ReqPut, []serve.Op{{Kind: serve.OpPut, Key: key(), Val: rng.Uint64() >> 1}}
+		return ReqPut, []serve.Op{{Kind: serve.OpPut, Key: key(), Val: rng.Uint64() >> 1}}
 	}
 }
 

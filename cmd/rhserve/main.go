@@ -6,17 +6,17 @@
 // Usage:
 //
 //	rhserve                              # rh-norec, :7421, 64Ki keys
-//	rhserve -addr 127.0.0.1:0 -algo hybrid-norec -workers 8
+//	rhserve -addr 127.0.0.1:0 -algo hy-norec -workers 8
 //	rhserve -queue 128 -batch 32 -timeout 250ms
 //
 // Knobs: -addr listen address, -algo TM system (rhbench -experiment list
-// vocabulary), -keys KV slots, -workers sticky worker pool size (default:
-// simulated core count), -queue max chains blocked waiting for one worker,
-// -batch max requests fused into one transaction, -timeout longest wait for
-// the worker before a request is shed, -retryafter
-// shed backoff hint, -stripes memory seqlock stripes, -ringsize per-worker
-// event-ring entries, -pprof mounts net/http/pprof under /debug/pprof/
-// (opt-in profiling).
+// vocabulary; an unknown name exits 2), -keys KV slots, -workers sticky
+// worker pool size (default: simulated core count), -queue max chains
+// blocked waiting for one worker, -batch max requests fused into one
+// transaction, -timeout longest wait for the worker before a request is
+// shed, -retryafter shed backoff hint, -stripes memory seqlock stripes,
+// -ringsize per-worker event-ring entries, -pprof mounts net/http/pprof
+// under /debug/pprof/ (opt-in profiling).
 //
 // Durability (docs/PERSIST.md): -data <dir> arms the redo-log persistence
 // plane — boot replays the directory's logs (crash recovery) and committing
@@ -38,6 +38,7 @@ import (
 	"syscall"
 	"time"
 
+	"rhnorec/internal/bench"
 	"rhnorec/internal/htm"
 	"rhnorec/internal/persist"
 	"rhnorec/internal/serve"
@@ -63,6 +64,9 @@ func main() {
 	)
 	flag.Parse()
 
+	if _, ok := bench.AlgoByName(*algo); !ok {
+		usage("unknown -algo %q (rhbench -experiment list names them)", *algo)
+	}
 	mode := persist.ModeOff
 	if *persistStr != "" {
 		var ok bool

@@ -9,8 +9,9 @@ import (
 )
 
 // TestPersistFlagContradictions pins the two -persist/-data combinations
-// that used to be accepted and silently reinterpreted: both must exit 2 with
-// a message naming the flags, before any listener or log directory exists.
+// that used to be accepted and silently reinterpreted, and an unknown -algo:
+// each must exit 2 with a message naming the flag, before any listener or
+// log directory exists.
 func TestPersistFlagContradictions(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "rhserve")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -25,6 +26,7 @@ func TestPersistFlagContradictions(t *testing.T) {
 		{"off with data", []string{"-addr", "127.0.0.1:0", "-data", data, "-persist", "off"}, "-persist off contradicts"},
 		{"sync without data", []string{"-addr", "127.0.0.1:0", "-persist", "sync"}, "needs -data"},
 		{"unknown mode", []string{"-addr", "127.0.0.1:0", "-data", data, "-persist", "eventually"}, "unknown persist mode"},
+		{"unknown algo", []string{"-addr", "127.0.0.1:0", "-data", data, "-algo", "hybrid-norec"}, `unknown -algo "hybrid-norec"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			out, err := exec.Command(bin, tc.args...).CombinedOutput()

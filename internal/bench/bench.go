@@ -35,9 +35,13 @@ import (
 type Algo struct {
 	Name string
 	New  func(m *mem.Memory, dev *htm.Device, pol tm.RetryPolicy) tm.System
-	// Persist, when group or sync, pins the point's durability mode over
-	// the sweep-level one (RunConfig.Persist / rhbench -persist); ModeOff
-	// follows the sweep.
+	// Persist, when group or sync, opens a fresh redo log (internal/persist)
+	// for each of the algorithm's points on a temporary directory (honoring
+	// $TMPDIR; CI points it at a RAM disk to isolate protocol overhead from
+	// device latency), attaches it to the point's memory, and durable-acks
+	// every 16-op worker batch — the service's ack granularity, where one
+	// WaitDurable covers a fused batch of requests. It is the only
+	// persistence switch of a benchmark point.
 	Persist persist.Mode
 	// MetaWords is the transactional memory, in words, the driver allocates
 	// for metadata of its own at construction, when that is more than a
@@ -108,10 +112,10 @@ func RHVariants() []Algo {
 
 // PersistVariants returns the durability-overhead ablation over RH NOrec
 // (DESIGN.md §15): persistence off, the group-fsync redo log, and the
-// fsync-per-commit ablation. The persisting variants pin Algo.Persist, so
+// fsync-per-commit ablation. The persisting variants set Algo.Persist, so
 // each of their points opens a fresh redo log and every operation
-// durable-acks (see RunConfig.Persist). This is the algorithm set of the
-// persist experiment, which CI's crash-recovery job runs as a smoke.
+// durable-acks. This is the algorithm set of the persist experiment, which
+// CI's crash-recovery job runs as a smoke.
 func PersistVariants() []Algo {
 	rh := func(name string, mode persist.Mode) Algo {
 		return Algo{Name: name, New: func(m *mem.Memory, d *htm.Device, p tm.RetryPolicy) tm.System {
@@ -162,11 +166,10 @@ func AlgoByName(name string) (Algo, bool) {
 	return Algo{}, false
 }
 
-// RunConfig describes one benchmark point.
-type RunConfig struct {
-	Workload Workload
-	Algo     Algo
-	Threads  int
+// PointConfig is the configuration a benchmark point takes from its sweep:
+// every point of an experiment shares it. RunConfig and FigureConfig embed
+// it, so each setting is declared once.
+type PointConfig struct {
 	Duration time.Duration
 	// MemWords sizes the shared memory (default 1<<22).
 	MemWords int
@@ -176,15 +179,6 @@ type RunConfig struct {
 	Stripes int
 	// HTM configures the simulated hardware (zero fields take defaults).
 	HTM htm.Config
-	// Policy configures retries (zero fields take the paper's defaults).
-	Policy tm.RetryPolicy
-	// Persist, when group or sync, opens a fresh redo log (internal/persist)
-	// on a temporary directory (honoring $TMPDIR; CI points it at a RAM
-	// disk to isolate protocol overhead from device latency), attaches
-	// it to the point's memory, and durable-acks every 16-op worker batch —
-	// the service's ack granularity, where one WaitDurable covers a fused
-	// batch of requests. Algo.Persist, when set, wins.
-	Persist persist.Mode
 	// Obs attaches an observability recorder (per-phase latency histograms
 	// and the abort-cause taxonomy, see internal/obs) to every worker
 	// thread. Off by default: the disabled path costs one nil check per
@@ -194,6 +188,16 @@ type RunConfig struct {
 	// fixed-size per-thread event ring of that many entries, drained into
 	// Result.Trace after the workers stop.
 	ObsRing int
+}
+
+// RunConfig describes one benchmark point: a workload under one algorithm
+// at one thread count. The algorithm alone decides whether the point
+// persists (Algo.Persist).
+type RunConfig struct {
+	Workload Workload
+	Algo     Algo
+	Threads  int
+	PointConfig
 }
 
 // Result is one benchmark point's outcome.
@@ -206,10 +210,10 @@ type Result struct {
 	Stats      tm.Stats
 	Throughput float64 // committed operations per second
 	// Obs is the merged observability snapshot across all workers; nil
-	// unless RunConfig.Obs was set.
+	// unless PointConfig.Obs was set.
 	Obs *obs.Snapshot
 	// Trace holds each worker's drained event ring, sorted by thread
-	// index; nil unless RunConfig.ObsRing was set.
+	// index; nil unless PointConfig.ObsRing was set.
 	Trace []obs.ThreadRing
 	// Violations counts the workload oracle's verdicts against the point:
 	// in-flight reports, failed operations and a failed end-of-run Check.
@@ -243,15 +247,10 @@ func Run(cfg RunConfig) (Result, error) {
 		cfg.Stripes = mem.DefaultStripes
 	}
 	m := mem.NewStriped(cfg.MemWords, cfg.Stripes)
-	// Durability: the algo's pinned mode wins, else the sweep's. An armed
-	// point redo-logs every commit to a throwaway directory and durable-acks
-	// in the worker loop below.
-	persistMode := cfg.Algo.Persist
-	if persistMode == persist.ModeOff {
-		persistMode = cfg.Persist
-	}
+	// Durability (Algo.Persist): an armed point redo-logs every commit to a
+	// throwaway directory and durable-acks in the worker loop below.
 	var plog *persist.Log
-	if persistMode != persist.ModeOff {
+	if mode := cfg.Algo.Persist; mode != persist.ModeOff {
 		dir, err := os.MkdirTemp("", "rhbench-persist-")
 		if err != nil {
 			return Result{}, fmt.Errorf("bench: persist dir: %w", err)
@@ -261,7 +260,7 @@ func Run(cfg RunConfig) (Result, error) {
 			// The whole allocatable arena (address 0 is mem.Nil): workloads
 			// allocate after New, so the range cannot be narrowed here.
 			Dir: dir, Lo: mem.LineWords, Hi: mem.Addr(m.Size()),
-			SyncEveryAppend: persistMode == persist.ModeSync,
+			SyncEveryAppend: mode == persist.ModeSync,
 		}, m.StorePlain, m.LoadPlain)
 		if err != nil {
 			return Result{}, fmt.Errorf("bench: persist open: %w", err)
@@ -272,7 +271,9 @@ func Run(cfg RunConfig) (Result, error) {
 	}
 	dev := htm.NewDevice(m, cfg.HTM)
 	dev.SetActiveThreads(cfg.Threads)
-	sys := cfg.Algo.New(m, dev, cfg.Policy)
+	// The paper's static retry policy (§3.3); a policy variant is an
+	// algorithm of its own (RHVariants).
+	sys := cfg.Algo.New(m, dev, tm.RetryPolicy{})
 
 	inst := cfg.Workload.New()
 	setup := sys.NewThread()

@@ -19,10 +19,10 @@ func TestRunSinglePoint(t *testing.T) {
 		t.Fatal("rh-norec not registered")
 	}
 	res, err := bench.Run(bench.RunConfig{
-		Workload: bench.RBTree(bench.RBTreeConfig{Size: 256, MutationRatio: 0.1}),
-		Algo:     algo,
-		Threads:  2,
-		Duration: 30 * time.Millisecond,
+		Workload:    bench.RBTree(bench.RBTreeConfig{Size: 256, MutationRatio: 0.1}),
+		Algo:        algo,
+		Threads:     2,
+		PointConfig: bench.PointConfig{Duration: 30 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -78,10 +78,10 @@ func TestAllWorkloadsRunOnAllAlgos(t *testing.T) {
 		for _, algo := range bench.StandardAlgos() {
 			t.Run(wname+"/"+algo.Name, func(t *testing.T) {
 				res, err := bench.Run(bench.RunConfig{
-					Workload: wl,
-					Algo:     algo,
-					Threads:  2,
-					Duration: 15 * time.Millisecond,
+					Workload:    wl,
+					Algo:        algo,
+					Threads:     2,
+					PointConfig: bench.PointConfig{Duration: 15 * time.Millisecond},
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -98,10 +98,9 @@ func TestAllWorkloadsRunOnAllAlgos(t *testing.T) {
 }
 
 func TestSweepPrintFormat(t *testing.T) {
-	s, err := bench.RunSweep(bench.SweepConfig{
-		Workload: bench.RBTree(bench.RBTreeConfig{Size: 64, MutationRatio: 0.4}),
-		Threads:  []int{1, 2},
-		Duration: 10 * time.Millisecond,
+	s, err := bench.RunSweep(bench.RBTree(bench.RBTreeConfig{Size: 64, MutationRatio: 0.4}), bench.FigureConfig{
+		Threads:     []int{1, 2},
+		PointConfig: bench.PointConfig{Duration: 10 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -136,12 +135,11 @@ func TestDefaultThreadsMatchPaperRange(t *testing.T) {
 
 func TestProgressCallback(t *testing.T) {
 	count := 0
-	_, err := bench.RunSweep(bench.SweepConfig{
-		Workload: bench.SSCA2(),
-		Algos:    bench.StandardAlgos()[:2],
-		Threads:  []int{1},
-		Duration: 10 * time.Millisecond,
-		Progress: func(bench.Result) { count++ },
+	_, err := bench.RunSweep(bench.SSCA2(), bench.FigureConfig{
+		Algos:       bench.StandardAlgos()[:2],
+		Threads:     []int{1},
+		PointConfig: bench.PointConfig{Duration: 10 * time.Millisecond},
+		Progress:    func(bench.Result) { count++ },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -176,10 +174,10 @@ func (w *failNth) Check(tm.System) error { return nil }
 func TestRunReportsFailingOp(t *testing.T) {
 	algo, _ := bench.AlgoByName("rh-norec")
 	res, err := bench.Run(bench.RunConfig{
-		Workload: bench.Workload{Name: "fail-nth", New: func() conformance.Instance { return &failNth{n: 100} }},
-		Algo:     algo,
-		Threads:  2,
-		Duration: 10 * time.Millisecond,
+		Workload:    bench.Workload{Name: "fail-nth", New: func() conformance.Instance { return &failNth{n: 100} }},
+		Algo:        algo,
+		Threads:     2,
+		PointConfig: bench.PointConfig{Duration: 10 * time.Millisecond},
 	})
 	if !errors.Is(err, errBoom) {
 		t.Fatalf("Run error = %v, want it to wrap the op's error", err)
@@ -226,16 +224,16 @@ func (w *flakyOracle) Check(tm.System) error {
 func TestSweepKeepsOracleVerdictOfEveryRepeat(t *testing.T) {
 	instances := 0
 	var got []bench.Result
-	_, err := bench.RunSweep(bench.SweepConfig{
-		Workload: bench.Workload{Name: "flaky-oracle", New: func() conformance.Instance {
-			instances++
-			return &flakyOracle{bad: instances == 2}
-		}},
-		Algos:    bench.StandardAlgos()[:1],
-		Threads:  []int{1},
-		Duration: 10 * time.Millisecond,
-		Repeat:   3,
-		Progress: func(r bench.Result) { got = append(got, r) },
+	flaky := bench.Workload{Name: "flaky-oracle", New: func() conformance.Instance {
+		instances++
+		return &flakyOracle{bad: instances == 2}
+	}}
+	_, err := bench.RunSweep(flaky, bench.FigureConfig{
+		Algos:       bench.StandardAlgos()[:1],
+		Threads:     []int{1},
+		PointConfig: bench.PointConfig{Duration: 10 * time.Millisecond},
+		Repeat:      3,
+		Progress:    func(r bench.Result) { got = append(got, r) },
 	})
 	if err != nil {
 		t.Fatal(err)

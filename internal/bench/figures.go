@@ -4,39 +4,10 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"time"
 
 	"rhnorec/internal/conformance"
-	"rhnorec/internal/htm"
-	"rhnorec/internal/persist"
 	"rhnorec/internal/tm"
 )
-
-// SweepConfig describes one workload's thread sweep across algorithms —
-// one column of a paper figure.
-type SweepConfig struct {
-	Workload Workload
-	Algos    []Algo
-	Threads  []int
-	Duration time.Duration
-	MemWords int
-	// Stripes sets the memory's seqlock stripe count (see RunConfig).
-	Stripes int
-	// Persist enables the redo log for every point (see RunConfig).
-	Persist persist.Mode
-	HTM     htm.Config
-	Policy  tm.RetryPolicy
-	// Repeat runs each point this many times and reports the
-	// median-throughput run (noise control; default 1). The oracle's verdict
-	// is not a median: the reported run carries the violations of every
-	// repeat and the first failed check.
-	Repeat int
-	// Progress, when non-nil, receives each point as it completes.
-	Progress func(Result)
-	// Obs/ObsRing enable per-thread observability (see RunConfig).
-	Obs     bool
-	ObsRing int
-}
 
 // Sweep holds one workload's results across algorithms and thread counts.
 type Sweep struct {
@@ -49,8 +20,9 @@ type Sweep struct {
 // DefaultThreads is the paper's sweep range on the 16-way Haswell.
 func DefaultThreads() []int { return []int{1, 2, 4, 8, 12, 16} }
 
-// RunSweep executes the sweep.
-func RunSweep(cfg SweepConfig) (*Sweep, error) {
+// RunSweep sweeps one workload across cfg's algorithms and thread counts —
+// one column of a paper figure.
+func RunSweep(wl Workload, cfg FigureConfig) (*Sweep, error) {
 	if len(cfg.Algos) == 0 {
 		cfg.Algos = StandardAlgos()
 	}
@@ -68,19 +40,7 @@ func RunSweep(cfg SweepConfig) (*Sweep, error) {
 			var violations uint64
 			var checkError string
 			for r := 0; r < cfg.Repeat; r++ {
-				res, err := Run(RunConfig{
-					Workload: cfg.Workload,
-					Algo:     algo,
-					Threads:  n,
-					Duration: cfg.Duration,
-					MemWords: cfg.MemWords,
-					Stripes:  cfg.Stripes,
-					Persist:  cfg.Persist,
-					HTM:      cfg.HTM,
-					Policy:   cfg.Policy,
-					Obs:      cfg.Obs,
-					ObsRing:  cfg.ObsRing,
-				})
+				res, err := Run(RunConfig{Workload: wl, Algo: algo, Threads: n, PointConfig: cfg.PointConfig})
 				if err != nil {
 					return nil, err
 				}
@@ -185,36 +145,22 @@ func (s *Sweep) PrintTSV(w io.Writer) {
 	}
 }
 
-// FigureConfig parameterizes a whole figure reproduction.
+// FigureConfig parameterizes a whole figure reproduction: the per-point
+// configuration every point shares, and the sweep around it.
 type FigureConfig struct {
-	Algos    []Algo
-	Threads  []int
-	Duration time.Duration
-	MemWords int
-	// Stripes sets the memory's seqlock stripe count (see RunConfig).
-	Stripes int
-	// Persist enables the redo log for every point (see RunConfig).
-	Persist persist.Mode
-	HTM     htm.Config
-	Policy  tm.RetryPolicy
-	// Repeat runs each point this many times and keeps the
-	// median-throughput run (noise control; default 1).
-	Repeat   int
+	PointConfig
+	// Algos defaults to StandardAlgos, Threads to DefaultThreads.
+	Algos   []Algo
+	Threads []int
+	// Repeat runs each point this many times and reports the
+	// median-throughput run (noise control; default 1). The oracle's verdict
+	// is not a median: the reported run carries the violations of every
+	// repeat and the first failed check.
+	Repeat int
+	// Progress, when non-nil, receives each point as it completes.
 	Progress func(Result)
 	// TSV switches output from the paper-style table to tab-separated rows.
 	TSV bool
-	// Obs/ObsRing enable per-thread observability (see RunConfig).
-	Obs     bool
-	ObsRing int
-}
-
-func (c FigureConfig) sweep(wl Workload) SweepConfig {
-	return SweepConfig{
-		Workload: wl, Algos: c.Algos, Threads: c.Threads, Duration: c.Duration,
-		MemWords: c.MemWords, Stripes: c.Stripes,
-		Persist: c.Persist, HTM: c.HTM, Policy: c.Policy,
-		Repeat: c.Repeat, Progress: c.Progress, Obs: c.Obs, ObsRing: c.ObsRing,
-	}
 }
 
 // Experiment is one rhbench -experiment: a titled sweep of each of its
@@ -273,16 +219,14 @@ func Experiments() []Experiment {
 		// within a small factor of persist-off because concurrent waiters
 		// amortize one fsync pass per commit group; fsync-per-commit pays
 		// a full fsync inside every commit's append and falls off a cliff
-		// as threads grow. The variants pin their own modes, so a
-		// sweep-level mode is dropped rather than allowed to arm the
-		// persist-off row. CI's crash-recovery job runs it as a smoke.
+		// as threads grow. Each variant names its own mode (Algo.Persist).
+		// CI's crash-recovery job runs it as a smoke.
 		{Name: "persist", Title: "Persist: durable-acked hotspot (off vs group fsync vs fsync-per-commit)",
 			Workloads: []Workload{Hotspot(HotspotConfig{Lines: 2})},
 			defaults: func(c *FigureConfig) {
 				if len(c.Algos) == 0 {
 					c.Algos = PersistVariants()
 				}
-				c.Persist = persist.ModeOff
 				if c.MemWords == 0 {
 					// A smaller arena keeps allocation noise out of the
 					// short CI points (and out of the log's persisted
@@ -333,7 +277,7 @@ func (e Experiment) Run(w io.Writer, cfg FigureConfig) error {
 		fmt.Fprintf(w, "==== %s ====\n", e.Title)
 	}
 	for _, wl := range e.Workloads {
-		s, err := RunSweep(cfg.sweep(wl))
+		s, err := RunSweep(wl, cfg)
 		if err != nil {
 			return err
 		}

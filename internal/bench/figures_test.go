@@ -18,9 +18,9 @@ func tinyFigure() bench.FigureConfig {
 		algos = append(algos, a)
 	}
 	return bench.FigureConfig{
-		Algos:    algos,
-		Threads:  []int{2},
-		Duration: 10 * time.Millisecond,
+		Algos:       algos,
+		Threads:     []int{2},
+		PointConfig: bench.PointConfig{Duration: 10 * time.Millisecond},
 	}
 }
 
@@ -83,10 +83,10 @@ func TestEveryExperimentWorkloadIsOracleClean(t *testing.T) {
 			for _, algo := range algos {
 				t.Run(e.Name+"/"+wl.Name+"/"+algo.Name, func(t *testing.T) {
 					res, err := bench.Run(bench.RunConfig{
-						Workload: wl,
-						Algo:     algo,
-						Threads:  2,
-						Duration: 5 * time.Millisecond,
+						Workload:    wl,
+						Algo:        algo,
+						Threads:     2,
+						PointConfig: bench.PointConfig{Duration: 5 * time.Millisecond},
 					})
 					if err != nil {
 						t.Fatal(err)
@@ -108,10 +108,10 @@ func TestRHVariantsDistinctAndRunnable(t *testing.T) {
 		}
 		seen[a.Name] = true
 		res, err := bench.Run(bench.RunConfig{
-			Workload: bench.RBTree(bench.RBTreeConfig{Size: 64, MutationRatio: 0.3}),
-			Algo:     a,
-			Threads:  2,
-			Duration: 10 * time.Millisecond,
+			Workload:    bench.RBTree(bench.RBTreeConfig{Size: 64, MutationRatio: 0.3}),
+			Algo:        a,
+			Threads:     2,
+			PointConfig: bench.PointConfig{Duration: 10 * time.Millisecond},
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", a.Name, err)

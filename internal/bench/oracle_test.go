@@ -16,7 +16,7 @@ func cleanRun(t *testing.T, wl Workload) (conformance.Instance, tm.System) {
 	t.Helper()
 	sys := SerialAlgo().New(mem.New(1<<20), nil, tm.RetryPolicy{})
 	inst := wl.New()
-	if err := conformance.Drive(sys, wl.Name, inst, 2, 100, 0, 1); err != nil {
+	if err := conformance.Drive(sys, wl.Name, inst, 2, 100, 1); err != nil {
 		t.Fatalf("clean run: %v", err)
 	}
 	return inst, sys

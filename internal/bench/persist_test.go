@@ -1,8 +1,8 @@
 package bench
 
 // Tests of the durability-overhead wiring: Run must arm the redo log for
-// persist-pinned algorithms (and for the sweep-level mode), durable-ack
-// every operation, and keep the persist variants resolvable by name.
+// exactly the algorithms whose Algo.Persist names a mode, durable-ack every
+// operation, and keep the persist variants resolvable by name.
 
 import (
 	"bytes"
@@ -27,17 +27,18 @@ func TestPersistVariantsResolve(t *testing.T) {
 			t.Fatalf("%s: persist mode %v, want an armed mode", name, a.Persist)
 		}
 	}
-	// The plain algorithms must stay unpinned (sweep-level mode decides).
+	// The plain algorithms do not persist.
 	if a, _ := AlgoByName("rh-norec"); a.Persist != persist.ModeOff {
-		t.Fatalf("rh-norec resolves with pinned persist mode %v", a.Persist)
+		t.Fatalf("rh-norec resolves with persist mode %v", a.Persist)
 	}
 }
 
-// TestPersistRunArms: a persist-pinned point must have a persister attached
-// to its memory before the system is constructed, and still complete ops
-// while durable-acking each one.
+// TestPersistRunArms: a point whose algorithm names a persist mode must have
+// a persister attached to its memory before the system is constructed, and
+// still complete ops while durable-acking each one; a point whose algorithm
+// names none gets no persister.
 func TestPersistRunArms(t *testing.T) {
-	for _, mode := range []persist.Mode{persist.ModeGroup, persist.ModeSync} {
+	for _, mode := range []persist.Mode{persist.ModeGroup, persist.ModeSync, persist.ModeOff} {
 		var attached bool
 		res, err := Run(RunConfig{
 			Workload: Hotspot(HotspotConfig{Lines: 2}),
@@ -46,44 +47,17 @@ func TestPersistRunArms(t *testing.T) {
 					attached = m.Persisting()
 					return core.New(m, d, p)
 				}},
-			Threads:  2,
-			Duration: 20 * time.Millisecond,
-			MemWords: 1 << 16,
+			Threads:     2,
+			PointConfig: PointConfig{Duration: 20 * time.Millisecond, MemWords: 1 << 16},
 		})
 		if err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
 		}
-		if !attached {
-			t.Fatalf("mode %v: no persister attached at system construction", mode)
+		if attached != (mode != persist.ModeOff) {
+			t.Fatalf("mode %v: persister attached at system construction = %v", mode, attached)
 		}
 		if res.Ops == 0 {
 			t.Fatalf("mode %v: zero ops completed", mode)
-		}
-	}
-}
-
-// TestPersistPolicyKnob: the sweep-level mode (RunConfig.Persist, the
-// rhbench -persist flag) arms unpinned algorithms, and only it does.
-func TestPersistPolicyKnob(t *testing.T) {
-	var attached bool
-	cfg := RunConfig{
-		Algo: Algo{Name: "probe",
-			New: func(m *mem.Memory, d *htm.Device, p tm.RetryPolicy) tm.System {
-				attached = m.Persisting()
-				return core.New(m, d, p)
-			}},
-		Threads:  1,
-		Duration: 10 * time.Millisecond,
-		MemWords: 1 << 16,
-	}
-	for _, mode := range []persist.Mode{persist.ModeGroup, persist.ModeOff} {
-		cfg.Workload = Hotspot(HotspotConfig{Lines: 2})
-		cfg.Persist = mode
-		if _, err := Run(cfg); err != nil {
-			t.Fatal(err)
-		}
-		if attached != (mode != persist.ModeOff) {
-			t.Fatalf("RunConfig.Persist=%v: persister attached = %v", mode, attached)
 		}
 	}
 }
@@ -95,8 +69,8 @@ func TestPersistFigureSmoke(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	err := e.Run(&buf, FigureConfig{
-		Threads:  []int{2},
-		Duration: 15 * time.Millisecond,
+		PointConfig: PointConfig{Duration: 15 * time.Millisecond},
+		Threads:     []int{2},
 	})
 	if err != nil {
 		t.Fatal(err)

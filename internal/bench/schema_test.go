@@ -25,15 +25,11 @@ func TestValidateDumpFile(t *testing.T) {
 		return
 	}
 	var rec JSONRecorder
-	_, err := RunSweep(SweepConfig{
-		Workload: RBTree(RBTreeConfig{Size: 128, MutationRatio: 0.5}),
-		Algos:    StandardAlgos(),
-		Threads:  []int{2},
-		Duration: 10 * time.Millisecond,
-		MemWords: 1 << 16,
-		Obs:      true,
-		ObsRing:  64,
-		Progress: rec.Record,
+	_, err := RunSweep(RBTree(RBTreeConfig{Size: 128, MutationRatio: 0.5}), FigureConfig{
+		PointConfig: PointConfig{Duration: 10 * time.Millisecond, MemWords: 1 << 16, Obs: true, ObsRing: 64},
+		Algos:       StandardAlgos(),
+		Threads:     []int{2},
+		Progress:    rec.Record,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -40,7 +40,7 @@ func TestScenariosUnderAllDrivers(t *testing.T) {
 					dev := htm.NewDevice(m, htm.Config{SpuriousAbortProb: 0.001})
 					dev.SetActiveThreads(4)
 					sys := algo.New(m, dev, tm.RetryPolicy{})
-					if err := sc.Drive(sys, conformance.ScaleTest, 4, 250, 0, 1); err != nil {
+					if err := sc.Drive(sys, conformance.ScaleTest, 4, 250, 1); err != nil {
 						t.Error(err)
 					}
 				})
@@ -56,7 +56,7 @@ func TestDriveRejectsZeroWorkers(t *testing.T) {
 	for _, threads := range []int{0, -3} {
 		m := mem.New(1 << 20)
 		sys := bench.SerialAlgo().New(m, nil, tm.RetryPolicy{})
-		if err := sc.Drive(sys, conformance.ScaleTest, threads, 10, 0, 1); err == nil {
+		if err := sc.Drive(sys, conformance.ScaleTest, threads, 10, 1); err == nil {
 			t.Errorf("Drive with %d threads returned nil", threads)
 		}
 	}
@@ -113,7 +113,7 @@ func TestDriveReportsViolation(t *testing.T) {
 	dev.SetActiveThreads(2)
 	rh, _ := bench.AlgoByName("rh-norec")
 	sys := rh.New(m, dev, tm.RetryPolicy{})
-	err := sc.Drive(brokenSystem{sys}, conformance.ScaleTest, 2, 150, 0, 1)
+	err := sc.Drive(brokenSystem{sys}, conformance.ScaleTest, 2, 150, 1)
 	if err == nil {
 		t.Fatal("lossy system passed the bank conservation oracle")
 	}

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"rhnorec/internal/tm"
 )
@@ -130,19 +129,18 @@ func ByName(name string) (Scenario, bool) {
 
 // Drive runs one fresh instance of the scenario at the given scale end to
 // end against sys (see the package-level Drive).
-func (sc Scenario) Drive(sys tm.System, scale Scale, threads, ops int, duration time.Duration, seed int64) error {
-	return Drive(sys, sc.Name, sc.New(scale), threads, ops, duration, seed)
+func (sc Scenario) Drive(sys tm.System, scale Scale, threads, ops int, seed int64) error {
+	return Drive(sys, sc.Name, sc.New(scale), threads, ops, seed)
 }
 
 // Drive runs inst end to end against sys: setup, then threads workers —
-// each looping its operation closure ops times, or until duration elapses
-// when ops < 0 — then the invariant check. Worker panics are recovered and
-// counted as violations (a crashed worker proves nothing about the
-// survivors), so a Drive caller always gets a summary error, prefixed with
-// name, instead of a dead process. Worker i seeds its RNG with seed+i.
+// each running its operation closure ops times — then the invariant check.
+// Worker panics are recovered and counted as violations (a crashed worker
+// proves nothing about the survivors), so a Drive caller always gets a
+// summary error, prefixed with name, instead of a dead process. Worker i seeds its RNG with seed+i.
 // threads < 1 is an error: with no worker the check would pass over an
 // untouched instance and prove nothing.
-func Drive(sys tm.System, name string, inst Instance, threads, ops int, duration time.Duration, seed int64) error {
+func Drive(sys tm.System, name string, inst Instance, threads, ops int, seed int64) error {
 	if threads < 1 {
 		return fmt.Errorf("%s: %d worker threads, need at least 1", name, threads)
 	}
@@ -153,7 +151,6 @@ func Drive(sys tm.System, name string, inst Instance, threads, ops int, duration
 		return fmt.Errorf("%s setup: %w", name, err)
 	}
 	var (
-		stop atomic.Bool
 		vlog violationLog
 		wg   sync.WaitGroup
 	)
@@ -169,20 +166,13 @@ func Drive(sys tm.System, name string, inst Instance, threads, ops int, duration
 			th := sys.NewThread()
 			defer th.Close()
 			op := inst.NewWorker(th, seed, vlog.report)
-			for j := 0; ops < 0 || j < ops; j++ {
-				if ops < 0 && stop.Load() {
-					return
-				}
+			for j := 0; j < ops; j++ {
 				if err := op(); err != nil {
 					vlog.report(err.Error())
 					return
 				}
 			}
 		}(seed + int64(i))
-	}
-	if ops < 0 {
-		time.Sleep(duration)
-		stop.Store(true)
 	}
 	wg.Wait()
 	if err := vlog.err(name); err != nil {

@@ -37,7 +37,7 @@ type prefixWorld struct {
 func newPrefixWorld(t *testing.T, pol tm.RetryPolicy) *prefixWorld {
 	t.Helper()
 	w := &prefixWorld{m: mem.New(1 << 16)}
-	w.dev = htm.NewDevice(w.m, htm.Config{ReadCapacityLines: prefixTestCap, WriteCapacityLines: 16, YieldPeriod: -1})
+	w.dev = htm.NewDevice(w.m, htm.Config{ReadCapacityLines: prefixTestCap, WriteCapacityLines: 16})
 	w.dev.SetActiveThreads(1)
 	w.sys = core.New(w.m, w.dev, pol)
 	w.th = w.sys.NewThread()

@@ -19,9 +19,12 @@ import (
 // and each helper below runs a few extra transactions first so lazily-grown
 // structures reach their steady size.
 //
-// The CI allocs gate enforces the same property a second way: every
-// BenchmarkTxn* benchmark in this package and in internal/htm must report
-// 0 allocs/op under -benchmem.
+// Every BenchmarkTxn* benchmark here times a transaction one of these tests
+// holds to zero allocations, in the same world: BenchmarkTxnFastPath is
+// TestZeroAllocFastPath, BenchmarkTxnMixedSlowPath is
+// TestZeroAllocMixedSlowPath's "first write ends the prefix", and
+// BenchmarkTxnAuditOverCapacity is TestAuditOverCapacitySoftReads. These
+// tests are CI's allocation gate.
 
 // allocWorld builds a single-threaded system and a warmed thread with eight
 // line-aligned addresses.
@@ -143,9 +146,9 @@ func TestZeroAllocReadOnly(t *testing.T) {
 }
 
 // BenchmarkTxnFastPath: one HTM fast-path read-modify-write commit per
-// iteration. The CI allocs gate requires 0 allocs/op.
+// iteration, the transaction TestZeroAllocFastPath holds to 0 allocs.
 func BenchmarkTxnFastPath(b *testing.B) {
-	th, addrs := allocWorld(b, htm.Config{YieldPeriod: -1}, tm.RetryPolicy{})
+	th, addrs := allocWorld(b, htm.Config{}, tm.RetryPolicy{})
 	fn := fastPathFn(addrs)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -157,10 +160,11 @@ func BenchmarkTxnFastPath(b *testing.B) {
 }
 
 // BenchmarkTxnMixedSlowPath: one capacity-bound mixed slow-path commit
-// (prefix + software reads + postfix publish) per iteration. 0 allocs/op.
+// (prefix + software reads + postfix publish) per iteration, the
+// transaction TestZeroAllocMixedSlowPath holds to 0 allocs.
 func BenchmarkTxnMixedSlowPath(b *testing.B) {
 	th, addrs := allocWorld(b,
-		htm.Config{ReadCapacityLines: 2, WriteCapacityLines: 1, YieldPeriod: -1},
+		htm.Config{ReadCapacityLines: 2, WriteCapacityLines: 1},
 		tm.RetryPolicy{})
 	fn := slowPathFn(addrs)
 	b.ReportAllocs()
@@ -184,7 +188,7 @@ func auditWorld(tb testing.TB) (tm.Thread, func()) {
 	tb.Helper()
 	const keyRange, span, summaries = 20000, 600, 4
 	m := mem.New(1 << 20)
-	dev := htm.NewDevice(m, htm.Config{ReadCapacityLines: 256, WriteCapacityLines: 64, YieldPeriod: -1})
+	dev := htm.NewDevice(m, htm.Config{ReadCapacityLines: 256, WriteCapacityLines: 64})
 	dev.SetActiveThreads(1)
 	th := core.New(m, dev, tm.RetryPolicy{}).NewThread()
 	tb.Cleanup(func() { th.Close() })

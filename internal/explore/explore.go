@@ -161,9 +161,8 @@ func (c Config) resolve(sc Scenario) (Config, error) {
 }
 
 // RunOnce executes one run of cfg under strat and returns its result. The
-// run owns the process's scheduling knobs while it executes (cooperative
-// mode, zero software access cost, the planted bug flag); concurrent
-// RunOnce calls are not supported.
+// run owns the planted bug flag and the memory's and device's hooks while it
+// executes; concurrent RunOnce calls are not supported.
 func RunOnce(cfg Config, strat Strategy) (RunResult, error) {
 	sc, ok := ScenarioByName(cfg.Scenario)
 	if !ok {
@@ -187,10 +186,10 @@ func RunScenario(sc Scenario, cfg Config, strat Strategy) (RunResult, error) {
 	}
 	m := mem.NewStriped(memWords, mem.DefaultStripes)
 	var seedCtr uint64
-	// The free-running yield pacing and the probabilistic fault knobs are
-	// exactly the nondeterminism this harness replaces.
+	// The device's arrival-order seed counter depends on goroutine
+	// scheduling, the one source of nondeterminism the hooks do not
+	// serialize; a counter of this run's own makes it bit-reproducible.
 	devCfg := sc.HTM
-	devCfg.YieldPeriod = -1
 	devCfg.SeedFn = func() uint64 {
 		seedCtr++
 		return seedCtr
@@ -219,16 +218,11 @@ func RunScenario(sc Scenario, cfg Config, strat Strategy) (RunResult, error) {
 	if bug != nil {
 		bug.Store(true)
 	}
-	prevCost := tm.SoftwareAccessCost()
-	tm.SetSoftwareAccessCost(0) // pure spin; irrelevant under serialization
-	tm.SetCooperative(true)
 	m.SetHook(memHook{s})
 	dev.SetHook(htmHook{s})
 	defer func() {
 		m.SetHook(nil)
 		dev.SetHook(nil)
-		tm.SetCooperative(false)
-		tm.SetSoftwareAccessCost(prevCost)
 		if bug != nil {
 			bug.Store(false)
 		}

@@ -1,7 +1,7 @@
 package explore
 
-// The explorer mutates process-global knobs (cooperative mode, planted-bug
-// flags, software access cost), so no test here uses t.Parallel.
+// The explorer sets process-global planted-bug flags, so no test here uses
+// t.Parallel.
 
 import (
 	"reflect"

@@ -31,8 +31,8 @@ type Scenario struct {
 	DefaultOps int
 	// MemWords sizes the run's memory (0 = 1<<16).
 	MemWords int
-	// HTM shapes the run's device (capacities; zero = defaults). Its pacing
-	// and seed source are always the harness's own.
+	// HTM shapes the run's device (capacities; zero = defaults). Its seed
+	// source is always the harness's own.
 	HTM   htm.Config
 	Build func(env *Env, cfg Config) (bodies []func(), finish func() error, err error)
 }

@@ -9,22 +9,46 @@ import (
 	"rhnorec/internal/mem"
 )
 
-// benchConfig disables the scheduling and environmental noise sources so the
-// benchmarks measure the hot path itself.
-func benchConfig() Config { return Config{YieldPeriod: -1} }
-
 // sink keeps measured loads from being optimized away.
 var sink uint64
 
-// BenchmarkTxnLoadDup measures a long transaction that re-reads a small set
-// of addresses while foreign plain stores keep forcing revalidations: the
-// cost must scale with the number of *distinct* addresses in the read set,
-// not with the dynamic read count. Each iteration is one 4096-load
-// transaction over 16 distinct words with a clock-moving foreign store every
-// 64 loads.
-func BenchmarkTxnLoadDup(b *testing.B) {
+// txnShapes are the transactions the BenchmarkTxn* benchmarks time: each
+// builds its world and returns one iteration's step. TestZeroAllocTxnShapes
+// holds every one of them to zero allocations a step.
+var txnShapes = []struct {
+	name  string
+	build func(testing.TB) func()
+}{
+	{"LoadDup", loadDup},
+	{"LoadDistinct32", loadDistinct32},
+	{"LoadLines8x4", loadLines8x4},
+	{"LoadNode", loadNode},
+	{"CapacityAbort256", capacityAbort256},
+}
+
+func benchShape(b *testing.B, build func(testing.TB) func()) {
+	step := build(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
+func BenchmarkTxnLoadDup(b *testing.B)          { benchShape(b, loadDup) }
+func BenchmarkTxnLoadDistinct32(b *testing.B)   { benchShape(b, loadDistinct32) }
+func BenchmarkTxnLoadLines8x4(b *testing.B)     { benchShape(b, loadLines8x4) }
+func BenchmarkTxnLoadNode(b *testing.B)         { benchShape(b, loadNode) }
+func BenchmarkTxnCapacityAbort256(b *testing.B) { benchShape(b, capacityAbort256) }
+
+// loadDup is a long transaction that re-reads a small set of addresses while
+// foreign plain stores keep forcing revalidations: the cost must scale with
+// the number of *distinct* addresses in the read set, not with the dynamic
+// read count. Each step is one 4096-load transaction over 16 distinct words
+// with a clock-moving foreign store every 64 loads.
+func loadDup(tb testing.TB) func() {
 	m := mem.New(1 << 16)
-	d := NewDevice(m, benchConfig())
+	d := NewDevice(m, Config{})
 	d.SetActiveThreads(1)
 	tc := m.NewThreadCache()
 	var addrs [16]mem.Addr
@@ -33,9 +57,7 @@ func BenchmarkTxnLoadDup(b *testing.B) {
 	}
 	foreign := tc.Alloc(mem.LineWords)
 	tx := d.NewTxn()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		tx.Begin()
 		for j := 0; j < 4096; j++ {
 			if j%64 == 63 {
@@ -47,42 +69,33 @@ func BenchmarkTxnLoadDup(b *testing.B) {
 	}
 }
 
-// BenchmarkTxnLoadDistinct32 is the shape of a tree lookup: one read-only
-// transaction over 32 distinct words on 32 lines, spread over 32 of the 64
-// stripes, no duplicates and nothing moving — so every load is a first read
-// of an unseen stripe, the case the read index and the ticket gate exist
-// for. Past the 16 words the old inline arrays held, this used to be a
-// map-backed transaction; the CI zero-alloc gate covers it by name.
-func BenchmarkTxnLoadDistinct32(b *testing.B) {
+// loadDistinct32 is the shape of a tree lookup: one read-only transaction
+// over 32 distinct words on 32 lines, spread over 32 of the 64 stripes, no
+// duplicates and nothing moving — so every load is a first read of an
+// unseen stripe, the case the read index and the ticket gate exist for.
+// Past the 16 words the old inline arrays held, this used to be a
+// map-backed transaction.
+func loadDistinct32(tb testing.TB) func() {
 	m := mem.New(1 << 16)
-	d := NewDevice(m, benchConfig())
+	d := NewDevice(m, Config{})
 	d.SetActiveThreads(1)
 	tc := m.NewThreadCache()
 	var addrs [32]mem.Addr
 	for i := range addrs {
 		addrs[i] = tc.Alloc(mem.LineWords)
 	}
-	tx := d.NewTxn()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tx.Begin()
-		for _, a := range addrs {
-			sink += tx.Load(a)
-		}
-		tx.Commit()
-	}
+	return readOnly(d.NewTxn(), addrs[:])
 }
 
-// BenchmarkTxnLoadLines8x4 is the shape of a tree traversal that reads
-// several fields of every node it visits: one read-only transaction over 32
-// distinct words on 8 lines, four words a line (a node's key, value and
-// child pointers), nothing moving. Only every fourth load opens a line; the
-// other three find theirs in the log and take the bitmap branch, the case a
-// word-keyed log paid a full insert for.
-func BenchmarkTxnLoadLines8x4(b *testing.B) {
+// loadLines8x4 is the shape of a tree traversal that reads several fields
+// of every node it visits: one read-only transaction over 32 distinct words
+// on 8 lines, four words a line (a node's key, value and child pointers),
+// nothing moving. Only every fourth load opens a line; the other three find
+// theirs in the log and take the bitmap branch, the case a word-keyed log
+// paid a full insert for.
+func loadLines8x4(tb testing.TB) func() {
 	m := mem.New(1 << 16)
-	d := NewDevice(m, benchConfig())
+	d := NewDevice(m, Config{})
 	d.SetActiveThreads(1)
 	tc := m.NewThreadCache()
 	var addrs [32]mem.Addr
@@ -92,10 +105,12 @@ func BenchmarkTxnLoadLines8x4(b *testing.B) {
 			addrs[i+w] = node + mem.Addr(w)
 		}
 	}
-	tx := d.NewTxn()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return readOnly(d.NewTxn(), addrs[:])
+}
+
+// readOnly returns a step that loads addrs in one read-only transaction.
+func readOnly(tx *Txn, addrs []mem.Addr) func() {
+	return func() {
 		tx.Begin()
 		for _, a := range addrs {
 			sink += tx.Load(a)
@@ -104,17 +119,17 @@ func BenchmarkTxnLoadLines8x4(b *testing.B) {
 	}
 }
 
-// BenchmarkTxnLoadNode is the shape of an RBTree Get: one read-only
-// transaction down 14 nodes, reading each node's key (word 0) and then its
-// left or right child pointer (word 2 or 3), nothing moving. The nodes are
-// 6-word blocks from the allocator, packed back to back with no line
-// alignment as rbtree's are, and the walk takes every fifth one: no two
-// visited nodes share a line, and their offsets in a line cycle through
-// 0, 6, 4 and 2, so the child shares its key's line in three nodes of four.
-func BenchmarkTxnLoadNode(b *testing.B) {
+// loadNode is the shape of an RBTree Get: one read-only transaction down 14
+// nodes, reading each node's key (word 0) and then its left or right child
+// pointer (word 2 or 3), nothing moving. The nodes are 6-word blocks from
+// the allocator, packed back to back with no line alignment as rbtree's
+// are, and the walk takes every fifth one: no two visited nodes share a
+// line, and their offsets in a line cycle through 0, 6, 4 and 2, so the
+// child shares its key's line in three nodes of four.
+func loadNode(tb testing.TB) func() {
 	const nodeWords = 6 // rbtree's node size
 	m := mem.New(1 << 16)
-	d := NewDevice(m, benchConfig())
+	d := NewDevice(m, Config{})
 	d.SetActiveThreads(1)
 	tc := m.NewThreadCache()
 	var carved [5 * 14]mem.Addr
@@ -126,9 +141,7 @@ func BenchmarkTxnLoadNode(b *testing.B) {
 		nodes[i] = carved[5*i]
 	}
 	tx := d.NewTxn()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		tx.Begin()
 		for j, n := range nodes {
 			sink += tx.Load(n)                     // the key
@@ -138,16 +151,14 @@ func BenchmarkTxnLoadNode(b *testing.B) {
 	}
 }
 
-// BenchmarkTxnCapacityAbort256 is the doomed hardware attempt of an
-// over-capacity transaction (tm-capacity-mix's audits): 257 distinct lines
-// against a 256-line read budget, aborting on the last load and unwinding
-// through Attempt. The log it grows is the largest a 256-line device can
-// hold, so this is also the reset cost the next small transaction inherits.
-func BenchmarkTxnCapacityAbort256(b *testing.B) {
+// capacityAbort256 is the doomed hardware attempt of an over-capacity
+// transaction (tm-capacity-mix's audits): 257 distinct lines against a
+// 256-line read budget, aborting on the last load and unwinding through
+// Attempt. The log it grows is the largest a 256-line device can hold, so
+// this is also the reset cost the next small transaction inherits.
+func capacityAbort256(tb testing.TB) func() {
 	m := mem.New(1 << 16)
-	cfg := benchConfig()
-	cfg.ReadCapacityLines = 256
-	d := NewDevice(m, cfg)
+	d := NewDevice(m, Config{ReadCapacityLines: 256})
 	d.SetActiveThreads(1)
 	tc := m.NewThreadCache()
 	var addrs [257]mem.Addr
@@ -160,11 +171,9 @@ func BenchmarkTxnCapacityAbort256(b *testing.B) {
 			sink += tx.Load(a)
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		if ab := tx.Attempt(body); ab == nil || ab.Code != Capacity {
-			b.Fatalf("want a capacity abort, got %v", ab)
+			tb.Fatalf("want a capacity abort, got %v", ab)
 		}
 	}
 }
@@ -179,7 +188,7 @@ func BenchmarkTxnCapacityAbort256(b *testing.B) {
 func BenchmarkReadOnlyCommit(b *testing.B) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	m := mem.New(1 << 16)
-	d := NewDevice(m, benchConfig())
+	d := NewDevice(m, Config{})
 	d.SetActiveThreads(8)
 	tc := m.NewThreadCache()
 	var addrs [4]mem.Addr
@@ -221,7 +230,7 @@ func BenchmarkReadOnlyCommit(b *testing.B) {
 // that must publish the write buffer without an intermediate copy.
 func BenchmarkCommitWriteback(b *testing.B) {
 	m := mem.New(1 << 16)
-	d := NewDevice(m, benchConfig())
+	d := NewDevice(m, Config{})
 	d.SetActiveThreads(1)
 	tc := m.NewThreadCache()
 	var addrs [16]mem.Addr

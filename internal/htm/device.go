@@ -113,6 +113,6 @@ func (d *Device) NewTxn() *Txn {
 		marks:    newMarkSet(stripes),
 		owned:    newStripeBits(stripes),
 		rngState: seed*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D,
-		yieldIn:  d.cfg.YieldPeriod,
+		yieldIn:  yieldPeriod,
 	}
 }

@@ -39,7 +39,7 @@ func TestEffectiveCapsHalveExactlyAboveCores(t *testing.T) {
 
 func TestYieldDisabled(t *testing.T) {
 	m := mem.New(1 << 14)
-	d := NewDevice(m, Config{YieldPeriod: -1})
+	d := NewDevice(m, Config{})
 	d.SetActiveThreads(1)
 	tc := m.NewThreadCache()
 	a := tc.Alloc(1)

@@ -188,13 +188,6 @@ type Config struct {
 	// SpuriousAbortProb is the per-operation probability of an
 	// environmental abort. Zero disables spurious aborts.
 	SpuriousAbortProb float64
-	// YieldPeriod makes every Nth speculative operation yield the
-	// processor. Real hardware threads interleave at instruction
-	// granularity; goroutines on few OS threads do not, which would hide
-	// exactly the transaction overlaps the paper measures. Yield points
-	// restore that interleaving. Zero takes the default; negative
-	// disables.
-	YieldPeriod int
 	// SeedFn, when non-nil, supplies each transaction's RNG seed instead of
 	// the device's arrival-order counter, whose value depends on goroutine
 	// scheduling. The explorer installs a deterministic source here so runs
@@ -210,7 +203,6 @@ func DefaultConfig() Config {
 		ReadCapacityLines:  2048,
 		WriteCapacityLines: 512,
 		SpuriousAbortProb:  0,
-		YieldPeriod:        7,
 	}
 }
 
@@ -224,9 +216,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WriteCapacityLines <= 0 {
 		c.WriteCapacityLines = d.WriteCapacityLines
-	}
-	if c.YieldPeriod == 0 {
-		c.YieldPeriod = d.YieldPeriod
 	}
 	return c
 }

@@ -226,7 +226,7 @@ func TestLoadReadLoopBranches(t *testing.T) {
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
 			m := mem.New(1 << 10)
-			d := NewDevice(m, Config{YieldPeriod: -1})
+			d := NewDevice(m, Config{})
 			d.SetActiveThreads(1)
 			m.StorePlain(x, 10)
 			m.StorePlain(x+1, 11)

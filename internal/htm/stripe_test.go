@@ -95,7 +95,7 @@ func TestCommitValidatesOwnWriteStripeReads(t *testing.T) {
 // distinct stripes, for the ticket-gate tests below.
 func gateFixture(t *testing.T) (m *mem.Memory, reader, writer *Txn, r, s, s2, u mem.Addr) {
 	t.Helper()
-	m, d, c := newTestDevice(Config{YieldPeriod: -1})
+	m, d, c := newTestDevice(Config{})
 	r = c.Alloc(4 * mem.LineWords)
 	s, s2, u = r+mem.LineWords, r+2*mem.LineWords, r+3*mem.LineWords
 	seen := map[int]bool{}

@@ -57,7 +57,6 @@ type Txn struct {
 	// of the device config at Begin so the per-operation hot path never
 	// chases the device pointer).
 	readCap, writeCap int
-	yieldPeriod       int
 	spuriousThresh    uint64
 
 	// abortVal is the recycled panic payload of fail: aborts are part of the
@@ -69,8 +68,7 @@ type Txn struct {
 	rngState uint64
 	// yieldIn counts speculative operations down to the next yield point.
 	// It runs on across Begin: pacing belongs to the thread, not to one
-	// transaction. A device with yields disabled starts it negative, so it
-	// counts down forever without reaching 0.
+	// transaction.
 	yieldIn int
 }
 
@@ -92,7 +90,6 @@ func (t *Txn) Begin() {
 		t.wLines.reset()
 	}
 	t.readCap, t.writeCap = t.d.effectiveCaps()
-	t.yieldPeriod = t.d.cfg.YieldPeriod
 	if p := t.d.cfg.SpuriousAbortProb; p > 0 {
 		t.spuriousThresh = uint64(p * (1 << 53))
 	} else {
@@ -143,11 +140,20 @@ func (t *Txn) nextRand() uint64 {
 	return x * 0x2545F4914F6CDD1D
 }
 
+// yieldPeriod makes every Nth speculative operation yield the processor.
+// Real hardware threads interleave at instruction granularity; goroutines on
+// few OS threads do not, which would hide exactly the transaction overlaps
+// the paper measures. Yield points restore that interleaving. The software
+// paths yield every 13th access (tm.yieldPeriod), a different prime, so the
+// two paths do not pace in lock step. Under the explorer the Gosched is
+// harmless: only the worker holding the baton is runnable.
+const yieldPeriod = 7
+
 // yield gives up the processor at the end of a yield countdown, so that
 // simulated hardware threads interleave mid-transaction even on few OS
 // threads, and restarts the countdown.
 func (t *Txn) yield() {
-	t.yieldIn = t.yieldPeriod
+	t.yieldIn = yieldPeriod
 	runtime.Gosched()
 }
 

@@ -574,7 +574,7 @@ func (f hookFunc) Yield(op HookOp, a mem.Addr, _ uint64) Directive {
 // guard keyed on words logged would miss).
 func TestBeginForgetsLineOpenedByDyingLoad(t *testing.T) {
 	const readCap = 4
-	m, d, c := newTestDevice(Config{ReadCapacityLines: readCap, YieldPeriod: -1})
+	m, d, c := newTestDevice(Config{ReadCapacityLines: readCap})
 	base := allocLines(c, readCap+1)
 	line := func(i int) mem.Addr { return base + mem.Addr(i*mem.LineWords) }
 	tx := d.NewTxn()
@@ -661,7 +661,7 @@ func TestQuickTxnSetsMatchMapModel(t *testing.T) {
 		if rng.Intn(3) > 0 {
 			writeCap = 1 + rng.Intn(nLines)
 		}
-		m, d, c := newTestDevice(Config{ReadCapacityLines: readCap, WriteCapacityLines: writeCap, YieldPeriod: -1})
+		m, d, c := newTestDevice(Config{ReadCapacityLines: readCap, WriteCapacityLines: writeCap})
 		base := allocLines(c, nLines)
 		memVal := func(a mem.Addr) uint64 { return uint64(a)*7 + 1 }
 		for a := base; a < base+mem.Addr(nLines*mem.LineWords); a++ {
@@ -768,7 +768,7 @@ func TestQuickTxnSetsMatchMapModel(t *testing.T) {
 // matches. Capacity is line-granular: the line counts once however many of
 // its words are read.
 func TestValidationIsWordGranularCapacityLineGranular(t *testing.T) {
-	m, d, c := newTestDevice(Config{ReadCapacityLines: 2, YieldPeriod: -1})
+	m, d, c := newTestDevice(Config{ReadCapacityLines: 2})
 	base := allocLines(c, 2)
 	other := base + mem.LineWords
 	tx := d.NewTxn()

@@ -17,7 +17,7 @@ import (
 
 func TestZeroAllocTxnReadWrite(t *testing.T) {
 	m := mem.New(1 << 14)
-	d := NewDevice(m, Config{YieldPeriod: -1})
+	d := NewDevice(m, Config{})
 	d.SetActiveThreads(1)
 	tc := m.NewThreadCache()
 	addrs := make([]mem.Addr, 16)
@@ -48,7 +48,7 @@ func TestZeroAllocTxnReadWrite(t *testing.T) {
 // tables the large one sized.
 func TestZeroAllocTxnReadOnlyLarge(t *testing.T) {
 	m := mem.New(1 << 16)
-	d := NewDevice(m, Config{YieldPeriod: -1})
+	d := NewDevice(m, Config{})
 	d.SetActiveThreads(1)
 	tc := m.NewThreadCache()
 	addrs := make([]mem.Addr, 600)
@@ -80,7 +80,7 @@ func TestZeroAllocTxnReadOnlyLarge(t *testing.T) {
 // allocating.
 func TestZeroAllocTxnAbortRecovery(t *testing.T) {
 	m := mem.New(1 << 14)
-	d := NewDevice(m, Config{YieldPeriod: -1, ReadCapacityLines: 2})
+	d := NewDevice(m, Config{ReadCapacityLines: 2})
 	d.SetActiveThreads(1)
 	tc := m.NewThreadCache()
 	addrs := make([]mem.Addr, 3)
@@ -108,5 +108,22 @@ func TestZeroAllocTxnAbortRecovery(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(100, run); avg != 0 {
 		t.Fatalf("abort/recover cycle allocates: %v allocs/run, want 0", avg)
+	}
+}
+
+// TestZeroAllocTxnShapes is the allocation gate of the BenchmarkTxn*
+// benchmarks: the step each of them times performs zero heap allocations
+// once a few warm-up steps have grown the read log and its index.
+func TestZeroAllocTxnShapes(t *testing.T) {
+	for _, shape := range txnShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			step := shape.build(t)
+			for i := 0; i < 16; i++ {
+				step()
+			}
+			if avg := testing.AllocsPerRun(100, step); avg != 0 {
+				t.Fatalf("BenchmarkTxn%s's step allocates: %v allocs/run, want 0", shape.name, avg)
+			}
+		})
 	}
 }

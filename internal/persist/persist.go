@@ -60,7 +60,7 @@ const (
 
 var modeNames = [...]string{ModeOff: "off", ModeGroup: "group", ModeSync: "sync"}
 
-// String returns the mode's stable name (the -persist flag vocabulary).
+// String returns the mode's stable name (rhserve's -persist vocabulary).
 func (m Mode) String() string {
 	if int(m) < len(modeNames) {
 		return modeNames[m]
@@ -68,7 +68,7 @@ func (m Mode) String() string {
 	return "invalid"
 }
 
-// ModeByName parses a mode name as the -persist flags accept it.
+// ModeByName parses a mode name as rhserve's -persist flag accepts it.
 func ModeByName(name string) (Mode, bool) {
 	for m, n := range modeNames {
 		if n == name {
@@ -90,7 +90,7 @@ type Options struct {
 	// system's state.
 	Lo, Hi mem.Addr
 	// SyncEveryAppend fsyncs inside every Append — the fsync-per-commit
-	// ablation (rhbench -persist sync).
+	// ablation (rhserve -persist sync, rhbench's rh-norec+persist-sync).
 	SyncEveryAppend bool
 	// OnEvent, when set, observes every append and sync (explore crash
 	// plane). Called outside the log's locks.

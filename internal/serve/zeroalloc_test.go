@@ -79,84 +79,97 @@ func (z *zaConn) exchange(wire []byte, n int) error {
 	return nil
 }
 
-// benchBinary measures steady-state round trips of a prebuilt frame batch.
-func benchBinary(b *testing.B, reqs []*serve.ProtoRequest) {
-	s, err := serve.New(serve.Config{Keys: 64, Workers: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	addr, err := s.Start("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	z := dialZA(b, addr.String())
-	defer z.c.Close()
-	wire := buildWire(b, reqs...)
-	for i := 0; i < 32; i++ { // warm every recycled buffer on both sides
-		if err := z.exchange(wire, len(reqs)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := z.exchange(wire, len(reqs)); err != nil {
-			b.Fatal(err)
-		}
-	}
+func getBatch() []*serve.ProtoRequest {
+	return []*serve.ProtoRequest{{Opcode: serve.OpcodeGet, ReqID: 2,
+		Ops: []serve.Op{{Kind: serve.OpGet, Key: 7}}}}
 }
 
-func BenchmarkServeBinaryGet(b *testing.B) {
-	benchBinary(b, []*serve.ProtoRequest{{Opcode: serve.OpcodeGet, ReqID: 2,
-		Ops: []serve.Op{{Kind: serve.OpGet, Key: 7}}}})
+func putBatch() []*serve.ProtoRequest {
+	return []*serve.ProtoRequest{{Opcode: serve.OpcodePut, ReqID: 2,
+		Ops: []serve.Op{{Kind: serve.OpPut, Key: 7, Val: 42}}}}
 }
 
-func BenchmarkServeBinaryPut(b *testing.B) {
-	benchBinary(b, []*serve.ProtoRequest{{Opcode: serve.OpcodePut, ReqID: 2,
-		Ops: []serve.Op{{Kind: serve.OpPut, Key: 7, Val: 42}}}})
-}
-
-func BenchmarkServeBinaryPipelined(b *testing.B) {
+func pipelinedBatch() []*serve.ProtoRequest {
 	reqs := make([]*serve.ProtoRequest, 8)
 	for i := range reqs {
 		reqs[i] = &serve.ProtoRequest{Opcode: serve.OpcodeGet, ReqID: uint64(2 + i),
 			Ops: []serve.Op{{Kind: serve.OpGet, Key: uint64(i)}}}
 	}
-	benchBinary(b, reqs)
+	return reqs
 }
 
-// TestServeBinarySteadyStateAllocs pins the tentpole's zero-alloc claim
-// directly: after warmup, a binary get round trip — client encode, server
-// parse, worker execution, reply encode, client decode — performs zero
-// heap allocations process-wide.
-func TestServeBinarySteadyStateAllocs(t *testing.T) {
+func putThenGetBatch() []*serve.ProtoRequest {
+	return []*serve.ProtoRequest{
+		{Opcode: serve.OpcodePut, ReqID: 2, Ops: []serve.Op{{Kind: serve.OpPut, Key: 7, Val: 42}}},
+		{Opcode: serve.OpcodeGet, ReqID: 3, Ops: []serve.Op{{Kind: serve.OpGet, Key: 7}}},
+	}
+}
+
+// binaryShapes are the request batches the BenchmarkServeBinary*
+// benchmarks time, plus a PUT-then-GET pair; TestServeBinarySteadyStateAllocs
+// holds each round trip to zero allocations.
+var binaryShapes = []struct {
+	name  string
+	batch func() []*serve.ProtoRequest
+}{
+	{"get", getBatch},
+	{"put", putBatch},
+	{"pipelined", pipelinedBatch},
+	{"put then get", putThenGetBatch},
+}
+
+// binaryRoundTrip starts a server, dials it and returns one steady-state
+// round trip of a prebuilt frame batch, after warming every recycled buffer
+// on both sides.
+func binaryRoundTrip(tb testing.TB, reqs []*serve.ProtoRequest) func() {
 	s, err := serve.New(serve.Config{Keys: 64, Workers: 2})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer s.Close()
+	tb.Cleanup(func() { s.Close() })
 	addr, err := s.Start("127.0.0.1:0")
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	z := dialZA(t, addr.String())
-	defer z.c.Close()
-	wire := buildWire(t,
-		&serve.ProtoRequest{Opcode: serve.OpcodePut, ReqID: 2, Ops: []serve.Op{{Kind: serve.OpPut, Key: 7, Val: 42}}},
-		&serve.ProtoRequest{Opcode: serve.OpcodeGet, ReqID: 3, Ops: []serve.Op{{Kind: serve.OpGet, Key: 7}}},
-	)
+	z := dialZA(tb, addr.String())
+	tb.Cleanup(func() { z.c.Close() })
+	wire := buildWire(tb, reqs...)
+	step := func() {
+		if err := z.exchange(wire, len(reqs)); err != nil {
+			tb.Fatal(err)
+		}
+	}
 	for i := 0; i < 32; i++ {
-		if err := z.exchange(wire, 2); err != nil {
-			t.Fatal(err)
-		}
+		step()
 	}
-	avg := testing.AllocsPerRun(100, func() {
-		if err := z.exchange(wire, 2); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("steady-state binary round trip allocates %.1f times, want 0", avg)
+	return step
+}
+
+// benchBinary measures steady-state round trips of a request batch.
+func benchBinary(b *testing.B, reqs []*serve.ProtoRequest) {
+	step := binaryRoundTrip(b, reqs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
+func BenchmarkServeBinaryGet(b *testing.B)       { benchBinary(b, getBatch()) }
+func BenchmarkServeBinaryPut(b *testing.B)       { benchBinary(b, putBatch()) }
+func BenchmarkServeBinaryPipelined(b *testing.B) { benchBinary(b, pipelinedBatch()) }
+
+// TestServeBinarySteadyStateAllocs is the allocation gate of the
+// BenchmarkServeBinary* benchmarks: after warmup, a binary round trip —
+// client encode, server parse, worker execution, reply encode, client
+// decode — performs zero heap allocations process-wide.
+func TestServeBinarySteadyStateAllocs(t *testing.T) {
+	for _, shape := range binaryShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			step := binaryRoundTrip(t, shape.batch())
+			if avg := testing.AllocsPerRun(100, step); avg != 0 {
+				t.Fatalf("steady-state binary %s round trip allocates %.1f times, want 0", shape.name, avg)
+			}
+		})
 	}
 }

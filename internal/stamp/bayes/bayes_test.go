@@ -12,7 +12,7 @@ func TestIntegrityAcrossSystems(t *testing.T) {
 	for name, factory := range stamptest.Systems(1 << 22) {
 		app := bayes.New(bayes.Config{Vars: 48})
 		t.Run(name, func(t *testing.T) {
-			if err := conformance.Drive(factory(), "bayes", app, 4, 200, 0, 1); err != nil {
+			if err := conformance.Drive(factory(), "bayes", app, 4, 200, 1); err != nil {
 				t.Error(err)
 			}
 		})
@@ -22,7 +22,7 @@ func TestIntegrityAcrossSystems(t *testing.T) {
 func TestSingleThreadBuildsAcyclicGraph(t *testing.T) {
 	app := bayes.New(bayes.Config{Vars: 24})
 	sys := stamptest.Systems(1 << 20)["serial"]()
-	if err := conformance.Drive(sys, "bayes", app, 1, 1500, 0, 1); err != nil {
+	if err := conformance.Drive(sys, "bayes", app, 1, 1500, 1); err != nil {
 		t.Error(err)
 	}
 }
@@ -31,7 +31,7 @@ func TestSingleThreadBuildsAcyclicGraph(t *testing.T) {
 // default app runs clean.
 func TestZeroConfigDefaults(t *testing.T) {
 	sys := stamptest.Systems(1 << 22)["serial"]()
-	if err := conformance.Drive(sys, "bayes", bayes.New(bayes.Config{}), 1, 20, 0, 1); err != nil {
+	if err := conformance.Drive(sys, "bayes", bayes.New(bayes.Config{}), 1, 20, 1); err != nil {
 		t.Error(err)
 	}
 }

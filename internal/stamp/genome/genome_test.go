@@ -13,7 +13,7 @@ func TestIntegrityAcrossSystems(t *testing.T) {
 		app := genome.New(genome.Config{GenomeLength: 512, SegmentLength: 8})
 		t.Run(name, func(t *testing.T) {
 			sys := factory()
-			if err := conformance.Drive(sys, "genome", app, 4, 200, 0, 1); err != nil {
+			if err := conformance.Drive(sys, "genome", app, 4, 200, 1); err != nil {
 				t.Error(err)
 			}
 			th := sys.NewThread()
@@ -34,7 +34,7 @@ func TestDeduplicationIsStable(t *testing.T) {
 	// beyond the distinct-position count.
 	app := genome.New(genome.Config{GenomeLength: 128, SegmentLength: 8})
 	sys := stamptest.Systems(1 << 22)["serial"]()
-	if err := conformance.Drive(sys, "genome", app, 1, 2000, 0, 1); err != nil {
+	if err := conformance.Drive(sys, "genome", app, 1, 2000, 1); err != nil {
 		t.Error(err)
 	}
 	th := sys.NewThread()
@@ -52,7 +52,7 @@ func TestDeduplicationIsStable(t *testing.T) {
 // default app runs clean.
 func TestZeroConfigDefaults(t *testing.T) {
 	sys := stamptest.Systems(1 << 22)["serial"]()
-	if err := conformance.Drive(sys, "genome", genome.New(genome.Config{}), 1, 20, 0, 1); err != nil {
+	if err := conformance.Drive(sys, "genome", genome.New(genome.Config{}), 1, 20, 1); err != nil {
 		t.Error(err)
 	}
 }

@@ -12,7 +12,7 @@ func TestIntegrityAcrossSystems(t *testing.T) {
 	for name, factory := range stamptest.Systems(1 << 22) {
 		app := intruder.New(intruder.Default())
 		t.Run(name, func(t *testing.T) {
-			if err := conformance.Drive(factory(), "intruder", app, 4, 200, 0, 1); err != nil {
+			if err := conformance.Drive(factory(), "intruder", app, 4, 200, 1); err != nil {
 				t.Error(err)
 			}
 			if app.Completed() == 0 {
@@ -25,7 +25,7 @@ func TestIntegrityAcrossSystems(t *testing.T) {
 func TestSingleThreadDrainsInitialFlows(t *testing.T) {
 	app := intruder.New(intruder.Config{InitialFlows: 16, MaxFragments: 4})
 	sys := stamptest.Systems(1 << 22)["serial"]()
-	if err := conformance.Drive(sys, "intruder", app, 1, 400, 0, 1); err != nil {
+	if err := conformance.Drive(sys, "intruder", app, 1, 400, 1); err != nil {
 		t.Error(err)
 	}
 	if app.Completed() < 16 {
@@ -37,7 +37,7 @@ func TestSingleThreadDrainsInitialFlows(t *testing.T) {
 // default app runs clean.
 func TestZeroConfigDefaults(t *testing.T) {
 	sys := stamptest.Systems(1 << 22)["serial"]()
-	if err := conformance.Drive(sys, "intruder", intruder.New(intruder.Config{}), 1, 20, 0, 1); err != nil {
+	if err := conformance.Drive(sys, "intruder", intruder.New(intruder.Config{}), 1, 20, 1); err != nil {
 		t.Error(err)
 	}
 }

@@ -12,7 +12,7 @@ func TestIntegrityAcrossSystems(t *testing.T) {
 	for name, factory := range stamptest.Systems(1 << 22) {
 		app := kmeans.New(kmeans.Config{K: 8, Dims: 4, Points: 256})
 		t.Run(name, func(t *testing.T) {
-			if err := conformance.Drive(factory(), "kmeans", app, 4, 250, 0, 1); err != nil {
+			if err := conformance.Drive(factory(), "kmeans", app, 4, 250, 1); err != nil {
 				t.Error(err)
 			}
 			if app.Assignments() != 4*250 {
@@ -26,7 +26,7 @@ func TestIntegrityAcrossSystems(t *testing.T) {
 // default app runs clean.
 func TestZeroConfigDefaults(t *testing.T) {
 	sys := stamptest.Systems(1 << 22)["serial"]()
-	if err := conformance.Drive(sys, "kmeans", kmeans.New(kmeans.Config{}), 1, 20, 0, 1); err != nil {
+	if err := conformance.Drive(sys, "kmeans", kmeans.New(kmeans.Config{}), 1, 20, 1); err != nil {
 		t.Error(err)
 	}
 }

@@ -12,7 +12,7 @@ func TestIntegrityAcrossSystems(t *testing.T) {
 	for name, factory := range stamptest.Systems(1 << 22) {
 		app := labyrinth.New(labyrinth.Config{Width: 24, Height: 24, SnapshotGrid: true})
 		t.Run(name, func(t *testing.T) {
-			if err := conformance.Drive(factory(), "labyrinth", app, 4, 30, 0, 1); err != nil {
+			if err := conformance.Drive(factory(), "labyrinth", app, 4, 30, 1); err != nil {
 				t.Error(err)
 			}
 			if app.Routed() == 0 {
@@ -25,7 +25,7 @@ func TestIntegrityAcrossSystems(t *testing.T) {
 func TestPathsAreDisjoint(t *testing.T) {
 	app := labyrinth.New(labyrinth.Config{Width: 16, Height: 16, SnapshotGrid: false})
 	sys := stamptest.Systems(1 << 20)["serial"]()
-	if err := conformance.Drive(sys, "labyrinth", app, 1, 100, 0, 1); err != nil {
+	if err := conformance.Drive(sys, "labyrinth", app, 1, 100, 1); err != nil {
 		t.Error(err)
 	}
 	if app.Routed()+app.Failed() != 100 {
@@ -37,7 +37,7 @@ func TestPathsAreDisjoint(t *testing.T) {
 // default app runs clean.
 func TestZeroConfigDefaults(t *testing.T) {
 	sys := stamptest.Systems(1 << 22)["serial"]()
-	if err := conformance.Drive(sys, "labyrinth", labyrinth.New(labyrinth.Config{}), 1, 20, 0, 1); err != nil {
+	if err := conformance.Drive(sys, "labyrinth", labyrinth.New(labyrinth.Config{}), 1, 20, 1); err != nil {
 		t.Error(err)
 	}
 }

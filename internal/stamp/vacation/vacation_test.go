@@ -15,7 +15,7 @@ func TestConservationAcrossSystems(t *testing.T) {
 			cfg  vacation.Config
 		}{{"vacation-low", vacation.Low()}, {"vacation-high", vacation.High()}} {
 			t.Run(name+"/"+v.name, func(t *testing.T) {
-				if err := conformance.Drive(factory(), v.name, vacation.New(v.cfg), 4, 150, 0, 1); err != nil {
+				if err := conformance.Drive(factory(), v.name, vacation.New(v.cfg), 4, 150, 1); err != nil {
 					t.Error(err)
 				}
 			})
@@ -26,7 +26,7 @@ func TestConservationAcrossSystems(t *testing.T) {
 func TestSingleThreadDeterministicConservation(t *testing.T) {
 	app := vacation.New(vacation.Config{Relations: 32, Queries: 3, QueryRange: 1.0, UserPct: 80})
 	sys := stamptest.Systems(1 << 22)["serial"]()
-	if err := conformance.Drive(sys, "vacation", app, 1, 500, 0, 1); err != nil {
+	if err := conformance.Drive(sys, "vacation", app, 1, 500, 1); err != nil {
 		t.Error(err)
 	}
 }
@@ -35,7 +35,7 @@ func TestSingleThreadDeterministicConservation(t *testing.T) {
 // app runs clean.
 func TestZeroConfigDefaults(t *testing.T) {
 	sys := stamptest.Systems(1 << 22)["serial"]()
-	if err := conformance.Drive(sys, "vacation", vacation.New(vacation.Config{}), 1, 20, 0, 1); err != nil {
+	if err := conformance.Drive(sys, "vacation", vacation.New(vacation.Config{}), 1, 20, 1); err != nil {
 		t.Error(err)
 	}
 }

@@ -12,7 +12,7 @@ func TestIntegrityAcrossSystems(t *testing.T) {
 	for name, factory := range stamptest.Systems(1 << 22) {
 		app := yada.New(yada.Config{Regions: 128, Degree: 4, GoodQuality: 50})
 		t.Run(name, func(t *testing.T) {
-			if err := conformance.Drive(factory(), "yada", app, 4, 150, 0, 1); err != nil {
+			if err := conformance.Drive(factory(), "yada", app, 4, 150, 1); err != nil {
 				t.Error(err)
 			}
 		})
@@ -22,7 +22,7 @@ func TestIntegrityAcrossSystems(t *testing.T) {
 func TestRefinementDrainsQueue(t *testing.T) {
 	app := yada.New(yada.Config{Regions: 32, Degree: 4, GoodQuality: 50})
 	sys := stamptest.Systems(1 << 20)["serial"]()
-	if err := conformance.Drive(sys, "yada", app, 1, 2000, 0, 1); err != nil {
+	if err := conformance.Drive(sys, "yada", app, 1, 2000, 1); err != nil {
 		t.Error(err)
 	}
 	// After many single-threaded refinement steps the queue depth must be
@@ -42,7 +42,7 @@ func TestRefinementDrainsQueue(t *testing.T) {
 // default app runs clean.
 func TestZeroConfigDefaults(t *testing.T) {
 	sys := stamptest.Systems(1 << 22)["serial"]()
-	if err := conformance.Drive(sys, "yada", yada.New(yada.Config{}), 1, 20, 0, 1); err != nil {
+	if err := conformance.Drive(sys, "yada", yada.New(yada.Config{}), 1, 20, 1); err != nil {
 		t.Error(err)
 	}
 }

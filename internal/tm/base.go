@@ -2,16 +2,17 @@ package tm
 
 import (
 	"runtime"
-	"sync/atomic"
 
 	"rhnorec/internal/mem"
 )
 
 // yieldPeriod is how many instrumented software-path memory operations run
-// between cooperative yields. Like htm.Config.YieldPeriod, this restores
-// the instruction-level interleaving of real hardware threads when
-// goroutines share few OS threads. A prime different from the HTM period
-// avoids lock-step scheduling between paths.
+// between yields. Like the simulated HTM's period of 7, this restores the
+// instruction-level interleaving of real hardware threads when goroutines
+// share few OS threads. A prime different from the HTM period avoids
+// lock-step scheduling between paths. Under the explorer
+// (internal/explore) the Gosched is harmless: only the worker holding the
+// baton is runnable.
 const yieldPeriod = 13
 
 // softwareAccessCost is the calibrated instrumentation-cost model (see
@@ -20,35 +21,11 @@ const yieldPeriod = 13
 // ratio (the simulated HTM pays heavy bookkeeping, the software paths pay
 // almost none). Each instrumented software access therefore spins this many
 // units of dummy work so the *relative* per-access costs — the quantity the
-// paper's STM-vs-HyTM comparisons measure — match the published ratio.
-// Tests run with the default; the benchmark harness may recalibrate.
-var softwareAccessCost atomic.Int32
-
-func init() { softwareAccessCost.Store(DefaultSoftwareAccessCost) }
-
-// DefaultSoftwareAccessCost is the default instrumentation-cost units per
-// software-path access (calibrated so an eager-NOrec access costs a few
-// times a simulated-hardware access, as on the paper's testbed).
-const DefaultSoftwareAccessCost = 160
-
-// SetSoftwareAccessCost adjusts the instrumentation-cost model; 0 disables
-// it. It applies process-wide (the model calibrates the simulator, not one
-// system instance).
-func SetSoftwareAccessCost(units int) { softwareAccessCost.Store(int32(units)) }
-
-// SoftwareAccessCost reports the current cost-model setting.
-func SoftwareAccessCost() int { return int(softwareAccessCost.Load()) }
-
-// cooperative marks that an external deterministic scheduler (see
-// internal/explore) serializes every worker, so MaybeYield's Gosched calls
-// — which exist to approximate hardware interleaving under free-running
-// goroutines — would only add scheduling noise. Process-wide, like the cost
-// model: the explorer owns the whole process while it runs.
-var cooperative atomic.Bool
-
-// SetCooperative switches the free-running yield pacing off (true) or back
-// on (false).
-func SetCooperative(on bool) { cooperative.Store(on) }
+// paper's STM-vs-HyTM comparisons measure — match the published ratio (an
+// eager-NOrec access costs a few times a simulated-hardware access, as on
+// the paper's testbed). The spin has no yield point, so it cannot reorder an
+// explored schedule.
+const softwareAccessCost = 160
 
 // ThreadBase carries the state every algorithm's Thread needs: the memory,
 // a thread-local allocator cache, a reclamation slot, per-attempt
@@ -103,7 +80,7 @@ type ThreadBase struct {
 // interleave mid-transaction.
 func (b *ThreadBase) MaybeYield() {
 	b.ops++
-	if b.ops%yieldPeriod == 0 && !cooperative.Load() {
+	if b.ops%yieldPeriod == 0 {
 		runtime.Gosched()
 	}
 }
@@ -113,9 +90,8 @@ func (b *ThreadBase) MaybeYield() {
 // Every STM Load/Store implementation calls it.
 func (b *ThreadBase) InstrumentedAccess() {
 	b.MaybeYield()
-	n := softwareAccessCost.Load()
 	x := b.scratch
-	for i := int32(0); i < n; i++ {
+	for i := 0; i < softwareAccessCost; i++ {
 		x = x*2862933555777941757 + 3037000493
 	}
 	b.scratch = x

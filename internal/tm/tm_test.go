@@ -53,19 +53,6 @@ func TestWithDefaultsIgnoresEnv(t *testing.T) {
 	}
 }
 
-func TestSoftwareAccessCostSetter(t *testing.T) {
-	old := SoftwareAccessCost()
-	defer SetSoftwareAccessCost(old)
-	SetSoftwareAccessCost(7)
-	if got := SoftwareAccessCost(); got != 7 {
-		t.Errorf("SoftwareAccessCost = %d, want 7", got)
-	}
-	SetSoftwareAccessCost(0)
-	m := mem.New(1 << 12)
-	b := NewThreadBase(m, NewReclaimer())
-	b.InstrumentedAccess() // zero-cost path must not hang
-}
-
 func TestStatsAddAndRatios(t *testing.T) {
 	a := Stats{Commits: 10, HTMConflictAborts: 5, SlowPathCommits: 2, SlowPathRestarts: 6, Fallbacks: 2, PrefixAttempts: 4, PrefixCommits: 3, PostfixAttempts: 2, PostfixCommits: 2}
 	b := Stats{Commits: 10, HTMCapacityAborts: 10}

@@ -276,7 +276,7 @@ func registryScenarios(t *testing.T, f Factory, opts Options) {
 		t.Run(sc.Name, func(t *testing.T) {
 			m := newMem()
 			sys := f(m)
-			if err := sc.Drive(sys, conformance.ScaleTest, opts.Threads, opts.Ops, 0, 1); err != nil {
+			if err := sc.Drive(sys, conformance.ScaleTest, opts.Threads, opts.Ops, 1); err != nil {
 				t.Error(err)
 			}
 		})

@@ -201,7 +201,3 @@ func NewSerial(m *Memory) System { return serial.New(m) }
 // retries, 10 slow-path restarts before serialization, single-try prefix
 // and postfix.
 func DefaultRetryPolicy() RetryPolicy { return tm.DefaultPolicy() }
-
-// SetSoftwareAccessCost adjusts the simulator's instrumentation-cost model
-// (see DESIGN.md §"cost model"); 0 disables it.
-func SetSoftwareAccessCost(units int) { tm.SetSoftwareAccessCost(units) }
