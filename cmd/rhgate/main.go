@@ -1,123 +1,193 @@
-// Command rhgate evaluates SLO gate specs (internal/conformance/gate)
-// over benchmark and service dumps and renders one pass/fail table. It is
-// where CI's absolute bounds live — the service SLOs and the conformance
-// floor (zero invariant violations) — in a reviewed spec file
-// (gates/ci.json), not in inline shell. It compares nothing against a
+// Command rhgate holds benchmark and service dumps to CI's four absolute
+// bounds and prints one markdown pass/fail table, readable in a log and
+// ready to append to a GitHub job summary. It compares nothing against a
 // baseline; `sh benchmark/run.sh --compare` does that.
 //
 // Usage:
 //
-//	rhgate -spec gates/ci.json -dump serve-metrics=serve-dump.json \
-//	       -dump scenarios=scenarios.json [-gates serve-slo,conformance] \
-//	       [-md summary.md] [-json report.json]
+//	rhgate DUMP...
 //
-// Each -dump NAME=PATH binds one logical dump name (Gate.Dump in the
-// spec) to a file; a gate whose dump is unbound fails. -gates restricts
-// evaluation to a comma-separated subset of the spec's gates (default:
-// every gate). The text table always goes to stdout; -md additionally
-// writes the markdown rendering (for $GITHUB_STEP_SUMMARY) and -json the
-// machine-readable rhgate.v1 report.
+// Each DUMP is an rhbench.v2 file (rhbench -json) or an rhserve.v1 file
+// (rhload -dump), loaded and schema-validated by internal/bench; its
+// schema_version picks the bounds. Every row — a benchmark point, or one
+// endpoint of a service dump — is held to a p99 of at most maxP99Ms (a
+// point's obs "attempt" phase, so its dump must be made with -obs; an
+// endpoint's service latency, queueing included) and an abort rate of at
+// most maxAbortRate (the point's, or the server's merged TM counters).
+// Every benchmark point is also held to minOpsPerSec, to maxViolations
+// invariant violations and to an empty check_error. A dump with no rows
+// fails. rhgate takes no flags.
 //
-// Exit status: 0 when every evaluated cell passes, 1 on any red cell or
-// gate error, 2 on usage errors.
+// Exit status: 0 when every row passes, 1 on a failed row or an unreadable
+// or invalid dump, 2 on a usage error.
 package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 
-	"rhnorec/internal/conformance/gate"
+	"rhnorec/internal/bench"
 )
 
-// dumpFlags collects repeated -dump NAME=PATH bindings.
-type dumpFlags map[string]string
+// The bounds, loose enough for shared CI runners. The throughput and
+// invariant floors apply to rhbench.v2 points only.
+const (
+	maxP99Ms      = 500
+	maxAbortRate  = 0.95
+	minOpsPerSec  = 1000
+	maxViolations = 0
+)
 
-func (d dumpFlags) String() string {
-	var parts []string
-	for k, v := range d {
-		parts = append(parts, k+"="+v)
-	}
-	return strings.Join(parts, ",")
+// row is one table line: the dump and the point or endpoint in it, the
+// measured values ("-" where a bound does not apply) and one entry per
+// bound it misses.
+type row struct {
+	dump, where, ops, p99, aborts, viol string
+	fails                               []string
 }
 
-func (d dumpFlags) Set(v string) error {
-	name, path, ok := strings.Cut(v, "=")
-	if !ok || name == "" || path == "" {
-		return fmt.Errorf("want NAME=PATH, got %q", v)
-	}
-	if _, dup := d[name]; dup {
-		return fmt.Errorf("dump %q bound twice", name)
-	}
-	d[name] = path
-	return nil
+func (r *row) fail(format string, args ...any) {
+	r.fails = append(r.fails, fmt.Sprintf(format, args...))
 }
 
-func main() {
-	dumps := dumpFlags{}
-	var (
-		specPath = flag.String("spec", "", "gate spec file (rhgate-spec.v2)")
-		gatesCSV = flag.String("gates", "", "comma-separated gate subset (default: every gate in the spec)")
-		mdPath   = flag.String("md", "", "also write the markdown table to FILE (for CI job summaries)")
-		jsonPath = flag.String("json", "", "also write the machine-readable rhgate.v1 report to FILE")
-	)
-	flag.Var(dumps, "dump", "bind a logical dump name to a file, as NAME=PATH (repeatable)")
-	flag.Parse()
-	if *specPath == "" {
-		fmt.Fprintln(os.Stderr, "rhgate: -spec is required")
-		flag.Usage()
-		os.Exit(2)
+// ceilings checks the two bounds every row carries.
+func (r *row) ceilings(p99Ms, abortRate float64) {
+	r.p99, r.aborts = fmt.Sprintf("%.3f", p99Ms), fmt.Sprintf("%.3f", abortRate)
+	if p99Ms > maxP99Ms {
+		r.fail("p99 %.4g ms > %d ms", p99Ms, maxP99Ms)
+	}
+	if abortRate > maxAbortRate {
+		r.fail("abort rate %.4g > %g", abortRate, maxAbortRate)
+	}
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run gates every dump named in args, writes the table to stdout and
+// returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 || slices.ContainsFunc(args, func(a string) bool { return strings.HasPrefix(a, "-") }) {
+		fmt.Fprintln(stderr, "usage: rhgate DUMP... (rhbench.v2 or rhserve.v1 files; rhgate takes no flags)")
+		return 2
+	}
+	var rows []row
+	var fails []string
+	for _, path := range args {
+		rs, err := load(path)
+		switch {
+		case err != nil:
+			rs = []row{{where: "(invalid dump)"}}
+			rs[0].fail("%v", err)
+		case len(rs) == 0:
+			rs = []row{{where: "(empty dump)"}}
+			rs[0].fail("no points or endpoints to check")
+		}
+		for i := range rs {
+			rs[i].dump = filepath.Base(path)
+			for _, f := range rs[i].fails {
+				fails = append(fails, rs[i].dump+" "+rs[i].where+": "+f)
+			}
+		}
+		rows = append(rows, rs...)
 	}
 
-	spec, err := gate.LoadSpec(*specPath)
+	verdict := "✅ pass"
+	if len(fails) > 0 {
+		verdict = "❌ FAILED"
+	}
+	fmt.Fprintf(stdout, "## rhgate: %s\n\nEvery row: p99 ≤ %d ms, abort rate ≤ %g. Every rhbench.v2 point also: "+
+		"≥ %d ops/s, %d invariant violations, no check_error.\n\n"+
+		"| dump | row | ops/s | p99 (ms) | abort rate | violations | verdict |\n|---|---|---|---|---|---|---|\n",
+		verdict, maxP99Ms, maxAbortRate, minOpsPerSec, maxViolations)
+	for _, r := range rows {
+		mark := "✅"
+		if len(r.fails) > 0 {
+			mark = "❌"
+		}
+		fmt.Fprintf(stdout, "| %s | %s | %s | %s | %s | %s | %s |\n", r.dump, r.where, r.ops, r.p99, r.aborts, r.viol, mark)
+	}
+	if len(fails) == 0 {
+		return 0
+	}
+	fmt.Fprintln(stdout, "\n**Failures:**")
+	for _, f := range fails {
+		fmt.Fprintf(stdout, "- %s\n", f)
+	}
+	return 1
+}
+
+// load reads one dump and turns it into rows, one per benchmark point or
+// service endpoint.
+func load(path string) ([]row, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
-		fatalf("%v", err)
+		return nil, err
 	}
-	in := gate.Inputs{Dumps: dumps}
-	if *gatesCSV != "" {
-		for _, g := range strings.Split(*gatesCSV, ",") {
-			in.Gates = append(in.Gates, strings.TrimSpace(g))
+	var probe struct {
+		SchemaVersion string `json:"schema_version"`
+	}
+	if json.Unmarshal(data, &probe) == nil && probe.SchemaVersion == bench.ServeSchemaVersion {
+		d, err := bench.ParseServeDump(data)
+		if err != nil {
+			return nil, err
 		}
+		var rows []row
+		for _, ep := range d.Endpoints {
+			r := row{where: ep.Endpoint + "/" + d.Algo, ops: "-", viol: "-"}
+			r.ceilings(float64(ep.Latency.P99NS)/1e6, d.TM.AbortRate)
+			rows = append(rows, r)
+		}
+		return rows, nil
 	}
-	rep, err := gate.Evaluate(spec, in)
+	// Anything else loads as rhbench.v2, whose error names the format.
+	d, err := bench.LoadDump(path)
 	if err != nil {
-		fatalf("%v", err)
+		return nil, err
 	}
-
-	gate.WriteText(os.Stdout, rep)
-	if *mdPath != "" {
-		f, err := os.Create(*mdPath)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		gate.WriteMarkdown(f, rep)
-		if err := f.Close(); err != nil {
-			fatalf("%v", err)
-		}
+	var rows []row
+	for i := range d.Points {
+		rows = append(rows, pointRow(&d.Points[i]))
 	}
-	if *jsonPath != "" {
-		f, err := os.Create(*jsonPath)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			f.Close()
-			fatalf("%v", err)
-		}
-		if err := f.Close(); err != nil {
-			fatalf("%v", err)
-		}
-	}
-	if !rep.Pass {
-		os.Exit(1)
-	}
+	return rows, nil
 }
 
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "rhgate: "+format+"\n", args...)
-	os.Exit(2)
+// pointRow holds one benchmark point to all four bounds.
+func pointRow(p *bench.JSONPoint) row {
+	r := row{where: fmt.Sprintf("%s/%s/t=%d", p.Workload, p.Algo, p.Threads), ops: fmt.Sprintf("%.0f", p.OpsPerSec)}
+	if p.OpsPerSec < minOpsPerSec {
+		r.fail("ops/s %.4g < %d", p.OpsPerSec, minOpsPerSec)
+	}
+	var p99Ms float64
+	attempt := false
+	if p.Obs != nil {
+		for _, ph := range p.Obs.Phases {
+			if ph.Phase == "attempt" {
+				p99Ms, attempt = float64(ph.P99NS)/1e6, true
+			}
+		}
+	}
+	var abortRate float64
+	if p.TM != nil {
+		abortRate = p.TM.AbortRate
+	}
+	r.ceilings(p99Ms, abortRate)
+	if !attempt {
+		r.p99 = "?"
+		r.fail("no obs attempt phase (rerun rhbench with -obs)")
+	}
+	// ValidateDump requires the violations field on every point.
+	r.viol = strconv.FormatUint(*p.Violations, 10)
+	if *p.Violations > maxViolations {
+		r.fail("%d invariant violations > %d", *p.Violations, maxViolations)
+	}
+	if p.CheckError != "" {
+		r.fail("check_error: %s", p.CheckError)
+	}
+	return r
 }

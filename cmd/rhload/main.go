@@ -14,7 +14,8 @@
 // -qps CSV of target rates (0 = closed loop: issue as fast as replies
 // return), -duration per cell, -zipf CSV of skew exponents, -readmix CSV of
 // GET fractions, -casfrac/-scanfrac/-txnfrac the other endpoint fractions
-// (remainder PUT), -txnops/-scancount batch shapes, -keys key-space size,
+// (remainder PUT; each in [0, 1], the four summing to at most 1),
+// -txnops/-scancount batch shapes, -keys key-space size,
 // -seed deterministic generator seed, -pipeline CSV of in-flight depths per
 // connection (binary only: N frames written through one flush, N replies
 // read back — the wire shape the server coalesces into fused batches;
@@ -29,8 +30,9 @@
 // "serve/<proto>/z<skew>/r<readmix>/q<qps>", threads = conns, ops_per_sec =
 // achieved goodput); -dump FILE fetches /metrics?format=json from the
 // server, validates it against the rhserve.v1 schema, and writes it (the
-// input of rhgate's serve-slo gate); -fail-on-errors exits non-zero if any
-// request failed transactionally.
+// dump cmd/rhgate holds to its p99 and abort-rate bounds); -fail-on-errors
+// exits 1 if any request failed transactionally. A flag value rhload
+// cannot honour exits 2 before any request is sent.
 package main
 
 import (
@@ -77,7 +79,13 @@ func main() {
 	)
 	flag.Parse()
 	if *proto != "http" && *proto != "binary" {
-		fatalf("unknown -proto %q (want http or binary)", *proto)
+		usage("unknown -proto %q (want http or binary)", *proto)
+	}
+	if *conns < 1 {
+		usage("-conns %d: want at least 1", *conns)
+	}
+	if *duration <= 0 {
+		usage("-duration %s: want > 0", *duration)
 	}
 
 	qpsList := parseFloats(*qpsCSV, "-qps")
@@ -86,7 +94,17 @@ func main() {
 	pipeList := parseInts(*pipeCSV, "-pipeline")
 	for _, p := range pipeList {
 		if p > 1 && *proto != "binary" {
-			fatalf("-pipeline %d requires -proto binary (HTTP has no frame pipelining)", p)
+			usage("-pipeline %d requires -proto binary (HTTP has no frame pipelining)", p)
+		}
+	}
+	mixes := make([]RequestMix, len(mixList))
+	for i, readMix := range mixList {
+		mixes[i] = RequestMix{
+			GetFrac: readMix, CasFrac: *casFrac, ScanFrac: *scanFrac, TxnFrac: *txnFrac,
+			TxnOps: *txnOps, ScanCount: *scanCount,
+		}.WithDefaults()
+		if err := mixes[i].Validate(); err != nil {
+			usage("request mix -readmix %g: %v", readMix, err)
 		}
 	}
 
@@ -109,11 +127,7 @@ func main() {
 		"cell", "target", "achieved", "sheds", "errors", "p50", "p99", "p999")
 	for _, skew := range zipfList {
 		zipf := NewZipfKeys(*keys, skew)
-		for _, readMix := range mixList {
-			mix := RequestMix{
-				GetFrac: readMix, CasFrac: *casFrac, ScanFrac: *scanFrac, TxnFrac: *txnFrac,
-				TxnOps: *txnOps, ScanCount: *scanCount,
-			}.WithDefaults()
+		for _, mix := range mixes {
 			for _, qps := range qpsList {
 				for _, depth := range pipeList {
 					cell := cellConfig{
@@ -123,7 +137,7 @@ func main() {
 					}
 					res := runCell(cell)
 					totalErrs += res.errors
-					name := fmt.Sprintf("serve/%s/z%.2f/r%.2f/q%g", *proto, skew, readMix, qps)
+					name := fmt.Sprintf("serve/%s/z%.2f/r%.2f/q%g", *proto, skew, mix.GetFrac, qps)
 					if depth > 1 {
 						name += fmt.Sprintf("/p%d", depth)
 					}
@@ -455,7 +469,7 @@ func parseFloats(csv, flagName string) []float64 {
 	for _, p := range parts {
 		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
 		if err != nil || v < 0 {
-			fatalf("bad %s value %q", flagName, p)
+			usage("bad %s value %q", flagName, p)
 		}
 		out = append(out, v)
 	}
@@ -468,7 +482,7 @@ func parseInts(csv, flagName string) []int {
 	for _, p := range parts {
 		v, err := strconv.Atoi(strings.TrimSpace(p))
 		if err != nil || v < 1 {
-			fatalf("bad %s value %q (want a positive integer)", flagName, p)
+			usage("bad %s value %q (want a positive integer)", flagName, p)
 		}
 		out = append(out, v)
 	}
@@ -487,4 +501,10 @@ func durStr(ns uint64) string { return time.Duration(ns).Truncate(time.Microseco
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "rhload: "+format+"\n", args...)
 	os.Exit(1)
+}
+
+// usage reports a flag value that cannot be honoured and exits 2.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "rhload: "+format+"\n", args...)
+	os.Exit(2)
 }

@@ -14,8 +14,10 @@ import (
 
 // TestDrivesAServerAndRejectsCompare pins rhload's surface against a live
 // server: a short binary-protocol cell with -fail-on-errors exits 0 and its
-// -json file is a valid rhbench.v2 dump, and the deleted -compare and
-// -scenario flags are usage errors.
+// -json file is a valid rhbench.v2 dump; the deleted -compare and
+// -scenario flags, a request mix that sums above 1 or holds a fraction
+// outside [0, 1], fewer than one connection and a zero duration are usage
+// errors.
 func TestDrivesAServerAndRejectsCompare(t *testing.T) {
 	dir := t.TempDir()
 	bin := filepath.Join(dir, "rhload")
@@ -43,6 +45,12 @@ func TestDrivesAServerAndRejectsCompare(t *testing.T) {
 		{"binary cell", []string{"-fail-on-errors", "-json", cells}, 0, "serve/binary/z0.99/r0.90/q0"},
 		{"compare flag is gone", []string{"-compare", "x"}, 2, "flag provided but not defined"},
 		{"scenario flag is gone", []string{"-scenario", "bank"}, 2, "flag provided but not defined"},
+		{"mix over 1", []string{"-readmix", "0.95"}, 2, "get 0.95 + cas 0.02 + scan 0.02 + txn 0.05 = 1.04 > 1"},
+		{"fraction over 1", []string{"-readmix", "1.5", "-casfrac", "0", "-scanfrac", "0", "-txnfrac", "0"}, 2, "fraction 1.5 outside [0, 1]"},
+		{"negative fraction", []string{"-txnfrac", "-0.1"}, 2, "fraction -0.1 outside [0, 1]"},
+		{"no connections", []string{"-conns", "0"}, 2, "-conns 0: want at least 1"},
+		{"negative connections", []string{"-conns", "-1"}, 2, "-conns -1: want at least 1"},
+		{"zero duration", []string{"-duration", "0s"}, 2, "-duration 0s: want > 0"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cmd := exec.Command(bin, append(append([]string{}, base...), tc.args...)...)

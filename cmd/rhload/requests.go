@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -132,6 +133,23 @@ func (m RequestMix) WithDefaults() RequestMix {
 		m.ScanCount = 16
 	}
 	return m
+}
+
+// Validate reports a mix Pick cannot honour: a fraction outside [0, 1],
+// or fractions summing above 1, which Pick would silently cut from the
+// kinds it tests last (TXN, then PUT).
+func (m RequestMix) Validate() error {
+	for _, f := range []float64{m.GetFrac, m.CasFrac, m.ScanFrac, m.TxnFrac} {
+		if f < 0 || f > 1 {
+			return fmt.Errorf("fraction %g outside [0, 1]", f)
+		}
+	}
+	// The tolerance absorbs float rounding in mixes that sum to exactly 1.
+	if sum := m.GetFrac + m.CasFrac + m.ScanFrac + m.TxnFrac; sum > 1+1e-9 {
+		return fmt.Errorf("get %g + cas %g + scan %g + txn %g = %.4g > 1",
+			m.GetFrac, m.CasFrac, m.ScanFrac, m.TxnFrac, sum)
+	}
+	return nil
 }
 
 // Pick draws one request kind from the mix.

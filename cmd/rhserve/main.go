@@ -27,7 +27,8 @@
 //
 // Observability: GET /metrics is the human-readable counter page;
 // GET /metrics?format=json is the rhserve.v1 dump (docs/METRICS.md),
-// validated in CI by bench.ValidateDump and consumed by cmd/rhload.
+// fetched and validated by cmd/rhload -dump and held by cmd/rhgate to its
+// p99 and abort-rate bounds.
 package main
 
 import (

@@ -47,16 +47,16 @@ type JSONPoint struct {
 	// Violations counts the workload oracle's verdicts against the point
 	// (Result.Violations). Record always writes it, zero included, and
 	// ValidateDump requires it; the pointer tells a dump without the field
-	// apart from a clean one. The SLO gate (cmd/rhgate) keys its
-	// zero-violations budget on this field.
+	// apart from a clean one. cmd/rhgate fails any point where it is
+	// above zero.
 	Violations *uint64 `json:"violations,omitempty"`
 	// CheckError is the end-of-run invariant check's failure message
 	// (empty on a clean pass). A failed check also counts in Violations.
 	CheckError string `json:"check_error,omitempty"`
 }
 
-// JSONTM is a benchmark point's transactional summary: enough for the SLO
-// gate's abort-rate budgets without shipping the whole obs snapshot.
+// JSONTM is a benchmark point's transactional summary: enough for
+// cmd/rhgate's abort-rate bound without shipping the whole obs snapshot.
 type JSONTM struct {
 	Commits     uint64 `json:"commits"`
 	ReadOnly    uint64 `json:"read_only_commits"`

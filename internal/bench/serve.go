@@ -10,9 +10,10 @@ import (
 
 // The rhserve.v1 dump schema: the machine-readable form of the KV service's
 // /metrics surface (internal/serve, cmd/rhserve), fetched by cmd/rhload
-// -dump and bounded by rhgate's serve-slo gate. It lives in this package
-// — next to the rhbench.v2 schema — so ValidateDump can check both formats
-// and the Go structs stay the single source of truth for docs/METRICS.md.
+// -dump and held to cmd/rhgate's p99 and abort-rate bounds. It lives in
+// this package — next to the rhbench.v2 schema — so ValidateDump can check
+// both formats and the Go structs stay the single source of truth for
+// docs/METRICS.md.
 // The versioning contract is the same as rhbench.v2's: additive optional
 // fields do not bump the version; renames and meaning changes do.
 

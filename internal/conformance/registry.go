@@ -18,10 +18,10 @@
 // transaction closures (a restart replays the same operation), and never
 // read clocks or global state.
 //
-// The registry is also the row axis of the CI gate matrix: cmd/rhgate
-// evaluates per-(scenario × algo) SLO specs over rhbench dumps produced by
-// sweeping these entries (see internal/conformance/gate and
-// docs/CONFORMANCE.md).
+// The registry is also the row axis of CI's conformance gate: cmd/rhgate
+// holds every (scenario × algo × threads) point of an rhbench dump made by
+// sweeping these entries to zero violations and its constant speed and
+// abort bounds (docs/CONFORMANCE.md).
 package conformance
 
 import (
