@@ -527,10 +527,7 @@ func (v mixedTx) Load(a mem.Addr) uint64 {
 	t.base.InstrumentedAccess()
 	t.base.St.SoftwareReads++
 	m := t.base.M
-	// LoadCommitted: a concurrent hardware commit publishes its data and
-	// its clock bump as one step, so a value it wrote is never returned
-	// ahead of the clock check below seeing the bump.
-	val := m.LoadCommitted(a)
+	val := m.LoadPlain(a)
 	if m.LoadPlain(t.sys.g.Clock) != t.txv {
 		tm.Restart()
 	}

@@ -82,10 +82,3 @@ func TestConcurrentDeviceStats(t *testing.T) {
 		t.Errorf("outcome counters do not cover all starts: %+v", s)
 	}
 }
-
-func TestClockStableSkipsOddValues(t *testing.T) {
-	m := mem.New(1 << 12)
-	if c := m.ClockStable(); c&1 != 0 {
-		t.Errorf("ClockStable returned odd value %d", c)
-	}
-}

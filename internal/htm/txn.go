@@ -219,7 +219,7 @@ func (t *Txn) Load(a mem.Addr) uint64 {
 			runtime.Gosched() // a write-back is publishing into this stripe
 			continue
 		}
-		v = m.LoadPlain(a)
+		v = m.LoadTorn(a)
 		if m.StripeClock(s) != c0 {
 			continue // raced with a mutation of this stripe
 		}
@@ -316,7 +316,7 @@ func (t *Txn) valueCheckStripe(s int) bool {
 		}
 		for have := rl.have; have != 0; have &= have - 1 {
 			w := bits.TrailingZeros8(have)
-			if m.LoadPlain(base+mem.Addr(w)) != rl.vals[w] {
+			if m.LoadTorn(base+mem.Addr(w)) != rl.vals[w] {
 				return false
 			}
 		}

@@ -281,12 +281,12 @@ func TestReadOnlyCommitDoesNotMoveClock(t *testing.T) {
 	m, d, c := newTestDevice(Config{})
 	a := c.Alloc(1)
 	tx := d.NewTxn()
-	before := m.Clock()
+	before := m.Ticket()
 	if ab := attempt(tx, func() { _ = tx.Load(a) }); ab != nil {
 		t.Fatalf("unexpected abort: %v", ab)
 	}
-	if m.Clock() != before {
-		t.Error("read-only commit moved the memory clock")
+	if m.Ticket() != before {
+		t.Error("read-only commit moved the commit ticket")
 	}
 }
 

@@ -59,9 +59,7 @@ func (s *System) Memory() *mem.Memory { return s.m }
 func (s *System) NewThread() tm.Thread {
 	t := &thread{sys: s, base: tm.NewThreadBase(s.m, s.rec)}
 	t.fast = FastPath{Globals: s.g, Base: &t.base, Htx: s.dev.NewTxn()}
-	// LoadCommitted: fast paths write too, and a hardware commit publishes
-	// its data and its clock bump as one step (tm.NewReadLog).
-	t.base.Reads = tm.NewReadLog(s.m, s.g.Clock, s.m.LoadCommitted)
+	t.base.Reads = tm.NewReadLog(s.m, s.g.Clock)
 	t.base.Engine = s.engine
 	t.base.Bind(t, &t.fast)
 	t.base.SerialEscape(s.g.SerialLock, s.policy.MaxSlowPathRestarts)

@@ -147,12 +147,7 @@ func (v fastTx) Free(a mem.Addr, n int) { v.t.base.TxFree(a, n) }
 // the write log so a user abort can take them back.
 type slowTx struct{ t *thread }
 
-// Load reads through LoadCommitted: a speculation that validated the free
-// lock just before this thread took it may still be publishing, and on real
-// hardware that commit is one step. Waiting out its windows orders it
-// wholly before this critical section instead of letting a read here slip
-// between its validation and its stores.
-func (v slowTx) Load(a mem.Addr) uint64 { return v.t.base.M.LoadCommitted(a) }
+func (v slowTx) Load(a mem.Addr) uint64 { return v.t.base.M.LoadPlain(a) }
 
 func (v slowTx) Store(a mem.Addr, val uint64) {
 	if v.t.base.ReadOnly {

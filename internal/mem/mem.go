@@ -22,8 +22,9 @@
 //     happened in that stripe in between.
 //  2. HTM commits publish their entire write buffer while holding the
 //     writeback locks of every touched stripe — the same locks plain
-//     mutators take — with all touched windows open, so a commit is atomic
-//     with respect to all other memory traffic (strong isolation).
+//     mutators take — with all touched windows open, and LoadPlain reads
+//     under the seqlock, so a commit is atomic with respect to all other
+//     memory traffic (strong isolation).
 //     Multi-stripe lock acquisition is in canonical ascending stripe order,
 //     which makes it deadlock-free. Read-only commits publish nothing and
 //     take no lock at all: they validate under the per-stripe seqlock read
@@ -34,10 +35,10 @@
 //     before its first window closes — so a reader that finds a published
 //     value under an even stripe clock also finds the ticket advanced, and
 //     an unchanged ticket proves no publish closed a window in between
-//     (package htm's snapshot-extension gate rests on this). Clock()
-//     derives from the ticket for compatibility, but it is a monotonic
-//     mutation counter only — NOT a seqlock, and never waited on;
-//     cross-stripe consistency always comes from the per-stripe clocks.
+//     (package htm's snapshot-extension gate rests on this). The ticket
+//     is a monotonic publish counter only — NOT a seqlock, and never
+//     waited on; cross-stripe consistency always comes from the
+//     per-stripe clocks.
 package mem
 
 import (
@@ -255,17 +256,6 @@ func (m *Memory) StripeClock(s int) uint64 { return m.stripes[s].clock.Load() }
 // consistency.
 func (m *Memory) Ticket() uint64 { return m.ticket.Load() }
 
-// Clock returns a compatibility view of the retired global memory clock:
-// twice the commit ticket, so it still advances by exactly 2 per mutation
-// and never decreases. Unlike the per-stripe clocks it is never odd and
-// carries no seqlock meaning; it exists for event stamping and for tests
-// that count mutations.
-func (m *Memory) Clock() uint64 { return 2 * m.ticket.Load() }
-
-// ClockStable is retained for compatibility; Clock is always even (stable)
-// under striping, so it returns it directly.
-func (m *Memory) ClockStable() uint64 { return m.Clock() }
-
 // beginMutate takes addr's stripe writeback lock and opens its seqlock
 // write window; endMutate retires a ticket, closes the window, and releases
 // the lock — in that order (package doc, property 3). Every unconditional
@@ -296,40 +286,47 @@ func (m *Memory) outOfRange(a Addr) {
 	panic(fmt.Sprintf("mem: address %d out of range [%d, %d)", a, LineWords, len(m.words)))
 }
 
-// LoadPlain performs a non-transactional atomic read of a word.
+// LoadPlain performs a non-transactional atomic read of a word under the
+// seqlock read protocol of its stripe: it returns a value only when it read
+// an even, unchanged stripe clock around the load, so it never returns a
+// word of a CommitWrites buffer that is still being published. CommitWrites
+// opens the windows of every stripe it touches before its first store and
+// closes them after its last, so a caller that gets a committed value back
+// also finds every other word of that commit — a TM's clock or version word
+// included — already in memory: a hardware commit is one step to every
+// plain reader, as it is on real hardware. (A plain store's one-word window
+// makes it wait a few cycles and nothing more.) To the explorer it is one
+// mem-load yield point, and since no yield point sits inside an open
+// window, under the explorer it never retries.
 func (m *Memory) LoadPlain(a Addr) uint64 {
 	m.check(a)
 	if h := m.hook; h != nil {
 		h.Yield(HookLoad, a)
 	}
-	return atomic.LoadUint64(&m.words[a])
+	c := &m.stripes[m.StripeOf(a)].clock
+	for {
+		c0 := c.Load()
+		v := atomic.LoadUint64(&m.words[a])
+		if c0&1 == 0 && c.Load() == c0 {
+			return v
+		}
+		runtime.Gosched() // a write-back is publishing into this stripe
+	}
 }
 
-// LoadCommitted is LoadPlain made atomic with respect to commit write-backs:
-// it reads under the seqlock read protocol of a's stripe, so it never
-// returns a word of a CommitWrites buffer that is still being published.
-// CommitWrites opens the windows of every stripe it touches before its
-// first store and closes them after its last, so a caller that gets a
-// committed value back is also guaranteed to find every other word of that
-// commit — a TM's clock or version word included — already in memory. The
-// software read paths of the TM drivers load data through it and then check
-// their metadata with LoadPlain; that is what makes a simulated hardware
-// commit one atomic step to them, as it is on real hardware. (A plain
-// store's one-word window makes it wait a few cycles and nothing more.) To
-// the explorer it is the same single mem-load yield point as LoadPlain.
-func (m *Memory) LoadCommitted(a Addr) uint64 {
+// LoadTorn is LoadPlain without the seqlock: a bare atomic read that can
+// return one word of a commit whose other words are not yet in memory.
+// Package htm is its only caller, for two reasons: Txn.Load runs the stripe
+// seqlock protocol around it itself, and the commit validation re-checks
+// reads on stripes whose windows the committing thread holds open, where a
+// seqlocked load would spin forever. It yields to the hook as LoadPlain
+// does.
+func (m *Memory) LoadTorn(a Addr) uint64 {
 	m.check(a)
 	if h := m.hook; h != nil {
 		h.Yield(HookLoad, a)
 	}
-	s := m.StripeOf(a)
-	for {
-		c := m.stripeClockStable(s)
-		v := atomic.LoadUint64(&m.words[a])
-		if m.stripes[s].clock.Load() == c {
-			return v
-		}
-	}
+	return atomic.LoadUint64(&m.words[a])
 }
 
 // StorePlain performs a non-transactional atomic write of a word under the
@@ -447,7 +444,7 @@ func (m *Memory) CommitWrites(writes []WriteEntry, validate func() bool) bool {
 		h.Yield(HookCommit, writes[0].Addr)
 		// The locked span below runs validate with windows open; a parked
 		// holder would hang every seqlock reader, so nested yields (the
-		// LoadPlains of the commit validation) are suppressed until the
+		// LoadTorns of the commit validation) are suppressed until the
 		// locks drop.
 		h.AtomicBegin()
 	}

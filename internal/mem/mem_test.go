@@ -46,10 +46,10 @@ func TestStoreAdvancesClock(t *testing.T) {
 	m := New(1024)
 	c := m.NewThreadCache()
 	a := c.Alloc(1)
-	before := m.Clock()
+	before := m.Ticket()
 	m.StorePlain(a, 7)
-	if after := m.Clock(); after != before+2 || after&1 != 0 {
-		t.Errorf("clock went %d -> %d, want +2 and even", before, after)
+	if after := m.Ticket(); after != before+1 {
+		t.Errorf("ticket went %d -> %d, want +1", before, after)
 	}
 }
 
@@ -57,10 +57,10 @@ func TestLoadDoesNotAdvanceClock(t *testing.T) {
 	m := New(1024)
 	c := m.NewThreadCache()
 	a := c.Alloc(1)
-	before := m.Clock()
+	before := m.Ticket()
 	_ = m.LoadPlain(a)
-	if after := m.Clock(); after != before {
-		t.Errorf("clock moved on a load: %d -> %d", before, after)
+	if after := m.Ticket(); after != before {
+		t.Errorf("ticket moved on a load: %d -> %d", before, after)
 	}
 }
 
@@ -69,12 +69,12 @@ func TestCASPlain(t *testing.T) {
 	c := m.NewThreadCache()
 	a := c.Alloc(1)
 	m.StorePlain(a, 5)
-	before := m.Clock()
+	before := m.Ticket()
 	if m.CASPlain(a, 4, 9) {
 		t.Error("CAS with wrong expected value succeeded")
 	}
-	if m.Clock() != before {
-		t.Error("failed CAS advanced the clock")
+	if m.Ticket() != before {
+		t.Error("failed CAS advanced the ticket")
 	}
 	if !m.CASPlain(a, 5, 9) {
 		t.Error("CAS with correct expected value failed")
@@ -82,8 +82,8 @@ func TestCASPlain(t *testing.T) {
 	if got := m.LoadPlain(a); got != 9 {
 		t.Errorf("after CAS value = %d, want 9", got)
 	}
-	if m.Clock() != before+2 {
-		t.Error("successful CAS did not advance the clock by exactly one mutation")
+	if m.Ticket() != before+1 {
+		t.Error("successful CAS did not advance the ticket by exactly one mutation")
 	}
 }
 
@@ -106,7 +106,7 @@ func TestCommitWritesPublishesAtomically(t *testing.T) {
 	m := New(1024)
 	c := m.NewThreadCache()
 	a := c.Alloc(2)
-	before := m.Clock()
+	before := m.Ticket()
 	ok := m.CommitWrites([]WriteEntry{{a, 1}, {a + 1, 2}}, func() bool { return true })
 	if !ok {
 		t.Fatal("CommitWrites failed with passing validation")
@@ -114,8 +114,8 @@ func TestCommitWritesPublishesAtomically(t *testing.T) {
 	if m.LoadPlain(a) != 1 || m.LoadPlain(a+1) != 2 {
 		t.Error("CommitWrites did not publish all entries")
 	}
-	if m.Clock() != before+2 {
-		t.Error("CommitWrites should advance the clock by exactly one mutation")
+	if m.Ticket() != before+1 {
+		t.Error("CommitWrites should advance the ticket by exactly one mutation")
 	}
 }
 
@@ -123,26 +123,26 @@ func TestCommitWritesValidationFailure(t *testing.T) {
 	m := New(1024)
 	c := m.NewThreadCache()
 	a := c.Alloc(1)
-	before := m.Clock()
+	before := m.Ticket()
 	if m.CommitWrites([]WriteEntry{{a, 1}}, func() bool { return false }) {
 		t.Fatal("CommitWrites succeeded despite failing validation")
 	}
 	if m.LoadPlain(a) != 0 {
 		t.Error("failed commit leaked a write")
 	}
-	if m.Clock() != before {
-		t.Error("failed commit advanced the clock")
+	if m.Ticket() != before {
+		t.Error("failed commit advanced the ticket")
 	}
 }
 
 func TestCommitWritesReadOnly(t *testing.T) {
 	m := New(1024)
-	before := m.Clock()
+	before := m.Ticket()
 	if !m.CommitWrites(nil, func() bool { return true }) {
 		t.Fatal("read-only commit failed")
 	}
-	if m.Clock() != before {
-		t.Error("read-only commit advanced the clock")
+	if m.Ticket() != before {
+		t.Error("read-only commit advanced the ticket")
 	}
 }
 
@@ -179,7 +179,7 @@ func TestReadOnlyValidationHoldsNoLock(t *testing.T) {
 // a genuine conflict and must be returned as-is, without moving the clock.
 func TestReadOnlyValidationGenuineFailure(t *testing.T) {
 	m := New(1024)
-	before := m.Clock()
+	before := m.Ticket()
 	calls := 0
 	if m.CommitWrites(nil, func() bool { calls++; return false }) {
 		t.Fatal("read-only commit succeeded despite failing validation")
@@ -187,8 +187,8 @@ func TestReadOnlyValidationGenuineFailure(t *testing.T) {
 	if calls != 1 {
 		t.Errorf("validate ran %d times, want 1 (stable clock, no retry)", calls)
 	}
-	if m.Clock() != before {
-		t.Error("failed read-only commit moved the clock")
+	if m.Ticket() != before {
+		t.Error("failed read-only commit moved the ticket")
 	}
 }
 
@@ -248,13 +248,13 @@ func TestSnapshot(t *testing.T) {
 }
 
 // TestConcurrentPlainStoresClockCount checks that N concurrent plain stores
-// advance the clock by exactly N (every mutation is clocked).
+// advance the ticket by exactly N (every mutation is ticketed).
 func TestConcurrentPlainStoresClockCount(t *testing.T) {
 	m := New(1 << 14)
 	c := m.NewThreadCache()
 	a := c.Alloc(64)
 	const threads, per = 8, 200
-	before := m.Clock()
+	before := m.Ticket()
 	var wg sync.WaitGroup
 	for i := 0; i < threads; i++ {
 		wg.Add(1)
@@ -266,8 +266,8 @@ func TestConcurrentPlainStoresClockCount(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if got := m.Clock() - before; got != 2*threads*per {
-		t.Errorf("clock advanced %d, want %d", got, 2*threads*per)
+	if got := m.Ticket() - before; got != threads*per {
+		t.Errorf("ticket advanced %d, want %d", got, threads*per)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // readPairConsistent reads (x, y) under the per-stripe seqlock read
@@ -237,15 +238,51 @@ func TestRaceMultiStripeCommitOrdering(t *testing.T) {
 	}
 }
 
-// TestRaceLoadCommittedSeesWholeCommits: a value LoadCommitted returns from
-// a multi-stripe commit implies every other word of that commit is already
+// TestLoadPlainWaitsOutOpenCommit pins, with no concurrent writer, that a
+// commit is one step to LoadPlain: the test opens a two-word commit window
+// by hand, as CommitWrites does, and stores the first word but not yet the
+// second. A LoadPlain of the first word must not return while the window is
+// open, and once it closes must return the committed value. (A bare atomic
+// load returns the new first word at once, beside the old second one.)
+func TestLoadPlainWaitsOutOpenCommit(t *testing.T) {
+	m := New(1 << 10)
+	a := m.NewThreadCache().Alloc(2) // one line, so one stripe
+	m.StorePlain(a, 1)
+	m.StorePlain(a+1, 1)
+	s := &m.stripes[m.StripeOf(a)]
+	s.wb.Lock()
+	s.clock.Add(1)
+	atomic.StoreUint64(&m.words[a], 2)
+
+	got := make(chan [2]uint64, 1)
+	go func() { got <- [2]uint64{m.LoadPlain(a), m.LoadPlain(a + 1)} }()
+	for i := 0; i < 20; i++ {
+		select {
+		case v := <-got:
+			t.Fatalf("LoadPlain returned %v inside an open commit window", v)
+		default:
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	atomic.StoreUint64(&m.words[a+1], 2)
+	m.ticket.Add(1)
+	s.clock.Add(1)
+	s.wb.Unlock()
+	if v := <-got; v != [2]uint64{2, 2} {
+		t.Fatalf("LoadPlain after the window closed = %v, want [2 2]", v)
+	}
+}
+
+// TestRaceLoadPlainSeesWholeCommits: a value LoadPlain returns from a
+// multi-stripe commit implies every other word of that commit is already
 // in memory — the property the TM drivers' software reads lean on when they
 // load data first and check a clock or version word after. The writer
 // publishes (data, clock) with data first in the buffer, the order a
 // hardware fast path produces; a reader that sees data == k must then find
-// clock >= k. (With LoadPlain for the data load the pair can be torn: data
+// clock >= k. (With a bare load for the data the pair can be torn: data
 // from commit k, clock still k-1.)
-func TestRaceLoadCommittedSeesWholeCommits(t *testing.T) {
+func TestRaceLoadPlainSeesWholeCommits(t *testing.T) {
 	m := New(1 << 12)
 	c := m.NewThreadCache()
 	data := c.Alloc(LineWords)
@@ -268,7 +305,7 @@ func TestRaceLoadCommittedSeesWholeCommits(t *testing.T) {
 		}
 	}()
 	for !done.Load() {
-		d := m.LoadCommitted(data)
+		d := m.LoadPlain(data)
 		if cl := m.LoadPlain(clock); cl < d {
 			t.Fatalf("read data of commit %d while the clock still said %d", d, cl)
 		}

@@ -55,8 +55,8 @@ func TestSingleStripeDegenerate(t *testing.T) {
 	if got := m.StripeClock(0); got != before+4 {
 		t.Errorf("stripe clock advanced %d, want 4 (two serialized mutations)", got-before)
 	}
-	if m.Clock() != m.StripeClock(0) {
-		t.Errorf("with one stripe Clock()=%d should track the stripe clock %d", m.Clock(), m.StripeClock(0))
+	if 2*m.Ticket() != m.StripeClock(0) {
+		t.Errorf("with one stripe 2*Ticket()=%d should track the stripe clock %d", 2*m.Ticket(), m.StripeClock(0))
 	}
 }
 

@@ -67,9 +67,7 @@ func (s *System) Memory() *mem.Memory { return s.m }
 func (s *System) NewThread() tm.Thread {
 	t := &thread{sys: s, base: tm.NewThreadBase(s.m, s.rec)}
 	if s.variant == Lazy {
-		// Every writer is software and stores under the clock's lock bit,
-		// so a plain load followed by a clock check is enough.
-		t.base.Reads = tm.NewReadLog(s.m, s.clock, s.m.LoadPlain)
+		t.base.Reads = tm.NewReadLog(s.m, s.clock)
 	}
 	t.base.Bind(t, nil)
 	return t

@@ -5,7 +5,7 @@
 // *why* each hardware abort happened (a taxonomy joining htm abort codes
 // with the algorithm-level cause and the retry ordinal), and *when* events
 // clustered (an optional per-thread fixed-size event ring stamped with the
-// mem clock).
+// mem commit ticket).
 //
 // Everything on the recording path is allocation-free; every Recorder
 // method is nil-safe, so a TM thread with observability disabled pays one

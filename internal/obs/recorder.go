@@ -15,7 +15,7 @@ func Now() int64 { return int64(time.Since(epoch)) }
 type Config struct {
 	// RingSize, when > 0, attaches a per-thread event ring holding that
 	// many entries (begin/abort/fallback/commit events stamped with the
-	// mem clock). 0 records histograms and abort taxonomy only.
+	// mem commit ticket). 0 records histograms and abort taxonomy only.
 	RingSize int
 }
 

@@ -78,11 +78,11 @@ func (p Path) String() string {
 }
 
 // Event is one fixed-size ring entry. T is a logical timestamp: the mem
-// clock at recording time (monotonic; writer commits advance it by 2), so
-// events from different threads order consistently with the committed
-// history without any wall-clock coordination.
+// commit ticket at recording time (monotonic; every publish advances it by
+// 1), so events from different threads order consistently with the
+// committed history without any wall-clock coordination.
 type Event struct {
-	// T is the logical timestamp (mem clock value).
+	// T is the logical timestamp (mem commit ticket).
 	T uint64
 	// Kind is the event kind.
 	Kind EventKind

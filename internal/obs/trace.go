@@ -25,7 +25,7 @@ type ThreadRing struct {
 
 // EventJSON is the schema form of one ring event.
 type EventJSON struct {
-	// T is the logical timestamp: the mem clock at recording time.
+	// T is the logical timestamp: the mem commit ticket at recording time.
 	T uint64 `json:"t"`
 	// Kind is begin | abort | fallback | commit.
 	Kind string `json:"kind"`

@@ -195,7 +195,7 @@ func (v swTx) Load(a mem.Addr) uint64 {
 	t := v.t
 	t.base.InstrumentedAccess()
 	m := t.base.M
-	val := m.LoadCommitted(a)
+	val := m.LoadPlain(a)
 	if m.LoadPlain(t.sys.gClock) != t.txv {
 		tm.Restart()
 	}

@@ -272,11 +272,9 @@ func (t *thread) softwareCommit() {
 	// flag, because software commits over disjoint stripes overlap.
 	m.AddPlain(t.sys.gHTMLock, 1)
 	htmLocked = true
-	// Validate the read set. LoadCommitted: a fast path that passed its
-	// subscription check before the lock was entered may still be
-	// publishing; wait for the stripe versions it is storing.
+	// Validate the read set.
 	for _, sa := range t.readSet {
-		s := m.LoadCommitted(sa)
+		s := m.LoadPlain(sa)
 		if s&1 == 1 {
 			if !isLocked(sa) {
 				release()
@@ -341,9 +339,7 @@ func (v slowTx) Load(a mem.Addr) uint64 {
 		if s1&1 == 1 {
 			tm.Restart()
 		}
-		// LoadCommitted: a hardware commit publishes the value and its
-		// stripe version as one step, so a new value implies s2 moved.
-		val := m.LoadCommitted(a)
+		val := m.LoadPlain(a)
 		s2 := m.LoadPlain(sa)
 		if s1 != s2 {
 			runtime.Gosched()

@@ -531,16 +531,29 @@ func TestFusedBatchRingEvents(t *testing.T) {
 	if fused() == 0 {
 		t.Fatal("no pipelined drain was fused")
 	}
+	// One request after the fused drain: its TM events share the ring with
+	// the fuse event, and all of them are stamped on one time base.
+	wire := appendWire(t, nil, &serve.ProtoRequest{Opcode: serve.OpcodePut, ReqID: 4,
+		Ops: []serve.Op{{Kind: serve.OpPut, Key: 4, Val: 4}}})
+	if _, err := bc.c.Write(wire); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	if resp := bc.readResp(t); resp.ReqID != 4 || resp.Status != serve.StatusOK {
+		t.Fatalf("reply 4: reqID %d status %d", resp.ReqID, resp.Status)
+	}
 
 	if events := s.Events(); events[0] != nil {
 		t.Fatal("Events must be nil before Close (rings drain only once)")
 	}
 	s.Close()
 	var fuse *obs.Event
-	for _, ring := range s.Events() {
+	for w, ring := range s.Events() {
 		for i, ev := range ring {
 			if ev.Kind == obs.EventFuse {
 				fuse = &ring[i]
+			}
+			if i > 0 && ev.T < ring[i-1].T {
+				t.Errorf("worker %d ring: event %d (%v) at T=%d follows T=%d", w, i, ev.Kind, ev.T, ring[i-1].T)
 			}
 		}
 	}

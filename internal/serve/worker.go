@@ -254,7 +254,7 @@ func (w *worker) execBatch(batch []*request) {
 	fused := len(batch) > 1
 	if fused {
 		if ring := w.rec.Ring(); ring != nil {
-			ring.Record(obs.Event{T: w.s.m.Clock(), Kind: obs.EventFuse, Retry: uint16(min(len(batch), 1<<16-1))})
+			ring.Record(obs.Event{T: w.s.m.Ticket(), Kind: obs.EventFuse, Retry: uint16(min(len(batch), 1<<16-1))})
 		}
 	}
 	done := obs.Now()
@@ -299,7 +299,7 @@ func (w *worker) admit(batch []*request, r *request, now int64) []*request {
 		w.eps[r.ep].shed++
 		r.shed = true
 		if ring := w.rec.Ring(); ring != nil {
-			ring.Record(obs.Event{T: w.s.m.Clock(), Kind: obs.EventShed})
+			ring.Record(obs.Event{T: w.s.m.Ticket(), Kind: obs.EventShed})
 		}
 		return batch
 	}

@@ -34,6 +34,9 @@ type Reclaimer struct {
 	mu    sync.Mutex
 	slots []*Slot
 	epoch atomic.Uint64
+	// orphans holds the limbo of slots that unregistered while other
+	// threads were still registered, bucketed like a slot's own limbo.
+	orphans [3][]block
 }
 
 // NewReclaimer creates an empty reclaimer. The epoch starts at 1 so that a
@@ -57,11 +60,14 @@ func (r *Reclaimer) Register(cache *mem.ThreadCache) *Slot {
 	return s
 }
 
-// unregister removes a slot, first flushing every limbo bucket to the
-// thread's cache; the caller guarantees the grace periods have elapsed or
-// that the system is quiescing (Thread.Close during shutdown).
+// unregister removes a slot. Its limbo is not yet past its grace period —
+// a thread still registered may be a doomed transaction holding a pointer
+// into it — so the reclaimer adopts it, and the epoch advances recycle it
+// (tryAdvance). The last slot to leave recycles every limbo block at once:
+// no transaction remains that could reach one.
 func (r *Reclaimer) unregister(s *Slot) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	for i, x := range r.slots {
 		if x == s {
 			r.slots[i] = r.slots[len(r.slots)-1]
@@ -69,26 +75,31 @@ func (r *Reclaimer) unregister(s *Slot) {
 			break
 		}
 	}
-	r.mu.Unlock()
 	for b := range s.limbo {
-		s.drainBucket(b)
+		r.orphans[b] = append(r.orphans[b], s.limbo[b]...)
+		s.limbo[b] = s.limbo[b][:0]
+		if len(r.slots) == 0 {
+			recycle(s.cache, &r.orphans[b])
+		}
 	}
 }
 
 // tryAdvance bumps the global epoch if every registered thread is either
-// quiescent or already in the current epoch.
-func (r *Reclaimer) tryAdvance() {
+// quiescent or already in the current epoch. An advance to e+1 ends the
+// grace period of the orphans freed in epoch e-1; s, the advancing thread,
+// takes them into its cache.
+func (r *Reclaimer) tryAdvance(s *Slot) {
 	e := r.epoch.Load()
 	r.mu.Lock()
-	for _, s := range r.slots {
-		st := s.state.Load()
-		if st != 0 && st != e {
-			r.mu.Unlock()
+	defer r.mu.Unlock()
+	for _, x := range r.slots {
+		if st := x.state.Load(); st != 0 && st != e {
 			return
 		}
 	}
-	r.epoch.CompareAndSwap(e, e+1)
-	r.mu.Unlock()
+	if r.epoch.CompareAndSwap(e, e+1) {
+		recycle(s.cache, &r.orphans[(e+2)%3]) // (e+2)%3 == (e-1)%3
+	}
 }
 
 // advancePeriod is how many deferred frees a slot accumulates before
@@ -132,24 +143,19 @@ func (s *Slot) Defer(a mem.Addr, n int) {
 	s.limbo[b] = append(s.limbo[b], block{a, n})
 	s.frees++
 	if s.frees%advancePeriod == 0 {
-		s.r.tryAdvance()
+		s.r.tryAdvance(s)
 	}
-	s.reclaim(e)
+	if e >= 3 {
+		recycle(s.cache, &s.limbo[(e+1)%3]) // two epochs old: (e+1)%3 == (e-2)%3
+	}
 }
 
-// reclaim recycles the bucket that is two epochs old.
-func (s *Slot) reclaim(e uint64) {
-	if e < 3 {
-		return
+// recycle frees every block of a limbo bucket into c and empties it.
+func recycle(c *mem.ThreadCache, bucket *[]block) {
+	for _, blk := range *bucket {
+		c.Free(blk.addr, blk.n)
 	}
-	s.drainBucket(int((e + 1) % 3)) // (e+1)%3 == (e-2)%3
-}
-
-func (s *Slot) drainBucket(b int) {
-	for _, blk := range s.limbo[b] {
-		s.cache.Free(blk.addr, blk.n)
-	}
-	s.limbo[b] = s.limbo[b][:0]
+	*bucket = (*bucket)[:0]
 }
 
 // PendingBlocks reports how many blocks await reclamation (for tests).

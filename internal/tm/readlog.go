@@ -17,21 +17,14 @@ import "rhnorec/internal/mem"
 type ReadLog struct {
 	m     *mem.Memory
 	clock mem.Addr
-	load  func(mem.Addr) uint64
 	// entries holds one (address, value returned) pair per Load, oldest
 	// first; its storage is grown once and recycled.
 	entries []mem.WriteEntry
 }
 
 // NewReadLog returns a thread's read log over the protocol's clock word.
-// load is how the protocol reads a data word — a method value bound once
-// here, so no call allocates: m.LoadPlain when every writer is software and
-// holds the clock's lock bit while it stores; m.LoadCommitted when hardware
-// transactions also write, because a hardware commit publishes its data and
-// its clock bump as one step and a value it wrote must never be returned
-// ahead of a clock check seeing the bump.
-func NewReadLog(m *mem.Memory, clock mem.Addr, load func(mem.Addr) uint64) ReadLog {
-	return ReadLog{m: m, clock: clock, load: load}
+func NewReadLog(m *mem.Memory, clock mem.Addr) ReadLog {
+	return ReadLog{m: m, clock: clock}
 }
 
 // Load reads a for an attempt whose snapshot is the even clock value *txv
@@ -39,10 +32,10 @@ func NewReadLog(m *mem.Memory, clock mem.Addr, load func(mem.Addr) uint64) ReadL
 // revalidated and extended (Validate) and a read again, so the value
 // returned is consistent with every earlier Load at the *txv it leaves.
 func (l *ReadLog) Load(a mem.Addr, txv *uint64) uint64 {
-	val := l.load(a)
+	val := l.m.LoadPlain(a)
 	for l.m.LoadPlain(l.clock) != *txv {
 		*txv = l.Validate()
-		val = l.load(a)
+		val = l.m.LoadPlain(a)
 	}
 	l.entries = append(l.entries, mem.WriteEntry{Addr: a, Value: val})
 	return val
@@ -56,7 +49,7 @@ func (l *ReadLog) Validate() uint64 {
 	for {
 		time := awaitEven(l.m, l.clock)
 		for _, r := range l.entries {
-			if l.load(r.Addr) != r.Value {
+			if l.m.LoadPlain(r.Addr) != r.Value {
 				Restart()
 			}
 		}

@@ -8,9 +8,9 @@ import (
 )
 
 // TestReadLog drives the log against a clock word and two data words {10,
-// 20}, under both load kinds the drivers bind. Each case logs a read of x at
-// snapshot 0, lets a writer act, then reads y: what the second read returns,
-// where it leaves the snapshot, and whether it restarts instead.
+// 20}, read through LoadPlain. Each case logs a read of x at snapshot 0,
+// lets a writer act, then reads y: what the second read returns, where it
+// leaves the snapshot, and whether it restarts instead.
 func TestReadLog(t *testing.T) {
 	const clock, x, y = mem.Addr(mem.LineWords), mem.Addr(2 * mem.LineWords), mem.Addr(3 * mem.LineWords)
 	cases := []struct {
@@ -68,54 +68,45 @@ func TestReadLog(t *testing.T) {
 			val: 21, txv: 2,
 		},
 	}
-	kinds := []struct {
-		name string
-		load func(*mem.Memory) func(mem.Addr) uint64
-	}{
-		{"plain", func(m *mem.Memory) func(mem.Addr) uint64 { return m.LoadPlain }},
-		{"committed", func(m *mem.Memory) func(mem.Addr) uint64 { return m.LoadCommitted }},
-	}
-	for _, kind := range kinds {
-		for _, tc := range cases {
-			t.Run(kind.name+"/"+tc.name, func(t *testing.T) {
-				m := mem.New(8 * mem.LineWords)
-				m.StorePlain(x, 10)
-				m.StorePlain(y, 20)
-				l := NewReadLog(m, clock, kind.load(m))
-				txv := uint64(0)
-				if got := l.Load(x, &txv); got != 10 || txv != 0 {
-					t.Fatalf("first Load = %d at %d, want 10 at 0", got, txv)
-				}
-				if wait := tc.writer(m); wait != nil {
-					defer wait()
-				}
-				restarted := false
-				var got uint64
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							if !IsRestart(r) {
-								panic(r)
-							}
-							restarted = true
+	for _, tc := range cases {
+		t.Run("plain/"+tc.name, func(t *testing.T) {
+			m := mem.New(8 * mem.LineWords)
+			m.StorePlain(x, 10)
+			m.StorePlain(y, 20)
+			l := NewReadLog(m, clock)
+			txv := uint64(0)
+			if got := l.Load(x, &txv); got != 10 || txv != 0 {
+				t.Fatalf("first Load = %d at %d, want 10 at 0", got, txv)
+			}
+			if wait := tc.writer(m); wait != nil {
+				defer wait()
+			}
+			restarted := false
+			var got uint64
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						if !IsRestart(r) {
+							panic(r)
 						}
-					}()
-					got = l.Load(y, &txv)
+						restarted = true
+					}
 				}()
-				if restarted != tc.restart {
-					t.Fatalf("restarted = %v, want %v", restarted, tc.restart)
-				}
-				if tc.restart {
-					return
-				}
-				if got != tc.val || txv != tc.txv {
-					t.Errorf("second Load = %d at %d, want %d at %d", got, txv, tc.val, tc.txv)
-				}
-				if v := l.Validate(); v != tc.txv {
-					t.Errorf("Validate = %d, want %d", v, tc.txv)
-				}
-			})
-		}
+				got = l.Load(y, &txv)
+			}()
+			if restarted != tc.restart {
+				t.Fatalf("restarted = %v, want %v", restarted, tc.restart)
+			}
+			if tc.restart {
+				return
+			}
+			if got != tc.val || txv != tc.txv {
+				t.Errorf("second Load = %d at %d, want %d at %d", got, txv, tc.val, tc.txv)
+			}
+			if v := l.Validate(); v != tc.txv {
+				t.Errorf("Validate = %d, want %d", v, tc.txv)
+			}
+		})
 	}
 }
 
@@ -124,7 +115,7 @@ func TestReadLog(t *testing.T) {
 func TestReadLogNoAllocs(t *testing.T) {
 	m := mem.New(64 * mem.LineWords)
 	const clock = mem.Addr(mem.LineWords)
-	l := NewReadLog(m, clock, m.LoadCommitted)
+	l := NewReadLog(m, clock)
 	cycle := func() {
 		l.Reset()
 		txv := uint64(0)

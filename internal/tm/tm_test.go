@@ -137,7 +137,7 @@ func TestThreadBaseAllocAbortReclaims(t *testing.T) {
 		b.TxFree(x, 1)
 		b.CommitCleanup()
 		b.EndTxn()
-		r.tryAdvance()
+		r.tryAdvance(b.Slot)
 	}
 	b.CloseBase()
 	if m.LiveBlocks() != 0 {
@@ -185,17 +185,17 @@ func TestEpochAdvanceBlockedByActiveThread(t *testing.T) {
 	b2 := NewThreadBase(m, r)
 	e0 := r.Epoch()
 	b1.BeginTxn()
-	r.tryAdvance()
+	r.tryAdvance(b1.Slot)
 	if r.Epoch() != e0+1 {
 		t.Fatalf("epoch did not advance with all threads current: %d", r.Epoch())
 	}
 	// b1 is pinned at e0; a second advance must be blocked.
-	r.tryAdvance()
+	r.tryAdvance(b1.Slot)
 	if r.Epoch() != e0+1 {
 		t.Errorf("epoch advanced past a pinned thread: %d", r.Epoch())
 	}
 	b1.EndTxn()
-	r.tryAdvance()
+	r.tryAdvance(b1.Slot)
 	if r.Epoch() != e0+2 {
 		t.Errorf("epoch did not advance after unpin: %d", r.Epoch())
 	}
@@ -210,6 +210,40 @@ func TestDeferNilIsNoop(t *testing.T) {
 	if b.Slot.PendingBlocks() != 0 {
 		t.Error("nil defer entered limbo")
 	}
+}
+
+// TestCloseBaseKeepsLimboFromPinnedThreads: a thread that closes while
+// another is still inside a transaction must not recycle what it freed in
+// its last epochs — the pinned transaction may be a doomed reader that still
+// holds a pointer into the block, and a recycled block is zeroed and
+// rewritten under it. The reclaimer adopts that limbo and recycles it once
+// the grace period has passed.
+func TestCloseBaseKeepsLimboFromPinnedThreads(t *testing.T) {
+	m := mem.New(1 << 14)
+	r := NewReclaimer()
+	reader := NewThreadBase(m, r)
+	closer := NewThreadBase(m, r)
+	closer.BeginTxn()
+	a := closer.TxAlloc(4)
+	closer.CommitCleanup()
+	closer.EndTxn()
+	reader.BeginTxn() // may have read a pointer to a
+	closer.BeginTxn()
+	closer.TxFree(a, 4)
+	closer.CommitCleanup()
+	closer.EndTxn()
+	closer.CloseBase()
+	if m.LiveBlocks() != 1 {
+		t.Fatalf("LiveBlocks = %d, want 1: a was recycled while a thread that may reach it is pinned", m.LiveBlocks())
+	}
+	reader.EndTxn()
+	for i := 0; i < 3; i++ {
+		r.tryAdvance(reader.Slot)
+	}
+	if m.LiveBlocks() != 0 {
+		t.Errorf("LiveBlocks = %d, want 0 once the grace period has passed", m.LiveBlocks())
+	}
+	reader.CloseBase()
 }
 
 func TestCloseBaseFlushesLimbo(t *testing.T) {

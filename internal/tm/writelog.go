@@ -116,13 +116,9 @@ type WriteLog struct {
 }
 
 // StoreEager writes v to a in place, remembering the value it replaces.
-// The caller holds the lock that hides a from other transactions. The old
-// value is read with LoadCommitted: a hardware commit that validated just
-// before that lock was taken may still be publishing to a, and the value a
-// Rollback restores must be the one that commit leaves, not the one under
-// it.
+// The caller holds the lock that hides a from other transactions.
 func (l *WriteLog) StoreEager(a mem.Addr, v uint64) {
-	l.undo = append(l.undo, mem.WriteEntry{Addr: a, Value: l.m.LoadCommitted(a)})
+	l.undo = append(l.undo, mem.WriteEntry{Addr: a, Value: l.m.LoadPlain(a)})
 	l.m.StorePlain(a, v)
 }
 
