@@ -20,6 +20,7 @@ import (
 	"testing"
 
 	"rhnorec/internal/bench"
+	"rhnorec/internal/core"
 	"rhnorec/internal/htm"
 	"rhnorec/internal/mem"
 	"rhnorec/internal/tm"
@@ -37,12 +38,12 @@ func benchHTM() htm.Config { return htm.Config{SpuriousAbortProb: 0.002} }
 // workers on the given algorithm, reports the paper's analysis rows as
 // custom metrics, and, off the clock, runs the workload's oracle: an
 // in-flight violation or a failed Check fails the benchmark.
-func runWorkload(b *testing.B, wl bench.Workload, algo bench.Algo, pol tm.RetryPolicy) {
+func runWorkload(b *testing.B, wl bench.Workload, algo bench.Algo) {
 	b.Helper()
 	m := mem.New(1 << 22)
 	dev := htm.NewDevice(m, benchHTM())
 	dev.SetActiveThreads(benchThreads)
-	sys := algo.New(m, dev, pol)
+	sys := algo.New(m, dev)
 	w := wl.New()
 	setup := sys.NewThread()
 	if err := w.Setup(setup); err != nil {
@@ -95,7 +96,7 @@ func benchAllAlgos(b *testing.B, wl bench.Workload) {
 	b.Helper()
 	for _, algo := range bench.StandardAlgos() {
 		b.Run(algo.Name, func(b *testing.B) {
-			runWorkload(b, wl, algo, tm.RetryPolicy{})
+			runWorkload(b, wl, algo)
 		})
 	}
 }
@@ -146,24 +147,25 @@ func BenchmarkExtra_Bayes(b *testing.B) { benchAllAlgos(b, bench.Bayes()) }
 
 var ablationWorkload = bench.RBTree(bench.RBTreeConfig{Size: 10000, MutationRatio: 0.10})
 
-func rhAlgo(b *testing.B) bench.Algo {
-	a, ok := bench.AlgoByName("rh-norec")
+// algoNamed resolves an algorithm by its rhbench name: a policy variant
+// (rh-noprefix, rh-nopostfix, hy-norec) is an algorithm of its own.
+func algoNamed(b *testing.B, name string) bench.Algo {
+	a, ok := bench.AlgoByName(name)
 	if !ok {
-		b.Fatal("rh-norec missing")
+		b.Fatalf("%s missing", name)
 	}
 	return a
 }
 
+func rhAlgo(b *testing.B) bench.Algo { return algoNamed(b, "rh-norec") }
+
 // BenchmarkAblationPrefix isolates the HTM prefix's contribution.
 func BenchmarkAblationPrefix(b *testing.B) {
 	b.Run("prefix-on", func(b *testing.B) {
-		runWorkload(b, ablationWorkload, rhAlgo(b), tm.RetryPolicy{})
+		runWorkload(b, ablationWorkload, rhAlgo(b))
 	})
 	b.Run("prefix-off", func(b *testing.B) {
-		runWorkload(b, ablationWorkload, rhAlgo(b), tm.RetryPolicy{DisablePrefix: true})
-	})
-	b.Run("adaptation-off", func(b *testing.B) {
-		runWorkload(b, ablationWorkload, rhAlgo(b), tm.RetryPolicy{DisablePrefixAdaptation: true})
+		runWorkload(b, ablationWorkload, algoNamed(b, "rh-noprefix"))
 	})
 }
 
@@ -171,41 +173,41 @@ func BenchmarkAblationPrefix(b *testing.B) {
 // enabler); with it off, RH NOrec degenerates towards Hybrid NOrec.
 func BenchmarkAblationPostfix(b *testing.B) {
 	b.Run("postfix-on", func(b *testing.B) {
-		runWorkload(b, ablationWorkload, rhAlgo(b), tm.RetryPolicy{})
+		runWorkload(b, ablationWorkload, rhAlgo(b))
 	})
 	b.Run("postfix-off", func(b *testing.B) {
-		runWorkload(b, ablationWorkload, rhAlgo(b), tm.RetryPolicy{DisablePostfix: true})
+		runWorkload(b, ablationWorkload, algoNamed(b, "rh-nopostfix"))
 	})
 	b.Run("both-off", func(b *testing.B) {
-		runWorkload(b, ablationWorkload, rhAlgo(b), tm.RetryPolicy{DisablePrefix: true, DisablePostfix: true})
+		runWorkload(b, ablationWorkload, algoNamed(b, "hy-norec"))
 	})
 }
 
 // BenchmarkAblationEagerVsLazyNOrec checks §3.1's claim that the eager
 // NOrec design beats lazy at these concurrency levels.
 func BenchmarkAblationEagerVsLazyNOrec(b *testing.B) {
-	eager, _ := bench.AlgoByName("norec")
-	lazy, _ := bench.AlgoByName("norec-lazy")
-	b.Run("eager", func(b *testing.B) { runWorkload(b, ablationWorkload, eager, tm.RetryPolicy{}) })
-	b.Run("lazy", func(b *testing.B) { runWorkload(b, ablationWorkload, lazy, tm.RetryPolicy{}) })
+	eager, lazy := algoNamed(b, "norec"), algoNamed(b, "norec-lazy")
+	b.Run("eager", func(b *testing.B) { runWorkload(b, ablationWorkload, eager) })
+	b.Run("lazy", func(b *testing.B) { runWorkload(b, ablationWorkload, lazy) })
 }
 
 // BenchmarkAblationEagerVsLazyHyTM checks §3.1's claim that the eager
 // hybrid design outperforms the lazy one at these concurrency levels.
 func BenchmarkAblationEagerVsLazyHyTM(b *testing.B) {
-	eager, _ := bench.AlgoByName("hy-norec")
-	lazy, _ := bench.AlgoByName("hy-norec-lazy")
-	b.Run("eager", func(b *testing.B) { runWorkload(b, ablationWorkload, eager, tm.RetryPolicy{}) })
-	b.Run("lazy", func(b *testing.B) { runWorkload(b, ablationWorkload, lazy, tm.RetryPolicy{}) })
+	eager, lazy := algoNamed(b, "hy-norec"), algoNamed(b, "hy-norec-lazy")
+	b.Run("eager", func(b *testing.B) { runWorkload(b, ablationWorkload, eager) })
+	b.Run("lazy", func(b *testing.B) { runWorkload(b, ablationWorkload, lazy) })
 }
 
 // BenchmarkAblationSerialLock sweeps the starvation-escape threshold
 // (§3.3: the paper settled on 10).
 func BenchmarkAblationSerialLock(b *testing.B) {
 	for _, limit := range []int{2, 10, 50} {
-		b.Run(map[int]string{2: "limit-2", 10: "limit-10", 50: "limit-50"}[limit], func(b *testing.B) {
-			runWorkload(b, ablationWorkload, rhAlgo(b), tm.RetryPolicy{MaxSlowPathRestarts: limit})
-		})
+		name := map[int]string{2: "limit-2", 10: "limit-10", 50: "limit-50"}[limit]
+		algo := bench.Algo{Name: name, New: func(m *mem.Memory, d *htm.Device) tm.System {
+			return core.New(m, d, tm.RetryPolicy{MaxSlowPathRestarts: limit})
+		}}
+		b.Run(name, func(b *testing.B) { runWorkload(b, ablationWorkload, algo) })
 	}
 }
 
@@ -222,7 +224,7 @@ func BenchmarkStructures(b *testing.B) {
 		{"skiplist", bench.SkipListWorkload(cfg)},
 		{"sortedlist", bench.SortedListWorkload(bench.RBTreeConfig{Size: 128, MutationRatio: 0.20})},
 	} {
-		b.Run(w.name, func(b *testing.B) { runWorkload(b, w.wl, rhAlgo(b), tm.RetryPolicy{}) })
+		b.Run(w.name, func(b *testing.B) { runWorkload(b, w.wl, rhAlgo(b)) })
 	}
 }
 
@@ -230,22 +232,16 @@ func BenchmarkStructures(b *testing.B) {
 // approach of §1.1: with any steady trickle of fallbacks, every transaction
 // pays for the software phases.
 func BenchmarkBackgroundPhasedTM(b *testing.B) {
-	phased, ok := bench.AlgoByName("phased-tm")
-	if !ok {
-		b.Fatal("phased-tm missing")
-	}
-	b.Run("rh-norec", func(b *testing.B) { runWorkload(b, ablationWorkload, rhAlgo(b), tm.RetryPolicy{}) })
-	b.Run("phased-tm", func(b *testing.B) { runWorkload(b, ablationWorkload, phased, tm.RetryPolicy{}) })
+	phased := algoNamed(b, "phased-tm")
+	b.Run("rh-norec", func(b *testing.B) { runWorkload(b, ablationWorkload, rhAlgo(b)) })
+	b.Run("phased-tm", func(b *testing.B) { runWorkload(b, ablationWorkload, phased) })
 }
 
 // BenchmarkPredecessorRHTL2 contrasts RH NOrec with its predecessor RH-TL2
 // (paper §1.2): the predecessor pays write instrumentation on the fast path
 // and carries reads+writes in its commit transaction.
 func BenchmarkPredecessorRHTL2(b *testing.B) {
-	rhtl2Algo, ok := bench.AlgoByName("rh-tl2")
-	if !ok {
-		b.Fatal("rh-tl2 missing")
-	}
+	rhtl2Algo := algoNamed(b, "rh-tl2")
 	for _, w := range []struct {
 		name string
 		wl   bench.Workload
@@ -253,8 +249,8 @@ func BenchmarkPredecessorRHTL2(b *testing.B) {
 		{"rbtree10", bench.RBTree(bench.RBTreeConfig{Size: 10000, MutationRatio: 0.10})},
 		{"rbtree40", bench.RBTree(bench.RBTreeConfig{Size: 10000, MutationRatio: 0.40})},
 	} {
-		b.Run(w.name+"/rh-norec", func(b *testing.B) { runWorkload(b, w.wl, rhAlgo(b), tm.RetryPolicy{}) })
-		b.Run(w.name+"/rh-tl2", func(b *testing.B) { runWorkload(b, w.wl, rhtl2Algo, tm.RetryPolicy{}) })
+		b.Run(w.name+"/rh-norec", func(b *testing.B) { runWorkload(b, w.wl, rhAlgo(b)) })
+		b.Run(w.name+"/rh-tl2", func(b *testing.B) { runWorkload(b, w.wl, rhtl2Algo) })
 	}
 }
 

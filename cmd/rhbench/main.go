@@ -10,7 +10,7 @@
 //	rhbench -experiment structures      # rbtree vs skiplist vs sortedlist
 //	rhbench -experiment ablation        # RH NOrec design-choice ablations
 //	rhbench -experiment disjoint        # per-thread private lines (striping scaling)
-//	rhbench -experiment persist         # durability overhead: off vs group fsync vs fsync-per-commit
+//	rhbench -experiment persist         # durability overhead: off vs group fsync
 //	rhbench -experiment scenarios       # conformance-registry scenarios, invariant-checked
 //	rhbench -experiment all             # fig4+fig5+fig6+extra
 //	rhbench -experiment list            # list workloads and algorithms
@@ -29,10 +29,10 @@
 // (DESIGN.md §6).
 //
 // Durability (docs/PERSIST.md) is named by the algorithm: the persist
-// experiment sweeps rh-norec, rh-norec+persist (group fsync) and
-// rh-norec+persist-sync (fsync per commit) side by side, and -algos can pick
-// a persisting variant for any experiment. Its points log their commits to a
-// throwaway directory and durable-ack every operation.
+// experiment sweeps rh-norec and rh-norec+persist (group fsync) side by
+// side, and -algos can pick the persisting variant for any experiment. Its
+// points log their commits to a throwaway directory and durable-ack every
+// operation.
 //
 // Every point is also a conformance pass: its workload's oracle runs in
 // flight and once the workers stop. After writing -json and -trace, rhbench

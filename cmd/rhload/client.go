@@ -22,20 +22,22 @@ func jsonBody(v any) io.Reader {
 
 func jsonDecode(r io.Reader, v any) error { return json.NewDecoder(r).Decode(v) }
 
-// kvClient is one connection's view of the service: one call per endpoint
-// kind, so the server's per-endpoint metrics rows label the traffic the way
-// the generator meant it.
+// kvClient is one connection's view of the service. doBatch issues
+// len(kinds) requests, each on its own endpoint kind so the server's
+// per-endpoint metrics rows label the traffic the way the generator meant
+// it, and writes request i's verdict to out[i]. A non-nil return is a
+// transport failure (write, read, decode): the connection is dead.
 type kvClient interface {
-	do(kind ReqKind, ops []serve.Op) ([]serve.OpResult, error)
+	doBatch(kinds []ReqKind, opss [][]serve.Op, out []outcome) error
 	close()
 }
 
-// shedError is the client-side form of an admission shed (HTTP 429 or
-// binary StatusShed): back off RetryAfter, then resume.
-type shedError struct{ RetryAfter time.Duration }
-
-func (e *shedError) Error() string {
-	return fmt.Sprintf("shed (retry after %s)", e.RetryAfter)
+// outcome is one answered request's verdict: served, shed (HTTP 429 or
+// binary StatusShed: back off retryAfter, then resume) or an error status.
+type outcome struct {
+	shed       bool
+	retryAfter time.Duration
+	err        error
 }
 
 // reqKindPath maps a request kind to its HTTP endpoint path.
@@ -61,7 +63,20 @@ func newHTTPClient(addr, identity string) *httpClient {
 
 func (c *httpClient) close() { c.hc.CloseIdleConnections() }
 
-func (c *httpClient) do(kind ReqKind, ops []serve.Op) ([]serve.OpResult, error) {
+// doBatch issues the requests one after another: HTTP has no frame
+// pipelining, so a connection's rounds hold one request each.
+func (c *httpClient) doBatch(kinds []ReqKind, opss [][]serve.Op, out []outcome) error {
+	for i := range kinds {
+		o, err := c.do(kinds[i], opss[i])
+		if err != nil {
+			return err
+		}
+		out[i] = o
+	}
+	return nil
+}
+
+func (c *httpClient) do(kind ReqKind, ops []serve.Op) (outcome, error) {
 	var (
 		req *http.Request
 		err error
@@ -102,12 +117,12 @@ func (c *httpClient) do(kind ReqKind, ops []serve.Op) ([]serve.OpResult, error) 
 		req, err = http.NewRequest(method, c.base+reqKindPath[kind]+"?"+q.Encode(), nil)
 	}
 	if err != nil {
-		return nil, err
+		return outcome{}, err
 	}
 	req.Header.Set("X-RH-Client", c.identity)
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return nil, err
+		return outcome{}, err
 	}
 	defer func() {
 		io.Copy(io.Discard, resp.Body)
@@ -116,23 +131,16 @@ func (c *httpClient) do(kind ReqKind, ops []serve.Op) ([]serve.OpResult, error) 
 	switch resp.StatusCode {
 	case http.StatusOK:
 		var out serve.TxnResponse
-		if err := jsonDecode(resp.Body, &out); err != nil {
-			return nil, err
-		}
-		res := make([]serve.OpResult, len(out.Results))
-		for i, r := range out.Results {
-			res[i] = serve.OpResult{Val: r.Val, Vals: r.Vals, Swapped: r.Swapped}
-		}
-		return res, nil
+		return outcome{}, jsonDecode(resp.Body, &out)
 	case http.StatusTooManyRequests:
 		ra := time.Second
 		if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
 			ra = time.Duration(secs) * time.Second
 		}
-		return nil, &shedError{RetryAfter: ra}
+		return outcome{shed: true, retryAfter: ra}, nil
 	default:
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		return nil, fmt.Errorf("http %d: %s", resp.StatusCode, msg)
+		return outcome{err: fmt.Errorf("http %d: %s", resp.StatusCode, msg)}, nil
 	}
 }
 
@@ -214,35 +222,13 @@ func (c *binClient) roundTrip(req *serve.ProtoRequest) (*serve.ProtoResponse, er
 	return resp, nil
 }
 
-func (c *binClient) do(kind ReqKind, ops []serve.Op) ([]serve.OpResult, error) {
-	resp, err := c.roundTrip(&serve.ProtoRequest{Opcode: reqKindOpcode[kind], Ops: ops})
-	if err != nil {
-		return nil, err
-	}
-	switch resp.Status {
-	case serve.StatusOK:
-		return resp.Results, nil
-	case serve.StatusShed:
-		return nil, &shedError{RetryAfter: time.Duration(resp.RetryAfterMS) * time.Millisecond}
-	default:
-		return nil, fmt.Errorf("status %d: %s", resp.Status, resp.Msg)
-	}
-}
-
-// binOutcome is one pipelined request's verdict.
-type binOutcome struct {
-	shed       bool
-	retryAfter time.Duration
-	err        error
-}
-
 // doBatch pipelines len(kinds) requests on the wire: all frames written
 // through one flush, then all replies read in order (the server guarantees
 // frame-order replies). out[i] is request i's verdict; a non-nil return is
 // a transport failure and the connection is dead. The reply decode reuses
 // one recycled ProtoResponse (ParseResponseInto), so a steady-state batch
 // allocates only in AppendRequest's op marshaling.
-func (c *binClient) doBatch(kinds []ReqKind, opss [][]serve.Op, out []binOutcome) error {
+func (c *binClient) doBatch(kinds []ReqKind, opss [][]serve.Op, out []outcome) error {
 	firstID := c.reqID + 1
 	for i := range kinds {
 		c.reqID++
@@ -273,11 +259,11 @@ func (c *binClient) doBatch(kinds []ReqKind, opss [][]serve.Op, out []binOutcome
 		}
 		switch c.resp.Status {
 		case serve.StatusOK:
-			out[i] = binOutcome{}
+			out[i] = outcome{}
 		case serve.StatusShed:
-			out[i] = binOutcome{shed: true, retryAfter: time.Duration(c.resp.RetryAfterMS) * time.Millisecond}
+			out[i] = outcome{shed: true, retryAfter: time.Duration(c.resp.RetryAfterMS) * time.Millisecond}
 		default:
-			out[i] = binOutcome{err: fmt.Errorf("status %d: %s", c.resp.Status, c.resp.Msg)}
+			out[i] = outcome{err: fmt.Errorf("status %d: %s", c.resp.Status, c.resp.Msg)}
 		}
 	}
 	return nil

@@ -24,7 +24,10 @@
 //
 // Shed handling: a 429/StatusShed reply is not an error — the connection
 // backs off the server's Retry-After hint and resumes; sheds are reported
-// per cell.
+// per cell. An error status the server answers counts one error per
+// request. A transport failure (dial, write, read, decode) counts one
+// error, records no latency and ends its connection for the rest of the
+// cell, so a dead server costs a cell at most -conns errors.
 //
 // Output: -json FILE writes the cells as an rhbench.v2 dump (workload
 // "serve/<proto>/z<skew>/r<readmix>/q<qps>", threads = conns, ops_per_sec =
@@ -194,7 +197,7 @@ type cellConfig struct {
 	zipf     *ZipfKeys
 	mix      RequestMix
 	seed     int64
-	pipeline int // frames in flight per connection (binary; <=1 = round trips)
+	pipeline int // requests per round (binary; HTTP rounds hold one)
 }
 
 type cellResult struct {
@@ -241,10 +244,17 @@ func runCell(c cellConfig) cellResult {
 	return res
 }
 
-// runConn is one connection's generator loop. Open loop: fire at the
-// per-conn interval, skipping ticks that fall behind (no coordinated
-// omission backlog — a late reply costs throughput, not a burst). Closed
-// loop: next request as soon as the reply lands.
+// runConn is one connection's generator loop. Each round generates
+// c.pipeline requests (one over HTTP) and issues them through doBatch: on
+// the binary protocol all frames go out through one flush and the replies
+// are read in order — the wire pattern the server's drain loop coalesces
+// into fused batches. Every answered request records its round's round trip
+// as its latency (that IS how long each reply took end to end). Open loop:
+// fire rounds at the round-scaled interval, skipping ticks that fall behind
+// (no coordinated omission backlog — a late reply costs throughput, not a
+// burst). Closed loop: next round as soon as the replies land. A transport
+// failure (dial, write, read, decode) counts one error, records no latency
+// and ends the connection.
 func runConn(c cellConfig, id int, st *connStats, deadline time.Time) {
 	identity := fmt.Sprintf("rhload-%d", id)
 	var cl kvClient
@@ -254,70 +264,16 @@ func runConn(c cellConfig, id int, st *connStats, deadline time.Time) {
 			st.errors++
 			return
 		}
-		if c.pipeline > 1 {
-			defer bc.close()
-			runConnPipelined(c, bc, id, st, deadline)
-			return
-		}
 		cl = bc
 	} else {
 		cl = newHTTPClient(c.addr, identity)
 	}
 	defer cl.close()
 	rng := rand.New(rand.NewSource(c.seed + int64(id)*7919))
-	var interval time.Duration
-	if c.qps > 0 {
-		interval = time.Duration(float64(c.conns) / c.qps * float64(time.Second))
-	}
-	next := time.Now()
-	for {
-		now := time.Now()
-		if !now.Before(deadline) {
-			return
-		}
-		if interval > 0 {
-			if now.Before(next) {
-				time.Sleep(next.Sub(now))
-			}
-			next = next.Add(interval)
-			if behind := time.Now(); next.Before(behind) {
-				next = behind
-			}
-		}
-		kind, ops := genRequest(c, rng)
-		t0 := time.Now()
-		_, err := cl.do(kind, ops)
-		st.lat.Record(uint64(time.Since(t0)))
-		switch e := err.(type) {
-		case nil:
-			st.ops++
-		case *shedError:
-			st.sheds++
-			backoff := e.RetryAfter
-			if rem := time.Until(deadline); backoff > rem {
-				backoff = rem
-			}
-			if backoff > 0 {
-				time.Sleep(backoff)
-			}
-		default:
-			st.errors++
-		}
-	}
-}
-
-// runConnPipelined is runConn's binary deep-pipeline variant: each round
-// generates pipeline requests, writes them all through one flush, and reads
-// the replies in order — the wire pattern the server's drain loop coalesces
-// into fused batches. Every request's recorded latency is its batch's round
-// trip (that IS how long each reply took end to end). Open-loop pacing
-// fires batches at the batch-scaled interval.
-func runConnPipelined(c cellConfig, bc *binClient, id int, st *connStats, deadline time.Time) {
-	rng := rand.New(rand.NewSource(c.seed + int64(id)*7919))
 	depth := c.pipeline
 	kinds := make([]ReqKind, depth)
 	opss := make([][]serve.Op, depth)
-	out := make([]binOutcome, depth)
+	out := make([]outcome, depth)
 	var interval time.Duration
 	if c.qps > 0 {
 		interval = time.Duration(float64(c.conns*depth) / c.qps * float64(time.Second))
@@ -337,37 +293,30 @@ func runConnPipelined(c cellConfig, bc *binClient, id int, st *connStats, deadli
 				next = behind
 			}
 		}
-		for i := 0; i < depth; i++ {
+		for i := range kinds {
 			kinds[i], opss[i] = genRequest(c, rng)
 		}
 		t0 := time.Now()
-		if err := bc.doBatch(kinds, opss, out); err != nil {
+		if err := cl.doBatch(kinds, opss, out); err != nil {
 			st.errors++
-			return // transport failure: connection is dead
+			return
 		}
 		rtt := uint64(time.Since(t0))
 		var backoff time.Duration
-		for i := 0; i < depth; i++ {
+		for i := range out {
 			st.lat.Record(rtt)
 			switch {
 			case out[i].err != nil:
 				st.errors++
 			case out[i].shed:
 				st.sheds++
-				if out[i].retryAfter > backoff {
-					backoff = out[i].retryAfter
-				}
+				backoff = max(backoff, out[i].retryAfter)
 			default:
 				st.ops++
 			}
 		}
-		if backoff > 0 {
-			if rem := time.Until(deadline); backoff > rem {
-				backoff = rem
-			}
-			if backoff > 0 {
-				time.Sleep(backoff)
-			}
+		if backoff = min(backoff, time.Until(deadline)); backoff > 0 {
+			time.Sleep(backoff)
 		}
 	}
 }

@@ -2,11 +2,16 @@ package main
 
 import (
 	"errors"
+	"fmt"
+	"io"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"rhnorec/internal/bench"
 	"rhnorec/internal/serve"
@@ -83,5 +88,114 @@ func TestDrivesAServerAndRejectsCompare(t *testing.T) {
 	}
 	if err := bench.ValidateDump(data); err != nil {
 		t.Errorf("the -json file fails the rhbench.v2 schema: %v", err)
+	}
+}
+
+// cutter forwards TCP connections to a server until cut, which closes its
+// listener and every forwarded connection at once: what a client sees of a
+// server process killed mid-cell. (Server.Close would first answer the
+// requests in flight ErrClosed, which are server-answered errors.)
+type cutter struct {
+	ln    net.Listener
+	mu    sync.Mutex
+	conns []net.Conn
+	done  bool
+}
+
+func newCutter(t *testing.T, target string) *cutter {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &cutter{ln: ln}
+	go func() {
+		for {
+			in, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			out, err := net.Dial("tcp", target)
+			if err != nil {
+				in.Close()
+				continue
+			}
+			if !c.track(in, out) {
+				return
+			}
+			go func() { io.Copy(out, in); out.Close() }()
+			go func() { io.Copy(in, out); in.Close() }()
+		}
+	}()
+	return c
+}
+
+// track registers a forwarded pair; after cut it closes them instead.
+func (c *cutter) track(pair ...net.Conn) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.done {
+		for _, x := range pair {
+			x.Close()
+		}
+		return false
+	}
+	c.conns = append(c.conns, pair...)
+	return true
+}
+
+func (c *cutter) cut() {
+	c.ln.Close()
+	c.mu.Lock()
+	c.done = true
+	conns := c.conns
+	c.mu.Unlock()
+	for _, x := range conns {
+		x.Close()
+	}
+}
+
+// TestDeadServerEndsItsConnections: a server that dies mid-cell costs each
+// connection at most one error. A transport failure ends its connection and
+// records no latency, so the cell reports at most conns errors and a p50 of
+// real replies, on both transports and at any pipeline depth.
+func TestDeadServerEndsItsConnections(t *testing.T) {
+	const conns = 2
+	for _, tc := range []struct {
+		proto string
+		depth int
+	}{{"http", 1}, {"binary", 1}, {"binary", 8}} {
+		t.Run(fmt.Sprintf("%s/p%d", tc.proto, tc.depth), func(t *testing.T) {
+			s, err := serve.New(serve.Config{Keys: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			addr, err := s.Start("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := newCutter(t, addr.String())
+			defer c.cut()
+			kill := time.AfterFunc(200*time.Millisecond, c.cut)
+			defer kill.Stop()
+			start := time.Now()
+			res := runCell(cellConfig{
+				addr: c.ln.Addr().String(), proto: tc.proto, conns: conns, duration: 600 * time.Millisecond,
+				zipf: NewZipfKeys(64, 0.99), mix: RequestMix{GetFrac: 0.9}.WithDefaults(), seed: 1, pipeline: tc.depth,
+			})
+			if res.ops == 0 {
+				t.Fatal("no request was served before the server died")
+			}
+			if res.errors < 1 || res.errors > conns {
+				t.Fatalf("%d errors after the server died, want 1..%d (one per connection at most)", res.errors, conns)
+			}
+			if p50 := res.lat.Quantile(0.50); p50 == 0 {
+				t.Fatalf("p50 0 over %d recorded latencies: failed round trips were recorded", res.lat.Count())
+			}
+			if took := time.Since(start); took > 500*time.Millisecond {
+				t.Fatalf("the cell ran %v: its connections outlived the server", took)
+			}
+		})
 	}
 }

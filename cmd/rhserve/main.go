@@ -20,10 +20,10 @@
 //
 // Durability (docs/PERSIST.md): -data <dir> arms the redo-log persistence
 // plane — boot replays the directory's logs (crash recovery) and committing
-// writes append to them, under any -algo. -persist group|sync picks
-// group fsync vs fsync-per-commit (default: group); it needs -data.
+// writes append to them, under any -algo; group fsync makes them durable.
 // -durable makes every write request wait for its fsync before the reply
-// (per-connection opt-in exists on the binary protocol via OpcodeDurable).
+// (per-connection opt-in exists on the binary protocol via OpcodeDurable);
+// it needs -data.
 //
 // Observability: GET /metrics is the human-readable counter page;
 // GET /metrics?format=json is the rhserve.v1 dump (docs/METRICS.md),
@@ -41,7 +41,6 @@ import (
 
 	"rhnorec/internal/bench"
 	"rhnorec/internal/htm"
-	"rhnorec/internal/persist"
 	"rhnorec/internal/serve"
 )
 
@@ -60,7 +59,6 @@ func main() {
 		cores      = flag.Int("cores", 0, "simulated HTM cores (0 = default)")
 		pprofFlag  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the service mux")
 		dataDir    = flag.String("data", "", "redo-log directory: arms durable persistence + boot crash recovery")
-		persistStr = flag.String("persist", "", "durability mode with -data: group|sync (default: group)")
 		durable    = flag.Bool("durable", false, "every write request waits for its fsync before the reply")
 	)
 	flag.Parse()
@@ -68,18 +66,8 @@ func main() {
 	if _, ok := bench.AlgoByName(*algo); !ok {
 		usage("unknown -algo %q (rhbench -experiment list names them)", *algo)
 	}
-	mode := persist.ModeOff
-	if *persistStr != "" {
-		var ok bool
-		mode, ok = persist.ModeByName(*persistStr)
-		switch {
-		case !ok:
-			usage("unknown persist mode %q (want group|sync)", *persistStr)
-		case mode == persist.ModeOff && *dataDir != "":
-			usage("-data %s arms persistence; -persist off contradicts it (drop -data to run without a log)", *dataDir)
-		case mode != persist.ModeOff && *dataDir == "":
-			usage("-persist %s needs -data <dir>", *persistStr)
-		}
+	if *durable && *dataDir == "" {
+		usage("-durable needs -data <dir>: without a redo log nothing is ever durable")
 	}
 	hcfg := htm.Config{}
 	if *cores > 0 {
@@ -98,7 +86,6 @@ func main() {
 		RingSize:       *ringSize,
 		Pprof:          *pprofFlag,
 		DataDir:        *dataDir,
-		Persist:        mode,
 		DurableAcks:    *durable,
 	})
 	if err != nil {

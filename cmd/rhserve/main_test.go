@@ -1,17 +1,20 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
-// TestPersistFlagContradictions pins the two -persist/-data combinations
-// that used to be accepted and silently reinterpreted, and an unknown -algo:
-// each must exit 2 with a message naming the flag, before any listener or
-// log directory exists.
+// TestPersistFlagContradictions pins the flag sets rhserve refuses: the
+// removed -persist flag, -durable without the -data log it waits on (a
+// server that acks nothing durably), and an unknown -algo. Each must exit 2
+// with a message naming the flag, before any listener or log directory
+// exists.
 func TestPersistFlagContradictions(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "rhserve")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -23,13 +26,15 @@ func TestPersistFlagContradictions(t *testing.T) {
 		args []string
 		want string
 	}{
-		{"off with data", []string{"-addr", "127.0.0.1:0", "-data", data, "-persist", "off"}, "-persist off contradicts"},
-		{"sync without data", []string{"-addr", "127.0.0.1:0", "-persist", "sync"}, "needs -data"},
-		{"unknown mode", []string{"-addr", "127.0.0.1:0", "-data", data, "-persist", "eventually"}, "unknown persist mode"},
+		{"persist flag is gone", []string{"-addr", "127.0.0.1:0", "-data", data, "-persist", "sync"}, "flag provided but not defined"},
+		{"durable without data", []string{"-addr", "127.0.0.1:0", "-durable"}, "-durable needs -data"},
 		{"unknown algo", []string{"-addr", "127.0.0.1:0", "-data", data, "-algo", "hybrid-norec"}, `unknown -algo "hybrid-norec"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			out, err := exec.Command(bin, tc.args...).CombinedOutput()
+			// A flag set rhserve accepts boots a server that never exits.
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+			defer cancel()
+			out, err := exec.CommandContext(ctx, bin, tc.args...).CombinedOutput()
 			var exit *exec.ExitError
 			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
 				t.Fatalf("rhserve %v: err %v, want exit status 2\n%s", tc.args, err, out)

@@ -34,15 +34,15 @@ import (
 // Algo is a named TM-system constructor. STM algorithms ignore dev.
 type Algo struct {
 	Name string
-	New  func(m *mem.Memory, dev *htm.Device, pol tm.RetryPolicy) tm.System
-	// Persist, when group or sync, opens a fresh redo log (internal/persist)
+	New  func(m *mem.Memory, dev *htm.Device) tm.System
+	// Persist, when set, opens a fresh redo log (internal/persist)
 	// for each of the algorithm's points on a temporary directory (honoring
 	// $TMPDIR; CI points it at a RAM disk to isolate protocol overhead from
 	// device latency), attaches it to the point's memory, and durable-acks
 	// every 16-op worker batch — the service's ack granularity, where one
 	// WaitDurable covers a fused batch of requests. It is the only
 	// persistence switch of a benchmark point.
-	Persist persist.Mode
+	Persist bool
 	// MetaWords is the transactional memory, in words, the driver allocates
 	// for metadata of its own at construction, when that is more than a
 	// handful of global words (RH-TL2's stripe table). Whoever sizes the
@@ -54,86 +54,82 @@ type Algo struct {
 // presentation order.
 func StandardAlgos() []Algo {
 	return []Algo{
-		{Name: "lock-elision", New: func(m *mem.Memory, d *htm.Device, p tm.RetryPolicy) tm.System {
-			return lockelision.New(m, d, p)
+		{Name: "lock-elision", New: func(m *mem.Memory, d *htm.Device) tm.System {
+			return lockelision.New(m, d, tm.RetryPolicy{})
 		}},
-		{Name: "norec", New: func(m *mem.Memory, _ *htm.Device, _ tm.RetryPolicy) tm.System {
+		{Name: "norec", New: func(m *mem.Memory, _ *htm.Device) tm.System {
 			return norec.New(m, norec.Eager)
 		}},
-		{Name: "tl2", New: func(m *mem.Memory, _ *htm.Device, _ tm.RetryPolicy) tm.System {
+		{Name: "tl2", New: func(m *mem.Memory, _ *htm.Device) tm.System {
 			return tl2.New(m, 0)
 		}},
 		hyNOrec(),
-		{Name: "rh-norec", New: func(m *mem.Memory, d *htm.Device, p tm.RetryPolicy) tm.System {
-			return core.New(m, d, p)
-		}},
+		rhNOrec(),
 	}
 }
 
 // hyNOrec is the paper's "HY-NOrec": a row of the standard set and, being
 // RH NOrec with both small transactions off, of the ablation set too.
 func hyNOrec() Algo {
-	return Algo{Name: "hy-norec", New: func(m *mem.Memory, d *htm.Device, p tm.RetryPolicy) tm.System {
-		return core.NewHybridNOrec(m, d, p)
+	return Algo{Name: "hy-norec", New: func(m *mem.Memory, d *htm.Device) tm.System {
+		return core.NewHybridNOrec(m, d, tm.RetryPolicy{})
+	}}
+}
+
+// rhNOrec is RH NOrec under the paper's static retry policy (§3.3): a
+// row of the standard, ablation and persist-variant sets.
+func rhNOrec() Algo {
+	return Algo{Name: "rh-norec", New: func(m *mem.Memory, d *htm.Device) tm.System {
+		return core.New(m, d, tm.RetryPolicy{})
 	}}
 }
 
 // RHVariants returns the RH NOrec ablation variants of DESIGN.md §5: the
-// full algorithm, prefix disabled, postfix disabled, prefix-length
-// adaptation frozen, both small transactions disabled (which is Hybrid
-// NOrec, under its own name), and the lazy-NOrec STM contrast.
+// full algorithm, prefix disabled, postfix disabled, both small
+// transactions disabled (which is Hybrid NOrec, under its own name), and the
+// lazy-NOrec STM contrast.
 func RHVariants() []Algo {
-	override := func(name string, tweak func(*tm.RetryPolicy)) Algo {
-		return Algo{Name: name, New: func(m *mem.Memory, d *htm.Device, p tm.RetryPolicy) tm.System {
-			tweak(&p)
+	policy := func(name string, p tm.RetryPolicy) Algo {
+		return Algo{Name: name, New: func(m *mem.Memory, d *htm.Device) tm.System {
 			return core.New(m, d, p)
 		}}
 	}
 	return []Algo{
-		override("rh-norec", func(*tm.RetryPolicy) {}),
-		override("rh-noprefix", func(p *tm.RetryPolicy) { p.DisablePrefix = true }),
-		override("rh-nopostfix", func(p *tm.RetryPolicy) { p.DisablePostfix = true }),
-		override("rh-noadapt", func(p *tm.RetryPolicy) { p.DisablePrefixAdaptation = true }),
+		rhNOrec(),
+		policy("rh-noprefix", tm.RetryPolicy{DisablePrefix: true}),
+		policy("rh-nopostfix", tm.RetryPolicy{DisablePostfix: true}),
 		hyNOrec(),
-		{Name: "norec-lazy", New: func(m *mem.Memory, _ *htm.Device, _ tm.RetryPolicy) tm.System {
+		{Name: "norec-lazy", New: func(m *mem.Memory, _ *htm.Device) tm.System {
 			return norec.New(m, norec.Lazy)
 		}},
-		{Name: "rh-tl2", MetaWords: rhtl2.DefaultStripes, New: func(m *mem.Memory, d *htm.Device, p tm.RetryPolicy) tm.System {
-			return rhtl2.New(m, d, p, 0)
+		{Name: "rh-tl2", MetaWords: rhtl2.DefaultStripes, New: func(m *mem.Memory, d *htm.Device) tm.System {
+			return rhtl2.New(m, d, tm.RetryPolicy{}, 0)
 		}},
-		{Name: "hy-norec-lazy", New: func(m *mem.Memory, d *htm.Device, p tm.RetryPolicy) tm.System {
-			return hynorec.New(m, d, p)
+		{Name: "hy-norec-lazy", New: func(m *mem.Memory, d *htm.Device) tm.System {
+			return hynorec.New(m, d, tm.RetryPolicy{})
 		}},
-		{Name: "phased-tm", New: func(m *mem.Memory, d *htm.Device, p tm.RetryPolicy) tm.System {
-			return phasedtm.New(m, d, p)
+		{Name: "phased-tm", New: func(m *mem.Memory, d *htm.Device) tm.System {
+			return phasedtm.New(m, d, tm.RetryPolicy{})
 		}},
 	}
 }
 
 // PersistVariants returns the durability-overhead ablation over RH NOrec
-// (DESIGN.md §15): persistence off, the group-fsync redo log, and the
-// fsync-per-commit ablation. The persisting variants set Algo.Persist, so
-// each of their points opens a fresh redo log and every operation
-// durable-acks. This is the algorithm set of the persist experiment, which
-// CI's crash-recovery job runs as a smoke.
+// (DESIGN.md §15): persistence off and the group-fsync redo log. The
+// persisting variant sets Algo.Persist, so each of its points opens a fresh
+// redo log and every operation durable-acks. This is the algorithm set of
+// the persist experiment, which CI's crash-recovery job runs as a smoke.
 func PersistVariants() []Algo {
-	rh := func(name string, mode persist.Mode) Algo {
-		return Algo{Name: name, New: func(m *mem.Memory, d *htm.Device, p tm.RetryPolicy) tm.System {
-			return core.New(m, d, p)
-		}, Persist: mode}
-	}
-	return []Algo{
-		rh("rh-norec", persist.ModeOff),
-		rh("rh-norec+persist", persist.ModeGroup),
-		rh("rh-norec+persist-sync", persist.ModeSync),
-	}
+	persisting := rhNOrec()
+	persisting.Name, persisting.Persist = "rh-norec+persist", true
+	return []Algo{rhNOrec(), persisting}
 }
 
 // SerialAlgo is the global-lock oracle (internal/serial). No experiment
 // sweeps it by default; -algos serial selects it by name, as a same-run
 // control or to read its observability output next to the real algorithms'.
 func SerialAlgo() Algo {
-	return Algo{Name: "serial", New: func(m *mem.Memory, _ *htm.Device, _ tm.RetryPolicy) tm.System {
+	return Algo{Name: "serial", New: func(m *mem.Memory, _ *htm.Device) tm.System {
 		return serial.New(m)
 	}}
 }
@@ -250,7 +246,7 @@ func Run(cfg RunConfig) (Result, error) {
 	// Durability (Algo.Persist): an armed point redo-logs every commit to a
 	// throwaway directory and durable-acks in the worker loop below.
 	var plog *persist.Log
-	if mode := cfg.Algo.Persist; mode != persist.ModeOff {
+	if cfg.Algo.Persist {
 		dir, err := os.MkdirTemp("", "rhbench-persist-")
 		if err != nil {
 			return Result{}, fmt.Errorf("bench: persist dir: %w", err)
@@ -260,7 +256,6 @@ func Run(cfg RunConfig) (Result, error) {
 			// The whole allocatable arena (address 0 is mem.Nil): workloads
 			// allocate after New, so the range cannot be narrowed here.
 			Dir: dir, Lo: mem.LineWords, Hi: mem.Addr(m.Size()),
-			SyncEveryAppend: mode == persist.ModeSync,
 		}, m.StorePlain, m.LoadPlain)
 		if err != nil {
 			return Result{}, fmt.Errorf("bench: persist open: %w", err)
@@ -271,9 +266,7 @@ func Run(cfg RunConfig) (Result, error) {
 	}
 	dev := htm.NewDevice(m, cfg.HTM)
 	dev.SetActiveThreads(cfg.Threads)
-	// The paper's static retry policy (§3.3); a policy variant is an
-	// algorithm of its own (RHVariants).
-	sys := cfg.Algo.New(m, dev, tm.RetryPolicy{})
+	sys := cfg.Algo.New(m, dev)
 
 	inst := cfg.Workload.New()
 	setup := sys.NewThread()

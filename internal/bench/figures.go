@@ -215,13 +215,11 @@ func Experiments() []Experiment {
 			Workloads: []Workload{Disjoint(DisjointConfig{Lines: 4})}},
 		// The durability-overhead sweep (DESIGN.md §15, docs/PERSIST.md):
 		// every transaction read-modify-writes the same two shared lines
-		// and durable-acks, under the persist variants. Group fsync stays
-		// within a small factor of persist-off because concurrent waiters
-		// amortize one fsync pass per commit group; fsync-per-commit pays
-		// a full fsync inside every commit's append and falls off a cliff
-		// as threads grow. Each variant names its own mode (Algo.Persist).
-		// CI's crash-recovery job runs it as a smoke.
-		{Name: "persist", Title: "Persist: durable-acked hotspot (off vs group fsync vs fsync-per-commit)",
+		// and durable-acks, off vs group fsync. Group fsync stays within a
+		// small factor of persist-off because concurrent waiters amortize
+		// one fsync pass per commit group. The persisting variant sets
+		// Algo.Persist. CI's crash-recovery job runs it as a smoke.
+		{Name: "persist", Title: "Persist: durable-acked hotspot (off vs group fsync)",
 			Workloads: []Workload{Hotspot(HotspotConfig{Lines: 2})},
 			defaults: func(c *FigureConfig) {
 				if len(c.Algos) == 0 {

@@ -120,7 +120,7 @@ func TestRHVariantsDistinctAndRunnable(t *testing.T) {
 			t.Errorf("%s: no ops", a.Name)
 		}
 	}
-	for _, want := range []string{"rh-norec", "rh-noprefix", "rh-nopostfix", "rh-noadapt", "hy-norec", "norec-lazy"} {
+	for _, want := range []string{"rh-norec", "rh-noprefix", "rh-nopostfix", "hy-norec", "norec-lazy"} {
 		if !seen[want] {
 			t.Errorf("missing variant %q", want)
 		}

@@ -14,7 +14,7 @@ import (
 // system and returns both, for a test to corrupt the state and check again.
 func cleanRun(t *testing.T, wl Workload) (conformance.Instance, tm.System) {
 	t.Helper()
-	sys := SerialAlgo().New(mem.New(1<<20), nil, tm.RetryPolicy{})
+	sys := SerialAlgo().New(mem.New(1<<20), nil)
 	inst := wl.New()
 	if err := conformance.Drive(sys, wl.Name, inst, 2, 100, 1); err != nil {
 		t.Fatalf("clean run: %v", err)

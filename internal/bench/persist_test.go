@@ -1,7 +1,7 @@
 package bench
 
 // Tests of the durability-overhead wiring: Run must arm the redo log for
-// exactly the algorithms whose Algo.Persist names a mode, durable-ack every
+// exactly the algorithms whose Algo.Persist is set, durable-ack every
 // operation, and keep the persist variants resolvable by name.
 
 import (
@@ -13,51 +13,48 @@ import (
 	"rhnorec/internal/core"
 	"rhnorec/internal/htm"
 	"rhnorec/internal/mem"
-	"rhnorec/internal/persist"
 	"rhnorec/internal/tm"
 )
 
 func TestPersistVariantsResolve(t *testing.T) {
-	for _, name := range []string{"rh-norec+persist", "rh-norec+persist-sync"} {
-		a, ok := AlgoByName(name)
-		if !ok {
-			t.Fatalf("AlgoByName(%q) not found", name)
-		}
-		if a.Persist == persist.ModeOff {
-			t.Fatalf("%s: persist mode %v, want an armed mode", name, a.Persist)
-		}
+	a, ok := AlgoByName("rh-norec+persist")
+	if !ok {
+		t.Fatal(`AlgoByName("rh-norec+persist") not found`)
+	}
+	if !a.Persist {
+		t.Fatal("rh-norec+persist resolves without persistence")
 	}
 	// The plain algorithms do not persist.
-	if a, _ := AlgoByName("rh-norec"); a.Persist != persist.ModeOff {
-		t.Fatalf("rh-norec resolves with persist mode %v", a.Persist)
+	if a, _ := AlgoByName("rh-norec"); a.Persist {
+		t.Fatal("rh-norec resolves with persistence")
 	}
 }
 
-// TestPersistRunArms: a point whose algorithm names a persist mode must have
-// a persister attached to its memory before the system is constructed, and
+// TestPersistRunArms: a point whose algorithm persists must have a
+// persister attached to its memory before the system is constructed, and
 // still complete ops while durable-acking each one; a point whose algorithm
-// names none gets no persister.
+// does not gets no persister.
 func TestPersistRunArms(t *testing.T) {
-	for _, mode := range []persist.Mode{persist.ModeGroup, persist.ModeSync, persist.ModeOff} {
+	for _, persists := range []bool{true, false} {
 		var attached bool
 		res, err := Run(RunConfig{
 			Workload: Hotspot(HotspotConfig{Lines: 2}),
-			Algo: Algo{Name: "probe", Persist: mode,
-				New: func(m *mem.Memory, d *htm.Device, p tm.RetryPolicy) tm.System {
+			Algo: Algo{Name: "probe", Persist: persists,
+				New: func(m *mem.Memory, d *htm.Device) tm.System {
 					attached = m.Persisting()
-					return core.New(m, d, p)
+					return core.New(m, d, tm.RetryPolicy{})
 				}},
 			Threads:     2,
 			PointConfig: PointConfig{Duration: 20 * time.Millisecond, MemWords: 1 << 16},
 		})
 		if err != nil {
-			t.Fatalf("mode %v: %v", mode, err)
+			t.Fatalf("persist %v: %v", persists, err)
 		}
-		if attached != (mode != persist.ModeOff) {
-			t.Fatalf("mode %v: persister attached at system construction = %v", mode, attached)
+		if attached != persists {
+			t.Fatalf("persist %v: persister attached at system construction = %v", persists, attached)
 		}
 		if res.Ops == 0 {
-			t.Fatalf("mode %v: zero ops completed", mode)
+			t.Fatalf("persist %v: zero ops completed", persists)
 		}
 	}
 }
@@ -76,7 +73,7 @@ func TestPersistFigureSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"rh-norec+persist", "rh-norec+persist-sync", "hotspot"} {
+	for _, want := range []string{"rh-norec+persist", "hotspot"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("figure output missing %q:\n%s", want, out)
 		}

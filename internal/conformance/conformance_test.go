@@ -39,7 +39,7 @@ func TestScenariosUnderAllDrivers(t *testing.T) {
 					m := mem.New(1 << 20)
 					dev := htm.NewDevice(m, htm.Config{SpuriousAbortProb: 0.001})
 					dev.SetActiveThreads(4)
-					sys := algo.New(m, dev, tm.RetryPolicy{})
+					sys := algo.New(m, dev)
 					if err := sc.Drive(sys, conformance.ScaleTest, 4, 250, 1); err != nil {
 						t.Error(err)
 					}
@@ -55,7 +55,7 @@ func TestDriveRejectsZeroWorkers(t *testing.T) {
 	sc, _ := conformance.ByName("bank")
 	for _, threads := range []int{0, -3} {
 		m := mem.New(1 << 20)
-		sys := bench.SerialAlgo().New(m, nil, tm.RetryPolicy{})
+		sys := bench.SerialAlgo().New(m, nil)
 		if err := sc.Drive(sys, conformance.ScaleTest, threads, 10, 1); err == nil {
 			t.Errorf("Drive with %d threads returned nil", threads)
 		}
@@ -112,7 +112,7 @@ func TestDriveReportsViolation(t *testing.T) {
 	dev := htm.NewDevice(m, htm.Config{})
 	dev.SetActiveThreads(2)
 	rh, _ := bench.AlgoByName("rh-norec")
-	sys := rh.New(m, dev, tm.RetryPolicy{})
+	sys := rh.New(m, dev)
 	err := sc.Drive(brokenSystem{sys}, conformance.ScaleTest, 2, 150, 1)
 	if err == nil {
 		t.Fatal("lossy system passed the bank conservation oracle")

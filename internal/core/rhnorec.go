@@ -325,9 +325,6 @@ const (
 // has not seen yet instead of doubling past it.
 func (t *thread) adaptPrefixAfterSuccess() {
 	p := &t.sys.policy
-	if p.DisablePrefixAdaptation {
-		return
-	}
 	t.prefixStreak++
 	if !t.prefixLimited || t.expectedLen >= p.InitialPrefixLength {
 		return
@@ -359,7 +356,7 @@ func (t *thread) adaptPrefixAfterSuccess() {
 //     callback, a user error (nil): length was not the cause; no change.
 func (t *thread) adaptPrefixAfterAbort(verdict *htm.Abort, reads int) {
 	p := &t.sys.policy
-	if p.DisablePrefixAdaptation || verdict == nil || tm.IsRestartVerdict(verdict) || verdict.Code == htm.Explicit {
+	if verdict == nil || tm.IsRestartVerdict(verdict) || verdict.Code == htm.Explicit {
 		return
 	}
 	t.prefixStreak = 0

@@ -199,7 +199,7 @@ func RunScenario(sc Scenario, cfg Config, strat Strategy) (RunResult, error) {
 	env := &Env{M: m, Dev: dev}
 	if sc.NeedsTM {
 		algo, _ := bench.AlgoByName(cfg.Algo)
-		env.Sys = algo.New(m, dev, tm.RetryPolicy{})
+		env.Sys = algo.New(m, dev)
 	}
 	s := &scheduler{timeout: cfg.Timeout, violated: env.firstViolation}
 	env.sched = s

@@ -40,44 +40,6 @@ const (
 	EventSync
 )
 
-// Mode is a deployment's durability setting: no redo log at all, or how
-// eagerly appended records reach stable storage. The harnesses that own a
-// log's lifetime carry it (serve.Config, bench.RunConfig) and turn it into
-// Options.
-type Mode uint8
-
-const (
-	// ModeOff runs without a redo log.
-	ModeOff Mode = iota
-	// ModeGroup appends redo records at commit and fsyncs in groups: a
-	// durable ack waits for the group-fsync frontier, batching every
-	// concurrent waiter behind one fsync pass.
-	ModeGroup
-	// ModeSync fsyncs inside every commit's append
-	// (Options.SyncEveryAppend) — the fsync-per-commit ablation.
-	ModeSync
-)
-
-var modeNames = [...]string{ModeOff: "off", ModeGroup: "group", ModeSync: "sync"}
-
-// String returns the mode's stable name (rhserve's -persist vocabulary).
-func (m Mode) String() string {
-	if int(m) < len(modeNames) {
-		return modeNames[m]
-	}
-	return "invalid"
-}
-
-// ModeByName parses a mode name as rhserve's -persist flag accepts it.
-func ModeByName(name string) (Mode, bool) {
-	for m, n := range modeNames {
-		if n == name {
-			return Mode(m), true
-		}
-	}
-	return ModeOff, false
-}
-
 // Options parameterizes Open.
 type Options struct {
 	// Dir is the log directory; used when Backend is nil (FileBackend).
@@ -89,9 +51,6 @@ type Options struct {
 	// fallback counter) never spam the log or get replayed over a fresh
 	// system's state.
 	Lo, Hi mem.Addr
-	// SyncEveryAppend fsyncs inside every Append — the fsync-per-commit
-	// ablation (rhserve -persist sync, rhbench's rh-norec+persist-sync).
-	SyncEveryAppend bool
 	// OnEvent, when set, observes every append and sync (explore crash
 	// plane). Called outside the log's locks.
 	OnEvent func(ev Event, seq uint64)
@@ -137,9 +96,8 @@ type Counters struct {
 // Log is the append side of the persistence plane. It implements
 // mem.Persister; construct with Open (which also runs recovery).
 type Log struct {
-	lo, hi    mem.Addr
-	syncEvery bool
-	onEvent   func(Event, uint64)
+	lo, hi  mem.Addr
+	onEvent func(Event, uint64)
 
 	// appendMu orders sequence assignment and buffer encoding; holding it is
 	// the linearization point of persistence. Conflicting commits reach
@@ -175,9 +133,10 @@ type Log struct {
 
 // Append implements mem.Persister: it buffers one redo record for the
 // in-range entries of writes, under a dense sequence number. Commits with no
-// in-range entries produce no record and no sequence. Append never blocks on
-// I/O unless SyncEveryAppend is set. The memory's commit ticket is not
-// logged.
+// in-range entries produce no record and no sequence. Append does no I/O:
+// it runs inside the committer's stripe window (or under the software clock
+// lock), so only WaitDurable, Sync and Close write and fsync. The memory's
+// commit ticket is not logged.
 func (l *Log) Append(_ uint64, writes []mem.WriteEntry) {
 	npairs := 0
 	for i := range writes {
@@ -207,14 +166,6 @@ func (l *Log) Append(_ uint64, writes []mem.WriteEntry) {
 	l.appendMu.Unlock()
 	if l.onEvent != nil {
 		l.onEvent(EventAppend, seq)
-	}
-	if l.syncEvery {
-		l.syncMu.Lock()
-		l.syncLocked()
-		l.syncMu.Unlock()
-		if l.onEvent != nil {
-			l.onEvent(EventSync, l.durable.Load())
-		}
 	}
 }
 

@@ -99,19 +99,68 @@ func TestRangeFilter(t *testing.T) {
 	}
 }
 
-func TestSyncEveryAppend(t *testing.T) {
-	b := NewMemBackend()
-	w := wordStore{}
-	l, _ := openStore(t, Options{Backend: b, Lo: 8, Hi: 64, SyncEveryAppend: true}, w)
-	defer l.Close()
-	l.Append(1, []mem.WriteEntry{{Addr: 8, Value: 1}})
-	l.Append(2, []mem.WriteEntry{{Addr: 9, Value: 2}})
-	if got := l.Durable(); got != 2 {
-		t.Fatalf("Durable = %d, want 2 without any WaitDurable", got)
+// countingBackend is a MemBackend whose files count their Append and Sync
+// calls.
+type countingBackend struct {
+	*MemBackend
+	appends, syncs atomic.Int64
+}
+
+func (b *countingBackend) OpenAppend(name string) (File, error) {
+	f, err := b.MemBackend.OpenAppend(name)
+	if err != nil {
+		return nil, err
 	}
-	c := l.CountersSnapshot()
-	if c.FsyncGroups != 2 {
-		t.Fatalf("FsyncGroups = %d, want one per append", c.FsyncGroups)
+	return countingFile{File: f, b: b}, nil
+}
+
+type countingFile struct {
+	File
+	b *countingBackend
+}
+
+func (f countingFile) Append(p []byte) error {
+	f.b.appends.Add(1)
+	return f.File.Append(p)
+}
+
+func (f countingFile) Sync() error {
+	f.b.syncs.Add(1)
+	return f.File.Sync()
+}
+
+// TestAppendTouchesNoBackend: Append runs inside a committer's stripe window
+// or under the software clock lock, so it never writes or fsyncs. Concurrent
+// appends reach the file only through the one group pass of the WaitDurable
+// after them: one write and one fsync.
+func TestAppendTouchesNoBackend(t *testing.T) {
+	const goroutines, perG = 4, 250
+	b := &countingBackend{MemBackend: NewMemBackend()}
+	l, _ := openStore(t, Options{Backend: b, Lo: 8, Hi: 1 << 16}, wordStore{})
+	defer l.Close()
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				a := mem.Addr(8 + (g*perG+i)%1024*mem.LineWords)
+				l.Append(uint64(i), []mem.WriteEntry{{Addr: a, Value: uint64(i)}})
+			}
+		}(g)
+	}
+	wg.Wait()
+	if a, s := b.appends.Load(), b.syncs.Load(); a != 0 || s != 0 {
+		t.Fatalf("%d appends made %d file writes and %d fsyncs, want 0 and 0", goroutines*perG, a, s)
+	}
+	if got := l.Appended(); got != goroutines*perG {
+		t.Fatalf("Appended = %d, want %d", got, goroutines*perG)
+	}
+	if err := l.WaitDurable(l.Appended()); err != nil {
+		t.Fatal(err)
+	}
+	if a, s := b.appends.Load(), b.syncs.Load(); a != 1 || s != 1 {
+		t.Fatalf("one WaitDurable made %d file writes and %d fsyncs, want 1 and 1", a, s)
 	}
 }
 
@@ -222,6 +271,12 @@ func (f faultFile) Sync() error {
 	return f.File.Sync()
 }
 
+// groupFsync names the one subtest level of TestStickyError and
+// TestSlowFsync. Group fsync is the log's only durability mode; the level
+// keeps the name those rows carry in earlier results, so runs before and
+// after the per-append mode was deleted compare row for row.
+const groupFsync = "SyncEveryAppend=false"
+
 // TestStickyError: one failed write or fsync is never retried and then
 // trusted. Every later WaitDurable, Sync, Err and Close returns that error,
 // concurrent waiters all get it, and the durable frontier stays below the
@@ -243,102 +298,100 @@ func TestStickyError(t *testing.T) {
 		{"short-write", faultShortWrite, errors.New("injected short write"), true, 1},
 		{"enospc", faultENOSPC, syscall.ENOSPC, true, 0},
 	}
-	for _, every := range []bool{false, true} {
-		t.Run(fmt.Sprintf("SyncEveryAppend=%v", every), func(t *testing.T) {
-			for _, c := range faults {
-				t.Run(c.name, func(t *testing.T) {
-					b := &faultBackend{MemBackend: NewMemBackend(), kind: c.kind, err: c.err}
-					l, _ := openStore(t, Options{Backend: b, Lo: 8, Hi: 1024, SyncEveryAppend: every}, wordStore{})
-					var commits [][]mem.WriteEntry
-					put := func(v uint64) {
-						writes := []mem.WriteEntry{{Addr: mem.Addr(8 + v%64*mem.LineWords), Value: v}}
-						l.Append(v, writes)
-						commits = append(commits, writes)
-					}
-					put(1)
-					if err := l.WaitDurable(1); err != nil {
-						t.Fatal(err)
-					}
-					const good = 1 // the durable frontier before the failure
-					b.armed.Store(true)
-					for v := uint64(2); v <= 5; v++ {
-						put(v)
-					}
-					target := l.Appended()
+	t.Run(groupFsync, func(t *testing.T) {
+		for _, c := range faults {
+			t.Run(c.name, func(t *testing.T) {
+				b := &faultBackend{MemBackend: NewMemBackend(), kind: c.kind, err: c.err}
+				l, _ := openStore(t, Options{Backend: b, Lo: 8, Hi: 1024}, wordStore{})
+				var commits [][]mem.WriteEntry
+				put := func(v uint64) {
+					writes := []mem.WriteEntry{{Addr: mem.Addr(8 + v%64*mem.LineWords), Value: v}}
+					l.Append(v, writes)
+					commits = append(commits, writes)
+				}
+				put(1)
+				if err := l.WaitDurable(1); err != nil {
+					t.Fatal(err)
+				}
+				const good = 1 // the durable frontier before the failure
+				b.armed.Store(true)
+				for v := uint64(2); v <= 5; v++ {
+					put(v)
+				}
+				target := l.Appended()
 
-					const waiters = 4
-					errs := make(chan error, waiters)
-					start := make(chan struct{})
-					for w := 0; w < waiters; w++ {
-						go func() {
-							<-start
-							errs <- l.WaitDurable(target)
-						}()
+				const waiters = 4
+				errs := make(chan error, waiters)
+				start := make(chan struct{})
+				for w := 0; w < waiters; w++ {
+					go func() {
+						<-start
+						errs <- l.WaitDurable(target)
+					}()
+				}
+				close(start)
+				for w := 0; w < waiters; w++ {
+					if err := <-errs; !errors.Is(err, c.err) {
+						t.Errorf("concurrent waiter got %v, want %v", err, c.err)
 					}
-					close(start)
-					for w := 0; w < waiters; w++ {
-						if err := <-errs; !errors.Is(err, c.err) {
-							t.Errorf("concurrent waiter got %v, want %v", err, c.err)
-						}
-					}
-					if b.armed.Load() {
-						t.Fatal("the armed fault never fired")
-					}
+				}
+				if b.armed.Load() {
+					t.Fatal("the armed fault never fired")
+				}
 
-					for v := uint64(6); v <= 8; v++ {
-						put(v)
-						if err := l.WaitDurable(l.Appended()); !errors.Is(err, c.err) {
-							t.Errorf("WaitDurable after the failure = %v", err)
-						}
-						if err := l.WaitDurable(good); !errors.Is(err, c.err) {
-							t.Errorf("WaitDurable on an already durable seq = %v", err)
-						}
-						if err := l.Sync(); !errors.Is(err, c.err) {
-							t.Errorf("Sync after the failure = %v", err)
-						}
-						if err := l.Err(); !errors.Is(err, c.err) {
-							t.Errorf("Err after the failure = %v", err)
-						}
-						if d := l.Durable(); d != good {
-							t.Fatalf("Durable = %d after a failed pass to %d, want it held at %d", d, target, good)
-						}
+				for v := uint64(6); v <= 8; v++ {
+					put(v)
+					if err := l.WaitDurable(l.Appended()); !errors.Is(err, c.err) {
+						t.Errorf("WaitDurable after the failure = %v", err)
 					}
-					if err := l.Close(); !errors.Is(err, c.err) {
-						t.Errorf("Close = %v, want %v", err, c.err)
+					if err := l.WaitDurable(good); !errors.Is(err, c.err) {
+						t.Errorf("WaitDurable on an already durable seq = %v", err)
+					}
+					if err := l.Sync(); !errors.Is(err, c.err) {
+						t.Errorf("Sync after the failure = %v", err)
+					}
+					if err := l.Err(); !errors.Is(err, c.err) {
+						t.Errorf("Err after the failure = %v", err)
 					}
 					if d := l.Durable(); d != good {
-						t.Errorf("Close moved Durable to %d, want %d", d, good)
+						t.Fatalf("Durable = %d after a failed pass to %d, want it held at %d", d, target, good)
 					}
-					if cs := l.CountersSnapshot(); cs.Durable != good || cs.FsyncGroups != 1 {
-						t.Errorf("counters %+v, want one good fsync group and Durable %d", cs, good)
-					}
+				}
+				if err := l.Close(); !errors.Is(err, c.err) {
+					t.Errorf("Close = %v, want %v", err, c.err)
+				}
+				if d := l.Durable(); d != good {
+					t.Errorf("Close moved Durable to %d, want %d", d, good)
+				}
+				if cs := l.CountersSnapshot(); cs.Durable != good || cs.FsyncGroups != 1 {
+					t.Errorf("counters %+v, want one good fsync group and Durable %d", cs, good)
+				}
 
-					// Recover every byte the file holds, as a reboot without a
-					// power loss would.
-					w := wordStore{}
-					l2, stats := openStore(t, Options{Backend: b.MemBackend, Lo: 8, Hi: 1024}, w)
-					defer l2.Close()
-					if stats.Seq < good || c.exact && stats.Seq != good {
-						t.Fatalf("recovered to seq %d with the durable frontier at %d (exact: %v)", stats.Seq, good, c.exact)
+				// Recover every byte the file holds, as a reboot without a
+				// power loss would.
+				w := wordStore{}
+				l2, stats := openStore(t, Options{Backend: b.MemBackend, Lo: 8, Hi: 1024}, w)
+				defer l2.Close()
+				if stats.Seq < good || c.exact && stats.Seq != good {
+					t.Fatalf("recovered to seq %d with the durable frontier at %d (exact: %v)", stats.Seq, good, c.exact)
+				}
+				if stats.TornTails != c.torn {
+					t.Errorf("TornTails = %d, want %d", stats.TornTails, c.torn)
+				}
+				want := wordStore{}
+				for _, writes := range commits[:stats.Seq] {
+					for _, e := range writes {
+						want[e.Addr] = e.Value
 					}
-					if stats.TornTails != c.torn {
-						t.Errorf("TornTails = %d, want %d", stats.TornTails, c.torn)
+				}
+				for a := mem.Addr(8); a < 1024; a++ {
+					if w[a] != want[a] {
+						t.Fatalf("recovered word %d = %d, want %d: the image is not commits 1..%d", a, w[a], want[a], stats.Seq)
 					}
-					want := wordStore{}
-					for _, writes := range commits[:stats.Seq] {
-						for _, e := range writes {
-							want[e.Addr] = e.Value
-						}
-					}
-					for a := mem.Addr(8); a < 1024; a++ {
-						if w[a] != want[a] {
-							t.Fatalf("recovered word %d = %d, want %d: the image is not commits 1..%d", a, w[a], want[a], stats.Seq)
-						}
-					}
-				})
-			}
-		})
-	}
+				}
+			})
+		}
+	})
 }
 
 // slowBackend is a MemBackend whose files' next Sync, once armed is set,
@@ -374,114 +427,106 @@ func (f slowFile) Sync() error {
 
 // TestSlowFsync: a slow fsync stalls only what must wait for it. While one
 // group pass is parked in Sync, Appended, Durable and Err answer, and Durable
-// holds at the frontier before the pass. In group mode an append from another
-// goroutine returns, a second WaitDurable on the newest sequence returns only
-// after the release, and two fsync groups cover both waiters. With
-// SyncEveryAppend, the second append itself waits out the in-flight fsync.
+// holds at the frontier before the pass. An append from another goroutine
+// returns, a second WaitDurable on the newest sequence returns only after the
+// release, and two fsync groups cover both waiters.
 func TestSlowFsync(t *testing.T) {
-	const timeout = 10 * time.Second
-	for _, every := range []bool{false, true} {
-		t.Run(fmt.Sprintf("SyncEveryAppend=%v", every), func(t *testing.T) {
-			b := &slowBackend{MemBackend: NewMemBackend(), parked: make(chan struct{}), release: make(chan struct{})}
-			l, _ := openStore(t, Options{Backend: b, Lo: 8, Hi: 1024, SyncEveryAppend: every}, wordStore{})
-			defer l.Close()
-			var (
-				released atomic.Bool
-				once     sync.Once
-			)
-			release := func() {
-				once.Do(func() {
-					released.Store(true)
-					close(b.release)
-				})
-			}
-			defer release() // before Close, which waits out a parked pass
-			put := func(v uint64) {
-				l.Append(v, []mem.WriteEntry{{Addr: mem.Addr(8 + v*mem.LineWords), Value: v}})
-			}
-			// run starts f on its own goroutine. Its result reports f's error
-			// and whether the release had happened by the time f returned.
-			type result struct {
-				err          error
-				afterRelease bool
-			}
-			run := func(f func() error) <-chan result {
-				ch := make(chan result, 1)
-				go func() {
-					err := f()
-					ch <- result{err, released.Load()}
-				}()
-				return ch
-			}
-			await := func(what string, ch <-chan result) result {
-				t.Helper()
-				select {
-				case r := <-ch:
-					return r
-				case <-time.After(timeout):
-					t.Fatalf("%s did not return within %v", what, timeout)
-					return result{}
-				}
-			}
-			// answers runs f on another goroutine and fails unless it returns
-			// while the fsync is parked.
-			answers := func(what string, f func()) {
-				t.Helper()
-				await(what, run(func() error { f(); return nil }))
-			}
-
-			b.armed.Store(true)
-			first := run(func() error {
-				put(1) // parks here with SyncEveryAppend
-				return l.WaitDurable(1)
+	t.Run(groupFsync, func(t *testing.T) {
+		const timeout = 10 * time.Second
+		b := &slowBackend{MemBackend: NewMemBackend(), parked: make(chan struct{}), release: make(chan struct{})}
+		l, _ := openStore(t, Options{Backend: b, Lo: 8, Hi: 1024}, wordStore{})
+		defer l.Close()
+		var (
+			released atomic.Bool
+			once     sync.Once
+		)
+		release := func() {
+			once.Do(func() {
+				released.Store(true)
+				close(b.release)
 			})
+		}
+		defer release() // before Close, which waits out a parked pass
+		put := func(v uint64) {
+			l.Append(v, []mem.WriteEntry{{Addr: mem.Addr(8 + v*mem.LineWords), Value: v}})
+		}
+		// run starts f on its own goroutine. Its result reports f's error
+		// and whether the release had happened by the time f returned.
+		type result struct {
+			err          error
+			afterRelease bool
+		}
+		run := func(f func() error) <-chan result {
+			ch := make(chan result, 1)
+			go func() {
+				err := f()
+				ch <- result{err, released.Load()}
+			}()
+			return ch
+		}
+		await := func(what string, ch <-chan result) result {
+			t.Helper()
 			select {
-			case <-b.parked:
+			case r := <-ch:
+				return r
 			case <-time.After(timeout):
-				t.Fatal("the first fsync never started")
+				t.Fatalf("%s did not return within %v", what, timeout)
+				return result{}
 			}
-			answers("Appended, Durable and Err", func() {
-				if a, d, err := l.Appended(), l.Durable(), l.Err(); a != 1 || d != 0 || err != nil {
-					t.Errorf("during the parked fsync: Appended %d, Durable %d, Err %v; want 1, 0, nil", a, d, err)
-				}
-			})
+		}
+		// answers runs f on another goroutine and fails unless it returns
+		// while the fsync is parked.
+		answers := func(what string, f func()) {
+			t.Helper()
+			await(what, run(func() error { f(); return nil }))
+		}
 
-			var second <-chan result
-			if every {
-				second = run(func() error { put(2); return nil })
-			} else {
-				answers("an append during the parked fsync", func() { put(2) })
-				if a := l.Appended(); a != 2 {
-					t.Fatalf("Appended %d after the second append, want 2", a)
-				}
-				second = run(func() error { return l.WaitDurable(2) })
-			}
-			time.Sleep(20 * time.Millisecond) // let the second caller block
-			select {
-			case <-second:
-				t.Fatal("the second caller returned while the fsync was parked")
-			default:
-			}
-			if d := l.Durable(); d != 0 {
-				t.Fatalf("Durable %d while the first fsync is parked, want 0", d)
-			}
-
-			release()
-			for i, ch := range []<-chan result{first, second} {
-				r := await(fmt.Sprintf("caller %d", i+1), ch)
-				if r.err != nil {
-					t.Errorf("caller %d: %v", i+1, r.err)
-				}
-				if !r.afterRelease {
-					t.Errorf("caller %d returned before the release", i+1)
-				}
-			}
-			c := l.CountersSnapshot()
-			if c.Durable != 2 || c.FsyncGroups != 2 || c.Fsyncs != 2 {
-				t.Fatalf("counters %+v, want Durable 2 and 2 fsync groups", c)
+		b.armed.Store(true)
+		first := run(func() error {
+			put(1)
+			return l.WaitDurable(1)
+		})
+		select {
+		case <-b.parked:
+		case <-time.After(timeout):
+			t.Fatal("the first fsync never started")
+		}
+		answers("Appended, Durable and Err", func() {
+			if a, d, err := l.Appended(), l.Durable(), l.Err(); a != 1 || d != 0 || err != nil {
+				t.Errorf("during the parked fsync: Appended %d, Durable %d, Err %v; want 1, 0, nil", a, d, err)
 			}
 		})
-	}
+
+		answers("an append during the parked fsync", func() { put(2) })
+		if a := l.Appended(); a != 2 {
+			t.Fatalf("Appended %d after the second append, want 2", a)
+		}
+		second := run(func() error { return l.WaitDurable(2) })
+		time.Sleep(20 * time.Millisecond) // let the second caller block
+		select {
+		case <-second:
+			t.Fatal("the second caller returned while the fsync was parked")
+		default:
+		}
+		if d := l.Durable(); d != 0 {
+			t.Fatalf("Durable %d while the first fsync is parked, want 0", d)
+		}
+
+		release()
+		for i, ch := range []<-chan result{first, second} {
+			r := await(fmt.Sprintf("caller %d", i+1), ch)
+			if r.err != nil {
+				t.Errorf("caller %d: %v", i+1, r.err)
+			}
+			if !r.afterRelease {
+				t.Errorf("caller %d returned before the release", i+1)
+			}
+		}
+		c := l.CountersSnapshot()
+		if c.Durable != 2 || c.FsyncGroups != 2 || c.Fsyncs != 2 {
+			t.Fatalf("counters %+v, want Durable 2 and 2 fsync groups", c)
+		}
+	})
 }
 
 // TestGroupFsyncBatches: one group-fsync pass is one write and one fsync of

@@ -78,13 +78,12 @@ func Open(opts Options, apply func(mem.Addr, uint64), read func(a mem.Addr) uint
 		return nil, stats, err
 	}
 	l := &Log{
-		lo:        opts.Lo,
-		hi:        opts.Hi,
-		syncEvery: opts.SyncEveryAppend,
-		onEvent:   opts.OnEvent,
-		seq:       stats.Seq,
-		file:      f,
-		recovery:  stats,
+		lo:       opts.Lo,
+		hi:       opts.Hi,
+		onEvent:  opts.OnEvent,
+		seq:      stats.Seq,
+		file:     f,
+		recovery: stats,
 	}
 	l.appended.Store(stats.Seq)
 	l.durable.Store(stats.Seq)

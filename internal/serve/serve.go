@@ -128,8 +128,6 @@ type Config struct {
 	// HTM configures the simulated hardware (zero fields take Haswell-like
 	// defaults).
 	HTM htm.Config
-	// Policy tunes retries; zero fields take the paper's defaults.
-	Policy tm.RetryPolicy
 	// Workers sizes the sticky worker pool (default: the HTM core count —
 	// one transaction-running thread per simulated core).
 	Workers int
@@ -159,10 +157,6 @@ type Config struct {
 	// software ones where the driver seals its write log (tm.WriteLog), so
 	// any Algo works.
 	DataDir string
-	// Persist picks how the log armed by DataDir reaches stable storage:
-	// persist.ModeSync fsyncs inside every commit, anything else is group
-	// fsync. No effect without DataDir.
-	Persist persist.Mode
 	// DurableAcks, when true, makes EVERY write request wait for its redo
 	// record to be fsynced before the reply (as if each connection had sent
 	// OpcodeDurable). No effect without DataDir.
@@ -321,7 +315,7 @@ func New(cfg Config) (*Server, error) {
 	m := mem.NewStriped(words, stripes)
 	dev := htm.NewDevice(m, cfg.HTM)
 	dev.SetActiveThreads(cfg.Workers)
-	sys := algo.New(m, dev, cfg.Policy)
+	sys := algo.New(m, dev)
 
 	s := &Server{
 		cfg:   cfg,
@@ -337,10 +331,9 @@ func New(cfg Config) (*Server, error) {
 		// the plain stores need no synchronization and no commit can race
 		// the replay.
 		log, stats, err := persist.Open(persist.Options{
-			Dir:             cfg.DataDir,
-			Lo:              s.base,
-			Hi:              s.base + mem.Addr(cfg.Keys*mem.LineWords),
-			SyncEveryAppend: cfg.Persist == persist.ModeSync,
+			Dir: cfg.DataDir,
+			Lo:  s.base,
+			Hi:  s.base + mem.Addr(cfg.Keys*mem.LineWords),
 		}, m.StorePlain, m.LoadPlain)
 		if err != nil {
 			return nil, fmt.Errorf("serve: persistence: %w", err)

@@ -243,8 +243,8 @@ func (w *worker) execBatch(batch []*request) {
 	if err == nil && !readOnly && w.s.log != nil && w.wantDurable(batch) {
 		// Durable ack: hold the replies until the batch's redo records are
 		// fsynced. Appended() is read after the commit returned, so it covers
-		// this batch's sequence. Unless the commit already synced it
-		// (persist.ModeSync), exec waits after releasing the worker.
+		// this batch's sequence. Unless another chain's group pass already
+		// made it durable, exec waits after releasing the worker.
 		if seq := w.s.log.Appended(); w.s.log.Durable() < seq {
 			w.syncSeq, wait = seq, true
 		} else {

@@ -27,9 +27,6 @@ type RetryPolicy struct {
 	// transaction onto the slow path (ablation knob; isolates slow-path
 	// behavior).
 	DisableFast bool
-	// DisablePrefixAdaptation freezes the prefix length at
-	// InitialPrefixLength (ablation knob).
-	DisablePrefixAdaptation bool
 }
 
 // DefaultPolicy returns the paper's static policy: 10 hardware retries and
