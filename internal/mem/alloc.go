@@ -13,11 +13,16 @@ import (
 // which refill from (and overflow to) central free lists in batches, and the
 // central lists carve fresh runs from a bump arena.
 //
-// Blocks handed out by Alloc are zeroed. Zeroing happens without advancing
-// the memory clock, which is safe because a block is only recycled after the
-// TM layer's epoch-based reclamation (package tm) has established that no
-// transaction — not even a doomed one still running on a stale snapshot —
-// can hold a reference to it.
+// Blocks handed out by Alloc are zeroed, recycled and freshly carved ones
+// alike, with one bulk clear of the block's words. Zeroing happens without
+// advancing the memory clock and without atomic stores, which is safe
+// because a block is only recycled after the TM layer's epoch-based
+// reclamation (package tm) has established that no transaction — not even a
+// doomed one still running on a stale snapshot — can hold a reference to it,
+// and a fresh carve was never handed out at all. Carved words are zeroed
+// too, though a new arena reads zero: a caller may have stored above
+// AllocMark with StorePlain (EXPERIMENTS.md "Boot at memory speed" prices
+// skipping it).
 
 // classSizes lists the allocation size classes in words, tcmalloc-style
 // (powers of two with midpoints). Requests above the largest class are
@@ -221,10 +226,11 @@ func (m *Memory) ArenaUsed() int64 {
 	return int64(m.alloc.next) - LineWords
 }
 
-// zeroRange clears n words starting at a without advancing the memory clock.
-// Only the allocator may call it, and only on quiescent blocks.
+// zeroRange clears n words starting at a with one bulk clear, without
+// advancing the memory clock. Only the allocator may call it, and only on
+// quiescent blocks: no transaction can hold the block's address (see the
+// zeroing comment at the top of this file), so no load races the plain
+// stores.
 func (m *Memory) zeroRange(a Addr, n int) {
-	for i := 0; i < n; i++ {
-		atomic.StoreUint64(&m.words[a+Addr(i)], 0)
-	}
+	clear(m.words[a : a+Addr(n)])
 }

@@ -57,6 +57,30 @@ func TestAllocZeroesReusedBlocks(t *testing.T) {
 	}
 }
 
+// TestAllocZeroesFreshCarves: a block carved fresh from the arena is zeroed
+// too, not assumed zero, so words stored above AllocMark before the carve do
+// not leak into a class-sized or an oversized block.
+func TestAllocZeroesFreshCarves(t *testing.T) {
+	const dirty = 6000
+	m := New(1 << 14)
+	mark := m.AllocMark()
+	for i := Addr(0); i < dirty; i++ {
+		m.StorePlain(mark+i, ^uint64(0))
+	}
+	c := m.NewThreadCache()
+	for _, n := range []int{8, 5000} {
+		a := c.Alloc(n)
+		if a < mark || a+Addr(n) > mark+dirty {
+			t.Fatalf("Alloc(%d) = [%d,%d), outside the dirtied words [%d,%d)", n, a, a+Addr(n), mark, mark+dirty)
+		}
+		for i := 0; i < n; i++ {
+			if got := m.LoadPlain(a + Addr(i)); got != 0 {
+				t.Fatalf("fresh %d-word block word %d = %#x, want 0", n, i, got)
+			}
+		}
+	}
+}
+
 func TestAllocDistinctBlocks(t *testing.T) {
 	m := New(1 << 16)
 	c := m.NewThreadCache()

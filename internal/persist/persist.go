@@ -15,13 +15,17 @@
 // sequence on top of the checkpoint, and stops at the first record that is
 // torn, checksum-corrupt or out of sequence — so a crash can lose only
 // un-acked suffix commits, never resurrect an aborted transaction, and never
-// tear one in half. A directory whose checkpoint an older format wrote
-// (RHCKPT01) is refused at boot, untouched.
+// tear one in half. It then checkpoints the image it decoded, so a boot
+// writes each word of the range once and reads none back. Records and
+// checkpoints carry CRC-32C checksums; this build writes checkpoint magic
+// RHCKPT03, and a directory whose checkpoint an older format wrote (RHCKPT01,
+// RHCKPT02) is refused at boot by its magic, untouched.
 package persist
 
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"sync"
 	"sync/atomic"
 
@@ -62,7 +66,8 @@ type Options struct {
 //	u64 seq      — dense per-log commit sequence number
 //	u32 npairs   — word pairs in this record
 //	npairs × (u64 addr, u64 val)
-//	u64 checksum — FNV-64a over the payload (seq through the last pair)
+//	u64 checksum — CRC-32C of the payload (seq through the last pair),
+//	               zero-extended: its upper half reads zero
 //
 // A record of n pairs is 24 + 16n bytes.
 const (
@@ -159,7 +164,7 @@ func (l *Log) Append(_ uint64, writes []mem.WriteEntry) {
 			b = binary.LittleEndian.AppendUint64(b, writes[i].Value)
 		}
 	}
-	l.buf = binary.LittleEndian.AppendUint64(b, fnv64a(b[start:]))
+	l.buf = binary.LittleEndian.AppendUint64(b, checksum(b[start:]))
 	l.seq = seq
 	l.appended.Store(seq)
 	l.nAppends++
@@ -283,15 +288,14 @@ func (l *Log) CountersSnapshot() Counters {
 	return c
 }
 
-// fnv64a is the record checksum: FNV-64a over p.
-func fnv64a(p []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, b := range p {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	return h
-}
+// castagnoli is the CRC-32C table, built once; crc32 computes it with the
+// CPU's CRC instruction where there is one.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// checksum is the record and checkpoint checksum: the CRC-32C of p,
+// zero-extended to the 8-byte field, so a field whose upper half is not zero
+// fails to verify.
+func checksum(p []byte) uint64 { return uint64(crc32.Checksum(p, castagnoli)) }
 
 func (o Options) withDefaults() (Options, error) {
 	if o.Backend == nil {

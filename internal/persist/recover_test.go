@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -84,7 +85,7 @@ func (h *history) stateAt(s uint64) func(mem.Addr) uint64 {
 func (h *history) recoverModel(t *testing.T, label string, img Backend) RecoveryStats {
 	t.Helper()
 	w := wordStore{}
-	stats, err := recoverState(img, oracleLo, oracleHi, w.apply)
+	stats, _, err := recoverState(img, oracleLo, oracleHi, w.apply)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -161,6 +162,62 @@ func TestRecoverMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestCheckpointIsRecoveredImage: the checkpoint Open writes is built from
+// what recovery decoded, not read back from memory, so it must still decode
+// word for word to what apply stored, at the recovered seq. It opens every
+// crash image, a truncated log and a checkpoint laid over a log of
+// TestRecoverMatchesOracle's seeded histories, and a fresh directory, which
+// must checkpoint an all-zero image at seq 0.
+func TestCheckpointIsRecoveredImage(t *testing.T) {
+	check := func(label string, img Backend) {
+		t.Helper()
+		w := wordStore{}
+		l, stats, err := Open(Options{Backend: img, Lo: oracleLo, Hi: oracleHi}, w.apply,
+			func(mem.Addr) uint64 { panic("Open read a word back") })
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		defer l.Close()
+		got := wordStore{}
+		seq, err := loadCheckpoint(img, oracleLo, oracleHi, newCheckpoint(oracleLo, oracleHi), got.apply)
+		if err != nil {
+			t.Fatalf("%s: the checkpoint Open wrote: %v", label, err)
+		}
+		if seq != stats.Seq {
+			t.Fatalf("%s: checkpoint seq %d, recovered %d", label, seq, stats.Seq)
+		}
+		for a := oracleLo; a < oracleHi; a++ {
+			if got[a] != w[a] {
+				t.Fatalf("%s: checkpoint word %d = %d, apply stored %d", label, a, got[a], w[a])
+			}
+		}
+	}
+	check("fresh", NewMemBackend())
+	for seed := int64(1); seed <= 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		h := genHistory(t, rng, 48)
+		name := fmt.Sprintf("seed=%d", seed)
+		for i, c := range h.crashes {
+			check(fmt.Sprintf("%s/crash@%d", name, i+1), c.img.CrashSnapshot())
+		}
+		data, err := h.live.ReadFile(logName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img := h.live.CrashSnapshot()
+		img.WriteAtomic(logName, data[:rng.Intn(len(data))])
+		check(name+"/truncate", img)
+
+		full := h.recoverModel(t, name+"/live", h.live)
+		s := 1 + uint64(rng.Intn(int(full.Seq)-1))
+		img = h.live.CrashSnapshot()
+		if err := writeCheckpoint(img, oracleLo, oracleHi, s, h.stateAt(s)); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("%s/checkpoint@%d", name, s), img)
+	}
+}
+
 // ---- the stream's own contract ----
 
 // encodeRecord appends one record in the on-disk layout, written out field
@@ -174,7 +231,28 @@ func encodeRecord(b []byte, seq uint64, pairs []mem.WriteEntry) []byte {
 		b = binary.LittleEndian.AppendUint64(b, uint64(e.Addr))
 		b = binary.LittleEndian.AppendUint64(b, e.Value)
 	}
-	return binary.LittleEndian.AppendUint64(b, fnv64a(b[start:]))
+	return binary.LittleEndian.AppendUint64(b, uint64(crc32.Checksum(b[start:], crc32.MakeTable(crc32.Castagnoli))))
+}
+
+// fnv64a is the FNV-64a checksum builds before RHCKPT03 wrote, kept to lay
+// out their directories.
+func fnv64a(p []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, b := range p {
+		h ^= uint64(b)
+		h *= 1099511628211
+	}
+	return h
+}
+
+// writeCheckpoint writes a checkpoint at seq whose image of [lo, hi) is
+// read's.
+func writeCheckpoint(b Backend, lo, hi mem.Addr, seq uint64, read func(mem.Addr) uint64) error {
+	img := newCheckpoint(lo, hi)
+	for a := lo; a < hi; a++ {
+		binary.LittleEndian.PutUint64(img[ckptHeadBytes+(a-lo)*8:], read(a))
+	}
+	return saveCheckpoint(b, img, seq)
 }
 
 // TestAppendRecordBytes: one Append of n in-range pairs writes exactly
@@ -296,6 +374,51 @@ func TestRefuseRHCKPT01(t *testing.T) {
 	}
 }
 
+// TestRefuseRHCKPT02: a directory the FNV-64a build wrote — an RHCKPT02
+// checkpoint and a log of records with FNV-64a trailers — is refused by its
+// magic, not reported as a checksum mismatch, with an error naming both
+// formats, and every file in it is left byte for byte as it was.
+func TestRefuseRHCKPT02(t *testing.T) {
+	const lo, hi = mem.Addr(8), mem.Addr(64)
+	ckpt := binary.LittleEndian.AppendUint64(nil, ckptMagicV2)
+	ckpt = binary.LittleEndian.AppendUint64(ckpt, uint64(lo))
+	ckpt = binary.LittleEndian.AppendUint64(ckpt, uint64(hi))
+	ckpt = binary.LittleEndian.AppendUint64(ckpt, 3)
+	for a := lo; a < hi; a++ {
+		ckpt = binary.LittleEndian.AppendUint64(ckpt, uint64(a))
+	}
+	ckpt = binary.LittleEndian.AppendUint64(ckpt, fnv64a(ckpt))
+	rec := encodeRecord(nil, 4, []mem.WriteEntry{{Addr: lo, Value: 7}})
+	binary.LittleEndian.PutUint64(rec[len(rec)-8:], fnv64a(rec[4:len(rec)-8]))
+	dir := t.TempDir()
+	files := map[string][]byte{checkpointName: ckpt, logName: rec}
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l, _, err := Open(Options{Dir: dir, Lo: lo, Hi: hi}, func(mem.Addr, uint64) {}, func(mem.Addr) uint64 { return 0 })
+	if err == nil {
+		l.Close()
+		t.Fatal("Open accepted an RHCKPT02 directory")
+	}
+	if !strings.Contains(err.Error(), "RHCKPT02") || !strings.Contains(err.Error(), "RHCKPT03") {
+		t.Fatalf("error %q does not name the directory's format and this build's", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(files) {
+		t.Fatalf("the directory holds %d entries after the refusal, want %d", len(entries), len(files))
+	}
+	for name, want := range files {
+		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s changed by the refusal (err %v)", name, err)
+		}
+	}
+}
+
 const (
 	allocLo = mem.Addr(mem.LineWords)
 	allocHi = allocLo + 1024*mem.LineWords
@@ -365,6 +488,27 @@ func BenchmarkRecover20k(b *testing.B) {
 		openOneWordLog(b, img, commits)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*commits), "ns/commit")
+}
+
+// BenchmarkOpenEmpty prices a fresh boot at the service's default key range
+// (1 << 16 one-line keys) over a freshly allocated arena: no checkpoint, an
+// empty log, so the cost is building, summing and writing the all-zero
+// checkpoint.
+func BenchmarkOpenEmpty(b *testing.B) {
+	const keys = 1 << 16
+	m := mem.New(keys*mem.LineWords + 2*mem.LineWords)
+	lo := m.AllocMark()
+	opts := Options{Lo: lo, Hi: lo + keys*mem.LineWords}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		opts.Backend = NewMemBackend()
+		l, _, err := Open(opts, m.StorePlain, m.LoadPlain)
+		if err != nil {
+			b.Fatal(err)
+		}
+		l.Close()
+	}
 }
 
 // ---- MemBackend's chunked files ----
