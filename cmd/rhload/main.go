@@ -358,7 +358,11 @@ func genRequest(c cellConfig, rng *rand.Rand) (ReqKind, []serve.Op) {
 // metrics endpoint is unreachable — the sweep proceeds, the dump label
 // degrades).
 func fetchAlgo(addr string) string {
-	d, err := fetchMetrics(addr)
+	data, err := getMetricsJSON(addr)
+	var d *bench.ServeDump
+	if err == nil {
+		d, err = bench.ParseServeDump(data)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rhload: warning: metrics fetch failed: %v\n", err)
 		return "unknown"
@@ -366,28 +370,10 @@ func fetchAlgo(addr string) string {
 	return d.Algo
 }
 
-func fetchMetrics(addr string) (*bench.ServeDump, error) {
-	resp, err := http.Get("http://" + addr + "/metrics?format=json")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	return bench.ParseServeDump(data)
-}
-
 // fetchServeDump fetches the server's rhserve.v1 dump, schema-validates it,
 // and writes it to path.
 func fetchServeDump(addr, path string) {
-	resp, err := http.Get("http://" + addr + "/metrics?format=json")
-	if err != nil {
-		fatalf("dump fetch: %v", err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := getMetricsJSON(addr)
 	if err != nil {
 		fatalf("dump fetch: %v", err)
 	}
@@ -398,6 +384,21 @@ func fetchServeDump(addr, path string) {
 		fatalf("dump write: %v", err)
 	}
 	fmt.Printf("rhload: wrote validated %s dump to %s\n", bench.ServeSchemaVersion, path)
+}
+
+// getMetricsJSON reads the body of the server's /metrics?format=json. A
+// status other than 200 is an error that names it, so a wrong address is
+// not reported as a dump that does not parse.
+func getMetricsJSON(addr string) ([]byte, error) {
+	resp, err := http.Get("http://" + addr + "/metrics?format=json")
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("GET /metrics?format=json: %s", resp.Status)
+	}
+	return io.ReadAll(resp.Body)
 }
 
 func writeJSONFile(path string, rec *bench.JSONRecorder) {

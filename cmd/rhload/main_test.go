@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -25,10 +27,7 @@ import (
 // errors.
 func TestDrivesAServerAndRejectsCompare(t *testing.T) {
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "rhload")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildRhload(t)
 	s, err := serve.New(serve.Config{Keys: 64})
 	if err != nil {
 		t.Fatal(err)
@@ -88,6 +87,43 @@ func TestDrivesAServerAndRejectsCompare(t *testing.T) {
 	}
 	if err := bench.ValidateDump(data); err != nil {
 		t.Errorf("the -json file fails the rhbench.v2 schema: %v", err)
+	}
+}
+
+// buildRhload builds the command into a test temp dir and returns its path.
+func buildRhload(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "rhload")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// TestDumpRejectsErrorStatus: a -dump whose /metrics answers 404 exits 1
+// and names the status, rather than calling the error page a dump that
+// does not parse.
+func TestDumpRejectsErrorStatus(t *testing.T) {
+	bin := buildRhload(t)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "no such page", http.StatusNotFound)
+	}))
+	defer ts.Close()
+	dump := filepath.Join(t.TempDir(), "dump.json")
+	cmd := exec.Command(bin, "-addr", strings.TrimPrefix(ts.URL, "http://"), "-conns", "1",
+		"-duration", "20ms", "-dump", dump)
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("rhload -dump against a 404: err %v, want exit status 1\n%s", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "dump fetch") || !strings.Contains(stderr.String(), "404") {
+		t.Fatalf("stderr %q, want a dump fetch error naming the 404", stderr.String())
+	}
+	if _, err := os.Stat(dump); err == nil {
+		t.Fatal("rhload wrote a dump from a 404 reply")
 	}
 }
 

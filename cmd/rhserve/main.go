@@ -15,8 +15,8 @@
 // blocked waiting for one worker, -batch max requests fused into one
 // transaction, -timeout longest wait for the worker before a request is
 // shed, -retryafter shed backoff hint, -stripes memory seqlock stripes,
-// -ringsize per-worker event-ring entries, -pprof mounts net/http/pprof
-// under /debug/pprof/ (opt-in profiling).
+// -cores simulated HTM cores, -pprof mounts net/http/pprof under
+// /debug/pprof/ (opt-in profiling).
 //
 // Durability (docs/PERSIST.md): -data <dir> arms the redo-log persistence
 // plane — boot replays the directory's logs (crash recovery) and committing
@@ -55,7 +55,6 @@ func main() {
 		timeout    = flag.Duration("timeout", time.Second, "longest a request may wait for its worker before it is shed")
 		retryAfter = flag.Duration("retryafter", time.Second, "shed backoff hint")
 		stripes    = flag.Int("stripes", 0, "memory seqlock stripes (0 = default)")
-		ringSize   = flag.Int("ringsize", 0, "per-worker event-ring entries (0 = off)")
 		cores      = flag.Int("cores", 0, "simulated HTM cores (0 = default)")
 		pprofFlag  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the service mux")
 		dataDir    = flag.String("data", "", "redo-log directory: arms durable persistence + boot crash recovery")
@@ -83,7 +82,6 @@ func main() {
 		BatchMax:       *batch,
 		RequestTimeout: *timeout,
 		RetryAfter:     *retryAfter,
-		RingSize:       *ringSize,
 		Pprof:          *pprofFlag,
 		DataDir:        *dataDir,
 		DurableAcks:    *durable,

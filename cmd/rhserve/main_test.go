@@ -10,12 +10,12 @@ import (
 	"time"
 )
 
-// TestPersistFlagContradictions pins the flag sets rhserve refuses: the
-// removed -persist flag, -durable without the -data log it waits on (a
-// server that acks nothing durably), and an unknown -algo. Each must exit 2
-// with a message naming the flag, before any listener or log directory
-// exists.
-func TestPersistFlagContradictions(t *testing.T) {
+// TestFlagRejections pins the flag sets rhserve refuses: the removed
+// -persist and -ringsize flags, -durable without the -data log it waits on
+// (a server that acks nothing durably), and an unknown -algo. Each must
+// exit 2 with a message naming the flag, before any listener or log
+// directory exists.
+func TestFlagRejections(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "rhserve")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
@@ -27,6 +27,7 @@ func TestPersistFlagContradictions(t *testing.T) {
 		want string
 	}{
 		{"persist flag is gone", []string{"-addr", "127.0.0.1:0", "-data", data, "-persist", "sync"}, "flag provided but not defined"},
+		{"ringsize flag is gone", []string{"-addr", "127.0.0.1:0", "-ringsize", "64"}, "flag provided but not defined"},
 		{"durable without data", []string{"-addr", "127.0.0.1:0", "-durable"}, "-durable needs -data"},
 		{"unknown algo", []string{"-addr", "127.0.0.1:0", "-data", data, "-algo", "hybrid-norec"}, `unknown -algo "hybrid-norec"`},
 	} {

@@ -184,7 +184,8 @@ func ParseServeDump(data []byte) (*ServeDump, error) {
 }
 
 // validateServeDump checks an rhserve.v1 dump: the versioned envelope, the
-// endpoint vocabulary and row consistency, ordered latency quantiles, and
+// endpoint vocabulary and row consistency, ordered latency quantiles, the
+// deadline-shed identity (admission.deadline_shed = Σ endpoints[].shed), and
 // the embedded obs snapshot (validated by the rhbench.v2 rules). Unknown
 // fields are rejected so the Go structs and the emitted schema cannot
 // diverge.
@@ -218,6 +219,7 @@ func validateServeDump(data []byte) error {
 		known[n] = true
 	}
 	seen := map[string]bool{}
+	var shed uint64
 	for _, ep := range d.Endpoints {
 		if !known[ep.Endpoint] {
 			return fmt.Errorf("unknown endpoint %q", ep.Endpoint)
@@ -229,6 +231,10 @@ func validateServeDump(data []byte) error {
 		if err := validateServeEndpoint(&ep); err != nil {
 			return fmt.Errorf("endpoint %s: %w", ep.Endpoint, err)
 		}
+		shed += ep.Shed
+	}
+	if d.Admission.DeadlineShed != shed {
+		return fmt.Errorf("admission deadline_shed %d != endpoints' shed sum %d", d.Admission.DeadlineShed, shed)
 	}
 	prevDepth := 0
 	for _, b := range d.Pipeline {

@@ -96,6 +96,8 @@ func TestValidateServeDumpRejections(t *testing.T) {
 	mutateServe(t, `"errors": 1`, `"errors": 99`, "exceed requests")
 	mutateServe(t, `"fused": 40`, `"fused": 101`, "exceeds requests")
 	mutateServe(t, `"count": 97`, `"count": 101`, "exceeds requests")
+	// Deadline sheds are the endpoints' shed counts, summed.
+	mutateServe(t, `"deadline_shed": 2`, `"deadline_shed": 3`, "shed sum")
 	// Quantile ordering.
 	mutateServe(t, `"p99_ns": 40000`, `"p99_ns": 46000`, "not ordered")
 	mutateServe(t, `"max_ns": 50000`, `"max_ns": 1000000000`, "max_ns")

@@ -139,3 +139,35 @@ func (h *Histogram) Buckets() []Bucket {
 	}
 	return out
 }
+
+// LatencySummary is the JSON rendering of one Histogram: the schema block
+// shared by the rhserve.v1 endpoint rows (docs/METRICS.md). All durations
+// are nanoseconds; quantiles resolve to power-of-two bucket midpoints
+// (≤ 50% relative error, capped by the exact MaxNS).
+type LatencySummary struct {
+	// Count is the number of samples.
+	Count uint64 `json:"count"`
+	// SumNS is the exact sum of all samples.
+	SumNS uint64 `json:"sum_ns"`
+	// MaxNS is the exact largest sample.
+	MaxNS uint64 `json:"max_ns"`
+	// P50NS/P90NS/P99NS/P999NS are quantile estimates.
+	P50NS  uint64 `json:"p50_ns"`
+	P90NS  uint64 `json:"p90_ns"`
+	P99NS  uint64 `json:"p99_ns"`
+	P999NS uint64 `json:"p999_ns"`
+}
+
+// Summary renders the histogram's latency block. An empty histogram yields
+// the zero summary.
+func (h *Histogram) Summary() LatencySummary {
+	return LatencySummary{
+		Count:  h.Count(),
+		SumNS:  h.Sum(),
+		MaxNS:  h.Max(),
+		P50NS:  h.Quantile(0.50),
+		P90NS:  h.Quantile(0.90),
+		P99NS:  h.Quantile(0.99),
+		P999NS: h.Quantile(0.999),
+	}
+}

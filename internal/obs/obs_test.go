@@ -65,6 +65,18 @@ func TestHistogramRecordAndQuantile(t *testing.T) {
 	if sum != h.Count() {
 		t.Errorf("bucket counts sum to %d, want %d", sum, h.Count())
 	}
+	// Summary is the rhserve.v1 latency block: exact count and max, ordered
+	// quantile estimates capped by the max.
+	l := h.Summary()
+	if l.Count != 1000 || l.SumNS != h.Sum() || l.MaxNS != 1000 {
+		t.Fatalf("summary = %+v", l)
+	}
+	if l.P50NS > l.P90NS || l.P90NS > l.P99NS || l.P99NS > l.P999NS || l.P999NS > l.MaxNS {
+		t.Fatalf("summary quantiles not ordered: %+v", l)
+	}
+	if (&Histogram{}).Summary() != (LatencySummary{}) {
+		t.Fatal("empty histogram summary not zero")
+	}
 }
 
 func TestHistogramMerge(t *testing.T) {
@@ -96,9 +108,6 @@ func TestRingOverwrite(t *testing.T) {
 
 func TestRecorderNilSafe(t *testing.T) {
 	var r *Recorder
-	if r.Enabled() {
-		t.Fatal("nil recorder enabled")
-	}
 	if r.Start() != 0 {
 		t.Fatal("nil Start != 0")
 	}
@@ -175,6 +184,34 @@ func TestRecorderMerge(t *testing.T) {
 	}
 	if a.AbortCount(CauseCapacity) != 1 {
 		t.Fatal("merged abort count missing")
+	}
+}
+
+func TestRecorderCloneIsolation(t *testing.T) {
+	r := NewRecorder(Config{RingSize: 8})
+	r.RecordPhase(PhaseFast, 100)
+	r.RecordAbort(CauseConflict, 1, 5)
+
+	c := r.Clone()
+	if c.Ring() != nil {
+		t.Fatal("clone must drop the ring (rings are drained, not merged)")
+	}
+	r.RecordPhase(PhaseFast, 200)
+	if got := c.PhaseHist(PhaseFast).Count(); got != 1 {
+		t.Fatalf("clone phase count = %d, want 1 (isolated from later records)", got)
+	}
+	if got := c.AbortCount(CauseConflict); got != 1 {
+		t.Fatalf("clone abort count = %d, want 1", got)
+	}
+	if (*Recorder)(nil).Clone() != nil {
+		t.Fatal("nil Clone must stay nil")
+	}
+
+	// Clones feed merges: the snapshot path of a live service.
+	agg := NewRecorder(Config{})
+	agg.Merge(c)
+	if got := agg.AbortCount(CauseConflict); got != 1 {
+		t.Fatalf("merged abort count = %d, want 1", got)
 	}
 }
 

@@ -44,9 +44,6 @@ func NewRecorder(cfg Config) *Recorder {
 	return r
 }
 
-// Enabled reports whether the recorder is attached (non-nil).
-func (r *Recorder) Enabled() bool { return r != nil }
-
 // Start returns a timestamp for a later RecordSince, or 0 when disabled.
 func (r *Recorder) Start() int64 {
 	if r == nil {

@@ -17,14 +17,6 @@ const (
 	// EventCommit marks a commit; Path tells which execution path it
 	// committed on.
 	EventCommit
-	// EventFuse marks a service-layer batch fuse: two or more queued
-	// requests executed inside one fused transaction (internal/serve; Retry
-	// carries the batch size).
-	EventFuse
-	// EventShed marks a service-layer deadline shed: a queued request whose
-	// deadline expired before a worker dequeued it was answered with a
-	// retry-later instead of executing (internal/serve).
-	EventShed
 
 	numEventKinds
 )
@@ -34,8 +26,6 @@ var eventKindNames = [numEventKinds]string{
 	EventAbort:    "abort",
 	EventFallback: "fallback",
 	EventCommit:   "commit",
-	EventFuse:     "fuse",
-	EventShed:     "shed",
 }
 
 // String returns the stable schema name of the kind.

@@ -17,8 +17,6 @@ import (
 func (s *Server) Snapshot() *bench.ServeDump {
 	var (
 		agg   tm.Stats
-		rec   = obs.NewRecorder(obs.Config{})
-		lat   = obs.NewLabeledHist(endpointLabels()...)
 		eps   [numEndpoints]endpointCounters
 		snaps = make([]*workerSnap, 0, len(s.workers))
 	)
@@ -28,15 +26,13 @@ func (s *Server) Snapshot() *bench.ServeDump {
 		}
 	}
 	for _, snap := range snaps {
-		st := snap.stats
-		agg.Add(&st)
-		rec.Merge(snap.rec)
-		lat.Merge(snap.lat)
+		agg.Add(&snap.stats)
 		for e := range eps {
 			eps[e].requests += snap.eps[e].requests
 			eps[e].errors += snap.eps[e].errors
 			eps[e].shed += snap.eps[e].shed
 			eps[e].fused += snap.eps[e].fused
+			eps[e].lat.Merge(&snap.eps[e].lat)
 		}
 	}
 	d := &bench.ServeDump{
@@ -49,7 +45,6 @@ func (s *Server) Snapshot() *bench.ServeDump {
 		Admission: bench.ServeAdmission{
 			QueueShed:      s.admission.queueShed.Load(),
 			SaturationShed: s.admission.saturationShed.Load(),
-			DeadlineShed:   s.admission.deadlineShed.Load(),
 		},
 		TM: bench.ServeTM{
 			Commits:         agg.Commits,
@@ -87,13 +82,14 @@ func (s *Server) Snapshot() *bench.ServeDump {
 		if c.requests == 0 {
 			continue
 		}
+		d.Admission.DeadlineShed += c.shed
 		d.Endpoints = append(d.Endpoints, bench.ServeEndpoint{
 			Endpoint: e.String(),
 			Requests: c.requests,
 			Errors:   c.errors,
 			Shed:     c.shed,
 			Fused:    c.fused,
-			Latency:  lat.Hist(int(e)).Summary(),
+			Latency:  c.lat.Summary(),
 		})
 	}
 	// No scan is answered from a snapshot: every one reads in its batch's
@@ -103,7 +99,7 @@ func (s *Server) Snapshot() *bench.ServeDump {
 	if n := eps[EpScan].requests; n > 0 {
 		d.SnapScan = &bench.ServeSnapScan{Attempts: n, Fallbacks: n}
 	}
-	if snap := rec.Snapshot(); snap != nil && (len(snap.Phases) > 0 || len(snap.Aborts) > 0) {
+	if snap := agg.Obs.Snapshot(); snap != nil && (len(snap.Phases) > 0 || len(snap.Aborts) > 0) {
 		d.Obs = snap
 	}
 	return d

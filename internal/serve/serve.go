@@ -144,9 +144,6 @@ type Config struct {
 	// (default 1s; HTTP rounds up to whole seconds for the Retry-After
 	// header, the binary protocol carries milliseconds).
 	RetryAfter time.Duration
-	// RingSize, when > 0, attaches per-worker event rings (fuse/shed events
-	// next to the engine's begin/abort/commit stream).
-	RingSize int
 	// Pprof mounts the net/http/pprof handlers under /debug/pprof/ on the
 	// service mux (off by default: profiling endpoints are opt-in).
 	Pprof bool
@@ -269,7 +266,6 @@ func (p *pipelineCounters) record(depth int) {
 // listener), and always Close.
 type Server struct {
 	cfg    Config
-	m      *mem.Memory
 	sys    tm.System
 	dev    *htm.Device
 	engine *tm.Engine
@@ -319,7 +315,6 @@ func New(cfg Config) (*Server, error) {
 
 	s := &Server{
 		cfg:   cfg,
-		m:     m,
 		sys:   sys,
 		dev:   dev,
 		base:  m.NewThreadCache().Alloc(cfg.Keys * mem.LineWords),
@@ -386,23 +381,6 @@ func (s *Server) Close() {
 	if s.log != nil {
 		s.log.Close() // final group fsync + file close
 	}
-}
-
-// Events returns each worker's drained event ring, indexed by worker ID —
-// the last Config.RingSize events per worker, including the service-layer
-// fuse and shed kinds (docs/METRICS.md). Rings are drained, not merged, so
-// they surface only here, after Close; before Close (or with RingSize 0)
-// every slice is nil.
-func (s *Server) Events() [][]obs.Event {
-	out := make([][]obs.Event, len(s.workers))
-	for i, w := range s.workers {
-		w.mu.Lock()
-		if w.final != nil {
-			out[i] = w.final.ring
-		}
-		w.mu.Unlock()
-	}
-	return out
 }
 
 // stopped reports whether Close has begun.

@@ -30,7 +30,7 @@ func TestStickyRoutingChurnStress(t *testing.T) {
 	)
 	s, err := serve.New(serve.Config{
 		Keys: 64, Workers: 4, BatchMax: 8, QueueDepth: 64,
-		RequestTimeout: 10 * time.Second, RingSize: 128,
+		RequestTimeout: 10 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -8,11 +8,12 @@ import (
 	"rhnorec/internal/tm"
 )
 
-// admissionCounters ledgers the three shed causes (rhserve.v1 "admission").
+// admissionCounters ledgers the two shed causes decided before a chain
+// takes its worker (rhserve.v1 "admission"). Deadline sheds happen on the
+// worker and are counted in its endpoint rows.
 type admissionCounters struct {
 	queueShed      atomic.Uint64 // QueueDepth chains already blocked on the sticky worker
 	saturationShed atomic.Uint64 // slow path saturated + backlog
-	deadlineShed   atomic.Uint64 // deadline expired before the worker was taken
 }
 
 // endpointCounters is one worker's per-endpoint request ledger. Guarded by
@@ -22,17 +23,15 @@ type endpointCounters struct {
 	errors   uint64
 	shed     uint64 // deadline sheds (admission sheds never reach a worker)
 	fused    uint64 // requests that shared a fused transaction with others
+	lat      obs.Histogram
 }
 
 // workerSnap is one worker's state copied out under its mutex (or stored by
-// Close): a value copy of the tm counters, clones of the observability
-// state, and the endpoint ledger. Everything in it is owned by the receiver.
+// Close): a value copy of the tm counters with a clone of their recorder,
+// and the endpoint ledger. Everything in it is owned by the receiver.
 type workerSnap struct {
 	stats tm.Stats
-	rec   *obs.Recorder
-	lat   *obs.LabeledHist
 	eps   [numEndpoints]endpointCounters
-	ring  []obs.Event // drained only in the final (Close-time) snapshot
 }
 
 // worker is one sticky TM thread and its thread-owned metrics. It runs no
@@ -55,8 +54,6 @@ type worker struct {
 	run   func(func(tm.Tx) error) error
 	runRO func(func(tm.Tx) error) error
 	body  func(tm.Tx) error
-	rec   *obs.Recorder
-	lat   *obs.LabeledHist
 	eps   [numEndpoints]endpointCounters
 	batch []*request
 	// syncSeq is the redo frontier the running chain's durable acks wait on
@@ -70,11 +67,9 @@ func newWorker(s *Server) *worker {
 	w := &worker{
 		s:     s,
 		th:    s.sys.NewThread(),
-		rec:   obs.NewRecorder(obs.Config{RingSize: s.cfg.RingSize}),
-		lat:   obs.NewLabeledHist(endpointLabels()...),
 		batch: make([]*request, 0, s.cfg.BatchMax),
 	}
-	w.th.Stats().Obs = w.rec
+	w.th.Stats().Obs = obs.NewRecorder(obs.Config{})
 	w.run, w.runRO = w.th.Run, w.th.RunReadOnly
 	w.body = func(tx tm.Tx) error {
 		// Re-executed from the top on every restart; applyOps overwrites
@@ -94,23 +89,14 @@ func (w *worker) snapshot() *workerSnap {
 	if w.final != nil {
 		return w.final
 	}
-	return w.makeSnap(false)
+	return w.makeSnap()
 }
 
 // makeSnap copies the worker-owned state (mu held).
-func (w *worker) makeSnap(final bool) *workerSnap {
-	snap := &workerSnap{
-		stats: *w.th.Stats(),
-		rec:   w.rec.Clone(),
-		lat:   w.lat.Clone(),
-		eps:   w.eps,
-	}
-	snap.stats.Obs = nil // cloned above; the live pointer stays worker-owned
-	if final {
-		if ring := w.rec.Ring(); ring != nil {
-			snap.ring = ring.Events()
-		}
-	}
+func (w *worker) makeSnap() *workerSnap {
+	snap := &workerSnap{stats: *w.th.Stats(), eps: w.eps}
+	// The live recorder stays worker-owned; the snapshot merges a clone.
+	snap.stats.Obs = snap.stats.Obs.Clone()
 	return snap
 }
 
@@ -121,7 +107,7 @@ func (w *worker) close() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.final == nil {
-		w.final = w.makeSnap(true)
+		w.final = w.makeSnap()
 		w.th.Close()
 	}
 }
@@ -204,7 +190,7 @@ func (w *worker) awaitDurable(head *request, seq uint64) {
 			w.eps[r.ep].errors++
 			r.err = err
 		}
-		w.lat.Record(int(r.ep), uint64(done-r.enq))
+		w.eps[r.ep].lat.Record(uint64(done - r.enq))
 	}
 }
 
@@ -252,11 +238,6 @@ func (w *worker) execBatch(batch []*request) {
 		}
 	}
 	fused := len(batch) > 1
-	if fused {
-		if ring := w.rec.Ring(); ring != nil {
-			ring.Record(obs.Event{T: w.s.m.Ticket(), Kind: obs.EventFuse, Retry: uint16(min(len(batch), 1<<16-1))})
-		}
-	}
 	done := obs.Now()
 	for _, r := range batch {
 		w.eps[r.ep].requests++
@@ -271,7 +252,7 @@ func (w *worker) execBatch(batch []*request) {
 			w.eps[r.ep].errors++
 			r.err = err
 		}
-		w.lat.Record(int(r.ep), uint64(done-r.enq))
+		w.eps[r.ep].lat.Record(uint64(done - r.enq))
 	}
 }
 
@@ -294,26 +275,12 @@ func (w *worker) wantDurable(batch []*request) bool {
 // the worker was taken.
 func (w *worker) admit(batch []*request, r *request, now int64) []*request {
 	if now > r.deadline {
-		w.s.admission.deadlineShed.Add(1)
 		w.eps[r.ep].requests++
 		w.eps[r.ep].shed++
 		r.shed = true
-		if ring := w.rec.Ring(); ring != nil {
-			ring.Record(obs.Event{T: w.s.m.Ticket(), Kind: obs.EventShed})
-		}
 		return batch
 	}
 	return append(batch, r)
-}
-
-// endpointLabels returns the rhserve.v1 endpoint vocabulary for the
-// latency LabeledHist.
-func endpointLabels() []string {
-	labels := make([]string, numEndpoints)
-	for e := Endpoint(0); e < numEndpoints; e++ {
-		labels[e] = e.String()
-	}
-	return labels
 }
 
 // testBatchDelay is a test seam: the shed and shutdown tests stall a chain
