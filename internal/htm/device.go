@@ -27,6 +27,11 @@ type Device struct {
 	// running; above cfg.Cores, HyperThreading halves capacity.
 	activeThreads atomic.Int64
 
+	// live counts the hardware contexts NewTxn handed out and Close has not
+	// yet released. A yield point paces only while it is above one: with
+	// no live peer there is nothing to interleave with.
+	live atomic.Int64
+
 	// seedCounter hands out distinct RNG seeds to transactions.
 	seedCounter atomic.Uint64
 
@@ -98,16 +103,17 @@ func (d *Device) Stats() DeviceStats {
 
 // NewTxn creates a reusable hardware-transaction context bound to this
 // device. A Txn belongs to one thread; each simulated hardware thread
-// creates its own. The per-transaction RNG seed comes from Config.SeedFn
-// when set; the default arrival-order counter depends on goroutine
-// scheduling, which is exactly what deterministic-replay harnesses cannot
-// tolerate.
+// creates its own, and it counts as live until its Close. The
+// per-transaction RNG seed comes from Config.SeedFn when set; the default
+// arrival-order counter depends on goroutine scheduling, which is exactly
+// what deterministic-replay harnesses cannot tolerate.
 func (d *Device) NewTxn() *Txn {
 	seed := d.seedCounter.Add(1)
 	if fn := d.cfg.SeedFn; fn != nil {
 		seed = fn()
 	}
 	stripes := d.m.StripeCount()
+	d.live.Add(1)
 	return &Txn{
 		d:        d,
 		marks:    newMarkSet(stripes),

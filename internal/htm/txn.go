@@ -70,6 +70,7 @@ type Txn struct {
 	// It runs on across Begin: pacing belongs to the thread, not to one
 	// transaction.
 	yieldIn int
+	closed  bool
 }
 
 // Begin starts a hardware transaction. The Txn must not already be active.
@@ -149,12 +150,25 @@ func (t *Txn) nextRand() uint64 {
 // harmless: only the worker holding the baton is runnable.
 const yieldPeriod = 7
 
-// yield gives up the processor at the end of a yield countdown, so that
-// simulated hardware threads interleave mid-transaction even on few OS
-// threads, and restarts the countdown.
+// yield restarts the countdown and, while the device has another live
+// context, gives up the processor, so that simulated hardware threads
+// interleave mid-transaction even on few OS threads. A lone context has
+// nothing to interleave with and runs on.
 func (t *Txn) yield() {
 	t.yieldIn = yieldPeriod
-	runtime.Gosched()
+	if t.d.live.Load() > 1 {
+		runtime.Gosched()
+	}
+}
+
+// Close releases the context from the device's live count (idempotent). A
+// Txn that is never closed keeps its peers pacing, which costs them speed
+// and never correctness.
+func (t *Txn) Close() {
+	if !t.closed {
+		t.closed = true
+		t.d.live.Add(-1)
+	}
 }
 
 // spurious rolls for an environmental abort against the 53-bit fixed-point

@@ -126,3 +126,9 @@ func TestStatsSlowPathCommits(t *testing.T) {
 		t.Error("STM recorded fast-path commits")
 	}
 }
+
+// TestCloseStopsPacing: the software path's yield points pace only while
+// another thread of the System is registered.
+func TestCloseStopsPacing(t *testing.T) {
+	tmtest.CheckClosePacing(t, norec.New(mem.New(1<<16), norec.Eager))
+}

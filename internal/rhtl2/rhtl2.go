@@ -126,7 +126,7 @@ type thread struct {
 }
 
 func (t *thread) Stats() *tm.Stats { return &t.base.St }
-func (t *thread) Close()           { t.base.CloseBase() }
+func (t *thread) Close()           { t.htx.Close(); t.base.CloseBase() }
 
 func (t *thread) Run(fn func(tm.Tx) error) error         { return t.base.Run(fn, false) }
 func (t *thread) RunReadOnly(fn func(tm.Tx) error) error { return t.base.Run(fn, true) }

@@ -77,10 +77,12 @@ type ThreadBase struct {
 
 // MaybeYield is the software-path twin of the HTM simulator's yield points;
 // algorithms call it (usually via InstrumentedAccess) so software paths
-// interleave mid-transaction.
+// interleave mid-transaction. The countdown always runs, but the yield
+// happens only while another thread of the System is registered: a lone
+// thread has nothing to interleave with.
 func (b *ThreadBase) MaybeYield() {
 	b.ops++
-	if b.ops%yieldPeriod == 0 {
+	if b.ops%yieldPeriod == 0 && b.Slot.r.live.Load() > 1 {
 		runtime.Gosched()
 	}
 }

@@ -34,6 +34,9 @@ type Reclaimer struct {
 	mu    sync.Mutex
 	slots []*Slot
 	epoch atomic.Uint64
+	// live counts the registered slots; software yield points pace only
+	// while it is above one (ThreadBase.MaybeYield).
+	live atomic.Int64
 	// orphans holds the limbo of slots that unregistered while other
 	// threads were still registered, bucketed like a slot's own limbo.
 	orphans [3][]block
@@ -54,6 +57,7 @@ func (r *Reclaimer) Epoch() uint64 { return r.epoch.Load() }
 // frees recycle into cache.
 func (r *Reclaimer) Register(cache *mem.ThreadCache) *Slot {
 	s := &Slot{r: r, cache: cache}
+	r.live.Add(1)
 	r.mu.Lock()
 	r.slots = append(r.slots, s)
 	r.mu.Unlock()
@@ -66,6 +70,7 @@ func (r *Reclaimer) Register(cache *mem.ThreadCache) *Slot {
 // (tryAdvance). The last slot to leave recycles every limbo block at once:
 // no transaction remains that could reach one.
 func (r *Reclaimer) unregister(s *Slot) {
+	r.live.Add(-1)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for i, x := range r.slots {

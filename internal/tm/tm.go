@@ -53,7 +53,9 @@ type Thread interface {
 	// Stats exposes this thread's counters. The caller may read them
 	// between transactions; systems never reset them.
 	Stats() *Stats
-	// Close releases the thread's reclamation slot. The thread must not be
+	// Close releases the thread's reclamation slot and, for a hybrid, its
+	// hardware context, so the threads left pace only against each other
+	// (a lone one not at all). Close is idempotent; the thread must not be
 	// used afterwards.
 	Close()
 }
