@@ -479,14 +479,18 @@ func (t *thread) AbortSlow(verdict *htm.Abort) {
 		t.postfixActive = false
 		t.postfixBanned = true
 	}
+	// Only a full-software path stores in place. The skeleton has restored
+	// memory, but a software reader may have loaded an eager write under
+	// the locked clock, so the release advances the clock to send it back
+	// to validate. A dead postfix published nothing: release unadvanced.
+	var advance uint64
 	if t.fullSoftware {
 		m.StorePlain(t.sys.g.HTMLock, 0)
 		t.fullSoftware = false
+		advance = 2
 	}
 	if t.writeDetected {
-		// Memory is restored and nobody could observe the interim state
-		// (the clock was locked), so release without advancing.
-		m.StorePlain(t.sys.g.Clock, t.txv&^1)
+		m.StorePlain(t.sys.g.Clock, (t.txv&^1)+advance)
 		t.writeDetected = false
 	}
 }

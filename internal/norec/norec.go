@@ -108,10 +108,12 @@ func (t *thread) EndSlow() {}
 // clock validation cannot fail while the lock is held).
 func (t *thread) AbortSlow(*htm.Abort) {
 	if t.writeDetected {
-		// The skeleton has restored memory, so release without advancing
-		// the version: no concurrent transaction can have observed the
-		// undone writes (the clock was locked throughout).
-		t.base.M.StorePlain(t.sys.clock, t.txv&^1)
+		// The skeleton has restored memory, but the eager writes were in
+		// place while the clock was locked: a reader may have loaded one
+		// and be waiting for the clock. Releasing it advanced sends that
+		// reader back to validate; an unadvanced release would hand it
+		// its own snapshot back and let it commit the undone value.
+		t.base.M.StorePlain(t.sys.clock, (t.txv&^1)+2)
 		t.writeDetected = false
 	}
 }

@@ -163,10 +163,12 @@ func (t *thread) CommitSlow() {
 	}
 }
 
-// AbortSlow releases the clock unadvanced over the rolled-back memory.
+// AbortSlow releases the clock advanced over the rolled-back memory: the
+// eager writes were in place while it was locked, so a reader that loaded
+// one must see the clock move and validate again.
 func (t *thread) AbortSlow(*htm.Abort) {
 	if t.writeDetected {
-		t.base.M.StorePlain(t.sys.gClock, t.txv&^1)
+		t.base.M.StorePlain(t.sys.gClock, (t.txv&^1)+2)
 		t.writeDetected = false
 	}
 }

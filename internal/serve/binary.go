@@ -348,8 +348,9 @@ func (sess *binSession) prep(i int, frame []byte, now int64) {
 	}
 }
 
-// growResults resizes res to n entries, reusing the backing array (and its
-// entries' recycled Vals buffers) when the capacity suffices.
+// growResults resizes res to n entries, reusing the backing array when the
+// capacity suffices. The entries keep their Vals buffers: applyOps writes
+// each result through OpResult.overwrite, which carries the buffer along.
 func growResults(res []OpResult, n int) []OpResult {
 	if cap(res) < n {
 		return make([]OpResult, n)

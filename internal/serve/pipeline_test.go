@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -250,6 +251,60 @@ func recycledBuffersNoAliasing(t *testing.T, ranges, span uint64) {
 						round, r, j, v, want)
 				}
 			}
+		}
+	}
+}
+
+// rawRoundTrip sends one request and returns its reply frame undecoded.
+func (b *binConn) rawRoundTrip(t *testing.T, req *serve.ProtoRequest) []byte {
+	t.Helper()
+	if _, err := b.c.Write(appendWire(t, nil, req)); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	in, err := serve.ReadFrame(b.br, nil)
+	if err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	return in
+}
+
+// TestRecycledScanSlotLeaksNothing: a result slot keeps its scan buffer
+// whichever opcode lands in it next, so a GET, PUT or CAS executed in the
+// slot a SCAN just used must reply with no values. Each reply frame must
+// be byte-identical to a fresh server's reply to the same request after
+// the same writes; that server's slot never held a scan.
+func TestRecycledScanSlotLeaksNothing(t *testing.T) {
+	_, recycledAddr := startBinaryServer(t, serve.Config{Keys: 64, Workers: 2})
+	_, freshAddr := startBinaryServer(t, serve.Config{Keys: 64, Workers: 2})
+	recycled, fresh := dialBinary(t, recycledAddr), dialBinary(t, freshAddr)
+	defer recycled.c.Close()
+	defer fresh.c.Close()
+	// Nonzero values under the scan, so a leftover value would show.
+	for k := uint64(0); k < 16; k++ {
+		put := &serve.ProtoRequest{Opcode: serve.OpcodePut, ReqID: 100 + k,
+			Ops: []serve.Op{{Kind: serve.OpPut, Key: k, Val: 1000 + k}}}
+		recycled.roundTrip(t, put)
+		fresh.roundTrip(t, put)
+	}
+	scan := &serve.ProtoRequest{Opcode: serve.OpcodeScan, ReqID: 1,
+		Ops: []serve.Op{{Kind: serve.OpScan, Key: 0, Count: 16}}}
+	for _, req := range []*serve.ProtoRequest{
+		{Opcode: serve.OpcodeGet, ReqID: 2, Ops: []serve.Op{{Kind: serve.OpGet, Key: 3}}},
+		{Opcode: serve.OpcodePut, ReqID: 3, Ops: []serve.Op{{Kind: serve.OpPut, Key: 3, Val: 5}}},
+		{Opcode: serve.OpcodeCas, ReqID: 4, Ops: []serve.Op{{Kind: serve.OpCas, Key: 3, Old: 5, Val: 6}}},
+		{Opcode: serve.OpcodeCas, ReqID: 5, Ops: []serve.Op{{Kind: serve.OpCas, Key: 3, Old: 5, Val: 7}}},
+	} {
+		if resp := recycled.roundTrip(t, scan); resp.Status != serve.StatusOK ||
+			len(resp.Results) != 1 || len(resp.Results[0].Vals) != 16 {
+			t.Fatalf("scan before opcode %d: %+v", req.Opcode, resp)
+		}
+		got, want := recycled.rawRoundTrip(t, req), fresh.rawRoundTrip(t, req)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("opcode %d after a scan replied % x, a fresh slot % x", req.Opcode, got, want)
+		}
+		// status, reqID, count, then one result: flags, val, nvals = 0.
+		if len(got) != 1+8+2+13 || binary.BigEndian.Uint32(got[len(got)-4:]) != 0 {
+			t.Fatalf("opcode %d reply carries scan values: % x", req.Opcode, got)
 		}
 	}
 }

@@ -355,11 +355,12 @@ func ParseResponse(frame []byte) (*ProtoResponse, error) {
 }
 
 // ParseResponseInto decodes a response frame payload into resp, reusing
-// resp.Results (and each recycled result's Vals backing array) when the
-// capacities suffice — the client-side twin of ParseRequestInto, used by
-// pipelining clients to keep the reply-drain loop allocation-free. Every
-// field is overwritten unconditionally, so a recycled resp never leaks
-// state between frames.
+// resp.Results when its capacity suffices — the client-side twin of
+// ParseRequestInto, used by pipelining clients to keep the reply-drain loop
+// allocation-free. Each result is written through OpResult.overwrite, so a
+// recycled slot keeps its Vals backing array whichever result lands in it.
+// Every field is overwritten unconditionally, so a recycled resp never
+// leaks state between frames.
 func ParseResponseInto(frame []byte, resp *ProtoResponse) error {
 	if len(frame) < 9 {
 		return fmt.Errorf("proto: response frame of %d bytes, want >= 9", len(frame))
@@ -386,30 +387,17 @@ func ParseResponseInto(frame []byte, resp *ProtoResponse) error {
 			if len(body) < 13 {
 				return fmt.Errorf("proto: truncated result %d", i)
 			}
-			// Reclaim the recycled slot's Vals backing array (if any) before
-			// the slot is overwritten by append.
-			var vals []uint64
-			if i < cap(resp.Results) {
-				vals = resp.Results[:i+1][i].Vals[:0]
-			}
-			res := OpResult{Swapped: body[0]&1 != 0, Val: binary.BigEndian.Uint64(body[1:])}
 			nvals := int(binary.BigEndian.Uint32(body[9:]))
-			body = body[13:]
-			if nvals > 0 {
-				if len(body) < 8*nvals {
-					return fmt.Errorf("proto: truncated scan values of result %d", i)
-				}
-				if cap(vals) < nvals {
-					vals = make([]uint64, nvals)
-				}
-				vals = vals[:nvals]
-				for j := 0; j < nvals; j++ {
-					vals[j] = binary.BigEndian.Uint64(body[8*j:])
-				}
-				res.Vals = vals
-				body = body[8*nvals:]
+			if len(body)-13 < 8*nvals {
+				return fmt.Errorf("proto: truncated scan values of result %d", i)
 			}
-			resp.Results = append(resp.Results, res)
+			resp.Results = resp.Results[:i+1]
+			vals := resp.Results[i].overwrite(binary.BigEndian.Uint64(body[1:]), body[0]&1 != 0, nvals)
+			body = body[13:]
+			for j := range vals {
+				vals[j] = binary.BigEndian.Uint64(body[8*j:])
+			}
+			body = body[8*nvals:]
 		}
 		if len(body) != 0 {
 			return fmt.Errorf("proto: %d trailing bytes after results", len(body))

@@ -187,6 +187,51 @@ func TestParseResponseIntoRecycled(t *testing.T) {
 	}
 }
 
+// TestParseResponseIntoAlternatingScan decodes GET and SCAN replies in
+// turn into one recycled ProtoResponse, so each result slot switches
+// between carrying values and carrying none. Every decode must equal a
+// fresh ParseResponse of the same frame (by length of Vals, not by
+// nil-ness), and once warm the alternation allocates nothing: a GET result
+// keeps the slot's scan buffer for the next scan.
+func TestParseResponseIntoAlternatingScan(t *testing.T) {
+	scanVals := make([]uint64, 16)
+	for i := range scanVals {
+		scanVals[i] = uint64(100 + i)
+	}
+	frames := [][]byte{
+		serve.AppendResponse(nil, &serve.ProtoResponse{Status: serve.StatusOK, ReqID: 1,
+			Results: []serve.OpResult{{Val: 7}}}),
+		serve.AppendResponse(nil, &serve.ProtoResponse{Status: serve.StatusOK, ReqID: 2,
+			Results: []serve.OpResult{{Vals: scanVals}}}),
+		serve.AppendResponse(nil, &serve.ProtoResponse{Status: serve.StatusOK, ReqID: 3,
+			Results: []serve.OpResult{{Val: 8, Swapped: true}, {Vals: scanVals[:4]}}}),
+		serve.AppendResponse(nil, &serve.ProtoResponse{Status: serve.StatusOK, ReqID: 4,
+			Results: []serve.OpResult{{Vals: scanVals[4:]}, {Val: 9}}}),
+	}
+	var recycled serve.ProtoResponse
+	for round := 0; round < 3; round++ {
+		for i, frame := range frames {
+			if err := serve.ParseResponseInto(frame, &recycled); err != nil {
+				t.Fatalf("frame %d: recycled decode: %v", i, err)
+			}
+			fresh, err := serve.ParseResponse(frame)
+			if err != nil {
+				t.Fatalf("frame %d: fresh decode: %v", i, err)
+			}
+			if !responsesEqual(fresh, &recycled) {
+				t.Fatalf("round %d frame %d: recycled decode diverged:\n got %+v\nwant %+v", round, i, &recycled, fresh)
+			}
+		}
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		for _, frame := range frames {
+			serve.ParseResponseInto(frame, &recycled)
+		}
+	}); avg != 0 {
+		t.Fatalf("alternating GET/SCAN decode allocates %.1f times per pass, want 0", avg)
+	}
+}
+
 // FuzzParseRequest asserts the decoder never panics and that whatever it
 // accepts re-encodes to a frame it accepts again (decode∘encode fixpoint).
 func FuzzParseRequest(f *testing.F) {

@@ -115,6 +115,20 @@ type OpResult struct {
 	Swapped bool
 }
 
+// overwrite sets r to a result of val, swapped and n scan values, and
+// returns those values for the caller to fill. It keeps r's Vals backing
+// array: a GET, PUT or CAS result (n = 0) carries it emptied, and a SCAN
+// refills it when its capacity suffices, so a recycled result slot
+// allocates only to grow. A fresh slot's n = 0 result keeps Vals nil.
+func (r *OpResult) overwrite(val uint64, swapped bool, n int) []uint64 {
+	vals := r.Vals[:0]
+	if cap(vals) < n {
+		vals = make([]uint64, n)
+	}
+	*r = OpResult{Val: val, Swapped: swapped, Vals: vals[:n]}
+	return r.Vals
+}
+
 // Config parameterizes a Server. Zero fields take defaults.
 type Config struct {
 	// Algo names the backing TM system (bench.AlgoByName vocabulary;
@@ -503,36 +517,30 @@ func (s *Server) Do(client string, ep Endpoint, ops []Op) ([]OpResult, error) {
 
 // applyOps executes one request's ops against the transactional view,
 // overwriting res. It is re-executed from the top on every restart, so it
-// writes results idempotently and allocates nothing in steady state (a
-// scan's Vals backing array is grown once and recycled across uses of the
-// envelope).
+// writes results idempotently. Every result goes through
+// OpResult.overwrite, which keeps the slot's scan buffer whatever opcode
+// lands there, so a recycled envelope allocates nothing in steady state.
 func (s *Server) applyOps(tx tm.Tx, ops []Op, res []OpResult) {
 	for i := range ops {
 		op := &ops[i]
 		switch op.Kind {
 		case OpGet:
-			res[i] = OpResult{Val: tx.Load(s.addrOf(op.Key))}
+			res[i].overwrite(tx.Load(s.addrOf(op.Key)), false, 0)
 		case OpPut:
 			tx.Store(s.addrOf(op.Key), op.Val)
-			res[i] = OpResult{Val: op.Val}
+			res[i].overwrite(op.Val, false, 0)
 		case OpCas:
 			cur := tx.Load(s.addrOf(op.Key))
-			if cur == op.Old {
+			swapped := cur == op.Old
+			if swapped {
 				tx.Store(s.addrOf(op.Key), op.Val)
-				res[i] = OpResult{Val: op.Old, Swapped: true}
-			} else {
-				res[i] = OpResult{Val: cur}
 			}
+			res[i].overwrite(cur, swapped, 0)
 		case OpScan:
-			vals := res[i].Vals
-			if cap(vals) < int(op.Count) {
-				vals = make([]uint64, op.Count)
+			vals := res[i].overwrite(0, false, int(op.Count))
+			for j := range vals {
+				vals[j] = tx.Load(s.addrOf(op.Key + uint64(j)))
 			}
-			vals = vals[:op.Count]
-			for j := uint64(0); j < uint64(op.Count); j++ {
-				vals[j] = tx.Load(s.addrOf(op.Key + j))
-			}
-			res[i] = OpResult{Vals: vals}
 		}
 	}
 }

@@ -97,6 +97,10 @@ func TestPutGetScan(t *testing.T) {
 	if len(res) != 1 || len(res[0].Vals) != 3 || res[0].Vals[1] != 42 {
 		t.Fatalf("scan results = %+v, want middle value 42", res)
 	}
+	// A GET served after the SCAN carries no "vals" key.
+	if code, body = get(t, ts.URL+"/get?key=7"); code != 200 || body != `{"results":[{"val":42}]}`+"\n" {
+		t.Fatalf("get after scan: %d %q, want only the value", code, body)
+	}
 }
 
 func TestCasSemantics(t *testing.T) {

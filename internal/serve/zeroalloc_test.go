@@ -105,23 +105,61 @@ func putThenGetBatch() []*serve.ProtoRequest {
 	}
 }
 
+func scanReq(reqID, key uint64) *serve.ProtoRequest {
+	return &serve.ProtoRequest{Opcode: serve.OpcodeScan, ReqID: reqID,
+		Ops: []serve.Op{{Kind: serve.OpScan, Key: key, Count: 16}}}
+}
+
+func getReq(reqID, key uint64) *serve.ProtoRequest {
+	return &serve.ProtoRequest{Opcode: serve.OpcodeGet, ReqID: reqID,
+		Ops: []serve.Op{{Kind: serve.OpGet, Key: key}}}
+}
+
+func casBatch() []*serve.ProtoRequest {
+	return []*serve.ProtoRequest{{Opcode: serve.OpcodeCas, ReqID: 2,
+		Ops: []serve.Op{{Kind: serve.OpCas, Key: 7, Old: 0, Val: 1}}}}
+}
+
+func txnBatch() []*serve.ProtoRequest {
+	return []*serve.ProtoRequest{{Opcode: serve.OpcodeTxn, ReqID: 2, Ops: []serve.Op{
+		{Kind: serve.OpGet, Key: 3}, {Kind: serve.OpPut, Key: 4, Val: 9},
+		{Kind: serve.OpGet, Key: 5}, {Kind: serve.OpPut, Key: 6, Val: 9}}}}
+}
+
+// mixedBatch is a depth-8 pipeline in the benchmark's kv mix: mostly GETs,
+// with a PUT, a CAS, a 16-key SCAN and a 2 GET + 2 PUT TXN.
+func mixedBatch() []*serve.ProtoRequest {
+	put, cas, txn := putBatch()[0], casBatch()[0], txnBatch()[0]
+	put.ReqID, cas.ReqID, txn.ReqID = 3, 5, 9
+	return []*serve.ProtoRequest{
+		getReq(2, 1), put, getReq(4, 2), cas, scanReq(6, 8), getReq(7, 40), getReq(8, 41), txn,
+	}
+}
+
 // binaryShapes are the request batches the BenchmarkServeBinary*
-// benchmarks time, plus a PUT-then-GET pair; TestServeBinarySteadyStateAllocs
-// holds each round trip to zero allocations.
+// benchmarks time, plus a PUT-then-GET pair and a shape per remaining
+// opcode; TestServeBinarySteadyStateAllocs holds each round trip to zero
+// allocations. A shape with two rounds sends them alternately: rotate
+// moves a SCAN and a GET between the same two slots every round, on both
+// sides of the wire.
 var binaryShapes = []struct {
-	name  string
-	batch func() []*serve.ProtoRequest
+	name   string
+	rounds [][]*serve.ProtoRequest
 }{
-	{"get", getBatch},
-	{"put", putBatch},
-	{"pipelined", pipelinedBatch},
-	{"put then get", putThenGetBatch},
+	{"get", [][]*serve.ProtoRequest{getBatch()}},
+	{"put", [][]*serve.ProtoRequest{putBatch()}},
+	{"pipelined", [][]*serve.ProtoRequest{pipelinedBatch()}},
+	{"put then get", [][]*serve.ProtoRequest{putThenGetBatch()}},
+	{"rotate", [][]*serve.ProtoRequest{{scanReq(2, 0), getReq(3, 7)}, {getReq(2, 7), scanReq(3, 0)}}},
+	{"cas", [][]*serve.ProtoRequest{casBatch()}},
+	{"txn", [][]*serve.ProtoRequest{txnBatch()}},
+	{"mixed", [][]*serve.ProtoRequest{mixedBatch()}},
 }
 
 // binaryRoundTrip starts a server, dials it and returns one steady-state
-// round trip of a prebuilt frame batch, after warming every recycled buffer
-// on both sides.
-func binaryRoundTrip(tb testing.TB, reqs []*serve.ProtoRequest) func() {
+// round trip, after warming every recycled buffer on both sides. Each call
+// sends the next of rounds' prebuilt frame batches, in turn.
+func binaryRoundTrip(tb testing.TB, rounds ...[]*serve.ProtoRequest) func() {
 	s, err := serve.New(serve.Config{Keys: 64, Workers: 2})
 	if err != nil {
 		tb.Fatal(err)
@@ -133,11 +171,16 @@ func binaryRoundTrip(tb testing.TB, reqs []*serve.ProtoRequest) func() {
 	}
 	z := dialZA(tb, addr.String())
 	tb.Cleanup(func() { z.c.Close() })
-	wire := buildWire(tb, reqs...)
+	wires := make([][]byte, len(rounds))
+	for i, reqs := range rounds {
+		wires[i] = buildWire(tb, reqs...)
+	}
+	next := 0
 	step := func() {
-		if err := z.exchange(wire, len(reqs)); err != nil {
+		if err := z.exchange(wires[next], len(rounds[next])); err != nil {
 			tb.Fatal(err)
 		}
+		next = (next + 1) % len(rounds)
 	}
 	for i := 0; i < 32; i++ {
 		step()
@@ -158,17 +201,20 @@ func benchBinary(b *testing.B, reqs []*serve.ProtoRequest) {
 func BenchmarkServeBinaryGet(b *testing.B)       { benchBinary(b, getBatch()) }
 func BenchmarkServeBinaryPut(b *testing.B)       { benchBinary(b, putBatch()) }
 func BenchmarkServeBinaryPipelined(b *testing.B) { benchBinary(b, pipelinedBatch()) }
+func BenchmarkServeBinaryMixed(b *testing.B)     { benchBinary(b, mixedBatch()) }
 
 // TestServeBinarySteadyStateAllocs is the allocation gate of the
 // BenchmarkServeBinary* benchmarks: after warmup, a binary round trip —
 // client encode, server parse, worker execution, reply encode, client
-// decode — performs zero heap allocations process-wide.
+// decode — performs zero heap allocations process-wide, for GET, PUT, CAS,
+// SCAN and TXN frames, pipelined or not, and for a slot whose opcode
+// changes every round.
 func TestServeBinarySteadyStateAllocs(t *testing.T) {
 	for _, shape := range binaryShapes {
 		t.Run(shape.name, func(t *testing.T) {
-			step := binaryRoundTrip(t, shape.batch())
+			step := binaryRoundTrip(t, shape.rounds...)
 			if avg := testing.AllocsPerRun(100, step); avg != 0 {
-				t.Fatalf("steady-state binary %s round trip allocates %.1f times, want 0", shape.name, avg)
+				t.Fatalf("steady-state binary %s round allocates %.1f times, want 0", shape.name, avg)
 			}
 		})
 	}
