@@ -15,11 +15,12 @@
 // sequence on top of the checkpoint, and stops at the first record that is
 // torn, checksum-corrupt or out of sequence — so a crash can lose only
 // un-acked suffix commits, never resurrect an aborted transaction, and never
-// tear one in half. It then checkpoints the image it decoded, so a boot
-// writes each word of the range once and reads none back. Records and
-// checkpoints carry CRC-32C checksums; this build writes checkpoint magic
-// RHCKPT03, and a directory whose checkpoint an older format wrote (RHCKPT01,
-// RHCKPT02) is refused at boot by its magic, untouched.
+// tear one in half. It then checkpoints the words it stored, each read back
+// once and the zero ones left out, so a boot costs what the directory holds,
+// not the size of the range. Records and checkpoints carry CRC-32C
+// checksums; this build writes checkpoint magic RHCKPT04, and a directory
+// whose checkpoint an older format wrote (RHCKPT01, RHCKPT02, RHCKPT03) is
+// refused at boot by its magic, untouched.
 package persist
 
 import (
@@ -185,17 +186,23 @@ func (l *Log) Durable() uint64 { return l.durable.Load() }
 // running a group-fsync pass if nobody else gets there first. Concurrent
 // waiters batch: one pass writes and fsyncs the log once and advances the
 // durable frontier past all of them. It returns the log's sticky I/O error,
-// if any.
+// if any, and an error without waiting further when a pass leaves every
+// appended sequence durable and seq is still beyond them: no sync can make
+// durable a sequence nobody has appended.
 func (l *Log) WaitDurable(seq uint64) error {
 	if l.durable.Load() >= seq {
 		return l.Err()
 	}
 	l.syncMu.Lock()
 	synced := false
+	var err error
 	for l.durable.Load() < seq {
-		if err := l.Err(); err != nil {
-			l.syncMu.Unlock()
-			return err
+		if err = l.Err(); err != nil {
+			break
+		}
+		if d := l.durable.Load(); synced && d == l.appended.Load() {
+			err = fmt.Errorf("persist: WaitDurable(%d) is past the appended frontier %d (durable %d)", seq, d, d)
+			break
 		}
 		l.syncLocked()
 		synced = true
@@ -203,6 +210,9 @@ func (l *Log) WaitDurable(seq uint64) error {
 	l.syncMu.Unlock()
 	if synced && l.onEvent != nil {
 		l.onEvent(EventSync, l.durable.Load())
+	}
+	if err != nil {
+		return err
 	}
 	return l.Err()
 }

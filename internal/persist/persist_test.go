@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -161,6 +162,47 @@ func TestAppendTouchesNoBackend(t *testing.T) {
 	}
 	if a, s := b.appends.Load(), b.syncs.Load(); a != 1 || s != 1 {
 		t.Fatalf("one WaitDurable made %d file writes and %d fsyncs, want 1 and 1", a, s)
+	}
+}
+
+// TestWaitDurablePastAppendedFails: waiting on a sequence nobody appended
+// returns an error naming both frontiers instead of looping under syncMu,
+// and the log's other users still get the lock afterwards.
+func TestWaitDurablePastAppendedFails(t *testing.T) {
+	l, _ := openStore(t, Options{Backend: NewMemBackend(), Lo: 8, Hi: 1024}, wordStore{})
+	wait := func(seq uint64) error {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- l.WaitDurable(seq) }()
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(10 * time.Second):
+			t.Fatalf("WaitDurable(%d) still waiting after 10 s with Appended = %d", seq, l.Appended())
+			return nil
+		}
+	}
+	if err := wait(l.Appended() + 1); err == nil || !strings.Contains(err.Error(), "appended frontier 0") {
+		t.Fatalf("WaitDurable past a fresh log's frontier returned %v", err)
+	}
+	l.Append(1, []mem.WriteEntry{{Addr: 8, Value: 1}})
+	if err := wait(3); err == nil || !strings.Contains(err.Error(), "appended frontier 1") {
+		t.Fatalf("WaitDurable(3) after one append returned %v", err)
+	}
+	if d := l.Durable(); d != 1 {
+		t.Fatalf("the failed wait left Durable = %d; its pass should have made the one append durable", d)
+	}
+	if err := wait(1); err != nil {
+		t.Fatalf("WaitDurable on the appended frontier: %v", err)
+	}
+	if c := l.CountersSnapshot(); c.Appended != 1 || c.Durable != 1 {
+		t.Fatalf("CountersSnapshot after the failed wait: %+v", c)
+	}
+	if err := l.Err(); err != nil {
+		t.Fatalf("a wait past the frontier set the sticky error: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close after the failed wait: %v", err)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"math/bits"
 
 	"rhnorec/internal/mem"
 )
@@ -15,10 +16,13 @@ const (
 	// that tools counting log bytes match on.
 	logName = "seg-000.log"
 
-	// ckptMagic is "RHCKPT03" as a little-endian u64. The checkpoint's magic
+	// ckptMagic is "RHCKPT04" as a little-endian u64. The checkpoint's magic
 	// versions the whole directory: Open writes a checkpoint before the first
 	// append, so every log this build reads sits beside one.
-	ckptMagic = uint64(0x333054504b434852)
+	ckptMagic = uint64(0x343054504b434852)
+	// ckptMagicV3 is "RHCKPT03", the checkpoint of builds that wrote a dense
+	// image of the whole range. Open refuses such a directory.
+	ckptMagicV3 = uint64(0x333054504b434852)
 	// ckptMagicV2 is "RHCKPT02", the checkpoint of builds whose records and
 	// checkpoints carried FNV-64a checksums. Open refuses such a directory.
 	ckptMagicV2 = uint64(0x323054504b434852)
@@ -26,8 +30,8 @@ const (
 	// commits over up to eight files. Open refuses such a directory.
 	ckptMagicV1 = uint64(0x313054504b434852)
 
-	// ckptHeadBytes is the checkpoint header: magic, lo, hi, seq.
-	ckptHeadBytes = 32
+	// ckptHeadBytes is the checkpoint header: magic, lo, hi, seq, npairs.
+	ckptHeadBytes = 40
 )
 
 // olderFormats are the checkpoint magics Open recognizes and refuses, each
@@ -38,6 +42,7 @@ var olderFormats = [...]struct {
 }{
 	{ckptMagicV1, "an older build's multi-file redo log"},
 	{ckptMagicV2, "an older build's FNV-64a checksums"},
+	{ckptMagicV3, "an older build's dense image of the whole range"},
 }
 
 // magicName spells a checkpoint magic as the eight bytes it is on disk.
@@ -64,36 +69,40 @@ type RecoveryStats struct {
 
 // Open runs crash recovery over the backend and returns a Log ready for
 // appends. apply stores one recovered word (typically mem.Memory.StorePlain)
-// and is only called during Open, single-threaded, over [Lo, Hi). read is
-// not called: the new checkpoint is built from the image recovery decoded,
-// so every word of the range is written once and never read back.
+// and is only called during Open, single-threaded, over [Lo, Hi). read
+// returns the value apply last stored (typically mem.Memory.LoadPlain); Open
+// calls it once for each word apply stored, after the replay,
+// single-threaded, to write the new checkpoint, and never for a word apply
+// did not store.
 //
 // Open requires that [Lo, Hi) reads zero before it runs, as a freshly
-// allocated arena does: the words no checkpoint or record covers are
-// checkpointed as zero, not as whatever the memory holds.
+// allocated arena does: a checkpoint holds only the words that are set, so
+// the words no checkpoint pair or record covers are left as the memory holds
+// them.
 //
 // The boot protocol makes repeated crash-restart cycles idempotent:
 //
 //  1. load the checkpoint (atomic-replace file: whole or absent), apply its
-//     image, note its sequence base; a directory an older format wrote is
+//     pairs, note its sequence base; a directory an older format wrote is
 //     refused here, before anything is written;
 //  2. read the log as one stream, skip records at or below the base, and
 //     replay each record that carries the next sequence, up to the first
 //     record that is torn, corrupt or out of sequence;
-//  3. write a fresh checkpoint of the recovered image, then truncate the
-//     log. Replay applies absolute values, so a crash between those two
-//     steps just replays the same records onto the same image next boot.
+//  3. write a fresh checkpoint of the words steps 1–2 stored, reading each
+//     back once, then truncate the log. Replay applies absolute values, so a
+//     crash between those two steps just replays the same records onto the
+//     same words next boot.
 func Open(opts Options, apply func(mem.Addr, uint64), read func(a mem.Addr) uint64) (*Log, RecoveryStats, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
 		return nil, RecoveryStats{}, err
 	}
 	b := opts.Backend
-	stats, img, err := recoverState(b, opts.Lo, opts.Hi, apply)
+	stats, stored, err := recoverState(b, opts.Lo, opts.Hi, apply)
 	if err != nil {
 		return nil, stats, err
 	}
-	if err := saveCheckpoint(b, img, stats.Seq); err != nil {
+	if err := saveCheckpoint(b, stored, stats.Seq, read); err != nil {
 		return nil, stats, fmt.Errorf("persist: checkpoint: %w", err)
 	}
 	if err := b.WriteAtomic(logName, nil); err != nil {
@@ -116,19 +125,43 @@ func Open(opts Options, apply func(mem.Addr, uint64), read func(a mem.Addr) uint
 	return l, stats, nil
 }
 
+// wordSet marks words of [lo, hi), one bit per word. Its bitmap is allocated
+// on the first add, so a boot that stores nothing allocates nothing sized by
+// the range.
+type wordSet struct {
+	lo, hi mem.Addr
+	bits   []uint64
+}
+
+func (s *wordSet) add(a mem.Addr) {
+	if s.bits == nil {
+		s.bits = make([]uint64, (s.hi-s.lo+63)/64)
+	}
+	i := a - s.lo
+	s.bits[i/64] |= 1 << (i % 64)
+}
+
+// count returns the number of words in the set.
+func (s *wordSet) count() int {
+	n := 0
+	for _, w := range s.bits {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
 // recoverState performs steps 1–2 of the boot protocol: one pass over the
-// log's bytes, allocating nothing per commit. It returns the recovered image
-// laid out as a checkpoint body (newCheckpoint): every word apply stored, in
-// place. A record above the base replays only if its seq is exactly the
-// frontier's successor. Log never writes any other kind: Append assigns
-// sequences under appendMu, syncLocked writes the swapped buffers under
-// syncMu in swap order, and Open truncates the log before the first append.
-// So the first record that breaks the sequence is where the stream ends,
-// like a torn one.
-func recoverState(b Backend, lo, hi mem.Addr, apply func(mem.Addr, uint64)) (RecoveryStats, []byte, error) {
+// log's bytes, allocating nothing per commit. It returns the set of words
+// apply stored, the checkpoint's and the log's alike. A record above the
+// base replays only if its seq is exactly the frontier's successor. Log
+// never writes any other kind: Append assigns sequences under appendMu,
+// syncLocked writes the swapped buffers under syncMu in swap order, and Open
+// truncates the log before the first append. So the first record that
+// breaks the sequence is where the stream ends, like a torn one.
+func recoverState(b Backend, lo, hi mem.Addr, apply func(mem.Addr, uint64)) (RecoveryStats, *wordSet, error) {
 	var stats RecoveryStats
-	img := newCheckpoint(lo, hi)
-	base, err := loadCheckpoint(b, lo, hi, img, apply)
+	stored := &wordSet{lo: lo, hi: hi}
+	base, err := loadCheckpoint(b, stored, apply)
 	if err != nil {
 		return stats, nil, err
 	}
@@ -151,13 +184,13 @@ func recoverState(b Backend, lo, hi mem.Addr, apply func(mem.Addr, uint64)) (Rec
 			// write and log truncate leaves these behind.
 			continue
 		}
-		if err := replayPairs(pairs, lo, hi, img[ckptHeadBytes:], apply); err != nil {
+		if err := replayPairs(pairs, stored, apply); err != nil {
 			return stats, nil, err
 		}
 		stats.Commits++
 		stats.Seq = seq
 	}
-	return stats, img, nil
+	return stats, stored, nil
 }
 
 // parseRecord verifies the record at the head of data and returns its seq,
@@ -182,51 +215,57 @@ func parseRecord(data []byte) (seq uint64, pairs []byte, n int) {
 	return binary.LittleEndian.Uint64(payload), payload[recHeadBytes:], 4 + int(size)
 }
 
-// replayPairs applies each pair and stores its value into vals, the image's
-// words of [lo, hi).
-func replayPairs(pairs []byte, lo, hi mem.Addr, vals []byte, apply func(mem.Addr, uint64)) error {
+// replayPairs applies each pair, a checkpoint's or a record's, and adds its
+// address to stored.
+func replayPairs(pairs []byte, stored *wordSet, apply func(mem.Addr, uint64)) error {
 	for ; len(pairs) > 0; pairs = pairs[recPairBytes:] {
 		a := mem.Addr(binary.LittleEndian.Uint64(pairs))
-		if a < lo || a >= hi {
-			return fmt.Errorf("persist: recovered address %d outside range [%d,%d) — log written under a different layout?", a, lo, hi)
+		if a < stored.lo || a >= stored.hi {
+			return fmt.Errorf("persist: recovered address %d outside range [%d,%d) — log written under a different layout?", a, stored.lo, stored.hi)
 		}
-		v := binary.LittleEndian.Uint64(pairs[8:])
-		apply(a, v)
-		binary.LittleEndian.PutUint64(vals[(a-lo)*8:], v)
+		apply(a, binary.LittleEndian.Uint64(pairs[8:]))
+		stored.add(a)
 	}
 	return nil
 }
 
-// Checkpoint layout (little-endian): magic, lo, hi, seq, (hi-lo) values,
-// then the CRC-32C of everything preceding, zero-extended to 8 bytes.
-// Written only via WriteAtomic.
+// Checkpoint layout (little-endian): magic, lo, hi, seq, npairs, then npairs
+// × (u64 addr, u64 val) — the record's pair encoding, addresses strictly
+// ascending inside [lo, hi), values nonzero — then the CRC-32C of everything
+// preceding, zero-extended to 8 bytes. A checkpoint of k set words is
+// 48 + 16k bytes. Written only via WriteAtomic.
 //
-// newCheckpoint returns the body of an all-zero checkpoint of [lo, hi), its
-// seq not yet set, with capacity for the checksum.
-func newCheckpoint(lo, hi mem.Addr) []byte {
-	n := ckptHeadBytes + int(hi-lo)*8
-	img := make([]byte, n, n+recSumBytes)
-	binary.LittleEndian.PutUint64(img, ckptMagic)
-	binary.LittleEndian.PutUint64(img[8:], uint64(lo))
-	binary.LittleEndian.PutUint64(img[16:], uint64(hi))
-	return img
+// saveCheckpoint replaces the checkpoint file with one at seq holding the
+// words of stored that read nonzero, reading each once, in ascending order.
+func saveCheckpoint(b Backend, stored *wordSet, seq uint64, read func(mem.Addr) uint64) error {
+	buf := make([]byte, ckptHeadBytes, ckptHeadBytes+stored.count()*recPairBytes+recSumBytes)
+	binary.LittleEndian.PutUint64(buf, ckptMagic)
+	binary.LittleEndian.PutUint64(buf[8:], uint64(stored.lo))
+	binary.LittleEndian.PutUint64(buf[16:], uint64(stored.hi))
+	binary.LittleEndian.PutUint64(buf[24:], seq)
+	npairs := 0
+	for i, w := range stored.bits {
+		for ; w != 0; w &= w - 1 {
+			a := stored.lo + mem.Addr(i*64+bits.TrailingZeros64(w))
+			if v := read(a); v != 0 {
+				buf = binary.LittleEndian.AppendUint64(buf, uint64(a))
+				buf = binary.LittleEndian.AppendUint64(buf, v)
+				npairs++
+			}
+		}
+	}
+	binary.LittleEndian.PutUint64(buf[32:], uint64(npairs))
+	return b.WriteAtomic(checkpointName, binary.LittleEndian.AppendUint64(buf, checksum(buf)))
 }
 
-// saveCheckpoint stamps img (from newCheckpoint) with seq, appends its
-// checksum and replaces the checkpoint file with it.
-func saveCheckpoint(b Backend, img []byte, seq uint64) error {
-	binary.LittleEndian.PutUint64(img[24:], seq)
-	return b.WriteAtomic(checkpointName, binary.LittleEndian.AppendUint64(img, checksum(img)))
-}
-
-// loadCheckpoint applies the checkpoint image (if one exists), copies its
-// words into img's and returns its sequence base. A checkpoint that exists
-// but fails validation is an error, not a skip: WriteAtomic can't tear, so
-// corruption means operator trouble (wrong directory, changed key-space
-// size) that silent zeroing would turn into data loss. An older format's
-// magic is refused first, so its differently summed bytes never read as a
-// checksum mismatch.
-func loadCheckpoint(b Backend, lo, hi mem.Addr, img []byte, apply func(mem.Addr, uint64)) (uint64, error) {
+// loadCheckpoint applies the checkpoint's pairs (if one exists), adds their
+// addresses to stored and returns its sequence base. A checkpoint that
+// exists but fails validation is an error, not a skip, and nothing of it is
+// applied: WriteAtomic can't tear, so corruption means operator trouble
+// (wrong directory, changed key-space size) that silent zeroing would turn
+// into data loss. An older format's magic is refused first, so its
+// differently laid out bytes never read as a checksum mismatch.
+func loadCheckpoint(b Backend, stored *wordSet, apply func(mem.Addr, uint64)) (uint64, error) {
 	data, err := b.ReadFile(checkpointName)
 	if errors.Is(err, fs.ErrNotExist) {
 		return 0, nil
@@ -243,9 +282,8 @@ func loadCheckpoint(b Backend, lo, hi mem.Addr, img []byte, apply func(mem.Addr,
 			}
 		}
 	}
-	want := len(img) + recSumBytes
-	if len(data) != want {
-		return 0, fmt.Errorf("persist: checkpoint is %d bytes, want %d — log written under a different layout?", len(data), want)
+	if len(data) < ckptHeadBytes+recSumBytes {
+		return 0, fmt.Errorf("persist: checkpoint is %d bytes, shorter than its %d-byte header and checksum", len(data), ckptHeadBytes+recSumBytes)
 	}
 	body, sum := data[:len(data)-recSumBytes], binary.LittleEndian.Uint64(data[len(data)-recSumBytes:])
 	if checksum(body) != sum {
@@ -256,13 +294,24 @@ func loadCheckpoint(b Backend, lo, hi mem.Addr, img []byte, apply func(mem.Addr,
 	}
 	ckLo := mem.Addr(binary.LittleEndian.Uint64(body[8:]))
 	ckHi := mem.Addr(binary.LittleEndian.Uint64(body[16:]))
-	if ckLo != lo || ckHi != hi {
-		return 0, fmt.Errorf("persist: checkpoint range [%d,%d) does not match configured [%d,%d)", ckLo, ckHi, lo, hi)
+	if ckLo != stored.lo || ckHi != stored.hi {
+		return 0, fmt.Errorf("persist: checkpoint range [%d,%d) does not match configured [%d,%d)", ckLo, ckHi, stored.lo, stored.hi)
 	}
-	vals := body[ckptHeadBytes:]
-	copy(img[ckptHeadBytes:], vals)
-	for a := lo; a < hi; a++ {
-		apply(a, binary.LittleEndian.Uint64(vals[(a-lo)*8:]))
+	pairs := body[ckptHeadBytes:]
+	if npairs := binary.LittleEndian.Uint64(body[32:]); npairs != uint64(len(pairs)/recPairBytes) || len(pairs)%recPairBytes != 0 {
+		return 0, fmt.Errorf("persist: checkpoint holds %d pair bytes for %d pairs", len(pairs), npairs)
+	}
+	next := stored.lo // the least address the next pair may carry
+	for i := 0; i < len(pairs); i += recPairBytes {
+		a, v := mem.Addr(binary.LittleEndian.Uint64(pairs[i:])), binary.LittleEndian.Uint64(pairs[i+8:])
+		if a < next || a >= stored.hi || v == 0 {
+			return 0, fmt.Errorf("persist: checkpoint pair %d (address %d, value %d) breaks the layout: addresses ascend strictly inside [%d,%d) and values are nonzero",
+				i/recPairBytes, a, v, stored.lo, stored.hi)
+		}
+		next = a + 1
+	}
+	if err := replayPairs(pairs, stored, apply); err != nil {
+		return 0, err
 	}
 	return binary.LittleEndian.Uint64(body[24:]), nil
 }

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -162,34 +163,55 @@ func TestRecoverMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestCheckpointIsRecoveredImage: the checkpoint Open writes is built from
-// what recovery decoded, not read back from memory, so it must still decode
-// word for word to what apply stored, at the recovered seq. It opens every
-// crash image, a truncated log and a checkpoint laid over a log of
-// TestRecoverMatchesOracle's seeded histories, and a fresh directory, which
-// must checkpoint an all-zero image at seq 0.
+// TestCheckpointIsRecoveredImage: the checkpoint Open writes holds exactly
+// the words apply stored that read back nonzero, each read back once, at the
+// recovered seq; read is never called on a word apply did not store. It
+// opens every crash image, a truncated log and a checkpoint laid over a log
+// of TestRecoverMatchesOracle's seeded histories, and a fresh directory,
+// which must checkpoint no pairs at seq 0.
 func TestCheckpointIsRecoveredImage(t *testing.T) {
 	check := func(label string, img Backend) {
 		t.Helper()
 		w := wordStore{}
+		reads := map[mem.Addr]int{}
 		l, stats, err := Open(Options{Backend: img, Lo: oracleLo, Hi: oracleHi}, w.apply,
-			func(mem.Addr) uint64 { panic("Open read a word back") })
+			func(a mem.Addr) uint64 { reads[a]++; return w[a] })
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
 		defer l.Close()
-		got := wordStore{}
-		seq, err := loadCheckpoint(img, oracleLo, oracleHi, newCheckpoint(oracleLo, oracleHi), got.apply)
-		if err != nil {
-			t.Fatalf("%s: the checkpoint Open wrote: %v", label, err)
+		for a := range reads {
+			if _, ok := w[a]; !ok {
+				t.Fatalf("%s: Open read word %d, which apply never stored", label, a)
+			}
 		}
+		want := map[mem.Addr]uint64{}
+		for a, v := range w {
+			if reads[a] != 1 {
+				t.Fatalf("%s: Open read stored word %d %d times, want once", label, a, reads[a])
+			}
+			if v != 0 {
+				want[a] = v
+			}
+		}
+		seq, pairs := checkpointPairs(t, img)
 		if seq != stats.Seq {
 			t.Fatalf("%s: checkpoint seq %d, recovered %d", label, seq, stats.Seq)
 		}
-		for a := oracleLo; a < oracleHi; a++ {
-			if got[a] != w[a] {
-				t.Fatalf("%s: checkpoint word %d = %d, apply stored %d", label, a, got[a], w[a])
+		if len(pairs) != len(want) {
+			t.Fatalf("%s: checkpoint holds %d pairs, apply stored %d nonzero words", label, len(pairs), len(want))
+		}
+		for _, p := range pairs {
+			if want[p.Addr] != p.Value {
+				t.Fatalf("%s: checkpoint word %d = %d, apply stored %d", label, p.Addr, p.Value, want[p.Addr])
 			}
+		}
+		got := wordStore{}
+		if seq, err := loadCheckpoint(img, &wordSet{lo: oracleLo, hi: oracleHi}, got.apply); err != nil || seq != stats.Seq {
+			t.Fatalf("%s: the checkpoint Open wrote loads at seq %d: %v", label, seq, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: loading the checkpoint applied %d words, want %d", label, len(got), len(want))
 		}
 	}
 	check("fresh", NewMemBackend())
@@ -218,6 +240,33 @@ func TestCheckpointIsRecoveredImage(t *testing.T) {
 	}
 }
 
+// checkpointPairs decodes b's checkpoint field by field, apart from
+// loadCheckpoint, and fails unless its size, npairs and checksum agree.
+func checkpointPairs(t *testing.T, b Backend) (seq uint64, pairs []mem.WriteEntry) {
+	t.Helper()
+	data, err := b.ReadFile(checkpointName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) < 48 || (len(data)-48)%16 != 0 {
+		t.Fatalf("checkpoint is %d bytes, not 48 + 16k", len(data))
+	}
+	if got := string(data[:8]); got != "RHCKPT04" {
+		t.Fatalf("checkpoint magic %q", got)
+	}
+	le := binary.LittleEndian
+	if n := le.Uint64(data[32:]); n != uint64(len(data)-48)/16 {
+		t.Fatalf("checkpoint of %d bytes says it holds %d pairs", len(data), n)
+	}
+	if sum := le.Uint64(data[len(data)-8:]); sum != crc32c(data[:len(data)-8]) {
+		t.Fatal("checkpoint checksum does not verify")
+	}
+	for p := data[40 : len(data)-8]; len(p) > 0; p = p[16:] {
+		pairs = append(pairs, mem.WriteEntry{Addr: mem.Addr(le.Uint64(p)), Value: le.Uint64(p[8:])})
+	}
+	return le.Uint64(data[24:]), pairs
+}
+
 // ---- the stream's own contract ----
 
 // encodeRecord appends one record in the on-disk layout, written out field
@@ -231,7 +280,7 @@ func encodeRecord(b []byte, seq uint64, pairs []mem.WriteEntry) []byte {
 		b = binary.LittleEndian.AppendUint64(b, uint64(e.Addr))
 		b = binary.LittleEndian.AppendUint64(b, e.Value)
 	}
-	return binary.LittleEndian.AppendUint64(b, uint64(crc32.Checksum(b[start:], crc32.MakeTable(crc32.Castagnoli))))
+	return binary.LittleEndian.AppendUint64(b, crc32c(b[start:]))
 }
 
 // fnv64a is the FNV-64a checksum builds before RHCKPT03 wrote, kept to lay
@@ -245,15 +294,45 @@ func fnv64a(p []byte) uint64 {
 	return h
 }
 
-// writeCheckpoint writes a checkpoint at seq whose image of [lo, hi) is
+// writeCheckpoint writes a checkpoint at seq whose words of [lo, hi) are
 // read's.
 func writeCheckpoint(b Backend, lo, hi mem.Addr, seq uint64, read func(mem.Addr) uint64) error {
-	img := newCheckpoint(lo, hi)
+	all := &wordSet{lo: lo, hi: hi}
 	for a := lo; a < hi; a++ {
-		binary.LittleEndian.PutUint64(img[ckptHeadBytes+(a-lo)*8:], read(a))
+		all.add(a)
 	}
-	return saveCheckpoint(b, img, seq)
+	return saveCheckpoint(b, all, seq, read)
 }
+
+// encodeCheckpoint lays out an RHCKPT04 checkpoint field by field, apart
+// from saveCheckpoint, with whatever npairs and pairs it is given and a
+// checksum that verifies.
+func encodeCheckpoint(lo, hi mem.Addr, seq, npairs uint64, pairs []mem.WriteEntry) []byte {
+	b := binary.LittleEndian.AppendUint64(nil, ckptMagic)
+	for _, f := range []uint64{uint64(lo), uint64(hi), seq, npairs} {
+		b = binary.LittleEndian.AppendUint64(b, f)
+	}
+	for _, e := range pairs {
+		b = binary.LittleEndian.AppendUint64(b, uint64(e.Addr))
+		b = binary.LittleEndian.AppendUint64(b, e.Value)
+	}
+	return binary.LittleEndian.AppendUint64(b, crc32c(b))
+}
+
+// denseCheckpoint lays out the checkpoint of the builds before RHCKPT04:
+// magic, lo, hi, seq, every word of [lo, hi), then sum of all of that.
+func denseCheckpoint(magic uint64, lo, hi mem.Addr, seq uint64, read func(mem.Addr) uint64, sum func([]byte) uint64) []byte {
+	b := binary.LittleEndian.AppendUint64(nil, magic)
+	for _, f := range []uint64{uint64(lo), uint64(hi), seq} {
+		b = binary.LittleEndian.AppendUint64(b, f)
+	}
+	for a := lo; a < hi; a++ {
+		b = binary.LittleEndian.AppendUint64(b, read(a))
+	}
+	return binary.LittleEndian.AppendUint64(b, sum(b))
+}
+
+func crc32c(p []byte) uint64 { return uint64(crc32.Checksum(p, crc32.MakeTable(crc32.Castagnoli))) }
 
 // TestAppendRecordBytes: one Append of n in-range pairs writes exactly
 // 24 + 16n bytes, the record encodeRecord lays out; out-of-range pairs add
@@ -323,41 +402,25 @@ func TestSegmentSeqMustIncrease(t *testing.T) {
 	}
 }
 
-// TestRefuseRHCKPT01: a directory whose checkpoint carries the older format's
-// magic is refused at boot, whatever key range is configured, with an error
-// naming that format, and every file in it is left byte for byte as it was.
-func TestRefuseRHCKPT01(t *testing.T) {
-	const lo, hi = mem.Addr(8), mem.Addr(64)
-	mb := NewMemBackend()
-	if err := writeCheckpoint(mb, lo, hi, 3, func(a mem.Addr) uint64 { return uint64(a) }); err != nil {
-		t.Fatal(err)
-	}
-	ckpt, err := mb.ReadFile(checkpointName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckpt = append([]byte(nil), ckpt[:len(ckpt)-8]...)
-	binary.LittleEndian.PutUint64(ckpt, ckptMagicV1)
-	ckpt = binary.LittleEndian.AppendUint64(ckpt, fnv64a(ckpt))
+// refuseDir lays files out in a fresh directory and opens it over [lo, hi)
+// for each hi. Every Open must be refused with an error naming format and
+// this build's RHCKPT04, and must leave every file byte for byte as it was.
+func refuseDir(t *testing.T, files map[string][]byte, format string, lo mem.Addr, his ...mem.Addr) {
+	t.Helper()
 	dir := t.TempDir()
-	files := map[string][]byte{
-		checkpointName: ckpt,
-		logName:        {1, 2, 3, 4, 5, 6, 7, 8},
-		"seg-001.log":  {9, 10, 11},
-	}
 	for name, data := range files {
 		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, h := range []mem.Addr{hi, hi + 8} {
-		l, _, err := Open(Options{Dir: dir, Lo: lo, Hi: h}, func(mem.Addr, uint64) {}, func(mem.Addr) uint64 { return 0 })
+	for _, hi := range his {
+		l, _, err := Open(Options{Dir: dir, Lo: lo, Hi: hi}, func(mem.Addr, uint64) {}, func(mem.Addr) uint64 { return 0 })
 		if err == nil {
 			l.Close()
-			t.Fatalf("Hi=%d: Open accepted an RHCKPT01 directory", h)
+			t.Fatalf("Hi=%d: Open accepted an %s directory", hi, format)
 		}
-		if !strings.Contains(err.Error(), "RHCKPT01") {
-			t.Fatalf("Hi=%d: error %q does not name the format", h, err)
+		if !strings.Contains(err.Error(), format) || !strings.Contains(err.Error(), "RHCKPT04") {
+			t.Fatalf("Hi=%d: error %q does not name the directory's format and this build's", hi, err)
 		}
 	}
 	entries, err := os.ReadDir(dir)
@@ -374,48 +437,186 @@ func TestRefuseRHCKPT01(t *testing.T) {
 	}
 }
 
+func identity(a mem.Addr) uint64 { return uint64(a) }
+
+// TestRefuseRHCKPT01: a directory of the multi-file log's build is refused
+// at boot by its checkpoint's magic, whatever key range is configured.
+func TestRefuseRHCKPT01(t *testing.T) {
+	const lo, hi = mem.Addr(8), mem.Addr(64)
+	refuseDir(t, map[string][]byte{
+		checkpointName: denseCheckpoint(ckptMagicV1, lo, hi, 3, identity, fnv64a),
+		logName:        {1, 2, 3, 4, 5, 6, 7, 8},
+		"seg-001.log":  {9, 10, 11},
+	}, "RHCKPT01", lo, hi, hi+8)
+}
+
 // TestRefuseRHCKPT02: a directory the FNV-64a build wrote — an RHCKPT02
 // checkpoint and a log of records with FNV-64a trailers — is refused by its
-// magic, not reported as a checksum mismatch, with an error naming both
-// formats, and every file in it is left byte for byte as it was.
+// magic, not reported as a checksum mismatch.
 func TestRefuseRHCKPT02(t *testing.T) {
 	const lo, hi = mem.Addr(8), mem.Addr(64)
-	ckpt := binary.LittleEndian.AppendUint64(nil, ckptMagicV2)
-	ckpt = binary.LittleEndian.AppendUint64(ckpt, uint64(lo))
-	ckpt = binary.LittleEndian.AppendUint64(ckpt, uint64(hi))
-	ckpt = binary.LittleEndian.AppendUint64(ckpt, 3)
-	for a := lo; a < hi; a++ {
-		ckpt = binary.LittleEndian.AppendUint64(ckpt, uint64(a))
-	}
-	ckpt = binary.LittleEndian.AppendUint64(ckpt, fnv64a(ckpt))
 	rec := encodeRecord(nil, 4, []mem.WriteEntry{{Addr: lo, Value: 7}})
 	binary.LittleEndian.PutUint64(rec[len(rec)-8:], fnv64a(rec[4:len(rec)-8]))
-	dir := t.TempDir()
-	files := map[string][]byte{checkpointName: ckpt, logName: rec}
-	for name, data := range files {
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+	refuseDir(t, map[string][]byte{
+		checkpointName: denseCheckpoint(ckptMagicV2, lo, hi, 3, identity, fnv64a),
+		logName:        rec,
+	}, "RHCKPT02", lo, hi)
+}
+
+// TestRefuseRHCKPT03: a directory the dense-checkpoint build wrote — an
+// RHCKPT03 image of every word of the range, CRC-32C summed, beside a log
+// whose records this build would replay — is refused by its magic, at its
+// own range and at another.
+func TestRefuseRHCKPT03(t *testing.T) {
+	const lo, hi = mem.Addr(8), mem.Addr(64)
+	refuseDir(t, map[string][]byte{
+		checkpointName: denseCheckpoint(ckptMagicV3, lo, hi, 3, identity, crc32c),
+		logName:        encodeRecord(nil, 4, []mem.WriteEntry{{Addr: lo, Value: 7}}),
+	}, "RHCKPT03", lo, hi, hi+8)
+}
+
+// TestCheckpointSize: a checkpoint of k set words is 48 + 16k bytes, so an
+// empty boot writes 48; a word that was set and then stored as zero is left
+// out.
+func TestCheckpointSize(t *testing.T) {
+	b := NewMemBackend()
+	opts := Options{Backend: b, Lo: 8, Hi: 8 + 64*mem.LineWords}
+	size := func() int {
+		t.Helper()
+		data, err := b.ReadFile(checkpointName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(data)
+	}
+	reboot := func(writes ...mem.WriteEntry) {
+		t.Helper()
+		l, _ := openStore(t, opts, wordStore{})
+		for i := range writes {
+			l.Append(uint64(i), writes[i:i+1])
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		l, _ = openStore(t, opts, wordStore{})
+		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	l, _, err := Open(Options{Dir: dir, Lo: lo, Hi: hi}, func(mem.Addr, uint64) {}, func(mem.Addr) uint64 { return 0 })
-	if err == nil {
-		l.Close()
-		t.Fatal("Open accepted an RHCKPT02 directory")
-	}
-	if !strings.Contains(err.Error(), "RHCKPT02") || !strings.Contains(err.Error(), "RHCKPT03") {
-		t.Fatalf("error %q does not name the directory's format and this build's", err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
+	l, _ := openStore(t, opts, wordStore{})
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != len(files) {
-		t.Fatalf("the directory holds %d entries after the refusal, want %d", len(entries), len(files))
+	if got := size(); got != 48 {
+		t.Fatalf("an empty boot wrote a %d-byte checkpoint, want 48", got)
 	}
-	for name, want := range files {
-		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("%s changed by the refusal (err %v)", name, err)
+	var writes []mem.WriteEntry
+	for k := 1; k <= 5; k++ {
+		writes = append(writes, mem.WriteEntry{Addr: mem.Addr(8 + k*mem.LineWords), Value: uint64(k)})
+		reboot(writes...)
+		if got := size(); got != 48+16*k {
+			t.Fatalf("%d set words checkpoint in %d bytes, want %d", k, got, 48+16*k)
 		}
+	}
+	reboot(mem.WriteEntry{Addr: writes[2].Addr, Value: 0}, mem.WriteEntry{Addr: writes[0].Addr, Value: 9})
+	if got := size(); got != 48+16*4 {
+		t.Fatalf("after one of 5 set words was stored as zero the checkpoint is %d bytes, want %d", got, 48+16*4)
+	}
+	w := wordStore{}
+	l, _ = openStore(t, opts, w)
+	defer l.Close()
+	if _, ok := w[writes[2].Addr]; ok || w[writes[0].Addr] != 9 || len(w) != 4 {
+		t.Fatalf("recovered %v, want the 4 nonzero words", w)
+	}
+}
+
+// TestRefuseCorruptCheckpoint: a checkpoint whose checksum verifies but
+// whose pairs break the layout, and a truncated one, are refused as
+// validation errors before any of their pairs is applied.
+func TestRefuseCorruptCheckpoint(t *testing.T) {
+	const lo, hi = mem.Addr(8), mem.Addr(64)
+	pairs := func(ws ...uint64) []mem.WriteEntry {
+		var p []mem.WriteEntry
+		for i := 0; i < len(ws); i += 2 {
+			p = append(p, mem.WriteEntry{Addr: mem.Addr(ws[i]), Value: ws[i+1]})
+		}
+		return p
+	}
+	ok := encodeCheckpoint(lo, hi, 3, 3, pairs(8, 1, 9, 2, 63, 3))
+	cases := map[string][]byte{
+		"unsorted":       encodeCheckpoint(lo, hi, 3, 2, pairs(16, 1, 9, 2)),
+		"duplicate":      encodeCheckpoint(lo, hi, 3, 2, pairs(9, 1, 9, 2)),
+		"below range":    encodeCheckpoint(lo, hi, 3, 2, pairs(7, 1, 9, 2)),
+		"above range":    encodeCheckpoint(lo, hi, 3, 2, pairs(9, 1, 64, 2)),
+		"zero value":     encodeCheckpoint(lo, hi, 3, 2, pairs(9, 1, 10, 0)),
+		"npairs > pairs": encodeCheckpoint(lo, hi, 3, 3, pairs(9, 1, 10, 2)),
+		"npairs < pairs": encodeCheckpoint(lo, hi, 3, 1, pairs(9, 1, 10, 2)),
+		"other range":    encodeCheckpoint(lo, hi+1, 3, 1, pairs(9, 1)),
+	}
+	// A pair cut in half: lay out one pair and drop its value field.
+	half := encodeCheckpoint(lo, hi, 3, 1, nil)
+	half = append(half[:len(half)-8], binary.LittleEndian.AppendUint64(nil, 9)...)
+	cases["half a pair"] = binary.LittleEndian.AppendUint64(half, crc32c(half))
+	for cut := 0; cut < len(ok); cut += 7 {
+		cases[fmt.Sprintf("truncated to %d", cut)] = ok[:cut]
+	}
+	for name, ckpt := range cases {
+		b := NewMemBackend()
+		b.WriteAtomic(checkpointName, ckpt)
+		applied := 0
+		l, _, err := Open(Options{Backend: b, Lo: lo, Hi: hi}, func(mem.Addr, uint64) { applied++ }, func(mem.Addr) uint64 { return 0 })
+		if err == nil {
+			l.Close()
+			t.Fatalf("%s: Open accepted the checkpoint", name)
+		}
+		if applied != 0 {
+			t.Fatalf("%s: Open applied %d words of a checkpoint it refused (%v)", name, applied, err)
+		}
+		if got, _ := b.ReadFile(checkpointName); !bytes.Equal(got, ckpt) {
+			t.Fatalf("%s: the refused checkpoint was rewritten", name)
+		}
+	}
+	b := NewMemBackend()
+	b.WriteAtomic(checkpointName, ok)
+	w := wordStore{}
+	l, stats := openStore(t, Options{Backend: b, Lo: lo, Hi: hi}, w)
+	defer l.Close()
+	if stats.Seq != 3 || len(w) != 3 || w[8] != 1 || w[9] != 2 || w[63] != 3 {
+		t.Fatalf("the well-formed checkpoint recovered %v at %+v", w, stats)
+	}
+}
+
+// TestEmptyBootAllocsFlat: a boot with no checkpoint and an empty log
+// allocates nothing sized by the range — as many bytes at 1 << 16 one-line
+// keys as at 1 << 10, and under 4 KiB.
+func TestEmptyBootAllocsFlat(t *testing.T) {
+	bytesPerBoot := func(keys int) uint64 {
+		const runs = 20
+		opts := Options{Lo: mem.LineWords, Hi: mem.Addr((keys + 1) * mem.LineWords)}
+		best := ^uint64(0)
+		for round := 0; round < 3; round++ {
+			backends := make([]*MemBackend, runs)
+			for i := range backends {
+				backends[i] = NewMemBackend()
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for _, b := range backends {
+				opts.Backend = b
+				l, _, err := Open(opts, func(mem.Addr, uint64) {}, func(mem.Addr) uint64 { return 0 })
+				if err != nil {
+					t.Fatal(err)
+				}
+				l.Close()
+			}
+			runtime.ReadMemStats(&after)
+			best = min(best, (after.TotalAlloc-before.TotalAlloc)/runs)
+		}
+		return best
+	}
+	small, large := bytesPerBoot(1<<10), bytesPerBoot(1<<16)
+	if small != large || large >= 4096 {
+		t.Fatalf("an empty boot allocates %d bytes at 1 << 10 keys and %d at 1 << 16; want the same, under 4 KiB", small, large)
 	}
 }
 
@@ -492,8 +693,7 @@ func BenchmarkRecover20k(b *testing.B) {
 
 // BenchmarkOpenEmpty prices a fresh boot at the service's default key range
 // (1 << 16 one-line keys) over a freshly allocated arena: no checkpoint, an
-// empty log, so the cost is building, summing and writing the all-zero
-// checkpoint.
+// empty log, so the cost is writing a checkpoint of no pairs.
 func BenchmarkOpenEmpty(b *testing.B) {
 	const keys = 1 << 16
 	m := mem.New(keys*mem.LineWords + 2*mem.LineWords)
@@ -506,6 +706,49 @@ func BenchmarkOpenEmpty(b *testing.B) {
 		l, _, err := Open(opts, m.StorePlain, m.LoadPlain)
 		if err != nil {
 			b.Fatal(err)
+		}
+		l.Close()
+	}
+}
+
+// BenchmarkOpenRestart prices the restart of a full service arena: a
+// checkpoint of 1 << 16 set words, one per key, under a log of 20 000
+// one-pair commits. Each boot applies 65 536 + 20 000 words, reads back the
+// 65 536 it stored and writes a 65 536-pair checkpoint. The arena is reused
+// across iterations; every boot stores the same words with the same values,
+// so each starts from the state a fresh arena would reach.
+func BenchmarkOpenRestart(b *testing.B) {
+	const keys, commits = 1 << 16, 20000
+	m := mem.New(keys*mem.LineWords + 2*mem.LineWords)
+	lo := m.AllocMark()
+	opts := Options{Lo: lo, Hi: lo + keys*mem.LineWords}
+	key := func(i int) mem.Addr { return lo + mem.Addr(i%keys)*mem.LineWords }
+	src := NewMemBackend()
+	if err := writeCheckpoint(src, opts.Lo, opts.Hi, 1, func(a mem.Addr) uint64 {
+		if (a-lo)%mem.LineWords == 0 {
+			return uint64(a)
+		}
+		return 0
+	}); err != nil {
+		b.Fatal(err)
+	}
+	var log []byte
+	for i := 0; i < commits; i++ {
+		log = encodeRecord(log, uint64(2+i), []mem.WriteEntry{{Addr: key(i * 7), Value: uint64(i + 1)}})
+	}
+	src.WriteAtomic(logName, log)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		opts.Backend = src.CrashSnapshot()
+		b.StartTimer()
+		l, stats, err := Open(opts, m.StorePlain, m.LoadPlain)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if stats.Commits != commits {
+			b.Fatalf("recovered %d of %d commits", stats.Commits, commits)
 		}
 		l.Close()
 	}
