@@ -136,6 +136,7 @@ func (s *System) NewThread() tm.Thread {
 	// The fast path and the slow path's prefix and postfix never overlap, so
 	// they run on the one hardware context a thread has.
 	t.fast = hynorec.FastPath{Globals: s.g, Base: &t.base, Htx: t.htx}
+	t.base.Clock = tm.NewClock(s.m, s.g.Clock)
 	t.base.Engine = s.engine
 	t.base.Bind(t, &t.fast)
 	t.base.SerialEscape(s.g.SerialLock, s.policy.MaxSlowPathRestarts)
@@ -148,10 +149,9 @@ type thread struct {
 	htx  *htm.Txn
 	fast hynorec.FastPath
 
-	// Mixed-slow-path attempt state. The software writes live in base.Log,
-	// stored in place on the full-software path.
-	txv                uint64 // clock snapshot; LSB set while we hold the clock lock
-	writeDetected      bool
+	// Mixed-slow-path attempt state. The clock snapshot and its lock live in
+	// base.Clock (held from the first write on), the software writes in
+	// base.Log, stored in place on the full-software path.
 	prefixActive       bool
 	postfixActive      bool
 	fullSoftware       bool // we set the global HTM lock and write in software
@@ -193,7 +193,6 @@ func (t *thread) RunReadOnly(fn func(tm.Tx) error) error { return t.base.Run(fn,
 // the HTM prefix when it is usable; on no-go, the original (Algorithm 2)
 // software start.
 func (t *thread) BeginSlow(int) (tm.Tx, bool) {
-	t.writeDetected = false
 	t.prefixActive = false
 	t.prefixLimited = false
 	t.postfixActive = false
@@ -243,7 +242,7 @@ func (t *thread) softwareStart() {
 		t.base.M.AddPlain(t.sys.g.Fallbacks, 1)
 		t.fallbackRegistered = true
 	}
-	t.txv = t.base.SnapshotClock(t.sys.g.Clock)
+	t.base.Clock.Snapshot()
 }
 
 // commitPrefix is commit_rh_htm_prefix (Algorithm 3 lines 47–56): register
@@ -260,7 +259,7 @@ func (t *thread) commitPrefix() {
 	}
 	t.htx.Commit() // may abort: the whole attempt restarts
 	t.fallbackRegistered = true
-	t.txv = v
+	t.base.Clock.Adopt(v)
 	t.prefixDone()
 }
 
@@ -284,15 +283,16 @@ func (t *thread) prefixDone() {
 // commits from then on moves the clock — a fast path bumps it at its commit
 // point, a slow path locks it at its first write — and with the clock in the
 // read set that kills the segment before it returns another value. Every
-// value a segment returns was therefore current while the clock read txv,
-// the snapshot the prefix committed at. The check has to come first: at the
-// segment's end it would let the callback run on reads from two snapshots.
+// value a segment returns was therefore current while the clock read the
+// snapshot the prefix committed at (Clock.Time). The check has to come
+// first: at the segment's end it would let the callback run on reads from
+// two snapshots.
 func (t *thread) startSegment() {
 	t.base.St.SegmentAttempts++
 	t.htx.Begin()
 	t.segmentActive = true
 	t.segmentReads = 0
-	if t.htx.Load(t.sys.g.Clock) != t.txv {
+	if t.htx.Load(t.sys.g.Clock) != t.base.Clock.Time() {
 		tm.Restart() // a writer committed since the last segment, or the prefix
 	}
 }
@@ -372,14 +372,7 @@ func (t *thread) adaptPrefixAfterAbort(verdict *htm.Abort, reads int) {
 // the HTM postfix; if the postfix cannot run, take the global HTM lock and
 // continue in software.
 func (t *thread) handleFirstWrite() {
-	m := t.base.M
-	// acquire_clock_lock (lines 47–56). writeDetected is set only once the
-	// lock is ours, since abort cleanup releases the clock when it is set.
-	if !m.CASPlain(t.sys.g.Clock, t.txv, t.txv|1) {
-		tm.Restart()
-	}
-	t.txv |= 1
-	t.writeDetected = true
+	t.base.Clock.Lock() // acquire_clock_lock (lines 47–56)
 	if !t.sys.policy.DisablePostfix && !t.postfixBanned {
 		t.base.St.PostfixAttempts++
 		t.postfixStart = t.base.St.Obs.Start()
@@ -401,7 +394,6 @@ func (t *thread) goFullSoftware() {
 // CommitSlow is mixed_slow_path_commit (Algorithm 3 lines 58–64 falling
 // back to Algorithm 2 lines 58–72).
 func (t *thread) CommitSlow() {
-	m := t.base.M
 	if t.prefixActive {
 		// The entire transaction fit in the HTM prefix: commit it. No
 		// fallback was ever registered, no clock activity needed.
@@ -412,7 +404,7 @@ func (t *thread) CommitSlow() {
 	if t.segmentActive {
 		t.commitSegment()
 	}
-	if !t.writeDetected {
+	if !t.base.Clock.Held() {
 		return // read-only software slow path
 	}
 	if t.postfixActive {
@@ -427,11 +419,10 @@ func (t *thread) CommitSlow() {
 		// redo record sealed here still precedes every dependent commit's
 		// record (tm.WriteLog's ordering rule).
 		t.base.Log.Seal()
-		m.StorePlain(t.sys.g.HTMLock, 0)
+		t.base.M.StorePlain(t.sys.g.HTMLock, 0)
 		t.fullSoftware = false
 	}
-	m.StorePlain(t.sys.g.Clock, (t.txv&^1)+2)
-	t.writeDetected = false
+	t.base.Clock.Release(true)
 }
 
 // AbortSlow releases every lock after a restart, hardware abort, or user
@@ -443,7 +434,6 @@ func (t *thread) AbortSlow(verdict *htm.Abort) {
 	if t.htx.Active() {
 		t.htx.Cancel()
 	}
-	m := t.base.M
 	if t.prefixActive {
 		// A failed prefix: ban it for this transaction and resize the
 		// budget (§3.4 single-try policy + §2.4 adaptation).
@@ -483,16 +473,12 @@ func (t *thread) AbortSlow(verdict *htm.Abort) {
 	// memory, but a software reader may have loaded an eager write under
 	// the locked clock, so the release advances the clock to send it back
 	// to validate. A dead postfix published nothing: release unadvanced.
-	var advance uint64
+	published := t.fullSoftware
 	if t.fullSoftware {
-		m.StorePlain(t.sys.g.HTMLock, 0)
+		t.base.M.StorePlain(t.sys.g.HTMLock, 0)
 		t.fullSoftware = false
-		advance = 2
 	}
-	if t.writeDetected {
-		m.StorePlain(t.sys.g.Clock, (t.txv&^1)+advance)
-		t.writeDetected = false
-	}
+	t.base.Clock.Release(published)
 }
 
 // mixedTx is the mixed slow path view: reads route through the HTM prefix,
@@ -514,7 +500,7 @@ func (v mixedTx) Load(a mem.Addr) uint64 {
 	if t.postfixActive {
 		return t.htx.Load(a)
 	}
-	if t.prefixLimited && !t.segmentsBanned && !t.writeDetected {
+	if t.prefixLimited && !t.segmentsBanned && !t.base.Clock.Held() {
 		if !t.segmentActive {
 			t.startSegment()
 		}
@@ -527,12 +513,7 @@ func (v mixedTx) Load(a mem.Addr) uint64 {
 	}
 	t.base.InstrumentedAccess()
 	t.base.St.SoftwareReads++
-	m := t.base.M
-	val := m.LoadPlain(a)
-	if m.LoadPlain(t.sys.g.Clock) != t.txv {
-		tm.Restart()
-	}
-	return val
+	return t.base.Clock.Load(a)
 }
 
 func (v mixedTx) Store(a mem.Addr, val uint64) {
@@ -546,7 +527,7 @@ func (v mixedTx) Store(a mem.Addr, val uint64) {
 	if t.segmentActive {
 		t.commitSegment() // or handleFirstWrite's clock CAS would abort it
 	}
-	if !t.writeDetected {
+	if !t.base.Clock.Held() {
 		t.handleFirstWrite()
 	}
 	if t.postfixActive {

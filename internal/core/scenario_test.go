@@ -8,6 +8,7 @@ import (
 	"rhnorec/internal/explore"
 	"rhnorec/internal/htm"
 	"rhnorec/internal/mem"
+	"rhnorec/internal/obs"
 	"rhnorec/internal/tm"
 )
 
@@ -362,5 +363,98 @@ func TestPostfixAfterSegmentLocksTheClockFromTheSnapshot(t *testing.T) {
 	}
 	if got := m.LoadPlain(p.out); got != segmentTotal {
 		t.Errorf("out = %d, want %d", got, segmentTotal)
+	}
+}
+
+// TestPrefixDiesUnderLockedClock: a prefix that reaches commitPrefix while
+// another thread's slow-path writer holds the clock (Algorithm 3 lines
+// 47–56) must die there. The writer has locked the clock at its first write
+// and parked inside its postfix, so the HTM lock is free and the auditor's
+// prefix begins and reads x (600) and two fillers at the committed state;
+// its fourth read, y, meets the budget and reaches commitPrefix, which
+// finds the clock odd. Then the writer's postfix commits x = y = 500 and
+// parks before its clock release. A prefix that committed at the odd clock
+// would hold it as its snapshot — with tm.Clock, Held would report the
+// writer's lock as its own — and read y = 500 under it, handing the
+// callback x + y = 1100. Dead, the prefix is banned, and the retry waits
+// for the even clock and reads 500 and 500.
+func TestPrefixDiesUnderLockedClock(t *testing.T) {
+	var (
+		auditor, writer tm.Thread
+		x, y            mem.Addr
+		writerStored    bool
+		rec             = obs.NewRecorder(obs.Config{})
+	)
+	sc := explore.Scenario{
+		Name:         "prefix-under-locked-clock",
+		FixedWorkers: 2,
+		DefaultOps:   1,
+		Build: func(env *explore.Env, _ explore.Config) ([]func(), func() error, error) {
+			// DisableFast puts both threads on the mixed slow path; the
+			// auditor's prefix ends at its fourth read.
+			sys := core.New(env.M, env.Dev, tm.RetryPolicy{DisableFast: true, InitialPrefixLength: 4})
+			setup := sys.NewThread()
+			defer setup.Close()
+			var fill mem.Addr
+			err := setup.Run(func(tx tm.Tx) error {
+				x, y = tx.Alloc(mem.LineWords), tx.Alloc(mem.LineWords)
+				fill = tx.Alloc(2 * mem.LineWords)
+				tx.Store(x, segmentTotal*6/10)
+				tx.Store(y, segmentTotal*4/10)
+				return nil
+			})
+			auditor, writer = sys.NewThread(), sys.NewThread()
+			auditor.Stats().Obs = rec
+			audit := func() {
+				if err := auditor.Run(func(tx tm.Tx) error {
+					vx := tx.Load(x)
+					tx.Load(fill)
+					tx.Load(fill + mem.LineWords)
+					if vy := tx.Load(y); vx+vy != segmentTotal {
+						env.Violatef("auditor saw x=%d y=%d, sum %d != %d", vx, vy, vx+vy, segmentTotal)
+					}
+					return nil
+				}); err != nil {
+					env.Violatef("auditor: %v", err)
+				}
+			}
+			write := func() {
+				if err := writer.Run(func(tx tm.Tx) error {
+					tx.Store(x, segmentTotal/2)
+					tx.Store(y, segmentTotal/2)
+					writerStored = true // in the postfix, the clock locked
+					return nil
+				}); err != nil {
+					env.Violatef("writer: %v", err)
+				}
+			}
+			return []func(){audit, write}, nil, err
+		},
+	}
+	prefixEnded := func() bool { return auditor.Stats().PrefixCommits > 0 || auditor.Stats().HTMAborts() > 0 }
+	prefixDied := func() bool { return auditor.Stats().HTMAborts() > 0 }
+	res, err := explore.RunScenario(sc, explore.Config{}, explore.Steer(
+		explore.Leg{Worker: 1, Until: func() bool { return writerStored }},
+		explore.Leg{Worker: 0, Until: prefixEnded},
+		explore.Leg{Worker: 1, Until: func() bool { return writer.Stats().PostfixCommits == 1 }},
+		// A live auditor reads y now, before the clock release; a dead
+		// prefix's retry would only spin on the odd clock.
+		explore.Leg{Worker: 0, Until: prefixDied},
+		explore.Leg{Worker: 1},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { auditor.Close(); writer.Close() })
+	if res.Outcome != explore.OutcomeOK {
+		t.Fatalf("run ended %v: %s", res.Outcome, res.Violation)
+	}
+	a, w := auditor.Stats(), writer.Stats()
+	if a.PrefixAttempts != 1 || a.PrefixCommits != 0 || rec.AbortCount(obs.CauseClockLocked) != 1 || a.SlowPathCommits != 1 {
+		t.Errorf("auditor: %d prefixes begun, %d committed, %d clock-locked aborts, %d slow-path commits; want 1, 0, 1, 1",
+			a.PrefixAttempts, a.PrefixCommits, rec.AbortCount(obs.CauseClockLocked), a.SlowPathCommits)
+	}
+	if w.PostfixCommits != 1 || w.SlowPathRestarts != 0 {
+		t.Errorf("writer: %d postfix commits, %d restarts; want 1, 0", w.PostfixCommits, w.SlowPathRestarts)
 	}
 }

@@ -5,10 +5,11 @@
 // slow path with neither small hardware transaction, and internal/core
 // builds it as that (core.NewHybridNOrec). This file is the classic lazy
 // Hybrid NOrec of Dalessandro et al., which §3.1 notes was implemented and
-// outperformed by the eager one: a value read log with snapshot extension,
-// buffered writes, and a commit that locks the clock, takes the global HTM
-// lock — aborting every hardware fast path at once, also those on unrelated
-// data: the false aborts RH NOrec's postfix removes — and publishes.
+// outperformed by the eager one: internal/tm's lazy NOrec view (tm.LazyTx,
+// a value read log with snapshot extension over tm.Clock, buffered writes)
+// and a commit that locks the clock, takes the global HTM lock — aborting
+// every hardware fast path at once, also those on unrelated data: the false
+// aborts RH NOrec's postfix removes — and publishes.
 package hynorec
 
 import (
@@ -59,7 +60,7 @@ func (s *System) Memory() *mem.Memory { return s.m }
 func (s *System) NewThread() tm.Thread {
 	t := &thread{sys: s, base: tm.NewThreadBase(s.m, s.rec)}
 	t.fast = FastPath{Globals: s.g, Base: &t.base, Htx: s.dev.NewTxn()}
-	t.base.Reads = tm.NewReadLog(s.m, s.g.Clock)
+	t.base.Clock = tm.NewClock(s.m, s.g.Clock)
 	t.base.Engine = s.engine
 	t.base.Bind(t, &t.fast)
 	t.base.SerialEscape(s.g.SerialLock, s.policy.MaxSlowPathRestarts)
@@ -70,10 +71,6 @@ type thread struct {
 	sys  *System
 	base tm.ThreadBase
 	fast FastPath
-
-	// txv is the slow path's clock snapshot, always even: the reads it
-	// covers live in base.Reads, the buffered stores in base.Log.
-	txv uint64
 }
 
 func (t *thread) Stats() *tm.Stats { return &t.base.St }
@@ -89,8 +86,8 @@ func (t *thread) BeginSlow(try int) (tm.Tx, bool) {
 	if try == 1 {
 		t.base.M.AddPlain(t.sys.g.Fallbacks, 1)
 	}
-	t.txv = t.base.SnapshotClock(t.sys.g.Clock)
-	return slowTx{t}, false
+	t.base.Clock.Snapshot()
+	return t.base.LazyTx(), false
 }
 
 // CommitSlow publishes the buffered writes: lock the clock (validating or
@@ -101,15 +98,12 @@ func (t *thread) CommitSlow() {
 		return // read-only: nothing to publish, nothing to lock
 	}
 	m := t.base.M
-	g := &t.sys.g
-	for !m.CASPlain(g.Clock, t.txv, t.txv|1) {
-		t.txv = t.base.Reads.Validate()
-	}
-	m.StorePlain(g.HTMLock, 1)
+	t.base.Clock.LockValidating()
+	m.StorePlain(t.sys.g.HTMLock, 1)
 	t.base.Log.Publish(t.base.Log.Buffered())
 	t.base.Log.Seal()
-	m.StorePlain(g.HTMLock, 0)
-	m.StorePlain(g.Clock, t.txv+2)
+	m.StorePlain(t.sys.g.HTMLock, 0)
+	t.base.Clock.Release(true)
 }
 
 // AbortSlow has nothing to release: the attempt holds no lock before its
@@ -118,27 +112,3 @@ func (t *thread) AbortSlow(*htm.Abort) {}
 
 // EndSlow drops the Run's fallback registration.
 func (t *thread) EndSlow() { t.base.M.SubPlain(t.sys.g.Fallbacks, 1) }
-
-// slowTx is the lazy NOrec software view with hybrid coordination.
-type slowTx struct{ t *thread }
-
-func (v slowTx) Load(a mem.Addr) uint64 {
-	t := v.t
-	t.base.InstrumentedAccess()
-	if val, ok := t.base.Log.Lookup(a); ok {
-		return val
-	}
-	return t.base.Reads.Load(a, &t.txv)
-}
-
-func (v slowTx) Store(a mem.Addr, val uint64) {
-	t := v.t
-	if t.base.ReadOnly {
-		panic(tm.ErrStoreInReadOnly)
-	}
-	t.base.InstrumentedAccess()
-	t.base.Log.Buffer(a, val)
-}
-
-func (v slowTx) Alloc(n int) mem.Addr   { return v.t.base.TxAlloc(n) }
-func (v slowTx) Free(a mem.Addr, n int) { v.t.base.TxFree(a, n) }

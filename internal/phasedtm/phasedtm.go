@@ -3,9 +3,10 @@
 // either all-hardware or all-software. In the hardware phase transactions
 // run pure and uninstrumented; when any transaction cannot complete in
 // hardware the whole system switches to a software phase (an eager NOrec
-// here) and every concurrent transaction pays for it — "poor performance if
-// even a single transaction needs to be executed in software", which is the
-// weakness the benchmarks can demonstrate against the hybrids.
+// here, tm.EagerTx) and every concurrent transaction pays for it — "poor
+// performance if even a single transaction needs to be executed in
+// software", which is the weakness the benchmarks can demonstrate against
+// the hybrids.
 //
 // Phase protocol: gMode holds the phase; gSWActive counts live software
 // transactions. Hardware transactions subscribe to both at start, so a
@@ -78,6 +79,7 @@ func (s *System) NewThread() tm.Thread {
 		base: tm.NewThreadBase(s.m, s.rec),
 		htx:  s.dev.NewTxn(),
 	}
+	t.base.Clock = tm.NewClock(s.m, s.gClock)
 	t.base.Engine = s.engine
 	t.base.Bind(t, t)
 	return t
@@ -87,10 +89,6 @@ type thread struct {
 	sys  *System
 	base tm.ThreadBase
 	htx  *htm.Txn
-
-	// Software-phase NOrec state (the in-place stores live in base.Log).
-	txv           uint64
-	writeDetected bool
 }
 
 func (t *thread) Stats() *tm.Stats { return &t.base.St }
@@ -149,29 +147,22 @@ func (t *thread) BeginSlow(try int) (tm.Tx, bool) {
 			m.AddPlain(t.sys.gSWActive, 1)
 		}
 	}
-	t.writeDetected = false
-	t.txv = t.base.SnapshotClock(t.sys.gClock)
-	return swTx{t}, false
+	t.base.Clock.Snapshot()
+	return t.base.EagerTx(), false
 }
 
 // CommitSlow releases the clock a writer locked at its first write.
 func (t *thread) CommitSlow() {
-	if t.writeDetected {
+	if t.base.Clock.Held() {
 		t.base.Log.Seal()
-		t.base.M.StorePlain(t.sys.gClock, (t.txv&^1)+2)
-		t.writeDetected = false
+		t.base.Clock.Release(true)
 	}
 }
 
 // AbortSlow releases the clock advanced over the rolled-back memory: the
 // eager writes were in place while it was locked, so a reader that loaded
 // one must see the clock move and validate again.
-func (t *thread) AbortSlow(*htm.Abort) {
-	if t.writeDetected {
-		t.base.M.StorePlain(t.sys.gClock, (t.txv&^1)+2)
-		t.writeDetected = false
-	}
-}
+func (t *thread) AbortSlow(*htm.Abort) { t.base.Clock.Release(true) }
 
 // EndSlow deregisters the transaction from the software phase.
 func (t *thread) EndSlow() { t.base.M.SubPlain(t.sys.gSWActive, 1) }
@@ -189,36 +180,3 @@ func (v fastTx) Store(a mem.Addr, val uint64) {
 
 func (v fastTx) Alloc(n int) mem.Addr   { return v.t.base.TxAlloc(n) }
 func (v fastTx) Free(a mem.Addr, n int) { v.t.base.TxFree(a, n) }
-
-// swTx is the software phase's eager NOrec view.
-type swTx struct{ t *thread }
-
-func (v swTx) Load(a mem.Addr) uint64 {
-	t := v.t
-	t.base.InstrumentedAccess()
-	m := t.base.M
-	val := m.LoadPlain(a)
-	if m.LoadPlain(t.sys.gClock) != t.txv {
-		tm.Restart()
-	}
-	return val
-}
-
-func (v swTx) Store(a mem.Addr, val uint64) {
-	t := v.t
-	if t.base.ReadOnly {
-		panic(tm.ErrStoreInReadOnly)
-	}
-	t.base.InstrumentedAccess()
-	if !t.writeDetected {
-		if !t.base.M.CASPlain(t.sys.gClock, t.txv, t.txv|1) {
-			tm.Restart()
-		}
-		t.txv |= 1
-		t.writeDetected = true
-	}
-	t.base.Log.StoreEager(a, val)
-}
-
-func (v swTx) Alloc(n int) mem.Addr   { return v.t.base.TxAlloc(n) }
-func (v swTx) Free(a mem.Addr, n int) { v.t.base.TxFree(a, n) }

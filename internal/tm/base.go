@@ -29,7 +29,7 @@ const softwareAccessCost = 160
 
 // ThreadBase carries the state every algorithm's Thread needs: the memory,
 // a thread-local allocator cache, a reclamation slot, per-attempt
-// allocation/free tracking, the software write and read logs, and the
+// allocation/free tracking, the software write log and NOrec clock, and the
 // statistics counters. Algorithm packages embed it.
 type ThreadBase struct {
 	M     *mem.Memory
@@ -50,10 +50,11 @@ type ThreadBase struct {
 	// driver's AbortSlow; the driver stores through it and seals it at its
 	// commit point.
 	Log WriteLog
-	// Reads is the software attempt's value read log (readlog.go), reset by
-	// the skeleton beside Log. Only the drivers that log reads (the lazy
-	// NOrec pair) install one; for the rest it stays the zero value.
-	Reads ReadLog
+	// Clock is the NOrec clock of the software attempt (clock.go): its
+	// snapshot, its lock and the lazy value read log, which the skeleton
+	// empties beside Log. Only the NOrec-family drivers install one; for
+	// the rest it stays the zero value.
+	Clock Clock
 
 	// The driver's protocol hooks and the §3.3 serial escape (run.go).
 	sw          Software

@@ -93,21 +93,6 @@ func (b *ThreadBase) AcquireLock(a mem.Addr) {
 	}
 }
 
-// SnapshotClock is how every NOrec-family software attempt starts: yield
-// until the clock word at a has its lock bit (the LSB) clear, and return
-// that even value as the attempt's snapshot.
-func (b *ThreadBase) SnapshotClock(a mem.Addr) uint64 { return awaitEven(b.M, a) }
-
-// awaitEven is SnapshotClock for callers without a ThreadBase (ReadLog).
-func awaitEven(m *mem.Memory, clock mem.Addr) uint64 {
-	for {
-		if v := m.LoadPlain(clock); v&1 == 0 {
-			return v
-		}
-		runtime.Gosched()
-	}
-}
-
 // SpinOutLock is the FastReady of the NOrec hybrids, whose fast paths abort
 // explicitly on three lock words: when prev names one of them (the canonical
 // htm.Arg* payloads) it yields until that word reads free — the global HTM
@@ -328,7 +313,7 @@ func (b *ThreadBase) slowAttempt(fn func(Tx) error, try int) (err error, restart
 	o := b.St.Obs
 	swStart := o.Start()
 	b.Log.Reset()
-	b.Reads.Reset()
+	b.Clock.reset()
 	view, global := b.sw.BeginSlow(try)
 	serial, serialStart := global || b.serialHeld, swStart
 	if global {
