@@ -36,6 +36,31 @@ func TestCommitPublishesWrites(t *testing.T) {
 	}
 }
 
+// TestCommitAboveAllocMarkIsCleared: a hardware commit that stores above
+// AllocMark raises the memory's touched frontier, so the block later carved
+// over its words is cleared and reads zero.
+func TestCommitAboveAllocMarkIsCleared(t *testing.T) {
+	const n = 5000
+	m, d, c := newTestDevice(Config{})
+	mark := m.AllocMark()
+	tx := d.NewTxn()
+	if ab := attempt(tx, func() {
+		tx.Store(mark+17, 1)
+		tx.Store(mark+n-1, 2)
+	}); ab != nil {
+		t.Fatalf("unexpected abort: %v", ab)
+	}
+	a := c.Alloc(n)
+	if a != mark {
+		t.Fatalf("oversized carve at %d, want AllocMark %d", a, mark)
+	}
+	for i := range mem.Addr(n) {
+		if got := m.LoadPlain(a + i); got != 0 {
+			t.Fatalf("fresh block word %d = %d after a commit stored there, want 0", i, got)
+		}
+	}
+}
+
 func TestWritesInvisibleBeforeCommit(t *testing.T) {
 	m, d, c := newTestDevice(Config{})
 	a := c.Alloc(1)

@@ -13,16 +13,22 @@ import (
 // which refill from (and overflow to) central free lists in batches, and the
 // central lists carve fresh runs from a bump arena.
 //
-// Blocks handed out by Alloc are zeroed, recycled and freshly carved ones
-// alike, with one bulk clear of the block's words. Zeroing happens without
-// advancing the memory clock and without atomic stores, which is safe
-// because a block is only recycled after the TM layer's epoch-based
-// reclamation (package tm) has established that no transaction — not even a
-// doomed one still running on a stale snapshot — can hold a reference to it,
-// and a fresh carve was never handed out at all. Carved words are zeroed
-// too, though a new arena reads zero: a caller may have stored above
-// AllocMark with StorePlain (EXPERIMENTS.md "Boot at memory speed" prices
-// skipping it).
+// Blocks handed out by Alloc read zero, recycled and freshly carved ones
+// alike. A Memory keeps a touched frontier, one past the highest address any
+// store has reached (StorePlain, CASPlain, AddPlain or a CommitWrites
+// publish), and every word at or above it still reads zero as the new arena
+// did. Alloc clears a block's words below the frontier with one bulk clear
+// and leaves the rest untouched, so a block carved wholly above it, such as
+// a service's key range at boot, costs no clear and no page faults. A store
+// above AllocMark raises the frontier like any other, so a block it dirtied
+// is cleared when carved.
+//
+// Zeroing happens without advancing the memory clock and without atomic
+// stores, which is safe because a block is only recycled after the TM
+// layer's epoch-based reclamation (package tm) has established that no
+// transaction — not even a doomed one still running on a stale snapshot —
+// can hold a reference to it, and a fresh carve was never handed out at
+// all.
 
 // classSizes lists the allocation size classes in words, tcmalloc-style
 // (powers of two with midpoints). Requests above the largest class are
@@ -131,6 +137,9 @@ func (c *ThreadCache) Alloc(nWords int) Addr {
 	return a
 }
 
+// finish zeroes the block of sz words at a, to be handed out, and counts it
+// live. Only the words below the touched frontier can be nonzero, so only
+// those are cleared: a block that starts at or above it is left as it is.
 func (c *ThreadCache) finish(a Addr, sz int) {
 	c.mem.zeroRange(a, sz)
 	c.mem.alloc.liveBlocks.Add(1)
@@ -226,11 +235,13 @@ func (m *Memory) ArenaUsed() int64 {
 	return int64(m.alloc.next) - LineWords
 }
 
-// zeroRange clears n words starting at a with one bulk clear, without
-// advancing the memory clock. Only the allocator may call it, and only on
-// quiescent blocks: no transaction can hold the block's address (see the
-// zeroing comment at the top of this file), so no load races the plain
-// stores.
+// zeroRange makes the n words starting at a read zero, clearing with one
+// bulk clear those below the touched frontier, without advancing the memory
+// clock. Only the allocator may call it, and only on quiescent blocks: no
+// transaction can hold the block's address (see the zeroing comment at the
+// top of this file), so no load races the plain stores.
 func (m *Memory) zeroRange(a Addr, n int) {
-	clear(m.words[a : a+Addr(n)])
+	if end := min(a+Addr(n), Addr(m.frontier.Load())); a < end {
+		clear(m.words[a:end])
+	}
 }

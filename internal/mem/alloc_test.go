@@ -81,6 +81,91 @@ func TestAllocZeroesFreshCarves(t *testing.T) {
 	}
 }
 
+// TestAllocZeroesAfterEveryStore: every kind of store raises the touched
+// frontier, so a word that CASPlain, AddPlain or a CommitWrites publish
+// dirtied above AllocMark is cleared when a fresh class-sized or oversized
+// block is carved over it. (Package htm's TestCommitAboveAllocMarkIsCleared
+// drives the publish through a hardware commit.)
+func TestAllocZeroesAfterEveryStore(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		store func(m *Memory, a Addr)
+	}{
+		{"CASPlain", func(m *Memory, a Addr) {
+			if !m.CASPlain(a, 0, ^uint64(0)) {
+				t.Fatalf("CASPlain on a virgin word failed")
+			}
+		}},
+		{"AddPlain", func(m *Memory, a Addr) { m.AddPlain(a, 41) }},
+		{"CommitWrites", func(m *Memory, a Addr) {
+			if !m.CommitWrites([]WriteEntry{{Addr: a - 9, Value: 3}, {Addr: a, Value: 5}}, nil) {
+				t.Fatalf("CommitWrites without a validator failed")
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, n := range []int{8, 5000} {
+				m := New(1 << 14)
+				mark := m.AllocMark()
+				// The first refill of the 8-word class carves 64 blocks, 512
+				// words; the 5000-word block is carved at mark exactly.
+				tc.store(m, mark+300)
+				c := m.NewThreadCache()
+				blocks := 1
+				if n == 8 {
+					blocks = 64
+				}
+				for range blocks {
+					a := c.Alloc(n)
+					if a < mark || a+Addr(n) > mark+5000 {
+						t.Fatalf("Alloc(%d) = %d, outside the carve at %d", n, a, mark)
+					}
+					for i := range n {
+						if got := m.LoadPlain(a + Addr(i)); got != 0 {
+							t.Fatalf("fresh %d-word block word %d (address %d) = %#x after %s, want 0", n, i, a+Addr(i), got, tc.name)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestVirginCarveIsNotCleared: a carve clears only the words below the
+// touched frontier. Sentinels planted in the word array behind the
+// frontier's back show which words the clear wrote: the one below it is
+// cleared, the ones above it survive, inside the block and in a second
+// block carved wholly above it.
+func TestVirginCarveIsNotCleared(t *testing.T) {
+	const n, sentinel = 5000, 0x5e5e
+	m := New(1 << 14)
+	mark := m.AllocMark()
+	m.StorePlain(mark+10, 7)
+	if f := Addr(m.frontier.Load()); f != mark+11 {
+		t.Fatalf("frontier after a store at %d = %d, want %d", mark+10, f, mark+11)
+	}
+	below, above, beyond := mark+3, mark+100, mark+n+100
+	for _, a := range []Addr{below, above, beyond} {
+		m.words[a] = sentinel
+	}
+	c := m.NewThreadCache()
+	if a := c.Alloc(n); a != mark {
+		t.Fatalf("first oversized carve at %d, want %d", a, mark)
+	}
+	if m.words[below] != 0 || m.words[mark+10] != 0 {
+		t.Fatalf("the words below the frontier were not cleared: %#x, %#x", m.words[below], m.words[mark+10])
+	}
+	if m.words[above] != sentinel {
+		t.Fatalf("the word above the frontier was cleared: %#x", m.words[above])
+	}
+	if a := c.Alloc(n); a != mark+n {
+		t.Fatalf("second oversized carve at %d, want %d", a, mark+n)
+	}
+	if m.words[beyond] != sentinel {
+		t.Fatalf("a carve wholly above the frontier was cleared: %#x", m.words[beyond])
+	}
+}
+
 func TestAllocDistinctBlocks(t *testing.T) {
 	m := New(1 << 16)
 	c := m.NewThreadCache()

@@ -133,6 +133,14 @@ type Memory struct {
 	stripes []stripe
 	mask    uint64 // len(stripes)-1; stripe of a = (a>>lineShift)&mask
 
+	// frontier is one past the highest address any store has reached: every
+	// word at or above it still reads zero, as a new arena does. A store
+	// raises it before it writes, so the allocator, which clears only below
+	// it, never hands out a block a store dirtied (see raise). Read on every
+	// store and written almost never, it sits with the read-mostly fields,
+	// off ticket's line.
+	frontier atomic.Uint64
+
 	// ticket counts publishes (plain mutations and commit write-backs).
 	// It orders events for observability but carries no seqlock meaning.
 	ticket atomic.Uint64
@@ -273,6 +281,20 @@ func (m *Memory) endMutate(s *stripe) {
 	s.wb.Unlock()
 }
 
+// raise lifts the touched frontier to at least top, one past the highest
+// address a store is about to write. It runs before the store, so whoever
+// observes the stored word, the allocator included, observes the frontier
+// too. When the frontier is already at or above top, as it is for a store
+// below any earlier one, raise costs that one load.
+func (m *Memory) raise(top uint64) {
+	for {
+		f := m.frontier.Load()
+		if top <= f || m.frontier.CompareAndSwap(f, top) {
+			return
+		}
+	}
+}
+
 // check panics on an address outside the arena. The message is built out of
 // line, in outOfRange, so that check inlines into every plain access.
 func (m *Memory) check(a Addr) {
@@ -338,6 +360,7 @@ func (m *Memory) StorePlain(a Addr, v uint64) {
 	if h := m.hook; h != nil {
 		h.Yield(HookStore, a)
 	}
+	m.raise(uint64(a) + 1)
 	s := &m.stripes[m.StripeOf(a)]
 	m.beginMutate(s)
 	atomic.StoreUint64(&m.words[a], v)
@@ -353,6 +376,7 @@ func (m *Memory) CASPlain(a Addr, old, new uint64) bool {
 	if h := m.hook; h != nil {
 		h.Yield(HookCAS, a)
 	}
+	m.raise(uint64(a) + 1)
 	s := &m.stripes[m.StripeOf(a)]
 	s.wb.Lock()
 	if atomic.LoadUint64(&m.words[a]) != old {
@@ -372,6 +396,7 @@ func (m *Memory) AddPlain(a Addr, delta uint64) uint64 {
 	if h := m.hook; h != nil {
 		h.Yield(HookAdd, a)
 	}
+	m.raise(uint64(a) + 1)
 	s := &m.stripes[m.StripeOf(a)]
 	m.beginMutate(s)
 	v := atomic.LoadUint64(&m.words[a]) + delta
@@ -432,8 +457,10 @@ func (m *Memory) CommitWrites(writes []WriteEntry, validate func() bool) bool {
 		return m.ValidateLockFree(validate)
 	}
 	var touched stripeBits
+	var top Addr
 	for i := range writes {
 		touched.set(m.StripeOf(writes[i].Addr))
+		top = max(top, writes[i].Addr)
 	}
 	// Only the first (stripes+63)/64 words can hold a bit: one word at
 	// DefaultStripes. Each phase below is a plain loop over them, lowest
@@ -460,6 +487,7 @@ func (m *Memory) CommitWrites(writes []WriteEntry, validate func() bool) bool {
 	}
 	ok := validate == nil || validate()
 	if ok {
+		m.raise(uint64(top) + 1)
 		for _, w := range writes {
 			atomic.StoreUint64(&m.words[w.Addr], w.Value)
 		}

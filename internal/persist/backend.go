@@ -2,6 +2,7 @@ package persist
 
 import (
 	"errors"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -22,6 +23,13 @@ type Backend interface {
 	// modify the returned bytes: an implementation may hand out the bytes
 	// it stores.
 	ReadFile(name string) ([]byte, error)
+	// ReadPieces hands name's contents to each, in order, as consecutive
+	// non-empty pieces, until the file ends or each returns false. A piece
+	// is valid only during its call and must not be modified: an
+	// implementation may hand out the bytes it stores or reuse one buffer.
+	// It returns an error wrapping fs.ErrNotExist when the file does not
+	// exist.
+	ReadPieces(name string, each func(piece []byte) bool) error
 	// WriteAtomic durably replaces name with data: after it returns, a crash
 	// observes either the old contents or the new, never a mix. The caller
 	// must not modify data afterwards: an implementation may keep it as the
@@ -60,6 +68,31 @@ func (b *FileBackend) Dir() string { return b.dir }
 
 func (b *FileBackend) ReadFile(name string) ([]byte, error) {
 	return os.ReadFile(filepath.Join(b.dir, name))
+}
+
+// filePiece is the size of the one buffer FileBackend.ReadPieces reads
+// through.
+const filePiece = 64 << 10
+
+func (b *FileBackend) ReadPieces(name string, each func(piece []byte) bool) error {
+	f, err := os.Open(filepath.Join(b.dir, name))
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	buf := make([]byte, filePiece)
+	for {
+		n, err := f.Read(buf)
+		if n > 0 && !each(buf[:n]) {
+			return nil
+		}
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
 }
 
 func (b *FileBackend) WriteAtomic(name string, data []byte) error {
@@ -201,6 +234,30 @@ func (b *MemBackend) ReadFile(name string) ([]byte, error) {
 		return f.chunks[0][:f.size:f.size], nil
 	}
 	return f.prefix(f.size), nil
+}
+
+// ReadPieces hands out the file's chunks themselves, capped so that nothing
+// appended later shows through, one at a time: the lock is held only to
+// look each chunk up, so each may use the backend.
+func (b *MemBackend) ReadPieces(name string, each func(piece []byte) bool) error {
+	b.mu.Lock()
+	f, ok := b.files[name]
+	b.mu.Unlock()
+	if !ok {
+		return fs.ErrNotExist
+	}
+	for i := 0; ; i++ {
+		var piece []byte
+		b.mu.Lock()
+		if i < len(f.chunks) {
+			c := f.chunks[i]
+			piece = c[:len(c):len(c)]
+		}
+		b.mu.Unlock()
+		if len(piece) == 0 || !each(piece) {
+			return nil
+		}
+	}
 }
 
 // WriteAtomic keeps data itself as the file's bytes, capped so that an

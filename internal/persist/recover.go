@@ -151,13 +151,17 @@ func (s *wordSet) count() int {
 }
 
 // recoverState performs steps 1–2 of the boot protocol: one pass over the
-// log's bytes, allocating nothing per commit. It returns the set of words
-// apply stored, the checkpoint's and the log's alike. A record above the
-// base replays only if its seq is exactly the frontier's successor. Log
-// never writes any other kind: Append assigns sequences under appendMu,
-// syncLocked writes the swapped buffers under syncMu in swap order, and Open
-// truncates the log before the first append. So the first record that
-// breaks the sequence is where the stream ends, like a torn one.
+// log's pieces, allocating nothing per commit. A record that a piece
+// boundary cuts is copied out, into one buffer reused from record to record,
+// and parsed once its last byte arrives; every other record is parsed where
+// the piece holds it. So a boot allocates for its largest cut record, never
+// for the log's length. It returns the set of words apply stored, the
+// checkpoint's and the log's alike. A record above the base replays only if
+// its seq is exactly the frontier's successor. Log never writes any other
+// kind: Append assigns sequences under appendMu, syncLocked writes the
+// swapped buffers under syncMu in swap order, and Open truncates the log
+// before the first append. So the first record that breaks the sequence is
+// where the stream ends, like a torn one.
 func recoverState(b Backend, lo, hi mem.Addr, apply func(mem.Addr, uint64)) (RecoveryStats, *wordSet, error) {
 	var stats RecoveryStats
 	stored := &wordSet{lo: lo, hi: hi}
@@ -168,29 +172,73 @@ func recoverState(b Backend, lo, hi mem.Addr, apply func(mem.Addr, uint64)) (Rec
 	stats.CheckpointSeq = base
 	stats.Seq = base
 
-	data, err := b.ReadFile(logName)
+	var (
+		cut       []byte // the bytes so far of a record a piece boundary cut
+		torn      bool
+		replayErr error
+	)
+	err = b.ReadPieces(logName, func(piece []byte) bool {
+		for len(piece) > 0 {
+			data := piece
+			if len(cut) > 0 {
+				// Complete the cut record: its size field first, then the
+				// bytes that field declares. The copy grows as those bytes
+				// arrive, never to the size the field claims, so a corrupt
+				// size allocates by the bytes the log still holds.
+				k := min(len(piece), recordWant(cut)-len(cut))
+				cut = append(cut, piece[:k]...)
+				piece = piece[k:]
+				if len(cut) < recordWant(cut) {
+					continue
+				}
+				data = cut
+			}
+			seq, pairs, n := parseRecord(data)
+			if n == 0 && len(cut) == 0 && len(data) < recordWant(data) {
+				cut = append(cut, data...) // the piece ends inside this record
+				return true
+			}
+			if n == 0 || seq > base && seq != stats.Seq+1 {
+				torn = true
+				return false
+			}
+			if len(cut) > 0 {
+				cut = cut[:0]
+			} else {
+				piece = piece[n:]
+			}
+			if seq <= base {
+				// Already covered by the checkpoint: a crash between checkpoint
+				// write and log truncate leaves these behind.
+				continue
+			}
+			if replayErr = replayPairs(pairs, stored, apply); replayErr != nil {
+				return false
+			}
+			stats.Commits++
+			stats.Seq = seq
+		}
+		return true
+	})
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return stats, nil, err
 	}
-	for len(data) > 0 {
-		seq, pairs, n := parseRecord(data)
-		if n == 0 || seq > base && seq != stats.Seq+1 {
-			stats.TornTails = 1
-			break
-		}
-		data = data[n:]
-		if seq <= base {
-			// Already covered by the checkpoint: a crash between checkpoint
-			// write and log truncate leaves these behind.
-			continue
-		}
-		if err := replayPairs(pairs, stored, apply); err != nil {
-			return stats, nil, err
-		}
-		stats.Commits++
-		stats.Seq = seq
+	if replayErr != nil {
+		return stats, nil, replayErr
+	}
+	if torn || len(cut) > 0 {
+		stats.TornTails = 1
 	}
 	return stats, stored, nil
+}
+
+// recordWant is how many bytes the record at the head of data spans, as far
+// as its head tells: 4 until its size field is in, then 4 plus that size.
+func recordWant(data []byte) int {
+	if len(data) < 4 {
+		return 4
+	}
+	return 4 + int(binary.LittleEndian.Uint32(data))
 }
 
 // parseRecord verifies the record at the head of data and returns its seq,

@@ -722,21 +722,7 @@ func BenchmarkOpenRestart(b *testing.B) {
 	m := mem.New(keys*mem.LineWords + 2*mem.LineWords)
 	lo := m.AllocMark()
 	opts := Options{Lo: lo, Hi: lo + keys*mem.LineWords}
-	key := func(i int) mem.Addr { return lo + mem.Addr(i%keys)*mem.LineWords }
-	src := NewMemBackend()
-	if err := writeCheckpoint(src, opts.Lo, opts.Hi, 1, func(a mem.Addr) uint64 {
-		if (a-lo)%mem.LineWords == 0 {
-			return uint64(a)
-		}
-		return 0
-	}); err != nil {
-		b.Fatal(err)
-	}
-	var log []byte
-	for i := 0; i < commits; i++ {
-		log = encodeRecord(log, uint64(2+i), []mem.WriteEntry{{Addr: key(i * 7), Value: uint64(i + 1)}})
-	}
-	src.WriteAtomic(logName, log)
+	src := restartImage(b, opts.Lo, opts.Hi, keys, commits)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -752,6 +738,28 @@ func BenchmarkOpenRestart(b *testing.B) {
 		}
 		l.Close()
 	}
+}
+
+// restartImage returns a MemBackend holding a full service arena's
+// directory: a checkpoint at seq 1 that sets the first word of each of keys
+// one-line keys in [lo, hi), under a log of commits one-pair commits.
+func restartImage(b *testing.B, lo, hi mem.Addr, keys, commits int) *MemBackend {
+	key := func(i int) mem.Addr { return lo + mem.Addr(i%keys)*mem.LineWords }
+	src := NewMemBackend()
+	if err := writeCheckpoint(src, lo, hi, 1, func(a mem.Addr) uint64 {
+		if (a-lo)%mem.LineWords == 0 {
+			return uint64(a)
+		}
+		return 0
+	}); err != nil {
+		b.Fatal(err)
+	}
+	var log []byte
+	for i := 0; i < commits; i++ {
+		log = encodeRecord(log, uint64(2+i), []mem.WriteEntry{{Addr: key(i * 7), Value: uint64(i + 1)}})
+	}
+	src.WriteAtomic(logName, log)
+	return src
 }
 
 // ---- MemBackend's chunked files ----

@@ -310,14 +310,14 @@ func New(cfg Config) (*Server, error) {
 	if !ok {
 		return nil, fmt.Errorf("serve: unknown algo %q", cfg.Algo)
 	}
-	// Arena: one line per key, doubled so the allocator's size-class
-	// rounding (tcmalloc midpoint classes can round a small request up by
-	// 50%) can never exhaust it, plus fixed slack for the reserved nil line
-	// and the allocator's refill batching (a small-class refill carves up
-	// to 64 blocks at once — the TM system's global words must not starve
-	// the key arena). A driver that keeps a metadata table of its own in
-	// the arena (rh-tl2's stripes) gets room for it under the same doubling.
-	words := 2*(cfg.Keys+1)*mem.LineWords + 8192 + 2*algo.MetaWords
+	// Arena: one line per key and the reserved nil line, plus fixed slack
+	// for the allocator's refill batching (a small-class refill carves up to
+	// 64 blocks at once — the TM system's global words must not starve the
+	// key arena), which also covers the size-class rounding of a key range
+	// of at most 4 096 words; a larger one is carved exactly. A driver that
+	// keeps a metadata table of its own in the arena (rh-tl2's stripes) gets
+	// room for it, doubled for its class rounding.
+	words := (cfg.Keys+1)*mem.LineWords + 8192 + 2*algo.MetaWords
 	stripes := cfg.Stripes
 	if stripes <= 0 {
 		stripes = mem.DefaultStripes

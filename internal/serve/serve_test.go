@@ -103,6 +103,36 @@ func TestPutGetScan(t *testing.T) {
 	}
 }
 
+// TestArenaHoldsEveryDriver: the arena serve.New sizes, one line per key
+// plus fixed slack, holds the key range and every driver's metadata,
+// whatever the worker count: each driver boots with 1, 4 and 16 workers and
+// stores to its first and last key. The key counts are the service's
+// default 1 << 16 (a range carved exactly) and two whose range is
+// class-rounded: 257 keys up by half, to 3 072 words, and 512 keys to the
+// largest class, whose refill carves two 4 096-word blocks.
+func TestArenaHoldsEveryDriver(t *testing.T) {
+	for _, keys := range []uint64{257, 512, 1 << 16} {
+		for _, algo := range bench.AllAlgos() {
+			for _, workers := range []int{1, 4, 16} {
+				s, err := serve.New(serve.Config{Algo: algo.Name, Keys: int(keys), Workers: workers})
+				if err != nil {
+					t.Fatalf("%s, %d keys, %d workers: New: %v", algo.Name, keys, workers, err)
+				}
+				for _, k := range []uint64{0, keys - 1} {
+					if _, err := s.Do("c", serve.EpPut, []serve.Op{{Kind: serve.OpPut, Key: k, Val: k + 7}}); err != nil {
+						t.Fatalf("%s, %d keys, %d workers: put %d: %v", algo.Name, keys, workers, k, err)
+					}
+					res, err := s.Do("c", serve.EpGet, []serve.Op{{Kind: serve.OpGet, Key: k}})
+					if err != nil || res[0].Val != k+7 {
+						t.Fatalf("%s, %d keys, %d workers: get %d = %+v, %v; want %d", algo.Name, keys, workers, k, res, err, k+7)
+					}
+				}
+				s.Close()
+			}
+		}
+	}
+}
+
 func TestCasSemantics(t *testing.T) {
 	_, ts := newTestServer(t, serve.Config{Keys: 128, Workers: 2})
 	post(t, ts.URL+"/put?key=3&val=10", "")
