@@ -82,7 +82,7 @@ func main() {
 
 	var (
 		found *explore.Found
-		runs  int
+		runs  explore.Tally
 		err   error
 	)
 	switch *strategy {
@@ -96,9 +96,13 @@ func main() {
 		var complete bool
 		found, runs, complete, err = explore.ExploreDFS(cfg, *depth, *dfsRuns)
 		if err == nil && found == nil {
-			if complete {
+			switch {
+			case complete && runs.Unchecked() == 0:
 				fmt.Printf("search space exhausted: every schedule within %d preemption(s) is safe\n", *depth)
-			} else {
+			case complete:
+				fmt.Printf("search space exhausted, but %d schedule(s) within %d preemption(s) ended before their oracle\n",
+					runs.Unchecked(), *depth)
+			default:
 				fmt.Printf("run budget exhausted before completing the bounded space\n")
 			}
 		}
@@ -112,7 +116,8 @@ func main() {
 	}
 
 	if found == nil {
-		fmt.Printf("no violation in %d run(s)\n", runs)
+		fmt.Printf("no violation in %d run(s): %d reached their oracle, %d diverged, %d stuck\n",
+			runs.Runs(), runs.OK, runs.Diverged, runs.Stuck)
 		if *record != "" {
 			if code := recordOne(cfg, *seed0, *pctDepth, *pctHoriz, *faultPct, *record); code != 0 {
 				os.Exit(code)
@@ -125,7 +130,7 @@ func main() {
 		return
 	}
 
-	fmt.Printf("VIOLATION after %d run(s)", runs)
+	fmt.Printf("VIOLATION after %d run(s)", runs.Runs())
 	if found.Seed != 0 {
 		fmt.Printf(" (seed %d)", found.Seed)
 	}

@@ -29,7 +29,7 @@ func TestReplaysSweepsOrRejects(t *testing.T) {
 	}{
 		{"replay", []string{"-replay", "../../internal/explore/testdata/bank-rh-norec-seed7.json"}, 0, "certified: outcome ok reproduced"},
 		{"list", []string{"-list"}, 0, "segments"},
-		{"sweep", []string{"-scenario", "segments", "-algo", "rh-norec", "-seeds", "5", "-pct-horizon", "1024"}, 0, "no violation in 5 run(s)"},
+		{"sweep", []string{"-scenario", "segments", "-algo", "rh-norec", "-seeds", "5", "-pct-horizon", "1024"}, 0, "no violation in 5 run(s): 5 reached their oracle, 0 diverged, 0 stuck"},
 		{"unknown scenario", []string{"-scenario", "typo", "-record", record}, 2, `unknown scenario "typo"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -79,27 +79,28 @@ func preemptCost(prev int, enabled []int, choice int) int {
 // ExploreDFS searches schedules of cfg exhaustively up to `bound`
 // preemptions, executing at most maxRuns runs (0 means unbounded — only
 // sensible for tiny configurations). It returns the first violation, the
-// number of runs executed, and whether the bounded space was fully
-// explored (false when maxRuns cut the search short).
-func ExploreDFS(cfg Config, bound, maxRuns int) (*Found, int, bool, error) {
+// tally of the runs executed, and whether the bounded space was fully
+// explored (false when maxRuns cut the search short). An explored space is
+// proven safe only if no run in the tally diverged or got stuck.
+func ExploreDFS(cfg Config, bound, maxRuns int) (*Found, Tally, bool, error) {
+	var t Tally
 	cfg, err := cfg.Normalize()
 	if err != nil {
-		return nil, 0, false, err
+		return nil, t, false, err
 	}
 	var stack []dfsFrame
-	runs := 0
 	for {
-		if maxRuns > 0 && runs >= maxRuns {
-			return nil, runs, false, nil
+		if maxRuns > 0 && t.Runs() >= maxRuns {
+			return nil, t, false, nil
 		}
 		strat := &dfsStrategy{stack: stack, bound: cfg.dfsBound(bound)}
 		res, err := RunOnce(cfg, strat)
 		if err != nil {
-			return nil, runs, false, err
+			return nil, t, false, err
 		}
-		runs++
+		t.add(res.Outcome)
 		if res.Outcome == OutcomeViolation {
-			return &Found{Result: res}, runs, false, nil
+			return &Found{Result: res}, t, false, nil
 		}
 		stack = strat.stack
 		// Backtrack: advance the deepest frame with an untried alternative;
@@ -121,7 +122,7 @@ func ExploreDFS(cfg Config, bound, maxRuns int) (*Found, int, bool, error) {
 			stack = stack[:len(stack)-1]
 		}
 		if len(stack) == 0 {
-			return nil, runs, true, nil
+			return nil, t, true, nil
 		}
 	}
 }

@@ -247,25 +247,53 @@ type Found struct {
 	Result RunResult
 }
 
+// Tally counts a sweep's runs by outcome. Only an ok run reached its
+// scenario's finish oracle and passed it: a diverged or stuck run ended
+// before its oracle ran, so it checked nothing, and a sweep without a
+// violation is clean only over its ok runs.
+type Tally struct{ OK, Violation, Diverged, Stuck int }
+
+func (t *Tally) add(o Outcome) {
+	switch o {
+	case OutcomeOK:
+		t.OK++
+	case OutcomeViolation:
+		t.Violation++
+	case OutcomeDiverged:
+		t.Diverged++
+	case OutcomeStuck:
+		t.Stuck++
+	}
+}
+
+// Runs is the number of runs the sweep executed.
+func (t Tally) Runs() int { return t.OK + t.Violation + t.Diverged + t.Stuck }
+
+// Unchecked is the number of runs that ended before their oracle: the
+// diverged and the stuck ones.
+func (t Tally) Unchecked() int { return t.Diverged + t.Stuck }
+
 // ExplorePCT runs up to seeds PCT-scheduled runs (seeds baseSeed,
-// baseSeed+1, ...) and returns the first violation, the number of runs
+// baseSeed+1, ...) and returns the first violation, the tally of the runs
 // executed, and any infrastructure error. depth and horizon parameterize
 // PCT (see NewPCT); faultRate enables the fault plane.
-func ExplorePCT(cfg Config, baseSeed uint64, seeds, depth, horizon int, faultRate float64) (*Found, int, error) {
+func ExplorePCT(cfg Config, baseSeed uint64, seeds, depth, horizon int, faultRate float64) (*Found, Tally, error) {
+	var t Tally
 	cfg, err := cfg.Normalize()
 	if err != nil {
-		return nil, 0, err
+		return nil, t, err
 	}
 	for i := 0; i < seeds; i++ {
 		seed := baseSeed + uint64(i)
 		strat := NewPCT(seed, cfg.Workers, depth, horizon, faultRate)
 		res, err := RunOnce(cfg, strat)
 		if err != nil {
-			return nil, i, err
+			return nil, t, err
 		}
+		t.add(res.Outcome)
 		if res.Outcome == OutcomeViolation {
-			return &Found{Seed: seed, Result: res}, i + 1, nil
+			return &Found{Seed: seed, Result: res}, t, nil
 		}
 	}
-	return nil, seeds, nil
+	return nil, t, nil
 }

@@ -151,9 +151,9 @@ func TestPlantedBugFoundAndShrunk(t *testing.T) {
 		t.Fatalf("ExplorePCT: %v", err)
 	}
 	if found == nil {
-		t.Fatalf("planted opacity bug not found in %d PCT seeds", runs)
+		t.Fatalf("planted opacity bug not found in %d PCT seeds", runs.Runs())
 	}
-	t.Logf("found by seed %d after %d runs, %d steps", found.Seed, runs, found.Result.Steps)
+	t.Logf("found by seed %d after %d runs, %d steps", found.Seed, runs.Runs(), found.Result.Steps)
 	sr, ok := Shrink(cfg, found.Result.Choices, 2000)
 	if !ok {
 		t.Fatal("shrink could not reproduce the found violation")
@@ -177,14 +177,14 @@ func TestDFSFindsPlantedBug(t *testing.T) {
 		t.Fatalf("ExploreDFS: %v", err)
 	}
 	if found == nil {
-		t.Fatalf("planted bug not found in %d DFS runs", runs)
+		t.Fatalf("planted bug not found in %d DFS runs", runs.Runs())
 	}
-	t.Logf("DFS found it after %d runs, %d steps", runs, found.Result.Steps)
+	t.Logf("DFS found it after %d runs, %d steps", runs.Runs(), found.Result.Steps)
 }
 
 // TestDFSCompletes: with the bug absent and one preemption allowed the
-// bounded space of the tiny scenario is fully explorable, and none of it
-// violates.
+// bounded space of the tiny scenario is fully explorable, every run of it
+// reaches its oracle, and none of it violates.
 func TestDFSCompletes(t *testing.T) {
 	cfg := Config{Scenario: "htm-opacity"}
 	found, runs, complete, err := ExploreDFS(cfg, 1, 5000)
@@ -195,9 +195,12 @@ func TestDFSCompletes(t *testing.T) {
 		t.Fatalf("correct protocol violated:\n%s", FormatTrace(found.Result))
 	}
 	if !complete {
-		t.Fatalf("bound-1 space not exhausted in %d runs", runs)
+		t.Fatalf("bound-1 space not exhausted in %d runs", runs.Runs())
 	}
-	t.Logf("exhausted bound-1 space in %d runs", runs)
+	if runs.OK != runs.Runs() {
+		t.Fatalf("%d of %d runs diverged and %d got stuck before their oracle", runs.Diverged, runs.Runs(), runs.Stuck)
+	}
+	t.Logf("exhausted bound-1 space in %d runs", runs.Runs())
 }
 
 // TestScenarioOraclesAcrossTMs sweeps every TM scenario over all five core

@@ -85,7 +85,7 @@ func TestRecorderThroughExploreScheduler(t *testing.T) {
 		}
 		if found != nil {
 			t.Fatalf("%s: linearizability oracle rejected a real-protocol run (seed %d after %d runs): %s",
-				algo, found.Seed, runs, found.Result.Violation)
+				algo, found.Seed, runs.Runs(), found.Result.Violation)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -244,4 +245,5 @@ func (m *Memory) zeroRange(a Addr, n int) {
 	if end := min(a+Addr(n), Addr(m.frontier.Load())); a < end {
 		clear(m.words[a:end])
 	}
+	runtime.KeepAlive(m)
 }

@@ -39,6 +39,15 @@
 //     is a monotonic publish counter only — NOT a seqlock, and never
 //     waited on; cross-stripe consistency always comes from the
 //     per-stripe clocks.
+//
+// The word array is an anonymous private mapping where the platform has one
+// (arena_mmap.go) and the build is not -race; elsewhere, and if mmap fails,
+// it is Go heap. A mapped arena's pages are zero-filled by the kernel on
+// first touch, so a Memory costs the pages stored to, not its size, and an
+// unreachable Memory's arena is unmapped at the first collection after it
+// became unreachable (by a finalizer, so shortly after that collection ends).
+// Every method that indexes the array therefore ends with
+// runtime.KeepAlive(m): the arena must outlive each access to it.
 package mem
 
 import (
@@ -130,6 +139,7 @@ type Hook interface {
 // clock discipline can never be bypassed by accident.
 type Memory struct {
 	words   []uint64
+	arena   *mapping // owns words when it is mapped (newWords); nil on the heap
 	stripes []stripe
 	mask    uint64 // len(stripes)-1; stripe of a = (a>>lineShift)&mask
 
@@ -159,7 +169,7 @@ type Memory struct {
 }
 
 // Persister consumes committed write sets for the durability plane
-// (internal/persist implements it with a per-stripe redo log). Append is
+// (internal/persist implements it with a one-file redo log). Append is
 // called inside CommitWrites' locked span — after the stores, before the
 // seqlock windows close — so no reader can certify a read of the commit's
 // values before the commit is in the log. Software paths that publish with
@@ -194,10 +204,10 @@ func NewStriped(sizeWords, stripes int) *Memory {
 		n <<= 1
 	}
 	m := &Memory{
-		words:   make([]uint64, sizeWords),
 		stripes: make([]stripe, n),
 		mask:    uint64(n - 1),
 	}
+	m.words, m.arena = newWords(sizeWords)
 	m.alloc.init(Addr(LineWords), Addr(sizeWords))
 	return m
 }
@@ -330,6 +340,7 @@ func (m *Memory) LoadPlain(a Addr) uint64 {
 		c0 := c.Load()
 		v := atomic.LoadUint64(&m.words[a])
 		if c0&1 == 0 && c.Load() == c0 {
+			runtime.KeepAlive(m)
 			return v
 		}
 		runtime.Gosched() // a write-back is publishing into this stripe
@@ -348,7 +359,9 @@ func (m *Memory) LoadTorn(a Addr) uint64 {
 	if h := m.hook; h != nil {
 		h.Yield(HookLoad, a)
 	}
-	return atomic.LoadUint64(&m.words[a])
+	v := atomic.LoadUint64(&m.words[a])
+	runtime.KeepAlive(m)
+	return v
 }
 
 // StorePlain performs a non-transactional atomic write of a word under the
@@ -365,6 +378,7 @@ func (m *Memory) StorePlain(a Addr, v uint64) {
 	m.beginMutate(s)
 	atomic.StoreUint64(&m.words[a], v)
 	m.endMutate(s)
+	runtime.KeepAlive(m)
 }
 
 // CASPlain performs a non-transactional compare-and-swap. The stripe clock
@@ -381,11 +395,13 @@ func (m *Memory) CASPlain(a Addr, old, new uint64) bool {
 	s.wb.Lock()
 	if atomic.LoadUint64(&m.words[a]) != old {
 		s.wb.Unlock()
+		runtime.KeepAlive(m)
 		return false
 	}
 	s.clock.Add(1)
 	atomic.StoreUint64(&m.words[a], new)
 	m.endMutate(s)
+	runtime.KeepAlive(m)
 	return true
 }
 
@@ -402,6 +418,7 @@ func (m *Memory) AddPlain(a Addr, delta uint64) uint64 {
 	v := atomic.LoadUint64(&m.words[a]) + delta
 	atomic.StoreUint64(&m.words[a], v)
 	m.endMutate(s)
+	runtime.KeepAlive(m)
 	return v
 }
 
@@ -413,7 +430,11 @@ func (m *Memory) SubPlain(a Addr, delta uint64) uint64 {
 
 // loadRaw reads a word without bounds checking; used on the commit path
 // where addresses were validated at log time.
-func (m *Memory) loadRaw(a Addr) uint64 { return atomic.LoadUint64(&m.words[a]) }
+func (m *Memory) loadRaw(a Addr) uint64 {
+	v := atomic.LoadUint64(&m.words[a])
+	runtime.KeepAlive(m)
+	return v
+}
 
 // WriteEntry is one buffered speculative write, as published by CommitWrites.
 type WriteEntry struct {
@@ -524,6 +545,7 @@ func (m *Memory) CommitWrites(writes []WriteEntry, validate func() bool) bool {
 	if h != nil {
 		h.AtomicEnd()
 	}
+	runtime.KeepAlive(m)
 	return ok
 }
 
