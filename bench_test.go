@@ -138,10 +138,6 @@ func BenchmarkExtra_Kmeans(b *testing.B) { benchAllAlgos(b, bench.Kmeans()) }
 
 func BenchmarkExtra_Labyrinth(b *testing.B) { benchAllAlgos(b, bench.Labyrinth()) }
 
-// Bayes is outside the paper's figures (omitted there for inconsistent
-// behaviour); benchmarked for suite completeness only.
-func BenchmarkExtra_Bayes(b *testing.B) { benchAllAlgos(b, bench.Bayes()) }
-
 // Ablations (DESIGN.md §5). All run the rbtree-10 workload, where both
 // small hardware transactions matter.
 

@@ -9,24 +9,22 @@
 //	rhbench -experiment extra           # Kmeans, Labyrinth
 //	rhbench -experiment structures      # rbtree vs skiplist vs sortedlist
 //	rhbench -experiment ablation        # RH NOrec design-choice ablations
-//	rhbench -experiment disjoint        # per-thread private lines (striping scaling)
 //	rhbench -experiment persist         # durability overhead: off vs group fsync
 //	rhbench -experiment scenarios       # conformance-registry scenarios, invariant-checked
 //	rhbench -experiment all             # fig4+fig5+fig6+extra
 //	rhbench -experiment list            # list workloads and algorithms
 //
-// -experiment also accepts a comma-separated list (fig4,disjoint). Every
+// -experiment also accepts a comma-separated list (fig4,persist). Every
 // name and flag value is checked before the first point runs and before
 // -json/-trace are created; a usage error exits 2.
 //
 // Useful knobs: -duration per point, -repeat N (median of N runs),
-// -threads CSV sweep, -algos CSV subset, -stripes N memory seqlock stripe
-// count (1 reproduces the pre-striping single-clock substrate), -spurious
-// environmental-abort probability, -tsv machine-readable rows, -json FILE
-// machine-readable point dump (ops/sec per system per thread count). Every
-// point runs the paper's static retry policy (§3.3: 10 hardware retries)
-// and the simulator's fixed yield pacing and software-access cost model
-// (DESIGN.md §6).
+// -threads CSV sweep, -algos CSV subset, -spurious environmental-abort
+// probability, -tsv machine-readable rows, -json FILE machine-readable
+// point dump (ops/sec per system per thread count). Every point runs the
+// paper's static retry policy (§3.3: 10 hardware retries) and the
+// simulator's fixed yield pacing and software-access cost model (DESIGN.md
+// §6).
 //
 // Durability (docs/PERSIST.md) is named by the algorithm: the persist
 // experiment sweeps rh-norec and rh-norec+persist (group fsync) side by
@@ -68,11 +66,10 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "list", "fig4 | fig5 | fig6 | extra | structures | ablation | disjoint | persist | scenarios | all | list (comma-separated ok)")
+		experiment = flag.String("experiment", "list", "fig4 | fig5 | fig6 | extra | structures | ablation | persist | scenarios | all | list (comma-separated ok)")
 		duration   = flag.Duration("duration", 150*time.Millisecond, "measurement time per benchmark point")
 		threadsCSV = flag.String("threads", "1,2,4,8,12,16", "thread counts to sweep")
 		algosCSV   = flag.String("algos", "", "comma-separated algorithm subset (default: the paper's five)")
-		stripes    = flag.Int("stripes", 0, "memory seqlock stripe count (0 = default; 1 reproduces the single-clock substrate)")
 		spurious   = flag.Float64("spurious", 0.002, "per-operation spurious (environmental) HTM abort probability")
 		tsv        = flag.Bool("tsv", false, "emit tab-separated rows instead of paper-style tables")
 		repeat     = flag.Int("repeat", 1, "runs per point; the median-throughput run is reported")
@@ -129,7 +126,6 @@ func main() {
 	cfg := bench.FigureConfig{
 		PointConfig: bench.PointConfig{
 			Duration: *duration,
-			Stripes:  *stripes,
 			HTM:      htm.Config{SpuriousAbortProb: *spurious},
 			Obs:      *obsOn || *tracePath != "",
 		},

@@ -14,9 +14,8 @@
 // worker pool size (default: simulated core count), -queue max chains
 // blocked waiting for one worker, -batch max requests fused into one
 // transaction, -timeout longest wait for the worker before a request is
-// shed, -retryafter shed backoff hint, -stripes memory seqlock stripes,
-// -cores simulated HTM cores, -pprof mounts net/http/pprof under
-// /debug/pprof/ (opt-in profiling).
+// shed, -retryafter shed backoff hint, -cores simulated HTM cores, -pprof
+// mounts net/http/pprof under /debug/pprof/ (opt-in profiling).
 //
 // Durability (docs/PERSIST.md): -data <dir> arms the redo-log persistence
 // plane — boot replays the directory's logs (crash recovery) and committing
@@ -54,7 +53,6 @@ func main() {
 		batch      = flag.Int("batch", 16, "max requests fused into one transaction")
 		timeout    = flag.Duration("timeout", time.Second, "longest a request may wait for its worker before it is shed")
 		retryAfter = flag.Duration("retryafter", time.Second, "shed backoff hint")
-		stripes    = flag.Int("stripes", 0, "memory seqlock stripes (0 = default)")
 		cores      = flag.Int("cores", 0, "simulated HTM cores (0 = default)")
 		pprofFlag  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the service mux")
 		dataDir    = flag.String("data", "", "redo-log directory: arms durable persistence + boot crash recovery")
@@ -75,7 +73,6 @@ func main() {
 	s, err := serve.New(serve.Config{
 		Algo:           *algo,
 		Keys:           *keys,
-		Stripes:        *stripes,
 		HTM:            hcfg,
 		Workers:        *workers,
 		QueueDepth:     *queue,

@@ -169,10 +169,6 @@ type PointConfig struct {
 	Duration time.Duration
 	// MemWords sizes the shared memory (default 1<<22).
 	MemWords int
-	// Stripes sets the memory's seqlock stripe count (default
-	// mem.DefaultStripes; 1 reproduces the pre-striping global-clock
-	// substrate).
-	Stripes int
 	// HTM configures the simulated hardware (zero fields take defaults).
 	HTM htm.Config
 	// Obs attaches an observability recorder (per-phase latency histograms
@@ -239,10 +235,7 @@ func Run(cfg RunConfig) (Result, error) {
 	// collection barrier the garbage of earlier points taxes later ones,
 	// biasing sweeps against whichever algorithm runs last.
 	runtime.GC()
-	if cfg.Stripes <= 0 {
-		cfg.Stripes = mem.DefaultStripes
-	}
-	m := mem.NewStriped(cfg.MemWords, cfg.Stripes)
+	m := mem.New(cfg.MemWords)
 	// Durability (Algo.Persist): an armed point redo-logs every commit to a
 	// throwaway directory and durable-acks in the worker loop below.
 	var plog *persist.Log

@@ -70,7 +70,6 @@ func TestAllWorkloadsRunOnAllAlgos(t *testing.T) {
 		"kmeans":        bench.Kmeans(),
 		"labyrinth":     bench.Labyrinth(),
 		"yada":          bench.Yada(),
-		"bayes":         bench.Bayes(),
 		"skiplist":      bench.SkipListWorkload(bench.RBTreeConfig{Size: 128, MutationRatio: 0.2}),
 		"sortedlist":    bench.SortedListWorkload(bench.RBTreeConfig{Size: 64, MutationRatio: 0.2}),
 	}

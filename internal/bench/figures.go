@@ -189,11 +189,9 @@ func Experiments() []Experiment {
 			Workloads: []Workload{VacationLow(), Intruder(), Genome()}},
 		{Name: "fig6", Title: "Figure 6: Vacation-High, SSCA2, Yada",
 			Workloads: []Workload{VacationHigh(), SSCA2(), Yada()}},
-		// The workloads the paper folds into the SSCA2 discussion, plus
-		// Bayes, which it omits for inconsistent behaviour (an overflowing
-		// kernel; see its package comment).
-		{Name: "extra", Title: "Extra: Kmeans, Labyrinth (\"similar to SSCA2\"), Bayes (omitted by the paper), §3.6",
-			Workloads: []Workload{Kmeans(), Labyrinth(), Bayes()}},
+		// The workloads the paper folds into the SSCA2 discussion.
+		{Name: "extra", Title: "Extra: Kmeans, Labyrinth (\"similar to SSCA2\"), §3.6",
+			Workloads: []Workload{Kmeans(), Labyrinth()}},
 		{Name: "structures", Title: "Structures: rbtree, skiplist, sortedlist (same op mix)",
 			Workloads: []Workload{
 				RBTree(RBTreeConfig{Size: 2048, MutationRatio: 0.20}),
@@ -207,12 +205,6 @@ func Experiments() []Experiment {
 					c.Algos = RHVariants()
 				}
 			}},
-		// Every thread commits write transactions over its own private
-		// block of cache lines, so under the striped substrate no two
-		// commits touch the same stripe. Sweep it at -stripes 1 versus the
-		// default to isolate the commit serialization striping removes.
-		{Name: "disjoint", Title: "Disjoint: per-thread private lines (stripe-parallel commits)",
-			Workloads: []Workload{Disjoint(DisjointConfig{Lines: 4})}},
 		// The durability-overhead sweep (DESIGN.md §15, docs/PERSIST.md):
 		// every transaction read-modify-writes the same two shared lines
 		// and durable-acks, off vs group fsync. Group fsync stays within a

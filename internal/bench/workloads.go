@@ -3,12 +3,10 @@ package bench
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 
 	"rhnorec/internal/conformance"
 	"rhnorec/internal/mem"
 	"rhnorec/internal/rbtree"
-	"rhnorec/internal/stamp/bayes"
 	"rhnorec/internal/stamp/genome"
 	"rhnorec/internal/stamp/intruder"
 	"rhnorec/internal/stamp/kmeans"
@@ -129,32 +127,6 @@ func (w *orderedWorkload) Check(sys tm.System) error {
 	return th.Run(w.m.CheckInvariants)
 }
 
-// DisjointConfig parameterizes the disjoint-footprint scaling workload.
-type DisjointConfig struct {
-	// Lines is the number of cache lines each thread's transaction writes
-	// (default 4). With line-interleaved striping, a thread's Lines
-	// consecutive lines land on Lines consecutive stripes, so threads'
-	// footprints are stripe-disjoint as long as threads*Lines stays within
-	// the stripe count.
-	Lines int
-}
-
-// disjointBlocks is the Disjoint workload's block count: workers share a
-// block only past this many threads.
-const disjointBlocks = 64
-
-// Disjoint gives every worker thread a private block of cache lines. Under
-// the per-stripe substrate its commits touch disjoint stripes and never
-// serialize on the memory; at -stripes 1 they all contend on the single
-// seqlock — the workload isolates exactly the substrate-level commit
-// contention that striping removes.
-func Disjoint(cfg DisjointConfig) Workload {
-	if cfg.Lines <= 0 {
-		cfg.Lines = 4
-	}
-	return blocks(fmt.Sprintf("disjoint-%d", cfg.Lines), disjointBlocks, cfg.Lines)
-}
-
 // HotspotConfig parameterizes the high-contention workload.
 type HotspotConfig struct {
 	// Lines is the number of shared cache lines every transaction
@@ -162,55 +134,41 @@ type HotspotConfig struct {
 	Lines int
 }
 
-// Hotspot is the adversarial opposite of Disjoint: one block that every
-// thread's every transaction read-modify-writes, so any two concurrent
-// writers conflict — the durability sweep's workload.
+// Hotspot is one block of cache lines that every thread's every
+// transaction read-modify-writes, so any two concurrent writers conflict —
+// the durability sweep's workload.
 func Hotspot(cfg HotspotConfig) Workload {
 	if cfg.Lines <= 0 {
 		cfg.Lines = 2
 	}
-	return blocks(fmt.Sprintf("hotspot-%d", cfg.Lines), 1, cfg.Lines)
-}
-
-// blockWorkload hands its workers its n line-aligned blocks of lines cache
-// lines round robin; each op is one write transaction that increments every
-// line of the worker's block. Its oracle: the lines of each block are equal.
-type blockWorkload struct {
-	n, lines int
-	base     mem.Addr
-	next     atomic.Int64
-}
-
-func blocks(name string, n, lines int) Workload {
-	return Workload{Name: name, New: func() conformance.Instance {
-		return &blockWorkload{n: n, lines: lines}
+	return Workload{Name: fmt.Sprintf("hotspot-%d", cfg.Lines), New: func() conformance.Instance {
+		return &hotspotWorkload{lines: cfg.Lines}
 	}}
 }
 
-// line is the address of line j of block b.
-func (w *blockWorkload) line(b, j int) mem.Addr {
-	return w.base + mem.Addr((b*w.lines+j)*mem.LineWords)
+// hotspotWorkload is Hotspot's instance: each op is one write transaction
+// that increments one word on each line of the block. Its oracle: the
+// words read equal.
+type hotspotWorkload struct {
+	lines int
+	base  mem.Addr
 }
 
-func (w *blockWorkload) Setup(th tm.Thread) error {
+// line is the address of the word on line j of the block.
+func (w *hotspotWorkload) line(j int) mem.Addr { return w.base + mem.Addr(j*mem.LineWords) }
+
+func (w *hotspotWorkload) Setup(th tm.Thread) error {
 	return th.Run(func(tx tm.Tx) error {
-		// Over-allocate one line so the blocks can start on a line boundary:
-		// an unaligned base would let adjacent blocks share their boundary
-		// line's stripe.
-		raw := tx.Alloc((w.n*w.lines + 1) * mem.LineWords)
-		w.base = (raw + mem.LineWords - 1) &^ (mem.LineWords - 1)
+		w.base = tx.Alloc(w.lines * mem.LineWords)
 		return nil
 	})
 }
 
-func (w *blockWorkload) NewWorker(th tm.Thread, _ int64, _ conformance.Report) func() error {
-	// NewWorker runs once per worker, so the atomic counter hands each
-	// worker its own block (wrapping only past n workers).
-	b := int(w.next.Add(1)-1) % w.n
+func (w *hotspotWorkload) NewWorker(th tm.Thread, _ int64, _ conformance.Report) func() error {
 	return func() error {
 		return th.Run(func(tx tm.Tx) error {
 			for j := 0; j < w.lines; j++ {
-				a := w.line(b, j)
+				a := w.line(j)
 				tx.Store(a, tx.Load(a)+1)
 			}
 			return nil
@@ -218,16 +176,14 @@ func (w *blockWorkload) NewWorker(th tm.Thread, _ int64, _ conformance.Report) f
 	}
 }
 
-func (w *blockWorkload) Check(sys tm.System) error {
+func (w *hotspotWorkload) Check(sys tm.System) error {
 	th := sys.NewThread()
 	defer th.Close()
 	return th.Run(func(tx tm.Tx) error {
-		for b := 0; b < w.n; b++ {
-			first := tx.Load(w.line(b, 0))
-			for j := 1; j < w.lines; j++ {
-				if v := tx.Load(w.line(b, j)); v != first {
-					return fmt.Errorf("block %d: line %d reads %d, line 0 reads %d", b, j, v, first)
-				}
+		first := tx.Load(w.line(0))
+		for j := 1; j < w.lines; j++ {
+			if v := tx.Load(w.line(j)); v != first {
+				return fmt.Errorf("line %d reads %d, line 0 reads %d", j, v, first)
 			}
 		}
 		return nil
@@ -270,13 +226,6 @@ func Kmeans() Workload {
 // Labyrinth is noted in §3.6 as behaving like SSCA2.
 func Labyrinth() Workload {
 	return Workload{"labyrinth", func() conformance.Instance { return labyrinth.New(labyrinth.Default()) }}
-}
-
-// Bayes is the STAMP app the paper omits "due to its inconsistent
-// behavior" (§3.6); provided for completeness, outside the figure
-// reproduction.
-func Bayes() Workload {
-	return Workload{"bayes", func() conformance.Instance { return bayes.New(bayes.Default()) }}
 }
 
 // Yada is the paper's Yada column (Figure 6).

@@ -6,7 +6,7 @@
 //
 // Instance is the repository's one workload interface. Beyond the
 // registry's scenarios, the figure workloads of internal/bench (the ordered
-// structures, the disjoint and hotspot blocks) and every STAMP kernel under
+// structures, the hotspot block) and every STAMP kernel under
 // internal/stamp implement it too, so each benchmark point runs its
 // workload's oracle and every kernel test is a Drive.
 //

@@ -184,7 +184,7 @@ func RunScenario(sc Scenario, cfg Config, strat Strategy) (RunResult, error) {
 	if memWords <= 0 {
 		memWords = 1 << 16
 	}
-	m := mem.NewStriped(memWords, mem.DefaultStripes)
+	m := mem.New(memWords)
 	var seedCtr uint64
 	// The device's arrival-order seed counter depends on goroutine
 	// scheduling, the one source of nondeterminism the hooks do not

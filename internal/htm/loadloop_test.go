@@ -88,10 +88,12 @@ func loadInOpenTxn(tx *Txn, body func() uint64) (v uint64, ab *Abort) {
 // round again, and pins what it leaves: the value or abort, the watermark of
 // every footprint stripe, the ticket gate, and every htm and mem hook event
 // in order — the events recorded before the loop moved into Load. x, y and u
-// head lines on stripes 1, 2 and 3. Set-up stores x = 10, x+1 = 11 and
-// y = 20, so the ticket starts at 3, x's stripe clock at 4 and y's at 2.
+// head lines on stripes 1, 2 and 3, and xs heads another line of x's stripe.
+// Set-up stores x = 10, x+1 = 11 and y = 20, so the ticket starts at 3, x's
+// stripe clock at 4 and y's at 2.
 func TestLoadReadLoopBranches(t *testing.T) {
 	const x, y, u = mem.Addr(1 * mem.LineWords), mem.Addr(2 * mem.LineWords), mem.Addr(3 * mem.LineWords)
+	const xs = x + mem.Stripes*mem.LineWords
 	type fixture struct {
 		m   *mem.Memory
 		tx  *Txn
@@ -155,6 +157,19 @@ func TestLoadReadLoopBranches(t *testing.T) {
 			marks: map[mem.Addr]uint64{x: 6},
 			gate:  4,
 			events: []string{"htm.begin", "htm.load x", "mem.load x", "mem.store x+1",
+				"htm.load x+1", "mem.load x+1", "htm.validate x+1", "mem.load x"},
+		},
+		{
+			name: "moved stripe by a commit to another of its lines: watermark advances",
+			body: func(f fixture) uint64 {
+				f.tx.Load(x)
+				f.m.CommitWrites([]mem.WriteEntry{{Addr: xs, Value: 30}}, nil)
+				return f.tx.Load(x + 1)
+			},
+			want:  11,
+			marks: map[mem.Addr]uint64{x: 6},
+			gate:  4,
+			events: []string{"htm.begin", "htm.load x", "mem.load x", "mem.commit xs",
 				"htm.load x+1", "mem.load x+1", "htm.validate x+1", "mem.load x"},
 		},
 		{
@@ -232,7 +247,7 @@ func TestLoadReadLoopBranches(t *testing.T) {
 			m.StorePlain(x+1, 11)
 			m.StorePlain(y, 20)
 			log := &loopLog{names: map[mem.Addr]string{}}
-			for name, a := range map[string]mem.Addr{"x": x, "y": y, "u": u} {
+			for name, a := range map[string]mem.Addr{"x": x, "y": y, "u": u, "xs": xs} {
 				log.names[a] = name
 				for w := mem.Addr(1); w < mem.LineWords; w++ {
 					log.names[a+w] = fmt.Sprintf("%s+%d", name, w)
@@ -251,7 +266,7 @@ func TestLoadReadLoopBranches(t *testing.T) {
 				t.Errorf("value = %d, want %d", v, r.want)
 			}
 			marks := map[int]uint64{}
-			for s := range m.StripeCount() {
+			for s := range mem.Stripes {
 				if mark, ok := tx.marks.get(s); ok {
 					marks[s] = mark
 				}

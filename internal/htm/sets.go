@@ -222,40 +222,28 @@ func (s *lineSet) add(l mem.Line) bool {
 
 func (s *lineSet) count() int { return s.idx.n }
 
-// stripeBits is a bitmap over the memory's stripe indices, one bit per live
-// stripe: a single word at the default 64 stripes.
-type stripeBits []uint64
+// stripeBits is a bitmap over the memory's stripe indices, one bit per
+// stripe.
+type stripeBits uint64
 
-func newStripeBits(stripes int) stripeBits { return make(stripeBits, (stripes+63)/64) }
-
-func (b stripeBits) set(s int)      { b[s>>6] |= 1 << (uint(s) & 63) }
-func (b stripeBits) has(s int) bool { return b[s>>6]&(1<<(uint(s)&63)) != 0 }
+func (b *stripeBits) set(s int)     { *b |= 1 << s }
+func (b stripeBits) has(s int) bool { return b&(1<<s) != 0 }
 
 // markSet is the per-stripe watermark vector: for every stripe in the read
 // footprint, the even clock value the stripe's logged reads were last
-// validated at. The stripe index space is small and bounded, so the set is
-// direct-mapped: get/set on the per-read hot path are O(1) slice accesses
+// validated at. The stripe index space is small and fixed, so the set is
+// direct-mapped: get/set on the per-read hot path are O(1) array accesses
 // gated by the footprint bitmap. Stale mark slots are never read: the bitmap
-// gates them, so reset clears only the bitmap. Sweeps walk present directly,
-// word by word, in ascending stripe order.
+// gates them, so reset clears only the bitmap. Sweeps walk present lowest
+// bit first, in ascending stripe order.
 type markSet struct {
-	marks   []uint64
+	marks   [mem.Stripes]uint64
 	present stripeBits
-	n       int
 }
 
-func newMarkSet(stripes int) markSet {
-	return markSet{marks: make([]uint64, stripes), present: newStripeBits(stripes)}
-}
+func (s *markSet) reset() { s.present = 0 }
 
-func (s *markSet) reset() {
-	if s.n != 0 {
-		clear(s.present)
-		s.n = 0
-	}
-}
-
-func (s *markSet) empty() bool { return s.n == 0 }
+func (s *markSet) empty() bool { return s.present == 0 }
 
 // get returns the watermark for stripe idx, if one is recorded.
 func (s *markSet) get(idx int) (uint64, bool) {
@@ -267,9 +255,6 @@ func (s *markSet) get(idx int) (uint64, bool) {
 
 // set records or updates the watermark for stripe idx.
 func (s *markSet) set(idx int, mark uint64) {
-	if !s.present.has(idx) {
-		s.present.set(idx)
-		s.n++
-	}
+	s.present.set(idx)
 	s.marks[idx] = mark
 }

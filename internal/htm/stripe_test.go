@@ -1,6 +1,7 @@
 package htm
 
 import (
+	"math/bits"
 	"testing"
 
 	"rhnorec/internal/mem"
@@ -69,25 +70,32 @@ func TestReaderSurvivesDisjointStripeCommit(t *testing.T) {
 // TestCommitValidatesOwnWriteStripeReads covers the read∩write stripe case
 // at commit: the transaction reads a word, another thread's store then
 // changes it, and the transaction tries to commit a write to a *different*
-// word of the same stripe. The commit holds that stripe's lock with the
-// window open, so the validation must check the read by value under its
-// own lock — and abort.
+// word of the same stripe — on the read's own line, or mem.Stripes lines
+// away on another line of that stripe. The commit holds that stripe's lock
+// with the window open, so the validation must check the read by value under
+// its own lock — and abort.
 func TestCommitValidatesOwnWriteStripeReads(t *testing.T) {
-	m, d, c := newTestDevice(Config{})
-	a := c.Alloc(mem.LineWords)
-	tx := d.NewTxn()
-	ab := attempt(tx, func() {
-		if got := tx.Load(a); got != 0 {
-			t.Fatalf("Load(a) = %d, want 0", got)
+	for _, off := range []mem.Addr{1, mem.Stripes * mem.LineWords} {
+		m, d, c := newTestDevice(Config{})
+		a := c.Alloc((mem.Stripes + 1) * mem.LineWords)
+		w := a + off
+		if m.StripeOf(w) != m.StripeOf(a) {
+			t.Fatalf("write %d words from the read lands on stripe %d, not the read's %d", off, m.StripeOf(w), m.StripeOf(a))
 		}
-		m.StorePlain(a, 99) // foreign store to the read word
-		tx.Store(a+1, 7)    // write lands in the same stripe
-	})
-	if ab == nil || ab.Code != Conflict {
-		t.Fatalf("abort = %v, want conflict from the owned-stripe value check", ab)
-	}
-	if got := m.LoadPlain(a + 1); got != 0 {
-		t.Errorf("aborted commit leaked its write: a+1 = %d", got)
+		tx := d.NewTxn()
+		ab := attempt(tx, func() {
+			if got := tx.Load(a); got != 0 {
+				t.Fatalf("Load(a) = %d, want 0", got)
+			}
+			m.StorePlain(a, 99) // foreign store to the read word
+			tx.Store(w, 7)      // write lands in the same stripe
+		})
+		if ab == nil || ab.Code != Conflict {
+			t.Fatalf("write %d words from the read: abort = %v, want conflict from the owned-stripe value check", off, ab)
+		}
+		if got := m.LoadPlain(w); got != 0 {
+			t.Errorf("aborted commit leaked its write %d words from the read: %d", off, got)
+		}
 	}
 }
 
@@ -168,7 +176,7 @@ func TestGateReopensAfterDisjointCommit(t *testing.T) {
 	if ab != nil {
 		t.Fatalf("reader aborted on a disjoint-stripe commit: %v", ab)
 	}
-	if got := reader.marks.n; got != 3 {
+	if got := bits.OnesCount64(uint64(reader.marks.present)); got != 3 {
 		t.Fatalf("footprint holds %d stripes, want 3 (r, s, s2)", got)
 	}
 }

@@ -370,20 +370,18 @@ func (t *Txn) sweepReads(committing bool) bool {
 		}
 		ticket := m.Ticket() // before the pass: what a clean one re-arms the gate with
 		clean := true
-		for w, word := range t.marks.present {
-			for ; word != 0; word &= word - 1 {
-				s := w<<6 + bits.TrailingZeros64(word)
-				mark := t.marks.marks[s]
-				c := m.StripeClock(s)
-				if c == mark {
-					continue
-				}
-				switch t.sweepMoved(s, mark, c, committing) {
-				case sweepFailed:
-					return false
-				case sweepRetry:
-					clean = false
-				}
+		for b := t.marks.present; b != 0; b &= b - 1 {
+			s := bits.TrailingZeros64(uint64(b))
+			mark := t.marks.marks[s]
+			c := m.StripeClock(s)
+			if c == mark {
+				continue
+			}
+			switch t.sweepMoved(s, mark, c, committing) {
+			case sweepFailed:
+				return false
+			case sweepRetry:
+				clean = false
 			}
 		}
 		if clean {
@@ -505,7 +503,7 @@ func (t *Txn) Commit() {
 			t.fail(Conflict, 0)
 		}
 	} else {
-		clear(t.owned)
+		t.owned = 0
 		for i := range t.writes.entries {
 			t.owned.set(t.d.m.StripeOf(t.writes.entries[i].Addr))
 		}

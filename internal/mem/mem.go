@@ -6,7 +6,7 @@
 // and write it directly, and non-transactional ("plain") code accesses it
 // through the atomic helpers below. Real Haswell RTM detects conflicts per
 // cache line, so the substrate mirrors that granularity: the word array is
-// partitioned into S padded stripes (line-interleaved), each with its own
+// partitioned into Stripes padded stripes (line-interleaved), each with its own
 // seqlock version clock and writeback mutex. A mutation only perturbs the
 // stripes it touches, so disjoint-line commits proceed in parallel and only
 // transactions whose footprint intersects a mutated stripe revalidate.
@@ -26,9 +26,9 @@
 //     under the seqlock, so a commit is atomic with respect to all other
 //     memory traffic (strong isolation).
 //     Multi-stripe lock acquisition is in canonical ascending stripe order,
-//     which makes it deadlock-free. Read-only commits publish nothing and
-//     take no lock at all: they validate under the per-stripe seqlock read
-//     protocol — see CommitWrites and ValidateLockFree.
+//     which makes it deadlock-free. A read-only htm commit publishes
+//     nothing and never reaches CommitWrites: it sweeps its own stripes
+//     under the per-stripe seqlock read protocol.
 //  3. A global commit ticket (an atomic counter, never a lock) counts
 //     publishes for event stamping and linearization ordering. A publish
 //     retires its ticket inside its seqlock window — after its last store,
@@ -80,17 +80,11 @@ type Line uint64
 // LineOf returns the cache line containing addr.
 func LineOf(a Addr) Line { return Line(a >> lineShift) }
 
-// DefaultStripes is the stripe count New uses. 64 stripes keep the
-// all-stripe sweep of ValidateLockFree cheap while making same-stripe
-// collisions of disjoint-line commits rare at benchmark thread counts.
-const DefaultStripes = 64
-
-// MaxStripes bounds the stripe count so touched-stripe sets fit in a small
-// fixed bitmap on the commit path.
-const MaxStripes = 1024
-
-// stripeWords is MaxStripes/64: the uint64 count of a full stripe bitmap.
-const stripeWords = MaxStripes / 64
+// Stripes is the number of seqlock stripes, the simulator's stand-in for
+// the cache line the paper's hardware detects conflicts at. 64 keeps every
+// touched-stripe set in one bitmap word while making same-stripe collisions
+// of disjoint-line commits rare at benchmark thread counts.
+const Stripes = 64
 
 // stripe is one seqlock-protected partition of the word array. The padding
 // gives every stripe its own cache line so clock traffic on one stripe does
@@ -113,8 +107,7 @@ const (
 	HookCAS
 	// HookAdd fires before a plain fetch-and-add takes its stripe lock.
 	HookAdd
-	// HookCommit fires before CommitWrites locks the touched stripes of a
-	// non-empty write buffer.
+	// HookCommit fires before CommitWrites locks the touched stripes.
 	HookCommit
 )
 
@@ -140,8 +133,7 @@ type Hook interface {
 type Memory struct {
 	words   []uint64
 	arena   *mapping // owns words when it is mapped (newWords); nil on the heap
-	stripes []stripe
-	mask    uint64 // len(stripes)-1; stripe of a = (a>>lineShift)&mask
+	stripes []stripe // Stripes of them
 
 	// frontier is one past the highest address any store has reached: every
 	// word at or above it still reads zero, as a new arena does. A store
@@ -180,33 +172,13 @@ type Persister interface {
 	Append(ticket uint64, writes []WriteEntry)
 }
 
-// New creates a memory of the given size in words with DefaultStripes
-// stripes. The first line is reserved (address 0 is nil), so the usable
-// arena starts at LineWords.
-func New(sizeWords int) *Memory { return NewStriped(sizeWords, DefaultStripes) }
-
-// NewStriped creates a memory with an explicit stripe count, rounded up to
-// a power of two and clamped to [1, MaxStripes]. A single stripe reproduces
-// the original global-seqlock substrate exactly: one clock, one writeback
-// lock, every mutation serialized.
-func NewStriped(sizeWords, stripes int) *Memory {
+// New creates a memory of the given size in words. The first line is
+// reserved (address 0 is nil), so the usable arena starts at LineWords.
+func New(sizeWords int) *Memory {
 	if sizeWords < 2*LineWords {
 		sizeWords = 2 * LineWords
 	}
-	if stripes < 1 {
-		stripes = 1
-	}
-	if stripes > MaxStripes {
-		stripes = MaxStripes
-	}
-	n := 1
-	for n < stripes {
-		n <<= 1
-	}
-	m := &Memory{
-		stripes: make([]stripe, n),
-		mask:    uint64(n - 1),
-	}
+	m := &Memory{stripes: make([]stripe, Stripes)}
 	m.words, m.arena = newWords(sizeWords)
 	m.alloc.init(Addr(LineWords), Addr(sizeWords))
 	return m
@@ -252,14 +224,11 @@ func (m *Memory) AllocMark() Addr {
 // Size returns the memory size in words.
 func (m *Memory) Size() int { return len(m.words) }
 
-// StripeCount returns the number of stripes (a power of two).
-func (m *Memory) StripeCount() int { return len(m.stripes) }
-
 // StripeOf returns the stripe index of addr. Stripes interleave by cache
 // line: consecutive lines land on consecutive stripes, so a contiguous
 // multi-line footprint spreads across stripes the way it spreads across
 // cache sets in hardware.
-func (m *Memory) StripeOf(a Addr) int { return int((uint64(a) >> lineShift) & m.mask) }
+func (m *Memory) StripeOf(a Addr) int { return int((uint64(a) >> lineShift) % Stripes) }
 
 // StripeClock returns the current seqlock clock of stripe s. Odd means a
 // mutation window is open. Readers needing a consistent view of words in s
@@ -442,18 +411,12 @@ type WriteEntry struct {
 	Value uint64
 }
 
-// stripeBits is a fixed bitmap over stripe indices. Walking it word by word,
-// lowest set bit first, visits set stripes in canonical ascending order.
-type stripeBits [stripeWords]uint64
-
-func (b *stripeBits) set(s int) { b[s>>6] |= 1 << (uint(s) & 63) }
-
-// CommitWrites atomically publishes a speculative write buffer. For a
-// non-empty buffer it takes the writeback locks of every touched stripe in
-// canonical ascending index order (so concurrent multi-stripe commits
-// cannot deadlock), opens all their seqlock windows, calls validate, and on
-// success stores every entry, retires one ticket, and closes the windows.
-// It reports whether the commit succeeded.
+// CommitWrites atomically publishes a non-empty speculative write buffer.
+// It takes the writeback locks of every touched stripe in canonical
+// ascending index order (so concurrent multi-stripe commits cannot
+// deadlock), opens all their seqlock windows, calls validate, and on success
+// stores every entry, retires one ticket, and closes the windows. It reports
+// whether the commit succeeded.
 //
 // The windows are open *during* validation so that a validating reader in
 // another thread cannot certify its read set between this commit's
@@ -467,26 +430,15 @@ func (b *stripeBits) set(s int) { b[s>>6] |= 1 << (uint(s) & 63) }
 // restored by moving the clock back to its prior even value. A clock that
 // returns to the same even value therefore still certifies "no store
 // happened" to seqlock readers — restores only occur on publish-free paths.
-//
-// A read-only caller passes an empty writes slice; since nothing is
-// published, the commit takes no lock, moves no clock and retires no
-// ticket. Instead validate runs under the per-stripe seqlock read protocol
-// (ValidateLockFree), which yields the same verdict an under-the-locks
-// validation would have produced.
 func (m *Memory) CommitWrites(writes []WriteEntry, validate func() bool) bool {
-	if len(writes) == 0 {
-		return m.ValidateLockFree(validate)
-	}
-	var touched stripeBits
+	// touched has bit s set for every written stripe s; each phase below
+	// walks it lowest stripe first.
+	var touched uint64
 	var top Addr
 	for i := range writes {
-		touched.set(m.StripeOf(writes[i].Addr))
+		touched |= 1 << m.StripeOf(writes[i].Addr)
 		top = max(top, writes[i].Addr)
 	}
-	// Only the first (stripes+63)/64 words can hold a bit: one word at
-	// DefaultStripes. Each phase below is a plain loop over them, lowest
-	// stripe first.
-	live := touched[:(len(m.stripes)+63)>>6]
 	h := m.hook
 	if h != nil {
 		h.Yield(HookCommit, writes[0].Addr)
@@ -496,15 +448,11 @@ func (m *Memory) CommitWrites(writes []WriteEntry, validate func() bool) bool {
 		// locks drop.
 		h.AtomicBegin()
 	}
-	for w, word := range live {
-		for ; word != 0; word &= word - 1 {
-			m.stripes[w<<6+bits.TrailingZeros64(word)].wb.Lock()
-		}
+	for b := touched; b != 0; b &= b - 1 {
+		m.stripes[bits.TrailingZeros64(b)].wb.Lock()
 	}
-	for w, word := range live {
-		for ; word != 0; word &= word - 1 {
-			m.stripes[w<<6+bits.TrailingZeros64(word)].clock.Add(1)
-		}
+	for b := touched; b != 0; b &= b - 1 {
+		m.stripes[bits.TrailingZeros64(b)].clock.Add(1)
 	}
 	ok := validate == nil || validate()
 	if ok {
@@ -522,66 +470,25 @@ func (m *Memory) CommitWrites(writes []WriteEntry, validate func() bool) bool {
 		// The ticket retires before any window closes (package doc,
 		// property 3).
 		m.ticket.Add(1)
-		for w, word := range live {
-			for ; word != 0; word &= word - 1 {
-				m.stripes[w<<6+bits.TrailingZeros64(word)].clock.Add(1)
-			}
+		for b := touched; b != 0; b &= b - 1 {
+			m.stripes[bits.TrailingZeros64(b)].clock.Add(1)
 		}
 	} else {
 		// Nothing was published: restore every window to its prior even
 		// value instead of closing it forward, so readers watermarked at
 		// that value are not forced into a spurious revalidation.
-		for w, word := range live {
-			for ; word != 0; word &= word - 1 {
-				m.stripes[w<<6+bits.TrailingZeros64(word)].clock.Add(^uint64(0))
-			}
+		for b := touched; b != 0; b &= b - 1 {
+			m.stripes[bits.TrailingZeros64(b)].clock.Add(^uint64(0))
 		}
 	}
-	for w, word := range live {
-		for ; word != 0; word &= word - 1 {
-			m.stripes[w<<6+bits.TrailingZeros64(word)].wb.Unlock()
-		}
+	for b := touched; b != 0; b &= b - 1 {
+		m.stripes[bits.TrailingZeros64(b)].wb.Unlock()
 	}
 	if h != nil {
 		h.AtomicEnd()
 	}
 	runtime.KeepAlive(m)
 	return ok
-}
-
-// ValidateLockFree runs validate under the all-stripe seqlock read
-// protocol: record a stable (all-even) vector of stripe clocks, run
-// validate, and accept its verdict only if every stripe clock is unchanged
-// afterwards. Each stripe's unchanged even clock proves no store touched it
-// between its two samples — an interval that covers the whole validate call
-// — so validate saw frozen memory and its verdict is exactly what it would
-// have returned while holding every writeback lock. If any clock moved, the
-// verdict may be torn and the validation retries over a new stable vector.
-// A nil validate trivially succeeds.
-//
-// This is the generic whole-memory form; callers that know their read
-// footprint (htm transactions) sweep only the stripes they touched.
-func (m *Memory) ValidateLockFree(validate func() bool) bool {
-	if validate == nil {
-		return true
-	}
-	marks := make([]uint64, len(m.stripes))
-	for {
-		for s := range m.stripes {
-			marks[s] = m.stripeClockStable(s)
-		}
-		ok := validate()
-		clean := true
-		for s := range m.stripes {
-			if m.stripes[s].clock.Load() != marks[s] {
-				clean = false
-				break
-			}
-		}
-		if clean {
-			return ok
-		}
-	}
 }
 
 // stripeClockStable spins until stripe s's clock is even (no mutation in
@@ -611,8 +518,8 @@ func (m *Memory) Snapshot(a Addr, dst []uint64) {
 // retry budget: dst[i] is filled from address a + i*stride, and at most
 // attempts seqlock-validated copy passes are made. It reports whether one of
 // them was clean (every touched stripe clock unchanged across the copy — the
-// same per-stripe read protocol ValidateLockFree uses, so a true return
-// certifies dst is a consistent cut of memory). A false return means a
+// per-stripe seqlock read protocol, so a true return certifies dst is a
+// consistent cut of memory). A false return means a
 // concurrent writer dirtied every pass and dst must be discarded. Validation
 // is O(touched stripes) per pass, not O(words). attempts and stride below 1
 // are treated as 1. The benchmark's mem.snapshot_stride_16_ns probe prices
@@ -637,7 +544,7 @@ var snapshotTestHook func()
 // snapshot is the shared bounded/unbounded copy loop; attempts == 0 retries
 // forever (the Snapshot contract) and always returns true. The loop is
 // deliberately closure-free so that a call does not heap-allocate (marks
-// escaping into a closure would drag an 8KiB array onto the heap per call).
+// escaping into a closure would drag it onto the heap per call).
 func (m *Memory) snapshot(a Addr, stride int, dst []uint64, attempts int) bool {
 	if len(dst) == 0 {
 		return true
@@ -645,25 +552,21 @@ func (m *Memory) snapshot(a Addr, stride int, dst []uint64, attempts int) bool {
 	last := a + Addr((len(dst)-1)*stride)
 	m.check(a)
 	m.check(last)
-	var touched stripeBits
+	var touched uint64
 	if stride == 1 {
 		for l := uint64(a) >> lineShift; l <= uint64(last)>>lineShift; l++ {
-			touched.set(int(l & m.mask))
+			touched |= 1 << (l % Stripes)
 		}
 	} else {
 		for i := range dst {
-			l := uint64(a+Addr(i*stride)) >> lineShift
-			touched.set(int(l & m.mask))
+			touched |= 1 << m.StripeOf(a+Addr(i*stride))
 		}
 	}
-	var marks [MaxStripes]uint64
+	var marks [Stripes]uint64
 	for try := 0; attempts == 0 || try < attempts; try++ {
-		for w, word := range touched {
-			for word != 0 {
-				s := w<<6 + bits.TrailingZeros64(word)
-				word &= word - 1
-				marks[s] = m.stripeClockStable(s)
-			}
+		for b := touched; b != 0; b &= b - 1 {
+			s := bits.TrailingZeros64(b)
+			marks[s] = m.stripeClockStable(s)
 		}
 		for i := range dst {
 			dst[i] = m.loadRaw(a + Addr(i*stride))
@@ -672,13 +575,10 @@ func (m *Memory) snapshot(a Addr, stride int, dst []uint64, attempts int) bool {
 			snapshotTestHook()
 		}
 		clean := true
-		for w, word := range touched {
-			for word != 0 {
-				s := w<<6 + bits.TrailingZeros64(word)
-				word &= word - 1
-				if m.stripes[s].clock.Load() != marks[s] {
-					clean = false
-				}
+		for b := touched; b != 0; b &= b - 1 {
+			s := bits.TrailingZeros64(b)
+			if m.stripes[s].clock.Load() != marks[s] {
+				clean = false
 			}
 		}
 		if clean {

@@ -135,70 +135,6 @@ func TestCommitWritesValidationFailure(t *testing.T) {
 	}
 }
 
-func TestCommitWritesReadOnly(t *testing.T) {
-	m := New(1024)
-	before := m.Ticket()
-	if !m.CommitWrites(nil, func() bool { return true }) {
-		t.Fatal("read-only commit failed")
-	}
-	if m.Ticket() != before {
-		t.Error("read-only commit advanced the ticket")
-	}
-}
-
-// TestReadOnlyValidationHoldsNoLock: a read-only commit's validation runs
-// without the writeback lock. The validate callback itself performs a plain
-// store — under the old under-the-lock discipline this would self-deadlock —
-// and because the store moves the clock, the first (torn) verdict must be
-// discarded and validation retried at a new stable clock.
-func TestReadOnlyValidationHoldsNoLock(t *testing.T) {
-	m := New(1024)
-	c := m.NewThreadCache()
-	a := c.Alloc(1)
-	calls := 0
-	ok := m.CommitWrites(nil, func() bool {
-		calls++
-		if calls == 1 {
-			m.StorePlain(a, 7) // would deadlock if validation held wb
-			return false       // torn verdict: the clock moved under us
-		}
-		return true
-	})
-	if !ok {
-		t.Fatal("read-only commit rejected a verdict that became clean on retry")
-	}
-	if calls != 2 {
-		t.Errorf("validate ran %d times, want 2 (initial torn attempt + clean retry)", calls)
-	}
-	if m.LoadPlain(a) != 7 {
-		t.Error("store from validate lost")
-	}
-}
-
-// TestReadOnlyValidationGenuineFailure: a false verdict at a stable clock is
-// a genuine conflict and must be returned as-is, without moving the clock.
-func TestReadOnlyValidationGenuineFailure(t *testing.T) {
-	m := New(1024)
-	before := m.Ticket()
-	calls := 0
-	if m.CommitWrites(nil, func() bool { calls++; return false }) {
-		t.Fatal("read-only commit succeeded despite failing validation")
-	}
-	if calls != 1 {
-		t.Errorf("validate ran %d times, want 1 (stable clock, no retry)", calls)
-	}
-	if m.Ticket() != before {
-		t.Error("failed read-only commit moved the ticket")
-	}
-}
-
-func TestValidateLockFreeNil(t *testing.T) {
-	m := New(1024)
-	if !m.ValidateLockFree(nil) {
-		t.Error("nil validation must trivially succeed")
-	}
-}
-
 func TestOutOfRangePanics(t *testing.T) {
 	m := New(1024)
 	for name, f := range map[string]func(){

@@ -8,128 +8,6 @@ import (
 	"time"
 )
 
-// readPairConsistent reads (x, y) under the per-stripe seqlock read
-// protocol: record a stable (even) clock for each word's stripe, read both
-// words, and accept only if neither stripe clock moved — exactly the
-// discipline htm transactions use per footprint stripe.
-func readPairConsistent(m *Memory, x, y Addr) (uint64, uint64) {
-	sx, sy := m.StripeOf(x), m.StripeOf(y)
-	for {
-		cx, cy := m.StripeClock(sx), m.StripeClock(sy)
-		if cx&1 != 0 || cy&1 != 0 {
-			runtime.Gosched()
-			continue
-		}
-		vx, vy := m.LoadPlain(x), m.LoadPlain(y)
-		if m.StripeClock(sx) == cx && m.StripeClock(sy) == cy {
-			return vx, vy
-		}
-	}
-}
-
-// TestRaceLockFreeReadOnlyValidation hammers lock-free read-only commits
-// against every kind of concurrent mutation the memory supports — plain
-// stores, CASes, fetch-and-adds, and multi-word commit write-backs — and
-// asserts that no torn validation is ever observed: whenever a read-only
-// commit validates a logged (x, y) snapshot successfully, that snapshot
-// satisfied the writers' invariant x + y == total. The pair writer's write
-// set spans two stripes, so this also exercises cross-stripe commit
-// atomicity against per-stripe readers. Run under -race this proves the
-// lock-free path is free of data races with the seqlock writers.
-func TestRaceLockFreeReadOnlyValidation(t *testing.T) {
-	const total = 1 << 20
-	m := New(1 << 12)
-	c := m.NewThreadCache()
-	x := c.Alloc(LineWords)
-	y := c.Alloc(LineWords)
-	noise := c.Alloc(LineWords)
-	m.StorePlain(x, total)
-	if m.StripeOf(x) == m.StripeOf(y) {
-		t.Fatalf("x and y landed on the same stripe %d; the test needs a cross-stripe pair", m.StripeOf(x))
-	}
-
-	writerOps := 2000
-	if testing.Short() {
-		writerOps = 300
-	}
-	var wg sync.WaitGroup
-	var writersDone atomic.Int32
-
-	// Pair writer: keeps x + y == total with atomic two-stripe write-backs.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer writersDone.Add(1)
-		for i := uint64(1); i <= uint64(writerOps); i++ {
-			v := i % total
-			m.CommitWrites([]WriteEntry{{Addr: x, Value: v}, {Addr: y, Value: total - v}}, nil)
-			if i%8 == 0 {
-				runtime.Gosched()
-			}
-		}
-	}()
-	// Noise writer: moves a third stripe's clock via stores, CASes and adds
-	// on an unrelated word; under striping this must NOT force the pair
-	// validators to retry (their footprint excludes the noise stripe).
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer writersDone.Add(1)
-		for i := uint64(0); i < uint64(writerOps); i++ {
-			switch i % 3 {
-			case 0:
-				m.StorePlain(noise, i)
-			case 1:
-				m.CASPlain(noise, m.LoadPlain(noise), i)
-			case 2:
-				m.AddPlain(noise, 1)
-			}
-			if i%8 == 0 {
-				runtime.Gosched()
-			}
-		}
-	}()
-
-	var torn atomic.Uint64
-	var commits atomic.Uint64
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Run while any writer is still live, then make a few quiet
-			// attempts so at least some commits deterministically succeed
-			// even if every in-storm validation failed.
-			quiet := 0
-			for quiet < 10 {
-				if writersDone.Load() == 2 {
-					quiet++
-				}
-				// Log a stripe-consistent snapshot of (x, y)...
-				vx, vy := readPairConsistent(m, x, y)
-				// ...then commit read-only, revalidating the log by value
-				// exactly the way htm.Txn.Commit does.
-				ok := m.CommitWrites(nil, func() bool {
-					return m.LoadPlain(x) == vx && m.LoadPlain(y) == vy
-				})
-				if ok {
-					commits.Add(1)
-					if vx+vy != total {
-						torn.Add(1)
-					}
-				}
-				runtime.Gosched() // don't starve the writers on few OS threads
-			}
-		}()
-	}
-	wg.Wait()
-	if torn.Load() != 0 {
-		t.Errorf("torn validation observed %d times: read-only commits validated inconsistent snapshots", torn.Load())
-	}
-	if commits.Load() == 0 {
-		t.Error("no read-only commit ever succeeded; the stress proved nothing")
-	}
-}
-
 // TestRaceMultiStripeCommitOrdering is the striping lock-order stress:
 // concurrent commits whose write sets span overlapping multi-stripe
 // subsets, interleaved with plain mutators on the same stripes. Every

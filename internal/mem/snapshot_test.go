@@ -53,7 +53,7 @@ func TestSnapshotStrideTryClampsArgs(t *testing.T) {
 // form, over a one-word-per-line footprint.
 func TestSnapshotStrideTryConsistent(t *testing.T) {
 	const total = 1000
-	m := NewStriped(1<<14, 64)
+	m := New(1 << 14)
 	c := m.NewThreadCache()
 	a := c.Alloc(2 * LineWords)
 	b := a + LineWords
@@ -102,7 +102,7 @@ func TestSnapshotTryBoundedFailure(t *testing.T) {
 	c := m.NewThreadCache()
 	a := c.Alloc(4 * LineWords)
 	dst := make([]uint64, 4)
-	s := int((uint64(a) >> lineShift) & m.mask)
+	s := m.StripeOf(a)
 	passes := 0
 	snapshotTestHook = func() {
 		// An even-to-even bump looks like a complete committed write
@@ -132,7 +132,7 @@ func TestSnapshotTryBoundedFailure(t *testing.T) {
 
 // TestSnapshotZeroAllocs: the snapshot loop must not heap-allocate (the
 // stripe-mark array has to stay on the stack; a closure capturing it would
-// drag 8KiB onto the heap per call).
+// drag it onto the heap per call).
 func TestSnapshotZeroAllocs(t *testing.T) {
 	m := New(1 << 12)
 	c := m.NewThreadCache()

@@ -8,13 +8,12 @@ import (
 // The striping microbenchmarks quantify the satellite claim that plain
 // operations on distinct stripes no longer contend: each parallel worker
 // hammers its own line, either spread across stripes (distinct) or folded
-// onto one stripe (shared — lines l and l+StripeCount collide by
-// construction). Compare:
+// onto one stripe (shared — lines l and l+Stripes collide by construction).
+// Compare:
 //
 //	go test ./internal/mem -bench 'PlainOps.*Stripe' -cpu 1,4,8
 //
-// On the single-clock substrate both cases serialized on one mutex; under
-// striping only the shared-stripe case does.
+// Only the shared-stripe case serializes on one mutex.
 
 func benchPlainOps(b *testing.B, m *Memory, nextLine func(worker int) uint64) {
 	var worker atomic.Int64
@@ -45,16 +44,7 @@ func BenchmarkPlainOpsDistinctStripes(b *testing.B) {
 
 func BenchmarkPlainOpsSharedStripe(b *testing.B) {
 	m := New(1 << 20)
-	// Worker w owns line (w+1)*StripeCount: distinct lines, identical
-	// stripe — all plain ops funnel through one seqlock and one mutex, the
-	// behaviour every op had on the single-clock substrate.
-	s := uint64(m.StripeCount())
-	benchPlainOps(b, m, func(w int) uint64 { return uint64(w+1) * s })
-}
-
-func BenchmarkPlainOpsSingleStripeSubstrate(b *testing.B) {
-	// The pre-striping substrate for reference: -stripes 1 makes every
-	// line share the one stripe regardless of layout.
-	m := NewStriped(1<<20, 1)
-	benchPlainOps(b, m, func(w int) uint64 { return uint64(w + 1) })
+	// Worker w owns line (w+1)*Stripes: distinct lines, identical stripe —
+	// all plain ops funnel through one seqlock and one mutex.
+	benchPlainOps(b, m, func(w int) uint64 { return uint64(w+1) * Stripes })
 }

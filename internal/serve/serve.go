@@ -137,8 +137,6 @@ type Config struct {
 	// Keys is the number of KV slots (default 1 << 16). Key k occupies its
 	// own cache line at arena offset k*mem.LineWords.
 	Keys int
-	// Stripes is the memory stripe count (0 = mem.DefaultStripes).
-	Stripes int
 	// HTM configures the simulated hardware (zero fields take Haswell-like
 	// defaults).
 	HTM htm.Config
@@ -318,11 +316,7 @@ func New(cfg Config) (*Server, error) {
 	// keeps a metadata table of its own in the arena (rh-tl2's stripes) gets
 	// room for it, doubled for its class rounding.
 	words := (cfg.Keys+1)*mem.LineWords + 8192 + 2*algo.MetaWords
-	stripes := cfg.Stripes
-	if stripes <= 0 {
-		stripes = mem.DefaultStripes
-	}
-	m := mem.NewStriped(words, stripes)
+	m := mem.New(words)
 	dev := htm.NewDevice(m, cfg.HTM)
 	dev.SetActiveThreads(cfg.Workers)
 	sys := algo.New(m, dev)

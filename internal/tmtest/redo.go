@@ -43,7 +43,7 @@ func (r *redoRecorder) Append(_ uint64, writes []mem.WriteEntry) {
 // replays the whole log over the initial image and requires live memory.
 func redoLogReplay(t *testing.T, f Factory, opts Options) {
 	const cells = 8
-	m := newMem()
+	m := mem.New(1 << 20)
 	sys := f(m)
 	th := sys.NewThread()
 	var base mem.Addr

@@ -10,8 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -74,23 +72,10 @@ func RunConformance(t *testing.T, f Factory, opts Options) {
 	t.Run("RedoLogReplay", func(t *testing.T) { redoLogReplay(t, f, opts) })
 }
 
-// newMem builds the suite's memory. The stripe count is overridable via
-// RHNOREC_STRIPES so CI can prove the conformance histories are identical
-// on the degenerate single-clock substrate (-stripes 1, the pre-striping
-// behaviour) and on the default striped one.
-func newMem() *mem.Memory {
-	if s := os.Getenv("RHNOREC_STRIPES"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil {
-			return mem.NewStriped(1<<20, n)
-		}
-	}
-	return mem.New(1 << 20)
-}
-
 // sequentialSemantics: a single thread performing random reads and writes
 // must observe exactly the semantics of direct memory access.
 func sequentialSemantics(t *testing.T, f Factory) {
-	m := newMem()
+	m := mem.New(1 << 20)
 	sys := f(m)
 	th := sys.NewThread()
 	defer th.Close()
@@ -144,7 +129,7 @@ func sequentialSemantics(t *testing.T, f Factory) {
 }
 
 func readOwnWrites(t *testing.T, f Factory) {
-	m := newMem()
+	m := mem.New(1 << 20)
 	sys := f(m)
 	th := sys.NewThread()
 	defer th.Close()
@@ -170,7 +155,7 @@ func readOwnWrites(t *testing.T, f Factory) {
 var errUser = errors.New("user abort")
 
 func userAbortRollsBack(t *testing.T, f Factory, opts Options) {
-	m := newMem()
+	m := mem.New(1 << 20)
 	sys := f(m)
 	th := sys.NewThread()
 	defer th.Close()
@@ -212,7 +197,7 @@ func userAbortRollsBack(t *testing.T, f Factory, opts Options) {
 }
 
 func readOnlyStorePanics(t *testing.T, f Factory) {
-	m := newMem()
+	m := mem.New(1 << 20)
 	sys := f(m)
 	th := sys.NewThread()
 	defer th.Close()
@@ -232,7 +217,7 @@ func readOnlyStorePanics(t *testing.T, f Factory) {
 }
 
 func concurrentCounter(t *testing.T, f Factory, opts Options) {
-	m := newMem()
+	m := mem.New(1 << 20)
 	sys := f(m)
 	setup := sys.NewThread()
 	var a mem.Addr
@@ -274,7 +259,7 @@ func registryScenarios(t *testing.T, f Factory, opts Options) {
 	for _, sc := range conformance.Scenarios() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			m := newMem()
+			m := mem.New(1 << 20)
 			sys := f(m)
 			if err := sc.Drive(sys, conformance.ScaleTest, opts.Threads, opts.Ops, 1); err != nil {
 				t.Error(err)
@@ -289,7 +274,7 @@ func registryScenarios(t *testing.T, f Factory, opts Options) {
 // in-flight violations both count, because opacity promises a consistent
 // snapshot to live transactions, not just committed ones.
 func opacityWithin(t *testing.T, f Factory, opts Options) {
-	m := newMem()
+	m := mem.New(1 << 20)
 	sys := f(m)
 	setup := sys.NewThread()
 	var x, y mem.Addr
@@ -355,7 +340,7 @@ func opacityWithin(t *testing.T, f Factory, opts Options) {
 // serializability at most one of a conflicting pair commits with the stale
 // premise, so x+y never exceeds the cap.
 func writeSkew(t *testing.T, f Factory, opts Options) {
-	m := newMem()
+	m := mem.New(1 << 20)
 	sys := f(m)
 	setup := sys.NewThread()
 	var x, y mem.Addr
@@ -407,7 +392,7 @@ func writeSkew(t *testing.T, f Factory, opts Options) {
 // concurrently; allocation balance must hold and no node may be observed
 // torn.
 func allocFree(t *testing.T, f Factory, opts Options) {
-	m := newMem()
+	m := mem.New(1 << 20)
 	sys := f(m)
 	setup := sys.NewThread()
 	var head mem.Addr
@@ -475,7 +460,7 @@ func allocFree(t *testing.T, f Factory, opts Options) {
 // Writers transactionally update the node in place while it is shared. The
 // privatizer must never observe a half-applied update after detaching.
 func privatization(t *testing.T, f Factory, opts Options) {
-	m := newMem()
+	m := mem.New(1 << 20)
 	sys := f(m)
 	setup := sys.NewThread()
 	var slot mem.Addr
@@ -556,7 +541,7 @@ func privatization(t *testing.T, f Factory, opts Options) {
 // inner error surfaces to the outer callback which decides the fate of the
 // whole flattened transaction.
 func flatNesting(t *testing.T, f Factory) {
-	m := newMem()
+	m := mem.New(1 << 20)
 	sys := f(m)
 	th := sys.NewThread()
 	defer th.Close()
@@ -629,7 +614,7 @@ func flatNesting(t *testing.T, f Factory) {
 // system uses).
 func largeTransactions(t *testing.T, f Factory, opts Options) {
 	const words = 4096 // 512 lines of data
-	m := newMem()
+	m := mem.New(1 << 20)
 	sys := f(m)
 	setup := sys.NewThread()
 	var base mem.Addr
@@ -686,7 +671,7 @@ func largeTransactions(t *testing.T, f Factory, opts Options) {
 // path-interaction bug.
 func mixedSizes(t *testing.T, f Factory, opts Options) {
 	const cells = 64
-	m := newMem()
+	m := mem.New(1 << 20)
 	sys := f(m)
 	setup := sys.NewThread()
 	var base mem.Addr
@@ -766,7 +751,7 @@ func mixedSizes(t *testing.T, f Factory, opts Options) {
 // fast- or software-phase sample behind every commit, and nothing but
 // UserAborts for a callback that returned an error.
 func lifecycleAccounting(t *testing.T, f Factory, opts Options) {
-	m := newMem()
+	m := mem.New(1 << 20)
 	sys := f(m)
 	setup := sys.NewThread()
 	var a mem.Addr
@@ -843,7 +828,7 @@ func lifecycleAccounting(t *testing.T, f Factory, opts Options) {
 // abortStorm: a high rate of user aborts interleaved with commits must
 // leave exactly the committed effects.
 func abortStorm(t *testing.T, f Factory, opts Options) {
-	m := newMem()
+	m := mem.New(1 << 20)
 	sys := f(m)
 	setup := sys.NewThread()
 	var a mem.Addr
@@ -891,7 +876,7 @@ func abortStorm(t *testing.T, f Factory, opts Options) {
 // mixedReadOnly: read-only transactions interleave with writers; totals
 // remain consistent and read-only commits are counted.
 func mixedReadOnly(t *testing.T, f Factory, opts Options) {
-	m := newMem()
+	m := mem.New(1 << 20)
 	sys := f(m)
 	setup := sys.NewThread()
 	var a mem.Addr
