@@ -17,10 +17,12 @@
 // un-acked suffix commits, never resurrect an aborted transaction, and never
 // tear one in half. It then checkpoints the words it stored, each read back
 // once and the zero ones left out, so a boot costs what the directory holds,
-// not the size of the range. Records and checkpoints carry CRC-32C
-// checksums; this build writes checkpoint magic RHCKPT04, and a directory
-// whose checkpoint an older format wrote (RHCKPT01, RHCKPT02, RHCKPT03) is
-// refused at boot by its magic, untouched.
+// not the size of the range. Records and checkpoints carry no byte they can
+// derive: a pair is a u32 offset from Lo and a u64 value, a record's pair
+// count follows from its size, and the CRC-32C checksum is 4 bytes. This
+// build writes checkpoint magic RHCKPT05, and a directory whose checkpoint
+// an older format wrote (RHCKPT01 through RHCKPT04) is refused at boot by its
+// magic, untouched.
 package persist
 
 import (
@@ -54,7 +56,8 @@ type Options struct {
 	// Lo, Hi bound the persisted address range [Lo, Hi): only write entries
 	// inside it are logged, so TM metadata words (the global clock, the
 	// fallback counter) never spam the log or get replayed over a fresh
-	// system's state.
+	// system's state. The range spans at most 2^32 words: a record stores
+	// each address as a u32 offset from Lo.
 	Lo, Hi mem.Addr
 	// OnEvent, when set, observes every append and sync (explore crash
 	// plane). Called outside the log's locks.
@@ -63,19 +66,36 @@ type Options struct {
 
 // Record layout (little-endian), one record per commit:
 //
-//	u32 size     — byte length of everything after this field
-//	u64 seq      — dense per-log commit sequence number
-//	u32 npairs   — word pairs in this record
-//	npairs × (u64 addr, u64 val)
-//	u64 checksum — CRC-32C of the payload (seq through the last pair),
-//	               zero-extended: its upper half reads zero
+//	u32 size — byte length of everything after this field: 12 + 12n
+//	u64 seq  — dense per-log commit sequence number
+//	n × (u32 off, u64 val) — each word's address as an offset from Lo
+//	u32 sum  — CRC-32C of seq through the last pair
 //
-// A record of n pairs is 24 + 16n bytes.
+// A record of n pairs is 16 + 12n bytes; n follows from size, so the record
+// carries no count of its own.
 const (
-	recHeadBytes = 8 + 4 // payload header: seq, npairs
-	recPairBytes = 16
-	recSumBytes  = 8
+	recSeqBytes  = 8
+	recPairBytes = 4 + 8
+	recSumBytes  = 4
+	// recFixedBytes is what a record's size field counts besides its pairs.
+	recFixedBytes = recSeqBytes + recSumBytes
 )
+
+// maxSpan is the widest range Open accepts: every offset from Lo must fit a
+// pair's u32.
+const maxSpan = 1 << 32
+
+// appendPair appends one pair, a record's or a checkpoint's: the word's
+// offset from lo, then its value.
+func appendPair(b []byte, off uint32, v uint64) []byte {
+	b = binary.LittleEndian.AppendUint32(b, off)
+	return binary.LittleEndian.AppendUint64(b, v)
+}
+
+// readPair decodes the pair at the head of p.
+func readPair(p []byte) (off uint32, v uint64) {
+	return binary.LittleEndian.Uint32(p), binary.LittleEndian.Uint64(p[4:])
+}
 
 // Counters is a point-in-time copy of the log's ledger, surfaced in the
 // rhserve.v1 dump's persist block (log_appends, log_records, fsync_groups,
@@ -155,17 +175,15 @@ func (l *Log) Append(_ uint64, writes []mem.WriteEntry) {
 	}
 	l.appendMu.Lock()
 	seq := l.seq + 1
-	b := binary.LittleEndian.AppendUint32(l.buf, uint32(recHeadBytes+npairs*recPairBytes+recSumBytes))
+	b := binary.LittleEndian.AppendUint32(l.buf, uint32(recFixedBytes+npairs*recPairBytes))
 	start := len(b)
 	b = binary.LittleEndian.AppendUint64(b, seq)
-	b = binary.LittleEndian.AppendUint32(b, uint32(npairs))
 	for i := range writes {
 		if a := writes[i].Addr; a >= l.lo && a < l.hi {
-			b = binary.LittleEndian.AppendUint64(b, uint64(a))
-			b = binary.LittleEndian.AppendUint64(b, writes[i].Value)
+			b = appendPair(b, uint32(a-l.lo), writes[i].Value)
 		}
 	}
-	l.buf = binary.LittleEndian.AppendUint64(b, checksum(b[start:]))
+	l.buf = binary.LittleEndian.AppendUint32(b, checksum(b[start:]))
 	l.seq = seq
 	l.appended.Store(seq)
 	l.nAppends++
@@ -302,12 +320,16 @@ func (l *Log) CountersSnapshot() Counters {
 // CPU's CRC instruction where there is one.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// checksum is the record and checkpoint checksum: the CRC-32C of p,
-// zero-extended to the 8-byte field, so a field whose upper half is not zero
-// fails to verify.
-func checksum(p []byte) uint64 { return uint64(crc32.Checksum(p, castagnoli)) }
+// checksum is the record and checkpoint checksum: the CRC-32C of p.
+func checksum(p []byte) uint32 { return crc32.Checksum(p, castagnoli) }
 
 func (o Options) withDefaults() (Options, error) {
+	if o.Hi < o.Lo {
+		return o, fmt.Errorf("persist: inverted range [%d,%d)", o.Lo, o.Hi)
+	}
+	if uint64(o.Hi-o.Lo) > maxSpan {
+		return o, fmt.Errorf("persist: range [%d,%d) is %d words, wider than the 2^32 a pair's offset reaches", o.Lo, o.Hi, o.Hi-o.Lo)
+	}
 	if o.Backend == nil {
 		if o.Dir == "" {
 			return o, fmt.Errorf("persist: Options needs Dir or Backend")
@@ -317,9 +339,6 @@ func (o Options) withDefaults() (Options, error) {
 			return o, err
 		}
 		o.Backend = b
-	}
-	if o.Hi < o.Lo {
-		return o, fmt.Errorf("persist: inverted range [%d,%d)", o.Lo, o.Hi)
 	}
 	return o, nil
 }

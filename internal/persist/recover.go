@@ -16,10 +16,14 @@ const (
 	// that tools counting log bytes match on.
 	logName = "seg-000.log"
 
-	// ckptMagic is "RHCKPT04" as a little-endian u64. The checkpoint's magic
+	// ckptMagic is "RHCKPT05" as a little-endian u64. The checkpoint's magic
 	// versions the whole directory: Open writes a checkpoint before the first
 	// append, so every log this build reads sits beside one.
-	ckptMagic = uint64(0x343054504b434852)
+	ckptMagic = uint64(0x353054504b434852)
+	// ckptMagicV4 is "RHCKPT04", the checkpoint of builds whose records and
+	// checkpoints carried u64 addresses, a pair count and an 8-byte checksum.
+	// Open refuses such a directory: its records would read as a torn tail.
+	ckptMagicV4 = uint64(0x343054504b434852)
 	// ckptMagicV3 is "RHCKPT03", the checkpoint of builds that wrote a dense
 	// image of the whole range. Open refuses such a directory.
 	ckptMagicV3 = uint64(0x333054504b434852)
@@ -30,8 +34,8 @@ const (
 	// commits over up to eight files. Open refuses such a directory.
 	ckptMagicV1 = uint64(0x313054504b434852)
 
-	// ckptHeadBytes is the checkpoint header: magic, lo, hi, seq, npairs.
-	ckptHeadBytes = 40
+	// ckptHeadBytes is the checkpoint header: magic, lo, hi, seq.
+	ckptHeadBytes = 32
 )
 
 // olderFormats are the checkpoint magics Open recognizes and refuses, each
@@ -43,6 +47,7 @@ var olderFormats = [...]struct {
 	{ckptMagicV1, "an older build's multi-file redo log"},
 	{ckptMagicV2, "an older build's FNV-64a checksums"},
 	{ckptMagicV3, "an older build's dense image of the whole range"},
+	{ckptMagicV4, "an older build's 24 + 16n-byte records"},
 }
 
 // magicName spells a checkpoint magic as the eight bytes it is on disk.
@@ -243,45 +248,43 @@ func recordWant(data []byte) int {
 
 // parseRecord verifies the record at the head of data and returns its seq,
 // its pair bytes and its length; n is zero when the bytes are short, fail the
-// checksum or disagree with the record's own length fields.
+// checksum or declare a size that is not 12 + 12n.
 func parseRecord(data []byte) (seq uint64, pairs []byte, n int) {
 	if len(data) < 4 {
 		return 0, nil, 0
 	}
 	size := binary.LittleEndian.Uint32(data)
-	if size < recHeadBytes+recSumBytes || uint64(size) > uint64(len(data)-4) {
+	if size < recFixedBytes || (size-recFixedBytes)%recPairBytes != 0 || uint64(size) > uint64(len(data)-4) {
 		return 0, nil, 0
 	}
 	payload := data[4 : 4+size-recSumBytes]
-	if checksum(payload) != binary.LittleEndian.Uint64(data[4+size-recSumBytes:]) {
+	if checksum(payload) != binary.LittleEndian.Uint32(data[4+size-recSumBytes:]) {
 		return 0, nil, 0
 	}
-	npairs := binary.LittleEndian.Uint32(payload[8:])
-	if uint64(recHeadBytes)+uint64(npairs)*recPairBytes+recSumBytes != uint64(size) {
-		return 0, nil, 0
-	}
-	return binary.LittleEndian.Uint64(payload), payload[recHeadBytes:], 4 + int(size)
+	return binary.LittleEndian.Uint64(payload), payload[recSeqBytes:], 4 + int(size)
 }
 
 // replayPairs applies each pair, a checkpoint's or a record's, and adds its
 // address to stored.
 func replayPairs(pairs []byte, stored *wordSet, apply func(mem.Addr, uint64)) error {
+	span := uint64(stored.hi - stored.lo)
 	for ; len(pairs) > 0; pairs = pairs[recPairBytes:] {
-		a := mem.Addr(binary.LittleEndian.Uint64(pairs))
-		if a < stored.lo || a >= stored.hi {
-			return fmt.Errorf("persist: recovered address %d outside range [%d,%d) — log written under a different layout?", a, stored.lo, stored.hi)
+		off, v := readPair(pairs)
+		if uint64(off) >= span {
+			return fmt.Errorf("persist: recovered offset %d outside range [%d,%d) — log written under a different layout?", off, stored.lo, stored.hi)
 		}
-		apply(a, binary.LittleEndian.Uint64(pairs[8:]))
+		a := stored.lo + mem.Addr(off)
+		apply(a, v)
 		stored.add(a)
 	}
 	return nil
 }
 
-// Checkpoint layout (little-endian): magic, lo, hi, seq, npairs, then npairs
-// × (u64 addr, u64 val) — the record's pair encoding, addresses strictly
-// ascending inside [lo, hi), values nonzero — then the CRC-32C of everything
-// preceding, zero-extended to 8 bytes. A checkpoint of k set words is
-// 48 + 16k bytes. Written only via WriteAtomic.
+// Checkpoint layout (little-endian): magic, lo, hi, seq, then k pairs in the
+// record's encoding — offsets from lo strictly ascending below hi - lo,
+// values nonzero — then the CRC-32C of everything preceding. A checkpoint of
+// k set words is 36 + 12k bytes; k follows from its length. Written only via
+// WriteAtomic.
 //
 // saveCheckpoint replaces the checkpoint file with one at seq holding the
 // words of stored that read nonzero, reading each once, in ascending order.
@@ -291,19 +294,15 @@ func saveCheckpoint(b Backend, stored *wordSet, seq uint64, read func(mem.Addr) 
 	binary.LittleEndian.PutUint64(buf[8:], uint64(stored.lo))
 	binary.LittleEndian.PutUint64(buf[16:], uint64(stored.hi))
 	binary.LittleEndian.PutUint64(buf[24:], seq)
-	npairs := 0
 	for i, w := range stored.bits {
 		for ; w != 0; w &= w - 1 {
-			a := stored.lo + mem.Addr(i*64+bits.TrailingZeros64(w))
-			if v := read(a); v != 0 {
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(a))
-				buf = binary.LittleEndian.AppendUint64(buf, v)
-				npairs++
+			off := i*64 + bits.TrailingZeros64(w)
+			if v := read(stored.lo + mem.Addr(off)); v != 0 {
+				buf = appendPair(buf, uint32(off), v)
 			}
 		}
 	}
-	binary.LittleEndian.PutUint64(buf[32:], uint64(npairs))
-	return b.WriteAtomic(checkpointName, binary.LittleEndian.AppendUint64(buf, checksum(buf)))
+	return b.WriteAtomic(checkpointName, binary.LittleEndian.AppendUint32(buf, checksum(buf)))
 }
 
 // loadCheckpoint applies the checkpoint's pairs (if one exists), adds their
@@ -333,7 +332,7 @@ func loadCheckpoint(b Backend, stored *wordSet, apply func(mem.Addr, uint64)) (u
 	if len(data) < ckptHeadBytes+recSumBytes {
 		return 0, fmt.Errorf("persist: checkpoint is %d bytes, shorter than its %d-byte header and checksum", len(data), ckptHeadBytes+recSumBytes)
 	}
-	body, sum := data[:len(data)-recSumBytes], binary.LittleEndian.Uint64(data[len(data)-recSumBytes:])
+	body, sum := data[:len(data)-recSumBytes], binary.LittleEndian.Uint32(data[len(data)-recSumBytes:])
 	if checksum(body) != sum {
 		return 0, fmt.Errorf("persist: checkpoint checksum mismatch")
 	}
@@ -346,17 +345,18 @@ func loadCheckpoint(b Backend, stored *wordSet, apply func(mem.Addr, uint64)) (u
 		return 0, fmt.Errorf("persist: checkpoint range [%d,%d) does not match configured [%d,%d)", ckLo, ckHi, stored.lo, stored.hi)
 	}
 	pairs := body[ckptHeadBytes:]
-	if npairs := binary.LittleEndian.Uint64(body[32:]); npairs != uint64(len(pairs)/recPairBytes) || len(pairs)%recPairBytes != 0 {
-		return 0, fmt.Errorf("persist: checkpoint holds %d pair bytes for %d pairs", len(pairs), npairs)
+	if len(pairs)%recPairBytes != 0 {
+		return 0, fmt.Errorf("persist: checkpoint holds %d pair bytes, not a multiple of %d", len(pairs), recPairBytes)
 	}
-	next := stored.lo // the least address the next pair may carry
+	span := uint64(stored.hi - stored.lo)
+	next := uint64(0) // the least offset the next pair may carry
 	for i := 0; i < len(pairs); i += recPairBytes {
-		a, v := mem.Addr(binary.LittleEndian.Uint64(pairs[i:])), binary.LittleEndian.Uint64(pairs[i+8:])
-		if a < next || a >= stored.hi || v == 0 {
-			return 0, fmt.Errorf("persist: checkpoint pair %d (address %d, value %d) breaks the layout: addresses ascend strictly inside [%d,%d) and values are nonzero",
-				i/recPairBytes, a, v, stored.lo, stored.hi)
+		off, v := readPair(pairs[i:])
+		if uint64(off) < next || uint64(off) >= span || v == 0 {
+			return 0, fmt.Errorf("persist: checkpoint pair %d (offset %d, value %d) breaks the layout: offsets ascend strictly below %d and values are nonzero",
+				i/recPairBytes, off, v, span)
 		}
-		next = a + 1
+		next = uint64(off) + 1
 	}
 	if err := replayPairs(pairs, stored, apply); err != nil {
 		return 0, err

@@ -241,57 +241,54 @@ func TestCheckpointIsRecoveredImage(t *testing.T) {
 }
 
 // checkpointPairs decodes b's checkpoint field by field, apart from
-// loadCheckpoint, and fails unless its size, npairs and checksum agree.
+// loadCheckpoint, and fails unless its size and checksum agree.
 func checkpointPairs(t *testing.T, b Backend) (seq uint64, pairs []mem.WriteEntry) {
 	t.Helper()
 	data, err := b.ReadFile(checkpointName)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data) < 48 || (len(data)-48)%16 != 0 {
-		t.Fatalf("checkpoint is %d bytes, not 48 + 16k", len(data))
+	if len(data) < 36 || (len(data)-36)%12 != 0 {
+		t.Fatalf("checkpoint is %d bytes, not 36 + 12k", len(data))
 	}
-	if got := string(data[:8]); got != "RHCKPT04" {
+	if got := string(data[:8]); got != "RHCKPT05" {
 		t.Fatalf("checkpoint magic %q", got)
 	}
 	le := binary.LittleEndian
-	if n := le.Uint64(data[32:]); n != uint64(len(data)-48)/16 {
-		t.Fatalf("checkpoint of %d bytes says it holds %d pairs", len(data), n)
-	}
-	if sum := le.Uint64(data[len(data)-8:]); sum != crc32c(data[:len(data)-8]) {
+	if sum := le.Uint32(data[len(data)-4:]); sum != crc32c(data[:len(data)-4]) {
 		t.Fatal("checkpoint checksum does not verify")
 	}
-	for p := data[40 : len(data)-8]; len(p) > 0; p = p[16:] {
-		pairs = append(pairs, mem.WriteEntry{Addr: mem.Addr(le.Uint64(p)), Value: le.Uint64(p[8:])})
+	lo := mem.Addr(le.Uint64(data[8:]))
+	for p := data[32 : len(data)-4]; len(p) > 0; p = p[12:] {
+		pairs = append(pairs, mem.WriteEntry{Addr: lo + mem.Addr(le.Uint32(p)), Value: le.Uint64(p[4:])})
 	}
 	return le.Uint64(data[24:]), pairs
 }
 
 // ---- the stream's own contract ----
 
-// encodeRecord appends one record in the on-disk layout, written out field
-// by field apart from Log.Append.
-func encodeRecord(b []byte, seq uint64, pairs []mem.WriteEntry) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(recHeadBytes+len(pairs)*recPairBytes+recSumBytes))
-	start := len(b)
-	b = binary.LittleEndian.AppendUint64(b, seq)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(pairs)))
+// encodePairs appends pairs in the on-disk layout, field by field apart
+// from appendPair: each address as a u32 offset from lo, then its value.
+func encodePairs(b []byte, lo mem.Addr, pairs []mem.WriteEntry) []byte {
 	for _, e := range pairs {
-		b = binary.LittleEndian.AppendUint64(b, uint64(e.Addr))
+		b = binary.LittleEndian.AppendUint32(b, uint32(e.Addr-lo))
 		b = binary.LittleEndian.AppendUint64(b, e.Value)
 	}
-	return binary.LittleEndian.AppendUint64(b, crc32c(b[start:]))
+	return b
 }
 
-// fnv64a is the FNV-64a checksum builds before RHCKPT03 wrote, kept to lay
-// out their directories.
-func fnv64a(p []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, b := range p {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	return h
+// encodeRecord appends one record in the on-disk layout, written out field
+// by field apart from Log.Append.
+func encodeRecord(b []byte, lo mem.Addr, seq uint64, pairs []mem.WriteEntry) []byte {
+	return frameRecord(b, encodePairs(binary.LittleEndian.AppendUint64(nil, seq), lo, pairs))
+}
+
+// frameRecord appends payload (seq and pairs) as one record: its size field,
+// the payload, then the payload's CRC-32C.
+func frameRecord(b, payload []byte) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)+4))
+	b = append(b, payload...)
+	return binary.LittleEndian.AppendUint32(b, crc32c(payload))
 }
 
 // writeCheckpoint writes a checkpoint at seq whose words of [lo, hi) are
@@ -304,19 +301,64 @@ func writeCheckpoint(b Backend, lo, hi mem.Addr, seq uint64, read func(mem.Addr)
 	return saveCheckpoint(b, all, seq, read)
 }
 
-// encodeCheckpoint lays out an RHCKPT04 checkpoint field by field, apart
-// from saveCheckpoint, with whatever npairs and pairs it is given and a
+// encodeCheckpoint lays out an RHCKPT05 checkpoint field by field, apart
+// from saveCheckpoint, with whatever pairs it is given, then extra, and a
 // checksum that verifies.
-func encodeCheckpoint(lo, hi mem.Addr, seq, npairs uint64, pairs []mem.WriteEntry) []byte {
+func encodeCheckpoint(lo, hi mem.Addr, seq uint64, pairs []mem.WriteEntry, extra ...byte) []byte {
 	b := binary.LittleEndian.AppendUint64(nil, ckptMagic)
-	for _, f := range []uint64{uint64(lo), uint64(hi), seq, npairs} {
+	for _, f := range []uint64{uint64(lo), uint64(hi), seq} {
+		b = binary.LittleEndian.AppendUint64(b, f)
+	}
+	b = append(encodePairs(b, lo, pairs), extra...)
+	return binary.LittleEndian.AppendUint32(b, crc32c(b))
+}
+
+func crc32c(p []byte) uint32 { return crc32.Checksum(p, crc32.MakeTable(crc32.Castagnoli)) }
+
+// ---- the layouts of older builds, kept to lay out their directories ----
+
+// fnv64a is the FNV-64a checksum builds before RHCKPT03 wrote.
+func fnv64a(p []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, b := range p {
+		h ^= uint64(b)
+		h *= 1099511628211
+	}
+	return h
+}
+
+// crc32c64 is the CRC-32C zero-extended to 8 bytes, as RHCKPT03 and
+// RHCKPT04 builds wrote it.
+func crc32c64(p []byte) uint64 { return uint64(crc32c(p)) }
+
+// v4Record appends one record as builds before RHCKPT05 wrote it: size, seq,
+// npairs, pairs of (u64 addr, u64 val), then sum of seq through the last
+// pair in 8 bytes: 24 + 16n bytes.
+func v4Record(b []byte, seq uint64, pairs []mem.WriteEntry, sum func([]byte) uint64) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(20+16*len(pairs)))
+	start := len(b)
+	b = binary.LittleEndian.AppendUint64(b, seq)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(pairs)))
+	for _, e := range pairs {
+		b = binary.LittleEndian.AppendUint64(b, uint64(e.Addr))
+		b = binary.LittleEndian.AppendUint64(b, e.Value)
+	}
+	return binary.LittleEndian.AppendUint64(b, sum(b[start:]))
+}
+
+// v4Checkpoint lays out an RHCKPT04 checkpoint: magic, lo, hi, seq, npairs,
+// pairs of (u64 addr, u64 val), then their CRC-32C in 8 bytes: 48 + 16k
+// bytes.
+func v4Checkpoint(lo, hi mem.Addr, seq uint64, pairs []mem.WriteEntry) []byte {
+	b := binary.LittleEndian.AppendUint64(nil, ckptMagicV4)
+	for _, f := range []uint64{uint64(lo), uint64(hi), seq, uint64(len(pairs))} {
 		b = binary.LittleEndian.AppendUint64(b, f)
 	}
 	for _, e := range pairs {
 		b = binary.LittleEndian.AppendUint64(b, uint64(e.Addr))
 		b = binary.LittleEndian.AppendUint64(b, e.Value)
 	}
-	return binary.LittleEndian.AppendUint64(b, crc32c(b))
+	return binary.LittleEndian.AppendUint64(b, crc32c64(b))
 }
 
 // denseCheckpoint lays out the checkpoint of the builds before RHCKPT04:
@@ -332,10 +374,8 @@ func denseCheckpoint(magic uint64, lo, hi mem.Addr, seq uint64, read func(mem.Ad
 	return binary.LittleEndian.AppendUint64(b, sum(b))
 }
 
-func crc32c(p []byte) uint64 { return uint64(crc32.Checksum(p, crc32.MakeTable(crc32.Castagnoli))) }
-
 // TestAppendRecordBytes: one Append of n in-range pairs writes exactly
-// 24 + 16n bytes, the record encodeRecord lays out; out-of-range pairs add
+// 16 + 12n bytes, the record encodeRecord lays out; out-of-range pairs add
 // nothing.
 func TestAppendRecordBytes(t *testing.T) {
 	b := NewMemBackend()
@@ -355,10 +395,10 @@ func TestAppendRecordBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := len(got) - len(want); d != 24+16*n {
-			t.Fatalf("an append of %d pairs wrote %d bytes, want %d", n, d, 24+16*n)
+		if d := len(got) - len(want); d != 16+12*n {
+			t.Fatalf("an append of %d pairs wrote %d bytes, want %d", n, d, 16+12*n)
 		}
-		want = encodeRecord(want, uint64(n), pairs)
+		want = encodeRecord(want, 8, uint64(n), pairs)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("after %d appends the log differs from the record layout", n)
 		}
@@ -385,7 +425,7 @@ func TestSegmentSeqMustIncrease(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			var seg []byte
 			for i, s := range c.seqs {
-				seg = encodeRecord(seg, s, []mem.WriteEntry{{Addr: 8, Value: uint64(101 + i)}})
+				seg = encodeRecord(seg, 8, s, []mem.WriteEntry{{Addr: 8, Value: uint64(101 + i)}})
 			}
 			b := NewMemBackend()
 			b.WriteAtomic(logName, seg)
@@ -402,9 +442,33 @@ func TestSegmentSeqMustIncrease(t *testing.T) {
 	}
 }
 
+// TestRecordSizeMustFitPairs: a record whose size field is not 12 + 12n —
+// its checksum verifying over every byte the size declares — ends the
+// stream as torn, and nothing from it on replays.
+func TestRecordSizeMustFitPairs(t *testing.T) {
+	one := []mem.WriteEntry{{Addr: 8, Value: 101}}
+	for extra := 1; extra < 12; extra++ {
+		payload := encodePairs(binary.LittleEndian.AppendUint64(nil, 2), 8, []mem.WriteEntry{{Addr: 9, Value: 102}})
+		seg := encodeRecord(nil, 8, 1, one)
+		seg = frameRecord(seg, append(payload, make([]byte, extra)...))
+		seg = encodeRecord(seg, 8, 3, []mem.WriteEntry{{Addr: 10, Value: 103}})
+		b := NewMemBackend()
+		b.WriteAtomic(logName, seg)
+		w := wordStore{}
+		l, stats := openStore(t, Options{Backend: b, Lo: 8, Hi: 64}, w)
+		l.Close()
+		if want := (RecoveryStats{Commits: 1, TornTails: 1, Seq: 1}); stats != want {
+			t.Fatalf("a record of 16 + 12n + %d bytes: stats %+v, want %+v", extra, stats, want)
+		}
+		if len(w) != 1 || w[8] != 101 {
+			t.Fatalf("a record of 16 + 12n + %d bytes: recovered %v, want only word 8", extra, w)
+		}
+	}
+}
+
 // refuseDir lays files out in a fresh directory and opens it over [lo, hi)
 // for each hi. Every Open must be refused with an error naming format and
-// this build's RHCKPT04, and must leave every file byte for byte as it was.
+// this build's RHCKPT05, and must leave every file byte for byte as it was.
 func refuseDir(t *testing.T, files map[string][]byte, format string, lo mem.Addr, his ...mem.Addr) {
 	t.Helper()
 	dir := t.TempDir()
@@ -419,7 +483,7 @@ func refuseDir(t *testing.T, files map[string][]byte, format string, lo mem.Addr
 			l.Close()
 			t.Fatalf("Hi=%d: Open accepted an %s directory", hi, format)
 		}
-		if !strings.Contains(err.Error(), format) || !strings.Contains(err.Error(), "RHCKPT04") {
+		if !strings.Contains(err.Error(), format) || !strings.Contains(err.Error(), "RHCKPT05") {
 			t.Fatalf("Hi=%d: error %q does not name the directory's format and this build's", hi, err)
 		}
 	}
@@ -439,44 +503,79 @@ func refuseDir(t *testing.T, files map[string][]byte, format string, lo mem.Addr
 
 func identity(a mem.Addr) uint64 { return uint64(a) }
 
-// TestRefuseRHCKPT01: a directory of the multi-file log's build is refused
-// at boot by its checkpoint's magic, whatever key range is configured.
-func TestRefuseRHCKPT01(t *testing.T) {
+// TestRefuseOlderFormats: a directory each older build wrote is refused at
+// boot by its checkpoint's magic — not as a checksum mismatch, and its
+// records not as a torn tail — at its own range and at another, and every
+// file is left byte for byte. Each row lays out what its build wrote: the
+// multi-file log's eight-file set, the FNV-64a build's sums, the dense
+// RHCKPT03 image of the range beside records this build's predecessor
+// would replay, and RHCKPT04's sparse checkpoint beside 24 + 16n-byte
+// records.
+func TestRefuseOlderFormats(t *testing.T) {
 	const lo, hi = mem.Addr(8), mem.Addr(64)
-	refuseDir(t, map[string][]byte{
-		checkpointName: denseCheckpoint(ckptMagicV1, lo, hi, 3, identity, fnv64a),
-		logName:        {1, 2, 3, 4, 5, 6, 7, 8},
-		"seg-001.log":  {9, 10, 11},
-	}, "RHCKPT01", lo, hi, hi+8)
+	one := []mem.WriteEntry{{Addr: lo, Value: 7}}
+	dirs := map[uint64]map[string][]byte{
+		ckptMagicV1: {
+			checkpointName: denseCheckpoint(ckptMagicV1, lo, hi, 3, identity, fnv64a),
+			logName:        {1, 2, 3, 4, 5, 6, 7, 8},
+			"seg-001.log":  {9, 10, 11},
+		},
+		ckptMagicV2: {
+			checkpointName: denseCheckpoint(ckptMagicV2, lo, hi, 3, identity, fnv64a),
+			logName:        v4Record(nil, 4, one, fnv64a),
+		},
+		ckptMagicV3: {
+			checkpointName: denseCheckpoint(ckptMagicV3, lo, hi, 3, identity, crc32c64),
+			logName:        v4Record(nil, 4, one, crc32c64),
+		},
+		ckptMagicV4: {
+			checkpointName: v4Checkpoint(lo, hi, 3, []mem.WriteEntry{{Addr: lo, Value: 5}, {Addr: hi - 1, Value: 6}}),
+			logName:        v4Record(v4Record(nil, 4, one, crc32c64), 5, []mem.WriteEntry{{Addr: lo + 1, Value: 8}}, crc32c64),
+		},
+	}
+	if len(dirs) != len(olderFormats) {
+		t.Fatalf("%d directories laid out for %d older formats", len(dirs), len(olderFormats))
+	}
+	for _, f := range olderFormats {
+		files, ok := dirs[f.magic]
+		if !ok {
+			t.Fatalf("no directory laid out for %s", magicName(f.magic))
+		}
+		t.Run(magicName(f.magic), func(t *testing.T) { refuseDir(t, files, magicName(f.magic), lo, hi, hi+8) })
+	}
 }
 
-// TestRefuseRHCKPT02: a directory the FNV-64a build wrote — an RHCKPT02
-// checkpoint and a log of records with FNV-64a trailers — is refused by its
-// magic, not reported as a checksum mismatch.
-func TestRefuseRHCKPT02(t *testing.T) {
-	const lo, hi = mem.Addr(8), mem.Addr(64)
-	rec := encodeRecord(nil, 4, []mem.WriteEntry{{Addr: lo, Value: 7}})
-	binary.LittleEndian.PutUint64(rec[len(rec)-8:], fnv64a(rec[4:len(rec)-8]))
-	refuseDir(t, map[string][]byte{
-		checkpointName: denseCheckpoint(ckptMagicV2, lo, hi, 3, identity, fnv64a),
-		logName:        rec,
-	}, "RHCKPT02", lo, hi)
+// TestRefuseRangeWiderThanOffsets: a pair's offset is a u32, so Open refuses a range
+// of 2^32 + 1 words before it reads or writes anything, and accepts one of
+// 2^32.
+func TestRefuseRangeWiderThanOffsets(t *testing.T) {
+	const lo = mem.Addr(8)
+	b := NewMemBackend()
+	nop := func(mem.Addr, uint64) {}
+	zero := func(mem.Addr) uint64 { return 0 }
+	if l, _, err := Open(Options{Backend: b, Lo: lo, Hi: lo + 1<<32 + 1}, nop, zero); err == nil {
+		l.Close()
+		t.Fatal("Open accepted a range of 2^32 + 1 words")
+	}
+	if names, _ := b.List(""); len(names) != 0 {
+		t.Fatalf("the refused Open wrote %v", names)
+	}
+	dir := filepath.Join(t.TempDir(), "data")
+	if _, _, err := Open(Options{Dir: dir, Lo: lo, Hi: lo + 1<<32 + 1}, nop, zero); err == nil {
+		t.Fatal("Open accepted a range of 2^32 + 1 words in a directory")
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("the refused Open made its directory (stat: %v)", err)
+	}
+	l, _, err := Open(Options{Backend: b, Lo: lo, Hi: lo + 1<<32}, nop, zero)
+	if err != nil {
+		t.Fatalf("Open refused a range of 2^32 words: %v", err)
+	}
+	l.Close()
 }
 
-// TestRefuseRHCKPT03: a directory the dense-checkpoint build wrote — an
-// RHCKPT03 image of every word of the range, CRC-32C summed, beside a log
-// whose records this build would replay — is refused by its magic, at its
-// own range and at another.
-func TestRefuseRHCKPT03(t *testing.T) {
-	const lo, hi = mem.Addr(8), mem.Addr(64)
-	refuseDir(t, map[string][]byte{
-		checkpointName: denseCheckpoint(ckptMagicV3, lo, hi, 3, identity, crc32c),
-		logName:        encodeRecord(nil, 4, []mem.WriteEntry{{Addr: lo, Value: 7}}),
-	}, "RHCKPT03", lo, hi, hi+8)
-}
-
-// TestCheckpointSize: a checkpoint of k set words is 48 + 16k bytes, so an
-// empty boot writes 48; a word that was set and then stored as zero is left
+// TestCheckpointSize: a checkpoint of k set words is 36 + 12k bytes, so an
+// empty boot writes 36; a word that was set and then stored as zero is left
 // out.
 func TestCheckpointSize(t *testing.T) {
 	b := NewMemBackend()
@@ -507,20 +606,20 @@ func TestCheckpointSize(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := size(); got != 48 {
-		t.Fatalf("an empty boot wrote a %d-byte checkpoint, want 48", got)
+	if got := size(); got != 36 {
+		t.Fatalf("an empty boot wrote a %d-byte checkpoint, want 36", got)
 	}
 	var writes []mem.WriteEntry
 	for k := 1; k <= 5; k++ {
 		writes = append(writes, mem.WriteEntry{Addr: mem.Addr(8 + k*mem.LineWords), Value: uint64(k)})
 		reboot(writes...)
-		if got := size(); got != 48+16*k {
-			t.Fatalf("%d set words checkpoint in %d bytes, want %d", k, got, 48+16*k)
+		if got := size(); got != 36+12*k {
+			t.Fatalf("%d set words checkpoint in %d bytes, want %d", k, got, 36+12*k)
 		}
 	}
 	reboot(mem.WriteEntry{Addr: writes[2].Addr, Value: 0}, mem.WriteEntry{Addr: writes[0].Addr, Value: 9})
-	if got := size(); got != 48+16*4 {
-		t.Fatalf("after one of 5 set words was stored as zero the checkpoint is %d bytes, want %d", got, 48+16*4)
+	if got := size(); got != 36+12*4 {
+		t.Fatalf("after one of 5 set words was stored as zero the checkpoint is %d bytes, want %d", got, 36+12*4)
 	}
 	w := wordStore{}
 	l, _ = openStore(t, opts, w)
@@ -542,21 +641,21 @@ func TestRefuseCorruptCheckpoint(t *testing.T) {
 		}
 		return p
 	}
-	ok := encodeCheckpoint(lo, hi, 3, 3, pairs(8, 1, 9, 2, 63, 3))
+	ok := encodeCheckpoint(lo, hi, 3, pairs(8, 1, 9, 2, 63, 3))
 	cases := map[string][]byte{
-		"unsorted":       encodeCheckpoint(lo, hi, 3, 2, pairs(16, 1, 9, 2)),
-		"duplicate":      encodeCheckpoint(lo, hi, 3, 2, pairs(9, 1, 9, 2)),
-		"below range":    encodeCheckpoint(lo, hi, 3, 2, pairs(7, 1, 9, 2)),
-		"above range":    encodeCheckpoint(lo, hi, 3, 2, pairs(9, 1, 64, 2)),
-		"zero value":     encodeCheckpoint(lo, hi, 3, 2, pairs(9, 1, 10, 0)),
-		"npairs > pairs": encodeCheckpoint(lo, hi, 3, 3, pairs(9, 1, 10, 2)),
-		"npairs < pairs": encodeCheckpoint(lo, hi, 3, 1, pairs(9, 1, 10, 2)),
-		"other range":    encodeCheckpoint(lo, hi+1, 3, 1, pairs(9, 1)),
+		"unsorted":  encodeCheckpoint(lo, hi, 3, pairs(16, 1, 9, 2)),
+		"duplicate": encodeCheckpoint(lo, hi, 3, pairs(9, 1, 9, 2)),
+		// Address 7 is offset -1 from lo, which wraps to the u32's top.
+		"below range": encodeCheckpoint(lo, hi, 3, pairs(7, 1, 9, 2)),
+		"above range": encodeCheckpoint(lo, hi, 3, pairs(9, 1, 64, 2)),
+		"zero value":  encodeCheckpoint(lo, hi, 3, pairs(9, 1, 10, 0)),
+		// The pair bytes are not a multiple of 12: a value with no offset,
+		// one stray byte, and half a pair (an offset with no value).
+		"pair bytes 12k + 8": encodeCheckpoint(lo, hi, 3, pairs(9, 1), 2, 0, 0, 0, 0, 0, 0, 0),
+		"pair bytes 12k + 1": encodeCheckpoint(lo, hi, 3, pairs(9, 1, 10, 2), 1),
+		"half a pair":        encodeCheckpoint(lo, hi, 3, nil, 1, 0, 0, 0),
+		"other range":        encodeCheckpoint(lo, hi+1, 3, pairs(9, 1)),
 	}
-	// A pair cut in half: lay out one pair and drop its value field.
-	half := encodeCheckpoint(lo, hi, 3, 1, nil)
-	half = append(half[:len(half)-8], binary.LittleEndian.AppendUint64(nil, 9)...)
-	cases["half a pair"] = binary.LittleEndian.AppendUint64(half, crc32c(half))
 	for cut := 0; cut < len(ok); cut += 7 {
 		cases[fmt.Sprintf("truncated to %d", cut)] = ok[:cut]
 	}
@@ -756,7 +855,7 @@ func restartImage(b *testing.B, lo, hi mem.Addr, keys, commits int) *MemBackend 
 	}
 	var log []byte
 	for i := 0; i < commits; i++ {
-		log = encodeRecord(log, uint64(2+i), []mem.WriteEntry{{Addr: key(i * 7), Value: uint64(i + 1)}})
+		log = encodeRecord(log, lo, uint64(2+i), []mem.WriteEntry{{Addr: key(i * 7), Value: uint64(i + 1)}})
 	}
 	src.WriteAtomic(logName, log)
 	return src

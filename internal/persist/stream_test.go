@@ -31,7 +31,7 @@ func pairsLog(commits, npairs int) ([]byte, wordStore) {
 			writes[j] = mem.WriteEntry{Addr: a, Value: uint64(i<<8 | j + 1)}
 			want[a] = writes[j].Value
 		}
-		log = encodeRecord(log, uint64(i+1), writes)
+		log = encodeRecord(log, streamLo, uint64(i+1), writes)
 	}
 	return log, want
 }
@@ -40,10 +40,16 @@ func pairsLog(commits, npairs int) ([]byte, wordStore) {
 // step bytes each, as a MemBackend's appends would lay it out: each chunk is
 // its own allocation, full to its capacity.
 func piecedBackend(log []byte, first, step int) *MemBackend {
+	return chunkedBackend(log, func() int { n := first; first = step; return n })
+}
+
+// chunkedBackend holds log as its log file in chunks of the sizes next
+// returns in turn, each at least one byte.
+func chunkedBackend(log []byte, next func() int) *MemBackend {
 	f := &memFile{size: len(log)}
 	f.synced.Store(int64(len(log)))
-	for n := first; len(log) > 0; n = step {
-		n = min(n, len(log))
+	for len(log) > 0 {
+		n := min(max(next(), 1), len(log))
 		f.chunks = append(f.chunks, append(make([]byte, 0, n), log[:n]...))
 		log = log[n:]
 	}
@@ -64,13 +70,13 @@ func recoverWords(t *testing.T, b Backend) (RecoveryStats, wordStore) {
 	return stats, w
 }
 
-// TestStreamEveryChunkOffset recovers logs of one-pair (40-byte) and
-// 64-pair (1 048-byte) records whose first chunk ends at every offset of a
-// record, the rest cut into memChunkMin-byte chunks, so a 64-pair record
+// TestStreamEveryChunkOffset recovers logs of one-pair (28-byte) and
+// 96-pair (1 168-byte) records whose first chunk ends at every offset of a
+// record, the rest cut into memChunkMin-byte chunks, so a 96-pair record
 // spans two or three pieces and a one-pair record's every byte is cut at
 // once. Every layout must recover every commit.
 func TestStreamEveryChunkOffset(t *testing.T) {
-	for _, npairs := range []int{1, 64} {
+	for _, npairs := range []int{1, 96} {
 		const commits = 6
 		log, want := pairsLog(commits, npairs)
 		size := len(log) / commits
@@ -170,7 +176,7 @@ func TestStreamBackendsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	torn := encodeRecord(nil, 1501, make([]mem.WriteEntry, 40))
+	torn := encodeRecord(nil, streamLo, 1501, make([]mem.WriteEntry, 40))
 	if err := f.Append(torn[:len(torn)-5]); err != nil {
 		t.Fatal(err)
 	}
@@ -321,4 +327,119 @@ func BenchmarkOpenRestartFile(b *testing.B) {
 		}
 		l.Close()
 	}
+}
+
+// ---- recovery against a whole-buffer reference decoder ----
+
+// refRecover decodes log in one buffer, field by field apart from
+// parseRecord and recoverState, over a checkpoint at base that holds no
+// pairs. It replays each record that verifies and carries the frontier's
+// next seq, skips those at or below base, and stops at the first other
+// record; bytes left unread are a torn tail. ok is false when a record it
+// would replay holds an offset outside [streamLo, streamHi).
+func refRecover(log []byte, base uint64) (stats RecoveryStats, words wordStore, ok bool) {
+	le := binary.LittleEndian
+	stats = RecoveryStats{CheckpointSeq: base, Seq: base}
+	words = wordStore{}
+	for len(log) >= 4 {
+		size := uint64(le.Uint32(log))
+		if size < 12 || (size-12)%12 != 0 || size > uint64(len(log)-4) {
+			break
+		}
+		payload := log[4:size]
+		if crc32c(payload) != le.Uint32(log[size:]) {
+			break
+		}
+		seq := le.Uint64(payload)
+		if seq > base && seq != stats.Seq+1 {
+			break
+		}
+		log = log[4+size:]
+		if seq <= base {
+			continue
+		}
+		for p := payload[8:]; len(p) > 0; p = p[12:] {
+			off := mem.Addr(le.Uint32(p))
+			if off >= streamHi-streamLo {
+				return stats, nil, false
+			}
+			words[streamLo+off] = le.Uint64(p[4:])
+		}
+		stats.Commits++
+		stats.Seq = seq
+	}
+	if len(log) > 0 {
+		stats.TornTails = 1
+	}
+	return stats, words, true
+}
+
+// FuzzRecover reads spec as a program that lays out a log of records with
+// valid checksums — how many, each one's pair count, offsets and values, a
+// seq out of order now and then, an offset past the range when a byte reads
+// 0xff — over a checkpoint at a small base, then flips bits, cuts bytes off
+// the tail and splits what is left into pieces of the sizes spec's last
+// bytes give (one byte each once spec runs out). recoverState must not
+// panic, and must agree with refRecover on the stats, the words stored and
+// whether the log is refused.
+func FuzzRecover(f *testing.F) {
+	f.Add([]byte{})
+	// Three one-pair records in order, no damage, in 5-byte pieces.
+	f.Add([]byte{0, 3, 0, 1, 10, 1, 0, 1, 20, 2, 0, 1, 30, 3, 0, 0, 5})
+	// A base of 2 under five records, the fourth repeating seq 3.
+	f.Add([]byte{2, 5, 0, 2, 1, 1, 2, 2, 0, 1, 3, 3, 0, 1, 4, 4, 0xf3, 1, 5, 5, 0, 1, 6, 6, 0, 0, 64})
+	// Two records, a bit flipped in the second, the tail cut by 3 bytes.
+	f.Add([]byte{0, 2, 0, 4, 1, 1, 2, 2, 3, 3, 4, 4, 0, 4, 5, 5, 6, 6, 7, 7, 8, 8, 1, 0, 100, 5, 3, 7, 11})
+	// An offset past the range in the second record.
+	f.Add([]byte{0, 2, 0, 1, 9, 9, 0, 2, 8, 8, 0xff, 7, 0, 0, 255})
+	f.Fuzz(func(t *testing.T, spec []byte) {
+		next := func() byte {
+			if len(spec) == 0 {
+				return 0
+			}
+			c := spec[0]
+			spec = spec[1:]
+			return c
+		}
+		span := uint32(streamHi - streamLo)
+		base := uint64(next() % 4)
+		var log []byte
+		for seq, n := uint64(1), uint64(next()%16); seq <= n; seq++ {
+			s := seq
+			if c := next(); c >= 0xf0 {
+				s = uint64(c & 0xf)
+			}
+			pairs := make([]mem.WriteEntry, next()%5)
+			for j := range pairs {
+				off := uint32(next()) * span / 0xff // 0xff reads span: one past the range
+				pairs[j] = mem.WriteEntry{Addr: streamLo + mem.Addr(off), Value: uint64(next())<<32 | seq}
+			}
+			log = encodeRecord(log, streamLo, s, pairs)
+		}
+		for flips := next() % 4; flips > 0 && len(log) > 0; flips-- {
+			at := int(next())<<8 | int(next())
+			log[at%len(log)] ^= 1 << (next() % 8)
+		}
+		log = log[:len(log)-min(int(next()), len(log))]
+
+		b := chunkedBackend(log, func() int { return int(next()) })
+		if err := saveCheckpoint(b, &wordSet{lo: streamLo, hi: streamHi}, base, nil); err != nil {
+			t.Fatal(err)
+		}
+		words := wordStore{}
+		stats, _, err := recoverState(b, streamLo, streamHi, words.apply)
+		wantStats, wantWords, ok := refRecover(log, base)
+		if !ok {
+			if err == nil {
+				t.Fatalf("recovered %+v from a log the reference refuses for an offset past the range", stats)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("recoverState: %v; the reference recovers %+v", err, wantStats)
+		}
+		if stats != wantStats || !maps.Equal(words, wantWords) {
+			t.Fatalf("recovered %+v and %d words; the reference recovers %+v and %d words", stats, len(words), wantStats, len(wantWords))
+		}
+	})
 }
