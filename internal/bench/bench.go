@@ -103,7 +103,7 @@ func RHVariants() []Algo {
 			return norec.New(m, norec.Lazy)
 		}},
 		{Name: "rh-tl2", MetaWords: rhtl2.DefaultStripes, New: func(m *mem.Memory, d *htm.Device) tm.System {
-			return rhtl2.New(m, d, tm.RetryPolicy{}, 0)
+			return rhtl2.New(m, d, tm.RetryPolicy{})
 		}},
 		{Name: "hy-norec-lazy", New: func(m *mem.Memory, d *htm.Device) tm.System {
 			return hynorec.New(m, d, tm.RetryPolicy{})

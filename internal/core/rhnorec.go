@@ -68,12 +68,7 @@ const (
 // System is an RH NOrec TM over one shared memory — or, from
 // NewHybridNOrec, the Hybrid NOrec it extends.
 type System struct {
-	name   string
-	m      *mem.Memory
-	dev    *htm.Device
-	rec    *tm.Reclaimer
-	policy tm.RetryPolicy
-	engine *tm.Engine
+	tm.SystemBase
 
 	// g holds the clock, the global HTM lock, the fallback count and the
 	// serial lock — the words, and with them the whole hardware fast path
@@ -84,19 +79,7 @@ type System struct {
 // New creates an RH NOrec system. dev must speculate over m; zero policy
 // fields take the paper's defaults (§3.3–§3.4).
 func New(m *mem.Memory, dev *htm.Device, policy tm.RetryPolicy) *System {
-	if dev.Memory() != m {
-		panic("core: device bound to a different memory")
-	}
-	engine := tm.NewEngine(policy)
-	return &System{
-		name:   "rh-norec",
-		m:      m,
-		dev:    dev,
-		rec:    tm.NewReclaimer(),
-		policy: engine.Policy(),
-		engine: engine,
-		g:      hynorec.NewGlobals(m),
-	}
+	return newSystem("rh-norec", m, dev, policy)
 }
 
 // NewHybridNOrec creates the eager Hybrid NOrec of Dalessandro et al. that
@@ -106,52 +89,33 @@ func New(m *mem.Memory, dev *htm.Device, policy tm.RetryPolicy) *System {
 // write takes the global HTM lock.
 func NewHybridNOrec(m *mem.Memory, dev *htm.Device, policy tm.RetryPolicy) *System {
 	policy.DisablePrefix, policy.DisablePostfix = true, true
-	s := New(m, dev, policy)
-	s.name = "hy-norec"
-	return s
+	return newSystem("hy-norec", m, dev, policy)
 }
 
-// Name implements tm.System.
-func (s *System) Name() string { return s.name }
-
-// Memory implements tm.System.
-func (s *System) Memory() *mem.Memory { return s.m }
-
-// Policy returns the effective retry policy (after defaulting).
-func (s *System) Policy() tm.RetryPolicy { return s.policy }
-
-// Engine returns the system's retry engine. The service layer
-// (internal/serve) reads its live slow-path occupancy as the admission
-// controller's saturation signal.
-func (s *System) Engine() *tm.Engine { return s.engine }
+func newSystem(name string, m *mem.Memory, dev *htm.Device, policy tm.RetryPolicy) *System {
+	return &System{SystemBase: tm.NewHybridBase(name, m, dev, policy), g: hynorec.NewGlobals(m)}
+}
 
 // NewThread implements tm.System.
 func (s *System) NewThread() tm.Thread {
-	t := &thread{
-		sys:         s,
-		base:        tm.NewThreadBase(s.m, s.rec),
-		htx:         s.dev.NewTxn(),
-		expectedLen: s.policy.InitialPrefixLength,
-	}
-	// The fast path and the slow path's prefix and postfix never overlap, so
-	// they run on the one hardware context a thread has.
-	t.fast = hynorec.FastPath{Globals: s.g, Base: &t.base, Htx: t.htx}
-	t.base.Clock = tm.NewClock(s.m, s.g.Clock)
-	t.base.Engine = s.engine
-	t.base.Bind(t, &t.fast)
-	t.base.SerialEscape(s.g.SerialLock, s.policy.MaxSlowPathRestarts)
+	t := &thread{ThreadBase: s.NewThreadBase()}
+	p := s.Engine().Policy()
+	t.expectedLen = p.InitialPrefixLength
+	t.fast = hynorec.FastPath{Globals: s.g, Base: &t.ThreadBase}
+	t.Clock = tm.NewClock(s.Memory(), s.g.Clock)
+	t.Bind(t, &t.fast)
+	t.SerialEscape(s.g.SerialLock, p.MaxSlowPathRestarts)
 	return t
 }
 
+// thread keeps the coordination words in its fast path.
 type thread struct {
-	sys  *System
-	base tm.ThreadBase
-	htx  *htm.Txn
+	tm.ThreadBase
 	fast hynorec.FastPath
 
 	// Mixed-slow-path attempt state. The clock snapshot and its lock live in
-	// base.Clock (held from the first write on), the software writes in
-	// base.Log, stored in place on the full-software path.
+	// the base's Clock (held from the first write on), the software writes
+	// in its Log, stored in place on the full-software path.
 	prefixActive       bool
 	postfixActive      bool
 	fullSoftware       bool // we set the global HTM lock and write in software
@@ -183,12 +147,6 @@ type thread struct {
 	postfixStart int64
 }
 
-func (t *thread) Stats() *tm.Stats { return &t.base.St }
-func (t *thread) Close()           { t.htx.Close(); t.base.CloseBase() }
-
-func (t *thread) Run(fn func(tm.Tx) error) error         { return t.base.Run(fn, false) }
-func (t *thread) RunReadOnly(fn func(tm.Tx) error) error { return t.base.Run(fn, true) }
-
 // BeginSlow starts one try of the mixed slow path (Algorithms 2 and 3):
 // the HTM prefix when it is usable; on no-go, the original (Algorithm 2)
 // software start.
@@ -209,7 +167,7 @@ func (t *thread) BeginSlow(int) (tm.Tx, bool) {
 // §3.4 single-try bans last one Run.
 func (t *thread) EndSlow() {
 	if t.fallbackRegistered {
-		t.base.M.SubPlain(t.sys.g.Fallbacks, 1)
+		t.M.SubPlain(t.fast.Fallbacks, 1)
 		t.fallbackRegistered = false
 	}
 	t.prefixBanned = false
@@ -218,18 +176,18 @@ func (t *thread) EndSlow() {
 }
 
 func (t *thread) prefixUsable() bool {
-	p := &t.sys.policy
+	p := t.Engine.Policy()
 	return !p.DisablePrefix && !t.prefixBanned && t.expectedLen >= p.MinPrefixLength
 }
 
 // startPrefix is start_rh_htm_prefix (Algorithm 3 lines 9–26).
 func (t *thread) startPrefix() {
-	t.base.St.PrefixAttempts++
-	t.prefixStart = t.base.St.Obs.Start()
-	t.htx.Begin()
+	t.St.PrefixAttempts++
+	t.prefixStart = t.St.Obs.Start()
+	t.HTM().Begin()
 	t.prefixActive = true
-	if t.htx.Load(t.sys.g.HTMLock) != 0 {
-		t.htx.Abort(abortHTMLockTaken)
+	if t.HTM().Load(t.fast.HTMLock) != 0 {
+		t.HTM().Abort(abortHTMLockTaken)
 	}
 	t.maxReads = t.expectedLen
 	t.prefixReads = 0
@@ -239,10 +197,10 @@ func (t *thread) startPrefix() {
 // 1–8): register the fallback and snapshot the clock.
 func (t *thread) softwareStart() {
 	if !t.fallbackRegistered {
-		t.base.M.AddPlain(t.sys.g.Fallbacks, 1)
+		t.M.AddPlain(t.fast.Fallbacks, 1)
 		t.fallbackRegistered = true
 	}
-	t.base.Clock.Snapshot()
+	t.Clock.Snapshot()
 }
 
 // commitPrefix is commit_rh_htm_prefix (Algorithm 3 lines 47–56): register
@@ -250,16 +208,16 @@ func (t *thread) softwareStart() {
 // both become visible atomically with everything the prefix read.
 func (t *thread) commitPrefix() {
 	if !t.fallbackRegistered {
-		f := t.htx.Load(t.sys.g.Fallbacks)
-		t.htx.Store(t.sys.g.Fallbacks, f+1)
+		f := t.HTM().Load(t.fast.Fallbacks)
+		t.HTM().Store(t.fast.Fallbacks, f+1)
 	}
-	v := t.htx.Load(t.sys.g.Clock)
+	v := t.HTM().Load(t.fast.Clock)
 	if v&1 != 0 {
-		t.htx.Abort(abortClockLocked)
+		t.HTM().Abort(abortClockLocked)
 	}
-	t.htx.Commit() // may abort: the whole attempt restarts
+	t.HTM().Commit() // may abort: the whole attempt restarts
 	t.fallbackRegistered = true
-	t.base.Clock.Adopt(v)
+	t.Clock.Adopt(v)
 	t.prefixDone()
 }
 
@@ -267,7 +225,7 @@ func (t *thread) commitPrefix() {
 // grow.
 func (t *thread) prefixDone() {
 	t.prefixActive = false
-	st := &t.base.St
+	st := &t.St
 	st.PrefixCommits++
 	st.PrefixReads += uint64(t.prefixReads)
 	if t.prefixLimited {
@@ -288,11 +246,11 @@ func (t *thread) prefixDone() {
 // first: at the segment's end it would let the callback run on reads from
 // two snapshots.
 func (t *thread) startSegment() {
-	t.base.St.SegmentAttempts++
-	t.htx.Begin()
+	t.St.SegmentAttempts++
+	t.HTM().Begin()
 	t.segmentActive = true
 	t.segmentReads = 0
-	if t.htx.Load(t.sys.g.Clock) != t.base.Clock.Time() {
+	if t.HTM().Load(t.fast.Clock) != t.Clock.Time() {
 		tm.Restart() // a writer committed since the last segment, or the prefix
 	}
 }
@@ -302,10 +260,10 @@ func (t *thread) startSegment() {
 // itself: the first write's CAS and the commit would abort a segment that
 // still holds the clock in its read set.
 func (t *thread) commitSegment() {
-	t.htx.Commit() // may abort: the whole attempt restarts
+	t.HTM().Commit() // may abort: the whole attempt restarts
 	t.segmentActive = false
-	t.base.St.SegmentCommits++
-	t.base.St.SegmentReads += uint64(t.segmentReads)
+	t.St.SegmentCommits++
+	t.St.SegmentReads += uint64(t.segmentReads)
 }
 
 // Streaks of committed prefixes the budget waits for before it grows one
@@ -324,7 +282,7 @@ const (
 // sixteenth of the budget per step, so it approaches a capacity point it
 // has not seen yet instead of doubling past it.
 func (t *thread) adaptPrefixAfterSuccess() {
-	p := &t.sys.policy
+	p := t.Engine.Policy()
 	t.prefixStreak++
 	if !t.prefixLimited || t.expectedLen >= p.InitialPrefixLength {
 		return
@@ -355,7 +313,7 @@ func (t *thread) adaptPrefixAfterSuccess() {
 //   - Explicit (HTM lock or clock found taken), a Restart raised by the
 //     callback, a user error (nil): length was not the cause; no change.
 func (t *thread) adaptPrefixAfterAbort(verdict *htm.Abort, reads int) {
-	p := &t.sys.policy
+	p := t.Engine.Policy()
 	if verdict == nil || tm.IsRestartVerdict(verdict) || verdict.Code == htm.Explicit {
 		return
 	}
@@ -372,11 +330,11 @@ func (t *thread) adaptPrefixAfterAbort(verdict *htm.Abort, reads int) {
 // the HTM postfix; if the postfix cannot run, take the global HTM lock and
 // continue in software.
 func (t *thread) handleFirstWrite() {
-	t.base.Clock.Lock() // acquire_clock_lock (lines 47–56)
-	if !t.sys.policy.DisablePostfix && !t.postfixBanned {
-		t.base.St.PostfixAttempts++
-		t.postfixStart = t.base.St.Obs.Start()
-		t.htx.Begin()
+	t.Clock.Lock() // acquire_clock_lock (lines 47–56)
+	if !t.Engine.Policy().DisablePostfix && !t.postfixBanned {
+		t.St.PostfixAttempts++
+		t.postfixStart = t.St.Obs.Start()
+		t.HTM().Begin()
 		t.postfixActive = true
 		return
 	}
@@ -387,7 +345,7 @@ func (t *thread) handleFirstWrite() {
 // hardware fast paths and perform the writes in software under the clock
 // lock, with full NOrec opacity.
 func (t *thread) goFullSoftware() {
-	t.base.M.StorePlain(t.sys.g.HTMLock, 1)
+	t.M.StorePlain(t.fast.HTMLock, 1)
 	t.fullSoftware = true
 }
 
@@ -397,32 +355,32 @@ func (t *thread) CommitSlow() {
 	if t.prefixActive {
 		// The entire transaction fit in the HTM prefix: commit it. No
 		// fallback was ever registered, no clock activity needed.
-		t.htx.Commit()
+		t.HTM().Commit()
 		t.prefixDone()
 		return
 	}
 	if t.segmentActive {
 		t.commitSegment()
 	}
-	if !t.base.Clock.Held() {
+	if !t.Clock.Held() {
 		return // read-only software slow path
 	}
 	if t.postfixActive {
-		t.htx.Commit() // publish all writes atomically
+		t.HTM().Commit() // publish all writes atomically
 		t.postfixActive = false
-		t.base.St.PostfixCommits++
-		t.base.St.Obs.RecordSince(obs.PhasePostfix, t.postfixStart)
+		t.St.PostfixCommits++
+		t.St.Obs.RecordSince(obs.PhasePostfix, t.postfixStart)
 	}
 	if t.fullSoftware {
 		// The eager writes are already in memory but no reader can commit a
 		// transaction that saw them until the clock releases below, so the
 		// redo record sealed here still precedes every dependent commit's
 		// record (tm.WriteLog's ordering rule).
-		t.base.Log.Seal()
-		t.base.M.StorePlain(t.sys.g.HTMLock, 0)
+		t.Log.Seal()
+		t.M.StorePlain(t.fast.HTMLock, 0)
 		t.fullSoftware = false
 	}
-	t.base.Clock.Release(true)
+	t.Clock.Release(true)
 }
 
 // AbortSlow releases every lock after a restart, hardware abort, or user
@@ -431,8 +389,8 @@ func (t *thread) CommitSlow() {
 // live is cancelled here. verdict, what killed the attempt, steers the
 // prefix-length adaptation.
 func (t *thread) AbortSlow(verdict *htm.Abort) {
-	if t.htx.Active() {
-		t.htx.Cancel()
+	if t.HTM().Active() {
+		t.HTM().Cancel()
 	}
 	if t.prefixActive {
 		// A failed prefix: ban it for this transaction and resize the
@@ -475,10 +433,10 @@ func (t *thread) AbortSlow(verdict *htm.Abort) {
 	// to validate. A dead postfix published nothing: release unadvanced.
 	published := t.fullSoftware
 	if t.fullSoftware {
-		t.base.M.StorePlain(t.sys.g.HTMLock, 0)
+		t.M.StorePlain(t.fast.HTMLock, 0)
 		t.fullSoftware = false
 	}
-	t.base.Clock.Release(published)
+	t.Clock.Release(published)
 }
 
 // mixedTx is the mixed slow path view: reads route through the HTM prefix,
@@ -491,34 +449,34 @@ func (v mixedTx) Load(a mem.Addr) uint64 {
 	if t.prefixActive {
 		t.prefixReads++
 		if t.prefixReads < t.maxReads {
-			return t.htx.Load(a)
+			return t.HTM().Load(a)
 		}
 		t.prefixLimited = true
 		t.commitPrefix()
 		// Fall through: this read opens the first read segment.
 	}
 	if t.postfixActive {
-		return t.htx.Load(a)
+		return t.HTM().Load(a)
 	}
-	if t.prefixLimited && !t.segmentsBanned && !t.base.Clock.Held() {
+	if t.prefixLimited && !t.segmentsBanned && !t.Clock.Held() {
 		if !t.segmentActive {
 			t.startSegment()
 		}
 		t.segmentReads++
-		val := t.htx.Load(a)
+		val := t.HTM().Load(a)
 		if t.segmentReads == t.maxReads {
 			t.commitSegment()
 		}
 		return val
 	}
-	t.base.InstrumentedAccess()
-	t.base.St.SoftwareReads++
-	return t.base.Clock.Load(a)
+	t.InstrumentedAccess()
+	t.St.SoftwareReads++
+	return t.Clock.Load(a)
 }
 
 func (v mixedTx) Store(a mem.Addr, val uint64) {
 	t := v.t
-	if t.base.ReadOnly {
+	if t.ReadOnly {
 		panic(tm.ErrStoreInReadOnly)
 	}
 	if t.prefixActive {
@@ -527,16 +485,16 @@ func (v mixedTx) Store(a mem.Addr, val uint64) {
 	if t.segmentActive {
 		t.commitSegment() // or handleFirstWrite's clock CAS would abort it
 	}
-	if !t.base.Clock.Held() {
+	if !t.Clock.Held() {
 		t.handleFirstWrite()
 	}
 	if t.postfixActive {
-		t.htx.Store(a, val)
+		t.HTM().Store(a, val)
 		return
 	}
-	t.base.InstrumentedAccess()
-	t.base.Log.StoreEager(a, val)
+	t.InstrumentedAccess()
+	t.Log.StoreEager(a, val)
 }
 
-func (v mixedTx) Alloc(n int) mem.Addr   { return v.t.base.TxAlloc(n) }
-func (v mixedTx) Free(a mem.Addr, n int) { v.t.base.TxFree(a, n) }
+func (v mixedTx) Alloc(n int) mem.Addr   { return v.t.TxAlloc(n) }
+func (v mixedTx) Free(a mem.Addr, n int) { v.t.TxFree(a, n) }

@@ -105,29 +105,6 @@ func TestConformanceTinyPrefixBudget(t *testing.T) {
 	}, tmtest.Options{})
 }
 
-func TestNameAndAccessors(t *testing.T) {
-	m := mem.New(1024)
-	sys := core.New(m, htm.NewDevice(m, htm.Config{}), tm.RetryPolicy{})
-	if sys.Name() != "rh-norec" {
-		t.Errorf("Name = %q", sys.Name())
-	}
-	if sys.Memory() != m {
-		t.Error("Memory accessor broken")
-	}
-	if sys.Policy().MaxHTMRetries != 10 {
-		t.Errorf("default MaxHTMRetries = %d, want 10", sys.Policy().MaxHTMRetries)
-	}
-}
-
-func TestMismatchedDevicePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic for device over a different memory")
-		}
-	}()
-	core.New(mem.New(1024), htm.NewDevice(mem.New(1024), htm.Config{}), tm.RetryPolicy{})
-}
-
 // TestScenarioFigure2: the paper's opacity scenario. A mixed slow path
 // writes X then Y; a hardware fast path reading X and Y concurrently must
 // see both-old or both-new, never new-X/old-Y — guaranteed by the HTM

@@ -38,7 +38,6 @@ func NewGlobals(m *mem.Memory) Globals {
 type FastPath struct {
 	Globals
 	Base *tm.ThreadBase
-	Htx  *htm.Txn
 }
 
 // FastReady spins out the lock a hardware try just aborted on, rather than
@@ -52,11 +51,12 @@ func (f *FastPath) FastReady(prev *htm.Abort) bool {
 // subscribes only to the global HTM lock; the callback then runs
 // uninstrumented.
 func (f *FastPath) BeginFast() tm.Tx {
-	f.Htx.Begin()
-	if f.Htx.Load(f.HTMLock) != 0 {
-		f.Htx.Abort(htm.ArgHTMLockTaken)
+	htx := f.Base.HTM()
+	htx.Begin()
+	if htx.Load(f.HTMLock) != 0 {
+		htx.Abort(htm.ArgHTMLockTaken)
 	}
-	return fastTx{f}
+	return f.Base.HardwareTx()
 }
 
 // CommitFast is Algorithm 1's commit: the clock is touched only here, at
@@ -67,33 +67,19 @@ func (f *FastPath) BeginFast() tm.Tx {
 // lock-free (seqlock validation, no writeback lock), so the whole read-only
 // fast path is mutex-free end to end.
 func (f *FastPath) CommitFast() {
-	if f.Htx.WriteLineCount() > 0 && f.Htx.Load(f.Fallbacks) > 0 {
-		if f.Htx.Load(f.SerialLock) != 0 {
-			f.Htx.Abort(htm.ArgSerialTaken)
+	htx := f.Base.HTM()
+	if htx.WriteLineCount() > 0 && htx.Load(f.Fallbacks) > 0 {
+		if htx.Load(f.SerialLock) != 0 {
+			htx.Abort(htm.ArgSerialTaken)
 		}
-		c := f.Htx.Load(f.Clock)
+		c := htx.Load(f.Clock)
 		if c&1 != 0 {
-			f.Htx.Abort(htm.ArgClockLocked)
+			htx.Abort(htm.ArgClockLocked)
 		}
-		f.Htx.Store(f.Clock, c+2)
+		htx.Store(f.Clock, c+2)
 	}
-	f.Htx.Commit()
+	htx.Commit()
 }
 
 // AbortFast discards a live speculation; nothing it did was visible.
-func (f *FastPath) AbortFast() { f.Htx.Cancel() }
-
-// fastTx is the pure, uninstrumented hardware view.
-type fastTx struct{ f *FastPath }
-
-func (v fastTx) Load(a mem.Addr) uint64 { return v.f.Htx.Load(a) }
-
-func (v fastTx) Store(a mem.Addr, val uint64) {
-	if v.f.Base.ReadOnly {
-		panic(tm.ErrStoreInReadOnly)
-	}
-	v.f.Htx.Store(a, val)
-}
-
-func (v fastTx) Alloc(n int) mem.Addr   { return v.f.Base.TxAlloc(n) }
-func (v fastTx) Free(a mem.Addr, n int) { v.f.Base.TxFree(a, n) }
+func (f *FastPath) AbortFast() { f.Base.HTM().Cancel() }

@@ -20,90 +20,57 @@ import (
 
 // System is a lazy Hybrid NOrec TM over one shared memory.
 type System struct {
-	m      *mem.Memory
-	dev    *htm.Device
-	rec    *tm.Reclaimer
-	policy tm.RetryPolicy
-	engine *tm.Engine
-
+	tm.SystemBase
 	g Globals
 }
 
 // New creates a lazy Hybrid NOrec system. dev must speculate over m; zero
 // policy fields take the paper's defaults.
 func New(m *mem.Memory, dev *htm.Device, policy tm.RetryPolicy) *System {
-	if dev.Memory() != m {
-		panic("hynorec: device bound to a different memory")
-	}
-	engine := tm.NewEngine(policy)
-	return &System{
-		m:      m,
-		dev:    dev,
-		rec:    tm.NewReclaimer(),
-		policy: engine.Policy(),
-		engine: engine,
-		g:      NewGlobals(m),
-	}
+	return &System{SystemBase: tm.NewHybridBase("hy-norec-lazy", m, dev, policy), g: NewGlobals(m)}
 }
-
-// Engine returns the system's retry engine (the service layer's
-// admission-controller saturation signal; see core.System.Engine).
-func (s *System) Engine() *tm.Engine { return s.engine }
-
-// Name implements tm.System.
-func (s *System) Name() string { return "hy-norec-lazy" }
-
-// Memory implements tm.System.
-func (s *System) Memory() *mem.Memory { return s.m }
 
 // NewThread implements tm.System.
 func (s *System) NewThread() tm.Thread {
-	t := &thread{sys: s, base: tm.NewThreadBase(s.m, s.rec)}
-	t.fast = FastPath{Globals: s.g, Base: &t.base, Htx: s.dev.NewTxn()}
-	t.base.Clock = tm.NewClock(s.m, s.g.Clock)
-	t.base.Engine = s.engine
-	t.base.Bind(t, &t.fast)
-	t.base.SerialEscape(s.g.SerialLock, s.policy.MaxSlowPathRestarts)
+	t := &thread{ThreadBase: s.NewThreadBase()}
+	t.fast = FastPath{Globals: s.g, Base: &t.ThreadBase}
+	t.Clock = tm.NewClock(s.Memory(), s.g.Clock)
+	t.Bind(t, &t.fast)
+	t.SerialEscape(s.g.SerialLock, s.Engine().Policy().MaxSlowPathRestarts)
 	return t
 }
 
+// thread keeps the coordination words in its fast path.
 type thread struct {
-	sys  *System
-	base tm.ThreadBase
+	tm.ThreadBase
 	fast FastPath
 }
-
-func (t *thread) Stats() *tm.Stats { return &t.base.St }
-func (t *thread) Close()           { t.fast.Htx.Close(); t.base.CloseBase() }
-
-func (t *thread) Run(fn func(tm.Tx) error) error         { return t.base.Run(fn, false) }
-func (t *thread) RunReadOnly(fn func(tm.Tx) error) error { return t.base.Run(fn, true) }
 
 // BeginSlow starts one try of the NOrec software slow path with the hybrid
 // coordination: the Run registers in the fallback count once, and every
 // try snapshots the clock at an unlocked value.
 func (t *thread) BeginSlow(try int) (tm.Tx, bool) {
 	if try == 1 {
-		t.base.M.AddPlain(t.sys.g.Fallbacks, 1)
+		t.M.AddPlain(t.fast.Fallbacks, 1)
 	}
-	t.base.Clock.Snapshot()
-	return t.base.LazyTx(), false
+	t.Clock.Snapshot()
+	return t.LazyTx(), false
 }
 
 // CommitSlow publishes the buffered writes: lock the clock (validating or
 // extending the snapshot as needed), kill the hardware fast paths for the
 // non-atomic write-back, publish, release.
 func (t *thread) CommitSlow() {
-	if len(t.base.Log.Buffered()) == 0 {
+	if len(t.Log.Buffered()) == 0 {
 		return // read-only: nothing to publish, nothing to lock
 	}
-	m := t.base.M
-	t.base.Clock.LockValidating()
-	m.StorePlain(t.sys.g.HTMLock, 1)
-	t.base.Log.Publish(t.base.Log.Buffered())
-	t.base.Log.Seal()
-	m.StorePlain(t.sys.g.HTMLock, 0)
-	t.base.Clock.Release(true)
+	m := t.M
+	t.Clock.LockValidating()
+	m.StorePlain(t.fast.HTMLock, 1)
+	t.Log.Publish(t.Log.Buffered())
+	t.Log.Seal()
+	m.StorePlain(t.fast.HTMLock, 0)
+	t.Clock.Release(true)
 }
 
 // AbortSlow has nothing to release: the attempt holds no lock before its
@@ -111,4 +78,4 @@ func (t *thread) CommitSlow() {
 func (t *thread) AbortSlow(*htm.Abort) {}
 
 // EndSlow drops the Run's fallback registration.
-func (t *thread) EndSlow() { t.base.M.SubPlain(t.sys.g.Fallbacks, 1) }
+func (t *thread) EndSlow() { t.M.SubPlain(t.fast.Fallbacks, 1) }

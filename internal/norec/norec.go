@@ -41,8 +41,7 @@ func (v Variant) String() string {
 
 // System is a NOrec STM over one shared memory.
 type System struct {
-	m       *mem.Memory
-	rec     *tm.Reclaimer
+	tm.SystemBase
 	variant Variant
 	clock   mem.Addr
 }
@@ -50,50 +49,36 @@ type System struct {
 // New creates a NOrec system of the given variant. NOrec has no hardware
 // fast path to retry, so it takes no tm.RetryPolicy.
 func New(m *mem.Memory, variant Variant) *System {
-	tc := m.NewThreadCache()
 	return &System{
-		m:       m,
-		rec:     tm.NewReclaimer(),
-		variant: variant,
-		clock:   tc.Alloc(mem.LineWords),
+		SystemBase: tm.NewSystemBase(variant.String(), m),
+		variant:    variant,
+		clock:      m.NewThreadCache().Alloc(mem.LineWords),
 	}
 }
 
-// Name implements tm.System.
-func (s *System) Name() string { return s.variant.String() }
-
-// Memory implements tm.System.
-func (s *System) Memory() *mem.Memory { return s.m }
-
 // NewThread implements tm.System.
 func (s *System) NewThread() tm.Thread {
-	t := &thread{sys: s, base: tm.NewThreadBase(s.m, s.rec)}
-	t.base.Clock = tm.NewClock(s.m, s.clock)
-	t.base.Bind(t, nil)
+	t := &thread{ThreadBase: s.NewThreadBase(), variant: s.variant}
+	t.Clock = tm.NewClock(s.Memory(), s.clock)
+	t.Bind(t, nil)
 	return t
 }
 
 // thread runs the variant's view of the clock; the eager writes and the
-// lazy buffered ones both live in base.Log.
+// lazy buffered ones both live in its Log.
 type thread struct {
-	sys  *System
-	base tm.ThreadBase
+	tm.ThreadBase
+	variant Variant
 }
-
-func (t *thread) Stats() *tm.Stats { return &t.base.St }
-func (t *thread) Close()           { t.base.CloseBase() }
-
-func (t *thread) Run(fn func(tm.Tx) error) error         { return t.base.Run(fn, false) }
-func (t *thread) RunReadOnly(fn func(tm.Tx) error) error { return t.base.Run(fn, true) }
 
 // BeginSlow starts one try: spin until the clock is unlocked, then
 // snapshot it.
 func (t *thread) BeginSlow(int) (tm.Tx, bool) {
-	t.base.Clock.Snapshot()
-	if t.sys.variant == Lazy {
-		return t.base.LazyTx(), false
+	t.Clock.Snapshot()
+	if t.variant == Lazy {
+		return t.LazyTx(), false
 	}
-	return t.base.EagerTx(), false
+	return t.EagerTx(), false
 }
 
 func (t *thread) EndSlow() {}
@@ -103,22 +88,22 @@ func (t *thread) EndSlow() {}
 // cannot fail while the lock is held). The skeleton has restored memory,
 // but the eager writes were in place under the locked clock, so the release
 // advances it. The lazy variant holds no lock before its commit point.
-func (t *thread) AbortSlow(*htm.Abort) { t.base.Clock.Release(true) }
+func (t *thread) AbortSlow(*htm.Abort) { t.Clock.Release(true) }
 
 // CommitSlow is the NOrec commit point: the eager variant releases the
 // clock it locked at its first write; the lazy one locks it now, validating
 // or extending its snapshot, and writes back.
 func (t *thread) CommitSlow() {
-	c := &t.base.Clock
-	if t.sys.variant == Lazy {
-		if len(t.base.Log.Buffered()) == 0 {
+	c := &t.Clock
+	if t.variant == Lazy {
+		if len(t.Log.Buffered()) == 0 {
 			return // read-only: nothing to publish, nothing to lock
 		}
 		c.LockValidating()
-		t.base.Log.Publish(t.base.Log.Buffered())
+		t.Log.Publish(t.Log.Buffered())
 	}
 	if c.Held() {
-		t.base.Log.Seal()
+		t.Log.Seal()
 		c.Release(true)
 	}
 }

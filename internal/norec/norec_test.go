@@ -22,16 +22,6 @@ func TestConformanceLazy(t *testing.T) {
 	}, tmtest.Options{})
 }
 
-func TestNames(t *testing.T) {
-	m := mem.New(1024)
-	if got := norec.New(m, norec.Eager).Name(); got != "norec" {
-		t.Errorf("eager Name = %q", got)
-	}
-	if got := norec.New(mem.New(1024), norec.Lazy).Name(); got != "norec-lazy" {
-		t.Errorf("lazy Name = %q", got)
-	}
-}
-
 // TestEagerRestartsOnConcurrentCommit: an eager reader that sees the clock
 // move restarts — the defining behaviour of the no-read-set design.
 func TestEagerRestartsOnConcurrentCommit(t *testing.T) {

@@ -36,12 +36,7 @@ const abortWrongPhase = htm.ArgWrongPhase
 
 // System is a PhasedTM over one shared memory.
 type System struct {
-	m      *mem.Memory
-	dev    *htm.Device
-	rec    *tm.Reclaimer
-	policy tm.RetryPolicy
-	engine *tm.Engine
-
+	tm.SystemBase
 	gMode     mem.Addr
 	gSWActive mem.Addr
 	gClock    mem.Addr // the software phase's NOrec clock
@@ -49,60 +44,34 @@ type System struct {
 
 // New creates a PhasedTM system. dev must speculate over m.
 func New(m *mem.Memory, dev *htm.Device, policy tm.RetryPolicy) *System {
-	if dev.Memory() != m {
-		panic("phasedtm: device bound to a different memory")
-	}
-	engine := tm.NewEngine(policy)
 	tc := m.NewThreadCache()
 	return &System{
-		m:         m,
-		dev:       dev,
-		rec:       tm.NewReclaimer(),
-		policy:    engine.Policy(),
-		engine:    engine,
-		gMode:     tc.Alloc(mem.LineWords),
-		gSWActive: tc.Alloc(mem.LineWords),
-		gClock:    tc.Alloc(mem.LineWords),
+		SystemBase: tm.NewHybridBase("phased-tm", m, dev, policy),
+		gMode:      tc.Alloc(mem.LineWords),
+		gSWActive:  tc.Alloc(mem.LineWords),
+		gClock:     tc.Alloc(mem.LineWords),
 	}
 }
 
-// Name implements tm.System.
-func (s *System) Name() string { return "phased-tm" }
-
-// Memory implements tm.System.
-func (s *System) Memory() *mem.Memory { return s.m }
-
 // NewThread implements tm.System.
 func (s *System) NewThread() tm.Thread {
-	t := &thread{
-		sys:  s,
-		base: tm.NewThreadBase(s.m, s.rec),
-		htx:  s.dev.NewTxn(),
-	}
-	t.base.Clock = tm.NewClock(s.m, s.gClock)
-	t.base.Engine = s.engine
-	t.base.Bind(t, t)
+	t := &thread{ThreadBase: s.NewThreadBase(), sys: s}
+	t.Clock = tm.NewClock(s.Memory(), s.gClock)
+	t.Bind(t, t)
 	return t
 }
 
 type thread struct {
-	sys  *System
-	base tm.ThreadBase
-	htx  *htm.Txn
+	tm.ThreadBase
+	sys *System
 }
-
-func (t *thread) Stats() *tm.Stats { return &t.base.St }
-func (t *thread) Close()           { t.htx.Close(); t.base.CloseBase() }
-
-func (t *thread) Run(fn func(tm.Tx) error) error         { return t.base.Run(fn, false) }
-func (t *thread) RunReadOnly(fn func(tm.Tx) error) error { return t.base.Run(fn, true) }
 
 // FastReady checks the phase before every hardware try. In the software
 // phase it attempts the opportunistic switch-back — if the software phase
 // has drained, restore the hardware phase — and otherwise sends the
 // transaction to software like everyone else's.
 func (t *thread) FastReady(*htm.Abort) bool {
-	m := t.base.M
+	m := t.M
 	if m.LoadPlain(t.sys.gMode) == modeSW {
 		if m.LoadPlain(t.sys.gSWActive) != 0 || !m.CASPlain(t.sys.gMode, modeSW, modeHW) {
 			return false
@@ -115,22 +84,23 @@ func (t *thread) FastReady(*htm.Abort) bool {
 // Phase subscription: any switch to software, or a straggling software
 // transaction, kills this speculation.
 func (t *thread) BeginFast() tm.Tx {
-	t.htx.Begin()
-	if t.htx.Load(t.sys.gMode) != modeHW || t.htx.Load(t.sys.gSWActive) != 0 {
-		t.htx.Abort(abortWrongPhase)
+	htx := t.HTM()
+	htx.Begin()
+	if htx.Load(t.sys.gMode) != modeHW || htx.Load(t.sys.gSWActive) != 0 {
+		htx.Abort(abortWrongPhase)
 	}
-	return fastTx{t}
+	return t.HardwareTx()
 }
 
-func (t *thread) CommitFast() { t.htx.Commit() }
-func (t *thread) AbortFast()  { t.htx.Cancel() }
+func (t *thread) CommitFast() { t.HTM().Commit() }
+func (t *thread) AbortFast()  { t.HTM().Cancel() }
 
 // BeginSlow starts one try in the software phase (eager NOrec). The first
 // try of a Run switches the whole system to the software phase — hardware
 // gave up, or the policy kept it away; a no-op when the phase is already
 // software — and registers the transaction.
 func (t *thread) BeginSlow(try int) (tm.Tx, bool) {
-	m := t.base.M
+	m := t.M
 	if try == 1 {
 		m.CASPlain(t.sys.gMode, modeHW, modeSW)
 		// Register before verifying the phase: a hardware transaction that
@@ -147,36 +117,22 @@ func (t *thread) BeginSlow(try int) (tm.Tx, bool) {
 			m.AddPlain(t.sys.gSWActive, 1)
 		}
 	}
-	t.base.Clock.Snapshot()
-	return t.base.EagerTx(), false
+	t.Clock.Snapshot()
+	return t.EagerTx(), false
 }
 
 // CommitSlow releases the clock a writer locked at its first write.
 func (t *thread) CommitSlow() {
-	if t.base.Clock.Held() {
-		t.base.Log.Seal()
-		t.base.Clock.Release(true)
+	if t.Clock.Held() {
+		t.Log.Seal()
+		t.Clock.Release(true)
 	}
 }
 
 // AbortSlow releases the clock advanced over the rolled-back memory: the
 // eager writes were in place while it was locked, so a reader that loaded
 // one must see the clock move and validate again.
-func (t *thread) AbortSlow(*htm.Abort) { t.base.Clock.Release(true) }
+func (t *thread) AbortSlow(*htm.Abort) { t.Clock.Release(true) }
 
 // EndSlow deregisters the transaction from the software phase.
-func (t *thread) EndSlow() { t.base.M.SubPlain(t.sys.gSWActive, 1) }
-
-type fastTx struct{ t *thread }
-
-func (v fastTx) Load(a mem.Addr) uint64 { return v.t.htx.Load(a) }
-
-func (v fastTx) Store(a mem.Addr, val uint64) {
-	if v.t.base.ReadOnly {
-		panic(tm.ErrStoreInReadOnly)
-	}
-	v.t.htx.Store(a, val)
-}
-
-func (v fastTx) Alloc(n int) mem.Addr   { return v.t.base.TxAlloc(n) }
-func (v fastTx) Free(a mem.Addr, n int) { v.t.base.TxFree(a, n) }
+func (t *thread) EndSlow() { t.M.SubPlain(t.sys.gSWActive, 1) }

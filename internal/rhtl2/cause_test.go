@@ -27,19 +27,19 @@ func TestExplicitAbortCauses(t *testing.T) {
 	}{
 		{
 			name:   "htm lock held at fast begin",
-			plant:  func(s *System, _ mem.Addr) { s.m.StorePlain(s.gHTMLock, 1) },
+			plant:  func(s *System, _ mem.Addr) { s.Memory().StorePlain(s.gHTMLock, 1) },
 			policy: tm.RetryPolicy{MaxHTMRetries: retries},
 			want:   obs.CauseHTMLockTaken, count: retries,
 		},
 		{
 			name:   "serial lock held at fast commit",
-			plant:  func(s *System, _ mem.Addr) { s.m.StorePlain(s.serialLock, 1) },
+			plant:  func(s *System, _ mem.Addr) { s.Memory().StorePlain(s.serialLock, 1) },
 			policy: tm.RetryPolicy{MaxHTMRetries: retries},
 			want:   obs.CauseSerialTaken, count: retries,
 		},
 		{
 			name:   "write stripe locked at fast commit",
-			plant:  func(s *System, a mem.Addr) { s.m.StorePlain(s.stripeOf(a), 99<<1|1) },
+			plant:  func(s *System, a mem.Addr) { s.Memory().StorePlain(s.stripeOf(a), 99<<1|1) },
 			policy: tm.RetryPolicy{MaxHTMRetries: retries},
 			want:   obs.CauseStripeConflict, count: retries,
 		},
@@ -47,9 +47,9 @@ func TestExplicitAbortCauses(t *testing.T) {
 			name: "read stripe newer than rv at the slow path's hardware commit",
 			inTxn: func(s *System, a mem.Addr) {
 				// What a concurrent writer commit to a's stripe leaves behind.
-				wv := s.m.LoadPlain(s.gv) + 2
-				s.m.StorePlain(s.stripeOf(a), wv)
-				s.m.StorePlain(s.gv, wv)
+				wv := s.Memory().LoadPlain(s.gv) + 2
+				s.Memory().StorePlain(s.stripeOf(a), wv)
+				s.Memory().StorePlain(s.gv, wv)
 			},
 			policy: tm.RetryPolicy{DisableFast: true},
 			want:   obs.CauseStripeConflict, count: 1,
@@ -60,7 +60,7 @@ func TestExplicitAbortCauses(t *testing.T) {
 			m := mem.New(1 << 16)
 			dev := htm.NewDevice(m, htm.Config{})
 			dev.SetActiveThreads(1)
-			s := New(m, dev, tc.policy, 0)
+			s := New(m, dev, tc.policy)
 			th := s.NewThread()
 			defer th.Close()
 			var a, b mem.Addr

@@ -26,16 +26,12 @@ import (
 	"rhnorec/internal/tm"
 )
 
-// DefaultStripes is the default stripe-table size.
+// DefaultStripes is the size of the stripe table, a power of two.
 const DefaultStripes = 1 << 14
 
 // System is an RH-TL2 hybrid TM over one shared memory.
 type System struct {
-	m      *mem.Memory
-	dev    *htm.Device
-	rec    *tm.Reclaimer
-	policy tm.RetryPolicy
-	engine *tm.Engine
+	tm.SystemBase
 
 	// gv is the global version clock (even values; odd = a software
 	// commit's stripe-lock phase is in progress is not used here — locks
@@ -44,7 +40,6 @@ type System struct {
 	// stripes is a table of version words in transactional memory:
 	// even = version, odd = locked (owner threadID<<1|1).
 	stripes mem.Addr
-	mask    uint64
 	// gHTMLock, a count of software-fallback commits in flight, aborts all
 	// hardware fast paths while any of them validates and performs its
 	// non-atomic write-back (the hardware commit transaction needs no such
@@ -56,64 +51,35 @@ type System struct {
 	nextThreadID atomic.Uint64
 }
 
-// New creates an RH-TL2 system. dev must speculate over m; stripeCount 0
-// takes the default. Zero policy fields take the paper's defaults.
-func New(m *mem.Memory, dev *htm.Device, policy tm.RetryPolicy, stripeCount int) *System {
-	if dev.Memory() != m {
-		panic("rhtl2: device bound to a different memory")
-	}
-	if stripeCount <= 0 {
-		stripeCount = DefaultStripes
-	}
-	n := 1
-	for n < stripeCount {
-		n <<= 1
-	}
-	engine := tm.NewEngine(policy)
+// New creates an RH-TL2 system. dev must speculate over m. Zero policy
+// fields take the paper's defaults.
+func New(m *mem.Memory, dev *htm.Device, policy tm.RetryPolicy) *System {
 	tc := m.NewThreadCache()
 	return &System{
-		m:          m,
-		dev:        dev,
-		rec:        tm.NewReclaimer(),
-		policy:     engine.Policy(),
-		engine:     engine,
+		SystemBase: tm.NewHybridBase("rh-tl2", m, dev, policy),
 		gv:         tc.Alloc(mem.LineWords),
-		stripes:    tc.Alloc(n),
-		mask:       uint64(n - 1),
+		stripes:    tc.Alloc(DefaultStripes),
 		gHTMLock:   tc.Alloc(mem.LineWords),
 		serialLock: tc.Alloc(mem.LineWords),
 	}
 }
 
-// Name implements tm.System.
-func (s *System) Name() string { return "rh-tl2" }
-
-// Memory implements tm.System.
-func (s *System) Memory() *mem.Memory { return s.m }
-
 func (s *System) stripeOf(a mem.Addr) mem.Addr {
-	return s.stripes + mem.Addr(uint64(mem.LineOf(a))&s.mask)
+	return s.stripes + mem.Addr(uint64(mem.LineOf(a))%DefaultStripes)
 }
 
 // NewThread implements tm.System.
 func (s *System) NewThread() tm.Thread {
-	t := &thread{
-		sys:  s,
-		base: tm.NewThreadBase(s.m, s.rec),
-		htx:  s.dev.NewTxn(),
-		id:   s.nextThreadID.Add(1),
-	}
-	t.base.Engine = s.engine
-	t.base.Bind(t, t)
-	t.base.SerialEscape(s.serialLock, s.policy.MaxSlowPathRestarts)
+	t := &thread{ThreadBase: s.NewThreadBase(), sys: s, id: s.nextThreadID.Add(1)}
+	t.Bind(t, t)
+	t.SerialEscape(s.serialLock, s.Engine().Policy().MaxSlowPathRestarts)
 	return t
 }
 
 type thread struct {
-	sys  *System
-	base tm.ThreadBase
-	htx  *htm.Txn
-	id   uint64
+	tm.ThreadBase
+	sys *System
+	id  uint64
 
 	// Fast-path write instrumentation: the stripes written this attempt.
 	fastStripes []mem.Addr
@@ -125,12 +91,6 @@ type thread struct {
 	try      int // ordinal of the current slow attempt, for the abort taxonomy
 }
 
-func (t *thread) Stats() *tm.Stats { return &t.base.St }
-func (t *thread) Close()           { t.htx.Close(); t.base.CloseBase() }
-
-func (t *thread) Run(fn func(tm.Tx) error) error         { return t.base.Run(fn, false) }
-func (t *thread) RunReadOnly(fn func(tm.Tx) error) error { return t.base.Run(fn, true) }
-
 // FastReady: RH-TL2 retries at once; it waits out no lock.
 func (t *thread) FastReady(*htm.Abort) bool { return true }
 
@@ -138,10 +98,11 @@ func (t *thread) FastReady(*htm.Abort) bool { return true }
 // Reads then run uninstrumented; writes are instrumented (fastTx.Store) —
 // RH-TL2's first drawback.
 func (t *thread) BeginFast() tm.Tx {
+	htx := t.HTM()
 	t.fastStripes = t.fastStripes[:0]
-	t.htx.Begin()
-	if t.htx.Load(t.sys.gHTMLock) != 0 {
-		t.htx.Abort(htm.ArgHTMLockTaken)
+	htx.Begin()
+	if htx.Load(t.sys.gHTMLock) != 0 {
+		htx.Abort(htm.ArgHTMLockTaken)
 	}
 	return fastTx{t}
 }
@@ -149,31 +110,32 @@ func (t *thread) BeginFast() tm.Tx {
 // CommitFast bumps every written stripe and the global version clock
 // inside the speculation.
 func (t *thread) CommitFast() {
+	htx := t.HTM()
 	if len(t.fastStripes) > 0 {
-		if t.htx.Load(t.sys.serialLock) != 0 {
-			t.htx.Abort(htm.ArgSerialTaken)
+		if htx.Load(t.sys.serialLock) != 0 {
+			htx.Abort(htm.ArgSerialTaken)
 		}
 		// Write instrumentation: publish a new version for every written
 		// stripe. Reading gv here puts it in the speculation's tracking
 		// set — concurrent writers conflict on it, one of RH-TL2's costs.
-		wv := t.htx.Load(t.sys.gv) + 2
+		wv := htx.Load(t.sys.gv) + 2
 		for _, sa := range t.fastStripes {
-			if t.htx.Load(sa)&1 == 1 {
-				t.htx.Abort(htm.ArgStripeConflict) // stripe locked by a software commit
+			if htx.Load(sa)&1 == 1 {
+				htx.Abort(htm.ArgStripeConflict) // stripe locked by a software commit
 			}
-			t.htx.Store(sa, wv)
+			htx.Store(sa, wv)
 		}
-		t.htx.Store(t.sys.gv, wv)
+		htx.Store(t.sys.gv, wv)
 	}
-	t.htx.Commit()
+	htx.Commit()
 }
 
-func (t *thread) AbortFast() { t.htx.Cancel() }
+func (t *thread) AbortFast() { t.HTM().Cancel() }
 
 // BeginSlow starts one lazy-TL2 slow-path try: sample the read version and
 // empty the read and write sets.
 func (t *thread) BeginSlow(try int) (tm.Tx, bool) {
-	m := t.base.M
+	m := t.M
 	t.try = try
 	t.rv = m.LoadPlain(t.sys.gv)
 	for t.rv&1 == 1 {
@@ -197,39 +159,40 @@ func (t *thread) EndSlow() {}
 // for it). When it fails, the commit falls back to the classic TL2
 // software commit with stripe locks.
 func (t *thread) CommitSlow() {
-	if len(t.base.Log.Buffered()) == 0 {
+	if len(t.Log.Buffered()) == 0 {
 		return
 	}
-	t.base.St.PostfixAttempts++
-	if ab := t.htx.Attempt(t.commitInHardware); ab != nil {
-		t.base.RecordHTMAbort(ab, t.try)
+	t.St.PostfixAttempts++
+	if ab := t.HTM().Attempt(t.commitInHardware); ab != nil {
+		t.RecordHTMAbort(ab, t.try)
 		t.softwareCommit()
 		return
 	}
-	t.base.St.PostfixCommits++
+	t.St.PostfixCommits++
 }
 
 // commitInHardware is the body of the commit transaction.
 func (t *thread) commitInHardware() {
+	htx := t.HTM()
 	for _, sa := range t.readSet {
-		s := t.htx.Load(sa)
+		s := htx.Load(sa)
 		if s&1 == 1 || s > t.rv {
-			t.htx.Abort(htm.ArgStripeConflict)
+			htx.Abort(htm.ArgStripeConflict)
 		}
 	}
-	wv := t.htx.Load(t.sys.gv) + 2
-	for _, w := range t.base.Log.Buffered() {
-		t.htx.Store(w.Addr, w.Value)
-		t.htx.Store(t.sys.stripeOf(w.Addr), wv)
+	wv := htx.Load(t.sys.gv) + 2
+	for _, w := range t.Log.Buffered() {
+		htx.Store(w.Addr, w.Value)
+		htx.Store(t.sys.stripeOf(w.Addr), wv)
 	}
-	t.htx.Store(t.sys.gv, wv)
+	htx.Store(t.sys.gv, wv)
 }
 
 // softwareCommit is the classic TL2 lazy commit: lock write stripes,
 // advance gv, validate reads, write back, release.
 func (t *thread) softwareCommit() {
-	m := t.base.M
-	writes := t.base.Log.Buffered()
+	m := t.M
+	writes := t.Log.Buffered()
 	// Lock every write stripe (deduplicated); on failure release and
 	// restart the whole attempt.
 	locked := make([]mem.Addr, 0, len(writes))
@@ -288,8 +251,8 @@ func (t *thread) softwareCommit() {
 		}
 	}
 	// Write back, release the stripes at the new version, leave the lock.
-	t.base.Log.Publish(writes)
-	t.base.Log.Seal()
+	t.Log.Publish(writes)
+	t.Log.Seal()
 	for _, sa := range locked {
 		m.StorePlain(sa, wv)
 	}
@@ -299,11 +262,11 @@ func (t *thread) softwareCommit() {
 // fastTx: uninstrumented reads, instrumented writes.
 type fastTx struct{ t *thread }
 
-func (v fastTx) Load(a mem.Addr) uint64 { return v.t.htx.Load(a) }
+func (v fastTx) Load(a mem.Addr) uint64 { return v.t.HTM().Load(a) }
 
 func (v fastTx) Store(a mem.Addr, val uint64) {
 	t := v.t
-	if t.base.ReadOnly {
+	if t.ReadOnly {
 		panic(tm.ErrStoreInReadOnly)
 	}
 	sa := t.sys.stripeOf(a)
@@ -317,22 +280,22 @@ func (v fastTx) Store(a mem.Addr, val uint64) {
 	if !found {
 		t.fastStripes = append(t.fastStripes, sa)
 	}
-	t.htx.Store(a, val)
+	t.HTM().Store(a, val)
 }
 
-func (v fastTx) Alloc(n int) mem.Addr   { return v.t.base.TxAlloc(n) }
-func (v fastTx) Free(a mem.Addr, n int) { v.t.base.TxFree(a, n) }
+func (v fastTx) Alloc(n int) mem.Addr   { return v.t.TxAlloc(n) }
+func (v fastTx) Free(a mem.Addr, n int) { v.t.TxFree(a, n) }
 
 // slowTx is the lazy TL2 software view.
 type slowTx struct{ t *thread }
 
 func (v slowTx) Load(a mem.Addr) uint64 {
 	t := v.t
-	t.base.InstrumentedAccess()
-	if val, ok := t.base.Log.Lookup(a); ok {
+	t.InstrumentedAccess()
+	if val, ok := t.Log.Lookup(a); ok {
 		return val
 	}
-	m := t.base.M
+	m := t.M
 	sa := t.sys.stripeOf(a)
 	for {
 		s1 := m.LoadPlain(sa)
@@ -361,12 +324,12 @@ func (v slowTx) Load(a mem.Addr) uint64 {
 
 func (v slowTx) Store(a mem.Addr, val uint64) {
 	t := v.t
-	if t.base.ReadOnly {
+	if t.ReadOnly {
 		panic(tm.ErrStoreInReadOnly)
 	}
-	t.base.InstrumentedAccess()
-	t.base.Log.Buffer(a, val)
+	t.InstrumentedAccess()
+	t.Log.Buffer(a, val)
 }
 
-func (v slowTx) Alloc(n int) mem.Addr   { return v.t.base.TxAlloc(n) }
-func (v slowTx) Free(a mem.Addr, n int) { v.t.base.TxFree(a, n) }
+func (v slowTx) Alloc(n int) mem.Addr   { return v.t.TxAlloc(n) }
+func (v slowTx) Free(a mem.Addr, n int) { v.t.TxFree(a, n) }

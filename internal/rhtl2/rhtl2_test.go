@@ -13,7 +13,7 @@ import (
 func factory(m *mem.Memory) tm.System {
 	dev := htm.NewDevice(m, htm.Config{})
 	dev.SetActiveThreads(4)
-	return rhtl2.New(m, dev, tm.RetryPolicy{}, 0)
+	return rhtl2.New(m, dev, tm.RetryPolicy{})
 }
 
 func TestConformance(t *testing.T) {
@@ -26,7 +26,7 @@ func TestConformanceTinyCapacity(t *testing.T) {
 	tmtest.RunConformance(t, func(m *mem.Memory) tm.System {
 		dev := htm.NewDevice(m, htm.Config{ReadCapacityLines: 4, WriteCapacityLines: 2})
 		dev.SetActiveThreads(4)
-		return rhtl2.New(m, dev, tm.RetryPolicy{}, 0)
+		return rhtl2.New(m, dev, tm.RetryPolicy{})
 	}, tmtest.Options{SkipPrivatization: true})
 }
 
@@ -34,13 +34,13 @@ func TestConformanceSpurious(t *testing.T) {
 	tmtest.RunConformance(t, func(m *mem.Memory) tm.System {
 		dev := htm.NewDevice(m, htm.Config{SpuriousAbortProb: 0.03})
 		dev.SetActiveThreads(4)
-		return rhtl2.New(m, dev, tm.RetryPolicy{}, 0)
+		return rhtl2.New(m, dev, tm.RetryPolicy{})
 	}, tmtest.Options{SkipPrivatization: true, Ops: 150, NondeterministicAborts: true})
 }
 
 func TestName(t *testing.T) {
-	m := mem.New(1 << 12)
-	sys := rhtl2.New(m, htm.NewDevice(m, htm.Config{}), tm.RetryPolicy{}, 100)
+	m := mem.New(1 << 16)
+	sys := rhtl2.New(m, htm.NewDevice(m, htm.Config{}), tm.RetryPolicy{})
 	if sys.Name() != "rh-tl2" {
 		t.Errorf("Name = %q", sys.Name())
 	}
@@ -55,7 +55,7 @@ func TestMismatchedDevicePanics(t *testing.T) {
 			t.Error("no panic")
 		}
 	}()
-	rhtl2.New(mem.New(1024), htm.NewDevice(mem.New(1024), htm.Config{}), tm.RetryPolicy{}, 0)
+	rhtl2.New(mem.New(1024), htm.NewDevice(mem.New(1024), htm.Config{}), tm.RetryPolicy{})
 }
 
 // TestFastPathWritesAreInstrumented: the §1.2 first drawback, made
@@ -67,7 +67,7 @@ func TestFastPathWritesAreInstrumented(t *testing.T) {
 	// 8 data lines fit exactly; stripes + the gv update push past the cap.
 	dev := htm.NewDevice(m, htm.Config{WriteCapacityLines: 8})
 	dev.SetActiveThreads(1)
-	sys := rhtl2.New(m, dev, tm.RetryPolicy{}, 0)
+	sys := rhtl2.New(m, dev, tm.RetryPolicy{})
 	th := sys.NewThread()
 	defer th.Close()
 	var base mem.Addr
@@ -100,7 +100,7 @@ func TestCommitHTMCarriesReadsAndWrites(t *testing.T) {
 	m := mem.New(1 << 20)
 	dev := htm.NewDevice(m, htm.Config{ReadCapacityLines: 8, WriteCapacityLines: 64})
 	dev.SetActiveThreads(1)
-	sys := rhtl2.New(m, dev, tm.RetryPolicy{}, 1<<12)
+	sys := rhtl2.New(m, dev, tm.RetryPolicy{})
 	th := sys.NewThread()
 	defer th.Close()
 	var base, out mem.Addr
@@ -147,7 +147,7 @@ func TestHardwareCommitUsedWhenItFits(t *testing.T) {
 	m := mem.New(1 << 20)
 	dev := htm.NewDevice(m, htm.Config{ReadCapacityLines: 8, WriteCapacityLines: 64, SpuriousAbortProb: 0})
 	dev.SetActiveThreads(1)
-	sys := rhtl2.New(m, dev, tm.RetryPolicy{}, 1<<12)
+	sys := rhtl2.New(m, dev, tm.RetryPolicy{})
 	th := sys.NewThread()
 	defer th.Close()
 	var base, out mem.Addr
@@ -168,7 +168,7 @@ func TestHardwareCommitUsedWhenItFits(t *testing.T) {
 	// fast-path fallback via read capacity and leave writes roomy.
 	dev2 := htm.NewDevice(m, htm.Config{ReadCapacityLines: 4, WriteCapacityLines: 64})
 	dev2.SetActiveThreads(1)
-	sys2 := rhtl2.New(m, dev2, tm.RetryPolicy{}, 1<<12)
+	sys2 := rhtl2.New(m, dev2, tm.RetryPolicy{})
 	th2 := sys2.NewThread()
 	defer th2.Close()
 	if err := th2.Run(func(tx tm.Tx) error {

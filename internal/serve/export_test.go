@@ -1,5 +1,7 @@
 package serve
 
+import "rhnorec/internal/tm"
+
 // AppendTxnResults exposes the hand-rolled HTTP JSON encoder so the
 // equivalence test can pin it against encoding/json.
 func AppendTxnResults(buf []byte, res []OpResult) []byte { return appendTxnResults(buf, res) }
@@ -26,3 +28,7 @@ func setHook(hook *func(), fn func()) (prev func()) {
 // Waiting reports how many chains are blocked waiting for client's sticky
 // worker, so a test can wait for a blocked caller instead of sleeping.
 func (s *Server) Waiting(client string) int64 { return s.workerFor(client).waiting.Load() }
+
+// Engine is the retry engine the admission controller reads, nil when the
+// backing system has none.
+func (s *Server) Engine() *tm.Engine { return s.engine }

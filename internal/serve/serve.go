@@ -206,8 +206,9 @@ const maxScanCount = 4096
 // maxTxnOps bounds one TXN request's op count.
 const maxTxnOps = 128
 
-// engineHolder is the optional accessor hybrid systems implement; the
-// admission controller reads the engine's live slow-path occupancy.
+// engineHolder is the accessor every driver's System answers through
+// tm.SystemBase, with nil for a pure-software one; the admission controller
+// reads the engine's live slow-path occupancy.
 type engineHolder interface{ Engine() *tm.Engine }
 
 // RequestError is a client-side error (bad key, malformed op): HTTP 400.

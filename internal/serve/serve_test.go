@@ -16,7 +16,10 @@ import (
 	"time"
 
 	"rhnorec/internal/bench"
+	"rhnorec/internal/htm"
+	"rhnorec/internal/mem"
 	"rhnorec/internal/serve"
+	"rhnorec/internal/tm"
 )
 
 // newTestServer boots a Server plus an httptest front end over its Handler.
@@ -594,6 +597,37 @@ func TestNewBootsEveryAlgoAtTinyKeys(t *testing.T) {
 			}
 			if len(res) != 1 || res[0].Val != 7 {
 				t.Fatalf("GET after PUT 7 = %+v", res)
+			}
+		})
+	}
+}
+
+// TestShedReadsEveryFastPathEngine: the saturation shed reads the slow-path
+// occupancy of every driver with a hardware fast path, and has no engine to
+// read for a driver without one. Whether a driver has a fast path is read
+// off the driver itself: a lone one-word write commits there.
+func TestShedReadsEveryFastPathEngine(t *testing.T) {
+	for _, algo := range bench.AllAlgos() {
+		t.Run(algo.Name, func(t *testing.T) {
+			m := mem.New(1 << 16)
+			dev := htm.NewDevice(m, htm.Config{})
+			dev.SetActiveThreads(1)
+			th := algo.New(m, dev).NewThread()
+			defer th.Close()
+			if err := th.Run(func(tx tm.Tx) error {
+				tx.Store(tx.Alloc(1), 1)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			fast := th.Stats().FastPathCommits == 1
+			s, err := serve.New(serve.Config{Algo: algo.Name, Keys: 64, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if got := s.Engine() != nil; got != fast {
+				t.Errorf("server reads an engine: %v; driver has a fast path: %v", got, fast)
 			}
 		})
 	}

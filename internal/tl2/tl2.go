@@ -26,8 +26,7 @@ const DefaultStripes = 1 << 16
 
 // System is a TL2 STM over one shared memory.
 type System struct {
-	m   *mem.Memory
-	rec *tm.Reclaimer
+	tm.SystemBase
 
 	// stripes maps cache lines to versioned locks. Even value: version<<1.
 	// Odd value: threadID<<1|1 (locked).
@@ -59,19 +58,12 @@ func New(m *mem.Memory, stripeCount int) *System {
 		n <<= 1
 	}
 	return &System{
-		m:       m,
-		rec:     tm.NewReclaimer(),
-		stripes: make([]atomic.Uint64, n),
-		mask:    uint64(n - 1),
-		pace:    m.NewThreadCache().Alloc(mem.LineWords),
+		SystemBase: tm.NewSystemBase("tl2", m),
+		stripes:    make([]atomic.Uint64, n),
+		mask:       uint64(n - 1),
+		pace:       m.NewThreadCache().Alloc(mem.LineWords),
 	}
 }
-
-// Name implements tm.System.
-func (s *System) Name() string { return "tl2" }
-
-// Memory implements tm.System.
-func (s *System) Memory() *mem.Memory { return s.m }
 
 // stripeOf maps an address to its stripe index (one stripe per cache line,
 // modulo table size).
@@ -82,31 +74,25 @@ func (s *System) stripeOf(a mem.Addr) uint64 {
 // NewThread implements tm.System.
 func (s *System) NewThread() tm.Thread {
 	t := &thread{
-		sys:   s,
-		base:  tm.NewThreadBase(s.m, s.rec),
-		id:    s.nextThreadID.Add(1),
-		owned: make(map[uint64]uint64, 16),
+		ThreadBase: s.NewThreadBase(),
+		sys:        s,
+		id:         s.nextThreadID.Add(1),
+		owned:      make(map[uint64]uint64, 16),
 	}
-	t.base.Bind(t, nil)
+	t.Bind(t, nil)
 	return t
 }
 
 type thread struct {
-	sys  *System
-	base tm.ThreadBase
-	id   uint64
+	tm.ThreadBase
+	sys *System
+	id  uint64
 
 	rv       uint64            // read version (gv snapshot)
 	readSet  []uint64          // stripe indices read
 	readSeen map[uint64]bool   // nil until first use; avoids dup stripes
 	owned    map[uint64]uint64 // stripe -> pre-lock value (version<<1)
 }
-
-func (t *thread) Stats() *tm.Stats { return &t.base.St }
-func (t *thread) Close()           { t.base.CloseBase() }
-
-func (t *thread) Run(fn func(tm.Tx) error) error         { return t.base.Run(fn, false) }
-func (t *thread) RunReadOnly(fn func(tm.Tx) error) error { return t.base.Run(fn, true) }
 
 // BeginSlow starts one try: back off for the restarts behind it, then
 // sample the read version.
@@ -117,7 +103,7 @@ func (t *thread) BeginSlow(try int) (tm.Tx, bool) {
 		runtime.Gosched()
 	}
 	if try > 1 {
-		t.base.M.LoadPlain(t.sys.pace)
+		t.M.LoadPlain(t.sys.pace)
 	}
 	t.rv = t.sys.gv.Load()
 	t.readSet = t.readSet[:0]
@@ -163,7 +149,7 @@ func (t *thread) CommitSlow() {
 		}
 	}
 	// Publish: release every owned stripe at the new version.
-	t.base.Log.Seal()
+	t.Log.Seal()
 	for idx := range t.owned {
 		t.sys.stripes[idx].Store(wv << 1)
 	}
@@ -174,19 +160,19 @@ type txView struct{ t *thread }
 
 func (v txView) Load(a mem.Addr) uint64 {
 	t := v.t
-	t.base.InstrumentedAccess()
+	t.InstrumentedAccess()
 	idx := t.sys.stripeOf(a)
 	if _, mine := t.owned[idx]; mine {
 		// We hold the stripe: memory reflects our snapshot plus our own
 		// writes (the lock acquisition verified version <= rv).
-		return t.base.M.LoadPlain(a)
+		return t.M.LoadPlain(a)
 	}
 	for {
 		s1 := t.sys.stripes[idx].Load()
 		if s1&1 == 1 {
 			tm.Restart() // locked by a writer
 		}
-		val := t.base.M.LoadPlain(a)
+		val := t.M.LoadPlain(a)
 		s2 := t.sys.stripes[idx].Load()
 		if s1 != s2 {
 			continue // raced with a lock/release; re-sample
@@ -207,10 +193,10 @@ func (v txView) Load(a mem.Addr) uint64 {
 
 func (v txView) Store(a mem.Addr, val uint64) {
 	t := v.t
-	if t.base.ReadOnly {
+	if t.ReadOnly {
 		panic(tm.ErrStoreInReadOnly)
 	}
-	t.base.InstrumentedAccess()
+	t.InstrumentedAccess()
 	idx := t.sys.stripeOf(a)
 	if _, mine := t.owned[idx]; !mine {
 		s := t.sys.stripes[idx].Load()
@@ -227,8 +213,8 @@ func (v txView) Store(a mem.Addr, val uint64) {
 		}
 		t.owned[idx] = s
 	}
-	t.base.Log.StoreEager(a, val)
+	t.Log.StoreEager(a, val)
 }
 
-func (v txView) Alloc(n int) mem.Addr   { return v.t.base.TxAlloc(n) }
-func (v txView) Free(a mem.Addr, n int) { v.t.base.TxFree(a, n) }
+func (v txView) Alloc(n int) mem.Addr   { return v.t.TxAlloc(n) }
+func (v txView) Free(a mem.Addr, n int) { v.t.TxFree(a, n) }

@@ -3,6 +3,7 @@ package tm
 import (
 	"runtime"
 
+	"rhnorec/internal/htm"
 	"rhnorec/internal/mem"
 )
 
@@ -27,19 +28,70 @@ const yieldPeriod = 13
 // explored schedule.
 const softwareAccessCost = 160
 
-// ThreadBase carries the state every algorithm's Thread needs: the memory,
+// SystemBase is the shell of every driver's System: the name, the memory,
+// the reclaimer and, for a driver with a hardware fast path, the device and
+// the retry engine. It answers Name, Memory and Engine; the driver adds its
+// global words and NewThread, which starts from NewThreadBase.
+type SystemBase struct {
+	name   string
+	m      *mem.Memory
+	dev    *htm.Device
+	rec    *Reclaimer
+	engine *Engine
+}
+
+// NewSystemBase is the shell of a pure-software driver.
+func NewSystemBase(name string, m *mem.Memory) SystemBase {
+	return SystemBase{name: name, m: m, rec: NewReclaimer()}
+}
+
+// NewHybridBase is the shell of a driver with a hardware fast path on dev,
+// which must speculate over m. Zero policy fields take the paper's
+// defaults.
+func NewHybridBase(name string, m *mem.Memory, dev *htm.Device, policy RetryPolicy) SystemBase {
+	if dev.Memory() != m {
+		panic("tm: device bound to a different memory")
+	}
+	s := NewSystemBase(name, m)
+	s.dev, s.engine = dev, NewEngine(policy)
+	return s
+}
+
+// Name implements System.
+func (s *SystemBase) Name() string { return s.name }
+
+// Memory implements System.
+func (s *SystemBase) Memory() *mem.Memory { return s.m }
+
+// Engine returns the system's retry engine, nil for a pure-software driver.
+// The service layer (internal/serve) reads its live slow-path occupancy as
+// the admission controller's saturation signal.
+func (s *SystemBase) Engine() *Engine { return s.engine }
+
+// NewThreadBase wires a new thread into the system; a hybrid's thread also
+// gets its hardware context and the engine.
+func (s *SystemBase) NewThreadBase() ThreadBase {
+	b := newThreadBase(s.m, s.rec)
+	if s.dev != nil {
+		b.htx, b.Engine = s.dev.NewTxn(), s.engine
+	}
+	return b
+}
+
+// ThreadBase carries the state every algorithm's thread needs: the memory,
 // a thread-local allocator cache, a reclamation slot, per-attempt
-// allocation/free tracking, the software write log and NOrec clock, and the
-// statistics counters. Algorithm packages embed it.
+// allocation/free tracking, the software write log and NOrec clock, the
+// hardware context and the statistics counters. Driver threads embed it,
+// and it implements Thread for them.
 type ThreadBase struct {
 	M     *mem.Memory
 	Cache *mem.ThreadCache
 	Slot  *Slot
 	St    Stats
-	// Engine is the System's shared retry policy (engine.go), set at
-	// thread construction by every driver that binds a hardware fast path;
-	// the skeleton (run.go) consults it only on that path. Pure-software
-	// drivers leave it nil.
+	// Engine is the System's shared retry policy (engine.go), set by
+	// SystemBase.NewThreadBase for a driver with a hardware fast path; the
+	// skeleton (run.go) consults it only on that path. Pure-software
+	// drivers have none.
 	Engine *Engine
 	// ReadOnly is the static read-only hint of the Run in progress
 	// (Thread.RunReadOnly); driver views reject Store under it and commit
@@ -55,6 +107,11 @@ type ThreadBase struct {
 	// empties beside Log. Only the NOrec-family drivers install one; for
 	// the rest it stays the zero value.
 	Clock Clock
+
+	// htx is the hardware context of a hybrid's thread, nil for an STM's:
+	// the fast path and any small transaction of the slow path never
+	// overlap, so they share it.
+	htx *htm.Txn
 
 	// The driver's protocol hooks and the §3.3 serial escape (run.go).
 	sw          Software
@@ -100,8 +157,8 @@ func (b *ThreadBase) InstrumentedAccess() {
 	b.scratch = x
 }
 
-// NewThreadBase wires a thread into memory m and reclaimer r.
-func NewThreadBase(m *mem.Memory, r *Reclaimer) ThreadBase {
+// newThreadBase wires a thread into memory m and reclaimer r.
+func newThreadBase(m *mem.Memory, r *Reclaimer) ThreadBase {
 	cache := m.NewThreadCache()
 	return ThreadBase{M: m, Cache: cache, Slot: r.Register(cache), Log: WriteLog{m: m}}
 }
@@ -146,12 +203,67 @@ func (b *ThreadBase) CommitCleanup() {
 	b.frees = b.frees[:0]
 }
 
-// CloseBase releases the reclamation slot (idempotent).
-func (b *ThreadBase) CloseBase() {
+// HTM returns the thread's hardware context, nil for an STM's.
+func (b *ThreadBase) HTM() *htm.Txn { return b.htx }
+
+// Run implements Thread.
+func (b *ThreadBase) Run(fn func(Tx) error) error { return b.run(fn, false) }
+
+// RunReadOnly implements Thread.
+func (b *ThreadBase) RunReadOnly(fn func(Tx) error) error { return b.run(fn, true) }
+
+// Stats implements Thread.
+func (b *ThreadBase) Stats() *Stats { return &b.St }
+
+// Close implements Thread: it releases the hardware context and the
+// reclamation slot.
+func (b *ThreadBase) Close() {
 	if b.closed {
 		return
 	}
 	b.closed = true
+	if b.htx != nil {
+		b.htx.Close()
+	}
 	b.Slot.r.unregister(b.Slot)
 	b.Cache.Drain()
 }
+
+// HardwareTx returns the uninstrumented view of a hardware try: loads and
+// stores go straight to the speculation. It is the BeginFast view of every
+// hybrid whose fast path instruments no access.
+func (b *ThreadBase) HardwareTx() Tx { return hardwareTx{b} }
+
+// LockedTx returns the plain view of a software attempt under a lock that
+// excludes every other transaction (lock elision's fallback, the serial
+// baseline): plain loads, and stores in place through the write log so a
+// user abort can take them back.
+func (b *ThreadBase) LockedTx() Tx { return lockedTx{b} }
+
+type hardwareTx struct{ b *ThreadBase }
+
+func (v hardwareTx) Load(a mem.Addr) uint64 { return v.b.htx.Load(a) }
+
+func (v hardwareTx) Store(a mem.Addr, val uint64) {
+	if v.b.ReadOnly {
+		panic(ErrStoreInReadOnly)
+	}
+	v.b.htx.Store(a, val)
+}
+
+func (v hardwareTx) Alloc(n int) mem.Addr   { return v.b.TxAlloc(n) }
+func (v hardwareTx) Free(a mem.Addr, n int) { v.b.TxFree(a, n) }
+
+type lockedTx struct{ b *ThreadBase }
+
+func (v lockedTx) Load(a mem.Addr) uint64 { return v.b.M.LoadPlain(a) }
+
+func (v lockedTx) Store(a mem.Addr, val uint64) {
+	if v.b.ReadOnly {
+		panic(ErrStoreInReadOnly)
+	}
+	v.b.Log.StoreEager(a, val)
+}
+
+func (v lockedTx) Alloc(n int) mem.Addr   { return v.b.TxAlloc(n) }
+func (v lockedTx) Free(a mem.Addr, n int) { v.b.TxFree(a, n) }

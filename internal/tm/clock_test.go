@@ -199,7 +199,7 @@ func TestZeroAllocClockViews(t *testing.T) {
 	const clock = mem.Addr(mem.LineWords)
 	for _, lazy := range []bool{false, true} {
 		m := mem.New(64 * mem.LineWords)
-		b := NewThreadBase(m, NewReclaimer())
+		b := newThreadBase(m, NewReclaimer())
 		b.Clock = NewClock(m, clock)
 		attempt := func() {
 			b.Log.Reset()
@@ -230,6 +230,6 @@ func TestZeroAllocClockViews(t *testing.T) {
 		if got, want := m.LoadPlain(clock), uint64(2*102); got != want {
 			t.Errorf("lazy=%v: clock %d after 102 committed writers, want %d", lazy, got, want)
 		}
-		b.CloseBase()
+		b.Close()
 	}
 }

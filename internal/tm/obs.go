@@ -12,9 +12,6 @@ import (
 // (2) a thread with observability disabled (Stats.Obs == nil) pays exactly
 // one predictable branch per site.
 
-// Obs returns the thread's observability recorder; nil when disabled.
-func (b *ThreadBase) Obs() *obs.Recorder { return b.St.Obs }
-
 // RecordHTMAbort accounts one hardware abort on both ledgers: the Stats
 // counter for its RTM status code (the "HTM aborts per operation" rows of
 // Figures 4–6) and — when observability is attached — the taxonomy cell,

@@ -130,9 +130,9 @@ var restartAbort = &htm.Abort{Code: htm.Conflict}
 // for a software Restart rather than a hardware abort.
 func IsRestartVerdict(ab *htm.Abort) bool { return ab == restartAbort }
 
-// Run executes fn as one transaction, to commit or to the error fn returns;
-// every driver's Run and RunReadOnly are this call.
-func (b *ThreadBase) Run(fn func(Tx) error, readOnly bool) error {
+// run executes fn as one transaction, to commit or to the error fn returns:
+// the body of Run and RunReadOnly.
+func (b *ThreadBase) run(fn func(Tx) error, readOnly bool) error {
 	if b.inTxn {
 		// Flat nesting: a re-entrant Run executes inline in the enclosing
 		// transaction; its error is the enclosing callback's to act on.

@@ -128,7 +128,7 @@ func (f *fakeDriver) body(tx Tx) error {
 			}
 			f.logf("nested")
 			return nil
-		}, false)
+		})
 	}
 	return nil
 }
@@ -262,9 +262,9 @@ func TestSkeleton(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			m := mem.New(1 << 12)
-			f := &fakeDriver{b: NewThreadBase(m, NewReclaimer()), fast: tc.fast, slow: tc.slow,
+			f := &fakeDriver{b: newThreadBase(m, NewReclaimer()), fast: tc.fast, slow: tc.slow,
 				divertAt: tc.divertAt, global: tc.global}
-			defer f.b.CloseBase()
+			defer f.b.Close()
 			if tc.software {
 				f.b.Bind(f, nil) // and no engine, as in tl2 and serial
 			} else {
@@ -279,7 +279,7 @@ func TestSkeleton(t *testing.T) {
 			var err error
 			panicked := func() (p bool) {
 				defer func() { p = recover() != nil }()
-				err = f.b.Run(f.body, tc.readOnly)
+				err = f.b.run(f.body, tc.readOnly)
 				return false
 			}()
 

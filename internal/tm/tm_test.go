@@ -3,6 +3,7 @@ package tm
 import (
 	"testing"
 
+	"rhnorec/internal/htm"
 	"rhnorec/internal/mem"
 )
 
@@ -51,6 +52,39 @@ func TestWithDefaultsIgnoresEnv(t *testing.T) {
 	if got := (RetryPolicy{}.WithDefaults()); got != want {
 		t.Errorf("with RHNOREC_* set: %+v, want %+v", got, want)
 	}
+}
+
+// TestSystemBase: the shell every driver embeds. A hybrid's threads get a
+// hardware context and the engine, whose policy has the zero fields
+// defaulted; an STM's get neither; and a device over another memory is
+// refused by the one binding check every hybrid constructor goes through.
+func TestSystemBase(t *testing.T) {
+	m := mem.New(1 << 12)
+	hy := NewHybridBase("hy", m, htm.NewDevice(m, htm.Config{}), RetryPolicy{MaxHTMRetries: 3})
+	sw := NewSystemBase("sw", m)
+	if hy.Name() != "hy" || sw.Name() != "sw" || hy.Memory() != m || sw.Memory() != m {
+		t.Error("Name or Memory broken")
+	}
+	if sw.Engine() != nil {
+		t.Error("a pure-software base has an engine")
+	}
+	if p := hy.Engine().Policy(); p.MaxHTMRetries != 3 || p.MaxSlowPathRestarts != DefaultPolicy().MaxSlowPathRestarts {
+		t.Errorf("engine policy %+v: want MaxHTMRetries 3, the rest defaulted", p)
+	}
+	hb, sb := hy.NewThreadBase(), sw.NewThreadBase()
+	if hb.HTM() == nil || hb.Engine != hy.Engine() || sb.HTM() != nil || sb.Engine != nil {
+		t.Error("thread bases do not carry their system's hardware context and engine")
+	}
+	hb.Close()
+	hb.Close() // idempotent
+	sb.Close()
+
+	defer func() {
+		if recover() == nil {
+			t.Error("no panic for a device over a different memory")
+		}
+	}()
+	NewHybridBase("hy", m, htm.NewDevice(mem.New(1<<12), htm.Config{}), RetryPolicy{})
 }
 
 func TestStatsAddAndRatios(t *testing.T) {
@@ -102,7 +136,7 @@ func TestStatsRatiosZeroDenominator(t *testing.T) {
 func TestThreadBaseAllocCommit(t *testing.T) {
 	m := mem.New(1 << 16)
 	r := NewReclaimer()
-	b := NewThreadBase(m, r)
+	b := newThreadBase(m, r)
 	b.BeginTxn()
 	a := b.TxAlloc(8)
 	if a == mem.Nil {
@@ -118,7 +152,7 @@ func TestThreadBaseAllocCommit(t *testing.T) {
 func TestThreadBaseAllocAbortReclaims(t *testing.T) {
 	m := mem.New(1 << 16)
 	r := NewReclaimer()
-	b := NewThreadBase(m, r)
+	b := newThreadBase(m, r)
 	b.BeginTxn()
 	b.TxAlloc(8)
 	b.AbortCleanup()
@@ -139,7 +173,7 @@ func TestThreadBaseAllocAbortReclaims(t *testing.T) {
 		b.EndTxn()
 		r.tryAdvance(b.Slot)
 	}
-	b.CloseBase()
+	b.Close()
 	if m.LiveBlocks() != 0 {
 		t.Errorf("LiveBlocks = %d, want 0 after grace periods", m.LiveBlocks())
 	}
@@ -148,7 +182,7 @@ func TestThreadBaseAllocAbortReclaims(t *testing.T) {
 func TestThreadBaseFreeDeferredUntilCommit(t *testing.T) {
 	m := mem.New(1 << 16)
 	r := NewReclaimer()
-	b := NewThreadBase(m, r)
+	b := newThreadBase(m, r)
 	b.BeginTxn()
 	a := b.TxAlloc(8)
 	b.CommitCleanup()
@@ -164,7 +198,7 @@ func TestThreadBaseFreeDeferredUntilCommit(t *testing.T) {
 	}
 
 	// A free requested by a committing attempt retires through limbo and
-	// lands after the grace period (here forced by CloseBase).
+	// lands after the grace period (here forced by Close).
 	b.BeginTxn()
 	b.TxFree(a, 8)
 	b.CommitCleanup()
@@ -172,7 +206,7 @@ func TestThreadBaseFreeDeferredUntilCommit(t *testing.T) {
 	if b.Slot.PendingBlocks() != 1 {
 		t.Errorf("PendingBlocks = %d, want 1 (free queued at commit)", b.Slot.PendingBlocks())
 	}
-	b.CloseBase()
+	b.Close()
 	if m.LiveBlocks() != 0 {
 		t.Errorf("LiveBlocks = %d, want 0 (free honoured after grace period)", m.LiveBlocks())
 	}
@@ -181,8 +215,8 @@ func TestThreadBaseFreeDeferredUntilCommit(t *testing.T) {
 func TestEpochAdvanceBlockedByActiveThread(t *testing.T) {
 	m := mem.New(1 << 14)
 	r := NewReclaimer()
-	b1 := NewThreadBase(m, r)
-	b2 := NewThreadBase(m, r)
+	b1 := newThreadBase(m, r)
+	b2 := newThreadBase(m, r)
 	e0 := r.Epoch()
 	b1.BeginTxn()
 	r.tryAdvance(b1.Slot)
@@ -205,7 +239,7 @@ func TestEpochAdvanceBlockedByActiveThread(t *testing.T) {
 func TestDeferNilIsNoop(t *testing.T) {
 	m := mem.New(1 << 14)
 	r := NewReclaimer()
-	b := NewThreadBase(m, r)
+	b := newThreadBase(m, r)
 	b.Slot.Defer(mem.Nil, 8)
 	if b.Slot.PendingBlocks() != 0 {
 		t.Error("nil defer entered limbo")
@@ -221,8 +255,8 @@ func TestDeferNilIsNoop(t *testing.T) {
 func TestCloseBaseKeepsLimboFromPinnedThreads(t *testing.T) {
 	m := mem.New(1 << 14)
 	r := NewReclaimer()
-	reader := NewThreadBase(m, r)
-	closer := NewThreadBase(m, r)
+	reader := newThreadBase(m, r)
+	closer := newThreadBase(m, r)
 	closer.BeginTxn()
 	a := closer.TxAlloc(4)
 	closer.CommitCleanup()
@@ -232,7 +266,7 @@ func TestCloseBaseKeepsLimboFromPinnedThreads(t *testing.T) {
 	closer.TxFree(a, 4)
 	closer.CommitCleanup()
 	closer.EndTxn()
-	closer.CloseBase()
+	closer.Close()
 	if m.LiveBlocks() != 1 {
 		t.Fatalf("LiveBlocks = %d, want 1: a was recycled while a thread that may reach it is pinned", m.LiveBlocks())
 	}
@@ -243,21 +277,21 @@ func TestCloseBaseKeepsLimboFromPinnedThreads(t *testing.T) {
 	if m.LiveBlocks() != 0 {
 		t.Errorf("LiveBlocks = %d, want 0 once the grace period has passed", m.LiveBlocks())
 	}
-	reader.CloseBase()
+	reader.Close()
 }
 
 func TestCloseBaseFlushesLimbo(t *testing.T) {
 	m := mem.New(1 << 14)
 	r := NewReclaimer()
-	b := NewThreadBase(m, r)
+	b := newThreadBase(m, r)
 	b.BeginTxn()
 	a := b.TxAlloc(4)
 	b.TxFree(a, 4)
 	b.CommitCleanup()
 	b.EndTxn()
-	b.CloseBase()
+	b.Close()
 	if m.LiveBlocks() != 0 {
-		t.Errorf("LiveBlocks = %d, want 0 after CloseBase", m.LiveBlocks())
+		t.Errorf("LiveBlocks = %d, want 0 after Close", m.LiveBlocks())
 	}
-	b.CloseBase() // idempotent
+	b.Close() // idempotent
 }

@@ -207,8 +207,8 @@ func (d *logDriver) EndSlow()             {}
 // AbortSlow releases its locks.
 func TestSkeletonOwnsTheWriteLog(t *testing.T) {
 	m := mem.New(1 << 12)
-	d := &logDriver{b: NewThreadBase(m, NewReclaimer())}
-	defer d.b.CloseBase()
+	d := &logDriver{b: newThreadBase(m, NewReclaimer())}
+	defer d.b.Close()
 	d.b.Bind(d, nil)
 	d.cell = d.b.Cache.Alloc(mem.LineWords)
 	m.StorePlain(d.cell, 7)
@@ -220,7 +220,7 @@ func TestSkeletonOwnsTheWriteLog(t *testing.T) {
 			Restart()
 		}
 		return nil
-	}, false)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

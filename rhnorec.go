@@ -190,7 +190,7 @@ func NewRHTL2(m *Memory, o Options) (System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return rhtl2.New(m, d, o.Policy, 0), nil
+	return rhtl2.New(m, d, o.Policy), nil
 }
 
 // NewSerial creates the global-lock baseline TM (also useful as a

@@ -65,6 +65,9 @@ func TestAllConstructors(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if sys.Name() != name {
+				t.Errorf("Name = %q", sys.Name())
+			}
 			if sys.Memory() != m {
 				t.Error("Memory accessor broken")
 			}
