@@ -26,7 +26,6 @@ import (
 	"rhnorec/internal/persist"
 	"rhnorec/internal/phasedtm"
 	"rhnorec/internal/rhtl2"
-	"rhnorec/internal/serial"
 	"rhnorec/internal/tl2"
 	"rhnorec/internal/tm"
 )
@@ -125,12 +124,12 @@ func PersistVariants() []Algo {
 	return []Algo{rhNOrec(), persisting}
 }
 
-// SerialAlgo is the global-lock oracle (internal/serial). No experiment
+// SerialAlgo is the global-lock oracle (lockelision.NewSerial). No experiment
 // sweeps it by default; -algos serial selects it by name, as a same-run
 // control or to read its observability output next to the real algorithms'.
 func SerialAlgo() Algo {
 	return Algo{Name: "serial", New: func(m *mem.Memory, _ *htm.Device) tm.System {
-		return serial.New(m)
+		return lockelision.NewSerial(m)
 	}}
 }
 

@@ -9,7 +9,6 @@ import (
 	"rhnorec/internal/lockelision"
 	"rhnorec/internal/mem"
 	"rhnorec/internal/norec"
-	"rhnorec/internal/serial"
 	"rhnorec/internal/tm"
 )
 
@@ -75,7 +74,7 @@ func TestWaitsParkOnTheirWord(t *testing.T) {
 		},
 		{
 			name:    "serial AcquireLock",
-			new:     func(m *mem.Memory, _ *htm.Device) tm.System { return serial.New(m) },
+			new:     func(m *mem.Memory, _ *htm.Device) tm.System { return lockelision.NewSerial(m) },
 			word:    firstLine,
 			holding: func(peek func(mem.Addr) uint64) bool { return set(peek(firstLine)) },
 		},

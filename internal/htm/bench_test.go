@@ -23,6 +23,7 @@ var txnShapes = []struct {
 	{"LoadDistinct32", loadDistinct32},
 	{"LoadLines8x4", loadLines8x4},
 	{"LoadNode", loadNode},
+	{"InsertNode", insertNode},
 	{"CapacityAbort256", capacityAbort256},
 }
 
@@ -39,6 +40,7 @@ func BenchmarkTxnLoadDup(b *testing.B)          { benchShape(b, loadDup) }
 func BenchmarkTxnLoadDistinct32(b *testing.B)   { benchShape(b, loadDistinct32) }
 func BenchmarkTxnLoadLines8x4(b *testing.B)     { benchShape(b, loadLines8x4) }
 func BenchmarkTxnLoadNode(b *testing.B)         { benchShape(b, loadNode) }
+func BenchmarkTxnInsertNode(b *testing.B)       { benchShape(b, insertNode) }
 func BenchmarkTxnCapacityAbort256(b *testing.B) { benchShape(b, capacityAbort256) }
 
 // loadDup is a long transaction that re-reads a small set of addresses while
@@ -151,6 +153,54 @@ func loadNode(tb testing.TB) func() {
 	}
 }
 
+// insertNode is the shape of an RBTree Put that links in a new node, the
+// writer path: 37 loads and 7 stores, as rbtree's ledger reads 37.5 loads
+// and 6.7 stores a put. It descends 11 of loadNode's packed 6-word nodes
+// (key, then child: 22 loads), fills four words of a fresh node and links
+// it into the leaf, then walks back up five nodes reading colour, parent
+// and child (15 loads after the first store, one of them a read of its own
+// write), recolours the leaf and rewrites the new node's colour. The
+// stores land on the fresh node's and the leaf's lines.
+func insertNode(tb testing.TB) func() {
+	const nodeWords = 6 // rbtree's node size: key, value, left, right, parent, colour
+	m := mem.New(1 << 16)
+	d := NewDevice(m, Config{})
+	d.SetActiveThreads(1)
+	tc := m.NewThreadCache()
+	var carved [5 * 11]mem.Addr
+	for i := range carved {
+		carved[i] = tc.Alloc(nodeWords)
+	}
+	var nodes [11]mem.Addr
+	for i := range nodes {
+		nodes[i] = carved[5*i]
+	}
+	fresh := tc.Alloc(nodeWords)
+	leaf := nodes[len(nodes)-1]
+	tx := d.NewTxn()
+	return func() {
+		tx.Begin()
+		for j, n := range nodes {
+			sink += tx.Load(n)                     // the key
+			sink += tx.Load(n + 2 + mem.Addr(j&1)) // the left or right child
+		}
+		tx.Store(fresh, sink)           // key
+		tx.Store(fresh+1, sink)         // value
+		tx.Store(fresh+4, uint64(leaf)) // parent
+		tx.Store(fresh+5, 1)            // red
+		tx.Store(leaf+2, uint64(fresh)) // the leaf's left child
+		for j := len(nodes) - 1; j >= len(nodes)-5; j-- {
+			n := nodes[j]
+			sink += tx.Load(n + 5) // colour
+			sink += tx.Load(n + 4) // parent
+			sink += tx.Load(n + 2) // left child
+		}
+		tx.Store(leaf+5, 0)  // recolour the leaf black
+		tx.Store(fresh+5, 0) // the rewrite: the new node ends black
+		tx.Commit()
+	}
+}
+
 // capacityAbort256 is the doomed hardware attempt of an over-capacity
 // transaction (tm-capacity-mix's audits): 257 distinct lines against a
 // 256-line read budget, aborting on the last load and unwinding through
@@ -184,7 +234,7 @@ func capacityAbort256(tb testing.TB) func() {
 // re-reads a 4-word hot set 16 times (a traversal revisiting its upper
 // levels). Real RTM commits a read-only transaction without touching
 // anything shared; the simulated commit must not serialize these
-// transactions on the memory's writeback mutex.
+// transactions on the memory's stripes.
 func BenchmarkReadOnlyCommit(b *testing.B) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	m := mem.New(1 << 16)

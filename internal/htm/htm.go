@@ -14,11 +14,11 @@
 //     outside the footprint cost the transaction nothing. A failed
 //     revalidation is a conflict abort.
 //   - Isolation of speculative writes: Stores are buffered privately and
-//     published atomically at Commit, under the writeback locks of exactly
-//     the stripes the write set touches with all their seqlock windows
-//     open, so no other thread — transactional or not — ever observes a
-//     partial write set. This is the property Figure 2 of the paper leans
-//     on. Read-only commits publish nothing and take no lock: they validate
+//     published atomically at Commit, holding exactly the stripes the write
+//     set touches with all their seqlock windows open, so no other thread —
+//     transactional or not — ever observes a partial write set. This is the
+//     property Figure 2 of the paper leans on. Read-only commits publish
+//     nothing and take no stripe: they validate
 //     via the per-stripe seqlock read protocol, like a real RTM commit of a
 //     read-only transaction, which touches nothing shared.
 //   - Strong atomicity with plain accesses: every plain mutation moves its

@@ -6,15 +6,14 @@ import (
 	"rhnorec/internal/mem"
 )
 
-// index is the one associative structure behind the read log, the write
-// buffer and the write line set: an open-addressed, linear-probed table from
-// a 64-bit key to a position, stamped per cell with the generation it was
-// written in. A cell is live only while its stamp equals the table's, so
-// reset is a single increment — no clearing, whatever the footprint was —
-// and a transaction that logs a thousand words costs the next one-word
-// transaction nothing. The table only ever grows, by doubling at half load;
-// the device's line capacity bounds every set, so growth stops and steady
-// state allocates nothing.
+// index is the associative structure behind the line log: an
+// open-addressed, linear-probed table from a 64-bit key to a position,
+// stamped per cell with the generation it was written in. A cell is live
+// only while its stamp equals the table's, so reset is a single increment —
+// no clearing, whatever the footprint was — and a transaction that logs a
+// thousand words costs the next one-word transaction nothing. The table only
+// ever grows, by doubling at half load; the device's line capacities bound
+// the log, so growth stops and steady state allocates nothing.
 type index struct {
 	cells []cell // power-of-two length; nil until the first insert
 	shift uint8  // 64 - log2(len(cells)): top hash bits select the home cell
@@ -109,118 +108,106 @@ func (x *index) grow() {
 	}
 }
 
-// readLine is one cache line of the speculative read log: the values of the
-// words read from it, for revalidation. Bit w of have says vals[w] is
-// logged; a slot whose bit is clear holds whatever an earlier transaction
-// left there and is never read.
-type readLine struct {
-	line mem.Line
-	have uint8
-	vals [mem.LineWords]uint64
+// logLine is the record of one cache line the transaction touched, marked
+// read or written the way a transactional L1 marks its lines: the words read
+// from it, with the values logged for revalidation, and the words written to
+// it, with each one's position in the log's write entries. Bit w of have
+// says vals[w] is logged, bit w of wrote says pos[w] is set; a slot whose
+// bit is clear holds whatever an earlier transaction left there and is never
+// read. 112 bytes.
+type logLine struct {
+	line  mem.Line
+	have  uint8
+	wrote uint8
+	vals  [mem.LineWords]uint64
+	pos   [mem.LineWords]int32
 }
 
-// readSet is the speculative read log, grouped the way best-effort hardware
-// tracks a read set — by cache line: one record per line in first-touch
-// order, indexed by line. Values stay word-granular (only the words actually
-// read are logged and revalidated); capacity is line-granular (the device
-// bounds len(lines)). A load costs one index probe and a bitmap test, a
-// duplicate load is answered from the log, and validation is O(distinct
-// words), not O(dynamic reads). Memory is one 80-byte record per line
-// opened, bounded by the device's read capacity.
-type readSet struct {
-	lines []readLine
-	idx   index
-	words int // words logged, over all lines
+// lineLog is the transaction's footprint, kept the way best-effort hardware
+// tracks it — by cache line: one record per line in first-touch order,
+// indexed by line, so a load or a store costs one index probe. Values read
+// stay word-granular (only the words actually read are logged and
+// revalidated, and a duplicate load is answered from the log); capacity is
+// line-granular (the device bounds readLines and writeLines, each counted
+// when a line's first read or first write bit turns on). The writes are
+// insertion-ordered mem.WriteEntry values in first-write order, so Commit
+// publishes entries as-is, no copy. Memory is one record per line touched,
+// bounded by the device's capacities.
+type lineLog struct {
+	lines   []logLine
+	idx     index
+	entries []mem.WriteEntry
+
+	words      int // words read, over all lines
+	readLines  int // lines with a word read
+	writeLines int // lines with a word written
 }
 
-func (s *readSet) reset() {
+func (s *lineLog) reset() {
 	s.lines = s.lines[:0]
+	s.entries = s.entries[:0]
 	s.idx.reset()
-	s.words = 0
+	s.words, s.readLines, s.writeLines = 0, 0, 0
 }
 
-// len reports the words logged.
-func (s *readSet) len() int { return s.words }
+// len reports the words read.
+func (s *lineLog) len() int { return s.words }
 
-// lineCount reports the lines opened, including one a dying transaction
-// opened and logged nothing in.
-func (s *readSet) lineCount() int { return len(s.lines) }
+// lineCount reports the lines touched, including one a dying load opened
+// and logged nothing in.
+func (s *lineLog) lineCount() int { return len(s.lines) }
 
-// open returns the record of line l, appending an empty one if l is new,
-// and reports whether it was. The pointer is valid until the next open.
-func (s *readSet) open(l mem.Line) (*readLine, bool) {
+// open returns the record of line l, appending an empty one if l is new.
+// The pointer is valid until the next open.
+func (s *lineLog) open(l mem.Line) *logLine {
 	n := len(s.lines)
 	at, added := s.idx.findOrAdd(uint64(l), int32(n))
 	if !added {
-		return &s.lines[at], false
+		return &s.lines[at]
 	}
 	// Extend in place where the array allows: appending a zero record would
-	// clear and copy 80 bytes for every line a transaction opens. The stale
-	// vals this leaves are gated by have.
+	// clear and copy 112 bytes for every line a transaction opens. The stale
+	// slots this leaves are gated by have and wrote.
 	if n < cap(s.lines) {
 		s.lines = s.lines[:n+1]
 	} else {
-		s.lines = append(s.lines, readLine{})
+		s.lines = append(s.lines, logLine{})
 	}
 	rl := &s.lines[n]
-	rl.line, rl.have = l, 0
-	return rl, true
+	rl.line, rl.have, rl.wrote = l, 0, 0
+	return rl
 }
 
-// log records v as the value read from word w of rl's line.
-func (s *readSet) log(rl *readLine, w uint, v uint64) {
+// log records v as the value read from word w of rl's line and reports
+// whether it is the line's first word read.
+func (s *lineLog) log(rl *logLine, w uint, v uint64) bool {
+	first := rl.have == 0
 	rl.vals[w] = v
 	rl.have |= 1 << w
 	s.words++
-}
-
-// writeSet is the speculative write buffer: insertion-ordered
-// mem.WriteEntry values (so Commit publishes the slice as-is, no copy),
-// indexed by address.
-type writeSet struct {
-	entries []mem.WriteEntry
-	idx     index
-}
-
-func (s *writeSet) reset() {
-	s.entries = s.entries[:0]
-	s.idx.reset()
-}
-
-func (s *writeSet) len() int { return len(s.entries) }
-
-// get returns the buffered value for a, if any.
-func (s *writeSet) get(a mem.Addr) (uint64, bool) {
-	if i, ok := s.idx.find(uint64(a)); ok {
-		return s.entries[i].Value, true
+	if first {
+		s.readLines++
 	}
-	return 0, false
+	return first
 }
 
-// put buffers a write, reporting whether the address was new.
-func (s *writeSet) put(a mem.Addr, v uint64) bool {
-	at, added := s.idx.findOrAdd(uint64(a), int32(len(s.entries)))
-	if added {
-		s.entries = append(s.entries, mem.WriteEntry{Addr: a, Value: v})
-	} else {
-		s.entries[at].Value = v
+// put buffers v as the value written to a, a word of rl's line, and reports
+// whether it is the line's first word written.
+func (s *lineLog) put(rl *logLine, a mem.Addr, v uint64) bool {
+	w := uint(a) % mem.LineWords
+	if rl.wrote&(1<<w) != 0 {
+		s.entries[rl.pos[w]].Value = v
+		return false
 	}
-	return added
+	first := rl.wrote == 0
+	rl.pos[w] = int32(len(s.entries))
+	rl.wrote |= 1 << w
+	s.entries = append(s.entries, mem.WriteEntry{Addr: a, Value: v})
+	if first {
+		s.writeLines++
+	}
+	return first
 }
-
-// lineSet counts the distinct cache lines of the write footprint for the
-// capacity model (the read log counts its own).
-type lineSet struct{ idx index }
-
-func (s *lineSet) reset() { s.idx.reset() }
-
-// add inserts l, reporting whether it was new.
-func (s *lineSet) add(l mem.Line) bool {
-	_, added := s.idx.findOrAdd(uint64(l), 0)
-	return added
-}
-
-func (s *lineSet) count() int { return s.idx.n }
 
 // stripeBits is a bitmap over the memory's stripe indices, one bit per
 // stripe.

@@ -106,78 +106,95 @@ func TestIndexResetKeepsTable(t *testing.T) {
 	}
 }
 
-// TestReadWriteSetsFollowInsertionOrder: validation walks the read log and
-// CommitWrites the write buffer, so the read log must hold every distinct
-// line once, in first-touch order, with exactly the words read from it, and
-// the write buffer every distinct address once, in first-touch order,
-// carrying the last value put. The second and third rounds run over records
-// the first left behind: a word not read this round must not read as logged.
+// TestReadWriteSetsFollowInsertionOrder: validation walks the line log's
+// records and CommitWrites its write entries, so the log must hold every
+// distinct line once, in first-touch order (a read or a write), with
+// exactly the words read from it and the words written to it, and the
+// entries every distinct address written once, in first-write order,
+// carrying the last value put. Each line's first read and first write must
+// report themselves, since the capacity counts rest on them. The second and
+// third rounds run over records the first left behind: a word not read or
+// written this round must not read as logged or written.
 func TestReadWriteSetsFollowInsertionOrder(t *testing.T) {
-	var r readSet
-	var w writeSet
-	var lines lineSet
+	var x lineLog
 	for round := 0; round < 3; round++ {
 		// Round 0 touches 50 distinct words, each twice; later rounds only
-		// the even ones, so the odd slots of every record go stale.
-		step := 1 + min(round, 1)
+		// the even ones, so the odd slots of every record go stale. Every
+		// op but each third stores; every second one loads.
+		step := mem.Addr(1 + min(round, 1))
 		var wantLines []mem.Line
-		wantWords := map[mem.Addr]bool{}
+		var wantEntries []mem.WriteEntry
+		entryOf := map[mem.Addr]int{}
+		readWords := map[mem.Addr]uint64{}
+		readLines, writeLines := map[mem.Line]bool{}, map[mem.Line]bool{}
 		for i := 0; i < 100; i++ {
 			a := mem.Addr(1 + (i*37)%50)
-			w.put(a, uint64(i))
-			lines.add(mem.LineOf(a))
-			if a%mem.Addr(step) != 0 {
+			if a%step != 0 {
 				continue
 			}
-			rl, opened := r.open(mem.LineOf(a))
-			if opened {
-				wantLines = append(wantLines, mem.LineOf(a))
+			l, w := mem.LineOf(a), uint(a)%mem.LineWords
+			n := x.lineCount()
+			rl := x.open(l)
+			if x.lineCount() > n {
+				wantLines = append(wantLines, l)
 			}
-			if word := uint(a) % mem.LineWords; rl.have&(1<<word) == 0 {
-				if wantWords[a] {
+			if i%3 != 0 {
+				if first := x.put(rl, a, uint64(i)); first == writeLines[l] {
+					t.Fatalf("round %d: put to word %d reports first write of its line %v", round, a, first)
+				}
+				writeLines[l] = true
+				if at, ok := entryOf[a]; ok {
+					wantEntries[at].Value = uint64(i)
+				} else {
+					entryOf[a] = len(wantEntries)
+					wantEntries = append(wantEntries, mem.WriteEntry{Addr: a, Value: uint64(i)})
+				}
+			}
+			if i%2 == 0 && rl.have&(1<<w) == 0 {
+				if _, ok := readWords[a]; ok {
 					t.Fatalf("round %d: word %d logged but its bit is clear", round, a)
 				}
-				r.log(rl, word, uint64(a)*3+uint64(round))
-				wantWords[a] = true
+				v := uint64(a)*3 + uint64(round)
+				if first := x.log(rl, w, v); first == readLines[l] {
+					t.Fatalf("round %d: log of word %d reports first read of its line %v", round, a, first)
+				}
+				readLines[l] = true
+				readWords[a] = v
 			}
 		}
-		if r.len() != len(wantWords) || r.lineCount() != 7 || w.len() != 50 || lines.count() != 7 {
-			t.Fatalf("round %d: %d words on %d read lines, %d writes on %d lines; want %d on 7, 50 on 7",
-				round, r.len(), r.lineCount(), w.len(), lines.count(), len(wantWords))
+		if x.len() != len(readWords) || x.lineCount() != 7 || len(wantLines) != 7 ||
+			x.readLines != len(readLines) || x.writeLines != len(writeLines) {
+			t.Fatalf("round %d: %d words read, %d lines (%d read, %d written); want %d, 7 (%d, %d)",
+				round, x.len(), x.lineCount(), x.readLines, x.writeLines, len(readWords), len(readLines), len(writeLines))
 		}
 		for i, l := range wantLines {
-			rl := &r.lines[i]
+			rl := &x.lines[i]
 			if rl.line != l {
-				t.Fatalf("round %d: read line %d = %d, want %d", round, i, rl.line, l)
+				t.Fatalf("round %d: line %d = %d, want %d", round, i, rl.line, l)
 			}
-			for word := 0; word < mem.LineWords; word++ {
-				a := mem.Addr(l)*mem.LineWords + mem.Addr(word)
-				logged := rl.have&(1<<word) != 0
-				if logged != wantWords[a] {
-					t.Fatalf("round %d: word %d logged = %v, want %v", round, a, logged, wantWords[a])
+			for w := uint(0); w < mem.LineWords; w++ {
+				a := mem.Addr(l)*mem.LineWords + mem.Addr(w)
+				v, read := readWords[a]
+				if logged := rl.have&(1<<w) != 0; logged != read || logged && rl.vals[w] != v {
+					t.Fatalf("round %d: word %d logged = %v (value %d), want %v (%d)", round, a, logged, rl.vals[w], read, v)
 				}
-				if logged && rl.vals[word] != uint64(a)*3+uint64(round) {
-					t.Fatalf("round %d: word %d logged as %d", round, a, rl.vals[word])
+				at, wrote := entryOf[a]
+				if got := rl.wrote&(1<<w) != 0; got != wrote || got && x.entries[rl.pos[w]] != wantEntries[at] {
+					t.Fatalf("round %d: word %d written = %v, want %v", round, a, got, wrote)
 				}
 			}
 		}
-		for i := 0; i < 50; i++ {
-			a := mem.Addr(1 + (i*37)%50)
-			if w.entries[i].Addr != a || w.entries[i].Value != uint64(i+50) {
-				t.Fatalf("round %d: write entry %d = %+v, want {%d %d}", round, i, w.entries[i], a, i+50)
-			}
-			if v, ok := w.get(a); !ok || v != uint64(i+50) {
-				t.Fatalf("round %d: writes.get(%d) = %d,%v", round, a, v, ok)
+		if len(x.entries) != len(wantEntries) {
+			t.Fatalf("round %d: %d write entries, want %d", round, len(x.entries), len(wantEntries))
+		}
+		for i, e := range wantEntries {
+			if x.entries[i] != e {
+				t.Fatalf("round %d: write entry %d = %+v, want %+v", round, i, x.entries[i], e)
 			}
 		}
-		r.reset()
-		w.reset()
-		lines.reset()
-		if r.len() != 0 || r.lineCount() != 0 {
-			t.Fatalf("round %d: %d words on %d lines after reset", round, r.len(), r.lineCount())
-		}
-		if _, ok := w.get(15); ok {
-			t.Fatalf("round %d: stale write visible after reset", round)
+		x.reset()
+		if x.len() != 0 || x.lineCount() != 0 || x.readLines != 0 || x.writeLines != 0 || len(x.entries) != 0 {
+			t.Fatalf("round %d: %d words on %d lines, %d entries after reset", round, x.len(), x.lineCount(), len(x.entries))
 		}
 	}
 }

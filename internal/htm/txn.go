@@ -39,19 +39,18 @@ type Txn struct {
 	// stripe without sweeping (DESIGN.md §12.2).
 	gate uint64
 
-	// owned flags the stripes whose writeback locks the commit path holds
-	// (the write footprint); valid only inside commitValidate.
+	// owned flags the stripes of the write footprint, set as each line's
+	// first write lands; inside commitValidate they are exactly the stripes
+	// CommitWrites holds.
 	owned stripeBits
 
-	// reads value-logs every *distinct* speculative read, grouped by cache
-	// line; duplicate loads are answered from the log (an L1 hit on real
-	// hardware) and are not re-logged, so validation is O(distinct
-	// addresses). The lines it holds are the read side of the capacity
-	// accounting.
-	reads readSet
-
-	writes writeSet
-	wLines lineSet
+	// reads is the line log, named for the side validation walks: one
+	// record per cache line touched. It value-logs every *distinct*
+	// speculative read — duplicate loads are answered from it (an L1 hit on
+	// real hardware) and are not re-logged, so validation is O(distinct
+	// addresses) — and buffers every write in first-write order. Its read
+	// and write line counts are the capacity accounting.
+	reads lineLog
 
 	// Per-transaction cached limits and probability thresholds (copied out
 	// of the device config at Begin so the per-operation hot path never
@@ -86,10 +85,7 @@ func (t *Txn) Begin() {
 	if t.reads.lineCount() > 0 {
 		t.reads.reset()
 	}
-	if t.writes.len() > 0 {
-		t.writes.reset()
-		t.wLines.reset()
-	}
+	t.owned = 0
 	t.readCap, t.writeCap = t.d.effectiveCaps()
 	if p := t.d.cfg.SpuriousAbortProb; p > 0 {
 		t.spuriousThresh = uint64(p * (1 << 53))
@@ -106,10 +102,10 @@ func (t *Txn) Begin() {
 func (t *Txn) Active() bool { return t.active }
 
 // ReadLineCount reports the distinct cache lines currently in the read set.
-func (t *Txn) ReadLineCount() int { return t.reads.lineCount() }
+func (t *Txn) ReadLineCount() int { return t.reads.readLines }
 
 // WriteLineCount reports the distinct cache lines currently in the write set.
-func (t *Txn) WriteLineCount() int { return t.wLines.count() }
+func (t *Txn) WriteLineCount() int { return t.reads.writeLines }
 
 // inactive panics for op called with no transaction in progress; callers
 // test t.active themselves, so the check inlines and only this call is out of
@@ -213,13 +209,11 @@ func (t *Txn) Load(a mem.Addr) uint64 {
 	if t.spuriousThresh != 0 {
 		t.spurious()
 	}
-	if t.writes.len() > 0 {
-		if v, ok := t.writes.get(a); ok {
-			return v
-		}
-	}
-	rl, opened := t.reads.open(mem.LineOf(a))
+	rl := t.reads.open(mem.LineOf(a))
 	w := uint(a) % mem.LineWords
+	if rl.wrote&(1<<w) != 0 {
+		return t.reads.entries[rl.pos[w]].Value
+	}
 	if rl.have&(1<<w) != 0 {
 		return rl.vals[w]
 	}
@@ -265,8 +259,7 @@ func (t *Txn) Load(a mem.Addr) uint64 {
 	}
 	// The capacity check comes last, so a conflict met while reading the
 	// first word of a new line still aborts as a conflict.
-	t.reads.log(rl, w, v)
-	if opened && t.reads.lineCount() > t.readCap {
+	if t.reads.log(rl, w, v) && t.reads.readLines > t.readCap {
 		t.fail(Capacity, 0)
 	}
 	return v
@@ -303,7 +296,7 @@ func (t *Txn) settle(a mem.Addr, s int, c0 uint64, seen bool) bool {
 }
 
 // Validation pass/spin budgets for the commit path. While a committing
-// writer validates, it holds its write stripes' locks with their windows
+// writer validates, it holds its write stripes with their windows
 // open; another committer may symmetrically be validating reads against
 // those stripes while holding stripes *we* are validating against, so
 // unbounded waiting could deadlock. A bounded wait followed by a conflict
@@ -316,7 +309,7 @@ const (
 
 // valueCheckStripe re-checks every logged read that lives in stripe s by
 // value. The caller supplies the stability argument (stripe seqlock
-// protocol, or holding the stripe's writeback lock).
+// protocol, or holding the stripe).
 func (t *Txn) valueCheckStripe(s int) bool {
 	if PlantedBugs.SkipValueRevalidation.Load() {
 		return true
@@ -349,9 +342,9 @@ func (t *Txn) valueCheckStripe(s int) bool {
 // its watermark advanced, which forces a further confirming pass.
 //
 // committing selects the writer-commit variant, called from inside
-// mem.CommitWrites with the write stripes locked and their windows open:
+// mem.CommitWrites holding the write stripes, their windows open:
 // owned stripes read odd by our own hand, so they are checked by value
-// directly (stable — we hold the lock and have published nothing), against
+// directly (stable — we hold the stripe and have published nothing), against
 // the pre-open clock c-1; and waiting on other commits' windows is bounded
 // (see commitSpinBudget) to break symmetric validation deadlocks. Owned
 // stripes are frozen for the whole validation, so their checks need no
@@ -437,13 +430,13 @@ func (t *Txn) sweepMoved(s int, mark, c uint64, committing bool) int {
 }
 
 // commitValidate is the writer-commit validation callback, run by
-// mem.CommitWrites with the write stripes (t.owned) locked and their
+// mem.CommitWrites holding the write stripes (t.owned), their
 // seqlock windows open.
 func (t *Txn) commitValidate() bool { return t.sweepReads(true) }
 
-// Store speculatively writes a word into the private write buffer. It aborts
-// (capacity) if the write set overflows. Its guards are Load's, inline in
-// the same order.
+// Store speculatively writes a word into the line log's private write
+// entries. It aborts (capacity) if the write set overflows. Its guards are
+// Load's, inline in the same order.
 func (t *Txn) Store(a mem.Addr, v uint64) {
 	if !t.active {
 		inactive("Store")
@@ -457,8 +450,10 @@ func (t *Txn) Store(a mem.Addr, v uint64) {
 	if t.spuriousThresh != 0 {
 		t.spurious()
 	}
-	if t.writes.put(a, v) {
-		if t.wLines.add(mem.LineOf(a)) && t.wLines.count() > t.writeCap {
+	rl := t.reads.open(mem.LineOf(a))
+	if t.reads.put(rl, a, v) {
+		t.owned.set(t.d.m.StripeOf(a))
+		if t.reads.writeLines > t.writeCap {
 			t.fail(Capacity, 0)
 		}
 	}
@@ -479,15 +474,16 @@ func (t *Txn) Cancel() {
 	t.active = false
 }
 
-// Commit atomically publishes the write buffer after a final validation. On
-// success the transaction becomes inactive; on failure it aborts (conflict).
+// Commit atomically publishes the buffered writes after a final validation.
+// On success the transaction becomes inactive; on failure it aborts
+// (conflict).
 //
-// A writer commit publishes the write set directly from the write buffer
-// (no intermediate copy) under the writeback locks of exactly the stripes
-// it touches, taken in canonical order by mem.CommitWrites; disjoint-stripe
-// commits therefore do not serialize against each other, mirroring per-line
-// conflict detection on real hardware. A read-only commit publishes nothing
-// and takes no lock: it sweeps only its read-footprint stripes under the
+// A writer commit publishes the line log's write entries directly (no
+// intermediate copy) holding exactly the stripes they touch, taken in
+// canonical order by mem.CommitWrites; disjoint-stripe commits therefore do
+// not serialize against each other, mirroring per-line conflict detection on
+// real hardware. A read-only commit publishes nothing and takes no stripe:
+// it sweeps only its read-footprint stripes under the
 // per-stripe seqlock read protocol, which mirrors real RTM, where a
 // read-only commit touches nothing shared.
 func (t *Txn) Commit() {
@@ -498,18 +494,12 @@ func (t *Txn) Commit() {
 	if t.spuriousThresh != 0 {
 		t.spurious()
 	}
-	if t.writes.len() == 0 {
+	if len(t.reads.entries) == 0 {
 		if !t.sweepReads(false) {
 			t.fail(Conflict, 0)
 		}
-	} else {
-		t.owned = 0
-		for i := range t.writes.entries {
-			t.owned.set(t.d.m.StripeOf(t.writes.entries[i].Addr))
-		}
-		if !t.d.m.CommitWrites(t.writes.entries, t.commitValidate) {
-			t.fail(Conflict, 0)
-		}
+	} else if !t.d.m.CommitWrites(t.reads.entries, t.commitValidate) {
+		t.fail(Conflict, 0)
 	}
 	t.active = false
 	t.d.commits.Add(1)

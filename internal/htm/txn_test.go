@@ -479,7 +479,7 @@ func TestOpacityInvariant(t *testing.T) {
 }
 
 // TestStrongAtomicityWithPlainWriter: a plain (non-transactional) writer
-// keeps x+y constant under the writeback lock one word at a time is NOT
+// keeps x+y constant. Two plain stores one word at a time are NOT
 // atomic, so instead it updates both words in one CommitWrites; hardware
 // readers must never see a torn pair.
 func TestStrongAtomicityWithPlainWriter(t *testing.T) {

@@ -3,6 +3,12 @@
 // subscribe to a global lock, and a transaction that repeatedly fails in
 // hardware acquires the lock — aborting every speculating transaction and
 // serializing execution to guarantee progress.
+//
+// Without its hardware half the same protocol is the serial baseline
+// (NewSerial): every transaction takes the global lock. That trivially
+// provides opacity, serializability and privatization, scales not at all,
+// and doubles as the correctness oracle for differential tests of the real
+// algorithms.
 package lockelision
 
 import (
@@ -19,9 +25,14 @@ import (
 // global HTM lock plays in the hybrids).
 const abortLockTaken = htm.ArgHTMLockTaken
 
-// System is a lock-elision TM over one shared memory.
+// System is a lock-elision TM over one shared memory, or the serial
+// baseline when it has no device.
 type System struct {
 	tm.SystemBase
+	// gLock is a word of m (0 free, 1 held) rather than a sync.Mutex so that
+	// waiting for it passes hooked memory operations: under the
+	// deterministic explorer a waiter yields to the holder instead of
+	// blocking the one running goroutine until the watchdog fires.
 	gLock mem.Addr
 }
 
@@ -34,10 +45,21 @@ func New(m *mem.Memory, dev *htm.Device, policy tm.RetryPolicy) *System {
 	}
 }
 
-// NewThread implements tm.System.
+// NewSerial creates the serial baseline over m: lock elision with no device,
+// so every Run executes under the global lock.
+func NewSerial(m *mem.Memory) *System {
+	return &System{SystemBase: tm.NewSystemBase("serial", m), gLock: m.NewThreadCache().Alloc(mem.LineWords)}
+}
+
+// NewThread implements tm.System. A thread of a system without a device
+// binds no hardware half.
 func (s *System) NewThread() tm.Thread {
 	t := &thread{ThreadBase: s.NewThreadBase(), gLock: s.gLock}
-	t.Bind(t, t)
+	var hw tm.Hardware
+	if t.HTM() != nil {
+		hw = t
+	}
+	t.Bind(t, hw)
 	return t
 }
 

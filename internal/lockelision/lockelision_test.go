@@ -1,6 +1,7 @@
 package lockelision_test
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
@@ -175,5 +176,80 @@ func TestRestartFromApplicationRetries(t *testing.T) {
 	}
 	if calls != 3 {
 		t.Errorf("callback ran %d times, want 3", calls)
+	}
+}
+
+// The serial baseline is lock elision without a device: every Run takes the
+// global lock.
+func serialFactory(m *mem.Memory) tm.System { return lockelision.NewSerial(m) }
+
+func TestSerialConformance(t *testing.T) {
+	tmtest.RunConformance(t, serialFactory, tmtest.Options{})
+}
+
+func TestSerialUserAbortRollsBackEagerWritesInOrder(t *testing.T) {
+	m := mem.New(1 << 12)
+	th := serialFactory(m).NewThread()
+	defer th.Close()
+	var a mem.Addr
+	if err := th.Run(func(tx tm.Tx) error {
+		a = tx.Alloc(1)
+		tx.Store(a, 1)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	err := th.Run(func(tx tm.Tx) error {
+		tx.Store(a, 2)
+		tx.Store(a, 3)
+		tx.Store(a, 4)
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v", err)
+	}
+	if got := m.LoadPlain(a); got != 1 {
+		t.Errorf("value = %d after rollback of chained writes, want 1", got)
+	}
+}
+
+func TestSerialApplicationPanicPropagatesAndRollsBack(t *testing.T) {
+	m := mem.New(1 << 12)
+	th := serialFactory(m).NewThread()
+	defer th.Close()
+	var a mem.Addr
+	if err := th.Run(func(tx tm.Tx) error { a = tx.Alloc(1); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != "app bug" {
+				t.Errorf("recovered %v, want app bug", r)
+			}
+		}()
+		_ = th.Run(func(tx tm.Tx) error {
+			tx.Store(a, 9)
+			panic("app bug")
+		})
+	}()
+	if got := m.LoadPlain(a); got != 0 {
+		t.Errorf("value = %d after panic, want 0 (rolled back)", got)
+	}
+	// The thread must remain usable (lock released).
+	if err := th.Run(func(tx tm.Tx) error { tx.Store(a, 1); return nil }); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestSerialStatsCounters(t *testing.T) {
+	th := serialFactory(mem.New(1 << 12)).NewThread()
+	defer th.Close()
+	_ = th.Run(func(tx tm.Tx) error { return nil })
+	_ = th.RunReadOnly(func(tx tm.Tx) error { return nil })
+	_ = th.Run(func(tx tm.Tx) error { return errors.New("x") })
+	s := th.Stats()
+	if s.Commits != 2 || s.SerialCommits != 2 || s.ReadOnlyCommits != 1 || s.UserAborts != 1 {
+		t.Errorf("stats = %+v", s)
 	}
 }

@@ -6,29 +6,33 @@
 // and write it directly, and non-transactional ("plain") code accesses it
 // through the atomic helpers below. Real Haswell RTM detects conflicts per
 // cache line, so the substrate mirrors that granularity: the word array is
-// partitioned into Stripes padded stripes (line-interleaved), each with its own
-// seqlock version clock and writeback mutex. A mutation only perturbs the
-// stripes it touches, so disjoint-line commits proceed in parallel and only
-// transactions whose footprint intersects a mutated stripe revalidate.
+// partitioned into Stripes padded stripes (line-interleaved), each guarded by
+// one word: its seqlock version clock, which is also its lock. A mutation
+// only perturbs the stripes it touches, so disjoint-line commits proceed in
+// parallel and only transactions whose footprint intersects a mutated stripe
+// revalidate.
 //
 // Three properties are load-bearing for the rest of the system:
 //
 //  1. Each stripe clock is a seqlock: every mutation of a word moves its
 //     stripe's clock to an odd value before the store and back to an even
-//     value afterwards, and a failed (nothing-published) commit that opened
-//     a window restores the clock to its prior even value. A reader that
-//     observes an even, unchanged stripe clock around a read therefore
-//     observed stable words: an unchanged even clock proves no store
-//     happened in that stripe in between.
-//  2. HTM commits publish their entire write buffer while holding the
-//     writeback locks of every touched stripe — the same locks plain
-//     mutators take — with all touched windows open, and LoadPlain reads
-//     under the seqlock, so a commit is atomic with respect to all other
-//     memory traffic (strong isolation).
-//     Multi-stripe lock acquisition is in canonical ascending stripe order,
-//     which makes it deadlock-free. A read-only htm commit publishes
-//     nothing and never reaches CommitWrites: it sweeps its own stripes
-//     under the per-stripe seqlock read protocol.
+//     value afterwards, and a mutator that publishes nothing (a failed
+//     CASPlain, a failed commit validation) restores the even value it
+//     found. A reader that observes an even, unchanged stripe clock around
+//     a read therefore observed stable words: an unchanged even clock
+//     proves no store happened in that stripe in between.
+//  2. The odd clock is the stripe's lock: a mutator takes a stripe with one
+//     compare-and-swap of its clock from even to odd, which both excludes
+//     every other mutator and opens the window, and releases it with one
+//     add. HTM commits publish their entire write buffer while holding every
+//     touched stripe this way, and LoadPlain reads under the seqlock, so a
+//     commit is atomic with respect to all other memory traffic (strong
+//     isolation). CommitWrites takes its stripes in ascending order, all or
+//     none: finding one taken, it restores those it holds and yields before
+//     it retries, so no window stays open while its committer waits. A
+//     read-only htm commit publishes nothing and never reaches
+//     CommitWrites: it sweeps its own stripes under the per-stripe seqlock
+//     read protocol.
 //  3. A global commit ticket (an atomic counter, never a lock) counts
 //     publishes for event stamping and linearization ordering. A publish
 //     retires its ticket inside its seqlock window — after its last store,
@@ -54,7 +58,6 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
-	"sync"
 	"sync/atomic"
 )
 
@@ -86,13 +89,13 @@ func LineOf(a Addr) Line { return Line(a >> lineShift) }
 // of disjoint-line commits rare at benchmark thread counts.
 const Stripes = 64
 
-// stripe is one seqlock-protected partition of the word array. The padding
-// gives every stripe its own cache line so clock traffic on one stripe does
-// not false-share with its neighbours.
+// stripe is one seqlock-protected partition of the word array; an odd clock
+// is both an open window and a held lock (package doc, property 2). The
+// padding gives every stripe its own cache line so clock traffic on one
+// stripe does not false-share with its neighbours.
 type stripe struct {
 	clock atomic.Uint64
-	wb    sync.Mutex
-	_     [48]byte
+	_     [56]byte
 }
 
 // HookOp identifies which substrate boundary a Hook observes.
@@ -101,13 +104,13 @@ type HookOp uint8
 const (
 	// HookLoad fires before a plain atomic load.
 	HookLoad HookOp = iota
-	// HookStore fires before a plain atomic store takes its stripe lock.
+	// HookStore fires before a plain atomic store takes its stripe.
 	HookStore
-	// HookCAS fires before a plain compare-and-swap takes its stripe lock.
+	// HookCAS fires before a plain compare-and-swap takes its stripe.
 	HookCAS
-	// HookAdd fires before a plain fetch-and-add takes its stripe lock.
+	// HookAdd fires before a plain fetch-and-add takes its stripe.
 	HookAdd
-	// HookCommit fires before CommitWrites locks the touched stripes.
+	// HookCommit fires before CommitWrites takes the touched stripes.
 	HookCommit
 )
 
@@ -115,11 +118,10 @@ const (
 // explorer (internal/explore) installs one to serialize worker goroutines:
 // Yield parks the calling goroutine until an external scheduler resumes it.
 //
-// AtomicBegin/AtomicEnd bracket regions where the caller holds stripe
-// writeback locks with seqlock windows open (the locked span of
-// CommitWrites). Yield must not park inside such a region — a parked holder
-// would hang every seqlock reader — so hooks suppress yields between the
-// two calls. The bracket is maintained by this package; hook implementations
+// AtomicBegin/AtomicEnd bracket regions where the caller holds stripes, their
+// seqlock windows open (the locked span of CommitWrites). Yield must not
+// park inside such a region — a parked holder would hang every seqlock
+// reader — so hooks suppress yields between the two calls. The bracket is maintained by this package; hook implementations
 // only need to honor it.
 type Hook interface {
 	Yield(op HookOp, a Addr)
@@ -243,21 +245,12 @@ func (m *Memory) StripeClock(s int) uint64 { return m.stripes[s].clock.Load() }
 // consistency.
 func (m *Memory) Ticket() uint64 { return m.ticket.Load() }
 
-// beginMutate takes addr's stripe writeback lock and opens its seqlock
-// write window; endMutate retires a ticket, closes the window, and releases
-// the lock — in that order (package doc, property 3). Every unconditional
-// single-word mutation is bracketed by this pair; conditional mutators
-// (CASPlain) take the lock first and open the window only once they know
-// they will mutate.
-func (m *Memory) beginMutate(s *stripe) {
-	s.wb.Lock()
-	s.clock.Add(1)
-}
-
-func (m *Memory) endMutate(s *stripe) {
+// endMutate ends a mutation of the stripes in set, taken with take: it
+// retires a ticket, then closes their windows, which releases them — in
+// that order (package doc, property 3).
+func (m *Memory) endMutate(set uint64) {
 	m.ticket.Add(1)
-	s.clock.Add(1)
-	s.wb.Unlock()
+	m.release(set, 1)
 }
 
 // raise lifts the touched frontier to at least top, one past the highest
@@ -343,31 +336,30 @@ func (m *Memory) StorePlain(a Addr, v uint64) {
 		h.Yield(HookStore, a)
 	}
 	m.raise(uint64(a) + 1)
-	s := &m.stripes[m.StripeOf(a)]
-	m.beginMutate(s)
+	s := uint64(1) << m.StripeOf(a)
+	m.take(s)
 	atomic.StoreUint64(&m.words[a], v)
 	m.endMutate(s)
 	runtime.KeepAlive(m)
 }
 
-// CASPlain performs a non-transactional compare-and-swap. The stripe clock
-// advances only when the swap succeeds: the comparison runs under the
-// stripe's writeback lock, and the seqlock window opens only for the actual
-// store.
+// CASPlain performs a non-transactional compare-and-swap. The comparison
+// runs with the stripe taken; the stripe clock advances only when the swap
+// succeeds, and a failed comparison restores the even value it found and
+// retires no ticket.
 func (m *Memory) CASPlain(a Addr, old, new uint64) bool {
 	m.check(a)
 	if h := m.hook; h != nil {
 		h.Yield(HookCAS, a)
 	}
 	m.raise(uint64(a) + 1)
-	s := &m.stripes[m.StripeOf(a)]
-	s.wb.Lock()
+	s := uint64(1) << m.StripeOf(a)
+	m.take(s)
 	if atomic.LoadUint64(&m.words[a]) != old {
-		s.wb.Unlock()
+		m.release(s, restore)
 		runtime.KeepAlive(m)
 		return false
 	}
-	s.clock.Add(1)
 	atomic.StoreUint64(&m.words[a], new)
 	m.endMutate(s)
 	runtime.KeepAlive(m)
@@ -382,8 +374,8 @@ func (m *Memory) AddPlain(a Addr, delta uint64) uint64 {
 		h.Yield(HookAdd, a)
 	}
 	m.raise(uint64(a) + 1)
-	s := &m.stripes[m.StripeOf(a)]
-	m.beginMutate(s)
+	s := uint64(1) << m.StripeOf(a)
+	m.take(s)
 	v := atomic.LoadUint64(&m.words[a]) + delta
 	atomic.StoreUint64(&m.words[a], v)
 	m.endMutate(s)
@@ -412,11 +404,9 @@ type WriteEntry struct {
 }
 
 // CommitWrites atomically publishes a non-empty speculative write buffer.
-// It takes the writeback locks of every touched stripe in canonical
-// ascending index order (so concurrent multi-stripe commits cannot
-// deadlock), opens all their seqlock windows, calls validate, and on success
-// stores every entry, retires one ticket, and closes the windows. It reports
-// whether the commit succeeded.
+// It takes every touched stripe, which opens its seqlock window (see
+// take), calls validate, and on success stores every entry, retires one
+// ticket, and closes the windows. It reports whether the commit succeeded.
 //
 // The windows are open *during* validation so that a validating reader in
 // another thread cannot certify its read set between this commit's
@@ -424,12 +414,13 @@ type WriteEntry struct {
 // reads odd. validate therefore must not use the seqlock read protocol on
 // the touched stripes (it would spin forever); the htm commit path checks
 // reads in its own write stripes by value directly, which is stable because
-// this thread holds their locks and has published nothing yet.
+// this thread holds those stripes and has published nothing yet.
 //
 // On validation failure nothing has been stored, so each opened window is
-// restored by moving the clock back to its prior even value. A clock that
-// returns to the same even value therefore still certifies "no store
-// happened" to seqlock readers — restores only occur on publish-free paths.
+// restored by moving the clock back to the even value it was taken at. A
+// clock that returns to the same even value therefore still certifies "no
+// store happened" to seqlock readers — restores only occur on publish-free
+// paths.
 func (m *Memory) CommitWrites(writes []WriteEntry, validate func() bool) bool {
 	// touched has bit s set for every written stripe s; each phase below
 	// walks it lowest stripe first.
@@ -445,15 +436,10 @@ func (m *Memory) CommitWrites(writes []WriteEntry, validate func() bool) bool {
 		// The locked span below runs validate with windows open; a parked
 		// holder would hang every seqlock reader, so nested yields (the
 		// LoadTorns of the commit validation) are suppressed until the
-		// locks drop.
+		// stripes are released.
 		h.AtomicBegin()
 	}
-	for b := touched; b != 0; b &= b - 1 {
-		m.stripes[bits.TrailingZeros64(b)].wb.Lock()
-	}
-	for b := touched; b != 0; b &= b - 1 {
-		m.stripes[bits.TrailingZeros64(b)].clock.Add(1)
-	}
+	m.take(touched)
 	ok := validate == nil || validate()
 	if ok {
 		m.raise(uint64(top) + 1)
@@ -469,26 +455,48 @@ func (m *Memory) CommitWrites(writes []WriteEntry, validate func() bool) bool {
 		}
 		// The ticket retires before any window closes (package doc,
 		// property 3).
-		m.ticket.Add(1)
-		for b := touched; b != 0; b &= b - 1 {
-			m.stripes[bits.TrailingZeros64(b)].clock.Add(1)
-		}
+		m.endMutate(touched)
 	} else {
 		// Nothing was published: restore every window to its prior even
 		// value instead of closing it forward, so readers watermarked at
 		// that value are not forced into a spurious revalidation.
-		for b := touched; b != 0; b &= b - 1 {
-			m.stripes[bits.TrailingZeros64(b)].clock.Add(^uint64(0))
-		}
-	}
-	for b := touched; b != 0; b &= b - 1 {
-		m.stripes[bits.TrailingZeros64(b)].wb.Unlock()
+		m.release(touched, restore)
 	}
 	if h != nil {
 		h.AtomicEnd()
 	}
 	runtime.KeepAlive(m)
 	return ok
+}
+
+// take takes every stripe in set for a mutation, lowest first, all or
+// none: each with one compare-and-swap of its clock from even to odd, which
+// opens its window. Finding one taken, it restores those it holds and
+// yields before it starts over, so no window it opened stays open while it
+// waits, and two mutators never hold stripes each other waits for.
+func (m *Memory) take(set uint64) {
+	for b := set; b != 0; {
+		c := &m.stripes[bits.TrailingZeros64(b)].clock
+		if v := c.Load(); v&1 == 0 && c.CompareAndSwap(v, v+1) {
+			b &= b - 1
+			continue
+		}
+		m.release(set&^b, restore) // the stripes below, all held
+		runtime.Gosched()          // another mutator holds this one
+		b = set
+	}
+}
+
+// restore is release's delta for a mutator that publishes nothing: it moves
+// each clock back to the even value it was taken at.
+const restore = ^uint64(0)
+
+// release adds delta to the clock of every stripe in set: 1 closes the
+// windows of a publish, restore those of a mutation that published nothing.
+func (m *Memory) release(set, delta uint64) {
+	for ; set != 0; set &= set - 1 {
+		m.stripes[bits.TrailingZeros64(set)].clock.Add(delta)
+	}
 }
 
 // stripeClockStable spins until stripe s's clock is even (no mutation in

@@ -117,8 +117,8 @@ func TestRaceMultiStripeCommitOrdering(t *testing.T) {
 }
 
 // TestLoadPlainWaitsOutOpenCommit pins, with no concurrent writer, that a
-// commit is one step to LoadPlain: the test opens a two-word commit window
-// by hand, as CommitWrites does, and stores the first word but not yet the
+// commit is one step to LoadPlain: the test takes a stripe by hand, opening
+// its window as CommitWrites does, and stores the first word but not yet the
 // second. A LoadPlain of the first word must not return while the window is
 // open, and once it closes must return the committed value. (A bare atomic
 // load returns the new first word at once, beside the old second one.)
@@ -127,9 +127,8 @@ func TestLoadPlainWaitsOutOpenCommit(t *testing.T) {
 	a := m.NewThreadCache().Alloc(2) // one line, so one stripe
 	m.StorePlain(a, 1)
 	m.StorePlain(a+1, 1)
-	s := &m.stripes[m.StripeOf(a)]
-	s.wb.Lock()
-	s.clock.Add(1)
+	s := uint64(1) << m.StripeOf(a)
+	m.take(s)
 	atomic.StoreUint64(&m.words[a], 2)
 
 	got := make(chan [2]uint64, 1)
@@ -144,9 +143,7 @@ func TestLoadPlainWaitsOutOpenCommit(t *testing.T) {
 	}
 
 	atomic.StoreUint64(&m.words[a+1], 2)
-	m.ticket.Add(1)
-	s.clock.Add(1)
-	s.wb.Unlock()
+	m.endMutate(s)
 	if v := <-got; v != [2]uint64{2, 2} {
 		t.Fatalf("LoadPlain after the window closed = %v, want [2 2]", v)
 	}

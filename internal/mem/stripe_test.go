@@ -2,8 +2,10 @@ package mem
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestStripeOfInterleavesLines(t *testing.T) {
@@ -70,10 +72,9 @@ func TestCommitWritesTouchesOnlyWrittenStripes(t *testing.T) {
 			}
 			unlocked := func(when string) {
 				for s := range m.stripes {
-					if !m.stripes[s].wb.TryLock() {
-						t.Fatalf("%s: stripe %d left locked", when, s)
+					if m.StripeClock(s)&1 != 0 {
+						t.Fatalf("%s: stripe %d left taken", when, s)
 					}
-					m.stripes[s].wb.Unlock()
 				}
 			}
 			before, tk := clocks(), m.Ticket()
@@ -195,4 +196,103 @@ func TestSnapshotConsistentAcrossStripes(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestFailedCASRestoresItsStripe: a CASPlain whose comparison fails has
+// taken its stripe (the clock is the lock) but published nothing, so it
+// leaves the clock at the even value it found and retires no ticket — a
+// reader watermarked there needs no revalidation — and leaves the stripe
+// free for the next mutator.
+func TestFailedCASRestoresItsStripe(t *testing.T) {
+	m := New(1 << 10)
+	a := m.NewThreadCache().Alloc(1)
+	m.StorePlain(a, 5)
+	s := m.StripeOf(a)
+	c, tk := m.StripeClock(s), m.Ticket()
+	if m.CASPlain(a, 4, 9) {
+		t.Fatal("CAS with a wrong expected value succeeded")
+	}
+	if got := m.StripeClock(s); got != c {
+		t.Errorf("failed CAS left the stripe clock at %d, want %d", got, c)
+	}
+	if m.Ticket() != tk {
+		t.Error("failed CAS retired a ticket")
+	}
+	if !m.CASPlain(a, 5, 9) || m.StripeClock(s) != c+2 || m.Ticket() != tk+1 {
+		t.Errorf("CAS after the failed one: clock %d (want %d), ticket +%d (want 1)", m.StripeClock(s), c+2, m.Ticket()-tk)
+	}
+}
+
+// signalHook tells the test when CommitWrites is about to take its stripes.
+type signalHook struct{ taking chan struct{} }
+
+func (h *signalHook) Yield(HookOp, Addr) {}
+func (h *signalHook) AtomicBegin()       { close(h.taking) }
+func (h *signalHook) AtomicEnd()         {}
+
+// TestCommitWritesWaitsWithNoWindowOpen: a CommitWrites that finds a later
+// stripe taken must not hold its earlier stripes open while it waits — they
+// read even, a LoadPlain of a word there returns the old value, and none of
+// the commit's writes shows — until the test releases the later stripe and
+// the commit takes them all.
+func TestCommitWritesWaitsWithNoWindowOpen(t *testing.T) {
+	m := New(1 << 12)
+	a := m.NewThreadCache().Alloc(2 * LineWords)
+	b := a + LineWords
+	s0, s1 := m.StripeOf(a), m.StripeOf(b)
+	if s0 > s1 {
+		a, b, s0, s1 = b, a, s1, s0
+	}
+	m.StorePlain(a, 1)
+	m.StorePlain(b, 1)
+	c0, tk := m.StripeClock(s0), m.Ticket()
+	c1 := m.StripeClock(s1)
+	m.take(1 << s1) // the later stripe, held by hand
+
+	h := &signalHook{taking: make(chan struct{})}
+	m.SetHook(h)
+	done := make(chan bool, 1)
+	go func() { done <- m.CommitWrites([]WriteEntry{{a, 2}, {b, 2}}, nil) }()
+	<-h.taking
+
+	even := 0
+	for i := 0; i < 1000; i++ {
+		if m.StripeClock(s0)&1 == 0 {
+			even++
+		}
+		runtime.Gosched()
+	}
+	if even == 0 {
+		t.Errorf("stripe %d read odd in 1000 samples while its committer waited for stripe %d", s0, s1)
+	}
+	read := make(chan uint64, 1)
+	go func() { read <- m.LoadPlain(a) }()
+	select {
+	case v := <-read:
+		if v != 1 {
+			t.Errorf("LoadPlain of the waiting commit's first word = %d, want the old 1", v)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("LoadPlain waited on stripe %d while its committer waited for stripe %d", s0, s1)
+	}
+	// The committer may hold stripe s0 for the instant before it finds s1
+	// taken again, but never moves it past that.
+	if c := m.StripeClock(s0); m.Ticket() != tk || c != c0 && c != c0+1 {
+		t.Errorf("waiting commit moved the ticket (+%d) or stripe %d (%d, want %d)", m.Ticket()-tk, s0, c, c0)
+	}
+	select {
+	case <-done:
+		t.Fatal("CommitWrites finished while one of its stripes was held")
+	default:
+	}
+
+	m.release(1<<s1, restore) // release it as a failed mutator does
+	if !<-done {
+		t.Fatal("commit failed")
+	}
+	m.SetHook(nil)
+	if m.LoadPlain(a) != 2 || m.LoadPlain(b) != 2 || m.StripeClock(s0) != c0+2 || m.StripeClock(s1) != c1+2 {
+		t.Errorf("after the release: words %d %d, clocks +%d +%d; want 2 2, +2 +2",
+			m.LoadPlain(a), m.LoadPlain(b), m.StripeClock(s0)-c0, m.StripeClock(s1)-c1)
+	}
 }

@@ -4,14 +4,14 @@ import (
 	"math/rand"
 	"testing"
 
+	"rhnorec/internal/lockelision"
 	"rhnorec/internal/mem"
 	"rhnorec/internal/rbtree"
-	"rhnorec/internal/serial"
 	"rhnorec/internal/tm"
 )
 
 func TestMinMaxRange(t *testing.T) {
-	sys := serial.New(mem.New(1 << 20))
+	sys := lockelision.NewSerial(mem.New(1 << 20))
 	th := sys.NewThread()
 	defer th.Close()
 	if err := th.Run(func(tx tm.Tx) error {
@@ -72,7 +72,7 @@ func TestMinMaxRange(t *testing.T) {
 }
 
 func TestRangeMatchesKeysRandomized(t *testing.T) {
-	sys := serial.New(mem.New(1 << 21))
+	sys := lockelision.NewSerial(mem.New(1 << 21))
 	th := sys.NewThread()
 	defer th.Close()
 	rng := rand.New(rand.NewSource(5))

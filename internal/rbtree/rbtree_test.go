@@ -13,7 +13,6 @@ import (
 	"rhnorec/internal/mem"
 	"rhnorec/internal/norec"
 	"rhnorec/internal/rbtree"
-	"rhnorec/internal/serial"
 	"rhnorec/internal/tl2"
 	"rhnorec/internal/tm"
 )
@@ -22,7 +21,7 @@ import (
 func newTree(t *testing.T) (tm.System, tm.Thread, rbtree.Tree) {
 	t.Helper()
 	m := mem.New(1 << 22)
-	sys := serial.New(m)
+	sys := lockelision.NewSerial(m)
 	th := sys.NewThread()
 	var tree rbtree.Tree
 	if err := th.Run(func(tx tm.Tx) error {
@@ -177,7 +176,7 @@ func TestDifferentialVsMap(t *testing.T) {
 func TestQuickInvariants(t *testing.T) {
 	f := func(keys []uint16) bool {
 		m := mem.New(1 << 22)
-		sys := serial.New(m)
+		sys := lockelision.NewSerial(m)
 		th := sys.NewThread()
 		defer th.Close()
 		ok := true
@@ -277,7 +276,7 @@ func concurrentTreeStress(t *testing.T, sys tm.System, threads, ops int) {
 
 func TestConcurrentStressAllSystems(t *testing.T) {
 	mk := map[string]func(m *mem.Memory) tm.System{
-		"serial": func(m *mem.Memory) tm.System { return serial.New(m) },
+		"serial": func(m *mem.Memory) tm.System { return lockelision.NewSerial(m) },
 		"lock-elision": func(m *mem.Memory) tm.System {
 			d := htm.NewDevice(m, htm.Config{})
 			d.SetActiveThreads(4)

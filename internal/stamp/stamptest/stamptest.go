@@ -6,9 +6,9 @@ package stamptest
 import (
 	"rhnorec/internal/core"
 	"rhnorec/internal/htm"
+	"rhnorec/internal/lockelision"
 	"rhnorec/internal/mem"
 	"rhnorec/internal/norec"
-	"rhnorec/internal/serial"
 	"rhnorec/internal/tm"
 )
 
@@ -21,7 +21,7 @@ type Factory func() tm.System
 func Systems(memWords int) map[string]Factory {
 	newMem := func() *mem.Memory { return mem.New(memWords) }
 	return map[string]Factory{
-		"serial": func() tm.System { return serial.New(newMem()) },
+		"serial": func() tm.System { return lockelision.NewSerial(newMem()) },
 		"norec":  func() tm.System { return norec.New(newMem(), norec.Eager) },
 		"hy-norec": func() tm.System {
 			m := newMem()

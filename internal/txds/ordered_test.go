@@ -9,8 +9,8 @@ import (
 
 	"rhnorec/internal/core"
 	"rhnorec/internal/htm"
+	"rhnorec/internal/lockelision"
 	"rhnorec/internal/mem"
-	"rhnorec/internal/serial"
 	"rhnorec/internal/tm"
 	"rhnorec/internal/txds"
 )
@@ -47,7 +47,7 @@ func kinds() []orderedKind {
 func TestOrderedBasics(t *testing.T) {
 	for _, k := range kinds() {
 		t.Run(k.name, func(t *testing.T) {
-			th := serial.New(mem.New(1 << 20)).NewThread()
+			th := lockelision.NewSerial(mem.New(1 << 20)).NewThread()
 			defer th.Close()
 			if err := th.Run(func(tx tm.Tx) error {
 				m := k.create(tx)
@@ -92,7 +92,7 @@ func TestOrderedBasics(t *testing.T) {
 func TestOrderedDifferentialVsMapOracle(t *testing.T) {
 	for _, k := range kinds() {
 		t.Run(k.name, func(t *testing.T) {
-			th := serial.New(mem.New(1 << 21)).NewThread()
+			th := lockelision.NewSerial(mem.New(1 << 21)).NewThread()
 			defer th.Close()
 			var m orderedMap
 			if err := th.Run(func(tx tm.Tx) error { m = k.create(tx); return nil }); err != nil {
@@ -149,7 +149,7 @@ func TestOrderedQuickInsertDelete(t *testing.T) {
 	for _, k := range kinds() {
 		t.Run(k.name, func(t *testing.T) {
 			f := func(keys []uint16) bool {
-				th := serial.New(mem.New(1 << 21)).NewThread()
+				th := lockelision.NewSerial(mem.New(1 << 21)).NewThread()
 				defer th.Close()
 				ok := true
 				_ = th.Run(func(tx tm.Tx) error {
@@ -189,7 +189,7 @@ func TestOrderedQuickInsertDelete(t *testing.T) {
 }
 
 func TestSkipListMinAndRange(t *testing.T) {
-	th := serial.New(mem.New(1 << 20)).NewThread()
+	th := lockelision.NewSerial(mem.New(1 << 20)).NewThread()
 	defer th.Close()
 	if err := th.Run(func(tx tm.Tx) error {
 		s := txds.NewSkipList(tx)

@@ -8,15 +8,15 @@ import (
 
 	"rhnorec/internal/core"
 	"rhnorec/internal/htm"
+	"rhnorec/internal/lockelision"
 	"rhnorec/internal/mem"
-	"rhnorec/internal/serial"
 	"rhnorec/internal/tm"
 	"rhnorec/internal/txds"
 )
 
 func newThread(t *testing.T) tm.Thread {
 	t.Helper()
-	return serial.New(mem.New(1 << 20)).NewThread()
+	return lockelision.NewSerial(mem.New(1 << 20)).NewThread()
 }
 
 func TestQueueFIFO(t *testing.T) {
@@ -55,7 +55,7 @@ func TestQueueFIFO(t *testing.T) {
 
 func TestQueueForEachAndDispose(t *testing.T) {
 	m := mem.New(1 << 16)
-	th := serial.New(m).NewThread()
+	th := lockelision.NewSerial(m).NewThread()
 	defer th.Close()
 	own := m.LiveBlocks() // the system's lock word
 	if err := th.Run(func(tx tm.Tx) error {

@@ -48,7 +48,6 @@ import (
 	"rhnorec/internal/norec"
 	"rhnorec/internal/phasedtm"
 	"rhnorec/internal/rhtl2"
-	"rhnorec/internal/serial"
 	"rhnorec/internal/tl2"
 	"rhnorec/internal/tm"
 )
@@ -195,7 +194,7 @@ func NewRHTL2(m *Memory, o Options) (System, error) {
 
 // NewSerial creates the global-lock baseline TM (also useful as a
 // correctness oracle).
-func NewSerial(m *Memory) System { return serial.New(m) }
+func NewSerial(m *Memory) System { return lockelision.NewSerial(m) }
 
 // DefaultRetryPolicy returns the paper's §3.3–§3.4 policy: 10 hardware
 // retries, 10 slow-path restarts before serialization, single-try prefix
