@@ -20,7 +20,6 @@ import (
 	"testing"
 
 	"rhnorec/internal/bench"
-	"rhnorec/internal/core"
 	"rhnorec/internal/htm"
 	"rhnorec/internal/mem"
 	"rhnorec/internal/tm"
@@ -193,18 +192,6 @@ func BenchmarkAblationEagerVsLazyHyTM(b *testing.B) {
 	eager, lazy := algoNamed(b, "hy-norec"), algoNamed(b, "hy-norec-lazy")
 	b.Run("eager", func(b *testing.B) { runWorkload(b, ablationWorkload, eager) })
 	b.Run("lazy", func(b *testing.B) { runWorkload(b, ablationWorkload, lazy) })
-}
-
-// BenchmarkAblationSerialLock sweeps the starvation-escape threshold
-// (§3.3: the paper settled on 10).
-func BenchmarkAblationSerialLock(b *testing.B) {
-	for _, limit := range []int{2, 10, 50} {
-		name := map[int]string{2: "limit-2", 10: "limit-10", 50: "limit-50"}[limit]
-		algo := bench.Algo{Name: name, New: func(m *mem.Memory, d *htm.Device) tm.System {
-			return core.New(m, d, tm.RetryPolicy{MaxSlowPathRestarts: limit})
-		}}
-		b.Run(name, func(b *testing.B) { runWorkload(b, ablationWorkload, algo) })
-	}
 }
 
 // BenchmarkStructures compares ordered-map implementations under RH NOrec

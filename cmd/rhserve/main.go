@@ -14,8 +14,9 @@
 // worker pool size (default: simulated core count), -queue max chains
 // blocked waiting for one worker, -batch max requests fused into one
 // transaction, -timeout longest wait for the worker before a request is
-// shed, -retryafter shed backoff hint, -cores simulated HTM cores, -pprof
-// mounts net/http/pprof under /debug/pprof/ (opt-in profiling).
+// shed, -retryafter shed backoff hint, -pprof mounts net/http/pprof under
+// /debug/pprof/ (opt-in profiling). The simulated hardware is the paper's
+// testbed (htm.Cores, default capacities) and takes no flag.
 //
 // Durability (docs/PERSIST.md): -data <dir> arms the redo-log persistence
 // plane — boot replays the directory's logs (crash recovery) and committing
@@ -39,7 +40,6 @@ import (
 	"time"
 
 	"rhnorec/internal/bench"
-	"rhnorec/internal/htm"
 	"rhnorec/internal/serve"
 )
 
@@ -53,7 +53,6 @@ func main() {
 		batch      = flag.Int("batch", 16, "max requests fused into one transaction")
 		timeout    = flag.Duration("timeout", time.Second, "longest a request may wait for its worker before it is shed")
 		retryAfter = flag.Duration("retryafter", time.Second, "shed backoff hint")
-		cores      = flag.Int("cores", 0, "simulated HTM cores (0 = default)")
 		pprofFlag  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the service mux")
 		dataDir    = flag.String("data", "", "redo-log directory: arms durable persistence + boot crash recovery")
 		durable    = flag.Bool("durable", false, "every write request waits for its fsync before the reply")
@@ -66,14 +65,9 @@ func main() {
 	if *durable && *dataDir == "" {
 		usage("-durable needs -data <dir>: without a redo log nothing is ever durable")
 	}
-	hcfg := htm.Config{}
-	if *cores > 0 {
-		hcfg.Cores = *cores
-	}
 	s, err := serve.New(serve.Config{
 		Algo:           *algo,
 		Keys:           *keys,
-		HTM:            hcfg,
 		Workers:        *workers,
 		QueueDepth:     *queue,
 		BatchMax:       *batch,

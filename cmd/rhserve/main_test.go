@@ -11,7 +11,7 @@ import (
 )
 
 // TestFlagRejections pins the flag sets rhserve refuses: the removed
-// -persist and -ringsize flags, -durable without the -data log it waits on
+// -persist, -ringsize and -cores flags, -durable without the -data log it waits on
 // (a server that acks nothing durably), and an unknown -algo. Each must
 // exit 2 with a message naming the flag, before any listener or log
 // directory exists.
@@ -28,6 +28,7 @@ func TestFlagRejections(t *testing.T) {
 	}{
 		{"persist flag is gone", []string{"-addr", "127.0.0.1:0", "-data", data, "-persist", "sync"}, "flag provided but not defined"},
 		{"ringsize flag is gone", []string{"-addr", "127.0.0.1:0", "-ringsize", "64"}, "flag provided but not defined"},
+		{"cores flag is gone", []string{"-addr", "127.0.0.1:0", "-cores", "4"}, "flag provided but not defined"},
 		{"durable without data", []string{"-addr", "127.0.0.1:0", "-durable"}, "-durable needs -data"},
 		{"unknown algo", []string{"-addr", "127.0.0.1:0", "-data", data, "-algo", "hybrid-norec"}, `unknown -algo "hybrid-norec"`},
 	} {

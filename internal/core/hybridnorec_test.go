@@ -171,7 +171,7 @@ func TestSerialLockEnsuresProgress(t *testing.T) {
 	m := mem.New(1 << 20)
 	dev := htm.NewDevice(m, htm.Config{WriteCapacityLines: 4})
 	dev.SetActiveThreads(2)
-	sys := core.NewHybridNOrec(m, dev, tm.RetryPolicy{MaxSlowPathRestarts: 3})
+	sys := core.NewHybridNOrec(m, dev, tm.RetryPolicy{})
 	setup := sys.NewThread()
 	var big, hot mem.Addr
 	if err := setup.Run(func(tx tm.Tx) error {

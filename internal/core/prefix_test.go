@@ -250,34 +250,94 @@ func TestPrefixBudgetMovesOnlyWhenLengthWasTheCause(t *testing.T) {
 
 // TestPrefixBudgetClimbsBackAfterPhaseChange: once transactions stop
 // overflowing the hardware (the same number of reads over an eighth of the
-// lines), the budget a capacity abort cut returns to InitialPrefixLength.
-// Past an observed capacity point each step of a sixteenth waits for 64
-// committed prefixes and 55 → 256 is 24 steps, so 1 600 commits bound it.
+// lines), the budget a capacity abort cut grows back until the prefix no
+// longer meets it. Past an observed capacity point each step of a sixteenth
+// waits for 64 committed prefixes and 55 → 300 is 26 steps, so 1 800
+// commits bound it.
 func TestPrefixBudgetClimbsBackAfterPhaseChange(t *testing.T) {
-	const initial, bound = 256, 1600
-	w := newPrefixWorld(t, tm.RetryPolicy{InitialPrefixLength: initial, DisableFast: true})
-	w.mustAudit(t, 300, 1)
+	const reads, bound = 300, 1800
+	w := newPrefixWorld(t, tm.RetryPolicy{DisableFast: true})
+	w.mustAudit(t, reads, 1)
 	last := core.PrefixBudget(w.th)
 	if last >= prefixTestRetired {
 		t.Fatalf("budget after the capacity abort = %d, want under %d", last, prefixTestRetired)
 	}
 	aborts := w.prefixAborts()
 	commits := 0
-	for ; core.PrefixBudget(w.th) < initial && commits < bound; commits++ {
-		w.mustAudit(t, 300, 8) // 38 lines: fits, but longer than the budget
+	for ; core.PrefixBudget(w.th) <= reads && commits < bound; commits++ {
+		w.mustAudit(t, reads, 8) // 38 lines: fits, but longer than the budget
 		if got := core.PrefixBudget(w.th); got < last {
 			t.Fatalf("budget fell %d → %d with no abort", last, got)
 		} else {
 			last = got
 		}
 	}
-	if got := core.PrefixBudget(w.th); got != initial {
-		t.Errorf("budget = %d after %d in-capacity commits, want %d within %d", got, commits, initial, bound)
+	if last <= reads {
+		t.Errorf("budget = %d after %d in-capacity commits, want past %d within %d", last, commits, reads, bound)
+	}
+	// A prefix that commits at the first write, under its budget, grows it
+	// no further.
+	for i := 0; i < 2*64; i++ {
+		w.mustAudit(t, reads, 8)
+	}
+	if got := core.PrefixBudget(w.th); got != last {
+		t.Errorf("budget %d → %d while no prefix met it", last, got)
 	}
 	if got := w.prefixAborts(); got != aborts {
 		t.Errorf("%d prefixes died while climbing back", got-aborts)
 	}
-	t.Logf("back at %d after %d commits", initial, commits)
+	t.Logf("past %d after %d commits", reads, commits)
+}
+
+// TestPrefixBudgetBounds pins the prefix budget's bounds as literals
+// (TestPrefixBudgetConvergesInOneCapacityAbort pins the start, 4 096):
+// growth stops at 4 096, a capacity abort at the second read floors the
+// budget at 4, and a budget under 4 runs no prefix.
+func TestPrefixBudgetBounds(t *testing.T) {
+	w := newPrefixWorld(t, tm.RetryPolicy{DisableFast: true})
+	// 4 200 reads over 38 lines fit the device and meet any budget up to
+	// 4 200: four committed prefixes grow 4 000 by a sixteenth, to the cap.
+	core.SetPrefixBudget(w.th, 4000)
+	for i := 0; i < 8; i++ {
+		if err := w.auditAt(4200, func(i int) mem.Addr { return w.base + mem.Addr(i%304) }, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := core.PrefixBudget(w.th); got != 4096 {
+		t.Errorf("budget grown from 4000 = %d, want the cap 4096", got)
+	}
+
+	// Two read lines: the prefix subscribes to the HTM lock, retires its
+	// first read and overflows at its second.
+	m := mem.New(1 << 12)
+	dev := htm.NewDevice(m, htm.Config{ReadCapacityLines: 2, WriteCapacityLines: 2})
+	dev.SetActiveThreads(1)
+	th := core.New(m, dev, tm.RetryPolicy{DisableFast: true}).NewThread()
+	defer th.Close()
+	var a mem.Addr
+	if err := th.Run(func(tx tm.Tx) error { a = tx.Alloc(3 * mem.LineWords); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	audit := func() {
+		t.Helper()
+		if err := th.Run(func(tx tm.Tx) error {
+			tx.Store(a+2*mem.LineWords, tx.Load(a)+tx.Load(a+mem.LineWords))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := th.Stats().PrefixAttempts
+	audit()
+	if got := core.PrefixBudget(th); got != 4 {
+		t.Errorf("budget after a capacity abort at the second read = %d, want the floor 4", got)
+	}
+	audit() // a budget of 4 still runs its prefix
+	core.SetPrefixBudget(th, 3)
+	audit() // one under the floor runs none
+	if got := th.Stats().PrefixAttempts - before; got != 2 {
+		t.Errorf("%d prefixes ran at budgets 4096, 4 and 3, want 2", got)
+	}
 }
 
 // The segment tests run a 100-read budget on the 64-line device: the prefix
@@ -287,7 +347,8 @@ func TestPrefixBudgetClimbsBackAfterPhaseChange(t *testing.T) {
 const segDense = 100
 
 func newSegmentWorld(t *testing.T) *prefixWorld {
-	w := newPrefixWorld(t, tm.RetryPolicy{InitialPrefixLength: segDense, DisableFast: true})
+	w := newPrefixWorld(t, tm.RetryPolicy{DisableFast: true})
+	core.SetPrefixBudget(w.th, segDense)
 	*w.th.Stats() = tm.Stats{} // the set-up transaction ran a prefix too
 	return w
 }

@@ -76,8 +76,8 @@ type System struct {
 	g hynorec.Globals
 }
 
-// New creates an RH NOrec system. dev must speculate over m; zero policy
-// fields take the paper's defaults (§3.3–§3.4).
+// New creates an RH NOrec system. dev must speculate over m; the zero
+// policy is the paper's (§3.3–§3.4).
 func New(m *mem.Memory, dev *htm.Device, policy tm.RetryPolicy) *System {
 	return newSystem("rh-norec", m, dev, policy)
 }
@@ -99,12 +99,11 @@ func newSystem(name string, m *mem.Memory, dev *htm.Device, policy tm.RetryPolic
 // NewThread implements tm.System.
 func (s *System) NewThread() tm.Thread {
 	t := &thread{ThreadBase: s.NewThreadBase()}
-	p := s.Engine().Policy()
-	t.expectedLen = p.InitialPrefixLength
+	t.expectedLen = initialPrefixLength
 	t.fast = hynorec.FastPath{Globals: s.g, Base: &t.ThreadBase}
 	t.Clock = tm.NewClock(s.Memory(), s.g.Clock)
 	t.Bind(t, &t.fast)
-	t.SerialEscape(s.g.SerialLock, p.MaxSlowPathRestarts)
+	t.SerialEscape(s.g.SerialLock)
 	return t
 }
 
@@ -176,8 +175,7 @@ func (t *thread) EndSlow() {
 }
 
 func (t *thread) prefixUsable() bool {
-	p := t.Engine.Policy()
-	return !p.DisablePrefix && !t.prefixBanned && t.expectedLen >= p.MinPrefixLength
+	return !t.Engine.Policy().DisablePrefix && !t.prefixBanned && t.expectedLen >= minPrefixLength
 }
 
 // startPrefix is start_rh_htm_prefix (Algorithm 3 lines 9–26).
@@ -266,6 +264,14 @@ func (t *thread) commitSegment() {
 	t.St.SegmentReads += uint64(t.segmentReads)
 }
 
+// The prefix budget's bounds (§2.4): a new thread's first prefix attempts
+// initialPrefixLength reads, growth never passes it, and cuts never take
+// the budget below minPrefixLength, under which no prefix is attempted.
+const (
+	initialPrefixLength = 4096
+	minPrefixLength     = 4
+)
+
 // Streaks of committed prefixes the budget waits for before it grows one
 // step: prefixGrowStreak while it is below anything the hardware has
 // refused, prefixProbeStreak to probe past the last observed capacity point
@@ -282,9 +288,8 @@ const (
 // sixteenth of the budget per step, so it approaches a capacity point it
 // has not seen yet instead of doubling past it.
 func (t *thread) adaptPrefixAfterSuccess() {
-	p := t.Engine.Policy()
 	t.prefixStreak++
-	if !t.prefixLimited || t.expectedLen >= p.InitialPrefixLength {
+	if !t.prefixLimited || t.expectedLen >= initialPrefixLength {
 		return
 	}
 	need := prefixGrowStreak
@@ -295,7 +300,7 @@ func (t *thread) adaptPrefixAfterSuccess() {
 		return
 	}
 	t.prefixStreak = 0
-	t.expectedLen = min(t.expectedLen+t.expectedLen/16+1, p.InitialPrefixLength)
+	t.expectedLen = min(t.expectedLen+t.expectedLen/16+1, initialPrefixLength)
 }
 
 // adaptPrefixAfterAbort resizes the prefix budget after a prefix, or a read
@@ -313,16 +318,15 @@ func (t *thread) adaptPrefixAfterSuccess() {
 //   - Explicit (HTM lock or clock found taken), a Restart raised by the
 //     callback, a user error (nil): length was not the cause; no change.
 func (t *thread) adaptPrefixAfterAbort(verdict *htm.Abort, reads int) {
-	p := t.Engine.Policy()
 	if verdict == nil || tm.IsRestartVerdict(verdict) || verdict.Code == htm.Explicit {
 		return
 	}
 	t.prefixStreak = 0
 	if verdict.Code == htm.Capacity {
-		t.expectedLen = max(reads-reads/8-1, p.MinPrefixLength)
+		t.expectedLen = max(reads-reads/8-1, minPrefixLength)
 		t.capacityPoint = t.expectedLen
 	} else {
-		t.expectedLen = max(t.expectedLen/2, p.MinPrefixLength)
+		t.expectedLen = max(t.expectedLen/2, minPrefixLength)
 	}
 }
 

@@ -97,12 +97,56 @@ func TestConformanceSpurious(t *testing.T) {
 	}, tmtest.Options{Ops: 150, NondeterministicAborts: true})
 }
 
-// TestConformanceTinyPrefixBudget exercises prefix exhaustion mid-read-run.
+// prefixBudget wraps a system so each thread made from it starts at a
+// prefix budget of n reads instead of the paper's 4 096.
+type prefixBudget struct {
+	tm.System
+	n int
+}
+
+func (p prefixBudget) NewThread() tm.Thread {
+	th := p.System.NewThread()
+	core.SetPrefixBudget(th, p.n)
+	return th
+}
+
+// TestConformanceTinyPrefixBudget exercises prefix exhaustion mid-read-run:
+// threads start at a budget of 5 reads, so prefixes end on their budget and
+// read segments carry the reads behind them.
 func TestConformanceTinyPrefixBudget(t *testing.T) {
-	tmtest.RunConformance(t, func(m *mem.Memory) tm.System {
-		return newSys(m, htm.Config{ReadCapacityLines: 4, WriteCapacityLines: 2},
-			tm.RetryPolicy{InitialPrefixLength: 5, MinPrefixLength: 2})
-	}, tmtest.Options{})
+	factory := func(m *mem.Memory) tm.System {
+		return prefixBudget{newSys(m, htm.Config{ReadCapacityLines: 4, WriteCapacityLines: 2}, tm.RetryPolicy{}), 5}
+	}
+	tmtest.RunConformance(t, factory, tmtest.Options{})
+	// Eight reads of one line, then one of each of four more lines: the fast
+	// path overflows, the prefix (the HTM lock, the read line, then the
+	// fallback count and the clock at its commit) fills the four lines and
+	// ends at its fifth read, and read segments carry the rest.
+	t.Run("PrefixesEndOnBudget", func(t *testing.T) {
+		th := factory(mem.New(1 << 16)).NewThread()
+		defer th.Close()
+		var a mem.Addr
+		if err := th.Run(func(tx tm.Tx) error { a = tx.Alloc(5 * mem.LineWords); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if err := th.Run(func(tx tm.Tx) error {
+			var sum uint64
+			for i := 0; i < mem.LineWords; i++ {
+				sum += tx.Load(a + mem.Addr(i))
+			}
+			for l := 1; l < 5; l++ {
+				sum += tx.Load(a + mem.Addr(l*mem.LineWords))
+			}
+			tx.Store(a, sum+1)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if s := th.Stats(); s.PrefixCommits == 0 || s.SegmentCommits == 0 {
+			t.Errorf("%d prefixes and %d read segments committed, want a prefix ended on its budget and a segment behind it",
+				s.PrefixCommits, s.SegmentCommits)
+		}
+	})
 }
 
 // TestScenarioFigure2: the paper's opacity scenario. A mixed slow path
@@ -363,9 +407,10 @@ func TestPrefixAdaptationShrinksOnAborts(t *testing.T) {
 	// commits.
 	dev := htm.NewDevice(m, htm.Config{ReadCapacityLines: 8, WriteCapacityLines: 4})
 	dev.SetActiveThreads(2)
-	sys := core.New(m, dev, tm.RetryPolicy{InitialPrefixLength: 64})
+	sys := core.New(m, dev, tm.RetryPolicy{})
 	th := sys.NewThread()
 	defer th.Close()
+	core.SetPrefixBudget(th, 64)
 	var base mem.Addr
 	if err := th.Run(func(tx tm.Tx) error { base = tx.Alloc(64 * mem.LineWords); return nil }); err != nil {
 		t.Fatal(err)
@@ -401,7 +446,7 @@ func TestSerialLockProgress(t *testing.T) {
 	m := mem.New(1 << 20)
 	dev := htm.NewDevice(m, htm.Config{WriteCapacityLines: 4})
 	dev.SetActiveThreads(2)
-	sys := core.New(m, dev, tm.RetryPolicy{MaxSlowPathRestarts: 2, DisablePrefix: true})
+	sys := core.New(m, dev, tm.RetryPolicy{DisablePrefix: true})
 	setup := sys.NewThread()
 	var big, hot mem.Addr
 	if err := setup.Run(func(tx tm.Tx) error {

@@ -231,8 +231,9 @@ func (p *segmentProof) run(t *testing.T, auditWrites bool, other func(tm.Tx) err
 		DefaultOps:   1,
 		HTM:          htm.Config{ReadCapacityLines: 6, WriteCapacityLines: 4},
 		Build: func(env *explore.Env, _ explore.Config) ([]func(), func() error, error) {
-			p.sys = core.New(env.M, env.Dev, tm.RetryPolicy{InitialPrefixLength: 4})
-			setup := p.sys.NewThread()
+			p.sys = core.New(env.M, env.Dev, tm.RetryPolicy{})
+			sys := prefixBudget{p.sys, 4}
+			setup := sys.NewThread()
 			defer setup.Close()
 			var fill mem.Addr
 			err := setup.Run(func(tx tm.Tx) error {
@@ -243,7 +244,7 @@ func (p *segmentProof) run(t *testing.T, auditWrites bool, other func(tm.Tx) err
 				return nil
 			})
 			p.clock0 = env.M.LoadPlain(core.ClockAddr(p.sys))
-			p.auditor, p.other = p.sys.NewThread(), p.sys.NewThread()
+			p.auditor, p.other = sys.NewThread(), sys.NewThread()
 			audit := func() {
 				if err := p.auditor.Run(func(tx tm.Tx) error {
 					p.readFiller = false
@@ -392,7 +393,7 @@ func TestPrefixDiesUnderLockedClock(t *testing.T) {
 		Build: func(env *explore.Env, _ explore.Config) ([]func(), func() error, error) {
 			// DisableFast puts both threads on the mixed slow path; the
 			// auditor's prefix ends at its fourth read.
-			sys := core.New(env.M, env.Dev, tm.RetryPolicy{DisableFast: true, InitialPrefixLength: 4})
+			sys := prefixBudget{core.New(env.M, env.Dev, tm.RetryPolicy{DisableFast: true}), 4}
 			setup := sys.NewThread()
 			defer setup.Close()
 			var fill mem.Addr

@@ -72,6 +72,18 @@ func slowPathFn(addrs []mem.Addr) func(tm.Tx) error {
 	}
 }
 
+// fixedBudget starts every Run of its thread at a prefix budget of n reads,
+// whatever the adaptation made of the last one.
+type fixedBudget struct {
+	tm.Thread
+	n int
+}
+
+func (f fixedBudget) Run(fn func(tm.Tx) error) error {
+	core.SetPrefixBudget(f.Thread, f.n)
+	return f.Thread.Run(fn)
+}
+
 func requireZeroAllocs(t *testing.T, th tm.Thread, fn func(tm.Tx) error) {
 	t.Helper()
 	for i := 0; i < 16; i++ { // reach steady state before measuring
@@ -104,9 +116,8 @@ func TestZeroAllocMixedSlowPath(t *testing.T) {
 	// fast path overflows, the prefix commits at its budget, and two read
 	// segments carry the rest to the write.
 	t.Run("read segments", func(t *testing.T) {
-		th, addrs := allocWorld(t,
-			htm.Config{ReadCapacityLines: 6, WriteCapacityLines: 1}, tm.RetryPolicy{InitialPrefixLength: 4})
-		requireZeroAllocs(t, th, func(tx tm.Tx) error {
+		th, addrs := allocWorld(t, htm.Config{ReadCapacityLines: 6, WriteCapacityLines: 1}, tm.RetryPolicy{})
+		requireZeroAllocs(t, fixedBudget{th, 4}, func(tx tm.Tx) error {
 			var sum uint64
 			for _, a := range addrs {
 				sum += tx.Load(a)

@@ -21,7 +21,8 @@ import (
 //
 // The words are the systems' first allocations, so a twin memory built the
 // same way names them. The holder reads more lines than the hardware holds,
-// so a hybrid's holder runs on its slow path.
+// so a hybrid's holder runs on its slow path; to hold the serial lock it
+// restarts until the starvation escape (10 restarts, §3.3) hands it over.
 func TestWaitsParkOnTheirWord(t *testing.T) {
 	const (
 		holderLines = 12
@@ -39,6 +40,8 @@ func TestWaitsParkOnTheirWord(t *testing.T) {
 		// holding reports, with words read off memory without yielding,
 		// that the holder holds the word and the waiter cannot get past it.
 		holding func(peek func(mem.Addr) uint64) bool
+		// serialize: the holder restarts until it holds the serial lock.
+		serialize bool
 	}{
 		{
 			name: "hy-norec FastReady after ArgHTMLockTaken",
@@ -59,12 +62,13 @@ func TestWaitsParkOnTheirWord(t *testing.T) {
 		{
 			name: "rh-norec FastReady after ArgSerialTaken",
 			new: func(m *mem.Memory, d *htm.Device) tm.System {
-				return core.New(m, d, tm.RetryPolicy{MaxSlowPathRestarts: 1})
+				return core.New(m, d, tm.RetryPolicy{})
 			},
 			word: globals.SerialLock,
 			holding: func(peek func(mem.Addr) uint64) bool {
 				return set(peek(globals.SerialLock)) && set(peek(globals.Fallbacks))
 			},
+			serialize: true,
 		},
 		{
 			name:    "norec Clock.Snapshot on an odd clock",
@@ -128,6 +132,9 @@ func TestWaitsParkOnTheirWord(t *testing.T) {
 							for i := 0; i < holderLines; i++ {
 								sum += tx.Load(lines + mem.Addr(i*mem.LineWords))
 							}
+							if row.serialize && peek(globals.SerialLock) == 0 {
+								tm.Restart()
+							}
 							tx.Store(lines, sum+1)
 							return nil
 						}); err != nil {
@@ -162,6 +169,9 @@ func TestWaitsParkOnTheirWord(t *testing.T) {
 			}
 			if c := waiter.Stats().Commits; c != 1 {
 				t.Errorf("waiter commits = %d, want 1 once the word is released", c)
+			}
+			if r := holder.Stats().SlowPathRestarts; row.serialize && r != 10 {
+				t.Errorf("holder restarts = %d, want the serial lock after 10", r)
 			}
 			// The waiter's leg is its first run of steps, and the wait is
 			// what the leg parks at after its last hardware operation.

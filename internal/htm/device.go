@@ -24,7 +24,7 @@ type Device struct {
 	cfg Config
 
 	// activeThreads is the number of simulated hardware threads currently
-	// running; above cfg.Cores, HyperThreading halves capacity.
+	// running; above Cores, HyperThreading halves capacity.
 	activeThreads atomic.Int64
 
 	// live counts the hardware contexts NewTxn handed out and Close has not
@@ -66,7 +66,7 @@ func (d *Device) ActiveThreads() int { return int(d.activeThreads.Load()) }
 
 // hyperThreaded reports whether capacity halving is in effect.
 func (d *Device) hyperThreaded() bool {
-	return int(d.activeThreads.Load()) > d.cfg.Cores
+	return d.activeThreads.Load() > Cores
 }
 
 // effectiveCaps returns the current read and write line capacities.

@@ -9,12 +9,12 @@ import (
 
 func TestDeviceAccessors(t *testing.T) {
 	m := mem.New(1 << 12)
-	d := NewDevice(m, Config{Cores: 4})
+	d := NewDevice(m, Config{ReadCapacityLines: 4})
 	if d.Memory() != m {
 		t.Error("Memory accessor broken")
 	}
-	if d.Config().Cores != 4 {
-		t.Errorf("Config().Cores = %d", d.Config().Cores)
+	if d.Config().ReadCapacityLines != 4 {
+		t.Errorf("Config().ReadCapacityLines = %d", d.Config().ReadCapacityLines)
 	}
 	d.SetActiveThreads(6)
 	if d.ActiveThreads() != 6 {
@@ -22,9 +22,11 @@ func TestDeviceAccessors(t *testing.T) {
 	}
 }
 
+// TestEffectiveCapsHalveExactlyAboveCores pins the paper's testbed: 8
+// cores, so capacity halves from the ninth active thread on (§3.2).
 func TestEffectiveCapsHalveExactlyAboveCores(t *testing.T) {
 	m := mem.New(1 << 12)
-	d := NewDevice(m, Config{Cores: 8, ReadCapacityLines: 100, WriteCapacityLines: 40})
+	d := NewDevice(m, Config{ReadCapacityLines: 100, WriteCapacityLines: 40})
 	d.SetActiveThreads(8) // at the core count: full capacity
 	r, w := d.effectiveCaps()
 	if r != 100 || w != 40 {

@@ -172,12 +172,13 @@ func AsAbort(r any) (*Abort, bool) {
 	return a, ok
 }
 
+// Cores is the number of physical cores of the paper's testbed. When more
+// active threads than cores run, per-transaction capacity halves, modelling
+// HyperThreading's split of the L1 (paper §3.2).
+const Cores = 8
+
 // Config describes the simulated transactional hardware.
 type Config struct {
-	// Cores is the number of simulated physical cores. When more active
-	// threads than cores run, per-transaction capacity halves, modelling
-	// HyperThreading's split of the L1 (paper §3.2).
-	Cores int
 	// ReadCapacityLines bounds the distinct cache lines a transaction may
 	// read (Haswell tracks reads in an L2-sized bloom filter, so this is
 	// larger than the write capacity).
@@ -195,27 +196,14 @@ type Config struct {
 	SeedFn func() uint64
 }
 
-// DefaultConfig mirrors the paper's testbed: 8 cores, a 32 KiB L1 write
-// domain (512 lines) and a larger read domain.
-func DefaultConfig() Config {
-	return Config{
-		Cores:              8,
-		ReadCapacityLines:  2048,
-		WriteCapacityLines: 512,
-		SpuriousAbortProb:  0,
-	}
-}
-
+// withDefaults fills zero capacities from the paper's testbed: a 32 KiB L1
+// write domain (512 lines) and a larger read domain.
 func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.Cores <= 0 {
-		c.Cores = d.Cores
-	}
 	if c.ReadCapacityLines <= 0 {
-		c.ReadCapacityLines = d.ReadCapacityLines
+		c.ReadCapacityLines = 2048
 	}
 	if c.WriteCapacityLines <= 0 {
-		c.WriteCapacityLines = d.WriteCapacityLines
+		c.WriteCapacityLines = 512
 	}
 	return c
 }

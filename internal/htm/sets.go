@@ -46,23 +46,6 @@ func (x *index) reset() {
 	}
 }
 
-// find returns the position stored under key.
-func (x *index) find(key uint64) (int32, bool) {
-	if x.n == 0 {
-		return 0, false
-	}
-	mask := uint64(len(x.cells) - 1)
-	for i := (key * fibMul) >> x.shift; ; i = (i + 1) & mask {
-		c := &x.cells[i]
-		if c.gen != x.gen {
-			return 0, false
-		}
-		if c.key == key {
-			return c.pos, true
-		}
-	}
-}
-
 // findOrAdd is the one insert: it returns the position stored under key,
 // storing pos first if key was absent, and reports whether it was.
 func (x *index) findOrAdd(key uint64, pos int32) (at int32, added bool) {

@@ -203,7 +203,7 @@ func TestSameLineDoesNotConsumeCapacity(t *testing.T) {
 }
 
 func TestHyperThreadingHalvesCapacity(t *testing.T) {
-	_, d, c := newTestDevice(Config{Cores: 2, WriteCapacityLines: 8})
+	_, d, c := newTestDevice(Config{WriteCapacityLines: 8})
 	base := c.Alloc(8 * mem.LineWords)
 	write6 := func(tx *Txn) *Abort {
 		return attempt(tx, func() {
@@ -213,11 +213,11 @@ func TestHyperThreadingHalvesCapacity(t *testing.T) {
 		})
 	}
 	tx := d.NewTxn()
-	d.SetActiveThreads(2)
+	d.SetActiveThreads(Cores)
 	if ab := write6(tx); ab != nil {
 		t.Fatalf("6 lines should fit at full capacity: %v", ab)
 	}
-	d.SetActiveThreads(3) // oversubscribed: capacity halves to 4
+	d.SetActiveThreads(Cores + 1) // oversubscribed: capacity halves to 4
 	if ab := write6(tx); ab == nil || ab.Code != Capacity {
 		t.Fatalf("abort = %v, want capacity with HyperThreading", ab)
 	}
@@ -564,13 +564,11 @@ func TestAttemptPropagatesForeignPanics(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	cfg := Config{}.withDefaults()
-	def := DefaultConfig()
-	if cfg.Cores != def.Cores || cfg.ReadCapacityLines != def.ReadCapacityLines || cfg.WriteCapacityLines != def.WriteCapacityLines {
-		t.Errorf("withDefaults = %+v, want %+v", cfg, def)
+	if cfg := (Config{}).withDefaults(); cfg.ReadCapacityLines != 2048 || cfg.WriteCapacityLines != 512 {
+		t.Errorf("withDefaults = %+v, want 2048 read and 512 write lines", cfg)
 	}
-	custom := Config{Cores: 4, ReadCapacityLines: 10, WriteCapacityLines: 5}.withDefaults()
-	if custom.Cores != 4 || custom.ReadCapacityLines != 10 || custom.WriteCapacityLines != 5 {
+	custom := Config{ReadCapacityLines: 10, WriteCapacityLines: 5}.withDefaults()
+	if custom.ReadCapacityLines != 10 || custom.WriteCapacityLines != 5 {
 		t.Errorf("withDefaults clobbered explicit values: %+v", custom)
 	}
 }

@@ -24,8 +24,8 @@ type System struct {
 	g Globals
 }
 
-// New creates a lazy Hybrid NOrec system. dev must speculate over m; zero
-// policy fields take the paper's defaults.
+// New creates a lazy Hybrid NOrec system. dev must speculate over m; the
+// zero policy is the paper's.
 func New(m *mem.Memory, dev *htm.Device, policy tm.RetryPolicy) *System {
 	return &System{SystemBase: tm.NewHybridBase("hy-norec-lazy", m, dev, policy), g: NewGlobals(m)}
 }
@@ -36,7 +36,7 @@ func (s *System) NewThread() tm.Thread {
 	t.fast = FastPath{Globals: s.g, Base: &t.ThreadBase}
 	t.Clock = tm.NewClock(s.Memory(), s.g.Clock)
 	t.Bind(t, &t.fast)
-	t.SerialEscape(s.g.SerialLock, s.Engine().Policy().MaxSlowPathRestarts)
+	t.SerialEscape(s.g.SerialLock)
 	return t
 }
 

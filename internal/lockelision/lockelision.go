@@ -36,8 +36,8 @@ type System struct {
 	gLock mem.Addr
 }
 
-// New creates a lock-elision system. dev must speculate over m. Zero policy
-// fields take the paper's defaults.
+// New creates a lock-elision system. dev must speculate over m; the zero
+// policy is the paper's.
 func New(m *mem.Memory, dev *htm.Device, policy tm.RetryPolicy) *System {
 	return &System{
 		SystemBase: tm.NewHybridBase("lock-elision", m, dev, policy),

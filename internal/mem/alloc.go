@@ -229,13 +229,6 @@ func (m *Memory) LiveBlocks() int64 { return m.alloc.liveBlocks.Load() }
 // LiveWords reports the number of words currently allocated and not freed.
 func (m *Memory) LiveWords() int64 { return m.alloc.liveWords.Load() }
 
-// ArenaUsed reports how many words have ever been carved from the arena.
-func (m *Memory) ArenaUsed() int64 {
-	m.alloc.mu.Lock()
-	defer m.alloc.mu.Unlock()
-	return int64(m.alloc.next) - LineWords
-}
-
 // zeroRange makes the n words starting at a read zero, clearing with one
 // bulk clear those below the touched frontier, without advancing the memory
 // clock. Only the allocator may call it, and only on quiescent blocks: no

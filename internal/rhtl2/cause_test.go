@@ -14,7 +14,7 @@ import (
 // abort lands in its own cell of the obs taxonomy (the payloads are the
 // canonical htm.Arg* codes, so htm.(*Abort).Cause classifies them).
 func TestExplicitAbortCauses(t *testing.T) {
-	const retries = 3
+	const retries = tm.MaxHTMRetries
 	cases := []struct {
 		name string
 		// plant arms the abort before the transaction runs; inTxn arms it
@@ -26,22 +26,19 @@ func TestExplicitAbortCauses(t *testing.T) {
 		count  uint64
 	}{
 		{
-			name:   "htm lock held at fast begin",
-			plant:  func(s *System, _ mem.Addr) { s.Memory().StorePlain(s.gHTMLock, 1) },
-			policy: tm.RetryPolicy{MaxHTMRetries: retries},
-			want:   obs.CauseHTMLockTaken, count: retries,
+			name:  "htm lock held at fast begin",
+			plant: func(s *System, _ mem.Addr) { s.Memory().StorePlain(s.gHTMLock, 1) },
+			want:  obs.CauseHTMLockTaken, count: retries,
 		},
 		{
-			name:   "serial lock held at fast commit",
-			plant:  func(s *System, _ mem.Addr) { s.Memory().StorePlain(s.serialLock, 1) },
-			policy: tm.RetryPolicy{MaxHTMRetries: retries},
-			want:   obs.CauseSerialTaken, count: retries,
+			name:  "serial lock held at fast commit",
+			plant: func(s *System, _ mem.Addr) { s.Memory().StorePlain(s.serialLock, 1) },
+			want:  obs.CauseSerialTaken, count: retries,
 		},
 		{
-			name:   "write stripe locked at fast commit",
-			plant:  func(s *System, a mem.Addr) { s.Memory().StorePlain(s.stripeOf(a), 99<<1|1) },
-			policy: tm.RetryPolicy{MaxHTMRetries: retries},
-			want:   obs.CauseStripeConflict, count: retries,
+			name:  "write stripe locked at fast commit",
+			plant: func(s *System, a mem.Addr) { s.Memory().StorePlain(s.stripeOf(a), 99<<1|1) },
+			want:  obs.CauseStripeConflict, count: retries,
 		},
 		{
 			name: "read stripe newer than rv at the slow path's hardware commit",

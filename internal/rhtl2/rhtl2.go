@@ -51,8 +51,8 @@ type System struct {
 	nextThreadID atomic.Uint64
 }
 
-// New creates an RH-TL2 system. dev must speculate over m. Zero policy
-// fields take the paper's defaults.
+// New creates an RH-TL2 system. dev must speculate over m; the zero policy
+// is the paper's.
 func New(m *mem.Memory, dev *htm.Device, policy tm.RetryPolicy) *System {
 	tc := m.NewThreadCache()
 	return &System{
@@ -72,7 +72,7 @@ func (s *System) stripeOf(a mem.Addr) mem.Addr {
 func (s *System) NewThread() tm.Thread {
 	t := &thread{ThreadBase: s.NewThreadBase(), sys: s, id: s.nextThreadID.Add(1)}
 	t.Bind(t, t)
-	t.SerialEscape(s.serialLock, s.Engine().Policy().MaxSlowPathRestarts)
+	t.SerialEscape(s.serialLock)
 	return t
 }
 

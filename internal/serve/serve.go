@@ -3,7 +3,7 @@
 // benchmarks (ROADMAP PR 7). It maps a
 // fixed key space onto the striped word arena (key k lives at one cache
 // line, so distinct keys conflict only through real stripe sharing), keeps
-// a sticky pool of worker threads sized to htm.Config.Cores, fuses a
+// a sticky pool of worker threads sized to htm.Cores, fuses a
 // pipelined drain's requests into batched transactions, and
 // admission-controls the request stream off the retry engine's live
 // slow-path occupancy (DESIGN.md §13, docs/SERVE.md).
@@ -137,11 +137,8 @@ type Config struct {
 	// Keys is the number of KV slots (default 1 << 16). Key k occupies its
 	// own cache line at arena offset k*mem.LineWords.
 	Keys int
-	// HTM configures the simulated hardware (zero fields take Haswell-like
-	// defaults).
-	HTM htm.Config
-	// Workers sizes the sticky worker pool (default: the HTM core count —
-	// one transaction-running thread per simulated core).
+	// Workers sizes the sticky worker pool (default htm.Cores: one
+	// transaction-running thread per simulated core).
 	Workers int
 	// QueueDepth bounds how many chains may block waiting for one worker
 	// (default 256); a chain that finds that many waiting is shed.
@@ -180,10 +177,7 @@ func (c Config) withDefaults() Config {
 		c.Keys = 1 << 16
 	}
 	if c.Workers <= 0 {
-		c.Workers = c.HTM.Cores
-		if c.Workers <= 0 {
-			c.Workers = htm.DefaultConfig().Cores
-		}
+		c.Workers = htm.Cores
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
@@ -318,7 +312,7 @@ func New(cfg Config) (*Server, error) {
 	// room for it, doubled for its class rounding.
 	words := (cfg.Keys+1)*mem.LineWords + 8192 + 2*algo.MetaWords
 	m := mem.New(words)
-	dev := htm.NewDevice(m, cfg.HTM)
+	dev := htm.NewDevice(m, htm.Config{})
 	dev.SetActiveThreads(cfg.Workers)
 	sys := algo.New(m, dev)
 

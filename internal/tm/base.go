@@ -46,8 +46,7 @@ func NewSystemBase(name string, m *mem.Memory) SystemBase {
 }
 
 // NewHybridBase is the shell of a driver with a hardware fast path on dev,
-// which must speculate over m. Zero policy fields take the paper's
-// defaults.
+// which must speculate over m.
 func NewHybridBase(name string, m *mem.Memory, dev *htm.Device, policy RetryPolicy) SystemBase {
 	if dev.Memory() != m {
 		panic("tm: device bound to a different memory")
@@ -114,11 +113,10 @@ type ThreadBase struct {
 	htx *htm.Txn
 
 	// The driver's protocol hooks and the §3.3 serial escape (run.go).
-	sw          Software
-	hw          Hardware
-	serialLock  mem.Addr
-	serialAfter int
-	serialHeld  bool
+	sw         Software
+	hw         Hardware
+	serialLock mem.Addr // mem.Nil: no escape armed
+	serialHeld bool
 
 	allocs  []block // blocks allocated by the current attempt
 	frees   []block // frees requested by the current attempt

@@ -7,7 +7,7 @@ import (
 )
 
 // Engine is what the threads of one System share of the §3.3 retry policy:
-// the resolved configuration, and a count of the threads currently on the
+// its ablation switches, and a count of the threads currently on the
 // slow path after surrendering the fast path. The skeleton (run.go) keeps
 // the count; the service layer reads it to shed work while the slow path is
 // saturated (internal/serve). Drivers without a hardware fast path to give
@@ -17,11 +17,10 @@ type Engine struct {
 	slowPath atomic.Int64
 }
 
-// NewEngine builds an engine for policy p, zero fields filled from
-// DefaultPolicy.
-func NewEngine(p RetryPolicy) *Engine { return &Engine{policy: p.WithDefaults()} }
+// NewEngine builds an engine for policy p.
+func NewEngine(p RetryPolicy) *Engine { return &Engine{policy: p} }
 
-// Policy returns the engine's resolved policy configuration.
+// Policy returns the engine's ablation switches.
 func (e *Engine) Policy() RetryPolicy { return e.policy }
 
 // SlowPathLoad reports how many threads are on the slow path after a
@@ -37,5 +36,5 @@ func (e *Engine) giveUp(ab *htm.Abort, retries int) bool {
 	if !ab.MayRetry() && ab.Code != htm.Explicit {
 		return true
 	}
-	return retries >= e.policy.MaxHTMRetries
+	return retries >= MaxHTMRetries
 }

@@ -79,12 +79,10 @@ type Hardware interface {
 func (b *ThreadBase) Bind(sw Software, hw Hardware) { b.sw, b.hw = sw, hw }
 
 // SerialEscape arms the starvation escape of §3.3: a Run whose software
-// attempts have restarted `after` times takes the lock word at lock before
-// the next one and keeps it until the Run ends. Drivers without a serial
-// lock never call it.
-func (b *ThreadBase) SerialEscape(lock mem.Addr, after int) {
-	b.serialLock, b.serialAfter = lock, after
-}
+// attempts have restarted MaxSlowPathRestarts times takes the lock word at
+// lock before the next one and keeps it until the Run ends. Drivers without
+// a serial lock never call it.
+func (b *ThreadBase) SerialEscape(lock mem.Addr) { b.serialLock = lock }
 
 // AcquireLock spins, yielding, until it flips the lock word at a from 0 to 1.
 func (b *ThreadBase) AcquireLock(a mem.Addr) {
@@ -277,7 +275,7 @@ func (b *ThreadBase) slowRun(fn func(Tx) error, fellBack bool) error {
 		} else {
 			b.St.STMRestarts++
 		}
-		if b.serialAfter > 0 && restarts >= b.serialAfter && !b.serialHeld {
+		if b.serialLock != mem.Nil && restarts >= MaxSlowPathRestarts && !b.serialHeld {
 			b.AcquireLock(b.serialLock)
 			b.serialHeld = true
 		}

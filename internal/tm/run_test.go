@@ -133,10 +133,36 @@ func (f *fakeDriver) body(tx Tx) error {
 	return nil
 }
 
+// repeat returns n copies of s.
+func repeat(n int, s step) []step {
+	steps := make([]step, n)
+	for i := range steps {
+		steps[i] = s
+	}
+	return steps
+}
+
+// fastDeaths is the hook log of n hardware tries in a row, each dying of
+// the abort code named code.
+func fastDeaths(n int, code string) string {
+	return "beginF abortF" + strings.Repeat(" ready("+code+") beginF abortF", n-1)
+}
+
+// slowRestarts is the hook log of software tries first..last, each ending in
+// a Restart; held is "+serial" for tries under the serial lock.
+func slowRestarts(first, last int, held string) string {
+	var b strings.Builder
+	for try := first; try <= last; try++ {
+		fmt.Fprintf(&b, "beginS%d%s abortS(restart) ", try, held)
+	}
+	return b.String()
+}
+
 // TestSkeleton drives ThreadBase.Run against the scripted protocol: one row
 // per lifecycle path — §3.3's retry decisions among them — checking the
 // exact hook sequence, the exact counters, the engine's slow-path occupancy
-// and that the serial lock is never left held.
+// and that the serial lock is never left held. The budgets are the paper's
+// literals: 10 hardware tries, then the serial lock after 10 restarts.
 func TestSkeleton(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -157,11 +183,17 @@ func TestSkeleton(t *testing.T) {
 			want:    Stats{Commits: 1, FastPathCommits: 1, ReadOnlyCommits: 1},
 		},
 		{
-			name: "conflicts spend the budget, then fall back", policy: RetryPolicy{MaxHTMRetries: 2},
-			fast: []step{conflict, conflict}, slow: []step{commits}, divertAt: -1,
-			wantLog: "beginF abortF ready(conflict) beginF abortF beginS1 commitS endS",
-			want: Stats{Commits: 1, SlowPathCommits: 1, Fallbacks: 1, HTMConflictAborts: 2,
+			name: "conflicts spend the budget, then fall back",
+			fast: repeat(10, conflict), slow: []step{commits}, divertAt: -1,
+			wantLog: fastDeaths(10, "conflict") + " beginS1 commitS endS",
+			want: Stats{Commits: 1, SlowPathCommits: 1, Fallbacks: 1, HTMConflictAborts: 10,
 				SlowPathStarts: 1},
+		},
+		{
+			name: "the tenth hardware try still runs",
+			fast: append(repeat(9, conflict), commits), divertAt: -1,
+			wantLog: fastDeaths(9, "conflict") + " ready(conflict) beginF commitF",
+			want:    Stats{Commits: 1, FastPathCommits: 1, HTMConflictAborts: 9},
 		},
 		{
 			name: "capacity gives up the fast path at once",
@@ -178,10 +210,10 @@ func TestSkeleton(t *testing.T) {
 				SlowPathStarts: 1},
 		},
 		{
-			name: "explicit lock aborts retry until the budget is spent", policy: RetryPolicy{MaxHTMRetries: 3},
-			fast: []step{lockTaken, lockTaken, lockTaken}, slow: []step{commits}, divertAt: -1,
-			wantLog: "beginF abortF ready(explicit) beginF abortF ready(explicit) beginF abortF beginS1 commitS endS",
-			want: Stats{Commits: 1, SlowPathCommits: 1, Fallbacks: 1, HTMExplicitAborts: 3,
+			name: "explicit lock aborts retry until the budget is spent",
+			fast: repeat(10, lockTaken), slow: []step{commits}, divertAt: -1,
+			wantLog: fastDeaths(10, "explicit") + " beginS1 commitS endS",
+			want: Stats{Commits: 1, SlowPathCommits: 1, Fallbacks: 1, HTMExplicitAborts: 10,
 				SlowPathStarts: 1},
 		},
 		{
@@ -203,11 +235,13 @@ func TestSkeleton(t *testing.T) {
 			want:    Stats{Commits: 1, SlowPathCommits: 1, Fallbacks: 1, SlowPathStarts: 1},
 		},
 		{
-			name: "restarts escalate to the serial lock", policy: RetryPolicy{DisableFast: true, MaxSlowPathRestarts: 2},
-			slow: []step{restarts, conflict, restarts, commits}, divertAt: -1,
-			wantLog: "beginS1 abortS(restart) beginS2 abortS(conflict) beginS3+serial abortS(restart) beginS4+serial commitS endS",
+			name: "restarts escalate to the serial lock", policy: RetryPolicy{DisableFast: true},
+			slow:     append(append([]step{restarts, conflict}, repeat(9, restarts)...), commits),
+			divertAt: -1,
+			wantLog: "beginS1 abortS(restart) beginS2 abortS(conflict) " + slowRestarts(3, 10, "") +
+				slowRestarts(11, 11, "+serial") + "beginS12+serial commitS endS",
 			want: Stats{Commits: 1, SlowPathCommits: 1, Fallbacks: 1, HTMConflictAborts: 1,
-				SlowPathStarts: 4, SlowPathRestarts: 3},
+				SlowPathStarts: 12, SlowPathRestarts: 11},
 		},
 		{
 			name: "a hardware death on the software path reaches AbortSlow as its own verdict", policy: RetryPolicy{DisableFast: true},
@@ -217,17 +251,17 @@ func TestSkeleton(t *testing.T) {
 				SlowPathStarts: 2, SlowPathRestarts: 1},
 		},
 		{
-			name: "serial lock released on user error", policy: RetryPolicy{DisableFast: true, MaxSlowPathRestarts: 1},
-			slow: []step{restarts, userErr}, divertAt: -1,
-			wantLog: "beginS1 abortS(restart) beginS2+serial abortS(nil) endS",
-			want:    Stats{UserAborts: 1, Fallbacks: 1, SlowPathStarts: 2, SlowPathRestarts: 1},
+			name: "serial lock released on user error", policy: RetryPolicy{DisableFast: true},
+			slow: append(repeat(10, restarts), userErr), divertAt: -1,
+			wantLog: slowRestarts(1, 10, "") + "beginS11+serial abortS(nil) endS",
+			want:    Stats{UserAborts: 1, Fallbacks: 1, SlowPathStarts: 11, SlowPathRestarts: 10},
 			wantErr: errScripted,
 		},
 		{
-			name: "serial lock released on foreign panic", policy: RetryPolicy{DisableFast: true, MaxSlowPathRestarts: 1},
-			slow: []step{restarts, booms}, divertAt: -1,
-			wantLog:   "beginS1 abortS(restart) beginS2+serial abortS(nil) endS",
-			want:      Stats{Fallbacks: 1, SlowPathStarts: 2, SlowPathRestarts: 1},
+			name: "serial lock released on foreign panic", policy: RetryPolicy{DisableFast: true},
+			slow: append(repeat(10, restarts), booms), divertAt: -1,
+			wantLog:   slowRestarts(1, 10, "") + "beginS11+serial abortS(nil) endS",
+			want:      Stats{Fallbacks: 1, SlowPathStarts: 11, SlowPathRestarts: 10},
 			wantPanic: true,
 		},
 		{
@@ -271,7 +305,7 @@ func TestSkeleton(t *testing.T) {
 				f.b.Engine = NewEngine(tc.policy)
 				f.b.Bind(f, f)
 				f.lock = f.b.Cache.Alloc(mem.LineWords)
-				f.b.SerialEscape(f.lock, f.b.Engine.Policy().MaxSlowPathRestarts)
+				f.b.SerialEscape(f.lock)
 			}
 			rec := obs.NewRecorder(obs.Config{})
 			f.b.St.Obs = rec

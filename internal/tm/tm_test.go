@@ -24,43 +24,13 @@ func TestIsRestartRejectsOthers(t *testing.T) {
 	}
 }
 
-func TestPolicyWithDefaults(t *testing.T) {
-	p := RetryPolicy{}.WithDefaults()
-	d := DefaultPolicy()
-	if p != d {
-		t.Errorf("zero policy -> %+v, want %+v", p, d)
-	}
-	custom := RetryPolicy{MaxHTMRetries: 3, DisablePrefix: true}.WithDefaults()
-	if custom.MaxHTMRetries != 3 {
-		t.Error("WithDefaults clobbered MaxHTMRetries")
-	}
-	if !custom.DisablePrefix {
-		t.Error("WithDefaults clobbered DisablePrefix")
-	}
-	if custom.MaxSlowPathRestarts != d.MaxSlowPathRestarts {
-		t.Error("WithDefaults did not fill MaxSlowPathRestarts")
-	}
-}
-
-// TestWithDefaultsIgnoresEnv: the variables the library used to read must
-// not move the resolved policy — configuration enters through cmd/.
-func TestWithDefaultsIgnoresEnv(t *testing.T) {
-	want := RetryPolicy{}.WithDefaults()
-	t.Setenv("RHNOREC_POLICY", "adaptive")
-	t.Setenv("RHNOREC_COMBINE", "1")
-	t.Setenv("RHNOREC_PERSIST", "sync")
-	if got := (RetryPolicy{}.WithDefaults()); got != want {
-		t.Errorf("with RHNOREC_* set: %+v, want %+v", got, want)
-	}
-}
-
 // TestSystemBase: the shell every driver embeds. A hybrid's threads get a
-// hardware context and the engine, whose policy has the zero fields
-// defaulted; an STM's get neither; and a device over another memory is
+// hardware context and the engine, which keeps the policy it was given; an
+// STM's get neither; and a device over another memory is
 // refused by the one binding check every hybrid constructor goes through.
 func TestSystemBase(t *testing.T) {
 	m := mem.New(1 << 12)
-	hy := NewHybridBase("hy", m, htm.NewDevice(m, htm.Config{}), RetryPolicy{MaxHTMRetries: 3})
+	hy := NewHybridBase("hy", m, htm.NewDevice(m, htm.Config{}), RetryPolicy{DisablePrefix: true})
 	sw := NewSystemBase("sw", m)
 	if hy.Name() != "hy" || sw.Name() != "sw" || hy.Memory() != m || sw.Memory() != m {
 		t.Error("Name or Memory broken")
@@ -68,8 +38,8 @@ func TestSystemBase(t *testing.T) {
 	if sw.Engine() != nil {
 		t.Error("a pure-software base has an engine")
 	}
-	if p := hy.Engine().Policy(); p.MaxHTMRetries != 3 || p.MaxSlowPathRestarts != DefaultPolicy().MaxSlowPathRestarts {
-		t.Errorf("engine policy %+v: want MaxHTMRetries 3, the rest defaulted", p)
+	if p := hy.Engine().Policy(); p != (RetryPolicy{DisablePrefix: true}) {
+		t.Errorf("engine policy %+v: want DisablePrefix alone", p)
 	}
 	hb, sb := hy.NewThreadBase(), sw.NewThreadBase()
 	if hb.HTM() == nil || hb.Engine != hy.Engine() || sb.HTM() != nil || sb.Engine != nil {

@@ -78,7 +78,10 @@ type (
 	// Stats holds the per-thread counters behind the paper's analysis
 	// rows.
 	Stats = tm.Stats
-	// RetryPolicy tunes the paper's §3.3–§3.4 retry machinery.
+	// RetryPolicy holds the ablation switches of the paper's §3.3–§3.4
+	// retry machinery; the zero value is the paper's policy. Its budgets
+	// (10 hardware tries, 10 slow-path restarts before the serial lock)
+	// are constants, not fields.
 	RetryPolicy = tm.RetryPolicy
 	// HTMConfig describes the simulated transactional hardware.
 	HTMConfig = htm.Config
@@ -92,8 +95,8 @@ func NewMemory(sizeWords int) *Memory { return mem.New(sizeWords) }
 
 // NewHTMDevice creates a simulated best-effort HTM over m. All hybrid
 // systems sharing m must share the device. Zero config fields take
-// Haswell-like defaults (8 cores, L1-sized write capacity, capacity halving
-// when oversubscribed).
+// Haswell-like defaults (L1-sized write capacity); capacity halves when
+// more threads than the testbed's 8 cores are active.
 func NewHTMDevice(m *Memory, cfg HTMConfig) *HTMDevice { return htm.NewDevice(m, cfg) }
 
 // Options configures the hybrid-system constructors.
@@ -106,7 +109,7 @@ type Options struct {
 	HTM HTMConfig
 	// Device supplies an existing device (e.g. to share between systems).
 	Device *HTMDevice
-	// Policy tunes retries; zero fields take the paper's defaults.
+	// Policy switches retry paths off; the zero value is the paper's.
 	Policy RetryPolicy
 }
 
@@ -195,8 +198,3 @@ func NewRHTL2(m *Memory, o Options) (System, error) {
 // NewSerial creates the global-lock baseline TM (also useful as a
 // correctness oracle).
 func NewSerial(m *Memory) System { return lockelision.NewSerial(m) }
-
-// DefaultRetryPolicy returns the paper's §3.3–§3.4 policy: 10 hardware
-// retries, 10 slow-path restarts before serialization, single-try prefix
-// and postfix.
-func DefaultRetryPolicy() RetryPolicy { return tm.DefaultPolicy() }

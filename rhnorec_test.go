@@ -183,10 +183,3 @@ func TestDataStructureFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestDefaultRetryPolicy(t *testing.T) {
-	p := rhnorec.DefaultRetryPolicy()
-	if p.MaxHTMRetries != 10 || p.MaxSlowPathRestarts != 10 {
-		t.Errorf("DefaultRetryPolicy = %+v does not match the paper's §3.3", p)
-	}
-}
